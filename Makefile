@@ -36,9 +36,6 @@ vet:
 	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/nf/nrf/topo/ ./internal/hmee/sgx/ ./internal/hmee/gramine/
 
 bench:
-	BENCH_JSON=$(CURDIR)/BENCH_parallel_registration.json \
-	BENCH_CHAOS_JSON=$(CURDIR)/BENCH_chaos_registration.json \
-	BENCH_BATCHED_JSON=$(CURDIR)/BENCH_batched_transitions.json \
 	BENCH_HOTPATH_JSON=$(CURDIR)/BENCH_hotpath_allocs.json \
 	$(GO) test -bench=. -benchmem ./...
 
@@ -46,8 +43,10 @@ bench:
 # benchmark, diffed against the committed baseline. Only virtual-time and
 # allocation metrics are in the report, so the comparison is stable
 # across machines; benchdiff fails on a >10% regression in any
-# lower-is-better metric (allocs/reg, bytes/reg, transitions/reg) or
-# >10% drop in any higher-is-better one (virtual regs/s).
+# lower-is-better metric (allocs/reg, bytes/reg, transitions/reg), a
+# >10% drop in any higher-is-better one (virtual regs/s), or a fast-path
+# point reaching the allocs_per_reg_budget it carries
+# (experiments.FastPathAllocBudget).
 bench-compare:
 	BENCH_HOTPATH_JSON=$(CURDIR)/BENCH_hotpath_allocs.candidate.json \
 	$(GO) test -run '^$$' -bench BenchmarkRegisterManyBatched -benchtime 1x .
@@ -63,9 +62,10 @@ storm-bench:
 	$(GO) run ./cmd/experiments -seed 7 -iterations 240 storm
 
 # Regenerate the committed shard-scaling artifact: the replica sweep's
-# fleet throughput, speedup, and allocs/reg at 1/2/4/8 replicas on the
-# full fast path (acceptance: >=3x fleet speedup at 8 replicas, <100
-# allocs/reg at every point, deterministic same-seed replay).
+# fleet throughput, speedup, lane balance and allocs/reg at 1/2/4/8
+# replicas on the full fast path (acceptance: >=3x fleet speedup at 8
+# replicas, every point under experiments.FastPathAllocBudget,
+# deterministic same-seed replay).
 shard-bench:
 	BENCH_SHARD_JSON=$(CURDIR)/BENCH_shard_scaling.json \
 	$(GO) run ./cmd/experiments -seed 7 -iterations 160 shardscale
@@ -80,9 +80,13 @@ shard-bench:
 # parser, a sharded-core smoke through the gnbsim CLI (4 replicas behind
 # SUPI-affinity routing with the full fast path on), a switchless-ring
 # smoke through the gnbsim CLI (ring-served ECALLs on the same fast
-# path), and the batched and shard-scaling allocation/throughput-
+# path), the batched and shard-scaling allocation/throughput-
 # regression gates — blocking, so a repeat of the PR-5-era batched
-# inversion fails the pipeline instead of landing silently.
+# inversion fails the pipeline instead of landing silently — and the
+# benchmark module (bench/ has its own go.mod, so `./...` above never
+# descends into it): vet, its tests, gofmt, and a one-second
+# attach_sharded run whose exit code carries the driver-parity and
+# output-correctness checks.
 ci: build
 	$(MAKE) lint
 	$(GO) test -race ./...
@@ -98,6 +102,8 @@ ci: build
 	$(GO) run ./tools/benchdiff testdata/bench/BENCH_shard_scaling.baseline.json \
 	    $(CURDIR)/BENCH_shard_scaling.candidate.json
 	rm -f $(CURDIR)/BENCH_shard_scaling.candidate.json
+	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
+	bash bench/run.sh --workload attach_sharded --seconds 1
 
 # Regenerate every table and figure of the paper (500 samples each).
 experiments:

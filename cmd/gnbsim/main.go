@@ -18,7 +18,7 @@
 // enables the UDM's authentication-vector precomputation pool with the
 // given per-SUPI ring depth — the two boundary-amortization mechanisms.
 // -shards deploys the core as that many vertical replica slices
-// (AMF+AUSF+UDM+P-AKA per shard) behind SUPI-affinity consistent-hash
+// (AMF+AUSF+UDM+P-AKA per shard) behind SUPI-affinity rendezvous-hash
 // routing, and -shardsize caps how many of them this gNB's shuffle shard
 // may use (0 = all). The run then reports per-shard lane statistics and
 // the fleet makespan throughput next to the shared-clock figure.
@@ -264,9 +264,9 @@ func run() int {
 			result.Wall.Round(time.Millisecond), result.Virtual.Round(time.Millisecond))
 	}
 	if len(result.ShardStats) > 1 {
-		fmt.Printf("fleet: %.1f regs/s over makespan %v (busiest lane; epoch %d)\n",
+		fmt.Printf("fleet: %.1f regs/s over makespan %v (busiest lane; lane_balance %.3f; epoch %d)\n",
 			result.FleetVirtualRegsPerSec, result.FleetVirtual.Round(time.Millisecond),
-			tb.Slice.Router.Epoch())
+			result.LaneBalance, tb.Slice.Router.Epoch())
 		for i, st := range result.ShardStats {
 			fmt.Printf("  shard %d (%s): %d ok, %d failed, busy %v\n",
 				i, tb.Slice.Shards[i].Name, st.Registered, st.Failed,

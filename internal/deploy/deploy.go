@@ -233,7 +233,7 @@ type udmBiasTarget struct {
 // to each other at construction (no NRF lookup in any request path).
 type CoreShard struct {
 	Index int
-	// Name is the replica's stable ring identity ("shard-<i>").
+	// Name is the replica's stable routing identity ("shard-<i>").
 	Name string
 
 	UDM  *udm.UDM

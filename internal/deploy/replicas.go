@@ -295,6 +295,7 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 		Admission:   shard.Admission,
 		InstanceID:  amf.ServiceName + suffix + "-1",
 		AUSFService: shard.AUSFService,
+		Replica:     r,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: AMF (shard %d): %w", r, err)
 	}

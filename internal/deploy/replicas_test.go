@@ -150,6 +150,43 @@ func TestShardedRegistrationSurvivesNRFStop(t *testing.T) {
 	}
 }
 
+// TestReRegistrationFollowsRebalance: TMSIs are unique per AMF replica
+// only, so a UE that a snapshot moved must not have its GUTI resolved by
+// the new owner's own TMSI table (that authenticates it as somebody else);
+// the AMF pointer marks the GUTI as foreign and the identity procedure
+// takes over.
+func TestReRegistrationFollowsRebalance(t *testing.T) {
+	s := newShardedTestSlice(t, SliceConfig{
+		Isolation: paka.Container, Seed: 5, Replicas: 4,
+	})
+	ctx := context.Background()
+	devices := make([]*ue.UE, 12)
+	before := make([]int, len(devices))
+	for i := range devices {
+		devices[i] = provisionUE(t, s, fmt.Sprintf("%010d", 7200+i))
+		if _, err := s.GNB.RegisterUE(ctx, devices[i]); err != nil {
+			t.Fatalf("RegisterUE: %v", err)
+		}
+		before[i] = s.GNB.ShardOf(devices[i].SUPIString())
+	}
+	if _, err := s.SetRoutableReplicas(2); err != nil {
+		t.Fatalf("SetRoutableReplicas: %v", err)
+	}
+	moved := 0
+	for i, device := range devices {
+		after := s.GNB.ShardOf(device.SUPIString())
+		if after != before[i] {
+			moved++
+		}
+		if _, err := s.GNB.ReRegisterUE(ctx, device); err != nil {
+			t.Fatalf("ReRegisterUE of UE %d (shard %d -> %d): %v", i, before[i], after, err)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no UE changed shard — test exercised nothing")
+	}
+}
+
 // TestMidRunRebalance drives a mass registration and, midway through,
 // publishes a topology snapshot that shrinks the routable replica set.
 // Because every shard holds every subscriber key, the rebalance must cost

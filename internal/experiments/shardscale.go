@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"shield5g/internal/deploy"
@@ -44,13 +43,19 @@ type ShardScalePoint struct {
 	VirtualRegsPS float64       `json:"virtual_regs_per_sec"`
 	FleetRegsPS   float64       `json:"fleet_regs_per_sec"`
 	// Speedup is this point's fleet throughput over the replicas=1
-	// point's.
-	Speedup float64 `json:"speedup"`
-	// AllocsPerReg is the steady-state heap cost per registration —
-	// the section-9 budget (< 100 on this path) must hold at every
-	// replica count, or sharding bought throughput by spending the
-	// allocation-discipline work.
+	// point's. It is the product of two things reported apart:
+	// LaneBalance (gnb.MassResult.LaneBalance — what the routing hash and
+	// a population this small leave of an even split) and the lanes'
+	// own capacity, Speedup / LaneBalance, which stays at Replicas as
+	// long as a registration costs the same on every lane.
+	Speedup     float64 `json:"speedup"`
+	LaneBalance float64 `json:"lane_balance"`
+	// AllocsPerReg is the steady-state heap cost per registration,
+	// counted inside an AllocWindow. AllocBudget (FastPathAllocBudget)
+	// must hold at every replica count, or sharding bought throughput
+	// by spending the allocation-discipline work.
 	AllocsPerReg float64 `json:"allocs_per_reg"`
+	AllocBudget  float64 `json:"allocs_per_reg_budget"`
 	BytesPerReg  float64 `json:"bytes_per_reg"`
 	// TransPerReg is the fleet-wide EENTER+EEXIT census per registration
 	// over the measured window — the figure the switchless ring collapses;
@@ -161,7 +166,10 @@ func sameLanes(a, b []int) bool {
 // provisions and prewarms the population outside the measured window,
 // then drives the deterministic sequential registration run.
 func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardScalePoint, error) {
-	point := ShardScalePoint{Replicas: replicas, Mode: fmt.Sprintf("replicas-%d", replicas)}
+	point := ShardScalePoint{
+		Replicas: replicas, Mode: fmt.Sprintf("replicas-%d", replicas),
+		AllocBudget: FastPathAllocBudget,
+	}
 	s, err := deploy.NewSlice(ctx, deploy.SliceConfig{
 		Isolation:   paka.SGX,
 		Seed:        cfg.Seed + 53,
@@ -178,7 +186,7 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 	// SBI capability negotiation) so the window measures steady state.
 	// One registration per shard: capability snapshots and keep-alive
 	// state are per service pair, and each shard is its own chain. The
-	// warm UE for each shard is found by ring ownership — a fixed MSIN
+	// warm UE for each shard is found by routing ownership — a fixed MSIN
 	// per shard index would leave the shards it happens not to hash to
 	// cold, charging their first-contact costs to the window. The
 	// warm-up also rides the same keep-alive connection identity the
@@ -220,14 +228,15 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 	}
 
 	transBefore := fleetTransitions(s)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res, err := s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
-		N:         n,
-		NewUE:     func(i int) (*ue.UE, error) { return devices[i], nil },
-		BatchSize: 8,
+	var res *gnb.MassResult
+	mallocs, bytes, err := AllocWindow(func() (err error) {
+		res, err = s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
+			N:         n,
+			NewUE:     func(i int) (*ue.UE, error) { return devices[i], nil },
+			BatchSize: 8,
+		})
+		return err
 	})
-	runtime.ReadMemStats(&after)
 	if err != nil {
 		return point, err
 	}
@@ -240,9 +249,10 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 	point.FleetMS = float64(res.FleetVirtual) / float64(time.Millisecond)
 	point.VirtualRegsPS = res.VirtualRegsPerSec
 	point.FleetRegsPS = res.FleetVirtualRegsPerSec
+	point.LaneBalance = res.LaneBalance
 	if res.Registered > 0 {
-		point.AllocsPerReg = float64(after.Mallocs-before.Mallocs) / float64(res.Registered)
-		point.BytesPerReg = float64(after.TotalAlloc-before.TotalAlloc) / float64(res.Registered)
+		point.AllocsPerReg = float64(mallocs) / float64(res.Registered)
+		point.BytesPerReg = float64(bytes) / float64(res.Registered)
 		point.TransPerReg = float64(fleetTransitions(s)-transBefore) / float64(res.Registered)
 	}
 	point.LaneRegistered = make([]int, len(res.ShardStats))
@@ -259,13 +269,13 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 // Render prints the sweep table.
 func (r *ShardScaleResult) Render(w io.Writer) {
 	fprintf(w, "Horizontally sharded core: replica sweep (%d UEs, batch-8 + AV pool 8 + binary SBI, prewarmed)\n", r.UEs)
-	fprintf(w, "%-9s %6s %6s %12s %12s %12s %12s %8s %9s %8s\n",
-		"replicas", "ok", "fail", "virtual", "makespan", "virt reg/s", "fleet reg/s", "speedup", "allocs/r", "trans/r")
+	fprintf(w, "%-9s %6s %6s %12s %12s %12s %12s %8s %8s %9s %8s\n",
+		"replicas", "ok", "fail", "virtual", "makespan", "virt reg/s", "fleet reg/s", "speedup", "balance", "allocs/r", "trans/r")
 	for _, p := range r.Points {
-		fprintf(w, "%-9d %6d %6d %12s %12s %12.1f %12.1f %7.2fx %9.1f %8.1f\n",
+		fprintf(w, "%-9d %6d %6d %12s %12s %12.1f %12.1f %7.2fx %8.3f %9.1f %8.1f\n",
 			p.Replicas, p.Registered, p.Failed,
 			p.Virtual.Round(time.Millisecond), p.FleetVirtual.Round(time.Millisecond),
-			p.VirtualRegsPS, p.FleetRegsPS, p.Speedup, p.AllocsPerReg, p.TransPerReg)
+			p.VirtualRegsPS, p.FleetRegsPS, p.Speedup, p.LaneBalance, p.AllocsPerReg, p.TransPerReg)
 	}
 	fprintf(w, "fleet speedup at 8 replicas: %.2fx (acceptance: >= 3x)\n", r.SpeedupAt8)
 	if r.Deterministic {
@@ -288,6 +298,7 @@ func (r *ShardScaleResult) WriteCSV(w io.Writer) error {
 			f(p.VirtualRegsPS),
 			f(p.FleetRegsPS),
 			f(p.Speedup),
+			f(p.LaneBalance),
 			f(p.AllocsPerReg),
 			f(p.BytesPerReg),
 			f(p.TransPerReg),
@@ -295,7 +306,7 @@ func (r *ShardScaleResult) WriteCSV(w io.Writer) error {
 	}
 	return writeCSV(w, []string{
 		"replicas", "registered", "failed", "virtual_ms", "fleet_makespan_ms",
-		"virtual_regs_per_sec", "fleet_regs_per_sec", "speedup", "allocs_per_reg", "bytes_per_reg",
+		"virtual_regs_per_sec", "fleet_regs_per_sec", "speedup", "lane_balance", "allocs_per_reg", "bytes_per_reg",
 		"transitions_per_reg",
 	}, rows)
 }

@@ -3,15 +3,22 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"shield5g/internal/deploy"
+	"shield5g/internal/paka"
 )
 
 // TestShardScaleFleetSpeedup is the acceptance check of the replica sweep:
 // 8 replicas must deliver at least 3x the fleet registration throughput of
-// the singleton, the same-seed replay must reproduce lane for lane, and
-// every point must stay inside the section-9 allocation budget (< 100
-// allocs per registration on the full fast path).
+// the singleton, the same-seed replay must reproduce lane for lane, every
+// point must stay inside FastPathAllocBudget, and the speedup must split
+// into lane capacity (which scales with the replica count) and routing
+// balance (which a population of 160 cannot judge, so it is asserted on
+// 32 768 routed SUPIs).
 func TestShardScaleFleetSpeedup(t *testing.T) {
 	cfg := Config{Seed: 7, Iterations: 160}
 	r, err := ShardScale(context.Background(), cfg)
@@ -28,8 +35,13 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 		// The race-instrumented runtime's shadow allocations land in
 		// MemStats, so the budget only holds on plain builds; the
 		// committed baseline gates it in `make bench-compare` either way.
-		if !raceEnabled && p.AllocsPerReg >= 100 {
-			t.Errorf("replicas=%d: %.1f allocs/reg, budget is < 100", p.Replicas, p.AllocsPerReg)
+		if !raceEnabled && p.AllocsPerReg >= FastPathAllocBudget {
+			t.Errorf("replicas=%d: %.1f allocs/reg, budget is < %d", p.Replicas, p.AllocsPerReg, FastPathAllocBudget)
+		}
+		// Lanes are equal: what the speedup loses against the replica
+		// count is the balance, to within the spread of per-UE cost.
+		if capacity := p.Speedup / p.LaneBalance; capacity < 0.95*float64(p.Replicas) || capacity > 1.05*float64(p.Replicas) {
+			t.Errorf("replicas=%d: speedup %.2fx / lane balance %.3f = %.2f lanes of capacity", p.Replicas, p.Speedup, p.LaneBalance, capacity)
 		}
 		if len(p.LaneRegistered) != p.Replicas {
 			t.Errorf("replicas=%d: %d lanes reported", p.Replicas, len(p.LaneRegistered))
@@ -46,6 +58,11 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 	if !r.Deterministic {
 		t.Error("same-seed replay of the replicas-8 point diverged")
 	}
+	for _, replicas := range shardScaleReplicas[1:] {
+		if got := routedBalance(t, replicas, 32768); got < 0.95 {
+			t.Errorf("replicas=%d: routing balance %.4f over 32768 SUPIs, want >= 0.95", replicas, got)
+		}
+	}
 
 	var buf bytes.Buffer
 	r.Render(&buf)
@@ -59,4 +76,23 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 	if !strings.Contains(buf.String(), "fleet_regs_per_sec") {
 		t.Fatal("CSV missing header")
 	}
+}
+
+// routedBalance deploys a sharded slice and routes (without registering)
+// n sequential SUPIs through its gNB: the lane balance of the routing
+// alone, N / (lanes x busiest lane).
+func routedBalance(t *testing.T, replicas, n int) float64 {
+	t.Helper()
+	s, err := deploy.NewSlice(context.Background(), deploy.SliceConfig{
+		Isolation: paka.Container, Seed: 7, Replicas: replicas,
+	})
+	if err != nil {
+		t.Fatalf("NewSlice(replicas=%d): %v", replicas, err)
+	}
+	defer s.Stop()
+	lanes := make([]int, replicas)
+	for i := 0; i < n; i++ {
+		lanes[s.GNB.ShardOf(fmt.Sprintf("imsi-00101%010d", 8000+i))]++
+	}
+	return float64(n) / float64(replicas*slices.Max(lanes))
 }

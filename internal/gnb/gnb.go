@@ -406,6 +406,12 @@ type MassResult struct {
 	// FleetVirtualRegsPerSec is Registered over FleetVirtual — the
 	// sharded core's headline throughput figure.
 	FleetVirtualRegsPerSec float64
+	// LaneBalance is attempts / (lanes x the busiest lane's attempts):
+	// the share of its busiest lane's load the average lane carries, 1
+	// for a single lane or a perfect split. Fleet throughput is per-lane
+	// capacity x lanes x LaneBalance, so this is the routing's share of
+	// a speedup and the rest is the lanes'.
+	LaneBalance float64
 }
 
 // ShardStat is one replica lane's share of a mass run.
@@ -498,16 +504,26 @@ func (r *MassResult) finish(wall time.Duration, virtual time.Duration) {
 	// figures; sharded runs take the makespan over replica lanes.
 	r.FleetVirtual = virtual
 	r.FleetVirtualRegsPerSec = r.VirtualRegsPerSec
+	r.LaneBalance = 1
 	if len(r.ShardStats) > 1 {
 		var max time.Duration
+		total, busiest := 0, 0
 		for _, s := range r.ShardStats {
 			if s.Busy > max {
 				max = s.Busy
+			}
+			served := s.Registered + s.Failed
+			total += served
+			if served > busiest {
+				busiest = served
 			}
 		}
 		r.FleetVirtual = max
 		if s := max.Seconds(); s > 0 {
 			r.FleetVirtualRegsPerSec = float64(r.Registered) / s
+		}
+		if busiest > 0 {
+			r.LaneBalance = float64(total) / float64(len(r.ShardStats)*busiest)
 		}
 	}
 }

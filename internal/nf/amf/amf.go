@@ -106,6 +106,12 @@ type Config struct {
 	// service name instead of discovering one through the NRF — the
 	// static intra-shard binding of a sharded deployment.
 	AUSFService string
+	// Replica is this instance's index within its AMF set. It becomes the
+	// AMF Pointer of every GUTI the instance mints (1+Replica modulo the
+	// 6-bit field, so replica 0 keeps the singleton's pointer): TMSIs are
+	// only unique per instance, and the pointer is what lets a replica
+	// tell a peer's GUTI from its own.
+	Replica int
 }
 
 // AMF is the access and mobility VNF.
@@ -119,6 +125,7 @@ type AMF struct {
 
 	mcc, mnc string
 	snn      string
+	ptr      byte // AMF Pointer of this instance's GUAMI
 
 	// ues and guti are lock-striped so concurrent registrations touching
 	// different UEs never serialise on one AMF-wide mutex.
@@ -168,6 +175,7 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 		mcc:   cfg.MCC,
 		mnc:   cfg.MNC,
 		snn:   kdf.ServingNetworkName(cfg.MCC, cfg.MNC),
+		ptr:   byte((1 + cfg.Replica) % 64),
 		ues:   shard.NewUint64[*ueContext](),
 		guti:  shard.NewUint32[string](),
 	}
@@ -242,9 +250,10 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 				g.MCC, g.MNC, a.mcc, a.mnc)
 		}
 		supi, known := a.guti.Load(g.TMSI)
-		if !known {
-			// No stored context (for example the UE moved from another
-			// AMF set): fall back to the identity procedure
+		if !known || g.AMFPointer != a.ptr {
+			// No stored context (the GUTI was minted by another AMF — a
+			// topology change moved the UE between replicas — or has
+			// been released): fall back to the identity procedure
 			// (TS 24.501 §5.4.3) and ask for the SUCI.
 			ue := newUEContext(stateIdentifying)
 			ue.resyncOK = true
@@ -524,7 +533,7 @@ func (a *AMF) allocateGUTI(supi string) nas.GUTI {
 		MNC:         a.mnc,
 		AMFRegionID: 0x01,
 		AMFSetID:    0x001,
-		AMFPointer:  0x01,
+		AMFPointer:  a.ptr,
 		TMSI:        tmsi,
 	}
 }

@@ -1,7 +1,16 @@
 // Package topology holds the data-plane side of the sharded-core control
-// protocol: versioned routing snapshots, the SUPI-affinity consistent-hash
-// ring, per-tenant shuffle-shard assignment, and the Router that data
-// planes consult on every routing decision.
+// protocol: versioned routing snapshots, SUPI-affinity rendezvous
+// (highest-random-weight) placement, per-tenant shuffle-shard assignment,
+// and the Router that data planes consult on every routing decision.
+//
+// Placement is one rule used twice. Every replica has a hash of its name;
+// a key's score on a replica is mix(mix(fnv1a(key)) ^ replicaHash). A SUPI
+// is owned by the highest-scoring replica of its tenant's shard, and the
+// tenant's shard is the ShardSize highest-scoring replicas for the tenant
+// string. Because a score depends on one key and one replica name only,
+// removing a replica moves exactly the keys it owned, adding one moves
+// only the keys it now owns, and a tenant's shard changes by at most one
+// member either way.
 //
 // The package is deliberately free of any control-plane machinery — the
 // snapshot *builder* lives in internal/nf/nrf/topo and pushes snapshots
@@ -15,9 +24,13 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"sync/atomic"
 )
+
+// maxReplicas bounds a snapshot's replica set: shard membership travels
+// as one bit per replica in a uint64.
+const maxReplicas = 64
 
 // Replica names one routable replica of the vertical NF slice
 // (AMF+AUSF+UDM+P-AKA modules sharing one shard index).
@@ -26,9 +39,9 @@ type Replica struct {
 	// routing decisions return it so data planes can address per-replica
 	// resources (AMF pointers, service names) without string lookups.
 	Index int `json:"index"`
-	// Name is the replica's stable identity. Ring placement hashes the
-	// name, never the index, so adding or removing a replica moves only
-	// the keys the consistent-hash contract says may move.
+	// Name is the replica's stable identity. Placement hashes the name,
+	// never the index, so adding or removing a replica moves only the
+	// keys the rendezvous contract says may move.
 	Name string `json:"name"`
 }
 
@@ -46,24 +59,8 @@ type Snapshot struct {
 	// 0 (or >= len(Replicas)) gives every tenant the full replica set.
 	ShardSize int `json:"shard_size"`
 
-	ring ring
-}
-
-// vnodesPerReplica is the virtual-node fan-out per replica on the ring.
-// 64 keeps the expected per-replica key imbalance in the few-percent
-// range while the ring stays small enough to rebuild on every publish.
-const vnodesPerReplica = 64
-
-// ring is the precomputed consistent-hash ring of a snapshot: virtual
-// node hash points sorted ascending, each owning replica recorded by
-// index into Snapshot.Replicas.
-type ring struct {
-	points []ringPoint
-}
-
-type ringPoint struct {
-	hash  uint64
-	index int
+	// hashes[i] is the placement hash of Replicas[i].Name; nil until Seal.
+	hashes []uint64
 }
 
 // fnv1a is the 64-bit FNV-1a hash — deterministic across processes and
@@ -78,8 +75,9 @@ func fnv1a(s string) uint64 {
 	return h
 }
 
-// mix is splitmix64's finalizer; it decorrelates sequential vnode
-// ordinals so a replica's virtual nodes scatter over the whole ring.
+// mix is splitmix64's finalizer. FNV-1a alone has weak high-bit avalanche
+// for keys that differ only in trailing characters (sequential SUPIs,
+// "shard-3" vs "shard-4"); the finalizer decorrelates them.
 func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
@@ -89,101 +87,88 @@ func mix(x uint64) uint64 {
 	return x
 }
 
-// Seal precomputes the snapshot's ring. The builder calls it before
-// publishing; Routers treat an unsealed snapshot as a protocol error.
+// hash is what a score combines: once over the key, once (at Seal) over
+// each replica name.
+func hash(s string) uint64 { return mix(fnv1a(s)) }
+
+// Seal precomputes one placement hash per replica name. The builder calls
+// it before publishing; Routers treat an unsealed snapshot as a protocol
+// error.
 func (s *Snapshot) Seal() {
-	s.ring.points = make([]ringPoint, 0, len(s.Replicas)*vnodesPerReplica)
+	s.hashes = make([]uint64, len(s.Replicas))
 	for i, r := range s.Replicas {
-		base := fnv1a(r.Name)
-		for v := 0; v < vnodesPerReplica; v++ {
-			s.ring.points = append(s.ring.points, ringPoint{
-				hash:  mix(base + uint64(v)),
-				index: i,
-			})
-		}
+		s.hashes[i] = hash(r.Name)
 	}
-	sort.Slice(s.ring.points, func(a, b int) bool {
-		p, q := s.ring.points[a], s.ring.points[b]
-		if p.hash != q.hash {
-			return p.hash < q.hash
-		}
-		return p.index < q.index
-	})
 }
 
-// sealed reports whether Seal ran.
-func (s *Snapshot) sealed() bool { return len(s.Replicas) == 0 || len(s.ring.points) > 0 }
+// sealed reports whether Seal ran over the current replica set.
+func (s *Snapshot) sealed() bool { return len(s.hashes) == len(s.Replicas) }
 
-// owner walks the ring clockwise from key's hash point to the first
-// virtual node whose replica is allowed. It returns -1 when no allowed
-// replica exists.
-func (s *Snapshot) owner(key string, allowed func(int) bool) int {
-	pts := s.ring.points
-	if len(pts) == 0 {
-		return -1
-	}
-	// FNV-1a alone has weak high-bit avalanche for keys that differ only
-	// in trailing characters — sequential SUPIs would cluster into one
-	// ring gap. The splitmix64 finalizer decorrelates them.
-	h := mix(fnv1a(key))
-	start := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
-	for off := 0; off < len(pts); off++ {
-		p := pts[(start+off)%len(pts)]
-		if allowed == nil || allowed(p.index) {
-			return p.index
+// owner returns the replica in allowed (one bit per index) scoring
+// highest for the hashed key h, the lower index winning a tie, or -1 when
+// allowed is empty.
+func (s *Snapshot) owner(h, allowed uint64) int {
+	best, bestScore := -1, uint64(0)
+	for ; allowed != 0; allowed &= allowed - 1 {
+		i := bits.TrailingZeros64(allowed)
+		if score := mix(h ^ s.hashes[i]); best < 0 || score > bestScore {
+			best, bestScore = i, score
 		}
 	}
-	return -1
+	return best
 }
 
-// Owner returns the replica index owning key over the full replica set.
-func (s *Snapshot) Owner(key string) int { return s.owner(key, nil) }
+// all is the bitmask admitting every replica of the snapshot (the first
+// maxReplicas of an over-wide one, which no Router accepts).
+func (s *Snapshot) all() uint64 {
+	if n := len(s.hashes); n < maxReplicas {
+		return 1<<n - 1
+	}
+	return ^uint64(0)
+}
 
-// ShardFor returns the tenant's shuffle shard: a deterministic
-// ShardSize-element subset of the replica indices, drawn by a
-// tenant-seeded Fisher–Yates pass. Distinct tenants get (with high
-// probability) distinct subsets, so a tenant saturating its shard leaves
-// most other tenants' shards untouched — the shuffle-sharding blast-radius
-// argument. A zero or over-wide ShardSize yields every replica.
+// Owner returns the replica index owning key over the full replica set,
+// or -1 on an empty snapshot.
+func (s *Snapshot) Owner(key string) int { return s.owner(hash(key), s.all()) }
+
+// shard returns the tenant's shuffle shard as a bitmask: the ShardSize
+// replicas scoring highest for the tenant string. Distinct tenants get
+// (with high probability) distinct subsets, so a tenant saturating its
+// shard leaves most other tenants' shards untouched — the
+// shuffle-sharding blast-radius argument. A zero or over-wide ShardSize
+// yields every replica.
+func (s *Snapshot) shard(tenant string) uint64 {
+	rest := s.all()
+	if s.ShardSize <= 0 || s.ShardSize >= bits.OnesCount64(rest) {
+		return rest
+	}
+	h := hash(tenant)
+	var picked uint64
+	for n := 0; n < s.ShardSize; n++ {
+		bit := uint64(1) << s.owner(h, rest)
+		picked |= bit
+		rest &^= bit
+	}
+	return picked
+}
+
+// ShardFor returns the tenant's shuffle shard as ascending replica
+// indices.
 func (s *Snapshot) ShardFor(tenant string) []int {
-	n := len(s.Replicas)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	mask := s.shard(tenant)
+	out := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		out = append(out, bits.TrailingZeros64(mask))
 	}
-	size := s.ShardSize
-	if size <= 0 || size >= n {
-		return all
-	}
-	seed := fnv1a(tenant)
-	for i := 0; i < size; i++ {
-		seed = mix(seed)
-		j := i + int(seed%uint64(n-i))
-		all[i], all[j] = all[j], all[i]
-	}
-	shard := all[:size]
-	sort.Ints(shard)
-	return shard
+	return out
 }
 
 // RouteIn picks the replica owning supi within the tenant's shuffle
-// shard: the ring walk simply skips virtual nodes outside the shard, so
-// shard membership changes never disturb the affinity of SUPIs whose
-// owner stays in the shard.
+// shard, or -1 on an empty snapshot. A SUPI whose owner over the full set
+// is a shard member keeps that owner, so shard membership changes never
+// disturb its affinity.
 func (s *Snapshot) RouteIn(tenant, supi string) int {
-	n := len(s.Replicas)
-	if n == 0 {
-		return -1
-	}
-	if s.ShardSize <= 0 || s.ShardSize >= n {
-		return s.owner(supi, nil)
-	}
-	shard := s.ShardFor(tenant)
-	member := make(map[int]bool, len(shard))
-	for _, i := range shard {
-		member[i] = true
-	}
-	return s.owner(supi, func(i int) bool { return member[i] })
+	return s.owner(hash(supi), s.shard(tenant))
 }
 
 // Router is a data plane's view of the routing topology. It holds exactly
@@ -208,6 +193,10 @@ func (r *Router) Apply(s *Snapshot) error {
 	if s == nil || !s.sealed() {
 		r.nacked.Add(1)
 		return fmt.Errorf("topology: nack: unsealed snapshot")
+	}
+	if len(s.Replicas) > maxReplicas {
+		r.nacked.Add(1)
+		return fmt.Errorf("topology: nack: %d replicas exceed the %d a shard mask holds", len(s.Replicas), maxReplicas)
 	}
 	for {
 		cur := r.snap.Load()

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -22,59 +23,162 @@ func names(n int) []string {
 	return out
 }
 
-func TestOwnerDeterministicAndBalanced(t *testing.T) {
-	s := snapshot(1, 0, names(8)...)
-	counts := make([]int, 8)
-	for i := 0; i < 4096; i++ {
-		key := fmt.Sprintf("imsi-0010100%07d", i)
-		a, b := s.Owner(key), s.Owner(key)
-		if a != b {
-			t.Fatalf("Owner(%q) unstable: %d vs %d", key, a, b)
-		}
-		counts[a]++
+func supiKey(i int) string { return fmt.Sprintf("imsi-0010100%07d", i) }
+
+// balance is N / (lanes x busiest lane): the share of the busiest lane's
+// capacity the average lane uses, 1.0 when every lane gets the same.
+func balance(counts []int) float64 {
+	total, busiest := 0, 0
+	for _, c := range counts {
+		total += c
+		busiest = max(busiest, c)
 	}
-	for i, c := range counts {
-		// 4096 keys over 8 replicas = 512 expected; vnode placement keeps
-		// the skew well inside a factor of two.
-		if c < 256 || c > 1024 {
-			t.Fatalf("replica %d owns %d of 4096 keys, outside [256,1024]: %v", i, c, counts)
+	return float64(total) / float64(len(counts)*busiest)
+}
+
+func TestOwnerDeterministicAndBalanced(t *testing.T) {
+	for _, tc := range []struct {
+		replicas int
+		want     float64
+	}{{2, 0.95}, {4, 0.95}, {8, 0.95}, {16, 0.90}} {
+		s := snapshot(1, 0, names(tc.replicas)...)
+		counts := make([]int, tc.replicas)
+		for i := 0; i < 32768; i++ {
+			key := supiKey(i)
+			a, b := s.Owner(key), s.Owner(key)
+			if a != b {
+				t.Fatalf("Owner(%q) unstable: %d vs %d", key, a, b)
+			}
+			counts[a]++
 		}
+		if got := balance(counts); got < tc.want {
+			t.Errorf("%d replicas: busiest-lane balance %.4f, want >= %.2f: %v", tc.replicas, got, tc.want, counts)
+		}
+	}
+	if got := snapshot(1, 0, "only").Owner("any"); got != 0 {
+		t.Fatalf("singleton owner = %d, want 0", got)
+	}
+	if got := snapshot(1, 0).Owner("any"); got != -1 {
+		t.Fatalf("empty snapshot owner = %d, want -1", got)
 	}
 }
 
-// TestConsistentHashStability is the rebalance contract: removing one
-// replica from the routable set moves only the keys that replica owned;
-// every other key keeps its owner.
+// without returns a sealed copy of s minus the named replica; survivors
+// keep their names and are re-indexed densely, as the builder does.
+func without(s *Snapshot, name string) *Snapshot {
+	out := &Snapshot{Epoch: s.Epoch + 1, ShardSize: s.ShardSize}
+	for _, r := range s.Replicas {
+		if r.Name != name {
+			out.Replicas = append(out.Replicas, Replica{Index: len(out.Replicas), Name: r.Name})
+		}
+	}
+	out.Seal()
+	return out
+}
+
+// TestConsistentHashStability is the rebalance contract, both halves over
+// one pair of snapshots: removing a replica moves only the keys it owned,
+// and adding it (back) moves only keys whose new owner is the new replica.
 func TestConsistentHashStability(t *testing.T) {
 	full := snapshot(1, 0, names(8)...)
-	// Replica 5 removed; survivors keep their names (and ring positions).
-	reduced := &Snapshot{Epoch: 2}
-	for i, r := range full.Replicas {
-		if i == 5 {
-			continue
-		}
-		reduced.Replicas = append(reduced.Replicas, Replica{Index: len(reduced.Replicas), Name: r.Name})
-	}
-	reduced.Seal()
-	nameOf := func(s *Snapshot, idx int) string { return s.Replicas[idx].Name }
+	reduced := without(full, "shard-5")
 	moved := 0
 	for i := 0; i < 2048; i++ {
-		key := fmt.Sprintf("imsi-0010100%07d", i)
-		before := nameOf(full, full.Owner(key))
-		after := nameOf(reduced, reduced.Owner(key))
-		if before == "shard-5" {
-			if after == "shard-5" {
-				t.Fatalf("key %q still routed to the removed replica", key)
-			}
+		key := supiKey(i)
+		with := full.Replicas[full.Owner(key)].Name
+		wout := reduced.Replicas[reduced.Owner(key)].Name
+		if wout == "shard-5" {
+			t.Fatalf("key %q routed to the absent replica", key)
+		}
+		if with == "shard-5" {
 			moved++
 			continue
 		}
-		if before != after {
-			t.Fatalf("key %q flapped %s -> %s though its owner survived", key, before, after)
+		if with != wout {
+			t.Fatalf("key %q owned by %s without shard-5 and by %s with it", key, wout, with)
 		}
 	}
 	if moved == 0 {
-		t.Fatal("no key was owned by the removed replica; test is vacuous")
+		t.Fatal("no key was owned by shard-5; test is vacuous")
+	}
+}
+
+// TestShuffleShardStability: one replica joining or leaving changes a
+// tenant's shard by at most one member, and a SUPI whose owner is in the
+// shard on both sides keeps it.
+func TestShuffleShardStability(t *testing.T) {
+	full := snapshot(1, 3, names(8)...)
+	shardNames := func(s *Snapshot, tenant string) map[string]bool {
+		out := make(map[string]bool)
+		for _, idx := range s.ShardFor(tenant) {
+			out[s.Replicas[idx].Name] = true
+		}
+		return out
+	}
+	changed, kept := 0, 0
+	for ti := 0; ti < 16; ti++ {
+		tenant := fmt.Sprintf("gnb-%d/00101", ti)
+		big := shardNames(full, tenant)
+		for _, gone := range names(8) {
+			reduced := without(full, gone)
+			small := shardNames(reduced, tenant)
+			lost := 0
+			for name := range big {
+				if !small[name] {
+					lost++
+				}
+			}
+			if len(small) != 3 || lost > 1 || (lost == 1) != big[gone] {
+				t.Fatalf("tenant %q: shard %v -> %v when %s leaves", tenant, big, small, gone)
+			}
+			changed += lost
+			for i := 0; i < 64; i++ {
+				supi := supiKey(i)
+				with := full.Replicas[full.RouteIn(tenant, supi)].Name
+				wout := reduced.Replicas[reduced.RouteIn(tenant, supi)].Name
+				if with != wout && small[with] && big[wout] {
+					t.Fatalf("tenant %q key %q flapped %s -> %s though both stay in the shard", tenant, supi, with, wout)
+				}
+				if with == wout {
+					kept++
+				}
+			}
+		}
+	}
+	if changed == 0 || kept == 0 {
+		t.Fatalf("vacuous: %d shard changes, %d kept routes", changed, kept)
+	}
+}
+
+// TestPlacementGolden pins (tenant, SUPI) -> replica name, so placement
+// cannot drift between processes, architectures or Go versions: a UE's
+// shard affinity outlives any one binary.
+func TestPlacementGolden(t *testing.T) {
+	for _, tc := range []struct {
+		shardSize    int
+		tenant, supi string
+		want         string
+	}{
+		{0, "gnb-1/00101", "imsi-001010000000001", "shard-5"},
+		{0, "gnb-1/00101", "imsi-001010000000002", "shard-1"},
+		{0, "gnb-1/00101", "imsi-001010000000003", "shard-0"},
+		{0, "gnb-1/00101", "imsi-001017312345678", "shard-7"},
+		{0, "gnb-2/00101", "imsi-208930000000007", "shard-3"},
+		// gnb-1/00101 draws {shard-0, shard-4, shard-7}: the third and
+		// fourth SUPIs keep their unrestricted owner.
+		{3, "gnb-1/00101", "imsi-001010000000001", "shard-4"},
+		{3, "gnb-1/00101", "imsi-001010000000002", "shard-7"},
+		{3, "gnb-1/00101", "imsi-001010000000003", "shard-0"},
+		{3, "gnb-1/00101", "imsi-001017312345678", "shard-7"},
+		// gnb-2/00101 draws {shard-0, shard-3, shard-4}.
+		{3, "gnb-2/00101", "imsi-001010000000001", "shard-3"},
+		{3, "gnb-2/00101", "imsi-001010000000002", "shard-0"},
+		{3, "gnb-2/00101", "imsi-208930000000007", "shard-3"},
+	} {
+		s := snapshot(1, tc.shardSize, names(8)...)
+		if got := s.Replicas[s.RouteIn(tc.tenant, tc.supi)].Name; got != tc.want {
+			t.Errorf("shard size %d: (%q, %q) -> %s, want %s", tc.shardSize, tc.tenant, tc.supi, got, tc.want)
+		}
 	}
 }
 
@@ -162,5 +266,80 @@ func TestRouterEpochProtocol(t *testing.T) {
 	applied, nacked := r.Stats()
 	if applied != 2 || nacked != 3 {
 		t.Fatalf("stats = (%d acked, %d nacked), want (2, 3)", applied, nacked)
+	}
+}
+
+func TestApplyNacksOverwideSnapshot(t *testing.T) {
+	r := NewRouter()
+	if err := r.Apply(snapshot(1, 0, names(maxReplicas)...)); err != nil {
+		t.Fatalf("apply %d replicas: %v", maxReplicas, err)
+	}
+	if err := r.Apply(snapshot(2, 0, names(maxReplicas+1)...)); err == nil {
+		t.Fatalf("%d replicas were acked; the shard mask holds %d", maxReplicas+1, maxReplicas)
+	}
+	if got := r.Epoch(); got != 1 {
+		t.Fatalf("nack moved the router to epoch %d", got)
+	}
+	// Consulted directly, the nacked snapshot routes over the replicas the
+	// mask does hold rather than faulting.
+	for _, shardSize := range []int{0, 3, maxReplicas + 1} {
+		if idx := snapshot(2, shardSize, names(maxReplicas+1)...).RouteIn("t", supiKey(1)); idx < 0 || idx >= maxReplicas {
+			t.Fatalf("shard size %d: over-wide RouteIn = %d", shardSize, idx)
+		}
+	}
+	if idx, ok := r.Route("t", supiKey(63)); !ok || idx < 0 || idx >= maxReplicas {
+		t.Fatalf("Route over %d replicas = (%d, %v)", maxReplicas, idx, ok)
+	}
+}
+
+func TestRouteAllocatesNothing(t *testing.T) {
+	for _, shardSize := range []int{0, 3} {
+		r := NewRouter()
+		if err := r.Apply(snapshot(1, shardSize, names(8)...)); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { r.Route("gnb-1/00101", "imsi-001010000000042") }); n != 0 {
+			t.Errorf("shard size %d: Route allocates %v times per call, want 0", shardSize, n)
+		}
+	}
+}
+
+// TestRouteDuringApply: readers race a stream of pushes that grow and
+// shrink the replica set; every route must land inside some published
+// snapshot's replica range (run under -race by `make vet`).
+func TestRouteDuringApply(t *testing.T) {
+	const widest, epochs = 8, 200
+	r := NewRouter()
+	if err := r.Apply(snapshot(1, 2, names(widest)...)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if idx, ok := r.Route(fmt.Sprintf("gnb-%d/00101", w), supiKey(i)); !ok || idx < 0 || idx >= widest {
+					t.Errorf("Route = (%d, %v) during apply", idx, ok)
+					return
+				}
+			}
+		}(w)
+	}
+	for e := uint64(2); e <= epochs; e++ {
+		if err := r.Apply(snapshot(e, int(e%3), names(1+int(e)%widest)...)); err != nil {
+			t.Errorf("apply epoch %d: %v", e, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := r.Epoch(); got != epochs {
+		t.Fatalf("router epoch = %d, want %d", got, epochs)
 	}
 }

@@ -12,7 +12,10 @@
 // field name: latency-, allocation- and boundary-crossing-shaped fields
 // are lower-is-better, throughput- and hit-shaped fields are
 // higher-is-better, and anything unrecognized is reported but never
-// fails the diff. Exit status: 0 clean, 1 regression, 2 usage/IO error.
+// fails the diff. A candidate point may also carry its own ceiling for a
+// metric in a "<metric>_budget" field (the reports write the repository's
+// allocation budget constant there); reaching it fails the diff whatever
+// the baseline says. Exit status: 0 clean, 1 regression, 2 usage/IO error.
 package main
 
 import (
@@ -33,6 +36,27 @@ var (
 	lowerBetter  = []string{"ns_per_op", "wall_ms", "alloc", "byte", "transition", "miss"}
 	higherBetter = []string{"regs_per_sec", "hit", "reduction", "pooled", "speedup"}
 )
+
+// budgetSuffix marks a field as the ceiling of the metric it is named
+// after rather than a metric of its own.
+const budgetSuffix = "_budget"
+
+// overBudget lists the metrics of one point that reached their declared
+// budget, sorted by name.
+func overBudget(point map[string]float64) []string {
+	var over []string
+	for f, budget := range point {
+		metric, ok := strings.CutSuffix(f, budgetSuffix)
+		if !ok {
+			continue
+		}
+		if v, ok := point[metric]; ok && v >= budget {
+			over = append(over, metric)
+		}
+	}
+	sort.Strings(over)
+	return over
+}
 
 type metricDir int
 
@@ -135,7 +159,7 @@ func main() {
 		b, c := base[mode], cand[mode]
 		fields := make([]string, 0, len(b))
 		for f := range b {
-			if _, ok := c[f]; ok {
+			if _, ok := c[f]; ok && !strings.HasSuffix(f, budgetSuffix) {
 				fields = append(fields, f)
 			}
 		}
@@ -164,10 +188,14 @@ func main() {
 			fmt.Printf("  %s %-20s %-24s %12.4g -> %-12.4g (%+.1f%%)\n",
 				tag, mode, f, old, new, 100*delta)
 		}
+		for _, f := range overBudget(c) {
+			regressed++
+			fmt.Printf("  REG %-20s %-24s %12.4g reaches its budget of %.4g\n", mode, f, c[f], c[f+budgetSuffix])
+		}
 	}
 
 	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed by more than %.0f%%\n",
+		fmt.Fprintf(os.Stderr, "benchdiff: %d metric(s) regressed by more than %.0f%% or reached their budget\n",
 			regressed, 100**maxRegress)
 		os.Exit(1)
 	}

@@ -67,3 +67,18 @@ func TestLoadRejectsEmptyAndModeless(t *testing.T) {
 		t.Fatal("missing file accepted")
 	}
 }
+
+func TestOverBudget(t *testing.T) {
+	point := map[string]float64{
+		"allocs_per_reg": 110, "allocs_per_reg_budget": 110,
+		"bytes_per_reg": 7000, "bytes_per_reg_budget": 8000,
+		"orphan_budget": 1,
+	}
+	if got := overBudget(point); len(got) != 1 || got[0] != "allocs_per_reg" {
+		t.Fatalf("overBudget = %v, want [allocs_per_reg]", got)
+	}
+	point["allocs_per_reg"] = 109.9
+	if got := overBudget(point); len(got) != 0 {
+		t.Fatalf("overBudget = %v under every budget", got)
+	}
+}
