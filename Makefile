@@ -76,17 +76,19 @@ shard-bench:
 # assertion runs on deterministic virtual counts, so one iteration is a
 # stable gate), a short-horizon signaling-storm smoke through the gnbsim
 # CLI (open-loop replay, limiter armed — exercises the overload stack end
-# to end in under a second), a short fuzz pass over the binary SBI frame
-# parser, a sharded-core smoke through the gnbsim CLI (4 replicas behind
-# SUPI-affinity routing with the full fast path on), a switchless-ring
-# smoke through the gnbsim CLI (ring-served ECALLs on the same fast
-# path), the batched and shard-scaling allocation/throughput-
-# regression gates — blocking, so a repeat of the PR-5-era batched
-# inversion fails the pipeline instead of landing silently — and the
+# to end in under a second), short fuzz passes over the binary SBI frame
+# parser and over the JSON codec against encoding/json (their seed
+# corpora already ran with the test suite), a sharded-core smoke through
+# the gnbsim CLI (4 replicas behind SUPI-affinity routing with the full
+# fast path on), a switchless-ring smoke through the gnbsim CLI
+# (ring-served ECALLs on the same fast path), the batched and
+# shard-scaling allocation/throughput-regression gates — blocking, so a
+# repeat of the PR-5-era batched inversion fails the pipeline instead of
+# landing silently — and the
 # benchmark module (bench/ has its own go.mod, so `./...` above never
-# descends into it): vet, its tests, gofmt, and a one-second
-# attach_sharded run whose exit code carries the driver-parity and
-# output-correctness checks.
+# descends into it): vet, its tests, gofmt, and one-second attach_sharded
+# and attach_paper runs whose exit codes carry the driver-parity and
+# output-correctness checks (binary-frame and JSON mode respectively).
 ci: build
 	$(MAKE) lint
 	$(GO) test -race ./...
@@ -96,6 +98,7 @@ ci: build
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
 	$(GO) run ./cmd/gnbsim -n 32 -switchless -batch 8 -avpool 8 -seed 11
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
 	$(MAKE) bench-compare
 	BENCH_SHARD_JSON=$(CURDIR)/BENCH_shard_scaling.candidate.json \
 	$(GO) run ./cmd/experiments -seed 7 -iterations 160 shardscale
@@ -104,6 +107,7 @@ ci: build
 	rm -f $(CURDIR)/BENCH_shard_scaling.candidate.json
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
 	bash bench/run.sh --workload attach_sharded --seconds 1
+	bash bench/run.sh --workload attach_paper --seconds 1
 
 # Regenerate every table and figure of the paper (500 samples each).
 experiments:

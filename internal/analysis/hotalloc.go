@@ -13,10 +13,11 @@ import (
 // allocation-budget assertion in BenchmarkRegisterManyBatched holds
 // only while they stay free of per-call heap traffic. fmt.Sprintf and
 // friends allocate the formatted string (plus boxing every operand),
-// and encoding/json's package-level Marshal/Unmarshal allocate a fresh
-// output copy and decode state per call — the pooled sbi codecs exist
-// precisely to avoid that. A call that is genuinely cold (an
-// error-canonicalization fallback, say) carries
+// and encoding/json's package-level Marshal/Unmarshal reflect over the
+// value and allocate a fresh output copy and decode state per call —
+// the field-description codecs behind sbi.MarshalBody/UnmarshalBody
+// exist precisely to avoid that. A call that is genuinely cold (their
+// whole-body fallback, say) carries
 // //shieldlint:ignore hotalloc <why>; arguments to the panic builtin
 // are exempt outright, since a panicking path is never the hot path.
 // A bare make([]byte, ...) inside a marked function is the same
@@ -32,8 +33,7 @@ var HotAlloc = &Analyzer{
 
 // hotAllocBanned maps package path -> function name -> the remedy named
 // in the diagnostic. Only package-level one-shot entry points are
-// banned; the pooled codec methods (json.Encoder.Encode,
-// json.Decoder.Decode) are the sanctioned replacements and stay legal.
+// banned.
 var hotAllocBanned = map[string]map[string]string{
 	"fmt": {
 		"Sprintf":  "preformat outside the hot path or build with strconv/append",
@@ -41,9 +41,9 @@ var hotAllocBanned = map[string]map[string]string{
 		"Sprintln": "preformat outside the hot path or build with strconv/append",
 	},
 	"encoding/json": {
-		"Marshal":       "use the pooled sbi.MarshalBody codec",
-		"MarshalIndent": "use the pooled sbi.MarshalBody codec",
-		"Unmarshal":     "use the pooled sbi.UnmarshalBody codec",
+		"Marshal":       "use sbi.MarshalBody",
+		"MarshalIndent": "use sbi.MarshalBody",
+		"Unmarshal":     "use sbi.UnmarshalBody",
 	},
 }
 

@@ -23,11 +23,7 @@ type dcMsg struct {
 	Value string `json:"value"`
 }
 
-func (m *dcMsg) AppendBinary(dst []byte) []byte { return codec.AppendString(dst, m.Value) }
-func (m *dcMsg) DecodeBinary(r *codec.Reader) error {
-	m.Value = r.String()
-	return r.Err()
-}
+func (m *dcMsg) Fields(f *codec.Fields) { f.String("value", &m.Value, 0) }
 
 // armSchedule arms the injector for exactly the scheduled call numbers, so
 // a rate-1.0 fault hits deterministic attempts and nothing else.

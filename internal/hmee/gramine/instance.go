@@ -185,9 +185,7 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 	// Server bring-up syscalls.
 	if !lc.noServer {
 		m := p.Model()
-		for i := 0; i < serverInitOCALLs; i++ {
-			proc.OCall(m.SyscallNative, 32, 32)
-		}
+		proc.OCallN(serverInitOCALLs, m.SyscallNative, 32, 32)
 	}
 
 	// The switchless dispatcher enters last, after the server is up, and
@@ -288,24 +286,18 @@ func (i *Instance) ServeRequest(ctx context.Context, inBytes, outBytes int, hand
 	if first {
 		// Lazy loading of network-stack dependencies: a few OCALLs and
 		// the in-enclave verification of the lazily-read trusted files.
-		for k := 0; k < warmupOCALLs; k++ {
-			th.OCall(m.SyscallNative, 64, 64)
-		}
+		th.OCallN(warmupOCALLs, m.SyscallNative, 64, 64)
 		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
 		// The server-side TLS handshake for the first connection.
 		th.Compute(m.TLSHandshakeServer)
 	}
 
 	jig := int(simclock.JitterFrom(ctx, p.Jitter()).Uint64n(3))
-	for k := 0; k < i.syscalls.Pre+jig; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
+	i.ocalls(false, th, i.syscalls.Pre+jig, m.SyscallNative, 16, 16)
 
 	functional, total, err := i.requestCensus(th, acct, inBytes, outBytes, handler, false)
 
-	for k := 0; k < i.syscalls.Post; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
+	i.ocalls(false, th, i.syscalls.Post, m.SyscallNative, 16, 16)
 
 	return Breakdown{
 		Functional: functional,
@@ -354,26 +346,27 @@ func (i *Instance) reqThread(ctx context.Context, acct *simclock.Account) *sgx.T
 
 func putThread(th *sgx.Thread) { threadPool.Put(th) }
 
-// ocall issues one proxied syscall on th: through the exitless ring when
-// enabled, otherwise a full EEXIT/EENTER transition pair.
+// ocalls issues n identical proxied syscalls on th in one step: through
+// the exitless ring when enabled, or when the request is served on the
+// switchless dispatcher (viaRing) and so must never leave the enclave;
+// otherwise as full EEXIT/EENTER transition pairs.
 //
 //shieldlint:hotpath
-func (i *Instance) ocall(th *sgx.Thread, untrusted simclock.Cycles, out, in int) {
-	i.ocallVia(false, th, untrusted, out, in)
+func (i *Instance) ocalls(viaRing bool, th *sgx.Thread, n int, untrusted simclock.Cycles, out, in int) {
+	if viaRing || i.exitless {
+		th.OCallExitlessN(n, untrusted, out, in)
+	} else {
+		th.OCallN(n, untrusted, out, in)
+	}
 }
 
-// ocallVia is ocall with an explicit routing decision: a request served on
-// the switchless dispatcher (viaRing) must never leave the enclave, so its
-// proxied syscalls always take the exitless handoff regardless of the
-// instance-wide exitless setting.
-//
-//shieldlint:hotpath
-func (i *Instance) ocallVia(viaRing bool, th *sgx.Thread, untrusted simclock.Cycles, out, in int) {
-	if viaRing || i.exitless {
-		th.OCallExitless(untrusted, out, in)
-	} else {
-		th.OCall(untrusted, out, in)
+// perCall is the share of a body one of n reads or writes moves; a profile
+// with none of them moves nothing.
+func perCall(bytes, n int) int {
+	if n <= 0 {
+		return 0
 	}
+	return bytes/n + 1
 }
 
 // requestCensus charges the per-request half of the syscall census — the
@@ -386,24 +379,18 @@ func (i *Instance) requestCensus(th *sgx.Thread, acct *simclock.Account, inBytes
 	m := i.platform.Model()
 
 	totalStart := acct.Total()
-	for k := 0; k < i.syscalls.Read; k++ {
-		i.ocallVia(viaRing, th, m.SyscallNative, 0, inBytes/i.syscalls.Read+1)
-	}
+	i.ocalls(viaRing, th, i.syscalls.Read, m.SyscallNative, 0, perCall(inBytes, i.syscalls.Read))
 	th.Compute(m.TLSRecordCost(inBytes) + m.HTTPCost(inBytes))
 	th.Touch(uint64(inBytes))
 
 	fnStart := acct.Total()
-	for k := 0; k < i.syscalls.InHandler; k++ {
-		i.ocallVia(viaRing, th, m.SyscallNative, 8, 8)
-	}
+	i.ocalls(viaRing, th, i.syscalls.InHandler, m.SyscallNative, 8, 8)
 	err = handler(th)
 	fnEnd := acct.Total()
 
 	th.Compute(m.HTTPCost(outBytes) + m.TLSRecordCost(outBytes))
 	th.Touch(uint64(outBytes))
-	for k := 0; k < i.syscalls.Write; k++ {
-		i.ocallVia(viaRing, th, m.SyscallNative, outBytes/i.syscalls.Write+1, 0)
-	}
+	i.ocalls(viaRing, th, i.syscalls.Write, m.SyscallNative, perCall(outBytes, i.syscalls.Write), 0)
 	totalEnd := acct.Total()
 	return fnEnd - fnStart, totalEnd - totalStart, err
 }
@@ -444,9 +431,7 @@ func (j *ringServeJob) Execute(*sgx.Thread) error {
 	start := acct.Total()
 
 	if j.first {
-		for k := 0; k < warmupOCALLs; k++ {
-			th.OCallExitless(m.SyscallNative, 64, 64)
-		}
+		th.OCallExitlessN(warmupOCALLs, m.SyscallNative, 64, 64)
 		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
 		th.Compute(m.TLSHandshakeServer)
 	}
@@ -456,16 +441,12 @@ func (j *ringServeJob) Execute(*sgx.Thread) error {
 	if j.pre {
 		n += i.syscalls.Pre
 	}
-	for k := 0; k < n; k++ {
-		i.ocallVia(true, th, m.SyscallNative, 16, 16)
-	}
+	i.ocalls(true, th, n, m.SyscallNative, 16, 16)
 
 	functional, total, err := i.requestCensus(th, acct, j.inBytes, j.outBytes, j.handler, true)
 
 	if j.post {
-		for k := 0; k < i.syscalls.Post; k++ {
-			i.ocallVia(true, th, m.SyscallNative, 16, 16)
-		}
+		i.ocalls(true, th, i.syscalls.Post, m.SyscallNative, 16, 16)
 	}
 	j.bd = Breakdown{
 		Functional: functional,
@@ -510,20 +491,14 @@ func (j *ringSessionJob) Execute(*sgx.Thread) error {
 	defer putThread(th)
 	if j.open {
 		if j.first {
-			for k := 0; k < warmupOCALLs; k++ {
-				th.OCallExitless(m.SyscallNative, 64, 64)
-			}
+			th.OCallExitlessN(warmupOCALLs, m.SyscallNative, 64, 64)
 			th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
 		}
-		for k := 0; k < i.syscalls.Pre; k++ {
-			i.ocallVia(true, th, m.SyscallNative, 16, 16)
-		}
+		i.ocalls(true, th, i.syscalls.Pre, m.SyscallNative, 16, 16)
 		th.Compute(m.TLSHandshakeServer)
 		return nil
 	}
-	for k := 0; k < i.syscalls.Post; k++ {
-		i.ocallVia(true, th, m.SyscallNative, 16, 16)
-	}
+	i.ocalls(true, th, i.syscalls.Post, m.SyscallNative, 16, 16)
 	return nil
 }
 
@@ -601,15 +576,11 @@ func (i *Instance) OpenSession(ctx context.Context) (*Session, error) {
 	defer putThread(th)
 
 	if first {
-		for k := 0; k < warmupOCALLs; k++ {
-			th.OCall(m.SyscallNative, 64, 64)
-		}
+		th.OCallN(warmupOCALLs, m.SyscallNative, 64, 64)
 		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
 	}
 
-	for k := 0; k < i.syscalls.Pre; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
+	i.ocalls(false, th, i.syscalls.Pre, m.SyscallNative, 16, 16)
 	th.Compute(m.TLSHandshakeServer)
 	return &Session{inst: i, open: true}, nil
 }
@@ -651,9 +622,7 @@ func (i *Instance) ServeOnSession(ctx context.Context, s *Session, inBytes, outB
 	start := acct.Total()
 
 	jig := int(simclock.JitterFrom(ctx, p.Jitter()).Uint64n(3))
-	for k := 0; k < jig; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
+	i.ocalls(false, th, jig, m.SyscallNative, 16, 16)
 
 	functional, total, err := i.requestCensus(th, acct, inBytes, outBytes, handler, false)
 	return Breakdown{
@@ -736,9 +705,7 @@ func (s *Session) Close(ctx context.Context) error {
 	m := i.platform.Model()
 	th := i.reqThread(ctx, simclock.AccountFrom(ctx))
 	defer putThread(th)
-	for k := 0; k < i.syscalls.Post; k++ {
-		i.ocall(th, m.SyscallNative, 16, 16)
-	}
+	i.ocalls(false, th, i.syscalls.Post, m.SyscallNative, 16, 16)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package sgx
 
 import (
 	"context"
+	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -79,7 +80,8 @@ type Enclave struct {
 	platform *Platform
 	cfg      EnclaveConfig
 
-	measurement [32]byte // MRENCLAVE analogue
+	measurement [32]byte    // MRENCLAVE analogue
+	seal        cipher.AEAD // sealing AEAD, keyed by platform and measurement
 	loadCycles  simclock.Cycles
 
 	tcs chan struct{} // TCS slots; acquired per in-enclave thread
@@ -139,6 +141,7 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 		fileBytes += f.Size
 	}
 	copy(e.measurement[:], h.Sum(nil))
+	e.seal = e.newSealAEAD()
 
 	// Load cost: per-page EADD+EEXTEND over the committed size, trusted
 	// file hashing, and preheat pre-faulting. Jitter reproduces the
@@ -381,13 +384,25 @@ func (t *Thread) BindRequest(ctx context.Context, acct *simclock.Account, dst *T
 // untrusted work expressed in cycles, then EENTER. Argument and result
 // bytes are shielded as they cross the boundary.
 func (t *Thread) OCall(untrustedCycles simclock.Cycles, outBytes, inBytes int) {
+	t.OCallN(1, untrustedCycles, outBytes, inBytes)
+}
+
+// OCallN is n back-to-back OCalls with the same arguments — a run of the
+// LibOS's syscall census — counted and charged in one step: the counters,
+// the account and the platform clock end where n calls would leave them.
+//
+//shieldlint:hotpath
+func (t *Thread) OCallN(n int, untrustedCycles simclock.Cycles, outBytes, inBytes int) {
+	if n <= 0 {
+		return
+	}
 	e := t.enclave
 	m := e.platform.model
-	e.stats.EEXIT.Add(1)
-	e.stats.EENTER.Add(1)
-	e.stats.OCALLs.Add(1)
+	e.stats.EEXIT.Add(uint64(n))
+	e.stats.EENTER.Add(uint64(n))
+	e.stats.OCALLs.Add(uint64(n))
 	cost := m.EEXIT + m.ShieldCost(outBytes) + untrustedCycles + m.EENTER + m.ShieldCost(inBytes)
-	e.platform.charge(t.acct, cost)
+	e.platform.charge(t.acct, simclock.Cycles(n)*cost)
 }
 
 // OCallExitless models Gramine's exitless (switchless) call feature: the
@@ -399,14 +414,24 @@ func (t *Thread) OCall(untrustedCycles simclock.Cycles, outBytes, inBytes int) {
 // feature is not production-ready; it is modelled here for the §V-B7
 // ablation.
 func (t *Thread) OCallExitless(untrustedCycles simclock.Cycles, outBytes, inBytes int) {
+	t.OCallExitlessN(1, untrustedCycles, outBytes, inBytes)
+}
+
+// OCallExitlessN is OCallN's exitless twin.
+//
+//shieldlint:hotpath
+func (t *Thread) OCallExitlessN(n int, untrustedCycles simclock.Cycles, outBytes, inBytes int) {
+	if n <= 0 {
+		return
+	}
 	e := t.enclave
 	m := e.platform.model
-	e.stats.OCALLs.Add(1)
+	e.stats.OCALLs.Add(uint64(n))
 	// Two cache-line handoffs plus the spin while the helper serves the
 	// call; far below the ~17k-cycle transition pair.
 	const handoffCycles = 3_000
 	cost := handoffCycles + untrustedCycles + m.ShieldCost(outBytes) + m.ShieldCost(inBytes)
-	e.platform.charge(t.acct, cost)
+	e.platform.charge(t.acct, simclock.Cycles(n)*cost)
 }
 
 // ShieldTransfer charges the boundary cost of moving outBytes out of and

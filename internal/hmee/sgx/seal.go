@@ -15,14 +15,24 @@ import (
 // wrong platform, wrong enclave identity, or tampered ciphertext.
 var ErrUnseal = errors.New("sgx: unseal failed")
 
-// sealKey derives the enclave's sealing key: bound to both the platform
-// root (CPU fuse key analogue) and the enclave measurement (MRENCLAVE
-// policy), so only the same code on the same machine can unseal.
-func (e *Enclave) sealKey() []byte {
+// newSealAEAD builds the enclave's sealing AEAD. Its key is bound to both
+// the platform root (CPU fuse key analogue) and the enclave measurement
+// (MRENCLAVE policy), so only the same code on the same machine can
+// unseal. Both are fixed for the life of the Enclave object — a restart
+// builds a new one — so Build derives it once.
+func (e *Enclave) newSealAEAD() cipher.AEAD {
 	mac := hmac.New(sha256.New, e.platform.sealRoot[:])
 	mac.Write([]byte("seal"))
 	mac.Write(e.measurement[:])
-	return mac.Sum(nil)
+	block, err := aes.NewCipher(mac.Sum(nil)[:16])
+	if err != nil {
+		panic(fmt.Sprintf("sgx: seal cipher: %v", err)) // a 16-byte key is always valid
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(fmt.Sprintf("sgx: seal AEAD: %v", err)) // AES has the block size GCM needs
+	}
+	return aead
 }
 
 // Seal encrypts data so that only an enclave with the same measurement on
@@ -33,10 +43,7 @@ func (e *Enclave) Seal(plaintext, additionalData []byte) ([]byte, error) {
 	if err := e.live(); err != nil {
 		return nil, err
 	}
-	aead, err := newSealAEAD(e.sealKey())
-	if err != nil {
-		return nil, err
-	}
+	aead := e.seal
 	nonce := make([]byte, aead.NonceSize())
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, fmt.Errorf("sgx: seal nonce: %w", err)
@@ -51,10 +58,7 @@ func (e *Enclave) Unseal(blob, additionalData []byte) ([]byte, error) {
 	if err := e.live(); err != nil {
 		return nil, err
 	}
-	aead, err := newSealAEAD(e.sealKey())
-	if err != nil {
-		return nil, err
-	}
+	aead := e.seal
 	if len(blob) < aead.NonceSize() {
 		return nil, fmt.Errorf("%w: blob too short", ErrUnseal)
 	}
@@ -64,16 +68,4 @@ func (e *Enclave) Unseal(blob, additionalData []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrUnseal, err)
 	}
 	return plain, nil
-}
-
-func newSealAEAD(key []byte) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key[:16])
-	if err != nil {
-		return nil, fmt.Errorf("sgx: seal cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("sgx: seal AEAD: %w", err)
-	}
-	return aead, nil
 }

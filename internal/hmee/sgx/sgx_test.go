@@ -394,6 +394,84 @@ func TestUnsealRejectsTamperAndWrongIdentity(t *testing.T) {
 	}
 }
 
+// TestOCallNEqualsLoop: OCallN and OCallExitlessN leave the counters, the
+// account and the platform clock exactly where a loop of single calls
+// does, for every argument shape the LibOS census uses (bring-up 32/32,
+// warm-up 64/64, pre/post 16/16, in-handler 8/8, and the read and write
+// shares of small and large bodies) and for the empty run.
+func TestOCallNEqualsLoop(t *testing.T) {
+	type outcome struct {
+		stats   StatsSnapshot
+		account simclock.Cycles
+		clock   simclock.Cycles
+	}
+	run := func(call func(th *Thread)) outcome {
+		p := testPlatform(t)
+		e := build(t, p, testConfig())
+		acct := new(simclock.Account)
+		th, err := e.EnterResident(simclock.WithAccount(context.Background(), acct))
+		if err != nil {
+			t.Fatalf("EnterResident: %v", err)
+		}
+		call(th)
+		return outcome{e.Stats(), acct.Total(), p.Clock().Elapsed()}
+	}
+	untrusted := testPlatform(t).Model().SyscallNative
+	for _, n := range []int{0, 1, 4, 38, 43, 590} {
+		for _, io := range [][2]int{{32, 32}, {64, 64}, {16, 16}, {8, 8}, {0, 101}, {76, 0}, {0, 65537}} {
+			loop := run(func(th *Thread) {
+				for k := 0; k < n; k++ {
+					th.OCall(untrusted, io[0], io[1])
+				}
+			})
+			if once := run(func(th *Thread) { th.OCallN(n, untrusted, io[0], io[1]) }); once != loop {
+				t.Errorf("OCallN(%d, out %d, in %d) = %+v, loop = %+v", n, io[0], io[1], once, loop)
+			}
+			loop = run(func(th *Thread) {
+				for k := 0; k < n; k++ {
+					th.OCallExitless(untrusted, io[0], io[1])
+				}
+			})
+			if once := run(func(th *Thread) { th.OCallExitlessN(n, untrusted, io[0], io[1]) }); once != loop {
+				t.Errorf("OCallExitlessN(%d, out %d, in %d) = %+v, loop = %+v", n, io[0], io[1], once, loop)
+			}
+		}
+	}
+}
+
+// TestSealKeyFollowsIdentityNotObject: the AEAD each Enclave object builds
+// once is keyed by platform and measurement, so two live enclaves of
+// different identity cannot read each other's blobs in either direction,
+// while a restarted enclave — a new object, the same identity — reads what
+// its predecessor sealed.
+func TestSealKeyFollowsIdentityNotObject(t *testing.T) {
+	p := testPlatform(t)
+	a := build(t, p, testConfig())
+	cfg := testConfig()
+	cfg.Name = "other"
+	b := build(t, p, cfg)
+	fromA, err := a.Seal([]byte("a's secret"), nil)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	fromB, err := b.Seal([]byte("b's secret"), nil)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	if _, err := b.Unseal(fromA, nil); !errors.Is(err, ErrUnseal) {
+		t.Fatalf("b unsealing a's blob = %v, want ErrUnseal", err)
+	}
+	if _, err := a.Unseal(fromB, nil); !errors.Is(err, ErrUnseal) {
+		t.Fatalf("a unsealing b's blob = %v, want ErrUnseal", err)
+	}
+
+	a.Destroy()
+	restarted := build(t, p, testConfig())
+	if plain, err := restarted.Unseal(fromA, nil); err != nil || string(plain) != "a's secret" {
+		t.Fatalf("restarted enclave unsealing its predecessor's blob = %q, %v", plain, err)
+	}
+}
+
 func TestQuoteVerify(t *testing.T) {
 	p := testPlatform(t)
 	e := build(t, p, testConfig())

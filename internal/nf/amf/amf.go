@@ -60,7 +60,12 @@ type ueContext struct {
 	kseaf     []byte
 	sec       *nas.SecurityContext
 	guti      nas.GUTI
-	resyncOK  bool // one resynchronisation attempt allowed
+	// prevTMSI is the TMSI a mobility registration arrived with (0: none,
+	// TMSIs start at 1). It stays bound until RegistrationComplete
+	// acknowledges the new GUTI, so a UE that never saw the accept can
+	// still come back with the old one.
+	prevTMSI uint32
+	resyncOK bool // one resynchronisation attempt allowed
 	// pendingAuth retains the identity the current AKA run started from,
 	// so a lost AUSF session (crash, dropped confirm reply) can be
 	// re-authenticated without bouncing the UE; reauthOK allows it once.
@@ -232,6 +237,7 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 	ctx = sbi.WithPriority(ctx, class)
 
 	authReq := &ausf.AuthenticateRequest{ServingNetworkName: a.snn}
+	var prevTMSI uint32
 	switch {
 	case rr.Identity.SUCI != nil:
 		// PLMN check: the UE must be asking for this serving network.
@@ -261,6 +267,7 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 			return nas.Encode(&nas.IdentityRequest{IdentityType: nas.IdentityTypeSUCI})
 		}
 		authReq.SUPI = supi
+		prevTMSI = g.TMSI
 	default:
 		return nil, fmt.Errorf("amf: registration carries no identity")
 	}
@@ -278,6 +285,7 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 	ue.pendingAuth = authReq
 	ue.reauthOK = true
 	ue.prio = class
+	ue.prevTMSI = prevTMSI
 	a.ues.Store(ranUEID, ue)
 
 	return a.challenge(auth)
@@ -493,6 +501,10 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 	case *nas.RegistrationComplete:
 		if ue.getState() != stateAcceptPending {
 			return nil, fmt.Errorf("amf: RegistrationComplete in state %d", ue.getState())
+		}
+		if ue.prevTMSI != 0 {
+			a.guti.Delete(ue.prevTMSI)
+			ue.prevTMSI = 0
 		}
 		ue.setState(stateRegistered)
 		return nil, nil

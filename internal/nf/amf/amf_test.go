@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,6 +32,8 @@ type harness struct {
 	env   *costmodel.Env
 	supi  suci.SUPI
 	opc   []byte
+	// provision adds a subscriber to the UDR and the UDM's key store.
+	provision func(t *testing.T, supi suci.SUPI)
 }
 
 func newHarness(t *testing.T) *harness {
@@ -81,20 +84,28 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatalf("ComputeOPc: %v", err)
 	}
-	if err := udr.NewClient(sbi.NewClient("prov", env, reg)).Provision(ctx, udr.Subscriber{
-		SUPI: supi.String(), K: testK, OPc: opc,
-		SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
-	}); err != nil {
-		t.Fatalf("provision: %v", err)
+	prov := udr.NewClient(sbi.NewClient("prov", env, reg))
+	provision := func(t *testing.T, supi suci.SUPI) {
+		t.Helper()
+		if err := prov.Provision(ctx, udr.Subscriber{
+			SUPI: supi.String(), K: testK, OPc: opc,
+			SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
+		}); err != nil {
+			t.Fatalf("provision: %v", err)
+		}
+		monoUDM.ProvisionSubscriber(supi.String(), testK)
 	}
-	monoUDM.ProvisionSubscriber(supi.String(), testK)
-	return &harness{amf: a, hnKey: hnKey, env: env, supi: supi, opc: opc}
+	provision(t, supi)
+	return &harness{amf: a, hnKey: hnKey, env: env, supi: supi, opc: opc, provision: provision}
 }
 
-func (h *harness) device(t *testing.T) *ue.UE {
+func (h *harness) device(t *testing.T) *ue.UE { return h.deviceOf(t, h.supi) }
+
+// deviceOf returns a device of an already provisioned subscriber.
+func (h *harness) deviceOf(t *testing.T, supi suci.SUPI) *ue.UE {
 	t.Helper()
 	d, err := ue.New(ue.Config{
-		SUPI: h.supi, K: testK, OPc: h.opc,
+		SUPI: supi, K: testK, OPc: h.opc,
 		HomeNetworkPublicKey: h.hnKey.PublicKey(),
 		HomeNetworkKeyID:     h.hnKey.ID,
 		Env:                  h.env,
@@ -108,11 +119,27 @@ func (h *harness) device(t *testing.T) *ue.UE {
 // register drives the NAS exchange directly against the AMF.
 func (h *harness) register(t *testing.T, device *ue.UE, ranUEID uint64) {
 	t.Helper()
-	ctx := context.Background()
-	up, err := device.BuildRegistrationRequest(ctx, h.amf.ServingNetworkName())
+	up, err := device.BuildRegistrationRequest(context.Background(), h.amf.ServingNetworkName())
 	if err != nil {
 		t.Fatalf("BuildRegistrationRequest: %v", err)
 	}
+	h.exchange(t, device, ranUEID, up, false)
+}
+
+// reregister drives a GUTI mobility registration; with loseComplete the
+// UE's closing RegistrationComplete never reaches the AMF.
+func (h *harness) reregister(t *testing.T, device *ue.UE, ranUEID uint64, loseComplete bool) {
+	t.Helper()
+	up, err := device.BuildReRegistrationRequest(context.Background(), h.amf.ServingNetworkName())
+	if err != nil {
+		t.Fatalf("BuildReRegistrationRequest: %v", err)
+	}
+	h.exchange(t, device, ranUEID, up, loseComplete)
+}
+
+func (h *harness) exchange(t *testing.T, device *ue.UE, ranUEID uint64, up []byte, loseComplete bool) {
+	t.Helper()
+	ctx := context.Background()
 	down, err := h.amf.HandleInitialUE(ctx, ranUEID, up)
 	if err != nil {
 		t.Fatalf("HandleInitialUE: %v", err)
@@ -122,7 +149,7 @@ func (h *harness) register(t *testing.T, device *ue.UE, ranUEID uint64) {
 		if err != nil {
 			t.Fatalf("UE NAS: %v", err)
 		}
-		if uplink == nil {
+		if uplink == nil || done && loseComplete {
 			return
 		}
 		down, err = h.amf.HandleUplinkNAS(ctx, ranUEID, uplink)
@@ -283,4 +310,89 @@ func TestMultipleUEsIndependentContexts(t *testing.T) {
 	if h.amf.RegisteredUEs() != 3 {
 		t.Fatalf("RegisteredUEs = %d, want 3", h.amf.RegisteredUEs())
 	}
+}
+
+// TestReRegistrationReleasesSupersededGUTI: the TMSI a mobility
+// registration arrived with is released once RegistrationComplete
+// acknowledges its successor, so the table holds one binding per attached
+// UE however often each re-registers, and a superseded GUTI no longer
+// resolves.
+func TestReRegistrationReleasesSupersededGUTI(t *testing.T) {
+	h := newHarness(t)
+	const devices, rounds = 3, 4
+	var ran uint64
+	var fleet []*ue.UE
+	for i := 0; i < devices; i++ {
+		supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: fmt.Sprintf("%010d", 100+i)}
+		h.provision(t, supi)
+		d := h.deviceOf(t, supi)
+		ran++
+		h.register(t, d, ran)
+		fleet = append(fleet, d)
+	}
+	first, _ := fleet[0].GUTI()
+	for r := 0; r < rounds; r++ {
+		for _, d := range fleet {
+			ran++
+			h.reregister(t, d, ran, false)
+		}
+	}
+	if got := h.amf.GUTIBindings(); got != devices {
+		t.Fatalf("%d TMSI bindings after %d re-registrations of %d UEs, want %d", got, rounds, devices, devices)
+	}
+
+	// The superseded GUTI takes the identity-procedure fallback.
+	up, err := nas.Encode(&nas.RegistrationRequest{
+		RegistrationType: nas.RegistrationMobility,
+		Identity:         nas.MobileIdentity{GUTI: &first},
+		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran++
+	down, err := h.amf.HandleInitialUE(context.Background(), ran, up)
+	if err != nil {
+		t.Fatalf("HandleInitialUE(superseded GUTI): %v", err)
+	}
+	if msg, err := nas.Decode(down); err != nil || msg.Type() != (&nas.IdentityRequest{}).Type() {
+		t.Fatalf("superseded GUTI answered with %v (%v), want IdentityRequest", msg, err)
+	}
+}
+
+// TestLostRegistrationCompleteKeepsBothGUTIs: until the UE acknowledges
+// the new GUTI the AMF cannot know which one it holds, so both resolve.
+func TestLostRegistrationCompleteKeepsBothGUTIs(t *testing.T) {
+	h := newHarness(t)
+	d := h.device(t)
+	h.register(t, d, 1)
+	before, _ := d.GUTI()
+
+	h.reregister(t, d, 2, true)
+	after, _ := d.GUTI()
+	if after.TMSI == before.TMSI {
+		t.Fatal("re-registration did not assign a new GUTI")
+	}
+	if got := h.amf.GUTIBindings(); got != 2 {
+		t.Fatalf("%d TMSI bindings after a lost RegistrationComplete, want 2", got)
+	}
+	// A UE that never saw the accept comes back with the old GUTI and is
+	// challenged, not asked for its identity...
+	up, err := nas.Encode(&nas.RegistrationRequest{
+		RegistrationType: nas.RegistrationMobility,
+		Identity:         nas.MobileIdentity{GUTI: &before},
+		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := h.amf.HandleInitialUE(context.Background(), 3, up)
+	if err != nil {
+		t.Fatalf("HandleInitialUE(old GUTI): %v", err)
+	}
+	if msg, err := nas.Decode(down); err != nil || msg.Type() != (&nas.AuthenticationRequest{}).Type() {
+		t.Fatalf("old GUTI answered with %v (%v), want AuthenticationRequest", msg, err)
+	}
+	// ...and one that did see it registers with the new one.
+	h.reregister(t, d, 4, false)
 }

@@ -11,10 +11,9 @@ package sbi
 // healed by a one-shot downgrade retry when the server answers 415.
 //
 // Frames ride the exact MarshalBody/ReleaseBody single-owner contract the
-// JSON bodies use: the encoder appends straight into a pooled body buffer,
-// the handler decodes zero-copy views out of the loaned request, and the
-// client compacts whatever it keeps before the response buffer returns to
-// the pool. See internal/sbi/codec for the ownership rules.
+// JSON bodies use, and both formats are written and read from the
+// message's one field description. See internal/sbi/codec for the
+// ownership rules.
 
 import (
 	"context"
@@ -66,9 +65,8 @@ func (c *Client) EnableBinary() {
 // The returned slice follows the MarshalBody ownership contract.
 //
 //shieldlint:hotpath
-func MarshalBinary(m codec.Marshaler) ([]byte, error) {
-	buf := codec.AppendHeader(getBuf())
-	buf = m.AppendBinary(buf)
+func MarshalBinary(m codec.Message) ([]byte, error) {
+	buf := codec.AppendBinary(codec.AppendHeader(getBuf()), m)
 	out, err := codec.FinishFrame(buf)
 	if err != nil {
 		ReleaseBody(buf)
@@ -77,153 +75,92 @@ func MarshalBinary(m codec.Marshaler) ([]byte, error) {
 	return out, nil
 }
 
-// readerPool recycles frame readers across requests.
-var readerPool = sync.Pool{New: func() any { return new(codec.Reader) }}
-
-// decodeFrame decodes one frame payload into v, verifying the payload was
-// consumed exactly.
-//
-//shieldlint:hotpath
-func decodeFrame(body []byte, v codec.Unmarshaler) error {
-	payload, err := codec.Payload(body)
-	if err != nil {
-		return err
-	}
-	r := readerPool.Get().(*codec.Reader)
-	r.Reset(payload)
-	if err = v.DecodeBinary(r); err == nil {
-		err = r.Done()
-	}
-	r.Reset(nil)
-	readerPool.Put(r)
-	return err
-}
-
 // binaryDecodable reports whether resp can receive a binary response (nil
 // discards the body, so any format is fine).
 func binaryDecodable(resp any) bool {
 	if resp == nil {
 		return true
 	}
-	_, ok := resp.(codec.Unmarshaler)
+	_, ok := resp.(codec.Message)
 	return ok
 }
 
-// decodeResponse decodes a response body in whichever format the server
-// chose: a frame for negotiated binary exchanges, JSON otherwise.
-//
-//shieldlint:hotpath
-func decodeResponse(out []byte, resp any) error {
-	if !codec.IsFrame(out) {
-		return UnmarshalBody(out, resp)
-	}
-	um, ok := resp.(codec.Unmarshaler)
-	if !ok {
-		return fmt.Errorf("binary frame response into %T, which has no binary codec", resp)
-	}
-	return decodeFrame(out, um)
-}
-
-// DecodeBody decodes a request body in whichever format it arrived:
-// binary frames through v's codec.Unmarshaler, anything else through the
-// pooled JSON path. For raw HandlerFuncs that bypass BinHandler.
+// DecodeBody decodes a body in whichever format it arrived: a binary
+// frame through v's field description, anything else as JSON. Handlers
+// use it on requests, the client on responses.
 //
 //shieldlint:hotpath
 func DecodeBody(body []byte, v any) error {
 	if !codec.IsFrame(body) {
 		return UnmarshalBody(body, v)
 	}
-	um, ok := v.(codec.Unmarshaler)
+	m, ok := v.(codec.Message)
 	if !ok {
-		return fmt.Errorf("binary frame into %T, which has no binary codec", v)
+		return fmt.Errorf("binary frame into %T, which has no field description", v)
 	}
-	return decodeFrame(body, um)
+	payload, err := codec.Payload(body)
+	if err != nil {
+		return err
+	}
+	return codec.DecodeBinary(payload, m)
 }
 
 // MarshalBodyLike encodes v in the format of the request body it answers:
-// a frame when the request was a frame (and v supports it), JSON
-// otherwise. For raw HandlerFuncs that bypass BinHandler.
+// a frame when the request was a frame (and v has a field description),
+// JSON otherwise.
 //
 //shieldlint:hotpath
 func MarshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 	if codec.IsFrame(reqBody) {
-		if bm, ok := v.(codec.Marshaler); ok {
-			return MarshalBinary(bm)
+		if m, ok := v.(codec.Message); ok {
+			return MarshalBinary(m)
 		}
 	}
 	return MarshalBody(v)
 }
 
 // BinHandler adapts a typed request/response function into a dual-format
-// HandlerFunc: binary frames decode through the type's codec.Unmarshaler
-// and answer with a frame, anything else takes the exact JSONHandler path.
-// Register the result with HandleDual so the path is advertised.
+// HandlerFunc: the request is decoded from, and the response encoded in,
+// whichever format the request arrived in. Register the result with
+// HandleDual so the path is advertised.
 //
-// On the binary path the request struct itself is pooled and its byte
-// fields are zero-copy views into the loaned body (the HandlerFunc
-// contract): fn gets the struct for the duration of the call only, must
-// copy anything it retains, and must not return the request as its
-// response — the struct is zeroed and recycled as soon as fn returns.
+// The request struct is pooled, and on the binary path its byte fields
+// are zero-copy views into the loaned body (the HandlerFunc contract): fn
+// gets the struct for the duration of the call only, must copy anything
+// it retains, and must not return the request as its response — the
+// struct is zeroed and recycled as soon as fn returns.
 func BinHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
-	// reqPool recycles the decoded request struct across binary-path
-	// calls. Entries are zeroed before going back so a partial decode
-	// from one request can never leak into the next.
+	// Entries are zeroed before going back so a partial decode from one
+	// request can never leak into the next.
 	reqPool := sync.Pool{New: func() any { return new(Req) }}
 	putReq := func(req *Req) {
 		var zero Req
 		*req = zero
 		reqPool.Put(req)
 	}
+	_, described := any(new(Req)).(codec.Message)
 	//shieldlint:hotpath
 	return func(ctx context.Context, body []byte) ([]byte, error) {
-		if !codec.IsFrame(body) {
-			// JSON interop path, byte-identical to JSONHandler.
-			var req Req
-			if len(body) > 0 {
-				if err := UnmarshalBody(body, &req); err != nil {
-					return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-				}
-			}
-			resp, err := fn(ctx, &req)
-			if err != nil {
-				return nil, err
-			}
-			out, err := MarshalBody(resp)
-			if err != nil {
-				return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", err)
-			}
-			return out, nil
-		}
-
-		req := reqPool.Get().(*Req)
-		um, ok := any(req).(codec.Unmarshaler)
-		if !ok {
-			reqPool.Put(req)
+		if !described && codec.IsFrame(body) {
+			// 415 makes the client downgrade the path to JSON and retry.
 			return nil, Problem(415, "Unsupported Media Type", CauseUnsupportedMedia,
-				"%T has no binary codec", req)
+				"%T has no field description", new(Req))
 		}
-		if err := decodeFrame(body, um); err != nil {
-			putReq(req)
-			return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode frame: %v", err)
+		req := reqPool.Get().(*Req)
+		if len(body) > 0 {
+			if err := DecodeBody(body, req); err != nil {
+				putReq(req)
+				return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
+			}
 		}
 		resp, err := fn(ctx, req)
 		putReq(req)
 		if err != nil {
 			return nil, err
 		}
-		bm, ok := any(resp).(codec.Marshaler)
-		if !ok {
-			// Response type without a binary codec: answer in JSON, which
-			// decodeResponse on the client handles transparently.
-			out, merr := MarshalBody(resp)
-			if merr != nil {
-				return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", merr)
-			}
-			return out, nil
-		}
-		out, err := MarshalBinary(bm)
+		out, err := MarshalBodyLike(body, resp)
 		if err != nil {
-			return nil, Problem(500, "Internal Server Error", CauseSystem, "encode frame: %v", err)
+			return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", err)
 		}
 		return out, nil
 	}

@@ -14,19 +14,9 @@ type binMsg struct {
 	Blob  []byte `json:"blob"`
 }
 
-func (m *binMsg) AppendBinary(dst []byte) []byte {
-	dst = codec.AppendString(dst, m.Value)
-	return codec.AppendBytes(dst, m.Blob)
-}
-
-func (m *binMsg) DecodeBinary(r *codec.Reader) error {
-	m.Value = r.String()
-	m.Blob = r.Bytes()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	codec.Compact(&m.Blob)
-	return nil
+func (m *binMsg) Fields(f *codec.Fields) {
+	f.String("value", &m.Value, 0)
+	f.Bytes("blob", &m.Blob, codec.Own)
 }
 
 // formatRecorder wraps a HandlerFunc and records, per call, whether the
@@ -191,8 +181,8 @@ func TestBinHandlerTrailingBytesRejected(t *testing.T) {
 	// A frame whose payload holds more than the message's fields: the
 	// handler must verify exact consumption, not silently ignore the tail.
 	frame := codec.AppendHeader(nil)
-	frame = (&binMsg{Value: "x", Blob: []byte{9}}).AppendBinary(frame)
-	frame = codec.AppendByte(frame, 0xEE) // trailing junk
+	frame = codec.AppendBinary(frame, &binMsg{Value: "x", Blob: []byte{9}})
+	frame = append(frame, 0xEE) // trailing junk
 	frame, err := codec.FinishFrame(frame)
 	if err != nil {
 		t.Fatalf("FinishFrame: %v", err)
@@ -204,7 +194,7 @@ func TestBinHandlerTrailingBytesRejected(t *testing.T) {
 	}
 }
 
-func TestDecodeResponseFormats(t *testing.T) {
+func TestDecodeBodyFormats(t *testing.T) {
 	in := &binMsg{Value: "v", Blob: []byte{5, 6}}
 
 	frame, err := MarshalBinary(in)
@@ -212,16 +202,16 @@ func TestDecodeResponseFormats(t *testing.T) {
 		t.Fatalf("MarshalBinary: %v", err)
 	}
 	var fromFrame binMsg
-	if err := decodeResponse(frame, &fromFrame); err != nil {
-		t.Fatalf("decodeResponse(frame): %v", err)
+	if err := DecodeBody(frame, &fromFrame); err != nil {
+		t.Fatalf("DecodeBody(frame): %v", err)
 	}
 	jsonBody, err := MarshalBody(in)
 	if err != nil {
 		t.Fatalf("MarshalBody: %v", err)
 	}
 	var fromJSON binMsg
-	if err := decodeResponse(jsonBody, &fromJSON); err != nil {
-		t.Fatalf("decodeResponse(json): %v", err)
+	if err := DecodeBody(jsonBody, &fromJSON); err != nil {
+		t.Fatalf("DecodeBody(json): %v", err)
 	}
 	if fromFrame.Value != fromJSON.Value || string(fromFrame.Blob) != string(fromJSON.Blob) {
 		t.Fatalf("frame decode %+v != json decode %+v", fromFrame, fromJSON)
@@ -230,8 +220,8 @@ func TestDecodeResponseFormats(t *testing.T) {
 	// A frame aimed at a type without a binary codec is an error, not a
 	// silent misparse.
 	var plain echoResp
-	if err := decodeResponse(frame, &plain); err == nil {
-		t.Fatalf("decodeResponse(frame, no codec) succeeded")
+	if err := DecodeBody(frame, &plain); err == nil {
+		t.Fatalf("DecodeBody(frame, no codec) succeeded")
 	}
 }
 

@@ -1,45 +1,25 @@
 package sbi
 
 import (
-	"bytes"
 	"encoding/json"
 	"sync"
+
+	"shield5g/internal/sbi/codec"
 )
 
-// Pooled JSON codecs for SBI bodies. Every registration crosses the SBI
-// layer many times; json.Marshal allocates a fresh output copy per call
-// and json.Unmarshal a fresh decode state, so the body plumbing dominated
-// the hot path's allocation profile. MarshalBody encodes through a pooled
-// json.Encoder into a pooled buffer, UnmarshalBody decodes through a
-// pooled json.Decoder over a resettable reader, and ReleaseBody donates a
-// spent body's backing array back to the encode pool — so a keep-alive
-// session reuses the same few buffers for its whole lifetime.
+// SBI bodies. Every registration crosses the SBI layer many times, so a
+// message on that path carries a field description (codec.Message) and is
+// encoded and decoded from it, in JSON as in binary frames, without
+// reflection; bodies travel in pooled buffers that ReleaseBody recycles.
+// Messages without a description (NRF, SMF, UPF, ProblemDetails) are cold
+// and go through encoding/json.
 //
 // Ownership contract: a []byte returned by MarshalBody (and, by the
 // HandlerFunc contract, any handler-returned body) is owned by exactly
 // one party at a time. Whoever consumes it last calls ReleaseBody; after
-// that the bytes must not be touched. The encoded bytes are identical to
-// json.Marshal's output (the Encoder's trailing newline is trimmed), so
-// the modelled per-byte TLS/HTTP costs are unchanged.
-
-// sliceWriter is an io.Writer appending to a reusable byte slice.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-type encCodec struct {
-	w   sliceWriter
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	c := &encCodec{}
-	c.enc = json.NewEncoder(&c.w)
-	return c
-}}
+// that the bytes must not be touched. The encoded bytes are json.Marshal's
+// in either case, so the modelled per-byte TLS/HTTP costs do not depend on
+// which path wrote them.
 
 // bufPool recycles body backing arrays. Bodies here are small (an AV
 // response is ~300 bytes of JSON); one size class is enough.
@@ -60,27 +40,23 @@ func getBuf() []byte {
 // don't allocate a fresh box per donation.
 var boxPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// MarshalBody encodes v exactly as json.Marshal does, into a pooled
-// buffer. The returned slice is owned by the caller; pass it to
-// ReleaseBody when done to recycle the backing array.
+// MarshalBody encodes v exactly as json.Marshal does, except that a
+// pointer to a described message must not be nil. The returned slice is
+// owned by the caller; pass it to ReleaseBody when done to recycle the
+// backing array.
 //
 //shieldlint:hotpath
 func MarshalBody(v any) ([]byte, error) {
-	c := encPool.Get().(*encCodec)
-	c.w.b = getBuf()
-	if err := c.enc.Encode(v); err != nil {
-		ReleaseBody(c.w.b)
-		c.w.b = nil
-		encPool.Put(c)
-		return nil, err
+	m, ok := v.(codec.Message)
+	if !ok {
+		//shieldlint:ignore hotalloc a message without a field description is cold
+		return json.Marshal(v)
 	}
-	out := c.w.b
-	c.w.b = nil
-	encPool.Put(c)
-	// json.Encoder terminates every value with '\n'; trim it so the body
-	// bytes (and the per-byte transport costs) match json.Marshal.
-	if n := len(out); n > 0 && out[n-1] == '\n' {
-		out = out[:n-1]
+	buf := getBuf()
+	out, err := codec.AppendJSON(buf, m)
+	if err != nil {
+		ReleaseBody(buf)
+		return nil, err
 	}
 	return out, nil
 }
@@ -103,54 +79,14 @@ func ReleaseBody(b []byte) {
 	bufPool.Put(bp)
 }
 
-type decCodec struct {
-	rd  bytes.Reader
-	dec *json.Decoder
-}
-
-var decPool = sync.Pool{New: func() any {
-	c := &decCodec{}
-	c.dec = json.NewDecoder(&c.rd)
-	return c
-}}
-
-// UnmarshalBody decodes data into v like json.Unmarshal, through a pooled
-// json.Decoder. Decoder.Decode reads one value and, unlike json.Unmarshal,
-// tolerates trailing input, leaving it in the decoder's buffer — where it
-// would be served to the NEXT body decoded through the pooled codec. So a
-// codec is re-pooled only when the decode consumed data exactly; a decode
-// error or leftover input discards the codec, and trailing bytes are
-// re-judged by json.Unmarshal so callers see its canonical semantics
-// (trailing whitespace accepted, anything else a SyntaxError).
+// UnmarshalBody decodes data into v like json.Unmarshal. Nothing decoded
+// aliases data.
 //
 //shieldlint:hotpath
 func UnmarshalBody(data []byte, v any) error {
-	if len(data) == 0 {
-		// Match json.Unmarshal's canonical empty-input error; an empty
-		// body never occurs on the steady-state registration path.
-		//shieldlint:ignore hotalloc cold error-canonicalization fallback
-		return json.Unmarshal(data, v)
+	if m, ok := v.(codec.Message); ok {
+		return codec.DecodeJSON(data, m)
 	}
-	c := decPool.Get().(*decCodec)
-	c.rd.Reset(data)
-	// The codec enters the pool only with its buffer fully scanned, so the
-	// InputOffset delta across Decode is exactly the bytes of data this
-	// decode consumed.
-	start := c.dec.InputOffset()
-	if err := c.dec.Decode(v); err != nil {
-		return err
-	}
-	if consumed := c.dec.InputOffset() - start; consumed != int64(len(data)) {
-		// Trailing input: the tail is sitting in the pooled decoder's
-		// buffer, so the codec is poisoned — drop it. json.Unmarshal
-		// validates before decoding, so it returns the canonical
-		// trailing-data SyntaxError without touching v, or re-decodes the
-		// identical value if the tail was only whitespace.
-		//shieldlint:ignore hotalloc cold trailing-data fallback
-		return json.Unmarshal(data, v)
-	}
-	// Drop the data reference so the pooled codec does not pin the body.
-	c.rd.Reset(nil)
-	decPool.Put(c)
-	return nil
+	//shieldlint:ignore hotalloc a message without a field description is cold
+	return json.Unmarshal(data, v)
 }

@@ -1,41 +1,42 @@
-// Package codec implements the negotiated binary SBI framing: a
-// length-prefixed wire format for the hot-path service messages that the
-// in-process transport swaps in for JSON once both ends of a keep-alive
-// connection have negotiated it (see sbi.Client). JSON stays the interop
-// fallback and the first-contact format, so a binary-incapable peer — or
-// a peer that lost its binary endpoints across a restart — degrades to
-// the seed-identical JSON path instead of failing.
+// Package codec holds the SBI body codecs. A message on the registration
+// path describes its fields once (Message, Fields) and this package
+// drives both wire formats from that description:
+//
+//   - JSON, the paper's REST format, the first-contact format and the
+//     interop fallback: AppendJSON and DecodeJSON reproduce encoding/json
+//     byte for byte and value for value without reflection, and hand the
+//     whole body to encoding/json when it leaves their grammar.
+//   - the negotiated binary framing the in-process transport swaps in
+//     once both ends of a keep-alive connection have agreed on it (see
+//     sbi.Client): AppendBinary and DecodeBinary.
 //
 // A frame is
 //
 //	magic (1 byte, 0xB5) || payload length (4 bytes, big endian) || payload
 //
-// and the payload is a flat field sequence: uvarint-length-prefixed byte
-// strings and strings, single bytes, and counts. The magic byte cannot
-// begin a JSON body ('{', '[', '"', digits, ...), so a server can tell
-// the two formats apart from the first byte of the request.
+// and the payload is the description's field sequence: uvarint-length-
+// prefixed byte strings and strings, single bytes, uvarints, a presence
+// byte before an optional struct and a count before a list. The magic
+// byte cannot begin a JSON body ('{', '[', '"', digits, ...), so a server
+// can tell the two formats apart from the first byte of the request.
 //
-// Ownership rules mirror the sbi.MarshalBody/ReleaseBody contract and are
-// what make the fast path zero-copy:
+// Ownership rules mirror the sbi.MarshalBody/ReleaseBody contract:
 //
 //   - Encoding appends into a caller-owned buffer (the pooled body buffer
 //     on the transport paths) — no intermediate copies.
-//   - Reader.Bytes returns views INTO the decoded buffer. A server
-//     handler decoding a request holds those views only for the duration
-//     of the call (the HandlerFunc loan contract); anything it retains it
-//     must copy.
-//   - A client decoding a response owns the result after Compact: the
-//     retained fields are rewritten into one fresh backing array per
-//     message, so releasing the response body back to the codec pool
-//     cannot alias live data.
+//   - A byte string decoded from a frame is a view INTO the payload unless
+//     its description marks it Own. A server handler decoding a request
+//     holds views only for the duration of the call (the HandlerFunc loan
+//     contract); anything it retains it must copy.
+//   - Owned byte strings — the Own ones of a frame, every one of a JSON
+//     body — are rewritten into one fresh backing array per message
+//     (Compact), so releasing the body back to its pool cannot alias live
+//     data. Response types mark what the client keeps Own.
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-
-	"shield5g/internal/intern"
 )
 
 // Magic is the first byte of every binary SBI frame. JSON bodies start
@@ -56,19 +57,6 @@ var (
 	ErrOversized = errors.New("codec: frame length exceeds MaxPayload")
 	ErrTrailing  = errors.New("codec: trailing bytes after frame payload")
 )
-
-// Marshaler is a message that can append its binary encoding to a
-// caller-owned buffer (the frame payload).
-type Marshaler interface {
-	AppendBinary(dst []byte) []byte
-}
-
-// Unmarshaler is a message that can decode itself from a frame payload.
-// Implementations must leave the reader exactly at the end of their
-// fields and must copy (Compact) anything they retain beyond the call.
-type Unmarshaler interface {
-	DecodeBinary(r *Reader) error
-}
 
 // IsFrame reports whether b begins with a plausible binary frame header.
 func IsFrame(b []byte) bool {
@@ -120,184 +108,6 @@ func Payload(b []byte) ([]byte, error) {
 		return nil, ErrTrailing
 	}
 	return rest, nil
-}
-
-// AppendBytes appends a nil-distinguishing length-prefixed byte string:
-// 0 encodes nil (JSON null), n+1 prefixes n payload bytes. Keeping the
-// nil/empty distinction is what lets the golden tests demand bit-identical
-// structs from the JSON and binary decode paths.
-//
-//shieldlint:hotpath
-func AppendBytes(dst, b []byte) []byte {
-	if b == nil {
-		return append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(b))+1)
-	return append(dst, b...)
-}
-
-// AppendString appends a length-prefixed string.
-//
-//shieldlint:hotpath
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// AppendByte appends one raw byte.
-//
-//shieldlint:hotpath
-func AppendByte(dst []byte, b byte) []byte { return append(dst, b) }
-
-// AppendCount appends a uvarint element count.
-//
-//shieldlint:hotpath
-func AppendCount(dst []byte, n int) []byte {
-	return binary.AppendUvarint(dst, uint64(n))
-}
-
-// AppendUint appends a bare uvarint scalar, read back with Reader.Uint.
-// Use it for numeric values (statuses, durations, sequence numbers) —
-// unlike counts they are not bounded by the payload size on decode.
-//
-//shieldlint:hotpath
-func AppendUint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-// Reader decodes a frame payload field by field. Errors are sticky: the
-// first malformed field poisons the reader and every later accessor
-// returns zero values, so decoders can read all fields and check Done
-// once at the end.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewReader returns a reader over one frame payload.
-func NewReader(payload []byte) *Reader { return &Reader{buf: payload} }
-
-// Reset repoints the reader at a new payload, clearing any error.
-func (r *Reader) Reset(payload []byte) { r.buf, r.off, r.err = payload, 0, nil }
-
-// Err returns the sticky decode error, if any.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-// Byte reads one raw byte.
-func (r *Reader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.buf) {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	b := r.buf[r.off]
-	r.off++
-	return b
-}
-
-// Count reads a uvarint element count, bounding it by the bytes that
-// remain so a hostile count cannot drive a huge allocation.
-func (r *Reader) Count() int {
-	n := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	return int(n)
-}
-
-// Uint reads a bare uvarint scalar. Unlike Count it is not bounded by the
-// remaining payload — use it for numeric values that do not size a
-// decode-side allocation.
-func (r *Reader) Uint() uint64 { return r.uvarint() }
-
-func (r *Reader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail(ErrTruncated)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// take returns the next n bytes as a view into the payload.
-func (r *Reader) take(n uint64) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.fail(ErrTruncated)
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// Bytes reads a byte string written by AppendBytes. The returned slice is
-// a zero-copy view into the payload: valid under the HandlerFunc loan for
-// request decodes, and rewritten by Compact for retained response fields.
-func (r *Reader) Bytes() []byte {
-	n := r.uvarint()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	return r.take(n - 1)
-}
-
-// String reads a string written by AppendString. Strings are always
-// copied: Go string headers cannot express the loan and would otherwise
-// retain the transport buffer.
-func (r *Reader) String() string {
-	b := r.take(r.uvarint())
-	if r.err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-// InternString reads a string like String but canonicalises it through
-// the bounded process-wide table of internal/intern, so decoding the
-// same protocol constant (an MCC, a routing indicator, a serving
-// network name) costs zero allocations after first sight. Never use it
-// for per-subscriber values such as SUPIs or auth-context IDs: those
-// are unique, would churn the table to its cap, and then allocate
-// anyway.
-//
-//shieldlint:hotpath
-func (r *Reader) InternString() string {
-	b := r.take(r.uvarint())
-	if r.err != nil {
-		return ""
-	}
-	return intern.Bytes(b)
-}
-
-// Done verifies the payload was consumed exactly.
-func (r *Reader) Done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(r.buf) {
-		return fmt.Errorf("%w: %d byte(s) left", ErrTrailing, len(r.buf)-r.off)
-	}
-	return nil
 }
 
 // emptyBytes backs zero-length decoded fields so even they stop aliasing

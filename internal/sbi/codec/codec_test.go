@@ -4,69 +4,97 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
-// buildFrame assembles a finished frame around the given payload-writing
-// function.
-func buildFrame(t *testing.T, fill func(dst []byte) []byte) []byte {
+// probe exercises every field kind of a description.
+type probe struct {
+	S     string
+	Const string // interned
+	View  []byte
+	Kept  []byte // Own
+	Y     byte
+	N     int
+	Opt   *probeItem
+	Items []probeItem
+}
+
+type probeItem struct{ B []byte }
+
+func (m *probe) Fields(f *Fields) {
+	f.String("s", &m.S, 0)
+	f.String("const", &m.Const, Intern)
+	f.Bytes("view", &m.View, 0)
+	f.Bytes("kept", &m.Kept, Own)
+	f.Byte("y", &m.Y)
+	f.Int("n", &m.N)
+	Ptr(f, "opt", &m.Opt, OmitEmpty)
+	List(f, "items", &m.Items)
+}
+
+func (m *probeItem) Fields(f *Fields) { f.Bytes("b", &m.B, Own) }
+
+// buildFrame assembles a finished frame around the given payload.
+func buildFrame(t *testing.T, payload []byte) []byte {
 	t.Helper()
-	buf := AppendHeader(nil)
-	buf = fill(buf)
-	frame, err := FinishFrame(buf)
+	frame, err := FinishFrame(append(AppendHeader(nil), payload...))
 	if err != nil {
 		t.Fatalf("FinishFrame: %v", err)
 	}
 	return frame
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	frame := buildFrame(t, func(dst []byte) []byte {
-		dst = AppendString(dst, "imsi-00101-0000000001")
-		dst = AppendBytes(dst, []byte{0xDE, 0xAD, 0xBE, 0xEF})
-		dst = AppendBytes(dst, nil)
-		dst = AppendBytes(dst, []byte{})
-		dst = AppendByte(dst, 0x2A)
-		dst = AppendCount(dst, 3)
-		for i := byte(0); i < 3; i++ {
-			dst = AppendByte(dst, i)
-		}
-		return dst
-	})
+// TestFramePayloadLayout pins the frame encoding of every field kind,
+// byte by byte, and its decode: nil and empty byte strings stay apart,
+// views point into the payload, owned byte strings do not.
+func TestFramePayloadLayout(t *testing.T) {
+	in := &probe{
+		S: "imsi-1", Const: "snn", View: []byte{0xDE, 0xAD}, Kept: []byte{},
+		Y: 0x2A, N: 300, Opt: &probeItem{B: []byte{7}},
+		Items: []probeItem{{B: []byte{1}}, {}, {B: []byte{3, 3}}},
+	}
+	want := []byte{6, 'i', 'm', 's', 'i', '-', '1', 3, 's', 'n', 'n'}
+	want = append(want, 3, 0xDE, 0xAD) // length+1, bytes
+	want = append(want, 1)             // empty, not nil
+	want = append(want, 0x2A)          // raw byte
+	want = binary.AppendUvarint(want, 300)
+	want = append(want, 1, 2, 7)             // present, then the item
+	want = append(want, 3, 2, 1, 0, 3, 3, 3) // count, then the items; 0 is a nil byte string
+	payload := AppendBinary(nil, in)
+	if !bytes.Equal(payload, want) {
+		t.Fatalf("payload\n got %x\nwant %x", payload, want)
+	}
+
+	frame := buildFrame(t, payload)
 	if !IsFrame(frame) {
 		t.Fatalf("IsFrame(frame) = false")
 	}
-	payload, err := Payload(frame)
+	body, err := Payload(frame)
 	if err != nil {
 		t.Fatalf("Payload: %v", err)
 	}
-	r := NewReader(payload)
-	if got := r.String(); got != "imsi-00101-0000000001" {
-		t.Errorf("String = %q", got)
+	var out probe
+	if err := DecodeBinary(body, &out); err != nil {
+		t.Fatalf("DecodeBinary: %v", err)
 	}
-	if got := r.Bytes(); !bytes.Equal(got, []byte{0xDE, 0xAD, 0xBE, 0xEF}) {
-		t.Errorf("Bytes = %x", got)
+	if !reflect.DeepEqual(&out, in) {
+		t.Fatalf("decoded %+v, want %+v", &out, in)
 	}
-	if got := r.Bytes(); got != nil {
-		t.Errorf("nil Bytes decoded as %#v, want nil", got)
+	for i := range body {
+		body[i] = 0xFF
 	}
-	if got := r.Bytes(); got == nil || len(got) != 0 {
-		t.Errorf("empty Bytes decoded as %#v, want non-nil empty", got)
+	if out.View[0] != 0xFF {
+		t.Error("View is a copy, want a view into the payload")
 	}
-	if got := r.Byte(); got != 0x2A {
-		t.Errorf("Byte = %#x", got)
+	if out.Opt.B[0] != 7 || out.Items[2].B[0] != 3 || out.S != "imsi-1" {
+		t.Errorf("owned fields alias the payload: %+v", &out)
 	}
-	n := r.Count()
-	if n != 3 {
-		t.Errorf("Count = %d", n)
-	}
-	for i := 0; i < n; i++ {
-		if got := r.Byte(); got != byte(i) {
-			t.Errorf("element %d = %#x", i, got)
-		}
-	}
-	if err := r.Done(); err != nil {
-		t.Errorf("Done: %v", err)
+
+	var zero probe
+	if err := DecodeBinary(AppendBinary(nil, &zero), &out); err != nil || !reflect.DeepEqual(&out, &zero) {
+		t.Fatalf("zero message decoded as %+v, %v", &out, err)
 	}
 }
 
@@ -79,7 +107,7 @@ func TestIsFrameRejectsJSONAndShort(t *testing.T) {
 }
 
 func TestPayloadErrors(t *testing.T) {
-	valid := buildFrame(t, func(dst []byte) []byte { return AppendString(dst, "x") })
+	valid := buildFrame(t, []byte{1, 'x'})
 
 	t.Run("not-frame", func(t *testing.T) {
 		if _, err := Payload([]byte(`{"a":1}`)); !errors.Is(err, ErrNotFrame) {
@@ -116,65 +144,43 @@ func TestFinishFrameOversized(t *testing.T) {
 	}
 }
 
-func TestReaderStickyErrors(t *testing.T) {
-	// A string claiming more bytes than remain poisons the reader; every
-	// later accessor returns the zero value and Done reports the first
-	// error.
-	payload := binary.AppendUvarint(nil, 100)
-	payload = append(payload, "short"...)
-	r := NewReader(payload)
-	if got := r.String(); got != "" {
-		t.Errorf("String after truncation = %q", got)
+func TestDecodeBinaryStickyError(t *testing.T) {
+	// A string claiming more bytes than remain poisons the decode: every
+	// later field reads as its zero value, nothing keeps a view, and the
+	// first error is the one reported.
+	payload := append(binary.AppendUvarint(nil, 100), "short"...)
+	out := probe{S: "stale", Y: 9, N: 9, View: []byte{9}, Kept: []byte{9}, Opt: &probeItem{}, Items: []probeItem{{}}}
+	if err := DecodeBinary(payload, &out); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
-	if got := r.Byte(); got != 0 {
-		t.Errorf("Byte after error = %#x", got)
+	if out.Y != 0 || out.N != 0 || out.View != nil || out.Kept != nil || out.Opt != nil || out.Items != nil {
+		t.Errorf("fields after the error: %+v", &out)
 	}
-	if got := r.Bytes(); got != nil {
-		t.Errorf("Bytes after error = %#v", got)
-	}
-	if got := r.Count(); got != 0 {
-		t.Errorf("Count after error = %d", got)
-	}
-	if got := r.Uint(); got != 0 {
-		t.Errorf("Uint after error = %d", got)
-	}
-	if err := r.Done(); !errors.Is(err, ErrTruncated) {
-		t.Errorf("Done = %v, want ErrTruncated", err)
-	}
-
-	// Reset clears the sticky error.
-	r.Reset([]byte{0x07})
-	if got := r.Byte(); got != 0x07 {
-		t.Errorf("Byte after Reset = %#x", got)
-	}
-	if err := r.Done(); err != nil {
-		t.Errorf("Done after Reset: %v", err)
+	// The pooled visitor does not carry the error into the next decode.
+	if err := DecodeBinary(AppendBinary(nil, &probe{Y: 7}), &out); err != nil || out.Y != 7 {
+		t.Fatalf("decode after an error: %+v, %v", &out, err)
 	}
 }
 
-func TestReaderDoneTrailing(t *testing.T) {
-	r := NewReader([]byte{1, 2, 3})
-	r.Byte()
-	if err := r.Done(); !errors.Is(err, ErrTrailing) {
-		t.Fatalf("Done = %v, want ErrTrailing", err)
+func TestDecodeBinaryTrailing(t *testing.T) {
+	payload := append(AppendBinary(nil, &probe{}), 0xEE)
+	if err := DecodeBinary(payload, new(probe)); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("err = %v, want ErrTrailing", err)
 	}
 }
 
-func TestCountBoundsHostileValue(t *testing.T) {
+func TestListCountBoundsHostileValue(t *testing.T) {
 	// A count far beyond the remaining payload must fail instead of
-	// sizing a huge decode-side allocation.
-	payload := binary.AppendUvarint(nil, 1<<40)
-	r := NewReader(payload)
-	if got := r.Count(); got != 0 {
-		t.Fatalf("Count = %d, want 0", got)
+	// sizing a huge decode-side allocation...
+	prefix := AppendBinary(nil, &probe{})
+	prefix = prefix[:len(prefix)-1] // drop the zero count
+	var out probe
+	if err := DecodeBinary(binary.AppendUvarint(prefix, 1<<40), &out); !errors.Is(err, ErrTruncated) || out.Items != nil {
+		t.Fatalf("err = %v, items = %v; want ErrTruncated, nil", err, out.Items)
 	}
-	if err := r.Err(); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Err = %v, want ErrTruncated", err)
-	}
-	// Uint is a bare scalar and accepts the same value.
-	r.Reset(payload)
-	if got := r.Uint(); got != 1<<40 {
-		t.Fatalf("Uint = %d", got)
+	// ...while an Int is a bare scalar and accepts the same value.
+	if err := DecodeBinary(AppendBinary(nil, &probe{N: 1 << 40}), &out); err != nil || out.N != 1<<40 {
+		t.Fatalf("N = %d, %v", out.N, err)
 	}
 }
 
@@ -220,47 +226,47 @@ func TestCompactAllEmpty(t *testing.T) {
 	}
 }
 
-func TestInternStringStable(t *testing.T) {
-	encode := func(s string) []byte { return AppendString(nil, s) }
-	payload := encode("5G:mnc001.mcc001.3gppnetwork.org")
-	r := NewReader(payload)
-	first := r.InternString()
-	if first != "5G:mnc001.mcc001.3gppnetwork.org" {
-		t.Fatalf("InternString = %q", first)
+type constOnly struct{ SNN string }
+
+func (m *constOnly) Fields(f *Fields) { f.String("snn", &m.SNN, Intern) }
+
+// TestInternedStringIsCanonical: after first sight the bounded intern
+// table serves one canonical copy, in either format, so decoding a
+// protocol constant again allocates nothing for it.
+func TestInternedStringIsCanonical(t *testing.T) {
+	in := &constOnly{SNN: "5G:mnc001.mcc001.3gppnetwork.org"}
+	frame, body := AppendBinary(nil, in), []byte(`{"snn":"5G:mnc001.mcc001.3gppnetwork.org"}`)
+	var first, fromFrame, fromJSON constOnly
+	if err := DecodeBinary(frame, &first); err != nil || first.SNN != in.SNN {
+		t.Fatalf("DecodeBinary = %q, %v", first.SNN, err)
 	}
-	// Decoding the same constant again must not allocate: the bounded
-	// intern table serves the canonical copy.
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Reset(payload)
-		if got := r.InternString(); got != first {
-			t.Fatalf("InternString = %q", got)
+	if err := DecodeBinary(frame, &fromFrame); err != nil {
+		t.Fatal(err)
+	}
+	if err := DecodeJSON(body, &fromJSON); err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []string{fromFrame.SNN, fromJSON.SNN} {
+		if got != in.SNN || unsafe.StringData(got) != unsafe.StringData(first.SNN) {
+			t.Errorf("decoded %q is not the interned copy", got)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("interned decode allocates %.1f per run, want 0", allocs)
 	}
 }
 
-// FuzzFramePayload throws arbitrary bytes at the frame parser and reader:
-// whatever the input, parsing must never panic, and a frame accepted by
-// Payload must satisfy the header/length invariants.
+// FuzzFramePayload throws arbitrary bytes at the frame parser and the
+// frame decoder: whatever the input, parsing must never panic, a frame
+// accepted by Payload must satisfy the header/length invariants, and a
+// failed decode must leave no view behind.
 func FuzzFramePayload(f *testing.F) {
-	valid := AppendHeader(nil)
-	valid = AppendString(valid, "imsi-00101-0000000001")
-	valid = AppendBytes(valid, []byte{1, 2, 3, 4})
-	valid = AppendBytes(valid, nil)
-	valid = AppendByte(valid, 7)
-	valid = AppendCount(valid, 2)
-	valid, _ = FinishFrame(valid)
+	valid := buildFrameBytes(AppendBinary(nil, &probe{
+		S: "imsi-00101-0000000001", View: []byte{1, 2, 3, 4}, Y: 7, Opt: &probeItem{}, Items: make([]probeItem, 2),
+	}))
 	f.Add(valid)
-
-	empty, _ := FinishFrame(AppendHeader(nil))
-	f.Add(empty)
+	f.Add(buildFrameBytes(nil))
 	f.Add([]byte(`{"supi":"imsi-00101-0000000001"}`))
 	f.Add([]byte{Magic})
 	f.Add([]byte{Magic, 0xFF, 0xFF, 0xFF, 0xFF})
-	truncated := append([]byte{}, valid...)
-	f.Add(truncated[:len(truncated)-3])
+	f.Add(valid[:len(valid)-3])
 	f.Add(append(append([]byte{}, valid...), 0xAA))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -277,26 +283,14 @@ func FuzzFramePayload(f *testing.F) {
 		if len(payload) > MaxPayload {
 			t.Fatalf("payload length %d exceeds MaxPayload", len(payload))
 		}
-		// Walk the payload with a mix of accessors; sticky errors must
-		// absorb any malformed field without panicking.
-		r := NewReader(payload)
-		for i := 0; r.Err() == nil && i < 1024; i++ {
-			switch i % 5 {
-			case 0:
-				_ = r.Bytes()
-			case 1:
-				_ = r.String()
-			case 2:
-				_ = r.Byte()
-			case 3:
-				_ = r.Count()
-			case 4:
-				_ = r.InternString()
-			}
-			if r.Err() == nil && len(payload) == 0 {
-				break
-			}
+		var out probe
+		if err := DecodeBinary(payload, &out); err != nil && (out.Kept != nil || out.Opt != nil && out.Opt.B != nil) {
+			t.Fatalf("failed decode (%v) left owned fields: %+v", err, &out)
 		}
-		_ = r.Done()
 	})
+}
+
+func buildFrameBytes(payload []byte) []byte {
+	frame, _ := FinishFrame(append(AppendHeader(nil), payload...))
+	return frame
 }

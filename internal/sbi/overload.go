@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
-	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -384,56 +383,8 @@ func (t *ociTable) PeerOCI(service string) (OCI, bool) {
 	return oci, ok
 }
 
-// Binary codec for ProblemDetails (satellite: error-cause fidelity on the
-// binary SBI path). A 503 OVERLOAD with Retry-After and an OCI must
-// survive a negotiated binary session with exactly the JSON path's
-// retryable classification; the golden parity test pins it.
-
-// AppendBinary implements codec.Marshaler. Every numeric field travels as
-// a bare uvarint scalar (AppendUint/Uint), never as an element count —
-// counts are bounded by the remaining payload on decode, which a
-// nanosecond Retry-After or an HTTP status would always overflow.
-func (p *ProblemDetails) AppendBinary(dst []byte) []byte {
-	dst = codec.AppendString(dst, p.Title)
-	dst = codec.AppendUint(dst, uint64(p.Status))
-	dst = codec.AppendString(dst, p.Detail)
-	dst = codec.AppendString(dst, p.Cause)
-	dst = codec.AppendUint(dst, uint64(p.RetryAfter))
-	if p.OCI == nil {
-		return codec.AppendByte(dst, 0)
-	}
-	dst = codec.AppendByte(dst, 1)
-	dst = codec.AppendUint(dst, uint64(p.OCI.Load))
-	dst = codec.AppendUint(dst, uint64(p.OCI.Reduction))
-	dst = codec.AppendUint(dst, uint64(p.OCI.RetryAfter))
-	dst = codec.AppendUint(dst, p.OCI.Seq)
-	return dst
-}
-
-// DecodeBinary implements codec.Unmarshaler.
-func (p *ProblemDetails) DecodeBinary(r *codec.Reader) error {
-	p.Title = r.String()
-	p.Status = int(r.Uint())
-	p.Detail = r.String()
-	p.Cause = r.String()
-	p.RetryAfter = time.Duration(r.Uint())
-	if r.Byte() == 1 {
-		p.OCI = &OCI{
-			Load:       int(r.Uint()),
-			Reduction:  int(r.Uint()),
-			RetryAfter: time.Duration(r.Uint()),
-			Seq:        r.Uint(),
-		}
-	} else {
-		p.OCI = nil
-	}
-	return r.Err()
-}
-
-// Compile-time codec and OCI-source conformance.
+// Compile-time OCI-source conformance.
 var (
-	_ codec.Marshaler   = (*ProblemDetails)(nil)
-	_ codec.Unmarshaler = (*ProblemDetails)(nil)
-	_ OCISource         = (*Client)(nil)
-	_ OCISource         = (*HTTPClient)(nil)
+	_ OCISource = (*Client)(nil)
+	_ OCISource = (*HTTPClient)(nil)
 )

@@ -2,12 +2,9 @@ package sbi
 
 import (
 	"context"
-	"encoding/json"
-	"reflect"
 	"testing"
 	"time"
 
-	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -267,59 +264,6 @@ func TestEmergencyBypassesBreaker(t *testing.T) {
 	}
 }
 
-// TestProblemDetailsBinaryJSONParity is the golden parity test for error
-// fidelity on the binary SBI path (satellite: a 503 OVERLOAD with
-// Retry-After and an OCI must classify identically after a binary round
-// trip and after a JSON one).
-func TestProblemDetailsBinaryJSONParity(t *testing.T) {
-	cases := []*ProblemDetails{
-		func() *ProblemDetails {
-			pd := Problem(503, "Service Unavailable", CauseOverload, "udm/auth: queue full (12 queued), fresh-class request shed")
-			pd.RetryAfter = 36 * time.Millisecond
-			pd.OCI = &OCI{Load: 97, Reduction: 90, RetryAfter: 36 * time.Millisecond, Seq: 41}
-			return pd
-		}(),
-		func() *ProblemDetails {
-			pd := Problem(429, "Too Many Requests", CauseCongestion, "slow down")
-			pd.RetryAfter = 5 * time.Millisecond
-			return pd
-		}(),
-		Problem(403, "Forbidden", "AUTHENTICATION_REJECTED", "permanent"),
-	}
-	for _, pd := range cases {
-		// Binary round trip through the frame codec.
-		frame, err := MarshalBinary(pd)
-		if err != nil {
-			t.Fatalf("MarshalBinary: %v", err)
-		}
-		var fromBin ProblemDetails
-		if err := DecodeBody(frame, &fromBin); err != nil {
-			t.Fatalf("DecodeBody: %v", err)
-		}
-		ReleaseBody(frame)
-
-		// JSON round trip.
-		data, err := json.Marshal(pd)
-		if err != nil {
-			t.Fatalf("json.Marshal: %v", err)
-		}
-		var fromJSON ProblemDetails
-		if err := json.Unmarshal(data, &fromJSON); err != nil {
-			t.Fatalf("json.Unmarshal: %v", err)
-		}
-
-		if !reflect.DeepEqual(&fromBin, &fromJSON) {
-			t.Fatalf("binary/JSON divergence:\n  bin  = %+v\n  json = %+v", &fromBin, &fromJSON)
-		}
-		if !reflect.DeepEqual(&fromBin, pd) {
-			t.Fatalf("binary round trip lost fields:\n  got  = %+v\n  want = %+v", &fromBin, pd)
-		}
-		if Retryable(&fromBin) != Retryable(pd) || Retryable(&fromJSON) != Retryable(pd) {
-			t.Fatalf("retryable classification diverged for %+v", pd)
-		}
-	}
-}
-
 // TestOverloadShedOverNegotiatedBinarySession pins the end-to-end shape:
 // a shed on a negotiated binary path classifies exactly like the JSON
 // path — same cause, same status, Retry-After and OCI intact.
@@ -378,19 +322,5 @@ func TestOverloadShedOverNegotiatedBinarySession(t *testing.T) {
 	}
 	if binShed.RetryAfter <= 0 || binShed.OCI == nil {
 		t.Fatalf("binary shed lost Retry-After/OCI: %+v", binShed)
-	}
-}
-
-// TestProblemDetailsBinaryNilOCI pins the presence-byte encoding.
-func TestProblemDetailsBinaryNilOCI(t *testing.T) {
-	pd := Problem(503, "Service Unavailable", CauseOverload, "shed")
-	dst := pd.AppendBinary(nil)
-	var back ProblemDetails
-	r := codec.NewReader(dst)
-	if err := back.DecodeBinary(r); err != nil {
-		t.Fatalf("DecodeBinary: %v", err)
-	}
-	if back.OCI != nil {
-		t.Fatalf("nil OCI decoded as %+v", back.OCI)
 	}
 }

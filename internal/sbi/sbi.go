@@ -85,7 +85,7 @@ func HasCause(err error, cause string) bool {
 //
 // Ownership: the request body is on loan for the duration of the call —
 // handlers must not retain it. Ownership of a returned body transfers to
-// the transport, which releases it into the codec pool after delivery
+// the transport, which releases it into the body pool after delivery
 // (see MarshalBody/ReleaseBody); handlers must therefore return bodies
 // they own exclusively, e.g. from MarshalBody, never shared or static
 // slices they will read again.
@@ -306,7 +306,7 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 	var body []byte
 	var err error
 	if caps[path] {
-		if bm, ok := req.(codec.Marshaler); ok && binaryDecodable(resp) {
+		if bm, ok := req.(codec.Message); ok && binaryDecodable(resp) {
 			body, err = MarshalBinary(bm)
 			binReq = err == nil
 		}
@@ -349,7 +349,7 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 		ReleaseBody(out)
 		return nil
 	}
-	uerr := decodeResponse(out, resp)
+	uerr := DecodeBody(out, resp)
 	ReleaseBody(out)
 	if uerr != nil {
 		return fmt.Errorf("sbi: unmarshal response from %s%s: %w", service, path, uerr)
@@ -380,8 +380,8 @@ func (c *Client) exchange(ctx context.Context, srv *Server, path string, body []
 func (c *Client) PeerOCI(service string) (OCI, bool) { return c.oci.PeerOCI(service) }
 
 // JSONHandler adapts a typed request/response function into a HandlerFunc.
-// Both directions run through the pooled codecs; the returned body follows
-// the HandlerFunc ownership contract (the transport releases it).
+// Both directions run through MarshalBody/UnmarshalBody; the returned body
+// follows the HandlerFunc ownership contract (the transport releases it).
 func JSONHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		var req Req
