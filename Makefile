@@ -86,9 +86,11 @@ shard-bench:
 # repeat of the PR-5-era batched inversion fails the pipeline instead of
 # landing silently — and the
 # benchmark module (bench/ has its own go.mod, so `./...` above never
-# descends into it): vet, its tests, gofmt, and one-second attach_sharded
-# and attach_paper runs whose exit codes carry the driver-parity and
-# output-correctness checks (binary-frame and JSON mode respectively).
+# descends into it): vet, its tests, gofmt, and one-second attach_sharded,
+# attach_paper and reauth_ring runs whose exit codes carry the
+# driver-parity and output-correctness checks (binary-frame mode, JSON
+# mode, and the ring crossing respectively — reauth_ring is the only
+# workload that runs them through the switchless rings).
 ci: build
 	$(MAKE) lint
 	$(GO) test -race ./...
@@ -108,6 +110,7 @@ ci: build
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
 	bash bench/run.sh --workload attach_sharded --seconds 1
 	bash bench/run.sh --workload attach_paper --seconds 1
+	bash bench/run.sh --workload reauth_ring --seconds 1
 
 # Regenerate every table and figure of the paper (500 samples each).
 experiments:

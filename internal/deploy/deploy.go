@@ -265,14 +265,12 @@ type CoreShard struct {
 	AUSFService string
 }
 
-// NewSlice builds and starts a slice. For SGX isolation the enclave build
-// cost (Fig. 7) is charged to ctx's account. Replicas > 1 selects the
-// sharded construction path (see replicas.go); the singleton path below
-// stays bit-identical to the seed.
-func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
-	if cfg.Replicas > 1 {
-		return newShardedSlice(ctx, cfg)
-	}
+// newSliceBase is the construction prologue the singleton and the sharded
+// path share: defaults, the cost environment and SGX platform, the
+// (disarmed) fault injector, the resilience profile, the home-network key,
+// and the shared NRF and UDR — in exactly this order, which fixes the
+// entropy and jitter draws every same-seed golden depends on.
+func newSliceBase(cfg SliceConfig) (*Slice, error) {
 	if cfg.MCC == "" {
 		cfg.MCC = "001"
 	}
@@ -286,7 +284,6 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	if entropy == nil {
 		entropy = rand.Reader
 	}
-
 	env := cfg.Env
 	if env == nil {
 		env = costmodel.NewEnv(nil, cfg.Seed, nil)
@@ -305,14 +302,13 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		Env:      env,
 		Platform: platform,
 		Registry: sbi.NewRegistry(),
-		Modules:  make(map[paka.ModuleKind]*paka.Module),
 		entropy:  entropy,
 		attested: make(map[*paka.Module]bool),
 	}
 	if cfg.Chaos != nil {
 		s.Chaos = chaos.NewInjector(env, *cfg.Chaos)
 		// Deployment itself (NRF registration, discovery, module build)
-		// runs fault-free; the injector is armed once the slice is up.
+		// runs fault-free; armChaos arms the injector once the slice is up.
 		s.Chaos.SetArmed(false)
 	}
 	switch {
@@ -327,26 +323,35 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		r := sbi.DefaultResilienceConfig()
 		s.resil = &r
 	}
-	if cfg.Overload != nil && cfg.Overload.Admission != nil {
-		acfg := *cfg.Overload.Admission
-		if acfg.Clock == nil {
-			acfg.Clock = env.Clock
-		}
-		s.Admission = admission.NewController(acfg)
-	}
 
-	hnKey, err := suci.GenerateHomeNetworkKey(entropy, 1)
-	if err != nil {
+	var err error
+	if s.HomeNetworkKey, err = suci.GenerateHomeNetworkKey(entropy, 1); err != nil {
 		return nil, fmt.Errorf("deploy: home network key: %w", err)
 	}
-	s.HomeNetworkKey = hnKey
-
 	if s.NRF, err = nrf.New(env, s.Registry); err != nil {
 		return nil, fmt.Errorf("deploy: NRF: %w", err)
 	}
 	if s.UDR, err = udr.New(env, s.Registry); err != nil {
 		return nil, fmt.Errorf("deploy: UDR: %w", err)
 	}
+	return s, nil
+}
+
+// NewSlice builds and starts a slice. For SGX isolation the enclave build
+// cost (Fig. 7) is charged to ctx's account. Replicas > 1 selects the
+// sharded construction path (see replicas.go); the singleton path below
+// stays bit-identical to the seed.
+func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
+	if cfg.Replicas > 1 {
+		return newShardedSlice(ctx, cfg)
+	}
+	s, err := newSliceBase(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg, env := s.Config, s.Env
+	s.Modules = make(map[paka.ModuleKind]*paka.Module)
+	s.Admission = newAdmission(cfg, env)
 
 	udmFns, ausfFns, amfFns, err := s.buildFunctions(ctx, cfg)
 	if err != nil {
@@ -354,25 +359,11 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	}
 
 	hmee := cfg.Isolation == paka.SGX || cfg.Isolation == paka.SEV
-	// Reprovision lets the UDM push a long-term key back into an
-	// execution environment that lost its key store to a crash-restart
-	// (the container runtime keeps no sealed backup).
-	var reprovision func(ctx context.Context, supi string, k []byte) error
-	var coalesce func() int
-	if m, ok := s.Modules[paka.EUDM]; ok {
-		reprovision = func(ctx context.Context, supi string, k []byte) error {
-			return m.ProvisionSubscriber(ctx, supi, k)
-		}
-		if cfg.Switchless {
-			// Refill batches widen opportunistically with the demand queued
-			// on the eUDM's submission ring — cross-worker call coalescing.
-			coalesce = m.RingOccupancy
-		}
-	}
+	reprovision, coalesce := udmHooks(s.Modules[paka.EUDM], cfg.Switchless)
 	udmInvoker := s.buildInvoker(udm.ServiceName)
 	if s.UDM, err = udm.New(ctx, udm.Config{
 		Env: env, Registry: s.Registry, Invoker: udmInvoker,
-		Functions: udmFns, HomeNetworkKey: hnKey, HMEE: hmee, Entropy: entropy,
+		Functions: udmFns, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee, Entropy: s.entropy,
 		Reprovision: reprovision, CoalesceHint: coalesce,
 		AVPoolDepth: cfg.AVPoolDepth, AVBatchSize: cfg.AVBatchSize,
 	}); err != nil {
@@ -410,22 +401,6 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		return nil, fmt.Errorf("deploy: gNB: %w", err)
 	}
 
-	if s.Chaos != nil {
-		for kind, m := range s.Modules {
-			if e := m.Enclave(); e != nil {
-				s.Chaos.RegisterEnclave(m.ServiceName(), e)
-			}
-			// Only runtimes that can rebuild themselves get a crash hook;
-			// for the rest a crash draw degrades to a clean call.
-			if cfg.Isolation == paka.SGX || cfg.Isolation == paka.Container {
-				kind := kind
-				s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
-					return s.RestartModule(ctx, kind)
-				})
-			}
-		}
-		s.Chaos.SetArmed(true)
-	}
 	// The singleton core is one shard whose members alias the top-level
 	// fields, so shard-generic consumers (overload wiring, provisioning,
 	// counter aggregation) have a single code path.
@@ -444,8 +419,61 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		UDMService:  udm.ServiceName,
 		AUSFService: ausf.ServiceName,
 	}}
+	s.armChaos()
 	s.wireOverload()
 	return s, nil
+}
+
+// newAdmission builds one AMF's priority admission controller, nil unless
+// the overload profile configures one.
+func newAdmission(cfg SliceConfig, env *costmodel.Env) *admission.Controller {
+	if cfg.Overload == nil || cfg.Overload.Admission == nil {
+		return nil
+	}
+	acfg := *cfg.Overload.Admission
+	if acfg.Clock == nil {
+		acfg.Clock = env.Clock
+	}
+	return admission.NewController(acfg)
+}
+
+// udmHooks are what a UDM gets from its eUDM module m (nil under Monolithic
+// isolation): reprovision pushes a long-term key back into an execution
+// environment that lost its key store to a crash-restart (the container
+// runtime keeps no sealed backup); coalesce, under switchless, widens
+// refill batches with the demand queued on that module's own submission
+// ring — cross-worker call coalescing.
+func udmHooks(m *paka.Module, switchless bool) (reprovision func(context.Context, string, []byte) error, coalesce func() int) {
+	if m == nil {
+		return nil, nil
+	}
+	if switchless {
+		coalesce = m.RingOccupancy
+	}
+	return m.ProvisionSubscriber, coalesce
+}
+
+// armChaos points the fault injector at every shard's modules and arms it.
+func (s *Slice) armChaos() {
+	if s.Chaos == nil {
+		return
+	}
+	for _, shard := range s.Shards {
+		for kind, m := range shard.Modules {
+			if e := m.Enclave(); e != nil {
+				s.Chaos.RegisterEnclave(m.ServiceName(), e)
+			}
+			// Only runtimes that can rebuild themselves get a crash hook;
+			// for the rest a crash draw degrades to a clean call.
+			if s.Config.Isolation == paka.SGX || s.Config.Isolation == paka.Container {
+				kind, idx := kind, shard.Index
+				s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
+					return s.RestartShardModule(ctx, idx, kind)
+				})
+			}
+		}
+	}
+	s.Chaos.SetArmed(true)
 }
 
 // wireOverload attaches load meters to the authentication-chain servers
@@ -582,6 +610,29 @@ func (s *Slice) buildInvoker(from string) sbi.Invoker {
 	return inv
 }
 
+// moduleConfig is the one paka.Config the slice deploys a module of kind
+// with. suffix names a replica's SBI service ("" keeps the kind's own
+// name); every replica runs the same operator-signed image.
+func (s *Slice) moduleConfig(kind paka.ModuleKind, suffix string, signKey ed25519.PrivateKey) paka.Config {
+	cfg := s.Config
+	return paka.Config{
+		Kind:             kind,
+		Service:          kind.ServiceName() + suffix,
+		Isolation:        cfg.Isolation,
+		Env:              s.Env,
+		Platform:         s.Platform,
+		Registry:         s.Registry,
+		EnclaveSizeBytes: cfg.EnclaveSizeBytes,
+		MaxThreads:       cfg.MaxThreads,
+		DisablePreheat:   cfg.DisablePreheat,
+		SignKey:          signKey,
+		// Pool refills enter the enclave via batch ECALLs, which need a
+		// TCS slot the resident threads do not hold.
+		ReserveBatchTCS: kind == paka.EUDM && cfg.AVPoolDepth > 0,
+		Switchless:      cfg.Switchless,
+	}
+}
+
 // buildFunctions creates the three AKA execution environments under the
 // configured isolation mode.
 func (s *Slice) buildFunctions(ctx context.Context, cfg SliceConfig) (paka.UDMFunctions, paka.AUSFFunctions, paka.AMFFunctions, error) {
@@ -596,21 +647,7 @@ func (s *Slice) buildFunctions(ctx context.Context, cfg SliceConfig) (paka.UDMFu
 		return nil, nil, nil, fmt.Errorf("deploy: GSC sign key: %w", err)
 	}
 	for _, kind := range paka.Kinds() {
-		m, err := paka.New(ctx, paka.Config{
-			Kind:             kind,
-			Isolation:        cfg.Isolation,
-			Env:              s.Env,
-			Platform:         s.Platform,
-			Registry:         s.Registry,
-			EnclaveSizeBytes: cfg.EnclaveSizeBytes,
-			MaxThreads:       cfg.MaxThreads,
-			DisablePreheat:   cfg.DisablePreheat,
-			SignKey:          signKey,
-			// Pool refills enter the enclave via batch ECALLs, which need
-			// a TCS slot the resident threads do not hold.
-			ReserveBatchTCS: kind == paka.EUDM && cfg.AVPoolDepth > 0,
-			Switchless:      cfg.Switchless,
-		})
+		m, err := paka.New(ctx, s.moduleConfig(kind, "", signKey))
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("deploy: %s module: %w", kind, err)
 		}
@@ -673,36 +710,11 @@ func (s *Slice) verifyAttestation(m *paka.Module) error {
 // and, under SGX, its key store restored from sealed backups. The fault
 // injector, when present, is repointed at the fresh enclave.
 func (s *Slice) RestartModule(ctx context.Context, kind paka.ModuleKind) error {
-	m, ok := s.Modules[kind]
-	if !ok {
-		return fmt.Errorf("deploy: no %s module to restart", kind)
-	}
-	if err := m.Restart(ctx); err != nil {
-		return fmt.Errorf("deploy: restart %s: %w", kind, err)
-	}
-	if s.Chaos != nil {
-		s.Chaos.RegisterEnclave(m.ServiceName(), m.Enclave())
-	}
-	// The redeployed environment must re-prove itself before it is
-	// trusted again (the paper's deployment-validation step).
-	if err := s.verifyAttestation(m); err != nil {
-		return err
-	}
-	if kind == paka.EUDM {
-		s.attestMu.Lock()
-		s.attested[m] = true
-		s.attestMu.Unlock()
-		if s.UDM != nil {
-			// Vectors minted before the crash must never be served after
-			// it: the fresh key store may have rebased sequence numbers.
-			s.UDM.InvalidateAVPool()
-		}
-	}
-	return nil
+	return s.RestartShardModule(ctx, 0, kind)
 }
 
-// RestartShardModule is RestartModule addressed at one replica of a
-// sharded slice.
+// RestartShardModule is RestartModule addressed at one replica (a
+// singleton slice is its own shard 0).
 func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
 	if shard < 0 || shard >= len(s.Shards) {
 		return fmt.Errorf("deploy: no shard %d", shard)
@@ -718,6 +730,8 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 	if s.Chaos != nil {
 		s.Chaos.RegisterEnclave(m.ServiceName(), m.Enclave())
 	}
+	// The redeployed environment must re-prove itself before it is
+	// trusted again (the paper's deployment-validation step).
 	if err := s.verifyAttestation(m); err != nil {
 		return err
 	}
@@ -726,6 +740,8 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 		s.attested[m] = true
 		s.attestMu.Unlock()
 		if c.UDM != nil {
+			// Vectors minted before the crash must never be served after
+			// it: the fresh key store may have rebased sequence numbers.
 			c.UDM.InvalidateAVPool()
 		}
 	}

@@ -14,25 +14,16 @@ package deploy
 import (
 	"context"
 	"crypto/ed25519"
-	"crypto/rand"
 	"fmt"
 
-	"shield5g/internal/admission"
-	"shield5g/internal/chaos"
-	"shield5g/internal/costmodel"
-	"shield5g/internal/crypto/suci"
 	"shield5g/internal/gnb"
-	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/nf/amf"
 	"shield5g/internal/nf/ausf"
-	"shield5g/internal/nf/nrf"
 	"shield5g/internal/nf/nrf/topo"
 	"shield5g/internal/nf/smf"
 	"shield5g/internal/nf/udm"
-	"shield5g/internal/nf/udr"
 	"shield5g/internal/nf/upf"
 	"shield5g/internal/paka"
-	"shield5g/internal/sbi"
 	"shield5g/internal/topology"
 )
 
@@ -51,69 +42,14 @@ func shardSuffix(r int) string {
 // each replica's module set and VNF chain, then the gNB — and finishes by
 // standing up the topology control plane and publishing epoch 1.
 func newShardedSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
-	if cfg.MCC == "" {
-		cfg.MCC = "001"
-	}
-	if cfg.MNC == "" {
-		cfg.MNC = "01"
-	}
-	if cfg.Isolation == 0 {
-		cfg.Isolation = paka.SGX
-	}
-	entropy := cfg.Entropy
-	if entropy == nil {
-		entropy = rand.Reader
-	}
-	env := cfg.Env
-	if env == nil {
-		env = costmodel.NewEnv(nil, cfg.Seed, nil)
-	}
-	platform := cfg.Platform
-	if platform == nil && cfg.Isolation == paka.SGX {
-		var err error
-		platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: cfg.Seed, Entropy: entropy})
-		if err != nil {
-			return nil, fmt.Errorf("deploy: SGX platform: %w", err)
-		}
-	}
-
-	s := &Slice{
-		Config:   cfg,
-		Env:      env,
-		Platform: platform,
-		Registry: sbi.NewRegistry(),
-		entropy:  entropy,
-		attested: make(map[*paka.Module]bool),
-	}
-	if cfg.Chaos != nil {
-		s.Chaos = chaos.NewInjector(env, *cfg.Chaos)
-		s.Chaos.SetArmed(false)
-	}
-	switch {
-	case cfg.Resilience != nil:
-		r := *cfg.Resilience
-		s.resil = &r
-	case cfg.Chaos != nil:
-		r := sbi.DefaultResilienceConfig()
-		s.resil = &r
-	case cfg.Overload != nil && cfg.Overload.Throttle:
-		r := sbi.DefaultResilienceConfig()
-		s.resil = &r
-	}
-
-	hnKey, err := suci.GenerateHomeNetworkKey(entropy, 1)
+	s, err := newSliceBase(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("deploy: home network key: %w", err)
+		return nil, err
 	}
-	s.HomeNetworkKey = hnKey
+	cfg, env := s.Config, s.Env
 
-	// Shared control plane and user plane — one of each across all shards.
-	if s.NRF, err = nrf.New(env, s.Registry); err != nil {
-		return nil, fmt.Errorf("deploy: NRF: %w", err)
-	}
-	if s.UDR, err = udr.New(env, s.Registry); err != nil {
-		return nil, fmt.Errorf("deploy: UDR: %w", err)
-	}
+	// The rest of the shared control and user plane — one of each across
+	// all shards, like the base's NRF and UDR.
 	if s.UPF, err = upf.New(env, s.Registry); err != nil {
 		return nil, fmt.Errorf("deploy: UPF: %w", err)
 	}
@@ -126,7 +62,7 @@ func newShardedSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	// the singleton path (only drawn when modules are actually extracted).
 	var signKey ed25519.PrivateKey
 	if cfg.Isolation != paka.Monolithic {
-		if _, signKey, err = ed25519.GenerateKey(entropy); err != nil {
+		if _, signKey, err = ed25519.GenerateKey(s.entropy); err != nil {
 			return nil, fmt.Errorf("deploy: GSC sign key: %w", err)
 		}
 	}
@@ -178,22 +114,7 @@ func newShardedSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		return nil, fmt.Errorf("deploy: gNB: %w", err)
 	}
 
-	if s.Chaos != nil {
-		for _, shard := range s.Shards {
-			for kind, m := range shard.Modules {
-				if e := m.Enclave(); e != nil {
-					s.Chaos.RegisterEnclave(m.ServiceName(), e)
-				}
-				if cfg.Isolation == paka.SGX || cfg.Isolation == paka.Container {
-					kind, idx := kind, shard.Index
-					s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
-						return s.RestartShardModule(ctx, idx, kind)
-					})
-				}
-			}
-		}
-		s.Chaos.SetArmed(true)
-	}
+	s.armChaos()
 	s.wireOverload()
 	return s, nil
 }
@@ -222,20 +143,7 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 	} else {
 		shard.Modules = make(map[paka.ModuleKind]*paka.Module)
 		for _, kind := range paka.Kinds() {
-			m, err := paka.New(ctx, paka.Config{
-				Kind:             kind,
-				Service:          kind.ServiceName() + suffix,
-				Isolation:        cfg.Isolation,
-				Env:              s.Env,
-				Platform:         s.Platform,
-				Registry:         s.Registry,
-				EnclaveSizeBytes: cfg.EnclaveSizeBytes,
-				MaxThreads:       cfg.MaxThreads,
-				DisablePreheat:   cfg.DisablePreheat,
-				SignKey:          signKey,
-				ReserveBatchTCS:  kind == paka.EUDM && cfg.AVPoolDepth > 0,
-				Switchless:       cfg.Switchless,
-			})
+			m, err := paka.New(ctx, s.moduleConfig(kind, suffix, signKey))
 			if err != nil {
 				return nil, fmt.Errorf("deploy: %s module (shard %d): %w", kind, r, err)
 			}
@@ -247,18 +155,9 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 		udmFns, ausfFns, amfFns = shard.RemoteUDM, shard.RemoteAUSF, shard.RemoteAMF
 	}
 
-	var reprovision func(ctx context.Context, supi string, k []byte) error
-	var coalesce func() int
-	if m, ok := shard.Modules[paka.EUDM]; ok {
-		reprovision = func(ctx context.Context, supi string, k []byte) error {
-			return m.ProvisionSubscriber(ctx, supi, k)
-		}
-		if cfg.Switchless {
-			// Each shard's refills coalesce with the demand queued on its
-			// own eUDM ring — shards never share a dispatcher.
-			coalesce = m.RingOccupancy
-		}
-	}
+	// Each shard's refills coalesce with the demand queued on its own eUDM
+	// ring — shards never share a dispatcher.
+	reprovision, coalesce := udmHooks(shard.Modules[paka.EUDM], cfg.Switchless)
 	var err error
 	if shard.UDM, err = udm.New(ctx, udm.Config{
 		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(shard.UDMService),
@@ -279,15 +178,9 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 		return nil, fmt.Errorf("deploy: AUSF (shard %d): %w", r, err)
 	}
 
-	if p := cfg.Overload; p != nil && p.Admission != nil {
-		// Each shard gets its OWN token buckets: a tenant's storm drains
-		// only the buckets of the shards its shuffle shard routes to.
-		acfg := *p.Admission
-		if acfg.Clock == nil {
-			acfg.Clock = s.Env.Clock
-		}
-		shard.Admission = admission.NewController(acfg)
-	}
+	// Each shard gets its OWN token buckets: a tenant's storm drains only
+	// the buckets of the shards its shuffle shard routes to.
+	shard.Admission = newAdmission(cfg, s.Env)
 
 	if shard.AMF, err = amf.New(ctx, amf.Config{
 		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(amf.ServiceName + suffix),

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/simclock"
 )
@@ -21,35 +22,35 @@ import (
 
 // --- adapter: the only part of this file that tracks the serve API ---
 
-type censusBD = Breakdown
+type censusBD = hmee.Breakdown
 
-func censusWork(th *sgx.Thread) error {
-	th.Compute(150_000)
-	th.Touch(4096)
+func censusWork(ex hmee.Exec) error {
+	ex.Compute(150_000)
+	ex.Touch(4096)
 	return nil
 }
 
 func censusOneShot(i *Instance, ctx context.Context, in, out int) (censusBD, error) {
-	return i.ServeRequestSwitchless(ctx, in, out, censusWork)
+	return i.Serve(ctx, in, out, hmee.HandlerFunc(censusWork))
 }
 
 func censusOpen(i *Instance, ctx context.Context) (*Session, error) { return i.OpenSession(ctx) }
 
 func censusServe(s *Session, ctx context.Context, in, out int) (censusBD, error) {
-	return s.ServeSwitchless(ctx, in, out, censusWork)
+	return s.Serve(ctx, in, out, hmee.HandlerFunc(censusWork))
 }
 
 func censusClose(s *Session, ctx context.Context) error { return s.Close(ctx) }
 
 func censusBatch(i *Instance, ctx context.Context, argBytes, retBytes, k int) error {
-	return i.DoBatchSwitchless(ctx, argBytes, retBytes, func(th *sgx.Thread) error {
+	return i.DoBatch(ctx, argBytes, retBytes, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		for j := 0; j < k; j++ {
-			if err := censusWork(th); err != nil {
+			if err := censusWork(ex); err != nil {
 				return err
 			}
 		}
 		return nil
-	})
+	}))
 }
 
 // --- end adapter ---

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/simclock"
 )
@@ -21,7 +22,7 @@ func TestManifestExitlessNeedsExtraThread(t *testing.T) {
 }
 
 func TestUserTCPSyscallProfileSmaller(t *testing.T) {
-	if UserTCPSyscallProfile().Total() >= DefaultSyscallProfile().Total()/3 {
+	if hmee.UserTCPSyscallProfile().Total() >= hmee.DefaultSyscallProfile().Total()/3 {
 		t.Fatal("user TCP profile not substantially smaller")
 	}
 }
@@ -54,12 +55,12 @@ func TestExitlessInstanceServesWithoutTransitions(t *testing.T) {
 	}
 
 	// Warm up, then measure one request's transition delta.
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	before := inst.Stats()
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("ServeRequest: %v", err)
+	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 	d := inst.Stats().Sub(before)
 	if d.EENTER != 0 || d.EEXIT != 0 {
@@ -71,19 +72,19 @@ func TestExitlessInstanceServesWithoutTransitions(t *testing.T) {
 }
 
 func TestWithSyscallProfileOverride(t *testing.T) {
-	inst := launchWith(t, DefaultManifest("/app/eudm-aka"), WithSyscallProfile(UserTCPSyscallProfile()))
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	inst := launchWith(t, DefaultManifest("/app/eudm-aka"), WithSyscallProfile(hmee.UserTCPSyscallProfile()))
+	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	before := inst.Stats()
 	var acct simclock.Account
-	if _, err := inst.ServeRequest(simclock.WithAccount(context.Background(), &acct), 40, 80,
-		func(*sgx.Thread) error { return nil }); err != nil {
-		t.Fatalf("ServeRequest: %v", err)
+	if _, err := inst.Serve(simclock.WithAccount(context.Background(), &acct), 40, 80,
+		noop); err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
 	d := inst.Stats().Sub(before)
-	if d.OCALLs > uint64(UserTCPSyscallProfile().Total()+4) {
-		t.Fatalf("OCALLs = %d, want <= %d", d.OCALLs, UserTCPSyscallProfile().Total()+4)
+	if d.OCALLs > uint64(hmee.UserTCPSyscallProfile().Total()+4) {
+		t.Fatalf("OCALLs = %d, want <= %d", d.OCALLs, hmee.UserTCPSyscallProfile().Total()+4)
 	}
 }
 
@@ -114,16 +115,13 @@ func BenchmarkServeRequest(b *testing.B) {
 		b.Fatalf("Launch: %v", err)
 	}
 	defer inst.Shutdown()
-	if _, err := inst.ServeRequest(context.Background(), 40, 80, func(*sgx.Thread) error { return nil }); err != nil {
+	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
 		b.Fatalf("warm: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.ServeRequest(context.Background(), 40, 80, func(th *sgx.Thread) error {
-			th.Compute(100_000)
-			return nil
-		}); err != nil {
+		if _, err := inst.Serve(context.Background(), 40, 80, compute(100_000)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/simclock"
 )
@@ -18,50 +19,6 @@ var (
 	// ErrSessionClosed reports a request on a closed keep-alive session.
 	ErrSessionClosed = errors.New("gramine: session closed")
 )
-
-// SyscallProfile is the per-request syscall census of the module's HTTPS
-// server. Under Gramine every syscall is proxied through an OCALL, so
-// these counts are the source of the ~90 EENTER/EEXIT pairs the paper
-// measures per UE registration (Table III); under a plain container the
-// same syscalls execute at native cost. Both runtimes share this profile
-// so the SGX-vs-container comparison differs only in the per-event price.
-type SyscallProfile struct {
-	// Pre counts the pre-request machinery: epoll_wait wake-up, futexes,
-	// accept processing.
-	Pre int
-	// Read counts the request reads: recvmsg ×2 plus a readiness ioctl.
-	Read int
-	// InHandler counts syscalls issued during the AKA function itself
-	// (clock_gettime in the debug/stats build).
-	InHandler int
-	// Write counts the response path: sendmsg ×2, epoll_ctl re-arm,
-	// futex wake.
-	Write int
-	// Post counts the post-request machinery: timer re-arm, IPC with
-	// helper threads, stats flush.
-	Post int
-}
-
-// DefaultSyscallProfile reproduces the paper's ~90 transitions per served
-// request.
-func DefaultSyscallProfile() SyscallProfile {
-	return SyscallProfile{Pre: 38, Read: 3, InHandler: 1, Write: 4, Post: 43}
-}
-
-// UserTCPSyscallProfile models the mTCP-style user-level network stack the
-// paper proposes as a §V-B7 optimization: the TCP machinery runs inside
-// the enclave over shared-memory packet rings, collapsing the per-request
-// syscall census to the ring notifications (DPDK-style I/O). The trade-off
-// the paper notes — more functionality inside the enclave, bigger TCB —
-// is reflected in the TCB accounting, not hidden.
-func UserTCPSyscallProfile() SyscallProfile {
-	return SyscallProfile{Pre: 4, Read: 1, InHandler: 1, Write: 1, Post: 5}
-}
-
-// Total sums all phases.
-func (sp SyscallProfile) Total() int {
-	return sp.Pre + sp.Read + sp.InHandler + sp.Write + sp.Post
-}
 
 // Launch-time constants.
 const (
@@ -80,24 +37,13 @@ const (
 	warmupVerifyBytes = 2_800_000
 )
 
-// Breakdown reports the virtual-time windows of one served request using
-// the paper's metric names: L_F (functional latency: the AKA function
-// execution), L_T (total latency: request receipt to response send inside
-// the module), and the full server-side residence that the caller extends
-// into the response time R.
-type Breakdown struct {
-	Functional simclock.Cycles
-	Total      simclock.Cycles
-	ServerSide simclock.Cycles
-}
-
 // Instance is one running shielded container: an enclave booted through
 // the Gramine LibOS, with its resident process entry and helper threads.
 type Instance struct {
 	platform *sgx.Platform
 	image    *ShieldedImage
 	enclave  *sgx.Enclave
-	syscalls SyscallProfile
+	syscalls hmee.SyscallProfile
 	exitless bool
 
 	proc    *sgx.Thread
@@ -105,14 +51,19 @@ type Instance struct {
 
 	// ring and dispatcher implement the switchless ECALL path: the
 	// dispatcher pins one TCS for the life of the instance and serves
-	// jobs submitted into the shared-memory ring. Both are nil unless
+	// requests submitted into the shared-memory ring. Both are nil unless
 	// Manifest.SwitchlessECalls was set.
 	ring       *sgx.Ring
 	dispatcher *sgx.Thread
 
-	mu      sync.Mutex
-	running bool
-	warm    bool
+	// mu guards the lifecycle. inflight counts admitted requests; Shutdown
+	// waits on idle for it to drain before it releases the threads those
+	// requests run on.
+	mu       sync.Mutex
+	idle     sync.Cond
+	running  bool
+	warm     bool
+	inflight int
 }
 
 // LaunchOption tunes instance bring-up.
@@ -120,7 +71,7 @@ type LaunchOption func(*launchConfig)
 
 type launchConfig struct {
 	noServer bool
-	syscalls *SyscallProfile
+	syscalls *hmee.SyscallProfile
 }
 
 // WithoutServer skips the HTTPS server bring-up syscalls — used for the
@@ -131,7 +82,7 @@ func WithoutServer() LaunchOption {
 
 // WithSyscallProfile overrides the per-request syscall census (for the
 // user-level TCP ablation).
-func WithSyscallProfile(sp SyscallProfile) LaunchOption {
+func WithSyscallProfile(sp hmee.SyscallProfile) LaunchOption {
 	return func(c *launchConfig) { c.syscalls = &sp }
 }
 
@@ -158,10 +109,11 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 		platform: p,
 		image:    si,
 		enclave:  enclave,
-		syscalls: DefaultSyscallProfile(),
+		syscalls: hmee.DefaultSyscallProfile(),
 		exitless: si.Manifest.Exitless,
 		running:  true,
 	}
+	inst.idle.L = &inst.mu
 	if lc.syscalls != nil {
 		inst.syscalls = *lc.syscalls
 	}
@@ -256,104 +208,107 @@ func (i *Instance) Warm() bool {
 	return i.warm
 }
 
-// ServeRequest runs one HTTPS request through the in-enclave server: the
-// pre-request syscall machinery, TLS and HTTP processing, the handler
-// itself, the response path, and the post-request machinery. The handler
-// receives the in-enclave thread to charge its own compute and memory
-// touches; any real work (the actual AKA crypto) runs inside it.
-//
-// Costs are charged to the account carried by ctx, which must be dedicated
-// to this request for the returned Breakdown windows to be meaningful.
-func (i *Instance) ServeRequest(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
-	}
-	first := !i.warm
-	i.warm = true
-	i.mu.Unlock()
-
-	p := i.platform
-	m := p.Model()
-	acct := simclock.AccountFrom(ctx)
-	// Bind a pooled request thread to this request's account and (in
-	// parallel mode) its per-worker jitter stream.
-	th := i.reqThread(ctx, acct)
-	defer putThread(th)
-	start := acct.Total()
-
-	if first {
-		// Lazy loading of network-stack dependencies: a few OCALLs and
-		// the in-enclave verification of the lazily-read trusted files.
-		th.OCallN(warmupOCALLs, m.SyscallNative, 64, 64)
-		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
-		// The server-side TLS handshake for the first connection.
-		th.Compute(m.TLSHandshakeServer)
-	}
-
-	jig := int(simclock.JitterFrom(ctx, p.Jitter()).Uint64n(3))
-	i.ocalls(false, th, i.syscalls.Pre+jig, m.SyscallNative, 16, 16)
-
-	functional, total, err := i.requestCensus(th, acct, inBytes, outBytes, handler, false)
-
-	i.ocalls(false, th, i.syscalls.Post, m.SyscallNative, 16, 16)
-
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
+// request is the one description of work crossing into the in-enclave
+// server: which phases of the server path it charges, its body sizes and
+// its handler. Every entry point below is a phase set handed to do; the
+// struct is pooled, carries no closure, and is itself the sgx.RingJob when
+// the crossing is the submission ring.
+type request struct {
+	inst    *Instance
+	ctx     context.Context
+	acct    *simclock.Account
+	phases  hmee.Phases
+	in, out int
+	handler hmee.Handler
+	viaRing bool
+	bd      hmee.Breakdown
+	// th is the in-enclave thread the handler sees, bound to this
+	// request's account and jitter stream for the length of Execute.
+	th sgx.Thread
 }
 
-// ServeRequestSwitchless is ServeRequest routed through the submission
-// ring when ctx negotiated it; otherwise it falls back to the classic
-// path. The ring route lives in its own entry point — not a branch inside
-// ServeRequest — because submitting stores the handler in a pooled job,
-// and Go's escape analysis would then charge every classic caller a
-// heap-allocated closure for a path it never takes.
-func (i *Instance) ServeRequestSwitchless(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	if i.ring == nil || !sgx.SwitchlessFrom(ctx) {
-		return i.ServeRequest(ctx, inBytes, outBytes, handler)
-	}
+// requestPool recycles request descriptions: handlers are synchronous and
+// retain neither the request nor its thread, so one pooled struct per
+// in-flight request replaces two heap allocations per served request.
+var requestPool = sync.Pool{New: func() any { return new(request) }}
+
+// admit checks a request in against the instance lifecycle and resolves
+// its phases against the warm state: exactly one request ever keeps
+// Warmup. Every admitted request must be released.
+func (i *Instance) admit(ph hmee.Phases) (hmee.Phases, error) {
 	i.mu.Lock()
+	defer i.mu.Unlock()
 	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
+		return 0, ErrNotRunning
 	}
-	first := !i.warm
-	i.warm = true
-	i.mu.Unlock()
-	return i.serveViaRing(ctx, inBytes, outBytes, handler, first, true, true)
+	if ph&hmee.Warmup != 0 {
+		if i.warm {
+			ph = ph.Warm()
+		}
+		i.warm = true
+	}
+	i.inflight++
+	return ph, nil
 }
 
-// threadPool recycles the per-request sgx.Thread bindings that
-// ServeRequest, ServeOnSession, OpenSession and Close mint: handlers are
-// synchronous and never retain the thread, so one pooled binding per
-// in-flight request replaces one heap allocation per served request on the
-// keep-alive hot path.
-var threadPool = sync.Pool{New: func() any { return new(sgx.Thread) }}
+func (i *Instance) release() {
+	i.mu.Lock()
+	i.inflight--
+	if i.inflight == 0 && !i.running {
+		i.idle.Broadcast() // only Shutdown ever waits
+	}
+	i.mu.Unlock()
+}
 
-// reqThread binds a pooled thread to this request's account and ctx's
-// jitter stream; release it with putThread when the request completes.
+// ringFor decides a new connection's crossing: the submission ring when
+// the instance runs one and ctx negotiated it, else classic transitions.
+// One-shots and batches are connections of one request; a Session keeps
+// the answer for its lifetime.
+func (i *Instance) ringFor(ctx context.Context) bool {
+	return i.ring != nil && sgx.SwitchlessFrom(ctx)
+}
+
+// do is the single serve path: admit, describe, cross. The crossing is
+// the ring when viaRing, a fresh ECALL for a classic Entry (it needs a
+// free TCS slot beyond the resident threads; acquisition queues, honouring
+// ctx cancellation), and otherwise the resident process thread. Costs are
+// charged to the account carried by ctx, which must be dedicated to this
+// request for the returned Breakdown windows to be meaningful.
 //
 //shieldlint:hotpath
-func (i *Instance) reqThread(ctx context.Context, acct *simclock.Account) *sgx.Thread {
-	th := threadPool.Get().(*sgx.Thread)
-	i.proc.BindRequest(ctx, acct, th)
-	return th
+func (i *Instance) do(ctx context.Context, viaRing bool, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
+	ph, err := i.admit(ph)
+	if err != nil {
+		return hmee.Breakdown{}, err
+	}
+	defer i.release()
+	r := requestPool.Get().(*request)
+	*r = request{inst: i, ctx: ctx, acct: simclock.AccountFrom(ctx), phases: ph, in: in, out: out, handler: h, viaRing: viaRing}
+	switch {
+	case viaRing:
+		// A ring that closed under the request means the enclave is going
+		// down with it.
+		if err = i.ring.Submit(ctx, r); errors.Is(err, sgx.ErrRingClosed) {
+			err = ErrNotRunning
+		}
+	case ph&hmee.Entry != 0:
+		// The entry charges the account it finds on ctx; pin the request's.
+		err = i.enclave.ECall(simclock.WithAccount(ctx, r.acct), in, out, r.Execute)
+	default:
+		err = r.Execute(i.proc)
+	}
+	bd := r.bd
+	*r = request{}
+	requestPool.Put(r)
+	return bd, err
 }
 
-func putThread(th *sgx.Thread) { threadPool.Put(th) }
-
-// ocalls issues n identical proxied syscalls on th in one step: through
-// the exitless ring when enabled, or when the request is served on the
-// switchless dispatcher (viaRing) and so must never leave the enclave;
-// otherwise as full EEXIT/EENTER transition pairs.
+// ocalls issues n identical proxied syscalls on th in one step: as
+// exitless handoffs or as full EEXIT/EENTER transition pairs.
 //
 //shieldlint:hotpath
-func (i *Instance) ocalls(viaRing bool, th *sgx.Thread, n int, untrusted simclock.Cycles, out, in int) {
-	if viaRing || i.exitless {
+func ocalls(th *sgx.Thread, exitless bool, n int, untrusted simclock.Cycles, out, in int) {
+	if exitless {
 		th.OCallExitlessN(n, untrusted, out, in)
 	} else {
 		th.OCallN(n, untrusted, out, in)
@@ -369,308 +324,136 @@ func perCall(bytes, n int) int {
 	return bytes/n + 1
 }
 
-// requestCensus charges the per-request half of the syscall census — the
-// request reads, TLS and HTTP processing, the handler window, and the
-// response path — and returns the L_F and L_T windows. ServeRequest and
-// ServeOnSession share it so their charge order stays literally
-// identical; only the connection-scoped Pre/Post machinery around it
-// differs between the two paths.
-func (i *Instance) requestCensus(th *sgx.Thread, acct *simclock.Account, inBytes, outBytes int, handler func(*sgx.Thread) error, viaRing bool) (functional, total simclock.Cycles, err error) {
-	m := i.platform.Model()
-
-	totalStart := acct.Total()
-	i.ocalls(viaRing, th, i.syscalls.Read, m.SyscallNative, 0, perCall(inBytes, i.syscalls.Read))
-	th.Compute(m.TLSRecordCost(inBytes) + m.HTTPCost(inBytes))
-	th.Touch(uint64(inBytes))
-
-	fnStart := acct.Total()
-	i.ocalls(viaRing, th, i.syscalls.InHandler, m.SyscallNative, 8, 8)
-	err = handler(th)
-	fnEnd := acct.Total()
-
-	th.Compute(m.HTTPCost(outBytes) + m.TLSRecordCost(outBytes))
-	th.Touch(uint64(outBytes))
-	i.ocalls(viaRing, th, i.syscalls.Write, m.SyscallNative, perCall(outBytes, i.syscalls.Write), 0)
-	totalEnd := acct.Total()
-	return fnEnd - fnStart, totalEnd - totalStart, err
-}
-
-// Pooled switchless job structs: submissions carry no closures, so the
-// steady-state ring path stays inside the hot-path allocation budget.
-var (
-	serveJobPool   = sync.Pool{New: func() any { return new(ringServeJob) }}
-	sessionJobPool = sync.Pool{New: func() any { return new(ringSessionJob) }}
-	fnJobPool      = sync.Pool{New: func() any { return new(ringFnJob) }}
-)
-
-// ringServeJob serves one request on the switchless dispatcher: the same
-// census ServeRequest/ServeOnSession charge, with every proxied syscall
-// taking the exitless handoff — the request crosses the boundary with zero
-// EENTER/EEXIT.
-type ringServeJob struct {
-	inst              *Instance
-	ctx               context.Context
-	acct              *simclock.Account
-	inBytes, outBytes int
-	handler           func(*sgx.Thread) error
-	first, pre, post  bool
-	bd                Breakdown
-}
-
-// Execute runs on the dispatcher's resident thread; costs land on the
-// submitting request's account and jitter stream.
+// Execute charges the request's phases, in the order hmee.Phases fixes,
+// and runs its handler on a thread bound to the request's account and
+// jitter stream. t is whichever in-enclave thread carries the request:
+// the resident process thread, a batch ECALL's fresh entry, or — as the
+// sgx.RingJob — the ring dispatcher. This is the only place the server
+// path is charged.
 //
 //shieldlint:hotpath
-func (j *ringServeJob) Execute(*sgx.Thread) error {
-	i := j.inst
-	p := i.platform
-	m := p.Model()
-	acct := j.acct
-	th := i.reqThread(j.ctx, acct)
-	defer putThread(th)
+func (r *request) Execute(t *sgx.Thread) error {
+	i := r.inst
+	m := i.platform.Model()
+	sp, ph, acct := i.syscalls, r.phases, r.acct
+	th := &r.th
+	t.BindRequest(r.ctx, acct, th)
+	// A request on the dispatcher must never leave the enclave, so all its
+	// proxied syscalls are exitless handoffs; elsewhere that is the
+	// manifest's choice — except for the warm-up's lazy loading, which
+	// runs before the exitless helper is up and always pays transitions.
+	exitless := r.viaRing || i.exitless
 	start := acct.Total()
 
-	if j.first {
-		th.OCallExitlessN(warmupOCALLs, m.SyscallNative, 64, 64)
+	if ph&hmee.Warmup != 0 {
+		// Lazy loading of network-stack dependencies: a few OCALLs and the
+		// in-enclave verification of the lazily-read trusted files.
+		ocalls(th, r.viaRing, warmupOCALLs, m.SyscallNative, 64, 64)
 		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
+	}
+	handshakeFirst := ph.HandshakeFirst()
+	if handshakeFirst {
 		th.Compute(m.TLSHandshakeServer)
 	}
-
-	jig := int(simclock.JitterFrom(j.ctx, p.Jitter()).Uint64n(3))
-	n := jig
-	if j.pre {
-		n += i.syscalls.Pre
-	}
-	i.ocalls(true, th, n, m.SyscallNative, 16, 16)
-
-	functional, total, err := i.requestCensus(th, acct, j.inBytes, j.outBytes, j.handler, true)
-
-	if j.post {
-		i.ocalls(true, th, i.syscalls.Post, m.SyscallNative, 16, 16)
-	}
-	j.bd = Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}
-	return err
-}
-
-// serveViaRing submits one request into the switchless ring and blocks for
-// its completion. pre/post select whether the connection-scoped Pre/Post
-// machinery runs (a plain request) or is amortized by a session.
-//
-//shieldlint:hotpath
-func (i *Instance) serveViaRing(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error, first, pre, post bool) (Breakdown, error) {
-	j := serveJobPool.Get().(*ringServeJob)
-	j.inst, j.ctx, j.acct = i, ctx, simclock.AccountFrom(ctx)
-	j.inBytes, j.outBytes, j.handler = inBytes, outBytes, handler
-	j.first, j.pre, j.post = first, pre, post
-	err := i.ring.Submit(ctx, j)
-	bd := j.bd
-	*j = ringServeJob{}
-	serveJobPool.Put(j)
-	return bd, err
-}
-
-// ringSessionJob runs the connection-scoped half of a switchless session:
-// the accept/Pre machinery plus TLS handshake on open, the Post teardown
-// on close.
-type ringSessionJob struct {
-	inst  *Instance
-	ctx   context.Context
-	first bool
-	open  bool
-}
-
-//shieldlint:hotpath
-func (j *ringSessionJob) Execute(*sgx.Thread) error {
-	i := j.inst
-	m := i.platform.Model()
-	th := i.reqThread(j.ctx, simclock.AccountFrom(j.ctx))
-	defer putThread(th)
-	if j.open {
-		if j.first {
-			th.OCallExitlessN(warmupOCALLs, m.SyscallNative, 64, 64)
-			th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
+	if ph&(hmee.Pre|hmee.Body) != 0 {
+		n := 0
+		if ph&hmee.Pre != 0 {
+			n = sp.Pre
 		}
-		i.ocalls(true, th, i.syscalls.Pre, m.SyscallNative, 16, 16)
-		th.Compute(m.TLSHandshakeServer)
-		return nil
+		if ph&hmee.Body != 0 {
+			// 0–2 readiness wake-ups, drawn at the same jitter position
+			// whether or not the accept machinery precedes them, so a
+			// pipelined request's draws align with a one-shot's.
+			n += int(simclock.JitterFrom(r.ctx, i.platform.Jitter()).Uint64n(3))
+		}
+		ocalls(th, exitless, n, m.SyscallNative, 16, 16)
 	}
-	i.ocalls(true, th, i.syscalls.Post, m.SyscallNative, 16, 16)
-	return nil
-}
+	if ph&hmee.Handshake != 0 && !handshakeFirst {
+		th.Compute(m.TLSHandshakeServer)
+	}
 
-// sessionViaRing submits a session open (accept machinery + handshake) or
-// close (teardown) into the ring.
-func (i *Instance) sessionViaRing(ctx context.Context, first, open bool) error {
-	j := sessionJobPool.Get().(*ringSessionJob)
-	j.inst, j.ctx, j.first, j.open = i, ctx, first, open
-	err := i.ring.Submit(ctx, j)
-	*j = ringSessionJob{}
-	sessionJobPool.Put(j)
+	var err error
+	switch {
+	case ph&hmee.Body != 0:
+		totalStart := acct.Total()
+		ocalls(th, exitless, sp.Read, m.SyscallNative, 0, perCall(r.in, sp.Read))
+		th.Compute(m.TLSRecordCost(r.in) + m.HTTPCost(r.in))
+		th.Touch(uint64(r.in))
+
+		fnStart := acct.Total()
+		ocalls(th, exitless, sp.InHandler, m.SyscallNative, 8, 8)
+		err = r.handler.Run(th)
+		r.bd.Functional = acct.Total() - fnStart
+
+		th.Compute(m.HTTPCost(r.out) + m.TLSRecordCost(r.out))
+		th.Touch(uint64(r.out))
+		ocalls(th, exitless, sp.Write, m.SyscallNative, perCall(r.out, sp.Write), 0)
+		r.bd.Total = acct.Total() - totalStart
+	case r.handler != nil:
+		// Handler-only crossing. A classic Entry shielded its buffers on
+		// the ECALL that carried it here; through the ring they cross
+		// shared memory: the shield cost, no transitions.
+		if r.viaRing {
+			th.ShieldTransfer(r.in, r.out)
+		}
+		err = r.handler.Run(th)
+	}
+
+	if ph&hmee.Post != 0 {
+		ocalls(th, exitless, sp.Post, m.SyscallNative, 16, 16)
+	}
+	r.bd.ServerSide = acct.Total() - start
 	return err
 }
 
-// ringFnJob runs a batch entry (DoBatch) on the dispatcher: the batch
-// buffers cross through shared memory (shield cost, no transitions) and fn
-// executes on a thread bound to the submitting request.
-type ringFnJob struct {
-	inst               *Instance
-	ctx                context.Context
-	argBytes, retBytes int
-	fn                 func(*sgx.Thread) error
-}
-
-//shieldlint:hotpath
-func (j *ringFnJob) Execute(*sgx.Thread) error {
-	i := j.inst
-	th := i.reqThread(j.ctx, simclock.AccountFrom(j.ctx))
-	defer putThread(th)
-	th.ShieldTransfer(j.argBytes, j.retBytes)
-	return j.fn(th)
+// Serve runs one HTTPS request that brings its own connection through the
+// in-enclave server: the accept machinery, TLS and HTTP processing, the
+// handler, the response path and the teardown — plus, for the first
+// request ever, the lazy warm-up and the handshake. The handler receives
+// the in-enclave thread to charge its own compute and memory touches.
+func (i *Instance) Serve(ctx context.Context, inBytes, outBytes int, h hmee.Handler) (hmee.Breakdown, error) {
+	return i.do(ctx, i.ringFor(ctx), hmee.OneShot, inBytes, outBytes, h)
 }
 
 // Session is one persistent keep-alive connection into the in-enclave
-// HTTPS server. The connection-scoped machinery — the accept/epoll/futex
-// Pre census and the server-side TLS handshake — is paid once at
-// OpenSession and the Post teardown once at Close, so pipelined requests
-// served through ServeOnSession pay only the per-request census. A batch
-// of B requests thus spreads the Pre+Post OCALLs (81 transition pairs
-// under the default profile) over B requests.
+// HTTPS server. The connection-scoped machinery — the accept census and
+// the server-side TLS handshake — is paid once at OpenSession and the
+// teardown once at Close, so requests pipelined through Serve pay only the
+// per-request census: a batch of B requests spreads the Pre+Post OCALLs
+// (81 transition pairs under the default profile) over B requests. The
+// crossing is fixed at open, so one connection's census never mixes the
+// two boundary disciplines.
 type Session struct {
-	inst *Instance
-	// switchless records the connection's negotiated routing: a session
-	// opened through the submission ring serves and closes through it
-	// too, so one connection's census never mixes the two boundary
-	// disciplines.
-	switchless bool
-	mu         sync.Mutex
-	open       bool
+	inst    *Instance
+	viaRing bool
+	mu      sync.Mutex
+	open    bool
 }
 
-// OpenSession accepts one persistent client connection: the pre-request
-// accept machinery and the server-side TLS handshake, charged to ctx's
+// OpenSession accepts one persistent client connection, charged to ctx's
 // account once for the whole session. The first connection ever accepted
-// also pays the lazy warm-up the first ServeRequest would pay.
+// also pays the lazy warm-up the first Serve would pay.
 func (i *Instance) OpenSession(ctx context.Context) (*Session, error) {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return nil, ErrNotRunning
+	s := &Session{inst: i, viaRing: i.ringFor(ctx), open: true}
+	if _, err := i.do(ctx, s.viaRing, hmee.Open, 0, 0, nil); err != nil {
+		return nil, err
 	}
-	first := !i.warm
-	i.warm = true
-	i.mu.Unlock()
-
-	if i.ring != nil && sgx.SwitchlessFrom(ctx) {
-		if err := i.sessionViaRing(ctx, first, true); err != nil {
-			return nil, err
-		}
-		return &Session{inst: i, open: true, switchless: true}, nil
-	}
-
-	m := i.platform.Model()
-	th := i.reqThread(ctx, simclock.AccountFrom(ctx))
-	defer putThread(th)
-
-	if first {
-		th.OCallN(warmupOCALLs, m.SyscallNative, 64, 64)
-		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
-	}
-
-	i.ocalls(false, th, i.syscalls.Pre, m.SyscallNative, 16, 16)
-	th.Compute(m.TLSHandshakeServer)
-	return &Session{inst: i, open: true}, nil
+	return s, nil
 }
 
-// ServeOnSession runs one pipelined request on an open session. The L_F
-// and L_T Breakdown windows are bit-identical to a warm ServeRequest
-// under the same jitter stream; ServerSide omits exactly the amortized
-// Pre/Post machinery. The keep-alive readiness wake-ups (0–2 extra
-// OCALLs deciding the connection has another request queued) are drawn
-// from the same jitter position ServeRequest uses for its Pre variation,
-// keeping the two paths' stochastic draws aligned.
-func (i *Instance) ServeOnSession(ctx context.Context, s *Session, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
-	}
-	i.mu.Unlock()
-	if s == nil || s.inst != i {
-		return Breakdown{}, errors.New("gramine: session belongs to a different instance")
-	}
+// Serve runs one pipelined request on the session. The L_F and L_T
+// Breakdown windows are bit-identical to a warm Instance.Serve under the
+// same jitter stream; ServerSide omits exactly the amortized Pre/Post
+// machinery.
+func (s *Session) Serve(ctx context.Context, inBytes, outBytes int, h hmee.Handler) (hmee.Breakdown, error) {
 	s.mu.Lock()
 	open := s.open
 	s.mu.Unlock()
 	if !open {
-		return Breakdown{}, ErrSessionClosed
+		return hmee.Breakdown{}, ErrSessionClosed
 	}
-	if s.switchless {
-		// A connection negotiated onto the ring must never mix in classic
-		// serves — its census discipline was fixed at open.
-		return Breakdown{}, errors.New("gramine: switchless session must be served through ServeOnSessionSwitchless")
-	}
-
-	p := i.platform
-	m := p.Model()
-	acct := simclock.AccountFrom(ctx)
-	th := i.reqThread(ctx, acct)
-	defer putThread(th)
-	start := acct.Total()
-
-	jig := int(simclock.JitterFrom(ctx, p.Jitter()).Uint64n(3))
-	i.ocalls(false, th, jig, m.SyscallNative, 16, 16)
-
-	functional, total, err := i.requestCensus(th, acct, inBytes, outBytes, handler, false)
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
+	return s.inst.do(ctx, s.viaRing, hmee.Pipelined, inBytes, outBytes, h)
 }
-
-// ServeOnSessionSwitchless serves a ring-negotiated session's pipelined
-// request through the submission ring; sessions opened classically fall
-// back to ServeOnSession. Split from ServeOnSession for the same
-// escape-analysis reason as ServeRequestSwitchless.
-func (i *Instance) ServeOnSessionSwitchless(ctx context.Context, s *Session, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	if s == nil || !s.switchless || i.ring == nil {
-		return i.ServeOnSession(ctx, s, inBytes, outBytes, handler)
-	}
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return Breakdown{}, ErrNotRunning
-	}
-	i.mu.Unlock()
-	if s.inst != i {
-		return Breakdown{}, errors.New("gramine: session belongs to a different instance")
-	}
-	s.mu.Lock()
-	open := s.open
-	s.mu.Unlock()
-	if !open {
-		return Breakdown{}, ErrSessionClosed
-	}
-	return i.serveViaRing(ctx, inBytes, outBytes, handler, false, false, false)
-}
-
-// Serve is shorthand for ServeOnSession on the owning instance.
-func (s *Session) Serve(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	return s.inst.ServeOnSession(ctx, s, inBytes, outBytes, handler)
-}
-
-// ServeSwitchless is shorthand for ServeOnSessionSwitchless.
-func (s *Session) ServeSwitchless(ctx context.Context, inBytes, outBytes int, handler func(*sgx.Thread) error) (Breakdown, error) {
-	return s.inst.ServeOnSessionSwitchless(ctx, s, inBytes, outBytes, handler)
-}
-
-// Switchless reports whether the session was negotiated onto the
-// submission ring at open.
-func (s *Session) Switchless() bool { return s.switchless }
 
 // Close tears the session's connection down, paying the post-request
 // machinery once for the whole pipelined batch. Closing twice, or closing
@@ -678,97 +461,35 @@ func (s *Session) Switchless() bool { return s.switchless }
 // a free no-op.
 func (s *Session) Close(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.open {
-		s.mu.Unlock()
-		return nil
-	}
+	open := s.open
 	s.open = false
 	s.mu.Unlock()
-
-	i := s.inst
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
+	if !open {
 		return nil
 	}
-	i.mu.Unlock()
-
-	if s.switchless && i.ring != nil {
-		// A ring that closed under us means the enclave is going down
-		// with the connection — the same free no-op as a dead instance.
-		if err := i.sessionViaRing(ctx, false, false); err != nil && !errors.Is(err, sgx.ErrRingClosed) {
-			return err
-		}
-		return nil
+	if _, err := s.inst.do(ctx, s.viaRing, hmee.Close, 0, 0, nil); err != nil && !errors.Is(err, ErrNotRunning) {
+		return err
 	}
-
-	m := i.platform.Model()
-	th := i.reqThread(ctx, simclock.AccountFrom(ctx))
-	defer putThread(th)
-	i.ocalls(false, th, i.syscalls.Post, m.SyscallNative, 16, 16)
 	return nil
 }
 
-// Do runs fn on the resident in-enclave process thread outside the request
+// Do runs h on the resident in-enclave process thread outside the request
 // path — used for provisioning secrets into the enclave and other
-// maintenance that should not be measured as a served request.
-func (i *Instance) Do(ctx context.Context, fn func(*sgx.Thread) error) error {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return ErrNotRunning
-	}
-	i.mu.Unlock()
-	// Pin the request account the way ServeRequest does: maintenance work
-	// (secret provisioning, AV pool refills) must stay visible to the
-	// caller's account even when nested code re-derives it from ctx.
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return fn(i.proc.WithRequest(ctx))
+// maintenance that should not be measured as a served request. The work is
+// charged to the caller's account, like a served request's.
+func (i *Instance) Do(ctx context.Context, h hmee.Handler) error {
+	_, err := i.do(ctx, false, 0, 0, 0, h)
+	return err
 }
 
-// DoBatch runs fn inside one fresh ECALL instead of on the resident
-// request path: a batch of K AV generations charges K× the crypto but
-// exactly one EENTER/EEXIT transition pair, with argBytes/retBytes
-// shielded across the boundary once for the whole batch. The entry needs
-// a free TCS slot beyond the resident threads (Manifest.MaxThreads ≥
-// HelperThreads+2); acquisition queues, honouring ctx cancellation, so
-// concurrent refills serialise on the spare slot instead of failing.
-func (i *Instance) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(*sgx.Thread) error) error {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return ErrNotRunning
-	}
-	i.mu.Unlock()
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return i.enclave.ECall(ctx, argBytes, retBytes, func(t *sgx.Thread) error {
-		return fn(t.WithRequest(ctx))
-	})
-}
-
-// DoBatchSwitchless crosses the batch through the submission ring instead
-// of a fresh ECALL: arguments and results still pay the shield cost, but
-// no transition pair and no spare TCS slot. Without a ring (or without the
-// ctx flag) it falls back to the classic DoBatch; the split keeps the
-// classic entry free of the pooled-job handler store (see
-// ServeRequestSwitchless).
-func (i *Instance) DoBatchSwitchless(ctx context.Context, argBytes, retBytes int, fn func(*sgx.Thread) error) error {
-	if i.ring == nil || !sgx.SwitchlessFrom(ctx) {
-		return i.DoBatch(ctx, argBytes, retBytes, fn)
-	}
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
-		return ErrNotRunning
-	}
-	i.mu.Unlock()
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	j := fnJobPool.Get().(*ringFnJob)
-	j.inst, j.ctx, j.fn = i, ctx, fn
-	j.argBytes, j.retBytes = argBytes, retBytes
-	err := i.ring.Submit(ctx, j)
-	*j = ringFnJob{}
-	fnJobPool.Put(j)
+// DoBatch runs h inside one boundary crossing of its own instead of on the
+// resident request path: a batch of K AV generations charges K× the crypto
+// but argBytes/retBytes are shielded across once — on one fresh
+// EENTER/EEXIT pair classically (Manifest.MaxThreads ≥ HelperThreads+2
+// leaves it a TCS slot), through shared memory with no transition and no
+// spare slot on the ring.
+func (i *Instance) DoBatch(ctx context.Context, argBytes, retBytes int, h hmee.Handler) error {
+	_, err := i.do(ctx, i.ringFor(ctx), hmee.Entry, argBytes, retBytes, h)
 	return err
 }
 
@@ -779,8 +500,9 @@ func (i *Instance) AccrueUptime(d time.Duration) { i.enclave.AccrueUptime(d) }
 // Stats snapshots the enclave's SGX counters.
 func (i *Instance) Stats() sgx.StatsSnapshot { return i.enclave.Stats() }
 
-// Shutdown leaves the resident threads and destroys the enclave. It is
-// idempotent.
+// Shutdown leaves the resident threads and destroys the enclave. Requests
+// admitted before it finish first (those still queued in the ring fail
+// with ErrNotRunning); later ones are refused. It is idempotent.
 func (i *Instance) Shutdown() {
 	i.mu.Lock()
 	if !i.running {
@@ -790,23 +512,23 @@ func (i *Instance) Shutdown() {
 	i.running = false
 	i.mu.Unlock()
 
-	// The ring closes first so in-flight submissions drain (completed
-	// exactly once with ErrRingClosed) before the dispatcher's TCS is
-	// released and the enclave torn down.
+	// The ring closes first so queued submissions drain (completed exactly
+	// once with ErrRingClosed) instead of waiting out their turn.
 	if i.ring != nil {
 		i.ring.Close()
 	}
+	i.mu.Lock()
+	for i.inflight > 0 {
+		i.idle.Wait()
+	}
+	i.mu.Unlock()
+
 	if i.dispatcher != nil {
 		i.enclave.LeaveResident(i.dispatcher)
-		i.dispatcher = nil
 	}
 	for _, h := range i.helpers {
 		i.enclave.LeaveResident(h)
 	}
-	i.helpers = nil
-	if i.proc != nil {
-		i.enclave.LeaveResident(i.proc)
-		i.proc = nil
-	}
+	i.enclave.LeaveResident(i.proc)
 	i.enclave.Destroy()
 }

@@ -3,8 +3,10 @@ package gramine
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
+	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/simclock"
 )
@@ -17,6 +19,14 @@ func launchTest(t *testing.T) *Instance {
 	}
 	t.Cleanup(inst.Shutdown)
 	return inst
+}
+
+// noop and compute are the handlers most tests serve: nothing, or n cycles
+// of in-enclave work.
+var noop = hmee.HandlerFunc(func(hmee.Exec) error { return nil })
+
+func compute(n simclock.Cycles) hmee.Handler {
+	return hmee.HandlerFunc(func(ex hmee.Exec) error { ex.Compute(n); return nil })
 }
 
 // measuredCtx returns a ctx carrying a dedicated account and a fresh
@@ -38,16 +48,16 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 	instA := launchTest(t)
 	instB := launchTest(t)
 
-	handler := func(th *sgx.Thread) error {
+	handler := hmee.HandlerFunc(func(th hmee.Exec) error {
 		th.Compute(150_000)
 		th.Touch(4096)
 		return nil
-	}
+	})
 
 	// Warm both instances so neither measured request pays the lazy
 	// warm-up; B's session also absorbs the per-connection handshake.
-	if _, err := instA.ServeRequest(context.Background(), 40, 80, handler); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	if _, err := instA.Serve(context.Background(), 40, 80, handler); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	sess, err := instB.OpenSession(context.Background())
 	if err != nil {
@@ -55,21 +65,21 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 	}
 
 	ctxA, acctA := measuredCtx(99)
-	bdA, err := instA.ServeRequest(ctxA, 40, 80, handler)
+	bdA, err := instA.Serve(ctxA, 40, 80, handler)
 	if err != nil {
-		t.Fatalf("measured ServeRequest: %v", err)
+		t.Fatalf("measured Serve: %v", err)
 	}
 	ctxB, acctB := measuredCtx(99)
 	bdB, err := sess.Serve(ctxB, 40, 80, handler)
 	if err != nil {
-		t.Fatalf("measured ServeOnSession: %v", err)
+		t.Fatalf("measured Session.Serve: %v", err)
 	}
 
 	if bdA.Functional != bdB.Functional {
-		t.Errorf("Functional: ServeRequest %d != session %d", bdA.Functional, bdB.Functional)
+		t.Errorf("Functional: Serve %d != session %d", bdA.Functional, bdB.Functional)
 	}
 	if bdA.Total != bdB.Total {
-		t.Errorf("Total: ServeRequest %d != session %d", bdA.Total, bdB.Total)
+		t.Errorf("Total: Serve %d != session %d", bdA.Total, bdB.Total)
 	}
 
 	m := instA.platform.Model()
@@ -93,16 +103,16 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 func TestSessionAmortizesTransitions(t *testing.T) {
 	inst := launchTest(t)
 	ctx := context.Background()
-	handler := func(th *sgx.Thread) error { th.Compute(100_000); return nil }
-	if _, err := inst.ServeRequest(ctx, 40, 80, handler); err != nil {
+	handler := compute(100_000)
+	if _, err := inst.Serve(ctx, 40, 80, handler); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 
 	const batch = 8
 	before := inst.Stats()
 	for k := 0; k < batch; k++ {
-		if _, err := inst.ServeRequest(ctx, 40, 80, handler); err != nil {
-			t.Fatalf("ServeRequest %d: %v", k, err)
+		if _, err := inst.Serve(ctx, 40, 80, handler); err != nil {
+			t.Fatalf("Serve %d: %v", k, err)
 		}
 	}
 	cold := inst.Stats().Sub(before).EENTER
@@ -150,7 +160,7 @@ func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 	if err := sess.Close(ctx); err != nil {
 		t.Fatalf("double Close: %v", err)
 	}
-	if _, err := sess.Serve(ctx, 10, 10, func(*sgx.Thread) error { return nil }); !errors.Is(err, ErrSessionClosed) {
+	if _, err := sess.Serve(ctx, 10, 10, noop); !errors.Is(err, ErrSessionClosed) {
 		t.Fatalf("Serve on closed session = %v, want ErrSessionClosed", err)
 	}
 	inst.Shutdown()
@@ -167,11 +177,11 @@ func TestDoPinsCallerAccount(t *testing.T) {
 	acct := &simclock.Account{}
 	ctx := simclock.WithAccount(context.Background(), acct)
 	before := inst.Stats()
-	err := inst.Do(ctx, func(th *sgx.Thread) error {
-		th.Compute(250_000)
-		th.OCall(1_000, 16, 16)
+	err := inst.Do(ctx, hmee.HandlerFunc(func(ex hmee.Exec) error {
+		ex.Compute(250_000)
+		ex.(*sgx.Thread).OCall(1_000, 16, 16)
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatalf("Do: %v", err)
 	}
@@ -203,12 +213,12 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 	ctx := simclock.WithAccount(context.Background(), acct)
 	before := inst.Stats()
 	const k = 16
-	err = inst.DoBatch(ctx, k*64, k*128, func(th *sgx.Thread) error {
+	err = inst.DoBatch(ctx, k*64, k*128, hmee.HandlerFunc(func(th hmee.Exec) error {
 		for j := 0; j < k; j++ {
 			th.Compute(50_000)
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatalf("DoBatch: %v", err)
 	}
@@ -221,7 +231,106 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 	}
 
 	inst.Shutdown()
-	if err := inst.DoBatch(ctx, 1, 1, func(*sgx.Thread) error { return nil }); !errors.Is(err, ErrNotRunning) {
+	if err := inst.DoBatch(ctx, 1, 1, noop); !errors.Is(err, ErrNotRunning) {
 		t.Fatalf("DoBatch after Shutdown = %v, want ErrNotRunning", err)
+	}
+}
+
+// TestServeShutdownRace shuts an instance down under concurrent requests on
+// every crossing (run under -race) — the gramine twin of paka's
+// TestNativeRuntimeServeShutdownRace, and what a chaos crash-restart does to
+// a module with requests in flight. Every request must finish cleanly or
+// fail with ErrNotRunning: never a panic, a torn teardown or a data race.
+func TestServeShutdownRace(t *testing.T) {
+	crossings := []struct {
+		name string
+		ring bool
+		work func(ctx context.Context, inst *Instance) error
+	}{
+		{"oneshot", false, func(ctx context.Context, inst *Instance) error {
+			_, err := inst.Serve(ctx, 40, 80, compute(10_000))
+			return err
+		}},
+		{"session", false, func(ctx context.Context, inst *Instance) error {
+			sess, err := inst.OpenSession(ctx)
+			if err != nil {
+				return err
+			}
+			for k := 0; k < 3 && err == nil; k++ {
+				_, err = sess.Serve(ctx, 40, 80, compute(10_000))
+			}
+			if cerr := sess.Close(ctx); err == nil {
+				err = cerr
+			}
+			return err
+		}},
+		{"ring", true, func(ctx context.Context, inst *Instance) error {
+			sess, err := inst.OpenSession(ctx)
+			if err != nil {
+				return err
+			}
+			if _, err = sess.Serve(ctx, 40, 80, compute(10_000)); err == nil {
+				err = inst.DoBatch(ctx, 64, 128, compute(10_000))
+			}
+			if err == nil {
+				_, err = inst.Serve(ctx, 40, 80, compute(10_000))
+			}
+			if cerr := sess.Close(ctx); err == nil {
+				err = cerr
+			}
+			return err
+		}},
+	}
+	// The window is a request admitted just before Shutdown flips the
+	// lifecycle; enough rounds that a racy teardown cannot slip through.
+	const rounds, workers = 100, 4
+	for _, c := range crossings {
+		t.Run(c.name, func(t *testing.T) {
+			crossing := "classic"
+			if c.ring {
+				crossing = "ring"
+			}
+			for round := 0; round < rounds && !t.Failed(); round++ {
+				inst := censusInstance(t, crossing)
+
+				var wg sync.WaitGroup
+				started := make(chan struct{}, workers)
+				for w := 0; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						ctx := simclock.WithJitter(context.Background(), simclock.NewJitter(uint64(w)+1))
+						if c.ring {
+							ctx = sgx.WithSwitchless(ctx)
+						}
+						for first := true; ; first = false {
+							err := c.work(ctx, inst)
+							if first {
+								started <- struct{}{}
+							}
+							if errors.Is(err, ErrNotRunning) {
+								return
+							}
+							if err != nil {
+								t.Errorf("worker %d: %v, want nil or ErrNotRunning", w, err)
+								return
+							}
+						}
+					}(w)
+				}
+				for w := 0; w < workers; w++ {
+					<-started
+				}
+				inst.Shutdown()
+				wg.Wait()
+
+				if _, err := inst.Serve(context.Background(), 10, 10, noop); !errors.Is(err, ErrNotRunning) {
+					t.Fatalf("Serve after Shutdown = %v, want ErrNotRunning", err)
+				}
+				if st := inst.RingStats(); st.Submitted != st.Completed+st.Drained {
+					t.Fatalf("ring lost a request: %+v", st)
+				}
+			}
+		})
 	}
 }

@@ -24,7 +24,7 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
-	"shield5g/internal/hmee/gramine"
+	"shield5g/internal/hmee"
 	"shield5g/internal/simclock"
 )
 
@@ -77,7 +77,7 @@ type Machine struct {
 	launchCycles simclock.Cycles
 	signPriv     ed25519.PrivateKey
 	signPub      ed25519.PublicKey
-	syscalls     gramine.SyscallProfile
+	syscalls     hmee.SyscallProfile
 
 	vmExits atomic.Uint64
 
@@ -109,7 +109,7 @@ func Launch(ctx context.Context, env *costmodel.Env, cfg Config) (*Machine, erro
 		cfg:      cfg,
 		signPriv: priv,
 		signPub:  pub,
-		syscalls: gramine.DefaultSyscallProfile(),
+		syscalls: hmee.DefaultSyscallProfile(),
 		running:  true,
 		secrets:  make(map[string][]byte),
 	}
@@ -154,8 +154,7 @@ func (m *Machine) live() error {
 	return nil
 }
 
-// Exec is the in-guest execution surface (compatible with the P-AKA
-// runtime contract).
+// Exec is the in-guest execution surface, an hmee.Exec.
 type Exec struct {
 	ctx context.Context
 	m   *Machine
@@ -191,15 +190,12 @@ func (e Exec) LoadSecret(name string) ([]byte, bool) {
 	return append([]byte(nil), d...), true
 }
 
-// Breakdown mirrors the Gramine runtime's latency windows.
-type Breakdown = gramine.Breakdown
-
 // ServeRequest runs one HTTPS request through the in-guest server: the
 // same syscall census as the container, served by the guest kernel at
 // native cost, plus the virtio VM exits at the device boundary.
-func (m *Machine) ServeRequest(ctx context.Context, inBytes, outBytes int, handler func(Exec) error) (Breakdown, error) {
+func (m *Machine) ServeRequest(ctx context.Context, inBytes, outBytes int, handler hmee.Handler) (hmee.Breakdown, error) {
 	if err := m.live(); err != nil {
-		return Breakdown{}, err
+		return hmee.Breakdown{}, err
 	}
 	m.mu.Lock()
 	first := !m.warm
@@ -243,8 +239,7 @@ func (m *Machine) ServeRequest(ctx context.Context, inBytes, outBytes int, handl
 	charge(model.TLSRecordCost(inBytes) + model.HTTPCost(inBytes))
 
 	fnStart := acct.Total()
-	ex := Exec{ctx: ctx, m: m}
-	err := handler(ex)
+	err := handler.Run(Exec{ctx: ctx, m: m})
 	fnEnd := acct.Total()
 
 	charge(model.HTTPCost(outBytes) + model.TLSRecordCost(outBytes))
@@ -260,20 +255,20 @@ func (m *Machine) ServeRequest(ctx context.Context, inBytes, outBytes int, handl
 	vmexit()
 	vmexit()
 
-	return Breakdown{
+	return hmee.Breakdown{
 		Functional: fnEnd - fnStart,
 		Total:      totalEnd - totalStart,
 		ServerSide: acct.Total() - start,
 	}, err
 }
 
-// Do runs fn in the guest outside the request path.
-func (m *Machine) Do(ctx context.Context, fn func(Exec) error) error {
+// Do runs h in the guest outside the request path.
+func (m *Machine) Do(ctx context.Context, h hmee.Handler) error {
 	if err := m.live(); err != nil {
 		return err
 	}
 	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return fn(Exec{ctx: ctx, m: m})
+	return h.Run(Exec{ctx: ctx, m: m})
 }
 
 // Warm reports whether the first request has been served.

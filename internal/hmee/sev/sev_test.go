@@ -8,8 +8,11 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/hmee"
 	"shield5g/internal/simclock"
 )
+
+var noop = hmee.HandlerFunc(func(hmee.Exec) error { return nil })
 
 func testMachine(t *testing.T) *Machine {
 	t.Helper()
@@ -58,15 +61,15 @@ func TestLaunchChargesAccount(t *testing.T) {
 
 func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 	m := testMachine(t)
-	if _, err := m.ServeRequest(context.Background(), 40, 80, func(Exec) error { return nil }); err != nil {
+	if _, err := m.ServeRequest(context.Background(), 40, 80, noop); err != nil {
 		t.Fatalf("warm ServeRequest: %v", err)
 	}
 	before := m.VMExits()
-	bd, err := m.ServeRequest(context.Background(), 40, 80, func(ex Exec) error {
+	bd, err := m.ServeRequest(context.Background(), 40, 80, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.Compute(100_000)
 		ex.Touch(4096)
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatalf("ServeRequest: %v", err)
 	}
@@ -82,7 +85,7 @@ func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 func TestServeRequestHandlerError(t *testing.T) {
 	m := testMachine(t)
 	sentinel := errors.New("boom")
-	if _, err := m.ServeRequest(context.Background(), 1, 1, func(Exec) error { return sentinel }); !errors.Is(err, sentinel) {
+	if _, err := m.ServeRequest(context.Background(), 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -92,7 +95,7 @@ func TestInitialRequestSlower(t *testing.T) {
 	serve := func() simclock.Cycles {
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
-		if _, err := m.ServeRequest(ctx, 40, 80, func(Exec) error { return nil }); err != nil {
+		if _, err := m.ServeRequest(ctx, 40, 80, noop); err != nil {
 			t.Fatalf("ServeRequest: %v", err)
 		}
 		return acct.Total()
@@ -117,7 +120,7 @@ func TestTCBIncludesGuestStack(t *testing.T) {
 func TestSecretsAndIntrospection(t *testing.T) {
 	m := testMachine(t)
 	secret := []byte("subscriber-key-material")
-	if err := m.Do(context.Background(), func(ex Exec) error {
+	if err := m.Do(context.Background(), hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.StoreSecret("k", secret)
 		got, ok := ex.LoadSecret("k")
 		if !ok || !bytes.Equal(got, secret) {
@@ -127,7 +130,7 @@ func TestSecretsAndIntrospection(t *testing.T) {
 			t.Error("missing secret found")
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("Do: %v", err)
 	}
 	view, ok := m.Introspect("k")
@@ -149,10 +152,10 @@ func TestSecretsAndIntrospection(t *testing.T) {
 func TestStoppedMachineRejectsUse(t *testing.T) {
 	m := testMachine(t)
 	m.Stop()
-	if _, err := m.ServeRequest(context.Background(), 1, 1, func(Exec) error { return nil }); !errors.Is(err, ErrStopped) {
+	if _, err := m.ServeRequest(context.Background(), 1, 1, noop); !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := m.Do(context.Background(), func(Exec) error { return nil }); !errors.Is(err, ErrStopped) {
+	if err := m.Do(context.Background(), noop); !errors.Is(err, ErrStopped) {
 		t.Fatalf("Do err = %v", err)
 	}
 	if _, err := m.GenerateReport([64]byte{}); !errors.Is(err, ErrStopped) {

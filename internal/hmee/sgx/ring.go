@@ -196,12 +196,18 @@ func (r *Ring) Submit(ctx context.Context, job RingJob) error {
 	}
 	ent := r.entries.Get().(*ringEntry)
 	ent.job = job
+	// Account before publishing: once the entry is visible the dispatcher
+	// may run it, and a job that starts ahead of its own submission charge
+	// would see a clock (doorbell decision) and an account (the job's cost
+	// windows) that depend on goroutine timing.
+	r.accountSubmit(ctx)
 	if err := r.enqueue(ent); err != nil {
+		r.accountDone()
 		ent.job = nil
 		r.entries.Put(ent)
 		return err
 	}
-	r.accountSubmit(ctx)
+	r.nSubmitted.Add(1)
 	r.kick()
 	err := <-ent.done
 	r.accountDone()
@@ -350,7 +356,6 @@ func (r *Ring) accountSubmit(ctx context.Context) {
 	} else {
 		cost += m.SwitchlessPollCycles
 	}
-	r.nSubmitted.Add(1)
 	e.platform.charge(simclock.AccountFrom(ctx), cost)
 }
 

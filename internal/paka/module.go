@@ -12,6 +12,7 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/crypto/milenage"
+	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/hmee/sev"
 	"shield5g/internal/hmee/sgx"
@@ -247,7 +248,7 @@ func buildSGXRuntime(ctx context.Context, cfg Config, profile Profile) (Runtime,
 	}
 	var opts []gramine.LaunchOption
 	if cfg.UserLevelTCP {
-		opts = append(opts, gramine.WithSyscallProfile(gramine.UserTCPSyscallProfile()))
+		opts = append(opts, gramine.WithSyscallProfile(hmee.UserTCPSyscallProfile()))
 	}
 	return newSGXRuntime(ctx, cfg.Platform, si, opts...)
 }
@@ -306,10 +307,10 @@ func (m *Module) registerEndpoints() {
 	}
 }
 
-// endpointCall binds one served request's state for serve's
-// func(Exec) error callback. A per-call closure would capture ctx, body
-// and the out variable on the heap every request; pooling the binding
-// leaves only the method-value header as per-request overhead.
+// endpointCall is one served request's Handler: its state bound in a
+// pooled struct that travels as itself from here through the runtime to
+// the enclave crossing. A per-call closure would capture ctx, body and the
+// out variable on the heap every request.
 type endpointCall struct {
 	m       *Module
 	ctx     context.Context
@@ -320,8 +321,10 @@ type endpointCall struct {
 
 var endpointCallPool = sync.Pool{New: func() any { return new(endpointCall) }}
 
+// Run implements Handler.
+//
 //shieldlint:hotpath
-func (c *endpointCall) run(ex Exec) error {
+func (c *endpointCall) Run(ex Exec) error {
 	m := c.m
 	fn := m.env.JitterFor(c.ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
 	if m.isolation == SGX {
@@ -341,7 +344,7 @@ func (m *Module) endpoint(handler func(ctx context.Context, ex Exec, body []byte
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		c := endpointCallPool.Get().(*endpointCall)
 		c.m, c.ctx, c.body, c.handler = m, ctx, body, handler
-		bd, err := m.serve(ctx, m.profile.InBytes, m.profile.OutBytes, c.run)
+		bd, err := m.serve(ctx, m.profile.InBytes, m.profile.OutBytes, c)
 		out := c.out
 		*c = endpointCall{}
 		endpointCallPool.Put(c)
@@ -481,7 +484,7 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	// one response struct and one secret-name string per vector.
 	backing := make([]byte, k*AVBackingBytes)
 	resp.Vectors = make([]UDMGenerateAVResponse, k)
-	err := m.rt().DoBatch(ctx, k*m.profile.InBytes, k*m.profile.OutBytes, func(ex Exec) error {
+	err := m.rt().DoBatch(ctx, k*m.profile.InBytes, k*m.profile.OutBytes, hmee.HandlerFunc(func(ex Exec) error {
 		// A refill is per-SUPI: reuse the key lookup (and its secret-name
 		// string) across consecutive items for the same subscriber.
 		var key []byte
@@ -509,7 +512,7 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 			}
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -525,10 +528,10 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
 	}
 	name := subscriberSecret(supi)
-	err := m.rt().Do(ctx, func(ex Exec) error {
+	err := m.rt().Do(ctx, hmee.HandlerFunc(func(ex Exec) error {
 		ex.StoreSecret(name, k)
 		return nil
-	})
+	}))
 	if err != nil {
 		return fmt.Errorf("paka: provision %s: %w", supi, err)
 	}
@@ -746,10 +749,10 @@ func (m *Module) Restart(ctx context.Context) error {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: recover %s: %w", m.kind, name, err)
 			}
-			if err := fresh.Do(ctx, func(ex Exec) error {
+			if err := fresh.Do(ctx, hmee.HandlerFunc(func(ex Exec) error {
 				ex.StoreSecret(name, k)
 				return nil
-			}); err != nil {
+			})); err != nil {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: restore %s: %w", m.kind, name, err)
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/hmee/sev"
 	"shield5g/internal/hmee/sgx"
@@ -50,26 +51,13 @@ func (i Isolation) String() string {
 	}
 }
 
-// Exec is the execution surface a module handler charges its work
-// through. Inside an enclave it is the *sgx.Thread (memory-encryption
-// overhead, AEX draws, EPC faults); in a plain container it charges native
-// costs.
-type Exec interface {
-	// Compute charges n cycles of handler execution.
-	Compute(n simclock.Cycles)
-	// Touch charges access to n bytes of heap.
-	Touch(nBytes uint64)
-	// StoreSecret places sensitive material in the runtime's memory.
-	StoreSecret(name string, data []byte)
-	// LoadSecret reads sensitive material back.
-	LoadSecret(name string) ([]byte, bool)
-}
-
-// The enclave thread is an Exec.
-var _ Exec = (*sgx.Thread)(nil)
-
-// Breakdown re-exports the per-request latency windows.
-type Breakdown = gramine.Breakdown
+// Exec, Handler and Breakdown are the contract every isolation backend
+// shares (package hmee), under the names the module code uses.
+type (
+	Exec      = hmee.Exec
+	Handler   = hmee.Handler
+	Breakdown = hmee.Breakdown
+)
 
 // RuntimeSession is one persistent keep-alive connection into a module
 // runtime: the per-connection setup (accept machinery, TLS handshake) is
@@ -79,7 +67,7 @@ type Breakdown = gramine.Breakdown
 type RuntimeSession interface {
 	// Serve runs one pipelined request on the session. The Breakdown
 	// windows match ServeRequest minus the amortized phases.
-	Serve(ctx context.Context, inBytes, outBytes int, handler func(Exec) error) (Breakdown, error)
+	Serve(ctx context.Context, inBytes, outBytes int, h Handler) (Breakdown, error)
 	// Close pays the connection teardown. Closing twice, or after the
 	// runtime shut down, is a free no-op.
 	Close(ctx context.Context) error
@@ -88,17 +76,18 @@ type RuntimeSession interface {
 // Runtime hosts a module's request loop under one isolation mode.
 type Runtime interface {
 	// ServeRequest runs one request through the modelled server path.
-	ServeRequest(ctx context.Context, inBytes, outBytes int, handler func(Exec) error) (Breakdown, error)
+	ServeRequest(ctx context.Context, inBytes, outBytes int, h Handler) (Breakdown, error)
 	// OpenSession opens a persistent connection for pipelined requests.
 	OpenSession(ctx context.Context) (RuntimeSession, error)
-	// Do runs fn on the runtime's execution surface outside any request
+	// Do runs h on the runtime's execution surface outside any request
 	// (provisioning, maintenance).
-	Do(ctx context.Context, fn func(Exec) error) error
-	// DoBatch runs fn across the isolation boundary in a single crossing
+	Do(ctx context.Context, h Handler) error
+	// DoBatch runs h across the isolation boundary in a single crossing
 	// sized argBytes in / retBytes out — under SGX one EENTER/EEXIT pair
-	// for the whole batch; isolation modes without per-crossing
-	// transitions treat it like Do plus the data movement.
-	DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error
+	// (or one ring submission) for the whole batch; isolation modes
+	// without per-crossing transitions treat it like Do plus the data
+	// movement.
+	DoBatch(ctx context.Context, argBytes, retBytes int, h Handler) error
 	// LoadDuration is the modelled deployment time (Fig. 7 for SGX).
 	LoadDuration() time.Duration
 	// Stats snapshots SGX counters (zero for non-SGX runtimes).
@@ -113,6 +102,8 @@ type Runtime interface {
 
 // --- SGX runtime (Gramine shielded container) ---
 
+// sgxRuntime hands every call straight to the instance: how a request
+// crosses the enclave boundary is gramine's decision, not this layer's.
 type sgxRuntime struct {
 	inst *gramine.Instance
 }
@@ -126,17 +117,8 @@ func newSGXRuntime(ctx context.Context, p *sgx.Platform, si *gramine.ShieldedIma
 	return &sgxRuntime{inst: inst}, nil
 }
 
-// The switchless/classic split below is deliberate: the two branches pass
-// two distinct closure literals. The switchless entries store their
-// handler in a pooled ring job, so that literal escapes; keeping the
-// classic literal separate (and the classic gramine entries free of any
-// ring branch) lets escape analysis keep it on the stack — one fewer heap
-// allocation per request on the non-switchless hot path.
-func (r *sgxRuntime) ServeRequest(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	if sgx.SwitchlessFrom(ctx) {
-		return r.inst.ServeRequestSwitchless(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
-	}
-	return r.inst.ServeRequest(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
+func (r *sgxRuntime) ServeRequest(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
+	return r.inst.Serve(ctx, in, out, h)
 }
 
 func (r *sgxRuntime) OpenSession(ctx context.Context) (RuntimeSession, error) {
@@ -144,31 +126,13 @@ func (r *sgxRuntime) OpenSession(ctx context.Context) (RuntimeSession, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sgxSession{sess: sess}, nil
+	return sess, nil
 }
 
-type sgxSession struct {
-	sess *gramine.Session
-}
+func (r *sgxRuntime) Do(ctx context.Context, h Handler) error { return r.inst.Do(ctx, h) }
 
-func (s sgxSession) Serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	if s.sess.Switchless() {
-		return s.sess.ServeSwitchless(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
-	}
-	return s.sess.Serve(ctx, in, out, func(th *sgx.Thread) error { return handler(th) })
-}
-
-func (s sgxSession) Close(ctx context.Context) error { return s.sess.Close(ctx) }
-
-func (r *sgxRuntime) Do(ctx context.Context, fn func(Exec) error) error {
-	return r.inst.Do(ctx, func(th *sgx.Thread) error { return fn(th) })
-}
-
-func (r *sgxRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error {
-	if sgx.SwitchlessFrom(ctx) {
-		return r.inst.DoBatchSwitchless(ctx, argBytes, retBytes, func(th *sgx.Thread) error { return fn(th) })
-	}
-	return r.inst.DoBatch(ctx, argBytes, retBytes, func(th *sgx.Thread) error { return fn(th) })
+func (r *sgxRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, h Handler) error {
+	return r.inst.DoBatch(ctx, argBytes, retBytes, h)
 }
 
 func (r *sgxRuntime) LoadDuration() time.Duration  { return r.inst.LoadDuration() }
@@ -196,8 +160,8 @@ func newSEVRuntime(ctx context.Context, env *costmodel.Env, name string, appImag
 	return &sevRuntime{machine: machine}, nil
 }
 
-func (r *sevRuntime) ServeRequest(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	return r.machine.ServeRequest(ctx, in, out, func(ex sev.Exec) error { return handler(ex) })
+func (r *sevRuntime) ServeRequest(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
+	return r.machine.ServeRequest(ctx, in, out, h)
 }
 
 // OpenSession for SEV is a pass-through: a confidential VM pays no
@@ -211,18 +175,16 @@ type sevSession struct {
 	rt *sevRuntime
 }
 
-func (s sevSession) Serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
-	return s.rt.ServeRequest(ctx, in, out, handler)
+func (s sevSession) Serve(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
+	return s.rt.ServeRequest(ctx, in, out, h)
 }
 
 func (s sevSession) Close(context.Context) error { return nil }
 
-func (r *sevRuntime) Do(ctx context.Context, fn func(Exec) error) error {
-	return r.machine.Do(ctx, func(ex sev.Exec) error { return fn(ex) })
-}
+func (r *sevRuntime) Do(ctx context.Context, h Handler) error { return r.machine.Do(ctx, h) }
 
-func (r *sevRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error {
-	return r.Do(ctx, fn)
+func (r *sevRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, h Handler) error {
+	return r.Do(ctx, h)
 }
 
 func (r *sevRuntime) LoadDuration() time.Duration  { return r.machine.LoadDuration() }
@@ -230,9 +192,6 @@ func (r *sevRuntime) Stats() sgx.StatsSnapshot     { return sgx.StatsSnapshot{} 
 func (r *sevRuntime) AccrueUptime(d time.Duration) {}
 func (r *sevRuntime) Warm() bool                   { return r.machine.Warm() }
 func (r *sevRuntime) Shutdown()                    { r.machine.Stop() }
-
-// The guest execution surface satisfies the runtime contract.
-var _ Exec = sev.Exec{}
 
 // --- native runtime (plain container) ---
 
@@ -248,7 +207,7 @@ const nativeWarmupCycles = 2_000_000
 
 type nativeRuntime struct {
 	env      *costmodel.Env
-	syscalls gramine.SyscallProfile
+	syscalls hmee.SyscallProfile
 
 	mu      sync.Mutex
 	running bool
@@ -259,7 +218,7 @@ type nativeRuntime struct {
 func newNativeRuntime(env *costmodel.Env) *nativeRuntime {
 	return &nativeRuntime{
 		env:      env,
-		syscalls: gramine.DefaultSyscallProfile(),
+		syscalls: hmee.DefaultSyscallProfile(),
 		running:  true,
 		secrets:  make(map[string][]byte),
 	}
@@ -292,109 +251,109 @@ func (e nativeExec) LoadSecret(name string) ([]byte, bool) {
 	return append([]byte(nil), d...), true
 }
 
-var _ Exec = nativeExec{}
-
 // errStopped reports use of a stopped native runtime.
 var errStopped = errors.New("paka: runtime stopped")
 
-func (r *nativeRuntime) ServeRequest(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
+// run is the native server path: the same phases, in the same order, as
+// gramine's request.Execute, each proxied syscall priced at native cost —
+// so the container-vs-SGX comparison differs only in the per-event price,
+// in keep-alive and batch mode too. It is the only place the native census
+// is charged.
+func (r *nativeRuntime) run(ctx context.Context, ph hmee.Phases, in, out int, h Handler) (Breakdown, error) {
 	r.mu.Lock()
 	if !r.running {
 		r.mu.Unlock()
 		return Breakdown{}, errStopped
 	}
-	first := !r.warm
-	r.warm = true
+	if ph&hmee.Warmup != 0 {
+		if r.warm {
+			ph = ph.Warm()
+		}
+		r.warm = true
+	}
 	r.mu.Unlock()
 
-	m := r.env.Model
+	m, sp := r.env.Model, r.syscalls
 	// Pin the request account so callers without one still get coherent
 	// latency windows.
 	acct := simclock.AccountFrom(ctx)
 	ctx = simclock.WithAccount(ctx, acct)
 	charge := func(n simclock.Cycles) { r.env.Charge(ctx, n) }
-	syscall := func(bytes int) {
-		charge(m.SyscallNative + simclock.Cycles(bytes)*m.CopyPerByte)
+	syscalls := func(n, bytes int) {
+		charge(simclock.Cycles(n) * (m.SyscallNative + simclock.Cycles(bytes)*m.CopyPerByte))
 	}
 	start := acct.Total()
 
-	if first {
+	if ph&hmee.Warmup != 0 {
 		charge(nativeWarmupCycles)
+	}
+	handshakeFirst := ph.HandshakeFirst()
+	if handshakeFirst {
+		charge(m.TLSHandshakeServer)
+	}
+	if ph&(hmee.Pre|hmee.Body) != 0 {
+		n := 0
+		if ph&hmee.Pre != 0 {
+			n = sp.Pre
+		}
+		if ph&hmee.Body != 0 {
+			// Keep-alive readiness wake-ups, drawn at the same jitter
+			// position with or without the accept machinery before them.
+			n += int(r.env.JitterFor(ctx).Uint64n(3))
+		}
+		syscalls(n, 32)
+	}
+	if ph&hmee.Handshake != 0 && !handshakeFirst {
 		charge(m.TLSHandshakeServer)
 	}
 
-	jig := int(r.env.JitterFor(ctx).Uint64n(3))
-	for k := 0; k < r.syscalls.Pre+jig; k++ {
-		syscall(32)
+	var bd Breakdown
+	var err error
+	switch {
+	case ph&hmee.Body != 0:
+		totalStart := acct.Total()
+		syscalls(sp.Read, in/sp.Read+1)
+		charge(m.TLSRecordCost(in) + m.HTTPCost(in))
+
+		fnStart := acct.Total()
+		syscalls(sp.InHandler, 16)
+		err = h.Run(nativeExec{ctx: ctx, rt: r})
+		bd.Functional = acct.Total() - fnStart
+
+		charge(m.HTTPCost(out) + m.TLSRecordCost(out))
+		syscalls(sp.Write, out/sp.Write+1)
+		bd.Total = acct.Total() - totalStart
+	case h != nil:
+		// Handler-only. An Entry adds the IPC moving the batch in and out
+		// of the module process — no transition pair to save, which is
+		// exactly the contrast the batching experiment measures.
+		if ph&hmee.Entry != 0 {
+			syscalls(1, in)
+		}
+		err = h.Run(nativeExec{ctx: ctx, rt: r})
+		if ph&hmee.Entry != 0 {
+			syscalls(1, out)
+		}
 	}
 
-	functional, total, err := r.requestCensus(ctx, acct, in, out, handler)
-
-	for k := 0; k < r.syscalls.Post; k++ {
-		syscall(32)
+	if ph&hmee.Post != 0 {
+		syscalls(sp.Post, 32)
 	}
-
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
+	bd.ServerSide = acct.Total() - start
+	return bd, err
 }
 
-// requestCensus charges the per-request half of the native census —
-// mirroring gramine's split so the container-vs-SGX comparison stays
-// apples-to-apples in keep-alive mode too.
-func (r *nativeRuntime) requestCensus(ctx context.Context, acct *simclock.Account, in, out int, handler func(Exec) error) (functional, total simclock.Cycles, err error) {
-	m := r.env.Model
-	charge := func(n simclock.Cycles) { r.env.Charge(ctx, n) }
-	syscall := func(bytes int) {
-		charge(m.SyscallNative + simclock.Cycles(bytes)*m.CopyPerByte)
-	}
-
-	totalStart := acct.Total()
-	for k := 0; k < r.syscalls.Read; k++ {
-		syscall(in/r.syscalls.Read + 1)
-	}
-	charge(m.TLSRecordCost(in) + m.HTTPCost(in))
-
-	fnStart := acct.Total()
-	for k := 0; k < r.syscalls.InHandler; k++ {
-		syscall(16)
-	}
-	err = handler(nativeExec{ctx: ctx, rt: r})
-	fnEnd := acct.Total()
-
-	charge(m.HTTPCost(out) + m.TLSRecordCost(out))
-	for k := 0; k < r.syscalls.Write; k++ {
-		syscall(out/r.syscalls.Write + 1)
-	}
-	totalEnd := acct.Total()
-	return fnEnd - fnStart, totalEnd - totalStart, err
+func (r *nativeRuntime) ServeRequest(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
+	return r.run(ctx, hmee.OneShot, in, out, h)
 }
 
 // OpenSession mirrors the gramine keep-alive contract natively: the
 // accept machinery and TLS handshake at open, the post machinery at
 // close, only the per-request census per pipelined request.
 func (r *nativeRuntime) OpenSession(ctx context.Context) (RuntimeSession, error) {
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return nil, errStopped
+	if _, err := r.run(ctx, hmee.Open, 0, 0, nil); err != nil {
+		return nil, err
 	}
-	first := !r.warm
-	r.warm = true
-	r.mu.Unlock()
-
-	m := r.env.Model
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	charge := func(n simclock.Cycles) { r.env.Charge(ctx, n) }
-	if first {
-		charge(nativeWarmupCycles)
-	}
-	for k := 0; k < r.syscalls.Pre; k++ {
-		charge(m.SyscallNative + 32*m.CopyPerByte)
-	}
-	charge(m.TLSHandshakeServer)
 	return &nativeSession{rt: r, open: true}, nil
 }
 
@@ -404,91 +363,38 @@ type nativeSession struct {
 	open bool
 }
 
-func (s *nativeSession) Serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
+func (s *nativeSession) Serve(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
 	s.mu.Lock()
 	open := s.open
 	s.mu.Unlock()
 	if !open {
 		return Breakdown{}, errStopped
 	}
-	r := s.rt
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return Breakdown{}, errStopped
-	}
-	r.mu.Unlock()
-
-	m := r.env.Model
-	acct := simclock.AccountFrom(ctx)
-	ctx = simclock.WithAccount(ctx, acct)
-	start := acct.Total()
-
-	// Keep-alive readiness wake-ups, drawn from the same jitter position
-	// ServeRequest uses for its Pre variation.
-	jig := int(r.env.JitterFor(ctx).Uint64n(3))
-	for k := 0; k < jig; k++ {
-		r.env.Charge(ctx, m.SyscallNative+32*m.CopyPerByte)
-	}
-
-	functional, total, err := r.requestCensus(ctx, acct, in, out, handler)
-	return Breakdown{
-		Functional: functional,
-		Total:      total,
-		ServerSide: acct.Total() - start,
-	}, err
+	return s.rt.run(ctx, hmee.Pipelined, in, out, h)
 }
 
 func (s *nativeSession) Close(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.open {
-		s.mu.Unlock()
-		return nil
-	}
+	open := s.open
 	s.open = false
 	s.mu.Unlock()
-
-	r := s.rt
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
+	if !open {
 		return nil
 	}
-	r.mu.Unlock()
-	m := r.env.Model
-	for k := 0; k < r.syscalls.Post; k++ {
-		r.env.Charge(ctx, m.SyscallNative+32*m.CopyPerByte)
+	// A connection that died with the runtime closes for free.
+	if _, err := s.rt.run(ctx, hmee.Close, 0, 0, nil); err != nil && !errors.Is(err, errStopped) {
+		return err
 	}
 	return nil
 }
 
-func (r *nativeRuntime) Do(ctx context.Context, fn func(Exec) error) error {
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return errStopped
-	}
-	r.mu.Unlock()
-	// Pin the account so multi-step maintenance aggregates on one ledger.
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return fn(nativeExec{ctx: ctx, rt: r})
+func (r *nativeRuntime) Do(ctx context.Context, h Handler) error {
+	_, err := r.run(ctx, 0, 0, 0, h)
+	return err
 }
 
-// DoBatch natively is Do plus the IPC moving the batch in and out of the
-// module process — no transition pair to save, which is exactly the
-// contrast the batching experiment measures.
-func (r *nativeRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, fn func(Exec) error) error {
-	r.mu.Lock()
-	if !r.running {
-		r.mu.Unlock()
-		return errStopped
-	}
-	r.mu.Unlock()
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	m := r.env.Model
-	r.env.Charge(ctx, m.SyscallNative+simclock.Cycles(argBytes)*m.CopyPerByte)
-	err := fn(nativeExec{ctx: ctx, rt: r})
-	r.env.Charge(ctx, m.SyscallNative+simclock.Cycles(retBytes)*m.CopyPerByte)
+func (r *nativeRuntime) DoBatch(ctx context.Context, argBytes, retBytes int, h Handler) error {
+	_, err := r.run(ctx, hmee.Entry, argBytes, retBytes, h)
 	return err
 }
 

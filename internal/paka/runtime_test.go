@@ -8,8 +8,11 @@ import (
 	"testing"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/hmee"
 	"shield5g/internal/simclock"
 )
+
+var noop = hmee.HandlerFunc(func(Exec) error { return nil })
 
 // TestNativeRuntimeServeShutdownRace drives concurrent requests against a
 // runtime being shut down (run under -race): every outcome must be either
@@ -31,10 +34,10 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 					return
 				default:
 				}
-				_, err := rt.ServeRequest(ctx, 40, 80, func(ex Exec) error {
+				_, err := rt.ServeRequest(ctx, 40, 80, hmee.HandlerFunc(func(ex Exec) error {
 					ex.Compute(10_000)
 					return nil
-				})
+				}))
 				if err != nil && !errors.Is(err, errStopped) {
 					t.Errorf("worker %d: unexpected error %v", w, err)
 					return
@@ -46,13 +49,13 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if _, err := rt.ServeRequest(context.Background(), 10, 10, func(Exec) error { return nil }); !errors.Is(err, errStopped) {
+	if _, err := rt.ServeRequest(context.Background(), 10, 10, noop); !errors.Is(err, errStopped) {
 		t.Fatalf("ServeRequest after Shutdown = %v, want errStopped", err)
 	}
 	if _, err := rt.OpenSession(context.Background()); !errors.Is(err, errStopped) {
 		t.Fatalf("OpenSession after Shutdown = %v, want errStopped", err)
 	}
-	if err := rt.Do(context.Background(), func(Exec) error { return nil }); !errors.Is(err, errStopped) {
+	if err := rt.Do(context.Background(), noop); !errors.Is(err, errStopped) {
 		t.Fatalf("Do after Shutdown = %v, want errStopped", err)
 	}
 }
@@ -74,7 +77,7 @@ func TestNativeRuntimeWarmupChargedOnce(t *testing.T) {
 			acct := &simclock.Account{}
 			ctx := simclock.WithAccount(context.Background(), acct)
 			ctx = simclock.WithJitter(ctx, simclock.NewJitter(uint64(w)+1))
-			if _, err := rt.ServeRequest(ctx, 40, 80, func(Exec) error { return nil }); err != nil {
+			if _, err := rt.ServeRequest(ctx, 40, 80, noop); err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return
 			}
@@ -108,7 +111,7 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 	rt := newNativeRuntime(env)
 
 	// Warm the runtime outside the measured window.
-	if _, err := rt.ServeRequest(context.Background(), 40, 80, func(Exec) error { return nil }); err != nil {
+	if _, err := rt.ServeRequest(context.Background(), 40, 80, noop); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 
@@ -123,7 +126,7 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 	}
 
 	full := measure(func(ctx context.Context) error {
-		_, err := rt.ServeRequest(ctx, 40, 80, func(Exec) error { return nil })
+		_, err := rt.ServeRequest(ctx, 40, 80, noop)
 		return err
 	})
 
@@ -133,7 +136,7 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 		return err
 	})
 	serve := measure(func(ctx context.Context) error {
-		_, err := sess.Serve(ctx, 40, 80, func(Exec) error { return nil })
+		_, err := sess.Serve(ctx, 40, 80, noop)
 		return err
 	})
 	closeCost := measure(func(ctx context.Context) error { return sess.Close(ctx) })
@@ -151,7 +154,7 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 		t.Fatalf("open+serve+close = %d, want full %d + handshake = %d", got, full, want)
 	}
 
-	if _, err := sess.Serve(context.Background(), 10, 10, func(Exec) error { return nil }); !errors.Is(err, errStopped) {
+	if _, err := sess.Serve(context.Background(), 10, 10, noop); !errors.Is(err, errStopped) {
 		t.Fatalf("Serve on closed session = %v, want errStopped", err)
 	}
 }
@@ -162,12 +165,12 @@ func TestNativeDoBatchChargesCaller(t *testing.T) {
 	rt := newNativeRuntime(env)
 	acct := &simclock.Account{}
 	ctx := simclock.WithAccount(context.Background(), acct)
-	if err := rt.DoBatch(ctx, 640, 1280, func(ex Exec) error {
+	if err := rt.DoBatch(ctx, 640, 1280, hmee.HandlerFunc(func(ex Exec) error {
 		for i := 0; i < 8; i++ {
 			ex.Compute(50_000)
 		}
 		return nil
-	}); err != nil {
+	})); err != nil {
 		t.Fatalf("DoBatch: %v", err)
 	}
 	if acct.Total() < 8*50_000 {

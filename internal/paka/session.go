@@ -70,10 +70,10 @@ func (m *Module) dropSessions() {
 // path when no keep-alive connection rides ctx, otherwise the
 // connection's open session, recycled every Connection.Batch requests so
 // batch size is a real amortization factor.
-func (m *Module) serve(ctx context.Context, in, out int, handler func(Exec) error) (Breakdown, error) {
+func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
 	conn, ok := ConnectionFrom(ctx)
 	if !ok {
-		return m.rt().ServeRequest(ctx, in, out, handler)
+		return m.rt().ServeRequest(ctx, in, out, h)
 	}
 
 	rt := m.rt()
@@ -94,7 +94,7 @@ func (m *Module) serve(ctx context.Context, in, out int, handler func(Exec) erro
 		ms.rt, ms.sess, ms.served = rt, sess, 0
 	}
 
-	bd, err := ms.sess.Serve(ctx, in, out, handler)
+	bd, err := ms.sess.Serve(ctx, in, out, h)
 	if err != nil {
 		// Never reuse a session that just failed — the retry path must
 		// reopen on whatever runtime is then current.

@@ -8,6 +8,7 @@ import (
 	"shield5g/internal/costmodel"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/sbi"
+	"shield5g/internal/simclock"
 )
 
 // switchlessModule deploys an SGX module with the switchless ECALL ring
@@ -120,5 +121,53 @@ func TestSwitchlessManifestNeedsDispatcherTCS(t *testing.T) {
 	// One long-lived EENTER beyond process+helpers pins the dispatcher TCS.
 	if got := m.Enclave().Config().MaxThreads; got < 5 {
 		t.Fatalf("switchless module MaxThreads = %d, want >= 5 (dispatcher TCS)", got)
+	}
+}
+
+// TestCrossingAllocParity pins the removal of the closure-pair hack: one
+// warm eAUSF DeriveSE through the module endpoint allocates the same on
+// the classic and the ring crossing, and no more than the classic crossing
+// did while the handler still travelled as a closure re-wrapped per layer
+// (measured then: classic 5, ring 6).
+func TestCrossingAllocParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds items at random under the race detector")
+	}
+	const closureEraClassic = 5
+
+	h := newHarness(t, 41)
+	m := h.switchlessModule(t, EAUSF)
+	av, err := GenerateAV(testK, avRequest())
+	if err != nil {
+		t.Fatalf("GenerateAV: %v", err)
+	}
+	req := &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN}
+
+	measure := func(ctx context.Context) float64 {
+		t.Helper()
+		var se AUSFDeriveSEResponse
+		post := func() {
+			if err := h.client.Post(ctx, m.ServiceName(), PathAUSFDeriveSE, req, &se); err != nil {
+				t.Fatalf("DeriveSE: %v", err)
+			}
+		}
+		post() // warm the module, the pools and the negotiated format
+		return testing.AllocsPerRun(200, post)
+	}
+
+	// Requests carry their account, as every driver's do.
+	ctx := simclock.WithAccount(context.Background(), &simclock.Account{})
+	classic := measure(ctx)
+	before := m.RingStats().Submitted
+	ring := measure(WithSwitchless(ctx))
+	if m.RingStats().Submitted == before {
+		t.Fatal("ring crossing never touched the ring")
+	}
+	t.Logf("allocs per warm DeriveSE: classic %.0f, ring %.0f", classic, ring)
+	if classic != ring {
+		t.Errorf("classic crossing allocates %.0f, ring %.0f; the crossing must not change what a request allocates", classic, ring)
+	}
+	if classic > closureEraClassic {
+		t.Errorf("classic crossing allocates %.0f, more than the %d of the closure-passing serve path", classic, closureEraClassic)
 	}
 }
