@@ -38,18 +38,9 @@ func run() int {
 	tlsDir := flag.String("tlsdir", "", "serve with mutual TLS (TS 33.210), writing ca.pem/client.pem/client.key for curl into this directory")
 	flag.Parse()
 
-	var iso shield5g.Isolation
-	switch *isolation {
-	case "monolithic":
-		iso = shield5g.Monolithic
-	case "container":
-		iso = shield5g.Container
-	case "sgx":
-		iso = shield5g.SGX
-	case "sev":
-		iso = shield5g.SEV
-	default:
-		fmt.Fprintf(os.Stderr, "core5g: unknown isolation %q\n", *isolation)
+	iso, err := shield5g.ParseIsolation(*isolation)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "core5g: %v\n", err)
 		return 2
 	}
 

@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments -list
-//	experiments [-seed N] [-iterations N] all
+//	experiments [-seed N] [-iterations N] [-csvdir DIR] all
 //	experiments fig7 fig9 table2 ...
 package main
 
@@ -11,6 +11,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -25,7 +26,7 @@ func run() int {
 	seed := flag.Uint64("seed", 1, "jitter seed for reproducible virtual-time measurements")
 	iterations := flag.Int("iterations", 500, "samples per configuration (paper: 500)")
 	maxUEs := flag.Int("maxues", 3, "UE sweep depth for table3 (paper registers up to 10)")
-	csvDir := flag.String("csvdir", "", "also write plot-friendly CSV series for figure experiments into this directory")
+	csvDir := flag.String("csvdir", "", "also write plot-friendly CSV series for the experiments that export one into this directory")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	flag.Parse()
 
@@ -36,60 +37,63 @@ func run() int {
 		return 0
 	}
 
-	cfg := shield5g.ExperimentConfig{Seed: *seed, Iterations: *iterations, MaxUEs: *maxUEs}
-	ctx := context.Background()
-
-	args := flag.Args()
-	if len(args) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] [-iterations N] all | <name>...")
+	names := flag.Args()
+	if len(names) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: experiments [-seed N] [-iterations N] [-csvdir DIR] all | <name>...")
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", shield5g.Experiments())
 		return 2
 	}
-	if len(args) == 1 && args[0] == "all" {
-		if err := shield5g.RunAllExperiments(ctx, cfg, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			return 1
-		}
-		return 0
+	if len(names) == 1 && names[0] == "all" {
+		names = shield5g.Experiments()
 	}
-	for _, name := range args {
-		fmt.Printf("\n=== %s ===\n", name)
-		if err := shield5g.RunExperiment(ctx, name, cfg, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			return 1
-		}
-		if *csvDir != "" && hasCSV(name) {
-			if err := writeCSV(ctx, *csvDir, name, cfg); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %s CSV: %v\n", name, err)
-				return 1
-			}
-		}
+	cfg := shield5g.ExperimentConfig{Seed: *seed, Iterations: *iterations, MaxUEs: *maxUEs}
+	if err := runExperiments(context.Background(), shield5g.LookupExperiment, names, cfg, os.Stdout, *csvDir); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		return 1
 	}
 	return 0
 }
 
-func hasCSV(name string) bool {
-	for _, n := range shield5g.CSVExperiments() {
-		if n == name {
-			return true
+// runExperiments runs each named experiment once: the one result is
+// rendered to w and, when csvDir is set and the result exports a series,
+// written to csvDir/<name>.csv as well. Like Render, the banners ignore
+// write errors on w (stdout or an in-memory buffer).
+func runExperiments(ctx context.Context, lookup func(string) (shield5g.Experiment, error),
+	names []string, cfg shield5g.ExperimentConfig, w io.Writer, csvDir string) error {
+	for _, name := range names {
+		exp, err := lookup(name)
+		if err != nil {
+			return err
+		}
+		_, _ = fmt.Fprintf(w, "\n=== %s ===\n", name)
+		result, err := exp.Run(ctx, cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		result.Render(w)
+		if series, ok := result.(shield5g.ExperimentCSV); ok && csvDir != "" {
+			path, err := writeCSV(csvDir, name, series)
+			if err != nil {
+				return fmt.Errorf("%s CSV: %w", name, err)
+			}
+			_, _ = fmt.Fprintf(w, "(series written to %s)\n", path)
 		}
 	}
-	return false
+	return nil
 }
 
-func writeCSV(ctx context.Context, dir, name string, cfg shield5g.ExperimentConfig) error {
+func writeCSV(dir, name string, series shield5g.ExperimentCSV) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+		return "", err
 	}
 	path := filepath.Join(dir, name+".csv")
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return "", err
 	}
 	defer func() { _ = f.Close() }()
-	if err := shield5g.WriteExperimentCSV(ctx, name, cfg, f); err != nil {
-		return err
+	if err := series.WriteCSV(f); err != nil {
+		return "", err
 	}
-	fmt.Printf("(series written to %s)\n", path)
-	return f.Close()
+	return path, f.Close()
 }

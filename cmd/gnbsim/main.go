@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gnbsim [-n 100] [-parallel 1] [-isolation sgx|container|monolithic] [-seed N]
+//	gnbsim [-n 100] [-parallel 1] [-isolation monolithic|container|sgx|sev] [-seed N]
 //	       [-chaos RATE] [-retries N] [-batch N] [-avpool N] [-switchless]
 //	       [-shards N] [-shardsize K]
 //	       [-storm FACTOR] [-limiter]
@@ -55,7 +55,7 @@ func main() {
 func run() int {
 	n := flag.Int("n", 100, "number of UEs to register")
 	parallel := flag.Int("parallel", 1, "concurrent registration workers (1 = sequential, deterministic)")
-	isolation := flag.String("isolation", "sgx", "AKA isolation: monolithic, container or sgx")
+	isolation := flag.String("isolation", "sgx", "AKA isolation: monolithic, container, sgx or sev")
 	seed := flag.Uint64("seed", 1, "jitter seed")
 	chaosRate := flag.Float64("chaos", 0, "total per-request fault-injection rate (0 disables)")
 	retries := flag.Int("retries", 0, "max registration attempts per UE (0 = 1, or 5 when -chaos is set)")
@@ -70,7 +70,7 @@ func run() int {
 	memProfile := flag.String("memprofile", "", "write an allocs profile of the run to this file")
 	flag.Parse()
 
-	iso, err := parseIsolation(*isolation)
+	iso, err := shield5g.ParseIsolation(*isolation)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "gnbsim: %v\n", err)
 		return 2
@@ -259,13 +259,13 @@ func run() int {
 		sum := result.SetupTimes.Summarize()
 		fmt.Printf("session setup: median %v mean %v (virtual)\n",
 			sum.Median.Round(time.Microsecond), sum.Mean.Round(time.Microsecond))
-		fmt.Printf("throughput: %.0f regs/s wall, %.1f regs/s virtual (wall %v, virtual %v)\n",
-			result.WallRegsPerSec, result.VirtualRegsPerSec,
-			result.Wall.Round(time.Millisecond), result.Virtual.Round(time.Millisecond))
+		fmt.Printf("run: wall %v, virtual %v (%.2f virtual ms per registration, radio included)\n",
+			result.Wall.Round(time.Millisecond), result.Virtual.Round(time.Millisecond),
+			float64(result.Virtual)/float64(time.Millisecond)/float64(result.Registered))
 	}
 	if len(result.ShardStats) > 1 {
 		fmt.Printf("fleet: %.1f regs/s over makespan %v (busiest lane; lane_balance %.3f; epoch %d)\n",
-			result.FleetVirtualRegsPerSec, result.FleetVirtual.Round(time.Millisecond),
+			result.FleetRegsPerSec, result.FleetVirtual.Round(time.Millisecond),
 			result.LaneBalance, tb.Slice.Router.Epoch())
 		for i, st := range result.ShardStats {
 			fmt.Printf("  shard %d (%s): %d ok, %d failed, busy %v\n",
@@ -378,17 +378,4 @@ func runStorm(ctx context.Context, tb *shield5g.Testbed, n int, factor float64, 
 	fmt.Printf("overload: %d server sheds, %d client throttles, %d retries, %d breaker opens\n",
 		sheds, rs.Throttled, rs.Retries, rs.Breaker.Opens)
 	return 0
-}
-
-func parseIsolation(s string) (shield5g.Isolation, error) {
-	switch s {
-	case "monolithic":
-		return shield5g.Monolithic, nil
-	case "container":
-		return shield5g.Container, nil
-	case "sgx":
-		return shield5g.SGX, nil
-	default:
-		return 0, fmt.Errorf("unknown isolation %q", s)
-	}
 }

@@ -10,7 +10,7 @@ import (
 // path. Functions marked //shieldlint:hotpath in their doc comment are
 // the per-registration inner loop (KDF derivations, MILENAGE blocks,
 // SUCI CTR/tag passes, NAS protect/unprotect, SBI body codecs); the
-// allocation-budget assertion in BenchmarkRegisterManyBatched holds
+// allocation budget (experiments.FastPathAllocBudget, DESIGN.md §9) holds
 // only while they stay free of per-call heap traffic. fmt.Sprintf and
 // friends allocate the formatted string (plus boxing every operand),
 // and encoding/json's package-level Marshal/Unmarshal reflect over the

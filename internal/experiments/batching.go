@@ -35,6 +35,11 @@ type BatchingPoint struct {
 	// unbatched baseline.
 	TransPerReg float64
 	Reduction   float64
+	// AllocsPerReg is the heap cost per registration, provisioning
+	// included, counted inside an AllocWindow (not rendered: the Go heap
+	// is outside the determinism contract; TestBatchingAmortizes holds the
+	// unbatched point to half the seed's figure).
+	AllocsPerReg float64
 	// Pool counters (zero when the pool is disabled).
 	PoolHits    uint64
 	PoolMisses  uint64
@@ -130,12 +135,16 @@ func batchingPoint(ctx context.Context, s *deploy.Slice, n, batch int) (Batching
 	s.RemoteUDM.Response().MarkWarm()
 	transBefore := sliceTransitions(s)
 
-	res, err := s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
-		N: n,
-		NewUE: func(i int) (*ue.UE, error) {
-			return sliceSubscriber(ctx, s, fmt.Sprintf("%010d", 6000+i))
-		},
-		BatchSize: batch,
+	var res *gnb.MassResult
+	mallocs, _, err := AllocWindow(func() (err error) {
+		res, err = s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
+			N: n,
+			NewUE: func(i int) (*ue.UE, error) {
+				return sliceSubscriber(ctx, s, fmt.Sprintf("%010d", 6000+i))
+			},
+			BatchSize: batch,
+		})
+		return err
 	})
 	if err != nil {
 		return BatchingPoint{}, err
@@ -151,6 +160,7 @@ func batchingPoint(ctx context.Context, s *deploy.Slice, n, batch int) (Batching
 	}
 	if res.Registered > 0 {
 		point.TransPerReg = float64(sliceTransitions(s)-transBefore) / float64(res.Registered)
+		point.AllocsPerReg = float64(mallocs) / float64(res.Registered)
 	}
 	pool := s.UDM.AVPoolStats()
 	point.PoolHits = pool.Hits
@@ -189,9 +199,9 @@ func (r *BatchingResult) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%d", p.PoolDepth),
 			fmt.Sprintf("%d", p.Registered),
 			fmt.Sprintf("%d", p.Failed),
-			f(float64(p.MedianSetup) / float64(time.Millisecond)),
-			f(float64(p.P99Setup) / float64(time.Millisecond)),
-			f(float64(p.StableRS) / float64(time.Millisecond)),
+			f(ms(p.MedianSetup)),
+			f(ms(p.P99Setup)),
+			f(ms(p.StableRS)),
 			f(p.TransPerReg),
 			f(p.Reduction),
 			fmt.Sprintf("%d", p.PoolHits),

@@ -47,8 +47,9 @@ type ChaosPoint struct {
 	Reprovisions uint64
 	Expired      uint64
 	// MedianSetup is the virtual setup-time median of successful
-	// registrations.
+	// registrations; Virtual is the run's shared-clock advance.
 	MedianSetup time.Duration
+	Virtual     time.Duration
 	// SuccessPct is Registered over the UE population.
 	SuccessPct float64
 	// Resilience snapshots the retry layer's queryable counters across
@@ -64,6 +65,10 @@ type ChaosResult struct {
 	UEs         int
 	MaxAttempts int
 	Points      []ChaosPoint
+	// Rate0OverheadPct is what the armed injector plus the resilience
+	// layer cost at fault rate 0, in virtual time, over the same run on a
+	// slice deployed without them (acceptance: < 5 %).
+	Rate0OverheadPct float64
 	// Deterministic reports whether re-running the highest fault rate
 	// with the same seeds reproduced bit-identical outcome counts
 	// (registered/failed/attempts and the per-class failure and recovery
@@ -90,17 +95,25 @@ func Chaos(ctx context.Context, cfg Config) (*ChaosResult, error) {
 	rates := []float64{0, 0.02, 0.05, 0.10}
 	var last *gnb.MassResult
 	for _, rate := range rates {
-		point, res, err := chaosPoint(ctx, cfg, n, rate)
+		mix := chaos.DefaultMix(cfg.Seed+101, rate)
+		point, res, err := chaosPoint(ctx, cfg, n, &mix)
 		if err != nil {
 			return nil, err
 		}
+		point.Rate = rate
 		result.Points = append(result.Points, point)
 		last = res
 	}
+	bare, _, err := chaosPoint(ctx, cfg, n, nil)
+	if err != nil {
+		return nil, err
+	}
+	result.Rate0OverheadPct = 100 * (1 - float64(bare.Virtual)/float64(result.Points[0].Virtual))
 
 	// Determinism: replay the harshest point on a fresh same-seed slice
 	// and compare every outcome count.
-	_, replay, err := chaosPoint(ctx, cfg, n, rates[len(rates)-1])
+	mix := chaos.DefaultMix(cfg.Seed+101, rates[len(rates)-1])
+	_, replay, err := chaosPoint(ctx, cfg, n, &mix)
 	if err != nil {
 		return nil, err
 	}
@@ -117,25 +130,29 @@ func sameOutcome(a, b *gnb.MassResult) bool {
 		reflect.DeepEqual(a.Recovered, b.Recovered)
 }
 
-// chaosPoint deploys a fresh slice with the injector at the given total
-// rate, provisions the UE population fault-free, then drives a sequential
-// mass registration with driver-level retries while faults are armed.
-func chaosPoint(ctx context.Context, cfg Config, n int, rate float64) (ChaosPoint, *gnb.MassResult, error) {
-	mix := chaos.DefaultMix(cfg.Seed+101, rate)
+// chaosPoint deploys a fresh slice with the injector running mix (nil: no
+// injector and no resilience layer, the bare invoker chain), provisions
+// the UE population fault-free, then drives a sequential mass registration
+// with driver-level retries while faults are armed.
+func chaosPoint(ctx context.Context, cfg Config, n int, mix *chaos.Config) (ChaosPoint, *gnb.MassResult, error) {
 	s, err := deploy.NewSlice(ctx, deploy.SliceConfig{
 		Isolation: paka.SGX,
 		Seed:      cfg.Seed + 41,
-		Chaos:     &mix,
+		Chaos:     mix,
 	})
 	if err != nil {
 		return ChaosPoint{}, nil, err
 	}
 	defer s.Stop()
+	arm := func(bool) {}
+	if mix != nil {
+		arm = s.Chaos.SetArmed
+	}
 
 	// Provisioning and warm-up run fault-free so every point starts from
 	// the same deployed state; a disarmed injector draws nothing, keeping
 	// the decision streams aligned across points and replays.
-	s.Chaos.SetArmed(false)
+	arm(false)
 	warm, err := sliceSubscriber(ctx, s, "0000009998")
 	if err != nil {
 		return ChaosPoint{}, nil, err
@@ -149,7 +166,7 @@ func chaosPoint(ctx context.Context, cfg Config, n int, rate float64) (ChaosPoin
 			return ChaosPoint{}, nil, err
 		}
 	}
-	s.Chaos.SetArmed(true)
+	arm(true)
 
 	res, err := s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
 		N:           n,
@@ -160,21 +177,23 @@ func chaosPoint(ctx context.Context, cfg Config, n int, rate float64) (ChaosPoin
 	if err != nil {
 		return ChaosPoint{}, nil, err
 	}
-	s.Chaos.SetArmed(false)
+	arm(false)
 
 	point := ChaosPoint{
-		Rate:             rate,
 		Registered:       res.Registered,
 		Failed:           res.Failed,
 		Attempts:         res.Attempts,
 		RecoveredByClass: res.Recovered,
-		Injected:         s.Chaos.Counts(),
 		Reauths:          s.AMF.Reauths(),
 		Reprovisions:     s.UDM.Reprovisions(),
 		Expired:          s.AUSF.ExpiredSessions(),
 		MedianSetup:      res.SetupTimes.Summarize().Median,
+		Virtual:          res.Virtual,
 		SuccessPct:       100 * float64(res.Registered) / float64(n),
 		Resilience:       s.ResilienceStats(),
+	}
+	if mix != nil {
+		point.Injected = s.Chaos.Counts()
 	}
 	for _, c := range res.Recovered {
 		point.Recovered += c
@@ -209,6 +228,7 @@ func (r *ChaosResult) Render(w io.Writer) {
 	fprintf(w, "resilience at rate %.2f: sbi_attempts=%d sbi_retries=%d retry_after_honored=%d deadline_hits=%d breaker_opens=%d probes=%d rejected=%d\n",
 		last.Rate, rs.Attempts, rs.Retries, rs.RetryAfterHonored, rs.DeadlineHits,
 		rs.Breaker.Opens, rs.Breaker.Probes, rs.Breaker.Rejected)
+	fprintf(w, "armed injector + resilience layer at rate 0: %.2f%% of virtual time over the bare chain\n", r.Rate0OverheadPct)
 	if r.Deterministic {
 		fprintf(w, "(same-seed replay of the %.0f%% point reproduced identical outcome counts —\n", 100*last.Rate)
 		fprintf(w, " the fault schedule and every recovery are deterministic in virtual time)\n")
@@ -231,7 +251,7 @@ func (r *ChaosResult) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%d", p.Reauths),
 			fmt.Sprintf("%d", p.Reprovisions),
 			fmt.Sprintf("%d", p.Expired),
-			f(float64(p.MedianSetup) / float64(time.Millisecond)),
+			f(ms(p.MedianSetup)),
 			f(p.SuccessPct),
 			fmt.Sprintf("%d", p.Resilience.Retries),
 			fmt.Sprintf("%d", p.Resilience.Breaker.Opens),

@@ -1,0 +1,7 @@
+//go:build !race
+
+package experiments
+
+// RaceEnabled reports whether the race detector is compiled in; see
+// race_on.go.
+const RaceEnabled = false

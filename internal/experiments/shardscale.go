@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"time"
 
 	"shield5g/internal/deploy"
@@ -23,64 +22,58 @@ import (
 // makespan) next to the shared-clock figure. The replicas=1 point takes
 // the singleton construction path, so it is bit-identical to the seed's
 // golden transcripts; the fleet speedup at 8 replicas is the tentpole
-// acceptance figure (>= 3x). Set BENCH_SHARD_JSON to a path to dump the
-// sweep (the BENCH_shard_scaling.json artifact).
+// acceptance figure (>= 3x), held by TestShardScaleFleetSpeedup.
 
 // shardScaleReplicas is the swept replica axis.
 var shardScaleReplicas = []int{1, 2, 4, 8}
 
 // ShardScalePoint is one replica count of the sweep.
 type ShardScalePoint struct {
-	Replicas   int `json:"replicas"`
-	Registered int `json:"registered"`
-	Failed     int `json:"failed"`
+	Replicas   int
+	Registered int
+	Failed     int
 	// Virtual is the shared-clock advance over the run; FleetVirtual is
-	// the busiest replica lane's busy time (the fleet makespan).
-	Virtual       time.Duration `json:"-"`
-	VirtualMS     float64       `json:"virtual_ms"`
-	FleetVirtual  time.Duration `json:"-"`
-	FleetMS       float64       `json:"fleet_makespan_ms"`
-	VirtualRegsPS float64       `json:"virtual_regs_per_sec"`
-	FleetRegsPS   float64       `json:"fleet_regs_per_sec"`
+	// the busiest replica lane's busy time (the fleet makespan), and
+	// FleetRegsPS is Registered over it.
+	Virtual      time.Duration
+	FleetVirtual time.Duration
+	FleetRegsPS  float64
 	// Speedup is this point's fleet throughput over the replicas=1
 	// point's. It is the product of two things reported apart:
 	// LaneBalance (gnb.MassResult.LaneBalance — what the routing hash and
 	// a population this small leave of an even split) and the lanes'
 	// own capacity, Speedup / LaneBalance, which stays at Replicas as
 	// long as a registration costs the same on every lane.
-	Speedup     float64 `json:"speedup"`
-	LaneBalance float64 `json:"lane_balance"`
+	Speedup     float64
+	LaneBalance float64
 	// AllocsPerReg is the steady-state heap cost per registration,
-	// counted inside an AllocWindow. AllocBudget (FastPathAllocBudget)
-	// must hold at every replica count, or sharding bought throughput
-	// by spending the allocation-discipline work.
-	AllocsPerReg float64 `json:"allocs_per_reg"`
-	AllocBudget  float64 `json:"allocs_per_reg_budget"`
-	BytesPerReg  float64 `json:"bytes_per_reg"`
+	// counted inside an AllocWindow. FastPathAllocBudget must hold at
+	// every replica count, or sharding bought throughput by spending the
+	// allocation-discipline work.
+	AllocsPerReg float64
+	BytesPerReg  float64
 	// TransPerReg is the fleet-wide EENTER+EEXIT census per registration
 	// over the measured window — the figure the switchless ring collapses;
 	// it must stay flat across replica counts (sharding multiplies lanes,
 	// not per-registration boundary crossings).
-	TransPerReg float64 `json:"transitions_per_reg"`
+	TransPerReg float64
 	// LaneRegistered is the per-shard registration spread (affinity
 	// balance), in shard-index order.
-	LaneRegistered []int `json:"lane_registered"`
-	// Mode keys the point for benchdiff ("replicas-N").
-	Mode string `json:"mode"`
+	LaneRegistered []int
 }
 
 // ShardScaleResult is the full sweep.
 type ShardScaleResult struct {
-	UEs    int               `json:"ues"`
-	Points []ShardScalePoint `json:"points"`
+	UEs    int
+	Points []ShardScalePoint
 	// SpeedupAt8 is the fleet-throughput gain of 8 replicas over 1
 	// (acceptance: >= 3).
-	SpeedupAt8 float64 `json:"speedup_at_8"`
+	SpeedupAt8 float64
 	// Deterministic reports whether a same-seed replay of the
 	// replicas=8 point reproduced identical virtual-time results lane
 	// by lane (allocation counters are excluded: the Go heap is not
 	// part of the simulation's determinism contract).
-	Deterministic bool `json:"deterministic"`
+	Deterministic bool
 }
 
 // ShardScale runs the replica sweep.
@@ -119,17 +112,7 @@ func ShardScale(ctx context.Context, cfg Config) (*ShardScaleResult, error) {
 		last.Failed == replay.Failed &&
 		last.Virtual == replay.Virtual &&
 		last.FleetVirtual == replay.FleetVirtual &&
-		sameLanes(last.LaneRegistered, replay.LaneRegistered)
-
-	if path := os.Getenv("BENCH_SHARD_JSON"); path != "" {
-		data, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("shardscale: marshal report: %w", err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("shardscale: write %s: %w", path, err)
-		}
-	}
+		slices.Equal(last.LaneRegistered, replay.LaneRegistered)
 	return result, nil
 }
 
@@ -150,26 +133,11 @@ func fleetTransitions(s *deploy.Slice) uint64 {
 	return n
 }
 
-func sameLanes(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // shardScalePoint deploys a fresh slice with the given replica count,
 // provisions and prewarms the population outside the measured window,
 // then drives the deterministic sequential registration run.
 func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardScalePoint, error) {
-	point := ShardScalePoint{
-		Replicas: replicas, Mode: fmt.Sprintf("replicas-%d", replicas),
-		AllocBudget: FastPathAllocBudget,
-	}
+	point := ShardScalePoint{Replicas: replicas}
 	s, err := deploy.NewSlice(ctx, deploy.SliceConfig{
 		Isolation:   paka.SGX,
 		Seed:        cfg.Seed + 53,
@@ -244,11 +212,8 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 	point.Registered = res.Registered
 	point.Failed = res.Failed
 	point.Virtual = res.Virtual
-	point.VirtualMS = float64(res.Virtual) / float64(time.Millisecond)
 	point.FleetVirtual = res.FleetVirtual
-	point.FleetMS = float64(res.FleetVirtual) / float64(time.Millisecond)
-	point.VirtualRegsPS = res.VirtualRegsPerSec
-	point.FleetRegsPS = res.FleetVirtualRegsPerSec
+	point.FleetRegsPS = res.FleetRegsPerSec
 	point.LaneBalance = res.LaneBalance
 	if res.Registered > 0 {
 		point.AllocsPerReg = float64(mallocs) / float64(res.Registered)
@@ -269,13 +234,13 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 // Render prints the sweep table.
 func (r *ShardScaleResult) Render(w io.Writer) {
 	fprintf(w, "Horizontally sharded core: replica sweep (%d UEs, batch-8 + AV pool 8 + binary SBI, prewarmed)\n", r.UEs)
-	fprintf(w, "%-9s %6s %6s %12s %12s %12s %12s %8s %8s %9s %8s\n",
-		"replicas", "ok", "fail", "virtual", "makespan", "virt reg/s", "fleet reg/s", "speedup", "balance", "allocs/r", "trans/r")
+	fprintf(w, "%-9s %6s %6s %12s %12s %12s %8s %8s %9s %8s\n",
+		"replicas", "ok", "fail", "virtual", "makespan", "fleet reg/s", "speedup", "balance", "allocs/r", "trans/r")
 	for _, p := range r.Points {
-		fprintf(w, "%-9d %6d %6d %12s %12s %12.1f %12.1f %7.2fx %8.3f %9.1f %8.1f\n",
+		fprintf(w, "%-9d %6d %6d %12s %12s %12.1f %7.2fx %8.3f %9.1f %8.1f\n",
 			p.Replicas, p.Registered, p.Failed,
 			p.Virtual.Round(time.Millisecond), p.FleetVirtual.Round(time.Millisecond),
-			p.VirtualRegsPS, p.FleetRegsPS, p.Speedup, p.LaneBalance, p.AllocsPerReg, p.TransPerReg)
+			p.FleetRegsPS, p.Speedup, p.LaneBalance, p.AllocsPerReg, p.TransPerReg)
 	}
 	fprintf(w, "fleet speedup at 8 replicas: %.2fx (acceptance: >= 3x)\n", r.SpeedupAt8)
 	if r.Deterministic {
@@ -293,9 +258,8 @@ func (r *ShardScaleResult) WriteCSV(w io.Writer) error {
 			fmt.Sprintf("%d", p.Replicas),
 			fmt.Sprintf("%d", p.Registered),
 			fmt.Sprintf("%d", p.Failed),
-			f(p.VirtualMS),
-			f(p.FleetMS),
-			f(p.VirtualRegsPS),
+			f(ms(p.Virtual)),
+			f(ms(p.FleetVirtual)),
 			f(p.FleetRegsPS),
 			f(p.Speedup),
 			f(p.LaneBalance),
@@ -306,7 +270,7 @@ func (r *ShardScaleResult) WriteCSV(w io.Writer) error {
 	}
 	return writeCSV(w, []string{
 		"replicas", "registered", "failed", "virtual_ms", "fleet_makespan_ms",
-		"virtual_regs_per_sec", "fleet_regs_per_sec", "speedup", "lane_balance", "allocs_per_reg", "bytes_per_reg",
+		"fleet_regs_per_sec", "speedup", "lane_balance", "allocs_per_reg", "bytes_per_reg",
 		"transitions_per_reg",
 	}, rows)
 }

@@ -33,9 +33,9 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 			t.Errorf("replicas=%d: Registered=%d Failed=%d, want %d/0", p.Replicas, p.Registered, p.Failed, r.UEs)
 		}
 		// The race-instrumented runtime's shadow allocations land in
-		// MemStats, so the budget only holds on plain builds; the
-		// committed baseline gates it in `make bench-compare` either way.
-		if !raceEnabled && p.AllocsPerReg >= FastPathAllocBudget {
+		// MemStats, so the budget only holds on plain builds: tier-1's
+		// `go test ./...` is the run that gates it (97-100 measured).
+		if !RaceEnabled && p.AllocsPerReg >= FastPathAllocBudget {
 			t.Errorf("replicas=%d: %.1f allocs/reg, budget is < %d", p.Replicas, p.AllocsPerReg, FastPathAllocBudget)
 		}
 		// Lanes are equal: what the speedup loses against the replica
@@ -47,10 +47,10 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 			t.Errorf("replicas=%d: %d lanes reported", p.Replicas, len(p.LaneRegistered))
 		}
 	}
-	// The singleton defines the baseline: fleet throughput == shared-clock
-	// throughput when there is one lane.
-	if one := r.Points[0]; one.FleetRegsPS != one.VirtualRegsPS {
-		t.Errorf("singleton fleet rate %.1f != virtual rate %.1f", one.FleetRegsPS, one.VirtualRegsPS)
+	// The singleton defines the baseline: with one lane the fleet
+	// makespan is the shared-clock advance.
+	if one := r.Points[0]; one.FleetVirtual != one.Virtual {
+		t.Errorf("singleton fleet makespan %v != shared-clock advance %v", one.FleetVirtual, one.Virtual)
 	}
 	if r.SpeedupAt8 < 3 {
 		t.Errorf("fleet speedup at 8 replicas = %.2fx, acceptance is >= 3x", r.SpeedupAt8)

@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"shield5g/internal/admission"
@@ -23,9 +21,8 @@ import (
 // the overload-control limiter off (servers sense and queue but never
 // shed) and on (bounded queues + priority admission + client throttling),
 // and compares per-class goodput and tail latency. A factor-1 pair checks
-// that the limiter is free when there is no overload. Set BENCH_STORM_JSON
-// to a path to dump the comparison (the BENCH_storm_goodput.json
-// artifact).
+// that the limiter is free when there is no overload;
+// TestStormLimiterProtectsEmergencyClass holds the acceptance figures.
 
 const (
 	// stormBottleneckCycles mirrors the UDM's modelled per-request service
@@ -40,61 +37,53 @@ const (
 
 // StormClass is one priority class's outcome at one sweep point.
 type StormClass struct {
-	Offered    int           `json:"offered"`
-	Registered int           `json:"registered"`
-	Shed       int           `json:"shed"`
-	Failed     int           `json:"failed"`
-	Goodput    float64       `json:"goodput_per_sec"`
-	P99        time.Duration `json:"-"`
-	P99MS      float64       `json:"p99_ms"`
+	Offered    int
+	Registered int
+	Shed       int
+	Failed     int
+	Goodput    float64
+	P99        time.Duration
 	// Makespan is the class's own first-arrival-to-last-completion span;
 	// goodput is registered/makespan over this span, so one long-retrying
 	// straggler in another class doesn't dilute the ratio.
-	Makespan   time.Duration `json:"-"`
-	MakespanMS float64       `json:"makespan_ms"`
+	Makespan time.Duration
 }
 
 // StormPoint is one (factor, limiter) cell of the sweep.
 type StormPoint struct {
-	Factor  float64 `json:"factor"`
-	Limiter bool    `json:"limiter"`
+	Factor  float64
+	Limiter bool
 	// Class is indexed by sbi.Priority (fresh, reattach, emergency).
-	Class    [3]StormClass `json:"class"`
-	Makespan time.Duration `json:"-"`
-	// MakespanMS is the virtual span from first arrival to last
-	// completion; queue backlog stretches it.
-	MakespanMS float64 `json:"makespan_ms"`
+	Class [3]StormClass
 	// MedianSetup is the all-classes setup median.
-	MedianSetup time.Duration `json:"-"`
-	MedianMS    float64       `json:"median_setup_ms"`
+	MedianSetup time.Duration
 	// AdmissionDrops counts registrations cut at the AMF's buckets before
 	// any enclave-bound work; MeterSheds counts server-side bounded-queue
 	// rejections across metered services.
-	AdmissionDrops uint64 `json:"admission_drops"`
-	MeterSheds     uint64 `json:"meter_sheds"`
-	// Throttled/Retries/BreakerOpens surface the resilience layer's view.
-	Throttled    uint64 `json:"throttled"`
-	Retries      uint64 `json:"retries"`
-	BreakerOpens uint64 `json:"breaker_opens"`
+	AdmissionDrops uint64
+	MeterSheds     uint64
+	// Throttled counts the client-side OCI throttles the resilience layer
+	// applied.
+	Throttled uint64
 }
 
 // StormResult is the full sweep.
 type StormResult struct {
-	UEs    int          `json:"ues"`
-	Factor float64      `json:"factor"`
-	Points []StormPoint `json:"points"`
+	UEs    int
+	Factor float64
+	Points []StormPoint
 	// EmergencyGoodputRatio is limiter-on over limiter-off emergency
 	// goodput at the overload factor (acceptance: >= 2).
-	EmergencyGoodputRatio float64 `json:"emergency_goodput_ratio"`
+	EmergencyGoodputRatio float64
 	// EmergencyP99Improved reports whether the limiter lowered the
 	// emergency-class p99 at the overload factor.
-	EmergencyP99Improved bool `json:"emergency_p99_improved"`
+	EmergencyP99Improved bool
 	// OverheadPct is the limiter's median-setup overhead at factor 1
 	// (acceptance: < 5%).
-	OverheadPct float64 `json:"overhead_factor1_pct"`
+	OverheadPct float64
 	// Deterministic reports whether replaying the limiter-on overload
 	// point reproduced identical per-class outcome counts.
-	Deterministic bool `json:"deterministic"`
+	Deterministic bool
 }
 
 // Storm runs the signaling-storm survival comparison.
@@ -145,16 +134,6 @@ func Storm(ctx context.Context, cfg Config) (*StormResult, error) {
 		return nil, err
 	}
 	result.Deterministic = sameStormOutcome(&on, first)
-
-	if path := os.Getenv("BENCH_STORM_JSON"); path != "" {
-		data, err := json.MarshalIndent(result, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("storm: marshal report: %w", err)
-		}
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			return nil, fmt.Errorf("storm: write %s: %w", path, err)
-		}
-	}
 	return result, nil
 }
 
@@ -247,36 +226,27 @@ func stormPoint(ctx context.Context, cfg Config, n int, factor float64, limiter 
 	all := res.Class[0].SetupTimes
 	for c := range res.Class {
 		cr := res.Class[c]
-		summary := cr.SetupTimes.Summarize()
 		point.Class[c] = StormClass{
 			Offered:    cr.Offered,
 			Registered: cr.Registered,
 			Shed:       cr.Shed,
 			Failed:     cr.Failed,
 			Goodput:    cr.GoodputPerSec,
-			P99:        summary.P99,
-			P99MS:      float64(summary.P99) / float64(time.Millisecond),
+			P99:        cr.SetupTimes.Summarize().P99,
 			Makespan:   cr.Makespan,
-			MakespanMS: float64(cr.Makespan) / float64(time.Millisecond),
 		}
 		if c > 0 {
 			all.Merge(cr.SetupTimes)
 		}
 	}
-	point.Makespan = res.Makespan
-	point.MakespanMS = float64(res.Makespan) / float64(time.Millisecond)
 	point.MedianSetup = all.Summarize().Median
-	point.MedianMS = float64(point.MedianSetup) / float64(time.Millisecond)
 	if s.Admission != nil {
 		point.AdmissionDrops = s.Admission.Stats().TotalDropped()
 	}
 	for _, st := range s.OverloadStats() {
 		point.MeterSheds += st.TotalShed()
 	}
-	rs := s.ResilienceStats()
-	point.Throttled = rs.Throttled
-	point.Retries = rs.Retries
-	point.BreakerOpens = rs.Breaker.Opens
+	point.Throttled = s.ResilienceStats().Throttled
 	return point, res, nil
 }
 
@@ -321,8 +291,8 @@ func (r *StormResult) WriteCSV(w io.Writer) error {
 				fmt.Sprintf("%d", cl.Shed),
 				fmt.Sprintf("%d", cl.Failed),
 				f(cl.Goodput),
-				f(cl.P99MS),
-				f(cl.MakespanMS),
+				f(ms(cl.P99)),
+				f(ms(cl.Makespan)),
 				fmt.Sprintf("%d", p.AdmissionDrops),
 				fmt.Sprintf("%d", p.MeterSheds),
 				fmt.Sprintf("%d", p.Throttled),

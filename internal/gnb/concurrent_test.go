@@ -92,9 +92,6 @@ func TestRegisterManyParallelSGX(t *testing.T) {
 	if result.Wall <= 0 || result.Virtual <= 0 {
 		t.Fatalf("throughput window missing: wall=%v virtual=%v", result.Wall, result.Virtual)
 	}
-	if result.WallRegsPerSec <= 0 || result.VirtualRegsPerSec <= 0 {
-		t.Fatalf("throughput rates missing: %+v", result)
-	}
 
 	// Each module serves one request per registration; the census is
 	// Pre+Read+InHandler+Write+Post = 89 plus a 0–2 jig, so the mean

@@ -371,10 +371,6 @@ type MassResult struct {
 	// Virtual is the shared virtual-clock advance over the run — the
 	// simulated core's aggregate busy time across all registrations.
 	Virtual time.Duration
-	// WallRegsPerSec is successful registrations per second of wall
-	// clock; VirtualRegsPerSec is the same rate against virtual time.
-	WallRegsPerSec    float64
-	VirtualRegsPerSec float64
 	// FailureCounts tallies failed registrations by failure class (the
 	// SBI ProblemDetails cause, or "internal" for everything else);
 	// FirstErrors keeps the first error observed per class so failures
@@ -403,9 +399,9 @@ type MassResult struct {
 	// lanes complete when the most-loaded lane drains. For single-replica
 	// runs it equals Virtual.
 	FleetVirtual time.Duration
-	// FleetVirtualRegsPerSec is Registered over FleetVirtual — the
-	// sharded core's headline throughput figure.
-	FleetVirtualRegsPerSec float64
+	// FleetRegsPerSec is Registered over FleetVirtual — the sharded
+	// core's headline throughput figure.
+	FleetRegsPerSec float64
 	// LaneBalance is attempts / (lanes x the busiest lane's attempts):
 	// the share of its busiest lane's load the average lane carries, 1
 	// for a single lane or a perfect split. Fleet throughput is per-lane
@@ -490,20 +486,14 @@ func (r *MassResult) recordFailure(err error) {
 	}
 }
 
-// finish stamps the throughput figures once counts are final.
+// finish stamps the time bases and the fleet figures once counts are
+// final.
 func (r *MassResult) finish(wall time.Duration, virtual time.Duration) {
 	r.Wall = wall
 	r.Virtual = virtual
-	if s := wall.Seconds(); s > 0 {
-		r.WallRegsPerSec = float64(r.Registered) / s
-	}
-	if s := virtual.Seconds(); s > 0 {
-		r.VirtualRegsPerSec = float64(r.Registered) / s
-	}
-	// Fleet throughput: single-lane runs collapse to the shared-clock
-	// figures; sharded runs take the makespan over replica lanes.
+	// Single-lane runs have one lane whose makespan is the shared clock;
+	// sharded runs take the makespan over replica lanes.
 	r.FleetVirtual = virtual
-	r.FleetVirtualRegsPerSec = r.VirtualRegsPerSec
 	r.LaneBalance = 1
 	if len(r.ShardStats) > 1 {
 		var max time.Duration
@@ -519,12 +509,12 @@ func (r *MassResult) finish(wall time.Duration, virtual time.Duration) {
 			}
 		}
 		r.FleetVirtual = max
-		if s := max.Seconds(); s > 0 {
-			r.FleetVirtualRegsPerSec = float64(r.Registered) / s
-		}
 		if busiest > 0 {
 			r.LaneBalance = float64(total) / float64(len(r.ShardStats)*busiest)
 		}
+	}
+	if s := r.FleetVirtual.Seconds(); s > 0 {
+		r.FleetRegsPerSec = float64(r.Registered) / s
 	}
 }
 

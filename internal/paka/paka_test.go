@@ -406,6 +406,22 @@ func TestKindAndIsolationStrings(t *testing.T) {
 	}
 }
 
+// TestParseIsolationRoundTrip: every mode's name parses back to the mode
+// (sev included — gnbsim used to reject it), and nothing else parses.
+func TestParseIsolationRoundTrip(t *testing.T) {
+	for _, iso := range []Isolation{Monolithic, Container, SGX, SEV} {
+		got, err := ParseIsolation(iso.String())
+		if err != nil || got != iso {
+			t.Errorf("ParseIsolation(%q) = %v, %v; want %v", iso.String(), got, err, iso)
+		}
+	}
+	for _, name := range []string{"unknown", "", "SGX", "tdx"} {
+		if got, err := ParseIsolation(name); err == nil {
+			t.Errorf("ParseIsolation(%q) = %v, want an error", name, got)
+		}
+	}
+}
+
 func TestModuleAccessors(t *testing.T) {
 	h := newHarness(t, 9)
 	m := h.module(t, EUDM, SGX)

@@ -3,6 +3,7 @@ package paka
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -49,6 +50,17 @@ func (i Isolation) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseIsolation is the inverse of String: the one place a mode's name
+// (a CLI flag value) becomes an Isolation.
+func ParseIsolation(name string) (Isolation, error) {
+	for iso := Monolithic; iso <= SEV; iso++ {
+		if iso.String() == name {
+			return iso, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown isolation %q (want monolithic, container, sgx or sev)", name)
 }
 
 // Exec, Handler and Breakdown are the contract every isolation backend

@@ -5,8 +5,10 @@
 // Gramine-style LibOS, together with the complete measurement harness
 // that regenerates every table and figure of the paper's evaluation.
 //
-// The top-level package re-exports the supported public API; the
-// implementation lives under internal/.
+// The top-level package is the one facade: Testbed sits directly on the
+// deployed slice, the experiment functions on the experiment table, and
+// everything else re-exports the supported API; the implementation lives
+// under internal/.
 //
 // Quick start:
 //
@@ -18,11 +20,13 @@ package shield5g
 import (
 	"context"
 	"crypto/ed25519"
+	"fmt"
 	"io"
+	"sync/atomic"
 
 	"shield5g/internal/admission"
 	"shield5g/internal/chaos"
-	"shield5g/internal/core"
+	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/deploy"
 	"shield5g/internal/experiments"
@@ -49,6 +53,9 @@ const (
 	SEV = paka.SEV
 )
 
+// ParseIsolation is the inverse of Isolation.String, for CLI flags.
+func ParseIsolation(name string) (Isolation, error) { return paka.ParseIsolation(name) }
+
 // SliceConfig configures a network slice deployment.
 type SliceConfig = deploy.SliceConfig
 
@@ -56,10 +63,22 @@ type SliceConfig = deploy.SliceConfig
 type Slice = deploy.Slice
 
 // Testbed is a deployed slice with provisioning and registration helpers.
-type Testbed = core.Testbed
+type Testbed struct {
+	// Slice is the running deployment.
+	Slice *Slice
+
+	// nextMSIN is atomic so AddSubscriber can be called from parallel
+	// mass-registration provisioning callbacks.
+	nextMSIN atomic.Int64
+}
 
 // Subscriber is a provisioned subscriber and its UE device.
-type Subscriber = core.Subscriber
+type Subscriber struct {
+	SUPI SUPI
+	K    []byte
+	OPc  []byte
+	UE   *UE
+}
 
 // SUPI is a subscription permanent identifier (IMSI form).
 type SUPI = suci.SUPI
@@ -169,8 +188,60 @@ type (
 type KeyIssue = keyissues.KeyIssue
 
 // NewTestbed deploys a network slice under the configured isolation mode.
+// For SGX isolation this includes the full enclave build (the paper's
+// Fig. 7 cost, charged to virtual time).
 func NewTestbed(ctx context.Context, cfg SliceConfig) (*Testbed, error) {
-	return core.NewTestbed(ctx, cfg)
+	s, err := deploy.NewSlice(ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t := &Testbed{Slice: s}
+	t.nextMSIN.Store(1)
+	return t, nil
+}
+
+// Close tears the slice down.
+func (t *Testbed) Close() { t.Slice.Stop() }
+
+// AddSubscriber provisions a fresh subscriber in the UDR and the AKA
+// execution environment, and returns a UE device holding the matching
+// USIM credentials. A nil profile provisions a simulator UE; pass
+// OnePlus8() for the paper's COTS device behaviour.
+func (t *Testbed) AddSubscriber(ctx context.Context, k []byte, profile *COTSProfile) (*Subscriber, error) {
+	supi := SUPI{
+		MCC:  t.Slice.Config.MCC,
+		MNC:  t.Slice.Config.MNC,
+		MSIN: fmt.Sprintf("%010d", t.nextMSIN.Add(1)),
+	}
+	if len(k) != 16 {
+		return nil, fmt.Errorf("shield5g: subscriber key length %d, want 16", len(k))
+	}
+	opc, err := milenage.ComputeOPc(k, make([]byte, 16))
+	if err != nil {
+		return nil, err
+	}
+	if err := t.Slice.ProvisionSubscriber(ctx, supi, k, opc); err != nil {
+		return nil, err
+	}
+	device, err := ue.New(ue.Config{
+		SUPI:                 supi,
+		K:                    k,
+		OPc:                  opc,
+		HomeNetworkPublicKey: t.Slice.HomeNetworkKey.PublicKey(),
+		HomeNetworkKeyID:     t.Slice.HomeNetworkKey.ID,
+		Env:                  t.Slice.Env,
+		Profile:              profile,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Subscriber{SUPI: supi, K: k, OPc: opc, UE: device}, nil
+}
+
+// Register runs the subscriber's UE through the full registration flow
+// and returns the RAN session.
+func (t *Testbed) Register(ctx context.Context, sub *Subscriber) (*Session, error) {
+	return t.Slice.GNB.RegisterUE(ctx, sub.UE)
 }
 
 // GNBSIM returns the simulated-RAN radio profile used for mass
@@ -183,27 +254,46 @@ func USRPX310() RadioProfile { return gnb.USRPX310() }
 // OnePlus8 returns the paper's OTA test device profile.
 func OnePlus8() COTSProfile { return ue.OnePlus8() }
 
+// Experiment is one row of the experiment table: a name, a description
+// and a Run that returns the ExperimentResult to Render (and, when
+// Experiment.CSV is set, to WriteCSV as an ExperimentCSV).
+type (
+	Experiment       = experiments.Experiment
+	ExperimentResult = experiments.Result
+	ExperimentCSV    = experiments.CSVResult
+)
+
 // Experiments lists the reproducible tables and figures.
-func Experiments() []string { return core.ExperimentNames() }
+func Experiments() []string { return experiments.Names() }
+
+// LookupExperiment finds one row of the experiment table by name.
+func LookupExperiment(name string) (Experiment, error) { return experiments.Lookup(name) }
 
 // RunExperiment regenerates one named table or figure, writing the
 // paper-style rows to w.
 func RunExperiment(ctx context.Context, name string, cfg ExperimentConfig, w io.Writer) error {
-	return core.RunExperiment(ctx, name, cfg, w)
+	return experiments.Run(ctx, name, cfg, w)
 }
 
 // RunAllExperiments regenerates every table and figure in order.
 func RunAllExperiments(ctx context.Context, cfg ExperimentConfig, w io.Writer) error {
-	return core.RunAll(ctx, cfg, w)
+	for _, name := range Experiments() {
+		// Like Render, the banner ignores write errors on w.
+		_, _ = fmt.Fprintf(w, "\n=== %s ===\n", name)
+		if err := RunExperiment(ctx, name, cfg, w); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CSVExperiments lists the experiments that support raw-series CSV export.
-func CSVExperiments() []string { return core.CSVExperiments() }
+func CSVExperiments() []string { return experiments.CSVNames() }
 
 // WriteExperimentCSV runs one experiment and writes its raw series as CSV
 // (for regenerating the paper's plots with external tooling).
 func WriteExperimentCSV(ctx context.Context, name string, cfg ExperimentConfig, w io.Writer) error {
-	return core.WriteExperimentCSV(ctx, name, cfg, w)
+	return experiments.WriteCSV(ctx, name, cfg, w)
 }
 
 // KeyIssues returns the paper's Table V assessment.

@@ -43,6 +43,71 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTestbedLifecycle: subscribers get the slice's PLMN and distinct
+// identities, and register end to end.
+func TestTestbedLifecycle(t *testing.T) {
+	ctx := context.Background()
+	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{Isolation: shield5g.SGX, Seed: 21})
+	if err != nil {
+		t.Fatalf("NewTestbed: %v", err)
+	}
+	defer tb.Close()
+
+	k := bytes.Repeat([]byte{0x33}, 16)
+	sub, err := tb.AddSubscriber(ctx, k, nil)
+	if err != nil {
+		t.Fatalf("AddSubscriber: %v", err)
+	}
+	if sub.SUPI.MCC != "001" || sub.SUPI.MNC != "01" {
+		t.Fatalf("SUPI = %+v", sub.SUPI)
+	}
+	sess, err := tb.Register(ctx, sub)
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	if sess.SetupTime <= 0 {
+		t.Fatal("no setup time")
+	}
+
+	// Distinct subscribers get distinct identities.
+	sub2, err := tb.AddSubscriber(ctx, k, nil)
+	if err != nil {
+		t.Fatalf("AddSubscriber: %v", err)
+	}
+	if sub2.SUPI == sub.SUPI {
+		t.Fatal("duplicate SUPI")
+	}
+}
+
+func TestAddSubscriberValidation(t *testing.T) {
+	ctx := context.Background()
+	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{Isolation: shield5g.Container, Seed: 21})
+	if err != nil {
+		t.Fatalf("NewTestbed: %v", err)
+	}
+	defer tb.Close()
+	if _, err := tb.AddSubscriber(ctx, []byte("short"), nil); err == nil {
+		t.Fatal("short key accepted")
+	}
+}
+
+func TestAddSubscriberWithProfile(t *testing.T) {
+	ctx := context.Background()
+	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{Isolation: shield5g.Container, Seed: 21})
+	if err != nil {
+		t.Fatalf("NewTestbed: %v", err)
+	}
+	defer tb.Close()
+	profile := shield5g.OnePlus8()
+	sub, err := tb.AddSubscriber(ctx, bytes.Repeat([]byte{0x44}, 16), &profile)
+	if err != nil {
+		t.Fatalf("AddSubscriber: %v", err)
+	}
+	if err := sub.UE.DetectNetwork("99999"); err == nil {
+		t.Fatal("COTS profile not applied")
+	}
+}
+
 func TestPublicExperimentList(t *testing.T) {
 	names := shield5g.Experiments()
 	if len(names) != 20 {

@@ -3,8 +3,10 @@ package shield5g_test
 import (
 	"context"
 	"testing"
+	"time"
 
 	"shield5g"
+	"shield5g/internal/experiments"
 	"shield5g/internal/hmee/sgx"
 )
 
@@ -17,20 +19,34 @@ type moduleWindow struct {
 	OCallsPerReg float64
 }
 
+// fastPathWindow is one measured mass registration: the per-module
+// census plus the whole-slice figures the fast-path gates read.
+type fastPathWindow struct {
+	Module map[shield5g.ModuleKind]moduleWindow
+	// TransPerReg is EENTER+EEXIT over all three modules per
+	// registration; Virtual is the run's shared-clock advance;
+	// AllocsPerReg is counted inside an experiments.AllocWindow.
+	TransPerReg  float64
+	Virtual      time.Duration
+	AllocsPerReg float64
+}
+
 // switchlessWindow runs a steady-state batch-8 binary-SBI mass
 // registration (100 UEs, warm chain, provisioning outside the window)
-// and returns each module's per-registration transition breakdown. The
-// AV pool stays off so all three modules serve inside the window —
-// with a prewarmed pool eUDM is idle in-window (its DoBatch refills
-// all land during prewarm) and its census would measure nothing.
-func switchlessWindow(t *testing.T, switchless bool) map[shield5g.ModuleKind]moduleWindow {
+// and returns its census. With avPool 0 all three modules serve inside
+// the window, which is what the per-module comparison needs — with a
+// prewarmed pool eUDM is idle in-window (its DoBatch refills all land
+// during prewarm). avPool 8 is the full fast path, prewarmed the way an
+// operator would deploy it.
+func switchlessWindow(t *testing.T, switchless bool, avPool int) fastPathWindow {
 	t.Helper()
 	ctx := context.Background()
 	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{
-		Isolation:  shield5g.SGX,
-		Seed:       1,
-		BinarySBI:  true,
-		Switchless: switchless,
+		Isolation:   shield5g.SGX,
+		Seed:        1,
+		AVPoolDepth: avPool,
+		BinarySBI:   true,
+		Switchless:  switchless,
 	})
 	if err != nil {
 		t.Fatalf("NewTestbed: %v", err)
@@ -47,23 +63,33 @@ func switchlessWindow(t *testing.T, switchless bool) map[shield5g.ModuleKind]mod
 
 	const n = 100
 	devices := make([]*shield5g.UE, n)
+	supis := make([]string, n)
 	for i := range devices {
 		sub, err := tb.AddSubscriber(ctx, benchKey, nil)
 		if err != nil {
 			t.Fatalf("AddSubscriber(%d): %v", i, err)
 		}
-		devices[i] = sub.UE
+		devices[i], supis[i] = sub.UE, sub.SUPI.String()
+	}
+	if avPool > 0 {
+		if err := tb.Slice.PrewarmAVPool(ctx, supis); err != nil {
+			t.Fatalf("PrewarmAVPool: %v", err)
+		}
 	}
 
 	before := make(map[shield5g.ModuleKind]sgx.StatsSnapshot, len(tb.Slice.Modules))
 	for kind, m := range tb.Slice.Modules {
 		before[kind] = m.Stats()
 	}
-	res, err := tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
-		N:          n,
-		NewUE:      func(i int) (*shield5g.UE, error) { return devices[i], nil },
-		BatchSize:  8,
-		Switchless: switchless,
+	var res *shield5g.MassResult
+	mallocs, _, err := experiments.AllocWindow(func() (err error) {
+		res, err = tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
+			N:          n,
+			NewUE:      func(i int) (*shield5g.UE, error) { return devices[i], nil },
+			BatchSize:  8,
+			Switchless: switchless,
+		})
+		return err
 	})
 	if err != nil {
 		t.Fatalf("RegisterManyWith: %v", err)
@@ -72,17 +98,22 @@ func switchlessWindow(t *testing.T, switchless bool) map[shield5g.ModuleKind]mod
 		t.Fatalf("%d of %d registrations failed", res.Failed, n)
 	}
 
-	windows := make(map[shield5g.ModuleKind]moduleWindow, len(tb.Slice.Modules))
+	w := fastPathWindow{
+		Module:       make(map[shield5g.ModuleKind]moduleWindow, len(tb.Slice.Modules)),
+		Virtual:      res.Virtual,
+		AllocsPerReg: float64(mallocs) / n,
+	}
 	for kind, m := range tb.Slice.Modules {
 		d := m.Stats().Sub(before[kind])
-		windows[kind] = moduleWindow{
+		w.Module[kind] = moduleWindow{
 			EEnterPerReg: float64(d.EENTER) / n,
 			EExitPerReg:  float64(d.EEXIT) / n,
 			AEXPerReg:    float64(d.AEX) / n,
 			OCallsPerReg: float64(d.OCALLs) / n,
 		}
+		w.TransPerReg += float64(d.EENTER+d.EEXIT) / n
 	}
-	return windows
+	return w
 }
 
 // TestSwitchlessChaosCrashRestartDrainsRing crosses the switchless ring
@@ -178,8 +209,8 @@ func TestSwitchlessChaosCrashRestartDrainsRing(t *testing.T) {
 // spread between modules is small, and prewarm moves eUDM's minting
 // out of any steady-state window entirely.
 func TestSwitchlessPerModuleTransitions(t *testing.T) {
-	classic := switchlessWindow(t, false)
-	ring := switchlessWindow(t, true)
+	classic := switchlessWindow(t, false, 0).Module
+	ring := switchlessWindow(t, true, 0).Module
 
 	kinds := []shield5g.ModuleKind{shield5g.EUDM, shield5g.EAUSF, shield5g.EAMF}
 	for _, kind := range kinds {
@@ -227,6 +258,35 @@ func TestSwitchlessPerModuleTransitions(t *testing.T) {
 				t.Errorf("%s: %s EENTER/reg (%.3f) exceeds eAUSF's (%.3f); expected eAUSF to lead the in-window census",
 					name, kind, got, ausf)
 			}
+		}
+	}
+}
+
+// TestSwitchlessFastPathGates holds the ring's contract on the full fast
+// path (batch-8 keep-alive, AV pool 8 prewarmed, binary SBI): back-to-back
+// registrations cross the boundary with (nearly) no EENTER/EEXIT, the run
+// is no slower on the virtual clock than the classic crossing, and both
+// crossings stay inside the allocation budget. The first two are
+// deterministic virtual figures. "Back-to-back" matters: a radio-paced
+// closed loop leaves each ring idle between registrations and pays a
+// doorbell per module per registration instead.
+func TestSwitchlessFastPathGates(t *testing.T) {
+	classic := switchlessWindow(t, false, 8)
+	ring := switchlessWindow(t, true, 8)
+	t.Logf("classic: %.2f transitions/reg, virtual %v, %.1f allocs/reg | switchless: %.2f transitions/reg, virtual %v, %.1f allocs/reg",
+		classic.TransPerReg, classic.Virtual, classic.AllocsPerReg, ring.TransPerReg, ring.Virtual, ring.AllocsPerReg)
+	if ring.TransPerReg >= 10 {
+		t.Errorf("switchless fast path pays %.2f transitions/registration, want < 10", ring.TransPerReg)
+	}
+	if classic.TransPerReg < 50 {
+		t.Errorf("classic fast path pays only %.2f transitions/registration; the window is not exercising the boundary", classic.TransPerReg)
+	}
+	if ring.Virtual > classic.Virtual {
+		t.Errorf("switchless fast path took %v of virtual time, slower than the classic crossing's %v", ring.Virtual, classic.Virtual)
+	}
+	for name, w := range map[string]fastPathWindow{"classic": classic, "switchless": ring} {
+		if !experiments.RaceEnabled && w.AllocsPerReg >= experiments.FastPathAllocBudget {
+			t.Errorf("%s fast path allocates %.2f allocs/registration, want < %d", name, w.AllocsPerReg, experiments.FastPathAllocBudget)
 		}
 	}
 }
