@@ -30,7 +30,7 @@ race:
 # Static checks plus a focused race pass over the fault-injection,
 # mass-registration, and enclave-runtime paths (parallel drivers,
 # injector, resilience layer, overload limiter + admission buckets,
-# keep-alive sessions, TCS pool, switchless ring + dispatcher).
+# keep-alive sessions, TCS pool, the switchless ring's dispatcher lock).
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/nf/nrf/topo/ ./internal/hmee/sgx/ ./internal/hmee/gramine/
@@ -58,9 +58,11 @@ loc:
 # armed — exercises the overload stack end to end in under a second), a
 # sharded-core smoke (4 replicas behind SUPI-affinity routing with the
 # full fast path on) and a switchless-ring smoke (ring-served ECALLs on
-# the same fast path) through the same CLI, short fuzz passes over the
-# binary SBI frame parser and over the JSON codec against encoding/json
-# (their seed corpora already ran with the test suite), and the benchmark
+# the same fast path, four workers contending for each module's
+# dispatcher lock) through the same CLI, short fuzz passes over the
+# binary SBI frame parser, over the JSON codec against encoding/json and
+# over the Gramine manifest parser (their seed corpora already ran with
+# the test suite), and the benchmark
 # module (bench/ has its own go.mod, so `./...` above never descends into
 # it): vet, its tests, gofmt, and one-second attach_sharded, attach_paper
 # and reauth_ring runs whose exit codes carry the driver-parity and
@@ -76,9 +78,10 @@ ci: build
 	$(MAKE) vet
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
-	$(GO) run ./cmd/gnbsim -n 32 -switchless -batch 8 -avpool 8 -seed 11
+	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/hmee/gramine
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
 	bash bench/run.sh --workload attach_sharded --seconds 1
 	bash bench/run.sh --workload attach_paper --seconds 1

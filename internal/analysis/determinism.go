@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -13,18 +12,9 @@ import (
 // (//shieldlint:wallclock <why>) — the realtime Realizer's calibrated
 // spin-wait, real mTLS certificate lifetimes, and the wall-vs-virtual
 // throughput split reported by the mass-registration driver.
-//
-// The analyzer also polices spin discipline in //shieldlint:hotpath
-// functions: an unbounded `for { ... }` there must contain a
-// scheduling point — a runtime.Gosched call, a select statement, or a
-// channel receive. The switchless ring's producers and dispatcher live
-// on such loops; a yield-free one can livelock GOMAXPROCS=1 replays
-// (the deterministic test configuration) and burns a core for timing
-// the virtual clock never observes, so the spin budget silently stops
-// matching the costmodel's accounted one.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "forbid wall-clock time and global math/rand on simulated paths; hotpath spin loops must yield",
+	Doc:  "forbid wall-clock time and global math/rand on simulated paths",
 	Run:  runDeterminism,
 }
 
@@ -84,65 +74,6 @@ func runDeterminism(pass *Pass) error {
 			}
 			return true
 		})
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpathMarked(fd.Doc) {
-				continue
-			}
-			checkSpinLoops(pass, info, fd)
-		}
 	}
 	return nil
-}
-
-// checkSpinLoops flags unbounded for-loops without a scheduling point
-// inside one //shieldlint:hotpath function.
-func checkSpinLoops(pass *Pass, info *types.Info, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		loop, ok := n.(*ast.ForStmt)
-		if !ok || loop.Cond != nil {
-			return true
-		}
-		if hasSchedulingPoint(info, loop.Body) {
-			return true
-		}
-		pass.Reportf(loop.Pos(),
-			"unbounded for-loop spins without a scheduling point but %s is marked //shieldlint:hotpath; every retry iteration must yield (runtime.Gosched), select, or block on a channel receive so single-proc replays cannot livelock — or annotate the loop: //shieldlint:ignore determinism <why>",
-			fd.Name.Name)
-		return true
-	})
-}
-
-// hasSchedulingPoint reports whether body contains a runtime.Gosched
-// call, a select statement, or a channel receive. The walk is syntactic
-// and includes nested loops (an inner loop's yield covers the outer
-// retry) but not nested function literals, whose bodies only run if
-// something calls them.
-func hasSchedulingPoint(info *types.Info, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SelectStmt:
-			found = true
-			return false
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				found = true
-				return false
-			}
-		case *ast.CallExpr:
-			if fn := calleeOf(info, n); fn != nil && fn.Pkg() != nil &&
-				fn.Pkg().Path() == "runtime" && fn.Name() == "Gosched" {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }

@@ -16,10 +16,6 @@
 //	determinism   — no wall clock (time.Now/Sleep/Since/...) or global
 //	                math/rand state on simulated paths; use the
 //	                simclock virtual clock and seeded Jitter streams.
-//	                Unbounded for-loops in //shieldlint:hotpath
-//	                functions must contain a scheduling point
-//	                (runtime.Gosched, select, or a channel receive) so
-//	                single-proc replays cannot livelock on a spin.
 //	secretflow    — secret-bearing values (K, OPc, KAUSF, KSEAF, KAMF,
 //	                SQN, sealed keys) must not reach fmt/log formatting,
 //	                encoding/json marshalling, or printf-style wrappers

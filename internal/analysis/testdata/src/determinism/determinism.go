@@ -6,8 +6,6 @@ package determinism
 import (
 	"math/rand"
 	randv2 "math/rand/v2"
-	"runtime"
-	"sync/atomic"
 	"time"
 )
 
@@ -82,111 +80,4 @@ type clockHolder struct {
 // default clock smuggles the wall clock into simulated paths.
 func holder() clockHolder {
 	return clockHolder{now: time.Now} // want "time.Now reads the wall clock"
-}
-
-// Spin discipline: unbounded loops in //shieldlint:hotpath functions
-// must carry a scheduling point. A yield-free spin livelocks
-// single-proc replays and burns wall time the virtual clock never
-// accounts.
-
-//shieldlint:hotpath
-func spinNoYield(flag *atomic.Bool) {
-	for { // want "unbounded for-loop spins without a scheduling point"
-		if flag.Load() {
-			return
-		}
-	}
-}
-
-//shieldlint:hotpath
-func spinGosched(flag *atomic.Bool) {
-	for {
-		if flag.Load() {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-//shieldlint:hotpath
-func spinSelect(c, stop chan struct{}) {
-	for {
-		select {
-		case <-c:
-			return
-		case <-stop:
-			return
-		}
-	}
-}
-
-//shieldlint:hotpath
-func spinReceive(c chan struct{}) {
-	for {
-		<-c
-		return
-	}
-}
-
-// A bounded (conditioned) loop is not a spin loop, however hot.
-//
-//shieldlint:hotpath
-func boundedOK(n int) int {
-	total := 0
-	for i := 0; i < n; i++ {
-		total += i
-	}
-	return total
-}
-
-// A Gosched inside a nested function literal does not discharge the
-// enclosing loop: nothing in the loop necessarily runs it.
-//
-//shieldlint:hotpath
-func spinLiteralYield(flag *atomic.Bool) {
-	yield := func() { runtime.Gosched() }
-	_ = yield
-	for { // want "unbounded for-loop spins without a scheduling point"
-		if flag.Load() {
-			return
-		}
-		_ = func() { runtime.Gosched() }
-	}
-}
-
-// An inner loop's yield covers the outer retry: control re-enters the
-// scheduler on every pass through the nest.
-//
-//shieldlint:hotpath
-func spinNestedYield(flag *atomic.Bool) {
-	for {
-		if flag.Load() {
-			return
-		}
-		for i := 0; i < 4; i++ {
-			runtime.Gosched()
-		}
-	}
-}
-
-// Unmarked functions may structure their loops however they like; the
-// spin rule is scoped to the declared hot path.
-func spinUnmarked(flag *atomic.Bool) {
-	for {
-		if flag.Load() {
-			return
-		}
-	}
-}
-
-// The escape hatch names the analyzer, same as every other rule.
-//
-//shieldlint:hotpath
-func spinAnnotated(flag *atomic.Bool) {
-	//shieldlint:ignore determinism fixture exercises the escape hatch
-	for { // want:suppressed "unbounded for-loop spins without a scheduling point"
-		if flag.Load() {
-			return
-		}
-	}
 }

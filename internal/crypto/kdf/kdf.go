@@ -52,22 +52,14 @@ var sBuilderPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// Generic computes the TS 33.220 Annex B KDF:
+// AppendGeneric computes the TS 33.220 Annex B KDF:
 //
 //	HMAC-SHA-256(key, FC || P0 || L0 || P1 || L1 || ...)
 //
-// where each Li is the 16-bit big-endian length of Pi. The returned
-// 32-byte slice is freshly allocated and owned by the caller. Generic is
-// the one-shot convenience entry point; nothing on the registration hot
-// path calls it — per-registration derivations go through AppendGeneric
-// or GenericInto, which reuse caller-owned backings.
-func Generic(key []byte, fc byte, params ...[]byte) []byte {
-	return AppendGeneric(make([]byte, 0, sha256.Size), key, fc, params...)
-}
-
-// AppendGeneric appends the 32-byte KDF output to dst and returns the
-// extended slice. The HMAC state and input scratch come from pools, so a
-// derivation that reuses dst performs no heap allocation.
+// where each Li is the 16-bit big-endian length of Pi. It appends the
+// 32-byte output to dst (nil for a fresh caller-owned slice) and returns
+// the extended slice. The HMAC state and input scratch come from pools, so
+// a derivation that reuses dst performs no heap allocation.
 //
 //shieldlint:hotpath
 func AppendGeneric(dst, key []byte, fc byte, params ...[]byte) []byte {
@@ -121,7 +113,7 @@ func KAUSF(ck, ik []byte, snn string, sqnXorAK []byte) ([]byte, error) {
 	var key [32]byte
 	copy(key[:16], ck)
 	copy(key[16:], ik)
-	return Generic(key[:], fcKAUSF, []byte(snn), sqnXorAK), nil
+	return AppendGeneric(nil, key[:], fcKAUSF, []byte(snn), sqnXorAK), nil
 }
 
 // KAUSFInto is KAUSF writing the 32-byte key into dst, for callers that
@@ -159,7 +151,7 @@ func ResStar(ck, ik []byte, snn string, rand, res []byte) ([]byte, error) {
 	var key [32]byte
 	copy(key[:16], ck)
 	copy(key[16:], ik)
-	out := Generic(key[:], fcResStar, []byte(snn), rand, res)
+	out := AppendGeneric(nil, key[:], fcResStar, []byte(snn), rand, res)
 	return out[len(out)-KeyLen128:], nil
 }
 
@@ -243,7 +235,7 @@ func KSEAF(kausf []byte, snn string) ([]byte, error) {
 	if len(kausf) != KeyLen256 {
 		return nil, fmt.Errorf("kdf: K_AUSF length %d, want %d", len(kausf), KeyLen256)
 	}
-	return Generic(kausf, fcKSEAF, []byte(snn)), nil
+	return AppendGeneric(nil, kausf, fcKSEAF, []byte(snn)), nil
 }
 
 // KSEAFInto is KSEAF writing the 32-byte key into dst (allocation-free).
@@ -268,7 +260,7 @@ func KAMF(kseaf []byte, supi string, abba []byte) ([]byte, error) {
 	if len(abba) == 0 {
 		abba = []byte{0x00, 0x00}
 	}
-	return Generic(kseaf, fcKAMF, []byte(supi), abba), nil
+	return AppendGeneric(nil, kseaf, fcKAMF, []byte(supi), abba), nil
 }
 
 // KAMFInto is KAMF writing the 32-byte key into dst (allocation-free),
@@ -293,7 +285,7 @@ func AlgorithmKey(kamf []byte, typ AlgorithmType, algoID byte) ([]byte, error) {
 	if len(kamf) != KeyLen256 {
 		return nil, fmt.Errorf("kdf: K_AMF length %d, want %d", len(kamf), KeyLen256)
 	}
-	out := Generic(kamf, fcAlgoKey, []byte{byte(typ)}, []byte{algoID})
+	out := AppendGeneric(nil, kamf, fcAlgoKey, []byte{byte(typ)}, []byte{algoID})
 	return out[len(out)-KeyLen128:], nil
 }
 
@@ -322,7 +314,7 @@ func KGNB(kamf []byte, uplinkNASCount uint32) ([]byte, error) {
 	var count [4]byte
 	binary.BigEndian.PutUint32(count[:], uplinkNASCount)
 	// Access type distinguisher: 0x01 = 3GPP access.
-	return Generic(kamf, fcKGNB, count[:], []byte{0x01}), nil
+	return AppendGeneric(nil, kamf, fcKGNB, count[:], []byte{0x01}), nil
 }
 
 // ServingNetworkName builds the SNN string of TS 24.501 §9.12.1, e.g.

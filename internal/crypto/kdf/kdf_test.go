@@ -8,6 +8,12 @@ import (
 	"testing/quick"
 )
 
+// Generic is the one-shot form of the KDF the tests check against manual
+// HMAC constructions and the pooled variants.
+func Generic(key []byte, fc byte, params ...[]byte) []byte {
+	return AppendGeneric(make([]byte, 0, sha256.Size), key, fc, params...)
+}
+
 func TestGenericMatchesManualConstruction(t *testing.T) {
 	key := []byte{1, 2, 3, 4}
 	p0 := []byte("abc")

@@ -359,12 +359,11 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	}
 
 	hmee := cfg.Isolation == paka.SGX || cfg.Isolation == paka.SEV
-	reprovision, coalesce := udmHooks(s.Modules[paka.EUDM], cfg.Switchless)
 	udmInvoker := s.buildInvoker(udm.ServiceName)
 	if s.UDM, err = udm.New(ctx, udm.Config{
 		Env: env, Registry: s.Registry, Invoker: udmInvoker,
 		Functions: udmFns, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee, Entropy: s.entropy,
-		Reprovision: reprovision, CoalesceHint: coalesce,
+		Reprovision: reprovisionHook(s.Modules[paka.EUDM]),
 		AVPoolDepth: cfg.AVPoolDepth, AVBatchSize: cfg.AVBatchSize,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: UDM: %w", err)
@@ -437,20 +436,15 @@ func newAdmission(cfg SliceConfig, env *costmodel.Env) *admission.Controller {
 	return admission.NewController(acfg)
 }
 
-// udmHooks are what a UDM gets from its eUDM module m (nil under Monolithic
-// isolation): reprovision pushes a long-term key back into an execution
+// reprovisionHook is what a UDM gets from its eUDM module m (nil under
+// Monolithic isolation): it pushes a long-term key back into an execution
 // environment that lost its key store to a crash-restart (the container
-// runtime keeps no sealed backup); coalesce, under switchless, widens
-// refill batches with the demand queued on that module's own submission
-// ring — cross-worker call coalescing.
-func udmHooks(m *paka.Module, switchless bool) (reprovision func(context.Context, string, []byte) error, coalesce func() int) {
+// runtime keeps no sealed backup).
+func reprovisionHook(m *paka.Module) func(context.Context, string, []byte) error {
 	if m == nil {
-		return nil, nil
+		return nil
 	}
-	if switchless {
-		coalesce = m.RingOccupancy
-	}
-	return m.ProvisionSubscriber, coalesce
+	return m.ProvisionSubscriber
 }
 
 // armChaos points the fault injector at every shard's modules and arms it.

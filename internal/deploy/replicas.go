@@ -155,14 +155,11 @@ func (s *Slice) buildShard(ctx context.Context, cfg SliceConfig, r int, signKey 
 		udmFns, ausfFns, amfFns = shard.RemoteUDM, shard.RemoteAUSF, shard.RemoteAMF
 	}
 
-	// Each shard's refills coalesce with the demand queued on its own eUDM
-	// ring — shards never share a dispatcher.
-	reprovision, coalesce := udmHooks(shard.Modules[paka.EUDM], cfg.Switchless)
 	var err error
 	if shard.UDM, err = udm.New(ctx, udm.Config{
 		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(shard.UDMService),
 		Functions: udmFns, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee, Entropy: s.entropy,
-		Reprovision: reprovision, CoalesceHint: coalesce,
+		Reprovision: reprovisionHook(shard.Modules[paka.EUDM]),
 		AVPoolDepth: cfg.AVPoolDepth, AVBatchSize: cfg.AVBatchSize,
 		ServiceName: shard.UDMService, InstanceID: shard.UDMService + "-1",
 	}); err != nil {

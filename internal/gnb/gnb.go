@@ -477,6 +477,34 @@ func failureClass(err error) string {
 	return "internal"
 }
 
+// newMassResult returns an empty tally whose recorder holds capacity
+// samples without growing.
+func newMassResult(capacity int) *MassResult {
+	return &MassResult{
+		SetupTimes:    metrics.NewRecorder(capacity),
+		FailureCounts: make(map[string]int),
+		FirstErrors:   make(map[string]error),
+		Recovered:     make(map[string]int),
+	}
+}
+
+// merge folds one worker's counts into r.
+func (r *MassResult) merge(o *MassResult) {
+	r.Registered += o.Registered
+	r.Failed += o.Failed
+	r.Attempts += o.Attempts
+	r.SetupTimes.Merge(o.SetupTimes)
+	for class, n := range o.FailureCounts {
+		r.FailureCounts[class] += n
+		if _, seen := r.FirstErrors[class]; !seen {
+			r.FirstErrors[class] = o.FirstErrors[class]
+		}
+	}
+	for class, n := range o.Recovered {
+		r.Recovered[class] += n
+	}
+}
+
 func (r *MassResult) recordFailure(err error) {
 	class := failureClass(err)
 	r.Failed++
@@ -607,23 +635,17 @@ func (g *GNB) RegisterMany(ctx context.Context, n int, newUE func(i int) (*ue.UE
 // pool drains. A provisioning error stops the run (cancelling in-flight
 // workers) and is returned alongside the partial result.
 func (g *GNB) RegisterManyWith(ctx context.Context, opts MassOptions) (*MassResult, error) {
-	result := &MassResult{
-		SetupTimes:    metrics.NewRecorder(opts.N),
-		Parallelism:   opts.Parallelism,
-		FailureCounts: make(map[string]int),
-		FirstErrors:   make(map[string]error),
-		Recovered:     make(map[string]int),
-	}
-	if result.Parallelism < 1 {
-		result.Parallelism = 1
-	}
+	result := newMassResult(opts.N)
+	result.Parallelism = max(opts.Parallelism, 1)
 	tally := newLaneTally(len(g.amfs), opts.N)
 	//shieldlint:wallclock the result deliberately reports wall time next to virtual time
 	wallStart := time.Now()
 	virtualStart := g.env.Clock.Elapsed()
 	var err error
 	if result.Parallelism == 1 {
-		err = g.registerSequential(ctx, opts, result, tally)
+		// The seed driver: the root jitter stream, no chaos worker
+		// context, connection 1.
+		err = g.registerStripe(ctx, opts, 1, 0, 1, result, tally)
 	} else {
 		err = g.registerParallel(ctx, opts, result, tally)
 	}
@@ -663,16 +685,20 @@ func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts i
 	}
 }
 
-// registerSequential is the seed driver loop: same call order, same
-// jitter draws, same early return on provisioning failure.
-func (g *GNB) registerSequential(ctx context.Context, opts MassOptions, result *MassResult, tally *laneTally) error {
+// registerStripe registers the UEs first, first+stride, ... below opts.N in
+// order over SBI connection conn, tallying into result and tally, which it
+// owns until it returns. A provisioning error ends the stripe and is
+// returned; a cancelled ctx just ends it.
+func (g *GNB) registerStripe(ctx context.Context, opts MassOptions, conn uint64, first, stride int, result *MassResult, tally *laneTally) error {
 	if opts.BatchSize > 0 {
-		ctx = paka.WithConnection(ctx, 1, opts.BatchSize)
+		// The stripe pipelines its registrations over its own keep-alive
+		// connection to the P-AKA modules.
+		ctx = paka.WithConnection(ctx, conn, opts.BatchSize)
 	}
 	if opts.Switchless {
 		ctx = paka.WithSwitchless(ctx)
 	}
-	for i := 0; i < opts.N; i++ {
+	for i := first; i < opts.N && ctx.Err() == nil; i += stride {
 		device, err := opts.NewUE(i)
 		if err != nil {
 			return fmt.Errorf("gnb: provision UE %d: %w", i, err)
@@ -701,108 +727,41 @@ func (g *GNB) registerSequential(ctx context.Context, opts MassOptions, result *
 // env.Jitter.Stream(w+1) so a parallel run's cost draws are reproducible
 // for a fixed seed regardless of goroutine interleaving.
 func (g *GNB) registerParallel(ctx context.Context, opts MassOptions, result *MassResult, tally *laneTally) error {
-	workers := opts.Parallelism
-	if workers > opts.N {
-		workers = opts.N
-	}
+	workers := min(opts.Parallelism, opts.N)
 	result.Parallelism = workers
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type workerResult struct {
-		registered int
-		attempts   int
-		setups     *metrics.Recorder
-		failures   map[string]int
-		firstErrs  map[string]error
-		recovered  map[string]int
-		lanes      *laneTally
-		provision  error
-	}
-	perWorker := make([]workerResult, workers)
-
+	results := make([]*MassResult, workers)
+	lanes := make([]*laneTally, workers)
+	provision := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			wr := &perWorker[w]
-			wr.setups = metrics.NewRecorder(opts.N/workers + 1)
-			wr.failures = make(map[string]int)
-			wr.firstErrs = make(map[string]error)
-			wr.recovered = make(map[string]int)
-			if tally != nil {
-				wr.lanes = newLaneTally(len(g.amfs), opts.N/workers+1)
-			}
-			stream := g.env.Jitter.Stream(uint64(w) + 1)
-			base := simclock.WithJitter(wctx, stream)
+			results[w] = newMassResult(opts.N/workers + 1)
+			lanes[w] = newLaneTally(len(g.amfs), opts.N/workers+1)
+			id := uint64(w) + 1
+			base := simclock.WithJitter(wctx, g.env.Jitter.Stream(id))
 			if opts.Chaos != nil {
 				// Fault decisions come from the worker's own stream so
 				// they, like costs, are reproducible per worker.
-				base = opts.Chaos.WorkerContext(base, uint64(w)+1)
+				base = opts.Chaos.WorkerContext(base, id)
 			}
-			if opts.BatchSize > 0 {
-				// Each worker pipelines its stripe over its own
-				// keep-alive connection to the P-AKA modules.
-				base = paka.WithConnection(base, uint64(w)+1, opts.BatchSize)
-			}
-			if opts.Switchless {
-				base = paka.WithSwitchless(base)
-			}
-			for i := w; i < opts.N; i += workers {
-				if wctx.Err() != nil {
-					return
-				}
-				device, err := opts.NewUE(i)
-				if err != nil {
-					wr.provision = fmt.Errorf("gnb: provision UE %d: %w", i, err)
-					cancel()
-					return
-				}
-				sess, attempts, cycles, recovered, err := g.registerAttempts(base, device, opts.MaxAttempts)
-				wr.attempts += attempts
-				if err != nil {
-					wr.lanes.add(g.ShardOf(device.SUPIString()), cycles, false)
-					class := failureClass(err)
-					wr.failures[class]++
-					if _, seen := wr.firstErrs[class]; !seen {
-						wr.firstErrs[class] = err
-					}
-					continue
-				}
-				wr.lanes.add(sess.Shard(), cycles, true)
-				wr.lanes.addSetup(sess.Shard(), sess.SetupTime)
-				for class, n := range recovered {
-					wr.recovered[class] += n
-				}
-				wr.registered++
-				wr.setups.Add(sess.SetupTime)
+			if provision[w] = g.registerStripe(base, opts, id, w, workers, results[w], lanes[w]); provision[w] != nil {
+				cancel()
 			}
 		}(w)
 	}
 	wg.Wait()
 
 	var firstProvision error
-	for w := range perWorker {
-		wr := &perWorker[w]
-		result.Registered += wr.registered
-		result.Attempts += wr.attempts
-		if wr.setups != nil {
-			result.SetupTimes.Merge(wr.setups)
-		}
-		for class, n := range wr.failures {
-			result.Failed += n
-			result.FailureCounts[class] += n
-			if _, seen := result.FirstErrors[class]; !seen {
-				result.FirstErrors[class] = wr.firstErrs[class]
-			}
-		}
-		for class, n := range wr.recovered {
-			result.Recovered[class] += n
-		}
-		tally.merge(wr.lanes)
-		if wr.provision != nil && firstProvision == nil {
-			firstProvision = wr.provision
+	for w := range results {
+		result.merge(results[w])
+		tally.merge(lanes[w])
+		if firstProvision == nil {
+			firstProvision = provision[w]
 		}
 	}
 	return firstProvision

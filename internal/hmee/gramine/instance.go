@@ -182,16 +182,6 @@ func (i *Instance) Exitless() bool { return i.exitless }
 // Switchless reports whether the instance runs a switchless ECALL ring.
 func (i *Instance) Switchless() bool { return i.ring != nil }
 
-// RingOccupancy reports the submission ring's published-but-unserved job
-// count (0 without a ring). The UDM's AV mint reads it to widen batches
-// opportunistically from cross-worker concurrency.
-func (i *Instance) RingOccupancy() int {
-	if i.ring == nil {
-		return 0
-	}
-	return i.ring.Occupancy()
-}
-
 // RingStats snapshots the submission ring's counters (zero without a
 // ring).
 func (i *Instance) RingStats() sgx.RingStats {

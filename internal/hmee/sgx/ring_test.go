@@ -3,6 +3,7 @@ package sgx
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 )
 
 // testRing builds an enclave, enters a resident dispatcher thread, and
-// starts a ring on it, tearing everything down in reverse order.
+// opens a ring on it, tearing everything down in reverse order.
 func testRing(t *testing.T, size int) (*Ring, *Enclave) {
 	t.Helper()
 	p := testPlatform(t)
@@ -29,8 +30,8 @@ func testRing(t *testing.T, size int) (*Ring, *Enclave) {
 	return r, e
 }
 
-// countJob counts its executions; an optional gate makes it block inside
-// the dispatcher (started is signalled once the dispatcher is inside).
+// countJob counts its executions; an optional gate makes it block while
+// holding the dispatcher (started is signalled once it is inside).
 type countJob struct {
 	runs    atomic.Int32
 	err     error
@@ -49,11 +50,35 @@ func (j *countJob) Execute(*Thread) error {
 	return j.err
 }
 
+// admitted reads the ring's in-flight count — submissions admitted and not
+// yet returned — and whether Close has shut the ring.
+func admitted(r *Ring) (int, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.inflight, r.closed
+}
+
+// waitAdmitted blocks until n submissions are in flight on r.
+func waitAdmitted(t *testing.T, r *Ring, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		got, _ := admitted(r)
+		if got >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d submissions were admitted", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestRingWraparound(t *testing.T) {
 	r, _ := testRing(t, 4)
 	ctx := context.Background()
-	// 20 sequential submissions through a 4-slot ring exercise five full
-	// wraps of the Vyukov sequence words.
+	// 20 sequential submissions through a 4-slot ring: slots are reused,
+	// every job runs exactly once and none ever finds the ring full.
 	jobs := make([]*countJob, 20)
 	for i := range jobs {
 		jobs[i] = &countJob{}
@@ -67,8 +92,8 @@ func TestRingWraparound(t *testing.T) {
 		}
 	}
 	st := r.Stats()
-	if st.Submitted != 20 || st.Completed != 20 || st.Drained != 0 {
-		t.Fatalf("stats = %+v, want Submitted=20 Completed=20 Drained=0", st)
+	if st.Submitted != 20 || st.Completed != 20 || st.Drained != 0 || st.Backpressure != 0 {
+		t.Fatalf("stats = %+v, want Submitted=20 Completed=20 Drained=0 Backpressure=0", st)
 	}
 }
 
@@ -85,7 +110,7 @@ func TestRingBackpressure(t *testing.T) {
 	r, _ := testRing(t, 2)
 	ctx := context.Background()
 
-	// Park the dispatcher inside a job so published entries pile up.
+	// Hold the dispatcher inside a job so later submissions pile up.
 	blocker := &countJob{started: make(chan struct{}), release: make(chan struct{})}
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -97,7 +122,9 @@ func TestRingBackpressure(t *testing.T) {
 	}()
 	<-blocker.started
 
-	// Two producers fill both slots, a third finds the ring full and spins.
+	// Behind the running blocker the first producer finds one job in
+	// flight, the other two find the 2-slot ring full — whichever order
+	// the three are admitted in.
 	jobs := make([]*countJob, 3)
 	for i := range jobs {
 		jobs[i] = &countJob{}
@@ -109,12 +136,9 @@ func TestRingBackpressure(t *testing.T) {
 			}
 		}(jobs[i])
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Stats().Backpressure == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no backpressure observed with a full ring and a blocked dispatcher")
-		}
-		time.Sleep(time.Millisecond)
+	waitAdmitted(t, r, 4)
+	if bp := r.Stats().Backpressure; bp != 2 {
+		t.Fatalf("Backpressure = %d with 4 jobs in flight on a 2-slot ring, want 2", bp)
 	}
 
 	close(blocker.release)
@@ -125,33 +149,82 @@ func TestRingBackpressure(t *testing.T) {
 		}
 	}
 	st := r.Stats()
-	if st.Submitted != 4 || st.Completed != 4 {
-		t.Fatalf("stats = %+v, want Submitted=4 Completed=4", st)
+	if st.Submitted != 4 || st.Completed != 4 || st.Backpressure != 2 {
+		t.Fatalf("stats = %+v, want Submitted=4 Completed=4 Backpressure=2", st)
 	}
 }
 
-func TestRingParkAndWake(t *testing.T) {
-	r, _ := testRing(t, 0)
-	ctx := context.Background()
-	if err := r.Submit(ctx, &countJob{}); err != nil {
+// TestRingStartsNoGoroutine pins the design: the ring is a cost model run
+// on its submitters' goroutines, so neither NewRing nor Close changes the
+// goroutine count.
+func TestRingStartsNoGoroutine(t *testing.T) {
+	p := testPlatform(t)
+	e := build(t, p, testConfig())
+	th, err := e.EnterResident(context.Background())
+	if err != nil {
+		t.Fatalf("EnterResident: %v", err)
+	}
+	defer e.LeaveResident(th)
+
+	before := runtime.NumGoroutine()
+	r := NewRing(e, th, 0)
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("NewRing changed the goroutine count %d -> %d", before, n)
+	}
+	if err := r.Submit(context.Background(), &countJob{}); err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
-	// The dispatcher parks after its real spin budget runs dry.
-	deadline := time.Now().Add(5 * time.Second)
-	for r.Stats().Parks == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dispatcher never parked on an idle ring")
-		}
-		time.Sleep(time.Millisecond)
+	r.Close()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Fatalf("goroutine count %d after Close, want %d", n, before)
 	}
-	// A submission against a parked dispatcher must still complete: the
-	// kick doorbell may not be lost.
-	j := &countJob{}
-	if err := r.Submit(ctx, j); err != nil {
-		t.Fatalf("Submit after park: %v", err)
+}
+
+// overlapJob fails the test when two jobs of one ring run at once.
+type overlapJob struct {
+	t      *testing.T
+	inside *atomic.Int32
+	shared *int // unsynchronized on purpose: -race sees any overlap
+}
+
+func (j overlapJob) Execute(*Thread) error {
+	if n := j.inside.Add(1); n != 1 {
+		j.t.Errorf("%d jobs inside the dispatcher at once", n)
 	}
-	if j.runs.Load() != 1 {
-		t.Fatalf("post-park job ran %d times, want 1", j.runs.Load())
+	*j.shared++
+	runtime.Gosched()
+	j.inside.Add(-1)
+	return nil
+}
+
+// TestRingJobsNeverOverlap: the dispatcher owns one TCS, so jobs of one
+// ring run one at a time however many goroutines submit.
+func TestRingJobsNeverOverlap(t *testing.T) {
+	r, _ := testRing(t, 4)
+	const submitters, each = 8, 50
+	var (
+		inside atomic.Int32
+		shared int
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < submitters; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				if err := r.Submit(context.Background(), overlapJob{t, &inside, &shared}); err != nil {
+					t.Errorf("Submit: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if shared != submitters*each {
+		t.Fatalf("%d jobs ran, want %d", shared, submitters*each)
+	}
+	if st := r.Stats(); st.Submitted != submitters*each || st.Completed != st.Submitted {
+		t.Fatalf("stats = %+v, want Submitted=Completed=%d", st, submitters*each)
 	}
 }
 
@@ -164,8 +237,8 @@ func TestRingCloseDrainsExactlyOnce(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		// The blocker is dispatched before Close, so it completes with its
-		// own (nil) result even though the ring closes around it.
+		// The blocker is running when Close arrives, so it completes with
+		// its own (nil) result even though the ring closes around it.
 		if err := r.Submit(ctx, blocker); err != nil {
 			t.Errorf("Submit blocker: %v", err)
 		}
@@ -175,24 +248,43 @@ func TestRingCloseDrainsExactlyOnce(t *testing.T) {
 	const producers = 8
 	jobs := make([]*countJob, producers)
 	errs := make([]error, producers)
+	var returned atomic.Int32
 	for i := 0; i < producers; i++ {
 		jobs[i] = &countJob{}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			errs[i] = r.Submit(ctx, jobs[i])
+			returned.Add(1)
 		}(i)
 	}
-	// Let the queue fill behind the blocked dispatcher, then tear the ring
-	// down mid-stream while releasing the blocker.
-	for r.Occupancy() < 4 {
-		time.Sleep(time.Millisecond)
-	}
+	// Let every producer queue behind the blocked dispatcher, then tear the
+	// ring down around the running blocker.
+	waitAdmitted(t, r, 1+producers)
 	done := make(chan struct{})
 	go func() {
 		r.Close()
+		if n, _ := admitted(r); n != 0 {
+			t.Errorf("Close returned with %d submissions still in flight", n)
+		}
 		close(done)
 	}()
+	// Once Close has shut the ring nothing can have drained yet: the
+	// blocker still holds the dispatcher.
+	for {
+		if _, closed := admitted(r); closed {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-done:
+		t.Fatal("Close returned while the running job still held the dispatcher")
+	default:
+	}
+	if n := returned.Load(); n != 0 {
+		t.Fatalf("%d queued submissions returned before the running job finished", n)
+	}
 	close(blocker.release)
 	wg.Wait()
 	<-done
@@ -202,18 +294,15 @@ func TestRingCloseDrainsExactlyOnce(t *testing.T) {
 	}
 	for i, j := range jobs {
 		runs := j.runs.Load()
-		switch {
-		case errs[i] == nil && runs != 1:
-			t.Fatalf("job %d returned nil but ran %d times, want exactly 1", i, runs)
-		case errors.Is(errs[i], ErrRingClosed) && runs != 0:
-			t.Fatalf("job %d was drained with ErrRingClosed but ran %d times", i, runs)
-		case errs[i] != nil && !errors.Is(errs[i], ErrRingClosed):
-			t.Fatalf("job %d: unexpected error %v", i, errs[i])
+		// All eight were admitted behind the blocker before Close, so all
+		// eight drain: none runs.
+		if !errors.Is(errs[i], ErrRingClosed) || runs != 0 {
+			t.Fatalf("job %d: err %v after %d runs, want ErrRingClosed and 0", i, errs[i], runs)
 		}
 	}
 	st := r.Stats()
-	if st.Submitted != st.Completed+st.Drained {
-		t.Fatalf("stats = %+v: Submitted != Completed+Drained after Close", st)
+	if st.Submitted != 1+producers || st.Completed != 1 || st.Drained != producers {
+		t.Fatalf("stats = %+v, want Submitted=%d Completed=1 Drained=%d", st, 1+producers, producers)
 	}
 	// Late submissions against the closed ring fail cleanly, and Close
 	// stays idempotent.
@@ -333,9 +422,7 @@ func TestRingDoorbellDeterministic(t *testing.T) {
 			}
 		}
 		r.Close()
-		st := r.Stats()
-		st.Parks = 0 // real-axis, timing-dependent by design
-		return st, e.Stats(), acct.Total()
+		return r.Stats(), e.Stats(), acct.Total()
 	}
 	stA, encA, cycA := run()
 	stB, encB, cycB := run()

@@ -103,15 +103,6 @@ type Config struct {
 	// PrewarmSNN is the serving network name the prewarmed vectors are
 	// derived for; required when PrewarmSUPIs is set.
 	PrewarmSNN string
-	// CoalesceHint, when set, reports how many calls are queued behind
-	// the current one at the AKA execution environment (deploy points it
-	// at the eUDM module's switchless-ring occupancy). A refill widens
-	// its batch by the hint — capped at one full ring plus the vector
-	// being served — so queued demand is minted in the same crossing
-	// instead of triggering its own refills. A zero hint (idle ring,
-	// no ring, or nil func) keeps the configured batch size exactly,
-	// which is what preserves bit-identical sequential replays.
-	CoalesceHint func() int
 	// ServiceName overrides the SBI service name (default "udm") so a
 	// sharded deployment can run several UDM replicas side by side, each
 	// with its own server, AV pool, and overload meter.
@@ -122,16 +113,15 @@ type Config struct {
 
 // UDM is the data-management VNF.
 type UDM struct {
-	env          *costmodel.Env
-	server       *sbi.Server
-	udr          *udr.Client
-	nrfc         *nrf.Client
-	fns          paka.UDMFunctions
-	hnKey        *suci.HomeNetworkKey
-	entropy      io.Reader
-	reprovision  func(ctx context.Context, supi string, k []byte) error
-	pool         *avPool
-	coalesceHint func() int
+	env         *costmodel.Env
+	server      *sbi.Server
+	udr         *udr.Client
+	nrfc        *nrf.Client
+	fns         paka.UDMFunctions
+	hnKey       *suci.HomeNetworkKey
+	entropy     io.Reader
+	reprovision func(ctx context.Context, supi string, k []byte) error
+	pool        *avPool
 
 	reprovisions atomic.Uint64
 }
@@ -160,15 +150,14 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 		instance = "udm-1"
 	}
 	u := &UDM{
-		env:          cfg.Env,
-		server:       sbi.NewServer(service, cfg.Env),
-		udr:          udr.NewClient(cfg.Invoker),
-		nrfc:         nrf.NewClient(cfg.Invoker),
-		fns:          cfg.Functions,
-		hnKey:        cfg.HomeNetworkKey,
-		entropy:      entropy,
-		reprovision:  cfg.Reprovision,
-		coalesceHint: cfg.CoalesceHint,
+		env:         cfg.Env,
+		server:      sbi.NewServer(service, cfg.Env),
+		udr:         udr.NewClient(cfg.Invoker),
+		nrfc:        nrf.NewClient(cfg.Invoker),
+		fns:         cfg.Functions,
+		hnKey:       cfg.HomeNetworkKey,
+		entropy:     entropy,
+		reprovision: cfg.Reprovision,
 	}
 	if cfg.AVPoolDepth > 0 {
 		u.pool = newAVPool(cfg.AVPoolDepth, cfg.AVBatchSize)
@@ -332,8 +321,7 @@ func (u *UDM) pooledAV(ctx context.Context, supi, snn string) (*paka.UDMGenerate
 	if av, ok := u.pool.take(supi); ok {
 		return av, nil
 	}
-	count := u.refillCount()
-	items, err := u.avRequestBatch(ctx, supi, snn, count)
+	items, err := u.avRequestBatch(ctx, supi, snn, u.pool.batch)
 	if err != nil {
 		return nil, err
 	}
@@ -343,31 +331,6 @@ func (u *UDM) pooledAV(ctx context.Context, supi, snn string) (*paka.UDMGenerate
 	}
 	u.pool.fill(supi, vectors[1:])
 	return &vectors[0], nil
-}
-
-// refillCount resolves how many vectors the next refill crossing mints:
-// the configured batch size, widened opportunistically by the coalescing
-// hint (queued switchless-ring demand) up to one full ring plus the
-// vector being served. With no hint — or a zero one — this is exactly
-// pool.batch, the committed deterministic path.
-func (u *UDM) refillCount() int {
-	count := u.pool.batch
-	if u.coalesceHint == nil {
-		return count
-	}
-	hint := u.coalesceHint()
-	if hint <= 0 {
-		return count
-	}
-	max := u.pool.depth + 1
-	if max < count {
-		max = count
-	}
-	count += hint
-	if count > max {
-		count = max
-	}
-	return count
 }
 
 // generateBatch mints the given items through one boundary crossing when

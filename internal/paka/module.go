@@ -656,19 +656,6 @@ func WithSwitchless(ctx context.Context) context.Context {
 	return sgx.WithSwitchless(ctx)
 }
 
-// RingOccupancy reports the instantaneous depth of the module's
-// switchless submission ring: how many submitted calls the in-enclave
-// dispatcher has not yet consumed. Zero when the module is not
-// SGX-isolated or was deployed without Config.Switchless. The eUDM AV
-// pool uses it as a coalescing hint to widen refill batches while
-// demand is queued.
-func (m *Module) RingOccupancy() int {
-	if rt, ok := m.rt().(*sgxRuntime); ok {
-		return rt.inst.RingOccupancy()
-	}
-	return 0
-}
-
 // RingStats snapshots the switchless ring counters (zero-valued when no
 // ring is attached).
 func (m *Module) RingStats() sgx.RingStats {

@@ -290,3 +290,54 @@ func TestSwitchlessFastPathGates(t *testing.T) {
 		}
 	}
 }
+
+// TestSwitchlessParallelMintsWholeBatches: a refill's size is
+// configuration, never ring timing. With four workers submitting through
+// the eUDM ring at once, every refill still mints exactly the configured
+// batch, so the vectors banked plus the vectors served add up to
+// refills x batch.
+func TestSwitchlessParallelMintsWholeBatches(t *testing.T) {
+	ctx := context.Background()
+	const n, batch = 64, 8
+	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{
+		Isolation:   shield5g.SGX,
+		Seed:        1,
+		AVPoolDepth: batch,
+		BinarySBI:   true,
+		Switchless:  true,
+	})
+	if err != nil {
+		t.Fatalf("NewTestbed: %v", err)
+	}
+	defer tb.Close()
+
+	devices := make([]*shield5g.UE, n)
+	for i := range devices {
+		sub, err := tb.AddSubscriber(ctx, benchKey, nil)
+		if err != nil {
+			t.Fatalf("AddSubscriber(%d): %v", i, err)
+		}
+		devices[i] = sub.UE
+	}
+	res, err := tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
+		N:           n,
+		NewUE:       func(i int) (*shield5g.UE, error) { return devices[i], nil },
+		Parallelism: 4,
+		BatchSize:   8,
+		Switchless:  true,
+	})
+	if err != nil {
+		t.Fatalf("RegisterManyWith: %v", err)
+	}
+	if res.Failed > 0 {
+		t.Fatalf("%d of %d registrations failed", res.Failed, n)
+	}
+	st := tb.Slice.UDM.AVPoolStats()
+	if st.Refills == 0 {
+		t.Fatal("the AV pool never refilled; the test exercised nothing")
+	}
+	if minted := uint64(st.Pooled) + st.Hits + st.Misses; minted != st.Refills*batch {
+		t.Fatalf("pool holds %d + served %d = %d vectors after %d refills of %d, want %d",
+			st.Pooled, st.Hits+st.Misses, minted, st.Refills, batch, st.Refills*batch)
+	}
+}
