@@ -62,7 +62,7 @@ func run() int {
 	batch := flag.Int("batch", 0, "keep-alive session depth: module requests per connection (0 = one connection per request)")
 	avpool := flag.Int("avpool", 0, "UDM AV precomputation pool depth per SUPI (0 disables)")
 	switchless := flag.Bool("switchless", false, "deploy the P-AKA modules with the switchless ECALL submission ring and route module requests through it (sgx only)")
-	shards := flag.Int("shards", 1, "core replica count: vertical AMF+AUSF+UDM+P-AKA slices behind SUPI-affinity routing (1 = singleton core)")
+	shards := flag.Int("shards", 1, "core replica count: vertical AMF+AUSF+UDM+P-AKA slices behind SUPI-affinity routing")
 	shardSize := flag.Int("shardsize", 0, "shuffle-shard width: replicas this gNB's tenant may route to (0 = all)")
 	stormFactor := flag.Float64("storm", 0, "signaling-storm overload factor: offer arrivals at this multiple of the core's service rate (0 disables)")
 	limiter := flag.Bool("limiter", false, "arm the overload-control limiter (bounded-queue shedding, priority admission, client throttling) during a -storm run")
@@ -263,15 +263,13 @@ func run() int {
 			result.Wall.Round(time.Millisecond), result.Virtual.Round(time.Millisecond),
 			float64(result.Virtual)/float64(time.Millisecond)/float64(result.Registered))
 	}
-	if len(result.ShardStats) > 1 {
-		fmt.Printf("fleet: %.1f regs/s over makespan %v (busiest lane; lane_balance %.3f; epoch %d)\n",
-			result.FleetRegsPerSec, result.FleetVirtual.Round(time.Millisecond),
-			result.LaneBalance, tb.Slice.Router.Epoch())
-		for i, st := range result.ShardStats {
-			fmt.Printf("  shard %d (%s): %d ok, %d failed, busy %v\n",
-				i, tb.Slice.Shards[i].Name, st.Registered, st.Failed,
-				st.Busy.Round(time.Millisecond))
-		}
+	fmt.Printf("fleet: %.1f regs/s over makespan %v (busiest lane; lane_balance %.3f; epoch %d)\n",
+		result.FleetRegsPerSec, result.FleetVirtual.Round(time.Millisecond),
+		result.LaneBalance, tb.Slice.Router.Epoch())
+	for i, st := range result.ShardStats {
+		fmt.Printf("  shard %d (%s): %d ok, %d failed, busy %v\n",
+			i, tb.Slice.Shards[i].Name, st.Registered, st.Failed,
+			st.Busy.Round(time.Millisecond))
 	}
 	if result.Failed > 0 {
 		classes := make([]string, 0, len(result.FailureCounts))

@@ -16,33 +16,72 @@ import (
 	"shield5g/internal/ue"
 )
 
+// crashRecovery crash-restarts the eUDM of the shard that owns a registered,
+// pool-prewarmed UE and re-registers it, at every shard count. The restart
+// must land on that shard alone, invalidate that shard's banked vectors
+// (minted before the crash, they must never be served after it) and leave
+// its siblings' in place, and the owning UDM must re-push the key
+// wantReprovisions times.
+func crashRecovery(t *testing.T, iso paka.Isolation, wantReprovisions uint64) {
+	forReplicas(t, func(t *testing.T, replicas int) {
+		const depth = 4
+		ctx := context.Background()
+		s := newSliceWith(t, SliceConfig{Isolation: iso, Seed: 42, Replicas: replicas, AVPoolDepth: depth})
+		devices := make([]*ue.UE, 8)
+		supis := make([]string, len(devices))
+		for i := range devices {
+			devices[i] = provisionUE(t, s, fmt.Sprintf("%010d", 31000+i))
+			supis[i] = devices[i].SUPIString()
+		}
+		if err := s.PrewarmAVPool(ctx, supis); err != nil {
+			t.Fatalf("PrewarmAVPool: %v", err)
+		}
+		device := devices[0]
+		sess, err := s.GNB.RegisterUE(ctx, device)
+		if err != nil {
+			t.Fatalf("register before crash: %v", err)
+		}
+		owner := sess.Shard()
+		before := s.ShardAVPoolStats()
+
+		if err := s.RestartShardModule(ctx, owner, paka.EUDM); err != nil {
+			t.Fatalf("RestartShardModule(%d): %v", owner, err)
+		}
+		for i, shard := range s.Shards {
+			want := uint64(0)
+			if i == owner {
+				want = 1
+			}
+			if got := shard.Modules[paka.EUDM].Restarts(); got != want {
+				t.Fatalf("shard %d eUDM Restarts = %d, want %d", i, got, want)
+			}
+		}
+		for i, st := range s.ShardAVPoolStats() {
+			switch {
+			case i == owner && (st.Pooled != 0 || st.Invalidated != uint64(before[i].Pooled)):
+				t.Fatalf("owning shard %d kept %d vectors (invalidated %d of %d) across the crash", i, st.Pooled, st.Invalidated, before[i].Pooled)
+			case i != owner && st != before[i]:
+				t.Fatalf("shard %d's pool changed (%+v -> %+v) though shard %d crashed", i, before[i], st, owner)
+			}
+		}
+
+		if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+			t.Fatalf("register after crash: %v", err)
+		}
+		if n := s.Shards[owner].UDM.Reprovisions(); n != wantReprovisions {
+			t.Fatalf("Reprovisions = %d, want %d", n, wantReprovisions)
+		}
+		if err := s.RestartShardModule(ctx, len(s.Shards), paka.EUDM); err == nil {
+			t.Fatal("restart of a shard the slice does not have succeeded")
+		}
+	})
+}
+
 // TestSGXCrashRecoverySealedRestore models a whole-module crash under SGX:
 // the rebuilt enclave (same config, same measurement, same seal key)
 // restores its subscriber keys from sealed backups, so a UE provisioned
 // before the crash re-registers without the UDM ever re-pushing its key.
-func TestSGXCrashRecoverySealedRestore(t *testing.T) {
-	ctx := context.Background()
-	s := newTestSlice(t, paka.SGX)
-	device := provisionUE(t, s, "0000031001")
-	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
-		t.Fatalf("register before crash: %v", err)
-	}
-
-	m := s.Modules[paka.EUDM]
-	if err := s.RestartModule(ctx, paka.EUDM); err != nil {
-		t.Fatalf("RestartModule: %v", err)
-	}
-	if m.Restarts() != 1 {
-		t.Fatalf("Restarts = %d, want 1", m.Restarts())
-	}
-
-	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
-		t.Fatalf("register after crash: %v", err)
-	}
-	if n := s.UDM.Reprovisions(); n != 0 {
-		t.Fatalf("Reprovisions = %d, want 0 (sealed restore should have kept the key)", n)
-	}
-}
+func TestSGXCrashRecoverySealedRestore(t *testing.T) { crashRecovery(t, paka.SGX, 0) }
 
 // TestSGXRestartChargesReload pins the recovery cost: the rebuilt enclave
 // re-pays the paper's Fig. 7 ~1-minute load in virtual time, charged to
@@ -63,24 +102,7 @@ func TestSGXRestartChargesReload(t *testing.T) {
 // TestContainerCrashRecoveryReprovisions models the unshielded path: the
 // restarted container runtime has no sealed backup, so the first AV
 // request hits USER_NOT_FOUND and the UDM restores the key from the UDR.
-func TestContainerCrashRecoveryReprovisions(t *testing.T) {
-	ctx := context.Background()
-	s := newTestSlice(t, paka.Container)
-	device := provisionUE(t, s, "0000031002")
-	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
-		t.Fatalf("register before crash: %v", err)
-	}
-
-	if err := s.RestartModule(ctx, paka.EUDM); err != nil {
-		t.Fatalf("RestartModule: %v", err)
-	}
-	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
-		t.Fatalf("register after crash: %v", err)
-	}
-	if n := s.UDM.Reprovisions(); n != 1 {
-		t.Fatalf("Reprovisions = %d, want 1 (container restart loses the key store)", n)
-	}
-}
+func TestContainerCrashRecoveryReprovisions(t *testing.T) { crashRecovery(t, paka.Container, 1) }
 
 // TestAUSFPendingAuthTTL covers the pending-auth expiry sweep: an auth
 // context abandoned mid-registration is reaped once the virtual clock

@@ -7,6 +7,10 @@
 // deployed on the same simulated host as their parent VNFs: every module
 // enclave is built on the slice's single SGX platform, and the
 // cryptographic parameters never leave that host.
+//
+// A slice is N >= 1 shards: vertical replicas of the authentication chain
+// (AMF -> AUSF -> UDM -> P-AKA modules, see replicas.go) behind
+// SUPI-affinity routing at the gNB. NRF, UDR, SMF and UPF are shared.
 package deploy
 
 import (
@@ -14,7 +18,6 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
-	"io"
 	"sync"
 
 	"shield5g/internal/admission"
@@ -49,37 +52,19 @@ type SliceConfig struct {
 	MCC, MNC string
 	// Seed makes the slice's virtual-time jitter reproducible.
 	Seed uint64
-	// Env overrides the cost environment (built from Seed when nil).
-	Env *costmodel.Env
-	// Platform overrides the SGX host (built from Seed when nil; only
-	// used for SGX isolation).
-	Platform *sgx.Platform
 	// Radio selects the access profile (gNBSIM default).
 	Radio gnb.RadioProfile
-	// EnclaveSizeBytes/MaxThreads/DisablePreheat tune the module
-	// enclaves for the Fig. 8 sweeps (defaults: 512 MiB, 4, preheat on).
-	EnclaveSizeBytes uint64
-	MaxThreads       int
-	DisablePreheat   bool
-	// Entropy overrides randomness (tests); nil selects crypto/rand.
-	Entropy io.Reader
 	// Chaos enables the deterministic fault injector on every SBI client
 	// of the slice (nil disables injection). The injector is armed as the
 	// slice finishes deploying; use Slice.Chaos to disarm around
-	// provisioning or to read injection counts.
+	// provisioning or to read injection counts. A chaos slice runs the
+	// default SBI deadline/retry/circuit-breaker policy (injected faults
+	// would otherwise turn every hit into a hard failure).
 	Chaos *chaos.Config
-	// Resilience tunes the SBI deadline/retry/circuit-breaker layer. nil
-	// leaves the transport bare — unless Chaos is set, in which case the
-	// default policy applies (injected faults would otherwise turn every
-	// hit into a hard failure).
-	Resilience *sbi.ResilienceConfig
 	// AVPoolDepth enables the UDM's authentication-vector precomputation
-	// pool (vectors banked per SUPI, minted in batch crossings); 0
-	// disables it, keeping the seed's one-crossing-per-AV path.
+	// pool (vectors banked per SUPI, minted AVPoolDepth per batch
+	// crossing); 0 disables it, keeping the seed's one-crossing-per-AV path.
 	AVPoolDepth int
-	// AVBatchSize is the number of vectors minted per pool refill; ≤0
-	// defaults to AVPoolDepth.
-	AVBatchSize int
 	// BinarySBI opts every SBI client of the slice into the negotiated
 	// binary frame codec (sbi.Client.EnableBinary): hot-path bodies switch
 	// from JSON to zero-copy length-prefixed frames once each client has
@@ -92,17 +77,15 @@ type SliceConfig struct {
 	// proportional throttling. nil leaves the slice seed-identical. The
 	// machinery starts disarmed — SetOverloadArmed opens the storm window.
 	Overload *OverloadProfile
-	// Replicas shards the core horizontally: N vertical replica slices
-	// (AMF -> AUSF -> UDM -> P-AKA modules each) behind SUPI-affinity
-	// consistent-hash routing at the gNB, with the NRF pushing versioned
-	// topology snapshots to the data plane. Values <= 1 build the
-	// singleton core, bit-identical to the seed. NRF, UDR, SMF and UPF
-	// stay shared across replicas.
+	// Replicas is the number of shards: vertical replicas of the
+	// authentication chain (AMF -> AUSF -> UDM -> P-AKA modules each)
+	// behind SUPI-affinity rendezvous routing at the gNB, with the NRF
+	// pushing versioned topology snapshots to the data plane. Values below
+	// 1 mean 1. NRF, UDR, SMF and UPF stay shared across replicas.
 	Replicas int
 	// ShardSize caps each tenant's (gNB, PLMN) shuffle shard to this many
 	// replicas, so a noisy tenant only degrades its own subset; 0 lets
-	// every tenant route across all replicas. Only meaningful with
-	// Replicas > 1.
+	// every tenant route across all replicas.
 	ShardSize int
 	// Switchless deploys every SGX module with the switchless ECALL
 	// submission ring (paka.Config.Switchless): a dedicated in-enclave
@@ -186,25 +169,23 @@ type Slice struct {
 	Chaos *chaos.Injector
 
 	// Admission is the AMF's priority admission controller (nil unless
-	// SliceConfig.Overload.Admission was set). In a sharded slice it is
-	// shard 0's controller; see Shards for the rest. Disarmed until
-	// SetOverloadArmed(true).
+	// SliceConfig.Overload.Admission was set): shard 0's controller, see
+	// Shards for the rest. Disarmed until SetOverloadArmed(true).
 	Admission *admission.Controller
 
-	// Shards lists the vertical core replicas in shard-index order.
-	// Always populated: a singleton slice is one shard whose members
-	// alias the top-level UDM/AUSF/AMF/Modules fields.
+	// Shards lists the vertical core replicas in shard-index order, at
+	// least one. The top-level UDM/AUSF/AMF/Modules/MonoUDM/Remote*/
+	// Admission fields alias Shards[0]'s.
 	Shards []*CoreShard
 
 	// Topology is the NRF's snapshot builder — the control plane that
-	// pushes routing snapshots into Router. nil for singleton slices.
+	// pushes routing snapshots into Router.
 	Topology *topo.Builder
 	// Router is the gNB's data-plane routing view (last-known-good
-	// snapshot). nil for singleton slices.
+	// snapshot).
 	Router *topology.Router
 
-	resil   *sbi.ResilienceConfig
-	entropy io.Reader
+	resil *sbi.ResilienceConfig
 
 	// resilMu guards resilients: every resilient invoker the slice built,
 	// for ResilienceStats aggregation.
@@ -228,9 +209,9 @@ type udmBiasTarget struct {
 	udm *udm.UDM
 }
 
-// CoreShard is one vertical replica of the sharded core: the UDM, AUSF
-// and AMF replica plus their private P-AKA module set, statically bound
-// to each other at construction (no NRF lookup in any request path).
+// CoreShard is one vertical replica of the core: the UDM, AUSF and AMF
+// replica plus their private P-AKA module set, bound to each other at
+// construction (no NRF lookup in any request path).
 type CoreShard struct {
 	Index int
 	// Name is the replica's stable routing identity ("shard-<i>").
@@ -265,11 +246,10 @@ type CoreShard struct {
 	AUSFService string
 }
 
-// newSliceBase is the construction prologue the singleton and the sharded
-// path share: defaults, the cost environment and SGX platform, the
-// (disarmed) fault injector, the resilience profile, the home-network key,
-// and the shared NRF and UDR — in exactly this order, which fixes the
-// entropy and jitter draws every same-seed golden depends on.
+// newSliceBase is NewSlice's prologue: defaults, the cost environment and
+// SGX platform, the (disarmed) fault injector, the resilience profile, the
+// home-network key, and the shared NRF and UDR — in exactly this order,
+// which fixes the jitter draws every same-seed golden depends on.
 func newSliceBase(cfg SliceConfig) (*Slice, error) {
 	if cfg.MCC == "" {
 		cfg.MCC = "001"
@@ -280,19 +260,12 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 	if cfg.Isolation == 0 {
 		cfg.Isolation = paka.SGX
 	}
-	entropy := cfg.Entropy
-	if entropy == nil {
-		entropy = rand.Reader
-	}
-	env := cfg.Env
-	if env == nil {
-		env = costmodel.NewEnv(nil, cfg.Seed, nil)
-	}
-	platform := cfg.Platform
-	if platform == nil && cfg.Isolation == paka.SGX {
+	cfg.Replicas = max(cfg.Replicas, 1)
+	env := costmodel.NewEnv(nil, cfg.Seed, nil)
+	var platform *sgx.Platform
+	if cfg.Isolation == paka.SGX {
 		var err error
-		platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: cfg.Seed, Entropy: entropy})
-		if err != nil {
+		if platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: cfg.Seed}); err != nil {
 			return nil, fmt.Errorf("deploy: SGX platform: %w", err)
 		}
 	}
@@ -302,7 +275,6 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 		Env:      env,
 		Platform: platform,
 		Registry: sbi.NewRegistry(),
-		entropy:  entropy,
 		attested: make(map[*paka.Module]bool),
 	}
 	if cfg.Chaos != nil {
@@ -311,21 +283,14 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 		// runs fault-free; armChaos arms the injector once the slice is up.
 		s.Chaos.SetArmed(false)
 	}
-	switch {
-	case cfg.Resilience != nil:
-		r := *cfg.Resilience
-		s.resil = &r
-	case cfg.Chaos != nil:
-		r := sbi.DefaultResilienceConfig()
-		s.resil = &r
-	case cfg.Overload != nil && cfg.Overload.Throttle:
-		// Client-side throttling lives in the resilience layer.
+	// Client-side throttling lives in the resilience layer too.
+	if cfg.Chaos != nil || (cfg.Overload != nil && cfg.Overload.Throttle) {
 		r := sbi.DefaultResilienceConfig()
 		s.resil = &r
 	}
 
 	var err error
-	if s.HomeNetworkKey, err = suci.GenerateHomeNetworkKey(entropy, 1); err != nil {
+	if s.HomeNetworkKey, err = suci.GenerateHomeNetworkKey(rand.Reader, 1); err != nil {
 		return nil, fmt.Errorf("deploy: home network key: %w", err)
 	}
 	if s.NRF, err = nrf.New(env, s.Registry); err != nil {
@@ -337,46 +302,19 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 	return s, nil
 }
 
-// NewSlice builds and starts a slice. For SGX isolation the enclave build
-// cost (Fig. 7) is charged to ctx's account. Replicas > 1 selects the
-// sharded construction path (see replicas.go); the singleton path below
-// stays bit-identical to the seed.
+// NewSlice builds and starts a slice: the shared infrastructure, then each
+// shard's module set and VNF chain (buildShard), then the topology control
+// plane publishing epoch 1, then the gNB. For SGX isolation the enclave
+// build cost (Fig. 7) is charged to ctx's account.
 func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
-	if cfg.Replicas > 1 {
-		return newShardedSlice(ctx, cfg)
-	}
 	s, err := newSliceBase(cfg)
 	if err != nil {
 		return nil, err
 	}
 	cfg, env := s.Config, s.Env
-	s.Modules = make(map[paka.ModuleKind]*paka.Module)
-	s.Admission = newAdmission(cfg, env)
 
-	udmFns, ausfFns, amfFns, err := s.buildFunctions(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	hmee := cfg.Isolation == paka.SGX || cfg.Isolation == paka.SEV
-	udmInvoker := s.buildInvoker(udm.ServiceName)
-	if s.UDM, err = udm.New(ctx, udm.Config{
-		Env: env, Registry: s.Registry, Invoker: udmInvoker,
-		Functions: udmFns, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee, Entropy: s.entropy,
-		Reprovision: reprovisionHook(s.Modules[paka.EUDM]),
-		AVPoolDepth: cfg.AVPoolDepth, AVBatchSize: cfg.AVBatchSize,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: UDM: %w", err)
-	}
-
-	ausfInvoker := s.buildInvoker(ausf.ServiceName)
-	if s.AUSF, err = ausf.New(ctx, ausf.Config{
-		Env: env, Registry: s.Registry, Invoker: ausfInvoker,
-		Functions: ausfFns, HMEE: hmee,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: AUSF: %w", err)
-	}
-
+	// The rest of the shared control and user plane — one of each across
+	// all shards, like the base's NRF and UDR.
 	if s.UPF, err = upf.New(env, s.Registry); err != nil {
 		return nil, fmt.Errorf("deploy: UPF: %w", err)
 	}
@@ -385,39 +323,58 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		return nil, fmt.Errorf("deploy: SMF: %w", err)
 	}
 
-	amfInvoker := s.buildInvoker(amf.ServiceName)
-	if s.AMF, err = amf.New(ctx, amf.Config{
-		Env: env, Registry: s.Registry, Invoker: amfInvoker,
-		Functions: amfFns, MCC: cfg.MCC, MNC: cfg.MNC, HMEE: hmee,
-		Admission: s.Admission,
-	}); err != nil {
-		return nil, fmt.Errorf("deploy: AMF: %w", err)
+	// One GSC signing key for all module images of this operator (only
+	// drawn when modules are actually extracted).
+	var signKey ed25519.PrivateKey
+	if cfg.Isolation != paka.Monolithic {
+		if _, signKey, err = ed25519.GenerateKey(rand.Reader); err != nil {
+			return nil, fmt.Errorf("deploy: GSC sign key: %w", err)
+		}
+	}
+
+	amfs := make([]*amf.AMF, cfg.Replicas)
+	replicas := make([]topology.Replica, cfg.Replicas)
+	for r := range amfs {
+		shard, err := s.buildShard(ctx, r, signKey)
+		if err != nil {
+			return nil, err
+		}
+		s.Shards = append(s.Shards, shard)
+		amfs[r] = shard.AMF
+		replicas[r] = topology.Replica{Index: r, Name: shard.Name}
+	}
+
+	// The top-level fields alias shard 0, so code that wants "the" UDM or
+	// module set (experiments, tests, tooling) observes the first replica.
+	first := s.Shards[0]
+	s.UDM, s.AUSF, s.AMF = first.UDM, first.AUSF, first.AMF
+	s.Modules = first.Modules
+	s.MonoUDM = first.MonoUDM
+	s.RemoteUDM, s.RemoteAUSF, s.RemoteAMF = first.RemoteUDM, first.RemoteAUSF, first.RemoteAMF
+	s.Admission = first.Admission
+
+	// Topology control plane: the NRF's builder owns the authoritative
+	// replica set and pushes sealed snapshots into the gNB's router. The
+	// router is subscribed before the first publish, so epoch 1 is its
+	// catch-up-free baseline.
+	s.Topology = topo.NewBuilder()
+	s.Router = topology.NewRouter()
+	s.Topology.SetReplicas(replicas)
+	s.Topology.SetShardSize(cfg.ShardSize)
+	if err := s.Topology.Subscribe(s.Router); err != nil {
+		return nil, fmt.Errorf("deploy: router subscription: %w", err)
+	}
+	if res := s.Topology.Publish(); res.Nacked > 0 {
+		return nil, fmt.Errorf("deploy: initial topology push nacked (epoch %d)", res.Epoch)
 	}
 
 	if s.GNB, err = gnb.New(gnb.Config{
-		Env: env, AMF: s.AMF, UPF: s.UPF, MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio,
+		Env: env, AMFs: amfs, Router: s.Router, UPF: s.UPF,
+		MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: gNB: %w", err)
 	}
 
-	// The singleton core is one shard whose members alias the top-level
-	// fields, so shard-generic consumers (overload wiring, provisioning,
-	// counter aggregation) have a single code path.
-	s.Shards = []*CoreShard{{
-		Index:       0,
-		Name:        "shard-0",
-		UDM:         s.UDM,
-		AUSF:        s.AUSF,
-		AMF:         s.AMF,
-		Modules:     s.Modules,
-		MonoUDM:     s.MonoUDM,
-		RemoteUDM:   s.RemoteUDM,
-		RemoteAUSF:  s.RemoteAUSF,
-		RemoteAMF:   s.RemoteAMF,
-		Admission:   s.Admission,
-		UDMService:  udm.ServiceName,
-		AUSFService: ausf.ServiceName,
-	}}
 	s.armChaos()
 	s.wireOverload()
 	return s, nil
@@ -610,48 +567,18 @@ func (s *Slice) buildInvoker(from string) sbi.Invoker {
 func (s *Slice) moduleConfig(kind paka.ModuleKind, suffix string, signKey ed25519.PrivateKey) paka.Config {
 	cfg := s.Config
 	return paka.Config{
-		Kind:             kind,
-		Service:          kind.ServiceName() + suffix,
-		Isolation:        cfg.Isolation,
-		Env:              s.Env,
-		Platform:         s.Platform,
-		Registry:         s.Registry,
-		EnclaveSizeBytes: cfg.EnclaveSizeBytes,
-		MaxThreads:       cfg.MaxThreads,
-		DisablePreheat:   cfg.DisablePreheat,
-		SignKey:          signKey,
+		Kind:      kind,
+		Service:   kind.ServiceName() + suffix,
+		Isolation: cfg.Isolation,
+		Env:       s.Env,
+		Platform:  s.Platform,
+		Registry:  s.Registry,
+		SignKey:   signKey,
 		// Pool refills enter the enclave via batch ECALLs, which need a
 		// TCS slot the resident threads do not hold.
 		ReserveBatchTCS: kind == paka.EUDM && cfg.AVPoolDepth > 0,
 		Switchless:      cfg.Switchless,
 	}
-}
-
-// buildFunctions creates the three AKA execution environments under the
-// configured isolation mode.
-func (s *Slice) buildFunctions(ctx context.Context, cfg SliceConfig) (paka.UDMFunctions, paka.AUSFFunctions, paka.AMFFunctions, error) {
-	if cfg.Isolation == paka.Monolithic {
-		s.MonoUDM = paka.NewMonolithicUDM(s.Env)
-		return s.MonoUDM, paka.NewMonolithicAUSF(s.Env), paka.NewMonolithicAMF(s.Env), nil
-	}
-
-	// One GSC signing key for all module images of this operator.
-	_, signKey, err := ed25519.GenerateKey(s.entropy)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("deploy: GSC sign key: %w", err)
-	}
-	for _, kind := range paka.Kinds() {
-		m, err := paka.New(ctx, s.moduleConfig(kind, "", signKey))
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("deploy: %s module: %w", kind, err)
-		}
-		s.Modules[kind] = m
-	}
-
-	s.RemoteUDM = paka.NewRemoteUDM(s.buildInvoker("udm"), s.Env)
-	s.RemoteAUSF = paka.NewRemoteAUSF(s.buildInvoker("ausf"), s.Env)
-	s.RemoteAMF = paka.NewRemoteAMF(s.buildInvoker("amf"), s.Env)
-	return s.RemoteUDM, s.RemoteAUSF, s.RemoteAMF, nil
 }
 
 // attestEUDM verifies the eUDM execution environment's hardware-rooted
@@ -707,8 +634,7 @@ func (s *Slice) RestartModule(ctx context.Context, kind paka.ModuleKind) error {
 	return s.RestartShardModule(ctx, 0, kind)
 }
 
-// RestartShardModule is RestartModule addressed at one replica (a
-// singleton slice is its own shard 0).
+// RestartShardModule is RestartModule addressed at one replica.
 func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
 	if shard < 0 || shard >= len(s.Shards) {
 		return fmt.Errorf("deploy: no shard %d", shard)
@@ -784,30 +710,21 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 	return nil
 }
 
-// PrewarmAVPool fills the UDM's AV precomputation pool for the given
-// SUPIs ahead of traffic, derived for this slice's serving network name.
-// Call it after provisioning; each SUPI costs one UDR batch round trip
-// and one enclave crossing, and its first AVPoolDepth authentications
-// then hit the pool instead of paying a synchronous cold-start refill.
+// PrewarmAVPool fills the AV precomputation pools for the given SUPIs
+// ahead of traffic, derived for this slice's serving network name. Call it
+// after provisioning; each SUPI costs one UDR batch round trip and one
+// enclave crossing, and its first AVPoolDepth authentications then hit the
+// pool instead of paying a synchronous cold-start refill. Each SUPI is
+// prewarmed only on its owning replica: the others would bank vectors
+// nothing ever drains.
 func (s *Slice) PrewarmAVPool(ctx context.Context, supis []string) error {
-	if s.UDM == nil {
-		return fmt.Errorf("deploy: slice has no UDM")
-	}
 	snn := kdf.ServingNetworkName(s.Config.MCC, s.Config.MNC)
-	if len(s.Shards) <= 1 {
-		return s.UDM.PrewarmAVPool(ctx, supis, snn)
-	}
-	// Sharded slices prewarm each SUPI only on its owning replica: the
-	// other replicas would bank vectors nothing ever drains.
 	perShard := make([][]string, len(s.Shards))
 	for _, supi := range supis {
 		idx := s.GNB.ShardOf(supi)
 		perShard[idx] = append(perShard[idx], supi)
 	}
 	for i, shard := range s.Shards {
-		if len(perShard[i]) == 0 {
-			continue
-		}
 		if err := shard.UDM.PrewarmAVPool(ctx, perShard[i], snn); err != nil {
 			return err
 		}
@@ -825,9 +742,9 @@ func (s *Slice) Stop() {
 }
 
 // StopNRF takes the NRF off the service bus mid-run. Because the NRF is
-// a pure control-plane function — shard bindings are static and the gNB
-// routes on its last-known-good snapshot — registrations must keep
-// succeeding afterwards. Topology *changes* (SetRoutableReplicas) still
+// a pure control-plane function — shard bindings are resolved once at
+// construction and the gNB routes on its last-known-good snapshot —
+// registrations must keep succeeding afterwards. Topology *changes* (SetRoutableReplicas) still
 // work too: the builder pushes in-process, not over SBI. This models the
 // paper's availability claim: shielding and routing survive discovery
 // outages.
@@ -840,12 +757,8 @@ func (s *Slice) StopNRF() {
 // the snapshot is always Shards[i] — so the gNB's static AMF bindings
 // stay index-aligned; shards outside the prefix keep running and their
 // keys stay provisioned, so restoring n later is loss-free. Returns the
-// push result (epoch plus ack/nack counts). Only valid on sharded
-// slices.
+// push result (epoch plus ack/nack counts).
 func (s *Slice) SetRoutableReplicas(n int) (topo.PushResult, error) {
-	if s.Topology == nil {
-		return topo.PushResult{}, fmt.Errorf("deploy: singleton slice has no topology builder")
-	}
 	if n < 1 || n > len(s.Shards) {
 		return topo.PushResult{}, fmt.Errorf("deploy: routable replicas %d out of range [1,%d]", n, len(s.Shards))
 	}

@@ -18,12 +18,34 @@ import (
 
 func newTestSlice(t *testing.T, iso paka.Isolation) *Slice {
 	t.Helper()
-	s, err := NewSlice(context.Background(), SliceConfig{Isolation: iso, Seed: 42})
+	return newSliceWith(t, SliceConfig{Isolation: iso, Seed: 42})
+}
+
+func newSliceWith(t *testing.T, cfg SliceConfig) *Slice {
+	t.Helper()
+	s, err := NewSlice(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("NewSlice(%s): %v", iso, err)
+		t.Fatalf("NewSlice(%s, replicas=%d): %v", cfg.Isolation, cfg.Replicas, err)
 	}
 	t.Cleanup(s.Stop)
 	return s
+}
+
+// forReplicas runs test once per shard count. 0 and 1 both mean one shard;
+// nothing a slice does may depend on which of the two was written.
+func forReplicas(t *testing.T, test func(t *testing.T, replicas int)) {
+	for _, replicas := range []int{0, 1, 2, 4} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) { test(t, replicas) })
+	}
+}
+
+// registeredUEs sums the registered contexts over every shard's AMF.
+func registeredUEs(s *Slice) int {
+	n := 0
+	for _, shard := range s.Shards {
+		n += shard.AMF.RegisteredUEs()
+	}
+	return n
 }
 
 // provisionUE creates a subscriber and matching UE device.
@@ -59,39 +81,54 @@ func provisionUE(t *testing.T, s *Slice, msin string) *ue.UE {
 func TestRegistrationAllIsolationModes(t *testing.T) {
 	for _, iso := range []paka.Isolation{paka.Monolithic, paka.Container, paka.SGX, paka.SEV} {
 		t.Run(iso.String(), func(t *testing.T) {
-			s := newTestSlice(t, iso)
-			device := provisionUE(t, s, "0000000001")
+			forReplicas(t, func(t *testing.T, replicas int) {
+				s := newSliceWith(t, SliceConfig{Isolation: iso, Seed: 42, Replicas: replicas})
+				if len(s.Shards) != max(replicas, 1) || s.GNB.Replicas() != len(s.Shards) {
+					t.Fatalf("Shards = %d, gNB pool = %d, want %d", len(s.Shards), s.GNB.Replicas(), max(replicas, 1))
+				}
+				if s.Router.Epoch() != 1 || s.Topology.Epoch() != 1 {
+					t.Fatalf("router epoch %d, builder epoch %d after deployment, want 1", s.Router.Epoch(), s.Topology.Epoch())
+				}
+				if s.AMF != s.Shards[0].AMF || s.UDM != s.Shards[0].UDM || s.AUSF != s.Shards[0].AUSF {
+					t.Fatal("top-level NFs do not alias shard 0")
+				}
+				device := provisionUE(t, s, "0000000001")
 
-			var acct simclock.Account
-			ctx := simclock.WithAccount(context.Background(), &acct)
-			sess, err := s.GNB.RegisterUE(ctx, device)
-			if err != nil {
-				t.Fatalf("RegisterUE: %v", err)
-			}
-			if s.AMF.RegisteredUEs() != 1 {
-				t.Fatalf("RegisteredUEs = %d", s.AMF.RegisteredUEs())
-			}
-			if _, ok := device.GUTI(); !ok {
-				t.Fatal("UE has no GUTI after registration")
-			}
-			if sess.SetupTime <= 0 {
-				t.Fatal("no setup time recorded")
-			}
+				var acct simclock.Account
+				ctx := simclock.WithAccount(context.Background(), &acct)
+				sess, err := s.GNB.RegisterUE(ctx, device)
+				if err != nil {
+					t.Fatalf("RegisterUE: %v", err)
+				}
+				// The routing decision is where the UE's context lives.
+				if sess.Shard() != s.GNB.ShardOf(device.SUPIString()) {
+					t.Fatalf("served by shard %d, routed to %d", sess.Shard(), s.GNB.ShardOf(device.SUPIString()))
+				}
+				if got := s.Shards[sess.Shard()].AMF.RegisteredUEs(); got != 1 || registeredUEs(s) != 1 {
+					t.Fatalf("owning AMF holds %d UEs, fleet %d, want 1 and 1", got, registeredUEs(s))
+				}
+				if _, ok := device.GUTI(); !ok {
+					t.Fatal("UE has no GUTI after registration")
+				}
+				if sess.SetupTime <= 0 {
+					t.Fatal("no setup time recorded")
+				}
 
-			// Data session end to end.
-			if err := sess.EstablishPDUSession(ctx, 1, "internet"); err != nil {
-				t.Fatalf("EstablishPDUSession: %v", err)
-			}
-			if device.UEAddress() == "" {
-				t.Fatal("UE has no address after PDU session")
-			}
-			resp, err := sess.SendData(ctx, []byte("ping"))
-			if err != nil {
-				t.Fatalf("SendData: %v", err)
-			}
-			if !bytes.Contains(resp, []byte("ping")) {
-				t.Fatalf("data path response = %q", resp)
-			}
+				// Data session end to end.
+				if err := sess.EstablishPDUSession(ctx, 1, "internet"); err != nil {
+					t.Fatalf("EstablishPDUSession: %v", err)
+				}
+				if device.UEAddress() == "" {
+					t.Fatal("UE has no address after PDU session")
+				}
+				resp, err := sess.SendData(ctx, []byte("ping"))
+				if err != nil {
+					t.Fatalf("SendData: %v", err)
+				}
+				if !bytes.Contains(resp, []byte("ping")) {
+					t.Fatalf("data path response = %q", resp)
+				}
+			})
 		})
 	}
 }
@@ -216,25 +253,58 @@ func TestCOTSProfilePLMNGate(t *testing.T) {
 }
 
 func TestMassRegistration(t *testing.T) {
-	s := newTestSlice(t, paka.SGX)
-	const n = 10
-	for i := 0; i < n; i++ {
-		provisionUE(t, s, fmt.Sprintf("%010d", 100+i))
-	}
-	i := 0
-	result, err := s.GNB.RegisterMany(context.Background(), n, func(int) (*ue.UE, error) {
-		i++
-		return provisionUEDevice(t, s, fmt.Sprintf("%010d", 200+i))
+	forReplicas(t, func(t *testing.T, replicas int) {
+		s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 42, Replicas: replicas})
+		const n = 10
+		result, err := s.GNB.RegisterMany(context.Background(), n, func(i int) (*ue.UE, error) {
+			return provisionUEDevice(t, s, fmt.Sprintf("%010d", 200+i))
+		})
+		if err != nil {
+			t.Fatalf("RegisterMany: %v", err)
+		}
+		if result.Registered != n || result.Failed != 0 {
+			t.Fatalf("registered %d, failed %d", result.Registered, result.Failed)
+		}
+		if result.SetupTimes.N() != n {
+			t.Fatalf("setup samples = %d", result.SetupTimes.N())
+		}
+
+		// One lane per shard, whatever the shard count, and the lanes
+		// partition the run: every registration and every setup sample
+		// lands in exactly one of them.
+		if len(result.ShardStats) != len(s.Shards) {
+			t.Fatalf("ShardStats = %d lanes for %d shards", len(result.ShardStats), len(s.Shards))
+		}
+		var busiest time.Duration
+		registered, samples := 0, 0
+		for i, st := range result.ShardStats {
+			registered += st.Registered
+			samples += st.SetupTimes.N()
+			busiest = max(busiest, st.Busy)
+			if st.SetupTimes.N() != st.Registered || st.Failed != 0 {
+				t.Fatalf("lane %d: %d samples, %d failed for %d registrations", i, st.SetupTimes.N(), st.Failed, st.Registered)
+			}
+			if got := s.Shards[i].AMF.RegisteredUEs(); got != st.Registered {
+				t.Fatalf("lane %d tallied %d registrations, its AMF holds %d", i, st.Registered, got)
+			}
+		}
+		if registered != n || samples != n {
+			t.Fatalf("lanes sum to %d registrations and %d samples, want %d", registered, samples, n)
+		}
+		if result.FleetVirtual != busiest || busiest <= 0 {
+			t.Fatalf("FleetVirtual = %v, busiest lane %v", result.FleetVirtual, busiest)
+		}
+		if len(s.Shards) == 1 {
+			// The one lane IS the run.
+			lane, fleet := result.ShardStats[0].SetupTimes.Summarize(), result.SetupTimes.Summarize()
+			if lane != fleet {
+				t.Fatalf("single lane's setup times %+v != the run's %+v", lane, fleet)
+			}
+			if result.LaneBalance != 1 {
+				t.Fatalf("LaneBalance = %v over one lane", result.LaneBalance)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatalf("RegisterMany: %v", err)
-	}
-	if result.Registered != n || result.Failed != 0 {
-		t.Fatalf("registered %d, failed %d", result.Registered, result.Failed)
-	}
-	if result.SetupTimes.N() != n {
-		t.Fatalf("setup samples = %d", result.SetupTimes.N())
-	}
 }
 
 // provisionUEDevice provisions and returns the device in one call.
@@ -292,41 +362,48 @@ func TestSessionSetupTimeNearPaper(t *testing.T) {
 }
 
 func TestGUTIReRegistration(t *testing.T) {
-	s := newTestSlice(t, paka.SGX)
-	device := provisionUE(t, s, "0000000042")
+	forReplicas(t, func(t *testing.T, replicas int) {
+		s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 42, Replicas: replicas})
+		device := provisionUE(t, s, "0000000042")
 
-	// Initial registration over SUCI.
-	if _, err := s.GNB.RegisterUE(context.Background(), device); err != nil {
-		t.Fatalf("RegisterUE: %v", err)
-	}
-	firstGUTI, ok := device.GUTI()
-	if !ok {
-		t.Fatal("no GUTI after initial registration")
-	}
+		// Initial registration over SUCI.
+		first, err := s.GNB.RegisterUE(context.Background(), device)
+		if err != nil {
+			t.Fatalf("RegisterUE: %v", err)
+		}
+		firstGUTI, ok := device.GUTI()
+		if !ok {
+			t.Fatal("no GUTI after initial registration")
+		}
 
-	// Mobility registration over the stored GUTI: the SUCI never
-	// crosses the air interface again, and a fresh GUTI is issued.
-	sess, err := s.GNB.ReRegisterUE(context.Background(), device)
-	if err != nil {
-		t.Fatalf("ReRegisterUE: %v", err)
-	}
-	secondGUTI, ok := device.GUTI()
-	if !ok {
-		t.Fatal("no GUTI after re-registration")
-	}
-	if firstGUTI == secondGUTI {
-		t.Fatal("GUTI not refreshed on re-registration")
-	}
-	if sess.SetupTime <= 0 {
-		t.Fatal("no setup time")
-	}
-	// The re-registered session carries data.
-	if err := sess.EstablishPDUSession(context.Background(), 2, "internet"); err != nil {
-		t.Fatalf("EstablishPDUSession: %v", err)
-	}
-	if _, err := sess.SendData(context.Background(), []byte("moved")); err != nil {
-		t.Fatalf("SendData: %v", err)
-	}
+		// Mobility registration over the stored GUTI: the SUCI never
+		// crosses the air interface again, a fresh GUTI is issued, and the
+		// replica that minted the first one serves it.
+		sess, err := s.GNB.ReRegisterUE(context.Background(), device)
+		if err != nil {
+			t.Fatalf("ReRegisterUE: %v", err)
+		}
+		secondGUTI, ok := device.GUTI()
+		if !ok {
+			t.Fatal("no GUTI after re-registration")
+		}
+		if firstGUTI == secondGUTI {
+			t.Fatal("GUTI not refreshed on re-registration")
+		}
+		if sess.Shard() != first.Shard() {
+			t.Fatalf("re-registration served by shard %d, registration by %d", sess.Shard(), first.Shard())
+		}
+		if sess.SetupTime <= 0 {
+			t.Fatal("no setup time")
+		}
+		// The re-registered session carries data.
+		if err := sess.EstablishPDUSession(context.Background(), 2, "internet"); err != nil {
+			t.Fatalf("EstablishPDUSession: %v", err)
+		}
+		if _, err := sess.SendData(context.Background(), []byte("moved")); err != nil {
+			t.Fatalf("SendData: %v", err)
+		}
+	})
 }
 
 func TestReRegistrationRequiresPriorGUTI(t *testing.T) {

@@ -3,6 +3,7 @@ package deploy
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"shield5g/internal/gnb"
@@ -11,20 +12,10 @@ import (
 	"shield5g/internal/ue"
 )
 
-func newShardedTestSlice(t *testing.T, cfg SliceConfig) *Slice {
-	t.Helper()
-	s, err := NewSlice(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("NewSlice(replicas=%d): %v", cfg.Replicas, err)
-	}
-	t.Cleanup(s.Stop)
-	return s
-}
-
 func supiString(msin string) string { return "imsi-00101" + msin }
 
 func TestShardedRegistrationSpreadsAcrossShards(t *testing.T) {
-	s := newShardedTestSlice(t, SliceConfig{
+	s := newSliceWith(t, SliceConfig{
 		Isolation: paka.Container, Seed: 11, Replicas: 4,
 	})
 	if len(s.Shards) != 4 {
@@ -86,7 +77,7 @@ func TestShardedRegistrationSpreadsAcrossShards(t *testing.T) {
 }
 
 func TestShuffleShardConfinesTenant(t *testing.T) {
-	s := newShardedTestSlice(t, SliceConfig{
+	s := newSliceWith(t, SliceConfig{
 		Isolation: paka.Container, Seed: 11, Replicas: 4, ShardSize: 2,
 	})
 	n := 24
@@ -114,40 +105,45 @@ func TestShuffleShardConfinesTenant(t *testing.T) {
 }
 
 func TestShardedRegistrationSurvivesNRFStop(t *testing.T) {
-	s := newShardedTestSlice(t, SliceConfig{
-		Isolation: paka.Container, Seed: 5, Replicas: 4,
-	})
-	ctx := context.Background()
+	forReplicas(t, func(t *testing.T, replicas int) {
+		s := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 5, Replicas: replicas})
+		ctx := context.Background()
 
-	// Provision everything up front, then take the NRF off the bus.
-	devices := make([]*ue.UE, 12)
-	for i := range devices {
-		devices[i] = provisionUE(t, s, fmt.Sprintf("%010d", 7200+i))
-	}
-	s.StopNRF()
-	if _, ok := s.Registry.Lookup(nrf.ServiceName); ok {
-		t.Fatal("NRF still on the service bus after StopNRF")
-	}
-
-	// Registrations must complete on last-known-good routing and static
-	// shard bindings — the NRF is strictly off the request path.
-	for _, device := range devices {
-		if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
-			t.Fatalf("RegisterUE with NRF stopped: %v", err)
+		// Provision everything up front, then take the NRF off the bus.
+		devices := make([]*ue.UE, 12)
+		for i := range devices {
+			devices[i] = provisionUE(t, s, fmt.Sprintf("%010d", 7200+i))
 		}
-	}
-	// Topology changes still propagate: the builder pushes in-process.
-	epoch := s.Router.Epoch()
-	res, err := s.SetRoutableReplicas(2)
-	if err != nil {
-		t.Fatalf("SetRoutableReplicas with NRF stopped: %v", err)
-	}
-	if res.Acked != 1 || res.Nacked != 0 || s.Router.Epoch() != epoch+1 {
-		t.Fatalf("push result %+v, router epoch %d (was %d)", res, s.Router.Epoch(), epoch)
-	}
-	if _, err := s.GNB.ReRegisterUE(ctx, devices[0]); err != nil {
-		t.Fatalf("ReRegisterUE after rebalance with NRF stopped: %v", err)
-	}
+		s.StopNRF()
+		if _, ok := s.Registry.Lookup(nrf.ServiceName); ok {
+			t.Fatal("NRF still on the service bus after StopNRF")
+		}
+
+		// Registrations must complete on last-known-good routing and the
+		// bindings each shard resolved at construction — the NRF is
+		// strictly off the request path.
+		for _, device := range devices {
+			if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+				t.Fatalf("RegisterUE with NRF stopped: %v", err)
+			}
+		}
+		// Topology changes still propagate: the builder pushes in-process.
+		// Deployment published epoch 1, so this push — over one shard a
+		// republish of the same set — acks at epoch 2.
+		res, err := s.SetRoutableReplicas(max(len(s.Shards)/2, 1))
+		if err != nil {
+			t.Fatalf("SetRoutableReplicas with NRF stopped: %v", err)
+		}
+		if res.Epoch != 2 || res.Acked != 1 || res.Nacked != 0 || s.Router.Epoch() != 2 {
+			t.Fatalf("push result %+v, router epoch %d, want one ack at epoch 2", res, s.Router.Epoch())
+		}
+		if _, err := s.GNB.ReRegisterUE(ctx, devices[0]); err != nil {
+			t.Fatalf("ReRegisterUE after rebalance with NRF stopped: %v", err)
+		}
+		if _, err := s.SetRoutableReplicas(len(s.Shards) + 1); err == nil {
+			t.Fatal("routing over more replicas than the slice has was accepted")
+		}
+	})
 }
 
 // TestReRegistrationFollowsRebalance: TMSIs are unique per AMF replica
@@ -156,7 +152,7 @@ func TestShardedRegistrationSurvivesNRFStop(t *testing.T) {
 // the AMF pointer marks the GUTI as foreign and the identity procedure
 // takes over.
 func TestReRegistrationFollowsRebalance(t *testing.T) {
-	s := newShardedTestSlice(t, SliceConfig{
+	s := newSliceWith(t, SliceConfig{
 		Isolation: paka.Container, Seed: 5, Replicas: 4,
 	})
 	ctx := context.Background()
@@ -193,7 +189,7 @@ func TestReRegistrationFollowsRebalance(t *testing.T) {
 // zero failed registrations; and because the ring hashes replica names,
 // SUPIs whose owner survived the shrink must not flap to another shard.
 func TestMidRunRebalance(t *testing.T) {
-	s := newShardedTestSlice(t, SliceConfig{
+	s := newSliceWith(t, SliceConfig{
 		Isolation: paka.Container, Seed: 23, Replicas: 4,
 	})
 	n := 40
@@ -259,7 +255,7 @@ func TestMidRunRebalance(t *testing.T) {
 // requires bit-identical virtual-time results, lane by lane.
 func TestShardedSameSeedDeterminism(t *testing.T) {
 	run := func() *gnb.MassResult {
-		s := newShardedTestSlice(t, SliceConfig{
+		s := newSliceWith(t, SliceConfig{
 			Isolation: paka.Container, Seed: 31, Replicas: 4,
 		})
 		res, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{
@@ -289,35 +285,69 @@ func TestShardedSameSeedDeterminism(t *testing.T) {
 }
 
 func TestShardedCounterAggregation(t *testing.T) {
-	s := newShardedTestSlice(t, SliceConfig{
-		Isolation: paka.Container, Seed: 17, Replicas: 2,
-		AVPoolDepth: 4,
+	forReplicas(t, func(t *testing.T, replicas int) {
+		const depth = 4
+		s := newSliceWith(t, SliceConfig{
+			Isolation: paka.Container, Seed: 17, Replicas: replicas,
+			AVPoolDepth: depth,
+		})
+		ctx := context.Background()
+		n := 10
+		supis := make([]string, n)
+		// Prewarm must bank each SUPI's vectors on its owning replica only.
+		want := make([]uint64, len(s.Shards))
+		for i := 0; i < n; i++ {
+			provisionUE(t, s, fmt.Sprintf("%010d", 7500+i))
+			supis[i] = supiString(fmt.Sprintf("%010d", 7500+i))
+			want[s.GNB.ShardOf(supis[i])] += depth
+		}
+		if err := s.PrewarmAVPool(ctx, supis); err != nil {
+			t.Fatalf("PrewarmAVPool: %v", err)
+		}
+		perShard := s.ShardAVPoolStats()
+		fleet := s.AVPoolStats()
+		if fleet.Prewarmed != uint64(n*depth) {
+			t.Fatalf("fleet prewarmed %d vectors, want %d", fleet.Prewarmed, n*depth)
+		}
+		var sum uint64
+		var pooled int
+		for i, st := range perShard {
+			sum += st.Prewarmed
+			pooled += st.Pooled
+			if st.Prewarmed != want[i] {
+				t.Fatalf("shard %d prewarmed %d vectors, owns %d", i, st.Prewarmed, want[i])
+			}
+		}
+		if sum != fleet.Prewarmed || pooled != fleet.Pooled {
+			t.Fatalf("fleet view (%d, %d) != shard sum (%d, %d)", fleet.Prewarmed, fleet.Pooled, sum, pooled)
+		}
 	})
+}
+
+// TestShardClientsSpeakAsTheirShard: every SBI client of shard r — its
+// VNFs' and their module clients' — carries shard r's caller identity, so
+// a 503 names the replica that could not reach its module.
+func TestShardClientsSpeakAsTheirShard(t *testing.T) {
+	s := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 5, Replicas: 2})
 	ctx := context.Background()
-	n := 10
-	supis := make([]string, n)
-	for i := 0; i < n; i++ {
-		provisionUE(t, s, fmt.Sprintf("%010d", 7500+i))
-		supis[i] = supiString(fmt.Sprintf("%010d", 7500+i))
+	for _, shard := range s.Shards {
+		shard.Modules[paka.EAMF].Stop()
 	}
-	if err := s.PrewarmAVPool(ctx, supis); err != nil {
-		t.Fatalf("PrewarmAVPool: %v", err)
-	}
-	perShard := s.ShardAVPoolStats()
-	fleet := s.AVPoolStats()
-	if fleet.Prewarmed == 0 {
-		t.Fatal("prewarm banked nothing")
-	}
-	var sum uint64
-	var pooled int
-	for i, st := range perShard {
-		sum += st.Prewarmed
-		pooled += st.Pooled
-		if st.Prewarmed == 0 {
-			t.Fatalf("shard %d prewarmed nothing — prewarm must hit the owning replica only", i)
+	seen := make(map[int]bool)
+	for i := 0; len(seen) < len(s.Shards) && i < 64; i++ {
+		device := provisionUE(t, s, fmt.Sprintf("%010d", 7600+i))
+		owner := s.GNB.ShardOf(device.SUPIString())
+		if seen[owner] {
+			continue
+		}
+		seen[owner] = true
+		_, err := s.GNB.RegisterUE(ctx, device)
+		want := fmt.Sprintf("amf%s cannot reach eamf-paka%s", shardSuffix(owner), shardSuffix(owner))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("shard %d with its eAMF down: err = %v, want %q", owner, err, want)
 		}
 	}
-	if sum != fleet.Prewarmed || pooled != fleet.Pooled {
-		t.Fatalf("fleet view (%d, %d) != shard sum (%d, %d)", fleet.Prewarmed, fleet.Pooled, sum, pooled)
+	if len(seen) != len(s.Shards) {
+		t.Fatalf("64 SUPIs reached only %d of %d shards", len(seen), len(s.Shards))
 	}
 }

@@ -133,7 +133,7 @@ func batchingPoint(ctx context.Context, s *deploy.Slice, n, batch int) (Batching
 		return BatchingPoint{}, err
 	}
 	s.RemoteUDM.Response().MarkWarm()
-	transBefore := sliceTransitions(s)
+	transBefore := fleetTransitions(s)
 
 	var res *gnb.MassResult
 	mallocs, _, err := AllocWindow(func() (err error) {
@@ -159,7 +159,7 @@ func batchingPoint(ctx context.Context, s *deploy.Slice, n, batch int) (Batching
 		StableRS:    s.RemoteUDM.Response().Stable.Summarize().Median,
 	}
 	if res.Registered > 0 {
-		point.TransPerReg = float64(sliceTransitions(s)-transBefore) / float64(res.Registered)
+		point.TransPerReg = float64(fleetTransitions(s)-transBefore) / float64(res.Registered)
 		point.AllocsPerReg = float64(mallocs) / float64(res.Registered)
 	}
 	pool := s.UDM.AVPoolStats()

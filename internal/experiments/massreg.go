@@ -102,7 +102,7 @@ func massRegPoint(ctx context.Context, s *deploy.Slice, n, par int) (MassRegPoin
 	}
 	eudm := s.Modules[paka.EUDM]
 	entersBefore := eudm.Stats().EENTER
-	transBefore := sliceTransitions(s)
+	transBefore := fleetTransitions(s)
 
 	res, err := s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
 		N: n,
@@ -126,20 +126,9 @@ func massRegPoint(ctx context.Context, s *deploy.Slice, n, par int) (MassRegPoin
 	if res.Registered > 0 {
 		point.VirtualMSPerReg = ms(res.Virtual) / float64(res.Registered)
 		point.EENTERPerReg = float64(eudm.Stats().EENTER-entersBefore) / float64(res.Registered)
-		point.TransPerReg = float64(sliceTransitions(s)-transBefore) / float64(res.Registered)
+		point.TransPerReg = float64(fleetTransitions(s)-transBefore) / float64(res.Registered)
 	}
 	return point, nil
-}
-
-// sliceTransitions sums the enclave transitions (EENTER+EEXIT) across
-// every P-AKA module of the slice.
-func sliceTransitions(s *deploy.Slice) uint64 {
-	var n uint64
-	for _, m := range s.Modules {
-		st := m.Stats()
-		n += st.EENTER + st.EEXIT
-	}
-	return n
 }
 
 // Render prints the sweep table.

@@ -19,10 +19,11 @@ import (
 // same-seed slice, pre-provisions and prewarms the whole UE population,
 // then drives one deterministic sequential mass registration and reports
 // the fleet's virtual throughput (registrations over the busiest lane's
-// makespan) next to the shared-clock figure. The replicas=1 point takes
-// the singleton construction path, so it is bit-identical to the seed's
-// golden transcripts; the fleet speedup at 8 replicas is the tentpole
-// acceptance figure (>= 3x), held by TestShardScaleFleetSpeedup.
+// makespan) next to the shared-clock figure. Every point, replicas=1
+// included, is built by the same constructor and measured by the same lane
+// accounts, so the speedup column divides like by like; the fleet speedup
+// at 8 replicas is the acceptance figure (>= 3x), held by
+// TestShardScaleFleetSpeedup.
 
 // shardScaleReplicas is the swept replica axis.
 var shardScaleReplicas = []int{1, 2, 4, 8}
@@ -117,12 +118,8 @@ func ShardScale(ctx context.Context, cfg Config) (*ShardScaleResult, error) {
 }
 
 // fleetTransitions sums the enclave transitions (EENTER+EEXIT) across
-// every P-AKA module of every shard; singleton slices fall back to the
-// slice-level module map.
+// every P-AKA module of every shard.
 func fleetTransitions(s *deploy.Slice) uint64 {
-	if len(s.Shards) == 0 {
-		return sliceTransitions(s)
-	}
 	var n uint64
 	for _, shard := range s.Shards {
 		for _, m := range shard.Modules {
@@ -223,10 +220,6 @@ func shardScalePoint(ctx context.Context, cfg Config, n, replicas int) (ShardSca
 	point.LaneRegistered = make([]int, len(res.ShardStats))
 	for i, st := range res.ShardStats {
 		point.LaneRegistered[i] = st.Registered
-	}
-	if len(res.ShardStats) == 0 {
-		// Singleton runs carry one implicit lane.
-		point.LaneRegistered = []int{res.Registered}
 	}
 	return point, nil
 }

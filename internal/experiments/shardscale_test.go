@@ -14,7 +14,7 @@ import (
 
 // TestShardScaleFleetSpeedup is the acceptance check of the replica sweep:
 // 8 replicas must deliver at least 3x the fleet registration throughput of
-// the singleton, the same-seed replay must reproduce lane for lane, every
+// one, the same-seed replay must reproduce lane for lane, every
 // point must stay inside FastPathAllocBudget, and the speedup must split
 // into lane capacity (which scales with the replica count) and routing
 // balance (which a population of 160 cannot judge, so it is asserted on
@@ -47,10 +47,13 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 			t.Errorf("replicas=%d: %d lanes reported", p.Replicas, len(p.LaneRegistered))
 		}
 	}
-	// The singleton defines the baseline: with one lane the fleet
-	// makespan is the shared-clock advance.
-	if one := r.Points[0]; one.FleetVirtual != one.Virtual {
-		t.Errorf("singleton fleet makespan %v != shared-clock advance %v", one.FleetVirtual, one.Virtual)
+	// The one-replica point is the baseline, and its makespan is the same
+	// quantity as every other point's: the lane's summed request accounts,
+	// which under SGX exceed the shared-clock advance by the enclave-side
+	// cycles the platform charges to its own clock
+	// (gnb's TestFleetVirtualIsLaneBusy pins the relation).
+	if one := r.Points[0]; one.FleetVirtual <= one.Virtual {
+		t.Errorf("one-replica makespan %v, shared-clock advance %v: lane busy must include enclave-side cycles", one.FleetVirtual, one.Virtual)
 	}
 	if r.SpeedupAt8 < 3 {
 		t.Errorf("fleet speedup at 8 replicas = %.2fx, acceptance is >= 3x", r.SpeedupAt8)

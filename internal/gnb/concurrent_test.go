@@ -264,3 +264,70 @@ func TestRegisterManyFailureAccounting(t *testing.T) {
 		t.Fatalf("failure classes sum to %d, Failed = %d", total, result.Failed)
 	}
 }
+
+// TestFleetVirtualIsLaneBusy pins what MassResult's fleet figures are made
+// of, at every shard count: a lane's Busy is the sum of the request
+// accounts of the attempts it served, FleetVirtual is the busiest lane's,
+// and the lanes together account for at least the shared clock's advance —
+// exactly it under Container isolation, more under SGX, whose platform
+// charges enclave-side cycles to the request account and its own clock.
+func TestFleetVirtualIsLaneBusy(t *testing.T) {
+	for _, iso := range []paka.Isolation{paka.Container, paka.SGX} {
+		for _, replicas := range []int{0, 1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/replicas=%d", iso, replicas), func(t *testing.T) {
+				s, err := deploy.NewSlice(context.Background(), deploy.SliceConfig{
+					Isolation: iso, Seed: 19, Replicas: replicas,
+				})
+				if err != nil {
+					t.Fatalf("NewSlice: %v", err)
+				}
+				defer s.Stop()
+				// Provision outside the window: provisioning advances the
+				// clock on no request's account.
+				const n = 24
+				devices := make([]*ue.UE, n)
+				for i := range devices {
+					if devices[i], err = newDeterministicUE(s, i); err != nil {
+						t.Fatalf("provision: %v", err)
+					}
+				}
+				res, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{
+					N: n, NewUE: func(i int) (*ue.UE, error) { return devices[i], nil },
+				})
+				if err != nil || res.Registered != n {
+					t.Fatalf("RegisterManyWith: %d/%d registered, %v", res.Registered, n, err)
+				}
+				if len(res.ShardStats) != len(s.Shards) {
+					t.Fatalf("ShardStats = %d lanes for %d shards", len(res.ShardStats), len(s.Shards))
+				}
+
+				var lanes, busiest time.Duration
+				for i, st := range res.ShardStats {
+					// Every attempt succeeded, so a lane's accounts are its
+					// setup times (each, and their mean, truncated to the
+					// nanosecond).
+					setups := st.SetupTimes.Summarize().Mean * time.Duration(st.SetupTimes.N())
+					if d := st.Busy - setups; d < -2*n || d > 2*n {
+						t.Errorf("lane %d busy %v, its %d setup times sum to %v", i, st.Busy, st.SetupTimes.N(), setups)
+					}
+					lanes += st.Busy
+					busiest = max(busiest, st.Busy)
+				}
+				if res.FleetVirtual != busiest {
+					t.Errorf("FleetVirtual = %v, busiest lane = %v", res.FleetVirtual, busiest)
+				}
+				if want := float64(res.Registered) / res.FleetVirtual.Seconds(); res.FleetRegsPerSec != want {
+					t.Errorf("FleetRegsPerSec = %v, want %v", res.FleetRegsPerSec, want)
+				}
+				// Per-lane rounding is the only slack under Container.
+				slack := time.Duration(len(s.Shards))
+				switch {
+				case iso == paka.Container && (lanes < res.Virtual-slack || lanes > res.Virtual+slack):
+					t.Errorf("lanes account for %v, the clock advanced %v: equal under Container isolation", lanes, res.Virtual)
+				case iso == paka.SGX && lanes <= res.Virtual:
+					t.Errorf("lanes account for %v, the clock advanced %v: enclave-side cycles are missing from the lanes", lanes, res.Virtual)
+				}
+			})
+		}
+	}
+}

@@ -52,16 +52,12 @@ func USRPX310() RadioProfile {
 // Config wires a gNB.
 type Config struct {
 	Env *costmodel.Env
-	// AMF is the N2 peer of a single-replica core. Leave it nil and set
-	// AMFs for a sharded core.
-	AMF *amf.AMF
-	// AMFs is the replica pool of a sharded core, in shard-index order
-	// (matching the routing snapshots the Router receives). When set, the
-	// gNB routes each UE to AMFs[Router.Route(tenant, SUPI)]; when only
-	// AMF is set the gNB behaves exactly as the single-replica seed.
+	// AMFs is the core's replica pool, the N2 peers, in shard-index order
+	// (matching the routing snapshots the Router receives): the gNB routes
+	// each UE to AMFs[Router.Route(tenant, SUPI)].
 	AMFs []*amf.AMF
 	// Router resolves (tenant, SUPI) to a replica index from the
-	// last-known-good topology snapshot. Required when len(AMFs) > 1.
+	// last-known-good topology snapshot.
 	Router *topology.Router
 	// Tenant identifies this gNB for shuffle-shard assignment; defaults
 	// to "gnb/"+MCC+MNC.
@@ -92,20 +88,13 @@ type GNB struct {
 
 // New creates a gNB.
 func New(cfg Config) (*GNB, error) {
-	amfs := cfg.AMFs
-	if len(amfs) == 0 && cfg.AMF != nil {
-		amfs = []*amf.AMF{cfg.AMF}
+	if cfg.Env == nil || len(cfg.AMFs) == 0 || cfg.Router == nil {
+		return nil, errors.New("gnb: Env, AMFs and Router are required")
 	}
-	if cfg.Env == nil || len(amfs) == 0 {
-		return nil, errors.New("gnb: Env and AMF (or AMFs) are required")
-	}
-	for _, a := range amfs {
+	for _, a := range cfg.AMFs {
 		if a == nil {
 			return nil, errors.New("gnb: nil AMF replica")
 		}
-	}
-	if len(amfs) > 1 && cfg.Router == nil {
-		return nil, errors.New("gnb: Router is required for a replicated AMF pool")
 	}
 	if cfg.MCC == "" || cfg.MNC == "" {
 		return nil, errors.New("gnb: broadcast PLMN (MCC/MNC) is required")
@@ -120,7 +109,7 @@ func New(cfg Config) (*GNB, error) {
 	}
 	return &GNB{
 		env:    cfg.Env,
-		amfs:   amfs,
+		amfs:   cfg.AMFs,
 		router: cfg.Router,
 		tenant: tenant,
 		upf:    cfg.UPF,
@@ -137,13 +126,10 @@ func (g *GNB) Replicas() int { return len(g.amfs) }
 func (g *GNB) Tenant() string { return g.tenant }
 
 // ShardOf resolves a SUPI to its owning replica index under the current
-// last-known-good snapshot. Single-replica gNBs always answer 0; so does
-// a sharded gNB that has not yet received a snapshot (the static-wiring
-// fallback — routing never blocks on the control plane).
+// last-known-good snapshot. A gNB that has not yet received a snapshot
+// answers 0 (the static-wiring fallback — routing never blocks on the
+// control plane).
 func (g *GNB) ShardOf(supi string) int {
-	if g.router == nil || len(g.amfs) == 1 {
-		return 0
-	}
 	idx, ok := g.router.Route(g.tenant, supi)
 	if !ok || idx < 0 || idx >= len(g.amfs) {
 		return 0
@@ -386,18 +372,20 @@ type MassResult struct {
 	Attempts  int
 	Recovered map[string]int
 
-	// ShardStats is the per-replica lane accounting of a sharded run
-	// (nil when the gNB fronts a single replica): every registration
-	// attempt's virtual cost is attributed to the replica that served
-	// it. The shared simclock.Clock sums busy cycles across all lanes,
-	// so the fleet figures below derive from these lanes instead.
+	// ShardStats is the per-replica lane accounting of the run, one entry
+	// per replica of the gNB's pool: every registration attempt's virtual
+	// cost is attributed to the replica that served it. The shared
+	// simclock.Clock sums busy cycles across all lanes, so the fleet
+	// figures below derive from these lanes instead.
 	ShardStats []ShardStat
 	// FleetVirtual is the fleet makespan: the busiest replica lane's
-	// virtual busy time. Replicas are independent service lanes — lane
-	// work overlaps in the modelled deployment even though the simulation
-	// executes it on one summed clock — so N registrations spread over R
-	// lanes complete when the most-loaded lane drains. For single-replica
-	// runs it equals Virtual.
+	// virtual busy time, the sum of its attempts' request accounts.
+	// Replicas are independent service lanes — lane work overlaps in the
+	// modelled deployment even though the simulation executes it on one
+	// summed clock — so N registrations spread over R lanes complete when
+	// the most-loaded lane drains. Over one lane it is at least Virtual:
+	// an SGX platform charges enclave-side cycles to the request account
+	// and its own clock, not the shared one.
 	FleetVirtual time.Duration
 	// FleetRegsPerSec is Registered over FleetVirtual — the sharded
 	// core's headline throughput figure.
@@ -514,32 +502,21 @@ func (r *MassResult) recordFailure(err error) {
 	}
 }
 
-// finish stamps the time bases and the fleet figures once counts are
-// final.
+// finish stamps the time bases and, from the lane accounts, the fleet
+// figures once counts are final.
 func (r *MassResult) finish(wall time.Duration, virtual time.Duration) {
 	r.Wall = wall
 	r.Virtual = virtual
-	// Single-lane runs have one lane whose makespan is the shared clock;
-	// sharded runs take the makespan over replica lanes.
-	r.FleetVirtual = virtual
 	r.LaneBalance = 1
-	if len(r.ShardStats) > 1 {
-		var max time.Duration
-		total, busiest := 0, 0
-		for _, s := range r.ShardStats {
-			if s.Busy > max {
-				max = s.Busy
-			}
-			served := s.Registered + s.Failed
-			total += served
-			if served > busiest {
-				busiest = served
-			}
-		}
-		r.FleetVirtual = max
-		if busiest > 0 {
-			r.LaneBalance = float64(total) / float64(len(r.ShardStats)*busiest)
-		}
+	total, busiest := 0, 0
+	for _, s := range r.ShardStats {
+		r.FleetVirtual = max(r.FleetVirtual, s.Busy)
+		served := s.Registered + s.Failed
+		total += served
+		busiest = max(busiest, served)
+	}
+	if busiest > 0 {
+		r.LaneBalance = float64(total) / float64(len(r.ShardStats)*busiest)
 	}
 	if s := r.FleetVirtual.Seconds(); s > 0 {
 		r.FleetRegsPerSec = float64(r.Registered) / s
@@ -557,9 +534,6 @@ type laneTally struct {
 // newLaneTally sizes each lane's recorder for capacity samples up front,
 // so the per-registration addSetup never grows a slice mid-run.
 func newLaneTally(shards, capacity int) *laneTally {
-	if shards <= 1 {
-		return nil
-	}
 	t := &laneTally{
 		cycles:     make([]simclock.Cycles, shards),
 		registered: make([]int, shards),
@@ -573,9 +547,6 @@ func newLaneTally(shards, capacity int) *laneTally {
 }
 
 func (t *laneTally) add(shard int, cycles simclock.Cycles, ok bool) {
-	if t == nil {
-		return
-	}
 	t.cycles[shard] += cycles
 	if ok {
 		t.registered[shard]++
@@ -585,16 +556,10 @@ func (t *laneTally) add(shard int, cycles simclock.Cycles, ok bool) {
 }
 
 func (t *laneTally) addSetup(shard int, d time.Duration) {
-	if t == nil {
-		return
-	}
 	t.setups[shard].Add(d)
 }
 
 func (t *laneTally) merge(o *laneTally) {
-	if t == nil || o == nil {
-		return
-	}
 	for i := range t.cycles {
 		t.cycles[i] += o.cycles[i]
 		t.registered[i] += o.registered[i]
@@ -604,9 +569,6 @@ func (t *laneTally) merge(o *laneTally) {
 }
 
 func (t *laneTally) stats(env *costmodel.Env) []ShardStat {
-	if t == nil {
-		return nil
-	}
 	out := make([]ShardStat, len(t.cycles))
 	for i := range out {
 		out[i] = ShardStat{

@@ -12,6 +12,7 @@ import (
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/deploy"
 	"shield5g/internal/gnb"
+	"shield5g/internal/nf/amf"
 	"shield5g/internal/paka"
 	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
@@ -68,13 +69,20 @@ func TestRadioProfiles(t *testing.T) {
 
 func TestNewValidation(t *testing.T) {
 	s := newSlice(t, gnb.GNBSIM())
-	if _, err := gnb.New(gnb.Config{AMF: s.AMF, MCC: "001", MNC: "01"}); err == nil {
+	amfs := []*amf.AMF{s.AMF}
+	if _, err := gnb.New(gnb.Config{AMFs: amfs, Router: s.Router, MCC: "001", MNC: "01"}); err == nil {
 		t.Fatal("missing env accepted")
 	}
-	if _, err := gnb.New(gnb.Config{Env: s.Env, MCC: "001", MNC: "01"}); err == nil {
-		t.Fatal("missing AMF accepted")
+	if _, err := gnb.New(gnb.Config{Env: s.Env, Router: s.Router, MCC: "001", MNC: "01"}); err == nil {
+		t.Fatal("missing AMFs accepted")
 	}
-	if _, err := gnb.New(gnb.Config{Env: s.Env, AMF: s.AMF}); err == nil {
+	if _, err := gnb.New(gnb.Config{Env: s.Env, AMFs: []*amf.AMF{nil}, Router: s.Router, MCC: "001", MNC: "01"}); err == nil {
+		t.Fatal("nil AMF replica accepted")
+	}
+	if _, err := gnb.New(gnb.Config{Env: s.Env, AMFs: amfs, MCC: "001", MNC: "01"}); err == nil {
+		t.Fatal("missing Router accepted")
+	}
+	if _, err := gnb.New(gnb.Config{Env: s.Env, AMFs: amfs, Router: s.Router}); err == nil {
 		t.Fatal("missing PLMN accepted")
 	}
 }

@@ -107,13 +107,13 @@ type Config struct {
 	// InstanceID overrides the NRF instance identity (default "amf-1") so
 	// every replica of a sharded deployment announces itself distinctly.
 	InstanceID string
-	// AUSFService, when set, binds this AMF to a specific AUSF replica's
-	// service name instead of discovering one through the NRF — the
-	// static intra-shard binding of a sharded deployment.
+	// AUSFService names the AUSF replica this AMF binds to (default
+	// "ausf"): its own shard's, resolved through the NRF once at
+	// construction and static afterwards.
 	AUSFService string
 	// Replica is this instance's index within its AMF set. It becomes the
 	// AMF Pointer of every GUTI the instance mints (1+Replica modulo the
-	// 6-bit field, so replica 0 keeps the singleton's pointer): TMSIs are
+	// 6-bit field, so replica 0 mints pointer 1): TMSIs are
 	// only unique per instance, and the pointer is what lets a replica
 	// tell a peer's GUTI from its own.
 	Replica int
@@ -156,15 +156,16 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 	if cfg.MCC == "" || cfg.MNC == "" {
 		return nil, fmt.Errorf("amf: serving PLMN (MCC/MNC) is required")
 	}
-	var ausfClient *ausf.Client
-	if cfg.AUSFService != "" {
-		ausfClient = ausf.NewClientFor(cfg.Invoker, cfg.AUSFService)
-	} else {
-		var err error
-		ausfClient, err = ausf.DiscoverClient(ctx, cfg.Invoker, cfg.HMEE)
-		if err != nil {
-			return nil, err
-		}
+	// The AUSF is resolved through the NRF even when it is named, so the
+	// trust-domain filter applies to every replica's binding and a peer
+	// the repository does not list fails here.
+	ausfService := cfg.AUSFService
+	if ausfService == "" {
+		ausfService = ausf.ServiceName
+	}
+	ausfClient, err := ausf.DiscoverClient(ctx, cfg.Invoker, ausfService, cfg.HMEE)
+	if err != nil {
+		return nil, err
 	}
 	smfClient, err := smf.DiscoverClient(ctx, cfg.Invoker)
 	if err != nil {

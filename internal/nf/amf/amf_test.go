@@ -30,6 +30,7 @@ type harness struct {
 	amf   *amf.AMF
 	hnKey *suci.HomeNetworkKey
 	env   *costmodel.Env
+	reg   *sbi.Registry
 	supi  suci.SUPI
 	opc   []byte
 	// provision adds a subscriber to the UDR and the UDM's key store.
@@ -96,7 +97,7 @@ func newHarness(t *testing.T) *harness {
 		monoUDM.ProvisionSubscriber(supi.String(), testK)
 	}
 	provision(t, supi)
-	return &harness{amf: a, hnKey: hnKey, env: env, supi: supi, opc: opc, provision: provision}
+	return &harness{amf: a, hnKey: hnKey, env: env, reg: reg, supi: supi, opc: opc, provision: provision}
 }
 
 func (h *harness) device(t *testing.T) *ue.UE { return h.deviceOf(t, h.supi) }
@@ -175,6 +176,46 @@ func TestAMFConfigValidation(t *testing.T) {
 	}
 	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewMonolithicAMF(env)}); err == nil {
 		t.Fatal("missing PLMN accepted")
+	}
+}
+
+// TestHMEEAMFRequiresHMEEAUSF: the AUSF an AMF binds to is resolved through
+// the NRF whether it is the default service or a named replica, so an HMEE
+// AMF refuses a lower-trust AUSF and any AMF refuses one the repository
+// does not list — at construction, not at the first registration.
+func TestHMEEAMFRequiresHMEEAUSF(t *testing.T) {
+	h := newHarness(t) // a non-HMEE "ausf", and the SMF every AMF discovers
+	ctx := context.Background()
+	env, reg := h.env, h.reg
+	if _, err := ausf.New(ctx, ausf.Config{
+		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf-r1", env, reg),
+		Functions:   paka.NewMonolithicAUSF(env),
+		ServiceName: "ausf-r1", InstanceID: "ausf-r1-1",
+	}); err != nil {
+		t.Fatalf("ausf.New(ausf-r1): %v", err)
+	}
+	for _, tc := range []struct {
+		name        string
+		hmee        bool
+		ausfService string
+		wantErr     bool
+	}{
+		{"HMEE AMF, default lower-trust AUSF", true, "", true},
+		{"HMEE AMF bound to a lower-trust replica", true, "ausf-r1", true},
+		{"AMF bound to a replica the NRF does not list", false, "ausf-r9", true},
+		{"AMF bound to a listed replica of its own trust domain", false, "ausf-r1", false},
+	} {
+		_, err := amf.New(ctx, amf.Config{
+			Env: env, Registry: reg, Invoker: sbi.NewClient("amf-t", env, reg),
+			Functions: paka.NewMonolithicAMF(env), MCC: "001", MNC: "01",
+			HMEE: tc.hmee, InstanceID: "amf-t-1", AUSFService: tc.ausfService,
+		})
+		switch {
+		case tc.wantErr && !sbi.HasCause(err, "TARGET_NF_NOT_FOUND"):
+			t.Errorf("%s: err = %v, want TARGET_NF_NOT_FOUND", tc.name, err)
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -110,10 +110,9 @@ type Config struct {
 	ServiceName string
 	// InstanceID overrides the NRF instance identity (default "ausf-1").
 	InstanceID string
-	// UDMService, when set, binds this AUSF to a specific UDM replica's
-	// service name instead of discovering one through the NRF — the
-	// static intra-shard binding of a sharded deployment, which keeps the
-	// NRF out of both construction and the request path.
+	// UDMService names the UDM replica this AUSF binds to (default "udm"):
+	// its own shard's, resolved through the NRF once at construction and
+	// static afterwards.
 	UDMService string
 }
 
@@ -144,20 +143,19 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 	if cfg.Functions == nil {
 		return nil, fmt.Errorf("ausf: Functions (AKA execution environment) is required")
 	}
-	// Discover the UDM through the NRF — for an HMEE-enabled AUSF the
-	// home network function must also live in the higher trust domain
-	// (the 3GPP trust-domain placement of the paper's discussion). A
-	// configured UDMService skips discovery: the shard's binding is
-	// static and the trust-domain check happened at composition time.
-	var udmClient *udm.Client
-	if cfg.UDMService != "" {
-		udmClient = udm.NewClientFor(cfg.Invoker, cfg.UDMService)
-	} else {
-		var err error
-		udmClient, err = udm.DiscoverClient(ctx, cfg.Invoker, cfg.HMEE)
-		if err != nil {
-			return nil, err
-		}
+	// The UDM is resolved through the NRF even when it is named: for an
+	// HMEE-enabled AUSF the home network function must also live in the
+	// higher trust domain (the 3GPP trust-domain placement of the paper's
+	// discussion), and a peer the repository does not list fails here, not
+	// at the first registration. Only construction asks the NRF; the
+	// request path uses the resolved binding.
+	udmService := cfg.UDMService
+	if udmService == "" {
+		udmService = udm.ServiceName
+	}
+	udmClient, err := udm.DiscoverClient(ctx, cfg.Invoker, udmService, cfg.HMEE)
+	if err != nil {
+		return nil, err
 	}
 	ttl := cfg.PendingAuthTTL
 	if ttl <= 0 {
@@ -324,18 +322,20 @@ func NewClient(invoker sbi.Invoker) *Client {
 }
 
 // NewClientFor wraps an SBI transport for AUSF calls against a specific
-// replica's service name (static intra-shard binding).
+// replica's service name, with no NRF round trip and no trust-domain check
+// (tooling and measurement harnesses; NFs bind through DiscoverClient).
 func NewClientFor(invoker sbi.Invoker, service string) *Client {
 	return &Client{invoker: invoker, service: service}
 }
 
-// DiscoverClient resolves an AUSF instance through the NRF.
-func DiscoverClient(ctx context.Context, invoker sbi.Invoker, requireHMEE bool) (*Client, error) {
-	p, err := nrf.NewClient(invoker).Discover(ctx, NFType, requireHMEE)
+// DiscoverClient resolves the AUSF instance serving service through the
+// NRF (restricted to HMEE-enabled hosts when requireHMEE is set).
+func DiscoverClient(ctx context.Context, invoker sbi.Invoker, service string, requireHMEE bool) (*Client, error) {
+	p, err := nrf.NewClient(invoker).Discover(ctx, NFType, service, requireHMEE)
 	if err != nil {
 		return nil, fmt.Errorf("ausf: discovery: %w", err)
 	}
-	return &Client{invoker: invoker, service: p.Service}, nil
+	return NewClientFor(invoker, p.Service), nil
 }
 
 // Authenticate starts an AKA run.

@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"testing"
 
 	"shield5g/internal/costmodel"
@@ -251,6 +252,10 @@ func TestNewFailsWithoutUDMRegistered(t *testing.T) {
 	}
 }
 
+// TestHMEEAUSFRequiresHMEEUDM: the UDM an AUSF binds to is resolved through
+// the NRF whether it is the default service or a named replica, so an HMEE
+// AUSF refuses a lower-trust UDM and any AUSF refuses one the repository
+// does not list — at construction, not at the first registration.
 func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
 	env := costmodel.NewEnv(nil, 1, nil)
 	reg := sbi.NewRegistry()
@@ -264,19 +269,38 @@ func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateHomeNetworkKey: %v", err)
 	}
-	// A non-HMEE UDM is registered...
-	if _, err := udm.New(context.Background(), udm.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
-		Functions: paka.NewMonolithicUDM(env), HomeNetworkKey: hnKey, HMEE: false,
-	}); err != nil {
-		t.Fatalf("udm.New: %v", err)
+	// Two non-HMEE UDMs are registered: the default one and a replica.
+	for _, service := range []string{"", "udm-r1"} {
+		if _, err := udm.New(context.Background(), udm.Config{
+			Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
+			Functions: paka.NewMonolithicUDM(env), HomeNetworkKey: hnKey, HMEE: false,
+			ServiceName: service, InstanceID: service + "-1",
+		}); err != nil {
+			t.Fatalf("udm.New(%q): %v", service, err)
+		}
 	}
-	// ...so an HMEE AUSF must refuse to chain to it (trust domains).
-	_, err = New(context.Background(), Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicAUSF(env), HMEE: true,
-	})
-	if err == nil {
-		t.Fatal("HMEE AUSF accepted a lower-trust UDM")
+	for i, tc := range []struct {
+		name       string
+		hmee       bool
+		udmService string
+		wantErr    bool
+	}{
+		{"HMEE AUSF, default lower-trust UDM", true, "", true},
+		{"HMEE AUSF bound to a lower-trust replica", true, "udm-r1", true},
+		{"AUSF bound to a replica the NRF does not list", false, "udm-r9", true},
+		{"AUSF bound to a listed replica of its own trust domain", false, "udm-r1", false},
+	} {
+		service := fmt.Sprintf("ausf-t%d", i)
+		_, err := New(context.Background(), Config{
+			Env: env, Registry: reg, Invoker: sbi.NewClient(service, env, reg),
+			Functions: paka.NewMonolithicAUSF(env), HMEE: tc.hmee,
+			ServiceName: service, InstanceID: service + "-1", UDMService: tc.udmService,
+		})
+		switch {
+		case tc.wantErr && !sbi.HasCause(err, "TARGET_NF_NOT_FOUND"):
+			t.Errorf("%s: err = %v, want TARGET_NF_NOT_FOUND", tc.name, err)
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		}
 	}
 }

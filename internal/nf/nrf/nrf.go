@@ -183,15 +183,20 @@ func (c *Client) Heartbeat(ctx context.Context, instanceID string) error {
 	return c.invoker.Post(ctx, ServiceName, PathHeartbeat, &HeartbeatRequest{InstanceID: instanceID}, nil)
 }
 
-// Discover finds instances of an NF type. It returns the SBI service name
-// of the first match.
-func (c *Client) Discover(ctx context.Context, nfType string, requireHMEE bool) (NFProfile, error) {
+// Discover resolves the instance of an NF type that serves the SBI service
+// name (restricted to HMEE-enabled hosts when requireHMEE is set). The NRF
+// filters by type and trust domain; the service is picked from its answer
+// here, so a peer outside the caller's trust domain or absent from the
+// repository is TARGET_NF_NOT_FOUND either way.
+func (c *Client) Discover(ctx context.Context, nfType, service string, requireHMEE bool) (NFProfile, error) {
 	var resp DiscoverResponse
 	if err := c.invoker.Post(ctx, ServiceName, PathDiscover, &DiscoverRequest{NFType: nfType, RequireHMEE: requireHMEE}, &resp); err != nil {
 		return NFProfile{}, err
 	}
-	if len(resp.Profiles) == 0 {
-		return NFProfile{}, sbi.Problem(404, "Not Found", "TARGET_NF_NOT_FOUND", "no %s instance registered", nfType)
+	for _, p := range resp.Profiles {
+		if p.Service == service {
+			return p, nil
+		}
 	}
-	return resp.Profiles[0], nil
+	return NFProfile{}, sbi.Problem(404, "Not Found", "TARGET_NF_NOT_FOUND", "no %s instance serves %q", nfType, service)
 }

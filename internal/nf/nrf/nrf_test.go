@@ -33,27 +33,35 @@ func TestRegisterAndDiscover(t *testing.T) {
 		t.Fatalf("InstanceCount = %d", n.InstanceCount())
 	}
 
-	p, err := c.Discover(ctx, "UDM", false)
+	// Discovery answers for the service asked for, not the first of the type.
+	p, err := c.Discover(ctx, "UDM", "udm", false)
 	if err != nil {
 		t.Fatalf("Discover: %v", err)
 	}
-	if p.InstanceID != "udm-1" { // stable order: lowest instance ID first
+	if p.InstanceID != "udm-1" {
 		t.Fatalf("Discover = %+v", p)
 	}
 
 	// HMEE-restricted discovery returns only the higher trust domain.
-	p, err = c.Discover(ctx, "UDM", true)
+	p, err = c.Discover(ctx, "UDM", "udm-b", true)
 	if err != nil {
 		t.Fatalf("Discover HMEE: %v", err)
 	}
 	if p.InstanceID != "udm-2" || !p.HMEE {
 		t.Fatalf("HMEE Discover = %+v", p)
 	}
+	var pd *sbi.ProblemDetails
+	if _, err := c.Discover(ctx, "UDM", "udm", true); !errors.As(err, &pd) || pd.Cause != "TARGET_NF_NOT_FOUND" {
+		t.Fatalf("HMEE Discover of a lower-trust service err = %v, want TARGET_NF_NOT_FOUND", err)
+	}
+	if _, err := c.Discover(ctx, "UDM", "udm-c", false); !errors.As(err, &pd) || pd.Cause != "TARGET_NF_NOT_FOUND" {
+		t.Fatalf("Discover of an unlisted service err = %v, want TARGET_NF_NOT_FOUND", err)
+	}
 }
 
 func TestDiscoverNoMatch(t *testing.T) {
 	_, c := harness(t)
-	_, err := c.Discover(context.Background(), "AMF", false)
+	_, err := c.Discover(context.Background(), "AMF", "amf", false)
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 404 {
 		t.Fatalf("Discover err = %v, want 404", err)
@@ -87,7 +95,7 @@ func TestRegisterReplacesProfile(t *testing.T) {
 	if n.InstanceCount() != 1 {
 		t.Fatalf("InstanceCount = %d, want 1 (replace)", n.InstanceCount())
 	}
-	p, err := c.Discover(ctx, "UDM", true)
+	p, err := c.Discover(ctx, "UDM", "udm", true)
 	if err != nil || !p.HMEE {
 		t.Fatalf("profile not replaced: %+v %v", p, err)
 	}
@@ -105,7 +113,7 @@ func TestDeregister(t *testing.T) {
 	if n.InstanceCount() != 0 {
 		t.Fatalf("InstanceCount = %d", n.InstanceCount())
 	}
-	if _, err := c.Discover(ctx, "SMF", false); err == nil {
+	if _, err := c.Discover(ctx, "SMF", "smf", false); err == nil {
 		t.Fatal("deregistered instance discovered")
 	}
 }

@@ -166,7 +166,7 @@ func NewClient(invoker sbi.Invoker) *Client {
 
 // DiscoverClient resolves an SMF instance through the NRF.
 func DiscoverClient(ctx context.Context, invoker sbi.Invoker) (*Client, error) {
-	p, err := nrf.NewClient(invoker).Discover(ctx, NFType, false)
+	p, err := nrf.NewClient(invoker).Discover(ctx, NFType, ServiceName, false)
 	if err != nil {
 		return nil, fmt.Errorf("smf: discovery: %w", err)
 	}

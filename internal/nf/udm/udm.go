@@ -436,21 +436,21 @@ func NewClient(invoker sbi.Invoker) *Client {
 }
 
 // NewClientFor wraps an SBI transport for UDM calls against a specific
-// replica's service name — the static intra-shard binding of a sharded
-// deployment, which needs no NRF round trip.
+// replica's service name, with no NRF round trip and no trust-domain check
+// (tooling and measurement harnesses; NFs bind through DiscoverClient).
 func NewClientFor(invoker sbi.Invoker, service string) *Client {
 	return &Client{invoker: invoker, service: service}
 }
 
-// DiscoverClient resolves a UDM instance through the NRF (restricted to
-// HMEE-enabled hosts when requireHMEE is set) and returns a client bound
-// to the discovered service.
-func DiscoverClient(ctx context.Context, invoker sbi.Invoker, requireHMEE bool) (*Client, error) {
-	p, err := nrf.NewClient(invoker).Discover(ctx, NFType, requireHMEE)
+// DiscoverClient resolves the UDM instance serving service through the NRF
+// (restricted to HMEE-enabled hosts when requireHMEE is set) and returns a
+// client bound to it.
+func DiscoverClient(ctx context.Context, invoker sbi.Invoker, service string, requireHMEE bool) (*Client, error) {
+	p, err := nrf.NewClient(invoker).Discover(ctx, NFType, service, requireHMEE)
 	if err != nil {
 		return nil, fmt.Errorf("udm: discovery: %w", err)
 	}
-	return &Client{invoker: invoker, service: p.Service}, nil
+	return NewClientFor(invoker, p.Service), nil
 }
 
 // GenerateAuthData requests a fresh HE AV.

@@ -81,6 +81,10 @@ type remote struct {
 	response *ResponseRecorder
 }
 
+func newRemote(invoker sbi.Invoker, env *costmodel.Env, service string) remote {
+	return remote{invoker: invoker, env: env, service: service, response: NewResponseRecorder()}
+}
+
 func (r *remote) post(ctx context.Context, path string, req, resp any) error {
 	acct := simclock.AccountFrom(ctx)
 	start := acct.Total()
@@ -96,21 +100,10 @@ type RemoteUDM struct {
 	remote
 }
 
-// NewRemoteUDM builds the UDM VNF's client to the eUDM module.
-func NewRemoteUDM(invoker sbi.Invoker, env *costmodel.Env) *RemoteUDM {
-	return NewRemoteUDMService(invoker, env, EUDM.ServiceName())
-}
-
-// NewRemoteUDMService builds the client against a specific eUDM replica's
-// service name (sharded deployments bind each UDM replica to its own
-// module replica).
-func NewRemoteUDMService(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteUDM {
-	return &RemoteUDM{remote{
-		invoker:  invoker,
-		env:      env,
-		service:  service,
-		response: NewResponseRecorder(),
-	}}
+// NewRemoteUDM builds the UDM VNF's client to the eUDM module serving
+// service: each VNF replica binds to its own shard's module.
+func NewRemoteUDM(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteUDM {
+	return &RemoteUDM{newRemote(invoker, env, service)}
 }
 
 // GenerateAV implements UDMFunctions.
@@ -151,20 +144,10 @@ type RemoteAUSF struct {
 	remote
 }
 
-// NewRemoteAUSF builds the AUSF VNF's client to the eAUSF module.
-func NewRemoteAUSF(invoker sbi.Invoker, env *costmodel.Env) *RemoteAUSF {
-	return NewRemoteAUSFService(invoker, env, EAUSF.ServiceName())
-}
-
-// NewRemoteAUSFService builds the client against a specific eAUSF
-// replica's service name.
-func NewRemoteAUSFService(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteAUSF {
-	return &RemoteAUSF{remote{
-		invoker:  invoker,
-		env:      env,
-		service:  service,
-		response: NewResponseRecorder(),
-	}}
+// NewRemoteAUSF builds the AUSF VNF's client to the eAUSF module serving
+// service: each VNF replica binds to its own shard's module.
+func NewRemoteAUSF(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteAUSF {
+	return &RemoteAUSF{newRemote(invoker, env, service)}
 }
 
 // DeriveSE implements AUSFFunctions.
@@ -184,20 +167,10 @@ type RemoteAMF struct {
 	remote
 }
 
-// NewRemoteAMF builds the AMF VNF's client to the eAMF module.
-func NewRemoteAMF(invoker sbi.Invoker, env *costmodel.Env) *RemoteAMF {
-	return NewRemoteAMFService(invoker, env, EAMF.ServiceName())
-}
-
-// NewRemoteAMFService builds the client against a specific eAMF replica's
-// service name.
-func NewRemoteAMFService(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteAMF {
-	return &RemoteAMF{remote{
-		invoker:  invoker,
-		env:      env,
-		service:  service,
-		response: NewResponseRecorder(),
-	}}
+// NewRemoteAMF builds the AMF VNF's client to the eAMF module serving
+// service: each VNF replica binds to its own shard's module.
+func NewRemoteAMF(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteAMF {
+	return &RemoteAMF{newRemote(invoker, env, service)}
 }
 
 // DeriveKAMF implements AMFFunctions.

@@ -248,7 +248,7 @@ func TestEUDMModuleEndToEnd(t *testing.T) {
 			if err := m.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
 				t.Fatalf("ProvisionSubscriber: %v", err)
 			}
-			udm := NewRemoteUDM(h.client, h.env)
+			udm := NewRemoteUDM(h.client, h.env, EUDM.ServiceName())
 			resp, err := udm.GenerateAV(context.Background(), avRequest())
 			if err != nil {
 				t.Fatalf("GenerateAV: %v", err)
@@ -273,7 +273,7 @@ func TestEUDMModuleEndToEnd(t *testing.T) {
 func TestEUDMUnknownSubscriber(t *testing.T) {
 	h := newHarness(t, 3)
 	h.module(t, EUDM, Container)
-	udm := NewRemoteUDM(h.client, h.env)
+	udm := NewRemoteUDM(h.client, h.env, EUDM.ServiceName())
 	_, err := udm.GenerateAV(context.Background(), avRequest())
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 404 {
@@ -334,12 +334,12 @@ func TestAUSFAndAMFModulesServe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateAV: %v", err)
 	}
-	ausf := NewRemoteAUSF(h.client, h.env)
+	ausf := NewRemoteAUSF(h.client, h.env, EAUSF.ServiceName())
 	se, err := ausf.DeriveSE(context.Background(), &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN})
 	if err != nil {
 		t.Fatalf("DeriveSE: %v", err)
 	}
-	amf := NewRemoteAMF(h.client, h.env)
+	amf := NewRemoteAMF(h.client, h.env, EAMF.ServiceName())
 	kamf, err := amf.DeriveKAMF(context.Background(), &AMFDeriveKAMFRequest{KSEAF: se.KSEAF, SUPI: testSUPI, ABBA: []byte{0, 0}})
 	if err != nil {
 		t.Fatalf("DeriveKAMF: %v", err)

@@ -106,7 +106,8 @@ type MassResult = gnb.MassResult
 type ExperimentConfig = experiments.Config
 
 // ChaosConfig sets the seeded fault-injection rates and shapes for a
-// slice (SliceConfig.Chaos).
+// slice (SliceConfig.Chaos); a chaos slice runs the default SBI
+// deadline/retry/circuit-breaker policy.
 type ChaosConfig = chaos.Config
 
 // ChaosInjector is a slice's running fault injector (Slice.Chaos): arm or
@@ -119,20 +120,6 @@ type ChaosInjector = chaos.Injector
 func DefaultChaosMix(seed uint64, totalRate float64) ChaosConfig {
 	return chaos.DefaultMix(seed, totalRate)
 }
-
-// ResilienceConfig tunes the SBI deadline/retry/circuit-breaker layer
-// (SliceConfig.Resilience).
-type ResilienceConfig = sbi.ResilienceConfig
-
-// RetryPolicy shapes the resilience layer's exponential backoff.
-type RetryPolicy = sbi.RetryPolicy
-
-// BreakerConfig shapes the per-service circuit breaker.
-type BreakerConfig = sbi.BreakerConfig
-
-// DefaultResilienceConfig returns the policy a chaos-enabled slice uses
-// when none is given.
-func DefaultResilienceConfig() ResilienceConfig { return sbi.DefaultResilienceConfig() }
 
 // OverloadProfile selects the TS 29.500-style overload-control mechanisms
 // of a slice (SliceConfig.Overload): bounded-queue shedding at the metered

@@ -3,6 +3,8 @@ package shield5g_test
 import (
 	"bytes"
 	"context"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -159,5 +161,22 @@ func TestPublicAttestationSurface(t *testing.T) {
 	m := enclave.Measurement()
 	if err := shield5g.VerifyQuote(tb.Slice.Platform.QuotingPublicKey(), q, &m); err != nil {
 		t.Fatalf("VerifyQuote: %v", err)
+	}
+}
+
+// TestBenchModuleVets type-checks bench/, the benchmark every PR is judged
+// on. It is its own module, so the tier-1 `go build ./... && go test ./...`
+// never compiles it, and a renamed or deleted export would break it unseen
+// until `make ci`. bench/go.mod requires only this module through a
+// `replace ../`, so the check needs no network.
+func TestBenchModuleVets(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go toolchain on PATH")
+	}
+	cmd := exec.Command("go", "vet", ".")
+	cmd.Dir = "bench"
+	cmd.Env = append(os.Environ(), "GOTOOLCHAIN=local", "GOPROXY=off", "GOWORK=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet in bench/: %v\n%s", err, out)
 	}
 }
