@@ -57,10 +57,12 @@ loc:
 # signaling-storm smoke through the gnbsim CLI (open-loop replay, limiter
 # armed — exercises the overload stack end to end in under a second), a
 # sharded-core smoke (4 replicas behind SUPI-affinity routing with the
-# full fast path on) and a switchless-ring smoke (ring-served ECALLs on
+# full fast path on), a switchless-ring smoke (ring-served ECALLs on
 # the same fast path, four workers contending for each module's
-# dispatcher lock) through the same CLI, short fuzz passes over the
-# binary SBI frame parser, over the JSON codec against encoding/json and
+# dispatcher lock) and a confidential-VM smoke (keep-alive sessions and
+# the AV-pool batch crossing on the guest process at SEV's prices — the
+# one backend no bench workload deploys) through the same CLI, short fuzz
+# passes over the binary SBI frame parser, over the JSON codec against encoding/json and
 # over the Gramine manifest parser (their seed corpora already ran with
 # the test suite), and the benchmark
 # module (bench/ has its own go.mod, so `./...` above never descends into
@@ -79,6 +81,7 @@ ci: build
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
 	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
+	$(GO) run ./cmd/gnbsim -n 32 -isolation sev -batch 8 -avpool 8 -seed 13
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/hmee/gramine

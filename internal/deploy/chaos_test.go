@@ -83,19 +83,33 @@ func crashRecovery(t *testing.T, iso paka.Isolation, wantReprovisions uint64) {
 // before the crash re-registers without the UDM ever re-pushing its key.
 func TestSGXCrashRecoverySealedRestore(t *testing.T) { crashRecovery(t, paka.SGX, 0) }
 
-// TestSGXRestartChargesReload pins the recovery cost: the rebuilt enclave
-// re-pays the paper's Fig. 7 ~1-minute load in virtual time, charged to
-// the restarting request's account.
-func TestSGXRestartChargesReload(t *testing.T) {
-	s := newTestSlice(t, paka.SGX)
+// restartReload restarts the eUDM under iso and reports the virtual time
+// the recovery charged to the restarting request's account.
+func restartReload(t *testing.T, iso paka.Isolation) time.Duration {
+	t.Helper()
+	s := newTestSlice(t, iso)
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
 	if err := s.RestartModule(ctx, paka.EUDM); err != nil {
 		t.Fatalf("RestartModule: %v", err)
 	}
-	reload := s.Env.Model.Duration(acct.Total())
-	if reload < 45*time.Second || reload > 75*time.Second {
+	return s.Env.Model.Duration(acct.Total())
+}
+
+// TestSGXRestartChargesReload pins the recovery cost: the rebuilt enclave
+// re-pays the paper's Fig. 7 ~1-minute load in virtual time, charged to
+// the restarting request's account.
+func TestSGXRestartChargesReload(t *testing.T) {
+	if reload := restartReload(t, paka.SGX); reload < 45*time.Second || reload > 75*time.Second {
 		t.Fatalf("restart charged %v, want ~1 minute of virtual enclave load", reload)
+	}
+}
+
+// TestSEVRestartChargesReload: a relaunched confidential VM re-pays its
+// measured boot (seconds, not the enclave's minute).
+func TestSEVRestartChargesReload(t *testing.T) {
+	if reload := restartReload(t, paka.SEV); reload < 2*time.Second || reload > 10*time.Second {
+		t.Fatalf("restart charged %v, want the few seconds of a measured VM boot", reload)
 	}
 }
 
@@ -103,6 +117,50 @@ func TestSGXRestartChargesReload(t *testing.T) {
 // restarted container runtime has no sealed backup, so the first AV
 // request hits USER_NOT_FOUND and the UDM restores the key from the UDR.
 func TestContainerCrashRecoveryReprovisions(t *testing.T) { crashRecovery(t, paka.Container, 1) }
+
+// TestSEVCrashRecoveryReprovisions: a confidential VM is a guest process
+// too — relaunched empty, restored by the UDM like the container.
+func TestSEVCrashRecoveryReprovisions(t *testing.T) { crashRecovery(t, paka.SEV, 1) }
+
+// TestChaosCrashDrawRestartsEveryBackend: every module backend can rebuild
+// itself, so a crash draw is a real crash under each of them — counted by
+// the injector, survived by the module — never a silent clean call.
+func TestChaosCrashDrawRestartsEveryBackend(t *testing.T) {
+	for _, iso := range []paka.Isolation{paka.SGX, paka.Container, paka.SEV} {
+		t.Run(iso.String(), func(t *testing.T) {
+			ctx := context.Background()
+			mix := chaos.Config{Seed: 7, CrashRate: 0.15}
+			s := newSliceWith(t, SliceConfig{Isolation: iso, Seed: 42, Chaos: &mix})
+			s.Chaos.SetArmed(false)
+			devices := make([]*ue.UE, 12)
+			for i := range devices {
+				devices[i] = provisionUE(t, s, fmt.Sprintf("%010d", 34000+i))
+			}
+			s.Chaos.SetArmed(true)
+			res, err := s.GNB.RegisterManyWith(ctx, gnb.MassOptions{
+				N:           len(devices),
+				NewUE:       func(i int) (*ue.UE, error) { return devices[i], nil },
+				MaxAttempts: 5,
+				Chaos:       s.Chaos,
+			})
+			if err != nil {
+				t.Fatalf("RegisterManyWith: %v", err)
+			}
+			var restarts uint64
+			for _, m := range s.Shards[0].Modules {
+				restarts += m.Restarts()
+			}
+			crashes := s.Chaos.Counts()[chaos.KindCrash.String()]
+			if crashes == 0 || crashes != restarts {
+				t.Fatalf("%d crash draws, %d module restarts: want equal and non-zero", crashes, restarts)
+			}
+			if res.Registered != len(devices) {
+				t.Fatalf("registered %d/%d across %d crash-restarts", res.Registered, len(devices), crashes)
+			}
+			t.Logf("%s: %d crash-restarts survived over %d attempts", iso, crashes, res.Attempts)
+		})
+	}
+}
 
 // TestAUSFPendingAuthTTL covers the pending-auth expiry sweep: an auth
 // context abandoned mid-registration is reaped once the virtual clock

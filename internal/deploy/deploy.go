@@ -414,14 +414,10 @@ func (s *Slice) armChaos() {
 			if e := m.Enclave(); e != nil {
 				s.Chaos.RegisterEnclave(m.ServiceName(), e)
 			}
-			// Only runtimes that can rebuild themselves get a crash hook;
-			// for the rest a crash draw degrades to a clean call.
-			if s.Config.Isolation == paka.SGX || s.Config.Isolation == paka.Container {
-				kind, idx := kind, shard.Index
-				s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
-					return s.RestartShardModule(ctx, idx, kind)
-				})
-			}
+			kind, idx := kind, shard.Index
+			s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
+				return s.RestartShardModule(ctx, idx, kind)
+			})
 		}
 	}
 	s.Chaos.SetArmed(true)

@@ -34,13 +34,13 @@ func censusOneShot(i *Instance, ctx context.Context, in, out int) (censusBD, err
 	return i.Serve(ctx, in, out, hmee.HandlerFunc(censusWork))
 }
 
-func censusOpen(i *Instance, ctx context.Context) (*Session, error) { return i.OpenSession(ctx) }
+func censusOpen(i *Instance, ctx context.Context) (*hmee.Session, error) { return i.OpenSession(ctx) }
 
-func censusServe(s *Session, ctx context.Context, in, out int) (censusBD, error) {
+func censusServe(s *hmee.Session, ctx context.Context, in, out int) (censusBD, error) {
 	return s.Serve(ctx, in, out, hmee.HandlerFunc(censusWork))
 }
 
-func censusClose(s *Session, ctx context.Context) error { return s.Close(ctx) }
+func censusClose(s *hmee.Session, ctx context.Context) error { return s.Close(ctx) }
 
 func censusBatch(i *Instance, ctx context.Context, argBytes, retBytes, k int) error {
 	return i.DoBatch(ctx, argBytes, retBytes, hmee.HandlerFunc(func(ex hmee.Exec) error {
@@ -142,7 +142,7 @@ func TestCensusContract(t *testing.T) {
 						return censusOneShot(inst, ctx, 40, 80)
 					})
 				case "session":
-					var sess *Session
+					var sess *hmee.Session
 					rec.step("open", func(ctx context.Context) (bd censusBD, err error) {
 						sess, err = censusOpen(inst, ctx)
 						return bd, err

@@ -339,8 +339,8 @@ func TestShutdownIdempotentAndRejectsServe(t *testing.T) {
 	}
 	inst.Shutdown()
 	inst.Shutdown()
-	if _, err := inst.Serve(context.Background(), 1, 1, noop); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("ServeRequest after shutdown = %v, want ErrNotRunning", err)
+	if _, err := inst.Serve(context.Background(), 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("ServeRequest after shutdown = %v, want hmee.ErrStopped", err)
 	}
 	if p.EPCInUse() != 0 {
 		t.Fatalf("EPC not released: %d", p.EPCInUse())

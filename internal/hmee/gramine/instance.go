@@ -12,14 +12,6 @@ import (
 	"shield5g/internal/simclock"
 )
 
-// Instance lifecycle errors.
-var (
-	// ErrNotRunning reports use of a stopped instance.
-	ErrNotRunning = errors.New("gramine: instance not running")
-	// ErrSessionClosed reports a request on a closed keep-alive session.
-	ErrSessionClosed = errors.New("gramine: session closed")
-)
-
 // Launch-time constants.
 const (
 	// serverInitOCALLs is the cost of bringing the in-enclave HTTPS
@@ -191,6 +183,10 @@ func (i *Instance) RingStats() sgx.RingStats {
 	return i.ring.Stats()
 }
 
+// Introspect is the host's view of the enclave's memory for the named
+// secret: MEE ciphertext.
+func (i *Instance) Introspect(name string) ([]byte, bool) { return i.enclave.Introspect(name) }
+
 // Warm reports whether the first request has been served.
 func (i *Instance) Warm() bool {
 	i.mu.Lock()
@@ -229,7 +225,7 @@ func (i *Instance) admit(ph hmee.Phases) (hmee.Phases, error) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if !i.running {
-		return 0, ErrNotRunning
+		return 0, hmee.ErrStopped
 	}
 	if ph&hmee.Warmup != 0 {
 		if i.warm {
@@ -279,7 +275,7 @@ func (i *Instance) do(ctx context.Context, viaRing bool, ph hmee.Phases, in, out
 		// A ring that closed under the request means the enclave is going
 		// down with it.
 		if err = i.ring.Submit(ctx, r); errors.Is(err, sgx.ErrRingClosed) {
-			err = ErrNotRunning
+			err = hmee.ErrStopped
 		}
 	case ph&hmee.Entry != 0:
 		// The entry charges the account it finds on ctx; pin the request's.
@@ -305,96 +301,60 @@ func ocalls(th *sgx.Thread, exitless bool, n int, untrusted simclock.Cycles, out
 	}
 }
 
-// perCall is the share of a body one of n reads or writes moves; a profile
-// with none of them moves nothing.
-func perCall(bytes, n int) int {
-	if n <= 0 {
-		return 0
-	}
-	return bytes/n + 1
-}
-
-// Execute charges the request's phases, in the order hmee.Phases fixes,
-// and runs its handler on a thread bound to the request's account and
-// jitter stream. t is whichever in-enclave thread carries the request:
-// the resident process thread, a batch ECALL's fresh entry, or — as the
-// sgx.RingJob — the ring dispatcher. This is the only place the server
-// path is charged.
+// Execute walks the request's phases on a thread bound to the request's
+// account and jitter stream. t is whichever in-enclave thread carries the
+// request: the resident process thread, a batch ECALL's fresh entry, or —
+// as the sgx.RingJob — the ring dispatcher.
 //
 //shieldlint:hotpath
-func (r *request) Execute(t *sgx.Thread) error {
-	i := r.inst
-	m := i.platform.Model()
-	sp, ph, acct := i.syscalls, r.phases, r.acct
-	th := &r.th
-	t.BindRequest(r.ctx, acct, th)
-	// A request on the dispatcher must never leave the enclave, so all its
-	// proxied syscalls are exitless handoffs; elsewhere that is the
-	// manifest's choice — except for the warm-up's lazy loading, which
-	// runs before the exitless helper is up and always pays transitions.
-	exitless := r.viaRing || i.exitless
-	start := acct.Total()
-
-	if ph&hmee.Warmup != 0 {
-		// Lazy loading of network-stack dependencies: a few OCALLs and the
-		// in-enclave verification of the lazily-read trusted files.
-		ocalls(th, r.viaRing, warmupOCALLs, m.SyscallNative, 64, 64)
-		th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
-	}
-	handshakeFirst := ph.HandshakeFirst()
-	if handshakeFirst {
-		th.Compute(m.TLSHandshakeServer)
-	}
-	if ph&(hmee.Pre|hmee.Body) != 0 {
-		n := 0
-		if ph&hmee.Pre != 0 {
-			n = sp.Pre
-		}
-		if ph&hmee.Body != 0 {
-			// 0–2 readiness wake-ups, drawn at the same jitter position
-			// whether or not the accept machinery precedes them, so a
-			// pipelined request's draws align with a one-shot's.
-			n += int(simclock.JitterFrom(r.ctx, i.platform.Jitter()).Uint64n(3))
-		}
-		ocalls(th, exitless, n, m.SyscallNative, 16, 16)
-	}
-	if ph&hmee.Handshake != 0 && !handshakeFirst {
-		th.Compute(m.TLSHandshakeServer)
-	}
-
-	var err error
-	switch {
-	case ph&hmee.Body != 0:
-		totalStart := acct.Total()
-		ocalls(th, exitless, sp.Read, m.SyscallNative, 0, perCall(r.in, sp.Read))
-		th.Compute(m.TLSRecordCost(r.in) + m.HTTPCost(r.in))
-		th.Touch(uint64(r.in))
-
-		fnStart := acct.Total()
-		ocalls(th, exitless, sp.InHandler, m.SyscallNative, 8, 8)
-		err = r.handler.Run(th)
-		r.bd.Functional = acct.Total() - fnStart
-
-		th.Compute(m.HTTPCost(r.out) + m.TLSRecordCost(r.out))
-		th.Touch(uint64(r.out))
-		ocalls(th, exitless, sp.Write, m.SyscallNative, perCall(r.out, sp.Write), 0)
-		r.bd.Total = acct.Total() - totalStart
-	case r.handler != nil:
-		// Handler-only crossing. A classic Entry shielded its buffers on
-		// the ECALL that carried it here; through the ring they cross
-		// shared memory: the shield cost, no transitions.
-		if r.viaRing {
-			th.ShieldTransfer(r.in, r.out)
-		}
-		err = r.handler.Run(th)
-	}
-
-	if ph&hmee.Post != 0 {
-		ocalls(th, exitless, sp.Post, m.SyscallNative, 16, 16)
-	}
-	r.bd.ServerSide = acct.Total() - start
+func (r *request) Execute(t *sgx.Thread) (err error) {
+	t.BindRequest(r.ctx, r.acct, &r.th)
+	r.bd, err = hmee.Walk(r, r.inst.platform.Model(), r.inst.syscalls, r.acct, r.phases, r.in, r.out, r.handler)
 	return err
 }
+
+// The enclave's prices (hmee.Surface): every syscall is an OCALL proxied
+// by the LibOS, server compute and staged bodies run on the in-enclave
+// thread (MEE overhead, AEX draws, EPC faults), and the handler receives
+// that thread itself.
+
+// Warmup is the lazy loading of network-stack dependencies: a few OCALLs
+// and the in-enclave verification of the lazily-read trusted files. It
+// runs before the exitless helper is up, so it pays transitions whatever
+// the manifest says — except on the dispatcher, which never leaves.
+func (r *request) Warmup() {
+	m := r.inst.platform.Model()
+	ocalls(&r.th, r.viaRing, warmupOCALLs, m.SyscallNative, 64, 64)
+	r.th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
+}
+
+// Syscalls proxies n syscalls. A request on the dispatcher must never
+// leave the enclave, so all of its are exitless handoffs; elsewhere that
+// is the manifest's choice.
+//
+//shieldlint:hotpath
+func (r *request) Syscalls(n, out, in int) {
+	ocalls(&r.th, r.viaRing || r.inst.exitless, n, r.inst.platform.Model().SyscallNative, out, in)
+}
+
+func (r *request) ServerCompute(n simclock.Cycles) { r.th.Compute(n) }
+
+func (r *request) Stage(n int) { r.th.Touch(uint64(n)) }
+
+// Entry: a classic batch shielded its buffers on the ECALL that carried it
+// here; through the ring they cross shared memory — the shield cost, no
+// transitions.
+func (r *request) Entry(in, out int) {
+	if r.viaRing {
+		r.th.ShieldTransfer(in, out)
+	}
+}
+
+func (r *request) Jitter() *simclock.Jitter {
+	return simclock.JitterFrom(r.ctx, r.inst.platform.Jitter())
+}
+
+func (r *request) Exec() hmee.Exec { return &r.th }
 
 // Serve runs one HTTPS request that brings its own connection through the
 // in-enclave server: the accept machinery, TLS and HTTP processing, the
@@ -405,62 +365,27 @@ func (i *Instance) Serve(ctx context.Context, inBytes, outBytes int, h hmee.Hand
 	return i.do(ctx, i.ringFor(ctx), hmee.OneShot, inBytes, outBytes, h)
 }
 
-// Session is one persistent keep-alive connection into the in-enclave
-// HTTPS server. The connection-scoped machinery — the accept census and
-// the server-side TLS handshake — is paid once at OpenSession and the
-// teardown once at Close, so requests pipelined through Serve pay only the
-// per-request census: a batch of B requests spreads the Pre+Post OCALLs
-// (81 transition pairs under the default profile) over B requests. The
+// conn is one keep-alive connection into the in-enclave server. Its
 // crossing is fixed at open, so one connection's census never mixes the
 // two boundary disciplines.
-type Session struct {
+type conn struct {
+	hmee.Session
 	inst    *Instance
 	viaRing bool
-	mu      sync.Mutex
-	open    bool
 }
 
-// OpenSession accepts one persistent client connection, charged to ctx's
-// account once for the whole session. The first connection ever accepted
-// also pays the lazy warm-up the first Serve would pay.
-func (i *Instance) OpenSession(ctx context.Context) (*Session, error) {
-	s := &Session{inst: i, viaRing: i.ringFor(ctx), open: true}
-	if _, err := i.do(ctx, s.viaRing, hmee.Open, 0, 0, nil); err != nil {
+func (c *conn) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
+	return c.inst.do(ctx, c.viaRing, ph, in, out, h)
+}
+
+// OpenSession accepts one persistent client connection (see hmee.Session
+// for the amortization contract).
+func (i *Instance) OpenSession(ctx context.Context) (*hmee.Session, error) {
+	c := &conn{inst: i, viaRing: i.ringFor(ctx)}
+	if err := c.Open(ctx, c); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// Serve runs one pipelined request on the session. The L_F and L_T
-// Breakdown windows are bit-identical to a warm Instance.Serve under the
-// same jitter stream; ServerSide omits exactly the amortized Pre/Post
-// machinery.
-func (s *Session) Serve(ctx context.Context, inBytes, outBytes int, h hmee.Handler) (hmee.Breakdown, error) {
-	s.mu.Lock()
-	open := s.open
-	s.mu.Unlock()
-	if !open {
-		return hmee.Breakdown{}, ErrSessionClosed
-	}
-	return s.inst.do(ctx, s.viaRing, hmee.Pipelined, inBytes, outBytes, h)
-}
-
-// Close tears the session's connection down, paying the post-request
-// machinery once for the whole pipelined batch. Closing twice, or closing
-// after the instance shut down (the connection died with the enclave), is
-// a free no-op.
-func (s *Session) Close(ctx context.Context) error {
-	s.mu.Lock()
-	open := s.open
-	s.open = false
-	s.mu.Unlock()
-	if !open {
-		return nil
-	}
-	if _, err := s.inst.do(ctx, s.viaRing, hmee.Close, 0, 0, nil); err != nil && !errors.Is(err, ErrNotRunning) {
-		return err
-	}
-	return nil
+	return &c.Session, nil
 }
 
 // Do runs h on the resident in-enclave process thread outside the request
@@ -492,7 +417,7 @@ func (i *Instance) Stats() sgx.StatsSnapshot { return i.enclave.Stats() }
 
 // Shutdown leaves the resident threads and destroys the enclave. Requests
 // admitted before it finish first (those still queued in the ring fail
-// with ErrNotRunning); later ones are refused. It is idempotent.
+// with hmee.ErrStopped); later ones are refused. It is idempotent.
 func (i *Instance) Shutdown() {
 	i.mu.Lock()
 	if !i.running {

@@ -160,12 +160,12 @@ func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 	if err := sess.Close(ctx); err != nil {
 		t.Fatalf("double Close: %v", err)
 	}
-	if _, err := sess.Serve(ctx, 10, 10, noop); !errors.Is(err, ErrSessionClosed) {
-		t.Fatalf("Serve on closed session = %v, want ErrSessionClosed", err)
+	if _, err := sess.Serve(ctx, 10, 10, noop); !errors.Is(err, hmee.ErrSessionClosed) {
+		t.Fatalf("Serve on closed session = %v, want hmee.ErrSessionClosed", err)
 	}
 	inst.Shutdown()
-	if _, err := inst.OpenSession(ctx); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("OpenSession after Shutdown = %v, want ErrNotRunning", err)
+	if _, err := inst.OpenSession(ctx); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("OpenSession after Shutdown = %v, want hmee.ErrStopped", err)
 	}
 }
 
@@ -231,8 +231,8 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 	}
 
 	inst.Shutdown()
-	if err := inst.DoBatch(ctx, 1, 1, noop); !errors.Is(err, ErrNotRunning) {
-		t.Fatalf("DoBatch after Shutdown = %v, want ErrNotRunning", err)
+	if err := inst.DoBatch(ctx, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("DoBatch after Shutdown = %v, want hmee.ErrStopped", err)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 // every crossing (run under -race) — the gramine twin of paka's
 // TestNativeRuntimeServeShutdownRace, and what a chaos crash-restart does to
 // a module with requests in flight. Every request must finish cleanly or
-// fail with ErrNotRunning: never a panic, a torn teardown or a data race.
+// fail with hmee.ErrStopped: never a panic, a torn teardown or a data race.
 func TestServeShutdownRace(t *testing.T) {
 	crossings := []struct {
 		name string
@@ -308,11 +308,11 @@ func TestServeShutdownRace(t *testing.T) {
 							if first {
 								started <- struct{}{}
 							}
-							if errors.Is(err, ErrNotRunning) {
+							if errors.Is(err, hmee.ErrStopped) {
 								return
 							}
 							if err != nil {
-								t.Errorf("worker %d: %v, want nil or ErrNotRunning", w, err)
+								t.Errorf("worker %d: %v, want nil or hmee.ErrStopped", w, err)
 								return
 							}
 						}
@@ -324,8 +324,8 @@ func TestServeShutdownRace(t *testing.T) {
 				inst.Shutdown()
 				wg.Wait()
 
-				if _, err := inst.Serve(context.Background(), 10, 10, noop); !errors.Is(err, ErrNotRunning) {
-					t.Fatalf("Serve after Shutdown = %v, want ErrNotRunning", err)
+				if _, err := inst.Serve(context.Background(), 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
+					t.Fatalf("Serve after Shutdown = %v, want hmee.ErrStopped", err)
 				}
 				if st := inst.RingStats(); st.Submitted != st.Completed+st.Drained {
 					t.Fatalf("ring lost a request: %+v", st)

@@ -1,9 +1,13 @@
 // Package hmee holds what every hardware-mediated execution environment
-// backend (sgx/gramine, sev, the plain-container baseline in paka) and the
-// modules served inside them agree on: the execution surface a handler
-// charges through, the handler itself, the phases of the modelled HTTPS
-// server path, its syscall census, and the latency windows of one served
-// request. It is a leaf: backends import it, it imports none of them.
+// backend (sgx/gramine, sev, the plain-container baseline) and the modules
+// served inside them agree on: the execution surface a handler charges
+// through, the handler itself, the phases of the modelled HTTPS server
+// path, its syscall census, the one walk of that path every backend prices
+// (Walk over a Surface), the keep-alive Session, and the latency windows
+// of one served request. It also holds the backend that needs no hardware:
+// the guest Process, which is the plain container and — at another price
+// list — the inside of a confidential VM. It is a leaf: backends import
+// it, it imports none of them.
 package hmee
 
 import "shield5g/internal/simclock"
@@ -37,9 +41,8 @@ type HandlerFunc func(Exec) error
 func (f HandlerFunc) Run(ex Exec) error { return f(ex) }
 
 // Phases selects which parts of the modelled server path one crossing
-// charges. Every serve shape is a set of them run by one function per
-// backend, always in declaration order — except Handshake, see
-// HandshakeFirst.
+// charges. Every serve shape is a set of them run by Walk, always in
+// declaration order — except Handshake, see HandshakeFirst.
 type Phases uint8
 
 // The phases of the server path.

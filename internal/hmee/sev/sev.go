@@ -6,10 +6,11 @@
 // entire guest software stack, which the paper argues can make such VMs
 // unsuitable for the most sensitive functions.
 //
-// The simulation mirrors the sgx package's surface (launch with
-// measurement, request serving with cost accounting, sealing-grade secret
-// storage, attestation reports) so the P-AKA modules can be deployed on
-// either backend and compared head to head.
+// Inside the VM the module is an ordinary guest process (hmee.Process) at
+// SEV's Prices; this package adds what is SEV's own — the measured launch,
+// the TCB accounting, the host's ciphertext view of guest memory and the
+// SNP attestation report — so the P-AKA modules can be deployed on either
+// backend and compared head to head.
 package sev
 
 import (
@@ -19,8 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"shield5g/internal/costmodel"
@@ -28,17 +27,17 @@ import (
 	"shield5g/internal/simclock"
 )
 
-// Cost constants of the virtualization path.
+// Prices is the guest process's price list inside a confidential VM: the
+// container's lazy loading, a 4 % SEV-SNP memory-encryption and nested
+// paging overhead on handler execution, and two virtio VM exits (4 200
+// cycles each: doorbell, interrupt injection — far cheaper than an SGX
+// transition pair) as a request arrives and two more as it departs.
+func Prices() hmee.Prices {
+	return hmee.Prices{WarmupCycles: 2_000_000, ComputePenaltyPct: 4, VMExitCycles: 4_200, ExitsPerEdge: 2}
+}
+
+// Launch cost constants.
 const (
-	// vmExitCycles is one VM exit + resume (virtio doorbell, interrupt
-	// injection): far cheaper than an SGX transition pair.
-	vmExitCycles = 4_200
-	// vmExitsPerRequest covers the virtio notifications of one
-	// request/response on a paravirtual NIC.
-	vmExitsPerRequest = 4
-	// sevComputePenaltyPct is the SEV-SNP memory-encryption and nested
-	// paging overhead on guest execution.
-	sevComputePenaltyPct = 4
 	// launchDigestBytesPerSec matches the PSP's LAUNCH_UPDATE
 	// measurement throughput over the initial guest memory.
 	launchDigestPerByte = 6 // cycles
@@ -48,12 +47,6 @@ const (
 	// joins the TCB beyond the application image.
 	guestKernelBytes = 360_000_000
 	guestSystemBytes = 740_000_000
-)
-
-// Machine lifecycle errors.
-var (
-	// ErrStopped reports use of a torn-down machine.
-	ErrStopped = errors.New("sev: machine stopped")
 )
 
 // Config describes one confidential VM.
@@ -68,24 +61,17 @@ type Config struct {
 	InitialRAMBytes uint64
 }
 
-// Machine is one running confidential VM.
+// Machine is one running confidential VM: the guest process it hosts plus
+// the launch identity the PSP vouches for.
 type Machine struct {
-	env *costmodel.Env
+	*hmee.Process
 	cfg Config
 
-	measurement  [32]byte
-	launchCycles simclock.Cycles
-	signPriv     ed25519.PrivateKey
-	signPub      ed25519.PublicKey
-	syscalls     hmee.SyscallProfile
-
-	vmExits atomic.Uint64
-
-	mu      sync.Mutex
-	running bool
-	warm    bool
-	secrets map[string][]byte
-	sealKey [32]byte
+	measurement [32]byte
+	load        time.Duration
+	signPriv    ed25519.PrivateKey
+	signPub     ed25519.PublicKey
+	sealKey     [32]byte
 }
 
 // Launch measures and boots a confidential VM, charging the launch cost
@@ -104,15 +90,7 @@ func Launch(ctx context.Context, env *costmodel.Env, cfg Config) (*Machine, erro
 	if err != nil {
 		return nil, fmt.Errorf("sev: generate PSP signing key: %w", err)
 	}
-	m := &Machine{
-		env:      env,
-		cfg:      cfg,
-		signPriv: priv,
-		signPub:  pub,
-		syscalls: hmee.DefaultSyscallProfile(),
-		running:  true,
-		secrets:  make(map[string][]byte),
-	}
+	m := &Machine{Process: hmee.NewProcess(env, Prices()), cfg: cfg, signPriv: priv, signPub: pub}
 
 	h := sha256.New()
 	fmt.Fprintf(h, "sev-snp:%s:ram=%d:app=%d", cfg.Name, cfg.InitialRAMBytes, cfg.AppImageBytes)
@@ -121,7 +99,7 @@ func Launch(ctx context.Context, env *costmodel.Env, cfg Config) (*Machine, erro
 
 	cost := simclock.Cycles(cfg.InitialRAMBytes)*launchDigestPerByte + guestBootCycles
 	cost = env.Jitter.Scale(cost, 0.02)
-	m.launchCycles = cost
+	m.load = env.Model.Duration(cost)
 	env.Charge(ctx, cost)
 	return m, nil
 }
@@ -133,7 +111,7 @@ func (m *Machine) Name() string { return m.cfg.Name }
 func (m *Machine) Measurement() [32]byte { return m.measurement }
 
 // LoadDuration reports the modelled launch time.
-func (m *Machine) LoadDuration() time.Duration { return m.env.Model.Duration(m.launchCycles) }
+func (m *Machine) LoadDuration() time.Duration { return m.load }
 
 // TCBBytes reports the VM's trusted computing base: the application image
 // plus the guest kernel and system userland that share the encrypted
@@ -142,156 +120,15 @@ func (m *Machine) TCBBytes() uint64 {
 	return m.cfg.AppImageBytes + guestKernelBytes + guestSystemBytes
 }
 
-// VMExits reports the accumulated VM exit count.
-func (m *Machine) VMExits() uint64 { return m.vmExits.Load() }
-
-func (m *Machine) live() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.running {
-		return ErrStopped
-	}
-	return nil
-}
-
-// Exec is the in-guest execution surface, an hmee.Exec.
-type Exec struct {
-	ctx context.Context
-	m   *Machine
-}
-
-// Compute charges n cycles of guest execution under the SEV memory
-// encryption penalty.
-func (e Exec) Compute(n simclock.Cycles) {
-	e.m.env.Charge(e.ctx, n+n*sevComputePenaltyPct/100)
-}
-
-// Touch charges access to n bytes of guest memory.
-func (e Exec) Touch(nBytes uint64) {
-	e.m.env.Charge(e.ctx, simclock.Cycles(nBytes)*e.m.env.Model.CopyPerByte)
-}
-
-// StoreSecret places sensitive material in guest memory (plaintext inside
-// the VM, ciphertext to the host).
-func (e Exec) StoreSecret(name string, data []byte) {
-	e.m.mu.Lock()
-	e.m.secrets[name] = append([]byte(nil), data...)
-	e.m.mu.Unlock()
-}
-
-// LoadSecret reads sensitive material back.
-func (e Exec) LoadSecret(name string) ([]byte, bool) {
-	e.m.mu.Lock()
-	defer e.m.mu.Unlock()
-	d, ok := e.m.secrets[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), d...), true
-}
-
-// ServeRequest runs one HTTPS request through the in-guest server: the
-// same syscall census as the container, served by the guest kernel at
-// native cost, plus the virtio VM exits at the device boundary.
-func (m *Machine) ServeRequest(ctx context.Context, inBytes, outBytes int, handler hmee.Handler) (hmee.Breakdown, error) {
-	if err := m.live(); err != nil {
-		return hmee.Breakdown{}, err
-	}
-	m.mu.Lock()
-	first := !m.warm
-	m.warm = true
-	m.mu.Unlock()
-
-	env := m.env
-	model := env.Model
-	// Pin the request account so callers without one still get coherent
-	// latency windows.
-	acct := simclock.AccountFrom(ctx)
-	ctx = simclock.WithAccount(ctx, acct)
-	charge := func(n simclock.Cycles) { env.Charge(ctx, n) }
-	syscall := func(bytes int) {
-		charge(model.SyscallNative + simclock.Cycles(bytes)*model.CopyPerByte)
-	}
-	vmexit := func() {
-		m.vmExits.Add(1)
-		charge(vmExitCycles)
-	}
-	start := acct.Total()
-
-	if first {
-		charge(2_000_000) // lazy library loading inside the guest
-		charge(model.TLSHandshakeServer)
-	}
-
-	// Request arrival: virtio doorbell + interrupt injection.
-	vmexit()
-	vmexit()
-
-	jig := int(env.JitterFor(ctx).Uint64n(3))
-	for k := 0; k < m.syscalls.Pre+jig; k++ {
-		syscall(32)
-	}
-
-	totalStart := acct.Total()
-	for k := 0; k < m.syscalls.Read; k++ {
-		syscall(inBytes/m.syscalls.Read + 1)
-	}
-	charge(model.TLSRecordCost(inBytes) + model.HTTPCost(inBytes))
-
-	fnStart := acct.Total()
-	err := handler.Run(Exec{ctx: ctx, m: m})
-	fnEnd := acct.Total()
-
-	charge(model.HTTPCost(outBytes) + model.TLSRecordCost(outBytes))
-	for k := 0; k < m.syscalls.Write; k++ {
-		syscall(outBytes/m.syscalls.Write + 1)
-	}
-	totalEnd := acct.Total()
-
-	for k := 0; k < m.syscalls.Post; k++ {
-		syscall(32)
-	}
-	// Response departure.
-	vmexit()
-	vmexit()
-
-	return hmee.Breakdown{
-		Functional: fnEnd - fnStart,
-		Total:      totalEnd - totalStart,
-		ServerSide: acct.Total() - start,
-	}, err
-}
-
-// Do runs h in the guest outside the request path.
-func (m *Machine) Do(ctx context.Context, h hmee.Handler) error {
-	if err := m.live(); err != nil {
-		return err
-	}
-	ctx = simclock.WithAccount(ctx, simclock.AccountFrom(ctx))
-	return h.Run(Exec{ctx: ctx, m: m})
-}
-
-// Warm reports whether the first request has been served.
-func (m *Machine) Warm() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.warm
-}
-
 // Introspect is the host's view of guest memory for the named secret:
 // SEV ciphertext. (Note the paper's caveat: deterministic memory
 // encryption has known ciphertext side channels — CIPHERLEAKS — which is
 // one reason it models only partial mitigation for some key issues.)
 func (m *Machine) Introspect(name string) ([]byte, bool) {
-	m.mu.Lock()
-	plain, ok := m.secrets[name]
+	plain, ok := m.Process.Introspect(name)
 	if !ok {
-		m.mu.Unlock()
 		return nil, false
 	}
-	plain = append([]byte(nil), plain...)
-	m.mu.Unlock()
-
 	out := make([]byte, len(plain))
 	var block [32]byte
 	var counter uint64
@@ -321,8 +158,8 @@ type AttestationReport struct {
 
 // GenerateReport produces a signed attestation report.
 func (m *Machine) GenerateReport(reportData [64]byte) (*AttestationReport, error) {
-	if err := m.live(); err != nil {
-		return nil, err
+	if !m.Running() {
+		return nil, hmee.ErrStopped
 	}
 	r := &AttestationReport{MachineName: m.cfg.Name, Measurement: m.measurement, ReportData: reportData}
 	r.Signature = ed25519.Sign(m.signPriv, r.signedBytes())
@@ -349,14 +186,4 @@ func VerifyReport(pspKey ed25519.PublicKey, r *AttestationReport) error {
 		return errors.New("sev: report signature invalid")
 	}
 	return nil
-}
-
-// Stop tears the machine down, flushing guest secrets.
-func (m *Machine) Stop() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.running = false
-	for k := range m.secrets {
-		delete(m.secrets, k)
-	}
 }

@@ -21,7 +21,7 @@ func testMachine(t *testing.T) *Machine {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	t.Cleanup(m.Stop)
+	t.Cleanup(m.Shutdown)
 	return m
 }
 
@@ -53,7 +53,7 @@ func TestLaunchChargesAccount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer m.Stop()
+	defer m.Shutdown()
 	if acct.Total() == 0 {
 		t.Fatal("launch charged nothing")
 	}
@@ -61,21 +61,21 @@ func TestLaunchChargesAccount(t *testing.T) {
 
 func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 	m := testMachine(t)
-	if _, err := m.ServeRequest(context.Background(), 40, 80, noop); err != nil {
-		t.Fatalf("warm ServeRequest: %v", err)
+	if _, err := m.Serve(context.Background(), 40, 80, noop); err != nil {
+		t.Fatalf("warm Serve: %v", err)
 	}
 	before := m.VMExits()
-	bd, err := m.ServeRequest(context.Background(), 40, 80, hmee.HandlerFunc(func(ex hmee.Exec) error {
+	bd, err := m.Serve(context.Background(), 40, 80, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.Compute(100_000)
 		ex.Touch(4096)
 		return nil
 	}))
 	if err != nil {
-		t.Fatalf("ServeRequest: %v", err)
+		t.Fatalf("Serve: %v", err)
 	}
 	exits := m.VMExits() - before
-	if exits != vmExitsPerRequest {
-		t.Fatalf("VM exits per request = %d, want %d", exits, vmExitsPerRequest)
+	if exits != 2*Prices().ExitsPerEdge {
+		t.Fatalf("VM exits per request = %d, want %d", exits, 2*Prices().ExitsPerEdge)
 	}
 	if bd.Functional == 0 || bd.Functional >= bd.Total || bd.Total >= bd.ServerSide {
 		t.Fatalf("breakdown nesting violated: %+v", bd)
@@ -85,7 +85,7 @@ func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 func TestServeRequestHandlerError(t *testing.T) {
 	m := testMachine(t)
 	sentinel := errors.New("boom")
-	if _, err := m.ServeRequest(context.Background(), 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
+	if _, err := m.Serve(context.Background(), 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -95,8 +95,8 @@ func TestInitialRequestSlower(t *testing.T) {
 	serve := func() simclock.Cycles {
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
-		if _, err := m.ServeRequest(ctx, 40, 80, noop); err != nil {
-			t.Fatalf("ServeRequest: %v", err)
+		if _, err := m.Serve(ctx, 40, 80, noop); err != nil {
+			t.Fatalf("Serve: %v", err)
 		}
 		return acct.Total()
 	}
@@ -143,7 +143,7 @@ func TestSecretsAndIntrospection(t *testing.T) {
 	if _, ok := m.Introspect("missing"); ok {
 		t.Fatal("Introspect invented a region")
 	}
-	m.Stop()
+	m.Shutdown()
 	if _, ok := m.Introspect("k"); ok {
 		t.Fatal("secret survived teardown")
 	}
@@ -151,14 +151,14 @@ func TestSecretsAndIntrospection(t *testing.T) {
 
 func TestStoppedMachineRejectsUse(t *testing.T) {
 	m := testMachine(t)
-	m.Stop()
-	if _, err := m.ServeRequest(context.Background(), 1, 1, noop); !errors.Is(err, ErrStopped) {
+	m.Shutdown()
+	if _, err := m.Serve(context.Background(), 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := m.Do(context.Background(), noop); !errors.Is(err, ErrStopped) {
+	if err := m.Do(context.Background(), noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("Do err = %v", err)
 	}
-	if _, err := m.GenerateReport([64]byte{}); !errors.Is(err, ErrStopped) {
+	if _, err := m.GenerateReport([64]byte{}); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("report err = %v", err)
 	}
 }
@@ -189,12 +189,12 @@ func TestMeasurementDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer a.Stop()
+	defer a.Shutdown()
 	b, err := Launch(context.Background(), env, Config{Name: "vm", AppImageBytes: 7})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer b.Stop()
+	defer b.Shutdown()
 	if a.Measurement() != b.Measurement() {
 		t.Fatal("same config, different measurements")
 	}
@@ -202,7 +202,7 @@ func TestMeasurementDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer c.Stop()
+	defer c.Shutdown()
 	if a.Measurement() == c.Measurement() {
 		t.Fatal("different config, same measurement")
 	}

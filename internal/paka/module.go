@@ -24,7 +24,7 @@ import (
 type Config struct {
 	// Kind selects eUDM, eAUSF or eAMF.
 	Kind ModuleKind
-	// Isolation is Container or SGX. Monolithic mode has no module
+	// Isolation is Container, SGX or SEV. Monolithic mode has no module
 	// process; use NewMonolithic* in client.go instead.
 	Isolation Isolation
 	// Env supplies the shared cost environment.
@@ -123,8 +123,8 @@ type Module struct {
 	sealed map[string][]byte
 }
 
-// New deploys a P-AKA module under the configured isolation mode. For SGX
-// the full GSC build + enclave load cost is charged to ctx's account.
+// New deploys a P-AKA module under the configured isolation mode, its load
+// cost charged to ctx's account.
 func New(ctx context.Context, cfg Config) (*Module, error) {
 	profile, ok := Profiles()[cfg.Kind]
 	if !ok {
@@ -147,6 +147,10 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 		}
 	}
 
+	rt, err := launch(ctx, cfg, profile)
+	if err != nil {
+		return nil, err
+	}
 	m := &Module{
 		kind:       cfg.Kind,
 		isolation:  cfg.Isolation,
@@ -154,33 +158,12 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 		env:        cfg.Env,
 		registry:   cfg.Registry,
 		cfg:        cfg,
+		runtime:    rt,
 		functional: &metrics.Recorder{},
 		total:      &metrics.Recorder{},
 		serverSide: &metrics.Recorder{},
 		milCache:   milenage.NewCache(),
 		sealed:     make(map[string][]byte),
-	}
-
-	switch cfg.Isolation {
-	case Container:
-		m.runtime = newNativeRuntime(cfg.Env)
-	case SGX:
-		if cfg.Platform == nil {
-			return nil, errors.New("paka: SGX isolation requires Config.Platform")
-		}
-		rt, err := buildSGXRuntime(ctx, cfg, profile)
-		if err != nil {
-			return nil, err
-		}
-		m.runtime = rt
-	case SEV:
-		rt, err := newSEVRuntime(ctx, cfg.Env, cfg.Kind.ServiceName()+"-vm", profile.ImageBytes)
-		if err != nil {
-			return nil, err
-		}
-		m.runtime = rt
-	default:
-		return nil, fmt.Errorf("paka: isolation %s not deployable as a module", cfg.Isolation)
 	}
 
 	// The module's own sbi.Server carries no env: all server-side costs
@@ -195,7 +178,10 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 	return m, nil
 }
 
-func buildSGXRuntime(ctx context.Context, cfg Config, profile Profile) (Runtime, error) {
+// launchSGX builds the module's shielded image from its config and boots
+// it: how a request then crosses the enclave boundary is gramine's
+// decision, not this layer's.
+func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Instance, error) {
 	manifest := gramine.DefaultManifest("/app/" + cfg.Kind.ServiceName())
 	if cfg.EnclaveSizeBytes != 0 {
 		manifest.EnclaveSizeBytes = cfg.EnclaveSizeBytes
@@ -250,7 +236,7 @@ func buildSGXRuntime(ctx context.Context, cfg Config, profile Profile) (Runtime,
 	if cfg.UserLevelTCP {
 		opts = append(opts, gramine.WithSyscallProfile(hmee.UserTCPSyscallProfile()))
 	}
-	return newSGXRuntime(ctx, cfg.Platform, si, opts...)
+	return gramine.Launch(ctx, cfg.Platform, si, opts...)
 }
 
 // moduleImage synthesises the module's container image: the paper's images
@@ -560,27 +546,17 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 
 // MemoryDump is the privileged attacker's view of the module's secret
 // regions (the Key Issue 7 memory-introspection scenario): for a plain
-// container it yields the plaintext keys; for an SGX module it yields MEE
-// ciphertext.
+// container it yields the plaintext keys; for an SGX module MEE
+// ciphertext, for a confidential VM SEV ciphertext.
 func (m *Module) MemoryDump() map[string][]byte {
 	m.secretMu.Lock()
 	names := append([]string(nil), m.secretNames...)
 	m.secretMu.Unlock()
+	rt := m.rt()
 	out := make(map[string][]byte, len(names))
 	for _, name := range names {
-		switch rt := m.rt().(type) {
-		case *sgxRuntime:
-			if d, ok := rt.enclave().Introspect(name); ok {
-				out[name] = d
-			}
-		case *sevRuntime:
-			if d, ok := rt.machine.Introspect(name); ok {
-				out[name] = d
-			}
-		case *nativeRuntime:
-			if d, ok := rt.dump(name); ok {
-				out[name] = d
-			}
+		if d, ok := rt.Introspect(name); ok {
+			out[name] = d
 		}
 	}
 	return out
@@ -602,8 +578,14 @@ func (m *Module) ServiceName() string { return m.cfg.serviceName() }
 // LoadDuration is the modelled deployment time (Fig. 7 when SGX).
 func (m *Module) LoadDuration() time.Duration { return m.rt().LoadDuration() }
 
-// Stats snapshots the module's SGX counters (zero for containers).
-func (m *Module) Stats() sgx.StatsSnapshot { return m.rt().Stats() }
+// Stats snapshots the module's SGX counters (zero for a module without an
+// enclave: a container or a confidential VM).
+func (m *Module) Stats() sgx.StatsSnapshot {
+	if e := m.Enclave(); e != nil {
+		return e.Stats()
+	}
+	return sgx.StatsSnapshot{}
+}
 
 // AccrueUptime models the module staying deployed for d of virtual time.
 func (m *Module) AccrueUptime(d time.Duration) { m.rt().AccrueUptime(d) }
@@ -617,33 +599,34 @@ func (m *Module) Warm() bool { return m.rt().Warm() }
 const HostTCBBytes = 4 << 30
 
 // TCBBytes reports the module's trusted computing base: for SGX, the bytes
-// measured into the enclave; for a plain container, the image plus the
-// entire host software stack that can read its memory.
+// measured into the enclave; for SEV, the image plus the guest stack; for a
+// plain container, the image plus the entire host software stack that can
+// read its memory.
 func (m *Module) TCBBytes() uint64 {
-	switch rt := m.rt().(type) {
-	case *sgxRuntime:
-		return rt.inst.TCBBytes()
-	case *sevRuntime:
-		return rt.machine.TCBBytes()
-	default:
-		return m.profile.ImageBytes + HostTCBBytes
+	if rt, ok := m.rt().(interface{ TCBBytes() uint64 }); ok {
+		return rt.TCBBytes()
 	}
+	return m.profile.ImageBytes + HostTCBBytes
 }
 
 // Machine exposes the module's confidential VM; nil when not
 // SEV-isolated.
 func (m *Module) Machine() *sev.Machine {
-	if rt, ok := m.rt().(*sevRuntime); ok {
-		return rt.machine
-	}
-	return nil
+	machine, _ := m.rt().(*sev.Machine)
+	return machine
+}
+
+// instance is the module's shielded container; nil when not SGX-isolated.
+func (m *Module) instance() *gramine.Instance {
+	inst, _ := m.rt().(*gramine.Instance)
+	return inst
 }
 
 // Enclave exposes the module's enclave for sealing/attestation; nil when
 // not SGX-isolated.
 func (m *Module) Enclave() *sgx.Enclave {
-	if rt, ok := m.rt().(*sgxRuntime); ok {
-		return rt.enclave()
+	if inst := m.instance(); inst != nil {
+		return inst.Enclave()
 	}
 	return nil
 }
@@ -659,8 +642,8 @@ func WithSwitchless(ctx context.Context) context.Context {
 // RingStats snapshots the switchless ring counters (zero-valued when no
 // ring is attached).
 func (m *Module) RingStats() sgx.RingStats {
-	if rt, ok := m.rt().(*sgxRuntime); ok {
-		return rt.inst.RingStats()
+	if inst := m.instance(); inst != nil {
+		return inst.RingStats()
 	}
 	return sgx.RingStats{}
 }
@@ -695,10 +678,11 @@ func (m *Module) Restarts() uint64 { return m.restarts.Load() }
 // Restart models a whole-NF crash and recovery: the current runtime is
 // torn down (for SGX the enclave is destroyed, flushing every in-enclave
 // secret) and an identical one is redeployed from the retained Config,
-// re-paying the full load cost — the paper's Fig. 7 0.96–0.99 min enclave
-// load penalty — against ctx's account in virtual time. SGX modules then
-// recover their subscriber keys from the host-side sealed backups (same
-// measurement on the same platform ⇒ same sealing key); plain containers
+// re-paying the full load cost — under SGX the paper's Fig. 7 0.96–0.99 min
+// enclave load penalty, under SEV the measured boot — against ctx's account
+// in virtual time. SGX modules then recover their subscriber keys from the
+// host-side sealed backups (same measurement on the same platform ⇒ same
+// sealing key); guest processes — a plain container, a confidential VM —
 // come back empty and rely on the UDM's re-provisioning degradation path.
 // Requests in flight on the old runtime fail transiently and are retried
 // by the SBI resilience layer.
@@ -708,22 +692,13 @@ func (m *Module) Restart(ctx context.Context) error {
 
 	m.rt().Shutdown()
 
-	var fresh Runtime
-	switch m.isolation {
-	case Container:
-		fresh = newNativeRuntime(m.cfg.Env)
-	case SGX:
-		rt, err := buildSGXRuntime(ctx, m.cfg, m.profile)
-		if err != nil {
-			return fmt.Errorf("paka: restart %s: %w", m.kind, err)
-		}
-		fresh = rt
-	default:
-		return fmt.Errorf("paka: %s runtime does not support restart", m.isolation)
+	fresh, err := launch(ctx, m.cfg, m.profile)
+	if err != nil {
+		return fmt.Errorf("paka: restart %s: %w", m.kind, err)
 	}
 
-	if srt, ok := fresh.(*sgxRuntime); ok {
-		enc := srt.enclave()
+	if inst, ok := fresh.(*gramine.Instance); ok {
+		enc := inst.Enclave()
 		m.secretMu.Lock()
 		backups := make(map[string][]byte, len(m.sealed))
 		for name, blob := range m.sealed {

@@ -9,17 +9,26 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/hmee"
+	"shield5g/internal/hmee/sev"
 	"shield5g/internal/simclock"
 )
 
 var noop = hmee.HandlerFunc(func(Exec) error { return nil })
 
+// forGuests runs f once per guest-process backend: the two are one runtime
+// type told apart by a price list, so every contract below takes the list
+// as its input.
+func forGuests(t *testing.T, f func(t *testing.T, prices hmee.Prices)) {
+	t.Run("container", func(t *testing.T) { f(t, hmee.ContainerPrices()) })
+	t.Run("sev", func(t *testing.T) { f(t, sev.Prices()) })
+}
+
 // TestNativeRuntimeServeShutdownRace drives concurrent requests against a
 // runtime being shut down (run under -race): every outcome must be either
-// a clean Breakdown or errStopped, never a torn state or a data race.
+// a clean Breakdown or hmee.ErrStopped, never a torn state or a data race.
 func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 	env := costmodel.NewEnv(nil, 11, nil)
-	rt := newNativeRuntime(env)
+	rt := hmee.NewProcess(env, hmee.ContainerPrices())
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -34,11 +43,11 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 					return
 				default:
 				}
-				_, err := rt.ServeRequest(ctx, 40, 80, hmee.HandlerFunc(func(ex Exec) error {
+				_, err := rt.Serve(ctx, 40, 80, hmee.HandlerFunc(func(ex Exec) error {
 					ex.Compute(10_000)
 					return nil
 				}))
-				if err != nil && !errors.Is(err, errStopped) {
+				if err != nil && !errors.Is(err, hmee.ErrStopped) {
 					t.Errorf("worker %d: unexpected error %v", w, err)
 					return
 				}
@@ -49,14 +58,14 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if _, err := rt.ServeRequest(context.Background(), 10, 10, noop); !errors.Is(err, errStopped) {
-		t.Fatalf("ServeRequest after Shutdown = %v, want errStopped", err)
+	if _, err := rt.Serve(context.Background(), 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("Serve after Shutdown = %v, want hmee.ErrStopped", err)
 	}
-	if _, err := rt.OpenSession(context.Background()); !errors.Is(err, errStopped) {
-		t.Fatalf("OpenSession after Shutdown = %v, want errStopped", err)
+	if _, err := rt.OpenSession(context.Background()); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("OpenSession after Shutdown = %v, want hmee.ErrStopped", err)
 	}
-	if err := rt.Do(context.Background(), noop); !errors.Is(err, errStopped) {
-		t.Fatalf("Do after Shutdown = %v, want errStopped", err)
+	if err := rt.Do(context.Background(), noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("Do after Shutdown = %v, want hmee.ErrStopped", err)
 	}
 }
 
@@ -64,8 +73,12 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 // of them must absorb the first-request warm-up (lazy library loading +
 // TLS handshake), never zero, never more than one.
 func TestNativeRuntimeWarmupChargedOnce(t *testing.T) {
+	forGuests(t, warmupChargedOnce)
+}
+
+func warmupChargedOnce(t *testing.T, prices hmee.Prices) {
 	env := costmodel.NewEnv(nil, 17, nil)
-	rt := newNativeRuntime(env)
+	rt := hmee.NewProcess(env, prices)
 
 	const workers = 8
 	totals := make([]simclock.Cycles, workers)
@@ -77,7 +90,7 @@ func TestNativeRuntimeWarmupChargedOnce(t *testing.T) {
 			acct := &simclock.Account{}
 			ctx := simclock.WithAccount(context.Background(), acct)
 			ctx = simclock.WithJitter(ctx, simclock.NewJitter(uint64(w)+1))
-			if _, err := rt.ServeRequest(ctx, 40, 80, noop); err != nil {
+			if _, err := rt.Serve(ctx, 40, 80, noop); err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return
 			}
@@ -90,7 +103,7 @@ func TestNativeRuntimeWarmupChargedOnce(t *testing.T) {
 	// jig variance (0–2 extra ~1.4k-cycle syscalls) between warm requests.
 	sorted := append([]simclock.Cycles(nil), totals...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	threshold := sorted[0] + nativeWarmupCycles/2
+	threshold := sorted[0] + prices.WarmupCycles/2
 	var warmed int
 	for _, total := range totals {
 		if total > threshold {
@@ -105,20 +118,27 @@ func TestNativeRuntimeWarmupChargedOnce(t *testing.T) {
 // TestNativeSessionMirrorsGramineContract checks the native keep-alive
 // split: a session request pays only the per-request census, the
 // Pre/handshake at open and Post at close — so the native/SGX comparison
-// stays fair in batched mode.
+// stays fair in batched mode, and so does the SEV/container one: a VM's
+// exits stay with the request that arrives and departs, its connection
+// machinery is charged once per session like everybody's.
 func TestNativeSessionMirrorsGramineContract(t *testing.T) {
+	forGuests(t, sessionMirrorsGramineContract)
+}
+
+func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 	env := costmodel.NewEnv(nil, 23, nil)
-	rt := newNativeRuntime(env)
+	rt := hmee.NewProcess(env, prices)
 
 	// Warm the runtime outside the measured window.
-	if _, err := rt.ServeRequest(context.Background(), 40, 80, noop); err != nil {
+	if _, err := rt.Serve(context.Background(), 40, 80, noop); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 
+	seed := uint64(5)
 	measure := func(f func(ctx context.Context) error) simclock.Cycles {
 		acct := &simclock.Account{}
 		ctx := simclock.WithAccount(context.Background(), acct)
-		ctx = simclock.WithJitter(ctx, simclock.NewJitter(5))
+		ctx = simclock.WithJitter(ctx, simclock.NewJitter(seed))
 		if err := f(ctx); err != nil {
 			t.Fatalf("measure: %v", err)
 		}
@@ -126,11 +146,11 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 	}
 
 	full := measure(func(ctx context.Context) error {
-		_, err := rt.ServeRequest(ctx, 40, 80, noop)
+		_, err := rt.Serve(ctx, 40, 80, noop)
 		return err
 	})
 
-	var sess RuntimeSession
+	var sess *hmee.Session
 	open := measure(func(ctx context.Context) (err error) {
 		sess, err = rt.OpenSession(ctx)
 		return err
@@ -154,26 +174,74 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 		t.Fatalf("open+serve+close = %d, want full %d + handshake = %d", got, full, want)
 	}
 
-	if _, err := sess.Serve(context.Background(), 10, 10, noop); !errors.Is(err, errStopped) {
-		t.Fatalf("Serve on closed session = %v, want errStopped", err)
+	if _, err := sess.Serve(context.Background(), 10, 10, noop); !errors.Is(err, hmee.ErrSessionClosed) {
+		t.Fatalf("Serve on closed session = %v, want hmee.ErrSessionClosed", err)
+	}
+
+	// A batch of eight on one connection: the accept and teardown machinery
+	// is charged once, not eight times, and the one handshake the warm
+	// one-shot path never pays is charged once too. Each request draws its
+	// wake-ups from the same seed on both sides, so the identity is exact.
+	const batch = 8
+	var oneShots, pipelined simclock.Cycles
+	for seed = 100; seed < 100+batch; seed++ {
+		oneShots += measure(func(ctx context.Context) error {
+			_, err := rt.Serve(ctx, 40, 80, noop)
+			return err
+		})
+	}
+	pipelined = measure(func(ctx context.Context) (err error) {
+		sess, err = rt.OpenSession(ctx)
+		return err
+	})
+	for seed = 100; seed < 100+batch; seed++ {
+		pipelined += measure(func(ctx context.Context) error {
+			_, err := sess.Serve(ctx, 40, 80, noop)
+			return err
+		})
+	}
+	pipelined += measure(func(ctx context.Context) error { return sess.Close(ctx) })
+	sp, m := hmee.DefaultSyscallProfile(), env.Model
+	machinery := simclock.Cycles(sp.Pre+sp.Post) * (m.SyscallNative + 32*m.CopyPerByte)
+	if got, want := pipelined+(batch-1)*machinery, oneShots+m.TLSHandshakeServer; got != want {
+		t.Fatalf("batch of %d: session %d + %d spared connections = %d, want one-shots %d + handshake = %d",
+			batch, pipelined, batch-1, got, oneShots, want)
 	}
 }
 
 // TestNativeDoBatchChargesCaller pins the Do/DoBatch account contract.
 func TestNativeDoBatchChargesCaller(t *testing.T) {
+	forGuests(t, doBatchChargesCaller)
+}
+
+func doBatchChargesCaller(t *testing.T, prices hmee.Prices) {
 	env := costmodel.NewEnv(nil, 29, nil)
-	rt := newNativeRuntime(env)
-	acct := &simclock.Account{}
-	ctx := simclock.WithAccount(context.Background(), acct)
-	if err := rt.DoBatch(ctx, 640, 1280, hmee.HandlerFunc(func(ex Exec) error {
+	rt := hmee.NewProcess(env, prices)
+	work := hmee.HandlerFunc(func(ex Exec) error {
 		for i := 0; i < 8; i++ {
 			ex.Compute(50_000)
 		}
 		return nil
-	})); err != nil {
-		t.Fatalf("DoBatch: %v", err)
+	})
+	measure := func(f func(ctx context.Context) error) simclock.Cycles {
+		acct := &simclock.Account{}
+		if err := f(simclock.WithAccount(context.Background(), acct)); err != nil {
+			t.Fatal(err)
+		}
+		return acct.Total()
 	}
-	if acct.Total() < 8*50_000 {
-		t.Fatalf("DoBatch charged %d cycles to caller, want ≥ %d", acct.Total(), 8*50_000)
+	do := measure(func(ctx context.Context) error { return rt.Do(ctx, work) })
+	batch := measure(func(ctx context.Context) error { return rt.DoBatch(ctx, 640, 1280, work) })
+	if do < 8*50_000 {
+		t.Fatalf("Do charged %d cycles to caller, want ≥ %d", do, 8*50_000)
+	}
+	// A batch is Do plus the data movement: one IPC in, one out, and no VM
+	// exit of its own under any price list.
+	m := env.Model
+	if want := do + 2*m.SyscallNative + (640+1280)*m.CopyPerByte; batch != want {
+		t.Fatalf("DoBatch charged %d cycles, want Do's %d + the IPC bytes = %d", batch, do, want)
+	}
+	if rt.VMExits() != 0 {
+		t.Fatalf("maintenance crossings took %d VM exits", rt.VMExits())
 	}
 }

@@ -3,11 +3,13 @@ package paka
 import (
 	"context"
 	"sync"
+
+	"shield5g/internal/hmee"
 )
 
 // Connection identifies one keep-alive client connection to the P-AKA
 // modules, carried on the request context by the mass-registration
-// drivers. Each module keeps one open RuntimeSession per connection ID,
+// drivers. Each module keeps one open hmee.Session per connection ID,
 // so a worker's pipelined requests reuse the connection instead of
 // re-paying the accept machinery and TLS handshake per UE.
 type Connection struct {
@@ -39,7 +41,7 @@ func ConnectionFrom(ctx context.Context) (Connection, bool) {
 type moduleSession struct {
 	mu     sync.Mutex
 	rt     Runtime
-	sess   RuntimeSession
+	sess   *hmee.Session
 	served int
 }
 
@@ -73,7 +75,7 @@ func (m *Module) dropSessions() {
 func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
 	conn, ok := ConnectionFrom(ctx)
 	if !ok {
-		return m.rt().ServeRequest(ctx, in, out, h)
+		return m.rt().Serve(ctx, in, out, h)
 	}
 
 	rt := m.rt()

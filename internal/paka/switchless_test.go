@@ -128,7 +128,9 @@ func TestSwitchlessManifestNeedsDispatcherTCS(t *testing.T) {
 // warm eAUSF DeriveSE through the module endpoint allocates the same on
 // the classic and the ring crossing, and no more than the classic crossing
 // did while the handler still travelled as a closure re-wrapped per layer
-// (measured then: classic 5, ring 6).
+// (measured then: classic 5, ring 6). The plain container is held to the
+// same figure: its per-request state is pooled like the enclave's, where
+// the runtime it replaced boxed one Exec per request (5 then, 4 now).
 func TestCrossingAllocParity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items at random under the race detector")
@@ -143,11 +145,12 @@ func TestCrossingAllocParity(t *testing.T) {
 	}
 	req := &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN}
 
+	service := m.ServiceName()
 	measure := func(ctx context.Context) float64 {
 		t.Helper()
 		var se AUSFDeriveSEResponse
 		post := func() {
-			if err := h.client.Post(ctx, m.ServiceName(), PathAUSFDeriveSE, req, &se); err != nil {
+			if err := h.client.Post(ctx, service, PathAUSFDeriveSE, req, &se); err != nil {
 				t.Fatalf("DeriveSE: %v", err)
 			}
 		}
@@ -169,5 +172,16 @@ func TestCrossingAllocParity(t *testing.T) {
 	}
 	if classic > closureEraClassic {
 		t.Errorf("classic crossing allocates %.0f, more than the %d of the closure-passing serve path", classic, closureEraClassic)
+	}
+
+	guest, err := New(context.Background(), Config{Kind: EAUSF, Isolation: Container,
+		Env: h.env, Registry: h.registry, Service: "eausf-guest"})
+	if err != nil {
+		t.Fatalf("New(container): %v", err)
+	}
+	t.Cleanup(guest.Stop)
+	service = guest.ServiceName()
+	if container := measure(ctx); container > classic {
+		t.Errorf("container request allocates %.0f, the enclave's %.0f: the guest's per-request state must stay pooled", container, classic)
 	}
 }
