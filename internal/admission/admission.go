@@ -140,13 +140,6 @@ func (c *Controller) SetArmed(v bool) {
 	c.mu.Unlock()
 }
 
-// Armed reports whether the admission window is open.
-func (c *Controller) Armed() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.armed
-}
-
 // Admit decides one request from the given source key (gNB id + PLMN) at
 // its priority class. It returns nil to admit, or a 503 OVERLOAD
 // ProblemDetails carrying the bucket's refill estimate as Retry-After. The

@@ -166,9 +166,8 @@ func collectAnnotations(pkg *Package) *annotations {
 }
 
 // parseDirective decodes a //shieldlint: comment into the analyzer
-// names it suppresses. Non-suppressing directives (such as
-// //shieldlint:atomic, consumed by the atomiccounter analyzer itself)
-// return ok=false.
+// names it suppresses. Non-suppressing directives (//shieldlint:hotpath,
+// which hotalloc reads itself) return ok=false.
 func parseDirective(text string) (names []string, ok bool) {
 	text = strings.TrimPrefix(text, "//")
 	text = strings.TrimSpace(text)

@@ -22,12 +22,6 @@
 //	                outside the enclave-side packages (internal/hmee,
 //	                internal/paka); the long-term key K must not ride in
 //	                SBI Post payloads.
-//	atomiccounter — a field accessed through sync/atomic anywhere in a
-//	                package must never be read or written with plain
-//	                loads/stores elsewhere; structs holding typed
-//	                atomic.* values must not be copied by value
-//	                receivers; //shieldlint:atomic-marked fields must
-//	                actually have a sync/atomic type.
 //	ctxcarry      — context.Context is always the first parameter; no
 //	                context.Background()/TODO() below the top level
 //	                (only func main/init of package main may mint a
@@ -97,9 +91,6 @@
 //	                                        (alias for "ignore determinism")
 //	//shieldlint:ignore <a>[,<b>...] <why> — suppress the named analyzers
 //	                                        ("all" suppresses every one)
-//	//shieldlint:atomic                   — declare a struct field as an
-//	                                        atomic counter; enforced to
-//	                                        have a sync/atomic type
 //	//shieldlint:hotpath                  — declare a function as part of
 //	                                        the registration hot path;
 //	                                        the hotalloc analyzer bans

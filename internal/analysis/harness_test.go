@@ -32,7 +32,7 @@ var (
 // fixture imports without a Fallback.
 var fixtureStdlib = []string{
 	"context", "encoding/json", "fmt", "log",
-	"math/rand", "math/rand/v2", "sync", "sync/atomic", "time",
+	"math/rand", "math/rand/v2", "sync", "time",
 }
 
 // sharedLoader type-checks the whole module plus the fixture imports
@@ -58,7 +58,6 @@ func sharedLoader(t *testing.T) *Loader {
 func TestDeterminismFixture(t *testing.T)   { runFixture(t, Determinism, "determinism") }
 func TestSecretFlowFixture(t *testing.T)    { runFixture(t, SecretFlow, "secretflow") }
 func TestSecretFlowEnclaveDir(t *testing.T) { runFixture(t, SecretFlow, "paka") }
-func TestAtomicCounterFixture(t *testing.T) { runFixture(t, AtomicCounter, "atomiccounter") }
 func TestCtxCarryFixture(t *testing.T)      { runFixture(t, CtxCarry, "ctxcarry") }
 func TestCtxCarryMainFixture(t *testing.T)  { runFixture(t, CtxCarry, "ctxcarrymain") }
 func TestStripeMapFixture(t *testing.T)     { runFixture(t, StripeMap, "stripemap") }

@@ -77,9 +77,10 @@ var ownerLoans = map[[2]string]ownerLoan{
 	// sbi.BinHandler(fn): fn's req parameter is a pooled struct whose
 	// byte-slice fields are zero-copy views into the transport buffer.
 	{"shield5g/internal/sbi", "BinHandler"}: {argIdx: 0, paramIdx: 1, what: "BinHandler request view"},
-	// Server.Handle/HandleDual(path, h): h's body parameter is loaned
-	// for the duration of the call (HandlerFunc contract).
-	{"shield5g/internal/sbi", "Handle"}:     {argIdx: 1, paramIdx: 1, what: "handler request body"},
+	// paka's endpoint(m, fn) is the same adaptor behind the runtime walk.
+	{"shield5g/internal/paka", "endpoint"}: {argIdx: 1, paramIdx: 1, what: "endpoint request view"},
+	// Server.HandleDual(path, h): h's body parameter is loaned for the
+	// duration of the call (HandlerFunc contract).
 	{"shield5g/internal/sbi", "HandleDual"}: {argIdx: 1, paramIdx: 1, what: "handler request body"},
 }
 
@@ -155,7 +156,7 @@ type poolOwnerGlobal struct {
 }
 
 // collectLoanedParams resolves every registration call site
-// (BinHandler, Handle, HandleDual) to the handler function it installs
+// (BinHandler, endpoint, HandleDual) to the handler function it installs
 // and marks that handler's loaned parameter.
 func collectLoanedParams(cg *CallGraph) map[*types.Var]string {
 	out := make(map[*types.Var]string)

@@ -5,7 +5,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		SecretFlow,
-		AtomicCounter,
 		CtxCarry,
 		StripeMap,
 		HotAlloc,

@@ -228,12 +228,12 @@ func wrapperLeak(v any, n int) error {
 var stash []byte
 
 func register(srv *sbi.Server, ch chan []byte) {
-	srv.Handle("/echo", echoLoan)
+	srv.HandleDual("/echo", echoLoan)
 	srv.HandleDual("/stash", stashLoan)
-	srv.Handle("/go", goLoan)
-	srv.Handle("/release", releaseLoan)
-	srv.Handle("/ok", okHandler)
-	srv.Handle("/chan", func(ctx context.Context, body []byte) ([]byte, error) {
+	srv.HandleDual("/go", goLoan)
+	srv.HandleDual("/release", releaseLoan)
+	srv.HandleDual("/ok", okHandler)
+	srv.HandleDual("/chan", func(ctx context.Context, body []byte) ([]byte, error) {
 		ch <- body // want "escapes via channel send"
 		return nil, nil
 	})

@@ -194,9 +194,6 @@ func (inj *Injector) Config() Config { return inj.cfg }
 // state and cannot shift later decisions.
 func (inj *Injector) SetArmed(v bool) { inj.armed.Store(v) }
 
-// Armed reports whether injection is active.
-func (inj *Injector) Armed() bool { return inj.armed.Load() }
-
 // Stream derives the deterministic decision stream for worker i, for the
 // parallel driver (stream 0 is distinct from the root sequence).
 func (inj *Injector) Stream(i uint64) *simclock.Jitter { return inj.root.Stream(i) }

@@ -187,7 +187,7 @@ func TestAUSFPendingAuthTTL(t *testing.T) {
 	}
 
 	// Advance virtual time past the TTL, then create a fresh context.
-	s.Env.Charge(ctx, simclock.FromDuration(ausf.DefaultPendingAuthTTL+time.Minute, s.Env.Clock.FrequencyHz()))
+	s.Env.Charge(ctx, simclock.FromDuration(ausf.PendingAuthTTL+time.Minute, s.Env.Clock.FrequencyHz()))
 	authenticate()
 
 	if reaped := s.AUSF.SweepExpired(); reaped != 1 {

@@ -65,11 +65,11 @@ type SliceConfig struct {
 	// pool (vectors banked per SUPI, minted AVPoolDepth per batch
 	// crossing); 0 disables it, keeping the seed's one-crossing-per-AV path.
 	AVPoolDepth int
-	// BinarySBI opts every SBI client of the slice into the negotiated
-	// binary frame codec (sbi.Client.EnableBinary): hot-path bodies switch
-	// from JSON to zero-copy length-prefixed frames once each client has
-	// seen its peer's capability snapshot. Off keeps the seed-identical
-	// JSON wire format everywhere.
+	// BinarySBI opts every SBI client of the slice into binary frames
+	// (sbi.Client.EnableBinary): after its first request to a peer, a
+	// client sends every message that has a field description as a
+	// zero-copy length-prefixed frame and the server answers in kind. Off
+	// keeps the seed-identical JSON wire format everywhere.
 	BinarySBI bool
 	// Overload enables the TS 29.500-style overload-control layer: load
 	// meters on the authentication-chain servers, optional bounded-queue

@@ -25,9 +25,6 @@ func Fig10(ctx context.Context, cfg Config) (*Fig10Result, error) {
 	return &Fig10Result{fig9: f9}, nil
 }
 
-// FromFig9 reuses an existing Fig. 9 run.
-func FromFig9(f9 *Fig9Result) *Fig10Result { return &Fig10Result{fig9: f9} }
-
 // StableSGX returns R_S^SGX per module.
 func (r *Fig10Result) StableSGX(kind paka.ModuleKind) time.Duration {
 	return r.fig9.Response[kind].SGX.Median

@@ -59,9 +59,6 @@ type Config struct {
 	// Router resolves (tenant, SUPI) to a replica index from the
 	// last-known-good topology snapshot.
 	Router *topology.Router
-	// Tenant identifies this gNB for shuffle-shard assignment; defaults
-	// to "gnb/"+MCC+MNC.
-	Tenant string
 	// UPF is the N3 peer for the data path (optional; nil disables
 	// user-plane forwarding).
 	UPF *upf.UPF
@@ -103,15 +100,11 @@ func New(cfg Config) (*GNB, error) {
 	if radio.Name == "" {
 		radio = GNBSIM()
 	}
-	tenant := cfg.Tenant
-	if tenant == "" {
-		tenant = "gnb/" + cfg.MCC + cfg.MNC
-	}
 	return &GNB{
 		env:    cfg.Env,
 		amfs:   cfg.AMFs,
 		router: cfg.Router,
-		tenant: tenant,
+		tenant: "gnb/" + cfg.MCC + cfg.MNC,
 		upf:    cfg.UPF,
 		mcc:    cfg.MCC,
 		mnc:    cfg.MNC,
@@ -122,7 +115,8 @@ func New(cfg Config) (*GNB, error) {
 // Replicas reports the size of the gNB's AMF pool.
 func (g *GNB) Replicas() int { return len(g.amfs) }
 
-// Tenant reports the shuffle-shard identity this gNB routes under.
+// Tenant reports the shuffle-shard identity this gNB routes under:
+// "gnb/"+MCC+MNC.
 func (g *GNB) Tenant() string { return g.tenant }
 
 // ShardOf resolves a SUPI to its owning replica index under the current

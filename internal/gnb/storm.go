@@ -75,11 +75,6 @@ type StormResult struct {
 	FirstErrors   map[string]error
 }
 
-// TotalRegistered sums completions across classes.
-func (r *StormResult) TotalRegistered() int {
-	return r.Class[0].Registered + r.Class[1].Registered + r.Class[2].Registered
-}
-
 // TotalShed sums overload rejections across classes.
 func (r *StormResult) TotalShed() int {
 	return r.Class[0].Shed + r.Class[1].Shed + r.Class[2].Shed

@@ -49,10 +49,6 @@ type EnclaveConfig struct {
 	Switchless bool
 	// TrustedFiles are measured into the enclave identity at build time.
 	TrustedFiles []MeasuredFile
-	// HeapPages is the number of heap pages the workload touches per
-	// request on average; used to model demand paging when Preheat is
-	// off and residual paging pressure for oversized enclaves.
-	HeapPages uint64
 }
 
 func (c *EnclaveConfig) validate() error {
@@ -351,26 +347,13 @@ func (t *Thread) WithAccount(acct *simclock.Account) *Thread {
 	return &Thread{enclave: t.enclave, acct: acct, jitter: t.jitter}
 }
 
-// WithRequest rebinds the thread to the request carried by ctx: its cost
-// account and, when the parallel driver attached one, its per-worker
-// jitter stream. With neither attached the thread behaves exactly like
-// the sequential seed implementation (throwaway account, platform
-// jitter).
-func (t *Thread) WithRequest(ctx context.Context) *Thread {
-	return &Thread{
-		enclave: t.enclave,
-		acct:    simclock.AccountFrom(ctx),
-		jitter:  simclock.JitterFrom(ctx, nil),
-	}
-}
-
-// BindRequest is the allocation-free counterpart of WithRequest for pooled
-// request threads: it rebinds dst to t's enclave, charging acct and drawing
-// from ctx's per-worker jitter stream (platform jitter when none is
-// attached). The account is passed explicitly because AccountFrom mints a
-// fresh throwaway when ctx carries none — the caller has already derived
-// the account it reports against and both must be the same object. dst is
-// caller-owned and must not be retained past the request it was bound for.
+// BindRequest rebinds a pooled request thread, dst, to t's enclave without
+// allocating: it charges acct and draws from ctx's per-worker jitter stream
+// (platform jitter when none is attached, as in the sequential seed). The
+// account is passed explicitly because AccountFrom mints a fresh throwaway
+// when ctx carries none — the caller has already derived the account it
+// reports against and both must be the same object. dst is caller-owned
+// and must not be retained past the request it was bound for.
 //
 //shieldlint:hotpath
 func (t *Thread) BindRequest(ctx context.Context, acct *simclock.Account, dst *Thread) {

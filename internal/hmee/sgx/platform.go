@@ -123,9 +123,6 @@ func (p *Platform) EPCInUse() uint64 {
 	return p.epcUsed
 }
 
-// EPCCapacity reports the physical EPC size.
-func (p *Platform) EPCCapacity() uint64 { return p.epcCapacity }
-
 // charge applies a cycle cost to the request account in ctx (if any) and,
 // in realtime mode, to the wall clock. The platform uptime clock advances
 // too so uptime-driven effects (AEX) see time move.

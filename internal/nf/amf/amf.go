@@ -138,9 +138,8 @@ type AMF struct {
 	guti     *shard.Map[uint32, string] // TMSI -> SUPI for mobility registration
 	nextTMSI atomic.Uint32
 
-	// Degradation counters: recoveries performed instead of rejecting UEs.
+	// Degradation counter: recoveries performed instead of rejecting UEs.
 	reauths atomic.Uint64
-	resyncs atomic.Uint64
 }
 
 // New creates an AMF and announces it to the NRF. The AMF's NAS interface
@@ -469,16 +468,12 @@ func (a *AMF) handleAuthFailure(ctx context.Context, _ uint64, ue *ueContext, m 
 	ue.authCtxID = auth.AuthCtxID
 	ue.rand = auth.RAND
 	ue.hxresStar = auth.HXRESStar
-	a.resyncs.Add(1)
 	return a.challenge(auth)
 }
 
 // Reauths reports how many lost AUSF sessions were recovered by
 // re-authentication instead of rejecting the UE.
 func (a *AMF) Reauths() uint64 { return a.reauths.Load() }
-
-// Resyncs reports how many SQN resynchronisations completed successfully.
-func (a *AMF) Resyncs() uint64 { return a.resyncs.Load() }
 
 func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext, nasPDU []byte) ([]byte, error) {
 	if ue.sec == nil {

@@ -82,12 +82,12 @@ type session struct {
 	created time.Duration
 }
 
-// DefaultPendingAuthTTL is the virtual-time lifetime of an unredeemed auth
+// PendingAuthTTL is the virtual-time lifetime of an unredeemed auth
 // context. It is orders of magnitude above any registration's span (even
 // one absorbing an enclave reload), so in-flight AKA runs never expire;
 // only abandoned ones — a UE that failed mid-registration and never
 // confirmed — are reaped, keeping the session map bounded under faults.
-const DefaultPendingAuthTTL = 30 * time.Minute
+const PendingAuthTTL = 30 * time.Minute
 
 // sweepEvery triggers an opportunistic expiry sweep every N new
 // authentications, so cleanup needs no background goroutine (which would
@@ -103,8 +103,6 @@ type Config struct {
 	Functions paka.AUSFFunctions
 	// HMEE marks the instance's trust domain for NRF discovery.
 	HMEE bool
-	// PendingAuthTTL overrides DefaultPendingAuthTTL (virtual time).
-	PendingAuthTTL time.Duration
 	// ServiceName overrides the SBI service name (default "ausf") so a
 	// sharded deployment can run several AUSF replicas side by side.
 	ServiceName string
@@ -129,7 +127,6 @@ type AUSF struct {
 	sessions *shard.Map[string, *session]
 	nextID   atomic.Uint64
 
-	ttl        time.Duration
 	sinceSweep atomic.Uint64
 	expired    atomic.Uint64
 }
@@ -157,10 +154,6 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 	if err != nil {
 		return nil, err
 	}
-	ttl := cfg.PendingAuthTTL
-	if ttl <= 0 {
-		ttl = DefaultPendingAuthTTL
-	}
 	service := cfg.ServiceName
 	if service == "" {
 		service = ServiceName
@@ -176,7 +169,6 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 		nrfc:     nrf.NewClient(cfg.Invoker),
 		fns:      cfg.Functions,
 		sessions: shard.NewString[*session](),
-		ttl:      ttl,
 	}
 	a.server.HandleDual(PathAuthenticate, sbi.BinHandler(a.handleAuthenticate))
 	a.server.HandleDual(PathConfirm, sbi.BinHandler(a.handleConfirm))
@@ -291,7 +283,7 @@ func (a *AUSF) SweepExpired() int {
 	now := a.env.Clock.Now()
 	var stale []string
 	a.sessions.Range(func(id string, s *session) bool {
-		if now-s.created > a.ttl {
+		if now-s.created > PendingAuthTTL {
 			stale = append(stale, id)
 		}
 		return true
@@ -313,12 +305,6 @@ func (a *AUSF) ExpiredSessions() uint64 { return a.expired.Load() }
 type Client struct {
 	invoker sbi.Invoker
 	service string
-}
-
-// NewClient wraps an SBI transport for AUSF calls against the default
-// service name.
-func NewClient(invoker sbi.Invoker) *Client {
-	return &Client{invoker: invoker, service: ServiceName}
 }
 
 // NewClientFor wraps an SBI transport for AUSF calls against a specific

@@ -80,7 +80,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	return &harness{
 		ausf:   a,
-		client: NewClient(sbi.NewClient("amf", env, reg)),
+		client: NewClientFor(sbi.NewClient("amf", env, reg), ServiceName),
 		hnKey:  hnKey,
 		mil:    mil,
 		supi:   supi,

@@ -89,10 +89,10 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*NRF, error) {
 		lastSeen:  make(map[string]time.Time),
 		now:       virtualNow(env.Clock),
 	}
-	n.server.Handle(PathRegister, sbi.JSONHandler(n.handleRegister))
-	n.server.Handle(PathDeregister, sbi.JSONHandler(n.handleDeregister))
-	n.server.Handle(PathHeartbeat, sbi.JSONHandler(n.handleHeartbeat))
-	n.server.Handle(PathDiscover, sbi.JSONHandler(n.handleDiscover))
+	n.server.HandleDual(PathRegister, sbi.BinHandler(n.handleRegister))
+	n.server.HandleDual(PathDeregister, sbi.BinHandler(n.handleDeregister))
+	n.server.HandleDual(PathHeartbeat, sbi.BinHandler(n.handleHeartbeat))
+	n.server.HandleDual(PathDiscover, sbi.BinHandler(n.handleDiscover))
 	if err := registry.Register(n.server); err != nil {
 		return nil, err
 	}

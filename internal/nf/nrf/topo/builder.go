@@ -111,11 +111,3 @@ func (b *Builder) Epoch() uint64 {
 	defer b.mu.Unlock()
 	return b.epoch
 }
-
-// Current returns the last published snapshot (nil before the first
-// Publish).
-func (b *Builder) Current() *topology.Snapshot {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.last
-}

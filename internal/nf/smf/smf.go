@@ -83,8 +83,8 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 		nextIP:   0x0A3C0001, // 10.60.0.1
 		sessions: make(map[string]uint64),
 	}
-	s.server.Handle(PathCreateSession, sbi.JSONHandler(s.handleCreate))
-	s.server.Handle(PathReleaseSession, sbi.JSONHandler(s.handleRelease))
+	s.server.HandleDual(PathCreateSession, sbi.BinHandler(s.handleCreate))
+	s.server.HandleDual(PathReleaseSession, sbi.BinHandler(s.handleRelease))
 	if err := cfg.Registry.Register(s.server); err != nil {
 		return nil, err
 	}

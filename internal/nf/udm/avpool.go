@@ -21,8 +21,7 @@ import (
 // under a fixed seed, which is what lets same-seed replays produce
 // identical hit/miss counts.
 type avPool struct {
-	depth int // ring capacity per SUPI
-	batch int // vectors minted per refill crossing
+	depth int // ring capacity per SUPI, and vectors minted per refill crossing
 
 	mu    sync.Mutex
 	rings map[string][]paka.UDMGenerateAVResponse
@@ -34,18 +33,10 @@ type avPool struct {
 	prewarmed   atomic.Uint64
 }
 
-// newAVPool builds a pool with the given ring depth; batch ≤0 defaults to
-// depth (mint a full ring plus the vector being served per crossing).
-func newAVPool(depth, batch int) *avPool {
-	if batch <= 0 {
-		batch = depth
-	}
-	if batch < 1 {
-		batch = 1
-	}
+// newAVPool builds a pool with the given ring depth (≥ 1).
+func newAVPool(depth int) *avPool {
 	return &avPool{
 		depth: depth,
-		batch: batch,
 		rings: make(map[string][]paka.UDMGenerateAVResponse),
 	}
 }

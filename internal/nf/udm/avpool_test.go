@@ -58,7 +58,7 @@ type poolHarness struct {
 // newPoolHarness builds a UDM with the AV pool enabled, deterministic
 // entropy, and instrumented AKA functions. When batchCapable is false the
 // execution environment only exposes the single-vector call.
-func newPoolHarness(t *testing.T, depth, batch int, batchCapable bool) *poolHarness {
+func newPoolHarness(t *testing.T, depth int, batchCapable bool) *poolHarness {
 	t.Helper()
 	env := costmodel.NewEnv(nil, 1, nil)
 	reg := sbi.NewRegistry()
@@ -81,7 +81,7 @@ func newPoolHarness(t *testing.T, depth, batch int, batchCapable bool) *poolHarn
 		Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
 		Functions: udmFns, HomeNetworkKey: hnKey,
 		Entropy:     mrand.New(mrand.NewSource(42)),
-		AVPoolDepth: depth, AVBatchSize: batch,
+		AVPoolDepth: depth,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -89,7 +89,7 @@ func newPoolHarness(t *testing.T, depth, batch int, batchCapable bool) *poolHarn
 	return &poolHarness{
 		harness: &harness{
 			env: env, udm: u, hnKey: hnKey, mono: fns.MonolithicUDM,
-			client: NewClient(sbi.NewClient("ausf", env, reg)),
+			client: NewClientFor(sbi.NewClient("ausf", env, reg), ServiceName),
 			udrc:   udr.NewClient(sbi.NewClient("test", env, reg)),
 		},
 		fns: fns,
@@ -131,7 +131,7 @@ func sqnOf(t *testing.T, resp *GenerateAuthDataResponse) []byte {
 }
 
 func TestAVPoolHitMissRefillCounters(t *testing.T) {
-	h := newPoolHarness(t, 4, 4, true)
+	h := newPoolHarness(t, 4, true)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 
@@ -156,7 +156,7 @@ func TestAVPoolHitMissRefillCounters(t *testing.T) {
 }
 
 func TestAVPoolPreservesSQNOrder(t *testing.T) {
-	h := newPoolHarness(t, 4, 4, true)
+	h := newPoolHarness(t, 4, true)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 
@@ -171,7 +171,7 @@ func TestAVPoolPreservesSQNOrder(t *testing.T) {
 }
 
 func TestAVPoolSequentialFallback(t *testing.T) {
-	h := newPoolHarness(t, 4, 4, false)
+	h := newPoolHarness(t, 4, false)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 
@@ -185,7 +185,7 @@ func TestAVPoolSequentialFallback(t *testing.T) {
 }
 
 func TestAVPoolResyncInvalidates(t *testing.T) {
-	h := newPoolHarness(t, 4, 4, true)
+	h := newPoolHarness(t, 4, true)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 	h.auth(t, supi)
@@ -231,7 +231,7 @@ func TestAVPoolResyncInvalidates(t *testing.T) {
 }
 
 func TestInvalidateAVPoolDropsEverything(t *testing.T) {
-	h := newPoolHarness(t, 4, 4, true)
+	h := newPoolHarness(t, 4, true)
 	a := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	b := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000002"}
 	h.provision(t, a)
@@ -253,7 +253,7 @@ func TestInvalidateAVPoolDropsEverything(t *testing.T) {
 
 func TestAVPoolDeterministicUnderFixedSeed(t *testing.T) {
 	run := func() ([]*GenerateAuthDataResponse, AVPoolStats) {
-		h := newPoolHarness(t, 4, 4, true)
+		h := newPoolHarness(t, 4, true)
 		supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 		h.provision(t, supi)
 		var out []*GenerateAuthDataResponse
@@ -293,7 +293,7 @@ func TestAVPoolDisabledMatchesSeedPath(t *testing.T) {
 // the same traffic is all hits.
 func TestPrewarmEliminatesColdStartMisses(t *testing.T) {
 	const depth = 4
-	h := newPoolHarness(t, depth, depth, true)
+	h := newPoolHarness(t, depth, true)
 	supis := []suci.SUPI{
 		{MCC: "001", MNC: "01", MSIN: "0000000001"},
 		{MCC: "001", MNC: "01", MSIN: "0000000002"},

@@ -86,23 +86,11 @@ type Config struct {
 	// that lost its key store to a crash-restart.
 	Reprovision func(ctx context.Context, supi string, k []byte) error
 	// AVPoolDepth enables the AV precomputation pool: up to this many
-	// vectors are banked per SUPI, refilled in batches so the enclave
-	// boundary is crossed once per batch instead of once per
+	// vectors are banked per SUPI, refilled AVPoolDepth at a time so the
+	// enclave boundary is crossed once per batch instead of once per
 	// authentication. 0 disables the pool (the seed-identical path).
+	// PrewarmAVPool fills rings ahead of first contact.
 	AVPoolDepth int
-	// AVBatchSize is the number of vectors minted per refill crossing;
-	// ≤0 defaults to AVPoolDepth.
-	AVBatchSize int
-	// PrewarmSUPIs lists subscribers whose pool rings are filled at
-	// construction (PrewarmAVPool), eliminating their first-contact
-	// refill misses. The SUPIs must already be provisioned in the UDR and
-	// the execution environment, so this only suits a UDM built against
-	// an existing deployment; otherwise call PrewarmAVPool after
-	// provisioning. Requires AVPoolDepth > 0.
-	PrewarmSUPIs []string
-	// PrewarmSNN is the serving network name the prewarmed vectors are
-	// derived for; required when PrewarmSUPIs is set.
-	PrewarmSNN string
 	// ServiceName overrides the SBI service name (default "udm") so a
 	// sharded deployment can run several UDM replicas side by side, each
 	// with its own server, AV pool, and overload meter.
@@ -160,7 +148,7 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 		reprovision: cfg.Reprovision,
 	}
 	if cfg.AVPoolDepth > 0 {
-		u.pool = newAVPool(cfg.AVPoolDepth, cfg.AVBatchSize)
+		u.pool = newAVPool(cfg.AVPoolDepth)
 	}
 	u.server.HandleDual(PathGenerateAuthData, sbi.BinHandler(u.handleGenerateAuthData))
 	u.server.HandleDual(PathResync, sbi.BinHandler(u.handleResync))
@@ -171,17 +159,6 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 		InstanceID: instance, NFType: NFType, Service: service, HMEE: cfg.HMEE,
 	}); err != nil {
 		return nil, fmt.Errorf("udm: NRF registration: %w", err)
-	}
-	if len(cfg.PrewarmSUPIs) > 0 {
-		if u.pool == nil {
-			return nil, fmt.Errorf("udm: PrewarmSUPIs requires AVPoolDepth > 0")
-		}
-		if cfg.PrewarmSNN == "" {
-			return nil, fmt.Errorf("udm: PrewarmSUPIs requires PrewarmSNN")
-		}
-		if err := u.PrewarmAVPool(ctx, cfg.PrewarmSUPIs, cfg.PrewarmSNN); err != nil {
-			return nil, err
-		}
 	}
 	return u, nil
 }
@@ -321,7 +298,7 @@ func (u *UDM) pooledAV(ctx context.Context, supi, snn string) (*paka.UDMGenerate
 	if av, ok := u.pool.take(supi); ok {
 		return av, nil
 	}
-	items, err := u.avRequestBatch(ctx, supi, snn, u.pool.batch)
+	items, err := u.avRequestBatch(ctx, supi, snn, u.pool.depth)
 	if err != nil {
 		return nil, err
 	}
@@ -397,22 +374,6 @@ func (u *UDM) Reprovisions() uint64 { return u.reprovisions.Load() }
 // control (load meter, AV-pool backpressure bias).
 func (u *UDM) Server() *sbi.Server { return u.server }
 
-// PoolPressure reports the AV pool's miss fraction (0..1) — the fraction
-// of authentications that crossed the enclave boundary synchronously
-// because no banked vector was available. The overload meter adds it to
-// the UDM's advertised load so pool thrash shows up in the OCI before the
-// virtual queue saturates. Zero when the pool is disabled or idle.
-func (u *UDM) PoolPressure() float64 {
-	if u.pool == nil {
-		return 0
-	}
-	hits, misses := u.pool.hits.Load(), u.pool.misses.Load()
-	if total := hits + misses; total > 0 {
-		return float64(misses) / float64(total)
-	}
-	return 0
-}
-
 // PoolCounters exposes the raw AV-pool hit/miss counters so callers can
 // window the miss fraction (cumulative pressure is dominated by cold-start
 // misses: every subscriber's first authentication is one).
@@ -427,12 +388,6 @@ func (u *UDM) PoolCounters() (hits, misses uint64) {
 type Client struct {
 	invoker sbi.Invoker
 	service string
-}
-
-// NewClient wraps an SBI transport for UDM calls against the default
-// service name.
-func NewClient(invoker sbi.Invoker) *Client {
-	return &Client{invoker: invoker, service: ServiceName}
 }
 
 // NewClientFor wraps an SBI transport for UDM calls against a specific

@@ -59,7 +59,7 @@ func newHarness(t *testing.T) *harness {
 		env:    env,
 		udm:    u,
 		nrf:    n,
-		client: NewClient(sbi.NewClient("ausf", env, reg)),
+		client: NewClientFor(sbi.NewClient("ausf", env, reg), ServiceName),
 		hnKey:  hnKey,
 		mono:   mono,
 		udrc:   udr.NewClient(sbi.NewClient("test", env, reg)),

@@ -70,8 +70,8 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*UPF, error) {
 		server:   sbi.NewServer(ServiceName, env),
 		sessions: make(map[uint64]*session),
 	}
-	u.server.Handle(PathEstablish, sbi.JSONHandler(u.handleEstablish))
-	u.server.Handle(PathRelease, sbi.JSONHandler(u.handleRelease))
+	u.server.HandleDual(PathEstablish, sbi.BinHandler(u.handleEstablish))
+	u.server.HandleDual(PathRelease, sbi.BinHandler(u.handleRelease))
 	if err := registry.Register(u.server); err != nil {
 		return nil, err
 	}

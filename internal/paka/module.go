@@ -277,8 +277,8 @@ func (m *Module) rt() Runtime {
 func (m *Module) registerEndpoints() {
 	switch m.kind {
 	case EUDM:
-		m.server.HandleDual(PathUDMGenerateAV, m.endpoint(m.handleGenerateAV))
-		m.server.HandleDual(PathUDMResync, m.endpoint(m.handleResync))
+		m.server.HandleDual(PathUDMGenerateAV, endpoint(m, m.generateAV))
+		m.server.HandleDual(PathUDMResync, endpoint(m, m.resync))
 		// The batch endpoint is a maintenance path (the AV pool refill),
 		// not a served request: it bypasses the endpoint wrapper so the
 		// L_F/L_T recorders keep measuring only the paper's request path.
@@ -287,30 +287,40 @@ func (m *Module) registerEndpoints() {
 				return m.GenerateAVBatch(ctx, req)
 			}))
 	case EAUSF:
-		m.server.HandleDual(PathAUSFDeriveSE, m.endpoint(m.handleDeriveSE))
+		m.server.HandleDual(PathAUSFDeriveSE, endpoint(m, func(_ Exec, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
+			return avProblem(DeriveSE(req))
+		}))
 	case EAMF:
-		m.server.HandleDual(PathAMFDeriveKAMF, m.endpoint(m.handleDeriveKAMF))
+		m.server.HandleDual(PathAMFDeriveKAMF, endpoint(m, func(_ Exec, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
+			return avProblem(DeriveKAMF(req))
+		}))
 	}
 }
 
-// endpointCall is one served request's Handler: its state bound in a
-// pooled struct that travels as itself from here through the runtime to
-// the enclave crossing. A per-call closure would capture ctx, body and the
-// out variable on the heap every request.
-type endpointCall struct {
-	m       *Module
-	ctx     context.Context
-	body    []byte
-	handler func(ctx context.Context, ex Exec, body []byte) ([]byte, error)
-	out     []byte
+// endpointCall is one served request's Handler: its state — the decoded
+// request struct included — bound in a pooled struct that travels as
+// itself from here through the runtime to the enclave crossing. A per-call
+// closure would capture ctx, body and the out variable on the heap every
+// request.
+//
+// The request's decoded fields are either copied strings or zero-copy
+// views into the loaned body, nothing below fn retains the struct, and
+// every response carries its own backing (GenerateAVCachedInto, DeriveSE's
+// single buffer, kdf outputs). The whole call is zeroed before going back
+// to its pool so a partial decode cannot leak into the next request.
+type endpointCall[Req, Resp any] struct {
+	m    *Module
+	ctx  context.Context
+	body []byte
+	fn   func(ex Exec, req *Req) (*Resp, error)
+	req  Req
+	out  []byte
 }
-
-var endpointCallPool = sync.Pool{New: func() any { return new(endpointCall) }}
 
 // Run implements Handler.
 //
 //shieldlint:hotpath
-func (c *endpointCall) Run(ex Exec) error {
+func (c *endpointCall[Req, Resp]) Run(ex Exec) error {
 	m := c.m
 	fn := m.env.JitterFor(c.ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
 	if m.isolation == SGX {
@@ -318,22 +328,33 @@ func (c *endpointCall) Run(ex Exec) error {
 	}
 	ex.Compute(fn)
 	ex.Touch(m.profile.HeapBytes)
-	var err error
-	c.out, err = c.handler(c.ctx, ex, c.body)
+	if err := sbi.DecodeBody(c.body, &c.req); err != nil {
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
+	}
+	resp, err := c.fn(ex, &c.req)
+	if err != nil {
+		return err
+	}
+	c.out, err = sbi.MarshalBodyLike(c.body, resp)
 	return err
 }
 
-// endpoint wraps a handler with the runtime's modelled request path and
-// the module's calibrated functional cost, recording the L_F/L_T windows.
-func (m *Module) endpoint(handler func(ctx context.Context, ex Exec, body []byte) ([]byte, error)) sbi.HandlerFunc {
+// endpoint adapts a typed module function into the served-request path:
+// the runtime's modelled request walk and the module's calibrated
+// functional cost around it, the request decoded from and the response
+// encoded in whichever format the body arrived in, the L_F/L_T windows
+// recorded. Everything per-endpoint (the call pool) is built here, once,
+// at registration.
+func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req) (*Resp, error)) sbi.HandlerFunc {
+	calls := sync.Pool{New: func() any { return new(endpointCall[Req, Resp]) }}
 	//shieldlint:hotpath
 	return func(ctx context.Context, body []byte) ([]byte, error) {
-		c := endpointCallPool.Get().(*endpointCall)
-		c.m, c.ctx, c.body, c.handler = m, ctx, body, handler
+		c := calls.Get().(*endpointCall[Req, Resp])
+		c.m, c.ctx, c.body, c.fn = m, ctx, body, fn
 		bd, err := m.serve(ctx, m.profile.InBytes, m.profile.OutBytes, c)
 		out := c.out
-		*c = endpointCall{}
-		endpointCallPool.Put(c)
+		*c = endpointCall[Req, Resp]{}
+		calls.Put(c)
 		if err != nil {
 			return nil, err
 		}
@@ -345,62 +366,15 @@ func (m *Module) endpoint(handler func(ctx context.Context, ex Exec, body []byte
 	}
 }
 
-// Handler request structs are pooled: the decoded fields are either
-// copied strings or zero-copy views into the loaned body, nothing below
-// the handler retains the struct, and every response carries its own
-// backing (GenerateAVCachedInto, DeriveSE's single buffer, kdf outputs).
-// Each struct is zeroed before going back so a partial decode cannot
-// leak into the next request.
-var (
-	genAVReqPool      = sync.Pool{New: func() any { return new(UDMGenerateAVRequest) }}
-	resyncReqPool     = sync.Pool{New: func() any { return new(UDMResyncRequest) }}
-	deriveSEReqPool   = sync.Pool{New: func() any { return new(AUSFDeriveSERequest) }}
-	deriveKAMFReqPool = sync.Pool{New: func() any { return new(AMFDeriveKAMFRequest) }}
-)
-
-//shieldlint:hotpath
-func (m *Module) handleGenerateAV(_ context.Context, ex Exec, body []byte) ([]byte, error) {
-	req := genAVReqPool.Get().(*UDMGenerateAVRequest)
-	resp, perr := m.generateAV(ex, body, req)
-	*req = UDMGenerateAVRequest{}
-	genAVReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
-	}
-	return sbi.MarshalBodyLike(body, resp)
-}
-
-func (m *Module) generateAV(ex Exec, body []byte, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	if err := sbi.DecodeBody(body, req); err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-	}
+func (m *Module) generateAV(ex Exec, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
 	k, ok := ex.LoadSecret(subscriberSecret(req.SUPI))
 	if !ok {
 		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
 	}
-	resp, err := GenerateAVCached(m.milCache, k, req)
-	if err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
-	}
-	return resp, nil
+	return avProblem(GenerateAVCached(m.milCache, k, req))
 }
 
-//shieldlint:hotpath
-func (m *Module) handleResync(_ context.Context, ex Exec, body []byte) ([]byte, error) {
-	req := resyncReqPool.Get().(*UDMResyncRequest)
-	resp, perr := m.resync(ex, body, req)
-	*req = UDMResyncRequest{}
-	resyncReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
-	}
-	return sbi.MarshalBodyLike(body, resp)
-}
-
-func (m *Module) resync(ex Exec, body []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	if err := sbi.DecodeBody(body, req); err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-	}
+func (m *Module) resync(ex Exec, req *UDMResyncRequest) (*UDMResyncResponse, error) {
 	k, ok := ex.LoadSecret(subscriberSecret(req.SUPI))
 	if !ok {
 		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
@@ -412,40 +386,12 @@ func (m *Module) resync(ex Exec, body []byte, req *UDMResyncRequest) (*UDMResync
 	return resp, nil
 }
 
-//shieldlint:hotpath
-func (m *Module) handleDeriveSE(_ context.Context, _ Exec, body []byte) ([]byte, error) {
-	req := deriveSEReqPool.Get().(*AUSFDeriveSERequest)
-	var resp *AUSFDeriveSEResponse
-	perr := sbi.DecodeBody(body, req)
-	if perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", perr)
-	} else if resp, perr = DeriveSE(req); perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", perr)
+// avProblem maps a derivation failure onto its 400 ProblemDetails.
+func avProblem[Resp any](resp *Resp, err error) (*Resp, error) {
+	if err != nil {
+		return nil, sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
 	}
-	*req = AUSFDeriveSERequest{}
-	deriveSEReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
-	}
-	return sbi.MarshalBodyLike(body, resp)
-}
-
-//shieldlint:hotpath
-func (m *Module) handleDeriveKAMF(_ context.Context, _ Exec, body []byte) ([]byte, error) {
-	req := deriveKAMFReqPool.Get().(*AMFDeriveKAMFRequest)
-	var resp *AMFDeriveKAMFResponse
-	perr := sbi.DecodeBody(body, req)
-	if perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", perr)
-	} else if resp, perr = DeriveKAMF(req); perr != nil {
-		perr = sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", perr)
-	}
-	*req = AMFDeriveKAMFRequest{}
-	deriveKAMFReqPool.Put(req)
-	if perr != nil {
-		return nil, perr
-	}
-	return sbi.MarshalBodyLike(body, resp)
+	return resp, nil
 }
 
 func subscriberSecret(supi string) string { return "subscriber-k:" + supi }

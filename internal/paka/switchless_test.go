@@ -154,7 +154,7 @@ func TestCrossingAllocParity(t *testing.T) {
 				t.Fatalf("DeriveSE: %v", err)
 			}
 		}
-		post() // warm the module, the pools and the negotiated format
+		post() // warm the module and the pools, leave first contact behind
 		return testing.AllocsPerRun(200, post)
 	}
 

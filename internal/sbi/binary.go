@@ -1,14 +1,14 @@
 package sbi
 
-// Negotiated binary SBI fast path. Endpoints registered through HandleDual
-// accept both the JSON bodies the seed transport speaks and the
-// length-prefixed binary frames of internal/sbi/codec; a client with the
-// binary codec enabled snapshots a peer's binary-capable paths when it
-// first connects (the keep-alive "session open") and switches those paths
-// to frames from the second request on. First contact, binary-incapable
-// peers, and the real HTTP transport all stay on JSON, and a stale
-// negotiation — the peer restarted without its binary endpoints — is
-// healed by a one-shot downgrade retry when the server answers 415.
+// Binary SBI bodies. The wire format of an in-process body is a property
+// of the message, decided in one place, Client.Post: a client opted in
+// through EnableBinary frames a request (internal/sbi/codec's
+// length-prefixed frames) iff it has met the peer before, the request has
+// a field description and the response is nil or has one too. Servers hold
+// no format state: a handler decodes whichever format arrives (DecodeBody)
+// and answers in kind (MarshalBodyLike). First contact, messages without a
+// description and the real HTTP transport stay on JSON; ServeHTTP turns a
+// frame away with 415.
 //
 // Frames ride the exact MarshalBody/ReleaseBody single-owner contract the
 // JSON bodies use, and both formats are written and read from the
@@ -23,38 +23,17 @@ import (
 	"shield5g/internal/sbi/codec"
 )
 
-// HandleDual registers h for path and advertises the path as
-// binary-capable. h must accept both body formats — use BinHandler.
+// HandleDual registers the endpoint handler for path. h must accept both
+// body formats — use BinHandler.
 func (s *Server) HandleDual(path string, h HandlerFunc) {
 	s.mu.Lock()
 	s.handlers[path] = h
-	s.binPaths[path] = true
 	s.mu.Unlock()
 }
 
-// binaryPath reports whether path accepts binary frames.
-func (s *Server) binaryPath(path string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.binPaths[path]
-}
-
-// binaryPaths snapshots the binary-capable paths for client negotiation.
-func (s *Server) binaryPaths() map[string]bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.binPaths) == 0 {
-		return nil
-	}
-	out := make(map[string]bool, len(s.binPaths))
-	for p := range s.binPaths {
-		out[p] = true
-	}
-	return out
-}
-
-// EnableBinary opts the client into binary frame negotiation. Off by
-// default: the wire format only changes when the deployment asks for it.
+// EnableBinary opts the client into binary frames (see Client.Post for
+// the rule). Off by default: the wire format only changes when the
+// deployment asks for it.
 func (c *Client) EnableBinary() {
 	c.mu.Lock()
 	c.binary = true
@@ -73,16 +52,6 @@ func MarshalBinary(m codec.Message) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// binaryDecodable reports whether resp can receive a binary response (nil
-// discards the body, so any format is fine).
-func binaryDecodable(resp any) bool {
-	if resp == nil {
-		return true
-	}
-	_, ok := resp.(codec.Message)
-	return ok
 }
 
 // DecodeBody decodes a body in whichever format it arrived: a binary
@@ -121,8 +90,9 @@ func MarshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 
 // BinHandler adapts a typed request/response function into a dual-format
 // HandlerFunc: the request is decoded from, and the response encoded in,
-// whichever format the request arrived in. Register the result with
-// HandleDual so the path is advertised.
+// whichever format the request arrived in. An empty body decodes as the
+// zero request; a frame for a type without a field description is a 400
+// like any other undecodable body.
 //
 // The request struct is pooled, and on the binary path its byte fields
 // are zero-copy views into the loaned body (the HandlerFunc contract): fn
@@ -138,14 +108,8 @@ func BinHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, er
 		*req = zero
 		reqPool.Put(req)
 	}
-	_, described := any(new(Req)).(codec.Message)
 	//shieldlint:hotpath
 	return func(ctx context.Context, body []byte) ([]byte, error) {
-		if !described && codec.IsFrame(body) {
-			// 415 makes the client downgrade the path to JSON and retry.
-			return nil, Problem(415, "Unsupported Media Type", CauseUnsupportedMedia,
-				"%T has no field description", new(Req))
-		}
 		req := reqPool.Get().(*Req)
 		if len(body) > 0 {
 			if err := DecodeBody(body, req); err != nil {

@@ -3,6 +3,7 @@ package sbi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"shield5g/internal/sbi/codec"
@@ -67,8 +68,8 @@ func postBin(t *testing.T, c *Client, value string) *binMsg {
 func TestBinaryNegotiationSwitchesAfterFirstContact(t *testing.T) {
 	_, c, rec := newBinaryFixture(t)
 
-	postBin(t, c, "first")  // session open: negotiation rides it, body is JSON
-	postBin(t, c, "second") // negotiated: binary frame
+	postBin(t, c, "first")  // session open: the body is JSON
+	postBin(t, c, "second") // peer known: binary frame
 	postBin(t, c, "third")
 
 	want := []bool{false, true, true}
@@ -97,66 +98,82 @@ func TestBinaryDisabledClientStaysJSON(t *testing.T) {
 	}
 }
 
-// TestBinaryFallbackMidFleet models the stale-negotiation failure: the
-// peer restarts binary-incapable after the client negotiated frames. The
-// server answers 415, the client downgrades that path to JSON, retries
-// once, and stays on JSON afterwards.
-func TestBinaryFallbackMidFleet(t *testing.T) {
-	reg, c, _ := newBinaryFixture(t)
-
-	postBin(t, c, "first")
-	postBin(t, c, "second") // now negotiated to binary
-
-	// The UDM "restarts" without its binary endpoints: same service name,
-	// JSON-only registration. The client's negotiation snapshot is stale.
-	reg.Deregister("udm")
-	jsonOnly := NewServer("udm", newEnv())
-	rec := &formatRecorder{inner: JSONHandler(echoBin)}
-	jsonOnly.Handle("/auth", rec.handle)
-	if err := reg.Register(jsonOnly); err != nil {
-		t.Fatalf("Register: %v", err)
+// TestPostFormatRule pins the one format rule (Client.Post): a request is
+// framed iff the client is binary, has met the peer before, the request has
+// a field description and the response is nil or has one too — and the
+// server answers in whichever format it was asked in.
+func TestPostFormatRule(t *testing.T) {
+	shapes := []struct {
+		name      string
+		path      string
+		req, resp func() any
+		framable  bool
+	}{
+		{"described req, described resp", "/dd", func() any { return &binMsg{Value: "v"} }, func() any { return &binMsg{} }, true},
+		{"described req, nil resp", "/dd", func() any { return &binMsg{Value: "v"} }, func() any { return nil }, true},
+		{"described req, undescribed resp", "/du", func() any { return &binMsg{Value: "v"} }, func() any { return &echoResp{} }, false},
+		{"undescribed req", "/uu", func() any { return &echoReq{Value: "v"} }, func() any { return &echoResp{} }, false},
 	}
-
-	// The next Post sends a frame, gets 415 before the handler runs,
-	// downgrades, and succeeds on the JSON retry — the caller never sees
-	// the stale negotiation.
-	postBin(t, c, "third")
-	// Subsequent requests go straight to JSON: the path was evicted from
-	// the negotiation snapshot.
-	postBin(t, c, "fourth")
-
-	if len(rec.frames) != 2 {
-		t.Fatalf("restarted handler saw %d calls, want 2 (415 is pre-dispatch)", len(rec.frames))
-	}
-	for i, frame := range rec.frames {
-		if frame {
-			t.Errorf("restarted JSON-only handler saw a binary frame on call %d", i+1)
+	for _, binary := range []bool{true, false} {
+		for _, later := range []bool{false, true} {
+			for _, sh := range shapes {
+				name := fmt.Sprintf("binary=%v/later=%v/%s", binary, later, sh.name)
+				t.Run(name, func(t *testing.T) {
+					env := newEnv()
+					var reqFrame, respFrame bool
+					record := func(h HandlerFunc) HandlerFunc {
+						return func(ctx context.Context, body []byte) ([]byte, error) {
+							reqFrame = codec.IsFrame(body)
+							out, err := h(ctx, body)
+							respFrame = codec.IsFrame(out)
+							return out, err
+						}
+					}
+					srv := NewServer("udm", env)
+					srv.HandleDual("/dd", record(BinHandler(echoBin)))
+					srv.HandleDual("/du", record(BinHandler(func(_ context.Context, req *binMsg) (*echoResp, error) {
+						return &echoResp{Value: req.Value}, nil
+					})))
+					srv.HandleDual("/uu", record(BinHandler(func(_ context.Context, req *echoReq) (*echoResp, error) {
+						return &echoResp{Value: req.Value}, nil
+					})))
+					reg := NewRegistry()
+					if err := reg.Register(srv); err != nil {
+						t.Fatalf("Register: %v", err)
+					}
+					c := NewClient("ausf", env, reg)
+					if binary {
+						c.EnableBinary()
+					}
+					if later {
+						if err := c.Post(context.Background(), "udm", "/uu", &echoReq{}, nil); err != nil {
+							t.Fatalf("opening Post: %v", err)
+						}
+					}
+					resp := sh.resp()
+					if err := c.Post(context.Background(), "udm", sh.path, sh.req(), resp); err != nil {
+						t.Fatalf("Post: %v", err)
+					}
+					switch r := resp.(type) {
+					case *binMsg:
+						if r.Value != "v" {
+							t.Errorf("resp = %+v, want the echoed value", r)
+						}
+					case *echoResp:
+						if r.Value != "v" {
+							t.Errorf("resp = %+v, want the echoed value", r)
+						}
+					}
+					want := binary && later && sh.framable
+					if reqFrame != want {
+						t.Errorf("handler saw frame=%v, want %v", reqFrame, want)
+					}
+					if respFrame != want {
+						t.Errorf("handler answered frame=%v, want %v (in kind)", respFrame, want)
+					}
+				})
+			}
 		}
-	}
-	c.mu.Lock()
-	stillNegotiated := c.negotiated["udm"]["/auth"]
-	c.mu.Unlock()
-	if stillNegotiated {
-		t.Errorf("/auth still marked binary-capable after 415 downgrade")
-	}
-}
-
-func TestServe415OnUnnegotiatedFrame(t *testing.T) {
-	env := newEnv()
-	srv := NewServer("udm", env)
-	srv.Handle("/auth", JSONHandler(echoBin)) // JSON-only path
-
-	frame, err := MarshalBinary(&binMsg{Value: "x"})
-	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
-	}
-	_, err = srv.serve(context.Background(), "/auth", frame)
-	if !HasCause(err, CauseUnsupportedMedia) {
-		t.Fatalf("serve frame on JSON path: err = %v, want cause %s", err, CauseUnsupportedMedia)
-	}
-	pd, _ := AsProblem(err)
-	if pd.Status != 415 {
-		t.Fatalf("status = %d, want 415", pd.Status)
 	}
 }
 

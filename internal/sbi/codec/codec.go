@@ -6,9 +6,9 @@
 //     interop fallback: AppendJSON and DecodeJSON reproduce encoding/json
 //     byte for byte and value for value without reflection, and hand the
 //     whole body to encoding/json when it leaves their grammar.
-//   - the negotiated binary framing the in-process transport swaps in
-//     once both ends of a keep-alive connection have agreed on it (see
-//     sbi.Client): AppendBinary and DecodeBinary.
+//   - the binary framing a binary-enabled in-process client sends once
+//     it has met its peer (see sbi.Client.Post, the one place the format
+//     is decided): AppendBinary and DecodeBinary.
 //
 // A frame is
 //

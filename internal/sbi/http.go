@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"sync"
+
+	"shield5g/internal/sbi/codec"
 )
 
 // Invoker abstracts the transport so network functions work identically
@@ -26,7 +28,8 @@ var (
 
 // ServeHTTP exposes the server's endpoints over real HTTP (POST <path>),
 // for the runnable binaries. ProblemDetails errors map onto their HTTP
-// status with an application/problem+json body.
+// status with an application/problem+json body. This edge speaks JSON
+// only: a binary frame is turned away before dispatch.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeProblem(w, Problem(405, "Method Not Allowed", "INVALID_METHOD", "use POST"))
@@ -35,6 +38,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeProblem(w, Problem(400, "Bad Request", "PAYLOAD_TOO_LARGE", "read body: %v", err))
+		return
+	}
+	if codec.IsFrame(body) {
+		writeProblem(w, Problem(415, "Unsupported Media Type", CauseUnsupportedMedia,
+			"%s%s speaks JSON over HTTP, not binary SBI frames", s.name, r.URL.Path))
 		return
 	}
 	out, err := s.serve(r.Context(), r.URL.Path, body)

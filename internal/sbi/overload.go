@@ -110,23 +110,17 @@ type OverloadConfig struct {
 	// disables shedding — the meter senses, queues and advertises load but
 	// never rejects, which is the "limiter off" comparison point.
 	MaxQueue int
-	// TargetLoad is the EWMA load (0..1) above which the server asks
-	// clients for traffic reduction. Default 0.7.
-	TargetLoad float64
-	// HalfLife is the EWMA smoothing half-life on the virtual arrival
-	// axis. Default 20ms.
-	HalfLife time.Duration
 }
 
-func (c OverloadConfig) withDefaults() OverloadConfig {
-	if c.TargetLoad <= 0 || c.TargetLoad >= 1 {
-		c.TargetLoad = 0.7
-	}
-	if c.HalfLife <= 0 {
-		c.HalfLife = 20 * time.Millisecond
-	}
-	return c
-}
+const (
+	// overloadTargetLoad is the EWMA load (0..1) above which a server
+	// asks clients for traffic reduction. Typed, so 1-overloadTargetLoad
+	// rounds as the float64 subtraction it replaced did.
+	overloadTargetLoad float64 = 0.7
+	// overloadHalfLife is the EWMA smoothing half-life on the virtual
+	// arrival axis.
+	overloadHalfLife = 20 * time.Millisecond
+)
 
 // OverloadStats is a snapshot of one server meter's counters.
 type OverloadStats struct {
@@ -187,7 +181,7 @@ func (s *Server) EnableOverload(env *costmodel.Env, cfg OverloadConfig) {
 		return
 	}
 	s.mu.Lock()
-	s.meter = &loadMeter{env: env, cfg: cfg.withDefaults()}
+	s.meter = &loadMeter{env: env, cfg: cfg}
 	s.mu.Unlock()
 }
 
@@ -290,7 +284,7 @@ func (m *loadMeter) admit(ctx context.Context, name string, path string) *Proble
 		util = 1
 	}
 	if dt := now - m.last; dt > 0 {
-		halfLife := float64(simclock.FromDuration(m.cfg.HalfLife, freq))
+		halfLife := float64(simclock.FromDuration(overloadHalfLife, freq))
 		decay := math.Exp(-float64(dt) * math.Ln2 / halfLife)
 		m.ewma = m.ewma*decay + util*(1-decay)
 	} else {
@@ -340,8 +334,8 @@ func (m *loadMeter) refreshOCI(freq uint64) {
 		load = 1
 	}
 	reduction := 0
-	if load > m.cfg.TargetLoad {
-		reduction = int((load - m.cfg.TargetLoad) / (1 - m.cfg.TargetLoad) * 100)
+	if load > overloadTargetLoad {
+		reduction = int((load - overloadTargetLoad) / (1 - overloadTargetLoad) * 100)
 		if reduction > 90 {
 			reduction = 90
 		}

@@ -265,7 +265,7 @@ func TestEmergencyBypassesBreaker(t *testing.T) {
 }
 
 // TestOverloadShedOverNegotiatedBinarySession pins the end-to-end shape:
-// a shed on a negotiated binary path classifies exactly like the JSON
+// a shed on a framed request classifies exactly like the JSON
 // path — same cause, same status, Retry-After and OCI intact.
 func TestOverloadShedOverNegotiatedBinarySession(t *testing.T) {
 	env := newEnv()
@@ -297,7 +297,7 @@ func TestOverloadShedOverNegotiatedBinarySession(t *testing.T) {
 		return last
 	}
 
-	postBin(t, c, "negotiate") // session open: JSON, switches path to frames
+	postBin(t, c, "open") // session open: JSON; later requests are frames
 	srv.SetOverloadArmed(true)
 	binShed := shedAt(c)
 	srv.SetOverloadArmed(false)

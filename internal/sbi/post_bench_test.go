@@ -45,7 +45,7 @@ func benchmarkPost(b *testing.B, binary bool) {
 			b.Fatal(err)
 		}
 	}
-	post() // first contact: handshake and, with binary on, negotiation
+	post() // first contact: handshake, JSON in either mode
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

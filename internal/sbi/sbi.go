@@ -59,8 +59,8 @@ const (
 	CauseCongestion  = "NF_CONGESTION"
 	CauseUnreachable = "TARGET_NF_NOT_REACHABLE"
 	CauseSystem      = "SYSTEM_FAILURE"
-	// CauseUnsupportedMedia is returned when a binary SBI frame reaches a
-	// path that only speaks JSON (stale codec negotiation, see binary.go).
+	// CauseUnsupportedMedia is returned when a binary SBI frame arrives
+	// over real HTTP, which only speaks JSON (Server.ServeHTTP).
 	CauseUnsupportedMedia = "UNSUPPORTED_MEDIA_TYPE"
 )
 
@@ -79,8 +79,9 @@ func HasCause(err error, cause string) bool {
 	return false
 }
 
-// HandlerFunc serves one SBI endpoint: JSON request bytes in, JSON
-// response bytes out. Returning a *ProblemDetails preserves status and
+// HandlerFunc serves one SBI endpoint: request bytes in — JSON or, from
+// an in-process binary client, a frame (see binary.go) — response bytes
+// out in the same format. Returning a *ProblemDetails preserves status and
 // cause across the transport; any other error becomes a 500.
 //
 // Ownership: the request body is on loan for the duration of the call —
@@ -98,9 +99,6 @@ type Server struct {
 
 	mu       sync.RWMutex
 	handlers map[string]HandlerFunc
-	// binPaths marks endpoints registered via HandleDual as accepting the
-	// negotiated binary frame format alongside JSON (see binary.go).
-	binPaths map[string]bool
 	// meter is the overload-control load meter (see overload.go); nil
 	// until EnableOverload and inert until armed.
 	meter *loadMeter
@@ -112,21 +110,11 @@ func NewServer(name string, env *costmodel.Env) *Server {
 		name:     name,
 		env:      env,
 		handlers: make(map[string]HandlerFunc),
-		binPaths: make(map[string]bool),
 	}
 }
 
 // Name returns the service name used for discovery and routing.
 func (s *Server) Name() string { return s.name }
-
-// Handle registers an endpoint handler for path. The path speaks JSON
-// only; use HandleDual for handlers that also accept binary frames.
-func (s *Server) Handle(path string, h HandlerFunc) {
-	s.mu.Lock()
-	s.handlers[path] = h
-	delete(s.binPaths, path)
-	s.mu.Unlock()
-}
 
 // Paths lists the registered endpoint paths.
 func (s *Server) Paths() []string {
@@ -155,13 +143,6 @@ func (s *Server) serve(ctx context.Context, path string, body []byte) ([]byte, e
 	h, ok := s.lookup(path)
 	if !ok {
 		return nil, Problem(404, "Not Found", "RESOURCE_NOT_FOUND", "%s has no endpoint %s", s.name, path)
-	}
-	if codec.IsFrame(body) && !s.binaryPath(path) {
-		// A frame reached a JSON-only path: the client's negotiation is
-		// stale (e.g. this server restarted without its binary endpoints).
-		// 415 tells it to downgrade the path to JSON and retry.
-		return nil, Problem(415, "Unsupported Media Type", CauseUnsupportedMedia,
-			"%s%s does not accept binary SBI frames", s.name, path)
 	}
 	if m := s.loadMeter(); m != nil {
 		// Overload control: run the request through the virtual queue —
@@ -241,11 +222,8 @@ type Client struct {
 
 	mu        sync.Mutex
 	connected map[string]bool
-	// binary opts this client into frame negotiation (EnableBinary);
-	// negotiated holds, per peer, the binary-capable path snapshot taken
-	// at first contact — the modelled keep-alive session open.
-	binary     bool
-	negotiated map[string]map[string]bool
+	// binary opts this client into binary frames (EnableBinary).
+	binary bool
 
 	// oci records the freshest overload advert seen per peer; the
 	// resilience layer reads it through the OCISource interface.
@@ -255,19 +233,19 @@ type Client struct {
 // NewClient creates a client identified as from.
 func NewClient(from string, env *costmodel.Env, registry *Registry) *Client {
 	return &Client{
-		from:       from,
-		env:        env,
-		registry:   registry,
-		connected:  make(map[string]bool),
-		negotiated: make(map[string]map[string]bool),
+		from:      from,
+		env:       env,
+		registry:  registry,
+		connected: make(map[string]bool),
 	}
 }
 
 // Post marshals req, invokes service's path endpoint, and unmarshals the
-// response into resp (which may be nil to discard). With the binary codec
-// enabled (EnableBinary), paths the peer advertised at first contact are
-// exchanged as binary frames; everything else — including the first
-// request itself, which opens the session — stays on JSON.
+// response into resp (which may be nil to discard). This is the one place
+// the body format is decided: a binary client (EnableBinary) frames req iff
+// this is not its first contact with the peer, req has a field description,
+// and resp is nil or has one too. Everything else travels as JSON, and the
+// server answers in the format it was asked in.
 func (c *Client) Post(ctx context.Context, service, path string, req, resp any) error {
 	// A cancelled or expired context is a client-side timeout, not a
 	// server failure: surface it as 504/TIMEOUT so callers and the retry
@@ -282,57 +260,43 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 	}
 
 	m := c.env.Model
-	// First contact pays the mutual TLS handshake on both sides and, with
-	// the binary codec enabled, snapshots the peer's binary-capable paths
-	// — the codec negotiation rides the session open, so the opening
-	// request itself still travels as JSON.
+	// First contact pays the mutual TLS handshake on both sides; the
+	// request that opens the session travels as JSON.
 	c.mu.Lock()
 	fresh := !c.connected[service]
 	c.connected[service] = true
-	var caps map[string]bool
-	if c.binary {
-		if fresh {
-			c.negotiated[service] = srv.binaryPaths()
-		} else {
-			caps = c.negotiated[service]
-		}
-	}
+	binary := c.binary
 	c.mu.Unlock()
 	if fresh {
 		c.env.Charge(ctx, m.TLSHandshakeClient+m.TLSHandshakeServer)
 	}
 
-	binReq := false
+	bm, described := req.(codec.Message)
+	if described && resp != nil {
+		_, described = resp.(codec.Message)
+	}
 	var body []byte
 	var err error
-	if caps[path] {
-		if bm, ok := req.(codec.Message); ok && binaryDecodable(resp) {
-			body, err = MarshalBinary(bm)
-			binReq = err == nil
-		}
-	}
-	if !binReq {
+	if binary && !fresh && described {
+		body, err = MarshalBinary(bm)
+	} else {
 		body, err = MarshalBody(req)
-		if err != nil {
-			return fmt.Errorf("sbi: marshal request to %s%s: %w", service, path, err)
-		}
+	}
+	if err != nil {
+		return fmt.Errorf("sbi: marshal request to %s%s: %w", service, path, err)
 	}
 
-	out, err := c.exchange(ctx, srv, path, body)
-	if err != nil && binReq && HasCause(err, CauseUnsupportedMedia) {
-		// Stale negotiation: the peer no longer accepts frames on this
-		// path (e.g. it restarted binary-incapable mid-fleet). Downgrade
-		// the path to JSON and retry this request once.
-		c.mu.Lock()
-		if caps := c.negotiated[service]; caps != nil {
-			delete(caps, path)
-		}
-		c.mu.Unlock()
-		body, err = MarshalBody(req)
-		if err != nil {
-			return fmt.Errorf("sbi: marshal request to %s%s: %w", service, path, err)
-		}
-		out, err = c.exchange(ctx, srv, path, body)
+	// Client-side request processing and the bridge round trip.
+	c.env.Charge(ctx, m.HTTPCost(len(body))+m.TLSRecordCost(len(body)))
+	c.env.Charge(ctx, c.env.JitterFor(ctx).Scale(m.LoopbackRTT, 0.15))
+	out, err := srv.serve(ctx, path, body)
+	// The handler has returned: the request body is spent either way.
+	ReleaseBody(body)
+	// Every response from a metered peer carries its OCI (the modelled
+	// `3gpp-Sbi-Oci` header); record the freshest snapshot for the
+	// resilience layer's proportional throttling.
+	if oci, ok := srv.CurrentOCI(); ok {
+		c.oci.record(srv.Name(), oci)
 	}
 	if err != nil {
 		var pd *ProblemDetails
@@ -357,47 +321,6 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 	return nil
 }
 
-// exchange sends one already-encoded body: client-side request processing,
-// the bridge round trip, server dispatch, and the request body release.
-func (c *Client) exchange(ctx context.Context, srv *Server, path string, body []byte) ([]byte, error) {
-	m := c.env.Model
-	c.env.Charge(ctx, m.HTTPCost(len(body))+m.TLSRecordCost(len(body)))
-	c.env.Charge(ctx, c.env.JitterFor(ctx).Scale(m.LoopbackRTT, 0.15))
-	out, err := srv.serve(ctx, path, body)
-	// The handler has returned: the request body is spent either way.
-	ReleaseBody(body)
-	// Every response from a metered peer carries its OCI (the modelled
-	// `3gpp-Sbi-Oci` header); record the freshest snapshot for the
-	// resilience layer's proportional throttling.
-	if oci, ok := srv.CurrentOCI(); ok {
-		c.oci.record(srv.Name(), oci)
-	}
-	return out, err
-}
-
 // PeerOCI implements OCISource: the freshest overload advert observed
 // from the named peer service.
 func (c *Client) PeerOCI(service string) (OCI, bool) { return c.oci.PeerOCI(service) }
-
-// JSONHandler adapts a typed request/response function into a HandlerFunc.
-// Both directions run through MarshalBody/UnmarshalBody; the returned body
-// follows the HandlerFunc ownership contract (the transport releases it).
-func JSONHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
-	return func(ctx context.Context, body []byte) ([]byte, error) {
-		var req Req
-		if len(body) > 0 {
-			if err := UnmarshalBody(body, &req); err != nil {
-				return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-			}
-		}
-		resp, err := fn(ctx, &req)
-		if err != nil {
-			return nil, err
-		}
-		out, err := MarshalBody(resp)
-		if err != nil {
-			return nil, Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "encode: %v", err)
-		}
-		return out, nil
-	}
-}

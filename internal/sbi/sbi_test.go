@@ -1,7 +1,9 @@
 package sbi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http/httptest"
 	"strings"
@@ -25,13 +27,13 @@ func newEnv() *costmodel.Env { return costmodel.NewEnv(nil, 1, nil) }
 func echoServer(t *testing.T, env *costmodel.Env) *Server {
 	t.Helper()
 	s := NewServer("udm", env)
-	s.Handle("/echo", JSONHandler(func(_ context.Context, req *echoReq) (*echoResp, error) {
+	s.HandleDual("/echo", BinHandler(func(_ context.Context, req *echoReq) (*echoResp, error) {
 		return &echoResp{Value: req.Value, From: "udm"}, nil
 	}))
-	s.Handle("/fail", JSONHandler(func(_ context.Context, _ *echoReq) (*echoResp, error) {
+	s.HandleDual("/fail", BinHandler(func(_ context.Context, _ *echoReq) (*echoResp, error) {
 		return nil, Problem(403, "Forbidden", "AUTHENTICATION_REJECTED", "no")
 	}))
-	s.Handle("/boom", func(_ context.Context, _ []byte) ([]byte, error) {
+	s.HandleDual("/boom", func(_ context.Context, _ []byte) ([]byte, error) {
 		return nil, errors.New("plain failure")
 	})
 	return s
@@ -167,8 +169,8 @@ func TestServerPaths(t *testing.T) {
 	}
 }
 
-func TestJSONHandlerBadBody(t *testing.T) {
-	h := JSONHandler(func(_ context.Context, req *echoReq) (*echoResp, error) {
+func TestBinHandlerBadBody(t *testing.T) {
+	h := BinHandler(func(_ context.Context, req *echoReq) (*echoResp, error) {
 		return &echoResp{Value: req.Value}, nil
 	})
 	_, err := h(context.Background(), []byte("{broken"))
@@ -210,6 +212,41 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	// Unknown service.
 	if err := c.Post(context.Background(), "ghost", "/echo", &echoReq{}, nil); err == nil {
 		t.Fatal("unknown base accepted")
+	}
+}
+
+// TestHTTPTransportRejectsFrame: the HTTP edge speaks JSON only — a binary
+// frame is answered 415 problem+json before any handler runs.
+func TestHTTPTransportRejectsFrame(t *testing.T) {
+	called := false
+	srv := NewServer("udm", newEnv())
+	srv.HandleDual("/auth", BinHandler(func(ctx context.Context, req *binMsg) (*binMsg, error) {
+		called = true
+		return echoBin(ctx, req)
+	}))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	frame, err := MarshalBinary(&binMsg{Value: "x"})
+	if err != nil {
+		t.Fatalf("MarshalBinary: %v", err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/auth", "application/json", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatalf("POST: %v", err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var pd ProblemDetails
+	if err := json.NewDecoder(resp.Body).Decode(&pd); err != nil {
+		t.Fatalf("decode problem body: %v", err)
+	}
+	if resp.StatusCode != 415 || resp.Header.Get("Content-Type") != "application/problem+json" ||
+		pd.Status != 415 || pd.Cause != CauseUnsupportedMedia {
+		t.Fatalf("frame over HTTP: status %d, type %q, problem %+v; want 415 %s",
+			resp.StatusCode, resp.Header.Get("Content-Type"), pd, CauseUnsupportedMedia)
+	}
+	if called {
+		t.Fatal("handler ran on a frame POSTed over HTTP")
 	}
 }
 

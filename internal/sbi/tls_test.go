@@ -22,7 +22,7 @@ func testPKI(t *testing.T) *PKI {
 func startMTLSServer(t *testing.T, pki *PKI) *httptest.Server {
 	t.Helper()
 	srv := NewServer("udm", nil)
-	srv.Handle("/echo", JSONHandler(func(_ context.Context, req *struct {
+	srv.HandleDual("/echo", BinHandler(func(_ context.Context, req *struct {
 		V string `json:"v"`
 	}) (*struct {
 		V string `json:"v"`

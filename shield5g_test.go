@@ -112,7 +112,7 @@ func TestAddSubscriberWithProfile(t *testing.T) {
 
 func TestPublicExperimentList(t *testing.T) {
 	names := shield5g.Experiments()
-	if len(names) != 20 {
+	if len(names) != 19 {
 		t.Fatalf("experiments = %v", names)
 	}
 	var buf bytes.Buffer

@@ -1,6 +1,6 @@
 // Command shieldlint runs the repository's static-analysis suite (see
-// internal/analysis): determinism, secretflow, atomiccounter, ctxcarry,
-// stripemap, hotalloc, planeboundary, poolowner and lockorder. It exits
+// internal/analysis): determinism, secretflow, ctxcarry, stripemap,
+// hotalloc, planeboundary, poolowner and lockorder. It exits
 // non-zero when any unsuppressed finding remains, which makes it a CI
 // gate:
 //
