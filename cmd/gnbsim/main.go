@@ -39,6 +39,7 @@ import (
 	"crypto/rand"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -49,41 +50,45 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	n := flag.Int("n", 100, "number of UEs to register")
-	parallel := flag.Int("parallel", 1, "concurrent registration workers (1 = sequential, deterministic)")
-	isolation := flag.String("isolation", "sgx", "AKA isolation: monolithic, container, sgx or sev")
-	seed := flag.Uint64("seed", 1, "jitter seed")
-	chaosRate := flag.Float64("chaos", 0, "total per-request fault-injection rate (0 disables)")
-	retries := flag.Int("retries", 0, "max registration attempts per UE (0 = 1, or 5 when -chaos is set)")
-	batch := flag.Int("batch", 0, "keep-alive session depth: module requests per connection (0 = one connection per request)")
-	avpool := flag.Int("avpool", 0, "UDM AV precomputation pool depth per SUPI (0 disables)")
-	switchless := flag.Bool("switchless", false, "deploy the P-AKA modules with the switchless ECALL submission ring and route module requests through it (sgx only)")
-	shards := flag.Int("shards", 1, "core replica count: vertical AMF+AUSF+UDM+P-AKA slices behind SUPI-affinity routing")
-	shardSize := flag.Int("shardsize", 0, "shuffle-shard width: replicas this gNB's tenant may route to (0 = all)")
-	stormFactor := flag.Float64("storm", 0, "signaling-storm overload factor: offer arrivals at this multiple of the core's service rate (0 disables)")
-	limiter := flag.Bool("limiter", false, "arm the overload-control limiter (bounded-queue shedding, priority admission, client throttling) during a -storm run")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write an allocs profile of the run to this file")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gnbsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 100, "number of UEs to register")
+	parallel := fs.Int("parallel", 1, "concurrent registration workers (1 = sequential, deterministic)")
+	isolation := fs.String("isolation", "sgx", "AKA isolation: monolithic, container, sgx or sev")
+	seed := fs.Uint64("seed", 1, "jitter seed")
+	chaosRate := fs.Float64("chaos", 0, "total per-request fault-injection rate (0 disables)")
+	retries := fs.Int("retries", 0, "max registration attempts per UE (0 = 1, or 5 when -chaos is set)")
+	batch := fs.Int("batch", 0, "keep-alive session depth: module requests per connection (0 = one connection per request)")
+	avpool := fs.Int("avpool", 0, "UDM AV precomputation pool depth per SUPI (0 disables)")
+	switchless := fs.Bool("switchless", false, "deploy the P-AKA modules with the switchless ECALL submission ring and route module requests through it (sgx only)")
+	shards := fs.Int("shards", 1, "core replica count: vertical AMF+AUSF+UDM+P-AKA slices behind SUPI-affinity routing")
+	shardSize := fs.Int("shardsize", 0, "shuffle-shard width: replicas this gNB's tenant may route to (0 = all)")
+	stormFactor := fs.Float64("storm", 0, "signaling-storm overload factor: offer arrivals at this multiple of the core's service rate (0 disables)")
+	limiter := fs.Bool("limiter", false, "arm the overload-control limiter (bounded-queue shedding, priority admission, client throttling) during a -storm run")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocs profile of the run to this file")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	iso, err := shield5g.ParseIsolation(*isolation)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnbsim: %v\n", err)
+		fmt.Fprintf(stderr, "gnbsim: %v\n", err)
 		return 2
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gnbsim: -cpuprofile: %v\n", err)
+			fmt.Fprintf(stderr, "gnbsim: -cpuprofile: %v\n", err)
 			return 2
 		}
 		defer func() { _ = f.Close() }()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "gnbsim: start CPU profile: %v\n", err)
+			fmt.Fprintf(stderr, "gnbsim: start CPU profile: %v\n", err)
 			return 2
 		}
 		defer pprof.StopCPUProfile()
@@ -92,7 +97,7 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "gnbsim: -memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "gnbsim: -memprofile: %v\n", err)
 				return
 			}
 			defer func() { _ = f.Close() }()
@@ -100,12 +105,12 @@ func run() int {
 			// the whole run.
 			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintf(os.Stderr, "gnbsim: write allocs profile: %v\n", err)
+				fmt.Fprintf(stderr, "gnbsim: write allocs profile: %v\n", err)
 			}
 		}()
 	}
 	if *chaosRate < 0 || *chaosRate > 1 {
-		fmt.Fprintf(os.Stderr, "gnbsim: -chaos rate %v outside [0, 1]\n", *chaosRate)
+		fmt.Fprintf(stderr, "gnbsim: -chaos rate %v outside [0, 1]\n", *chaosRate)
 		return 2
 	}
 	maxAttempts := *retries
@@ -117,30 +122,30 @@ func run() int {
 	}
 
 	if *batch < 0 || *avpool < 0 {
-		fmt.Fprintf(os.Stderr, "gnbsim: -batch and -avpool must be >= 0\n")
+		fmt.Fprintf(stderr, "gnbsim: -batch and -avpool must be >= 0\n")
 		return 2
 	}
 
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "gnbsim: -shards must be >= 1\n")
+		fmt.Fprintf(stderr, "gnbsim: -shards must be >= 1\n")
 		return 2
 	}
 	if *shardSize < 0 || (*shardSize > *shards) {
-		fmt.Fprintf(os.Stderr, "gnbsim: -shardsize must be in [0, shards]\n")
+		fmt.Fprintf(stderr, "gnbsim: -shardsize must be in [0, shards]\n")
 		return 2
 	}
 
 	if *stormFactor < 0 {
-		fmt.Fprintf(os.Stderr, "gnbsim: -storm factor must be >= 0\n")
+		fmt.Fprintf(stderr, "gnbsim: -storm factor must be >= 0\n")
 		return 2
 	}
 	if *limiter && *stormFactor == 0 {
-		fmt.Fprintf(os.Stderr, "gnbsim: -limiter needs a -storm run\n")
+		fmt.Fprintf(stderr, "gnbsim: -limiter needs a -storm run\n")
 		return 2
 	}
 
 	if *switchless && iso != shield5g.SGX {
-		fmt.Fprintf(os.Stderr, "gnbsim: -switchless needs -isolation sgx\n")
+		fmt.Fprintf(stderr, "gnbsim: -switchless needs -isolation sgx\n")
 		return 2
 	}
 
@@ -158,12 +163,10 @@ func run() int {
 	if *stormFactor > 0 {
 		// The zero profile is the "limiter off" baseline: servers sense
 		// load and queue but never reject.
-		profile := &shield5g.OverloadProfile{}
+		sliceCfg.Overload = &shield5g.OverloadProfile{}
 		if *limiter {
-			acfg := shield5g.DefaultAdmissionConfig()
-			profile = &shield5g.OverloadProfile{Shed: true, Admission: &acfg, Throttle: true}
+			sliceCfg.Overload = shield5g.LimiterProfile()
 		}
-		sliceCfg.Overload = profile
 	}
 
 	ctx := context.Background()
@@ -171,36 +174,26 @@ func run() int {
 	start := time.Now()
 	tb, err := shield5g.NewTestbed(ctx, sliceCfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnbsim: deploy: %v\n", err)
+		fmt.Fprintf(stderr, "gnbsim: deploy: %v\n", err)
 		return 1
 	}
 	defer tb.Close()
 	//shieldlint:wallclock CLI reports real deploy latency to the operator
-	fmt.Printf("slice deployed (%s isolation) in %v wall time\n", iso, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "slice deployed (%s isolation) in %v wall time\n", iso, time.Since(start).Round(time.Millisecond))
 	if iso == shield5g.SGX {
 		for _, kind := range []shield5g.ModuleKind{shield5g.EUDM, shield5g.EAUSF, shield5g.EAMF} {
 			m := tb.Slice.Modules[kind]
-			fmt.Printf("  %s enclave load: %v (virtual)\n", kind, m.LoadDuration().Round(time.Millisecond))
+			fmt.Fprintf(stdout, "  %s enclave load: %v (virtual)\n", kind, m.LoadDuration().Round(time.Millisecond))
 		}
 	}
 
 	if *stormFactor > 0 {
-		return runStorm(ctx, tb, *n, *stormFactor, *limiter, *seed)
+		return runStorm(ctx, tb, *n, *stormFactor, *limiter, *seed, stdout, stderr)
 	}
 
 	result, err := tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
-		N: *n,
-		NewUE: func(i int) (*shield5g.UE, error) {
-			k := make([]byte, 16)
-			if _, err := rand.Read(k); err != nil {
-				return nil, fmt.Errorf("entropy: %w", err)
-			}
-			sub, err := tb.AddSubscriber(ctx, k, nil)
-			if err != nil {
-				return nil, err
-			}
-			return sub.UE, nil
-		},
+		N:           *n,
+		NewUE:       func(int) (*shield5g.UE, error) { return newUE(ctx, tb) },
 		Parallelism: *parallel,
 		MaxAttempts: maxAttempts,
 		Chaos:       tb.Slice.Chaos,
@@ -208,14 +201,14 @@ func run() int {
 		Switchless:  *switchless,
 	})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnbsim: %v\n", err)
+		fmt.Fprintf(stderr, "gnbsim: %v\n", err)
 		return 1
 	}
 
-	fmt.Printf("registered %d/%d UEs (%d failed) with %d worker(s)\n",
+	fmt.Fprintf(stdout, "registered %d/%d UEs (%d failed) with %d worker(s)\n",
 		result.Registered, *n, result.Failed, result.Parallelism)
 	if *chaosRate > 0 {
-		fmt.Printf("chaos: rate %.2f, %d attempts total, injected %v\n",
+		fmt.Fprintf(stdout, "chaos: rate %.2f, %d attempts total, injected %v\n",
 			*chaosRate, result.Attempts, tb.Slice.Chaos.Counts())
 		if len(result.Recovered) > 0 {
 			classes := make([]string, 0, len(result.Recovered))
@@ -224,7 +217,7 @@ func run() int {
 			}
 			sort.Strings(classes)
 			for _, class := range classes {
-				fmt.Printf("chaos: recovered %d failed attempt(s) [%s] via retry\n",
+				fmt.Fprintf(stdout, "chaos: recovered %d failed attempt(s) [%s] via retry\n",
 					result.Recovered[class], class)
 			}
 		}
@@ -233,13 +226,13 @@ func run() int {
 			restarts += m.Restarts()
 		}
 		if restarts > 0 {
-			fmt.Printf("chaos: %d module crash/redeploy cycle(s) survived (re-load + re-attest)\n", restarts)
+			fmt.Fprintf(stdout, "chaos: %d module crash/redeploy cycle(s) survived (re-load + re-attest)\n", restarts)
 		}
 	}
 	if *avpool > 0 {
 		// The fleet view sums every replica's pool without double counting.
 		pool := tb.Slice.AVPoolStats()
-		fmt.Printf("av pool: %d hits, %d misses, %d refills, %d banked vectors\n",
+		fmt.Fprintf(stdout, "av pool: %d hits, %d misses, %d refills, %d banked vectors\n",
 			pool.Hits, pool.Misses, pool.Refills, pool.Pooled)
 	}
 	if *switchless {
@@ -250,24 +243,24 @@ func run() int {
 					continue
 				}
 				rs := m.RingStats()
-				fmt.Printf("ring %s: %d submitted, %d completed, %d doorbells, %d parks\n",
+				fmt.Fprintf(stdout, "ring %s: %d submitted, %d completed, %d doorbells, %d parks\n",
 					m.ServiceName(), rs.Submitted, rs.Completed, rs.Doorbells, rs.Parks)
 			}
 		}
 	}
 	if result.Registered > 0 {
 		sum := result.SetupTimes.Summarize()
-		fmt.Printf("session setup: median %v mean %v (virtual)\n",
+		fmt.Fprintf(stdout, "session setup: median %v mean %v (virtual)\n",
 			sum.Median.Round(time.Microsecond), sum.Mean.Round(time.Microsecond))
-		fmt.Printf("run: wall %v, virtual %v (%.2f virtual ms per registration, radio included)\n",
+		fmt.Fprintf(stdout, "run: wall %v, virtual %v (%.2f virtual ms per registration, radio included)\n",
 			result.Wall.Round(time.Millisecond), result.Virtual.Round(time.Millisecond),
 			float64(result.Virtual)/float64(time.Millisecond)/float64(result.Registered))
 	}
-	fmt.Printf("fleet: %.1f regs/s over makespan %v (busiest lane; lane_balance %.3f; epoch %d)\n",
+	fmt.Fprintf(stdout, "fleet: %.1f regs/s over makespan %v (busiest lane; lane_balance %.3f; epoch %d)\n",
 		result.FleetRegsPerSec, result.FleetVirtual.Round(time.Millisecond),
 		result.LaneBalance, tb.Slice.Router.Epoch())
 	for i, st := range result.ShardStats {
-		fmt.Printf("  shard %d (%s): %d ok, %d failed, busy %v\n",
+		fmt.Fprintf(stdout, "  shard %d (%s): %d ok, %d failed, busy %v\n",
 			i, tb.Slice.Shards[i].Name, st.Registered, st.Failed,
 			st.Busy.Round(time.Millisecond))
 	}
@@ -278,7 +271,7 @@ func run() int {
 		}
 		sort.Strings(classes)
 		for _, class := range classes {
-			fmt.Fprintf(os.Stderr, "gnbsim: %d failure(s) [%s], first: %v\n",
+			fmt.Fprintf(stderr, "gnbsim: %d failure(s) [%s], first: %v\n",
 				result.FailureCounts[class], class, result.FirstErrors[class])
 		}
 		return 1
@@ -286,86 +279,44 @@ func run() int {
 	return 0
 }
 
-// stormBottleneckCycles mirrors the UDM's modelled per-request service
-// cost — the drain rate of the chain's slowest virtual queue. The -storm
-// factor is expressed against it: arrival spacing = bottleneck / factor.
-const stormBottleneckCycles = 3_600_000
+// newUE provisions a fresh subscriber under a random key.
+func newUE(ctx context.Context, tb *shield5g.Testbed) (*shield5g.UE, error) {
+	k := make([]byte, 16)
+	if _, err := rand.Read(k); err != nil {
+		return nil, fmt.Errorf("entropy: %w", err)
+	}
+	sub, err := tb.AddSubscriber(ctx, k, nil)
+	if err != nil {
+		return nil, err
+	}
+	return sub.UE, nil
+}
 
 // runStorm replays a seeded signaling storm (open-loop arrivals) against
-// the deployed slice: the re-attach population registers once before the
-// storm so it holds GUTIs, emergency devices are flagged, and the
-// overload machinery is armed only for the replay itself.
-func runStorm(ctx context.Context, tb *shield5g.Testbed, n int, factor float64, limiter bool, seed uint64) int {
-	// The plan seed is derived from -seed so one flag reproduces both the
-	// cost draws and the arrival schedule.
-	plan, err := shield5g.NewStormPlan(seed+43, shield5g.StormSpec{
-		N:             n,
-		EmergencyFrac: 0.05,
-		ReattachFrac:  0.60,
-		Spacing:       shield5g.Cycles(float64(stormBottleneckCycles) / factor),
-		JitterFrac:    0.2,
-	})
+// the deployed slice. The plan seed is derived from -seed so one flag
+// reproduces both the cost draws and the arrival schedule.
+func runStorm(ctx context.Context, tb *shield5g.Testbed, n int, factor float64, limiter bool, seed uint64, stdout, stderr io.Writer) int {
+	res, err := tb.Slice.RunStorm(ctx, seed+43, n, factor,
+		func(shield5g.Priority, int) (*shield5g.UE, error) { return newUE(ctx, tb) })
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnbsim: storm plan: %v\n", err)
+		fmt.Fprintf(stderr, "gnbsim: storm: %v\n", err)
 		return 1
 	}
 
-	devices := make(map[shield5g.Priority][]*shield5g.UE)
-	for _, ev := range plan.Events {
-		k := make([]byte, 16)
-		if _, err := rand.Read(k); err != nil {
-			fmt.Fprintf(os.Stderr, "gnbsim: entropy: %v\n", err)
-			return 1
-		}
-		sub, err := tb.AddSubscriber(ctx, k, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gnbsim: provision: %v\n", err)
-			return 1
-		}
-		device := sub.UE
-		switch ev.Class {
-		case shield5g.PriorityEmergency:
-			device.SetEmergency(true)
-		case shield5g.PriorityReattach:
-			if _, err := tb.Slice.GNB.RegisterUE(ctx, device); err != nil {
-				fmt.Fprintf(os.Stderr, "gnbsim: pre-register re-attach device: %v\n", err)
-				return 1
-			}
-		}
-		devices[ev.Class] = append(devices[ev.Class], device)
-	}
-
-	next := make(map[shield5g.Priority]int)
-	tb.Slice.SetOverloadArmed(true)
-	res, err := tb.Slice.GNB.RunStorm(ctx, shield5g.StormOptions{
-		Plan: plan,
-		Device: func(ev shield5g.StormEvent) (*shield5g.UE, error) {
-			i := next[ev.Class]
-			next[ev.Class]++
-			return devices[ev.Class][i], nil
-		},
-		Source: "gnb-1",
-	})
-	tb.Slice.SetOverloadArmed(false)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gnbsim: storm: %v\n", err)
-		return 1
-	}
-
-	fmt.Printf("storm: %d arrivals at %.0fx overload, limiter %v (window %v, makespan %v virtual)\n",
+	fmt.Fprintf(stdout, "storm: %d arrivals at %.0fx overload, limiter %v (window %v, makespan %v virtual)\n",
 		n, factor, limiter, res.Window.Round(100*time.Microsecond), res.Makespan.Round(100*time.Microsecond))
-	fmt.Printf("%-10s %6s %6s %6s %6s %10s %10s %10s\n",
+	fmt.Fprintf(stdout, "%-10s %6s %6s %6s %6s %10s %10s %10s\n",
 		"class", "offer", "ok", "shed", "fail", "goodput/s", "p99", "makespan")
 	for c := len(res.Class) - 1; c >= 0; c-- {
 		cr := res.Class[c]
 		sum := cr.SetupTimes.Summarize()
-		fmt.Printf("%-10s %6d %6d %6d %6d %10.1f %10s %10s\n",
+		fmt.Fprintf(stdout, "%-10s %6d %6d %6d %6d %10.1f %10s %10s\n",
 			shield5g.Priority(c).String(), cr.Offered, cr.Registered, cr.Shed, cr.Failed,
 			cr.GoodputPerSec, sum.P99.Round(10*time.Microsecond),
 			cr.Makespan.Round(100*time.Microsecond))
 	}
 	if tb.Slice.Admission != nil {
-		fmt.Printf("admission: %d dropped at the AMF's priority buckets\n",
+		fmt.Fprintf(stdout, "admission: %d dropped at the AMF's priority buckets\n",
 			tb.Slice.Admission.Stats().TotalDropped())
 	}
 	var sheds uint64
@@ -373,7 +324,7 @@ func runStorm(ctx context.Context, tb *shield5g.Testbed, n int, factor float64, 
 		sheds += st.TotalShed()
 	}
 	rs := tb.Slice.ResilienceStats()
-	fmt.Printf("overload: %d server sheds, %d client throttles, %d retries, %d breaker opens\n",
+	fmt.Fprintf(stdout, "overload: %d server sheds, %d client throttles, %d retries, %d breaker opens\n",
 		sheds, rs.Throttled, rs.Retries, rs.Breaker.Opens)
 	return 0
 }

@@ -2,42 +2,31 @@ package experiments
 
 import (
 	"context"
-	"io"
 	"time"
 
-	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
 )
 
-// AblationRow is one optimization configuration of the §V-B7 discussion,
-// measured on the eUDM module.
-type AblationRow struct {
-	Name string
-	// Load is the modelled deployment time.
-	Load time.Duration
-	// Initial is the cold first-request response time.
-	Initial time.Duration
-	// Stable summarises warm response times.
-	Stable metrics.Summary
-	// EnterPerRequest is the steady-state EENTER count per request.
-	EnterPerRequest uint64
-	// TCBBytes is the trusted computing base the configuration carries.
-	TCBBytes uint64
+// namedRun is one labelled module measurement: a row of the ablation, the
+// thread/EPC sweep or the backend comparison.
+type namedRun struct {
+	name string
+	*moduleRun
 }
 
 // AblationResult holds the optimization sweep.
 type AblationResult struct {
-	Rows []AblationRow
+	report
+	Rows []namedRun
 }
 
 // Ablation measures the optimizations the paper proposes in §V-B7 against
-// the baselines: Gramine's exitless (switchless) calls, an mTCP-style
-// user-level network stack inside the enclave, disabling enclave
-// preheating, and the plain-container reference. Each row reports the
-// latency effect alongside the costs the paper warns about (load time,
-// TCB growth, transition counts).
+// the baselines, on the eUDM module: Gramine's exitless (switchless)
+// calls, an mTCP-style user-level network stack inside the enclave,
+// disabling enclave preheating, and the plain-container reference. Each
+// row reports the latency effect alongside the costs the paper warns about
+// (load time, TCB growth, transition counts).
 func Ablation(ctx context.Context, cfg Config) (*AblationResult, error) {
-	n := cfg.iterations()
 	configs := []struct {
 		name string
 		opts rigOptions
@@ -49,53 +38,25 @@ func Ablation(ctx context.Context, cfg Config) (*AblationResult, error) {
 		{"sgx user-level TCP", rigOptions{isolation: paka.SGX, userLevelTCP: true}},
 		{"sgx exitless+userTCP", rigOptions{isolation: paka.SGX, exitless: true, userLevelTCP: true}},
 	}
-
 	result := &AblationResult{}
 	for i, c := range configs {
-		r, err := newRig(ctx, paka.EUDM, cfg.Seed+uint64(i)*977, c.opts)
+		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*977, c.opts, cfg.iterations())
 		if err != nil {
 			return nil, err
 		}
-		enterBefore := r.module.Stats().EENTER
-		run, err := r.run(ctx, n)
-		if err != nil {
-			r.stop()
-			return nil, err
-		}
-		enterAfter := r.module.Stats().EENTER
-		var perReq uint64
-		if n > 0 {
-			// Exclude the initial (warm-up) request from the delta.
-			perReq = (enterAfter - enterBefore) / uint64(n+1)
-		}
-		result.Rows = append(result.Rows, AblationRow{
-			Name:            c.name,
-			Load:            r.module.LoadDuration(),
-			Initial:         run.initial,
-			Stable:          run.responses.Summarize(),
-			EnterPerRequest: perReq,
-			TCBBytes:        r.module.TCBBytes(),
-		})
-		r.stop()
+		result.Rows = append(result.Rows, namedRun{c.name, run})
 	}
+	result.line("Optimization ablation on the eUDM P-AKA module (paper §V-B7)")
+	result.table(layout([]col[namedRun]{
+		str("config", -22, "", func(r namedRun) string { return r.name }),
+		span("load", 10, time.Millisecond, "", func(r namedRun) time.Duration { return r.load }),
+		span("initial", 12, 10*time.Microsecond, "", func(r namedRun) time.Duration { return r.initial }),
+		num("stable med(us)", 14, "%.1f", "", func(r namedRun) float64 { return micro(r.stable.Median) }),
+		cnt("EENTER/req", 10, "", func(r namedRun) uint64 { return r.enters }),
+		num("TCB(GB)", 10, "%.2f", "", func(r namedRun) float64 { return float64(r.tcb) / (1 << 30) }),
+	}, result.Rows))
+	result.line("(exitless and user-level TCP cut transitions and latency; the costs are")
+	result.line(" occupied helper cores, a bigger measured TCB, and — for no-preheat — a")
+	result.line(" cheaper load traded for demand-paging during operation)")
 	return result, nil
-}
-
-// Render prints the ablation table.
-func (r *AblationResult) Render(w io.Writer) {
-	fprintf(w, "Optimization ablation on the eUDM P-AKA module (paper §V-B7)\n")
-	fprintf(w, "%-22s %10s %12s %14s %10s %10s\n",
-		"config", "load", "initial", "stable med(us)", "EENTER/req", "TCB(GB)")
-	for _, row := range r.Rows {
-		fprintf(w, "%-22s %10s %12s %14.1f %10d %10.2f\n",
-			row.Name,
-			row.Load.Round(time.Millisecond),
-			row.Initial.Round(10*time.Microsecond),
-			micro(row.Stable.Median),
-			row.EnterPerRequest,
-			float64(row.TCBBytes)/float64(1<<30))
-	}
-	fprintf(w, "(exitless and user-level TCP cut transitions and latency; the costs are\n")
-	fprintf(w, " occupied helper cores, a bigger measured TCB, and — for no-preheat — a\n")
-	fprintf(w, " cheaper load traded for demand-paging during operation)\n")
 }

@@ -26,33 +26,33 @@ func TestBatchingAmortizes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Batching: %v", err)
 	}
-	byLabel := make(map[string]BatchingPoint, len(r.Points))
+	byLabel := make(map[string]batchPoint, len(r.Points))
 	for _, p := range r.Points {
-		byLabel[p.Label] = p
-		if p.Registered != r.UEs || p.Failed != 0 {
-			t.Errorf("%s: Registered=%d Failed=%d, want %d/0", p.Label, p.Registered, p.Failed, r.UEs)
+		byLabel[p.label] = p
+		if p.mass.Registered != r.UEs || p.mass.Failed != 0 {
+			t.Errorf("%s: Registered=%d Failed=%d, want %d/0", p.label, p.mass.Registered, p.mass.Failed, r.UEs)
 		}
 	}
 	base, k4, k8, k16 := byLabel["unbatched"], byLabel["keepalive-4"], byLabel["keepalive-8"], byLabel["keepalive-16"]
 	t.Logf("transitions/reg: unbatched %.1f, keepalive-8 %.1f (-%.1f%%); unbatched allocs/reg %.1f",
-		base.TransPerReg, k8.TransPerReg, k8.Reduction*100, base.AllocsPerReg)
-	if base.TransPerReg < 400 {
-		t.Errorf("unbatched census = %.1f transitions/reg; three ~90-EENTER modules should pay ~540", base.TransPerReg)
+		base.transPerReg(), k8.transPerReg(), k8.reduction*100, base.perReg(float64(base.mallocs)))
+	if base.transPerReg() < 400 {
+		t.Errorf("unbatched census = %.1f transitions/reg; three ~90-EENTER modules should pay ~540", base.transPerReg())
 	}
-	if k8.Reduction < 0.40 {
+	if k8.reduction < 0.40 {
 		t.Errorf("batch-8 keep-alive cut transitions/registration by %.1f%% (%.1f -> %.1f), want >= 40%%",
-			k8.Reduction*100, base.TransPerReg, k8.TransPerReg)
+			k8.reduction*100, base.transPerReg(), k8.transPerReg())
 	}
-	if !(k4.TransPerReg < base.TransPerReg && k8.TransPerReg < k4.TransPerReg && k16.TransPerReg < k8.TransPerReg) {
+	if !(k4.transPerReg() < base.transPerReg() && k8.transPerReg() < k4.transPerReg() && k16.transPerReg() < k8.transPerReg()) {
 		t.Errorf("transitions/reg not monotone in batch depth: unbatched %.1f, 4: %.1f, 8: %.1f, 16: %.1f",
-			base.TransPerReg, k4.TransPerReg, k8.TransPerReg, k16.TransPerReg)
+			base.transPerReg(), k4.transPerReg(), k8.transPerReg(), k16.transPerReg())
 	}
-	if both := byLabel["keepalive-8+avpool-8"]; both.TransPerReg >= k8.TransPerReg {
-		t.Errorf("AV pool on top of batch-8 pays %.1f transitions/reg, batch-8 alone %.1f", both.TransPerReg, k8.TransPerReg)
+	if both := byLabel["keepalive-8+avpool-8"]; both.transPerReg() >= k8.transPerReg() {
+		t.Errorf("AV pool on top of batch-8 pays %.1f transitions/reg, batch-8 alone %.1f", both.transPerReg(), k8.transPerReg())
 	}
-	if !RaceEnabled && base.AllocsPerReg > seedAllocsPerReg/2 {
+	if allocs := base.perReg(float64(base.mallocs)); !RaceEnabled && allocs > seedAllocsPerReg/2 {
 		t.Errorf("unbatched path allocates %.1f allocs/registration, want <= %.1f (half the seed's %.0f)",
-			base.AllocsPerReg, seedAllocsPerReg/2, seedAllocsPerReg)
+			allocs, seedAllocsPerReg/2, seedAllocsPerReg)
 	}
 
 	replay, err := Batching(context.Background(), cfg)

@@ -25,12 +25,12 @@ func TestChaosConvergesAndIsDeterministic(t *testing.T) {
 	}
 
 	zero := r.Points[0]
-	if zero.Rate != 0 || len(zero.Injected) != 0 || zero.Attempts != r.UEs {
+	if zero.rate != 0 || len(zero.injected) != 0 || zero.mass.Attempts != r.UEs {
 		t.Errorf("rate-0 point not clean: injected=%v attempts=%d (want %d)",
-			zero.Injected, zero.Attempts, r.UEs)
+			zero.injected, zero.mass.Attempts, r.UEs)
 	}
-	if zero.Registered != r.UEs {
-		t.Errorf("rate-0 registered = %d, want %d", zero.Registered, r.UEs)
+	if zero.mass.Registered != r.UEs {
+		t.Errorf("rate-0 registered = %d, want %d", zero.mass.Registered, r.UEs)
 	}
 
 	// Both runs are sequential, so this is a deterministic virtual figure.
@@ -39,22 +39,22 @@ func TestChaosConvergesAndIsDeterministic(t *testing.T) {
 	}
 
 	for _, p := range r.Points {
-		if p.SuccessPct < 99 {
-			t.Errorf("rate %.2f success = %.1f%%, want >= 99%%", p.Rate, p.SuccessPct)
+		if p.successPct() < 99 {
+			t.Errorf("rate %.2f success = %.1f%%, want >= 99%%", p.rate, p.successPct())
 		}
 	}
 
 	last := r.Points[len(r.Points)-1]
-	if len(last.Injected) == 0 {
+	if len(last.injected) == 0 {
 		t.Error("10%% point injected no faults")
 	}
-	if last.Recovered == 0 {
+	if last.recovered() == 0 {
 		t.Error("10%% point recovered no failed attempts (retries never engaged)")
 	}
 	// The fault schedule is deterministic for this seed: it includes
 	// whole-module crashes, so the crash/redeploy/re-attest path must
 	// have run — and every affected UE still registered (checked above).
-	if last.Restarts == 0 {
+	if last.restarts == 0 {
 		t.Error("10%% point saw no module restarts (crash faults never engaged)")
 	}
 	if !r.Deterministic {

@@ -2,20 +2,20 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"time"
 
 	"shield5g/internal/deploy"
 	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
 	"shield5g/internal/simclock"
+	"shield5g/internal/ue"
 )
 
 // E2EResult is the end-to-end session setup analysis of §V-B4: the full
 // UE registration + PDU session time under container and SGX isolation,
 // and the share of the total attributable to SGX.
 type E2EResult struct {
+	report
 	Container metrics.Summary
 	SGX       metrics.Summary
 	// SGXDelta is the median extra latency from SGX isolation.
@@ -27,76 +27,47 @@ type E2EResult struct {
 
 // E2E measures end-to-end session setup time in both deployments.
 func E2E(ctx context.Context, cfg Config) (*E2EResult, error) {
-	n := cfg.iterations()
-	if n > 100 {
-		n = 100
-	}
-	measure := func(iso paka.Isolation) (metrics.Summary, error) {
-		s, err := deploy.NewSlice(ctx, deploy.SliceConfig{Isolation: iso, Seed: cfg.Seed})
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		defer s.Stop()
-
-		// Warm the slice: the first registration pays TLS handshakes
-		// and enclave warm-up on every hop.
-		warm, err := sliceSubscriber(ctx, s, "0000009999")
-		if err != nil {
-			return metrics.Summary{}, err
-		}
-		if _, err := s.GNB.RegisterUE(ctx, warm); err != nil {
-			return metrics.Summary{}, err
-		}
-
+	n := min(cfg.iterations(), 100)
+	session := func(iso paka.Isolation) (metrics.Summary, error) {
 		rec := &metrics.Recorder{}
-		for i := 0; i < n; i++ {
-			device, err := sliceSubscriber(ctx, s, fmt.Sprintf("%010d", 4000+i))
-			if err != nil {
-				return metrics.Summary{}, err
-			}
-			var acct simclock.Account
-			sctx := simclock.WithAccount(ctx, &acct)
-			sess, err := s.GNB.RegisterUE(sctx, device)
-			if err != nil {
-				return metrics.Summary{}, err
-			}
-			if err := sess.EstablishPDUSession(sctx, 1, "internet"); err != nil {
-				return metrics.Summary{}, err
-			}
-			rec.Add(s.Env.Model.Duration(acct.Total()))
-		}
-		return rec.Summarize(), nil
+		_, err := measure(ctx, deploy.SliceConfig{Isolation: iso, Seed: cfg.Seed}, plan{msin: 4000, warm: 9999,
+			drive: func(ctx context.Context, s *deploy.Slice, device func(int) (*ue.UE, error)) error {
+				for i := 0; i < n; i++ {
+					d, err := device(i)
+					if err != nil {
+						return err
+					}
+					var acct simclock.Account
+					sctx := simclock.WithAccount(ctx, &acct)
+					sess, err := s.GNB.RegisterUE(sctx, d)
+					if err != nil {
+						return err
+					}
+					if err := sess.EstablishPDUSession(sctx, 1, "internet"); err != nil {
+						return err
+					}
+					rec.Add(s.Env.Model.Duration(acct.Total()))
+				}
+				return nil
+			}})
+		return rec.Summarize(), err
 	}
-
-	container, err := measure(paka.Container)
-	if err != nil {
+	result := &E2EResult{}
+	var err error
+	if result.Container, err = session(paka.Container); err != nil {
 		return nil, err
 	}
-	sgxSummary, err := measure(paka.SGX)
-	if err != nil {
+	if result.SGX, err = session(paka.SGX); err != nil {
 		return nil, err
 	}
-
-	delta := sgxSummary.Median - container.Median
-	share := 0.0
-	if sgxSummary.Median > 0 {
-		share = float64(delta) / float64(sgxSummary.Median)
+	result.SGXDelta = result.SGX.Median - result.Container.Median
+	if result.SGX.Median > 0 {
+		result.SGXShare = float64(result.SGXDelta) / float64(result.SGX.Median)
 	}
-	return &E2EResult{
-		Container: container,
-		SGX:       sgxSummary,
-		SGXDelta:  delta,
-		SGXShare:  share,
-	}, nil
+	result.line("End-to-end UE session setup (registration + PDU session)")
+	result.line("container median: %8.2f ms", ms(result.Container.Median))
+	result.line("SGX median:       %8.2f ms (paper: 62.38 ms)", ms(result.SGX.Median))
+	result.line("SGX-added delay:  %8.2f ms (paper: 3.48 ms)", ms(result.SGXDelta))
+	result.line("SGX share:        %8.2f %% (paper: 5.58 %%)", result.SGXShare*100)
+	return result, nil
 }
-
-// Render prints the §V-B4 analysis.
-func (r *E2EResult) Render(w io.Writer) {
-	fprintf(w, "End-to-end UE session setup (registration + PDU session)\n")
-	fprintf(w, "container median: %8.2f ms\n", ms(r.Container.Median))
-	fprintf(w, "SGX median:       %8.2f ms (paper: 62.38 ms)\n", ms(r.SGX.Median))
-	fprintf(w, "SGX-added delay:  %8.2f ms (paper: 3.48 ms)\n", ms(r.SGXDelta))
-	fprintf(w, "SGX share:        %8.2f %% (paper: 5.58 %%)\n", r.SGXShare*100)
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

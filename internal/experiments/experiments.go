@@ -3,27 +3,21 @@
 // (Fig. 8), functional and total latency (Fig. 9), response times
 // (Fig. 10), the overhead summary (Table II), SGX operation statistics
 // (Table III), the end-to-end session setup analysis (§V-B4), and the OTA
-// feasibility test (§V-B6). Each experiment returns structured results and
-// renders the same rows/series the paper reports.
+// feasibility test (§V-B6), plus the extensions built on them.
+//
+// A row is measured by one of two harnesses and printed from one table
+// description. The module harness (module.go) deploys one P-AKA module in
+// isolation, pays its cold first request, then drives n warm requests and
+// returns load time, TCB, initial and stable response, L_F/L_T and the
+// warm-window transition census. The slice harness (slice.go) deploys a
+// deploy.SliceConfig, warms every shard's chain with one registration,
+// provisions (and, for a steady-state window, prewarms) the population,
+// drives the mass or storm driver inside the window and returns the
+// driver's own result next to the counter deltas and snapshots taken
+// around it. Seeds, MSIN bases and the warm MSIN are arguments of each
+// call. A table (table.go) is an ordered column list, each column with its
+// text cell and its CSV cell, from which both Render and WriteCSV come.
 package experiments
-
-import (
-	"context"
-	"fmt"
-	"io"
-	"time"
-
-	"shield5g/internal/costmodel"
-	"shield5g/internal/crypto/milenage"
-	"shield5g/internal/crypto/suci"
-	"shield5g/internal/deploy"
-	"shield5g/internal/hmee/sgx"
-	"shield5g/internal/metrics"
-	"shield5g/internal/paka"
-	"shield5g/internal/sbi"
-	"shield5g/internal/simclock"
-	"shield5g/internal/ue"
-)
 
 // Config controls experiment scale and reproducibility.
 type Config struct {
@@ -42,180 +36,4 @@ func (c Config) iterations() int {
 		return 500
 	}
 	return c.Iterations
-}
-
-// rig deploys one P-AKA module in isolation and drives requests through
-// it, reproducing the paper's module-level measurement setup.
-type rig struct {
-	kind    paka.ModuleKind
-	env     *costmodel.Env
-	module  *paka.Module
-	client  *sbi.Client
-	av      *paka.UDMGenerateAVResponse
-	mykey   []byte
-	reqSupi string
-}
-
-// rigOptions tunes the module deployment.
-type rigOptions struct {
-	isolation      paka.Isolation
-	enclaveSize    uint64
-	maxThreads     int
-	disablePreheat bool
-	exitless       bool
-	userLevelTCP   bool
-}
-
-var rigKey = []byte{0x46, 0x5b, 0x5c, 0xe8, 0xb1, 0x99, 0xb4, 0x9f, 0xaa, 0x5f, 0x0a, 0x2e, 0xe2, 0x38, 0xa6, 0xbc}
-var rigOPc = []byte{0xcd, 0x63, 0xcb, 0x71, 0x95, 0x4a, 0x9f, 0x4e, 0x48, 0xa5, 0x99, 0x4e, 0x37, 0xa0, 0x2b, 0xaf}
-
-const (
-	rigSUPI = "imsi-001010000000001"
-	rigSNN  = "5G:mnc001.mcc001.3gppnetwork.org"
-)
-
-// newRig deploys the module on a fresh platform/environment.
-func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, opts rigOptions) (*rig, error) {
-	env := costmodel.NewEnv(nil, seed, nil)
-	registry := sbi.NewRegistry()
-	var platform *sgx.Platform
-	if opts.isolation == paka.SGX {
-		var err error
-		platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-	}
-	m, err := paka.New(ctx, paka.Config{
-		Kind:             kind,
-		Isolation:        opts.isolation,
-		Env:              env,
-		Platform:         platform,
-		Registry:         registry,
-		EnclaveSizeBytes: opts.enclaveSize,
-		MaxThreads:       opts.maxThreads,
-		DisablePreheat:   opts.disablePreheat,
-		Exitless:         opts.exitless,
-		UserLevelTCP:     opts.userLevelTCP,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r := &rig{
-		kind:    kind,
-		env:     env,
-		module:  m,
-		client:  sbi.NewClient("parent-vnf", env, registry),
-		reqSupi: rigSUPI,
-		mykey:   rigKey,
-	}
-	if kind == paka.EUDM {
-		if err := m.ProvisionSubscriber(ctx, rigSUPI, rigKey); err != nil {
-			m.Stop()
-			return nil, err
-		}
-	}
-	if kind != paka.EUDM {
-		av, err := paka.GenerateAV(rigKey, rigAVRequest())
-		if err != nil {
-			m.Stop()
-			return nil, err
-		}
-		r.av = av
-	}
-	return r, nil
-}
-
-func rigAVRequest() *paka.UDMGenerateAVRequest {
-	return &paka.UDMGenerateAVRequest{
-		SUPI:  rigSUPI,
-		OPc:   rigOPc,
-		RAND:  []byte{0x23, 0x55, 0x3c, 0xbe, 0x96, 0x37, 0xa8, 0x9d, 0x21, 0x8a, 0xe6, 0x4d, 0xae, 0x47, 0xbf, 0x35},
-		SQN:   []byte{0, 0, 0, 0, 0, 0x21},
-		AMFID: []byte{0x80, 0x00},
-		SNN:   rigSNN,
-	}
-}
-
-// invoke drives one request and returns the VNF-side response time.
-func (r *rig) invoke(ctx context.Context) (time.Duration, error) {
-	var acct simclock.Account
-	ctx = simclock.WithAccount(ctx, &acct)
-	start := acct.Total()
-	var err error
-	switch r.kind {
-	case paka.EUDM:
-		err = r.client.Post(ctx, r.kind.ServiceName(), paka.PathUDMGenerateAV, rigAVRequest(), &paka.UDMGenerateAVResponse{})
-	case paka.EAUSF:
-		err = r.client.Post(ctx, r.kind.ServiceName(), paka.PathAUSFDeriveSE, &paka.AUSFDeriveSERequest{
-			RAND: r.av.RAND, XRESStar: r.av.XRESStar, KAUSF: r.av.KAUSF, SNN: rigSNN,
-		}, &paka.AUSFDeriveSEResponse{})
-	case paka.EAMF:
-		err = r.client.Post(ctx, r.kind.ServiceName(), paka.PathAMFDeriveKAMF, &paka.AMFDeriveKAMFRequest{
-			KSEAF: make([]byte, 32), SUPI: rigSUPI, ABBA: []byte{0, 0},
-		}, &paka.AMFDeriveKAMFResponse{})
-	}
-	if err != nil {
-		return 0, err
-	}
-	return r.env.Model.Duration(acct.Total() - start), nil
-}
-
-// run measures n warm requests, returning the initial (cold) response time
-// separately plus the module-side recorders.
-type rigRun struct {
-	initial    time.Duration
-	responses  *metrics.Recorder
-	functional metrics.Summary
-	total      metrics.Summary
-}
-
-func (r *rig) run(ctx context.Context, n int) (*rigRun, error) {
-	initial, err := r.invoke(ctx)
-	if err != nil {
-		return nil, err
-	}
-	r.module.ResetRecorders()
-	rec := &metrics.Recorder{}
-	for i := 0; i < n; i++ {
-		d, err := r.invoke(ctx)
-		if err != nil {
-			return nil, err
-		}
-		rec.Add(d)
-	}
-	return &rigRun{
-		initial:    initial,
-		responses:  rec,
-		functional: r.module.FunctionalLatency().Summarize(),
-		total:      r.module.TotalLatency().Summarize(),
-	}, nil
-}
-
-func (r *rig) stop() { r.module.Stop() }
-
-// sliceSubscriber provisions one subscriber+device pair on a slice.
-func sliceSubscriber(ctx context.Context, s *deploy.Slice, msin string) (*ue.UE, error) {
-	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: msin}
-	opc, err := milenage.ComputeOPc(rigKey, make([]byte, 16))
-	if err != nil {
-		return nil, err
-	}
-	if err := s.ProvisionSubscriber(ctx, supi, rigKey, opc); err != nil {
-		return nil, err
-	}
-	return ue.New(ue.Config{
-		SUPI:                 supi,
-		K:                    rigKey,
-		OPc:                  opc,
-		HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
-		HomeNetworkKeyID:     s.HomeNetworkKey.ID,
-		Env:                  s.Env,
-	})
-}
-
-// fprintf writes a rendered line, ignoring write errors (render targets
-// are in-memory or stdout).
-func fprintf(w io.Writer, format string, args ...any) {
-	_, _ = fmt.Fprintf(w, format, args...)
 }

@@ -19,9 +19,12 @@ func TestFig7LoadTimesNearOneMinute(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig7: %v", err)
 	}
-	for _, kind := range paka.Kinds() {
-		s, ok := r.Load[kind]
-		if !ok || s.N == 0 {
+	if len(r.Load) != len(paka.Kinds()) {
+		t.Fatalf("boxes = %d, want one per module", len(r.Load))
+	}
+	for _, s := range r.Load {
+		kind := s.kind
+		if s.N == 0 {
 			t.Fatalf("no samples for %s", kind)
 		}
 		if s.Median < 45*time.Second || s.Median > 75*time.Second {
@@ -51,21 +54,21 @@ func TestFig8ThreadsFlatEPCPenalty(t *testing.T) {
 	t4, t10, big, native := r.Points[0], r.Points[1], r.Points[2], r.Points[3]
 
 	// More threads alone change nothing for a single client (within 10%).
-	ratio := float64(t10.Total.Median) / float64(t4.Total.Median)
+	ratio := float64(t10.total.Median) / float64(t4.total.Median)
 	if ratio < 0.90 || ratio > 1.10 {
 		t.Errorf("thread=10/thread=4 LT ratio = %.3f, want ~1", ratio)
 	}
 	// The 8 GiB enclave pays paging pressure: slower and wider IQR.
-	if big.Total.Median <= t4.Total.Median {
-		t.Errorf("8GiB median (%v) not above 512MiB median (%v)", big.Total.Median, t4.Total.Median)
+	if big.total.Median <= t4.total.Median {
+		t.Errorf("8GiB median (%v) not above 512MiB median (%v)", big.total.Median, t4.total.Median)
 	}
-	if big.Total.Q3-big.Total.Q1 <= t4.Total.Q3-t4.Total.Q1 {
+	if big.total.Q3-big.total.Q1 <= t4.total.Q3-t4.total.Q1 {
 		t.Errorf("8GiB IQR (%v) not wider than 512MiB IQR (%v)",
-			big.Total.Q3-big.Total.Q1, t4.Total.Q3-t4.Total.Q1)
+			big.total.Q3-big.total.Q1, t4.total.Q3-t4.total.Q1)
 	}
 	// Non-SGX is clearly faster.
-	if float64(t4.Total.Median) < 1.5*float64(native.Total.Median) {
-		t.Errorf("SGX LT (%v) not well above non-SGX (%v)", t4.Total.Median, native.Total.Median)
+	if float64(t4.total.Median) < 1.5*float64(native.total.Median) {
+		t.Errorf("SGX LT (%v) not well above non-SGX (%v)", t4.total.Median, native.total.Median)
 	}
 	var buf bytes.Buffer
 	r.Render(&buf)
@@ -79,34 +82,34 @@ func TestFig9AndTable2Bands(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig9: %v", err)
 	}
-	t2 := Table2From(f9)
-	if len(t2.Rows) != 3 {
-		t.Fatalf("table2 rows = %d", len(t2.Rows))
+	if len(f9.Pairs) != 3 {
+		t.Fatalf("table2 rows = %d", len(f9.Pairs))
 	}
-	for _, row := range t2.Rows {
-		if row.LFRatio < 1.1 || row.LFRatio > 1.7 {
-			t.Errorf("%s LF ratio %.2f outside paper band 1.2-1.5 (tolerance 1.1-1.7)", row.Module, row.LFRatio)
+	for _, row := range f9.Pairs {
+		if lf := row.ratio(functional); lf < 1.1 || lf > 1.7 {
+			t.Errorf("%s LF ratio %.2f outside paper band 1.2-1.5 (tolerance 1.1-1.7)", row.kind, lf)
 		}
-		if row.LTRatio < 1.6 || row.LTRatio > 2.7 {
-			t.Errorf("%s LT ratio %.2f outside paper band 1.86-2.43 (tolerance 1.6-2.7)", row.Module, row.LTRatio)
+		if lt := row.ratio(total); lt < 1.6 || lt > 2.7 {
+			t.Errorf("%s LT ratio %.2f outside paper band 1.86-2.43 (tolerance 1.6-2.7)", row.kind, lt)
 		}
-		if row.ResponseRatio < 1.9 || row.ResponseRatio > 3.1 {
-			t.Errorf("%s response ratio %.2f outside paper band 2.2-2.9 (tolerance 1.9-3.1)", row.Module, row.ResponseRatio)
+		if rs := row.ratio(stable); rs < 1.9 || rs > 3.1 {
+			t.Errorf("%s response ratio %.2f outside paper band 2.2-2.9 (tolerance 1.9-3.1)", row.kind, rs)
 		}
-		if row.InitialRatio < 10 || row.InitialRatio > 35 {
-			t.Errorf("%s RI/RS %.1f outside paper band ~18-21 (tolerance 10-35)", row.Module, row.InitialRatio)
+		if ri := row.initialRatio(); ri < 10 || ri > 35 {
+			t.Errorf("%s RI/RS %.1f outside paper band ~18-21 (tolerance 10-35)", row.kind, ri)
 		}
 	}
 
-	// Ordering: eUDM carries the most bytes and is the slowest.
-	if !(f9.Functional[paka.EUDM].SGX.Median > f9.Functional[paka.EAUSF].SGX.Median &&
-		f9.Functional[paka.EAUSF].SGX.Median > f9.Functional[paka.EAMF].SGX.Median) {
+	// Ordering: eUDM carries the most bytes and is the slowest (Pairs is
+	// in paka.Kinds order: eUDM, eAUSF, eAMF).
+	if !(f9.Pairs[0].sgx.functional.Median > f9.Pairs[1].sgx.functional.Median &&
+		f9.Pairs[1].sgx.functional.Median > f9.Pairs[2].sgx.functional.Median) {
 		t.Error("SGX LF ordering violated")
 	}
 
 	var buf bytes.Buffer
 	f9.Render(&buf)
-	t2.Render(&buf)
+	table2(f9.Pairs).Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"Figure 9a", "Figure 9b", "Table II", "eUDM", "eAUSF", "eAMF"} {
 		if !strings.Contains(out, want) {
@@ -120,14 +123,13 @@ func TestFig10InitialResponse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fig10: %v", err)
 	}
-	for _, kind := range paka.Kinds() {
-		ri := r.Initial(kind)
+	for _, p := range r.Pairs {
 		// The paper's Fig. 10b y-axis spans 22.0-23.6 ms.
-		if ri < 18*time.Millisecond || ri > 28*time.Millisecond {
-			t.Errorf("%s RI = %v, want ~22-24 ms", kind, ri)
+		if ri := p.sgx.initial; ri < 18*time.Millisecond || ri > 28*time.Millisecond {
+			t.Errorf("%s RI = %v, want ~22-24 ms", p.kind, ri)
 		}
-		if r.StableSGX(kind) <= r.StableContainer(kind) {
-			t.Errorf("%s stable SGX not above container", kind)
+		if p.sgx.stable.Median <= p.container.stable.Median {
+			t.Errorf("%s stable SGX not above container", p.kind)
 		}
 	}
 	var buf bytes.Buffer
@@ -149,20 +151,20 @@ func TestTable3Shape(t *testing.T) {
 	for _, row := range r.Rows {
 		// Absolute populations near the paper's (~1500 EENTER at 1 UE,
 		// ~140k AEX).
-		if row.EENTERs < 1300 || row.EENTERs > 2100 {
-			t.Errorf("%s/%dUE EENTERs = %d, want ~1500-1800", row.Module, row.UEs, row.EENTERs)
+		if row.EENTER < 1300 || row.EENTER > 2100 {
+			t.Errorf("%s/%dUE EENTERs = %d, want ~1500-1800", row.Module, row.UEs, row.EENTER)
 		}
-		if row.EENTERs <= row.EEXITs {
-			t.Errorf("%s/%dUE EENTER (%d) not above EEXIT (%d)", row.Module, row.UEs, row.EENTERs, row.EEXITs)
+		if row.EENTER <= row.EEXIT {
+			t.Errorf("%s/%dUE EENTER (%d) not above EEXIT (%d)", row.Module, row.UEs, row.EENTER, row.EEXIT)
 		}
-		if row.AEXs < 120_000 || row.AEXs > 160_000 {
-			t.Errorf("%s/%dUE AEXs = %d, want ~140k", row.Module, row.UEs, row.AEXs)
+		if row.AEX < 120_000 || row.AEX > 160_000 {
+			t.Errorf("%s/%dUE AEXs = %d, want ~140k", row.Module, row.UEs, row.AEX)
 		}
 	}
 	// AEX must be independent of the UE count (within noise).
 	byModule := make(map[string][]uint64)
 	for _, row := range r.Rows {
-		byModule[row.Module] = append(byModule[row.Module], row.AEXs)
+		byModule[row.Module] = append(byModule[row.Module], row.AEX)
 	}
 	for module, aexs := range byModule {
 		var lo, hi = aexs[0], aexs[0]
@@ -179,14 +181,14 @@ func TestTable3Shape(t *testing.T) {
 		}
 	}
 	// Empty workload baseline near 762/680 EENTER/EEXIT and ~50k AEX.
-	if r.Empty.EENTERs < 700 || r.Empty.EENTERs > 830 {
-		t.Errorf("empty EENTERs = %d, want ~762", r.Empty.EENTERs)
+	if r.Empty.EENTER < 700 || r.Empty.EENTER > 830 {
+		t.Errorf("empty EENTERs = %d, want ~762", r.Empty.EENTER)
 	}
-	if r.Empty.EEXITs < 620 || r.Empty.EEXITs > 740 {
-		t.Errorf("empty EEXITs = %d, want ~680", r.Empty.EEXITs)
+	if r.Empty.EEXIT < 620 || r.Empty.EEXIT > 740 {
+		t.Errorf("empty EEXITs = %d, want ~680", r.Empty.EEXIT)
 	}
-	if r.Empty.AEXs < 45_000 || r.Empty.AEXs > 55_000 {
-		t.Errorf("empty AEXs = %d, want ~50k", r.Empty.AEXs)
+	if r.Empty.AEX < 45_000 || r.Empty.AEX > 55_000 {
+		t.Errorf("empty AEXs = %d, want ~50k", r.Empty.AEX)
 	}
 	// Per-UE transition delta ~90.
 	for _, kind := range paka.Kinds() {

@@ -19,9 +19,9 @@ func TestAblationShape(t *testing.T) {
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
-	byName := make(map[string]AblationRow)
+	byName := make(map[string]namedRun)
 	for _, row := range r.Rows {
-		byName[row.Name] = row
+		byName[row.name] = row
 	}
 	container := byName["container"]
 	baseline := byName["sgx (paper baseline)"]
@@ -31,33 +31,33 @@ func TestAblationShape(t *testing.T) {
 	both := byName["sgx exitless+userTCP"]
 
 	// Exitless eliminates transitions and cuts latency substantially.
-	if exitless.EnterPerRequest != 0 {
-		t.Errorf("exitless EENTER/req = %d, want 0", exitless.EnterPerRequest)
+	if exitless.enters != 0 {
+		t.Errorf("exitless EENTER/req = %d, want 0", exitless.enters)
 	}
-	if exitless.Stable.Median >= baseline.Stable.Median {
+	if exitless.stable.Median >= baseline.stable.Median {
 		t.Error("exitless not faster than baseline")
 	}
 	// User-level TCP cuts the syscall census and grows the TCB.
-	if userTCP.EnterPerRequest >= baseline.EnterPerRequest {
+	if userTCP.enters >= baseline.enters {
 		t.Error("user TCP did not reduce transitions")
 	}
-	if userTCP.TCBBytes <= baseline.TCBBytes {
+	if userTCP.tcb <= baseline.tcb {
 		t.Error("user TCP did not grow the TCB")
 	}
 	// Combined, the module approaches container latency.
-	if both.Stable.Median >= exitless.Stable.Median {
+	if both.stable.Median >= exitless.stable.Median {
 		t.Error("combined optimizations not fastest SGX config")
 	}
 	// No-preheat: cheaper load, slower operation.
-	if noPreheat.Load >= baseline.Load {
+	if noPreheat.load >= baseline.load {
 		t.Error("no-preheat load not cheaper")
 	}
-	if noPreheat.Stable.Median <= baseline.Stable.Median {
+	if noPreheat.stable.Median <= baseline.stable.Median {
 		t.Error("no-preheat operation not slower")
 	}
 	// The container's effective TCB (host stack included) dwarfs the
 	// enclave's.
-	if container.TCBBytes <= baseline.TCBBytes {
+	if container.tcb <= baseline.tcb {
 		t.Error("container TCB not larger than enclave TCB")
 	}
 
@@ -147,25 +147,25 @@ func TestTEECompareShape(t *testing.T) {
 	container, sgxRow, sevRow := r.Rows[0], r.Rows[1], r.Rows[2]
 
 	// SEV avoids the transition tax: near-container latency.
-	if float64(sevRow.Stable.Median) > 1.2*float64(container.Stable.Median) {
-		t.Errorf("SEV stable %v not near container %v", sevRow.Stable.Median, container.Stable.Median)
+	if float64(sevRow.stable.Median) > 1.2*float64(container.stable.Median) {
+		t.Errorf("SEV stable %v not near container %v", sevRow.stable.Median, container.stable.Median)
 	}
-	if sevRow.EnterPerRequest != 0 {
-		t.Errorf("SEV EENTER/req = %d", sevRow.EnterPerRequest)
+	if sevRow.enters != 0 {
+		t.Errorf("SEV EENTER/req = %d", sevRow.enters)
 	}
 	// SGX pays latency but holds the smallest TCB.
-	if sgxRow.Stable.Median <= sevRow.Stable.Median {
+	if sgxRow.stable.Median <= sevRow.stable.Median {
 		t.Error("SGX not slower than SEV")
 	}
-	if sgxRow.TCBBytes >= sevRow.TCBBytes {
+	if sgxRow.tcb >= sevRow.tcb {
 		t.Error("SGX TCB not below SEV TCB")
 	}
-	if sevRow.TCBBytes >= container.TCBBytes {
+	if sevRow.tcb >= container.tcb {
 		t.Error("SEV TCB not below container effective TCB")
 	}
 	// Deployment time ordering: container < SEV << SGX.
-	if !(container.Load < sevRow.Load && sevRow.Load < sgxRow.Load/3) {
-		t.Errorf("load ordering violated: %v %v %v", container.Load, sevRow.Load, sgxRow.Load)
+	if !(container.load < sevRow.load && sevRow.load < sgxRow.load/3) {
+		t.Errorf("load ordering violated: %v %v %v", container.load, sevRow.load, sgxRow.load)
 	}
 
 	var buf bytes.Buffer
@@ -190,7 +190,7 @@ func TestTable3ExtendedSweep(t *testing.T) {
 		byUE := make(map[int]uint64)
 		for _, row := range r.Rows {
 			if row.Module == module {
-				byUE[row.UEs] = row.EENTERs
+				byUE[row.UEs] = row.EENTER
 			}
 		}
 		for ues := 2; ues <= 5; ues++ {
@@ -212,7 +212,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		f9.Render(&buf)
-		Table2From(f9).Render(&buf)
+		table2(f9.Pairs).Render(&buf)
 		return buf.String()
 	}
 	if a, b := render(), render(); a != b {

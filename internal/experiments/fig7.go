@@ -2,21 +2,21 @@ package experiments
 
 import (
 	"context"
-	"io"
-	"time"
 
-	"shield5g/internal/costmodel"
-	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
-	"shield5g/internal/sbi"
 )
+
+// loadBox is one module's enclave load-time distribution.
+type loadBox struct {
+	kind paka.ModuleKind
+	metrics.Summary
+}
 
 // Fig7Result holds enclave load time distributions per P-AKA module.
 type Fig7Result struct {
-	// Load maps module name to its load-time summary (the paper plots
-	// minutes; Summary durations convert with Minutes()).
-	Load map[paka.ModuleKind]metrics.Summary
+	series
+	Load []loadBox
 }
 
 // Fig7 measures enclave load time for the three P-AKA modules: each
@@ -26,47 +26,34 @@ type Fig7Result struct {
 func Fig7(ctx context.Context, cfg Config) (*Fig7Result, error) {
 	// Full 500-iteration builds are unnecessary for a deterministic
 	// model with seeded jitter; cap at 100 per module by default scale.
-	n := cfg.iterations()
-	if n > 100 {
-		n = 100
-	}
-	result := &Fig7Result{Load: make(map[paka.ModuleKind]metrics.Summary)}
+	n := min(cfg.iterations(), 100)
+	result := &Fig7Result{}
 	for _, kind := range paka.Kinds() {
 		rec := &metrics.Recorder{}
 		for i := 0; i < n; i++ {
-			seed := cfg.Seed + uint64(kind)*1000 + uint64(i)
-			env := costmodel.NewEnv(nil, seed, nil)
-			platform, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
+			r, err := newRig(ctx, kind, cfg.Seed+uint64(kind)*1000+uint64(i), rigOptions{isolation: paka.SGX})
 			if err != nil {
 				return nil, err
 			}
-			m, err := paka.New(ctx, paka.Config{
-				Kind:      kind,
-				Isolation: paka.SGX,
-				Env:       env,
-				Platform:  platform,
-				Registry:  sbi.NewRegistry(),
-			})
-			if err != nil {
-				return nil, err
-			}
-			rec.Add(m.LoadDuration())
-			m.Stop()
+			rec.Add(r.module.LoadDuration())
+			r.module.Stop()
 		}
-		result.Load[kind] = rec.Summarize()
+		result.Load = append(result.Load, loadBox{kind, rec.Summarize()})
 	}
+	box := func(head, name string, pick func(loadBox) float64) col[loadBox] {
+		return num(head, 10, "%.4f", name, pick)
+	}
+	result.line("Figure 7: Enclave load time for the P-AKA modules")
+	// The text prints the box first, the series in ascending order.
+	cols := []col[loadBox]{
+		str("module", -8, "module", func(b loadBox) string { return b.kind.String() }),
+		box("", "min_min", func(b loadBox) float64 { return b.Min.Minutes() }),
+		box("q1(min)", "q1_min", func(b loadBox) float64 { return b.Q1.Minutes() }),
+		box("med(min)", "median_min", func(b loadBox) float64 { return b.Median.Minutes() }),
+		box("q3(min)", "q3_min", func(b loadBox) float64 { return b.Q3.Minutes() }),
+		box("min", "", func(b loadBox) float64 { return b.Min.Minutes() }),
+		box("max", "max_min", func(b loadBox) float64 { return b.Max.Minutes() }),
+	}
+	result.csv = result.table(layout(cols, result.Load))
 	return result, nil
 }
-
-// Render prints the paper-style series (enclave load time in minutes).
-func (r *Fig7Result) Render(w io.Writer) {
-	fprintf(w, "Figure 7: Enclave load time for the P-AKA modules\n")
-	fprintf(w, "%-8s %10s %10s %10s %10s %10s\n", "module", "q1(min)", "med(min)", "q3(min)", "min", "max")
-	for _, kind := range paka.Kinds() {
-		s := r.Load[kind]
-		fprintf(w, "%-8s %10.4f %10.4f %10.4f %10.4f %10.4f\n",
-			kind, minutes(s.Q1), minutes(s.Median), minutes(s.Q3), minutes(s.Min), minutes(s.Max))
-	}
-}
-
-func minutes(d time.Duration) float64 { return d.Minutes() }

@@ -2,83 +2,54 @@ package experiments
 
 import (
 	"context"
-	"io"
+	"time"
 
-	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
 )
 
-// Fig8Config is one point of the thread/EPC sweep.
-type Fig8Config struct {
-	Label       string
-	Isolation   paka.Isolation
-	MaxThreads  int
-	EnclaveSize uint64
-}
-
-// Fig8Point is the measured functional and total latency at one sweep
-// point.
-type Fig8Point struct {
-	Config     Fig8Config
-	Functional metrics.Summary
-	Total      metrics.Summary
-}
-
-// Fig8Result holds the full sweep.
+// Fig8Result holds the thread/EPC sweep.
 type Fig8Result struct {
-	Points []Fig8Point
-}
-
-// fig8Sweep reproduces the paper's configurations: 4 and 10 threads at
-// 512 MiB, 50 threads at 8 GiB, and the non-SGX container baseline.
-func fig8Sweep() []Fig8Config {
-	return []Fig8Config{
-		{Label: "Thread=4 EPC=512M", Isolation: paka.SGX, MaxThreads: 4, EnclaveSize: 512 << 20},
-		{Label: "Thread=10 EPC=512M", Isolation: paka.SGX, MaxThreads: 10, EnclaveSize: 512 << 20},
-		{Label: "Thread=50 EPC=8G", Isolation: paka.SGX, MaxThreads: 50, EnclaveSize: 8 << 30},
-		{Label: "Non-SGX", Isolation: paka.Container},
-	}
+	series
+	Points []namedRun
 }
 
 // Fig8 sweeps thread count and EPC size on the eUDM P-AKA module,
-// registering one UE at a time as in the paper: more threads change
-// nothing for a single client; an oversized EPC costs paging pressure and
-// a wider interquartile range.
+// registering one UE at a time as in the paper — 4 and 10 threads at
+// 512 MiB, 50 threads at 8 GiB, and the non-SGX container baseline: more
+// threads change nothing for a single client; an oversized EPC costs
+// paging pressure and a wider interquartile range.
 func Fig8(ctx context.Context, cfg Config) (*Fig8Result, error) {
-	n := cfg.iterations()
+	sweep := []struct {
+		label string
+		opts  rigOptions
+	}{
+		{"Thread=4 EPC=512M", rigOptions{isolation: paka.SGX, maxThreads: 4, enclaveSize: 512 << 20}},
+		{"Thread=10 EPC=512M", rigOptions{isolation: paka.SGX, maxThreads: 10, enclaveSize: 512 << 20}},
+		{"Thread=50 EPC=8G", rigOptions{isolation: paka.SGX, maxThreads: 50, enclaveSize: 8 << 30}},
+		{"Non-SGX", rigOptions{isolation: paka.Container}},
+	}
 	result := &Fig8Result{}
-	for i, point := range fig8Sweep() {
-		r, err := newRig(ctx, paka.EUDM, cfg.Seed+uint64(i)*97, rigOptions{
-			isolation:   point.Isolation,
-			maxThreads:  point.MaxThreads,
-			enclaveSize: point.EnclaveSize,
-		})
+	for i, point := range sweep {
+		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*97, point.opts, cfg.iterations())
 		if err != nil {
 			return nil, err
 		}
-		run, err := r.run(ctx, n)
-		r.stop()
-		if err != nil {
-			return nil, err
-		}
-		result.Points = append(result.Points, Fig8Point{
-			Config:     point,
-			Functional: run.functional,
-			Total:      run.total,
-		})
+		result.Points = append(result.Points, namedRun{point.label, run})
 	}
+	q := func(head, name string, pick func(namedRun) time.Duration) col[namedRun] {
+		return num(head, 12, "%.1f", name, func(r namedRun) float64 { return micro(pick(r)) })
+	}
+	cols := []col[namedRun]{
+		str("config", -20, "config", func(r namedRun) string { return r.name }),
+		q("LF q1(us)", "lf_q1_us", func(r namedRun) time.Duration { return r.functional.Q1 }),
+		q("LF med(us)", "lf_median_us", func(r namedRun) time.Duration { return r.functional.Median }),
+		q("LF q3(us)", "lf_q3_us", func(r namedRun) time.Duration { return r.functional.Q3 }),
+		str("|", 1, "", func(namedRun) string { return "|" }),
+		q("LT q1(us)", "lt_q1_us", func(r namedRun) time.Duration { return r.total.Q1 }),
+		q("LT med(us)", "lt_median_us", func(r namedRun) time.Duration { return r.total.Median }),
+		q("LT q3(us)", "lt_q3_us", func(r namedRun) time.Duration { return r.total.Q3 }),
+	}
+	result.line("Figure 8: Threads and EPC size vs eUDM P-AKA latency")
+	result.csv = result.table(layout(cols, result.Points))
 	return result, nil
-}
-
-// Render prints the paper-style rows.
-func (r *Fig8Result) Render(w io.Writer) {
-	fprintf(w, "Figure 8: Threads and EPC size vs eUDM P-AKA latency\n")
-	fprintf(w, "%-20s %12s %12s %12s | %12s %12s %12s\n",
-		"config", "LF q1(us)", "LF med(us)", "LF q3(us)", "LT q1(us)", "LT med(us)", "LT q3(us)")
-	for _, p := range r.Points {
-		fprintf(w, "%-20s %12.1f %12.1f %12.1f | %12.1f %12.1f %12.1f\n",
-			p.Config.Label,
-			micro(p.Functional.Q1), micro(p.Functional.Median), micro(p.Functional.Q3),
-			micro(p.Total.Q1), micro(p.Total.Median), micro(p.Total.Q3))
-	}
 }

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"time"
@@ -26,6 +25,7 @@ type ScalePoint struct {
 
 // ScaleResult is the scaling sweep.
 type ScaleResult struct {
+	series
 	// ServiceMedian is the measured single-replica service time the
 	// simulation draws from.
 	ServiceMedian time.Duration
@@ -38,34 +38,35 @@ type ScaleResult struct {
 // simulation (Poisson arrivals, c FIFO replicas, empirically sampled
 // service times) across replica counts and offered loads.
 func Scale(ctx context.Context, cfg Config) (*ScaleResult, error) {
-	n := cfg.iterations()
-	if n < 100 {
-		n = 100
-	}
-	r, err := newRig(ctx, paka.EUDM, cfg.Seed+4242, rigOptions{isolation: paka.SGX})
+	run, err := measureModule(ctx, paka.EUDM, cfg.Seed+4242, rigOptions{isolation: paka.SGX}, max(cfg.iterations(), 100))
 	if err != nil {
 		return nil, err
 	}
-	if _, err := r.run(ctx, n); err != nil {
-		r.stop()
-		return nil, err
-	}
-	samples := r.module.ServerSideLatency().Samples()
-	summary := r.module.ServerSideLatency().Summarize()
-	r.stop()
+	samples := run.service.Samples()
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("experiments: no service-time samples collected")
 	}
 
 	jitter := simclock.NewJitter(cfg.Seed + 777)
-	result := &ScaleResult{ServiceMedian: summary.Median}
+	result := &ScaleResult{ServiceMedian: run.service.Summarize().Median}
 	const requestsPerPoint = 6000
 	for _, replicas := range []int{1, 2, 4, 8} {
 		for _, load := range []float64{0.5, 0.7, 0.9} {
-			p := simulateQueue(samples, replicas, load, requestsPerPoint, jitter)
-			result.Points = append(result.Points, p)
+			result.Points = append(result.Points, simulateQueue(samples, replicas, load, requestsPerPoint, jitter))
 		}
 	}
+	result.line("Horizontal scaling of the SGX eUDM module (paper §V-B7)")
+	result.line("measured service time median: %v", result.ServiceMedian.Round(time.Microsecond))
+	result.csv = result.table(layout([]col[ScalePoint]{
+		cnt("replicas", -9, "replicas", func(p ScalePoint) int { return p.Replicas }),
+		pct("load", 8, "%.0f%%", "offered_load", func(p ScalePoint) float64 { return p.OfferedLoad }),
+		pct("utilization", 12, "%.1f%%", "utilization", func(p ScalePoint) float64 { return p.Utilization }),
+		span("mean sojourn", 14, 10*time.Microsecond, "mean_sojourn_ms", func(p ScalePoint) time.Duration { return p.MeanSojourn }),
+		span("p95 sojourn", 14, 10*time.Microsecond, "p95_sojourn_ms", func(p ScalePoint) time.Duration { return p.P95Sojourn }),
+		num("req/s", 14, "%.0f", "throughput_rps", func(p ScalePoint) float64 { return p.Throughput }),
+	}, result.Points))
+	result.line("(throughput scales linearly with replicas while p95 sojourn stays bounded")
+	result.line(" at fixed offered load — enclave worker pools can grow on demand)")
 	return result, nil
 }
 
@@ -134,18 +135,4 @@ func simulateQueue(samples []time.Duration, replicas int, load float64, requests
 		P95Sojourn:  time.Duration(p95 * float64(time.Second)),
 		Throughput:  float64(requests) / lastDone,
 	}
-}
-
-// Render prints the scaling table.
-func (r *ScaleResult) Render(w io.Writer) {
-	fprintf(w, "Horizontal scaling of the SGX eUDM module (paper §V-B7)\n")
-	fprintf(w, "measured service time median: %v\n", r.ServiceMedian.Round(time.Microsecond))
-	fprintf(w, "%-9s %8s %12s %14s %14s %14s\n", "replicas", "load", "utilization", "mean sojourn", "p95 sojourn", "req/s")
-	for _, p := range r.Points {
-		fprintf(w, "%-9d %7.0f%% %11.1f%% %14s %14s %14.0f\n",
-			p.Replicas, p.OfferedLoad*100, p.Utilization*100,
-			p.MeanSojourn.Round(10*time.Microsecond), p.P95Sojourn.Round(10*time.Microsecond), p.Throughput)
-	}
-	fprintf(w, "(throughput scales linearly with replicas while p95 sojourn stays bounded\n")
-	fprintf(w, " at fixed offered load — enclave worker pools can grow on demand)\n")
 }

@@ -27,22 +27,22 @@ func TestStormLimiterProtectsEmergencyClass(t *testing.T) {
 	// Limiter off at overload: nothing sheds, nothing drops, nothing
 	// throttles — the machinery is deployed but disarmed.
 	off := r.Points[0]
-	if off.AdmissionDrops != 0 || off.MeterSheds != 0 || off.Throttled != 0 {
+	if off.admissionDrops != 0 || off.meterSheds != 0 || off.resilience.Throttled != 0 {
 		t.Errorf("limiter-off point not inert: drops=%d sheds=%d throttled=%d",
-			off.AdmissionDrops, off.MeterSheds, off.Throttled)
+			off.admissionDrops, off.meterSheds, off.resilience.Throttled)
 	}
 
 	// Limiter on at overload: every mechanism engages.
 	on := r.Points[1]
-	if on.AdmissionDrops == 0 {
+	if on.admissionDrops == 0 {
 		t.Error("limiter-on point saw no admission drops (buckets never engaged)")
 	}
-	if on.Throttled == 0 {
+	if on.resilience.Throttled == 0 {
 		t.Error("limiter-on point saw no client throttling (OCI never honoured)")
 	}
 	em := sbi.PriorityEmergency
-	if on.Class[em].Shed != 0 {
-		t.Errorf("emergency class shed %d registrations; it must never shed", on.Class[em].Shed)
+	if on.storm.Class[em].Shed != 0 {
+		t.Errorf("emergency class shed %d registrations; it must never shed", on.storm.Class[em].Shed)
 	}
 
 	if r.EmergencyGoodputRatio < 2 {

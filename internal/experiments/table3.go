@@ -5,13 +5,13 @@ import (
 	"crypto/ed25519"
 	"crypto/rand"
 	"fmt"
-	"io"
 	"time"
 
 	"shield5g/internal/deploy"
 	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/paka"
+	"shield5g/internal/ue"
 )
 
 // moduleUptime and emptyUptime are the modelled residency windows of the
@@ -23,17 +23,17 @@ const (
 	emptyUptime  = 50 * time.Second
 )
 
-// Table3Row is one (module, #UEs) statistics row.
+// Table3Row is one (module, #UEs) statistics row; UEs is 0 on the
+// empty-workload baseline.
 type Table3Row struct {
-	Module  string
-	UEs     int
-	EENTERs uint64
-	EEXITs  uint64
-	AEXs    uint64
+	Module string
+	UEs    int
+	sgx.StatsSnapshot
 }
 
 // Table3Result is the SGX operation statistics table.
 type Table3Result struct {
+	report
 	Rows []Table3Row
 	// Empty is the GSC empty-workload baseline row.
 	Empty Table3Row
@@ -50,111 +50,106 @@ func Table3(ctx context.Context, cfg Config) (*Table3Result, error) {
 		maxUEs = 3
 	}
 	result := &Table3Result{PerUE: make(map[paka.ModuleKind]uint64)}
-
-	perUEcounts := make(map[paka.ModuleKind][]uint64)
+	deltas := make(map[paka.ModuleKind][]uint64)
 	for ues := 1; ues <= maxUEs; ues++ {
-		s, err := deploy.NewSlice(ctx, deploy.SliceConfig{Isolation: paka.SGX, Seed: cfg.Seed + uint64(ues)})
+		_, err := measure(ctx, deploy.SliceConfig{Isolation: paka.SGX, Seed: cfg.Seed + uint64(ues)}, plan{msin: 3000,
+			drive: func(ctx context.Context, s *deploy.Slice, device func(int) (*ue.UE, error)) error {
+				before := make(map[paka.ModuleKind]uint64)
+				for kind, m := range s.Modules {
+					before[kind] = m.Stats().EENTER
+				}
+				for i := 0; i < ues; i++ {
+					d, err := device(i)
+					if err != nil {
+						return err
+					}
+					if _, err := s.GNB.RegisterUE(ctx, d); err != nil {
+						return err
+					}
+					for kind, m := range s.Modules {
+						after := m.Stats().EENTER
+						if i > 0 { // steady-state delta (skip the warm-up request)
+							deltas[kind] = append(deltas[kind], after-before[kind])
+						}
+						before[kind] = after
+					}
+				}
+				for _, kind := range paka.Kinds() {
+					m := s.Modules[kind]
+					m.AccrueUptime(moduleUptime)
+					result.Rows = append(result.Rows, Table3Row{kind.String(), ues, m.Stats()})
+				}
+				return nil
+			}})
 		if err != nil {
 			return nil, err
 		}
-		before := make(map[paka.ModuleKind]uint64)
-		for kind, m := range s.Modules {
-			before[kind] = m.Stats().EENTER
-		}
-		for i := 0; i < ues; i++ {
-			device, err := sliceSubscriber(ctx, s, fmt.Sprintf("%010d", 3000+i))
-			if err != nil {
-				s.Stop()
-				return nil, err
-			}
-			after := make(map[paka.ModuleKind]uint64)
-			if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
-				s.Stop()
-				return nil, err
-			}
-			for kind, m := range s.Modules {
-				after[kind] = m.Stats().EENTER
-				if i > 0 { // steady-state delta (skip the warm-up request)
-					perUEcounts[kind] = append(perUEcounts[kind], after[kind]-before[kind])
-				}
-				before[kind] = after[kind]
-			}
-		}
-		for _, kind := range paka.Kinds() {
-			m := s.Modules[kind]
-			m.AccrueUptime(moduleUptime)
-			st := m.Stats()
-			result.Rows = append(result.Rows, Table3Row{
-				Module:  kind.String(),
-				UEs:     ues,
-				EENTERs: st.EENTER,
-				EEXITs:  st.EEXIT,
-				AEXs:    st.AEX,
-			})
-		}
-		s.Stop()
 	}
-
-	for kind, deltas := range perUEcounts {
+	for kind, d := range deltas {
 		var sum uint64
-		for _, d := range deltas {
-			sum += d
+		for _, v := range d {
+			sum += v
 		}
-		if len(deltas) > 0 {
-			result.PerUE[kind] = sum / uint64(len(deltas))
-		}
+		result.PerUE[kind] = sum / uint64(len(d))
 	}
-
-	empty, err := emptyWorkload(ctx, cfg)
-	if err != nil {
+	var err error
+	if result.Empty, err = emptyWorkload(ctx, cfg); err != nil {
 		return nil, err
 	}
-	result.Empty = *empty
+
+	// The paper lists each module's rows from the deepest sweep down.
+	var rows []Table3Row
+	for _, kind := range paka.Kinds() {
+		for i := len(result.Rows) - 1; i >= 0; i-- {
+			if result.Rows[i].Module == kind.String() {
+				rows = append(rows, result.Rows[i])
+			}
+		}
+	}
+	result.line("Table III: SGX specific operational statistics")
+	result.table(layout([]col[Table3Row]{
+		str("module", -16, "", func(r Table3Row) string { return r.Module }),
+		str("#UEs", 6, "", func(r Table3Row) string {
+			if r.UEs == 0 {
+				return "-"
+			}
+			return fmt.Sprint(r.UEs)
+		}),
+		cnt("EENTERs", 10, "", func(r Table3Row) uint64 { return r.EENTER }),
+		cnt("EEXITs", 10, "", func(r Table3Row) uint64 { return r.EEXIT }),
+		cnt("AEXs", 10, "", func(r Table3Row) uint64 { return r.AEX }),
+	}, append(rows, result.Empty)))
+	for _, kind := range paka.Kinds() {
+		result.line("per-UE EENTER delta (%s): ~%d (paper: ~90)", kind, result.PerUE[kind])
+	}
 	return result, nil
 }
 
 // emptyWorkload launches a GSC container with no server traffic — the
 // paper's baseline for the cost of GSC itself.
-func emptyWorkload(ctx context.Context, cfg Config) (*Table3Row, error) {
+func emptyWorkload(ctx context.Context, cfg Config) (Table3Row, error) {
+	row := Table3Row{Module: "Empty workload"}
 	platform, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: cfg.Seed + 999})
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	_, key, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	si, err := gramine.BuildShielded(gramine.ContainerImage{
 		Name:  "empty-workload:latest",
 		Files: []gramine.ImageFile{{Path: "/bin/sleep", Size: 1_000_000}},
 	}, gramine.DefaultManifest("/bin/sleep"), key)
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	inst, err := gramine.Launch(ctx, platform, si, gramine.WithoutServer())
 	if err != nil {
-		return nil, err
+		return row, err
 	}
 	defer inst.Shutdown()
 	inst.AccrueUptime(emptyUptime)
-	st := inst.Stats()
-	return &Table3Row{Module: "Empty workload", EENTERs: st.EENTER, EEXITs: st.EEXIT, AEXs: st.AEX}, nil
-}
-
-// Render prints the paper-style Table III.
-func (r *Table3Result) Render(w io.Writer) {
-	fprintf(w, "Table III: SGX specific operational statistics\n")
-	fprintf(w, "%-16s %6s %10s %10s %10s\n", "module", "#UEs", "EENTERs", "EEXITs", "AEXs")
-	for _, kind := range paka.Kinds() {
-		for i := len(r.Rows) - 1; i >= 0; i-- {
-			row := r.Rows[i]
-			if row.Module == kind.String() {
-				fprintf(w, "%-16s %6d %10d %10d %10d\n", row.Module, row.UEs, row.EENTERs, row.EEXITs, row.AEXs)
-			}
-		}
-	}
-	fprintf(w, "%-16s %6s %10d %10d %10d\n", r.Empty.Module, "-", r.Empty.EENTERs, r.Empty.EEXITs, r.Empty.AEXs)
-	for _, kind := range paka.Kinds() {
-		fprintf(w, "per-UE EENTER delta (%s): ~%d (paper: ~90)\n", kind, r.PerUE[kind])
-	}
+	row.StatsSnapshot = inst.Stats()
+	return row, nil
 }

@@ -2,92 +2,45 @@ package experiments
 
 import (
 	"context"
-	"io"
 	"time"
 
-	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
 )
-
-// TEERow is one isolation backend's measurement in the HMEE comparison.
-type TEERow struct {
-	Isolation paka.Isolation
-	// Load is the deployment time (enclave build / VM launch /
-	// container start).
-	Load time.Duration
-	// Stable summarises warm VNF-side response times.
-	Stable metrics.Summary
-	// Initial is the cold first-request response.
-	Initial time.Duration
-	// EnterPerRequest counts SGX transitions per request (zero for
-	// non-SGX backends).
-	EnterPerRequest uint64
-	// TCBBytes is the trusted computing base.
-	TCBBytes uint64
-	// Notes records the qualitative trade-off.
-	Notes string
-}
 
 // TEECompareResult compares the HMEE implementations the paper discusses:
 // process-level SGX enclaves versus VM-level SEV confidential computing
 // versus the unprotected container baseline (§IV-C).
 type TEECompareResult struct {
-	Rows []TEERow
+	report
+	Rows []namedRun
 }
 
 // TEECompare measures the eUDM P-AKA module on each backend.
 func TEECompare(ctx context.Context, cfg Config) (*TEECompareResult, error) {
-	n := cfg.iterations()
-	notes := map[paka.Isolation]string{
-		paka.Container: "no HW isolation; host admin reads keys",
-		paka.SGX:       "smallest TCB; syscall transitions cost latency",
-		paka.SEV:       "no refactoring, fast; guest OS joins TCB; ciphertext side channels",
+	notes := map[string]string{
+		paka.Container.String(): "no HW isolation; host admin reads keys",
+		paka.SGX.String():       "smallest TCB; syscall transitions cost latency",
+		paka.SEV.String():       "no refactoring, fast; guest OS joins TCB; ciphertext side channels",
 	}
 	result := &TEECompareResult{}
 	for i, iso := range []paka.Isolation{paka.Container, paka.SGX, paka.SEV} {
-		r, err := newRig(ctx, paka.EUDM, cfg.Seed+uint64(i)*389, rigOptions{isolation: iso})
+		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*389, rigOptions{isolation: iso}, cfg.iterations())
 		if err != nil {
 			return nil, err
 		}
-		enterBefore := r.module.Stats().EENTER
-		run, err := r.run(ctx, n)
-		if err != nil {
-			r.stop()
-			return nil, err
-		}
-		var perReq uint64
-		if n > 0 {
-			perReq = (r.module.Stats().EENTER - enterBefore) / uint64(n+1)
-		}
-		result.Rows = append(result.Rows, TEERow{
-			Isolation:       iso,
-			Load:            r.module.LoadDuration(),
-			Stable:          run.responses.Summarize(),
-			Initial:         run.initial,
-			EnterPerRequest: perReq,
-			TCBBytes:        r.module.TCBBytes(),
-			Notes:           notes[iso],
-		})
-		r.stop()
+		result.Rows = append(result.Rows, namedRun{iso.String(), run})
 	}
+	result.line("HMEE implementation comparison on the eUDM P-AKA module (paper §IV-C)")
+	result.table(layout([]col[namedRun]{
+		str("backend", -10, "", func(r namedRun) string { return r.name }),
+		span("load", 10, time.Millisecond, "", func(r namedRun) time.Duration { return r.load }),
+		num("stable med(us)", 14, "%.1f", "", func(r namedRun) float64 { return micro(r.stable.Median) }),
+		span("initial", 12, 10*time.Microsecond, "", func(r namedRun) time.Duration { return r.initial }),
+		cnt("EENTER/req", 10, "", func(r namedRun) uint64 { return r.enters }),
+		num("TCB(GB)", 9, "%.2f", "", func(r namedRun) float64 { return float64(r.tcb) / (1 << 30) }),
+		str(" trade-off", 0, "", func(r namedRun) string { return " " + notes[r.name] }),
+	}, result.Rows))
+	result.line("(the paper's position: secure VMs avoid SGX's refactoring and latency costs")
+	result.line(" but their large TCB can make them unsuitable for the most critical functions)")
 	return result, nil
-}
-
-// Render prints the comparison table.
-func (r *TEECompareResult) Render(w io.Writer) {
-	fprintf(w, "HMEE implementation comparison on the eUDM P-AKA module (paper §IV-C)\n")
-	fprintf(w, "%-10s %10s %14s %12s %10s %9s  %s\n",
-		"backend", "load", "stable med(us)", "initial", "EENTER/req", "TCB(GB)", "trade-off")
-	for _, row := range r.Rows {
-		fprintf(w, "%-10s %10s %14.1f %12s %10d %9.2f  %s\n",
-			row.Isolation,
-			row.Load.Round(time.Millisecond),
-			micro(row.Stable.Median),
-			row.Initial.Round(10*time.Microsecond),
-			row.EnterPerRequest,
-			float64(row.TCBBytes)/float64(1<<30),
-			row.Notes)
-	}
-	fprintf(w, "(the paper's position: secure VMs avoid SGX's refactoring and latency costs\n")
-	fprintf(w, " but their large TCB can make them unsuitable for the most critical functions)\n")
 }

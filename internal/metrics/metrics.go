@@ -8,7 +8,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -194,16 +193,3 @@ func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%v q1=%v med=%v q3=%v max=%v mean=%v p95=%v p99=%v outliers=%.1f%%",
 		s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean, s.P95, s.P99, s.OutlierFrac*100)
 }
-
-// Gauge is a concurrently settable float64 value — a single figure (like
-// transitions per request) published alongside a run's latency summaries.
-// The zero value reads 0.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reads the stored figure.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

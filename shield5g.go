@@ -24,7 +24,6 @@ import (
 	"io"
 	"sync/atomic"
 
-	"shield5g/internal/admission"
 	"shield5g/internal/chaos"
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
@@ -35,7 +34,6 @@ import (
 	"shield5g/internal/keyissues"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
-	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
 )
 
@@ -128,48 +126,16 @@ func DefaultChaosMix(seed uint64, totalRate float64) ChaosConfig {
 // servers sense and queue but never reject.
 type OverloadProfile = deploy.OverloadProfile
 
-// AdmissionConfig tunes the AMF's per-(gNB, PLMN) priority token buckets.
-type AdmissionConfig = admission.Config
+// LimiterProfile is the "limiter on" overload profile of a storm
+// comparison: bounded queues, the default priority admission buckets
+// (emergency unlimited, re-attach generous, fresh attach tight) and client
+// throttling.
+func LimiterProfile() *OverloadProfile { return deploy.LimiterProfile() }
 
-// DefaultAdmissionConfig returns the storm-survival admission profile:
-// emergency unlimited, re-attach generous, fresh attach tight. The slice
-// fills in the virtual clock.
-func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig(nil) }
-
-// Priority is a registration's admission priority class.
+// Priority is a registration's admission priority class: fresh attach,
+// re-attach or emergency, least- to most-privileged. Slice.RunStorm hands
+// it to its provisioning callback and reports per class in this order.
 type Priority = sbi.Priority
-
-// The three storm priority classes, least- to most-privileged.
-const (
-	PriorityFresh     = sbi.PriorityFresh
-	PriorityReattach  = sbi.PriorityReattach
-	PriorityEmergency = sbi.PriorityEmergency
-)
-
-// Cycles is a span of virtual CPU cycles on the deterministic clock
-// (e.g. StormSpec.Spacing).
-type Cycles = simclock.Cycles
-
-// StormSpec shapes a seeded signaling-storm arrival plan.
-type StormSpec = chaos.StormSpec
-
-// StormEvent is one planned storm arrival (class + virtual arrival time).
-type StormEvent = chaos.StormEvent
-
-// StormPlan is a seeded storm arrival sequence for GNB.RunStorm.
-type StormPlan = chaos.StormPlan
-
-// NewStormPlan draws the deterministic arrival plan for a signaling storm.
-func NewStormPlan(seed uint64, spec StormSpec) (*StormPlan, error) {
-	return chaos.NewStormPlan(seed, spec)
-}
-
-// StormOptions configures a storm replay; StormResult reports the
-// per-class outcome.
-type (
-	StormOptions = gnb.StormOptions
-	StormResult  = gnb.StormResult
-)
 
 // KeyIssue is one TR 33.848 key-issue row of the paper's Table V.
 type KeyIssue = keyissues.KeyIssue
