@@ -52,7 +52,7 @@ func Ablation(ctx context.Context, cfg Config) (*AblationResult, error) {
 		span("load", 10, time.Millisecond, "", func(r namedRun) time.Duration { return r.load }),
 		span("initial", 12, 10*time.Microsecond, "", func(r namedRun) time.Duration { return r.initial }),
 		num("stable med(us)", 14, "%.1f", "", func(r namedRun) float64 { return micro(r.stable.Median) }),
-		cnt("EENTER/req", 10, "", func(r namedRun) uint64 { return r.enters }),
+		num("EENTER/req", 10, "%.1f", "", func(r namedRun) float64 { return r.enters }),
 		num("TCB(GB)", 10, "%.2f", "", func(r namedRun) float64 { return float64(r.tcb) / (1 << 30) }),
 	}, result.Rows))
 	result.line("(exitless and user-level TCP cut transitions and latency; the costs are")

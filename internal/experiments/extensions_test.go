@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"shield5g/internal/paka"
 	"shield5g/internal/simclock"
 )
 
@@ -32,10 +33,20 @@ func TestAblationShape(t *testing.T) {
 
 	// Exitless eliminates transitions and cuts latency substantially.
 	if exitless.enters != 0 {
-		t.Errorf("exitless EENTER/req = %d, want 0", exitless.enters)
+		t.Errorf("exitless EENTER/req = %.1f, want 0", exitless.enters)
 	}
 	if exitless.stable.Median >= baseline.stable.Median {
 		t.Error("exitless not faster than baseline")
+	}
+	// The census is the warm window's: a shorter window reads the same
+	// EENTER/req, where one that folded the cold request's lazy-loading
+	// OCALLs in would read higher the fewer warm requests dilute them.
+	short, err := measureModule(context.Background(), paka.EUDM, cfg.Seed+977, rigOptions{isolation: paka.SGX}, 2)
+	if err != nil {
+		t.Fatalf("measureModule: %v", err)
+	}
+	if d := short.enters - baseline.enters; d < -1 || d > 1 {
+		t.Errorf("EENTER/req over 2 warm requests = %.1f, over %d = %.1f: the window includes the cold request", short.enters, cfg.Iterations, baseline.enters)
 	}
 	// User-level TCP cuts the syscall census and grows the TCB.
 	if userTCP.enters >= baseline.enters {
@@ -151,7 +162,7 @@ func TestTEECompareShape(t *testing.T) {
 		t.Errorf("SEV stable %v not near container %v", sevRow.stable.Median, container.stable.Median)
 	}
 	if sevRow.enters != 0 {
-		t.Errorf("SEV EENTER/req = %d", sevRow.enters)
+		t.Errorf("SEV EENTER/req = %.1f", sevRow.enters)
 	}
 	// SGX pays latency but holds the smallest TCB.
 	if sgxRow.stable.Median <= sevRow.stable.Median {

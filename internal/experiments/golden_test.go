@@ -22,6 +22,12 @@ import (
 // with EXPERIMENTS_UPDATE=1 and say which columns moved and why in the
 // commit.
 //
+// Re-minted since: the EENTER/req columns of ablation and teecompare, in
+// the commit that moved their census window off the cold request (it had
+// folded the cold crossing's lazy-loading OCALLs into an integer division
+// by n+1: 90 and 91 for the same SGX eUDM configuration, 89.9 and 90.0
+// over the warm requests alone).
+//
 // Cells outside the determinism contract are masked on both sides:
 // massreg's wall and speedup columns (wall clock) and the GOMAXPROCS its
 // title quotes (host), shardscale's allocs/r and bytes/r (Go heap).

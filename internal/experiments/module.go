@@ -122,8 +122,9 @@ type moduleRun struct {
 	stable, functional, total metrics.Summary
 	// service holds the warm requests' server-side latencies.
 	service *metrics.Recorder
-	// enters is the EENTER count per request (zero off SGX).
-	enters uint64
+	// enters is the EENTER count per warm request (zero off SGX): the
+	// cold request's lazy-loading OCALLs are not part of it.
+	enters float64
 }
 
 // measureModule deploys one module, pays its cold request, then measures
@@ -135,11 +136,11 @@ func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, opts 
 	}
 	defer r.module.Stop()
 	run := &moduleRun{load: r.module.LoadDuration(), tcb: r.module.TCBBytes()}
-	entersBefore := r.module.Stats().EENTER
 	if run.initial, err = r.invoke(ctx); err != nil {
 		return nil, err
 	}
 	r.module.ResetRecorders()
+	entersBefore := r.module.Stats().EENTER
 	responses := &metrics.Recorder{}
 	for i := 0; i < n; i++ {
 		d, err := r.invoke(ctx)
@@ -152,6 +153,6 @@ func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, opts 
 	run.functional = r.module.FunctionalLatency().Summarize()
 	run.total = r.module.TotalLatency().Summarize()
 	run.service = r.module.ServerSideLatency()
-	run.enters = (r.module.Stats().EENTER - entersBefore) / uint64(n+1)
+	run.enters = float64(r.module.Stats().EENTER-entersBefore) / float64(max(n, 1))
 	return run, nil
 }

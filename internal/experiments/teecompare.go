@@ -36,7 +36,7 @@ func TEECompare(ctx context.Context, cfg Config) (*TEECompareResult, error) {
 		span("load", 10, time.Millisecond, "", func(r namedRun) time.Duration { return r.load }),
 		num("stable med(us)", 14, "%.1f", "", func(r namedRun) float64 { return micro(r.stable.Median) }),
 		span("initial", 12, 10*time.Microsecond, "", func(r namedRun) time.Duration { return r.initial }),
-		cnt("EENTER/req", 10, "", func(r namedRun) uint64 { return r.enters }),
+		num("EENTER/req", 10, "%.1f", "", func(r namedRun) float64 { return r.enters }),
 		num("TCB(GB)", 9, "%.2f", "", func(r namedRun) float64 { return float64(r.tcb) / (1 << 30) }),
 		str(" trade-off", 0, "", func(r namedRun) string { return " " + notes[r.name] }),
 	}, result.Rows))
