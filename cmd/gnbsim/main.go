@@ -31,7 +31,9 @@
 // core's modelled service rate (mix 5% emergency / 60% re-attach / 35%
 // fresh attach), and -limiter arms the TS 29.500-style overload-control
 // machinery (bounded-queue shedding, priority admission at the AMF,
-// client-side throttling) for the comparison's "on" arm.
+// client-side throttling) for the comparison's "on" arm. The replay is one
+// open-loop, one-shot driver, so -parallel, -batch, -retries and
+// -switchless are rejected alongside -storm rather than silently ignored.
 package main
 
 import (
@@ -141,6 +143,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *limiter && *stormFactor == 0 {
 		fmt.Fprintf(stderr, "gnbsim: -limiter needs a -storm run\n")
+		return 2
+	}
+	// The storm replay is open-loop and one-shot on one connectionless
+	// driver: it has no worker pool, keep-alive sessions, retries or ring
+	// requests, and -switchless would deploy a different enclave identity
+	// for nothing.
+	stormless := ""
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "parallel", "batch", "retries", "switchless":
+			stormless += " -" + f.Name
+		}
+	})
+	if *stormFactor > 0 && stormless != "" {
+		fmt.Fprintf(stderr, "gnbsim:%s: not used by a -storm run\n", stormless)
 		return 2
 	}
 
