@@ -11,6 +11,7 @@ import (
 
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
+	"shield5g/internal/gnb"
 	"shield5g/internal/paka"
 	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
@@ -256,11 +257,11 @@ func TestMassRegistration(t *testing.T) {
 	forReplicas(t, func(t *testing.T, replicas int) {
 		s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 42, Replicas: replicas})
 		const n = 10
-		result, err := s.GNB.RegisterMany(context.Background(), n, func(i int) (*ue.UE, error) {
+		result, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{N: n, NewUE: func(i int) (*ue.UE, error) {
 			return provisionUEDevice(t, s, fmt.Sprintf("%010d", 200+i))
-		})
+		}})
 		if err != nil {
-			t.Fatalf("RegisterMany: %v", err)
+			t.Fatalf("RegisterManyWith: %v", err)
 		}
 		if result.Registered != n || result.Failed != 0 {
 			t.Fatalf("registered %d, failed %d", result.Registered, result.Failed)

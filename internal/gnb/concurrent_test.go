@@ -131,11 +131,11 @@ func TestRegisterManySequentialGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSlice(%s): %v", tc.iso, err)
 		}
-		result, err := s.GNB.RegisterMany(context.Background(), tc.n, func(i int) (*ue.UE, error) {
+		result, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{N: tc.n, NewUE: func(i int) (*ue.UE, error) {
 			return newDeterministicUE(s, i)
-		})
+		}})
 		if err != nil {
-			t.Fatalf("RegisterMany(%s): %v", tc.iso, err)
+			t.Fatalf("RegisterManyWith(%s): %v", tc.iso, err)
 		}
 		if result.Registered != tc.n {
 			t.Fatalf("%s: registered %d/%d (failures: %v)", tc.iso, result.Registered, tc.n, result.FirstErrors)
@@ -233,7 +233,7 @@ func TestRegisterManyFailureAccounting(t *testing.T) {
 	defer s.Stop()
 
 	const n = 6
-	result, err := s.GNB.RegisterMany(context.Background(), n, func(i int) (*ue.UE, error) {
+	result, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{N: n, NewUE: func(i int) (*ue.UE, error) {
 		if i%3 == 1 {
 			// An unprovisioned device fails authentication.
 			supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: fmt.Sprintf("%010d", 7000+i)}
@@ -246,9 +246,9 @@ func TestRegisterManyFailureAccounting(t *testing.T) {
 			})
 		}
 		return newDeterministicUE(s, i)
-	})
+	}})
 	if err != nil {
-		t.Fatalf("RegisterMany: %v", err)
+		t.Fatalf("RegisterManyWith: %v", err)
 	}
 	if result.Failed != 2 || result.Registered != 4 {
 		t.Fatalf("registered %d, failed %d", result.Registered, result.Failed)

@@ -575,15 +575,8 @@ func (t *laneTally) stats(env *costmodel.Env) []ShardStat {
 	return out
 }
 
-// RegisterMany registers n freshly-provisioned UEs back to back, the way
-// the paper drives gNBSIM for its large-scale measurements. newUE is
-// called per index to provision the device. It is the sequential driver;
-// use RegisterManyWith for a parallel run.
-func (g *GNB) RegisterMany(ctx context.Context, n int, newUE func(i int) (*ue.UE, error)) (*MassResult, error) {
-	return g.RegisterManyWith(ctx, MassOptions{N: n, NewUE: newUE})
-}
-
-// RegisterManyWith runs a mass registration according to opts. With
+// RegisterManyWith runs a mass registration according to opts, the way
+// the paper drives gNBSIM for its large-scale measurements. With
 // Parallelism <= 1 it drives registrations back to back on the caller's
 // goroutine; otherwise it fans the index space out over a bounded pool of
 // workers, each with its own metrics recorder, failure tally, and

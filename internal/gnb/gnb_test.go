@@ -161,7 +161,7 @@ func TestSendDataRequiresPDUSession(t *testing.T) {
 
 func TestRegisterManyCountsFailures(t *testing.T) {
 	s := newSlice(t, gnb.GNBSIM())
-	result, err := s.GNB.RegisterMany(context.Background(), 4, func(i int) (*ue.UE, error) {
+	result, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{N: 4, NewUE: func(i int) (*ue.UE, error) {
 		if i == 2 {
 			// An unprovisioned device fails registration.
 			supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000008888"}
@@ -174,9 +174,9 @@ func TestRegisterManyCountsFailures(t *testing.T) {
 			})
 		}
 		return provision(t, s, fmt.Sprintf("%010d", 100+i)), nil
-	})
+	}})
 	if err != nil {
-		t.Fatalf("RegisterMany: %v", err)
+		t.Fatalf("RegisterManyWith: %v", err)
 	}
 	if result.Registered != 3 || result.Failed != 1 {
 		t.Fatalf("result = %+v", result)
@@ -189,9 +189,9 @@ func TestRegisterManyCountsFailures(t *testing.T) {
 func TestRegisterManyProvisionError(t *testing.T) {
 	s := newSlice(t, gnb.GNBSIM())
 	sentinel := errors.New("provision broken")
-	_, err := s.GNB.RegisterMany(context.Background(), 2, func(int) (*ue.UE, error) {
+	_, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{N: 2, NewUE: func(int) (*ue.UE, error) {
 		return nil, sentinel
-	})
+	}})
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
