@@ -44,10 +44,16 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The one size ruler CHANGES.md and ROADMAP.md quote: non-test, non-blank,
-# non-comment Go lines of the committed tree, with and without bench/.
+# non-comment Go lines of the committed tree, with and without bench/, then
+# the same count per top-level package (internal/<pkg>, bench, cmd, ...),
+# largest first — ROADMAP's "where the lines are now".
 loc:
-	@count() { git ls-files '*.go' ':!*_test.go' "$$@" | xargs cat | grep -vcE '^[[:space:]]*(//|$$)'; }; \
-	echo "non-test Go code lines: $$(count) ($$(count ':!bench/') without bench/)"
+	@files() { git ls-files '*.go' ':!*_test.go' "$$@"; }; \
+	code='^[[:space:]]*(//|$$)'; \
+	echo "non-test Go code lines: $$(files | xargs cat | grep -vcE "$$code") ($$(files ':!bench/' | xargs cat | grep -vcE "$$code") without bench/)"; \
+	files | while read -r f; do echo "$$(grep -vcE "$$code" "$$f") $$f"; done | \
+	awk '{ n = split($$2, p, "/"); k = n == 1 ? "(root)" : p[1] == "internal" ? p[1] "/" p[2] : p[1]; s[k] += $$1 } \
+		END { for (k in s) printf "%7d  %s\n", s[k], k }' | sort -rn
 
 # What CI runs (.github/workflows/ci.yml's test job is `make ci`): lint
 # first (cheapest signal, fails fastest), then build, the race-enabled
@@ -72,12 +78,16 @@ loc:
 # crossing respectively — reauth_ring is the only workload that runs them
 # through the switchless rings). The allocation budgets skip themselves
 # under -race (shadow allocations land in MemStats), so the three tests
-# that hold them run once more on a plain build.
+# that hold them run once more on a plain build. The experiments CLI then
+# regenerates every row and every CSV series once (about a second at 60
+# samples): its own tests stub every Run, so this is the one step that
+# drives the real table through the command.
 ci: build
 	$(MAKE) lint
 	$(GO) test -race ./...
 	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates' . ./internal/experiments
 	$(MAKE) vet
+	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
 	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
