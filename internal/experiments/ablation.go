@@ -7,13 +7,6 @@ import (
 	"shield5g/internal/paka"
 )
 
-// namedRun is one labelled module measurement: a row of the ablation, the
-// thread/EPC sweep or the backend comparison.
-type namedRun struct {
-	name string
-	*moduleRun
-}
-
 // AblationResult holds the optimization sweep.
 type AblationResult struct {
 	report

@@ -127,6 +127,13 @@ type moduleRun struct {
 	enters float64
 }
 
+// namedRun is one labelled module measurement: a row of the ablation, the
+// thread/EPC sweep or the backend comparison.
+type namedRun struct {
+	name string
+	*moduleRun
+}
+
 // measureModule deploys one module, pays its cold request, then measures
 // n warm ones.
 func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, opts rigOptions, n int) (*moduleRun, error) {

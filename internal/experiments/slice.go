@@ -175,7 +175,7 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 	if s.Chaos != nil {
 		s.Chaos.SetArmed(true)
 	}
-	trans, enters := census(s)
+	transBefore, entersBefore := census(s)
 	if p.heap {
 		run.mallocs, run.bytes, err = AllocWindow(drive)
 	} else {
@@ -188,8 +188,8 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 		s.Chaos.SetArmed(false)
 		run.injected = s.Chaos.Counts()
 	}
-	run.trans, run.enters = census(s)
-	run.trans, run.enters = run.trans-trans, run.enters-enters
+	trans, enters := census(s)
+	run.trans, run.enters = trans-transBefore, enters-entersBefore
 
 	setups := &metrics.Recorder{}
 	switch {
