@@ -4,12 +4,10 @@ package shield5g_test
 // paper's evaluation. The simulated testbed measures in deterministic
 // virtual time, so each benchmark reports the modelled quantity as a
 // custom metric (virtual-us/op, virtual-s/load, ...) alongside the real
-// wall-clock ns/op of executing the simulation itself. The Realtime
-// benchmarks additionally convert modelled cycles into calibrated
-// busy-wait (scale printed per bench) so that wall-clock ordering matches
-// the modelled ordering. The mass-registration workloads, their
-// end-to-end and per-layer metrics and their gates live in bench/
-// (`bash bench/run.sh`, BENCHMARK.json), not here.
+// wall-clock ns/op of executing the simulation itself. The
+// mass-registration workloads, their end-to-end and per-layer metrics and
+// their gates live in bench/ (`bash bench/run.sh`, BENCHMARK.json), not
+// here.
 
 import (
 	"context"
@@ -48,14 +46,14 @@ func benchAVRequest() *paka.UDMGenerateAVRequest {
 	}
 }
 
-func newBenchRig(b *testing.B, kind paka.ModuleKind, iso paka.Isolation, realizer *costmodel.Realizer) *benchRig {
+func newBenchRig(b *testing.B, kind paka.ModuleKind, iso paka.Isolation) *benchRig {
 	b.Helper()
-	env := costmodel.NewEnv(nil, 1, realizer)
+	env := costmodel.NewEnv(nil, 1)
 	registry := sbi.NewRegistry()
 	var platform *sgx.Platform
 	if iso == paka.SGX {
 		var err error
-		platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: 1, Realizer: realizer})
+		platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: 1})
 		if err != nil {
 			b.Fatalf("NewPlatform: %v", err)
 		}
@@ -112,7 +110,7 @@ func (r *benchRig) invoke(b *testing.B, kind paka.ModuleKind) simclock.Cycles {
 func BenchmarkFig7EnclaveLoad(b *testing.B) {
 	for _, kind := range paka.Kinds() {
 		b.Run(kind.String(), func(b *testing.B) {
-			env := costmodel.NewEnv(nil, 1, nil)
+			env := costmodel.NewEnv(nil, 1)
 			var totalLoad float64
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -152,7 +150,7 @@ func BenchmarkFig8ThreadsEPC(b *testing.B) {
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {
-			env := costmodel.NewEnv(nil, 1, nil)
+			env := costmodel.NewEnv(nil, 1)
 			registry := sbi.NewRegistry()
 			var platform *sgx.Platform
 			if cfg.iso == paka.SGX {
@@ -197,7 +195,7 @@ func BenchmarkFig9Latency(b *testing.B) {
 	for _, kind := range paka.Kinds() {
 		for _, iso := range []paka.Isolation{paka.Container, paka.SGX} {
 			b.Run(fmt.Sprintf("%s-%s", kind, iso), func(b *testing.B) {
-				rig := newBenchRig(b, kind, iso, nil)
+				rig := newBenchRig(b, kind, iso)
 				rig.invoke(b, kind) // warm
 				rig.module.ResetRecorders()
 				b.ReportAllocs()
@@ -223,7 +221,7 @@ func BenchmarkFig10Response(b *testing.B) {
 	for _, kind := range paka.Kinds() {
 		for _, iso := range []paka.Isolation{paka.Container, paka.SGX} {
 			b.Run(fmt.Sprintf("%s-%s", kind, iso), func(b *testing.B) {
-				rig := newBenchRig(b, kind, iso, nil)
+				rig := newBenchRig(b, kind, iso)
 				rig.invoke(b, kind) // warm: Fig. 10b's initial request
 				var total simclock.Cycles
 				b.ReportAllocs()
@@ -318,26 +316,6 @@ func BenchmarkE2ESessionSetup(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(totalVirtual/float64(b.N), "virtual-ms/setup")
-		})
-	}
-}
-
-// BenchmarkRealtimeModuleResponse runs the module request path in
-// realtime mode: modelled cycles are converted into calibrated busy-wait
-// at 1/20 scale, so wall-clock ns/op exhibits the paper's SGX-vs-container
-// ordering directly.
-func BenchmarkRealtimeModuleResponse(b *testing.B) {
-	const scale = 0.05
-	for _, iso := range []paka.Isolation{paka.Container, paka.SGX, paka.SEV} {
-		b.Run(fmt.Sprintf("eUDM-%s-scale%.2f", iso, scale), func(b *testing.B) {
-			realizer := costmodel.NewRealizer(costmodel.Default(), scale)
-			rig := newBenchRig(b, paka.EUDM, iso, realizer)
-			rig.invoke(b, paka.EUDM) // warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rig.invoke(b, paka.EUDM)
-			}
 		})
 	}
 }

@@ -9,9 +9,10 @@ import (
 // paths measure virtual time through simclock and draw noise from
 // seeded Jitter streams, never from the wall clock or the global
 // math/rand state. Wall-clock use is legal only where annotated
-// (//shieldlint:wallclock <why>) — the realtime Realizer's calibrated
-// spin-wait, real mTLS certificate lifetimes, and the wall-vs-virtual
-// throughput split reported by the mass-registration driver.
+// (//shieldlint:wallclock <why>) — real mTLS certificate lifetimes, the
+// liveness bound on goroutines really blocked on a TCS slot, and the
+// wall-vs-virtual throughput split reported by the mass-registration
+// driver.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-clock time and global math/rand on simulated paths",

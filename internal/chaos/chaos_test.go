@@ -30,7 +30,7 @@ func (r *recorder) Post(_ context.Context, service, path string, _, resp any) er
 
 func newTestInjector(seed uint64, cfg Config) (*Injector, *recorder, sbi.Invoker) {
 	cfg.Seed = seed
-	env := costmodel.NewEnv(nil, seed+1, nil)
+	env := costmodel.NewEnv(nil, seed+1)
 	inj := NewInjector(env, cfg)
 	rec := &recorder{}
 	return inj, rec, inj.Wrap(rec)

@@ -84,36 +84,6 @@ func TestDurationAtModelFrequency(t *testing.T) {
 	}
 }
 
-func TestRealizerNoopWhenDisabled(t *testing.T) {
-	m := Default()
-	var r *Realizer
-	r.Realize(1_000_000) // nil receiver must be safe
-	r = NewRealizer(m, 0)
-	start := time.Now()
-	r.Realize(simclock.Cycles(m.FrequencyHz)) // modelled 1s, disabled
-	if time.Since(start) > 50*time.Millisecond {
-		t.Fatal("disabled realizer waited")
-	}
-}
-
-func TestRealizerScaledWait(t *testing.T) {
-	m := Default()
-	r := NewRealizer(m, 0.001)
-	if r.Scale() != 0.001 {
-		t.Fatalf("Scale = %v", r.Scale())
-	}
-	start := time.Now()
-	// Modelled 100ms, scaled to 100µs.
-	r.Realize(m.Cycles(100 * time.Millisecond))
-	got := time.Since(start)
-	if got < 50*time.Microsecond {
-		t.Fatalf("realized wait too short: %v", got)
-	}
-	if got > 50*time.Millisecond {
-		t.Fatalf("realized wait too long: %v", got)
-	}
-}
-
 func TestEnclaveBuildTimeNearOneMinute(t *testing.T) {
 	// Sanity-check the Fig. 7 calibration: building and preheating a
 	// 512 MiB enclave plus hashing a GSC image must land near a minute.

@@ -6,38 +6,43 @@ import (
 	"shield5g/internal/simclock"
 )
 
-// Env bundles the cost model with the virtual clock, jitter source and
-// optional realtime realizer for components that are not SGX platforms
-// (SBI transport, plain-container runtimes, UE/gNB simulation). All parts
-// of one simulated testbed should share a single Env so their time bases
-// agree.
+// Env is one timing domain: the cost model, the virtual clock its charges
+// advance and the jitter source its draws come from. All parts of one
+// simulated testbed share a single Env so their time bases agree; an SGX
+// platform holds a second instance of its own, because its clock is the
+// uptime that drives AEX and its seed must keep yielding the same jitter
+// state (see DESIGN.md §5).
 type Env struct {
-	Model    *Model
-	Clock    *simclock.Clock
-	Jitter   *simclock.Jitter
-	Realizer *Realizer
+	Model  *Model
+	Clock  *simclock.Clock
+	Jitter *simclock.Jitter
 }
 
 // NewEnv builds an Env over the model with a deterministic jitter seed.
-// A nil model selects Default(); realizer may be nil (accounting mode).
-func NewEnv(m *Model, seed uint64, realizer *Realizer) *Env {
+// A nil model selects Default().
+func NewEnv(m *Model, seed uint64) *Env {
 	if m == nil {
 		m = Default()
 	}
 	return &Env{
-		Model:    m,
-		Clock:    simclock.New(m.FrequencyHz),
-		Jitter:   simclock.NewJitter(seed),
-		Realizer: realizer,
+		Model:  m,
+		Clock:  simclock.New(m.FrequencyHz),
+		Jitter: simclock.NewJitter(seed),
 	}
 }
 
-// Charge applies n cycles to the request account in ctx, advances the
-// shared clock, and realises the cost in realtime mode.
-func (e *Env) Charge(ctx context.Context, n simclock.Cycles) {
-	simclock.AccountFrom(ctx).Charge(n)
+// ChargeTo is the one place a cycle is charged: n cycles go to acct (nil
+// charges no request) and the env's clock advances by as much.
+func (e *Env) ChargeTo(acct *simclock.Account, n simclock.Cycles) {
+	if acct != nil {
+		acct.Charge(n)
+	}
 	e.Clock.Advance(n)
-	e.Realizer.Realize(n)
+}
+
+// Charge is ChargeTo for the request account in ctx.
+func (e *Env) Charge(ctx context.Context, n simclock.Cycles) {
+	e.ChargeTo(simclock.AccountFrom(ctx), n)
 }
 
 // JitterFor returns the jitter source for the request in ctx: the

@@ -261,7 +261,7 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 		cfg.Isolation = paka.SGX
 	}
 	cfg.Replicas = max(cfg.Replicas, 1)
-	env := costmodel.NewEnv(nil, cfg.Seed, nil)
+	env := costmodel.NewEnv(nil, cfg.Seed)
 	var platform *sgx.Platform
 	if cfg.Isolation == paka.SGX {
 		var err error

@@ -42,7 +42,7 @@ const (
 
 // newRig deploys the module on a fresh platform/environment.
 func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, opts rigOptions) (*rig, error) {
-	env := costmodel.NewEnv(nil, seed, nil)
+	env := costmodel.NewEnv(nil, seed)
 	registry := sbi.NewRegistry()
 	var platform *sgx.Platform
 	if opts.isolation == paka.SGX {

@@ -128,7 +128,7 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 
 	// Server bring-up syscalls.
 	if !lc.noServer {
-		m := p.Model()
+		m := p.Env().Model
 		proc.OCallN(serverInitOCALLs, m.SyscallNative, 32, 32)
 	}
 
@@ -309,7 +309,7 @@ func ocalls(th *sgx.Thread, exitless bool, n int, untrusted simclock.Cycles, out
 //shieldlint:hotpath
 func (r *request) Execute(t *sgx.Thread) (err error) {
 	t.BindRequest(r.ctx, r.acct, &r.th)
-	r.bd, err = hmee.Walk(r, r.inst.platform.Model(), r.inst.syscalls, r.acct, r.phases, r.in, r.out, r.handler)
+	r.bd, err = hmee.Walk(r, r.inst.platform.Env().Model, r.inst.syscalls, r.acct, r.phases, r.in, r.out, r.handler)
 	return err
 }
 
@@ -323,7 +323,7 @@ func (r *request) Execute(t *sgx.Thread) (err error) {
 // runs before the exitless helper is up, so it pays transitions whatever
 // the manifest says — except on the dispatcher, which never leaves.
 func (r *request) Warmup() {
-	m := r.inst.platform.Model()
+	m := r.inst.platform.Env().Model
 	ocalls(&r.th, r.viaRing, warmupOCALLs, m.SyscallNative, 64, 64)
 	r.th.Compute(simclock.Cycles(warmupVerifyBytes) * m.TrustedFileHashPerByte)
 }
@@ -334,7 +334,7 @@ func (r *request) Warmup() {
 //
 //shieldlint:hotpath
 func (r *request) Syscalls(n, out, in int) {
-	ocalls(&r.th, r.viaRing || r.inst.exitless, n, r.inst.platform.Model().SyscallNative, out, in)
+	ocalls(&r.th, r.viaRing || r.inst.exitless, n, r.inst.platform.Env().Model.SyscallNative, out, in)
 }
 
 func (r *request) ServerCompute(n simclock.Cycles) { r.th.Compute(n) }
@@ -350,9 +350,7 @@ func (r *request) Entry(in, out int) {
 	}
 }
 
-func (r *request) Jitter() *simclock.Jitter {
-	return simclock.JitterFrom(r.ctx, r.inst.platform.Jitter())
-}
+func (r *request) Jitter() *simclock.Jitter { return r.inst.platform.Env().JitterFor(r.ctx) }
 
 func (r *request) Exec() hmee.Exec { return &r.th }
 

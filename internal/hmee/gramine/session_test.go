@@ -82,7 +82,7 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 		t.Errorf("Total: Serve %d != session %d", bdA.Total, bdB.Total)
 	}
 
-	m := instA.platform.Model()
+	m := instA.platform.Env().Model
 	sp := instA.syscalls
 	perOCall := m.OCALLRoundTrip() + m.SyscallNative + 2*m.ShieldCost(16)
 	wantDelta := simclock.Cycles(sp.Pre+sp.Post) * perOCall

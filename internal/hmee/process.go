@@ -67,13 +67,14 @@ func NewProcess(env *costmodel.Env, prices Prices) *Process {
 // priced through and the Exec its handler sees. Pooled like gramine's
 // request — handlers are synchronous and retain neither.
 type call struct {
-	p   *Process
-	ctx context.Context
+	p    *Process
+	ctx  context.Context
+	acct *simclock.Account
 }
 
 var callPool = sync.Pool{New: func() any { return new(call) }}
 
-func (c *call) charge(n simclock.Cycles) { c.p.env.Charge(c.ctx, n) }
+func (c *call) charge(n simclock.Cycles) { c.p.env.ChargeTo(c.acct, n) }
 
 func (c *call) Warmup() { c.charge(c.p.prices.WarmupCycles) }
 
@@ -137,7 +138,7 @@ func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) 
 	// latency windows.
 	acct := simclock.AccountFrom(ctx)
 	c := callPool.Get().(*call)
-	c.p, c.ctx = p, simclock.WithAccount(ctx, acct)
+	c.p, c.ctx, c.acct = p, ctx, acct
 	// A served request arrives and departs through the device boundary:
 	// the VM exits of each edge sit outside L_T, inside the residence.
 	var edge simclock.Cycles

@@ -16,7 +16,7 @@ var noop = hmee.HandlerFunc(func(hmee.Exec) error { return nil })
 
 func testMachine(t *testing.T) *Machine {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 3, nil)
+	env := costmodel.NewEnv(nil, 3)
 	m, err := Launch(context.Background(), env, Config{Name: "eudm-vm", AppImageBytes: 2_620_000_000})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
@@ -26,7 +26,7 @@ func testMachine(t *testing.T) *Machine {
 }
 
 func TestLaunchValidation(t *testing.T) {
-	env := costmodel.NewEnv(nil, 3, nil)
+	env := costmodel.NewEnv(nil, 3)
 	if _, err := Launch(context.Background(), nil, Config{Name: "x"}); err == nil {
 		t.Fatal("nil env accepted")
 	}
@@ -46,7 +46,7 @@ func TestLaunchFasterThanEnclaveBuild(t *testing.T) {
 }
 
 func TestLaunchChargesAccount(t *testing.T) {
-	env := costmodel.NewEnv(nil, 3, nil)
+	env := costmodel.NewEnv(nil, 3)
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
 	m, err := Launch(ctx, env, Config{Name: "vm", AppImageBytes: 1})
@@ -184,7 +184,7 @@ func TestAttestationReport(t *testing.T) {
 }
 
 func TestMeasurementDeterministic(t *testing.T) {
-	env := costmodel.NewEnv(nil, 3, nil)
+	env := costmodel.NewEnv(nil, 3)
 	a, err := Launch(context.Background(), env, Config{Name: "vm", AppImageBytes: 7})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)

@@ -142,7 +142,7 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 	// Load cost: per-page EADD+EEXTEND over the committed size, trusted
 	// file hashing, and preheat pre-faulting. Jitter reproduces the
 	// quartile spread of Fig. 7.
-	m := p.model
+	m := p.env.Model
 	pages := simclock.Cycles(costmodel.PagesFor(cfg.SizeBytes))
 	cost := pages * m.EnclaveBuildPerPage
 	cost += simclock.Cycles(fileBytes) * m.TrustedFileHashPerByte
@@ -167,9 +167,9 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 	e.stats.OCALLs.Add(bootstrapOCALLs)
 	e.stats.ECALLs.Add(bootstrapOneWays)
 
-	cost = p.jitter.Scale(cost, 0.012)
+	cost = p.env.Jitter.Scale(cost, 0.012)
 	e.loadCycles = cost
-	p.charge(simclock.AccountFrom(ctx), cost)
+	p.env.Charge(ctx, cost)
 
 	p.mu.Lock()
 	p.enclaves[id] = e
@@ -196,7 +196,7 @@ func (e *Enclave) LoadCycles() simclock.Cycles { return e.loadCycles }
 
 // LoadDuration reports the modelled enclave load time (Fig. 7).
 func (e *Enclave) LoadDuration() time.Duration {
-	return e.platform.model.Duration(e.loadCycles)
+	return e.platform.env.Model.Duration(e.loadCycles)
 }
 
 // Destroy tears the enclave down, releasing its committed EPC and flushing
@@ -238,18 +238,10 @@ func (e *Enclave) live() error {
 type Thread struct {
 	enclave *Enclave
 	acct    *simclock.Account
-	// jitter, when non-nil, overrides the platform jitter for this
-	// thread's stochastic draws (AEX arrivals, paging pressure) — the
-	// per-worker stream of a parallel request.
+	// jitter is the source of this thread's stochastic draws (AEX
+	// arrivals, paging pressure): the platform's, or the per-worker stream
+	// of the parallel request the thread was bound to.
 	jitter *simclock.Jitter
-}
-
-// rng returns the jitter source for this thread's stochastic draws.
-func (t *Thread) rng() *simclock.Jitter {
-	if t.jitter != nil {
-		return t.jitter
-	}
-	return t.enclave.platform.jitter
 }
 
 // tcsAcquireTimeout bounds how long an entry waits for a TCS slot. The
@@ -300,17 +292,17 @@ func (e *Enclave) ECall(ctx context.Context, argBytes, retBytes int, fn func(*Th
 
 	p := e.platform
 	acct := simclock.AccountFrom(ctx)
-	m := p.model
+	m := p.env.Model
 
 	e.stats.EENTER.Add(1)
 	e.stats.ECALLs.Add(1)
-	p.charge(acct, m.EENTER+m.ShieldCost(argBytes))
+	p.env.ChargeTo(acct, m.EENTER+m.ShieldCost(argBytes))
 
-	t := &Thread{enclave: e, acct: acct}
+	t := &Thread{enclave: e, acct: acct, jitter: p.env.Jitter}
 	err := fn(t)
 
 	e.stats.EEXIT.Add(1)
-	p.charge(acct, m.EEXIT+m.ShieldCost(retBytes))
+	p.env.ChargeTo(acct, m.EEXIT+m.ShieldCost(retBytes))
 	return err
 }
 
@@ -329,15 +321,15 @@ func (e *Enclave) EnterResident(ctx context.Context) (*Thread, error) {
 	acct := simclock.AccountFrom(ctx)
 	e.stats.EENTER.Add(1)
 	e.stats.ECALLs.Add(1)
-	p.charge(acct, p.model.EENTER)
-	return &Thread{enclave: e, acct: acct}, nil
+	p.env.ChargeTo(acct, p.env.Model.EENTER)
+	return &Thread{enclave: e, acct: acct, jitter: p.env.Jitter}, nil
 }
 
 // LeaveResident releases a resident thread's TCS slot, counting the final
 // EEXIT (process teardown).
 func (e *Enclave) LeaveResident(t *Thread) {
 	e.stats.EEXIT.Add(1)
-	e.platform.charge(t.acct, e.platform.model.EEXIT)
+	e.platform.env.ChargeTo(t.acct, e.platform.env.Model.EEXIT)
 	<-e.tcs
 }
 
@@ -359,7 +351,7 @@ func (t *Thread) WithAccount(acct *simclock.Account) *Thread {
 func (t *Thread) BindRequest(ctx context.Context, acct *simclock.Account, dst *Thread) {
 	dst.enclave = t.enclave
 	dst.acct = acct
-	dst.jitter = simclock.JitterFrom(ctx, nil)
+	dst.jitter = t.enclave.platform.env.JitterFor(ctx)
 }
 
 // OCall models the thread leaving the enclave to have the untrusted
@@ -380,12 +372,12 @@ func (t *Thread) OCallN(n int, untrustedCycles simclock.Cycles, outBytes, inByte
 		return
 	}
 	e := t.enclave
-	m := e.platform.model
+	m := e.platform.env.Model
 	e.stats.EEXIT.Add(uint64(n))
 	e.stats.EENTER.Add(uint64(n))
 	e.stats.OCALLs.Add(uint64(n))
 	cost := m.EEXIT + m.ShieldCost(outBytes) + untrustedCycles + m.EENTER + m.ShieldCost(inBytes)
-	e.platform.charge(t.acct, simclock.Cycles(n)*cost)
+	e.platform.env.ChargeTo(t.acct, simclock.Cycles(n)*cost)
 }
 
 // OCallExitless models Gramine's exitless (switchless) call feature: the
@@ -408,13 +400,13 @@ func (t *Thread) OCallExitlessN(n int, untrustedCycles simclock.Cycles, outBytes
 		return
 	}
 	e := t.enclave
-	m := e.platform.model
+	m := e.platform.env.Model
 	e.stats.OCALLs.Add(uint64(n))
 	// Two cache-line handoffs plus the spin while the helper serves the
 	// call; far below the ~17k-cycle transition pair.
 	const handoffCycles = 3_000
 	cost := handoffCycles + untrustedCycles + m.ShieldCost(outBytes) + m.ShieldCost(inBytes)
-	e.platform.charge(t.acct, simclock.Cycles(n)*cost)
+	e.platform.env.ChargeTo(t.acct, simclock.Cycles(n)*cost)
 }
 
 // ShieldTransfer charges the boundary cost of moving outBytes out of and
@@ -423,8 +415,8 @@ func (t *Thread) OCallExitlessN(n int, untrustedCycles simclock.Cycles, outBytes
 // and result buffers. No counters move — there is no event hardware would
 // count, only bytes crossing the boundary.
 func (t *Thread) ShieldTransfer(outBytes, inBytes int) {
-	m := t.enclave.platform.model
-	t.enclave.platform.charge(t.acct, m.ShieldCost(outBytes)+m.ShieldCost(inBytes))
+	m := t.enclave.platform.env.Model
+	t.enclave.platform.env.ChargeTo(t.acct, m.ShieldCost(outBytes)+m.ShieldCost(inBytes))
 }
 
 // Compute charges n cycles of in-enclave execution. Execution inside the
@@ -434,20 +426,20 @@ func (t *Thread) ShieldTransfer(outBytes, inBytes int) {
 func (t *Thread) Compute(n simclock.Cycles) {
 	e := t.enclave
 	p := e.platform
-	m := p.model
+	m := p.env.Model
 
 	// MEE overhead: a few percent on compute-bound in-enclave code.
 	const meeOverheadPct = 6
 	cost := n + n*meeOverheadPct/100
 
 	seconds := float64(n) / float64(m.FrequencyHz)
-	aex := t.rng().Poisson(seconds * m.AEXRatePerThreadHz)
+	aex := t.jitter.Poisson(seconds * m.AEXRatePerThreadHz)
 	if aex > 0 {
 		e.stats.AEX.Add(uint64(aex))
 		e.stats.ERESUME.Add(uint64(aex))
 		cost += simclock.Cycles(aex) * m.AEXRoundTrip()
 	}
-	p.charge(t.acct, cost)
+	p.env.ChargeTo(t.acct, cost)
 }
 
 // Touch models the thread accessing n bytes of enclave heap. Pages not yet
@@ -457,7 +449,7 @@ func (t *Thread) Compute(n simclock.Cycles) {
 func (t *Thread) Touch(nBytes uint64) {
 	e := t.enclave
 	p := e.platform
-	m := p.model
+	m := p.env.Model
 	pages := costmodel.PagesFor(nBytes)
 
 	// Claim not-yet-faulted pages with a CAS loop so concurrent first
@@ -489,15 +481,15 @@ func (t *Thread) Touch(nBytes uint64) {
 	if excess > 0 {
 		lambda = 0.04 * (excess / pressurePages) * float64(pages)
 	}
-	faults += uint64(t.rng().Poisson(lambda))
+	faults += uint64(t.jitter.Poisson(lambda))
 
 	if faults > 0 {
 		e.stats.PageFaults.Add(faults)
 		e.stats.AEX.Add(faults)
 		e.stats.ERESUME.Add(faults)
-		p.charge(t.acct, simclock.Cycles(faults)*(m.EPCPageFault+m.AEXRoundTrip()))
+		p.env.ChargeTo(t.acct, simclock.Cycles(faults)*(m.EPCPageFault+m.AEXRoundTrip()))
 	}
-	p.charge(t.acct, simclock.Cycles(nBytes)*m.CopyPerByte)
+	p.env.ChargeTo(t.acct, simclock.Cycles(nBytes)*m.CopyPerByte)
 }
 
 // StoreSecret places sensitive material in enclave memory. From inside the
@@ -567,11 +559,11 @@ func (e *Enclave) Introspect(name string) ([]byte, bool) {
 func (e *Enclave) AccrueUptime(d time.Duration) {
 	p := e.platform
 	resident := float64(e.cfg.MaxThreads)
-	mean := d.Seconds() * p.model.AEXRatePerThreadHz * resident
-	n := p.jitter.Poisson(mean)
+	mean := d.Seconds() * p.env.Model.AEXRatePerThreadHz * resident
+	n := p.env.Jitter.Poisson(mean)
 	e.stats.AEX.Add(uint64(n))
 	e.stats.ERESUME.Add(uint64(n))
-	p.clock.AdvanceDuration(d)
+	p.env.Clock.AdvanceDuration(d)
 }
 
 // InjectAEX models an externally induced burst of asynchronous exits — a
@@ -585,8 +577,8 @@ func (e *Enclave) InjectAEX(ctx context.Context, n uint64) {
 	}
 	e.stats.AEX.Add(n)
 	e.stats.ERESUME.Add(n)
-	e.platform.charge(simclock.AccountFrom(ctx),
-		simclock.Cycles(n)*e.platform.model.AEXRoundTrip())
+	env := e.platform.env
+	env.Charge(ctx, simclock.Cycles(n)*env.Model.AEXRoundTrip())
 }
 
 // EvictPages models EPC page-pressure reclaim: the kernel swaps up to n of

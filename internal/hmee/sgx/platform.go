@@ -28,16 +28,16 @@ import (
 	"sync"
 
 	"shield5g/internal/costmodel"
-	"shield5g/internal/simclock"
 )
 
 // Platform is one simulated SGX-capable host. It owns the physical EPC,
 // the sealing root key, and the quoting key used for attestation reports.
 type Platform struct {
-	model    *costmodel.Model
-	clock    *simclock.Clock
-	jitter   *simclock.Jitter
-	realizer *costmodel.Realizer
+	// env is the platform's own timing domain, not the testbed's: its
+	// clock is the uptime that drives AEX and its jitter is seeded by the
+	// platform, so enclave cycles reach the request account without
+	// moving the testbed clock.
+	env *costmodel.Env
 
 	epcCapacity uint64
 	sealRoot    [32]byte
@@ -59,9 +59,6 @@ type PlatformConfig struct {
 	EPCCapacityBytes uint64
 	// Seed makes all platform jitter reproducible.
 	Seed uint64
-	// Realizer, when non-nil, converts modelled costs into wall-clock
-	// delay (used by realtime benchmarks).
-	Realizer *costmodel.Realizer
 	// Entropy overrides the randomness source for key generation; nil
 	// selects crypto/rand. Deterministic sources are for tests only.
 	Entropy io.Reader
@@ -72,9 +69,6 @@ const DefaultEPCCapacity = 16 << 30
 
 // NewPlatform creates a simulated SGX host.
 func NewPlatform(cfg PlatformConfig) (*Platform, error) {
-	if cfg.Model == nil {
-		cfg.Model = costmodel.Default()
-	}
 	if cfg.EPCCapacityBytes == 0 {
 		cfg.EPCCapacityBytes = DefaultEPCCapacity
 	}
@@ -87,10 +81,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		return nil, fmt.Errorf("sgx: generate quoting key: %w", err)
 	}
 	p := &Platform{
-		model:       cfg.Model,
-		clock:       simclock.New(cfg.Model.FrequencyHz),
-		jitter:      simclock.NewJitter(cfg.Seed),
-		realizer:    cfg.Realizer,
+		env:         costmodel.NewEnv(cfg.Model, cfg.Seed),
 		epcCapacity: cfg.EPCCapacityBytes,
 		qePriv:      priv,
 		qePub:       pub,
@@ -102,14 +93,9 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	return p, nil
 }
 
-// Model returns the platform cost model.
-func (p *Platform) Model() *costmodel.Model { return p.model }
-
-// Clock returns the platform's virtual clock.
-func (p *Platform) Clock() *simclock.Clock { return p.clock }
-
-// Jitter returns the platform's seeded jitter source.
-func (p *Platform) Jitter() *simclock.Jitter { return p.jitter }
+// Env returns the platform's timing domain: its cost model, uptime clock
+// and seeded jitter source.
+func (p *Platform) Env() *costmodel.Env { return p.env }
 
 // QuotingPublicKey returns the public half of the platform quoting key, the
 // root of trust a remote verifier pins (standing in for Intel's attestation
@@ -121,17 +107,6 @@ func (p *Platform) EPCInUse() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.epcUsed
-}
-
-// charge applies a cycle cost to the request account in ctx (if any) and,
-// in realtime mode, to the wall clock. The platform uptime clock advances
-// too so uptime-driven effects (AEX) see time move.
-func (p *Platform) charge(acct *simclock.Account, n simclock.Cycles) {
-	if acct != nil {
-		acct.Charge(n)
-	}
-	p.clock.Advance(n)
-	p.realizer.Realize(n)
 }
 
 // MeasuredFile is one trusted file measured into the enclave identity at

@@ -166,8 +166,8 @@ func (r *Ring) Close() {
 // the pickup probe.
 func (r *Ring) accountSubmit(ctx context.Context) bool {
 	e := r.enclave
-	m := e.platform.model
-	now := e.platform.clock.Elapsed()
+	m := e.platform.env.Model
+	now := e.platform.env.Clock.Elapsed()
 	if at, ok := simclock.ArrivalFrom(ctx); ok && at > now {
 		now = at
 	}
@@ -198,7 +198,7 @@ func (r *Ring) accountSubmit(ctx context.Context) bool {
 	} else {
 		cost += m.SwitchlessPollCycles
 	}
-	e.platform.charge(simclock.AccountFrom(ctx), cost)
+	e.platform.env.Charge(ctx, cost)
 	return true
 }
 
@@ -206,8 +206,8 @@ func (r *Ring) accountSubmit(ctx context.Context) bool {
 // dispatcher keeps spinning for one budget past its last finished job
 // before virtually parking.
 func (r *Ring) accountDone(drained bool) {
-	m := r.enclave.platform.model
-	now := r.enclave.platform.clock.Elapsed()
+	m := r.enclave.platform.env.Model
+	now := r.enclave.platform.env.Clock.Elapsed()
 	r.mu.Lock()
 	if drained {
 		r.stats.Drained++

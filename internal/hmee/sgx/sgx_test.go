@@ -123,8 +123,8 @@ func TestECallCountsTransitions(t *testing.T) {
 	before := e.Stats()
 	err := e.ECall(context.Background(), 40, 80, func(th *Thread) error {
 		th.Compute(100_000)
-		th.OCall(p.Model().SyscallNative, 64, 64)
-		th.OCall(p.Model().SyscallNative, 64, 64)
+		th.OCall(p.Env().Model.SyscallNative, 64, 64)
+		th.OCall(p.Env().Model.SyscallNative, 64, 64)
 		return nil
 	})
 	if err != nil {
@@ -148,7 +148,7 @@ func TestECallChargesLatency(t *testing.T) {
 	if err := e.ECall(ctx, 0, 0, func(th *Thread) error { return nil }); err != nil {
 		t.Fatalf("ECall: %v", err)
 	}
-	min := p.Model().EENTER + p.Model().EEXIT
+	min := p.Env().Model.EENTER + p.Env().Model.EEXIT
 	if acct.Total() < min {
 		t.Fatalf("charged %d cycles, want >= %d", acct.Total(), min)
 	}
@@ -286,7 +286,7 @@ func TestAccrueUptimeGeneratesAEX(t *testing.T) {
 	if got < 9000 || got > 11000 {
 		t.Fatalf("AEX after 10s uptime = %d, want ~10000", got)
 	}
-	if p.Clock().Now() < 10*time.Second {
+	if p.Env().Clock.Now() < 10*time.Second {
 		t.Fatal("uptime did not advance the platform clock")
 	}
 }
@@ -414,9 +414,9 @@ func TestOCallNEqualsLoop(t *testing.T) {
 			t.Fatalf("EnterResident: %v", err)
 		}
 		call(th)
-		return outcome{e.Stats(), acct.Total(), p.Clock().Elapsed()}
+		return outcome{e.Stats(), acct.Total(), p.Env().Clock.Elapsed()}
 	}
-	untrusted := testPlatform(t).Model().SyscallNative
+	untrusted := testPlatform(t).Env().Model.SyscallNative
 	for _, n := range []int{0, 1, 4, 38, 43, 590} {
 		for _, io := range [][2]int{{32, 32}, {64, 64}, {16, 16}, {8, 8}, {0, 101}, {76, 0}, {0, 65537}} {
 			loop := run(func(th *Thread) {

@@ -40,7 +40,7 @@ type harness struct {
 func newHarness(t *testing.T) *harness {
 	t.Helper()
 	ctx := context.Background()
-	env := costmodel.NewEnv(nil, 5, nil)
+	env := costmodel.NewEnv(nil, 5)
 	reg := sbi.NewRegistry()
 	if _, err := nrf.New(env, reg); err != nil {
 		t.Fatalf("nrf.New: %v", err)
@@ -165,7 +165,7 @@ func (h *harness) exchange(t *testing.T, device *ue.UE, ranUEID uint64, up []byt
 }
 
 func TestAMFConfigValidation(t *testing.T) {
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	inv := sbi.NewClient("amf", env, reg)
 	if _, err := amf.New(context.Background(), amf.Config{Registry: reg, Invoker: inv}); err == nil {

@@ -35,7 +35,7 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 3, nil)
+	env := costmodel.NewEnv(nil, 3)
 	reg := sbi.NewRegistry()
 	if _, err := nrf.New(env, reg); err != nil {
 		t.Fatalf("nrf.New: %v", err)
@@ -226,7 +226,7 @@ func TestResyncUnknownContext(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	if _, err := New(context.Background(), Config{Registry: reg}); err == nil {
 		t.Fatal("missing env accepted")
@@ -237,7 +237,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestNewFailsWithoutUDMRegistered(t *testing.T) {
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	if _, err := nrf.New(env, reg); err != nil {
 		t.Fatalf("nrf.New: %v", err)
@@ -257,7 +257,7 @@ func TestNewFailsWithoutUDMRegistered(t *testing.T) {
 // AUSF refuses a lower-trust UDM and any AUSF refuses one the repository
 // does not list — at construction, not at the first registration.
 func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	if _, err := nrf.New(env, reg); err != nil {
 		t.Fatalf("nrf.New: %v", err)

@@ -11,7 +11,7 @@ import (
 
 func harness(t *testing.T) (*NRF, *Client) {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	n, err := New(env, reg)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 func harness(t *testing.T) (*SMF, *upf.UPF, *Client) {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	if _, err := nrf.New(env, reg); err != nil {
 		t.Fatalf("nrf.New: %v", err)

@@ -60,7 +60,7 @@ type poolHarness struct {
 // execution environment only exposes the single-vector call.
 func newPoolHarness(t *testing.T, depth int, batchCapable bool) *poolHarness {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	if _, err := nrf.New(env, reg); err != nil {
 		t.Fatalf("nrf.New: %v", err)

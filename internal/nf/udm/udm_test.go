@@ -33,7 +33,7 @@ type harness struct {
 
 func newHarness(t *testing.T) *harness {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	n, err := nrf.New(env, reg)
 	if err != nil {
@@ -82,7 +82,7 @@ func (h *harness) provision(t *testing.T, supi suci.SUPI) {
 }
 
 func TestNewValidation(t *testing.T) {
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	if _, err := New(context.Background(), Config{Registry: reg}); err == nil {
 		t.Fatal("missing env accepted")

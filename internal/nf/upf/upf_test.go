@@ -13,7 +13,7 @@ import (
 
 func harness(t *testing.T) (*UPF, *sbi.Client) {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	u, err := New(env, reg)
 	if err != nil {

@@ -21,7 +21,7 @@ type measured struct {
 // paper's four latency metrics.
 func measureModule(t *testing.T, kind ModuleKind, iso Isolation, n int, seed uint64) measured {
 	t.Helper()
-	env := costmodel.NewEnv(nil, seed, nil)
+	env := costmodel.NewEnv(nil, seed)
 	p, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)

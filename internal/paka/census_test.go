@@ -64,7 +64,7 @@ func sgxCensusBackend(t *testing.T, name string, userTCP bool) censusBackend {
 // costs one cycle and nothing else costs anything, so the cycles it charges
 // — less its VM exits at their list price — are the syscalls it served.
 func guestCensusBackend(name string, prices hmee.Prices) censusBackend {
-	env := costmodel.NewEnv(&costmodel.Model{FrequencyHz: simclock.DefaultFrequencyHz, SyscallNative: 1}, 31, nil)
+	env := costmodel.NewEnv(&costmodel.Model{FrequencyHz: simclock.DefaultFrequencyHz, SyscallNative: 1}, 31)
 	p := hmee.NewProcess(env, prices)
 	return censusBackend{name: name, rt: p, entryAs: 2,
 		mark: func(ctx context.Context) context.Context { return ctx },

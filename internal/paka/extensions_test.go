@@ -13,7 +13,7 @@ import (
 // deployVariant builds an eUDM module with optimization flags.
 func deployVariant(t *testing.T, seed uint64, exitless, userTCP bool) (*Module, *sbi.Client, *costmodel.Env) {
 	t.Helper()
-	env := costmodel.NewEnv(nil, seed, nil)
+	env := costmodel.NewEnv(nil, seed)
 	p, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
@@ -108,7 +108,7 @@ func TestExitlessBumpsThreadBudget(t *testing.T) {
 }
 
 func TestContainerTCBIncludesHost(t *testing.T) {
-	env := costmodel.NewEnv(nil, 55, nil)
+	env := costmodel.NewEnv(nil, 55)
 	reg := sbi.NewRegistry()
 	m, err := New(context.Background(), Config{Kind: EUDM, Isolation: Container, Env: env, Registry: reg})
 	if err != nil {

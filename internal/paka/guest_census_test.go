@@ -109,7 +109,7 @@ func TestGuestCensusContract(t *testing.T) {
 		}
 		for _, shape := range shapes {
 			for _, state := range []string{"first", "warm"} {
-				rt, vmExits := guestLaunch(t, backend, costmodel.NewEnv(nil, 21, nil))
+				rt, vmExits := guestLaunch(t, backend, costmodel.NewEnv(nil, 21))
 				t.Cleanup(rt.Shutdown)
 				if state == "warm" {
 					// Warm outside the measured window.

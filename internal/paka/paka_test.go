@@ -187,7 +187,7 @@ type harness struct {
 
 func newHarness(t *testing.T, seed uint64) *harness {
 	t.Helper()
-	env := costmodel.NewEnv(nil, seed, nil)
+	env := costmodel.NewEnv(nil, seed)
 	p, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
@@ -350,7 +350,7 @@ func TestAUSFAndAMFModulesServe(t *testing.T) {
 }
 
 func TestMonolithicMatchesModule(t *testing.T) {
-	env := costmodel.NewEnv(nil, 8, nil)
+	env := costmodel.NewEnv(nil, 8)
 	mono := NewMonolithicUDM(env)
 	mono.ProvisionSubscriber(testSUPI, testK)
 	got, err := mono.GenerateAV(context.Background(), avRequest())

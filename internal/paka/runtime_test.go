@@ -27,7 +27,7 @@ func forGuests(t *testing.T, f func(t *testing.T, prices hmee.Prices)) {
 // runtime being shut down (run under -race): every outcome must be either
 // a clean Breakdown or hmee.ErrStopped, never a torn state or a data race.
 func TestNativeRuntimeServeShutdownRace(t *testing.T) {
-	env := costmodel.NewEnv(nil, 11, nil)
+	env := costmodel.NewEnv(nil, 11)
 	rt := hmee.NewProcess(env, hmee.ContainerPrices())
 
 	var wg sync.WaitGroup
@@ -77,7 +77,7 @@ func TestNativeRuntimeWarmupChargedOnce(t *testing.T) {
 }
 
 func warmupChargedOnce(t *testing.T, prices hmee.Prices) {
-	env := costmodel.NewEnv(nil, 17, nil)
+	env := costmodel.NewEnv(nil, 17)
 	rt := hmee.NewProcess(env, prices)
 
 	const workers = 8
@@ -126,7 +126,7 @@ func TestNativeSessionMirrorsGramineContract(t *testing.T) {
 }
 
 func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
-	env := costmodel.NewEnv(nil, 23, nil)
+	env := costmodel.NewEnv(nil, 23)
 	rt := hmee.NewProcess(env, prices)
 
 	// Warm the runtime outside the measured window.
@@ -215,7 +215,7 @@ func TestNativeDoBatchChargesCaller(t *testing.T) {
 }
 
 func doBatchChargesCaller(t *testing.T, prices hmee.Prices) {
-	env := costmodel.NewEnv(nil, 29, nil)
+	env := costmodel.NewEnv(nil, 29)
 	rt := hmee.NewProcess(env, prices)
 	work := hmee.HandlerFunc(func(ex Exec) error {
 		for i := 0; i < 8; i++ {

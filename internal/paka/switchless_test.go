@@ -105,7 +105,7 @@ func TestSwitchlessServesIdenticalAKAOutputs(t *testing.T) {
 // switchless module reserves one thread beyond the classic layout for the
 // dispatcher, and the manifest validation rejects budgets without it.
 func TestSwitchlessManifestNeedsDispatcherTCS(t *testing.T) {
-	env := costmodel.NewEnv(nil, 5, nil)
+	env := costmodel.NewEnv(nil, 5)
 	p, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: 5})
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)

@@ -14,7 +14,7 @@ import (
 // answering an AV response — the message pair and the handler shape of
 // the benchmark's sbi.post_* probes — in either wire format.
 func benchmarkPost(b *testing.B, binary bool) {
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	req := &paka.UDMGenerateAVRequest{
 		SUPI: "imsi-001010000000001", OPc: make([]byte, 16), RAND: make([]byte, 16),
 		SQN: make([]byte, 6), AMFID: []byte{0x80, 0x00}, SNN: "5G:mnc001.mcc001.3gppnetwork.org",

@@ -271,7 +271,7 @@ func TestClientPostCancelledContext(t *testing.T) {
 // env seed, the virtual times of every attempt are identical run to run.
 func TestResilientBackoffDeterminism(t *testing.T) {
 	schedule := func() []simclock.Cycles {
-		env := costmodel.NewEnv(nil, 99, nil)
+		env := costmodel.NewEnv(nil, 99)
 		var at []simclock.Cycles
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)

@@ -22,7 +22,7 @@ type echoResp struct {
 	From  string `json:"from"`
 }
 
-func newEnv() *costmodel.Env { return costmodel.NewEnv(nil, 1, nil) }
+func newEnv() *costmodel.Env { return costmodel.NewEnv(nil, 1) }
 
 func echoServer(t *testing.T, env *costmodel.Env) *Server {
 	t.Helper()

@@ -31,7 +31,7 @@ type fixture struct {
 
 func newFixture(t *testing.T, profile *COTSProfile) *fixture {
 	t.Helper()
-	env := costmodel.NewEnv(nil, 2, nil)
+	env := costmodel.NewEnv(nil, 2)
 	opc, err := milenage.ComputeOPc(testK, make([]byte, 16))
 	if err != nil {
 		t.Fatalf("ComputeOPc: %v", err)
@@ -79,7 +79,7 @@ func (f *fixture) networkChallenge(t *testing.T, sqn []byte) (*nas.Authenticatio
 }
 
 func TestNewValidation(t *testing.T) {
-	env := costmodel.NewEnv(nil, 1, nil)
+	env := costmodel.NewEnv(nil, 1)
 	if _, err := New(Config{SUPI: suci.SUPI{MCC: "1"}, K: testK, OPc: testK, Env: env}); err == nil {
 		t.Fatal("invalid SUPI accepted")
 	}
