@@ -11,8 +11,8 @@ test:
 	$(GO) test ./...
 
 # The repository's own static-analysis suite (see internal/analysis):
-# determinism, secretflow, ctxcarry, stripemap, hotalloc, planeboundary,
-# poolowner, lockorder. Exits non-zero on any
+# determinism, secretflow, stripemap, hotalloc, poolowner, lockorder.
+# Exits non-zero on any
 # unsuppressed finding. govulncheck runs when the host has it installed
 # (CI does); locally it is skipped rather than fetched, keeping the
 # target usable in network-free build environments.

@@ -22,10 +22,6 @@
 //	                outside the enclave-side packages (internal/hmee,
 //	                internal/paka); the long-term key K must not ride in
 //	                SBI Post payloads.
-//	ctxcarry      — context.Context is always the first parameter; no
-//	                context.Background()/TODO() below the top level
-//	                (only func main/init of package main may mint a
-//	                root context); no nil contexts at call sites.
 //	stripemap     — map fields guarded by a sibling mutex (the
 //	                internal/shard stripe pattern and every mu+map NF
 //	                store) must only be indexed, ranged, measured or
@@ -35,11 +31,6 @@
 //	                not call fmt.Sprintf-style formatters or the
 //	                one-shot encoding/json Marshal/Unmarshal entry
 //	                points; arguments to the panic builtin are exempt.
-//	planeboundary — data-plane packages must not import the NRF
-//	                snapshot builder (internal/nf/nrf/topo); only the
-//	                NRF subtree and the deploy wiring may, keeping
-//	                "registration survives NRF unavailability"
-//	                structural.
 //	poolowner     — pooled objects have one owner at a time: bodies
 //	                from sbi.MarshalBody (and releasing wrappers) are
 //	                released exactly once on every path and never used

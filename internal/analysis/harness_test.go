@@ -58,11 +58,8 @@ func sharedLoader(t *testing.T) *Loader {
 func TestDeterminismFixture(t *testing.T)   { runFixture(t, Determinism, "determinism") }
 func TestSecretFlowFixture(t *testing.T)    { runFixture(t, SecretFlow, "secretflow") }
 func TestSecretFlowEnclaveDir(t *testing.T) { runFixture(t, SecretFlow, "paka") }
-func TestCtxCarryFixture(t *testing.T)      { runFixture(t, CtxCarry, "ctxcarry") }
-func TestCtxCarryMainFixture(t *testing.T)  { runFixture(t, CtxCarry, "ctxcarrymain") }
 func TestStripeMapFixture(t *testing.T)     { runFixture(t, StripeMap, "stripemap") }
 func TestHotAllocFixture(t *testing.T)      { runFixture(t, HotAlloc, "hotalloc") }
-func TestPlaneBoundaryFixture(t *testing.T) { runFixture(t, PlaneBoundary, "planeboundary") }
 func TestPoolOwnerFixture(t *testing.T)     { runFixture(t, PoolOwner, "poolowner") }
 func TestLockOrderFixture(t *testing.T)     { runFixture(t, LockOrder, "lockorder") }
 

@@ -1,10 +1,12 @@
 package analysis
 
 import (
-	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/types"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -42,13 +44,12 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 	}
 
 	annotated := map[string]string{
-		"cmd/gnbsim/main.go":             "determinism",
-		"internal/costmodel/realtime.go": "determinism",
-		"internal/gnb/gnb.go":            "determinism",
-		"internal/hmee/sgx/enclave.go":   "determinism",
-		"internal/sbi/tls.go":            "determinism",
-		"internal/nf/udr/udr.go":         "secretflow",
-		"internal/sbi/codec.go":          "hotalloc",
+		"cmd/gnbsim/main.go":           "determinism",
+		"internal/gnb/gnb.go":          "determinism",
+		"internal/hmee/sgx/enclave.go": "determinism",
+		"internal/sbi/tls.go":          "determinism",
+		"internal/nf/udr/udr.go":       "secretflow",
+		"internal/sbi/codec.go":        "hotalloc",
 	}
 	found := make(map[string]bool)
 	suppressed := make(map[[2]string]bool) // {filename, analyzer}
@@ -143,11 +144,10 @@ func TestShieldlintBinary(t *testing.T) {
 	}
 }
 
-// TestShieldlintOutputModes checks the machine-readable formats on a
-// package with known suppressed findings: -json emits one parseable
-// object per finding with the documented fields, and -format=github
-// emits workflow-command annotations. Both must keep exit code 0 when
-// every finding is suppressed.
+// TestShieldlintOutputModes checks the machine-readable format on a
+// package with known suppressed findings: -format=github emits
+// workflow-command annotations and keeps exit code 0 when every finding
+// is suppressed.
 func TestShieldlintOutputModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go run in -short mode")
@@ -156,43 +156,15 @@ func TestShieldlintOutputModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	jsonCmd := exec.Command("go", "run", "./tools/shieldlint",
-		"-json", "-show-suppressed", "./internal/costmodel")
-	jsonCmd.Dir = root
-	out, err := jsonCmd.Output()
-	if err != nil {
-		t.Fatalf("shieldlint -json exited non-zero: %v\n%s", err, out)
-	}
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("shieldlint -json printed no findings for internal/costmodel (known suppressed wallclock sites)")
-	}
-	for _, line := range lines {
-		var f struct {
-			Analyzer   string `json:"analyzer"`
-			File       string `json:"file"`
-			Line       int    `json:"line"`
-			Message    string `json:"message"`
-			Suppressed bool   `json:"suppressed"`
-		}
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("non-JSON output line %q: %v", line, err)
-		}
-		if f.Analyzer == "" || f.File == "" || f.Line == 0 || f.Message == "" {
-			t.Errorf("JSON finding missing fields: %s", line)
-		}
-		if filepath.IsAbs(f.File) {
-			t.Errorf("JSON finding file %q not module-relative", f.File)
-		}
-	}
-
 	ghCmd := exec.Command("go", "run", "./tools/shieldlint",
-		"-format=github", "-show-suppressed", "./internal/costmodel")
+		"-format=github", "-show-suppressed", "./internal/gnb")
 	ghCmd.Dir = root
-	out, err = ghCmd.Output()
+	out, err := ghCmd.Output()
 	if err != nil {
 		t.Fatalf("shieldlint -format=github exited non-zero: %v\n%s", err, out)
+	}
+	if len(strings.TrimSpace(string(out))) == 0 {
+		t.Fatal("shieldlint printed no findings for internal/gnb (known suppressed wallclock sites)")
 	}
 	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
 		if !strings.HasPrefix(line, "::notice ") && !strings.HasPrefix(line, "::error ") {
@@ -200,6 +172,54 @@ func TestShieldlintOutputModes(t *testing.T) {
 		}
 		if !strings.Contains(line, "file=") || !strings.Contains(line, "title=shieldlint/") {
 			t.Errorf("github-format line missing file/title properties: %q", line)
+		}
+	}
+}
+
+// TestOneChargingSink pins the property the layer ledger relies on: every
+// cycle reaches a request account through costmodel.Env.ChargeTo, the one
+// non-test reference to (*simclock.Account).Charge in the module. A second
+// sink would have to learn about layers separately.
+func TestOneChargingSink(t *testing.T) {
+	sharedLoader(t)
+	var sites []string
+	for _, pkg := range repoPkgs {
+		if pkg.Standard {
+			continue
+		}
+		for id, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if ok && fn.FullName() == "(*shield5g/internal/simclock.Account).Charge" {
+				pos := pkg.Fset.Position(id.Pos())
+				sites = append(sites, fmt.Sprintf("%s:%d", filepath.ToSlash(pos.Filename), pos.Line))
+			}
+		}
+	}
+	sort.Strings(sites)
+	if len(sites) != 1 || !strings.Contains(sites[0], "internal/costmodel/env.go:") {
+		t.Errorf("(*simclock.Account).Charge is referenced at %v; want exactly one site, in internal/costmodel/env.go", sites)
+	}
+}
+
+// TestTopoBuilderImporters pins the import direction of the sharded-core
+// control protocol: only the NRF subtree and the deploy layer that wires
+// subscriptions may import the NRF's snapshot builder. Data planes route
+// from internal/topology's last-known-good snapshots; one that imports
+// the builder has a compile-time path back into the NRF, and
+// "registration survives NRF unavailability" stops being structural.
+func TestTopoBuilderImporters(t *testing.T) {
+	sharedLoader(t)
+	const builder = "shield5g/internal/nf/nrf/topo"
+	for _, pkg := range repoPkgs {
+		p := pkg.ImportPath
+		if pkg.Standard || p == "shield5g/internal/deploy" || p == "shield5g/internal/nf/nrf" ||
+			strings.HasPrefix(p, "shield5g/internal/nf/nrf/") {
+			continue
+		}
+		for _, imp := range pkg.Types.Imports() {
+			if imp.Path() == builder {
+				t.Errorf("%s imports %s; only internal/deploy and internal/nf/nrf/... may", p, builder)
+			}
 		}
 	}
 }

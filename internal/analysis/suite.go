@@ -5,10 +5,8 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		SecretFlow,
-		CtxCarry,
 		StripeMap,
 		HotAlloc,
-		PlaneBoundary,
 		PoolOwner,
 		LockOrder,
 	}

@@ -3,9 +3,9 @@
 // routing snapshots into data-plane topology.Routers. This is the NRF
 // promoted from a passive registry to an authoritative control plane —
 // but strictly off the request path: data planes never call into this
-// package to route (the shieldlint `planeboundary` analyzer rejects the
-// import), they only receive pushes, ack or nack them, and keep serving
-// on their last-known-good snapshot when the NRF is unavailable.
+// package to route (internal/analysis's TestTopoBuilderImporters rejects
+// the import), they only receive pushes, ack or nack them, and keep
+// serving on their last-known-good snapshot when the NRF is unavailable.
 package topo
 
 import (

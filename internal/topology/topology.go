@@ -15,8 +15,8 @@
 // The package is deliberately free of any control-plane machinery — the
 // snapshot *builder* lives in internal/nf/nrf/topo and pushes snapshots
 // into Routers here. Data-plane packages (gnb, amf, ausf, udm, paka, sbi)
-// may import this package but never the builder; the shieldlint
-// `planeboundary` analyzer enforces that import direction, which is what
+// may import this package but never the builder; internal/analysis's
+// TestTopoBuilderImporters enforces that import direction, which is what
 // keeps the NRF out of the request path: a Router answers every route from
 // its last-known-good snapshot with no upcall, so registration traffic
 // survives NRF unavailability indefinitely.

@@ -1,18 +1,15 @@
 // Command shieldlint runs the repository's static-analysis suite (see
-// internal/analysis): determinism, secretflow, ctxcarry, stripemap,
-// hotalloc, planeboundary, poolowner and lockorder. It exits
-// non-zero when any unsuppressed finding remains, which makes it a CI
-// gate:
+// internal/analysis): determinism, secretflow, stripemap, hotalloc,
+// poolowner and lockorder. It exits non-zero when any unsuppressed
+// finding remains, which makes it a CI gate:
 //
 //	go run ./tools/shieldlint ./...          # the `make lint` entry point
 //	go run ./tools/shieldlint -v ./internal/gnb
 //	go run ./tools/shieldlint -show-suppressed ./...
-//	go run ./tools/shieldlint -json ./...            # one JSON object per finding
 //	go run ./tools/shieldlint -format=github ./...   # GitHub Actions annotations
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -22,22 +19,10 @@ import (
 	"shield5g/internal/analysis"
 )
 
-// jsonFinding is the -json line format: one object per finding, stable
-// field names for downstream tooling.
-type jsonFinding struct {
-	Analyzer   string `json:"analyzer"`
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Column     int    `json:"column"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
 func main() {
 	verbose := flag.Bool("v", false, "print per-analyzer summary")
 	showSuppressed := flag.Bool("show-suppressed", false, "also print annotation-suppressed findings")
 	only := flag.String("only", "", "run a single analyzer by name")
-	asJSON := flag.Bool("json", false, "emit one JSON object per finding instead of text")
 	format := flag.String("format", "text", "output format: text or github (::error workflow annotations)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: shieldlint [flags] [packages]\n\nAnalyzers:\n")
@@ -96,20 +81,6 @@ func main() {
 			perAnalyzer[d.Analyzer]++
 		}
 		switch {
-		case *asJSON:
-			line, merr := json.Marshal(jsonFinding{
-				Analyzer:   d.Analyzer,
-				File:       relToRoot(root, d.Pos.Filename),
-				Line:       d.Pos.Line,
-				Column:     d.Pos.Column,
-				Message:    d.Message,
-				Suppressed: d.Suppressed,
-			})
-			if merr != nil {
-				fmt.Fprintln(os.Stderr, "shieldlint:", merr)
-				os.Exit(2)
-			}
-			fmt.Println(string(line))
 		case *format == "github":
 			// Suppressed findings surface as notices so a reviewer sees
 			// the escape hatches without the job failing on them.
