@@ -52,8 +52,8 @@ func TestAllRunsEachOnceAndWritesEveryCSV(t *testing.T) {
 		t.Fatalf("runExperiments: %v", err)
 	}
 	withCSV := shield5g.CSVExperiments()
-	if len(withCSV) != 10 {
-		t.Fatalf("CSV-capable experiments = %v, want 10", withCSV)
+	if len(withCSV) != 9 {
+		t.Fatalf("CSV-capable experiments = %v, want 9", withCSV)
 	}
 	for _, name := range names {
 		if runs[name] != 1 {

@@ -5,10 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"shield5g/internal/paka"
-	"shield5g/internal/simclock"
 )
 
 func TestAblationShape(t *testing.T) {
@@ -76,73 +74,6 @@ func TestAblationShape(t *testing.T) {
 	r.Render(&buf)
 	if !strings.Contains(buf.String(), "exitless") {
 		t.Fatal("render missing rows")
-	}
-}
-
-func TestScaleShape(t *testing.T) {
-	cfg := quick
-	r, err := Scale(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("Scale: %v", err)
-	}
-	if r.ServiceMedian <= 0 {
-		t.Fatal("no service time")
-	}
-	if len(r.Points) != 12 {
-		t.Fatalf("points = %d", len(r.Points))
-	}
-
-	get := func(replicas int, load float64) ScalePoint {
-		for _, p := range r.Points {
-			if p.Replicas == replicas && p.OfferedLoad == load {
-				return p
-			}
-		}
-		t.Fatalf("missing point %d/%v", replicas, load)
-		return ScalePoint{}
-	}
-
-	// Throughput scales roughly linearly with replicas at fixed load.
-	t1, t8 := get(1, 0.9), get(8, 0.9)
-	if t8.Throughput < 6*t1.Throughput {
-		t.Errorf("8-replica throughput %.0f not ~8x single %.0f", t8.Throughput, t1.Throughput)
-	}
-	// Queueing delay shrinks with pooling (more servers, same load).
-	if t8.P95Sojourn >= t1.P95Sojourn {
-		t.Errorf("8-replica p95 %v not below single-replica %v", t8.P95Sojourn, t1.P95Sojourn)
-	}
-	// Higher offered load means longer sojourns on the same pool.
-	if get(2, 0.9).MeanSojourn <= get(2, 0.5).MeanSojourn {
-		t.Error("higher load not slower")
-	}
-	// Utilization tracks offered load.
-	for _, p := range r.Points {
-		if p.Utilization < p.OfferedLoad-0.15 || p.Utilization > p.OfferedLoad+0.15 {
-			t.Errorf("replicas=%d load=%.0f%%: utilization %.2f off target",
-				p.Replicas, p.OfferedLoad*100, p.Utilization)
-		}
-		if p.MeanSojourn < r.ServiceMedian/2 {
-			t.Errorf("sojourn below service time: %v", p.MeanSojourn)
-		}
-	}
-
-	var buf bytes.Buffer
-	r.Render(&buf)
-	if !strings.Contains(buf.String(), "replicas") {
-		t.Fatal("render missing table")
-	}
-}
-
-func TestScaleSojournAboveService(t *testing.T) {
-	// Sanity on the queueing invariant: sojourn >= service for every
-	// simulated request implies mean sojourn >= mean service.
-	samples := []time.Duration{time.Millisecond}
-	p := simulateQueue(samples, 2, 0.5, 500, simclock.NewJitter(123))
-	if p.MeanSojourn < time.Millisecond {
-		t.Fatalf("mean sojourn %v below deterministic service time", p.MeanSojourn)
-	}
-	if p.Throughput <= 0 {
-		t.Fatal("no throughput")
 	}
 }
 

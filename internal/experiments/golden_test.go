@@ -12,7 +12,7 @@ import (
 )
 
 // TestExperimentTableGolden holds the whole experiment table — the
-// rendered text of all 19 rows and the 10 CSV series, text and CSV taken
+// rendered text of all 18 rows and the 9 CSV series, text and CSV taken
 // from the same run as the CLI does — to testdata/golden/ at Seed 1,
 // Iterations 60. The goldens were minted at the commit before the
 // harness collapse, so every later commit that keeps them byte-identical

@@ -120,8 +120,6 @@ type moduleRun struct {
 	// stable summarises the warm VNF-side response times, functional and
 	// total the module-side L_F and L_T of the same requests.
 	stable, functional, total metrics.Summary
-	// service holds the warm requests' server-side latencies.
-	service *metrics.Recorder
 	// enters is the EENTER count per warm request (zero off SGX): the
 	// cold request's lazy-loading OCALLs are not part of it.
 	enters float64
@@ -159,7 +157,6 @@ func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, opts 
 	run.stable = responses.Summarize()
 	run.functional = r.module.FunctionalLatency().Summarize()
 	run.total = r.module.TotalLatency().Summarize()
-	run.service = r.module.ServerSideLatency()
 	run.enters = float64(r.module.Stats().EENTER-entersBefore) / float64(max(n, 1))
 	return run, nil
 }

@@ -55,7 +55,6 @@ var table = []Experiment{
 	row("fig9", "Functional and total latency, container vs SGX", Fig9),
 	row("massreg", "Concurrent mass-registration sweep of the parallel gNBSIM driver", MassReg),
 	row("ota", "OTA feasibility test with the COTS UE profile", OTA),
-	row("scale", "Horizontal scaling of enclave worker pools (§V-B7)", Scale),
 	row("shardscale", "Horizontally sharded core: fleet throughput across replica counts 1-8", ShardScale),
 	row("storm", "Signaling-storm survival: overload control and priority admission at 10x overload", Storm),
 	staticRow("table1", "Enclave boundary parameters (paper vs implementation)", Table1),

@@ -9,7 +9,7 @@ import (
 )
 
 func TestTableComplete(t *testing.T) {
-	want := []string{"ablation", "batching", "chaos", "e2e", "fig10", "fig7", "fig8", "fig9", "massreg", "ota", "scale", "shardscale", "storm", "table1", "table2", "table3", "table4", "table5", "teecompare"}
+	want := []string{"ablation", "batching", "chaos", "e2e", "fig10", "fig7", "fig8", "fig9", "massreg", "ota", "shardscale", "storm", "table1", "table2", "table3", "table4", "table5", "teecompare"}
 	if names := Names(); !slices.Equal(names, want) {
 		t.Fatalf("names = %v, want %v", names, want)
 	}
@@ -63,7 +63,7 @@ func TestWriteCSV(t *testing.T) {
 	if err := WriteCSV(context.Background(), "table5", cfg, &buf); err == nil {
 		t.Fatal("CSV export for non-figure experiment accepted")
 	}
-	want := []string{"batching", "chaos", "fig10", "fig7", "fig8", "fig9", "massreg", "scale", "shardscale", "storm"}
+	want := []string{"batching", "chaos", "fig10", "fig7", "fig8", "fig9", "massreg", "shardscale", "storm"}
 	if got := CSVNames(); !slices.Equal(got, want) {
 		t.Fatalf("CSVNames = %v, want %v", got, want)
 	}

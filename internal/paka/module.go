@@ -99,12 +99,9 @@ type Module struct {
 	restarts  atomic.Uint64
 
 	// Latency recorders feeding the experiments: the module-side
-	// functional (L_F) and total (L_T) windows of every served request,
-	// plus the full server-side residence (the service time used by the
-	// horizontal-scaling experiment).
+	// functional (L_F) and total (L_T) windows of every served request.
 	functional *metrics.Recorder
 	total      *metrics.Recorder
-	serverSide *metrics.Recorder
 
 	// sessMu guards the per-connection keep-alive sessions (session.go).
 	sessMu   sync.Mutex
@@ -161,7 +158,6 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 		runtime:    rt,
 		functional: &metrics.Recorder{},
 		total:      &metrics.Recorder{},
-		serverSide: &metrics.Recorder{},
 		milCache:   milenage.NewCache(),
 		sealed:     make(map[string][]byte),
 	}
@@ -361,7 +357,6 @@ func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req) (*Resp, error
 		model := m.env.Model
 		m.functional.Add(model.Duration(bd.Functional))
 		m.total.Add(model.Duration(bd.Total))
-		m.serverSide.Add(model.Duration(bd.ServerSide))
 		return out, nil
 	}
 }
@@ -600,15 +595,10 @@ func (m *Module) FunctionalLatency() *metrics.Recorder { return m.functional }
 // TotalLatency returns the recorder of module-side L_T samples.
 func (m *Module) TotalLatency() *metrics.Recorder { return m.total }
 
-// ServerSideLatency returns the recorder of full server-side residence
-// times (the per-request service time of the module).
-func (m *Module) ServerSideLatency() *metrics.Recorder { return m.serverSide }
-
 // ResetRecorders clears the latency recorders between experiment phases.
 func (m *Module) ResetRecorders() {
 	m.functional.Reset()
 	m.total.Reset()
-	m.serverSide.Reset()
 }
 
 // Stop deregisters and shuts the module down.

@@ -112,7 +112,7 @@ func TestAddSubscriberWithProfile(t *testing.T) {
 
 func TestPublicExperimentList(t *testing.T) {
 	names := shield5g.Experiments()
-	if len(names) != 19 {
+	if len(names) != 18 {
 		t.Fatalf("experiments = %v", names)
 	}
 	var buf bytes.Buffer
