@@ -169,6 +169,20 @@ const maxNASRounds = 12
 // retry if needed), security mode, and registration accept. It returns the
 // RAN session and charges all costs to ctx's account.
 func (g *GNB) RegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
+	return g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
+}
+
+// ReRegisterUE runs a mobility registration using the UE's stored 5G-GUTI
+// (for example after the UE moved to this gNB): the core resolves the
+// temporary identity and re-authenticates without a SUCI ever crossing
+// the air interface.
+func (g *GNB) ReRegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
+	return g.register(ctx, device, (*ue.UE).BuildReRegistrationRequest)
+}
+
+// register is the body of both entry points; build produces the device's
+// initial uplink for the serving network name.
+func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, context.Context, string) ([]byte, error)) (*Session, error) {
 	if err := device.DetectNetwork(g.BroadcastPLMN()); err != nil {
 		return nil, err
 	}
@@ -181,44 +195,12 @@ func (g *GNB) RegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
 
 	ranUEID := g.nextRANUE.Add(1)
 
-	// One routing decision per registration: the SUPI's owning replica
-	// serves the whole vertical slice (AMF -> AUSF -> UDM -> modules).
+	// One routing decision per registration, on the SUPI: the owning
+	// replica serves the whole vertical slice (AMF -> AUSF -> UDM ->
+	// modules) and, for a mobility registration, minted the GUTI and holds
+	// its TMSI binding.
 	a, shardIdx := g.amfFor(device)
-	uplink, err := device.BuildRegistrationRequest(ctx, a.ServingNetworkName())
-	if err != nil {
-		return nil, err
-	}
-	if err := g.driveRegistration(ctx, a, device, ranUEID, uplink); err != nil {
-		return nil, err
-	}
-	return &Session{
-		gnb:       g,
-		amf:       a,
-		shard:     shardIdx,
-		ue:        device,
-		ranUEID:   ranUEID,
-		SetupTime: g.env.Model.Duration(acct.Total() - start),
-	}, nil
-}
-
-// ReRegisterUE runs a mobility registration using the UE's stored 5G-GUTI
-// (for example after the UE moved to this gNB): the core resolves the
-// temporary identity and re-authenticates without a SUCI ever crossing
-// the air interface.
-func (g *GNB) ReRegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
-	if err := device.DetectNetwork(g.BroadcastPLMN()); err != nil {
-		return nil, err
-	}
-	acct := simclock.AccountFrom(ctx)
-	ctx = simclock.WithAccount(ctx, acct)
-	start := acct.Total()
-
-	ranUEID := g.nextRANUE.Add(1)
-
-	// Mobility registrations route on the SUPI too: the GUTI was minted
-	// by the owning replica, which holds the TMSI binding.
-	a, shardIdx := g.amfFor(device)
-	uplink, err := device.BuildReRegistrationRequest(ctx, a.ServingNetworkName())
+	uplink, err := build(device, ctx, a.ServingNetworkName())
 	if err != nil {
 		return nil, err
 	}
