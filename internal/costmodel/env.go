@@ -10,8 +10,8 @@ import (
 // advance and the jitter source its draws come from. All parts of one
 // simulated testbed share a single Env so their time bases agree; an SGX
 // platform holds a second instance of its own, because its clock is the
-// uptime that drives AEX and its seed must keep yielding the same jitter
-// state (see DESIGN.md §5).
+// uptime that drives AEX and its jitter is a separate seeded stream (see
+// DESIGN.md §5).
 type Env struct {
 	Model  *Model
 	Clock  *simclock.Clock
