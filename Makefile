@@ -27,19 +27,20 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Static checks plus a focused race pass over the fault-injection,
-# mass-registration, and enclave-runtime paths (parallel drivers,
-# injector, resilience layer, overload limiter + admission buckets,
-# keep-alive sessions, TCS pool, the switchless ring's dispatcher lock).
+# The local short loop: static checks plus a focused race pass over the
+# fault-injection, mass-registration, and enclave-runtime paths (parallel
+# drivers, injector, resilience layer, overload limiter + admission
+# buckets, keep-alive sessions, TCS pool, the switchless ring's dispatcher
+# lock). `make ci` runs the whole suite under -race instead.
 vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/nf/nrf/topo/ ./internal/hmee/sgx/ ./internal/hmee/gramine/
 
-# testing.B benchmarks: one per paper table/figure (virtual quantities as
-# custom metrics) plus the per-package micro-benchmarks. The repository
-# benchmark every PR is judged on — six workloads, two clocks, end-to-end
-# and per-layer metrics — is `bash bench/run.sh` (BENCHMARK.json,
-# bench/README.md).
+# The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
+# accounting). The paper's tables and figures are `make experiments`; the
+# repository benchmark every PR is judged on — six workloads, two clocks,
+# end-to-end and per-layer metrics — is `bash bench/run.sh`
+# (BENCHMARK.json, bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
@@ -55,38 +56,22 @@ loc:
 	awk '{ n = split($$2, p, "/"); k = n == 1 ? "(root)" : p[1] == "internal" ? p[1] "/" p[2] : p[1]; s[k] += $$1 } \
 		END { for (k in s) printf "%7d  %s\n", s[k], k }' | sort -rn
 
-# What CI runs (.github/workflows/ci.yml's test job is `make ci`): lint
-# first (cheapest signal, fails fastest), then build, the race-enabled
-# test suite — which holds every acceptance gate on a deterministic
-# virtual quantity (amortization, shard speedup, switchless census, storm
-# goodput, rate-0 chaos overhead) — static checks, a short-horizon
-# signaling-storm smoke through the gnbsim CLI (open-loop replay, limiter
-# armed — exercises the overload stack end to end in under a second), a
-# sharded-core smoke (4 replicas behind SUPI-affinity routing with the
-# full fast path on), a switchless-ring smoke (ring-served ECALLs on
-# the same fast path, four workers contending for each module's
-# dispatcher lock) and a confidential-VM smoke (keep-alive sessions and
-# the AV-pool batch crossing on the guest process at SEV's prices — the
-# one backend no bench workload deploys) through the same CLI, short fuzz
-# passes over the binary SBI frame parser, over the JSON codec against encoding/json and
-# over the Gramine manifest parser (their seed corpora already ran with
-# the test suite), and the benchmark
-# module (bench/ has its own go.mod, so `./...` above never descends into
-# it): vet, its tests, gofmt, and one-second attach_sharded, attach_paper
-# and reauth_ring runs whose exit codes carry the driver-parity and
-# output-correctness checks (binary-frame mode, JSON mode, and the ring
-# crossing respectively — reauth_ring is the only workload that runs them
-# through the switchless rings). The allocation budgets skip themselves
-# under -race (shadow allocations land in MemStats), so the three tests
-# that hold them run once more on a plain build. The experiments CLI then
-# regenerates every row and every CSV series once (about a second at 60
-# samples): its own tests stub every Run, so this is the one step that
-# drives the real table through the command.
+# What CI runs (.github/workflows/ci.yml's test job is `make ci`), cheapest
+# signal first: lint, vet, the whole suite under -race (it holds every
+# acceptance gate on a deterministic virtual quantity), then the three
+# tests whose allocation budgets skip themselves under -race on a plain
+# build. After that, end to end: the experiments CLI regenerates every row
+# and CSV series (its own tests stub every Run); four gnbsim smokes drive
+# the storm replay, the sharded core, the ring under four workers and the
+# SEV guest, the one backend no bench workload deploys; three fuzz passes
+# (SBI frames, JSON codec, Gramine manifest); and the benchmark module —
+# its own go.mod, so `./...` never reaches it — is vetted, tested,
+# gofmt-checked and run for a second in binary-frame, JSON and ring mode.
 ci: build
 	$(MAKE) lint
+	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates' . ./internal/experiments
-	$(MAKE) vet
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
@@ -106,10 +91,8 @@ experiments:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/slicebench
 	$(GO) run ./examples/introspection
 	$(GO) run ./examples/attestation
-	$(GO) run ./examples/ota
 
 clean:
 	$(GO) clean ./...

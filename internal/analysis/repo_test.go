@@ -201,6 +201,44 @@ func TestOneChargingSink(t *testing.T) {
 	}
 }
 
+// TestOneBodyPerPrimitive pins the deletion of the allocating KDF twins:
+// under internal/crypto/... a function or method X stands next to an XInto
+// only while some non-test file calls X (today milenage's F1 and F2345,
+// from internal/ue, and hashpool's HMAC.Sum, from suci). An X that only
+// tests call is a second body of the primitive which the tests then check
+// in place of the one production runs; re-adding kdf.KSEAF fails here.
+func TestOneBodyPerPrimitive(t *testing.T) {
+	sharedLoader(t)
+	called := make(map[string]bool)
+	for _, pkg := range repoPkgs {
+		if pkg.Standard {
+			continue
+		}
+		for _, obj := range pkg.Info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				called[fn.FullName()] = true
+			}
+		}
+	}
+	for _, pkg := range repoPkgs {
+		if !strings.HasPrefix(pkg.ImportPath, "shield5g/internal/crypto/") {
+			continue
+		}
+		declared := make(map[string]bool)
+		for _, obj := range pkg.Info.Defs {
+			if fn, ok := obj.(*types.Func); ok {
+				declared[fn.FullName()] = true
+			}
+		}
+		for into := range declared {
+			twin := strings.TrimSuffix(into, "Into")
+			if twin != into && declared[twin] && !called[twin] {
+				t.Errorf("%s is declared beside %s and no non-test file calls it: delete it and point its tests at %s", twin, into, into)
+			}
+		}
+	}
+}
+
 // TestTopoBuilderImporters pins the import direction of the sharded-core
 // control protocol: only the NRF subtree and the deploy layer that wires
 // subscriptions may import the NRF's snapshot builder. Data planes route

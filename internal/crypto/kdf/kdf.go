@@ -25,12 +25,11 @@ const (
 	fcKSEAF   = 0x6C
 	fcKAMF    = 0x6D
 	fcAlgoKey = 0x69
-	fcKGNB    = 0x6E
 )
 
 // Key sizes in bytes.
 const (
-	KeyLen256 = 32 // K_AUSF, K_SEAF, K_AMF, K_gNB
+	KeyLen256 = 32 // K_AUSF, K_SEAF, K_AMF
 	KeyLen128 = 16 // RES*, HXRES*, NAS algorithm keys
 )
 
@@ -52,36 +51,14 @@ var sBuilderPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// AppendGeneric computes the TS 33.220 Annex B KDF:
+// GenericInto computes the TS 33.220 Annex B KDF:
 //
 //	HMAC-SHA-256(key, FC || P0 || L0 || P1 || L1 || ...)
 //
-// where each Li is the 16-bit big-endian length of Pi. It appends the
-// 32-byte output to dst (nil for a fresh caller-owned slice) and returns
-// the extended slice. The HMAC state and input scratch come from pools, so
-// a derivation that reuses dst performs no heap allocation.
-//
-//shieldlint:hotpath
-func AppendGeneric(dst, key []byte, fc byte, params ...[]byte) []byte {
-	sp := sBuilderPool.Get().(*[]byte)
-	s := append((*sp)[:0], fc)
-	for _, p := range params {
-		s = append(s, p...)
-		s = binary.BigEndian.AppendUint16(s, uint16(len(p)))
-	}
-	mac := hashpool.GetHMAC(key)
-	mac.Write(s)
-	dst = mac.Sum(dst)
-	hashpool.PutHMAC(mac)
-	*sp = s[:0]
-	sBuilderPool.Put(sp)
-	return dst
-}
-
-// GenericInto computes the TS 33.220 KDF directly into dst, which must
-// hold at least 32 bytes. Unlike AppendGeneric, dst never crosses a
-// hash.Hash interface boundary, so a stack-allocated or caller-owned dst
-// performs no heap allocation at all.
+// where each Li is the 16-bit big-endian length of Pi, into dst, which must
+// hold at least 32 bytes. The HMAC state and input scratch come from pools
+// and dst never crosses a hash.Hash interface boundary, so a
+// stack-allocated or caller-owned dst performs no heap allocation at all.
 //
 //shieldlint:hotpath
 func GenericInto(dst, key []byte, fc byte, params ...[]byte) {
@@ -99,25 +76,8 @@ func GenericInto(dst, key []byte, fc byte, params ...[]byte) {
 	sBuilderPool.Put(sp)
 }
 
-// KAUSF derives K_AUSF from CK||IK (TS 33.501 A.2). sqnXorAK is the 6-byte
-// SQN XOR AK value that also appears in AUTN.
-func KAUSF(ck, ik []byte, snn string, sqnXorAK []byte) ([]byte, error) {
-	if len(ck) != 16 || len(ik) != 16 {
-		return nil, fmt.Errorf("kdf: CK/IK lengths %d/%d, want 16/16", len(ck), len(ik))
-	}
-	if len(sqnXorAK) != 6 {
-		return nil, fmt.Errorf("kdf: SQN^AK length %d, want 6", len(sqnXorAK))
-	}
-	// CK||IK on the stack: the key is copied into the pooled HMAC's pad
-	// blocks, never retained.
-	var key [32]byte
-	copy(key[:16], ck)
-	copy(key[16:], ik)
-	return AppendGeneric(nil, key[:], fcKAUSF, []byte(snn), sqnXorAK), nil
-}
-
-// KAUSFInto is KAUSF writing the 32-byte key into dst, for callers that
-// place the result in a buffer they already own (allocation-free).
+// KAUSFInto derives K_AUSF from CK||IK (TS 33.501 A.2) into the 32-byte
+// dst. sqnXorAK is the 6-byte SQN XOR AK value that also appears in AUTN.
 func KAUSFInto(dst, ck, ik []byte, snn string, sqnXorAK []byte) error {
 	if len(dst) != KeyLen256 {
 		return fmt.Errorf("kdf: K_AUSF dst length %d, want %d", len(dst), KeyLen256)
@@ -128,6 +88,8 @@ func KAUSFInto(dst, ck, ik []byte, snn string, sqnXorAK []byte) error {
 	if len(sqnXorAK) != 6 {
 		return fmt.Errorf("kdf: SQN^AK length %d, want 6", len(sqnXorAK))
 	}
+	// CK||IK on the stack: the key is copied into the pooled HMAC's pad
+	// blocks, never retained.
 	var key [32]byte
 	copy(key[:16], ck)
 	copy(key[16:], ik)
@@ -135,29 +97,9 @@ func KAUSFInto(dst, ck, ik []byte, snn string, sqnXorAK []byte) error {
 	return nil
 }
 
-// ResStar derives RES* (UE side) or XRES* (network side) from CK||IK
-// (TS 33.501 A.4). The result is the 128 least-significant bits of the KDF
-// output.
-func ResStar(ck, ik []byte, snn string, rand, res []byte) ([]byte, error) {
-	if len(ck) != 16 || len(ik) != 16 {
-		return nil, fmt.Errorf("kdf: CK/IK lengths %d/%d, want 16/16", len(ck), len(ik))
-	}
-	if len(rand) != 16 {
-		return nil, fmt.Errorf("kdf: RAND length %d, want 16", len(rand))
-	}
-	if len(res) != 8 {
-		return nil, fmt.Errorf("kdf: RES length %d, want 8", len(res))
-	}
-	var key [32]byte
-	copy(key[:16], ck)
-	copy(key[16:], ik)
-	out := AppendGeneric(nil, key[:], fcResStar, []byte(snn), rand, res)
-	return out[len(out)-KeyLen128:], nil
-}
-
-// ResStarInto is ResStar writing the 16-byte response into dst
-// (allocation-free; the discarded upper half of the KDF output lives on
-// the stack).
+// ResStarInto derives RES* (UE side) or XRES* (network side) from CK||IK
+// (TS 33.501 A.4) into the 16-byte dst: the 128 least-significant bits of
+// the KDF output, whose discarded upper half lives on the stack.
 func ResStarInto(dst, ck, ik []byte, snn string, rand, res []byte) error {
 	if len(dst) != KeyLen128 {
 		return fmt.Errorf("kdf: RES* dst length %d, want %d", len(dst), KeyLen128)
@@ -180,35 +122,18 @@ func ResStarInto(dst, ck, ik []byte, snn string, rand, res []byte) error {
 	return nil
 }
 
-// HXResStar derives HXRES* = the 128 most-significant bits of
-// SHA-256(RAND || XRES*) (TS 33.501 A.5). This is the value the paper's
-// eAUSF P-AKA module computes inside the enclave.
-//
-// Note: the paper's Table I lists HXRES* as 8 bytes; TS 33.501 defines 16.
-// We implement the specification value and report both in the Table I
-// reproduction (see EXPERIMENTS.md).
-func HXResStar(rand, xresStar []byte) ([]byte, error) {
-	if len(rand) != 16 {
-		return nil, fmt.Errorf("kdf: RAND length %d, want 16", len(rand))
-	}
-	if len(xresStar) != 16 {
-		return nil, fmt.Errorf("kdf: XRES* length %d, want 16", len(xresStar))
-	}
-	h := hashpool.GetSHA256()
-	h.Write(rand)
-	h.Write(xresStar)
-	out := h.Sum(make([]byte, 0, sha256.Size))
-	hashpool.PutSHA256(h)
-	return out[:KeyLen128], nil
-}
-
 // hxresScratchPool recycles the full-width digest buffer of HXResStarInto
 // so the pooled hash's interface Sum call has a heap destination without a
 // per-call allocation.
 var hxresScratchPool = sync.Pool{New: func() any { return new([sha256.Size]byte) }}
 
-// HXResStarInto is HXResStar writing the 16-byte value into dst, for
-// callers that only compare it (allocation-free).
+// HXResStarInto derives HXRES* = the 128 most-significant bits of
+// SHA-256(RAND || XRES*) (TS 33.501 A.5) into the 16-byte dst. This is the
+// value the paper's eAUSF P-AKA module computes inside the enclave.
+//
+// Note: the paper's Table I lists HXRES* as 8 bytes; TS 33.501 defines 16.
+// We implement the specification value and report both in the Table I
+// reproduction (see EXPERIMENTS.md).
 func HXResStarInto(dst, rand, xresStar []byte) error {
 	if len(dst) != KeyLen128 {
 		return fmt.Errorf("kdf: HXRES* dst length %d, want %d", len(dst), KeyLen128)
@@ -229,16 +154,8 @@ func HXResStarInto(dst, rand, xresStar []byte) error {
 	return nil
 }
 
-// KSEAF derives the serving-network anchor key K_SEAF from K_AUSF
-// (TS 33.501 A.6).
-func KSEAF(kausf []byte, snn string) ([]byte, error) {
-	if len(kausf) != KeyLen256 {
-		return nil, fmt.Errorf("kdf: K_AUSF length %d, want %d", len(kausf), KeyLen256)
-	}
-	return AppendGeneric(nil, kausf, fcKSEAF, []byte(snn)), nil
-}
-
-// KSEAFInto is KSEAF writing the 32-byte key into dst (allocation-free).
+// KSEAFInto derives the serving-network anchor key K_SEAF from K_AUSF
+// (TS 33.501 A.6) into the 32-byte dst.
 func KSEAFInto(dst, kausf []byte, snn string) error {
 	if len(dst) != KeyLen256 {
 		return fmt.Errorf("kdf: K_SEAF dst length %d, want %d", len(dst), KeyLen256)
@@ -250,21 +167,10 @@ func KSEAFInto(dst, kausf []byte, snn string) error {
 	return nil
 }
 
-// KAMF derives K_AMF from K_SEAF (TS 33.501 A.7). supi is the subscription
-// permanent identifier in its IMSI string form; abba is the Anti-Bidding
-// down Between Architectures parameter (0x0000 in this release).
-func KAMF(kseaf []byte, supi string, abba []byte) ([]byte, error) {
-	if len(kseaf) != KeyLen256 {
-		return nil, fmt.Errorf("kdf: K_SEAF length %d, want %d", len(kseaf), KeyLen256)
-	}
-	if len(abba) == 0 {
-		abba = []byte{0x00, 0x00}
-	}
-	return AppendGeneric(nil, kseaf, fcKAMF, []byte(supi), abba), nil
-}
-
-// KAMFInto is KAMF writing the 32-byte key into dst (allocation-free),
-// for callers that store K_AMF in an in-struct array.
+// KAMFInto derives K_AMF from K_SEAF (TS 33.501 A.7) into the 32-byte dst.
+// supi is the subscription permanent identifier in its IMSI string form;
+// abba is the Anti-Bidding down Between Architectures parameter (0x0000 in
+// this release, and when empty).
 func KAMFInto(dst, kseaf []byte, supi string, abba []byte) error {
 	if len(dst) != KeyLen256 {
 		return fmt.Errorf("kdf: K_AMF dst length %d, want %d", len(dst), KeyLen256)
@@ -279,19 +185,9 @@ func KAMFInto(dst, kseaf []byte, supi string, abba []byte) error {
 	return nil
 }
 
-// AlgorithmKey derives a 128-bit NAS protection key from K_AMF
-// (TS 33.501 A.8): the 128 least-significant bits of the KDF output.
-func AlgorithmKey(kamf []byte, typ AlgorithmType, algoID byte) ([]byte, error) {
-	if len(kamf) != KeyLen256 {
-		return nil, fmt.Errorf("kdf: K_AMF length %d, want %d", len(kamf), KeyLen256)
-	}
-	out := AppendGeneric(nil, kamf, fcAlgoKey, []byte{byte(typ)}, []byte{algoID})
-	return out[len(out)-KeyLen128:], nil
-}
-
-// AlgorithmKeyInto is AlgorithmKey writing the 16-byte key into dst
-// (allocation-free; the discarded upper half of the KDF output lives on
-// the stack).
+// AlgorithmKeyInto derives a 128-bit NAS protection key from K_AMF
+// (TS 33.501 A.8) into the 16-byte dst: the 128 least-significant bits of
+// the KDF output, whose discarded upper half lives on the stack.
 func AlgorithmKeyInto(dst, kamf []byte, typ AlgorithmType, algoID byte) error {
 	if len(dst) != KeyLen128 {
 		return fmt.Errorf("kdf: algorithm key dst length %d, want %d", len(dst), KeyLen128)
@@ -303,18 +199,6 @@ func AlgorithmKeyInto(dst, kamf []byte, typ AlgorithmType, algoID byte) error {
 	GenericInto(out[:], kamf, fcAlgoKey, []byte{byte(typ)}, []byte{algoID})
 	copy(dst, out[sha256.Size-KeyLen128:])
 	return nil
-}
-
-// KGNB derives the gNB anchor key from K_AMF and the uplink NAS COUNT
-// (TS 33.501 A.9).
-func KGNB(kamf []byte, uplinkNASCount uint32) ([]byte, error) {
-	if len(kamf) != KeyLen256 {
-		return nil, fmt.Errorf("kdf: K_AMF length %d, want %d", len(kamf), KeyLen256)
-	}
-	var count [4]byte
-	binary.BigEndian.PutUint32(count[:], uplinkNASCount)
-	// Access type distinguisher: 0x01 = 3GPP access.
-	return AppendGeneric(nil, kamf, fcKGNB, count[:], []byte{0x01}), nil
 }
 
 // ServingNetworkName builds the SNN string of TS 24.501 §9.12.1, e.g.
@@ -339,26 +223,8 @@ func XorSQNAK(sqn, ak []byte) ([]byte, error) {
 	return out, nil
 }
 
-// BuildAUTN assembles the 16-byte authentication token
-// AUTN = (SQN XOR AK) || AMF || MAC-A.
-func BuildAUTN(sqnXorAK, amf, macA []byte) ([]byte, error) {
-	if len(sqnXorAK) != 6 {
-		return nil, fmt.Errorf("kdf: SQN^AK length %d, want 6", len(sqnXorAK))
-	}
-	if len(amf) != 2 {
-		return nil, fmt.Errorf("kdf: AMF length %d, want 2", len(amf))
-	}
-	if len(macA) != 8 {
-		return nil, fmt.Errorf("kdf: MAC-A length %d, want 8", len(macA))
-	}
-	autn := make([]byte, 0, 16)
-	autn = append(autn, sqnXorAK...)
-	autn = append(autn, amf...)
-	autn = append(autn, macA...)
-	return autn, nil
-}
-
-// SplitAUTN splits a 16-byte AUTN into its components.
+// SplitAUTN splits a 16-byte authentication token
+// AUTN = (SQN XOR AK) || AMF || MAC-A into its components.
 func SplitAUTN(autn []byte) (sqnXorAK, amf, macA []byte, err error) {
 	if len(autn) != 16 {
 		return nil, nil, nil, fmt.Errorf("kdf: AUTN length %d, want 16", len(autn))

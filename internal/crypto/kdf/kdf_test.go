@@ -8,10 +8,44 @@ import (
 	"testing/quick"
 )
 
-// Generic is the one-shot form of the KDF the tests check against manual
-// HMAC constructions and the pooled variants.
+// Generic runs the KDF on a fresh buffer, for the checks against manual
+// HMAC constructions.
 func Generic(key []byte, fc byte, params ...[]byte) []byte {
-	return AppendGeneric(make([]byte, 0, sha256.Size), key, fc, params...)
+	out := make([]byte, sha256.Size)
+	GenericInto(out, key, fc, params...)
+	return out
+}
+
+// The derive helpers run one *Into derivation on a fresh destination of its
+// canonical size.
+func deriveKAUSF(ck, ik []byte, snn string, sqnXorAK []byte) ([]byte, error) {
+	dst := make([]byte, KeyLen256)
+	return dst, KAUSFInto(dst, ck, ik, snn, sqnXorAK)
+}
+
+func deriveResStar(ck, ik []byte, snn string, rand, res []byte) ([]byte, error) {
+	dst := make([]byte, KeyLen128)
+	return dst, ResStarInto(dst, ck, ik, snn, rand, res)
+}
+
+func deriveHXResStar(rand, xresStar []byte) ([]byte, error) {
+	dst := make([]byte, KeyLen128)
+	return dst, HXResStarInto(dst, rand, xresStar)
+}
+
+func deriveKSEAF(kausf []byte, snn string) ([]byte, error) {
+	dst := make([]byte, KeyLen256)
+	return dst, KSEAFInto(dst, kausf, snn)
+}
+
+func deriveKAMF(kseaf []byte, supi string, abba []byte) ([]byte, error) {
+	dst := make([]byte, KeyLen256)
+	return dst, KAMFInto(dst, kseaf, supi, abba)
+}
+
+func deriveAlgorithmKey(kamf []byte, typ AlgorithmType, algoID byte) ([]byte, error) {
+	dst := make([]byte, KeyLen128)
+	return dst, AlgorithmKeyInto(dst, kamf, typ, algoID)
 }
 
 func TestGenericMatchesManualConstruction(t *testing.T) {
@@ -62,23 +96,23 @@ func validCKIK() ([]byte, []byte) {
 func TestKAUSFLengthAndDeterminism(t *testing.T) {
 	ck, ik := validCKIK()
 	sqnAK := make([]byte, 6)
-	a, err := KAUSF(ck, ik, "5G:mnc001.mcc001.3gppnetwork.org", sqnAK)
+	a, err := deriveKAUSF(ck, ik, "5G:mnc001.mcc001.3gppnetwork.org", sqnAK)
 	if err != nil {
-		t.Fatalf("KAUSF: %v", err)
+		t.Fatalf("KAUSFInto: %v", err)
 	}
 	if len(a) != KeyLen256 {
 		t.Fatalf("K_AUSF length = %d, want %d", len(a), KeyLen256)
 	}
-	b, err := KAUSF(ck, ik, "5G:mnc001.mcc001.3gppnetwork.org", sqnAK)
+	b, err := deriveKAUSF(ck, ik, "5G:mnc001.mcc001.3gppnetwork.org", sqnAK)
 	if err != nil {
-		t.Fatalf("KAUSF: %v", err)
+		t.Fatalf("KAUSFInto: %v", err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("K_AUSF not deterministic")
 	}
-	c, err := KAUSF(ck, ik, "5G:mnc002.mcc001.3gppnetwork.org", sqnAK)
+	c, err := deriveKAUSF(ck, ik, "5G:mnc002.mcc001.3gppnetwork.org", sqnAK)
 	if err != nil {
-		t.Fatalf("KAUSF: %v", err)
+		t.Fatalf("KAUSFInto: %v", err)
 	}
 	if bytes.Equal(a, c) {
 		t.Fatal("K_AUSF ignores serving network name")
@@ -87,14 +121,17 @@ func TestKAUSFLengthAndDeterminism(t *testing.T) {
 
 func TestKAUSFBadLengths(t *testing.T) {
 	ck, ik := validCKIK()
-	if _, err := KAUSF(ck[:15], ik, "snn", make([]byte, 6)); err == nil {
+	if _, err := deriveKAUSF(ck[:15], ik, "snn", make([]byte, 6)); err == nil {
 		t.Fatal("short CK accepted")
 	}
-	if _, err := KAUSF(ck, ik[:1], "snn", make([]byte, 6)); err == nil {
+	if _, err := deriveKAUSF(ck, ik[:1], "snn", make([]byte, 6)); err == nil {
 		t.Fatal("short IK accepted")
 	}
-	if _, err := KAUSF(ck, ik, "snn", make([]byte, 5)); err == nil {
+	if _, err := deriveKAUSF(ck, ik, "snn", make([]byte, 5)); err == nil {
 		t.Fatal("short SQN^AK accepted")
+	}
+	if err := KAUSFInto(make([]byte, KeyLen128), ck, ik, "snn", make([]byte, 6)); err == nil {
+		t.Fatal("short K_AUSF dst accepted")
 	}
 }
 
@@ -102,17 +139,17 @@ func TestResStarLengthAndSensitivity(t *testing.T) {
 	ck, ik := validCKIK()
 	rand := bytes.Repeat([]byte{0xaa}, 16)
 	res := bytes.Repeat([]byte{0xbb}, 8)
-	a, err := ResStar(ck, ik, "snn", rand, res)
+	a, err := deriveResStar(ck, ik, "snn", rand, res)
 	if err != nil {
-		t.Fatalf("ResStar: %v", err)
+		t.Fatalf("ResStarInto: %v", err)
 	}
 	if len(a) != KeyLen128 {
 		t.Fatalf("RES* length = %d, want %d", len(a), KeyLen128)
 	}
 	res[7] ^= 1
-	b, err := ResStar(ck, ik, "snn", rand, res)
+	b, err := deriveResStar(ck, ik, "snn", rand, res)
 	if err != nil {
-		t.Fatalf("ResStar: %v", err)
+		t.Fatalf("ResStarInto: %v", err)
 	}
 	if bytes.Equal(a, b) {
 		t.Fatal("RES* insensitive to RES")
@@ -125,9 +162,9 @@ func TestResStarIsLow128BitsOfKDF(t *testing.T) {
 	res := make([]byte, 8)
 	key := append(append([]byte{}, ck...), ik...)
 	full := Generic(key, 0x6B, []byte("snn"), rand, res)
-	got, err := ResStar(ck, ik, "snn", rand, res)
+	got, err := deriveResStar(ck, ik, "snn", rand, res)
 	if err != nil {
-		t.Fatalf("ResStar: %v", err)
+		t.Fatalf("ResStarInto: %v", err)
 	}
 	if !bytes.Equal(got, full[16:]) {
 		t.Fatal("RES* is not the low 128 bits of the KDF output")
@@ -136,56 +173,62 @@ func TestResStarIsLow128BitsOfKDF(t *testing.T) {
 
 func TestResStarBadLengths(t *testing.T) {
 	ck, ik := validCKIK()
-	if _, err := ResStar(ck, ik, "snn", make([]byte, 15), make([]byte, 8)); err == nil {
+	if _, err := deriveResStar(ck, ik, "snn", make([]byte, 15), make([]byte, 8)); err == nil {
 		t.Fatal("short RAND accepted")
 	}
-	if _, err := ResStar(ck, ik, "snn", make([]byte, 16), make([]byte, 16)); err == nil {
+	if _, err := deriveResStar(ck, ik, "snn", make([]byte, 16), make([]byte, 16)); err == nil {
 		t.Fatal("long RES accepted")
 	}
-	if _, err := ResStar(ck[:2], ik, "snn", make([]byte, 16), make([]byte, 8)); err == nil {
+	if _, err := deriveResStar(ck[:2], ik, "snn", make([]byte, 16), make([]byte, 8)); err == nil {
 		t.Fatal("short CK accepted")
+	}
+	if err := ResStarInto(make([]byte, KeyLen256), ck, ik, "snn", make([]byte, 16), make([]byte, 8)); err == nil {
+		t.Fatal("full-width RES* dst accepted")
 	}
 }
 
 func TestHXResStar(t *testing.T) {
 	rand := bytes.Repeat([]byte{0x01}, 16)
 	xres := bytes.Repeat([]byte{0x02}, 16)
-	got, err := HXResStar(rand, xres)
+	got, err := deriveHXResStar(rand, xres)
 	if err != nil {
-		t.Fatalf("HXResStar: %v", err)
+		t.Fatalf("HXResStarInto: %v", err)
 	}
 	h := sha256.Sum256(append(append([]byte{}, rand...), xres...))
 	if !bytes.Equal(got, h[:16]) {
 		t.Fatal("HXRES* is not the high 128 bits of SHA-256(RAND||XRES*)")
 	}
-	if _, err := HXResStar(rand[:1], xres); err == nil {
+	if _, err := deriveHXResStar(rand[:1], xres); err == nil {
 		t.Fatal("short RAND accepted")
 	}
-	if _, err := HXResStar(rand, xres[:8]); err == nil {
+	if _, err := deriveHXResStar(rand, xres[:8]); err == nil {
 		t.Fatal("short XRES* accepted")
+	}
+	if err := HXResStarInto(make([]byte, sha256.Size), rand, xres); err == nil {
+		t.Fatal("full-digest dst accepted")
 	}
 }
 
 func TestKSEAFAndKAMFChain(t *testing.T) {
 	kausf := bytes.Repeat([]byte{0x7a}, 32)
-	kseaf, err := KSEAF(kausf, "5G:mnc001.mcc001.3gppnetwork.org")
+	kseaf, err := deriveKSEAF(kausf, "5G:mnc001.mcc001.3gppnetwork.org")
 	if err != nil {
-		t.Fatalf("KSEAF: %v", err)
+		t.Fatalf("KSEAFInto: %v", err)
 	}
 	if len(kseaf) != KeyLen256 {
 		t.Fatalf("K_SEAF length = %d", len(kseaf))
 	}
-	kamf, err := KAMF(kseaf, "imsi-001010000000001", []byte{0x00, 0x00})
+	kamf, err := deriveKAMF(kseaf, "imsi-001010000000001", []byte{0x00, 0x00})
 	if err != nil {
-		t.Fatalf("KAMF: %v", err)
+		t.Fatalf("KAMFInto: %v", err)
 	}
 	if len(kamf) != KeyLen256 {
 		t.Fatalf("K_AMF length = %d", len(kamf))
 	}
 	// Different SUPI must give a different K_AMF.
-	kamf2, err := KAMF(kseaf, "imsi-001010000000002", []byte{0x00, 0x00})
+	kamf2, err := deriveKAMF(kseaf, "imsi-001010000000002", []byte{0x00, 0x00})
 	if err != nil {
-		t.Fatalf("KAMF: %v", err)
+		t.Fatalf("KAMFInto: %v", err)
 	}
 	if bytes.Equal(kamf, kamf2) {
 		t.Fatal("K_AMF ignores SUPI")
@@ -194,13 +237,13 @@ func TestKSEAFAndKAMFChain(t *testing.T) {
 
 func TestKAMFDefaultABBA(t *testing.T) {
 	kseaf := make([]byte, 32)
-	a, err := KAMF(kseaf, "supi", nil)
+	a, err := deriveKAMF(kseaf, "supi", nil)
 	if err != nil {
-		t.Fatalf("KAMF: %v", err)
+		t.Fatalf("KAMFInto: %v", err)
 	}
-	b, err := KAMF(kseaf, "supi", []byte{0x00, 0x00})
+	b, err := deriveKAMF(kseaf, "supi", []byte{0x00, 0x00})
 	if err != nil {
-		t.Fatalf("KAMF: %v", err)
+		t.Fatalf("KAMFInto: %v", err)
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("nil ABBA does not default to 0x0000")
@@ -208,50 +251,44 @@ func TestKAMFDefaultABBA(t *testing.T) {
 }
 
 func TestKeyChainBadLengths(t *testing.T) {
-	if _, err := KSEAF(make([]byte, 31), "snn"); err == nil {
+	if _, err := deriveKSEAF(make([]byte, 31), "snn"); err == nil {
 		t.Fatal("short K_AUSF accepted")
 	}
-	if _, err := KAMF(make([]byte, 33), "supi", nil); err == nil {
+	if _, err := deriveKAMF(make([]byte, 33), "supi", nil); err == nil {
 		t.Fatal("long K_SEAF accepted")
 	}
-	if _, err := AlgorithmKey(make([]byte, 16), AlgoNASEncryption, 1); err == nil {
+	if _, err := deriveAlgorithmKey(make([]byte, 16), AlgoNASEncryption, 1); err == nil {
 		t.Fatal("short K_AMF accepted")
 	}
-	if _, err := KGNB(make([]byte, 8), 0); err == nil {
-		t.Fatal("short K_AMF accepted for KGNB")
+	// A destination of the wrong size is refused, never truncated into.
+	good := make([]byte, KeyLen256)
+	short := make([]byte, KeyLen128)
+	if err := KSEAFInto(short, good, "snn"); err == nil {
+		t.Fatal("short K_SEAF dst accepted")
+	}
+	if err := KAMFInto(short, good, "supi", nil); err == nil {
+		t.Fatal("short K_AMF dst accepted")
+	}
+	if err := AlgorithmKeyInto(good, good, AlgoNASEncryption, 1); err == nil {
+		t.Fatal("long algorithm key dst accepted")
 	}
 }
 
 func TestAlgorithmKeySeparation(t *testing.T) {
 	kamf := bytes.Repeat([]byte{0x3c}, 32)
-	enc, err := AlgorithmKey(kamf, AlgoNASEncryption, 1)
+	enc, err := deriveAlgorithmKey(kamf, AlgoNASEncryption, 1)
 	if err != nil {
-		t.Fatalf("AlgorithmKey: %v", err)
+		t.Fatalf("AlgorithmKeyInto: %v", err)
 	}
-	integ, err := AlgorithmKey(kamf, AlgoNASIntegrity, 1)
+	integ, err := deriveAlgorithmKey(kamf, AlgoNASIntegrity, 1)
 	if err != nil {
-		t.Fatalf("AlgorithmKey: %v", err)
+		t.Fatalf("AlgorithmKeyInto: %v", err)
 	}
 	if len(enc) != KeyLen128 || len(integ) != KeyLen128 {
 		t.Fatal("NAS key lengths wrong")
 	}
 	if bytes.Equal(enc, integ) {
 		t.Fatal("encryption and integrity keys identical")
-	}
-}
-
-func TestKGNBCountSensitivity(t *testing.T) {
-	kamf := bytes.Repeat([]byte{0x11}, 32)
-	a, err := KGNB(kamf, 0)
-	if err != nil {
-		t.Fatalf("KGNB: %v", err)
-	}
-	b, err := KGNB(kamf, 1)
-	if err != nil {
-		t.Fatalf("KGNB: %v", err)
-	}
-	if bytes.Equal(a, b) {
-		t.Fatal("K_gNB ignores NAS COUNT")
 	}
 }
 
@@ -292,10 +329,7 @@ func TestXorSQNAKInvolution(t *testing.T) {
 
 func TestAUTNRoundTrip(t *testing.T) {
 	f := func(sqnAK [6]byte, amf [2]byte, mac [8]byte) bool {
-		autn, err := BuildAUTN(sqnAK[:], amf[:], mac[:])
-		if err != nil || len(autn) != 16 {
-			return false
-		}
+		autn := append(append(append([]byte{}, sqnAK[:]...), amf[:]...), mac[:]...)
 		s, a, m, err := SplitAUTN(autn)
 		if err != nil {
 			return false
@@ -308,17 +342,11 @@ func TestAUTNRoundTrip(t *testing.T) {
 }
 
 func TestAUTNBadLengths(t *testing.T) {
-	if _, err := BuildAUTN(make([]byte, 6), make([]byte, 2), make([]byte, 7)); err == nil {
-		t.Fatal("short MAC accepted")
-	}
-	if _, err := BuildAUTN(make([]byte, 7), make([]byte, 2), make([]byte, 8)); err == nil {
-		t.Fatal("long SQN^AK accepted")
-	}
-	if _, err := BuildAUTN(make([]byte, 6), make([]byte, 1), make([]byte, 8)); err == nil {
-		t.Fatal("short AMF accepted")
-	}
 	if _, _, _, err := SplitAUTN(make([]byte, 15)); err == nil {
 		t.Fatal("short AUTN accepted")
+	}
+	if _, _, _, err := SplitAUTN(make([]byte, 17)); err == nil {
+		t.Fatal("long AUTN accepted")
 	}
 }
 
@@ -327,15 +355,15 @@ func TestAUTNBadLengths(t *testing.T) {
 func TestChainDeterminism(t *testing.T) {
 	f := func(ck, ik [16]byte, sqnAK [6]byte, rnd [16]byte) bool {
 		derive := func() []byte {
-			kausf, err := KAUSF(ck[:], ik[:], "snn", sqnAK[:])
+			kausf, err := deriveKAUSF(ck[:], ik[:], "snn", sqnAK[:])
 			if err != nil {
 				return nil
 			}
-			kseaf, err := KSEAF(kausf, "snn")
+			kseaf, err := deriveKSEAF(kausf, "snn")
 			if err != nil {
 				return nil
 			}
-			kamf, err := KAMF(kseaf, "imsi-1", nil)
+			kamf, err := deriveKAMF(kseaf, "imsi-1", nil)
 			if err != nil {
 				return nil
 			}
@@ -354,15 +382,15 @@ func BenchmarkKeyHierarchy(b *testing.B) {
 	sqnAK := make([]byte, 6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		kausf, err := KAUSF(ck, ik, "5G:mnc001.mcc001.3gppnetwork.org", sqnAK)
+		kausf, err := deriveKAUSF(ck, ik, "5G:mnc001.mcc001.3gppnetwork.org", sqnAK)
 		if err != nil {
 			b.Fatal(err)
 		}
-		kseaf, err := KSEAF(kausf, "5G:mnc001.mcc001.3gppnetwork.org")
+		kseaf, err := deriveKSEAF(kausf, "5G:mnc001.mcc001.3gppnetwork.org")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := KAMF(kseaf, "imsi-001010000000001", nil); err != nil {
+		if _, err := deriveKAMF(kseaf, "imsi-001010000000001", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,8 @@ import (
 )
 
 // refGeneric mirrors the seed implementation: fresh scratch slice and
-// crypto/hmac state per call. The pooled Generic must stay byte-identical.
+// crypto/hmac state per call. The pooled GenericInto must stay
+// byte-identical.
 func refGeneric(key []byte, fc byte, params ...[]byte) []byte {
 	n := 0
 	for _, p := range params {
@@ -44,21 +45,6 @@ func TestPooledGenericMatchesReference(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("case %d: pooled Generic diverges\n got %x\nwant %x", i, got, want)
 		}
-	}
-}
-
-func TestAppendGenericExtendsDst(t *testing.T) {
-	key := []byte("0123456789abcdef")
-	dst := []byte{0xAA, 0xBB}
-	out := AppendGeneric(dst, key, 0x6A, []byte("p0"))
-	if len(out) != 2+sha256.Size {
-		t.Fatalf("len = %d", len(out))
-	}
-	if out[0] != 0xAA || out[1] != 0xBB {
-		t.Fatal("dst prefix clobbered")
-	}
-	if want := refGeneric(key, 0x6A, []byte("p0")); !bytes.Equal(out[2:], want) {
-		t.Fatal("appended output diverges from reference")
 	}
 }
 

@@ -83,13 +83,3 @@ func (cc *Cache) Reset() {
 	cc.m = make(map[string]*cacheEntry)
 	cc.mu.Unlock()
 }
-
-// Len reports the number of cached schedules.
-func (cc *Cache) Len() int {
-	if cc == nil {
-		return 0
-	}
-	cc.mu.RLock()
-	defer cc.mu.RUnlock()
-	return len(cc.m)
-}

@@ -60,16 +60,6 @@ func New(k, opc []byte) (*Cipher, error) {
 	return c, nil
 }
 
-// NewWithOP returns a Cipher for subscriber key k and operator key OP,
-// deriving OPc internally.
-func NewWithOP(k, op []byte) (*Cipher, error) {
-	opc, err := ComputeOPc(k, op)
-	if err != nil {
-		return nil, err
-	}
-	return New(k, opc)
-}
-
 // ComputeOPc derives OPc = E_K(OP) XOR OP (TS 35.206 §4.1).
 func ComputeOPc(k, op []byte) ([]byte, error) {
 	if len(k) != KeyLen {
@@ -86,13 +76,6 @@ func ComputeOPc(k, op []byte) ([]byte, error) {
 	block.Encrypt(opc, op)
 	xorInto(opc, op)
 	return opc, nil
-}
-
-// OPc returns a copy of the cipher's OPc value.
-func (c *Cipher) OPc() []byte {
-	out := make([]byte, OPLen)
-	copy(out, c.opc[:])
-	return out
 }
 
 // scratch holds the intermediate AES blocks of one MILENAGE evaluation.

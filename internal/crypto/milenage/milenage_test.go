@@ -108,25 +108,6 @@ func TestF5StarTestSet1(t *testing.T) {
 	}
 }
 
-func TestNewWithOPMatchesComputedOPc(t *testing.T) {
-	c, err := NewWithOP(mustHex(t, testSet1.k), mustHex(t, testSet1.op))
-	if err != nil {
-		t.Fatalf("NewWithOP: %v", err)
-	}
-	if want := mustHex(t, testSet1.opc); !bytes.Equal(c.OPc(), want) {
-		t.Fatalf("OPc = %x, want %x", c.OPc(), want)
-	}
-}
-
-func TestOPcReturnsCopy(t *testing.T) {
-	c := newTestCipher(t)
-	a := c.OPc()
-	a[0] ^= 0xff
-	if bytes.Equal(a, c.OPc()) {
-		t.Fatal("OPc returned aliased storage")
-	}
-}
-
 func TestBadLengths(t *testing.T) {
 	good16 := make([]byte, 16)
 	tests := []struct {
@@ -221,12 +202,19 @@ func TestF2345Properties(t *testing.T) {
 		if k1 == k2 {
 			k2[0] ^= 0xff
 		}
-		op := make([]byte, 16)
-		c1, err := NewWithOP(k1[:], op)
+		// An all-zero OP: OPc = E_K(0).
+		newCipher := func(k []byte) (*Cipher, error) {
+			opc, err := ComputeOPc(k, make([]byte, OPLen))
+			if err != nil {
+				return nil, err
+			}
+			return New(k, opc)
+		}
+		c1, err := newCipher(k1[:])
 		if err != nil {
 			return false
 		}
-		c2, err := NewWithOP(k2[:], op)
+		c2, err := newCipher(k2[:])
 		if err != nil {
 			return false
 		}

@@ -151,12 +151,6 @@ type Slice struct {
 	//shieldlint:ignore stripemap immutable after construction
 	Modules map[paka.ModuleKind]*paka.Module
 
-	// Remote clients expose the VNF-side response-time recorders
-	// (nil for Monolithic).
-	RemoteUDM  *paka.RemoteUDM
-	RemoteAUSF *paka.RemoteAUSF
-	RemoteAMF  *paka.RemoteAMF
-
 	// MonoUDM is the in-process key store for Monolithic isolation.
 	MonoUDM *paka.MonolithicUDM
 
@@ -174,8 +168,8 @@ type Slice struct {
 	Admission *admission.Controller
 
 	// Shards lists the vertical core replicas in shard-index order, at
-	// least one. The top-level UDM/AUSF/AMF/Modules/MonoUDM/Remote*/
-	// Admission fields alias Shards[0]'s.
+	// least one. The top-level UDM/AUSF/AMF/Modules/MonoUDM/Admission
+	// fields alias Shards[0]'s.
 	Shards []*CoreShard
 
 	// Topology is the NRF's snapshot builder — the control plane that
@@ -230,9 +224,9 @@ type CoreShard struct {
 
 	// Remote clients expose the VNF-side response-time recorders (nil
 	// for Monolithic).
-	RemoteUDM  *paka.RemoteUDM
-	RemoteAUSF *paka.RemoteAUSF
-	RemoteAMF  *paka.RemoteAMF
+	RemoteUDM  *paka.Remote
+	RemoteAUSF *paka.Remote
+	RemoteAMF  *paka.Remote
 
 	// Admission is the shard AMF's priority admission controller (nil
 	// unless overload admission is configured). Per-shard buckets keep
@@ -350,7 +344,6 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	s.UDM, s.AUSF, s.AMF = first.UDM, first.AUSF, first.AMF
 	s.Modules = first.Modules
 	s.MonoUDM = first.MonoUDM
-	s.RemoteUDM, s.RemoteAUSF, s.RemoteAMF = first.RemoteUDM, first.RemoteAUSF, first.RemoteAMF
 	s.Admission = first.Admission
 
 	// Topology control plane: the NRF's builder owns the authoritative

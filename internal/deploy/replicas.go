@@ -53,8 +53,8 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 	if cfg.Isolation == paka.Monolithic {
 		shard.MonoUDM = paka.NewMonolithicUDM(s.Env)
 		udmFns = shard.MonoUDM
-		ausfFns = paka.NewMonolithicAUSF(s.Env)
-		amfFns = paka.NewMonolithicAMF(s.Env)
+		kdf := paka.NewMonolithicKDF(s.Env)
+		ausfFns, amfFns = kdf, kdf
 	} else {
 		shard.Modules = make(map[paka.ModuleKind]*paka.Module)
 		for _, kind := range paka.Kinds() {
@@ -64,9 +64,9 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 			}
 			shard.Modules[kind] = m
 		}
-		shard.RemoteUDM = paka.NewRemoteUDM(s.buildInvoker(shard.UDMService), s.Env, shard.Modules[paka.EUDM].ServiceName())
-		shard.RemoteAUSF = paka.NewRemoteAUSF(s.buildInvoker(shard.AUSFService), s.Env, shard.Modules[paka.EAUSF].ServiceName())
-		shard.RemoteAMF = paka.NewRemoteAMF(s.buildInvoker(amfService), s.Env, shard.Modules[paka.EAMF].ServiceName())
+		shard.RemoteUDM = paka.NewRemote(s.buildInvoker(shard.UDMService), s.Env, shard.Modules[paka.EUDM].ServiceName())
+		shard.RemoteAUSF = paka.NewRemote(s.buildInvoker(shard.AUSFService), s.Env, shard.Modules[paka.EAUSF].ServiceName())
+		shard.RemoteAMF = paka.NewRemote(s.buildInvoker(amfService), s.Env, shard.Modules[paka.EAMF].ServiceName())
 		udmFns, ausfFns, amfFns = shard.RemoteUDM, shard.RemoteAUSF, shard.RemoteAMF
 	}
 

@@ -201,8 +201,8 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 		}
 	}
 	run.setup = setups.Summarize()
-	if s.RemoteUDM != nil {
-		run.stableRS = s.RemoteUDM.Response().Stable.Summarize().Median
+	if udm := s.Shards[0].RemoteUDM; udm != nil {
+		run.stableRS = udm.Response().Stable.Summarize().Median
 	}
 	run.pool, run.resilience = s.AVPoolStats(), s.ResilienceStats()
 	run.admissionDrops = s.AdmissionStats().TotalDropped()

@@ -31,10 +31,10 @@ func censusWork(ex hmee.Exec) error {
 }
 
 func censusOneShot(i *Instance, ctx context.Context, in, out int) (censusBD, error) {
-	return i.Serve(ctx, in, out, hmee.HandlerFunc(censusWork))
+	return i.Cross(ctx, hmee.OneShot, in, out, hmee.HandlerFunc(censusWork))
 }
 
-func censusOpen(i *Instance, ctx context.Context) (*hmee.Session, error) { return i.OpenSession(ctx) }
+func censusOpen(i *Instance, ctx context.Context) (*hmee.Session, error) { return openSession(ctx, i) }
 
 func censusServe(s *hmee.Session, ctx context.Context, in, out int) (censusBD, error) {
 	return s.Serve(ctx, in, out, hmee.HandlerFunc(censusWork))
@@ -43,7 +43,7 @@ func censusServe(s *hmee.Session, ctx context.Context, in, out int) (censusBD, e
 func censusClose(s *hmee.Session, ctx context.Context) error { return s.Close(ctx) }
 
 func censusBatch(i *Instance, ctx context.Context, argBytes, retBytes, k int) error {
-	return i.DoBatch(ctx, argBytes, retBytes, hmee.HandlerFunc(func(ex hmee.Exec) error {
+	_, err := i.Cross(ctx, hmee.Entry, argBytes, retBytes, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		for j := 0; j < k; j++ {
 			if err := censusWork(ex); err != nil {
 				return err
@@ -51,6 +51,7 @@ func censusBatch(i *Instance, ctx context.Context, argBytes, retBytes, k int) er
 		}
 		return nil
 	}))
+	return err
 }
 
 // --- end adapter ---

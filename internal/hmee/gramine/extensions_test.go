@@ -55,11 +55,11 @@ func TestExitlessInstanceServesWithoutTransitions(t *testing.T) {
 	}
 
 	// Warm up, then measure one request's transition delta.
-	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
-		t.Fatalf("warm Serve: %v", err)
+	if _, err := inst.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
+		t.Fatalf("warm one-shot: %v", err)
 	}
 	before := inst.Stats()
-	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
+	if _, err := inst.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
 	d := inst.Stats().Sub(before)
@@ -73,12 +73,12 @@ func TestExitlessInstanceServesWithoutTransitions(t *testing.T) {
 
 func TestWithSyscallProfileOverride(t *testing.T) {
 	inst := launchWith(t, DefaultManifest("/app/eudm-aka"), WithSyscallProfile(hmee.UserTCPSyscallProfile()))
-	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
-		t.Fatalf("warm Serve: %v", err)
+	if _, err := inst.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
+		t.Fatalf("warm one-shot: %v", err)
 	}
 	before := inst.Stats()
 	var acct simclock.Account
-	if _, err := inst.Serve(simclock.WithAccount(context.Background(), &acct), 40, 80,
+	if _, err := inst.Cross(simclock.WithAccount(context.Background(), &acct), hmee.OneShot, 40, 80,
 		noop); err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -115,13 +115,13 @@ func BenchmarkServeRequest(b *testing.B) {
 		b.Fatalf("Launch: %v", err)
 	}
 	defer inst.Shutdown()
-	if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
+	if _, err := inst.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 		b.Fatalf("warm: %v", err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.Serve(context.Background(), 40, 80, compute(100_000)); err != nil {
+		if _, err := inst.Cross(context.Background(), hmee.OneShot, 40, 80, compute(100_000)); err != nil {
 			b.Fatal(err)
 		}
 	}

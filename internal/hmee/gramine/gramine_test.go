@@ -239,7 +239,7 @@ func TestServeRequestTransitionBudget(t *testing.T) {
 		before := inst.Stats()
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
-		if _, err := inst.Serve(ctx, 40, 80, compute(100_000)); err != nil {
+		if _, err := inst.Cross(ctx, hmee.OneShot, 40, 80, compute(100_000)); err != nil {
 			t.Fatalf("Serve: %v", err)
 		}
 		return inst.Stats().Sub(before)
@@ -268,13 +268,13 @@ func TestServeRequestBreakdownOrdering(t *testing.T) {
 	defer inst.Shutdown()
 
 	var warm simclock.Account
-	if _, err := inst.Serve(simclock.WithAccount(context.Background(), &warm), 40, 80,
+	if _, err := inst.Cross(simclock.WithAccount(context.Background(), &warm), hmee.OneShot, 40, 80,
 		noop); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
 
 	var acct simclock.Account
-	bd, err := inst.Serve(simclock.WithAccount(context.Background(), &acct), 40, 80, compute(100_000))
+	bd, err := inst.Cross(simclock.WithAccount(context.Background(), &acct), hmee.OneShot, 40, 80, compute(100_000))
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestServeRequestInitialMuchSlower(t *testing.T) {
 
 	serve := func() simclock.Cycles {
 		var acct simclock.Account
-		bd, err := inst.Serve(simclock.WithAccount(context.Background(), &acct), 40, 80,
+		bd, err := inst.Cross(simclock.WithAccount(context.Background(), &acct), hmee.OneShot, 40, 80,
 			compute(100_000))
 		if err != nil {
 			t.Fatalf("Serve: %v", err)
@@ -326,7 +326,7 @@ func TestServeRequestHandlerError(t *testing.T) {
 	}
 	defer inst.Shutdown()
 	sentinel := errors.New("handler failed")
-	if _, err := inst.Serve(context.Background(), 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
+	if _, err := inst.Cross(context.Background(), hmee.OneShot, 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
 	}
 }
@@ -339,7 +339,7 @@ func TestShutdownIdempotentAndRejectsServe(t *testing.T) {
 	}
 	inst.Shutdown()
 	inst.Shutdown()
-	if _, err := inst.Serve(context.Background(), 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
+	if _, err := inst.Cross(context.Background(), hmee.OneShot, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("ServeRequest after shutdown = %v, want hmee.ErrStopped", err)
 	}
 	if p.EPCInUse() != 0 {
@@ -369,7 +369,7 @@ func TestTableIIIShapeEmptyVsServer(t *testing.T) {
 	}
 
 	for i := 0; i < 1; i++ {
-		if _, err := inst.Serve(context.Background(), 40, 80, noop); err != nil {
+		if _, err := inst.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 			t.Fatalf("Serve: %v", err)
 		}
 	}

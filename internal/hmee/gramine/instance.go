@@ -150,9 +150,6 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 // Enclave exposes the underlying enclave (stats, sealing, attestation).
 func (i *Instance) Enclave() *sgx.Enclave { return i.enclave }
 
-// Image returns the shielded image the instance was launched from.
-func (i *Instance) Image() *ShieldedImage { return i.image }
-
 // LoadDuration reports the modelled enclave load time (Fig. 7).
 func (i *Instance) LoadDuration() time.Duration { return i.enclave.LoadDuration() }
 
@@ -196,9 +193,8 @@ func (i *Instance) Warm() bool {
 
 // request is the one description of work crossing into the in-enclave
 // server: which phases of the server path it charges, its body sizes and
-// its handler. Every entry point below is a phase set handed to do; the
-// struct is pooled, carries no closure, and is itself the sgx.RingJob when
-// the crossing is the submission ring.
+// its handler. The struct is pooled, carries no closure, and is itself the
+// sgx.RingJob when the crossing is the submission ring.
 type request struct {
 	inst    *Instance
 	ctx     context.Context
@@ -246,23 +242,19 @@ func (i *Instance) release() {
 	i.mu.Unlock()
 }
 
-// ringFor decides a new connection's crossing: the submission ring when
-// the instance runs one and ctx negotiated it, else classic transitions.
-// One-shots and batches are connections of one request; a Session keeps
-// the answer for its lifetime.
-func (i *Instance) ringFor(ctx context.Context) bool {
-	return i.ring != nil && sgx.SwitchlessFrom(ctx)
-}
-
-// do is the single serve path: admit, describe, cross. The crossing is
-// the ring when viaRing, a fresh ECALL for a classic Entry (it needs a
-// free TCS slot beyond the resident threads; acquisition queues, honouring
-// ctx cancellation), and otherwise the resident process thread. Costs are
-// charged to the account carried by ctx, which must be dedicated to this
-// request for the returned Breakdown windows to be meaningful.
+// Cross is the single serve path (hmee.Crossing): admit, describe, cross.
+// Each request picks its own crossing: the submission ring when the
+// instance runs one, ctx carries sgx.WithSwitchless and ph charges any part
+// of the server path (maintenance, the zero set, always runs in place); a
+// fresh ECALL for a classic Entry — one EENTER/EEXIT pair for the whole
+// batch, on a TCS slot beyond the resident threads (Manifest.MaxThreads ≥
+// HelperThreads+2; acquisition queues, honouring ctx cancellation); and
+// otherwise the resident process thread. The handler receives the
+// in-enclave thread to charge its own compute and memory touches.
 //
 //shieldlint:hotpath
-func (i *Instance) do(ctx context.Context, viaRing bool, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
+func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
+	viaRing := ph != 0 && i.ring != nil && sgx.SwitchlessFrom(ctx)
 	ph, err := i.admit(ph)
 	if err != nil {
 		return hmee.Breakdown{}, err
@@ -353,58 +345,6 @@ func (r *request) Entry(in, out int) {
 func (r *request) Jitter() *simclock.Jitter { return r.inst.platform.Env().JitterFor(r.ctx) }
 
 func (r *request) Exec() hmee.Exec { return &r.th }
-
-// Serve runs one HTTPS request that brings its own connection through the
-// in-enclave server: the accept machinery, TLS and HTTP processing, the
-// handler, the response path and the teardown — plus, for the first
-// request ever, the lazy warm-up and the handshake. The handler receives
-// the in-enclave thread to charge its own compute and memory touches.
-func (i *Instance) Serve(ctx context.Context, inBytes, outBytes int, h hmee.Handler) (hmee.Breakdown, error) {
-	return i.do(ctx, i.ringFor(ctx), hmee.OneShot, inBytes, outBytes, h)
-}
-
-// conn is one keep-alive connection into the in-enclave server. Its
-// crossing is fixed at open, so one connection's census never mixes the
-// two boundary disciplines.
-type conn struct {
-	hmee.Session
-	inst    *Instance
-	viaRing bool
-}
-
-func (c *conn) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
-	return c.inst.do(ctx, c.viaRing, ph, in, out, h)
-}
-
-// OpenSession accepts one persistent client connection (see hmee.Session
-// for the amortization contract).
-func (i *Instance) OpenSession(ctx context.Context) (*hmee.Session, error) {
-	c := &conn{inst: i, viaRing: i.ringFor(ctx)}
-	if err := c.Open(ctx, c); err != nil {
-		return nil, err
-	}
-	return &c.Session, nil
-}
-
-// Do runs h on the resident in-enclave process thread outside the request
-// path — used for provisioning secrets into the enclave and other
-// maintenance that should not be measured as a served request. The work is
-// charged to the caller's account, like a served request's.
-func (i *Instance) Do(ctx context.Context, h hmee.Handler) error {
-	_, err := i.do(ctx, false, 0, 0, 0, h)
-	return err
-}
-
-// DoBatch runs h inside one boundary crossing of its own instead of on the
-// resident request path: a batch of K AV generations charges K× the crypto
-// but argBytes/retBytes are shielded across once — on one fresh
-// EENTER/EEXIT pair classically (Manifest.MaxThreads ≥ HelperThreads+2
-// leaves it a TCS slot), through shared memory with no transition and no
-// spare slot on the ring.
-func (i *Instance) DoBatch(ctx context.Context, argBytes, retBytes int, h hmee.Handler) error {
-	_, err := i.do(ctx, i.ringFor(ctx), hmee.Entry, argBytes, retBytes, h)
-	return err
-}
 
 // AccrueUptime models the instance staying deployed for d of virtual time
 // (timer-interrupt AEX accumulation; Table III).

@@ -25,6 +25,12 @@ func launchTest(t *testing.T) *Instance {
 // of in-enclave work.
 var noop = hmee.HandlerFunc(func(hmee.Exec) error { return nil })
 
+// openSession accepts one keep-alive connection over c.
+func openSession(ctx context.Context, c hmee.Crossing) (*hmee.Session, error) {
+	s := new(hmee.Session)
+	return s, s.Open(ctx, c)
+}
+
 func compute(n simclock.Cycles) hmee.Handler {
 	return hmee.HandlerFunc(func(ex hmee.Exec) error { ex.Compute(n); return nil })
 }
@@ -56,18 +62,18 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 
 	// Warm both instances so neither measured request pays the lazy
 	// warm-up; B's session also absorbs the per-connection handshake.
-	if _, err := instA.Serve(context.Background(), 40, 80, handler); err != nil {
-		t.Fatalf("warm Serve: %v", err)
+	if _, err := instA.Cross(context.Background(), hmee.OneShot, 40, 80, handler); err != nil {
+		t.Fatalf("warm one-shot: %v", err)
 	}
-	sess, err := instB.OpenSession(context.Background())
+	sess, err := openSession(context.Background(), instB)
 	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
+		t.Fatalf("Session.Open: %v", err)
 	}
 
 	ctxA, acctA := measuredCtx(99)
-	bdA, err := instA.Serve(ctxA, 40, 80, handler)
+	bdA, err := instA.Cross(ctxA, hmee.OneShot, 40, 80, handler)
 	if err != nil {
-		t.Fatalf("measured Serve: %v", err)
+		t.Fatalf("measured one-shot: %v", err)
 	}
 	ctxB, acctB := measuredCtx(99)
 	bdB, err := sess.Serve(ctxB, 40, 80, handler)
@@ -104,22 +110,22 @@ func TestSessionAmortizesTransitions(t *testing.T) {
 	inst := launchTest(t)
 	ctx := context.Background()
 	handler := compute(100_000)
-	if _, err := inst.Serve(ctx, 40, 80, handler); err != nil {
+	if _, err := inst.Cross(ctx, hmee.OneShot, 40, 80, handler); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 
 	const batch = 8
 	before := inst.Stats()
 	for k := 0; k < batch; k++ {
-		if _, err := inst.Serve(ctx, 40, 80, handler); err != nil {
+		if _, err := inst.Cross(ctx, hmee.OneShot, 40, 80, handler); err != nil {
 			t.Fatalf("Serve %d: %v", k, err)
 		}
 	}
 	cold := inst.Stats().Sub(before).EENTER
 
-	sess, err := inst.OpenSession(ctx)
+	sess, err := openSession(ctx, inst)
 	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
+		t.Fatalf("Session.Open: %v", err)
 	}
 	before = inst.Stats()
 	for k := 0; k < batch; k++ {
@@ -147,12 +153,53 @@ func TestSessionAmortizesTransitions(t *testing.T) {
 	t.Logf("batch=%d cold=%d session=%d (+close=%d)", batch, cold, pipelined, withTeardown)
 }
 
+// TestSessionRequestsPickTheirOwnCrossing states the rule a keep-alive
+// connection follows on a ring-equipped instance: nothing about the
+// crossing is fixed at Open. Each request — the accept and the teardown
+// included — rides the submission ring if and only if its own ctx carries
+// sgx.WithSwitchless, so one session may interleave both disciplines.
+func TestSessionRequestsPickTheirOwnCrossing(t *testing.T) {
+	inst := censusInstance(t, "ring")
+	classic := context.Background()
+	ring := sgx.WithSwitchless(classic)
+	if _, err := inst.Cross(classic, hmee.OneShot, 40, 80, noop); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+
+	// step runs one crossing and reports how it went over the boundary.
+	step := func(name string, viaRing bool, f func(ctx context.Context) error) {
+		t.Helper()
+		ctx := classic
+		if viaRing {
+			ctx = ring
+		}
+		before, ringBefore := inst.Stats(), inst.RingStats()
+		if err := f(ctx); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		d, submitted := inst.Stats().Sub(before), inst.RingStats().Submitted-ringBefore.Submitted
+		switch {
+		case viaRing && (submitted != 1 || d.EENTER > 1):
+			t.Errorf("%s with WithSwitchless: %d ring submissions, %d EENTERs; want 1 and at most the doorbell", name, submitted, d.EENTER)
+		case !viaRing && (submitted != 0 || d.EENTER != d.OCALLs || d.OCALLs == 0):
+			t.Errorf("%s without WithSwitchless: %d ring submissions, %d EENTERs for %d OCALLs; want 0 and a transition pair per OCALL", name, submitted, d.EENTER, d.OCALLs)
+		}
+	}
+	sess := new(hmee.Session)
+	serve := func(ctx context.Context) error { _, err := sess.Serve(ctx, 40, 80, noop); return err }
+	step("open", false, func(ctx context.Context) error { return sess.Open(ctx, inst) })
+	step("first request", true, serve)
+	step("second request", false, serve)
+	step("third request", true, serve)
+	step("close", true, sess.Close)
+}
+
 func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 	inst := launchTest(t)
 	ctx := context.Background()
-	sess, err := inst.OpenSession(ctx)
+	sess, err := openSession(ctx, inst)
 	if err != nil {
-		t.Fatalf("OpenSession: %v", err)
+		t.Fatalf("Session.Open: %v", err)
 	}
 	if err := sess.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -164,29 +211,28 @@ func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 		t.Fatalf("Serve on closed session = %v, want hmee.ErrSessionClosed", err)
 	}
 	inst.Shutdown()
-	if _, err := inst.OpenSession(ctx); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("OpenSession after Shutdown = %v, want hmee.ErrStopped", err)
+	if _, err := openSession(ctx, inst); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("Session.Open after Shutdown = %v, want hmee.ErrStopped", err)
 	}
 }
 
-// TestDoPinsCallerAccount pins the satellite fix: maintenance work run
-// through Do must be charged to the caller's account, same as
-// ServeRequest.
+// TestDoPinsCallerAccount: maintenance work (a crossing of no phase) is
+// charged to the caller's account, same as a served request.
 func TestDoPinsCallerAccount(t *testing.T) {
 	inst := launchTest(t)
 	acct := &simclock.Account{}
 	ctx := simclock.WithAccount(context.Background(), acct)
 	before := inst.Stats()
-	err := inst.Do(ctx, hmee.HandlerFunc(func(ex hmee.Exec) error {
+	_, err := inst.Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.Compute(250_000)
-		ex.(*sgx.Thread).OCall(1_000, 16, 16)
+		ex.(*sgx.Thread).OCallN(1, 1_000, 16, 16)
 		return nil
 	}))
 	if err != nil {
-		t.Fatalf("Do: %v", err)
+		t.Fatalf("maintenance crossing: %v", err)
 	}
 	if d := inst.Stats().Sub(before); d.OCALLs != 1 {
-		t.Fatalf("Do OCALL delta = %d, want 1", d.OCALLs)
+		t.Fatalf("maintenance OCALL delta = %d, want 1", d.OCALLs)
 	}
 	if acct.Total() < 250_000 {
 		t.Fatalf("caller account charged %d cycles, want ≥ the 250k compute", acct.Total())
@@ -194,8 +240,9 @@ func TestDoPinsCallerAccount(t *testing.T) {
 }
 
 // TestDoBatchOneTransitionPair pins the batch-ECALL contract: K units of
-// work inside DoBatch cost K× the compute but exactly one EENTER/EEXIT
-// pair (plus whatever OCALLs the body itself makes — none here).
+// work inside one hmee.Entry crossing cost K× the compute but exactly one
+// EENTER/EEXIT pair (plus whatever OCALLs the body itself makes — none
+// here).
 func TestDoBatchOneTransitionPair(t *testing.T) {
 	mf := DefaultManifest("/app/eudm-aka")
 	mf.MaxThreads = HelperThreads + 2 // spare TCS slot for the batch entry
@@ -213,26 +260,26 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 	ctx := simclock.WithAccount(context.Background(), acct)
 	before := inst.Stats()
 	const k = 16
-	err = inst.DoBatch(ctx, k*64, k*128, hmee.HandlerFunc(func(th hmee.Exec) error {
+	_, err = inst.Cross(ctx, hmee.Entry, k*64, k*128, hmee.HandlerFunc(func(th hmee.Exec) error {
 		for j := 0; j < k; j++ {
 			th.Compute(50_000)
 		}
 		return nil
 	}))
 	if err != nil {
-		t.Fatalf("DoBatch: %v", err)
+		t.Fatalf("batch crossing: %v", err)
 	}
 	d := inst.Stats().Sub(before)
 	if d.EENTER != 1 || d.EEXIT != 1 {
-		t.Fatalf("DoBatch transitions = EENTER %d / EEXIT %d, want 1/1", d.EENTER, d.EEXIT)
+		t.Fatalf("batch transitions = EENTER %d / EEXIT %d, want 1/1", d.EENTER, d.EEXIT)
 	}
 	if acct.Total() < k*50_000 {
 		t.Fatalf("batch charged %d cycles to caller, want ≥ %d", acct.Total(), k*50_000)
 	}
 
 	inst.Shutdown()
-	if err := inst.DoBatch(ctx, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("DoBatch after Shutdown = %v, want hmee.ErrStopped", err)
+	if _, err := inst.Cross(ctx, hmee.Entry, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("batch crossing after Shutdown = %v, want hmee.ErrStopped", err)
 	}
 }
 
@@ -248,11 +295,11 @@ func TestServeShutdownRace(t *testing.T) {
 		work func(ctx context.Context, inst *Instance) error
 	}{
 		{"oneshot", false, func(ctx context.Context, inst *Instance) error {
-			_, err := inst.Serve(ctx, 40, 80, compute(10_000))
+			_, err := inst.Cross(ctx, hmee.OneShot, 40, 80, compute(10_000))
 			return err
 		}},
 		{"session", false, func(ctx context.Context, inst *Instance) error {
-			sess, err := inst.OpenSession(ctx)
+			sess, err := openSession(ctx, inst)
 			if err != nil {
 				return err
 			}
@@ -265,15 +312,15 @@ func TestServeShutdownRace(t *testing.T) {
 			return err
 		}},
 		{"ring", true, func(ctx context.Context, inst *Instance) error {
-			sess, err := inst.OpenSession(ctx)
+			sess, err := openSession(ctx, inst)
 			if err != nil {
 				return err
 			}
 			if _, err = sess.Serve(ctx, 40, 80, compute(10_000)); err == nil {
-				err = inst.DoBatch(ctx, 64, 128, compute(10_000))
+				_, err = inst.Cross(ctx, hmee.Entry, 64, 128, compute(10_000))
 			}
 			if err == nil {
-				_, err = inst.Serve(ctx, 40, 80, compute(10_000))
+				_, err = inst.Cross(ctx, hmee.OneShot, 40, 80, compute(10_000))
 			}
 			if cerr := sess.Close(ctx); err == nil {
 				err = cerr
@@ -324,8 +371,8 @@ func TestServeShutdownRace(t *testing.T) {
 				inst.Shutdown()
 				wg.Wait()
 
-				if _, err := inst.Serve(context.Background(), 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
-					t.Fatalf("Serve after Shutdown = %v, want hmee.ErrStopped", err)
+				if _, err := inst.Cross(context.Background(), hmee.OneShot, 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
+					t.Fatalf("one-shot after Shutdown = %v, want hmee.ErrStopped", err)
 				}
 				if st := inst.RingStats(); st.Submitted != st.Completed+st.Drained {
 					t.Fatalf("ring lost a request: %+v", st)

@@ -115,9 +115,9 @@ func (c *call) StoreSecret(name string, data []byte) {
 
 func (c *call) LoadSecret(name string) ([]byte, bool) { return c.p.Introspect(name) }
 
-// Cross is the process's one serve path: check the request in against the
-// lifecycle, resolve its phases against the warm state (exactly one request
-// ever keeps Warmup), and walk them at the process's prices.
+// Cross is the process's one serve path (Crossing): check the request in
+// against the lifecycle, resolve its phases against the warm state (exactly
+// one request ever keeps Warmup), and walk them at the process's prices.
 //
 //shieldlint:hotpath
 func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) (Breakdown, error) {
@@ -155,34 +155,6 @@ func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) 
 	*c = call{}
 	callPool.Put(c)
 	return bd, err
-}
-
-// Serve runs one HTTPS request that brings its own connection.
-func (p *Process) Serve(ctx context.Context, inBytes, outBytes int, h Handler) (Breakdown, error) {
-	return p.Cross(ctx, OneShot, inBytes, outBytes, h)
-}
-
-// OpenSession accepts one persistent client connection.
-func (p *Process) OpenSession(ctx context.Context) (*Session, error) {
-	s := new(Session)
-	if err := s.Open(ctx, p); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// Do runs h in the process outside the request path (provisioning,
-// maintenance), charged to the caller's account.
-func (p *Process) Do(ctx context.Context, h Handler) error {
-	_, err := p.Cross(ctx, 0, 0, 0, h)
-	return err
-}
-
-// DoBatch runs h as one batch: Do plus the IPC moving argBytes in and
-// retBytes out.
-func (p *Process) DoBatch(ctx context.Context, argBytes, retBytes int, h Handler) error {
-	_, err := p.Cross(ctx, Entry, argBytes, retBytes, h)
-	return err
 }
 
 // LoadDuration reports the modelled deployment time.

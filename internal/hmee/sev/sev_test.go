@@ -61,11 +61,11 @@ func TestLaunchChargesAccount(t *testing.T) {
 
 func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 	m := testMachine(t)
-	if _, err := m.Serve(context.Background(), 40, 80, noop); err != nil {
+	if _, err := m.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 		t.Fatalf("warm Serve: %v", err)
 	}
 	before := m.VMExits()
-	bd, err := m.Serve(context.Background(), 40, 80, hmee.HandlerFunc(func(ex hmee.Exec) error {
+	bd, err := m.Cross(context.Background(), hmee.OneShot, 40, 80, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.Compute(100_000)
 		ex.Touch(4096)
 		return nil
@@ -85,7 +85,7 @@ func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 func TestServeRequestHandlerError(t *testing.T) {
 	m := testMachine(t)
 	sentinel := errors.New("boom")
-	if _, err := m.Serve(context.Background(), 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
+	if _, err := m.Cross(context.Background(), hmee.OneShot, 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestInitialRequestSlower(t *testing.T) {
 	serve := func() simclock.Cycles {
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
-		if _, err := m.Serve(ctx, 40, 80, noop); err != nil {
+		if _, err := m.Cross(ctx, hmee.OneShot, 40, 80, noop); err != nil {
 			t.Fatalf("Serve: %v", err)
 		}
 		return acct.Total()
@@ -120,7 +120,7 @@ func TestTCBIncludesGuestStack(t *testing.T) {
 func TestSecretsAndIntrospection(t *testing.T) {
 	m := testMachine(t)
 	secret := []byte("subscriber-key-material")
-	if err := m.Do(context.Background(), hmee.HandlerFunc(func(ex hmee.Exec) error {
+	if _, err := m.Cross(context.Background(), 0, 0, 0, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.StoreSecret("k", secret)
 		got, ok := ex.LoadSecret("k")
 		if !ok || !bytes.Equal(got, secret) {
@@ -131,7 +131,7 @@ func TestSecretsAndIntrospection(t *testing.T) {
 		}
 		return nil
 	})); err != nil {
-		t.Fatalf("Do: %v", err)
+		t.Fatalf("maintenance crossing: %v", err)
 	}
 	view, ok := m.Introspect("k")
 	if !ok {
@@ -152,11 +152,11 @@ func TestSecretsAndIntrospection(t *testing.T) {
 func TestStoppedMachineRejectsUse(t *testing.T) {
 	m := testMachine(t)
 	m.Shutdown()
-	if _, err := m.Serve(context.Background(), 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
+	if _, err := m.Cross(context.Background(), hmee.OneShot, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("err = %v", err)
 	}
-	if err := m.Do(context.Background(), noop); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("Do err = %v", err)
+	if _, err := m.Cross(context.Background(), 0, 0, 0, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("maintenance err = %v", err)
 	}
 	if _, err := m.GenerateReport([64]byte{}); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("report err = %v", err)

@@ -45,7 +45,7 @@ func BenchmarkOCallAccounting(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		th.OCall(1400, 64, 64)
+		th.OCallN(1, 1400, 64, 64)
 	}
 }
 

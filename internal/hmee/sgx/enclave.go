@@ -333,12 +333,6 @@ func (e *Enclave) LeaveResident(t *Thread) {
 	<-e.tcs
 }
 
-// WithAccount rebinds the thread's cost account; used when one resident
-// LibOS thread serves many independent requests.
-func (t *Thread) WithAccount(acct *simclock.Account) *Thread {
-	return &Thread{enclave: t.enclave, acct: acct, jitter: t.jitter}
-}
-
 // BindRequest rebinds a pooled request thread, dst, to t's enclave without
 // allocating: it charges acct and draws from ctx's per-worker jitter stream
 // (platform jitter when none is attached, as in the sequential seed). The
@@ -354,17 +348,13 @@ func (t *Thread) BindRequest(ctx context.Context, acct *simclock.Account, dst *T
 	dst.jitter = t.enclave.platform.env.JitterFor(ctx)
 }
 
-// OCall models the thread leaving the enclave to have the untrusted
-// runtime perform work on its behalf (a proxied syscall): EEXIT, the
-// untrusted work expressed in cycles, then EENTER. Argument and result
-// bytes are shielded as they cross the boundary.
-func (t *Thread) OCall(untrustedCycles simclock.Cycles, outBytes, inBytes int) {
-	t.OCallN(1, untrustedCycles, outBytes, inBytes)
-}
-
-// OCallN is n back-to-back OCalls with the same arguments — a run of the
-// LibOS's syscall census — counted and charged in one step: the counters,
-// the account and the platform clock end where n calls would leave them.
+// OCallN models the thread leaving the enclave n times to have the
+// untrusted runtime perform work on its behalf (a proxied syscall): EEXIT,
+// the untrusted work expressed in cycles, then EENTER, with argument and
+// result bytes shielded as they cross the boundary. The n calls share their
+// arguments — a run of the LibOS's syscall census — and are counted and
+// charged in one step: the counters and the account end where n single
+// calls would leave them.
 //
 //shieldlint:hotpath
 func (t *Thread) OCallN(n int, untrustedCycles simclock.Cycles, outBytes, inBytes int) {
@@ -380,19 +370,14 @@ func (t *Thread) OCallN(n int, untrustedCycles simclock.Cycles, outBytes, inByte
 	e.platform.env.ChargeTo(t.acct, simclock.Cycles(n)*cost)
 }
 
-// OCallExitless models Gramine's exitless (switchless) call feature: the
-// enclave thread hands the syscall to an untrusted helper thread through a
-// shared-memory ring and spins until the result lands, avoiding the
-// EEXIT/EENTER pair entirely. The OCALL is still counted (it is still a
-// proxied syscall) but no transitions occur; the price is the cross-core
-// handoff and the helper thread burning a core. The paper notes this
-// feature is not production-ready; it is modelled here for the §V-B7
-// ablation.
-func (t *Thread) OCallExitless(untrustedCycles simclock.Cycles, outBytes, inBytes int) {
-	t.OCallExitlessN(1, untrustedCycles, outBytes, inBytes)
-}
-
-// OCallExitlessN is OCallN's exitless twin.
+// OCallExitlessN is OCallN under Gramine's exitless (switchless) call
+// feature: the enclave thread hands each syscall to an untrusted helper
+// thread through a shared-memory ring and spins until the result lands,
+// avoiding the EEXIT/EENTER pair entirely. The OCALLs are still counted
+// (they are still proxied syscalls) but no transitions occur; the price is
+// the cross-core handoff and the helper thread burning a core. The paper
+// notes this feature is not production-ready; it is modelled here for the
+// §V-B7 ablation.
 //
 //shieldlint:hotpath
 func (t *Thread) OCallExitlessN(n int, untrustedCycles simclock.Cycles, outBytes, inBytes int) {

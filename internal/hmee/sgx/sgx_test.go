@@ -123,8 +123,8 @@ func TestECallCountsTransitions(t *testing.T) {
 	before := e.Stats()
 	err := e.ECall(context.Background(), 40, 80, func(th *Thread) error {
 		th.Compute(100_000)
-		th.OCall(p.Env().Model.SyscallNative, 64, 64)
-		th.OCall(p.Env().Model.SyscallNative, 64, 64)
+		th.OCallN(1, p.Env().Model.SyscallNative, 64, 64)
+		th.OCallN(1, p.Env().Model.SyscallNative, 64, 64)
 		return nil
 	})
 	if err != nil {
@@ -394,8 +394,8 @@ func TestUnsealRejectsTamperAndWrongIdentity(t *testing.T) {
 	}
 }
 
-// TestOCallNEqualsLoop: OCallN and OCallExitlessN leave the counters, the
-// account and the platform clock exactly where a loop of single calls
+// TestOCallNEqualsLoop: OCallN and OCallExitlessN at n leave the counters, the
+// account and the platform clock exactly where a loop of n calls at 1
 // does, for every argument shape the LibOS census uses (bring-up 32/32,
 // warm-up 64/64, pre/post 16/16, in-handler 8/8, and the read and write
 // shares of small and large bodies) and for the empty run.
@@ -421,7 +421,7 @@ func TestOCallNEqualsLoop(t *testing.T) {
 		for _, io := range [][2]int{{32, 32}, {64, 64}, {16, 16}, {8, 8}, {0, 101}, {76, 0}, {0, 65537}} {
 			loop := run(func(th *Thread) {
 				for k := 0; k < n; k++ {
-					th.OCall(untrusted, io[0], io[1])
+					th.OCallN(1, untrusted, io[0], io[1])
 				}
 			})
 			if once := run(func(th *Thread) { th.OCallN(n, untrusted, io[0], io[1]) }); once != loop {
@@ -429,7 +429,7 @@ func TestOCallNEqualsLoop(t *testing.T) {
 			}
 			loop = run(func(th *Thread) {
 				for k := 0; k < n; k++ {
-					th.OCallExitless(untrusted, io[0], io[1])
+					th.OCallExitlessN(1, untrusted, io[0], io[1])
 				}
 			})
 			if once := run(func(th *Thread) { th.OCallExitlessN(n, untrusted, io[0], io[1]) }); once != loop {

@@ -61,7 +61,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	if _, err := ausf.New(ctx, ausf.Config{
 		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicAUSF(env),
+		Functions: paka.NewMonolithicKDF(env),
 	}); err != nil {
 		t.Fatalf("ausf.New: %v", err)
 	}
@@ -73,7 +73,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	a, err := amf.New(ctx, amf.Config{
 		Env: env, Registry: reg, Invoker: sbi.NewClient("amf", env, reg),
-		Functions: paka.NewMonolithicAMF(env),
+		Functions: paka.NewMonolithicKDF(env),
 		MCC:       "001", MNC: "01",
 	})
 	if err != nil {
@@ -174,7 +174,7 @@ func TestAMFConfigValidation(t *testing.T) {
 	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, MCC: "001", MNC: "01"}); err == nil {
 		t.Fatal("missing functions accepted")
 	}
-	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewMonolithicAMF(env)}); err == nil {
+	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewMonolithicKDF(env)}); err == nil {
 		t.Fatal("missing PLMN accepted")
 	}
 }
@@ -189,7 +189,7 @@ func TestHMEEAMFRequiresHMEEAUSF(t *testing.T) {
 	env, reg := h.env, h.reg
 	if _, err := ausf.New(ctx, ausf.Config{
 		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf-r1", env, reg),
-		Functions:   paka.NewMonolithicAUSF(env),
+		Functions:   paka.NewMonolithicKDF(env),
 		ServiceName: "ausf-r1", InstanceID: "ausf-r1-1",
 	}); err != nil {
 		t.Fatalf("ausf.New(ausf-r1): %v", err)
@@ -207,7 +207,7 @@ func TestHMEEAMFRequiresHMEEAUSF(t *testing.T) {
 	} {
 		_, err := amf.New(ctx, amf.Config{
 			Env: env, Registry: reg, Invoker: sbi.NewClient("amf-t", env, reg),
-			Functions: paka.NewMonolithicAMF(env), MCC: "001", MNC: "01",
+			Functions: paka.NewMonolithicKDF(env), MCC: "001", MNC: "01",
 			HMEE: tc.hmee, InstanceID: "amf-t-1", AUSFService: tc.ausfService,
 		})
 		switch {

@@ -56,7 +56,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	a, err := New(context.Background(), Config{
 		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicAUSF(env),
+		Functions: paka.NewMonolithicKDF(env),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -94,8 +94,8 @@ func (h *harness) ueResStar(t *testing.T, randBytes []byte) []byte {
 	if err != nil {
 		t.Fatalf("F2345: %v", err)
 	}
-	resStar, err := kdf.ResStar(ck, ik, testSNN, randBytes, res)
-	if err != nil {
+	resStar := make([]byte, kdf.KeyLen128)
+	if err := kdf.ResStarInto(resStar, ck, ik, testSNN, randBytes, res); err != nil {
 		t.Fatalf("derive RES*: %v", err)
 	}
 	return resStar
@@ -245,7 +245,7 @@ func TestNewFailsWithoutUDMRegistered(t *testing.T) {
 	// No UDM registered: NRF discovery must fail AUSF construction.
 	_, err := New(context.Background(), Config{
 		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicAUSF(env),
+		Functions: paka.NewMonolithicKDF(env),
 	})
 	if err == nil {
 		t.Fatal("AUSF constructed without a discoverable UDM")
@@ -293,7 +293,7 @@ func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
 		service := fmt.Sprintf("ausf-t%d", i)
 		_, err := New(context.Background(), Config{
 			Env: env, Registry: reg, Invoker: sbi.NewClient(service, env, reg),
-			Functions: paka.NewMonolithicAUSF(env), HMEE: tc.hmee,
+			Functions: paka.NewMonolithicKDF(env), HMEE: tc.hmee,
 			ServiceName: service, InstanceID: service + "-1", UDMService: tc.udmService,
 		})
 		switch {

@@ -118,15 +118,10 @@ func GenerateAVCachedInto(cache *milenage.Cache, k []byte, req *UDMGenerateAVReq
 	return nil
 }
 
-// Resync executes the eUDM-side AUTS verification (TS 33.102 §6.3.5): it
-// recovers SQN_MS with AK* = f5*(RAND) and checks MAC-S = f1*(SQN_MS,
-// AMF*=0x0000). This also uses the long-term key and therefore belongs
-// inside the enclave.
-func Resync(k []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	return ResyncCached(nil, k, req)
-}
-
-// ResyncCached is Resync sharing the same key-schedule cache as
+// ResyncCached executes the eUDM-side AUTS verification (TS 33.102
+// §6.3.5): it recovers SQN_MS with AK* = f5*(RAND) and checks MAC-S =
+// f1*(SQN_MS, AMF*=0x0000). This also uses the long-term key and therefore
+// belongs inside the enclave. It shares the key-schedule cache of
 // GenerateAVCached; a nil cache builds fresh schedules.
 func ResyncCached(cache *milenage.Cache, k []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
 	if len(req.AUTS) != 14 {
@@ -176,8 +171,8 @@ func DeriveSE(req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
 // DeriveKAMF executes the eAMF P-AKA function: K_AMF derivation from
 // K_SEAF.
 func DeriveKAMF(req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-	kamf, err := kdf.KAMF(req.KSEAF, req.SUPI, req.ABBA)
-	if err != nil {
+	kamf := make([]byte, kdf.KeyLen256)
+	if err := kdf.KAMFInto(kamf, req.KSEAF, req.SUPI, req.ABBA); err != nil {
 		return nil, fmt.Errorf("paka: eAMF K_AMF: %w", err)
 	}
 	return &AMFDeriveKAMFResponse{KAMF: kamf}, nil

@@ -35,9 +35,6 @@ func TestGenerateAVCachedMatchesUncached(t *testing.T) {
 			t.Fatalf("round %d: cached AV diverges from uncached", round)
 		}
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("cache has %d entries, want 1", cache.Len())
-	}
 
 	// Same SUPI, new key: the credential check must rebuild, not serve the
 	// stale schedule.

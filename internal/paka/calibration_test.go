@@ -37,6 +37,7 @@ func measureModule(t *testing.T, kind ModuleKind, iso Isolation, n int, seed uin
 	responses := &metrics.Recorder{}
 	var initial time.Duration
 
+	remote := NewRemote(client, env, kind.ServiceName())
 	call := func(rec bool) {
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
@@ -47,15 +48,12 @@ func measureModule(t *testing.T, kind ModuleKind, iso Isolation, n int, seed uin
 			if perr := m.ProvisionSubscriber(context.Background(), testSUPI, testK); perr != nil {
 				t.Fatalf("provision: %v", perr)
 			}
-			udm := &RemoteUDM{remote{invoker: client, env: env, service: kind.ServiceName(), response: NewResponseRecorder()}}
-			_, err = udm.GenerateAV(ctx, avRequest())
+			_, err = remote.GenerateAV(ctx, avRequest())
 		case EAUSF:
 			av, _ := GenerateAV(testK, avRequest())
-			ausf := &RemoteAUSF{remote{invoker: client, env: env, service: kind.ServiceName(), response: NewResponseRecorder()}}
-			_, err = ausf.DeriveSE(ctx, &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN})
+			_, err = remote.DeriveSE(ctx, &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN})
 		case EAMF:
-			amf := &RemoteAMF{remote{invoker: client, env: env, service: kind.ServiceName(), response: NewResponseRecorder()}}
-			_, err = amf.DeriveKAMF(ctx, &AMFDeriveKAMFRequest{KSEAF: make([]byte, 32), SUPI: testSUPI, ABBA: []byte{0, 0}})
+			_, err = remote.DeriveKAMF(ctx, &AMFDeriveKAMFRequest{KSEAF: make([]byte, 32), SUPI: testSUPI, ABBA: []byte{0, 0}})
 		}
 		if err != nil {
 			t.Fatalf("call %s/%s: %v", kind, iso, err)

@@ -2,6 +2,7 @@ package paka
 
 import (
 	"context"
+	"crypto/ed25519"
 	"testing"
 
 	"shield5g/internal/costmodel"
@@ -45,8 +46,12 @@ func sgxCensusBackend(t *testing.T, name string, userTCP bool) censusBackend {
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
 	}
+	_, signKey, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatalf("GenerateKey: %v", err)
+	}
 	inst, err := launchSGX(context.Background(), Config{
-		Kind: EUDM, Platform: p, ReserveBatchTCS: true, UserLevelTCP: userTCP,
+		Kind: EUDM, Platform: p, SignKey: signKey, ReserveBatchTCS: true, UserLevelTCP: userTCP,
 		Exitless: name == "sgx-exitless", Switchless: name == "sgx-ring",
 	}, Profiles()[EUDM])
 	if err != nil {
@@ -106,7 +111,7 @@ func TestSameCensusDifferentPrice(t *testing.T) {
 			t.Run(prof.name+"/"+b.name, func(t *testing.T) {
 				t.Cleanup(b.rt.Shutdown)
 				// Warm outside the count: lazy loading is a price, not census.
-				if _, err := b.rt.Serve(context.Background(), 40, 80, noop); err != nil {
+				if _, err := b.rt.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 					t.Fatalf("warm: %v", err)
 				}
 				var sess *hmee.Session
@@ -129,11 +134,11 @@ func TestSameCensusDifferentPrice(t *testing.T) {
 					}
 				}
 				step("oneshot", hmee.OneShot.Warm(), 40, 80, func(ctx context.Context) error {
-					_, err := b.rt.Serve(ctx, 40, 80, noop)
+					_, err := b.rt.Cross(ctx, hmee.OneShot, 40, 80, noop)
 					return err
 				})
 				step("open", hmee.Open.Warm(), 0, 0, func(ctx context.Context) (err error) {
-					sess, err = b.rt.OpenSession(ctx)
+					sess, err = openSession(ctx, b.rt)
 					return err
 				})
 				for k := 1; k <= 3; k++ {
@@ -144,9 +149,13 @@ func TestSameCensusDifferentPrice(t *testing.T) {
 				}
 				step("close", hmee.Close, 0, 0, func(ctx context.Context) error { return sess.Close(ctx) })
 				step("batch", hmee.Entry, 320, 640, func(ctx context.Context) error {
-					return b.rt.DoBatch(ctx, 320, 640, noop)
+					_, err := b.rt.Cross(ctx, hmee.Entry, 320, 640, noop)
+					return err
 				})
-				step("maintenance", 0, 0, 0, func(ctx context.Context) error { return b.rt.Do(ctx, noop) })
+				step("maintenance", 0, 0, 0, func(ctx context.Context) error {
+					_, err := b.rt.Cross(ctx, 0, 0, 0, noop)
+					return err
+				})
 			})
 		}
 	}

@@ -72,118 +72,69 @@ func (r *ResponseRecorder) MarkWarm() {
 	r.mu.Unlock()
 }
 
-// remote measures the VNF-side response time R of every module invocation:
-// the duration from sending the request to receiving the response.
-type remote struct {
+// Remote is a VNF's client to the P-AKA module serving service — each VNF
+// replica binds to its own shard's module. It carries every module's
+// functions (a call the bound module does not serve answers 404) and
+// measures the VNF-side response time R of each invocation: the duration
+// from sending the request to receiving the response.
+type Remote struct {
 	invoker  sbi.Invoker
 	env      *costmodel.Env
 	service  string
 	response *ResponseRecorder
 }
 
-func newRemote(invoker sbi.Invoker, env *costmodel.Env, service string) remote {
-	return remote{invoker: invoker, env: env, service: service, response: NewResponseRecorder()}
+// NewRemote builds a VNF's client to the module registered as service.
+func NewRemote(invoker sbi.Invoker, env *costmodel.Env, service string) *Remote {
+	return &Remote{invoker: invoker, env: env, service: service, response: NewResponseRecorder()}
 }
 
-func (r *remote) post(ctx context.Context, path string, req, resp any) error {
+// Response exposes the R_I/R_S recorders.
+func (r *Remote) Response() *ResponseRecorder { return r.response }
+
+// post is one served module invocation, its response time recorded.
+func post[Resp any](ctx context.Context, r *Remote, path string, req any) (*Resp, error) {
 	acct := simclock.AccountFrom(ctx)
 	start := acct.Total()
+	resp := new(Resp)
 	if err := r.invoker.Post(ctx, r.service, path, req, resp); err != nil {
-		return err
+		return nil, err
 	}
 	r.response.add(r.env, acct.Total()-start)
-	return nil
-}
-
-// RemoteUDM invokes the eUDM P-AKA module over the SBI.
-type RemoteUDM struct {
-	remote
-}
-
-// NewRemoteUDM builds the UDM VNF's client to the eUDM module serving
-// service: each VNF replica binds to its own shard's module.
-func NewRemoteUDM(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteUDM {
-	return &RemoteUDM{newRemote(invoker, env, service)}
+	return resp, nil
 }
 
 // GenerateAV implements UDMFunctions.
-func (r *RemoteUDM) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	var resp UDMGenerateAVResponse
-	if err := r.post(ctx, PathUDMGenerateAV, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (r *Remote) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
+	return post[UDMGenerateAVResponse](ctx, r, PathUDMGenerateAV, req)
 }
 
-// GenerateAVBatch implements UDMBatchFunctions. It posts directly
-// through the invoker, not the measuring post helper: a pool refill is
-// maintenance, and must not contaminate the R_I/R_S response-time
-// distributions of the paper's per-request path.
-func (r *RemoteUDM) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error) {
-	var resp UDMGenerateAVBatchResponse
-	if err := r.invoker.Post(ctx, r.service, PathUDMGenerateAVBatch, req, &resp); err != nil {
+// GenerateAVBatch implements UDMBatchFunctions. It posts directly through
+// the invoker, not the measuring post: a pool refill is maintenance, and
+// must not contaminate the R_I/R_S response-time distributions of the
+// paper's per-request path.
+func (r *Remote) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error) {
+	resp := new(UDMGenerateAVBatchResponse)
+	if err := r.invoker.Post(ctx, r.service, PathUDMGenerateAVBatch, req, resp); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Resync implements UDMFunctions.
-func (r *RemoteUDM) Resync(ctx context.Context, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	var resp UDMResyncResponse
-	if err := r.post(ctx, PathUDMResync, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Response exposes the R_I/R_S recorders.
-func (r *RemoteUDM) Response() *ResponseRecorder { return r.response }
-
-// RemoteAUSF invokes the eAUSF P-AKA module over the SBI.
-type RemoteAUSF struct {
-	remote
-}
-
-// NewRemoteAUSF builds the AUSF VNF's client to the eAUSF module serving
-// service: each VNF replica binds to its own shard's module.
-func NewRemoteAUSF(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteAUSF {
-	return &RemoteAUSF{newRemote(invoker, env, service)}
+func (r *Remote) Resync(ctx context.Context, req *UDMResyncRequest) (*UDMResyncResponse, error) {
+	return post[UDMResyncResponse](ctx, r, PathUDMResync, req)
 }
 
 // DeriveSE implements AUSFFunctions.
-func (r *RemoteAUSF) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
-	var resp AUSFDeriveSEResponse
-	if err := r.post(ctx, PathAUSFDeriveSE, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// Response exposes the R_I/R_S recorders.
-func (r *RemoteAUSF) Response() *ResponseRecorder { return r.response }
-
-// RemoteAMF invokes the eAMF P-AKA module over the SBI.
-type RemoteAMF struct {
-	remote
-}
-
-// NewRemoteAMF builds the AMF VNF's client to the eAMF module serving
-// service: each VNF replica binds to its own shard's module.
-func NewRemoteAMF(invoker sbi.Invoker, env *costmodel.Env, service string) *RemoteAMF {
-	return &RemoteAMF{newRemote(invoker, env, service)}
+func (r *Remote) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
+	return post[AUSFDeriveSEResponse](ctx, r, PathAUSFDeriveSE, req)
 }
 
 // DeriveKAMF implements AMFFunctions.
-func (r *RemoteAMF) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-	var resp AMFDeriveKAMFResponse
-	if err := r.post(ctx, PathAMFDeriveKAMF, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (r *Remote) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
+	return post[AMFDeriveKAMFResponse](ctx, r, PathAMFDeriveKAMF, req)
 }
-
-// Response exposes the R_I/R_S recorders.
-func (r *RemoteAMF) Response() *ResponseRecorder { return r.response }
 
 // --- monolithic baselines ---
 
@@ -259,48 +210,39 @@ func (u *MonolithicUDM) Resync(ctx context.Context, req *UDMResyncRequest) (*UDM
 	return ResyncCached(u.milCache, k, req)
 }
 
-// MonolithicAUSF executes the AUSF AKA functions in-process.
-type MonolithicAUSF struct {
-	env     *costmodel.Env
-	profile Profile
+// MonolithicKDF executes the AUSF and AMF AKA functions — stateless key
+// derivations both — in-process.
+type MonolithicKDF struct {
+	env       *costmodel.Env
+	ausf, amf Profile
 }
 
-// NewMonolithicAUSF builds the in-process AUSF AKA functions.
-func NewMonolithicAUSF(env *costmodel.Env) *MonolithicAUSF {
-	return &MonolithicAUSF{env: env, profile: Profiles()[EAUSF]}
+// NewMonolithicKDF builds the in-process AUSF and AMF AKA functions.
+func NewMonolithicKDF(env *costmodel.Env) *MonolithicKDF {
+	p := Profiles()
+	return &MonolithicKDF{env: env, ausf: p[EAUSF], amf: p[EAMF]}
 }
 
 // DeriveSE implements AUSFFunctions in-process.
-func (a *MonolithicAUSF) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
-	a.env.Charge(ctx, a.env.JitterFor(ctx).LogNormal(a.profile.FnCycles, a.profile.FnSigma))
+func (a *MonolithicKDF) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
+	a.env.Charge(ctx, a.env.JitterFor(ctx).LogNormal(a.ausf.FnCycles, a.ausf.FnSigma))
 	return DeriveSE(req)
 }
 
-// MonolithicAMF executes the AMF AKA function in-process.
-type MonolithicAMF struct {
-	env     *costmodel.Env
-	profile Profile
-}
-
-// NewMonolithicAMF builds the in-process AMF AKA function.
-func NewMonolithicAMF(env *costmodel.Env) *MonolithicAMF {
-	return &MonolithicAMF{env: env, profile: Profiles()[EAMF]}
-}
-
 // DeriveKAMF implements AMFFunctions in-process.
-func (a *MonolithicAMF) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-	a.env.Charge(ctx, a.env.JitterFor(ctx).LogNormal(a.profile.FnCycles, a.profile.FnSigma))
+func (a *MonolithicKDF) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
+	a.env.Charge(ctx, a.env.JitterFor(ctx).LogNormal(a.amf.FnCycles, a.amf.FnSigma))
 	return DeriveKAMF(req)
 }
 
 // Interface conformance.
 var (
-	_ UDMFunctions      = (*RemoteUDM)(nil)
+	_ UDMFunctions      = (*Remote)(nil)
+	_ UDMBatchFunctions = (*Remote)(nil)
+	_ AUSFFunctions     = (*Remote)(nil)
+	_ AMFFunctions      = (*Remote)(nil)
 	_ UDMFunctions      = (*MonolithicUDM)(nil)
-	_ UDMBatchFunctions = (*RemoteUDM)(nil)
 	_ UDMBatchFunctions = (*MonolithicUDM)(nil)
-	_ AUSFFunctions     = (*RemoteAUSF)(nil)
-	_ AUSFFunctions     = (*MonolithicAUSF)(nil)
-	_ AMFFunctions      = (*RemoteAMF)(nil)
-	_ AMFFunctions      = (*MonolithicAMF)(nil)
+	_ AUSFFunctions     = (*MonolithicKDF)(nil)
+	_ AMFFunctions      = (*MonolithicKDF)(nil)
 )

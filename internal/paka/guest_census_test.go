@@ -55,7 +55,7 @@ func guestLaunch(t *testing.T, backend string, env *costmodel.Env) (guestRuntime
 }
 
 func guestOneShot(rt guestRuntime, ctx context.Context, in, out int, h Handler) (Breakdown, error) {
-	return rt.Serve(ctx, in, out, h)
+	return rt.Cross(ctx, hmee.OneShot, in, out, h)
 }
 
 // --- end adapter ---
@@ -127,7 +127,7 @@ func TestGuestCensusContract(t *testing.T) {
 				case "session":
 					var sess guestSession
 					rec.step("open", func(ctx context.Context) (bd Breakdown, err error) {
-						sess, err = rt.OpenSession(ctx)
+						sess, err = openSession(ctx, rt)
 						return bd, err
 					})
 					for k := 1; k <= 3; k++ {
@@ -140,7 +140,8 @@ func TestGuestCensusContract(t *testing.T) {
 					})
 				case "batch":
 					rec.step("batch8", func(ctx context.Context) (Breakdown, error) {
-						return Breakdown{}, rt.DoBatch(ctx, 8*40, 8*80, hmee.HandlerFunc(func(ex hmee.Exec) error {
+						// The golden was minted when a batch reported no windows.
+						_, err := rt.Cross(ctx, hmee.Entry, 8*40, 8*80, hmee.HandlerFunc(func(ex hmee.Exec) error {
 							for j := 0; j < 8; j++ {
 								if err := guestWork(ex); err != nil {
 									return err
@@ -148,6 +149,7 @@ func TestGuestCensusContract(t *testing.T) {
 							}
 							return nil
 						}))
+						return Breakdown{}, err
 					})
 				}
 			}

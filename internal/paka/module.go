@@ -55,11 +55,11 @@ type Config struct {
 	// of a larger TCB (§V-B7 ablation).
 	UserLevelTCP bool
 	// ReserveBatchTCS keeps one TCS slot free beyond the resident
-	// threads so batch ECALLs (DoBatch, the eUDM AV pool refill) can
+	// threads so batch ECALLs (hmee.Entry: the eUDM AV pool refill) can
 	// enter the enclave while the server threads stay resident. SGX
 	// only; bumps the manifest thread count to HelperThreads+2.
 	ReserveBatchTCS bool
-	// SignKey signs the GSC image; generated when nil.
+	// SignKey signs the GSC image; New generates one when nil.
 	SignKey ed25519.PrivateKey
 	// Service overrides the module's SBI service name (default
 	// Kind.ServiceName()). Replicated deployments give every replica of a
@@ -174,9 +174,9 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 	return m, nil
 }
 
-// launchSGX builds the module's shielded image from its config and boots
-// it: how a request then crosses the enclave boundary is gramine's
-// decision, not this layer's.
+// launchSGX builds the module's shielded image from its config — New has
+// resolved cfg.SignKey — and boots it: how a request then crosses the
+// enclave boundary is gramine's decision, not this layer's.
 func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Instance, error) {
 	manifest := gramine.DefaultManifest("/app/" + cfg.Kind.ServiceName())
 	if cfg.EnclaveSizeBytes != 0 {
@@ -216,15 +216,7 @@ func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Insta
 		}
 	}
 
-	signKey := cfg.SignKey
-	if signKey == nil {
-		var err error
-		_, signKey, err = ed25519.GenerateKey(rand.Reader)
-		if err != nil {
-			return nil, fmt.Errorf("paka: generate GSC sign key: %w", err)
-		}
-	}
-	si, err := gramine.BuildShielded(moduleImage(cfg.Kind, profile, cfg.UserLevelTCP), manifest, signKey)
+	si, err := gramine.BuildShielded(moduleImage(cfg.Kind, profile, cfg.UserLevelTCP), manifest, cfg.SignKey)
 	if err != nil {
 		return nil, fmt.Errorf("paka: GSC build: %w", err)
 	}
@@ -278,10 +270,7 @@ func (m *Module) registerEndpoints() {
 		// The batch endpoint is a maintenance path (the AV pool refill),
 		// not a served request: it bypasses the endpoint wrapper so the
 		// L_F/L_T recorders keep measuring only the paper's request path.
-		m.server.HandleDual(PathUDMGenerateAVBatch,
-			sbi.BinHandler(func(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error) {
-				return m.GenerateAVBatch(ctx, req)
-			}))
+		m.server.HandleDual(PathUDMGenerateAVBatch, sbi.BinHandler(m.GenerateAVBatch))
 	case EAUSF:
 		m.server.HandleDual(PathAUSFDeriveSE, endpoint(m, func(_ Exec, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
 			return avProblem(DeriveSE(req))
@@ -317,13 +306,7 @@ type endpointCall[Req, Resp any] struct {
 //
 //shieldlint:hotpath
 func (c *endpointCall[Req, Resp]) Run(ex Exec) error {
-	m := c.m
-	fn := m.env.JitterFor(c.ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
-	if m.isolation == SGX {
-		fn += m.profile.SGXExtraCycles
-	}
-	ex.Compute(fn)
-	ex.Touch(m.profile.HeapBytes)
+	c.m.chargeFunction(c.ctx, ex)
 	if err := sbi.DecodeBody(c.body, &c.req); err != nil {
 		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
 	}
@@ -333,6 +316,20 @@ func (c *endpointCall[Req, Resp]) Run(ex Exec) error {
 	}
 	c.out, err = sbi.MarshalBodyLike(c.body, resp)
 	return err
+}
+
+// chargeFunction charges one execution of the module's AKA function set:
+// its calibrated functional cost, drawn from ctx's jitter stream, and the
+// heap it touches.
+//
+//shieldlint:hotpath
+func (m *Module) chargeFunction(ctx context.Context, ex Exec) {
+	fn := m.env.JitterFor(ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
+	if m.isolation == SGX {
+		fn += m.profile.SGXExtraCycles
+	}
+	ex.Compute(fn)
+	ex.Touch(m.profile.HeapBytes)
 }
 
 // endpoint adapts a typed module function into the served-request path:
@@ -411,19 +408,14 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	// one response struct and one secret-name string per vector.
 	backing := make([]byte, k*AVBackingBytes)
 	resp.Vectors = make([]UDMGenerateAVResponse, k)
-	err := m.rt().DoBatch(ctx, k*m.profile.InBytes, k*m.profile.OutBytes, hmee.HandlerFunc(func(ex Exec) error {
+	_, err := m.rt().Cross(ctx, hmee.Entry, k*m.profile.InBytes, k*m.profile.OutBytes, hmee.HandlerFunc(func(ex Exec) error {
 		// A refill is per-SUPI: reuse the key lookup (and its secret-name
 		// string) across consecutive items for the same subscriber.
 		var key []byte
 		lastSUPI := ""
 		for i := range req.Items {
 			item := &req.Items[i]
-			fn := m.env.JitterFor(ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
-			if m.isolation == SGX {
-				fn += m.profile.SGXExtraCycles
-			}
-			ex.Compute(fn)
-			ex.Touch(m.profile.HeapBytes)
+			m.chargeFunction(ctx, ex)
 			if i == 0 || item.SUPI != lastSUPI {
 				var ok bool
 				key, ok = ex.LoadSecret(subscriberSecret(item.SUPI))
@@ -446,6 +438,16 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	return resp, nil
 }
 
+// storeSecret places k in rt's memory as maintenance: a crossing of no
+// phase, outside any request.
+func storeSecret(ctx context.Context, rt Runtime, name string, k []byte) error {
+	_, err := rt.Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
+		ex.StoreSecret(name, k)
+		return nil
+	}))
+	return err
+}
+
 // ProvisionSubscriber installs a subscriber's long-term key into the
 // module's memory — inside the enclave when SGX-isolated, so the key
 // never appears in attacker-visible memory afterwards. Only meaningful
@@ -455,11 +457,7 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
 	}
 	name := subscriberSecret(supi)
-	err := m.rt().Do(ctx, hmee.HandlerFunc(func(ex Exec) error {
-		ex.StoreSecret(name, k)
-		return nil
-	}))
-	if err != nil {
+	if err := storeSecret(ctx, m.rt(), name, k); err != nil {
 		return fmt.Errorf("paka: provision %s: %w", supi, err)
 	}
 	// The key may have changed (UDR re-provision): any cached MILENAGE
@@ -647,10 +645,7 @@ func (m *Module) Restart(ctx context.Context) error {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: recover %s: %w", m.kind, name, err)
 			}
-			if err := fresh.Do(ctx, hmee.HandlerFunc(func(ex Exec) error {
-				ex.StoreSecret(name, k)
-				return nil
-			})); err != nil {
+			if err := storeSecret(ctx, fresh, name, k); err != nil {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: restore %s: %w", m.kind, name, err)
 			}

@@ -57,16 +57,16 @@ func TestGenerateAVMatchesDirectDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("XorSQNAK: %v", err)
 	}
-	wantXRES, err := kdf.ResStar(ck, ik, testSNN, testRAND, res)
-	if err != nil {
-		t.Fatalf("ResStar: %v", err)
+	wantXRES := make([]byte, kdf.KeyLen128)
+	if err := kdf.ResStarInto(wantXRES, ck, ik, testSNN, testRAND, res); err != nil {
+		t.Fatalf("ResStarInto: %v", err)
 	}
 	if !bytes.Equal(resp.XRESStar, wantXRES) {
 		t.Fatal("XRES* mismatch")
 	}
-	wantKAUSF, err := kdf.KAUSF(ck, ik, testSNN, sqnAK)
-	if err != nil {
-		t.Fatalf("KAUSF: %v", err)
+	wantKAUSF := make([]byte, kdf.KeyLen256)
+	if err := kdf.KAUSFInto(wantKAUSF, ck, ik, testSNN, sqnAK); err != nil {
+		t.Fatalf("KAUSFInto: %v", err)
 	}
 	if !bytes.Equal(resp.KAUSF, wantKAUSF) {
 		t.Fatal("K_AUSF mismatch")
@@ -118,7 +118,7 @@ func TestResyncRoundTrip(t *testing.T) {
 	}
 	auts := append(append([]byte{}, concealed...), macS...)
 
-	resp, err := Resync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts})
+	resp, err := ResyncCached(nil, testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts})
 	if err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
@@ -128,10 +128,10 @@ func TestResyncRoundTrip(t *testing.T) {
 
 	// Tampered AUTS must fail.
 	auts[13] ^= 1
-	if _, err := Resync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
+	if _, err := ResyncCached(nil, testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
 		t.Fatalf("tampered AUTS err = %v, want ErrResyncMAC", err)
 	}
-	if _, err := Resync(testK, &UDMResyncRequest{OPc: testOPc, RAND: testRAND, AUTS: auts[:10]}); err == nil {
+	if _, err := ResyncCached(nil, testK, &UDMResyncRequest{OPc: testOPc, RAND: testRAND, AUTS: auts[:10]}); err == nil {
 		t.Fatal("short AUTS accepted")
 	}
 }
@@ -148,9 +148,9 @@ func TestDeriveSEAndKAMFChain(t *testing.T) {
 	if len(se.HXRESStar) != 16 || len(se.KSEAF) != 32 {
 		t.Fatalf("SE sizes: %d %d", len(se.HXRESStar), len(se.KSEAF))
 	}
-	wantHX, err := kdf.HXResStar(av.RAND, av.XRESStar)
-	if err != nil {
-		t.Fatalf("HXResStar: %v", err)
+	wantHX := make([]byte, kdf.KeyLen128)
+	if err := kdf.HXResStarInto(wantHX, av.RAND, av.XRESStar); err != nil {
+		t.Fatalf("HXResStarInto: %v", err)
 	}
 	if !bytes.Equal(se.HXRESStar, wantHX) {
 		t.Fatal("HXRES* mismatch")
@@ -160,9 +160,9 @@ func TestDeriveSEAndKAMFChain(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DeriveKAMF: %v", err)
 	}
-	wantKAMF, err := kdf.KAMF(se.KSEAF, testSUPI, []byte{0, 0})
-	if err != nil {
-		t.Fatalf("KAMF: %v", err)
+	wantKAMF := make([]byte, kdf.KeyLen256)
+	if err := kdf.KAMFInto(wantKAMF, se.KSEAF, testSUPI, []byte{0, 0}); err != nil {
+		t.Fatalf("KAMFInto: %v", err)
 	}
 	if !bytes.Equal(amf.KAMF, wantKAMF) {
 		t.Fatal("K_AMF mismatch")
@@ -248,7 +248,7 @@ func TestEUDMModuleEndToEnd(t *testing.T) {
 			if err := m.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
 				t.Fatalf("ProvisionSubscriber: %v", err)
 			}
-			udm := NewRemoteUDM(h.client, h.env, EUDM.ServiceName())
+			udm := NewRemote(h.client, h.env, EUDM.ServiceName())
 			resp, err := udm.GenerateAV(context.Background(), avRequest())
 			if err != nil {
 				t.Fatalf("GenerateAV: %v", err)
@@ -273,7 +273,7 @@ func TestEUDMModuleEndToEnd(t *testing.T) {
 func TestEUDMUnknownSubscriber(t *testing.T) {
 	h := newHarness(t, 3)
 	h.module(t, EUDM, Container)
-	udm := NewRemoteUDM(h.client, h.env, EUDM.ServiceName())
+	udm := NewRemote(h.client, h.env, EUDM.ServiceName())
 	_, err := udm.GenerateAV(context.Background(), avRequest())
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 404 {
@@ -334,12 +334,12 @@ func TestAUSFAndAMFModulesServe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateAV: %v", err)
 	}
-	ausf := NewRemoteAUSF(h.client, h.env, EAUSF.ServiceName())
+	ausf := NewRemote(h.client, h.env, EAUSF.ServiceName())
 	se, err := ausf.DeriveSE(context.Background(), &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN})
 	if err != nil {
 		t.Fatalf("DeriveSE: %v", err)
 	}
-	amf := NewRemoteAMF(h.client, h.env, EAMF.ServiceName())
+	amf := NewRemote(h.client, h.env, EAMF.ServiceName())
 	kamf, err := amf.DeriveKAMF(context.Background(), &AMFDeriveKAMFRequest{KSEAF: se.KSEAF, SUPI: testSUPI, ABBA: []byte{0, 0}})
 	if err != nil {
 		t.Fatalf("DeriveKAMF: %v", err)
@@ -368,12 +368,11 @@ func TestMonolithicMatchesModule(t *testing.T) {
 		t.Fatalf("unknown subscriber err = %v", err)
 	}
 
-	ausf := NewMonolithicAUSF(env)
-	if _, err := ausf.DeriveSE(context.Background(), &AUSFDeriveSERequest{RAND: want.RAND, XRESStar: want.XRESStar, KAUSF: want.KAUSF, SNN: testSNN}); err != nil {
+	kdfs := NewMonolithicKDF(env)
+	if _, err := kdfs.DeriveSE(context.Background(), &AUSFDeriveSERequest{RAND: want.RAND, XRESStar: want.XRESStar, KAUSF: want.KAUSF, SNN: testSNN}); err != nil {
 		t.Fatalf("monolithic DeriveSE: %v", err)
 	}
-	amf := NewMonolithicAMF(env)
-	if _, err := amf.DeriveKAMF(context.Background(), &AMFDeriveKAMFRequest{KSEAF: make([]byte, 32), SUPI: testSUPI}); err != nil {
+	if _, err := kdfs.DeriveKAMF(context.Background(), &AMFDeriveKAMFRequest{KSEAF: make([]byte, 32), SUPI: testSUPI}); err != nil {
 		t.Fatalf("monolithic DeriveKAMF: %v", err)
 	}
 

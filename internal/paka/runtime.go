@@ -71,23 +71,13 @@ type (
 // (the plain container), *sev.Machine — and all three serve a request by
 // the same hmee.Walk at their own prices.
 type Runtime interface {
-	// Serve runs one request that brings its own connection through the
-	// modelled server path.
-	Serve(ctx context.Context, inBytes, outBytes int, h Handler) (Breakdown, error)
-	// OpenSession opens a persistent connection for pipelined requests:
-	// the per-connection setup (accept machinery, TLS handshake) is paid at
-	// open, the teardown at close, and each request pays only the
-	// per-request census.
-	OpenSession(ctx context.Context) (*hmee.Session, error)
-	// Do runs h on the runtime's execution surface outside any request
-	// (provisioning, maintenance).
-	Do(ctx context.Context, h Handler) error
-	// DoBatch runs h across the isolation boundary in a single crossing
-	// sized argBytes in / retBytes out — under SGX one EENTER/EEXIT pair
-	// (or one ring submission) for the whole batch; isolation modes
-	// without per-crossing transitions treat it like Do plus the data
-	// movement.
-	DoBatch(ctx context.Context, argBytes, retBytes int, h Handler) error
+	// Crossing is the one verb that takes work over the isolation
+	// boundary; the phase set says what kind: hmee.OneShot a request that
+	// brings its own connection, hmee.Entry a batch whose bytes cross once
+	// (under SGX one EENTER/EEXIT pair or one ring submission), the zero
+	// set maintenance outside any request. Keep-alive connections are an
+	// hmee.Session opened over it.
+	hmee.Crossing
 	// LoadDuration is the modelled deployment time (Fig. 7 for SGX).
 	LoadDuration() time.Duration
 	// AccrueUptime models d of deployed residency.

@@ -15,6 +15,12 @@ import (
 
 var noop = hmee.HandlerFunc(func(Exec) error { return nil })
 
+// openSession accepts one keep-alive connection over c.
+func openSession(ctx context.Context, c hmee.Crossing) (*hmee.Session, error) {
+	s := new(hmee.Session)
+	return s, s.Open(ctx, c)
+}
+
 // forGuests runs f once per guest-process backend: the two are one runtime
 // type told apart by a price list, so every contract below takes the list
 // as its input.
@@ -43,7 +49,7 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 					return
 				default:
 				}
-				_, err := rt.Serve(ctx, 40, 80, hmee.HandlerFunc(func(ex Exec) error {
+				_, err := rt.Cross(ctx, hmee.OneShot, 40, 80, hmee.HandlerFunc(func(ex Exec) error {
 					ex.Compute(10_000)
 					return nil
 				}))
@@ -58,14 +64,14 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if _, err := rt.Serve(context.Background(), 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("Serve after Shutdown = %v, want hmee.ErrStopped", err)
+	if _, err := rt.Cross(context.Background(), hmee.OneShot, 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("one-shot after Shutdown = %v, want hmee.ErrStopped", err)
 	}
-	if _, err := rt.OpenSession(context.Background()); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("OpenSession after Shutdown = %v, want hmee.ErrStopped", err)
+	if _, err := openSession(context.Background(), rt); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("Session.Open after Shutdown = %v, want hmee.ErrStopped", err)
 	}
-	if err := rt.Do(context.Background(), noop); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("Do after Shutdown = %v, want hmee.ErrStopped", err)
+	if _, err := rt.Cross(context.Background(), 0, 0, 0, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("maintenance after Shutdown = %v, want hmee.ErrStopped", err)
 	}
 }
 
@@ -90,7 +96,7 @@ func warmupChargedOnce(t *testing.T, prices hmee.Prices) {
 			acct := &simclock.Account{}
 			ctx := simclock.WithAccount(context.Background(), acct)
 			ctx = simclock.WithJitter(ctx, simclock.NewJitter(uint64(w)+1))
-			if _, err := rt.Serve(ctx, 40, 80, noop); err != nil {
+			if _, err := rt.Cross(ctx, hmee.OneShot, 40, 80, noop); err != nil {
 				t.Errorf("worker %d: %v", w, err)
 				return
 			}
@@ -130,7 +136,7 @@ func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 	rt := hmee.NewProcess(env, prices)
 
 	// Warm the runtime outside the measured window.
-	if _, err := rt.Serve(context.Background(), 40, 80, noop); err != nil {
+	if _, err := rt.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 		t.Fatalf("warm: %v", err)
 	}
 
@@ -146,13 +152,13 @@ func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 	}
 
 	full := measure(func(ctx context.Context) error {
-		_, err := rt.Serve(ctx, 40, 80, noop)
+		_, err := rt.Cross(ctx, hmee.OneShot, 40, 80, noop)
 		return err
 	})
 
 	var sess *hmee.Session
 	open := measure(func(ctx context.Context) (err error) {
-		sess, err = rt.OpenSession(ctx)
+		sess, err = openSession(ctx, rt)
 		return err
 	})
 	serve := measure(func(ctx context.Context) error {
@@ -186,12 +192,12 @@ func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 	var oneShots, pipelined simclock.Cycles
 	for seed = 100; seed < 100+batch; seed++ {
 		oneShots += measure(func(ctx context.Context) error {
-			_, err := rt.Serve(ctx, 40, 80, noop)
+			_, err := rt.Cross(ctx, hmee.OneShot, 40, 80, noop)
 			return err
 		})
 	}
 	pipelined = measure(func(ctx context.Context) (err error) {
-		sess, err = rt.OpenSession(ctx)
+		sess, err = openSession(ctx, rt)
 		return err
 	})
 	for seed = 100; seed < 100+batch; seed++ {
@@ -209,7 +215,8 @@ func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 	}
 }
 
-// TestNativeDoBatchChargesCaller pins the Do/DoBatch account contract.
+// TestNativeDoBatchChargesCaller pins the account contract of the
+// maintenance and batch (hmee.Entry) crossings.
 func TestNativeDoBatchChargesCaller(t *testing.T) {
 	forGuests(t, doBatchChargesCaller)
 }
@@ -223,23 +230,23 @@ func doBatchChargesCaller(t *testing.T, prices hmee.Prices) {
 		}
 		return nil
 	})
-	measure := func(f func(ctx context.Context) error) simclock.Cycles {
+	measure := func(ph hmee.Phases, in, out int) simclock.Cycles {
 		acct := &simclock.Account{}
-		if err := f(simclock.WithAccount(context.Background(), acct)); err != nil {
+		if _, err := rt.Cross(simclock.WithAccount(context.Background(), acct), ph, in, out, work); err != nil {
 			t.Fatal(err)
 		}
 		return acct.Total()
 	}
-	do := measure(func(ctx context.Context) error { return rt.Do(ctx, work) })
-	batch := measure(func(ctx context.Context) error { return rt.DoBatch(ctx, 640, 1280, work) })
+	do := measure(0, 0, 0)
+	batch := measure(hmee.Entry, 640, 1280)
 	if do < 8*50_000 {
-		t.Fatalf("Do charged %d cycles to caller, want ≥ %d", do, 8*50_000)
+		t.Fatalf("maintenance charged %d cycles to caller, want ≥ %d", do, 8*50_000)
 	}
-	// A batch is Do plus the data movement: one IPC in, one out, and no VM
-	// exit of its own under any price list.
+	// A batch is maintenance plus the data movement: one IPC in, one out,
+	// and no VM exit of its own under any price list.
 	m := env.Model
 	if want := do + 2*m.SyscallNative + (640+1280)*m.CopyPerByte; batch != want {
-		t.Fatalf("DoBatch charged %d cycles, want Do's %d + the IPC bytes = %d", batch, do, want)
+		t.Fatalf("batch charged %d cycles, want maintenance's %d + the IPC bytes = %d", batch, do, want)
 	}
 	if rt.VMExits() != 0 {
 		t.Fatalf("maintenance crossings took %d VM exits", rt.VMExits())

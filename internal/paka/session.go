@@ -75,7 +75,7 @@ func (m *Module) dropSessions() {
 func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
 	conn, ok := ConnectionFrom(ctx)
 	if !ok {
-		return m.rt().Serve(ctx, in, out, h)
+		return m.rt().Cross(ctx, hmee.OneShot, in, out, h)
 	}
 
 	rt := m.rt()
@@ -89,8 +89,8 @@ func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, 
 		ms.sess = nil
 	}
 	if ms.sess == nil {
-		sess, err := rt.OpenSession(ctx)
-		if err != nil {
+		sess := new(hmee.Session)
+		if err := sess.Open(ctx, rt); err != nil {
 			return Breakdown{}, err
 		}
 		ms.rt, ms.sess, ms.served = rt, sess, 0

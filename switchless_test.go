@@ -10,6 +10,10 @@ import (
 	"shield5g/internal/hmee/sgx"
 )
 
+// subscriberKey is the long-term key every test subscriber is provisioned
+// with (TS 35.207 test set 1).
+var subscriberKey = []byte{0x46, 0x5b, 0x5c, 0xe8, 0xb1, 0x99, 0xb4, 0x9f, 0xaa, 0x5f, 0x0a, 0x2e, 0xe2, 0x38, 0xa6, 0xbc}
+
 // moduleWindow is one module's transition census over a measured mass
 // registration, normalized per registration.
 type moduleWindow struct {
@@ -35,7 +39,7 @@ type fastPathWindow struct {
 // registration (100 UEs, warm chain, provisioning outside the window)
 // and returns its census. With avPool 0 all three modules serve inside
 // the window, which is what the per-module comparison needs — with a
-// prewarmed pool eUDM is idle in-window (its DoBatch refills all land
+// prewarmed pool eUDM is idle in-window (its batch refills all land
 // during prewarm). avPool 8 is the full fast path, prewarmed the way an
 // operator would deploy it.
 func switchlessWindow(t *testing.T, switchless bool, avPool int) fastPathWindow {
@@ -53,7 +57,7 @@ func switchlessWindow(t *testing.T, switchless bool, avPool int) fastPathWindow 
 	}
 	defer tb.Close()
 
-	warm, err := tb.AddSubscriber(ctx, benchKey, nil)
+	warm, err := tb.AddSubscriber(ctx, subscriberKey, nil)
 	if err != nil {
 		t.Fatalf("AddSubscriber(warm): %v", err)
 	}
@@ -65,7 +69,7 @@ func switchlessWindow(t *testing.T, switchless bool, avPool int) fastPathWindow 
 	devices := make([]*shield5g.UE, n)
 	supis := make([]string, n)
 	for i := range devices {
-		sub, err := tb.AddSubscriber(ctx, benchKey, nil)
+		sub, err := tb.AddSubscriber(ctx, subscriberKey, nil)
 		if err != nil {
 			t.Fatalf("AddSubscriber(%d): %v", i, err)
 		}
@@ -141,7 +145,7 @@ func TestSwitchlessChaosCrashRestartDrainsRing(t *testing.T) {
 	const n = 60
 	devices := make([]*shield5g.UE, n)
 	for i := range devices {
-		sub, err := tb.AddSubscriber(ctx, benchKey, nil)
+		sub, err := tb.AddSubscriber(ctx, subscriberKey, nil)
 		if err != nil {
 			t.Fatalf("AddSubscriber(%d): %v", i, err)
 		}
@@ -175,7 +179,7 @@ func TestSwitchlessChaosCrashRestartDrainsRing(t *testing.T) {
 	}
 
 	// The slice keeps working after the last redeploy.
-	sub, err := tb.AddSubscriber(ctx, benchKey, nil)
+	sub, err := tb.AddSubscriber(ctx, subscriberKey, nil)
 	if err != nil {
 		t.Fatalf("AddSubscriber(post): %v", err)
 	}
@@ -313,7 +317,7 @@ func TestSwitchlessParallelMintsWholeBatches(t *testing.T) {
 
 	devices := make([]*shield5g.UE, n)
 	for i := range devices {
-		sub, err := tb.AddSubscriber(ctx, benchKey, nil)
+		sub, err := tb.AddSubscriber(ctx, subscriberKey, nil)
 		if err != nil {
 			t.Fatalf("AddSubscriber(%d): %v", i, err)
 		}
