@@ -11,7 +11,12 @@
 //
 // Ownership rule: a Get*/Put* pair must bracket a single logical operation;
 // pooled states must never be retained across calls or shared between
-// goroutines. PutHMAC scrubs key material before recycling.
+// goroutines. Both Put functions scrub before recycling — PutSHA256 rewinds
+// the chaining value, PutHMAC also zeroes the key schedule — so the pools
+// never hold a digest state keyed by, or halfway through, a secret input.
+// What hash.Hash gives no way to clear is a state's block buffer: the
+// unprocessed tail (under 64 bytes) of the last input stays until the next
+// use overwrites it.
 package hashpool
 
 import (
@@ -22,16 +27,17 @@ import (
 
 var shaPool = sync.Pool{New: func() any { return sha256.New() }}
 
-// GetSHA256 returns a reset SHA-256 state from the pool.
-func GetSHA256() hash.Hash {
-	h := shaPool.Get().(hash.Hash)
-	h.Reset()
-	return h
-}
+// GetSHA256 returns a SHA-256 state from the pool, reset by sha256.New or
+// by the PutSHA256 that pooled it.
+func GetSHA256() hash.Hash { return shaPool.Get().(hash.Hash) }
 
-// PutSHA256 recycles a state obtained from GetSHA256. The caller must not
-// use h afterwards.
-func PutSHA256(h hash.Hash) { shaPool.Put(h) }
+// PutSHA256 resets and recycles a state obtained from GetSHA256, so the
+// pool never holds a chaining value over a caller's input (the X9.63 KDF in
+// suci hashes the ECDH shared secret). The caller must not use h afterwards.
+func PutSHA256(h hash.Hash) {
+	h.Reset()
+	shaPool.Put(h)
+}
 
 // HMAC is a reusable HMAC-SHA-256 state. Unlike crypto/hmac it can be
 // rekeyed in place via SetKey, which lets a pooled instance serve

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
+	"hash"
 	"math/rand"
 	"testing"
 )
@@ -89,6 +91,29 @@ func TestPooledSHA256(t *testing.T) {
 			t.Fatalf("round %d: pooled sha256 mismatch", i)
 		}
 		PutSHA256(h)
+	}
+}
+
+// TestPutSHA256Scrubs: a state handed back mid-hash over a secret is
+// indistinguishable from a fresh one — chaining value, length and buffered
+// input, as encoding.BinaryMarshaler serialises them — before the pool can
+// hand it to anyone else.
+func TestPutSHA256Scrubs(t *testing.T) {
+	marshal := func(h hash.Hash) []byte {
+		b, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	h := GetSHA256()
+	h.Write(bytes.Repeat([]byte("ecdh shared secret "), 10))
+	if bytes.Equal(marshal(h), marshal(sha256.New())) {
+		t.Fatal("a state 190 bytes into a hash marshals like a fresh one: the test cannot see a missing reset")
+	}
+	PutSHA256(h)
+	if !bytes.Equal(marshal(h), marshal(sha256.New())) {
+		t.Fatal("PutSHA256 pooled a state that still carries its last input")
 	}
 }
 

@@ -51,6 +51,9 @@ func MarshalBinary(m codec.Message) ([]byte, error) {
 		ReleaseBody(buf)
 		return nil, err
 	}
+	if auditPool {
+		auditOwn(out)
+	}
 	return out, nil
 }
 

@@ -20,11 +20,20 @@ import (
 // that the bytes must not be touched. The encoded bytes are json.Marshal's
 // in either case, so the modelled per-byte TLS/HTTP costs do not depend on
 // which path wrote them.
+//
+// The contract is checked where it runs: in every -race build and in this
+// package's tests the pool audit (audit.go) counts bodies handed out and
+// not released, panics on a second release and on a write to a released
+// body, and poisons what is released so that a late read decodes garbage.
 
 // bufPool recycles body backing arrays. Bodies here are small (an AV
 // response is ~300 bytes of JSON); one size class is enough.
 var bufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 512)
+	if auditPool {
+		// A new array enters the pool the way a released one does.
+		auditRelease(b)
+	}
 	return &b
 }}
 
@@ -33,6 +42,9 @@ func getBuf() []byte {
 	b := (*bp)[:0]
 	*bp = nil
 	boxPool.Put(bp)
+	if auditPool {
+		auditDraw(b)
+	}
 	return b
 }
 
@@ -50,13 +62,20 @@ func MarshalBody(v any) ([]byte, error) {
 	m, ok := v.(codec.Message)
 	if !ok {
 		//shieldlint:ignore hotalloc a message without a field description is cold
-		return json.Marshal(v)
+		out, err := json.Marshal(v)
+		if auditPool && err == nil {
+			auditOwn(out)
+		}
+		return out, err
 	}
 	buf := getBuf()
 	out, err := codec.AppendJSON(buf, m)
 	if err != nil {
 		ReleaseBody(buf)
 		return nil, err
+	}
+	if auditPool {
+		auditOwn(out)
 	}
 	return out, nil
 }
@@ -71,7 +90,13 @@ const maxPooledBodyCap = 4096
 // must own b exclusively and must not touch it afterwards. nil,
 // zero-capacity and oversized slices are ignored.
 func ReleaseBody(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBodyCap {
+	if cap(b) == 0 {
+		return
+	}
+	if auditPool {
+		auditRelease(b)
+	}
+	if cap(b) > maxPooledBodyCap {
 		return
 	}
 	bp := boxPool.Get().(*[]byte)

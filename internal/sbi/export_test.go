@@ -9,3 +9,11 @@ func WrapHandlers(s *Server, wrap func(path string, h HandlerFunc) HandlerFunc) 
 		s.handlers[path] = wrap(path, h)
 	}
 }
+
+// This package's tests run with the body-pool audit on (see audit.go), so
+// tier-1 `go test` checks pooled-body ownership without -race.
+func init() { auditPool = true }
+
+// OutstandingBodies is the audit's count of bodies handed out by
+// MarshalBody / MarshalBinary and not yet passed to ReleaseBody.
+func OutstandingBodies() int { return outstandingBodies() }

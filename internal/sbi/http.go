@@ -140,13 +140,16 @@ func (c *HTTPClient) Post(ctx context.Context, service, path string, req, resp a
 	if !ok {
 		return Problem(503, "Service Unavailable", "TARGET_NF_NOT_REACHABLE", "no base URL for %s", service)
 	}
-	body, err := MarshalBody(req)
+	// The request is encoded outside the body pool (the same bytes
+	// MarshalBody writes): net/http can deliver a response while its write
+	// goroutine is still draining the reader, so there is no point at which
+	// this function could release it.
+	body, err := json.Marshal(req)
 	if err != nil {
 		return fmt.Errorf("sbi: marshal request to %s%s: %w", service, path, err)
 	}
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, bytes.NewReader(body))
 	if err != nil {
-		ReleaseBody(body)
 		return fmt.Errorf("sbi: build request: %w", err)
 	}
 	httpReq.Header.Set("Content-Type", "application/json")
@@ -155,10 +158,6 @@ func (c *HTTPClient) Post(ctx context.Context, service, path string, req, resp a
 	if err != nil {
 		return fmt.Errorf("sbi: %s%s: %w", service, path, err)
 	}
-	// The request body is never released back to the pool: net/http can
-	// deliver a response while its write goroutine is still draining the
-	// reader (a server may answer before reading the full body), so the
-	// bytes stay transport-owned until the GC reclaims them.
 	defer func() { _ = httpResp.Body.Close() }()
 	c.recordOCIHeader(service, httpResp.Header)
 

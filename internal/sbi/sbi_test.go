@@ -185,9 +185,16 @@ func TestBinHandlerBadBody(t *testing.T) {
 	}
 }
 
+// TestHTTPTransportRoundTrip: a 200 with a plain and with a described
+// message, a 4xx problem, an unknown service and a transport error, after
+// which no pooled body is outstanding on either side of the wire — the
+// HTTP client draws none for its request and the server releases every
+// response it wrote.
 func TestHTTPTransportRoundTrip(t *testing.T) {
+	before := outstandingBodies()
 	env := newEnv()
 	srv := echoServer(t, env)
+	srv.HandleDual("/auth", BinHandler(echoBin))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -201,6 +208,13 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	if resp.Value != "ota" {
 		t.Fatalf("resp = %+v", resp)
 	}
+	var described binMsg
+	if err := c.Post(context.Background(), "udm", "/auth", &binMsg{Value: "av", Blob: []byte{7, 8}}, &described); err != nil {
+		t.Fatalf("Post of a described message: %v", err)
+	}
+	if described.Value != "av" || !bytes.Equal(described.Blob, []byte{7, 8}) {
+		t.Fatalf("described resp = %+v", described)
+	}
 
 	// ProblemDetails survive HTTP.
 	err := c.Post(context.Background(), "udm", "/fail", &echoReq{}, nil)
@@ -212,6 +226,18 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	// Unknown service.
 	if err := c.Post(context.Background(), "ghost", "/echo", &echoReq{}, nil); err == nil {
 		t.Fatal("unknown base accepted")
+	}
+
+	// Transport error: nobody listens any more. Close also waits for the
+	// server side of the requests above to finish.
+	ts.Close()
+	if err := c.Post(context.Background(), "udm", "/echo", &echoReq{Value: "late"}, &resp); err == nil {
+		t.Fatal("Post to a closed server succeeded")
+	} else if _, ok := AsProblem(err); ok {
+		t.Fatalf("transport error surfaced as a ProblemDetails: %v", err)
+	}
+	if n := outstandingBodies() - before; n != 0 {
+		t.Fatalf("%d pooled bodies outstanding after the HTTP round trips, want 0", n)
 	}
 }
 

@@ -1,11 +1,13 @@
 package sbi_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
 	"shield5g"
+	"shield5g/internal/nf/udr"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
 	"shield5g/internal/sbi/codec"
@@ -74,6 +76,17 @@ func TestBinarySliceServesNo4xx(t *testing.T) {
 	register("resync", subs[1])
 	if resyncs != 1 {
 		t.Fatalf("eUDM served %d resynchronisations, want 1", resyncs)
+	}
+	// The UDR rebased its sequence number on the SQN_MS the resync frame
+	// carried — one step for the rebase, one for the vector that followed —
+	// and kept its own copy: the frame has been released (and, under the
+	// pool audit, poisoned) since.
+	rec, err := udr.NewClient(sbi.NewClient("test", tb.Slice.Env, tb.Slice.Registry)).Get(ctx, subs[1].SUPI.String())
+	if err != nil {
+		t.Fatalf("UDR Get: %v", err)
+	}
+	if want := []byte{0x00, 0x00, 0x00, 0x01, 0x00, 0x40}; !bytes.Equal(rec.SQN, want) {
+		t.Fatalf("UDR SQN after resync = %x, want %x (SQN_MS + 2 steps of 32)", rec.SQN, want)
 	}
 	if lostKey != 0 {
 		t.Fatalf("%d USER_NOT_FOUND answers before any crash", lostKey)
