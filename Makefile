@@ -11,9 +11,8 @@ test:
 	$(GO) test ./...
 
 # The repository's own static-analysis suite (see internal/analysis):
-# determinism, secretflow, stripemap, hotalloc, poolowner, lockorder.
-# Exits non-zero on any
-# unsuppressed finding. govulncheck runs when the host has it installed
+# determinism, secretflow, stripemap, hotalloc, lockorder. Exits non-zero
+# on any unsuppressed finding. govulncheck runs when the host has it installed
 # (CI does); locally it is skipped rather than fetched, keeping the
 # target usable in network-free build environments.
 lint:
@@ -58,12 +57,15 @@ loc:
 
 # What CI runs (.github/workflows/ci.yml's test job is `make ci`), cheapest
 # signal first: lint, vet, the whole suite under -race (it holds every
-# acceptance gate on a deterministic virtual quantity), then the three
-# tests whose allocation budgets skip themselves under -race on a plain
-# build. After that, end to end: the experiments CLI regenerates every row
-# and CSV series (its own tests stub every Run); four gnbsim smokes drive
-# the storm replay, the sharded core, the ring under four workers and the
-# SEV guest, the one backend no bench workload deploys; three fuzz passes
+# acceptance gate on a deterministic virtual quantity, and a -race build
+# runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
+# then the three tests whose allocation budgets skip themselves under -race
+# on a plain build. After that, end to end: the experiments CLI regenerates
+# every row and CSV series (its own tests stub every Run); five gnbsim
+# smokes drive the storm replay, the sharded core, the ring under four
+# workers, the SEV guest (the one backend no bench workload deploys) and,
+# built with -race so the audit is on in a real binary, a chaos run across
+# crash-restart, retry and batch-refill paths; three fuzz passes
 # (SBI frames, JSON codec, Gramine manifest); and the benchmark module —
 # its own go.mod, so `./...` never reaches it — is vetted, tested,
 # gofmt-checked and run for a second in binary-frame, JSON and ring mode.
@@ -77,6 +79,7 @@ ci: build
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
 	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
 	$(GO) run ./cmd/gnbsim -n 32 -isolation sev -batch 8 -avpool 8 -seed 13
+	$(GO) run -race ./cmd/gnbsim -n 64 -chaos 0.3 -batch 8 -avpool 8 -seed 5
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/hmee/gramine

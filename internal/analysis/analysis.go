@@ -23,16 +23,14 @@ type Analyzer struct {
 }
 
 // A Pass provides one analyzer with one type-checked package, plus the
-// whole-program view (call graph, summary stores) shared by every
-// package of the run.
+// whole-program view shared by every package of the run.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Prog is the program this package belongs to. Interprocedural
-	// analyzers reach the call graph via Prog.CallGraph(), memoize
-	// whole-program passes via Prog.Memo, and publish per-function
-	// summaries via Prog.Facts.
+	// Prog is the program this package belongs to. A whole-program
+	// analyzer reaches every function body via Prog.CallGraph() and
+	// memoizes its one pass via Prog.Memo.
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -64,12 +62,7 @@ func (d Diagnostic) String() string {
 // Run applies every analyzer to every package and returns the findings
 // sorted by position, with annotation-suppressed findings flagged.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunProgram(NewProgram(pkgs), analyzers)
-}
-
-// RunProgram is Run over a pre-built Program, for callers that also
-// want access to the program's call graph or summary stores afterwards.
-func RunProgram(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
+	prog := &Program{Pkgs: pkgs, memo: make(map[string]any)}
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
 		ann := collectAnnotations(pkg)

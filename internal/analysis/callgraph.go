@@ -1,56 +1,29 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 )
 
-// This file implements the interprocedural half of shieldlint: a
-// repo-scoped call graph over the already-type-checked packages, plus
-// the per-function summary store (FactStore) analyzers use to publish
-// and query facts across call edges. Everything is derived from the
-// go/types info the loader already produces — no SSA, no x/tools.
-//
-// Resolution precision mirrors what the type information can support:
-//
-//   - Static calls (package functions, concrete methods) resolve to
-//     exactly one callee.
-//   - Calls through an interface method resolve to every method of
-//     every named type in the program that implements the interface —
-//     a sound over-approximation of dynamic dispatch.
-//   - A function or method referenced as a value (assigned, passed,
-//     returned) gets a Dynamic reference edge from the referencing
-//     function: the value may be invoked later from anywhere, so the
-//     referencer is treated as a potential caller.
-//   - Calls through plain function-typed variables resolve to no
-//     callee (Callees empty, Dynamic true); analyzers must treat them
-//     as calls to unknown code.
+// This file is the whole-program half of shieldlint: the set of packages
+// one run loaded, an index of every function body in them, and a memo for
+// passes that must see all of them at once. Everything is derived from the
+// go/types info the loader already produces — no SSA, no x/tools. Only
+// static calls (package functions, concrete methods) resolve to a callee;
+// calls through interfaces and function values resolve to none.
 
-// A Program is the unit the interprocedural analyzers operate on: the
-// set of packages one shieldlint run loaded, the call graph over them,
-// and the per-analyzer summary stores.
+// A Program is the unit the whole-program analyzers operate on: the
+// packages of one Run.
 type Program struct {
 	Pkgs []*Package
 
-	cg    *CallGraph
-	memo  map[string]any
-	facts map[string]*FactStore
+	cg   *CallGraph
+	memo map[string]any
 }
 
-// NewProgram wraps an already-loaded package set. The call graph is
-// built lazily on first use.
-func NewProgram(pkgs []*Package) *Program {
-	return &Program{
-		Pkgs:  pkgs,
-		memo:  make(map[string]any),
-		facts: make(map[string]*FactStore),
-	}
-}
-
-// CallGraph returns the program's call graph, building it on first use.
+// CallGraph returns the program's function index, building it on first use.
 func (p *Program) CallGraph() *CallGraph {
 	if p.cg == nil {
 		p.cg = buildCallGraph(p)
@@ -58,10 +31,9 @@ func (p *Program) CallGraph() *CallGraph {
 	return p.cg
 }
 
-// Memo builds a named result at most once per program. Analyzers that
-// need whole-program precomputation (summaries, global lock-order
-// edges) run per package, so they stash the expensive pass here and
-// filter per-package findings out of it on each Run call.
+// Memo builds a named result at most once per program. An analyzer that
+// needs a whole-program pass runs per package, so it stashes the pass here
+// and filters per-package findings out of it on each Run call.
 func (p *Program) Memo(key string, build func() any) any {
 	if v, ok := p.memo[key]; ok {
 		return v
@@ -71,109 +43,16 @@ func (p *Program) Memo(key string, build func() any) any {
 	return v
 }
 
-// Facts returns the named analyzer's summary store, creating it on
-// first use. See doc.go ("Interprocedural engine") for the publishing
-// discipline.
-func (p *Program) Facts(analyzer string) *FactStore {
-	s, ok := p.facts[analyzer]
-	if !ok {
-		s = &FactStore{m: make(map[*CallNode]any)}
-		p.facts[analyzer] = s
-	}
-	return s
-}
-
-// A FactStore maps functions to one analyzer's per-function summaries.
-// Stores are per-analyzer (no key collisions between analyzers) and
-// per-program, so a summary computed while analyzing one package is
-// visible when every other package is analyzed.
-type FactStore struct {
-	m map[*CallNode]any
-}
-
-// Set publishes a fact for n, replacing any previous fact.
-func (s *FactStore) Set(n *CallNode, fact any) { s.m[n] = fact }
-
-// Get returns the fact published for n, if any.
-func (s *FactStore) Get(n *CallNode) (any, bool) {
-	v, ok := s.m[n]
-	return v, ok
-}
-
-// A CallNode is one function body in the program: a declared function
-// or method (Func non-nil) or a function literal (Func nil).
+// A CallNode is one function body in the program: a declared function or
+// method, or a function literal.
 type CallNode struct {
-	// Func is the declared object, nil for function literals.
-	Func *types.Func
-	// Decl is the *ast.FuncDecl or *ast.FuncLit.
-	Decl ast.Node
 	Body *ast.BlockStmt
 	Pkg  *Package
-	// Sites lists the node's call sites and function-value references
-	// in source order.
-	Sites []*CallSite
-}
-
-// Name renders a stable human-readable identifier: the qualified
-// function name, or func@file:line for literals.
-func (n *CallNode) Name() string {
-	if n.Func != nil {
-		return n.Func.FullName()
-	}
-	pos := n.Pkg.Fset.Position(n.Decl.Pos())
-	return fmt.Sprintf("func@%s:%d", pos.Filename, pos.Line)
-}
-
-// Pos returns the node's declaration position.
-func (n *CallNode) Pos() token.Pos { return n.Decl.Pos() }
-
-// ParamVars returns the declared parameter objects of the node in
-// order, flattening grouped parameters ("a, b int").
-func (n *CallNode) ParamVars() []*types.Var {
-	var fields *ast.FieldList
-	switch d := n.Decl.(type) {
-	case *ast.FuncDecl:
-		fields = d.Type.Params
-	case *ast.FuncLit:
-		fields = d.Type.Params
-	}
-	if fields == nil {
-		return nil
-	}
-	var out []*types.Var
-	for _, f := range fields.List {
-		for _, name := range f.Names {
-			if v, ok := n.Pkg.Info.Defs[name].(*types.Var); ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// A CallSite is one outgoing edge bundle of a node: either a call
-// expression (Call non-nil) or a bare function-value reference.
-type CallSite struct {
-	// Call is the call expression, nil for a function-value reference
-	// (method value, function assigned/passed as a value).
-	Call *ast.CallExpr
-	Pos  token.Pos
-	// Callees lists the possible targets with bodies in the program,
-	// in deterministic order. Empty for calls into code outside the
-	// program (standard library, function-typed variables).
-	Callees []*CallNode
-	// Dynamic marks over-approximated edges: interface dispatch,
-	// function-value references, and unresolved indirect calls.
-	Dynamic bool
-	// StaticCallee is the type-checker-resolved callee object even
-	// when its body is outside the program (e.g. a stdlib function);
-	// nil for indirect calls.
-	StaticCallee *types.Func
+	pos  token.Pos
 }
 
 // A CallGraph indexes every function body in the program.
 type CallGraph struct {
-	nodes  map[ast.Node]*CallNode
 	byFunc map[*types.Func]*CallNode
 	// funcs holds all nodes sorted by source position, the iteration
 	// order every deterministic traversal uses.
@@ -187,44 +66,8 @@ func (g *CallGraph) Functions() []*CallNode { return g.funcs }
 // its body is not part of the program.
 func (g *CallGraph) NodeOf(fn *types.Func) *CallNode { return g.byFunc[fn] }
 
-// NodeAt returns the node for a FuncDecl or FuncLit AST node, or nil.
-func (g *CallGraph) NodeAt(decl ast.Node) *CallNode { return g.nodes[decl] }
-
-// PostOrder returns the nodes callee-first: a node appears after every
-// node it calls, except within call cycles (recursion), where members
-// appear in DFS finish order. Summary computations iterate this order
-// so callee facts exist before callers ask for them; recursive edges
-// see whatever has been published so far and must default
-// conservatively.
-func (g *CallGraph) PostOrder() []*CallNode {
-	seen := make(map[*CallNode]bool, len(g.funcs))
-	out := make([]*CallNode, 0, len(g.funcs))
-	var visit func(n *CallNode)
-	visit = func(n *CallNode) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, s := range n.Sites {
-			for _, c := range s.Callees {
-				visit(c)
-			}
-		}
-		out = append(out, n)
-	}
-	for _, n := range g.funcs {
-		visit(n)
-	}
-	return out
-}
-
 func buildCallGraph(prog *Program) *CallGraph {
-	g := &CallGraph{
-		nodes:  make(map[ast.Node]*CallNode),
-		byFunc: make(map[*types.Func]*CallNode),
-	}
-
-	// Pass 1: one node per function body (declared or literal).
+	g := &CallGraph{byFunc: make(map[*types.Func]*CallNode)}
 	for _, pkg := range prog.Pkgs {
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -233,153 +76,27 @@ func buildCallGraph(prog *Program) *CallGraph {
 					if d.Body == nil {
 						return true
 					}
-					node := &CallNode{Decl: d, Body: d.Body, Pkg: pkg}
+					node := &CallNode{Body: d.Body, Pkg: pkg, pos: d.Pos()}
 					if fn, ok := pkg.Info.Defs[d.Name].(*types.Func); ok {
-						node.Func = fn
 						g.byFunc[fn] = node
 					}
-					g.nodes[d] = node
+					g.funcs = append(g.funcs, node)
 				case *ast.FuncLit:
-					g.nodes[d] = &CallNode{Decl: d, Body: d.Body, Pkg: pkg}
+					g.funcs = append(g.funcs, &CallNode{Body: d.Body, Pkg: pkg, pos: d.Pos()})
 				}
 				return true
 			})
 		}
 	}
-
-	for _, n := range g.nodes {
-		g.funcs = append(g.funcs, n)
-	}
 	sort.Slice(g.funcs, func(i, j int) bool {
-		a := g.funcs[i].Pkg.Fset.Position(g.funcs[i].Pos())
-		b := g.funcs[j].Pkg.Fset.Position(g.funcs[j].Pos())
+		a := g.funcs[i].Pkg.Fset.Position(g.funcs[i].pos)
+		b := g.funcs[j].Pkg.Fset.Position(g.funcs[j].pos)
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
 		return a.Offset < b.Offset
 	})
-
-	impl := newImplementerIndex(prog)
-
-	// Pass 2: resolve each node's call sites and value references.
-	for _, n := range g.funcs {
-		g.resolveSites(n, impl)
-	}
 	return g
-}
-
-// resolveSites walks one node's body (excluding nested literals, which
-// own their statements) collecting calls and function-value references.
-func (g *CallGraph) resolveSites(n *CallNode, impl *implementerIndex) {
-	info := n.Pkg.Info
-	// calleeExprs marks the Fun idents of direct calls so the value-
-	// reference scan below does not double-count them.
-	calleeExprs := make(map[ast.Expr]bool)
-
-	walkOwnStmts(n, func(stmt ast.Node) {
-		ast.Inspect(stmt, func(x ast.Node) bool {
-			if _, ok := x.(*ast.FuncLit); ok && x != n.Decl {
-				// A nested literal's calls belong to its own node, but
-				// referencing the literal is itself a potential call.
-				n.Sites = append(n.Sites, &CallSite{
-					Pos:     x.Pos(),
-					Callees: []*CallNode{g.nodes[x]},
-					Dynamic: true,
-				})
-				return false
-			}
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fun := ast.Unparen(call.Fun)
-			calleeExprs[fun] = true
-			if ix, ok := fun.(*ast.IndexExpr); ok {
-				// Explicit generic instantiation f[T](...) — the callee
-				// ident is underneath the index.
-				calleeExprs[ast.Unparen(ix.X)] = true
-			}
-			if ix, ok := fun.(*ast.IndexListExpr); ok {
-				calleeExprs[ast.Unparen(ix.X)] = true
-			}
-			n.Sites = append(n.Sites, g.resolveCall(n, call, impl))
-			return true
-		})
-	})
-
-	// Value references: a *types.Func used outside call position.
-	var scanRefs func(x ast.Node) bool
-	scanRefs = func(x ast.Node) bool {
-		if _, ok := x.(*ast.FuncLit); ok {
-			return false
-		}
-		addRef := func(id *ast.Ident) {
-			fn, ok := info.Uses[id].(*types.Func)
-			if !ok {
-				return
-			}
-			if target := g.byFunc[fn.Origin()]; target != nil {
-				n.Sites = append(n.Sites, &CallSite{
-					Pos:     id.Pos(),
-					Callees: []*CallNode{target},
-					Dynamic: true,
-				})
-			}
-		}
-		switch e := x.(type) {
-		case *ast.SelectorExpr:
-			// Handle the selector head here (skipping call-position
-			// selectors) and descend only into the base expression, so
-			// x.M() does not double-count M as a value reference.
-			if !calleeExprs[e] {
-				addRef(e.Sel)
-			}
-			ast.Inspect(e.X, scanRefs)
-			return false
-		case *ast.Ident:
-			if !calleeExprs[e] {
-				addRef(e)
-			}
-		}
-		return true
-	}
-	walkOwnStmts(n, func(stmt ast.Node) { ast.Inspect(stmt, scanRefs) })
-
-	sort.SliceStable(n.Sites, func(i, j int) bool { return n.Sites[i].Pos < n.Sites[j].Pos })
-}
-
-// resolveCall classifies one call expression.
-func (g *CallGraph) resolveCall(n *CallNode, call *ast.CallExpr, impl *implementerIndex) *CallSite {
-	site := &CallSite{Call: call, Pos: call.Pos()}
-	fn := staticCallee(n.Pkg.Info, call)
-	if fn == nil {
-		// Indirect call through a function-typed value, a builtin, or a
-		// type conversion: no static target.
-		site.Dynamic = true
-		return site
-	}
-	site.StaticCallee = fn
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
-			// Interface dispatch: over-approximate with every
-			// implementing type's method.
-			site.Dynamic = true
-			site.Callees = impl.methods(g, iface, fn.Name())
-			return site
-		}
-	}
-	if target := g.byFunc[fn.Origin()]; target != nil {
-		site.Callees = []*CallNode{target}
-	}
-	return site
-}
-
-// walkOwnStmts applies f to each top-level statement of the node's
-// body. f receives statements; nested FuncLits are pruned by callers.
-func walkOwnStmts(n *CallNode, f func(ast.Node)) {
-	for _, stmt := range n.Body.List {
-		f(stmt)
-	}
 }
 
 // staticCallee resolves the declared function or method a call invokes,
@@ -402,70 +119,4 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// implementerIndex enumerates the program's named non-interface types
-// once, in deterministic order, for interface-dispatch resolution.
-type implementerIndex struct {
-	named []*types.Named
-	// cache memoizes (interface, method) -> callee list.
-	cache map[implKey][]*CallNode
-}
-
-type implKey struct {
-	iface  *types.Interface
-	method string
-}
-
-func newImplementerIndex(prog *Program) *implementerIndex {
-	idx := &implementerIndex{cache: make(map[implKey][]*CallNode)}
-	for _, pkg := range prog.Pkgs {
-		if pkg.Types == nil {
-			continue
-		}
-		scope := pkg.Types.Scope()
-		names := scope.Names() // already sorted
-		for _, name := range names {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok || types.IsInterface(named) {
-				continue
-			}
-			idx.named = append(idx.named, named)
-		}
-	}
-	return idx
-}
-
-// methods returns the program-resident implementations of the named
-// interface method, deterministically ordered.
-func (idx *implementerIndex) methods(g *CallGraph, iface *types.Interface, name string) []*CallNode {
-	key := implKey{iface, name}
-	if out, ok := idx.cache[key]; ok {
-		return out
-	}
-	var out []*CallNode
-	for _, named := range idx.named {
-		ptr := types.NewPointer(named)
-		if !types.Implements(named, iface) && !types.Implements(ptr, iface) {
-			continue
-		}
-		sel := types.NewMethodSet(ptr).Lookup(named.Obj().Pkg(), name)
-		if sel == nil {
-			continue
-		}
-		fn, ok := sel.Obj().(*types.Func)
-		if !ok {
-			continue
-		}
-		if node := g.byFunc[fn.Origin()]; node != nil {
-			out = append(out, node)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	idx.cache[key] = out
-	return out
 }

@@ -23,105 +23,6 @@ func checkFixturePkg(t *testing.T, name string) *Package {
 	return pkg
 }
 
-func nodeBySuffix(t *testing.T, g *CallGraph, suffix string) *CallNode {
-	t.Helper()
-	var hit *CallNode
-	for _, n := range g.Functions() {
-		if strings.HasSuffix(n.Name(), suffix) {
-			if hit != nil {
-				t.Fatalf("ambiguous node suffix %q: %s and %s", suffix, hit.Name(), n.Name())
-			}
-			hit = n
-		}
-	}
-	if hit == nil {
-		t.Fatalf("no call-graph node with suffix %q", suffix)
-	}
-	return hit
-}
-
-// calleesOf flattens a node's outgoing edges into a set of callee names.
-func calleesOf(n *CallNode) map[string]bool {
-	out := make(map[string]bool)
-	for _, s := range n.Sites {
-		for _, c := range s.Callees {
-			out[c.Name()] = true
-		}
-	}
-	return out
-}
-
-func TestCallGraphEdges(t *testing.T) {
-	pkg := checkFixturePkg(t, "callgraph")
-	g := NewProgram([]*Package{pkg}).CallGraph()
-
-	// Direct recursion: fact calls itself.
-	fact := nodeBySuffix(t, g, "callgraph.fact")
-	if !calleesOf(fact)[fact.Name()] {
-		t.Errorf("fact: missing self edge, callees %v", calleesOf(fact))
-	}
-
-	// Mutual recursion: even -> odd -> even.
-	even := nodeBySuffix(t, g, "callgraph.even")
-	odd := nodeBySuffix(t, g, "callgraph.odd")
-	if !calleesOf(even)[odd.Name()] {
-		t.Errorf("even: missing edge to odd, callees %v", calleesOf(even))
-	}
-	if !calleesOf(odd)[even.Name()] {
-		t.Errorf("odd: missing edge to even, callees %v", calleesOf(odd))
-	}
-
-	// Interface dispatch over-approximates to every implementer, and
-	// the site is marked dynamic.
-	dispatch := nodeBySuffix(t, g, "callgraph.dispatch")
-	english := nodeBySuffix(t, g, "english).greet")
-	french := nodeBySuffix(t, g, "french).greet")
-	got := calleesOf(dispatch)
-	if !got[english.Name()] || !got[french.Name()] {
-		t.Errorf("dispatch: want both greet implementations, got %v", got)
-	}
-	for _, s := range dispatch.Sites {
-		if len(s.Callees) > 0 && !s.Dynamic {
-			t.Errorf("dispatch: interface call site not marked dynamic")
-		}
-	}
-
-	// A method value is a dynamic function-value reference edge.
-	mv := nodeBySuffix(t, g, "callgraph.methodValue")
-	inc := nodeBySuffix(t, g, "counter).inc")
-	var viaValue bool
-	for _, s := range mv.Sites {
-		for _, c := range s.Callees {
-			if c == inc && s.Call == nil && s.Dynamic {
-				viaValue = true
-			}
-		}
-	}
-	if !viaValue {
-		t.Errorf("methodValue: c.inc reference not recorded as a dynamic value edge")
-	}
-}
-
-func TestCallGraphPostOrder(t *testing.T) {
-	pkg := checkFixturePkg(t, "callgraph")
-	g := NewProgram([]*Package{pkg}).CallGraph()
-
-	index := make(map[*CallNode]int)
-	for i, n := range g.PostOrder() {
-		index[n] = i
-	}
-	if len(index) != len(g.Functions()) {
-		t.Fatalf("post-order visited %d of %d nodes", len(index), len(g.Functions()))
-	}
-	leaf := nodeBySuffix(t, g, "callgraph.chainLeaf")
-	mid := nodeBySuffix(t, g, "callgraph.chainMid")
-	top := nodeBySuffix(t, g, "callgraph.chainTop")
-	if !(index[leaf] < index[mid] && index[mid] < index[top]) {
-		t.Errorf("static chain not callee-first: leaf=%d mid=%d top=%d",
-			index[leaf], index[mid], index[top])
-	}
-}
-
 // TestCallGraphDeterministic runs the full suite twice over the whole
 // module on fresh Programs and requires byte-identical findings: the
 // engine's map-heavy internals must never leak iteration order into

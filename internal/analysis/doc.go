@@ -31,15 +31,6 @@
 //	                not call fmt.Sprintf-style formatters or the
 //	                one-shot encoding/json Marshal/Unmarshal entry
 //	                points; arguments to the panic builtin are exempt.
-//	poolowner     — pooled objects have one owner at a time: bodies
-//	                from sbi.MarshalBody (and releasing wrappers) are
-//	                released exactly once on every path and never used
-//	                after sbi.ReleaseBody; hashpool states return via
-//	                their Put; loaned views (handler body slices,
-//	                BinHandler request structs) never escape the
-//	                borrower by return, store, channel send, goroutine,
-//	                or release. Ownership transfers through callee
-//	                summaries.
 //	lockorder     — mutex acquisitions follow one global partial
 //	                order, looking one call-graph level deep; opposite
 //	                nesting, longer cycles, and recursive acquisition
@@ -47,29 +38,19 @@
 //	                declaration site, so distinct shards of a striped
 //	                lock nest freely.
 //
-// # Interprocedural engine
+// # Whole-program passes
 //
-// Run wraps its packages in a Program, the unit of whole-program
-// analysis. A Program lazily builds one CallGraph over the loaded
-// go/types info: each declared function or function literal becomes a
-// CallNode whose Sites list the outgoing edges — static calls resolve
-// to exactly one callee, while interface dispatch, method values and
-// other indirect references are over-approximated to every in-program
-// implementer and flagged Dynamic. CallGraph.Functions is
-// source-position sorted and CallGraph.PostOrder is callee-first, the
-// two iteration orders every deterministic pass uses.
+// Run wraps its packages in a Program. An analyzer that must see every
+// package at once — lockorder, whose lock graph spans the tree — computes
+// its result once under Program.Memo(key, build) on the first package's
+// pass and filters it per package afterwards. Program.CallGraph indexes
+// every function body (declared or literal) in source-position order, the
+// iteration order that keeps findings deterministic, and resolves static
+// calls to their bodies; calls through interfaces and function values
+// resolve to nothing.
 //
-// Analyzers attach per-function facts through the summary store:
-// Program.Facts(name) returns the analyzer's FactStore, and
-// FactStore.Set/Get key arbitrary summary values by *CallNode. The
-// intended shape is a single whole-program computation memoised under
-// Program.Memo(key, build) — the first package's pass computes
-// summaries for every function in PostOrder (so callee facts exist
-// before callers read them; recursion sees whatever is published and
-// must default conservatively), records its findings, and later
-// packages' passes filter the memoised result. poolowner's
-// release-obligation summaries and lockorder's direct-acquisition sets
-// are both built this way.
+// Pooled-body ownership is not checked here: the sbi body pool audits it
+// on real executions (internal/sbi/audit.go, on in every -race build).
 //
 // # Annotations
 //

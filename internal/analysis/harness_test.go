@@ -60,7 +60,6 @@ func TestSecretFlowFixture(t *testing.T)    { runFixture(t, SecretFlow, "secretf
 func TestSecretFlowEnclaveDir(t *testing.T) { runFixture(t, SecretFlow, "paka") }
 func TestStripeMapFixture(t *testing.T)     { runFixture(t, StripeMap, "stripemap") }
 func TestHotAllocFixture(t *testing.T)      { runFixture(t, HotAlloc, "hotalloc") }
-func TestPoolOwnerFixture(t *testing.T)     { runFixture(t, PoolOwner, "poolowner") }
 func TestLockOrderFixture(t *testing.T)     { runFixture(t, LockOrder, "lockorder") }
 
 func runFixture(t *testing.T, a *Analyzer, fixture string) {

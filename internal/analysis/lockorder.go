@@ -39,7 +39,7 @@ type lockAcq struct {
 	pos   token.Pos
 }
 
-// lockSummary is the fact published per function: the lock identities
+// lockSummary is the summary kept per function: the lock identities
 // the body acquires directly (nested function literals excluded).
 type lockSummary struct {
 	acquired []lockAcq
@@ -55,7 +55,15 @@ type lockEdge struct {
 	via string
 }
 
-type lockOrderResult struct{ findings []ownerFinding }
+// lockFinding is one report of the whole-program pass, kept with its
+// package so each per-package Run call can pick out its own.
+type lockFinding struct {
+	pkg *Package
+	pos token.Pos
+	msg string
+}
+
+type lockOrderResult struct{ findings []lockFinding }
 
 func runLockOrder(pass *Pass) error {
 	res := pass.Prog.Memo("lockorder", func() any {
@@ -71,9 +79,9 @@ func runLockOrder(pass *Pass) error {
 
 func computeLockOrder(prog *Program) *lockOrderResult {
 	cg := prog.CallGraph()
-	facts := prog.Facts("lockorder")
+	facts := make(map[*CallNode]*lockSummary)
 	for _, n := range cg.Functions() {
-		facts.Set(n, directAcquisitions(n))
+		facts[n] = directAcquisitions(n)
 	}
 
 	lo := &lockOrderPass{
@@ -90,10 +98,10 @@ func computeLockOrder(prog *Program) *lockOrderResult {
 }
 
 type lockOrderPass struct {
-	facts    *FactStore
+	facts    map[*CallNode]*lockSummary
 	cg       *CallGraph
 	edges    map[[2]string]*lockEdge // first witness per ordered pair
-	findings []ownerFinding
+	findings []lockFinding
 }
 
 func (lo *lockOrderPass) addEdge(from, to string, pos token.Pos, pkg *Package, via string) {
@@ -257,7 +265,7 @@ func (w *lockWalker) processCall(held []heldLock, call *ast.CallExpr) []heldLock
 					continue
 				}
 				if h.recv == recv {
-					w.lo.findings = append(w.lo.findings, ownerFinding{
+					w.lo.findings = append(w.lo.findings, lockFinding{
 						pkg: w.node.Pkg,
 						pos: call.Pos(),
 						msg: fmt.Sprintf("recursive lock: %s is already held by this function (locked at %s); acquiring it again self-deadlocks",
@@ -293,11 +301,7 @@ func (w *lockWalker) processCall(held []heldLock, call *ast.CallExpr) []heldLock
 	if node == nil {
 		return held
 	}
-	fact, ok := w.lo.facts.Get(node)
-	if !ok {
-		return held
-	}
-	for _, acq := range fact.(*lockSummary).acquired {
+	for _, acq := range w.lo.facts[node].acquired {
 		for _, h := range held {
 			if h.token != acq.token {
 				w.lo.addEdge(h.token, acq.token, call.Pos(), w.node.Pkg, fn.Name())
@@ -577,14 +581,14 @@ func (lo *lockOrderPass) reportCycles() {
 				}
 				otherPos = fmt.Sprintf("%s:%d", base, p.Line)
 			}
-			lo.findings = append(lo.findings, ownerFinding{
+			lo.findings = append(lo.findings, lockFinding{
 				pkg: e.pkg,
 				pos: e.pos,
 				msg: fmt.Sprintf("inconsistent lock nesting: %s is acquired while holding %s here%s, but the opposite order occurs at %s; pick one order",
 					lockDisplay(e.to), lockDisplay(e.from), via, otherPos),
 			})
 		} else {
-			lo.findings = append(lo.findings, ownerFinding{
+			lo.findings = append(lo.findings, lockFinding{
 				pkg: e.pkg,
 				pos: e.pos,
 				msg: fmt.Sprintf("lock-order cycle: acquiring %s while holding %s%s closes a cycle of %d locks; acquire them in one global order",

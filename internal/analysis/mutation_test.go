@@ -67,257 +67,136 @@ func TestMutations(t *testing.T) {
 
 var mutationCases = []mutationCase{
 	{
-		// sbi.Client.Post's response tail (sbi.go): the body is released
-		// after decode on every path. Mutant: the decode-error return
-		// skips the release — the exact leak the pool contract forbids.
-		name:     "post-response-tail-leak",
-		analyzer: PoolOwner,
-		want:     regexp.MustCompile("missing release"),
-		clean: `package mut
-
-import (
-	"fmt"
-
-	"shield5g/internal/sbi"
-)
-
-func decode(b []byte, resp any) error {
-	if len(b) == 0 {
-		return fmt.Errorf("empty body")
-	}
-	return nil
-}
-
-func post(v, resp any) error {
-	body, err := sbi.MarshalBody(v)
-	if err != nil {
-		return fmt.Errorf("marshal: %w", err)
-	}
-	uerr := decode(body, resp)
-	sbi.ReleaseBody(body)
-	if uerr != nil {
-		return fmt.Errorf("unmarshal: %w", uerr)
-	}
-	return nil
-}
-`,
-		mutant: `package mut
-
-import (
-	"fmt"
-
-	"shield5g/internal/sbi"
-)
-
-func decode(b []byte, resp any) error {
-	if len(b) == 0 {
-		return fmt.Errorf("empty body")
-	}
-	return nil
-}
-
-func post(v, resp any) error {
-	body, err := sbi.MarshalBody(v)
-	if err != nil {
-		return fmt.Errorf("marshal: %w", err)
-	}
-	uerr := decode(body, resp)
-	if uerr != nil {
-		return fmt.Errorf("unmarshal: %w", uerr)
-	}
-	sbi.ReleaseBody(body)
-	return nil
-}
-`,
-	},
-	{
-		// sbi.Client.Post's stale-negotiation retry: the first body is
-		// released, then a fresh one is marshalled and released in turn.
-		// Mutant: the re-marshal is dropped but both releases stay.
-		name:     "post-downgrade-retry-double-release",
-		analyzer: PoolOwner,
-		want:     regexp.MustCompile("double release"),
-		clean: `package mut
-
-import "shield5g/internal/sbi"
-
-func send(b []byte) int { return len(b) }
-
-func retry(v any) error {
-	body, err := sbi.MarshalBody(v)
-	if err != nil {
-		return err
-	}
-	if send(body) == 0 {
-		sbi.ReleaseBody(body)
-		body, err = sbi.MarshalBody(v)
-		if err != nil {
-			return err
-		}
-		send(body)
-	}
-	sbi.ReleaseBody(body)
-	return nil
-}
-`,
-		mutant: `package mut
-
-import "shield5g/internal/sbi"
-
-func send(b []byte) int { return len(b) }
-
-func retry(v any) error {
-	body, err := sbi.MarshalBody(v)
-	if err != nil {
-		return err
-	}
-	if send(body) == 0 {
-		sbi.ReleaseBody(body)
-	}
-	sbi.ReleaseBody(body)
-	return nil
-}
-`,
-	},
-	{
-		// The pooled-digest shape used by the crypto hot path: write,
-		// sum, then return the state to the pool. Mutant: the state goes
-		// back to the pool before the final Sum reads it.
-		name:     "hashpool-sum-after-put",
-		analyzer: PoolOwner,
-		want:     regexp.MustCompile("use after release"),
-		clean: `package mut
-
-import "shield5g/internal/crypto/hashpool"
-
-func digest(data []byte) []byte {
-	h := hashpool.GetSHA256()
-	h.Write(data)
-	out := h.Sum(nil)
-	hashpool.PutSHA256(h)
-	return out
-}
-`,
-		mutant: `package mut
-
-import "shield5g/internal/crypto/hashpool"
-
-func digest(data []byte) []byte {
-	h := hashpool.GetSHA256()
-	h.Write(data)
-	hashpool.PutSHA256(h)
-	return h.Sum(nil)
-}
-`,
-	},
-	{
-		// deploy.Slice keeps resilMu and attestMu strictly disjoint: the
-		// stats reader takes them one at a time while the snapshot path
-		// nests attestMu over resilMu. Mutant: stats starts holding
-		// resilMu across its attestMu acquisition — opposite nesting.
-		name:     "slice-stats-lock-swap",
+		// paka.Module.Restart holds restartMu for the whole redeploy and
+		// takes secretMu (to copy the sealed backups) and rtMu (to swap the
+		// runtime) under it; ProvisionSubscriber takes secretMu alone.
+		// Mutant: ProvisionSubscriber fences restarts out while it already
+		// holds secretMu — the opposite nesting.
+		name:     "module-restart-lock-swap",
 		analyzer: LockOrder,
 		want:     regexp.MustCompile("inconsistent lock nesting"),
 		clean: `package mut
 
 import "sync"
 
-type slice struct {
-	resilMu  sync.Mutex
-	attestMu sync.Mutex
-	resil    []int
-	attest   []int
+type module struct {
+	restartMu   sync.Mutex
+	secretMu    sync.Mutex
+	rtMu        sync.RWMutex
+	sealed      map[string][]byte
+	secretNames []string
+	runtime     int
 }
 
-func (s *slice) stats() int {
-	s.resilMu.Lock()
-	n := len(s.resil)
-	s.resilMu.Unlock()
-	s.attestMu.Lock()
-	n += len(s.attest)
-	s.attestMu.Unlock()
-	return n
+func (m *module) restart() {
+	m.restartMu.Lock()
+	defer m.restartMu.Unlock()
+	m.secretMu.Lock()
+	backups := make(map[string][]byte, len(m.sealed))
+	for name, blob := range m.sealed {
+		backups[name] = blob
+	}
+	m.secretMu.Unlock()
+	m.rtMu.Lock()
+	m.runtime += len(backups)
+	m.rtMu.Unlock()
 }
 
-func (s *slice) snapshot() int {
-	s.attestMu.Lock()
-	defer s.attestMu.Unlock()
-	s.resilMu.Lock()
-	defer s.resilMu.Unlock()
-	return len(s.resil) + len(s.attest)
+func (m *module) provisionSubscriber(name string) {
+	m.secretMu.Lock()
+	m.secretNames = append(m.secretNames, name)
+	m.secretMu.Unlock()
 }
 `,
 		mutant: `package mut
 
 import "sync"
 
-type slice struct {
-	resilMu  sync.Mutex
-	attestMu sync.Mutex
-	resil    []int
-	attest   []int
+type module struct {
+	restartMu   sync.Mutex
+	secretMu    sync.Mutex
+	rtMu        sync.RWMutex
+	sealed      map[string][]byte
+	secretNames []string
+	runtime     int
 }
 
-func (s *slice) stats() int {
-	s.resilMu.Lock()
-	defer s.resilMu.Unlock()
-	s.attestMu.Lock()
-	n := len(s.resil) + len(s.attest)
-	s.attestMu.Unlock()
-	return n
+func (m *module) restart() {
+	m.restartMu.Lock()
+	defer m.restartMu.Unlock()
+	m.secretMu.Lock()
+	backups := make(map[string][]byte, len(m.sealed))
+	for name, blob := range m.sealed {
+		backups[name] = blob
+	}
+	m.secretMu.Unlock()
+	m.rtMu.Lock()
+	m.runtime += len(backups)
+	m.rtMu.Unlock()
 }
 
-func (s *slice) snapshot() int {
-	s.attestMu.Lock()
-	defer s.attestMu.Unlock()
-	s.resilMu.Lock()
-	defer s.resilMu.Unlock()
-	return len(s.resil) + len(s.attest)
+func (m *module) provisionSubscriber(name string) {
+	m.secretMu.Lock()
+	m.restartMu.Lock()
+	m.secretNames = append(m.secretNames, name)
+	m.restartMu.Unlock()
+	m.secretMu.Unlock()
 }
 `,
 	},
 	{
-		// sbi.Client's negotiation map is guarded by c.mu in two separate
-		// critical sections. Mutant: the Unlock between them is dropped,
-		// so the second Lock re-acquires a mutex the goroutine already
-		// holds — a guaranteed self-deadlock.
-		name:     "client-negotiation-recursive-lock",
+		// deploy.Slice.ResilienceStats merges every resilient invoker's
+		// counters under resilMu. Mutant: a second Lock where the loop
+		// starts re-acquires a mutex the goroutine already holds — a
+		// guaranteed self-deadlock.
+		name:     "slice-resilience-stats-recursive-lock",
 		analyzer: LockOrder,
 		want:     regexp.MustCompile("recursive lock"),
 		clean: `package mut
 
 import "sync"
 
-type client struct {
-	mu         sync.Mutex
-	negotiated map[string]bool
+type stats struct{ retries int }
+
+func (a *stats) merge(b stats) { a.retries += b.retries }
+
+type slice struct {
+	resilMu    sync.Mutex
+	resilients []stats
 }
 
-func (c *client) downgrade(path string) {
-	c.mu.Lock()
-	delete(c.negotiated, path)
-	c.mu.Unlock()
-	c.mu.Lock()
-	c.negotiated[path] = false
-	c.mu.Unlock()
+func (s *slice) resilienceStats() stats {
+	var out stats
+	s.resilMu.Lock()
+	for _, r := range s.resilients {
+		out.merge(r)
+	}
+	s.resilMu.Unlock()
+	return out
 }
 `,
 		mutant: `package mut
 
 import "sync"
 
-type client struct {
-	mu         sync.Mutex
-	negotiated map[string]bool
+type stats struct{ retries int }
+
+func (a *stats) merge(b stats) { a.retries += b.retries }
+
+type slice struct {
+	resilMu    sync.Mutex
+	resilients []stats
 }
 
-func (c *client) downgrade(path string) {
-	c.mu.Lock()
-	delete(c.negotiated, path)
-	c.mu.Lock()
-	c.negotiated[path] = false
-	c.mu.Unlock()
-	c.mu.Unlock()
+func (s *slice) resilienceStats() stats {
+	var out stats
+	s.resilMu.Lock()
+	s.resilMu.Lock()
+	for _, r := range s.resilients {
+		out.merge(r)
+	}
+	s.resilMu.Unlock()
+	return out
 }
 `,
 	},

@@ -77,8 +77,8 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 	// the directive's file (per-file granularity — good enough to catch
 	// a stale escape hatch, loose enough to survive line moves). Unlike
 	// the anchor map above this needs no updating: the first
-	// //shieldlint:ignore poolowner or lockorder site to land in the
-	// tree is covered the moment it appears. The one exception is a
+	// //shieldlint:ignore lockorder site to land in the tree is covered
+	// the moment it appears. The one exception is a
 	// stripemap directive on a map-field declaration — that is
 	// configuration the analyzer consumes (the field is excluded from
 	// guarding), so no finding ever exists to suppress.

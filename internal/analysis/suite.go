@@ -7,7 +7,6 @@ func Analyzers() []*Analyzer {
 		SecretFlow,
 		StripeMap,
 		HotAlloc,
-		PoolOwner,
 		LockOrder,
 	}
 }

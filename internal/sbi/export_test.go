@@ -1,5 +1,10 @@
 package sbi
 
+import (
+	"os"
+	"testing"
+)
+
 // WrapHandlers replaces every registered handler of s by wrap(path, h),
 // so a test can observe what a deployed server is asked and answers.
 func WrapHandlers(s *Server, wrap func(path string, h HandlerFunc) HandlerFunc) {
@@ -10,9 +15,13 @@ func WrapHandlers(s *Server, wrap func(path string, h HandlerFunc) HandlerFunc) 
 	}
 }
 
-// This package's tests run with the body-pool audit on (see audit.go), so
-// tier-1 `go test` checks pooled-body ownership without -race.
-func init() { auditPool = true }
+// TestMain turns the body-pool audit on (see audit.go) for every test of
+// this package, so tier-1 `go test` checks pooled-body ownership without
+// -race.
+func TestMain(m *testing.M) {
+	auditPool = true
+	os.Exit(m.Run())
+}
 
 // OutstandingBodies is the audit's count of bodies handed out by
 // MarshalBody / MarshalBinary and not yet passed to ReleaseBody.

@@ -12,7 +12,11 @@ import (
 
 // benchmarkPost times one Client.Post of an AV request to an echo handler
 // answering an AV response — the message pair and the handler shape of
-// the benchmark's sbi.post_* probes — in either wire format.
+// the benchmark's sbi.post_* probes — in either wire format. This test
+// binary runs with the body-pool audit on (export_test.go), which about
+// doubles the time per post (poison fill, poison check, owner map); the
+// allocation counts are the production path's, and bench/'s probes time it
+// with the audit off.
 func benchmarkPost(b *testing.B, binary bool) {
 	env := costmodel.NewEnv(nil, 1)
 	req := &paka.UDMGenerateAVRequest{

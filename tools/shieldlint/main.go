@@ -1,7 +1,7 @@
 // Command shieldlint runs the repository's static-analysis suite (see
-// internal/analysis): determinism, secretflow, stripemap, hotalloc,
-// poolowner and lockorder. It exits non-zero when any unsuppressed
-// finding remains, which makes it a CI gate:
+// internal/analysis): determinism, secretflow, stripemap, hotalloc and
+// lockorder. It exits non-zero when any unsuppressed finding remains, which
+// makes it a CI gate:
 //
 //	go run ./tools/shieldlint ./...          # the `make lint` entry point
 //	go run ./tools/shieldlint -v ./internal/gnb
