@@ -24,25 +24,21 @@ func TestPooledBodyConservation(t *testing.T) {
 		name string
 		cfg  shield5g.SliceConfig
 		mass shield5g.MassOptions
-		// crash demands at least one injected module crash-restart.
-		crash bool
 	}
 	var runs []run
-	for _, binary := range []bool{false, true} {
+	for _, format := range []string{"json", "binary"} {
 		for _, iso := range []shield5g.Isolation{paka.Container, paka.SGX, paka.SEV} {
 			for _, replicas := range []int{1, 4} {
 				for _, faults := range []bool{false, true} {
-					format := map[bool]string{false: "json", true: "binary"}[binary]
 					r := run{
 						name: fmt.Sprintf("%s/%s/replicas=%d/faults=%v", format, iso, replicas, faults),
-						cfg:  shield5g.SliceConfig{Isolation: iso, Seed: 7, BinarySBI: binary, Replicas: replicas},
+						cfg:  shield5g.SliceConfig{Isolation: iso, Seed: 7, BinarySBI: format == "binary", Replicas: replicas},
 						mass: shield5g.MassOptions{N: 40},
 					}
 					if faults {
 						mix := shield5g.DefaultChaosMix(3, 0.3)
 						r.cfg.Chaos = &mix
 						r.mass.MaxAttempts = 5
-						r.crash = true
 					}
 					runs = append(runs, r)
 				}
@@ -89,7 +85,9 @@ func TestPooledBodyConservation(t *testing.T) {
 			if res.Registered != r.mass.N {
 				t.Errorf("registered %d of %d: %v", res.Registered, r.mass.N, res.FirstErrors)
 			}
-			if r.crash && tb.Slice.Chaos.Counts()["crash"] == 0 {
+			// A faulted run that never crash-restarts a module checks less
+			// than it claims to.
+			if r.cfg.Chaos != nil && tb.Slice.Chaos.Counts()["crash"] == 0 {
 				t.Errorf("no crash among the injected faults %v", tb.Slice.Chaos.Counts())
 			}
 			// The law holds for failed registrations as for completed ones.
