@@ -63,7 +63,8 @@ type SliceConfig struct {
 	Chaos *chaos.Config
 	// AVPoolDepth enables the UDM's authentication-vector precomputation
 	// pool (vectors banked per SUPI, minted AVPoolDepth per batch
-	// crossing); 0 disables it, keeping the seed's one-crossing-per-AV path.
+	// crossing, two on a SUPI's first contact); 0 disables it, keeping the
+	// seed's one-crossing-per-AV path.
 	AVPoolDepth int
 	// BinarySBI opts every SBI client of the slice into binary frames
 	// (sbi.Client.EnableBinary): after its first request to a peer, a

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"fmt"
 	mrand "math/rand"
+	"slices"
 	"testing"
 
 	"shield5g/internal/costmodel"
@@ -17,11 +19,12 @@ import (
 )
 
 // countingFns wraps the monolithic functions to observe which route the
-// pool refill takes.
+// pool refill takes and how many vectors it mints.
 type countingFns struct {
 	*paka.MonolithicUDM
-	single int
-	batch  int
+	single     int
+	batch      int
+	batchItems int
 }
 
 func (c *countingFns) GenerateAV(ctx context.Context, req *paka.UDMGenerateAVRequest) (*paka.UDMGenerateAVResponse, error) {
@@ -31,8 +34,13 @@ func (c *countingFns) GenerateAV(ctx context.Context, req *paka.UDMGenerateAVReq
 
 func (c *countingFns) GenerateAVBatch(ctx context.Context, req *paka.UDMGenerateAVBatchRequest) (*paka.UDMGenerateAVBatchResponse, error) {
 	c.batch++
+	c.batchItems += len(req.Items)
 	return c.MonolithicUDM.GenerateAVBatch(ctx, req)
 }
+
+// minted counts the vectors the execution environment derived, by either
+// route.
+func (c *countingFns) minted() int { return c.single + c.batchItems }
 
 // sequentialFns hides the batch method so the pool must fall back to the
 // per-item path.
@@ -130,28 +138,69 @@ func sqnOf(t *testing.T, resp *GenerateAuthDataResponse) []byte {
 	return sqn
 }
 
+// resync reports a valid AUTS rebasing supi's network SQN to sqnMS.
+func (h *poolHarness) resync(t *testing.T, supi suci.SUPI, sqnMS []byte) {
+	t.Helper()
+	opc, err := milenage.ComputeOPc(testK, make([]byte, 16))
+	if err != nil {
+		t.Fatalf("ComputeOPc: %v", err)
+	}
+	mil, err := milenage.New(testK, opc)
+	if err != nil {
+		t.Fatalf("milenage.New: %v", err)
+	}
+	randBytes := bytes.Repeat([]byte{0x5c}, 16)
+	akStar, err := mil.F5Star(randBytes)
+	if err != nil {
+		t.Fatalf("F5Star: %v", err)
+	}
+	concealed := make([]byte, 6)
+	for i := range concealed {
+		concealed[i] = sqnMS[i] ^ akStar[i]
+	}
+	macS, err := mil.F1Star(randBytes, sqnMS, []byte{0, 0})
+	if err != nil {
+		t.Fatalf("F1Star: %v", err)
+	}
+	if err := h.client.Resync(context.Background(), &ResyncRequest{
+		SUPI: supi.String(), RAND: randBytes, AUTS: append(concealed, macS...),
+	}); err != nil {
+		t.Fatalf("Resync: %v", err)
+	}
+}
+
 func TestAVPoolHitMissRefillCounters(t *testing.T) {
 	h := newPoolHarness(t, 4, true)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 
-	h.auth(t, supi) // miss: mints 4, serves 1, banks 3
-	if s := h.udm.AVPoolStats(); s.Misses != 1 || s.Hits != 0 || s.Refills != 1 || s.Pooled != 3 {
-		t.Fatalf("after miss: %+v", s)
+	h.auth(t, supi) // first contact: mints 2, serves 1, banks 1
+	if s := h.udm.AVPoolStats(); s.Misses != 1 || s.Hits != 0 || s.Refills != 1 || s.Pooled != 1 {
+		t.Fatalf("after first miss: %+v", s)
+	}
+	h.auth(t, supi)
+	if s := h.udm.AVPoolStats(); s.Misses != 1 || s.Hits != 1 || s.Refills != 1 || s.Pooled != 0 {
+		t.Fatalf("after draining the first refill: %+v", s)
+	}
+
+	h.auth(t, supi) // returning SUPI: mints the depth, serves 1, banks 3
+	if s := h.udm.AVPoolStats(); s.Misses != 2 || s.Refills != 2 || s.Pooled != 3 {
+		t.Fatalf("after second miss: %+v", s)
 	}
 	for i := 0; i < 3; i++ {
 		h.auth(t, supi)
 	}
-	if s := h.udm.AVPoolStats(); s.Misses != 1 || s.Hits != 3 || s.Refills != 1 || s.Pooled != 0 {
-		t.Fatalf("after draining: %+v", s)
+	if s := h.udm.AVPoolStats(); s.Misses != 2 || s.Hits != 4 || s.Refills != 2 || s.Pooled != 0 {
+		t.Fatalf("after draining the second refill: %+v", s)
 	}
-	if h.fns.batch != 1 || h.fns.single != 0 {
-		t.Fatalf("refill used %d batch / %d single calls, want 1/0", h.fns.batch, h.fns.single)
+	if h.fns.batch != 2 || h.fns.single != 0 || h.fns.minted() != 6 {
+		t.Fatalf("refills used %d batch / %d single calls minting %d, want 2/0 minting 6",
+			h.fns.batch, h.fns.single, h.fns.minted())
 	}
 
-	h.auth(t, supi) // pool drained: second refill
-	if s := h.udm.AVPoolStats(); s.Misses != 2 || s.Refills != 2 || s.Pooled != 3 {
-		t.Fatalf("after second refill: %+v", s)
+	h.auth(t, supi) // third refill: the depth again
+	if s := h.udm.AVPoolStats(); s.Misses != 3 || s.Refills != 3 || s.Pooled != 3 {
+		t.Fatalf("after third miss: %+v", s)
 	}
 }
 
@@ -175,9 +224,17 @@ func TestAVPoolSequentialFallback(t *testing.T) {
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 
-	h.auth(t, supi)
-	if h.fns.batch != 0 || h.fns.single != 4 {
-		t.Fatalf("fallback used %d batch / %d single calls, want 0/4", h.fns.batch, h.fns.single)
+	h.auth(t, supi) // first contact: two single calls, one banked
+	if h.fns.batch != 0 || h.fns.single != 2 {
+		t.Fatalf("fallback used %d batch / %d single calls, want 0/2", h.fns.batch, h.fns.single)
+	}
+	if s := h.udm.AVPoolStats(); s.Pooled != 1 {
+		t.Fatalf("fallback banked %d vectors, want 1", s.Pooled)
+	}
+	h.auth(t, supi) // hit
+	h.auth(t, supi) // returning SUPI: the whole depth, one call each
+	if h.fns.batch != 0 || h.fns.single != 6 {
+		t.Fatalf("fallback used %d batch / %d single calls, want 0/6", h.fns.batch, h.fns.single)
 	}
 	if s := h.udm.AVPoolStats(); s.Pooled != 3 {
 		t.Fatalf("fallback banked %d vectors, want 3", s.Pooled)
@@ -188,45 +245,26 @@ func TestAVPoolResyncInvalidates(t *testing.T) {
 	h := newPoolHarness(t, 4, true)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
-	h.auth(t, supi)
+	h.auth(t, supi) // first contact: banks 1
+	h.auth(t, supi) // hit
+	h.auth(t, supi) // returning SUPI: banks 3
 
-	// Build a valid AUTS rebasing the UE's SQN ahead of the network's.
-	opc, err := milenage.ComputeOPc(testK, make([]byte, 16))
-	if err != nil {
-		t.Fatalf("ComputeOPc: %v", err)
-	}
-	mil, err := milenage.New(testK, opc)
-	if err != nil {
-		t.Fatalf("milenage.New: %v", err)
-	}
-	randBytes := bytes.Repeat([]byte{0x5c}, 16)
+	// A valid AUTS rebasing the UE's SQN ahead of the network's.
 	sqnMS := []byte{0, 0, 0, 9, 0, 0}
-	akStar, err := mil.F5Star(randBytes)
-	if err != nil {
-		t.Fatalf("F5Star: %v", err)
-	}
-	concealed := make([]byte, 6)
-	for i := range concealed {
-		concealed[i] = sqnMS[i] ^ akStar[i]
-	}
-	macS, err := mil.F1Star(randBytes, sqnMS, []byte{0, 0})
-	if err != nil {
-		t.Fatalf("F1Star: %v", err)
-	}
-	if err := h.client.Resync(context.Background(), &ResyncRequest{
-		SUPI: supi.String(), RAND: randBytes, AUTS: append(concealed, macS...),
-	}); err != nil {
-		t.Fatalf("Resync: %v", err)
-	}
+	h.resync(t, supi, sqnMS)
 
 	s := h.udm.AVPoolStats()
 	if s.Invalidated != 3 || s.Pooled != 0 {
 		t.Fatalf("after resync: %+v, want 3 invalidated, 0 pooled", s)
 	}
-	// The next authentication refills from the rebased counter: its SQN
-	// must sit above the UE's reported SQN_MS.
+	// The next authentication refills from the rebased counter, as a
+	// first contact again: its SQN must sit above the UE's reported
+	// SQN_MS, and it banks one.
 	if sqn := sqnOf(t, h.auth(t, supi)); bytes.Compare(sqn, sqnMS) <= 0 {
 		t.Fatalf("post-resync SQN %x not above SQN_MS %x", sqn, sqnMS)
+	}
+	if s := h.udm.AVPoolStats(); s.Pooled != 1 {
+		t.Fatalf("post-resync refill banked %d vectors, want 1", s.Pooled)
 	}
 }
 
@@ -236,18 +274,120 @@ func TestInvalidateAVPoolDropsEverything(t *testing.T) {
 	b := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000002"}
 	h.provision(t, a)
 	h.provision(t, b)
-	h.auth(t, a)
-	h.auth(t, b)
+	h.auth(t, a) // first contact: banks 1
+	h.auth(t, a) // hit
+	h.auth(t, a) // returning SUPI: banks 3
+	h.auth(t, b) // first contact: banks 1
 
 	h.udm.InvalidateAVPool()
 	s := h.udm.AVPoolStats()
-	if s.Pooled != 0 || s.Invalidated != 6 {
-		t.Fatalf("after invalidate-all: %+v, want 0 pooled, 6 invalidated", s)
+	if s.Pooled != 0 || s.Invalidated != 4 {
+		t.Fatalf("after invalidate-all: %+v, want 0 pooled, 4 invalidated", s)
 	}
-	// Authentication still works: the pool refills from scratch.
+	// Authentication still works: the pool refills from scratch, and a
+	// forgotten SUPI is a first contact again.
 	h.auth(t, a)
-	if s := h.udm.AVPoolStats(); s.Pooled != 3 || s.Refills != 3 {
+	if s := h.udm.AVPoolStats(); s.Pooled != 1 || s.Refills != 4 {
 		t.Fatalf("after re-refill: %+v", s)
+	}
+}
+
+// TestAVPoolFirstContactBanksOne holds the refill-size rule at every
+// depth: a SUPI's first miss mints min(2, depth), by either route; a
+// prewarmed SUPI, and any SUPI after its first refill, mints the depth;
+// resync and crash invalidation forget the SUPI; and the SQN of every
+// served vector rises strictly.
+func TestAVPoolFirstContactBanksOne(t *testing.T) {
+	for _, depth := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("depth-%d", depth), func(t *testing.T) {
+			first := min(2, depth)
+			for _, batchCapable := range []bool{true, false} {
+				h := newPoolHarness(t, depth, batchCapable)
+				last := map[string][]byte{}
+				// mints authenticates supi once, checks its SQN rose, and
+				// returns how many vectors the request minted.
+				mints := func(supi suci.SUPI) int {
+					t.Helper()
+					before := h.fns.minted()
+					sqn := sqnOf(t, h.auth(t, supi))
+					if prev := last[supi.String()]; prev != nil && bytes.Compare(sqn, prev) <= 0 {
+						t.Fatalf("%s: SQN %x not above previous %x", supi, sqn, prev)
+					}
+					last[supi.String()] = sqn
+					return h.fns.minted() - before
+				}
+				fresh := func(msin string) suci.SUPI {
+					supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: msin}
+					h.provision(t, supi)
+					return supi
+				}
+
+				// First contact, then the drained ring's next miss.
+				a := fresh("0000000001")
+				if got := mints(a); got != first {
+					t.Fatalf("batch=%v: first miss minted %d, want %d", batchCapable, got, first)
+				}
+				for i := 1; i < first; i++ {
+					if got := mints(a); got != 0 {
+						t.Fatalf("batch=%v: banked vector %d minted %d, want a hit", batchCapable, i, got)
+					}
+				}
+				if got := mints(a); got != depth {
+					t.Fatalf("batch=%v: returning miss minted %d, want %d", batchCapable, got, depth)
+				}
+				if batchCapable && h.fns.single != 0 || !batchCapable && h.fns.batch != 0 {
+					t.Fatalf("batch=%v: %d batch / %d single calls", batchCapable, h.fns.batch, h.fns.single)
+				}
+
+				// Prewarm marks the SUPI as minted for.
+				b := fresh("0000000002")
+				if err := h.udm.PrewarmAVPool(context.Background(), []string{b.String()}, testSNN); err != nil {
+					t.Fatalf("PrewarmAVPool: %v", err)
+				}
+				for i := 0; i < depth; i++ {
+					if got := mints(b); got != 0 {
+						t.Fatalf("batch=%v: prewarmed vector %d minted %d, want a hit", batchCapable, i, got)
+					}
+				}
+				if got := mints(b); got != depth {
+					t.Fatalf("batch=%v: prewarmed SUPI's first miss minted %d, want %d", batchCapable, got, depth)
+				}
+
+				// Resync forgets the SUPI.
+				h.resync(t, a, []byte{0, 0, 0, 9, 0, 0})
+				if got := mints(a); got != first {
+					t.Fatalf("batch=%v: post-resync miss minted %d, want %d", batchCapable, got, first)
+				}
+
+				// Crash invalidation forgets every SUPI.
+				h.udm.InvalidateAVPool()
+				if got := mints(b); got != first {
+					t.Fatalf("batch=%v: post-invalidate miss minted %d, want %d", batchCapable, got, first)
+				}
+			}
+		})
+	}
+
+	// The miss schedule of one SUPI at depth 8: first contact mints 2,
+	// then every eighth authentication refills.
+	h := newPoolHarness(t, 8, true)
+	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
+	h.provision(t, supi)
+	var missed []int
+	var prev []byte
+	for i := 1; i <= 24; i++ {
+		_, m0 := h.udm.PoolCounters()
+		sqn := sqnOf(t, h.auth(t, supi))
+		if prev != nil && bytes.Compare(sqn, prev) <= 0 {
+			t.Fatalf("auth %d: SQN %x not above previous %x", i, sqn, prev)
+		}
+		prev = sqn
+		if _, m := h.udm.PoolCounters(); m != m0 {
+			missed = append(missed, i)
+		}
+	}
+	if want := []int{1, 3, 11, 19}; !slices.Equal(missed, want) {
+		t.Fatalf("24 authentications missed at %v, want %v", missed, want)
 	}
 }
 

@@ -88,8 +88,10 @@ type Config struct {
 	// AVPoolDepth enables the AV precomputation pool: up to this many
 	// vectors are banked per SUPI, refilled AVPoolDepth at a time so the
 	// enclave boundary is crossed once per batch instead of once per
-	// authentication. 0 disables the pool (the seed-identical path).
-	// PrewarmAVPool fills rings ahead of first contact.
+	// authentication — except a SUPI's first miss, which mints
+	// min(2, AVPoolDepth): first contact banks one. 0 disables the pool
+	// (the seed-identical path). PrewarmAVPool fills rings ahead of first
+	// contact.
 	AVPoolDepth int
 	// ServiceName overrides the SBI service name (default "udm") so a
 	// sharded deployment can run several UDM replicas side by side, each
@@ -291,14 +293,15 @@ func (u *UDM) avRequestBatch(ctx context.Context, supi, snn string, count int) (
 }
 
 // pooledAV serves from the precomputation pool, refilling synchronously on
-// a miss: one batch crossing mints AVBatchSize vectors, the oldest serves
-// this request and the rest are banked for the SUPI's next
-// authentications.
+// a miss: one batch crossing mints the count take asks for (two on first
+// contact, the pool depth after), the oldest serves this request and the
+// rest are banked for the SUPI's next authentications.
 func (u *UDM) pooledAV(ctx context.Context, supi, snn string) (*paka.UDMGenerateAVResponse, error) {
-	if av, ok := u.pool.take(supi); ok {
+	av, count := u.pool.take(supi)
+	if av != nil {
 		return av, nil
 	}
-	items, err := u.avRequestBatch(ctx, supi, snn, u.pool.depth)
+	items, err := u.avRequestBatch(ctx, supi, snn, count)
 	if err != nil {
 		return nil, err
 	}

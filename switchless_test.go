@@ -2,12 +2,16 @@ package shield5g_test
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"testing"
 	"time"
 
 	"shield5g"
 	"shield5g/internal/experiments"
 	"shield5g/internal/hmee/sgx"
+	"shield5g/internal/nf/udr"
+	"shield5g/internal/sbi"
 )
 
 // subscriberKey is the long-term key every test subscriber is provisioned
@@ -295,53 +299,87 @@ func TestSwitchlessFastPathGates(t *testing.T) {
 	}
 }
 
-// TestSwitchlessParallelMintsWholeBatches: a refill's size is
-// configuration, never ring timing. With four workers submitting through
-// the eUDM ring at once, every refill still mints exactly the configured
-// batch, so the vectors banked plus the vectors served add up to
-// refills x batch.
+// TestSwitchlessParallelMintsWholeBatches: no minted vector goes missing,
+// whatever the ring timing, the replica count or an eUDM crash-restart.
+// Four workers submit through the eUDM ring at once for three rounds over
+// the same UEs — first contact, the banked hit, a steady-state refill —
+// optionally with one eUDM RestartModule after the first round. Every
+// vector the UDR advanced a sequence number for is then served, banked
+// or invalidated: served + banked + invalidated == minted, with minted
+// read from the UDR (each SUPI's SQN advance over the per-vector step),
+// not from the pool's own counters.
 func TestSwitchlessParallelMintsWholeBatches(t *testing.T) {
-	ctx := context.Background()
-	const n, batch = 64, 8
-	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{
-		Isolation:   shield5g.SGX,
-		Seed:        1,
-		AVPoolDepth: batch,
-		BinarySBI:   true,
-		Switchless:  true,
-	})
-	if err != nil {
-		t.Fatalf("NewTestbed: %v", err)
-	}
-	defer tb.Close()
+	const n, rounds, batch, sqnStep = 64, 3, 8, 32
+	for _, replicas := range []int{1, 4} {
+		for _, restart := range []bool{false, true} {
+			t.Run(fmt.Sprintf("replicas-%d/restart-%v", replicas, restart), func(t *testing.T) {
+				ctx := context.Background()
+				tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{
+					Isolation:   shield5g.SGX,
+					Seed:        1,
+					Replicas:    replicas,
+					AVPoolDepth: batch,
+					BinarySBI:   true,
+					Switchless:  true,
+				})
+				if err != nil {
+					t.Fatalf("NewTestbed: %v", err)
+				}
+				defer tb.Close()
 
-	devices := make([]*shield5g.UE, n)
-	for i := range devices {
-		sub, err := tb.AddSubscriber(ctx, subscriberKey, nil)
-		if err != nil {
-			t.Fatalf("AddSubscriber(%d): %v", i, err)
+				devices := make([]*shield5g.UE, n)
+				supis := make([]string, n)
+				for i := range devices {
+					sub, err := tb.AddSubscriber(ctx, subscriberKey, nil)
+					if err != nil {
+						t.Fatalf("AddSubscriber(%d): %v", i, err)
+					}
+					devices[i], supis[i] = sub.UE, sub.SUPI.String()
+				}
+				for round := 0; round < rounds; round++ {
+					if restart && round == 1 {
+						if err := tb.Slice.RestartModule(ctx, shield5g.EUDM); err != nil {
+							t.Fatalf("RestartModule: %v", err)
+						}
+					}
+					res, err := tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
+						N:           n,
+						NewUE:       func(i int) (*shield5g.UE, error) { return devices[i], nil },
+						Parallelism: 4,
+						BatchSize:   8,
+						Switchless:  true,
+					})
+					if err != nil {
+						t.Fatalf("round %d: RegisterManyWith: %v", round, err)
+					}
+					if res.Failed > 0 {
+						t.Fatalf("round %d: %d of %d registrations failed", round, res.Failed, n)
+					}
+				}
+
+				udrc := udr.NewClient(sbi.NewClient("test", tb.Slice.Env, tb.Slice.Registry))
+				var minted uint64
+				for _, supi := range supis {
+					sub, err := udrc.Get(ctx, supi)
+					if err != nil {
+						t.Fatalf("UDR Get %s: %v", supi, err)
+					}
+					var sqn [8]byte
+					copy(sqn[2:], sub.SQN)
+					minted += binary.BigEndian.Uint64(sqn[:]) / sqnStep
+				}
+				st := tb.Slice.AVPoolStats()
+				if served := st.Hits + st.Misses; served != n*rounds {
+					t.Fatalf("pool served %d vectors, want %d", served, n*rounds)
+				}
+				if restart != (st.Invalidated > 0) {
+					t.Fatalf("restart=%v but %d vectors invalidated", restart, st.Invalidated)
+				}
+				if got := st.Hits + st.Misses + uint64(st.Pooled) + st.Invalidated; got != minted {
+					t.Fatalf("served %d + banked %d + invalidated %d = %d, but the UDR minted %d",
+						st.Hits+st.Misses, st.Pooled, st.Invalidated, got, minted)
+				}
+			})
 		}
-		devices[i] = sub.UE
-	}
-	res, err := tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
-		N:           n,
-		NewUE:       func(i int) (*shield5g.UE, error) { return devices[i], nil },
-		Parallelism: 4,
-		BatchSize:   8,
-		Switchless:  true,
-	})
-	if err != nil {
-		t.Fatalf("RegisterManyWith: %v", err)
-	}
-	if res.Failed > 0 {
-		t.Fatalf("%d of %d registrations failed", res.Failed, n)
-	}
-	st := tb.Slice.UDM.AVPoolStats()
-	if st.Refills == 0 {
-		t.Fatal("the AV pool never refilled; the test exercised nothing")
-	}
-	if minted := uint64(st.Pooled) + st.Hits + st.Misses; minted != st.Refills*batch {
-		t.Fatalf("pool holds %d + served %d = %d vectors after %d refills of %d, want %d",
-			st.Pooled, st.Hits+st.Misses, minted, st.Refills, batch, st.Refills*batch)
 	}
 }
