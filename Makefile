@@ -65,9 +65,9 @@ loc:
 # smokes drive the storm replay, the sharded core, the ring under four
 # workers, the SEV guest (the one backend no bench workload deploys) and,
 # built with -race so the audit is on in a real binary, a chaos run across
-# crash-restart, retry and batch-refill paths; three fuzz passes
-# (SBI frames, JSON codec, Gramine manifest); and the benchmark module —
-# its own go.mod, so `./...` never reaches it — is vetted, tested,
+# crash-restart, retry and batch-refill paths; four fuzz passes (SBI
+# frames, JSON codec, Gramine manifest, NAS decode); and the benchmark
+# module — its own go.mod, so `./...` never reaches it — is vetted, tested,
 # gofmt-checked and run for a second in binary-frame, JSON and ring mode.
 ci: build
 	$(MAKE) lint
@@ -83,6 +83,7 @@ ci: build
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/hmee/gramine
+	$(GO) test -run '^$$' -fuzz '^FuzzNASDecode$$' -fuzztime 5s ./internal/nas
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
 	bash bench/run.sh --workload attach_sharded --seconds 1
 	bash bench/run.sh --workload attach_paper --seconds 1
