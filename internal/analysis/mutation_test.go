@@ -80,12 +80,11 @@ var mutationCases = []mutationCase{
 import "sync"
 
 type module struct {
-	restartMu   sync.Mutex
-	secretMu    sync.Mutex
-	rtMu        sync.RWMutex
-	sealed      map[string][]byte
-	secretNames []string
-	runtime     int
+	restartMu sync.Mutex
+	secretMu  sync.Mutex
+	rtMu      sync.RWMutex
+	sealed    map[string][]byte
+	runtime   int
 }
 
 func (m *module) restart() {
@@ -104,7 +103,7 @@ func (m *module) restart() {
 
 func (m *module) provisionSubscriber(name string) {
 	m.secretMu.Lock()
-	m.secretNames = append(m.secretNames, name)
+	m.sealed[name] = nil
 	m.secretMu.Unlock()
 }
 `,
@@ -113,12 +112,11 @@ func (m *module) provisionSubscriber(name string) {
 import "sync"
 
 type module struct {
-	restartMu   sync.Mutex
-	secretMu    sync.Mutex
-	rtMu        sync.RWMutex
-	sealed      map[string][]byte
-	secretNames []string
-	runtime     int
+	restartMu sync.Mutex
+	secretMu  sync.Mutex
+	rtMu      sync.RWMutex
+	sealed    map[string][]byte
+	runtime   int
 }
 
 func (m *module) restart() {
@@ -138,7 +136,7 @@ func (m *module) restart() {
 func (m *module) provisionSubscriber(name string) {
 	m.secretMu.Lock()
 	m.restartMu.Lock()
-	m.secretNames = append(m.secretNames, name)
+	m.sealed[name] = nil
 	m.restartMu.Unlock()
 	m.secretMu.Unlock()
 }

@@ -52,14 +52,6 @@ type HMAC struct {
 	out [sha256.Size]byte
 }
 
-// NewHMAC returns an owned (non-pooled) HMAC keyed with key, for contexts
-// that hold one key for their lifetime (e.g. a NAS security context).
-func NewHMAC(key []byte) *HMAC {
-	m := &HMAC{inner: sha256.New(), outer: sha256.New()}
-	m.SetKey(key)
-	return m
-}
-
 // SetKey rekeys the state and resets it. Keys longer than the SHA-256
 // block size are hashed first, matching crypto/hmac.
 func (m *HMAC) SetKey(key []byte) {

@@ -63,7 +63,8 @@ func TestHMACRekeyAndReset(t *testing.T) {
 		return m.Sum(nil)
 	}
 
-	m := NewHMAC(keyA)
+	m := GetHMAC(keyA)
+	defer PutHMAC(m)
 	m.Write(msg)
 	if !bytes.Equal(m.Sum(nil), ref(keyA)) {
 		t.Fatal("first key: mismatch")

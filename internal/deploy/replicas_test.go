@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"shield5g/internal/gnb"
 	"shield5g/internal/nf/nrf"
@@ -349,5 +350,41 @@ func TestShardClientsSpeakAsTheirShard(t *testing.T) {
 	}
 	if len(seen) != len(s.Shards) {
 		t.Fatalf("64 SUPIs reached only %d of %d shards", len(seen), len(s.Shards))
+	}
+}
+
+// TestReplicaKeyStoresShareTheSUPIString: full key replication puts a
+// subscriber's key in every replica's eUDM, and each replica's store is
+// keyed by the one SUPI string provisioning was given, not a copy per
+// replica.
+func TestReplicaKeyStoresShareTheSUPIString(t *testing.T) {
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 26, Replicas: 4})
+	msins := []string{"0000026001", "0000026002"}
+	for _, msin := range msins {
+		provisionUE(t, s, msin)
+	}
+	for _, msin := range msins {
+		supi := supiString(msin)
+		var data *byte
+		for _, shard := range s.Shards {
+			dump := shard.Modules[paka.EUDM].MemoryDump()
+			if len(dump) != len(msins) {
+				t.Fatalf("shard %d eUDM holds %d keys, want %d", shard.Index, len(dump), len(msins))
+			}
+			var key string
+			for k := range dump {
+				if k == supi {
+					key = k
+				}
+			}
+			switch {
+			case key == "":
+				t.Fatalf("shard %d eUDM holds no key for %s", shard.Index, supi)
+			case data == nil:
+				data = unsafe.StringData(key)
+			case unsafe.StringData(key) != data:
+				t.Errorf("shard %d keys %s by a string of its own", shard.Index, supi)
+			}
+		}
 	}
 }

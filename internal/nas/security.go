@@ -56,14 +56,14 @@ type SecurityContext struct {
 
 	// block is the AES key schedule for K_NASenc, expanded once at context
 	// activation: the keys are fixed for the context's lifetime, so per-
-	// message aes.NewCipher calls were pure overhead. macState is likewise
-	// the context-owned HMAC state for K_NASint; macBuf and hdrBuf are its
-	// reusable output and header scratch (single-threaded per context, see
+	// message aes.NewCipher calls were pure overhead. The MAC keeps no
+	// state of its own: each tag keys a pooled HMAC from intKey, so an
+	// activated context holds its two keys and nothing derived from them.
+	// hdrBuf is the MAC's header scratch, a field because the pooled state
+	// writes it through an interface (single-threaded per context, see
 	// above).
-	block    cipher.Block
-	macState *hashpool.HMAC
-	macBuf   [sha256.Size]byte
-	hdrBuf   [5]byte
+	block  cipher.Block
+	hdrBuf [5]byte
 	// ctrIV and ctrKS are the counter block and keystream scratch of
 	// xorKeyStream; fields so the interface call block.Encrypt does not
 	// heap-allocate them per message.
@@ -95,7 +95,6 @@ func NewSecurityContext(kamf []byte) (*SecurityContext, error) {
 		return nil, fmt.Errorf("nas: cipher setup: %w", err)
 	}
 	sc.block = block
-	sc.macState = hashpool.NewHMAC(sc.intKey[:])
 	return sc, nil
 }
 
@@ -135,7 +134,8 @@ func (sc *SecurityContext) Protect(msg Message, uplink bool) ([]byte, error) {
 	out[0], out[1] = EPD5GMM, shtProtected
 	ct := out[2+macLen+4:]
 	sc.xorKeyStream(ct, plain, dir, count)
-	copy(out[2:2+macLen], sc.mac(dir, count, ct))
+	tag := sc.mac(dir, count, ct)
+	copy(out[2:2+macLen], tag[:])
 	binary.BigEndian.PutUint32(out[2+macLen:2+macLen+4], count)
 	*pb = plain
 	plainPool.Put(pb)
@@ -171,7 +171,7 @@ func (sc *SecurityContext) Unprotect(data []byte, uplink bool) (Message, error) 
 	if count < *expect {
 		return nil, fmt.Errorf("%w: got %d, expect >= %d", ErrReplay, count, *expect)
 	}
-	if !hmac.Equal(mac, sc.mac(dir, count, ct)) {
+	if tag := sc.mac(dir, count, ct); !hmac.Equal(mac, tag[:]) {
 		return nil, ErrIntegrity
 	}
 
@@ -233,15 +233,19 @@ func (sc *SecurityContext) xorKeyStream(dst, src []byte, dir byte, count uint32)
 	}
 }
 
-// mac computes the 32-bit NAS MAC over (direction, count, payload). The
-// returned slice aliases sc.macBuf and is only valid until the next call.
+// mac computes the 32-bit NAS MAC over (direction, count, payload): the
+// leading 32 bits of HMAC-SHA-256(K_NASint, COUNT || DIR || payload).
 //
 //shieldlint:hotpath
-func (sc *SecurityContext) mac(dir byte, count uint32, payload []byte) []byte {
+func (sc *SecurityContext) mac(dir byte, count uint32, payload []byte) (tag [macLen]byte) {
 	binary.BigEndian.PutUint32(sc.hdrBuf[0:4], count)
 	sc.hdrBuf[4] = dir
-	sc.macState.Reset()
-	sc.macState.Write(sc.hdrBuf[:])
-	sc.macState.Write(payload)
-	return sc.macState.Sum(sc.macBuf[:0])[:macLen]
+	m := hashpool.GetHMAC(sc.intKey[:])
+	m.Write(sc.hdrBuf[:])
+	m.Write(payload)
+	var sum [sha256.Size]byte
+	m.SumInto(sum[:])
+	hashpool.PutHMAC(m)
+	copy(tag[:], sum[:])
+	return tag
 }

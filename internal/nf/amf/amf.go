@@ -51,13 +51,18 @@ func abba() []byte { return []byte{0x00, 0x00} }
 // goroutines (RegisteredUEs, SUPIOf, PDUSessionTEID status queries while a
 // mass run is in flight); the remaining fields are owned by the goroutine
 // driving the UE's NAS exchange.
+//
+// A registered UE keeps what the protocol needs after AKA: its SUPI, NAS
+// security context, GUTI, PDU session tunnel and admission class. The AKA
+// run's challenge state (authCtxID, rand, hxresStar, pendingAuth) lives
+// only until completeAuth succeeds, and K_SEAF is never kept: it is handed
+// to the K_AMF derivation and dropped.
 type ueContext struct {
 	state     atomic.Int32 // holds a ueState
 	supi      string
 	authCtxID string
 	rand      []byte
 	hxresStar []byte
-	kseaf     []byte
 	sec       *nas.SecurityContext
 	guti      nas.GUTI
 	// prevTMSI is the TMSI a mobility registration arrived with (0: none,
@@ -426,7 +431,6 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 		return a.reject(ue)
 	}
 	ue.supi = conf.SUPI
-	ue.kseaf = conf.KSEAF
 
 	kreq := deriveKAMFReqPool.Get().(*paka.AMFDeriveKAMFRequest)
 	kreq.KSEAF, kreq.SUPI, kreq.ABBA = conf.KSEAF, conf.SUPI, abba()
@@ -442,6 +446,9 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	}
 	ue.sec = sec
 	ue.setState(stateSecuring)
+	// AKA is over: the challenge and the request it answered are never
+	// read again (re-auth and resync only run before this point).
+	ue.authCtxID, ue.rand, ue.hxresStar, ue.pendingAuth = "", nil, nil, nil
 
 	return sec.Protect(&nas.SecurityModeCommand{
 		NgKSI:        0,

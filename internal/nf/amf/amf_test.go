@@ -437,3 +437,37 @@ func TestLostRegistrationCompleteKeepsBothGUTIs(t *testing.T) {
 	// ...and one that did see it registers with the new one.
 	h.reregister(t, d, 4, false)
 }
+
+// TestRegisteredUEHoldsNoAKAState: the challenge state an AKA run needs is
+// held while the UE is being authenticated and gone once it is registered,
+// after a SUCI attach and after a GUTI re-registration alike.
+func TestRegisteredUEHoldsNoAKAState(t *testing.T) {
+	h := newHarness(t)
+	ctx := context.Background()
+	d := h.device(t)
+	up, err := d.BuildRegistrationRequest(ctx, h.amf.ServingNetworkName())
+	if err != nil {
+		t.Fatalf("BuildRegistrationRequest: %v", err)
+	}
+	if _, err := h.amf.HandleInitialUE(ctx, 1, up); err != nil {
+		t.Fatalf("HandleInitialUE: %v", err)
+	}
+	if held, _ := h.amf.AKAState(1); len(held) != 4 {
+		t.Fatalf("mid-AKA context holds %v, want rand, hxresStar, authCtxID and pendingAuth", held)
+	}
+
+	h.register(t, d, 2)
+	h.reregister(t, d, 3, false)
+	for _, ran := range []uint64{2, 3} {
+		held, ok := h.amf.AKAState(ran)
+		if !ok {
+			t.Fatalf("no UE context for RAN UE %d", ran)
+		}
+		if len(held) != 0 {
+			t.Errorf("registered RAN UE %d still holds %v", ran, held)
+		}
+	}
+	if got := h.amf.RegisteredUEs(); got != 2 {
+		t.Fatalf("RegisteredUEs = %d, want 2", got)
+	}
+}
