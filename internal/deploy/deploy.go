@@ -182,6 +182,11 @@ type Slice struct {
 
 	resil *sbi.ResilienceConfig
 
+	// provisioning is the operator's one UDR client, shared by every
+	// ProvisionSubscriber call: its first request opens the mutual-TLS
+	// session, and later ones reuse it (and its binary framing).
+	provisioning *udr.Client
+
 	// resilMu guards resilients: every resilient invoker the slice built,
 	// for ResilienceStats aggregation.
 	resilMu    sync.Mutex
@@ -294,6 +299,7 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 	if s.UDR, err = udr.New(env, s.Registry); err != nil {
 		return nil, fmt.Errorf("deploy: UDR: %w", err)
 	}
+	s.provisioning = udr.NewClient(s.buildInvoker("provisioning"))
 	return s, nil
 }
 
@@ -668,8 +674,7 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 		return err
 	}
 	imsi := supi.String()
-	udrClient := udr.NewClient(s.buildInvoker("provisioning"))
-	if err := udrClient.Provision(ctx, udr.Subscriber{
+	if err := s.provisioning.Provision(ctx, udr.Subscriber{
 		SUPI:     imsi,
 		K:        k,
 		OPc:      opc,

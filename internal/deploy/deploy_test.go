@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"shield5g/internal/chaos"
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/gnb"
@@ -604,5 +605,34 @@ func TestNullSchemeRegistrationExposesMSIN(t *testing.T) {
 	// And the core still registers the UE (test-network behaviour).
 	if _, err := s.GNB.RegisterUE(context.Background(), device); err != nil {
 		t.Fatalf("null-scheme RegisterUE: %v", err)
+	}
+}
+
+// TestProvisioningReusesOneClient: every ProvisionSubscriber call goes
+// through the slice's one provisioning client, so only the first opens a
+// mutual-TLS session, and a slice running the resilience layer builds no
+// further resilient invoker per subscriber.
+func TestProvisioningReusesOneClient(t *testing.T) {
+	var noFaults chaos.Config
+	s := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 26, Chaos: &noFaults, BinarySBI: true})
+	invokers := len(s.resilients)
+	provision := func(msin string) simclock.Cycles {
+		var acct simclock.Account
+		ctx := simclock.WithAccount(context.Background(), &acct)
+		supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: msin}
+		if err := s.ProvisionSubscriber(ctx, supi, make([]byte, 16), make([]byte, 16)); err != nil {
+			t.Fatalf("ProvisionSubscriber(%s): %v", msin, err)
+		}
+		return acct.Total()
+	}
+	first := provision("0000026101")
+	for _, msin := range []string{"0000026102", "0000026103"} {
+		handshake := s.Env.Model.TLSHandshakeClient + s.Env.Model.TLSHandshakeServer
+		if later := provision(msin); later+handshake*9/10 > first {
+			t.Errorf("provisioning %s charged %d cycles against the first's %d: it paid a handshake of its own", msin, later, first)
+		}
+	}
+	if got := len(s.resilients); got != invokers {
+		t.Errorf("provisioning three subscribers built %d resilient invokers", got-invokers)
 	}
 }
