@@ -59,7 +59,7 @@ loc:
 # signal first: lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
-# then the three tests whose allocation budgets skip themselves under -race
+# then the four tests whose allocation budgets skip themselves under -race
 # on a plain build. After that, end to end: the experiments CLI regenerates
 # every row and CSV series (its own tests stub every Run); five gnbsim
 # smokes drive the storm replay, the sharded core, the ring under four
@@ -73,7 +73,7 @@ ci: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates' . ./internal/experiments
+	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs' . ./internal/experiments ./internal/nas
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
