@@ -59,21 +59,22 @@ loc:
 # signal first: lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
-# then the four tests whose allocation budgets skip themselves under -race
-# on a plain build. After that, end to end: the experiments CLI regenerates
-# every row and CSV series (its own tests stub every Run); five gnbsim
-# smokes drive the storm replay, the sharded core, the ring under four
-# workers, the SEV guest (the one backend no bench workload deploys) and,
-# built with -race so the audit is on in a real binary, a chaos run across
-# crash-restart, retry and batch-refill paths; four fuzz passes (SBI
-# frames, JSON codec, Gramine manifest, NAS decode); and the benchmark
-# module — its own go.mod, so `./...` never reaches it — is vetted, tested,
-# gofmt-checked and run for a second in binary-frame, JSON and ring mode.
+# then the five tests whose allocation or heap budgets skip themselves
+# under -race on a plain build. After that, end to end: the experiments
+# CLI regenerates every row and CSV series (its own tests stub every Run);
+# five gnbsim smokes drive the storm replay, the sharded core, the ring
+# under four workers, the SEV guest (the one backend no bench workload
+# deploys) and, built with -race so the audit is on in a real binary, a
+# chaos run across crash-restart, retry and batch-refill paths; five fuzz
+# passes (SBI frames, JSON codec, Gramine manifest, NAS decode, SUCI
+# de-concealment); and the benchmark module — its own go.mod, so `./...`
+# never reaches it — is vetted, tested, gofmt-checked and run for a second
+# in binary-frame, JSON and ring mode.
 ci: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs' . ./internal/experiments ./internal/nas
+	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE' . ./internal/experiments ./internal/nas ./internal/deploy
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
@@ -84,6 +85,7 @@ ci: build
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/hmee/gramine
 	$(GO) test -run '^$$' -fuzz '^FuzzNASDecode$$' -fuzztime 5s ./internal/nas
+	$(GO) test -run '^$$' -fuzz '^FuzzDeconceal$$' -fuzztime 5s ./internal/crypto/suci
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
 	bash bench/run.sh --workload attach_sharded --seconds 1
 	bash bench/run.sh --workload attach_paper --seconds 1

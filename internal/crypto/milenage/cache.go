@@ -5,17 +5,17 @@ import (
 	"sync"
 )
 
-// Cache memoizes per-subscriber Cipher values so the registration hot
-// path does not re-expand the AES key schedule (aes.NewCipher) on every
-// authentication-vector request. Entries are keyed by subscriber
-// identifier (SUPI) and validated against the (K, OPc) pair they were
-// built from: a lookup whose credentials no longer match rebuilds the
-// entry in place, so a UDR re-provision can never serve a stale schedule
-// even if the owner forgets to call Invalidate.
+// Cache memoizes per-subscriber Cipher values, so a caller does not
+// re-expand the AES key schedule (aes.NewCipher) on every evaluation.
+// Entries are keyed by subscriber identifier (SUPI) and validated against
+// the (K, OPc) pair they were built from: a lookup whose credentials no
+// longer match rebuilds the entry in place, so a re-provisioned key can
+// never be served a stale schedule even if the owner forgets Invalidate.
 //
-// Invalidation triggers (see DESIGN.md §9): ProvisionSubscriber calls
-// Invalidate(supi); an enclave crash-restart calls Reset(), matching the
-// loss of all in-enclave state.
+// The core does not use it: an entry is an expanded copy of K kept for as
+// long as the cache lives, about 630 B per subscriber, to save one key
+// expansion per AV request. The eUDM builds a Cipher per procedure instead
+// (DESIGN.md §9). The benchmark's cached-AV probe is its remaining caller.
 type Cache struct {
 	mu sync.RWMutex
 	m  map[string]*cacheEntry
@@ -73,8 +73,7 @@ func (cc *Cache) Invalidate(id string) {
 	cc.mu.Unlock()
 }
 
-// Reset drops every entry, modelling the loss of in-enclave state on a
-// crash-restart.
+// Reset drops every entry.
 func (cc *Cache) Reset() {
 	if cc == nil {
 		return

@@ -36,8 +36,9 @@ var (
 	constants = [5]byte{0, 1, 2, 4, 8} // low byte of c1..c5; other bits zero
 )
 
-// Cipher evaluates the MILENAGE functions for one subscriber (K, OPc) pair.
-// It is safe for concurrent use after construction.
+// Cipher evaluates the MILENAGE functions for one subscriber (K, OPc) pair:
+// one expanded AES-128 key schedule of K and a copy of OPc. It is safe for
+// concurrent use after construction.
 type Cipher struct {
 	block cipher.Block
 	opc   [OPLen]byte
@@ -45,19 +46,32 @@ type Cipher struct {
 
 // New returns a Cipher for subscriber key k and the pre-computed OPc.
 func New(k, opc []byte) (*Cipher, error) {
+	c := new(Cipher)
+	if err := c.Init(k, opc); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Init builds c in place for subscriber key k and the pre-computed OPc. A
+// Cipher declared on the caller's stack and built this way costs one heap
+// allocation, the expanded key schedule, and is gone with the caller's
+// frame: the eUDM builds one per AV request and one per pool refill, and
+// keeps none between them.
+func (c *Cipher) Init(k, opc []byte) error {
 	if len(k) != KeyLen {
-		return nil, fmt.Errorf("milenage: key length %d, want %d", len(k), KeyLen)
+		return fmt.Errorf("milenage: key length %d, want %d", len(k), KeyLen)
 	}
 	if len(opc) != OPLen {
-		return nil, fmt.Errorf("milenage: OPc length %d, want %d", len(opc), OPLen)
+		return fmt.Errorf("milenage: OPc length %d, want %d", len(opc), OPLen)
 	}
 	block, err := aes.NewCipher(k)
 	if err != nil {
-		return nil, fmt.Errorf("milenage: new AES cipher: %w", err)
+		return fmt.Errorf("milenage: new AES cipher: %w", err)
 	}
-	c := &Cipher{block: block}
+	c.block = block
 	copy(c.opc[:], opc)
-	return c, nil
+	return nil
 }
 
 // ComputeOPc derives OPc = E_K(OP) XOR OP (TS 35.206 §4.1).

@@ -108,6 +108,38 @@ func TestF5StarTestSet1(t *testing.T) {
 	}
 }
 
+// TestInitInPlace: a Cipher built in place on the stack computes Test Set
+// 1, costs one allocation (the AES key schedule), and rebuilding it with
+// another key replaces the schedule instead of mixing the two.
+func TestInitInPlace(t *testing.T) {
+	k, opc, rand := mustHex(t, testSet1.k), mustHex(t, testSet1.opc), mustHex(t, testSet1.rand)
+	var c Cipher
+	if err := c.Init(make([]byte, KeyLen), make([]byte, OPLen)); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	if err := c.Init(k, opc); err != nil {
+		t.Fatalf("Init: %v", err)
+	}
+	res, ck, _, _, err := c.F2345(rand)
+	if err != nil {
+		t.Fatalf("F2345: %v", err)
+	}
+	if !bytes.Equal(res, mustHex(t, testSet1.res)) || !bytes.Equal(ck, mustHex(t, testSet1.ck)) {
+		t.Fatalf("RES %x CK %x after re-Init, want Test Set 1", res, ck)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		var c Cipher
+		if err := c.Init(k, opc); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1 {
+		t.Errorf("Init: %v allocs, want 1 (the key schedule)", n)
+	}
+	if err := c.Init(k[:15], opc); err == nil {
+		t.Error("Init short key: want error")
+	}
+}
+
 func TestBadLengths(t *testing.T) {
 	good16 := make([]byte, 16)
 	tests := []struct {

@@ -23,7 +23,8 @@ type Exec interface {
 	Touch(nBytes uint64)
 	// StoreSecret places sensitive material in the runtime's memory.
 	StoreSecret(name string, data []byte)
-	// LoadSecret reads sensitive material back.
+	// LoadSecret reads sensitive material back as a fresh copy the caller
+	// owns, and clears once it has no more use for it.
 	LoadSecret(name string) ([]byte, bool)
 }
 

@@ -35,11 +35,11 @@ func TestMACMatchesHMAC(t *testing.T) {
 	}
 }
 
-// TestSecurityContextAllocs: a MAC allocates nothing, and activating a
-// context allocates the struct and the AES key schedule, no MAC state.
-// sync.Pool drops items at random under the race detector, so exact counts
-// only hold on a plain build (make ci runs this test once more without
-// -race).
+// TestSecurityContextAllocs: a MAC allocates nothing, activating a context
+// allocates no MAC state, and a context that dropped its K_NASenc schedule
+// pays exactly one allocation, the schedule, to cipher again. sync.Pool
+// drops items at random under the race detector, so exact counts only hold
+// on a plain build (make ci runs this test once more without -race).
 func TestSecurityContextAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inexact under -race")
@@ -48,6 +48,12 @@ func TestSecurityContextAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x3c}, 48)
 	if n := testing.AllocsPerRun(100, func() { sc.mac(dirUplink, 7, payload) }); n != 0 {
 		t.Errorf("mac: %v allocs, want 0", n)
+	}
+	msg := &SecurityModeComplete{}
+	held := testing.AllocsPerRun(100, func() { sc.Protect(msg, true) })
+	dropped := testing.AllocsPerRun(100, func() { sc.DropCipher(); sc.Protect(msg, true) })
+	if dropped != held+1 {
+		t.Errorf("Protect: %v allocs after DropCipher, %v with the schedule held; want exactly one more", dropped, held)
 	}
 	kamf := bytes.Repeat([]byte{0x5a}, 32)
 	if n := testing.AllocsPerRun(100, func() {

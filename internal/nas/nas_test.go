@@ -5,6 +5,8 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -370,12 +372,82 @@ func TestXORKeyStreamMatchesStdlibCTR(t *testing.T) {
 				binary.BigEndian.PutUint32(iv[0:4], count)
 				iv[4] = dir << 2
 				want := make([]byte, size)
-				cipher.NewCTR(sc.block, iv[:]).XORKeyStream(want, src)
+				cipher.NewCTR(sc.cipherBlock(), iv[:]).XORKeyStream(want, src)
 
 				if !bytes.Equal(got, want) {
 					t.Fatalf("size=%d dir=%d count=%d: manual CTR diverges from cipher.NewCTR", size, dir, count)
 				}
 			}
+		}
+	}
+}
+
+// TestDroppedCipherIsTransparent: a context that drops its K_NASenc
+// schedule between messages protects and unprotects exactly like one that
+// never does. Over 200 random messages, COUNTs and directions the two
+// senders emit identical bytes, and the two receivers return identical
+// messages and errors, tampered inputs included. A message that fails its
+// MAC costs a dropped context no key expansion.
+func TestDroppedCipherIsTransparent(t *testing.T) {
+	kamf := bytes.Repeat([]byte{0x5a}, 32)
+	newCtx := func() *SecurityContext {
+		sc, err := NewSecurityContext(kamf)
+		if err != nil {
+			t.Fatalf("NewSecurityContext: %v", err)
+		}
+		return sc
+	}
+	keepTx, dropTx, keepRx, dropRx := newCtx(), newCtx(), newCtx(), newCtx()
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 200; i++ {
+		var msg Message
+		switch rng.Intn(3) {
+		case 0:
+			dnn := make([]byte, 1+rng.Intn(40))
+			for j := range dnn {
+				dnn[j] = 'a' + byte(rng.Intn(26))
+			}
+			msg = &PDUSessionEstablishmentRequest{SessionID: byte(rng.Intn(16)), DNN: string(dnn)}
+		case 1:
+			var res [16]byte
+			rng.Read(res[:])
+			msg = &AuthenticationResponse{ResStar: res}
+		default:
+			msg = &RegistrationAccept{GUTI: GUTI{MCC: "001", MNC: "01", AMFPointer: 1, TMSI: rng.Uint32()}}
+		}
+		count, uplink := rng.Uint32(), rng.Intn(2) == 0
+		for _, sc := range []*SecurityContext{keepTx, dropTx, keepRx, dropRx} {
+			sc.uplinkCount, sc.downlinkCount = count, count
+		}
+		if rng.Intn(2) == 0 {
+			dropTx.DropCipher()
+		}
+		want, err := keepTx.Protect(msg, uplink)
+		if err != nil {
+			t.Fatalf("message %d: Protect: %v", i, err)
+		}
+		got, err := dropTx.Protect(msg, uplink)
+		if err != nil {
+			t.Fatalf("message %d: Protect after drop: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("message %d (%s, count %d, uplink %v): protected bytes differ after a drop", i, msg.Type(), count, uplink)
+		}
+
+		if rng.Intn(4) == 0 {
+			want[rng.Intn(len(want))] ^= byte(1 + rng.Intn(255))
+		}
+		dropRx.DropCipher()
+		keepMsg, keepErr := keepRx.Unprotect(want, uplink)
+		dropMsg, dropErr := dropRx.Unprotect(want, uplink)
+		if !reflect.DeepEqual(dropMsg, keepMsg) || fmt.Sprint(dropErr) != fmt.Sprint(keepErr) {
+			t.Fatalf("message %d: Unprotect after drop = %v, %v; never dropped %v, %v", i, dropMsg, dropErr, keepMsg, keepErr)
+		}
+		if keepErr == nil && !reflect.DeepEqual(keepMsg, msg) {
+			t.Fatalf("message %d: round trip gave %#v, want %#v", i, keepMsg, msg)
+		}
+		if errors.Is(dropErr, ErrIntegrity) && dropRx.HoldsCipher() {
+			t.Fatalf("message %d: a forged message made the dropped context expand K_NASenc", i)
 		}
 	}
 }

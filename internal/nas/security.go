@@ -47,6 +47,13 @@ const (
 // SecurityContext holds one activated NAS security association. Create one
 // on each side from the shared K_AMF after a successful AKA run. It is not
 // safe for concurrent use; NAS signalling per UE is sequential.
+//
+// Between procedures a context needs only its two keys and two COUNTs. The
+// AES key schedule of K_NASenc (about 500 B) is expanded by the first
+// message the context ciphers and kept while a procedure runs; DropCipher
+// releases it when the procedure ends (the AMF does at
+// RegistrationComplete), and the next ciphered message expands it again.
+// The MAC keeps no state at all: each tag keys a pooled HMAC from intKey.
 type SecurityContext struct {
 	// encKey and intKey are in-struct arrays (not slices) so key
 	// derivation into an activated context costs no allocations beyond
@@ -54,14 +61,10 @@ type SecurityContext struct {
 	encKey [kdf.KeyLen128]byte
 	intKey [kdf.KeyLen128]byte
 
-	// block is the AES key schedule for K_NASenc, expanded once at context
-	// activation: the keys are fixed for the context's lifetime, so per-
-	// message aes.NewCipher calls were pure overhead. The MAC keeps no
-	// state of its own: each tag keys a pooled HMAC from intKey, so an
-	// activated context holds its two keys and nothing derived from them.
-	// hdrBuf is the MAC's header scratch, a field because the pooled state
-	// writes it through an interface (single-threaded per context, see
-	// above).
+	// block is the expanded K_NASenc schedule while a procedure runs, nil
+	// between procedures (see above). hdrBuf is the MAC's header scratch, a
+	// field because the pooled state writes it through an interface
+	// (single-threaded per context, see above).
 	block  cipher.Block
 	hdrBuf [5]byte
 	// ctrIV and ctrKS are the counter block and keystream scratch of
@@ -90,17 +93,37 @@ func NewSecurityContext(kamf []byte) (*SecurityContext, error) {
 	if err := kdf.AlgorithmKeyInto(sc.intKey[:], kamf, kdf.AlgoNASIntegrity, AlgNIA2); err != nil {
 		return nil, fmt.Errorf("nas: derive K_NASint: %w", err)
 	}
-	block, err := aes.NewCipher(sc.encKey[:])
-	if err != nil {
-		return nil, fmt.Errorf("nas: cipher setup: %w", err)
-	}
-	sc.block = block
 	return sc, nil
 }
 
 // Counts reports the current uplink and downlink NAS COUNT values.
 func (sc *SecurityContext) Counts() (uplink, downlink uint32) {
 	return sc.uplinkCount, sc.downlinkCount
+}
+
+// DropCipher releases the expanded K_NASenc schedule at the end of a
+// procedure. The keys and COUNTs stay, so the context protects and
+// verifies exactly as before; the next ciphered message pays one key
+// expansion to rebuild the schedule.
+func (sc *SecurityContext) DropCipher() { sc.block = nil }
+
+// HoldsCipher reports whether the context holds an expanded K_NASenc
+// schedule, that is, whether it has ciphered since it was created or last
+// dropped the schedule.
+func (sc *SecurityContext) HoldsCipher() bool { return sc.block != nil }
+
+// cipherBlock returns the K_NASenc schedule, expanding it if the context
+// holds none.
+func (sc *SecurityContext) cipherBlock() cipher.Block {
+	if sc.block == nil {
+		block, err := aes.NewCipher(sc.encKey[:])
+		if err != nil {
+			// K_NASenc is a fixed 16-byte array; this cannot happen.
+			panic(fmt.Sprintf("nas: K_NASenc schedule: %v", err))
+		}
+		sc.block = block
+	}
+	return sc.block
 }
 
 // plainPool recycles the plaintext scratch of Protect (the pre-encryption
@@ -215,13 +238,14 @@ func (sc *SecurityContext) advanceSend(uplink bool) {
 //
 //shieldlint:hotpath
 func (sc *SecurityContext) xorKeyStream(dst, src []byte, dir byte, count uint32) {
+	block := sc.cipherBlock()
 	iv := sc.ctrIV[:]
 	clear(iv)
 	binary.BigEndian.PutUint32(iv[0:4], count)
 	iv[4] = dir << 2 // bearer(0) || direction, per the NEA IV layout
 	ks := sc.ctrKS[:]
 	for len(src) > 0 {
-		sc.block.Encrypt(ks, iv)
+		block.Encrypt(ks, iv)
 		n := subtle.XORBytes(dst, src, ks)
 		dst, src = dst[n:], src[n:]
 		for j := aes.BlockSize - 1; j >= 0; j-- {

@@ -53,7 +53,8 @@ func abba() []byte { return []byte{0x00, 0x00} }
 // driving the UE's NAS exchange.
 //
 // A registered UE keeps what the protocol needs after AKA: its SUPI, NAS
-// security context, GUTI, PDU session tunnel and admission class. The AKA
+// security context (keys and COUNTs; the K_NASenc schedule only while a
+// procedure runs), GUTI, PDU session tunnel and admission class. The AKA
 // run's challenge state (authCtxID, rand, hxresStar, pendingAuth) lives
 // only until completeAuth succeeds, and K_SEAF is never kept: it is handed
 // to the K_AMF derivation and dropped.
@@ -510,6 +511,9 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 			ue.prevTMSI = 0
 		}
 		ue.setState(stateRegistered)
+		// Registration is over. An idle UE keeps its NAS keys and COUNTs,
+		// not the K_NASenc schedule: the next procedure expands it again.
+		ue.sec.DropCipher()
 		return nil, nil
 
 	case *nas.PDUSessionEstablishmentRequest:
@@ -525,10 +529,12 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 			return nil, err
 		}
 		ue.teid = sess.TEID
-		return ue.sec.Protect(&nas.PDUSessionEstablishmentAccept{
+		accept, err := ue.sec.Protect(&nas.PDUSessionEstablishmentAccept{
 			SessionID: m.SessionID,
 			UEAddress: sess.UEAddress,
 		}, false)
+		ue.sec.DropCipher()
+		return accept, err
 
 	case *nas.DeregistrationRequest:
 		a.guti.Delete(ue.guti.TMSI)

@@ -471,3 +471,78 @@ func TestRegisteredUEHoldsNoAKAState(t *testing.T) {
 		t.Fatalf("RegisteredUEs = %d, want 2", got)
 	}
 }
+
+// TestIdleUEHoldsNoNASCipher: the AMF holds a UE's K_NASenc schedule only
+// while a procedure runs. It has one once the SecurityModeCommand is
+// ciphered, none once RegistrationComplete is accepted (after a SUCI
+// attach and a GUTI re-registration alike), and a PDU session and a
+// deregistration from that idle state still decipher and answer, the UE
+// deciphering the accept.
+func TestIdleUEHoldsNoNASCipher(t *testing.T) {
+	h := newHarness(t)
+	ctx := context.Background()
+	d := h.device(t)
+	cipherHeld := func(ran uint64, want bool, when string) {
+		t.Helper()
+		held, ok := h.amf.HoldsNASCipher(ran)
+		if !ok {
+			t.Fatalf("%s: RAN UE %d has no NAS security context", when, ran)
+		}
+		if held != want {
+			t.Fatalf("%s: K_NASenc schedule held = %v, want %v", when, held, want)
+		}
+	}
+
+	up, err := d.BuildRegistrationRequest(ctx, h.amf.ServingNetworkName())
+	if err != nil {
+		t.Fatalf("BuildRegistrationRequest: %v", err)
+	}
+	down, err := h.amf.HandleInitialUE(ctx, 1, up)
+	if err != nil {
+		t.Fatalf("HandleInitialUE: %v", err)
+	}
+	if _, ok := h.amf.HoldsNASCipher(1); ok {
+		t.Fatal("NAS security context before AKA completes")
+	}
+	for step := 0; down != nil; step++ {
+		if step == 1 {
+			cipherHeld(1, true, "after SecurityModeCommand")
+		}
+		if up, _, err = d.HandleDownlinkNAS(ctx, down); err != nil {
+			t.Fatalf("UE NAS step %d: %v", step, err)
+		}
+		if down, err = h.amf.HandleUplinkNAS(ctx, 1, up); err != nil {
+			t.Fatalf("HandleUplinkNAS step %d: %v", step, err)
+		}
+	}
+	if _, ok := h.amf.SUPIOf(1); !ok {
+		t.Fatal("UE not registered")
+	}
+	cipherHeld(1, false, "after RegistrationComplete")
+
+	if up, err = d.BuildPDUSessionRequest(ctx, 1, "internet"); err != nil {
+		t.Fatalf("BuildPDUSessionRequest: %v", err)
+	}
+	if down, err = h.amf.HandleUplinkNAS(ctx, 1, up); err != nil {
+		t.Fatalf("PDU session uplink: %v", err)
+	}
+	if _, _, err := d.HandleDownlinkNAS(ctx, down); err != nil {
+		t.Fatalf("UE deciphering the PDU session accept: %v", err)
+	}
+	if d.UEAddress() == "" {
+		t.Fatal("UE holds no address from the accept")
+	}
+	cipherHeld(1, false, "after the PDU session accept")
+
+	h.reregister(t, d, 2, false)
+	cipherHeld(2, false, "after a GUTI re-registration")
+	if up, err = d.BuildDeregistrationRequest(ctx); err != nil {
+		t.Fatalf("BuildDeregistrationRequest: %v", err)
+	}
+	if _, err := h.amf.HandleUplinkNAS(ctx, 2, up); err != nil {
+		t.Fatalf("deregistration: %v", err)
+	}
+	if _, ok := h.amf.HoldsNASCipher(2); ok {
+		t.Fatal("deregistered UE context still present")
+	}
+}

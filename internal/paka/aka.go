@@ -12,8 +12,8 @@ import (
 
 // avScratch holds the MILENAGE outputs of one AV mint: the OUT1 block
 // (MAC-A || MAC-S) and the OUT2..4 backing that RES/CK/IK/AK alias.
-// Pooling it keeps GenerateAVCachedInto — the batch refill inner loop —
-// free of per-mint output allocation.
+// Pooling it keeps mintInto — the batch refill inner loop — free of
+// per-mint output allocation.
 type avScratch struct {
 	out1 [16]byte
 	out2 [48]byte
@@ -39,9 +39,14 @@ var (
 
 // GenerateAV executes the eUDM P-AKA function set: MILENAGE f1 and f2345
 // over the subscriber key, AUTN assembly, and the XRES*/K_AUSF derivations
-// (the "Derive/Execute" column of Table I for the eUDM module).
+// (the "Derive/Execute" column of Table I for the eUDM module). K's key
+// schedule is expanded for this one call.
 func GenerateAV(k []byte, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	return GenerateAVCached(nil, k, req)
+	var c milenage.Cipher
+	if err := c.Init(k, req.OPc); err != nil {
+		return nil, fmt.Errorf("paka: eUDM: %w", err)
+	}
+	return generateAV(&c, req)
 }
 
 // AVBackingBytes is the combined size of one AV's four response fields
@@ -60,35 +65,40 @@ func AVInto(buf []byte, resp *UDMGenerateAVResponse) {
 	resp.KAUSF = buf[48:80:80]
 }
 
-// GenerateAVCached is GenerateAV with a per-subscriber key-schedule cache:
-// the two AES key expansions milenage.New performs are reused across every
-// AV for the same (SUPI, K, OPc). A nil cache builds fresh schedules,
-// which is exactly the uncached seed behaviour.
+// generateAV mints one AV with c, the subscriber's expanded schedule.
 //
 //shieldlint:hotpath
-func GenerateAVCached(cache *milenage.Cache, k []byte, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
+func generateAV(c *milenage.Cipher, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
 	// One backing carries all four response fields.
 	//shieldlint:ignore hotalloc single caller-owned backing per minted AV; batch mints share one via AVInto
 	out := make([]byte, AVBackingBytes)
 	resp := &UDMGenerateAVResponse{}
 	AVInto(out, resp)
-	if err := GenerateAVCachedInto(cache, k, req, resp); err != nil {
+	if err := mintInto(c, req, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
 }
 
-// GenerateAVCachedInto derives an AV into resp, whose four fields must
-// already point at caller-owned backings of the canonical sizes (use
-// AVInto). The batch mint derives a whole refill into one backing array
-// this way instead of allocating per vector.
-//
-//shieldlint:hotpath
+// GenerateAVCachedInto is the AV mint over a schedule looked up in cache
+// (built on a miss) instead of expanded for the call: resp's four fields
+// must already point at caller-owned backings of the canonical sizes (use
+// AVInto). The core keeps no cache; this measures what one would save.
 func GenerateAVCachedInto(cache *milenage.Cache, k []byte, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
 	c, err := cache.Get(req.SUPI, k, req.OPc)
 	if err != nil {
 		return fmt.Errorf("paka: eUDM: %w", err)
 	}
+	return mintInto(c, req, resp)
+}
+
+// mintInto derives an AV with c into resp, whose four fields already point
+// at caller-owned backings of the canonical sizes (AVInto). The batch mint
+// derives a whole refill into one backing array this way instead of
+// allocating per vector.
+//
+//shieldlint:hotpath
+func mintInto(c *milenage.Cipher, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
 	s := avScratchPool.Get().(*avScratch)
 	defer putAVScratch(s)
 	if err := c.F1Into(s.out1[:], req.RAND, req.SQN, req.AMFID); err != nil {
@@ -118,18 +128,22 @@ func GenerateAVCachedInto(cache *milenage.Cache, k []byte, req *UDMGenerateAVReq
 	return nil
 }
 
-// ResyncCached executes the eUDM-side AUTS verification (TS 33.102
-// §6.3.5): it recovers SQN_MS with AK* = f5*(RAND) and checks MAC-S =
-// f1*(SQN_MS, AMF*=0x0000). This also uses the long-term key and therefore
-// belongs inside the enclave. It shares the key-schedule cache of
-// GenerateAVCached; a nil cache builds fresh schedules.
-func ResyncCached(cache *milenage.Cache, k []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
+// Resync executes the eUDM-side AUTS verification (TS 33.102 §6.3.5): it
+// recovers SQN_MS with AK* = f5*(RAND) and checks MAC-S = f1*(SQN_MS,
+// AMF*=0x0000). This also uses the long-term key and therefore belongs
+// inside the enclave. K's key schedule is expanded for this one call.
+func Resync(k []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
+	var c milenage.Cipher
+	if err := c.Init(k, req.OPc); err != nil {
+		return nil, fmt.Errorf("paka: eUDM resync: %w", err)
+	}
+	return resync(&c, req)
+}
+
+// resync verifies req's AUTS with c, the subscriber's expanded schedule.
+func resync(c *milenage.Cipher, req *UDMResyncRequest) (*UDMResyncResponse, error) {
 	if len(req.AUTS) != 14 {
 		return nil, fmt.Errorf("paka: AUTS length %d, want 14", len(req.AUTS))
-	}
-	c, err := cache.Get(req.SUPI, k, req.OPc)
-	if err != nil {
-		return nil, fmt.Errorf("paka: eUDM resync: %w", err)
 	}
 	akStar, err := c.F5Star(req.RAND)
 	if err != nil {
@@ -156,7 +170,7 @@ func ResyncCached(cache *milenage.Cache, k []byte, req *UDMResyncRequest) (*UDMR
 // K_SEAF derivation.
 func DeriveSE(req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
 	// Single backing for both derived outputs, the same pattern
-	// GenerateAVCached uses for its response fields.
+	// generateAV uses for its response fields.
 	buf := make([]byte, kdf.KeyLen128+kdf.KeyLen256)
 	hxres, kseaf := buf[:kdf.KeyLen128:kdf.KeyLen128], buf[kdf.KeyLen128:]
 	if err := kdf.HXResStarInto(hxres, req.RAND, req.XRESStar); err != nil {

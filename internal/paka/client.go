@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"shield5g/internal/costmodel"
-	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/metrics"
 	"shield5g/internal/sbi"
 	"shield5g/internal/simclock"
@@ -142,9 +141,8 @@ func (r *Remote) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AM
 // OAI baseline the paper compares against). Subscriber keys live in plain
 // process memory.
 type MonolithicUDM struct {
-	env      *costmodel.Env
-	profile  Profile
-	milCache *milenage.Cache
+	env     *costmodel.Env
+	profile Profile
 
 	mu   sync.Mutex
 	keys map[string][]byte
@@ -153,10 +151,9 @@ type MonolithicUDM struct {
 // NewMonolithicUDM builds the in-process UDM AKA functions.
 func NewMonolithicUDM(env *costmodel.Env) *MonolithicUDM {
 	return &MonolithicUDM{
-		env:      env,
-		profile:  Profiles()[EUDM],
-		milCache: milenage.NewCache(),
-		keys:     make(map[string][]byte),
+		env:     env,
+		profile: Profiles()[EUDM],
+		keys:    make(map[string][]byte),
 	}
 }
 
@@ -165,8 +162,6 @@ func (u *MonolithicUDM) ProvisionSubscriber(supi string, k []byte) {
 	u.mu.Lock()
 	u.keys[supi] = append([]byte(nil), k...)
 	u.mu.Unlock()
-	// A re-provision may carry a new key; drop any cached schedule.
-	u.milCache.Invalidate(supi)
 }
 
 func (u *MonolithicUDM) key(supi string) ([]byte, bool) {
@@ -183,7 +178,7 @@ func (u *MonolithicUDM) GenerateAV(ctx context.Context, req *UDMGenerateAVReques
 		return nil, ErrUnknownSubscriber
 	}
 	u.env.Charge(ctx, u.env.JitterFor(ctx).LogNormal(u.profile.FnCycles, u.profile.FnSigma))
-	return GenerateAVCached(u.milCache, k, req)
+	return GenerateAV(k, req)
 }
 
 // GenerateAVBatch implements UDMBatchFunctions in-process: there is no
@@ -207,7 +202,7 @@ func (u *MonolithicUDM) Resync(ctx context.Context, req *UDMResyncRequest) (*UDM
 		return nil, ErrUnknownSubscriber
 	}
 	u.env.Charge(ctx, u.env.JitterFor(ctx).LogNormal(u.profile.FnCycles/2, u.profile.FnSigma))
-	return ResyncCached(u.milCache, k, req)
+	return Resync(k, req)
 }
 
 // MonolithicKDF executes the AUSF and AMF AKA functions — stateless key

@@ -1,0 +1,58 @@
+package paka
+
+import (
+	"context"
+	"sync"
+
+	"shield5g/internal/hmee"
+)
+
+// loadedKeys is a module runtime that records every secret its handlers
+// load: the very slice LoadSecret handed them, so a test can read what
+// the handler left in it after the request is over.
+type loadedKeys struct {
+	Runtime
+	mu   sync.Mutex
+	keys [][]byte
+}
+
+// recordLoadedKeys puts a loadedKeys in front of m's runtime. Call it
+// after provisioning: under SGX, m seals through the runtime's enclave,
+// which the wrapper hides.
+func recordLoadedKeys(m *Module) *loadedKeys {
+	m.rtMu.Lock()
+	defer m.rtMu.Unlock()
+	r := &loadedKeys{Runtime: m.runtime}
+	m.runtime = r
+	return r
+}
+
+// Cross implements hmee.Crossing, serving h with a recording Exec.
+func (r *loadedKeys) Cross(ctx context.Context, ph hmee.Phases, in, out int, h Handler) (Breakdown, error) {
+	if inner := h; inner != nil {
+		h = hmee.HandlerFunc(func(ex Exec) error { return inner.Run(recordingExec{ex, r}) })
+	}
+	return r.Runtime.Cross(ctx, ph, in, out, h)
+}
+
+// loaded returns the slices handed out so far.
+func (r *loadedKeys) loaded() [][]byte {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([][]byte(nil), r.keys...)
+}
+
+type recordingExec struct {
+	Exec
+	r *loadedKeys
+}
+
+func (e recordingExec) LoadSecret(name string) ([]byte, bool) {
+	k, ok := e.Exec.LoadSecret(name)
+	if ok {
+		e.r.mu.Lock()
+		e.r.keys = append(e.r.keys, k)
+		e.r.mu.Unlock()
+	}
+	return k, ok
+}

@@ -3,7 +3,7 @@ package paka
 // Field descriptions of the P-AKA module messages (see codec.Message).
 // Request types are decoded under the HandlerFunc loan and leave their
 // byte strings as views; response types mark theirs Own, mirroring the
-// single-backing layout GenerateAVCached already uses.
+// single-backing layout GenerateAV already uses.
 
 import "shield5g/internal/sbi/codec"
 

@@ -1,6 +1,7 @@
 package paka
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"crypto/rand"
@@ -108,11 +109,6 @@ type Module struct {
 	sessMu   sync.Mutex
 	sessions map[uint64]*moduleSession
 
-	// milCache memoizes per-subscriber MILENAGE key schedules (eUDM only).
-	// It is invalidated per SUPI on re-provision and wholesale on Restart,
-	// mirroring the loss of in-enclave state.
-	milCache *milenage.Cache
-
 	// secretMu guards sealed, the eUDM key store's index: one entry per
 	// provisioned SUPI, keyed by the caller's own string (the same one the
 	// runtime's store is keyed by, so every replica of a slice shares it).
@@ -161,7 +157,6 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 		runtime:    rt,
 		functional: &metrics.Recorder{},
 		total:      &metrics.Recorder{},
-		milCache:   milenage.NewCache(),
 		sealed:     make(map[string][]byte),
 	}
 
@@ -293,7 +288,7 @@ func (m *Module) registerEndpoints() {
 //
 // The request's decoded fields are either copied strings or zero-copy
 // views into the loaned body, nothing below fn retains the struct, and
-// every response carries its own backing (GenerateAVCachedInto, DeriveSE's
+// every response carries its own backing (generateAV's, DeriveSE's
 // single buffer, kdf outputs). The whole call is zeroed before going back
 // to its pool so a partial decode cannot leak into the next request.
 type endpointCall[Req, Resp any] struct {
@@ -362,23 +357,41 @@ func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req) (*Resp, error
 }
 
 func (m *Module) generateAV(ex Exec, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	k, ok := ex.LoadSecret(req.SUPI)
-	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
+	var c milenage.Cipher
+	if err := expandKey(ex, req.SUPI, req.OPc, &c); err != nil {
+		return nil, err
 	}
-	return avProblem(GenerateAVCached(m.milCache, k, req))
+	return avProblem(generateAV(&c, req))
 }
 
 func (m *Module) resync(ex Exec, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	k, ok := ex.LoadSecret(req.SUPI)
-	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, req.SUPI)
+	var c milenage.Cipher
+	if err := expandKey(ex, req.SUPI, req.OPc, &c); err != nil {
+		return nil, err
 	}
-	resp, err := ResyncCached(m.milCache, k, req)
+	resp, err := resync(&c, req)
 	if err != nil {
 		return nil, sbi.Problem(403, "Forbidden", "SYNC_FAILURE", "%v", err)
 	}
 	return resp, nil
+}
+
+// expandKey loads supi's K inside the runtime and expands its MILENAGE
+// schedule into c, which the caller declares for the one procedure it runs
+// and drops with it: the eUDM keeps no schedule between requests. The copy
+// of K the runtime handed out is cleared as soon as the schedule exists,
+// so it does not linger in freed memory either.
+func expandKey(ex Exec, supi string, opc []byte, c *milenage.Cipher) error {
+	k, ok := ex.LoadSecret(supi)
+	if !ok {
+		return sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, supi)
+	}
+	err := c.Init(k, opc)
+	clear(k)
+	if err != nil {
+		return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "paka: eUDM: %v", err)
+	}
+	return nil
 }
 
 // avProblem maps a derivation failure onto its 400 ProblemDetails.
@@ -410,24 +423,21 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	backing := make([]byte, k*AVBackingBytes)
 	resp.Vectors = make([]UDMGenerateAVResponse, k)
 	_, err := m.rt().Cross(ctx, hmee.Entry, k*m.profile.InBytes, k*m.profile.OutBytes, hmee.HandlerFunc(func(ex Exec) error {
-		// A refill is per-SUPI: reuse the key lookup across consecutive
-		// items for the same subscriber.
-		var key []byte
-		lastSUPI := ""
+		// A refill is one SUPI's: its schedule is expanded once, for the
+		// first item, and serves every item after it that names the same
+		// subscriber and OPc.
+		var c milenage.Cipher
 		for i := range req.Items {
 			item := &req.Items[i]
 			m.chargeFunction(ctx, ex)
-			if i == 0 || item.SUPI != lastSUPI {
-				var ok bool
-				key, ok = ex.LoadSecret(item.SUPI)
-				if !ok {
-					return sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, item.SUPI)
+			if i == 0 || item.SUPI != req.Items[i-1].SUPI || !bytes.Equal(item.OPc, req.Items[i-1].OPc) {
+				if err := expandKey(ex, item.SUPI, item.OPc, &c); err != nil {
+					return err
 				}
-				lastSUPI = item.SUPI
 			}
 			av := &resp.Vectors[i]
 			AVInto(backing[i*AVBackingBytes:(i+1)*AVBackingBytes], av)
-			if err := GenerateAVCachedInto(m.milCache, key, item, av); err != nil {
+			if err := mintInto(&c, item, av); err != nil {
 				return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
 			}
 		}
@@ -460,9 +470,6 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 	if err := storeSecret(ctx, m.rt(), supi, k); err != nil {
 		return fmt.Errorf("paka: provision %s: %w", supi, err)
 	}
-	// The key may have changed (UDR re-provision): any cached MILENAGE
-	// schedule for this subscriber is now stale.
-	m.milCache.Invalidate(supi)
 
 	// Keep a host-side sealed backup so a crash-restarted enclave (same
 	// measurement, same platform) can recover the key without the UDR
@@ -653,9 +660,6 @@ func (m *Module) Restart(ctx context.Context) error {
 	m.rtMu.Lock()
 	m.runtime = fresh
 	m.rtMu.Unlock()
-	// Cached key schedules model in-enclave state and died with the old
-	// runtime; the first AV per subscriber after recovery rebuilds them.
-	m.milCache.Reset()
 	// Keep-alive sessions died with the old runtime; serve() also drops
 	// them lazily on runtime mismatch, this just frees the map eagerly.
 	m.dropSessions()

@@ -118,7 +118,7 @@ func TestResyncRoundTrip(t *testing.T) {
 	}
 	auts := append(append([]byte{}, concealed...), macS...)
 
-	resp, err := ResyncCached(nil, testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts})
+	resp, err := Resync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts})
 	if err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
@@ -128,10 +128,10 @@ func TestResyncRoundTrip(t *testing.T) {
 
 	// Tampered AUTS must fail.
 	auts[13] ^= 1
-	if _, err := ResyncCached(nil, testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
+	if _, err := Resync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
 		t.Fatalf("tampered AUTS err = %v, want ErrResyncMAC", err)
 	}
-	if _, err := ResyncCached(nil, testK, &UDMResyncRequest{OPc: testOPc, RAND: testRAND, AUTS: auts[:10]}); err == nil {
+	if _, err := Resync(testK, &UDMResyncRequest{OPc: testOPc, RAND: testRAND, AUTS: auts[:10]}); err == nil {
 		t.Fatal("short AUTS accepted")
 	}
 }

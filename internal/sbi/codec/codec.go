@@ -118,7 +118,7 @@ var emptyBytes = []byte{}
 // backing array, giving the caller exclusive ownership of every byte it
 // retains — the step that makes releasing the response body safe. One
 // allocation covers the whole message, the same single-backing pattern
-// paka.GenerateAVCached uses for its response struct.
+// paka.GenerateAV uses for its response struct.
 //
 //shieldlint:hotpath
 func Compact(fields ...*[]byte) {

@@ -205,7 +205,7 @@ func TestAuthChallengeStaleSQNTriggersResync(t *testing.T) {
 	}
 	// The AUTS verifies under the eUDM resync function and reveals the
 	// USIM's sequence number.
-	resp, err := paka.ResyncCached(nil, testK, &paka.UDMResyncRequest{
+	resp, err := paka.Resync(testK, &paka.UDMResyncRequest{
 		SUPI: testSUPI.String(), OPc: f.opc, RAND: req.RAND[:], AUTS: fail.AUTS,
 	})
 	if err != nil {
