@@ -62,12 +62,13 @@ loc:
 # then the five tests whose allocation or heap budgets skip themselves
 # under -race on a plain build. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
-# five gnbsim smokes drive the storm replay, the sharded core, the ring
+# six gnbsim smokes drive the storm replay, the sharded core, the ring
 # under four workers, the SEV guest (the one backend no bench workload
-# deploys) and, built with -race so the audit is on in a real binary, a
-# chaos run across crash-restart, retry and batch-refill paths; five fuzz
-# passes (SBI frames, JSON codec, Gramine manifest, NAS decode, SUCI
-# de-concealment); and the benchmark module — its own go.mod, so `./...`
+# deploys), chaos on two shards (crashes reach replica 1's modules under
+# their derived names) and, built with -race so the audit is on in a real
+# binary, a chaos run across crash-restart, retry and batch-refill paths;
+# six fuzz passes (SBI frames, JSON codec, the HTTP edge, Gramine
+# manifest, NAS decode, SUCI de-concealment); and the benchmark module — its own go.mod, so `./...`
 # never reaches it — is vetted, tested, gofmt-checked and run for a second
 # in binary-frame, JSON and ring mode.
 ci: build
@@ -80,9 +81,11 @@ ci: build
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
 	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
 	$(GO) run ./cmd/gnbsim -n 32 -isolation sev -batch 8 -avpool 8 -seed 13
+	$(GO) run ./cmd/gnbsim -n 32 -shards 2 -chaos 0.3 -batch 8 -avpool 8 -seed 15
 	$(GO) run -race ./cmd/gnbsim -n 64 -chaos 0.3 -batch 8 -avpool 8 -seed 5
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
+	$(GO) test -run '^$$' -fuzz '^FuzzServeHTTP$$' -fuzztime 5s ./internal/sbi
 	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/hmee/gramine
 	$(GO) test -run '^$$' -fuzz '^FuzzNASDecode$$' -fuzztime 5s ./internal/nas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeconceal$$' -fuzztime 5s ./internal/crypto/suci

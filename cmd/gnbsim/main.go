@@ -238,12 +238,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 					result.Recovered[class], class)
 			}
 		}
+		// Every shard's modules, named by service, so a crash drawn on a
+		// replica's module shows under that replica's name.
 		var restarts uint64
-		for _, m := range tb.Slice.Modules {
-			restarts += m.Restarts()
+		var restarted []string
+		for _, shard := range tb.Slice.Shards {
+			for _, kind := range []shield5g.ModuleKind{shield5g.EUDM, shield5g.EAUSF, shield5g.EAMF} {
+				if m, ok := shard.Modules[kind]; ok && m.Restarts() > 0 {
+					restarts += m.Restarts()
+					restarted = append(restarted, fmt.Sprintf("%s:%d", m.ServiceName(), m.Restarts()))
+				}
+			}
 		}
 		if restarts > 0 {
-			fmt.Fprintf(stdout, "chaos: %d module crash/redeploy cycle(s) survived (re-load + re-attest)\n", restarts)
+			fmt.Fprintf(stdout, "chaos: %d module crash/redeploy cycle(s) survived (re-load + re-attest) %v\n", restarts, restarted)
 		}
 	}
 	if *avpool > 0 {

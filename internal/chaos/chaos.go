@@ -16,6 +16,7 @@ package chaos
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,9 +73,26 @@ func (k Kind) String() string {
 	}
 }
 
-// Config sets the per-request injection probabilities and fault shapes.
-// Each rate is the probability that one SBI request draws that fault;
-// rates are cumulative and their sum must stay <= 1.
+// The fault shapes: one per class, the same for every run.
+const (
+	// latencySpikeMedian is the median injected delay (virtual); the
+	// spike is drawn log-normally with latencySigma.
+	latencySpikeMedian = 5 * time.Millisecond
+	latencySigma       = 1.0
+	// dropTimeout is the virtual time a client waits on a lost reply.
+	dropTimeout = 100 * time.Millisecond
+	// retryAfter is attached to injected 429/503 ProblemDetails.
+	retryAfter = 20 * time.Millisecond
+	// aexBurst is the number of asynchronous exits per storm.
+	aexBurst = 2_000
+	// evictPages is the number of EPC pages reclaimed per eviction.
+	evictPages = 4_096
+)
+
+// Config sets the per-request injection probabilities. Each rate is the
+// probability that one SBI request draws that fault; the classes are
+// drawn cumulatively, so every rate must be >= 0 and their sum <= 1
+// (Validate).
 type Config struct {
 	// Seed roots the decision streams. Independent from the cost seed.
 	Seed uint64
@@ -85,23 +103,6 @@ type Config struct {
 	AEXStormRate float64
 	EvictRate    float64
 	CrashRate    float64
-
-	// LatencySpikeMedian is the median injected delay (virtual); the
-	// spike is drawn log-normally with LatencySigma.
-	LatencySpikeMedian time.Duration
-	LatencySigma       float64
-	// DropTimeout is the virtual time a client waits on a lost reply.
-	DropTimeout time.Duration
-	// RetryAfter is attached to injected 429/503 ProblemDetails.
-	RetryAfter time.Duration
-	// AEXBurst is the number of asynchronous exits per storm.
-	AEXBurst uint64
-	// EvictPages is the number of EPC pages reclaimed per eviction.
-	EvictPages uint64
-
-	// Services restricts injection to the named services; empty targets
-	// every route.
-	Services []string
 }
 
 // DefaultMix spreads a total per-request fault rate across the taxonomy in
@@ -119,32 +120,28 @@ func DefaultMix(seed uint64, totalRate float64) Config {
 	}
 }
 
-// withDefaults fills zero-valued shape knobs.
-func (c Config) withDefaults() Config {
-	if c.LatencySpikeMedian <= 0 {
-		c.LatencySpikeMedian = 5 * time.Millisecond
-	}
-	if c.LatencySigma <= 0 {
-		c.LatencySigma = 1.0
-	}
-	if c.DropTimeout <= 0 {
-		c.DropTimeout = 100 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 20 * time.Millisecond
-	}
-	if c.AEXBurst == 0 {
-		c.AEXBurst = 2_000
-	}
-	if c.EvictPages == 0 {
-		c.EvictPages = 4_096
-	}
-	return c
-}
-
 // TotalRate is the per-request probability of any injection.
 func (c Config) TotalRate() float64 {
 	return c.LatencyRate + c.ErrorRate + c.DropRate + c.AEXStormRate + c.EvictRate + c.CrashRate
+}
+
+// Validate rejects rates the cumulative draw cannot honour: a negative
+// rate silently shrinks the classes after it, and a sum above 1 faults
+// every request.
+func (c Config) Validate() error {
+	rates := [kindCount]float64{
+		KindLatency: c.LatencyRate, KindError: c.ErrorRate, KindDrop: c.DropRate,
+		KindAEXStorm: c.AEXStormRate, KindEvict: c.EvictRate, KindCrash: c.CrashRate,
+	}
+	for k, r := range rates {
+		if !(r >= 0) {
+			return fmt.Errorf("chaos: %s rate %v is negative", Kind(k), r)
+		}
+	}
+	if t := c.TotalRate(); !(t <= 1) {
+		return fmt.Errorf("chaos: total rate %v exceeds 1", t)
+	}
+	return nil
 }
 
 // Injector draws fault decisions and applies them around an inner SBI
@@ -161,7 +158,6 @@ type Injector struct {
 	armed atomic.Bool
 
 	mu       sync.RWMutex
-	targets  map[string]bool
 	crash    map[string]func(context.Context) error
 	enclaves map[string]*sgx.Enclave
 
@@ -170,24 +166,16 @@ type Injector struct {
 
 // NewInjector builds an armed injector over env.
 func NewInjector(env *costmodel.Env, cfg Config) *Injector {
-	cfg = cfg.withDefaults()
 	inj := &Injector{
 		env:      env,
 		cfg:      cfg,
 		root:     simclock.NewJitter(cfg.Seed),
-		targets:  make(map[string]bool),
 		crash:    make(map[string]func(context.Context) error),
 		enclaves: make(map[string]*sgx.Enclave),
-	}
-	for _, s := range cfg.Services {
-		inj.targets[s] = true
 	}
 	inj.armed.Store(true)
 	return inj
 }
-
-// Config returns the injector's (default-filled) configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
 
 // SetArmed enables or disables injection. Decisions are only drawn while
 // armed, so disarmed sections (deployment, warm-up) consume no stream
@@ -255,11 +243,11 @@ type faultyInvoker struct {
 	inner sbi.Invoker
 }
 
-// Post implements sbi.Invoker: one uniform draw per targeted request picks
-// a fault (or none) by cumulative rate, then the fault is applied.
+// Post implements sbi.Invoker: one uniform draw per request picks a fault
+// (or none) by cumulative rate, then the fault is applied.
 func (f *faultyInvoker) Post(ctx context.Context, service, path string, req, resp any) error {
 	inj := f.inj
-	if !inj.armed.Load() || !inj.targeted(service) {
+	if !inj.armed.Load() {
 		return f.inner.Post(ctx, service, path, req, resp)
 	}
 
@@ -269,8 +257,8 @@ func (f *faultyInvoker) Post(ctx context.Context, service, path string, req, res
 	switch {
 	case u < cfg.LatencyRate:
 		inj.counts[KindLatency].Add(1)
-		median := simclock.FromDuration(cfg.LatencySpikeMedian, inj.env.Clock.FrequencyHz())
-		inj.env.Charge(ctx, stream.LogNormal(median, cfg.LatencySigma))
+		median := simclock.FromDuration(latencySpikeMedian, inj.env.Clock.FrequencyHz())
+		inj.env.Charge(ctx, stream.LogNormal(median, latencySigma))
 		return f.inner.Post(ctx, service, path, req, resp)
 
 	case u < cfg.LatencyRate+cfg.ErrorRate:
@@ -283,21 +271,21 @@ func (f *faultyInvoker) Post(ctx context.Context, service, path string, req, res
 		// reply is lost. The client pays the wait for a reply that never
 		// comes and reports a gateway timeout.
 		_ = f.inner.Post(ctx, service, path, req, nil)
-		inj.env.Charge(ctx, simclock.FromDuration(cfg.DropTimeout, inj.env.Clock.FrequencyHz()))
+		inj.env.Charge(ctx, simclock.FromDuration(dropTimeout, inj.env.Clock.FrequencyHz()))
 		return sbi.Problem(504, "Gateway Timeout", sbi.CauseTimeout,
 			"chaos: reply from %s%s dropped", service, path)
 
 	case u < cfg.LatencyRate+cfg.ErrorRate+cfg.DropRate+cfg.AEXStormRate:
 		inj.counts[KindAEXStorm].Add(1)
 		if e := inj.enclaveFor(service); e != nil {
-			e.InjectAEX(ctx, cfg.AEXBurst)
+			e.InjectAEX(ctx, aexBurst)
 		}
 		return f.inner.Post(ctx, service, path, req, resp)
 
 	case u < cfg.LatencyRate+cfg.ErrorRate+cfg.DropRate+cfg.AEXStormRate+cfg.EvictRate:
 		inj.counts[KindEvict].Add(1)
 		if e := inj.enclaveFor(service); e != nil {
-			e.EvictPages(cfg.EvictPages)
+			e.EvictPages(evictPages)
 		}
 		return f.inner.Post(ctx, service, path, req, resp)
 
@@ -310,7 +298,7 @@ func (f *faultyInvoker) Post(ctx context.Context, service, path string, req, res
 			}
 			pd := sbi.Problem(503, "Service Unavailable", sbi.CauseUnreachable,
 				"chaos: %s crashed; redeployed and re-attested", service)
-			pd.RetryAfter = cfg.RetryAfter
+			pd.RetryAfter = retryAfter
 			return pd
 		}
 		// No crash hook for this service: fall through to a clean call so
@@ -329,25 +317,16 @@ func (inj *Injector) transientProblem(stream *simclock.Jitter, service, path str
 	case 0:
 		pd = sbi.Problem(429, "Too Many Requests", sbi.CauseCongestion,
 			"chaos: %s%s throttled", service, path)
-		pd.RetryAfter = inj.cfg.RetryAfter
+		pd.RetryAfter = retryAfter
 	case 1:
 		pd = sbi.Problem(500, "Internal Server Error", sbi.CauseSystem,
 			"chaos: %s%s internal fault", service, path)
 	default:
 		pd = sbi.Problem(503, "Service Unavailable", sbi.CauseUnreachable,
 			"chaos: %s%s unavailable", service, path)
-		pd.RetryAfter = inj.cfg.RetryAfter
+		pd.RetryAfter = retryAfter
 	}
 	return pd
-}
-
-func (inj *Injector) targeted(service string) bool {
-	inj.mu.RLock()
-	defer inj.mu.RUnlock()
-	if len(inj.targets) == 0 {
-		return true
-	}
-	return inj.targets[service]
 }
 
 func (inj *Injector) enclaveFor(service string) *sgx.Enclave {

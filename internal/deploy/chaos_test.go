@@ -3,6 +3,7 @@ package deploy
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -300,5 +301,33 @@ func TestSequentialChaosBitIdentical(t *testing.T) {
 	}
 	if a.Registered < 30*99/100 {
 		t.Errorf("registered %d/30, want >= 99%%", a.Registered)
+	}
+}
+
+// TestNewSliceRejectsInvalidChaos: the cumulative fault draw can only
+// honour rates that are each >= 0 and sum to at most 1, so NewSlice
+// refuses any other chaos input instead of silently shrinking or
+// saturating the fault classes.
+func TestNewSliceRejectsInvalidChaos(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mix  chaos.Config
+		ok   bool
+	}{
+		{"default mix", chaos.DefaultMix(1, 0.3), true},
+		{"every request faults", chaos.Config{ErrorRate: 1}, true},
+		{"no faults", chaos.Config{}, true},
+		{"negative rate", chaos.Config{LatencyRate: -0.1, ErrorRate: 0.2}, false},
+		{"sum above one", chaos.DefaultMix(1, 1.5), false},
+		{"NaN rate", chaos.Config{DropRate: math.NaN()}, false},
+	} {
+		mix := tc.mix
+		s, err := NewSlice(context.Background(), SliceConfig{Isolation: paka.Monolithic, Seed: 1, Chaos: &mix})
+		if s != nil {
+			s.Stop()
+		}
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: NewSlice err = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

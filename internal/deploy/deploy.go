@@ -58,8 +58,9 @@ type SliceConfig struct {
 	// of the slice (nil disables injection). The injector is armed as the
 	// slice finishes deploying; use Slice.Chaos to disarm around
 	// provisioning or to read injection counts. A chaos slice runs the
-	// default SBI deadline/retry/circuit-breaker policy (injected faults
-	// would otherwise turn every hit into a hard failure).
+	// SBI deadline/retry/circuit-breaker policy (injected faults would
+	// otherwise turn every hit into a hard failure). NewSlice rejects a
+	// negative rate or rates summing above 1.
 	Chaos *chaos.Config
 	// AVPoolDepth enables the UDM's authentication-vector precomputation
 	// pool (vectors banked per SUPI, minted AVPoolDepth per batch
@@ -180,7 +181,11 @@ type Slice struct {
 	// snapshot).
 	Router *topology.Router
 
-	resil *sbi.ResilienceConfig
+	// resilience wraps every SBI client of the slice in the resilience
+	// layer: a chaos slice needs retries (injected faults would otherwise
+	// turn every hit into a hard failure), and a throttling profile lives
+	// in that layer too.
+	resilience bool
 
 	// provisioning is the operator's one UDR client, shared by every
 	// ProvisionSubscriber call: its first request opens the mutual-TLS
@@ -251,6 +256,11 @@ type CoreShard struct {
 // home-network key, and the shared NRF and UDR — in exactly this order,
 // which fixes the jitter draws every same-seed golden depends on.
 func newSliceBase(cfg SliceConfig) (*Slice, error) {
+	if cfg.Chaos != nil {
+		if err := cfg.Chaos.Validate(); err != nil {
+			return nil, fmt.Errorf("deploy: %w", err)
+		}
+	}
 	if cfg.MCC == "" {
 		cfg.MCC = "001"
 	}
@@ -283,11 +293,7 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 		// runs fault-free; armChaos arms the injector once the slice is up.
 		s.Chaos.SetArmed(false)
 	}
-	// Client-side throttling lives in the resilience layer too.
-	if cfg.Chaos != nil || (cfg.Overload != nil && cfg.Overload.Throttle) {
-		r := sbi.DefaultResilienceConfig()
-		s.resil = &r
-	}
+	s.resilience = cfg.Chaos != nil || throttles(cfg)
 
 	var err error
 	if s.HomeNetworkKey, err = suci.GenerateHomeNetworkKey(rand.Reader, 1); err != nil {
@@ -540,15 +546,14 @@ func (s *Slice) buildInvoker(from string) sbi.Invoker {
 	if s.Chaos != nil {
 		inv = s.Chaos.Wrap(inv)
 	}
-	if s.resil != nil {
-		cfg := *s.resil
-		if p := s.Config.Overload; p != nil && p.Throttle {
+	if s.resilience {
+		var peers sbi.OCISource
+		if throttles(s.Config) {
 			// The base client records each peer's freshest OCI advert; the
 			// resilience layer reads it back to throttle proportionally.
-			cfg.Peers = client
-			cfg.Throttle = true
+			peers = client
 		}
-		r := sbi.NewResilient(inv, s.Env, cfg)
+		r := sbi.NewResilient(inv, s.Env, peers)
 		s.resilMu.Lock()
 		s.resilients = append(s.resilients, r)
 		s.resilMu.Unlock()
@@ -557,14 +562,19 @@ func (s *Slice) buildInvoker(from string) sbi.Invoker {
 	return inv
 }
 
-// moduleConfig is the one paka.Config the slice deploys a module of kind
-// with. suffix names a replica's SBI service ("" keeps the kind's own
-// name); every replica runs the same operator-signed image.
-func (s *Slice) moduleConfig(kind paka.ModuleKind, suffix string, signKey ed25519.PrivateKey) paka.Config {
+// throttles reports whether cfg's overload profile makes SBI clients
+// defer work proportionally to peer-advertised load.
+func throttles(cfg SliceConfig) bool {
+	return cfg.Overload != nil && cfg.Overload.Throttle
+}
+
+// moduleConfig is the one paka.Config the slice deploys replica r's module
+// of kind with; every replica runs the same operator-signed image.
+func (s *Slice) moduleConfig(kind paka.ModuleKind, r int, signKey ed25519.PrivateKey) paka.Config {
 	cfg := s.Config
 	return paka.Config{
 		Kind:      kind,
-		Service:   kind.ServiceName() + suffix,
+		Replica:   r,
 		Isolation: cfg.Isolation,
 		Env:       s.Env,
 		Platform:  s.Platform,

@@ -5,8 +5,9 @@
 // signaling storm saturates.
 //
 // Shard r's AMF calls shard r's AUSF calls shard r's UDM calls shard r's
-// eUDM, each by its shard's service name. The AUSF and AMF resolve that
-// name through the NRF once, at construction, which applies the
+// eUDM, each by its shard's service name: every NF takes its replica index
+// and derives its own name and its peer's from sbi.ReplicaName. The AUSF
+// and AMF resolve that name through the NRF once, at construction, which applies the
 // trust-domain filter to the binding; afterwards the NRF (via the
 // topo.Builder) only ever influences WHICH shard a SUPI routes to, never
 // how a shard reaches its own members — so a dead NRF cannot take
@@ -22,29 +23,21 @@ import (
 	"shield5g/internal/nf/ausf"
 	"shield5g/internal/nf/udm"
 	"shield5g/internal/paka"
+	"shield5g/internal/sbi"
 )
-
-// shardSuffix names shard r's services: shard 0 keeps the base names
-// ("udm", "ausf", "eudm-paka", ...); replicas r >= 1 append "-r<N>".
-func shardSuffix(r int) string {
-	if r == 0 {
-		return ""
-	}
-	return fmt.Sprintf("-r%d", r)
-}
 
 // buildShard constructs vertical replica r: its P-AKA module set (or
 // monolithic environments), then its UDM, AUSF and AMF, each bound to the
-// shard's own peer by service name.
+// shard's own peer.
 func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKey) (*CoreShard, error) {
-	cfg, suffix := s.Config, shardSuffix(r)
+	cfg := s.Config
 	hmee := cfg.Isolation == paka.SGX || cfg.Isolation == paka.SEV
-	amfService := amf.ServiceName + suffix
+	amfService := sbi.ReplicaName(amf.ServiceName, r)
 	shard := &CoreShard{
 		Index:       r,
 		Name:        fmt.Sprintf("shard-%d", r),
-		UDMService:  udm.ServiceName + suffix,
-		AUSFService: ausf.ServiceName + suffix,
+		UDMService:  sbi.ReplicaName(udm.ServiceName, r),
+		AUSFService: sbi.ReplicaName(ausf.ServiceName, r),
 	}
 
 	var udmFns paka.UDMFunctions
@@ -58,7 +51,7 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 	} else {
 		shard.Modules = make(map[paka.ModuleKind]*paka.Module)
 		for _, kind := range paka.Kinds() {
-			m, err := paka.New(ctx, s.moduleConfig(kind, suffix, signKey))
+			m, err := paka.New(ctx, s.moduleConfig(kind, r, signKey))
 			if err != nil {
 				return nil, fmt.Errorf("deploy: %s module (shard %d): %w", kind, r, err)
 			}
@@ -75,17 +68,14 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(shard.UDMService),
 		Functions: udmFns, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee,
 		Reprovision: reprovisionHook(shard.Modules[paka.EUDM]),
-		AVPoolDepth: cfg.AVPoolDepth,
-		ServiceName: shard.UDMService, InstanceID: shard.UDMService + "-1",
+		AVPoolDepth: cfg.AVPoolDepth, Replica: r,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: UDM (shard %d): %w", r, err)
 	}
 
 	if shard.AUSF, err = ausf.New(ctx, ausf.Config{
 		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(shard.AUSFService),
-		Functions: ausfFns, HMEE: hmee,
-		ServiceName: shard.AUSFService, InstanceID: shard.AUSFService + "-1",
-		UDMService: shard.UDMService,
+		Functions: ausfFns, HMEE: hmee, Replica: r,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: AUSF (shard %d): %w", r, err)
 	}
@@ -97,10 +87,7 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 	if shard.AMF, err = amf.New(ctx, amf.Config{
 		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(amfService),
 		Functions: amfFns, MCC: cfg.MCC, MNC: cfg.MNC, HMEE: hmee,
-		Admission:   shard.Admission,
-		InstanceID:  amfService + "-1",
-		AUSFService: shard.AUSFService,
-		Replica:     r,
+		Admission: shard.Admission, Replica: r,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: AMF (shard %d): %w", r, err)
 	}

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"unsafe"
 
+	"shield5g/internal/chaos"
 	"shield5g/internal/gnb"
 	"shield5g/internal/nf/nrf"
 	"shield5g/internal/paka"
+	"shield5g/internal/sbi"
 	"shield5g/internal/ue"
 )
 
@@ -343,7 +345,7 @@ func TestShardClientsSpeakAsTheirShard(t *testing.T) {
 		}
 		seen[owner] = true
 		_, err := s.GNB.RegisterUE(ctx, device)
-		want := fmt.Sprintf("amf%s cannot reach eamf-paka%s", shardSuffix(owner), shardSuffix(owner))
+		want := [...]string{"amf cannot reach eamf-paka", "amf-r1 cannot reach eamf-paka-r1"}[owner]
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("shard %d with its eAMF down: err = %v, want %q", owner, err, want)
 		}
@@ -385,6 +387,61 @@ func TestReplicaKeyStoresShareTheSUPIString(t *testing.T) {
 			case unsafe.StringData(key) != data:
 				t.Errorf("shard %d keys %s by a string of its own", shard.Index, supi)
 			}
+		}
+	}
+}
+
+// TestReplicaNamesAreStable pins every name a two-shard slice derives from
+// its replica indices: the SBI services, the module services, and the NRF
+// instance each VNF announces. They are wire content (NRF bodies carry
+// them), so they must stay byte for byte what they are.
+func TestReplicaNamesAreStable(t *testing.T) {
+	s := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 5, Replicas: 2})
+	ctx := context.Background()
+	nrfc := nrf.NewClient(sbi.NewClient("test", s.Env, s.Registry))
+	wantModules := [][3]string{
+		{"eudm-paka", "eausf-paka", "eamf-paka"},
+		{"eudm-paka-r1", "eausf-paka-r1", "eamf-paka-r1"},
+	}
+	wantVNFs := [][2]string{{"udm", "ausf"}, {"udm-r1", "ausf-r1"}}
+	for r, shard := range s.Shards {
+		if got := [2]string{shard.UDMService, shard.AUSFService}; got != wantVNFs[r] {
+			t.Errorf("shard %d services = %v, want %v", r, got, wantVNFs[r])
+		}
+		for i, kind := range paka.Kinds() {
+			if got := shard.Modules[kind].ServiceName(); got != wantModules[r][i] {
+				t.Errorf("shard %d %s service = %q, want %q", r, kind, got, wantModules[r][i])
+			}
+		}
+	}
+	for _, tc := range []struct {
+		nfType, service, instance string
+	}{
+		{"UDM", "udm", "udm-1"}, {"UDM", "udm-r1", "udm-r1-1"},
+		{"AUSF", "ausf", "ausf-1"}, {"AUSF", "ausf-r1", "ausf-r1-1"},
+		{"AMF", "amf", "amf-1"},
+	} {
+		p, err := nrfc.Discover(ctx, tc.nfType, tc.service, false)
+		if err != nil || p.InstanceID != tc.instance {
+			t.Errorf("Discover(%s, %s) = %q, %v; want instance %q", tc.nfType, tc.service, p.InstanceID, err, tc.instance)
+		}
+	}
+}
+
+// TestCrashOnReplicaServiceRestartsThatShard: the injector knows each
+// module by its derived service name, so a crash drawn on "eudm-paka-r1"
+// restarts shard 1's eUDM and leaves shard 0's alone.
+func TestCrashOnReplicaServiceRestartsThatShard(t *testing.T) {
+	mix := chaos.Config{Seed: 7, CrashRate: 1}
+	s := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 5, Replicas: 2, Chaos: &mix})
+	inv := s.Chaos.Wrap(sbi.NewClient("test", s.Env, s.Registry))
+	err := inv.Post(context.Background(), "eudm-paka-r1", paka.PathUDMGenerateAV, &paka.UDMGenerateAVRequest{}, nil)
+	if !sbi.HasCause(err, sbi.CauseUnreachable) {
+		t.Fatalf("crash draw on eudm-paka-r1: err = %v, want 503 %s", err, sbi.CauseUnreachable)
+	}
+	for r, want := range []uint64{0, 1} {
+		if got := s.Shards[r].Modules[paka.EUDM].Restarts(); got != want {
+			t.Errorf("shard %d eUDM Restarts = %d, want %d", r, got, want)
 		}
 	}
 }

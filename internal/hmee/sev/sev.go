@@ -47,6 +47,8 @@ const (
 	// joins the TCB beyond the application image.
 	guestKernelBytes = 360_000_000
 	guestSystemBytes = 740_000_000
+	// initialRAMBytes is the guest memory measured at launch.
+	initialRAMBytes = 1 << 30
 )
 
 // Config describes one confidential VM.
@@ -56,9 +58,6 @@ type Config struct {
 	// AppImageBytes is the application container image shipped into the
 	// guest.
 	AppImageBytes uint64
-	// InitialRAMBytes is the memory measured at launch (zero selects
-	// 1 GiB).
-	InitialRAMBytes uint64
 }
 
 // Machine is one running confidential VM: the guest process it hosts plus
@@ -83,9 +82,6 @@ func Launch(ctx context.Context, env *costmodel.Env, cfg Config) (*Machine, erro
 	if cfg.Name == "" {
 		return nil, errors.New("sev: machine name required")
 	}
-	if cfg.InitialRAMBytes == 0 {
-		cfg.InitialRAMBytes = 1 << 30
-	}
 	pub, priv, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		return nil, fmt.Errorf("sev: generate PSP signing key: %w", err)
@@ -93,11 +89,11 @@ func Launch(ctx context.Context, env *costmodel.Env, cfg Config) (*Machine, erro
 	m := &Machine{Process: hmee.NewProcess(env, Prices()), cfg: cfg, signPriv: priv, signPub: pub}
 
 	h := sha256.New()
-	fmt.Fprintf(h, "sev-snp:%s:ram=%d:app=%d", cfg.Name, cfg.InitialRAMBytes, cfg.AppImageBytes)
+	fmt.Fprintf(h, "sev-snp:%s:ram=%d:app=%d", cfg.Name, initialRAMBytes, cfg.AppImageBytes)
 	copy(m.measurement[:], h.Sum(nil))
 	copy(m.sealKey[:], h.Sum([]byte("seal")))
 
-	cost := simclock.Cycles(cfg.InitialRAMBytes)*launchDigestPerByte + guestBootCycles
+	cost := simclock.Cycles(initialRAMBytes*launchDigestPerByte + guestBootCycles)
 	cost = env.Jitter.Scale(cost, 0.02)
 	m.load = env.Model.Duration(cost)
 	env.Charge(ctx, cost)

@@ -52,8 +52,6 @@ type Platform struct {
 
 // PlatformConfig configures a simulated host.
 type PlatformConfig struct {
-	// Model supplies cycle costs; nil selects costmodel.Default().
-	Model *costmodel.Model
 	// EPCCapacityBytes is the physical Enclave Page Cache size. The
 	// paper's server has 16 GiB combined EPC. Zero selects 16 GiB.
 	EPCCapacityBytes uint64
@@ -81,7 +79,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		return nil, fmt.Errorf("sgx: generate quoting key: %w", err)
 	}
 	p := &Platform{
-		env:         costmodel.NewEnv(cfg.Model, cfg.Seed),
+		env:         costmodel.NewEnv(nil, cfg.Seed),
 		epcCapacity: cfg.EPCCapacityBytes,
 		qePriv:      priv,
 		qePub:       pub,

@@ -110,14 +110,10 @@ type Config struct {
 	// the AUSF/P-AKA call. The decision is local — admission never enters
 	// the enclave.
 	Admission *admission.Controller
-	// InstanceID overrides the NRF instance identity (default "amf-1") so
-	// every replica of a sharded deployment announces itself distinctly.
-	InstanceID string
-	// AUSFService names the AUSF replica this AMF binds to (default
-	// "ausf"): its own shard's, resolved through the NRF once at
-	// construction and static afterwards.
-	AUSFService string
-	// Replica is this instance's index within its AMF set. It becomes the
+	// Replica is this instance's index within its AMF set. It names the
+	// NRF instance (sbi.ReplicaName: "amf-1", "amf-r1-1", ...) and the
+	// AUSF this AMF binds to — the same replica's, resolved through the
+	// NRF once at construction and static afterwards — and it becomes the
 	// AMF Pointer of every GUTI the instance mints (1+Replica modulo the
 	// 6-bit field, so replica 0 mints pointer 1): TMSIs are
 	// only unique per instance, and the pointer is what lets a replica
@@ -161,14 +157,10 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 	if cfg.MCC == "" || cfg.MNC == "" {
 		return nil, fmt.Errorf("amf: serving PLMN (MCC/MNC) is required")
 	}
-	// The AUSF is resolved through the NRF even when it is named, so the
-	// trust-domain filter applies to every replica's binding and a peer
-	// the repository does not list fails here.
-	ausfService := cfg.AUSFService
-	if ausfService == "" {
-		ausfService = ausf.ServiceName
-	}
-	ausfClient, err := ausf.DiscoverClient(ctx, cfg.Invoker, ausfService, cfg.HMEE)
+	// The AUSF is resolved through the NRF even though its name is known,
+	// so the trust-domain filter applies to every replica's binding and a
+	// peer the repository does not list fails here.
+	ausfClient, err := ausf.DiscoverClient(ctx, cfg.Invoker, sbi.ReplicaName(ausf.ServiceName, cfg.Replica), cfg.HMEE)
 	if err != nil {
 		return nil, err
 	}
@@ -190,12 +182,8 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 		ues:   shard.NewUint64[*ueContext](),
 		guti:  shard.NewUint32[string](),
 	}
-	instance := cfg.InstanceID
-	if instance == "" {
-		instance = "amf-1"
-	}
 	if err := a.nrfc.Register(ctx, nrf.NFProfile{
-		InstanceID: instance, NFType: NFType, Service: ServiceName, HMEE: cfg.HMEE,
+		InstanceID: sbi.ReplicaName(ServiceName, cfg.Replica) + "-1", NFType: NFType, Service: ServiceName, HMEE: cfg.HMEE,
 	}); err != nil {
 		return nil, fmt.Errorf("amf: NRF registration: %w", err)
 	}

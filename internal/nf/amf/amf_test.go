@@ -179,36 +179,43 @@ func TestAMFConfigValidation(t *testing.T) {
 	}
 }
 
-// TestHMEEAMFRequiresHMEEAUSF: the AUSF an AMF binds to is resolved through
-// the NRF whether it is the default service or a named replica, so an HMEE
-// AMF refuses a lower-trust AUSF and any AMF refuses one the repository
-// does not list — at construction, not at the first registration.
+// TestHMEEAMFRequiresHMEEAUSF: the AUSF an AMF binds to — its own
+// replica's — is resolved through the NRF on replica 0 and on every other,
+// so an HMEE AMF refuses a lower-trust AUSF and any AMF refuses one the
+// repository does not list — at construction, not at the first
+// registration.
 func TestHMEEAMFRequiresHMEEAUSF(t *testing.T) {
-	h := newHarness(t) // a non-HMEE "ausf", and the SMF every AMF discovers
+	h := newHarness(t) // a non-HMEE replica-0 chain, and the SMF every AMF discovers
 	ctx := context.Background()
 	env, reg := h.env, h.reg
-	if _, err := ausf.New(ctx, ausf.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf-r1", env, reg),
-		Functions:   paka.NewMonolithicKDF(env),
-		ServiceName: "ausf-r1", InstanceID: "ausf-r1-1",
+	// A non-HMEE replica-1 AUSF, bound to its own replica's UDM.
+	if _, err := udm.New(ctx, udm.Config{
+		Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
+		Functions: paka.NewMonolithicUDM(env), HomeNetworkKey: h.hnKey, Replica: 1,
 	}); err != nil {
-		t.Fatalf("ausf.New(ausf-r1): %v", err)
+		t.Fatalf("udm.New(replica 1): %v", err)
+	}
+	if _, err := ausf.New(ctx, ausf.Config{
+		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
+		Functions: paka.NewMonolithicKDF(env), Replica: 1,
+	}); err != nil {
+		t.Fatalf("ausf.New(replica 1): %v", err)
 	}
 	for _, tc := range []struct {
-		name        string
-		hmee        bool
-		ausfService string
-		wantErr     bool
+		name    string
+		hmee    bool
+		replica int
+		wantErr bool
 	}{
-		{"HMEE AMF, default lower-trust AUSF", true, "", true},
-		{"HMEE AMF bound to a lower-trust replica", true, "ausf-r1", true},
-		{"AMF bound to a replica the NRF does not list", false, "ausf-r9", true},
-		{"AMF bound to a listed replica of its own trust domain", false, "ausf-r1", false},
+		{"HMEE AMF on replica 0, lower-trust AUSF", true, 0, true},
+		{"HMEE AMF on replica 1, lower-trust AUSF", true, 1, true},
+		{"AMF on a replica whose AUSF the NRF does not list", false, 9, true},
+		{"AMF on a listed replica of its own trust domain", false, 1, false},
 	} {
 		_, err := amf.New(ctx, amf.Config{
-			Env: env, Registry: reg, Invoker: sbi.NewClient("amf-t", env, reg),
+			Env: env, Registry: reg, Invoker: sbi.NewClient("amf", env, reg),
 			Functions: paka.NewMonolithicKDF(env), MCC: "001", MNC: "01",
-			HMEE: tc.hmee, InstanceID: "amf-t-1", AUSFService: tc.ausfService,
+			HMEE: tc.hmee, Replica: tc.replica,
 		})
 		switch {
 		case tc.wantErr && !sbi.HasCause(err, "TARGET_NF_NOT_FOUND"):

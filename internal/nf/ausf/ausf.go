@@ -103,15 +103,11 @@ type Config struct {
 	Functions paka.AUSFFunctions
 	// HMEE marks the instance's trust domain for NRF discovery.
 	HMEE bool
-	// ServiceName overrides the SBI service name (default "ausf") so a
-	// sharded deployment can run several AUSF replicas side by side.
-	ServiceName string
-	// InstanceID overrides the NRF instance identity (default "ausf-1").
-	InstanceID string
-	// UDMService names the UDM replica this AUSF binds to (default "udm"):
-	// its own shard's, resolved through the NRF once at construction and
-	// static afterwards.
-	UDMService string
+	// Replica is this instance's index in a sharded deployment. It names
+	// the SBI service and NRF instance (sbi.ReplicaName) and the UDM this
+	// AUSF binds to: the same replica's, resolved through the NRF once at
+	// construction and static afterwards.
+	Replica int
 }
 
 // AUSF is the authentication server VNF.
@@ -140,28 +136,17 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 	if cfg.Functions == nil {
 		return nil, fmt.Errorf("ausf: Functions (AKA execution environment) is required")
 	}
-	// The UDM is resolved through the NRF even when it is named: for an
-	// HMEE-enabled AUSF the home network function must also live in the
+	// The UDM is resolved through the NRF even though its name is known: for
+	// an HMEE-enabled AUSF the home network function must also live in the
 	// higher trust domain (the 3GPP trust-domain placement of the paper's
 	// discussion), and a peer the repository does not list fails here, not
 	// at the first registration. Only construction asks the NRF; the
 	// request path uses the resolved binding.
-	udmService := cfg.UDMService
-	if udmService == "" {
-		udmService = udm.ServiceName
-	}
-	udmClient, err := udm.DiscoverClient(ctx, cfg.Invoker, udmService, cfg.HMEE)
+	udmClient, err := udm.DiscoverClient(ctx, cfg.Invoker, sbi.ReplicaName(udm.ServiceName, cfg.Replica), cfg.HMEE)
 	if err != nil {
 		return nil, err
 	}
-	service := cfg.ServiceName
-	if service == "" {
-		service = ServiceName
-	}
-	instance := cfg.InstanceID
-	if instance == "" {
-		instance = "ausf-1"
-	}
+	service := sbi.ReplicaName(ServiceName, cfg.Replica)
 	a := &AUSF{
 		env:      cfg.Env,
 		server:   sbi.NewServer(service, cfg.Env),
@@ -177,7 +162,7 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 		return nil, err
 	}
 	if err := a.nrfc.Register(ctx, nrf.NFProfile{
-		InstanceID: instance, NFType: NFType, Service: service, HMEE: cfg.HMEE,
+		InstanceID: service + "-1", NFType: NFType, Service: service, HMEE: cfg.HMEE,
 	}); err != nil {
 		return nil, fmt.Errorf("ausf: NRF registration: %w", err)
 	}

@@ -6,7 +6,6 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
-	"fmt"
 	"testing"
 
 	"shield5g/internal/costmodel"
@@ -252,10 +251,11 @@ func TestNewFailsWithoutUDMRegistered(t *testing.T) {
 	}
 }
 
-// TestHMEEAUSFRequiresHMEEUDM: the UDM an AUSF binds to is resolved through
-// the NRF whether it is the default service or a named replica, so an HMEE
-// AUSF refuses a lower-trust UDM and any AUSF refuses one the repository
-// does not list — at construction, not at the first registration.
+// TestHMEEAUSFRequiresHMEEUDM: the UDM an AUSF binds to — its own
+// replica's — is resolved through the NRF on replica 0 and on every other,
+// so an HMEE AUSF refuses a lower-trust UDM and any AUSF refuses one the
+// repository does not list — at construction, not at the first
+// registration.
 func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
 	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
@@ -269,32 +269,33 @@ func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateHomeNetworkKey: %v", err)
 	}
-	// Two non-HMEE UDMs are registered: the default one and a replica.
-	for _, service := range []string{"", "udm-r1"} {
+	// Two non-HMEE UDMs are registered: replicas 0 and 1.
+	for r := range 2 {
 		if _, err := udm.New(context.Background(), udm.Config{
 			Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
 			Functions: paka.NewMonolithicUDM(env), HomeNetworkKey: hnKey, HMEE: false,
-			ServiceName: service, InstanceID: service + "-1",
+			Replica: r,
 		}); err != nil {
-			t.Fatalf("udm.New(%q): %v", service, err)
+			t.Fatalf("udm.New(replica %d): %v", r, err)
 		}
 	}
-	for i, tc := range []struct {
-		name       string
-		hmee       bool
-		udmService string
-		wantErr    bool
+	// Only the last case constructs an AUSF, so the replica-1 server it
+	// registers collides with no earlier one.
+	for _, tc := range []struct {
+		name    string
+		hmee    bool
+		replica int
+		wantErr bool
 	}{
-		{"HMEE AUSF, default lower-trust UDM", true, "", true},
-		{"HMEE AUSF bound to a lower-trust replica", true, "udm-r1", true},
-		{"AUSF bound to a replica the NRF does not list", false, "udm-r9", true},
-		{"AUSF bound to a listed replica of its own trust domain", false, "udm-r1", false},
+		{"HMEE AUSF on replica 0, lower-trust UDM", true, 0, true},
+		{"HMEE AUSF on replica 1, lower-trust UDM", true, 1, true},
+		{"AUSF on a replica whose UDM the NRF does not list", false, 9, true},
+		{"AUSF on a listed replica of its own trust domain", false, 1, false},
 	} {
-		service := fmt.Sprintf("ausf-t%d", i)
 		_, err := New(context.Background(), Config{
-			Env: env, Registry: reg, Invoker: sbi.NewClient(service, env, reg),
+			Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
 			Functions: paka.NewMonolithicKDF(env), HMEE: tc.hmee,
-			ServiceName: service, InstanceID: service + "-1", UDMService: tc.udmService,
+			Replica: tc.replica,
 		})
 		switch {
 		case tc.wantErr && !sbi.HasCause(err, "TARGET_NF_NOT_FOUND"):

@@ -93,12 +93,11 @@ type Config struct {
 	// (the seed-identical path). PrewarmAVPool fills rings ahead of first
 	// contact.
 	AVPoolDepth int
-	// ServiceName overrides the SBI service name (default "udm") so a
-	// sharded deployment can run several UDM replicas side by side, each
-	// with its own server, AV pool, and overload meter.
-	ServiceName string
-	// InstanceID overrides the NRF instance identity (default "udm-1").
-	InstanceID string
+	// Replica is this instance's index in a sharded deployment. It names
+	// the SBI service (sbi.ReplicaName: "udm", "udm-r1", ...) and the NRF
+	// instance ("udm-1", "udm-r1-1", ...), so replicas run side by side,
+	// each with its own server, AV pool, and overload meter.
+	Replica int
 }
 
 // UDM is the data-management VNF.
@@ -131,14 +130,7 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 	if entropy == nil {
 		entropy = rand.Reader
 	}
-	service := cfg.ServiceName
-	if service == "" {
-		service = ServiceName
-	}
-	instance := cfg.InstanceID
-	if instance == "" {
-		instance = "udm-1"
-	}
+	service := sbi.ReplicaName(ServiceName, cfg.Replica)
 	u := &UDM{
 		env:         cfg.Env,
 		server:      sbi.NewServer(service, cfg.Env),
@@ -158,7 +150,7 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 		return nil, err
 	}
 	if err := u.nrfc.Register(ctx, nrf.NFProfile{
-		InstanceID: instance, NFType: NFType, Service: service, HMEE: cfg.HMEE,
+		InstanceID: service + "-1", NFType: NFType, Service: service, HMEE: cfg.HMEE,
 	}); err != nil {
 		return nil, fmt.Errorf("udm: NRF registration: %w", err)
 	}

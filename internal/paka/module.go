@@ -63,21 +63,13 @@ type Config struct {
 	ReserveBatchTCS bool
 	// SignKey signs the GSC image; New generates one when nil.
 	SignKey ed25519.PrivateKey
-	// Service overrides the module's SBI service name (default
-	// Kind.ServiceName()). Replicated deployments give every replica of a
-	// kind its own name ("eudm", "eudm-r1", ...) so each registers its own
-	// server, carries its own overload meter, and is addressed by its own
-	// shard's VNFs. The manifest/image identity stays kind-based: replicas
-	// run the same operator-signed image.
-	Service string
-}
-
-// serviceName resolves the module's SBI service name from its config.
-func (c *Config) serviceName() string {
-	if c.Service != "" {
-		return c.Service
-	}
-	return c.Kind.ServiceName()
+	// Replica is the module's index in a sharded deployment. It names the
+	// SBI service (sbi.ReplicaName: "eudm-paka", "eudm-paka-r1", ...), so
+	// every replica of a kind registers its own server, carries its own
+	// overload meter, and is addressed by its own shard's VNFs. The
+	// manifest/image identity stays kind-based: replicas run the same
+	// operator-signed image.
+	Replica int
 }
 
 // Module is one deployed P-AKA microservice.
@@ -163,7 +155,7 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 	// The module's own sbi.Server carries no env: all server-side costs
 	// are modelled by the runtime's request path, which would otherwise
 	// be double-charged.
-	m.server = sbi.NewServer(cfg.serviceName(), nil)
+	m.server = sbi.NewServer(sbi.ReplicaName(cfg.Kind.ServiceName(), cfg.Replica), nil)
 	m.registerEndpoints()
 	if err := cfg.Registry.Register(m.server); err != nil {
 		m.runtime.Shutdown()
@@ -518,9 +510,9 @@ func (m *Module) Isolation() Isolation { return m.isolation }
 // Profile returns the module's calibrated profile.
 func (m *Module) Profile() Profile { return m.profile }
 
-// ServiceName is the module's SBI service name (the replica-specific
-// override when one was configured).
-func (m *Module) ServiceName() string { return m.cfg.serviceName() }
+// ServiceName is the module's SBI service name (its replica's, see
+// Config.Replica).
+func (m *Module) ServiceName() string { return m.server.Name() }
 
 // LoadDuration is the modelled deployment time (Fig. 7 when SGX).
 func (m *Module) LoadDuration() time.Duration { return m.rt().LoadDuration() }

@@ -175,7 +175,7 @@ func TestCrossingAllocParity(t *testing.T) {
 	}
 
 	guest, err := New(context.Background(), Config{Kind: EAUSF, Isolation: Container,
-		Env: h.env, Registry: h.registry, Service: "eausf-guest"})
+		Env: h.env, Registry: h.registry, Replica: 1})
 	if err != nil {
 		t.Fatalf("New(container): %v", err)
 	}

@@ -194,12 +194,7 @@ func TestThrottleDefersProportionallyAndExemptsEmergency(t *testing.T) {
 		calls++
 		return nil
 	})
-	r := NewResilient(inner, env, ResilienceConfig{
-		Retry:          RetryPolicy{MaxAttempts: 4, InitialBackoff: time.Millisecond},
-		DisableBreaker: true,
-		Peers:          fixedOCI{OCI{Load: 95, Reduction: 90, RetryAfter: 50 * time.Millisecond}},
-		Throttle:       true,
-	})
+	r := NewResilient(inner, env, fixedOCI{OCI{Load: 95, Reduction: 90, RetryAfter: 50 * time.Millisecond}})
 
 	const n = 40
 	for i := 0; i < n; i++ {
@@ -241,26 +236,26 @@ func TestEmergencyBypassesBreaker(t *testing.T) {
 		}
 		return Problem(503, "Service Unavailable", CauseUnreachable, "down")
 	})
-	r := NewResilient(inner, env, ResilienceConfig{
-		Retry:   RetryPolicy{MaxAttempts: 1, InitialBackoff: time.Millisecond},
-		Breaker: BreakerConfig{FailureThreshold: 2, OpenTimeout: time.Hour, HalfOpenProbes: 1},
-	})
+	r := NewResilient(inner, env, nil)
 
-	// Non-emergency failures open the circuit...
-	for i := 0; i < 4; i++ {
+	// Non-emergency failures open the circuit: two requests of four
+	// failed attempts each reach the threshold of eight...
+	for i := 0; i < 2; i++ {
 		_ = r.Post(context.Background(), "udm", "/x", nil, nil)
 	}
-	if st := r.BreakerFor("udm").Stats(); st.State != BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", st.State)
+	br := r.BreakerFor("udm")
+	before := br.Stats()
+	if before.State != BreakerOpen {
+		t.Fatalf("breaker state = %v, want open", before.State)
 	}
-	err := r.Post(context.Background(), "udm", "/x", nil, nil)
-	if !HasCause(err, CauseCircuitOpen) {
-		t.Fatalf("non-emergency error = %v, want CIRCUIT_OPEN", err)
-	}
-	// ...but emergency traffic goes straight through the open circuit.
+	// ...but emergency traffic goes straight through the open circuit,
+	// without spending a probe or counting a rejection.
 	ectx := WithPriority(context.Background(), PriorityEmergency)
 	if err := r.Post(ectx, "udm", "/x", nil, nil); err != nil {
 		t.Fatalf("emergency Post through open circuit: %v", err)
+	}
+	if after := br.Stats(); after != before {
+		t.Fatalf("emergency request touched the breaker: %+v -> %+v", before, after)
 	}
 }
 

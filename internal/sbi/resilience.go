@@ -40,54 +40,31 @@ func Retryable(err error) bool {
 	}
 }
 
-// RetryPolicy shapes the exponential backoff between attempts. Durations
-// are virtual time.
-type RetryPolicy struct {
-	// MaxAttempts bounds total tries, including the first (min 1).
-	MaxAttempts int
-	// InitialBackoff is the wait before the second attempt.
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential growth.
-	MaxBackoff time.Duration
-	// Multiplier grows the backoff per attempt (min 1).
-	Multiplier float64
-	// JitterFrac spreads each wait uniformly in [1-f, 1+f], drawn from
+// The one client policy every resilient invoker runs, after the TS 29.500
+// client guidance: a handful of attempts with doubling, jittered backoff, a
+// per-service breaker that trips on a burst of consecutive failures and
+// probes again after a short cooldown, and one virtual deadline across all
+// attempts of a request. Durations are virtual time.
+const (
+	maxAttempts    = 4 // total tries, the first included
+	initialBackoff = 5 * time.Millisecond
+	maxBackoff     = 500 * time.Millisecond
+	backoffFactor  = 2
+	// jitterFrac spreads each wait uniformly in [1-f, 1+f], drawn from
 	// the request's deterministic jitter stream.
-	JitterFrac float64
-}
+	jitterFrac = 0.2
 
-// DefaultRetryPolicy mirrors the 3GPP SBI client guidance: a handful of
-// attempts with doubling backoff, jittered to avoid retry synchronisation.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{
-		MaxAttempts:    4,
-		InitialBackoff: 5 * time.Millisecond,
-		MaxBackoff:     500 * time.Millisecond,
-		Multiplier:     2,
-		JitterFrac:     0.2,
-	}
-}
+	// breakerThreshold consecutive transient failures open a circuit;
+	// breakerCooldown later it admits breakerProbes concurrent probes,
+	// and that many successes close it again.
+	breakerThreshold = 8
+	breakerCooldown  = time.Second
+	breakerProbes    = 2
 
-// BreakerConfig tunes the per-service circuit breaker.
-type BreakerConfig struct {
-	// FailureThreshold consecutive transient failures open the circuit.
-	FailureThreshold int
-	// OpenTimeout is the virtual cooldown before half-open probing.
-	OpenTimeout time.Duration
-	// HalfOpenProbes is how many concurrent probes half-open admits and
-	// how many successes close the circuit again.
-	HalfOpenProbes int
-}
-
-// DefaultBreakerConfig trips after a burst of consecutive failures and
-// probes again after a short virtual cooldown.
-func DefaultBreakerConfig() BreakerConfig {
-	return BreakerConfig{
-		FailureThreshold: 8,
-		OpenTimeout:      time.Second,
-		HalfOpenProbes:   2,
-	}
-}
+	// requestDeadline is the virtual-time budget of one request across
+	// all its attempts and backoff waits.
+	requestDeadline = 10 * time.Second
+)
 
 // BreakerState is the circuit breaker state machine position.
 type BreakerState int
@@ -114,12 +91,11 @@ func (s BreakerState) String() string {
 }
 
 // Breaker is a circuit breaker on the virtual clock: closed passes all
-// requests; FailureThreshold consecutive transient failures open it; after
-// OpenTimeout of virtual time it admits HalfOpenProbes probes, which close
-// it on success or re-open it on failure.
+// requests; breakerThreshold consecutive transient failures open it; after
+// breakerCooldown of virtual time it admits breakerProbes probes, which
+// close it on success or re-open it on failure. The zero value is a
+// closed breaker.
 type Breaker struct {
-	cfg BreakerConfig
-
 	mu          sync.Mutex
 	state       BreakerState
 	consecFails int
@@ -174,21 +150,6 @@ func (s *BreakerStats) merge(o BreakerStats) {
 	s.Rejected += o.Rejected
 }
 
-// NewBreaker builds a closed breaker; zero config fields take defaults.
-func NewBreaker(cfg BreakerConfig) *Breaker {
-	def := DefaultBreakerConfig()
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = def.FailureThreshold
-	}
-	if cfg.OpenTimeout <= 0 {
-		cfg.OpenTimeout = def.OpenTimeout
-	}
-	if cfg.HalfOpenProbes <= 0 {
-		cfg.HalfOpenProbes = def.HalfOpenProbes
-	}
-	return &Breaker{cfg: cfg}
-}
-
 // State reports the current state (open lazily transitions to half-open
 // only on the next Allow, matching the virtual-clock design).
 func (b *Breaker) State() BreakerState {
@@ -205,9 +166,9 @@ func (b *Breaker) Allow(now time.Duration) (ok bool, retryAfter time.Duration) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == BreakerOpen {
-		if now-b.openedAt < b.cfg.OpenTimeout {
+		if now-b.openedAt < breakerCooldown {
 			b.rejected++
-			return false, b.cfg.OpenTimeout - (now - b.openedAt)
+			return false, breakerCooldown - (now - b.openedAt)
 		}
 		b.state = BreakerHalfOpen
 		b.halfOpens++
@@ -215,7 +176,7 @@ func (b *Breaker) Allow(now time.Duration) (ok bool, retryAfter time.Duration) {
 		b.successes = 0
 	}
 	if b.state == BreakerHalfOpen {
-		if b.inFlight >= b.cfg.HalfOpenProbes {
+		if b.inFlight >= breakerProbes {
 			b.rejected++
 			return false, 0
 		}
@@ -235,7 +196,7 @@ func (b *Breaker) OnSuccess() {
 	case BreakerHalfOpen:
 		b.inFlight--
 		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
+		if b.successes >= breakerProbes {
 			b.state = BreakerClosed
 			b.closes++
 			b.consecFails = 0
@@ -251,7 +212,7 @@ func (b *Breaker) OnFailure(now time.Duration) {
 	switch b.state {
 	case BreakerClosed:
 		b.consecFails++
-		if b.consecFails >= b.cfg.FailureThreshold {
+		if b.consecFails >= breakerThreshold {
 			b.state = BreakerOpen
 			b.opens++
 			b.openedAt = now
@@ -263,43 +224,13 @@ func (b *Breaker) OnFailure(now time.Duration) {
 	}
 }
 
-// ResilienceConfig configures the resilient invoker wrapper.
-type ResilienceConfig struct {
-	Retry   RetryPolicy
-	Breaker BreakerConfig
-	// Deadline is the per-request virtual-time budget across all
-	// attempts, measured on the request's Account. Zero disables it.
-	Deadline time.Duration
-	// DisableBreaker bypasses the circuit breaker (retries still apply).
-	DisableBreaker bool
-	// Peers supplies the freshest per-peer overload adverts (normally the
-	// base *Client); with Throttle set, non-emergency attempts are
-	// deferred with probability Reduction/100 — the deterministic draw
-	// comes from the request's jitter stream, the deferral is charged to
-	// virtual time through the normal backoff path, and the peer's
-	// Retry-After floor applies. Emergency-class requests bypass
-	// throttling entirely.
-	Peers    OCISource
-	Throttle bool
-}
-
-// DefaultResilienceConfig is the slice-wide default used by deploy when
-// resilience is enabled.
-func DefaultResilienceConfig() ResilienceConfig {
-	return ResilienceConfig{
-		Retry:    DefaultRetryPolicy(),
-		Breaker:  DefaultBreakerConfig(),
-		Deadline: 10 * time.Second,
-	}
-}
-
 // ResilientClient wraps an Invoker with deadlines, retries and per-service
 // circuit breakers. It is safe for concurrent use; breakers are shared
 // across all requests of the wrapping client.
 type ResilientClient struct {
 	inner Invoker
 	env   *costmodel.Env
-	cfg   ResilienceConfig
+	peers OCISource
 
 	mu       sync.Mutex
 	breakers map[string]*Breaker
@@ -332,7 +263,7 @@ type ResilienceStats struct {
 	Breaker BreakerStats
 }
 
-// merge accumulates another client's stats into s.
+// Merge accumulates another client's stats into s.
 func (s *ResilienceStats) Merge(o ResilienceStats) {
 	s.Attempts += o.Attempts
 	s.Retries += o.Retries
@@ -360,25 +291,17 @@ func (r *ResilientClient) Stats() ResilienceStats {
 	return stats
 }
 
-// NewResilient wraps inner; zero retry fields take defaults.
-func NewResilient(inner Invoker, env *costmodel.Env, cfg ResilienceConfig) *ResilientClient {
-	def := DefaultRetryPolicy()
-	if cfg.Retry.MaxAttempts <= 0 {
-		cfg.Retry.MaxAttempts = def.MaxAttempts
-	}
-	if cfg.Retry.InitialBackoff <= 0 {
-		cfg.Retry.InitialBackoff = def.InitialBackoff
-	}
-	if cfg.Retry.MaxBackoff <= 0 {
-		cfg.Retry.MaxBackoff = def.MaxBackoff
-	}
-	if cfg.Retry.Multiplier < 1 {
-		cfg.Retry.Multiplier = def.Multiplier
-	}
+// NewResilient wraps inner in the client policy above. A non-nil peers
+// (normally the base *Client, which records each peer's freshest overload
+// advert) turns on client-side throttling: a non-emergency attempt is
+// deferred with probability Reduction/100, drawn from the request's jitter
+// stream, and waits at least the peer's Retry-After through the normal
+// backoff path. Emergency-class requests are never throttled.
+func NewResilient(inner Invoker, env *costmodel.Env, peers OCISource) *ResilientClient {
 	return &ResilientClient{
 		inner:    inner,
 		env:      env,
-		cfg:      cfg,
+		peers:    peers,
 		breakers: make(map[string]*Breaker),
 	}
 }
@@ -389,7 +312,7 @@ func (r *ResilientClient) BreakerFor(service string) *Breaker {
 	defer r.mu.Unlock()
 	b, ok := r.breakers[service]
 	if !ok {
-		b = NewBreaker(r.cfg.Breaker)
+		b = &Breaker{}
 		r.breakers[service] = b
 	}
 	return b
@@ -399,30 +322,33 @@ func (r *ResilientClient) BreakerFor(service string) *Breaker {
 // until success, a permanent error, retry exhaustion, or the virtual
 // deadline. Backoff waits are charged to the request's account (and the
 // shared clock), so retrying under faults shows up in setup-time figures.
+// A request that carries no account gets one here, so the attempts and
+// waits charge the account the deadline reads.
 func (r *ResilientClient) Post(ctx context.Context, service, path string, req, resp any) error {
 	freq := r.env.Clock.FrequencyHz()
 	acct := simclock.AccountFrom(ctx)
+	ctx = simclock.WithAccount(ctx, acct)
 	start := acct.Total()
-	budget := simclock.FromDuration(r.cfg.Deadline, freq)
+	budget := simclock.FromDuration(requestDeadline, freq)
 
 	// Emergency-class requests never gate on the shared breaker: under a
 	// storm, non-emergency failures would otherwise open the circuit and
 	// take emergency traffic down with them.
 	var br *Breaker
-	if !r.cfg.DisableBreaker && PriorityFrom(ctx) != PriorityEmergency {
+	if PriorityFrom(ctx) != PriorityEmergency {
 		br = r.BreakerFor(service)
 	}
 
-	backoff := r.cfg.Retry.InitialBackoff
+	backoff := initialBackoff
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return Problem(504, "Gateway Timeout", CauseTimeout, "%s%s: %v", service, path, cerr)
 		}
-		if r.cfg.Deadline > 0 && acct.Total()-start >= budget {
+		if acct.Total()-start >= budget {
 			r.deadlineHits.Add(1)
 			return Problem(504, "Gateway Timeout", CauseTimeout,
-				"%s%s: virtual deadline %v exceeded after %d attempt(s)", service, path, r.cfg.Deadline, attempt-1)
+				"%s%s: virtual deadline %v exceeded after %d attempt(s)", service, path, requestDeadline, attempt-1)
 		}
 		r.attempts.Add(1)
 		if attempt > 1 {
@@ -431,8 +357,8 @@ func (r *ResilientClient) Post(ctx context.Context, service, path string, req, r
 
 		var retryAfter time.Duration
 		admitted := true
-		if r.cfg.Throttle && r.cfg.Peers != nil && PriorityFrom(ctx) != PriorityEmergency {
-			if oci, ok := r.cfg.Peers.PeerOCI(service); ok && oci.Reduction > 0 &&
+		if r.peers != nil && PriorityFrom(ctx) != PriorityEmergency {
+			if oci, ok := r.peers.PeerOCI(service); ok && oci.Reduction > 0 &&
 				r.env.JitterFor(ctx).Float64()*100 < float64(oci.Reduction) {
 				// The peer asked for proportional shedding: defer this
 				// attempt locally instead of dispatching it, and wait at
@@ -477,36 +403,31 @@ func (r *ResilientClient) Post(ctx context.Context, service, path string, req, r
 			}
 		}
 
-		if attempt >= r.cfg.Retry.MaxAttempts {
+		if attempt >= maxAttempts {
 			return lastErr
 		}
 		wait := simclock.FromDuration(backoff, freq)
-		wait = r.env.JitterFor(ctx).Scale(wait, r.cfg.Retry.JitterFrac)
+		wait = r.env.JitterFor(ctx).Scale(wait, jitterFrac)
 		if floor := simclock.FromDuration(retryAfter, freq); wait < floor {
 			wait = floor
 			r.retryAfterHonored.Add(1)
 		}
-		if r.cfg.Deadline > 0 {
-			if spent := acct.Total() - start; spent+wait > budget {
-				r.deadlineHits.Add(1)
-				// Waiting would blow the budget: charge the remainder and
-				// report the deadline instead of sleeping past it. The
-				// attempt itself may already have overshot the budget
-				// (e.g. a crash-triggered enclave reload), so guard the
-				// unsigned subtraction.
-				if spent < budget {
-					r.env.Charge(ctx, budget-spent)
-				}
-				return Problem(504, "Gateway Timeout", CauseTimeout,
-					"%s%s: virtual deadline %v exceeded after %d attempt(s): %v",
-					service, path, r.cfg.Deadline, attempt, lastErr)
+		if spent := acct.Total() - start; spent+wait > budget {
+			r.deadlineHits.Add(1)
+			// Waiting would blow the budget: charge the remainder and
+			// report the deadline instead of sleeping past it. The
+			// attempt itself may already have overshot the budget (e.g.
+			// a crash-triggered enclave reload), so guard the unsigned
+			// subtraction.
+			if spent < budget {
+				r.env.ChargeTo(acct, budget-spent)
 			}
+			return Problem(504, "Gateway Timeout", CauseTimeout,
+				"%s%s: virtual deadline %v exceeded after %d attempt(s): %v",
+				service, path, requestDeadline, attempt, lastErr)
 		}
-		r.env.Charge(ctx, wait)
-		backoff = time.Duration(float64(backoff) * r.cfg.Retry.Multiplier)
-		if backoff > r.cfg.Retry.MaxBackoff {
-			backoff = r.cfg.Retry.MaxBackoff
-		}
+		r.env.ChargeTo(acct, wait)
+		backoff = min(backoff*backoffFactor, maxBackoff)
 	}
 }
 

@@ -40,48 +40,55 @@ func TestRetryableClassification(t *testing.T) {
 	}
 }
 
+// failN records n consecutive transient failures at virtual time now.
+func failN(b *Breaker, n int, now time.Duration) {
+	for range n {
+		b.OnFailure(now)
+	}
+}
+
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 3, OpenTimeout: 100 * time.Millisecond, HalfOpenProbes: 2})
+	const ms = time.Millisecond
+	b := &Breaker{}
 	if b.State() != BreakerClosed {
 		t.Fatalf("initial state = %v, want closed", b.State())
 	}
 
-	// closed -> open after three consecutive failures (a success in
+	// closed -> open after eight consecutive failures (a success in
 	// between resets the streak).
-	b.OnFailure(0)
-	b.OnFailure(0)
+	failN(b, breakerThreshold-1, 0)
 	b.OnSuccess()
-	b.OnFailure(10 * time.Millisecond)
-	b.OnFailure(10 * time.Millisecond)
+	failN(b, breakerThreshold-1, 10*ms)
 	if b.State() != BreakerClosed {
 		t.Fatalf("state after interrupted streak = %v, want closed", b.State())
 	}
-	b.OnFailure(20 * time.Millisecond)
+	b.OnFailure(20 * ms)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after threshold = %v, want open", b.State())
 	}
 
-	// open rejects during the cooldown, reporting the remaining wait.
-	ok, retryAfter := b.Allow(60 * time.Millisecond)
-	if ok || retryAfter != 60*time.Millisecond {
-		t.Fatalf("Allow during cooldown = (%v, %v), want (false, 60ms)", ok, retryAfter)
+	// open rejects during the one-second cooldown, reporting the
+	// remaining wait.
+	ok, retryAfter := b.Allow(620 * ms)
+	if ok || retryAfter != 400*ms {
+		t.Fatalf("Allow during cooldown = (%v, %v), want (false, 400ms)", ok, retryAfter)
 	}
 
-	// open -> half-open once the cooldown elapses; probes are bounded.
-	if ok, _ := b.Allow(120 * time.Millisecond); !ok {
+	// open -> half-open once the cooldown elapses; two probes at most.
+	if ok, _ := b.Allow(1020 * ms); !ok {
 		t.Fatal("first probe not admitted after cooldown")
 	}
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State())
 	}
-	if ok, _ := b.Allow(121 * time.Millisecond); !ok {
+	if ok, _ := b.Allow(1021 * ms); !ok {
 		t.Fatal("second probe not admitted")
 	}
-	if ok, retryAfter := b.Allow(122 * time.Millisecond); ok || retryAfter != 0 {
+	if ok, retryAfter := b.Allow(1022 * ms); ok || retryAfter != 0 {
 		t.Fatalf("saturated half-open = (%v, %v), want (false, 0)", ok, retryAfter)
 	}
 
-	// half-open -> closed after the probes succeed.
+	// half-open -> closed after both probes succeed.
 	b.OnSuccess()
 	b.OnSuccess()
 	if b.State() != BreakerClosed {
@@ -89,18 +96,19 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// A half-open probe failure re-opens immediately.
-	b.OnFailure(200 * time.Millisecond)
-	b.OnFailure(200 * time.Millisecond)
-	b.OnFailure(200 * time.Millisecond)
-	if ok, _ := b.Allow(400 * time.Millisecond); !ok {
+	failN(b, breakerThreshold, 2000*ms)
+	if ok, _ := b.Allow(3000 * ms); !ok {
 		t.Fatal("probe not admitted after second cooldown")
 	}
-	b.OnFailure(400 * time.Millisecond)
+	b.OnFailure(3000 * ms)
 	if b.State() != BreakerOpen {
 		t.Fatalf("state after probe failure = %v, want open", b.State())
 	}
-	if ok, _ := b.Allow(420 * time.Millisecond); ok {
+	if ok, _ := b.Allow(3020 * ms); ok {
 		t.Fatal("request admitted right after a failed probe re-opened the circuit")
+	}
+	if st := b.Stats(); st.Opens != 3 || st.HalfOpens != 2 || st.Closes != 1 || st.Probes != 3 || st.Rejected != 3 {
+		t.Fatalf("stats = %+v, want 3 opens, 2 half-opens, 1 close, 3 probes, 3 rejections", st)
 	}
 }
 
@@ -114,7 +122,7 @@ func TestResilientRetriesTransientThenSucceeds(t *testing.T) {
 		}
 		return nil
 	})
-	r := NewResilient(inner, env, DefaultResilienceConfig())
+	r := NewResilient(inner, env, nil)
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
 	if err := r.Post(ctx, "udm", "/x", nil, nil); err != nil {
@@ -136,7 +144,7 @@ func TestResilientPermanentErrorNotRetried(t *testing.T) {
 		calls++
 		return perm
 	})
-	r := NewResilient(inner, env, DefaultResilienceConfig())
+	r := NewResilient(inner, env, nil)
 	err := r.Post(context.Background(), "udm", "/x", nil, nil)
 	if !errors.Is(err, perm) && !HasCause(err, "AUTHENTICATION_REJECTED") {
 		t.Fatalf("err = %v, want the permanent problem", err)
@@ -152,55 +160,88 @@ func TestResilientPermanentErrorNotRetried(t *testing.T) {
 
 func TestResilientCircuitOpensAndReports(t *testing.T) {
 	env := newEnv()
-	inner := invokerFunc(func(context.Context, string, string, any, any) error {
-		return Problem(503, "Service Unavailable", CauseUnreachable, "down")
-	})
-	r := NewResilient(inner, env, ResilienceConfig{
-		Retry:   RetryPolicy{MaxAttempts: 1},
-		Breaker: BreakerConfig{FailureThreshold: 1, OpenTimeout: time.Hour, HalfOpenProbes: 1},
-	})
-	if err := r.Post(context.Background(), "udm", "/x", nil, nil); !HasCause(err, CauseUnreachable) {
-		t.Fatalf("first err = %v, want 503 %s", err, CauseUnreachable)
-	}
-	if st := r.BreakerFor("udm").State(); st != BreakerOpen {
-		t.Fatalf("breaker state = %v, want open", st)
-	}
-	// With the circuit open the request is rejected without touching the
-	// inner transport, surfacing the distinct CIRCUIT_OPEN cause.
-	if err := r.Post(context.Background(), "udm", "/x", nil, nil); !HasCause(err, CauseCircuitOpen) {
-		t.Fatalf("err with open circuit = %v, want 503 %s", err, CauseCircuitOpen)
-	}
-	// Other services are unaffected: breakers are per-service.
-	if err := r.Post(context.Background(), "ausf", "/y", nil, nil); !HasCause(err, CauseUnreachable) {
-		t.Fatalf("other-service err = %v, want 503 %s", err, CauseUnreachable)
-	}
-}
-
-func TestResilientVirtualDeadline(t *testing.T) {
-	env := newEnv()
 	calls := 0
 	inner := invokerFunc(func(context.Context, string, string, any, any) error {
 		calls++
 		return Problem(503, "Service Unavailable", CauseUnreachable, "down")
 	})
-	r := NewResilient(inner, env, ResilienceConfig{
-		Retry:          RetryPolicy{MaxAttempts: 100, InitialBackoff: 50 * time.Millisecond, MaxBackoff: 50 * time.Millisecond, Multiplier: 1},
-		Deadline:       120 * time.Millisecond,
-		DisableBreaker: true,
-	})
-	var acct simclock.Account
-	ctx := simclock.WithAccount(context.Background(), &acct)
-	err := r.Post(ctx, "udm", "/x", nil, nil)
-	if !HasCause(err, CauseTimeout) {
-		t.Fatalf("err = %v, want 504 %s", err, CauseTimeout)
+	r := NewResilient(inner, env, nil)
+	// One request makes at most four attempts, so it cannot open the
+	// circuit on its own; the second request's last failure is the
+	// eighth in a row and does.
+	for i := 1; i <= 2; i++ {
+		if err := r.Post(context.Background(), "udm", "/x", nil, nil); !HasCause(err, CauseUnreachable) {
+			t.Fatalf("request %d: err = %v, want 503 %s", i, err, CauseUnreachable)
+		}
+		want := BreakerClosed
+		if i == 2 {
+			want = BreakerOpen
+		}
+		if st := r.BreakerFor("udm").State(); st != want {
+			t.Fatalf("after request %d: breaker state = %v, want %v", i, st, want)
+		}
 	}
-	if calls == 0 || calls >= 100 {
-		t.Fatalf("calls = %d, want a few attempts bounded by the deadline", calls)
+	if calls != 2*maxAttempts {
+		t.Fatalf("calls = %d, want %d", calls, 2*maxAttempts)
 	}
-	// The deadline is enforced on virtual time: the account never runs
-	// past the budget.
-	if spent := env.Model.Duration(acct.Total()); spent > 121*time.Millisecond {
-		t.Fatalf("spent %v of virtual time, budget was 120ms", spent)
+
+	// Once the cooldown has passed, two probes from other requests hold
+	// every half-open slot: this request is rejected on every attempt
+	// without touching the inner transport, surfacing the distinct
+	// CIRCUIT_OPEN cause.
+	env.Clock.AdvanceDuration(breakerCooldown)
+	br := r.BreakerFor("udm")
+	for range breakerProbes {
+		if ok, _ := br.Allow(env.Clock.Now()); !ok {
+			t.Fatal("probe not admitted after the cooldown")
+		}
+	}
+	calls = 0
+	if err := r.Post(context.Background(), "udm", "/x", nil, nil); !HasCause(err, CauseCircuitOpen) {
+		t.Fatalf("err with saturated half-open circuit = %v, want 503 %s", err, CauseCircuitOpen)
+	}
+	if calls != 0 {
+		t.Fatalf("calls = %d through a saturated circuit, want 0", calls)
+	}
+	if st := r.Stats().Breaker; st.Rejected != maxAttempts {
+		t.Fatalf("breaker rejected %d attempts, want %d", st.Rejected, maxAttempts)
+	}
+	// Other services are unaffected: breakers are per-service.
+	if err := r.Post(context.Background(), "ausf", "/y", nil, nil); !HasCause(err, CauseUnreachable) || calls != maxAttempts {
+		t.Fatalf("other-service err = %v after %d calls, want 503 %s after %d", err, calls, CauseUnreachable, maxAttempts)
+	}
+}
+
+// TestResilientVirtualDeadline: attempts that each cost 4 s of virtual
+// time exhaust the 10 s deadline on the third, whether or not the caller
+// attached an account — a request without one gets one, so the deadline
+// reads what its attempts and waits charge.
+func TestResilientVirtualDeadline(t *testing.T) {
+	for _, withAccount := range []bool{true, false} {
+		env := newEnv()
+		freq := env.Clock.FrequencyHz()
+		calls := 0
+		inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ any) error {
+			calls++
+			env.Charge(ctx, simclock.FromDuration(4*time.Second, freq))
+			return Problem(503, "Service Unavailable", CauseCongestion, "busy")
+		})
+		r := NewResilient(inner, env, nil)
+		ctx := context.Background()
+		var acct simclock.Account
+		if withAccount {
+			ctx = simclock.WithAccount(ctx, &acct)
+		}
+		err := r.Post(ctx, "udm", "/x", nil, nil)
+		if !HasCause(err, CauseTimeout) || calls != 3 || r.Stats().DeadlineHits != 1 {
+			t.Fatalf("account=%v: err = %v after %d attempts, %d deadline hits; want 504 %s after 3, 1 hit",
+				withAccount, err, calls, r.Stats().DeadlineHits, CauseTimeout)
+		}
+		// The deadline is enforced on virtual time: the request stops at
+		// the attempt that crossed the budget.
+		if spent := env.Model.Duration(env.Clock.Elapsed()); spent > 12100*time.Millisecond {
+			t.Fatalf("account=%v: spent %v of virtual time, want at most the 3 attempts and 2 waits", withAccount, spent)
+		}
 	}
 }
 
@@ -212,24 +253,20 @@ func TestResilientAttemptOvershootsBudget(t *testing.T) {
 	env := newEnv()
 	freq := env.Clock.FrequencyHz()
 	inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ any) error {
-		env.Charge(ctx, simclock.FromDuration(100*time.Millisecond, freq))
+		env.Charge(ctx, simclock.FromDuration(requestDeadline+time.Second, freq))
 		return Problem(503, "Service Unavailable", CauseUnreachable, "reloading")
 	})
-	r := NewResilient(inner, env, ResilienceConfig{
-		Retry:          DefaultRetryPolicy(),
-		Deadline:       50 * time.Millisecond,
-		DisableBreaker: true,
-	})
+	r := NewResilient(inner, env, nil)
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
 	err := r.Post(ctx, "udm", "/x", nil, nil)
 	if !HasCause(err, CauseTimeout) {
 		t.Fatalf("err = %v, want 504 %s", err, CauseTimeout)
 	}
-	if spent := env.Model.Duration(acct.Total()); spent > 200*time.Millisecond {
+	if spent := env.Model.Duration(acct.Total()); spent > requestDeadline+2*time.Second {
 		t.Fatalf("spent %v of virtual time, want roughly the one overshooting attempt", spent)
 	}
-	if elapsed := env.Model.Duration(env.Clock.Elapsed()); elapsed > time.Second {
+	if elapsed := env.Model.Duration(env.Clock.Elapsed()); elapsed > time.Minute {
 		t.Fatalf("shared clock advanced %v (unsigned underflow)", elapsed)
 	}
 }
@@ -240,7 +277,7 @@ func TestResilientCancelledContext(t *testing.T) {
 		t.Fatal("inner transport reached with a cancelled context")
 		return nil
 	})
-	r := NewResilient(inner, env, DefaultResilienceConfig())
+	r := NewResilient(inner, env, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := r.Post(ctx, "udm", "/x", nil, nil); !HasCause(err, CauseTimeout) {
@@ -279,18 +316,15 @@ func TestResilientBackoffDeterminism(t *testing.T) {
 			at = append(at, acct.Total())
 			return Problem(503, "Service Unavailable", CauseUnreachable, "down")
 		})
-		r := NewResilient(inner, env, ResilienceConfig{
-			Retry:          DefaultRetryPolicy(),
-			DisableBreaker: true,
-		})
+		r := NewResilient(inner, env, nil)
 		if err := r.Post(ctx, "udm", "/x", nil, nil); !HasCause(err, CauseUnreachable) {
 			t.Fatalf("Post: %v", err)
 		}
 		return at
 	}
 	a, b := schedule(), schedule()
-	if len(a) != DefaultRetryPolicy().MaxAttempts {
-		t.Fatalf("attempts = %d, want %d", len(a), DefaultRetryPolicy().MaxAttempts)
+	if len(a) != maxAttempts {
+		t.Fatalf("attempts = %d, want %d", len(a), maxAttempts)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("retry schedules diverged:\n  %v\n  %v", a, b)
@@ -322,10 +356,7 @@ func TestResilientHonoursRetryAfter(t *testing.T) {
 		gap = acct.Total()
 		return nil
 	})
-	r := NewResilient(inner, env, ResilienceConfig{
-		Retry:          RetryPolicy{MaxAttempts: 2, InitialBackoff: time.Millisecond},
-		DisableBreaker: true,
-	})
+	r := NewResilient(inner, env, nil)
 	if err := r.Post(ctx, "udm", "/x", nil, nil); err != nil {
 		t.Fatalf("Post: %v", err)
 	}

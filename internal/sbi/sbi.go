@@ -104,6 +104,18 @@ type Server struct {
 	meter *loadMeter
 }
 
+// ReplicaName is the one naming rule of a sharded core: replica r's
+// instance of the service base. Replica 0 keeps the base name ("udm",
+// "eudm-paka", ...); replicas r >= 1 append "-r<r>". Every NF derives its
+// own service name, its NRF instance ID (ReplicaName + "-1") and its
+// same-replica peer from it.
+func ReplicaName(base string, r int) string {
+	if r == 0 {
+		return base
+	}
+	return fmt.Sprintf("%s-r%d", base, r)
+}
+
 // NewServer creates a named SBI server charging costs through env.
 func NewServer(name string, env *costmodel.Env) *Server {
 	return &Server{

@@ -103,9 +103,9 @@ type MassResult = gnb.MassResult
 // ExperimentConfig controls experiment scale and reproducibility.
 type ExperimentConfig = experiments.Config
 
-// ChaosConfig sets the seeded fault-injection rates and shapes for a
-// slice (SliceConfig.Chaos); a chaos slice runs the default SBI
-// deadline/retry/circuit-breaker policy.
+// ChaosConfig sets the seeded fault-injection rates for a slice
+// (SliceConfig.Chaos; each rate >= 0, their sum <= 1); a chaos slice runs
+// the SBI deadline/retry/circuit-breaker policy.
 type ChaosConfig = chaos.Config
 
 // ChaosInjector is a slice's running fault injector (Slice.Chaos): arm or
