@@ -62,7 +62,8 @@ loc:
 # then the five tests whose allocation or heap budgets skip themselves
 # under -race on a plain build. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
-# six gnbsim smokes drive the storm replay, the sharded core, the ring
+# seven gnbsim smokes drive the storm replay (unsharded, and on four
+# shards, whose admission line is the fleet's sum), the sharded core, the ring
 # under four workers, the SEV guest (the one backend no bench workload
 # deploys), chaos on two shards (crashes reach replica 1's modules under
 # their derived names) and, built with -race so the audit is on in a real
@@ -78,6 +79,7 @@ ci: build
 	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE' . ./internal/experiments ./internal/nas ./internal/deploy
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
+	$(GO) run ./cmd/gnbsim -n 400 -storm 10 -limiter -seed 7 -shards 4
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
 	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
 	$(GO) run ./cmd/gnbsim -n 32 -isolation sev -batch 8 -avpool 8 -seed 13

@@ -213,9 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		NewUE:       func(int) (*shield5g.UE, error) { return newUE(ctx, tb) },
 		Parallelism: *parallel,
 		MaxAttempts: maxAttempts,
-		Chaos:       tb.Slice.Chaos,
 		BatchSize:   *batch,
-		Switchless:  *switchless,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "gnbsim: %v\n", err)
@@ -321,7 +319,8 @@ func newUE(ctx context.Context, tb *shield5g.Testbed) (*shield5g.UE, error) {
 // the deployed slice. The plan seed is derived from -seed so one flag
 // reproduces both the cost draws and the arrival schedule.
 func runStorm(ctx context.Context, tb *shield5g.Testbed, n int, factor float64, limiter bool, seed uint64, stdout, stderr io.Writer) int {
-	res, err := tb.Slice.RunStorm(ctx, seed+43, n, factor,
+	slice := tb.Slice
+	res, err := slice.RunStorm(ctx, seed+43, n, factor,
 		func(shield5g.Priority, int) (*shield5g.UE, error) { return newUE(ctx, tb) })
 	if err != nil {
 		fmt.Fprintf(stderr, "gnbsim: storm: %v\n", err)
@@ -340,15 +339,17 @@ func runStorm(ctx context.Context, tb *shield5g.Testbed, n int, factor float64, 
 			cr.GoodputPerSec, sum.P99.Round(10*time.Microsecond),
 			cr.Makespan.Round(100*time.Microsecond))
 	}
-	if tb.Slice.Admission != nil {
+	if limiter {
+		// Every replica's AMF has its own buckets; the fleet's drops are
+		// their sum.
 		fmt.Fprintf(stdout, "admission: %d dropped at the AMF's priority buckets\n",
-			tb.Slice.Admission.Stats().TotalDropped())
+			slice.AdmissionStats().TotalDropped())
 	}
 	var sheds uint64
-	for _, st := range tb.Slice.OverloadStats() {
+	for _, st := range slice.OverloadStats() {
 		sheds += st.TotalShed()
 	}
-	rs := tb.Slice.ResilienceStats()
+	rs := slice.ResilienceStats()
 	fmt.Fprintf(stdout, "overload: %d server sheds, %d client throttles, %d retries, %d breaker opens\n",
 		sheds, rs.Throttled, rs.Retries, rs.Breaker.Opens)
 	return 0

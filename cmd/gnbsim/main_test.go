@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
+
+	"shield5g"
 )
 
 // TestRunRejectsAndAccepts drives run the way the shell does. Every
@@ -48,5 +52,33 @@ func TestRunRejectsAndAccepts(t *testing.T) {
 				t.Errorf("gnbsim %s: %s = %q, want it to carry %q", tc.args, out.name, out.got, out.want)
 			}
 		}
+	}
+}
+
+// TestStormAdmissionCountsTheFleet: the storm summary's admission line is
+// the fleet's drops — the sum over every replica's AMF buckets — not the
+// share of the one replica that happens to be shard 0.
+func TestStormAdmissionCountsTheFleet(t *testing.T) {
+	ctx := context.Background()
+	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{
+		Isolation: shield5g.SGX, Seed: 7, Replicas: 4, Overload: shield5g.LimiterProfile(),
+	})
+	if err != nil {
+		t.Fatalf("NewTestbed: %v", err)
+	}
+	defer tb.Close()
+	var stdout, stderr bytes.Buffer
+	if code := runStorm(ctx, tb, 400, 10, true, 7, &stdout, &stderr); code != 0 {
+		t.Fatalf("runStorm exit %d: %s", code, stderr.String())
+	}
+	var fleet uint64
+	for _, shard := range tb.Slice.Shards {
+		fleet += shard.Admission.Stats().TotalDropped()
+	}
+	if first := tb.Slice.Shards[0].Admission.Stats().TotalDropped(); first == fleet {
+		t.Fatalf("shard 0 dropped all %d; the storm cannot tell the fleet from shard 0", fleet)
+	}
+	if want := fmt.Sprintf("admission: %d dropped", fleet); !strings.Contains(stdout.String(), want) {
+		t.Errorf("storm summary:\n%s\nwant it to carry %q", stdout.String(), want)
 	}
 }

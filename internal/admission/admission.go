@@ -50,18 +50,26 @@ func SourceFrom(ctx context.Context) string {
 }
 
 // Config tunes the controller. Rates are per-class token refill rates in
-// requests per second of virtual time; Bursts are the bucket depths. A rate
-// of zero means that class is never limited (used for emergency).
+// requests per second of virtual time. A rate of zero means that class is
+// never limited (used for emergency).
 type Config struct {
 	// Clock supplies the virtual-time fallback axis for unstamped
 	// requests and the frequency for rate conversion. Required.
 	Clock *simclock.Clock
 	// Rates[class] is the sustained admission rate, requests/second.
 	Rates [3]float64
-	// Bursts[class] is the bucket depth, in requests (min 1 when the
-	// class is limited).
-	Bursts [3]float64
 }
+
+// Bucket depths, in requests: the back-to-back arrivals one source's
+// bucket absorbs before its class rate takes over. Emergency has no
+// bucket: its rate stays zero.
+const (
+	freshBurst    = 12
+	reattachBurst = 24
+)
+
+// bursts is the bucket depth per class.
+var bursts = [3]float64{sbi.PriorityFresh: freshBurst, sbi.PriorityReattach: reattachBurst}
 
 // DefaultConfig returns the storm-survival profile: emergency unlimited,
 // re-attach generous, fresh attach tight. The rates are sized against the
@@ -72,9 +80,7 @@ type Config struct {
 func DefaultConfig(clock *simclock.Clock) Config {
 	cfg := Config{Clock: clock}
 	cfg.Rates[sbi.PriorityFresh] = 300
-	cfg.Bursts[sbi.PriorityFresh] = 12
 	cfg.Rates[sbi.PriorityReattach] = 550
-	cfg.Bursts[sbi.PriorityReattach] = 24
 	cfg.Rates[sbi.PriorityEmergency] = 0 // never limited
 	return cfg
 }
@@ -119,11 +125,6 @@ type Controller struct {
 
 // NewController builds a disarmed controller; Arm opens the storm window.
 func NewController(cfg Config) *Controller {
-	for c := range cfg.Bursts {
-		if cfg.Rates[c] > 0 && cfg.Bursts[c] < 1 {
-			cfg.Bursts[c] = 1
-		}
-	}
 	return &Controller{cfg: cfg, sources: make(map[string]*sourceBuckets)}
 }
 
@@ -174,7 +175,7 @@ func (c *Controller) Admit(ctx context.Context, source string, class sbi.Priorit
 	if !ok {
 		sb = &sourceBuckets{}
 		for cl := range sb.class {
-			sb.class[cl] = bucket{tokens: c.cfg.Bursts[cl], last: now}
+			sb.class[cl] = bucket{tokens: bursts[cl], last: now}
 		}
 		c.sources[source] = sb
 	}
@@ -183,9 +184,7 @@ func (c *Controller) Admit(ctx context.Context, source string, class sbi.Priorit
 	b := &sb.class[class]
 	if now > b.last {
 		b.tokens += float64(now-b.last) / freq * rate
-		if b.tokens > c.cfg.Bursts[class] {
-			b.tokens = c.cfg.Bursts[class]
-		}
+		b.tokens = min(b.tokens, bursts[class])
 	}
 	b.last = now
 

@@ -9,18 +9,30 @@ import (
 	"shield5g/internal/simclock"
 )
 
-func testConfig(clock *simclock.Clock) Config {
-	cfg := Config{Clock: clock}
-	cfg.Rates[sbi.PriorityFresh] = 100
-	cfg.Bursts[sbi.PriorityFresh] = 2
-	cfg.Rates[sbi.PriorityReattach] = 200
-	cfg.Bursts[sbi.PriorityReattach] = 4
-	// Emergency: rate 0 = unlimited.
-	return cfg
+// armed returns an armed controller on the production profile.
+func armed(clock *simclock.Clock) *Controller {
+	ctrl := NewController(DefaultConfig(clock))
+	ctrl.SetArmed(true)
+	return ctrl
 }
 
+// admitN admits n requests of class from source at ctx, failing the test
+// on any drop.
+func admitN(t *testing.T, ctrl *Controller, ctx context.Context, source string, class sbi.Priority, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := ctrl.Admit(ctx, source, class); err != nil {
+			t.Fatalf("%s admit %d of %d from %s: %v", class, i+1, n, source, err)
+		}
+	}
+}
+
+// oneToken is a little more virtual time than one fresh-class token takes
+// to accrue at the default 300/s, and less than two.
+const oneToken = 4 * time.Millisecond
+
 func TestDisarmedIsPassThrough(t *testing.T) {
-	ctrl := NewController(testConfig(simclock.New(0)))
+	ctrl := NewController(DefaultConfig(simclock.New(0)))
 	for i := 0; i < 1000; i++ {
 		if err := ctrl.Admit(context.Background(), "gnb-1", sbi.PriorityFresh); err != nil {
 			t.Fatalf("disarmed Admit rejected: %v", err)
@@ -31,54 +43,47 @@ func TestDisarmedIsPassThrough(t *testing.T) {
 	}
 }
 
+// TestBurstThenDrop: at one instant a source's bucket admits exactly its
+// class depth — 12 fresh attaches, 24 re-attaches — and drops the next
+// arrival with a retryable 503 OVERLOAD carrying a Retry-After.
 func TestBurstThenDrop(t *testing.T) {
-	clock := simclock.New(0)
-	ctrl := NewController(testConfig(clock))
-	ctrl.SetArmed(true)
-	ctx := context.Background()
-
-	// Burst depth is 2 for fresh: two admits, then drops at t=0.
-	for i := 0; i < 2; i++ {
-		if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh); err != nil {
-			t.Fatalf("admit %d within burst: %v", i, err)
+	for _, c := range []struct {
+		class sbi.Priority
+		depth int
+	}{{sbi.PriorityFresh, 12}, {sbi.PriorityReattach, 24}} {
+		ctrl := armed(simclock.New(0))
+		ctx := context.Background()
+		admitN(t, ctrl, ctx, "gnb-1", c.class, c.depth)
+		err := ctrl.Admit(ctx, "gnb-1", c.class)
+		pd, ok := sbi.AsProblem(err)
+		if !ok || pd.Status != 503 || pd.Cause != sbi.CauseOverload {
+			t.Fatalf("%s over-burst admit: want 503 OVERLOAD, got %v", c.class, err)
 		}
-	}
-	err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh)
-	pd, ok := sbi.AsProblem(err)
-	if !ok || pd.Status != 503 || pd.Cause != sbi.CauseOverload {
-		t.Fatalf("over-burst admit: want 503 OVERLOAD, got %v", err)
-	}
-	if pd.RetryAfter <= 0 {
-		t.Fatalf("drop carries no Retry-After: %+v", pd)
-	}
-	if !sbi.Retryable(err) {
-		t.Fatal("admission drop must classify as retryable")
-	}
-
-	st := ctrl.Stats()
-	if st.Admitted[sbi.PriorityFresh] != 2 || st.Dropped[sbi.PriorityFresh] != 1 {
-		t.Fatalf("counters: %+v", st)
+		if pd.RetryAfter <= 0 {
+			t.Fatalf("%s drop carries no Retry-After: %+v", c.class, pd)
+		}
+		if !sbi.Retryable(err) {
+			t.Fatalf("%s admission drop must classify as retryable", c.class)
+		}
+		st := ctrl.Stats()
+		if st.Admitted[c.class] != uint64(c.depth) || st.Dropped[c.class] != 1 || st.TotalDropped() != 1 {
+			t.Fatalf("%s counters: %+v", c.class, st)
+		}
 	}
 }
 
 func TestRefillOnVirtualTime(t *testing.T) {
 	clock := simclock.New(0)
-	ctrl := NewController(testConfig(clock))
-	ctrl.SetArmed(true)
+	ctrl := armed(clock)
 	ctx := context.Background()
 
-	for i := 0; i < 2; i++ {
-		if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh); err != nil {
-			t.Fatalf("burst admit: %v", err)
-		}
-	}
+	admitN(t, ctrl, ctx, "gnb-1", sbi.PriorityFresh, freshBurst)
 	if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh); err == nil {
 		t.Fatal("expected drop with empty bucket")
 	}
 
-	// 100/s refill: 10ms of virtual time buys one token. Wall time does
-	// nothing — only advancing the virtual clock refills.
-	clock.AdvanceDuration(10 * time.Millisecond)
+	// Wall time does nothing — only advancing the virtual clock refills.
+	clock.AdvanceDuration(oneToken)
 	if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh); err != nil {
 		t.Fatalf("admit after virtual refill: %v", err)
 	}
@@ -89,52 +94,36 @@ func TestRefillOnVirtualTime(t *testing.T) {
 
 func TestArrivalAxisRefill(t *testing.T) {
 	clock := simclock.New(0)
-	ctrl := NewController(testConfig(clock))
-	ctrl.SetArmed(true)
+	ctrl := armed(clock)
 
 	at := func(d time.Duration) context.Context {
 		return simclock.WithArrival(context.Background(),
 			simclock.FromDuration(d, clock.FrequencyHz()))
 	}
-	for i := 0; i < 2; i++ {
-		if err := ctrl.Admit(at(0), "gnb-1", sbi.PriorityFresh); err != nil {
-			t.Fatalf("burst admit: %v", err)
-		}
-	}
+	admitN(t, ctrl, at(0), "gnb-1", sbi.PriorityFresh, freshBurst)
 	if err := ctrl.Admit(at(0), "gnb-1", sbi.PriorityFresh); err == nil {
 		t.Fatal("expected drop at t=0")
 	}
-	// An arrival stamped 10ms later refills one token even though the
-	// shared clock never moved: the plan owns time.
-	if err := ctrl.Admit(at(10*time.Millisecond), "gnb-1", sbi.PriorityFresh); err != nil {
+	// A later stamped arrival refills a token even though the shared clock
+	// never moved: the plan owns time.
+	if err := ctrl.Admit(at(oneToken), "gnb-1", sbi.PriorityFresh); err != nil {
 		t.Fatalf("admit on stamped arrival: %v", err)
 	}
 }
 
 func TestEmergencyNeverLimited(t *testing.T) {
-	ctrl := NewController(testConfig(simclock.New(0)))
-	ctrl.SetArmed(true)
-	ctx := context.Background()
-	for i := 0; i < 500; i++ {
-		if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityEmergency); err != nil {
-			t.Fatalf("emergency admit %d rejected: %v", i, err)
-		}
-	}
+	ctrl := armed(simclock.New(0))
+	admitN(t, ctrl, context.Background(), "gnb-1", sbi.PriorityEmergency, 500)
 	if st := ctrl.Stats(); st.Admitted[sbi.PriorityEmergency] != 500 {
 		t.Fatalf("emergency admits: %+v", st)
 	}
 }
 
 func TestPerSourceIsolation(t *testing.T) {
-	ctrl := NewController(testConfig(simclock.New(0)))
-	ctrl.SetArmed(true)
+	ctrl := armed(simclock.New(0))
 	ctx := context.Background()
 
-	for i := 0; i < 2; i++ {
-		if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh); err != nil {
-			t.Fatalf("gnb-1 burst: %v", err)
-		}
-	}
+	admitN(t, ctrl, ctx, "gnb-1", sbi.PriorityFresh, freshBurst)
 	if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh); err == nil {
 		t.Fatal("gnb-1 should be exhausted")
 	}
@@ -148,18 +137,13 @@ func TestPerSourceIsolation(t *testing.T) {
 }
 
 func TestDisarmResetsBuckets(t *testing.T) {
-	ctrl := NewController(testConfig(simclock.New(0)))
-	ctrl.SetArmed(true)
+	ctrl := armed(simclock.New(0))
 	ctx := context.Background()
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= freshBurst; i++ {
 		_ = ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh)
 	}
 	ctrl.SetArmed(false)
 	ctrl.SetArmed(true)
 	// Fresh window: full burst again.
-	for i := 0; i < 2; i++ {
-		if err := ctrl.Admit(ctx, "gnb-1", sbi.PriorityFresh); err != nil {
-			t.Fatalf("admit after re-arm: %v", err)
-		}
-	}
+	admitN(t, ctrl, ctx, "gnb-1", sbi.PriorityFresh, freshBurst)
 }

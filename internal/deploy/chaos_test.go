@@ -91,8 +91,8 @@ func restartReload(t *testing.T, iso paka.Isolation) time.Duration {
 	s := newTestSlice(t, iso)
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
-	if err := s.RestartModule(ctx, paka.EUDM); err != nil {
-		t.Fatalf("RestartModule: %v", err)
+	if err := s.RestartShardModule(ctx, 0, paka.EUDM); err != nil {
+		t.Fatalf("RestartShardModule: %v", err)
 	}
 	return s.Env.Model.Duration(acct.Total())
 }
@@ -142,7 +142,6 @@ func TestChaosCrashDrawRestartsEveryBackend(t *testing.T) {
 				N:           len(devices),
 				NewUE:       func(i int) (*ue.UE, error) { return devices[i], nil },
 				MaxAttempts: 5,
-				Chaos:       s.Chaos,
 			})
 			if err != nil {
 				t.Fatalf("RegisterManyWith: %v", err)
@@ -183,7 +182,7 @@ func TestAUSFPendingAuthTTL(t *testing.T) {
 	}
 
 	authenticate() // abandoned: never confirmed
-	if n := s.AUSF.PendingSessions(); n != 1 {
+	if n := s.Shards[0].AUSF.PendingSessions(); n != 1 {
 		t.Fatalf("pending = %d, want 1", n)
 	}
 
@@ -191,13 +190,13 @@ func TestAUSFPendingAuthTTL(t *testing.T) {
 	s.Env.Charge(ctx, simclock.FromDuration(ausf.PendingAuthTTL+time.Minute, s.Env.Clock.FrequencyHz()))
 	authenticate()
 
-	if reaped := s.AUSF.SweepExpired(); reaped != 1 {
+	if reaped := s.Shards[0].AUSF.SweepExpired(); reaped != 1 {
 		t.Fatalf("SweepExpired = %d, want 1 (only the abandoned context)", reaped)
 	}
-	if n := s.AUSF.PendingSessions(); n != 1 {
+	if n := s.Shards[0].AUSF.PendingSessions(); n != 1 {
 		t.Fatalf("pending after sweep = %d, want the fresh context only", n)
 	}
-	if n := s.AUSF.ExpiredSessions(); n != 1 {
+	if n := s.Shards[0].AUSF.ExpiredSessions(); n != 1 {
 		t.Fatalf("ExpiredSessions = %d, want 1", n)
 	}
 }
@@ -229,7 +228,6 @@ func chaosMassRun(t *testing.T, n, parallelism int) *gnb.MassResult {
 		NewUE:       func(i int) (*ue.UE, error) { return devices[i], nil },
 		Parallelism: parallelism,
 		MaxAttempts: 4,
-		Chaos:       s.Chaos,
 	})
 	if err != nil {
 		t.Fatalf("RegisterManyWith: %v", err)
@@ -284,7 +282,6 @@ func TestSequentialChaosBitIdentical(t *testing.T) {
 			N:           30,
 			NewUE:       func(i int) (*ue.UE, error) { return devices[i], nil },
 			MaxAttempts: 5,
-			Chaos:       s.Chaos,
 		})
 		if err != nil {
 			t.Fatalf("RegisterManyWith: %v", err)

@@ -92,9 +92,10 @@ type SliceConfig struct {
 	// Switchless deploys every SGX module with the switchless ECALL
 	// submission ring (paka.Config.Switchless): a dedicated in-enclave
 	// dispatcher thread serves shared-memory call submissions, so
-	// steady-state requests cross with zero EENTER/EEXIT. Requests still
-	// opt in per call (paka.WithSwitchless); off keeps the slice
-	// bit-identical to the classic-ECALL deployment. SGX only.
+	// steady-state requests cross with zero EENTER/EEXIT. The crossing is
+	// the deployment's: every module request of the slice rides the ring,
+	// none is marked. Off keeps the slice bit-identical to the
+	// classic-ECALL deployment. SGX only.
 	Switchless bool
 }
 
@@ -138,40 +139,35 @@ type Slice struct {
 	Platform *sgx.Platform
 	Registry *sbi.Registry
 
-	NRF  *nrf.NRF
-	UDR  *udr.UDR
-	UDM  *udm.UDM
-	AUSF *ausf.AUSF
-	AMF  *amf.AMF
-	SMF  *smf.SMF
-	UPF  *upf.UPF
-	GNB  *gnb.GNB
+	NRF *nrf.NRF
+	UDR *udr.UDR
+	SMF *smf.SMF
+	UPF *upf.UPF
+	GNB *gnb.GNB
 
-	// Modules holds the extracted P-AKA modules (empty for Monolithic).
-	// Populated once inside NewSlice before the Slice is published and
-	// read-only afterwards; attestMu guards attested, not this map.
+	// AMF is shard 0's AMF, for the serving network name every replica
+	// derives alike; per-replica AMF state is in Shards.
+	AMF *amf.AMF
+
+	// Modules is shard 0's P-AKA module set (empty for Monolithic). Every
+	// replica runs the same operator-signed images, so it stands for any
+	// replica's load time, TCB or manifest; per-replica counters live in
+	// Shards. Populated once inside NewSlice before the Slice is published
+	// and read-only afterwards; attestMu guards attested, not this map.
 	//shieldlint:ignore stripemap immutable after construction
 	Modules map[paka.ModuleKind]*paka.Module
-
-	// MonoUDM is the in-process key store for Monolithic isolation.
-	MonoUDM *paka.MonolithicUDM
 
 	// HomeNetworkKey conceals/de-conceals SUPIs for this home network.
 	HomeNetworkKey *suci.HomeNetworkKey
 
 	// Chaos is the slice's fault injector (nil when SliceConfig.Chaos was
 	// nil). Crash faults on the P-AKA module services restart the module
-	// through RestartModule.
+	// through RestartShardModule.
 	Chaos *chaos.Injector
 
-	// Admission is the AMF's priority admission controller (nil unless
-	// SliceConfig.Overload.Admission was set): shard 0's controller, see
-	// Shards for the rest. Disarmed until SetOverloadArmed(true).
-	Admission *admission.Controller
-
 	// Shards lists the vertical core replicas in shard-index order, at
-	// least one. The top-level UDM/AUSF/AMF/Modules/MonoUDM/Admission
-	// fields alias Shards[0]'s.
+	// least one. Fleet-wide figures are the Slice's summing methods
+	// (AVPoolStats, AdmissionStats, ...), not any one shard's.
 	Shards []*CoreShard
 
 	// Topology is the NRF's snapshot builder — the control plane that
@@ -351,13 +347,7 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		replicas[r] = topology.Replica{Index: r, Name: shard.Name}
 	}
 
-	// The top-level fields alias shard 0, so code that wants "the" UDM or
-	// module set (experiments, tests, tooling) observes the first replica.
-	first := s.Shards[0]
-	s.UDM, s.AUSF, s.AMF = first.UDM, first.AUSF, first.AMF
-	s.Modules = first.Modules
-	s.MonoUDM = first.MonoUDM
-	s.Admission = first.Admission
+	s.AMF, s.Modules = s.Shards[0].AMF, s.Shards[0].Modules
 
 	// Topology control plane: the NRF's builder owns the authoritative
 	// replica set and pushes sealed snapshots into the gNB's router. The
@@ -376,7 +366,7 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 
 	if s.GNB, err = gnb.New(gnb.Config{
 		Env: env, AMFs: amfs, Router: s.Router, UPF: s.UPF,
-		MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio,
+		MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio, Chaos: s.Chaos,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: gNB: %w", err)
 	}
@@ -631,16 +621,12 @@ func (s *Slice) verifyAttestation(m *paka.Module) error {
 	return nil
 }
 
-// RestartModule models a whole-module crash: the runtime (and enclave,
-// under SGX) is destroyed, rebuilt from the retained configuration — which
-// re-charges the paper's Fig. 7 load cost to ctx's account — re-attested,
-// and, under SGX, its key store restored from sealed backups. The fault
-// injector, when present, is repointed at the fresh enclave.
-func (s *Slice) RestartModule(ctx context.Context, kind paka.ModuleKind) error {
-	return s.RestartShardModule(ctx, 0, kind)
-}
-
-// RestartShardModule is RestartModule addressed at one replica.
+// RestartShardModule models a whole-module crash of replica shard's kind
+// module: the runtime (and enclave, under SGX) is destroyed, rebuilt from
+// the retained configuration — which re-charges the paper's Fig. 7 load
+// cost to ctx's account — re-attested, and, under SGX, its key store
+// restored from sealed backups. The fault injector, when present, is
+// repointed at the fresh enclave.
 func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
 	if shard < 0 || shard >= len(s.Shards) {
 		return fmt.Errorf("deploy: no shard %d", shard)

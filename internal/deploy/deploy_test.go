@@ -13,6 +13,7 @@ import (
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/gnb"
+	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/paka"
 	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
@@ -91,8 +92,8 @@ func TestRegistrationAllIsolationModes(t *testing.T) {
 				if s.Router.Epoch() != 1 || s.Topology.Epoch() != 1 {
 					t.Fatalf("router epoch %d, builder epoch %d after deployment, want 1", s.Router.Epoch(), s.Topology.Epoch())
 				}
-				if s.AMF != s.Shards[0].AMF || s.UDM != s.Shards[0].UDM || s.AUSF != s.Shards[0].AUSF {
-					t.Fatal("top-level NFs do not alias shard 0")
+				if s.AMF != s.Shards[0].AMF {
+					t.Fatal("top-level AMF is not shard 0's")
 				}
 				device := provisionUE(t, s, "0000000001")
 
@@ -634,5 +635,32 @@ func TestProvisioningReusesOneClient(t *testing.T) {
 	}
 	if got := len(s.resilients); got != invokers {
 		t.Errorf("provisioning three subscribers built %d resilient invokers", got-invokers)
+	}
+}
+
+// TestPrewarmRidesTheEUDMRing: on a Switchless slice the AV-pool prewarm is
+// one more request to a ring module, not a classic batch ECALL. Each
+// SUPI's refill is one eUDM ring submission paying at most its doorbell's
+// EENTER, and the eUDM's manifest holds no spare TCS for a batch ECALL.
+func TestPrewarmRidesTheEUDMRing(t *testing.T) {
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 42, AVPoolDepth: 4, Switchless: true})
+	supis := []string{
+		provisionUE(t, s, "0000035000").SUPIString(),
+		provisionUE(t, s, "0000035001").SUPIString(),
+	}
+	m := s.Modules[paka.EUDM]
+	ring, enters := m.RingStats(), m.Stats().EENTER
+	if err := s.PrewarmAVPool(context.Background(), supis); err != nil {
+		t.Fatalf("PrewarmAVPool: %v", err)
+	}
+	after := m.RingStats()
+	if got := after.Submitted - ring.Submitted; got != uint64(len(supis)) {
+		t.Errorf("prewarm made %d eUDM ring submissions, want one per SUPI (%d)", got, len(supis))
+	}
+	if got, doorbells := m.Stats().EENTER-enters, after.Doorbells-ring.Doorbells; got != doorbells {
+		t.Errorf("prewarm paid %d EENTERs for %d doorbells; want only the doorbells", got, doorbells)
+	}
+	if got := m.Enclave().Config().MaxThreads; got != gramine.HelperThreads+2 {
+		t.Errorf("ring eUDM MaxThreads = %d, want %d: process, helpers and the dispatcher", got, gramine.HelperThreads+2)
 	}
 }

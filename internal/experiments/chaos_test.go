@@ -3,8 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"shield5g/internal/deploy"
+	"shield5g/internal/paka"
+	"shield5g/internal/ue"
 )
 
 // TestChaosConvergesAndIsDeterministic is the acceptance check of the
@@ -72,5 +77,36 @@ func TestChaosConvergesAndIsDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "success_pct") {
 		t.Fatal("CSV missing header")
+	}
+}
+
+// TestMeasureSumsRecoveryOverShards: a measured window's recovery readout
+// is the fleet's. A crash-restart of replica 1's eUDM counts as a restart,
+// and the UDM of that replica re-pushing the key the container lost counts
+// as a reprovision, though shard 0 saw neither.
+func TestMeasureSumsRecoveryOverShards(t *testing.T) {
+	run, err := measure(context.Background(), deploy.SliceConfig{Isolation: paka.Container, Seed: 3, Replicas: 2}, plan{msin: 7000,
+		drive: func(ctx context.Context, s *deploy.Slice, device func(int) (*ue.UE, error)) error {
+			for i := 0; i < 100; i++ {
+				d, err := device(i)
+				if err != nil {
+					return err
+				}
+				if s.GNB.ShardOf(d.SUPIString()) != 1 {
+					continue
+				}
+				if err := s.RestartShardModule(ctx, 1, paka.EUDM); err != nil {
+					return err
+				}
+				_, err = s.GNB.RegisterUE(ctx, d)
+				return err
+			}
+			return errors.New("no subscriber routed to replica 1")
+		}})
+	if err != nil {
+		t.Fatalf("measure: %v", err)
+	}
+	if run.restarts != 1 || run.reprovisions != 1 {
+		t.Fatalf("readout: %d restarts, %d reprovisions; want 1 and 1 from replica 1", run.restarts, run.reprovisions)
 	}
 }

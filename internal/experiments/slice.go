@@ -37,7 +37,7 @@ type plan struct {
 	// heap counts the window's allocations inside an AllocWindow
 	// (collector off, one P — not for a wall-clock comparison).
 	heap bool
-	// mass configures the closed-loop driver (N, NewUE and Chaos are the
+	// mass configures the closed-loop driver (N and NewUE are the
 	// harness's); storm > 0 replays an open-loop storm at that overload
 	// factor instead; drive replaces both with the caller's own loop.
 	mass  gnb.MassOptions
@@ -66,7 +66,8 @@ type sliceRun struct {
 	meterSheds     uint64
 	// injected counts the faults drawn, by kind; restarts the module
 	// crash/redeploy cycles survived; reauths, reprovisions and expired
-	// the AMF-, UDM- and AUSF-side recoveries.
+	// the AMF-, UDM- and AUSF-side recoveries — each summed over every
+	// shard.
 	injected                                 map[string]uint64
 	restarts, reauths, reprovisions, expired uint64
 }
@@ -167,7 +168,7 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 			})
 		default:
 			opts := p.mass
-			opts.N, opts.NewUE, opts.Chaos = p.n, device, s.Chaos
+			opts.N, opts.NewUE = p.n, device
 			run.mass, err = s.GNB.RegisterManyWith(ctx, opts)
 		}
 		return err
@@ -209,10 +210,14 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 	for _, st := range s.OverloadStats() {
 		run.meterSheds += st.TotalShed()
 	}
-	for _, m := range s.Modules {
-		run.restarts += m.Restarts()
+	for _, shard := range s.Shards {
+		for _, m := range shard.Modules {
+			run.restarts += m.Restarts()
+		}
+		run.reauths += shard.AMF.Reauths()
+		run.reprovisions += shard.UDM.Reprovisions()
+		run.expired += shard.AUSF.ExpiredSessions()
 	}
-	run.reauths, run.reprovisions, run.expired = s.AMF.Reauths(), s.UDM.Reprovisions(), s.AUSF.ExpiredSessions()
 	return run, nil
 }
 

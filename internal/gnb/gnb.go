@@ -67,6 +67,11 @@ type Config struct {
 	MCC, MNC string
 	// Radio selects the access profile (GNBSIM default).
 	Radio RadioProfile
+	// Chaos is the slice's fault injector (nil without one). Each parallel
+	// mass-registration worker draws its fault decisions from the
+	// injector's per-worker stream, so they are deterministic per worker;
+	// the sequential driver uses the injector's root stream.
+	Chaos *chaos.Injector
 }
 
 // GNB is one simulated base station.
@@ -79,6 +84,7 @@ type GNB struct {
 	mcc    string
 	mnc    string
 	radio  RadioProfile
+	chaos  *chaos.Injector
 
 	nextRANUE atomic.Uint64
 }
@@ -109,6 +115,7 @@ func New(cfg Config) (*GNB, error) {
 		mcc:    cfg.MCC,
 		mnc:    cfg.MNC,
 		radio:  radio,
+		chaos:  cfg.Chaos,
 	}, nil
 }
 
@@ -408,11 +415,6 @@ type MassOptions struct {
 	// device state resets with the next registration request — up to this
 	// many times before it counts as Failed.
 	MaxAttempts int
-	// Chaos, when set, attaches the injector's per-worker fault-decision
-	// stream to each parallel worker's context so fault draws are
-	// deterministic per worker. The sequential driver needs no attachment
-	// (it falls back to the injector's root stream).
-	Chaos *chaos.Injector
 	// BatchSize, when > 0, runs every registration over a keep-alive SBI
 	// connection to the P-AKA modules: up to BatchSize module requests
 	// share one session (one accept + TLS handshake + teardown), so the
@@ -420,11 +422,6 @@ type MassOptions struct {
 	// sequential driver holds one connection; each parallel worker holds
 	// its own. 0 keeps the seed's connection-per-request behaviour.
 	BatchSize int
-	// Switchless marks every module request of the run as willing to use
-	// the switchless ECALL submission ring (paka.WithSwitchless). Only
-	// effective against a slice deployed with SliceConfig.Switchless;
-	// elsewhere requests take the classic ECALL path unchanged.
-	Switchless bool
 }
 
 // failureClass buckets a registration error for MassResult accounting:
@@ -626,9 +623,6 @@ func (g *GNB) registerStripe(ctx context.Context, opts MassOptions, conn uint64,
 		// connection to the P-AKA modules.
 		ctx = paka.WithConnection(ctx, conn, opts.BatchSize)
 	}
-	if opts.Switchless {
-		ctx = paka.WithSwitchless(ctx)
-	}
 	for i := first; i < opts.N && ctx.Err() == nil; i += stride {
 		device, err := opts.NewUE(i)
 		if err != nil {
@@ -675,10 +669,10 @@ func (g *GNB) registerParallel(ctx context.Context, opts MassOptions, result *Ma
 			lanes[w] = newLaneTally(len(g.amfs), opts.N/workers+1)
 			id := uint64(w) + 1
 			base := simclock.WithJitter(wctx, g.env.Jitter.Stream(id))
-			if opts.Chaos != nil {
+			if g.chaos != nil {
 				// Fault decisions come from the worker's own stream so
 				// they, like costs, are reproducible per worker.
-				base = opts.Chaos.WorkerContext(base, id)
+				base = g.chaos.WorkerContext(base, id)
 			}
 			if provision[w] = g.registerStripe(base, opts, id, w, workers, results[w], lanes[w]); provision[w] != nil {
 				cancel()

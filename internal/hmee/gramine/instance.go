@@ -243,18 +243,19 @@ func (i *Instance) release() {
 }
 
 // Cross is the single serve path (hmee.Crossing): admit, describe, cross.
-// Each request picks its own crossing: the submission ring when the
-// instance runs one, ctx carries sgx.WithSwitchless and ph charges any part
-// of the server path (maintenance, the zero set, always runs in place); a
-// fresh ECALL for a classic Entry — one EENTER/EEXIT pair for the whole
-// batch, on a TCS slot beyond the resident threads (Manifest.MaxThreads ≥
-// HelperThreads+2; acquisition queues, honouring ctx cancellation); and
-// otherwise the resident process thread. The handler receives the
+// The deployment picks the crossing, not the request: an instance launched
+// with a ring (Manifest.SwitchlessECalls) submits every crossing that
+// charges any part of the server path through it (maintenance, the zero
+// set, always runs in place). Without a ring, a classic Entry takes a
+// fresh ECALL — one EENTER/EEXIT pair for the whole batch, on a TCS slot
+// beyond the resident threads (Manifest.MaxThreads ≥ HelperThreads+2;
+// acquisition queues, honouring ctx cancellation) — and everything else
+// runs on the resident process thread. The handler receives the
 // in-enclave thread to charge its own compute and memory touches.
 //
 //shieldlint:hotpath
 func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
-	viaRing := ph != 0 && i.ring != nil && sgx.SwitchlessFrom(ctx)
+	viaRing := ph != 0 && i.ring != nil
 	ph, err := i.admit(ph)
 	if err != nil {
 		return hmee.Breakdown{}, err

@@ -43,7 +43,8 @@ type Manifest struct {
 	// SwitchlessECalls enables the switchless ECALL submission ring: a
 	// dedicated in-enclave dispatcher thread pins one TCS and serves
 	// shared-memory call submissions, so steady-state requests enter with
-	// zero EENTER/EEXIT. Requires one thread beyond the baseline
+	// zero EENTER/EEXIT. Every request to such an enclave rides the ring
+	// (Instance.Cross). Requires one thread beyond the baseline
 	// (MaxThreads >= HelperThreads+2) and changes the enclave measurement
 	// (see DESIGN.md §15 for the TCB delta).
 	SwitchlessECalls bool `json:"switchless_ecalls,omitempty"`

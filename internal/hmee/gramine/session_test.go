@@ -153,45 +153,58 @@ func TestSessionAmortizesTransitions(t *testing.T) {
 	t.Logf("batch=%d cold=%d session=%d (+close=%d)", batch, cold, pipelined, withTeardown)
 }
 
-// TestSessionRequestsPickTheirOwnCrossing states the rule a keep-alive
-// connection follows on a ring-equipped instance: nothing about the
-// crossing is fixed at Open. Each request — the accept and the teardown
-// included — rides the submission ring if and only if its own ctx carries
-// sgx.WithSwitchless, so one session may interleave both disciplines.
-func TestSessionRequestsPickTheirOwnCrossing(t *testing.T) {
-	inst := censusInstance(t, "ring")
-	classic := context.Background()
-	ring := sgx.WithSwitchless(classic)
-	if _, err := inst.Cross(classic, hmee.OneShot, 40, 80, noop); err != nil {
-		t.Fatalf("warm: %v", err)
-	}
+// TestRingTakesEveryPhasedCrossing states the rule the deployment sets:
+// an instance launched with a ring submits every crossing that charges
+// part of the server path — a one-shot, a session's accept, pipelined
+// requests and teardown, a batch Entry — through it, one submission each
+// at no more than the doorbell's EENTER; a classic instance never touches
+// a ring and pays its transitions. Nothing on ctx chooses. A maintenance
+// crossing (no phase) runs in place on the resident thread on both, its
+// OCALL a classic transition pair.
+func TestRingTakesEveryPhasedCrossing(t *testing.T) {
+	for _, crossing := range []string{"classic", "ring"} {
+		t.Run(crossing, func(t *testing.T) {
+			inst := censusInstance(t, crossing)
+			ring := inst.Switchless()
+			ctx := context.Background()
+			if _, err := inst.Cross(ctx, hmee.OneShot, 40, 80, noop); err != nil {
+				t.Fatalf("warm: %v", err)
+			}
 
-	// step runs one crossing and reports how it went over the boundary.
-	step := func(name string, viaRing bool, f func(ctx context.Context) error) {
-		t.Helper()
-		ctx := classic
-		if viaRing {
-			ctx = ring
-		}
-		before, ringBefore := inst.Stats(), inst.RingStats()
-		if err := f(ctx); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		d, submitted := inst.Stats().Sub(before), inst.RingStats().Submitted-ringBefore.Submitted
-		switch {
-		case viaRing && (submitted != 1 || d.EENTER > 1):
-			t.Errorf("%s with WithSwitchless: %d ring submissions, %d EENTERs; want 1 and at most the doorbell", name, submitted, d.EENTER)
-		case !viaRing && (submitted != 0 || d.EENTER != d.OCALLs || d.OCALLs == 0):
-			t.Errorf("%s without WithSwitchless: %d ring submissions, %d EENTERs for %d OCALLs; want 0 and a transition pair per OCALL", name, submitted, d.EENTER, d.OCALLs)
-		}
+			// step runs one crossing and checks how it went over the boundary.
+			step := func(name string, phased bool, f func() error) {
+				t.Helper()
+				before, ringBefore := inst.Stats(), inst.RingStats()
+				if err := f(); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				d, submitted := inst.Stats().Sub(before), inst.RingStats().Submitted-ringBefore.Submitted
+				switch {
+				case ring && phased && (submitted != 1 || d.EENTER > 1):
+					t.Errorf("%s: %d ring submissions, %d EENTERs; want 1 and at most the doorbell", name, submitted, d.EENTER)
+				case !ring && phased && (submitted != 0 || d.EENTER == 0):
+					t.Errorf("%s: %d ring submissions, %d EENTERs; want 0 and classic transitions", name, submitted, d.EENTER)
+				case !phased && (submitted != 0 || d.OCALLs != 1 || d.EENTER != 1):
+					t.Errorf("maintenance: %d ring submissions, %d EENTERs for %d OCALLs; want 0 and one transition pair in place", submitted, d.EENTER, d.OCALLs)
+				}
+			}
+			sess := new(hmee.Session)
+			serve := func() error { _, err := sess.Serve(ctx, 40, 80, noop); return err }
+			step("oneshot", true, func() error { _, err := inst.Cross(ctx, hmee.OneShot, 40, 80, noop); return err })
+			step("open", true, func() error { return sess.Open(ctx, inst) })
+			step("first pipelined", true, serve)
+			step("second pipelined", true, serve)
+			step("close", true, func() error { return sess.Close(ctx) })
+			step("batch", true, func() error { _, err := inst.Cross(ctx, hmee.Entry, 320, 640, noop); return err })
+			step("maintenance", false, func() error {
+				_, err := inst.Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex hmee.Exec) error {
+					ex.(*sgx.Thread).OCallN(1, 1_000, 16, 16)
+					return nil
+				}))
+				return err
+			})
+		})
 	}
-	sess := new(hmee.Session)
-	serve := func(ctx context.Context) error { _, err := sess.Serve(ctx, 40, 80, noop); return err }
-	step("open", false, func(ctx context.Context) error { return sess.Open(ctx, inst) })
-	step("first request", true, serve)
-	step("second request", false, serve)
-	step("third request", true, serve)
-	step("close", true, sess.Close)
 }
 
 func TestSessionClosedAndLifecycleErrors(t *testing.T) {
@@ -347,9 +360,6 @@ func TestServeShutdownRace(t *testing.T) {
 					go func(w int) {
 						defer wg.Done()
 						ctx := simclock.WithJitter(context.Background(), simclock.NewJitter(uint64(w)+1))
-						if c.ring {
-							ctx = sgx.WithSwitchless(ctx)
-						}
 						for first := true; ; first = false {
 							err := c.work(ctx, inst)
 							if first {

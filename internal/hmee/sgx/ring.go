@@ -19,26 +19,6 @@ var ErrRingClosed = errors.New("sgx: switchless ring closed")
 // comfortably covers the gNB driver's worker counts.
 const DefaultRingSize = 64
 
-type switchlessKey struct{}
-
-// WithSwitchless marks ctx's request as negotiated for the switchless
-// submission ring. The gNB driver attaches it when MassOptions.Switchless
-// is set; the gramine instance routes marked requests through the ring
-// when the module was launched with Manifest.SwitchlessECalls.
-func WithSwitchless(ctx context.Context) context.Context {
-	if on, ok := ctx.Value(switchlessKey{}).(bool); ok && on {
-		return ctx
-	}
-	return context.WithValue(ctx, switchlessKey{}, true)
-}
-
-// SwitchlessFrom reports whether ctx's request negotiated the switchless
-// fast path.
-func SwitchlessFrom(ctx context.Context) bool {
-	on, ok := ctx.Value(switchlessKey{}).(bool)
-	return ok && on
-}
-
 // RingJob is one unit of in-enclave work submitted through a Ring. Execute
 // runs on the dispatcher's resident thread; implementations rebind it to
 // the request's account and jitter stream (Thread.BindRequest) so costs

@@ -28,12 +28,11 @@ func (c *censusCounter) Entry(int, int)                { c.entries++ }
 func (c *censusCounter) Jitter() *simclock.Jitter      { return c.jitter }
 func (c *censusCounter) Exec() hmee.Exec               { return nil } // noop ignores it
 
-// censusBackend is one backend under count: its runtime, what marks a
-// request for its crossing, and how many syscalls it has served so far.
+// censusBackend is one backend under count: its runtime and how many
+// syscalls it has served so far.
 type censusBackend struct {
 	name    string
 	rt      Runtime
-	mark    func(context.Context) context.Context
 	served  func() int
 	entryAs int // syscalls this backend prices one Entry in
 }
@@ -57,11 +56,7 @@ func sgxCensusBackend(t *testing.T, name string, userTCP bool) censusBackend {
 	if err != nil {
 		t.Fatalf("launch %s: %v", name, err)
 	}
-	mark := func(ctx context.Context) context.Context { return ctx }
-	if inst.Switchless() {
-		mark = WithSwitchless
-	}
-	return censusBackend{name: name, rt: inst, mark: mark,
+	return censusBackend{name: name, rt: inst,
 		served: func() int { return int(inst.Stats().OCALLs) }}
 }
 
@@ -72,7 +67,6 @@ func guestCensusBackend(name string, prices hmee.Prices) censusBackend {
 	env := costmodel.NewEnv(&costmodel.Model{FrequencyHz: simclock.DefaultFrequencyHz, SyscallNative: 1}, 31)
 	p := hmee.NewProcess(env, prices)
 	return censusBackend{name: name, rt: p, entryAs: 2,
-		mark: func(ctx context.Context) context.Context { return ctx },
 		served: func() int {
 			return int(env.Clock.Elapsed() - simclock.Cycles(p.VMExits())*prices.VMExitCycles)
 		}}
@@ -124,7 +118,7 @@ func TestSameCensusDifferentPrice(t *testing.T) {
 						t.Fatalf("%s: reference walk: %v", shape, err)
 					}
 					ctx := simclock.WithAccount(context.Background(), &simclock.Account{})
-					ctx = b.mark(simclock.WithJitter(ctx, simclock.NewJitter(seed)))
+					ctx = simclock.WithJitter(ctx, simclock.NewJitter(seed))
 					before := b.served()
 					if err := f(ctx); err != nil {
 						t.Fatalf("%s: %v", shape, err)

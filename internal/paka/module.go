@@ -50,7 +50,8 @@ type Config struct {
 	// shared-memory submissions, so steady-state requests cross with
 	// zero EENTER/EEXIT. Changes the enclave measurement (DESIGN.md
 	// §15) and bumps the manifest thread count for the dispatcher TCS.
-	// Requests opt in per call with WithSwitchless. SGX only.
+	// Every request to the module, batch refills included, then crosses
+	// through the ring. SGX only.
 	Switchless bool
 	// UserLevelTCP links an mTCP-style user-level network stack into
 	// the module, collapsing the per-request syscall census at the cost
@@ -176,34 +177,14 @@ func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Insta
 		manifest.MaxThreads = cfg.MaxThreads
 	}
 	manifest.PreheatEnclave = !cfg.DisablePreheat
-	if cfg.Exitless {
-		manifest.Exitless = true
-		// Switchless calls need a dedicated untrusted helper thread.
-		if manifest.MaxThreads < gramine.HelperThreads+2 {
-			manifest.MaxThreads = gramine.HelperThreads + 2
-		}
-	}
-	if cfg.ReserveBatchTCS {
-		// The resident process and helper threads hold every default TCS
-		// slot permanently; batch ECALLs need a spare one to enter.
-		if manifest.MaxThreads < gramine.HelperThreads+2 {
-			manifest.MaxThreads = gramine.HelperThreads + 2
-		}
-	}
-	if cfg.Switchless {
-		manifest.SwitchlessECalls = true
-		// The ring dispatcher pins a TCS of its own on top of the resident
-		// server thread.
-		need := gramine.HelperThreads + 2
-		if cfg.ReserveBatchTCS {
-			// The AV-pool prewarm still enters through a classic batch
-			// ECALL (it runs before any connection negotiates the ring),
-			// so the spare batch slot must survive the dispatcher pin.
-			need = gramine.HelperThreads + 3
-		}
-		if manifest.MaxThreads < need {
-			manifest.MaxThreads = need
-		}
+	manifest.Exitless = cfg.Exitless
+	manifest.SwitchlessECalls = cfg.Switchless
+	if cfg.Exitless || cfg.ReserveBatchTCS || cfg.Switchless {
+		// One TCS beyond the resident process and helper threads: the
+		// untrusted exitless helper's, the batch ECALL's, or the ring
+		// dispatcher's. A ring module never takes a batch ECALL — its
+		// refills ride the ring — so the three never need two slots.
+		manifest.MaxThreads = max(manifest.MaxThreads, gramine.HelperThreads+2)
 	}
 
 	si, err := gramine.BuildShielded(moduleImage(cfg.Kind, profile, cfg.UserLevelTCP), manifest, cfg.SignKey)
@@ -398,8 +379,9 @@ func avProblem[Resp any](resp *Resp, err error) (*Resp, error) {
 // crossing: K× the AKA crypto, memory touches and shield bytes, but —
 // under SGX — exactly one EENTER/EEXIT transition pair instead of the
 // ~90 a cold served request costs. This is the enclave half of the eUDM
-// AV precomputation pool; the module needs Config.ReserveBatchTCS so the
-// batch entry finds a free TCS slot. Only meaningful for eUDM.
+// AV precomputation pool; a classic module needs Config.ReserveBatchTCS so
+// the batch entry finds a free TCS slot (a ring module submits the batch
+// through its ring instead). Only meaningful for eUDM.
 func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error) {
 	if m.kind != EUDM {
 		return nil, fmt.Errorf("paka: %s does not generate authentication vectors", m.kind)
@@ -570,13 +552,11 @@ func (m *Module) Enclave() *sgx.Enclave {
 	return nil
 }
 
-// WithSwitchless marks ctx's requests as willing to use the module's
-// switchless ECALL ring when the module was deployed with
-// Config.Switchless. Calls without the mark (and all calls to modules
-// without a ring) take the classic ECALL path unchanged.
-func WithSwitchless(ctx context.Context) context.Context {
-	return sgx.WithSwitchless(ctx)
-}
+// WithSwitchless has no effect and returns ctx: a module deployed with
+// Config.Switchless serves every request through its ring, unmarked. It
+// stays only because bench/ still calls it, and leaves with ROADMAP.md's
+// item 5 (the bench/ re-grounding).
+func WithSwitchless(ctx context.Context) context.Context { return ctx }
 
 // RingStats snapshots the switchless ring counters (zero-valued when no
 // ring is attached).

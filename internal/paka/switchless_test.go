@@ -3,17 +3,17 @@ package paka
 import (
 	"bytes"
 	"context"
+	"crypto/ed25519"
 	"testing"
 
-	"shield5g/internal/costmodel"
+	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/hmee/sgx"
-	"shield5g/internal/sbi"
 	"shield5g/internal/simclock"
 )
 
-// switchlessModule deploys an SGX module with the switchless ECALL ring
-// negotiated into its manifest.
-func (h *harness) switchlessModule(t *testing.T, kind ModuleKind) *Module {
+// switchlessModule deploys replica r of an SGX module with the switchless
+// ECALL ring in its manifest.
+func (h *harness) switchlessModule(t *testing.T, kind ModuleKind, r int) *Module {
 	t.Helper()
 	m, err := New(context.Background(), Config{
 		Kind:       kind,
@@ -22,6 +22,7 @@ func (h *harness) switchlessModule(t *testing.T, kind ModuleKind) *Module {
 		Platform:   h.platform,
 		Registry:   h.registry,
 		Switchless: true,
+		Replica:    r,
 	})
 	if err != nil {
 		t.Fatalf("New(%s, SGX, switchless): %v", kind, err)
@@ -39,22 +40,16 @@ func TestSwitchlessServesIdenticalAKAOutputs(t *testing.T) {
 	serve := func(switchless bool) (*UDMGenerateAVResponse, *AUSFDeriveSEResponse, *AMFDeriveKAMFResponse) {
 		t.Helper()
 		h := newHarness(t, 99)
-		var udm, ausf, amf *Module
-		if switchless {
-			udm = h.switchlessModule(t, EUDM)
-			ausf = h.switchlessModule(t, EAUSF)
-			amf = h.switchlessModule(t, EAMF)
-		} else {
-			udm = h.module(t, EUDM, SGX)
-			ausf = h.module(t, EAUSF, SGX)
-			amf = h.module(t, EAMF, SGX)
+		modules := make([]*Module, 0, 3)
+		for _, kind := range []ModuleKind{EUDM, EAUSF, EAMF} {
+			if switchless {
+				modules = append(modules, h.switchlessModule(t, kind, 0))
+			} else {
+				modules = append(modules, h.module(t, kind, SGX))
+			}
 		}
-		_ = udm
 		ctx := context.Background()
-		if switchless {
-			ctx = WithSwitchless(ctx)
-		}
-		if err := udm.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
+		if err := modules[0].ProvisionSubscriber(ctx, testSUPI, testK); err != nil {
 			t.Fatalf("provision: %v", err)
 		}
 		var av UDMGenerateAVResponse
@@ -73,15 +68,10 @@ func TestSwitchlessServesIdenticalAKAOutputs(t *testing.T) {
 		}, &kamf); err != nil {
 			t.Fatalf("DeriveKAMF: %v", err)
 		}
-		if switchless {
-			for _, m := range []*Module{udm, ausf, amf} {
-				if st := m.RingStats(); st.Submitted == 0 {
-					t.Fatalf("switchless %s module served without touching its ring", m.Kind())
-				}
+		for _, m := range modules {
+			if touched := m.RingStats().Submitted > 0; touched != switchless {
+				t.Fatalf("switchless=%v %s module: ring touched = %v", switchless, m.Kind(), touched)
 			}
-		} else {
-			_ = ausf
-			_ = amf
 		}
 		return &av, &se, &kamf
 	}
@@ -101,36 +91,56 @@ func TestSwitchlessServesIdenticalAKAOutputs(t *testing.T) {
 	}
 }
 
-// TestSwitchlessManifestNeedsDispatcherTCS pins the TCS arithmetic: a
-// switchless module reserves one thread beyond the classic layout for the
-// dispatcher, and the manifest validation rejects budgets without it.
+// TestSwitchlessManifestNeedsDispatcherTCS pins launchSGX's one TCS rule:
+// the exitless helper, the batch ECALL slot and the ring dispatcher each
+// need one thread beyond process+helpers, and any combination of them
+// needs exactly that one (a ring module's refills ride the ring, never a
+// batch ECALL).
 func TestSwitchlessManifestNeedsDispatcherTCS(t *testing.T) {
-	env := costmodel.NewEnv(nil, 5)
 	p, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: 5})
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
 	}
-	m, err := New(context.Background(), Config{
-		Kind: EUDM, Isolation: SGX, Env: env, Platform: p,
-		Registry: sbi.NewRegistry(), Switchless: true,
-	})
+	_, signKey, err := ed25519.GenerateKey(nil)
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("GenerateKey: %v", err)
 	}
-	defer m.Stop()
-	// One long-lived EENTER beyond process+helpers pins the dispatcher TCS.
-	if got := m.Enclave().Config().MaxThreads; got < 5 {
-		t.Fatalf("switchless module MaxThreads = %d, want >= 5 (dispatcher TCS)", got)
+	for _, c := range []struct {
+		name                          string
+		exitless, reserve, switchless bool
+		want                          int
+	}{
+		{"classic", false, false, false, gramine.HelperThreads + 1},
+		{"exitless", true, false, false, gramine.HelperThreads + 2},
+		{"batch", false, true, false, gramine.HelperThreads + 2},
+		{"ring", false, false, true, gramine.HelperThreads + 2},
+		{"ring+batch", false, true, true, gramine.HelperThreads + 2},
+		{"all", true, true, true, gramine.HelperThreads + 2},
+	} {
+		inst, err := launchSGX(context.Background(), Config{
+			Kind: EUDM, Platform: p, SignKey: signKey,
+			Exitless: c.exitless, ReserveBatchTCS: c.reserve, Switchless: c.switchless,
+		}, Profiles()[EUDM])
+		if err != nil {
+			t.Fatalf("%s: launch: %v", c.name, err)
+		}
+		if got := inst.Enclave().Config().MaxThreads; got != c.want {
+			t.Errorf("%s: MaxThreads = %d, want %d", c.name, got, c.want)
+		}
+		if inst.Switchless() != c.switchless {
+			t.Errorf("%s: Switchless() = %v", c.name, inst.Switchless())
+		}
+		inst.Shutdown()
 	}
 }
 
 // TestCrossingAllocParity pins the removal of the closure-pair hack: one
-// warm eAUSF DeriveSE through the module endpoint allocates the same on
-// the classic and the ring crossing, and no more than the classic crossing
-// did while the handler still travelled as a closure re-wrapped per layer
-// (measured then: classic 5, ring 6). The plain container is held to the
-// same figure: its per-request state is pooled like the enclave's, where
-// the runtime it replaced boxed one Exec per request (5 then, 4 now).
+// warm eAUSF DeriveSE allocates the same through a classic module and a
+// ring module, and no more than the classic crossing did while the handler
+// still travelled as a closure re-wrapped per layer (measured then:
+// classic 5, ring 6). The plain container is held to the same figure: its
+// per-request state is pooled like the enclave's, where the runtime it
+// replaced boxed one Exec per request (5 then, 4 now).
 func TestCrossingAllocParity(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items at random under the race detector")
@@ -138,19 +148,19 @@ func TestCrossingAllocParity(t *testing.T) {
 	const closureEraClassic = 5
 
 	h := newHarness(t, 41)
-	m := h.switchlessModule(t, EAUSF)
 	av, err := GenerateAV(testK, avRequest())
 	if err != nil {
 		t.Fatalf("GenerateAV: %v", err)
 	}
 	req := &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN}
 
-	service := m.ServiceName()
-	measure := func(ctx context.Context) float64 {
+	// Requests carry their account, as every driver's do.
+	ctx := simclock.WithAccount(context.Background(), &simclock.Account{})
+	measure := func(m *Module) float64 {
 		t.Helper()
 		var se AUSFDeriveSEResponse
 		post := func() {
-			if err := h.client.Post(ctx, service, PathAUSFDeriveSE, req, &se); err != nil {
+			if err := h.client.Post(ctx, m.ServiceName(), PathAUSFDeriveSE, req, &se); err != nil {
 				t.Fatalf("DeriveSE: %v", err)
 			}
 		}
@@ -158,13 +168,11 @@ func TestCrossingAllocParity(t *testing.T) {
 		return testing.AllocsPerRun(200, post)
 	}
 
-	// Requests carry their account, as every driver's do.
-	ctx := simclock.WithAccount(context.Background(), &simclock.Account{})
-	classic := measure(ctx)
-	before := m.RingStats().Submitted
-	ring := measure(WithSwitchless(ctx))
-	if m.RingStats().Submitted == before {
-		t.Fatal("ring crossing never touched the ring")
+	classicModule, ringModule := h.module(t, EAUSF, SGX), h.switchlessModule(t, EAUSF, 1)
+	classic, ring := measure(classicModule), measure(ringModule)
+	if classicModule.RingStats().Submitted != 0 || ringModule.RingStats().Submitted == 0 {
+		t.Fatalf("ring submissions: classic module %d, ring module %d; want 0 and some",
+			classicModule.RingStats().Submitted, ringModule.RingStats().Submitted)
 	}
 	t.Logf("allocs per warm DeriveSE: classic %.0f, ring %.0f", classic, ring)
 	if classic != ring {
@@ -175,13 +183,12 @@ func TestCrossingAllocParity(t *testing.T) {
 	}
 
 	guest, err := New(context.Background(), Config{Kind: EAUSF, Isolation: Container,
-		Env: h.env, Registry: h.registry, Replica: 1})
+		Env: h.env, Registry: h.registry, Replica: 2})
 	if err != nil {
 		t.Fatalf("New(container): %v", err)
 	}
 	t.Cleanup(guest.Stop)
-	service = guest.ServiceName()
-	if container := measure(ctx); container > classic {
+	if container := measure(guest); container > classic {
 		t.Errorf("container request allocates %.0f, the enclave's %.0f: the guest's per-request state must stay pooled", container, classic)
 	}
 }

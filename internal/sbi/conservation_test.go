@@ -52,7 +52,7 @@ func TestPooledBodyConservation(t *testing.T) {
 		name: "binary/sgx/parallel=4/batch=8/avpool=8/switchless",
 		cfg: shield5g.SliceConfig{Isolation: paka.SGX, Seed: 7, BinarySBI: true,
 			AVPoolDepth: 8, Switchless: true},
-		mass: shield5g.MassOptions{N: 64, Parallelism: 4, BatchSize: 8, Switchless: true},
+		mass: shield5g.MassOptions{N: 64, Parallelism: 4, BatchSize: 8},
 	})
 
 	for _, r := range runs {
@@ -65,7 +65,6 @@ func TestPooledBodyConservation(t *testing.T) {
 			}
 			defer tb.Close()
 
-			r.mass.Chaos = tb.Slice.Chaos
 			r.mass.NewUE = func(i int) (*shield5g.UE, error) {
 				sub, err := tb.AddSubscriber(ctx, make([]byte, 16), nil)
 				if err != nil {

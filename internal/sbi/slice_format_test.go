@@ -93,11 +93,11 @@ func TestBinarySliceServesNo4xx(t *testing.T) {
 	}
 	// The container's keys die with it: the first AV for a subscriber
 	// provisioned before the crash finds the eUDM empty.
-	if err := tb.Slice.RestartModule(ctx, paka.EUDM); err != nil {
-		t.Fatalf("RestartModule: %v", err)
+	if err := tb.Slice.RestartShardModule(ctx, 0, paka.EUDM); err != nil {
+		t.Fatalf("RestartShardModule: %v", err)
 	}
 	register("registration after crash-restart", subs[2])
-	if got := tb.Slice.UDM.Reprovisions(); got != 1 || lostKey != 1 {
+	if got := tb.Slice.Shards[0].UDM.Reprovisions(); got != 1 || lostKey != 1 {
 		t.Fatalf("reprovisions = %d on %d USER_NOT_FOUND answers, want 1 on 1", got, lostKey)
 	}
 	if len(clientErrors) != 0 {

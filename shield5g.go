@@ -54,10 +54,15 @@ const (
 // ParseIsolation is the inverse of Isolation.String, for CLI flags.
 func ParseIsolation(name string) (Isolation, error) { return paka.ParseIsolation(name) }
 
-// SliceConfig configures a network slice deployment.
+// SliceConfig configures a network slice deployment. Every fact of the
+// deployment — isolation, crossing (SliceConfig.Switchless: every module
+// request rides the ring), chaos, overload profile — is set here once;
+// no run or request restates it.
 type SliceConfig = deploy.SliceConfig
 
-// Slice is a running network slice.
+// Slice is a running network slice. Per-replica state lives in
+// Slice.Shards; fleet figures come from its summing methods
+// (AVPoolStats, AdmissionStats, ...), never from one shard.
 type Slice = deploy.Slice
 
 // Testbed is a deployed slice with provisioning and registration helpers.
@@ -264,14 +269,6 @@ const (
 
 // Module is one deployed P-AKA microservice.
 type Module = paka.Module
-
-// WithSwitchless marks ctx's requests as willing to ride a module's
-// switchless ECALL ring when the slice negotiated one
-// (SliceConfig.Switchless). The mass drivers set it from
-// MassOptions.Switchless; single-call paths opt in per request.
-func WithSwitchless(ctx context.Context) context.Context {
-	return paka.WithSwitchless(ctx)
-}
 
 // Enclave is a simulated SGX enclave (sealing, attestation,
 // introspection).

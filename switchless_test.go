@@ -92,10 +92,9 @@ func switchlessWindow(t *testing.T, switchless bool, avPool int) fastPathWindow 
 	var res *shield5g.MassResult
 	mallocs, _, err := experiments.AllocWindow(func() (err error) {
 		res, err = tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
-			N:          n,
-			NewUE:      func(i int) (*shield5g.UE, error) { return devices[i], nil },
-			BatchSize:  8,
-			Switchless: switchless,
+			N:         n,
+			NewUE:     func(i int) (*shield5g.UE, error) { return devices[i], nil },
+			BatchSize: 8,
 		})
 		return err
 	})
@@ -159,7 +158,6 @@ func TestSwitchlessChaosCrashRestartDrainsRing(t *testing.T) {
 		N:           n,
 		NewUE:       func(i int) (*shield5g.UE, error) { return devices[i], nil },
 		BatchSize:   8,
-		Switchless:  true,
 		MaxAttempts: 5,
 	})
 	if err != nil {
@@ -187,7 +185,7 @@ func TestSwitchlessChaosCrashRestartDrainsRing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("AddSubscriber(post): %v", err)
 	}
-	if _, err := tb.Register(shield5g.WithSwitchless(ctx), sub); err != nil {
+	if _, err := tb.Register(ctx, sub); err != nil {
 		t.Fatalf("post-chaos Register: %v", err)
 	}
 }
@@ -303,7 +301,7 @@ func TestSwitchlessFastPathGates(t *testing.T) {
 // whatever the ring timing, the replica count or an eUDM crash-restart.
 // Four workers submit through the eUDM ring at once for three rounds over
 // the same UEs — first contact, the banked hit, a steady-state refill —
-// optionally with one eUDM RestartModule after the first round. Every
+// optionally with one restart of shard 0's eUDM after the first round. Every
 // vector the UDR advanced a sequence number for is then served, banked
 // or invalidated: served + banked + invalidated == minted, with minted
 // read from the UDR (each SUPI's SQN advance over the per-vector step),
@@ -338,8 +336,8 @@ func TestSwitchlessParallelMintsWholeBatches(t *testing.T) {
 				}
 				for round := 0; round < rounds; round++ {
 					if restart && round == 1 {
-						if err := tb.Slice.RestartModule(ctx, shield5g.EUDM); err != nil {
-							t.Fatalf("RestartModule: %v", err)
+						if err := tb.Slice.RestartShardModule(ctx, 0, shield5g.EUDM); err != nil {
+							t.Fatalf("RestartShardModule: %v", err)
 						}
 					}
 					res, err := tb.Slice.GNB.RegisterManyWith(ctx, shield5g.MassOptions{
@@ -347,7 +345,6 @@ func TestSwitchlessParallelMintsWholeBatches(t *testing.T) {
 						NewUE:       func(i int) (*shield5g.UE, error) { return devices[i], nil },
 						Parallelism: 4,
 						BatchSize:   8,
-						Switchless:  true,
 					})
 					if err != nil {
 						t.Fatalf("round %d: RegisterManyWith: %v", round, err)
