@@ -68,10 +68,11 @@ func TestMutations(t *testing.T) {
 var mutationCases = []mutationCase{
 	{
 		// paka.Module.Restart holds restartMu for the whole redeploy and
-		// takes secretMu (to copy the sealed backups) and rtMu (to swap the
-		// runtime) under it; ProvisionSubscriber takes secretMu alone.
+		// takes the platform's backup lock (sgx.Enclave.Backups copies the
+		// sealed files) and rtMu (to swap the runtime) under it;
+		// ProvisionSubscriber takes the backup lock alone (SealBackup).
 		// Mutant: ProvisionSubscriber fences restarts out while it already
-		// holds secretMu — the opposite nesting.
+		// holds the backup lock — the opposite nesting.
 		name:     "module-restart-lock-swap",
 		analyzer: LockOrder,
 		want:     regexp.MustCompile("inconsistent lock nesting"),
@@ -81,30 +82,30 @@ import "sync"
 
 type module struct {
 	restartMu sync.Mutex
-	secretMu  sync.Mutex
+	backupMu  sync.Mutex
 	rtMu      sync.RWMutex
-	sealed    map[string][]byte
+	backups   map[string][]byte
 	runtime   int
 }
 
 func (m *module) restart() {
 	m.restartMu.Lock()
 	defer m.restartMu.Unlock()
-	m.secretMu.Lock()
-	backups := make(map[string][]byte, len(m.sealed))
-	for name, blob := range m.sealed {
+	m.backupMu.Lock()
+	backups := make(map[string][]byte, len(m.backups))
+	for name, blob := range m.backups {
 		backups[name] = blob
 	}
-	m.secretMu.Unlock()
+	m.backupMu.Unlock()
 	m.rtMu.Lock()
 	m.runtime += len(backups)
 	m.rtMu.Unlock()
 }
 
 func (m *module) provisionSubscriber(name string) {
-	m.secretMu.Lock()
-	m.sealed[name] = nil
-	m.secretMu.Unlock()
+	m.backupMu.Lock()
+	m.backups[name] = nil
+	m.backupMu.Unlock()
 }
 `,
 		mutant: `package mut
@@ -113,32 +114,32 @@ import "sync"
 
 type module struct {
 	restartMu sync.Mutex
-	secretMu  sync.Mutex
+	backupMu  sync.Mutex
 	rtMu      sync.RWMutex
-	sealed    map[string][]byte
+	backups   map[string][]byte
 	runtime   int
 }
 
 func (m *module) restart() {
 	m.restartMu.Lock()
 	defer m.restartMu.Unlock()
-	m.secretMu.Lock()
-	backups := make(map[string][]byte, len(m.sealed))
-	for name, blob := range m.sealed {
+	m.backupMu.Lock()
+	backups := make(map[string][]byte, len(m.backups))
+	for name, blob := range m.backups {
 		backups[name] = blob
 	}
-	m.secretMu.Unlock()
+	m.backupMu.Unlock()
 	m.rtMu.Lock()
 	m.runtime += len(backups)
 	m.rtMu.Unlock()
 }
 
 func (m *module) provisionSubscriber(name string) {
-	m.secretMu.Lock()
+	m.backupMu.Lock()
 	m.restartMu.Lock()
-	m.sealed[name] = nil
+	m.backups[name] = nil
 	m.restartMu.Unlock()
-	m.secretMu.Unlock()
+	m.backupMu.Unlock()
 }
 `,
 	},

@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"shield5g/internal/chaos"
+	"shield5g/internal/crypto/milenage"
+	"shield5g/internal/crypto/suci"
 	"shield5g/internal/gnb"
 	"shield5g/internal/nf/ausf"
+	"shield5g/internal/nf/udr"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
 	"shield5g/internal/simclock"
@@ -122,6 +126,42 @@ func TestContainerCrashRecoveryReprovisions(t *testing.T) { crashRecovery(t, pak
 // TestSEVCrashRecoveryReprovisions: a confidential VM is a guest process
 // too — relaunched empty, restored by the UDM like the container.
 func TestSEVCrashRecoveryReprovisions(t *testing.T) { crashRecovery(t, paka.SEV, 1) }
+
+// TestSGXSliceNeverPullsKOverSBI: an SGX eUDM gets K back from its sealed
+// backups, never from the UDR, so its UDM has no reprovisioning path. A
+// subscriber the UDR holds but the enclave does not fails with the eUDM's
+// USER_NOT_FOUND instead of the UDM fetching K (udr.Client.Get) and
+// pushing it over the SBI.
+func TestSGXSliceNeverPullsKOverSBI(t *testing.T) {
+	ctx := context.Background()
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 42})
+	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000035001"}
+	k := []byte("udr-only-key-035")
+	opc, err := milenage.ComputeOPc(k, make([]byte, milenage.OPLen))
+	if err != nil {
+		t.Fatalf("ComputeOPc: %v", err)
+	}
+	if err := s.provisioning.Provision(ctx, udr.Subscriber{
+		SUPI: supi.String(), K: k, OPc: opc, SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
+	}); err != nil {
+		t.Fatalf("UDR provisioning: %v", err)
+	}
+	device, err := ue.New(ue.Config{
+		SUPI: supi, K: k, OPc: opc,
+		HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
+		HomeNetworkKeyID:     s.HomeNetworkKey.ID,
+		Env:                  s.Env,
+	})
+	if err != nil {
+		t.Fatalf("ue.New: %v", err)
+	}
+	if _, err := s.GNB.RegisterUE(ctx, device); err == nil || !strings.Contains(err.Error(), "USER_NOT_FOUND") {
+		t.Fatalf("RegisterUE of a subscriber the enclave never received: err = %v, want the eUDM's USER_NOT_FOUND", err)
+	}
+	if n := s.Shards[0].UDM.Reprovisions(); n != 0 {
+		t.Fatalf("Reprovisions = %d, want 0: K was pulled over the SBI into an enclave", n)
+	}
+}
 
 // TestChaosCrashDrawRestartsEveryBackend: every module backend can rebuild
 // itself, so a crash draw is a real crash under each of them — counted by

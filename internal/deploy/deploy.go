@@ -389,12 +389,14 @@ func newAdmission(cfg SliceConfig, env *costmodel.Env) *admission.Controller {
 	return admission.NewController(acfg)
 }
 
-// reprovisionHook is what a UDM gets from its eUDM module m (nil under
-// Monolithic isolation): it pushes a long-term key back into an execution
-// environment that lost its key store to a crash-restart (the container
-// runtime keeps no sealed backup).
+// reprovisionHook is what a UDM gets from its eUDM module m: it pushes a
+// long-term key, fetched from the UDR, back into a guest runtime (a
+// container or a confidential VM) that lost its key store to a
+// crash-restart and keeps no backup. An SGX eUDM gets none: its restarted
+// enclave restores K from its sealed backups, so K never crosses the SBI
+// to reach it. Monolithic isolation (no module) gets none either.
 func reprovisionHook(m *paka.Module) func(context.Context, string, []byte) error {
-	if m == nil {
+	if m == nil || m.Isolation() == paka.SGX {
 		return nil
 	}
 	return m.ProvisionSubscriber
@@ -625,8 +627,8 @@ func (s *Slice) verifyAttestation(m *paka.Module) error {
 // module: the runtime (and enclave, under SGX) is destroyed, rebuilt from
 // the retained configuration — which re-charges the paper's Fig. 7 load
 // cost to ctx's account — re-attested, and, under SGX, its key store
-// restored from sealed backups. The fault injector, when present, is
-// repointed at the fresh enclave.
+// restored from the platform's sealed backups. The fault injector, when
+// present, is repointed at the fresh enclave.
 func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
 	if shard < 0 || shard >= len(s.Shards) {
 		return fmt.Errorf("deploy: no shard %d", shard)
@@ -664,7 +666,12 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 // long-term key to the AKA execution environment (the eUDM enclave under
 // SGX isolation, where it is shielded from introspection). For TEE-backed
 // slices the environment's attestation evidence is verified before the
-// first key is released.
+// first key is released. k must be 16 bytes.
+//
+// What the slice then holds per subscriber: the UDR's flat record, once;
+// under SGX one sealed backup of K on the platform, once (every replica's
+// eUDM has the same measurement, so all of them rewrite the same file);
+// and in each replica's runtime key store, that runtime's own copy of K.
 func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc []byte) error {
 	if err := supi.Validate(); err != nil {
 		return err

@@ -97,3 +97,52 @@ func TestCoreBytesPerRegisteredUE(t *testing.T) {
 		t.Errorf("core retains %.0f B per registered UE, budget %d B", perUE, coreBytesPerUEBudget)
 	}
 }
+
+// bytesPerReplicaBudget bounds what one more eUDM replica adds to the live
+// heap per provisioned subscriber: its runtime key store's entry (the SUPI
+// string it shares and K inline). It measures 55 B (go1.24, amd64); the
+// bound is that plus 25 %. While every replica kept its own sealed backup
+// and an index of its own, it measured 233 B.
+const bytesPerReplicaBudget = 69
+
+// TestCoreBytesPerSubscriberReplica: what a provisioned subscriber costs an
+// SGX slice, split into what the slice holds once (UDR record, SUPI
+// string, the platform's one sealed backup) and what each eUDM replica adds,
+// from the live heap before and after provisioning 2 000 subscribers at 1
+// and at 4 replicas. The per-replica share stays within
+// bytesPerReplicaBudget. Skipped under -race like its sibling.
+func TestCoreBytesPerSubscriberReplica(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap readings are not repeatable under -race")
+	}
+	const n = 2000
+	ctx := context.Background()
+	supis := make([]suci.SUPI, n)
+	keys := make([][]byte, n)
+	for i := range supis {
+		supis[i] = suci.SUPI{MCC: "001", MNC: "01", MSIN: fmt.Sprintf("%010d", i+1)}
+		keys[i] = make([]byte, milenage.KeyLen)
+		binary.BigEndian.PutUint64(keys[i][8:], uint64(i)+1)
+	}
+	opc := make([]byte, milenage.OPLen)
+	perSubscriber := func(replicas int) float64 {
+		s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 30, Replicas: replicas})
+		before := liveHeap()
+		for i, supi := range supis {
+			if err := s.ProvisionSubscriber(ctx, supi, keys[i], opc); err != nil {
+				t.Fatalf("ProvisionSubscriber: %v", err)
+			}
+		}
+		after := liveHeap()
+		if got := s.UDR.SubscriberCount(); got != n {
+			t.Fatalf("UDR holds %d subscribers, want %d", got, n)
+		}
+		return (float64(after) - float64(before)) / n
+	}
+	one, four := perSubscriber(1), perSubscriber(4)
+	perReplica := (four - one) / 3
+	t.Logf("a provisioned subscriber costs %.0f B once plus %.0f B per eUDM replica (%.0f B at 1 replica, %.0f B at 4)", one-perReplica, perReplica, one, four)
+	if perReplica > bytesPerReplicaBudget {
+		t.Errorf("each eUDM replica adds %.0f B per subscriber, budget %d B", perReplica, bytesPerReplicaBudget)
+	}
+}

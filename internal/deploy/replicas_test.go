@@ -3,6 +3,7 @@ package deploy
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -16,6 +17,16 @@ import (
 )
 
 func supiString(msin string) string { return "imsi-00101" + msin }
+
+// sortedNames lists a key store view's region names in order.
+func sortedNames(regions map[string][]byte) []string {
+	names := make([]string, 0, len(regions))
+	for name := range regions {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
+}
 
 func TestShardedRegistrationSpreadsAcrossShards(t *testing.T) {
 	s := newSliceWith(t, SliceConfig{
@@ -358,12 +369,32 @@ func TestShardClientsSpeakAsTheirShard(t *testing.T) {
 // TestReplicaKeyStoresShareTheSUPIString: full key replication puts a
 // subscriber's key in every replica's eUDM, and each replica's store is
 // keyed by the one SUPI string provisioning was given, not a copy per
-// replica.
+// replica. The replicas run one enclave identity, so the platform holds one
+// sealed backup per subscriber, not one per replica, and a restarted
+// replica restores exactly the provisioned set from it.
 func TestReplicaKeyStoresShareTheSUPIString(t *testing.T) {
 	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 26, Replicas: 4})
 	msins := []string{"0000026001", "0000026002"}
-	for _, msin := range msins {
+	want := make([]string, len(msins))
+	for i, msin := range msins {
 		provisionUE(t, s, msin)
+		want[i] = supiString(msin)
+	}
+	identity := s.Shards[0].Modules[paka.EUDM].Enclave().Measurement()
+	for _, shard := range s.Shards {
+		enc := shard.Modules[paka.EUDM].Enclave()
+		if enc.Measurement() != identity {
+			t.Fatalf("shard %d eUDM measures %x, shard 0 %x", shard.Index, enc.Measurement(), identity)
+		}
+		if got := sortedNames(enc.Backups()); !slices.Equal(got, want) {
+			t.Fatalf("platform holds backups for %v, want one per provisioned SUPI %v", got, want)
+		}
+	}
+	if err := s.RestartShardModule(context.Background(), 3, paka.EUDM); err != nil {
+		t.Fatalf("RestartShardModule(3): %v", err)
+	}
+	if got := sortedNames(s.Shards[3].Modules[paka.EUDM].MemoryDump()); !slices.Equal(got, want) {
+		t.Fatalf("restarted replica holds keys for %v, want %v", got, want)
 	}
 	for _, msin := range msins {
 		supi := supiString(msin)

@@ -180,9 +180,9 @@ func (i *Instance) RingStats() sgx.RingStats {
 	return i.ring.Stats()
 }
 
-// Introspect is the host's view of the enclave's memory for the named
-// secret: MEE ciphertext.
-func (i *Instance) Introspect(name string) ([]byte, bool) { return i.enclave.Introspect(name) }
+// Introspect is the host's view of the enclave's key store: MEE
+// ciphertext, region by name.
+func (i *Instance) Introspect() map[string][]byte { return i.enclave.Introspect() }
 
 // Warm reports whether the first request has been served.
 func (i *Instance) Warm() bool {

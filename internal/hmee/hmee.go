@@ -21,11 +21,14 @@ type Exec interface {
 	Compute(n simclock.Cycles)
 	// Touch charges access to n bytes of heap.
 	Touch(nBytes uint64)
-	// StoreSecret places sensitive material in the runtime's memory.
-	StoreSecret(name string, data []byte)
-	// LoadSecret reads sensitive material back as a fresh copy the caller
-	// owns, and clears once it has no more use for it.
-	LoadSecret(name string) ([]byte, bool)
+	// StoreSecret places a long-term key in the runtime's key store. The
+	// store holds it inline: an entry is the name and the 16 bytes, with
+	// no allocation of its own.
+	StoreSecret(name string, k [16]byte)
+	// LoadSecret copies the named key into dst, which the caller owns and
+	// clears once it has no more use for it, and reports whether the store
+	// holds the name.
+	LoadSecret(name string, dst *[16]byte) bool
 }
 
 // Handler is the work one request runs inside the execution environment.

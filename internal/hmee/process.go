@@ -49,7 +49,7 @@ type Process struct {
 	mu      sync.Mutex
 	running bool
 	warm    bool
-	secrets map[string][]byte
+	secrets map[string][16]byte
 }
 
 // NewProcess starts a guest process charging env at the given prices.
@@ -59,7 +59,7 @@ func NewProcess(env *costmodel.Env, prices Prices) *Process {
 		prices:   prices,
 		syscalls: DefaultSyscallProfile(),
 		running:  true,
-		secrets:  make(map[string][]byte),
+		secrets:  make(map[string][16]byte),
 	}
 }
 
@@ -107,13 +107,18 @@ func (c *call) Touch(nBytes uint64) {
 	c.charge(simclock.Cycles(nBytes) * c.p.env.Model.CopyPerByte)
 }
 
-func (c *call) StoreSecret(name string, data []byte) {
+func (c *call) StoreSecret(name string, k [16]byte) {
 	c.p.mu.Lock()
-	c.p.secrets[name] = append([]byte(nil), data...)
+	c.p.secrets[name] = k
 	c.p.mu.Unlock()
 }
 
-func (c *call) LoadSecret(name string) ([]byte, bool) { return c.p.Introspect(name) }
+func (c *call) LoadSecret(name string, dst *[16]byte) (ok bool) {
+	c.p.mu.Lock()
+	*dst, ok = c.p.secrets[name]
+	c.p.mu.Unlock()
+	return ok
+}
 
 // Cross is the process's one serve path (Crossing): check the request in
 // against the lifecycle, resolve its phases against the warm state (exactly
@@ -180,17 +185,17 @@ func (p *Process) Warm() bool {
 	return p.warm
 }
 
-// Introspect is a read of the process's memory for the named secret:
+// Introspect is a read of the process's whole key store, region by name:
 // plaintext, to the process itself and — in a plain container — to any
 // privileged attacker on the host.
-func (p *Process) Introspect(name string) ([]byte, bool) {
+func (p *Process) Introspect() map[string][]byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	d, ok := p.secrets[name]
-	if !ok {
-		return nil, false
+	out := make(map[string][]byte, len(p.secrets))
+	for name, k := range p.secrets {
+		out[name] = append([]byte(nil), k[:]...)
 	}
-	return append([]byte(nil), d...), true
+	return out
 }
 
 // Shutdown stops the process; its secrets die with it.

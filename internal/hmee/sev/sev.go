@@ -17,7 +17,6 @@ import (
 	"context"
 	"crypto/ed25519"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"time"
@@ -116,31 +115,25 @@ func (m *Machine) TCBBytes() uint64 {
 	return m.cfg.AppImageBytes + guestKernelBytes + guestSystemBytes
 }
 
-// Introspect is the host's view of guest memory for the named secret:
-// SEV ciphertext. (Note the paper's caveat: deterministic memory
+// Introspect is the host's view of the guest's whole key store, region by
+// name: SEV ciphertext. (Note the paper's caveat: deterministic memory
 // encryption has known ciphertext side channels — CIPHERLEAKS — which is
 // one reason it models only partial mitigation for some key issues.)
-func (m *Machine) Introspect(name string) ([]byte, bool) {
-	plain, ok := m.Process.Introspect(name)
-	if !ok {
-		return nil, false
-	}
-	out := make([]byte, len(plain))
+func (m *Machine) Introspect() map[string][]byte {
+	// A deterministic keystream keyed by the VM stands in for the memory
+	// encryption engine; a key is half of its first block (counter 0).
+	h := sha256.New()
+	h.Write(m.sealKey[:])
+	h.Write(make([]byte, 8))
 	var block [32]byte
-	var counter uint64
-	for i := range plain {
-		if i%32 == 0 {
-			h := sha256.New()
-			h.Write(m.sealKey[:])
-			var cb [8]byte
-			binary.BigEndian.PutUint64(cb[:], counter)
-			h.Write(cb[:])
-			copy(block[:], h.Sum(nil))
-			counter++
+	h.Sum(block[:0])
+	regions := m.Process.Introspect()
+	for _, plain := range regions {
+		for i := range plain {
+			plain[i] ^= block[i]
 		}
-		out[i] = plain[i] ^ block[i%32]
 	}
-	return out, true
+	return regions
 }
 
 // AttestationReport is the SNP report analogue: launch digest plus caller

@@ -119,32 +119,30 @@ func TestTCBIncludesGuestStack(t *testing.T) {
 
 func TestSecretsAndIntrospection(t *testing.T) {
 	m := testMachine(t)
-	secret := []byte("subscriber-key-material")
+	secret := [16]byte([]byte("subscriber-key-m"))
 	if _, err := m.Cross(context.Background(), 0, 0, 0, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.StoreSecret("k", secret)
-		got, ok := ex.LoadSecret("k")
-		if !ok || !bytes.Equal(got, secret) {
+		var got [16]byte
+		if !ex.LoadSecret("k", &got) || got != secret {
 			t.Error("in-guest read failed")
 		}
-		if _, ok := ex.LoadSecret("missing"); ok {
+		if ex.LoadSecret("missing", &got) {
 			t.Error("missing secret found")
 		}
 		return nil
 	})); err != nil {
 		t.Fatalf("maintenance crossing: %v", err)
 	}
-	view, ok := m.Introspect("k")
-	if !ok {
-		t.Fatal("Introspect found nothing")
+	dump := m.Introspect()
+	view, ok := dump["k"]
+	if !ok || len(dump) != 1 {
+		t.Fatalf("Introspect regions = %d (k present: %v), want just k", len(dump), ok)
 	}
-	if bytes.Equal(view, secret) || bytes.Contains(view, []byte("subscriber")) {
+	if bytes.Equal(view, secret[:]) || bytes.Contains(view, []byte("subscriber")) {
 		t.Fatal("host view leaked plaintext")
 	}
-	if _, ok := m.Introspect("missing"); ok {
-		t.Fatal("Introspect invented a region")
-	}
 	m.Shutdown()
-	if _, ok := m.Introspect("k"); ok {
+	if len(m.Introspect()) != 0 {
 		t.Fatal("secret survived teardown")
 	}
 }

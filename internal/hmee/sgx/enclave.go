@@ -90,7 +90,7 @@ type Enclave struct {
 	faulted atomic.Uint64 // heap pages already faulted in
 
 	secretMu sync.RWMutex
-	secrets  map[string][]byte // shielded in-enclave data (plaintext inside)
+	secrets  map[string][16]byte // shielded in-enclave keys (plaintext inside)
 }
 
 // Build constructs, measures and initializes an enclave, charging the full
@@ -116,7 +116,7 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 		platform: p,
 		cfg:      cfg,
 		tcs:      make(chan struct{}, cfg.MaxThreads),
-		secrets:  make(map[string][]byte),
+		secrets:  make(map[string][16]byte),
 	}
 	e.state.Store(int32(StateBuilt))
 
@@ -206,9 +206,7 @@ func (e *Enclave) Destroy() {
 		return
 	}
 	e.secretMu.Lock()
-	for k := range e.secrets {
-		delete(e.secrets, k)
-	}
+	clear(e.secrets)
 	e.secretMu.Unlock()
 
 	p := e.platform
@@ -477,65 +475,54 @@ func (t *Thread) Touch(nBytes uint64) {
 	p.env.ChargeTo(t.acct, simclock.Cycles(nBytes)*m.CopyPerByte)
 }
 
-// StoreSecret places sensitive material in enclave memory. From inside the
-// enclave it is plaintext; Introspect (the attacker's view) sees only
-// ciphertext, reproducing the memory-introspection protection of Key
-// Issues 7 and 15.
-func (t *Thread) StoreSecret(name string, data []byte) {
+// StoreSecret places a long-term key in enclave memory, inline in the key
+// store. From inside the enclave it is plaintext; Introspect (the
+// attacker's view) sees only ciphertext, reproducing the
+// memory-introspection protection of Key Issues 7 and 15.
+func (t *Thread) StoreSecret(name string, k [16]byte) {
 	e := t.enclave
 	e.secretMu.Lock()
-	defer e.secretMu.Unlock()
-	e.secrets[name] = append([]byte(nil), data...)
+	e.secrets[name] = k
+	e.secretMu.Unlock()
 }
 
-// LoadSecret reads sensitive material back from enclave memory. Reads
-// share the lock so concurrent AV generations for different subscribers
-// do not serialise on the key store.
-func (t *Thread) LoadSecret(name string) ([]byte, bool) {
+// LoadSecret copies the named key into the caller's dst. Reads share the
+// lock so concurrent AV generations for different subscribers do not
+// serialise on the key store.
+func (t *Thread) LoadSecret(name string, dst *[16]byte) (ok bool) {
 	e := t.enclave
 	e.secretMu.RLock()
-	defer e.secretMu.RUnlock()
-	d, ok := e.secrets[name]
-	if !ok {
-		return nil, false
-	}
-	return append([]byte(nil), d...), true
+	*dst, ok = e.secrets[name]
+	e.secretMu.RUnlock()
+	return ok
 }
 
 // Introspect is the view a privileged attacker (hypervisor, container
-// engine, co-resident root) gets of the enclave's memory for the named
-// region: the Memory Encryption Engine ciphertext, never the plaintext.
-func (e *Enclave) Introspect(name string) ([]byte, bool) {
+// engine, co-resident root) gets of the enclave's key store, region by
+// name: the Memory Encryption Engine ciphertext, never the plaintext.
+func (e *Enclave) Introspect() map[string][]byte {
 	e.secretMu.RLock()
-	plain, ok := e.secrets[name]
-	if !ok {
-		e.secretMu.RUnlock()
-		return nil, false
-	}
-	plain = append([]byte(nil), plain...)
-	e.secretMu.RUnlock()
-
+	defer e.secretMu.RUnlock()
 	// Deterministic keystream derived from the platform sealing root and
 	// enclave id stands in for the MEE's AES-XTS: same plaintext, same
-	// ciphertext, nothing recoverable without the CPU package key.
-	out := make([]byte, len(plain))
-	var counter uint64
+	// ciphertext, nothing recoverable without the CPU package key. A key
+	// is half a keystream block.
+	h := sha256.New()
+	h.Write(e.platform.sealRoot[:])
+	var idb [16]byte
+	binary.BigEndian.PutUint64(idb[:8], e.id)
+	h.Write(idb[:])
 	var block [32]byte
-	for i := range plain {
-		if i%32 == 0 {
-			h := sha256.New()
-			h.Write(e.platform.sealRoot[:])
-			var idb [8]byte
-			binary.BigEndian.PutUint64(idb[:], e.id)
-			h.Write(idb[:])
-			binary.BigEndian.PutUint64(idb[:], counter)
-			h.Write(idb[:])
-			copy(block[:], h.Sum(nil))
-			counter++
+	h.Sum(block[:0])
+	out := make(map[string][]byte, len(e.secrets))
+	for name, k := range e.secrets {
+		ct := make([]byte, len(k))
+		for i := range k {
+			ct[i] = k[i] ^ block[i]
 		}
-		out[i] = plain[i] ^ block[i%32]
+		out[name] = ct
 	}
-	return out, true
+	return out
 }
 
 // AccrueUptime models the enclave staying resident for d of virtual time:

@@ -48,6 +48,9 @@ type Platform struct {
 	nextID   uint64
 	enclaves map[uint64]*Enclave
 	epcUsed  uint64
+	// backups is the host's disk of sealed files (SealBackup), one
+	// directory per enclave measurement.
+	backups map[[32]byte]map[string][]byte
 }
 
 // PlatformConfig configures a simulated host.
@@ -84,6 +87,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		qePriv:      priv,
 		qePub:       pub,
 		enclaves:    make(map[uint64]*Enclave),
+		backups:     make(map[[32]byte]map[string][]byte),
 	}
 	if _, err := io.ReadFull(entropy, p.sealRoot[:]); err != nil {
 		return nil, fmt.Errorf("sgx: generate sealing root: %w", err)

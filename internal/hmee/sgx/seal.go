@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 )
 
 // ErrUnseal reports sealed data that cannot be opened by this enclave —
@@ -68,4 +69,37 @@ func (e *Enclave) Unseal(blob, additionalData []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrUnseal, err)
 	}
 	return plain, nil
+}
+
+// SealBackup seals data with name as its additional data and files the
+// blob on the host's disk under the enclave's measurement, replacing any
+// earlier file of that name. Every enclave of one identity on the platform
+// — a restarted one, or a replica of the same image — reads and writes the
+// same files, so replicas keep one backup between them.
+func (e *Enclave) SealBackup(name string, data []byte) error {
+	blob, err := e.Seal(data, []byte(name))
+	if err != nil {
+		return err
+	}
+	p := e.platform
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	files := p.backups[e.measurement]
+	if files == nil {
+		files = make(map[string][]byte)
+		p.backups[e.measurement] = files
+	}
+	files[name] = blob
+	return nil
+}
+
+// Backups lists the sealed files the host keeps for the enclave's
+// measurement, blob by name: opaque to the host and to any enclave of
+// another identity or platform (Unseal with the name as additional data).
+// The map is a copy; the blobs are shared and read-only.
+func (e *Enclave) Backups() map[string][]byte {
+	p := e.platform
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return maps.Clone(p.backups[e.measurement])
 }

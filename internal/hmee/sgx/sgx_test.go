@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -294,12 +296,15 @@ func TestAccrueUptimeGeneratesAEX(t *testing.T) {
 func TestSecretsAndIntrospection(t *testing.T) {
 	p := testPlatform(t)
 	e := build(t, p, testConfig())
-	secret := []byte("subscriber-key-465b5ce8")
+	secret := [16]byte([]byte("subscriber-key-1"))
 	if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
 		th.StoreSecret("k", secret)
-		got, ok := th.LoadSecret("k")
-		if !ok || !bytes.Equal(got, secret) {
+		var got [16]byte
+		if !th.LoadSecret("k", &got) || got != secret {
 			t.Error("in-enclave secret read failed")
+		}
+		if th.LoadSecret("missing", &got) {
+			t.Error("LoadSecret invented a key")
 		}
 		return nil
 	}); err != nil {
@@ -307,20 +312,18 @@ func TestSecretsAndIntrospection(t *testing.T) {
 	}
 
 	// The attacker's view must be ciphertext, not the secret.
-	view, ok := e.Introspect("k")
-	if !ok {
-		t.Fatal("Introspect found nothing")
+	dump := e.Introspect()
+	view, ok := dump["k"]
+	if !ok || len(dump) != 1 {
+		t.Fatalf("Introspect regions = %d (k present: %v), want just k", len(dump), ok)
 	}
-	if bytes.Equal(view, secret) || bytes.Contains(view, []byte("subscriber")) {
+	if bytes.Equal(view, secret[:]) || bytes.Contains(view, []byte("subscriber")) {
 		t.Fatal("introspection leaked plaintext")
-	}
-	if _, ok := e.Introspect("missing"); ok {
-		t.Fatal("Introspect invented a region")
 	}
 
 	// Destroy flushes secrets (Key Issue 5).
 	e.Destroy()
-	if _, ok := e.Introspect("k"); ok {
+	if len(e.Introspect()) != 0 {
 		t.Fatal("secret survived enclave teardown")
 	}
 }
@@ -329,10 +332,11 @@ func TestLoadSecretCopies(t *testing.T) {
 	p := testPlatform(t)
 	e := build(t, p, testConfig())
 	if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
-		th.StoreSecret("k", []byte{1, 2, 3})
-		got, _ := th.LoadSecret("k")
+		th.StoreSecret("k", [16]byte{1, 2, 3})
+		var got, again [16]byte
+		th.LoadSecret("k", &got)
 		got[0] = 9
-		again, _ := th.LoadSecret("k")
+		th.LoadSecret("k", &again)
 		if again[0] != 1 {
 			t.Error("LoadSecret returned aliased storage")
 		}
@@ -469,6 +473,65 @@ func TestSealKeyFollowsIdentityNotObject(t *testing.T) {
 	restarted := build(t, p, testConfig())
 	if plain, err := restarted.Unseal(fromA, nil); err != nil || string(plain) != "a's secret" {
 		t.Fatalf("restarted enclave unsealing its predecessor's blob = %q, %v", plain, err)
+	}
+}
+
+// TestSealBackupIsOneFilePerIdentity: sealed backups live on the platform,
+// one file per name under the enclave's measurement. Two live enclaves of
+// one identity rewrite the same file instead of adding one each, an
+// enclave of another identity sees none of them, and a restarted enclave
+// of the first identity finds the file its predecessors left and opens it.
+func TestSealBackupIsOneFilePerIdentity(t *testing.T) {
+	p := testPlatform(t)
+	a, twin := build(t, p, testConfig()), build(t, p, testConfig())
+	cfg := testConfig()
+	cfg.Name = "other"
+	other := build(t, p, cfg)
+	for _, e := range []*Enclave{a, twin} {
+		if err := e.SealBackup("imsi-1", []byte("k1")); err != nil {
+			t.Fatalf("SealBackup: %v", err)
+		}
+	}
+	if err := twin.SealBackup("imsi-2", []byte("k2")); err != nil {
+		t.Fatalf("SealBackup: %v", err)
+	}
+	if n := len(a.Backups()); n != 2 {
+		t.Fatalf("identity holds %d backups, want 2 (one per name)", n)
+	}
+	if n := len(other.Backups()); n != 0 {
+		t.Fatalf("another identity sees %d backups, want 0", n)
+	}
+
+	// Replicas file and list concurrently: every name lands once.
+	var wg sync.WaitGroup
+	for _, e := range []*Enclave{a, twin, a, twin} {
+		wg.Add(1)
+		go func(e *Enclave) {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				if err := e.SealBackup(fmt.Sprintf("imsi-x%d", i), []byte("kx")); err != nil {
+					t.Errorf("SealBackup: %v", err)
+				}
+				_ = e.Backups()
+			}
+		}(e)
+	}
+	wg.Wait()
+	if n := len(twin.Backups()); n != 2+16 {
+		t.Fatalf("identity holds %d backups after concurrent filing, want %d", n, 2+16)
+	}
+
+	a.Destroy()
+	twin.Destroy()
+	restarted := build(t, p, testConfig())
+	for name, want := range map[string]string{"imsi-1": "k1", "imsi-2": "k2"} {
+		blob := restarted.Backups()[name]
+		if plain, err := restarted.Unseal(blob, []byte(name)); err != nil || string(plain) != want {
+			t.Fatalf("restarted enclave opening %s = %q, %v", name, plain, err)
+		}
+		if _, err := other.Unseal(blob, []byte(name)); !errors.Is(err, ErrUnseal) {
+			t.Fatalf("another identity opening %s = %v, want ErrUnseal", name, err)
+		}
 	}
 }
 

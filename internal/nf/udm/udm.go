@@ -81,9 +81,10 @@ type Config struct {
 	// Entropy overrides RAND generation (tests); nil selects crypto/rand.
 	Entropy io.Reader
 	// Reprovision, when set, restores a subscriber's long-term key into
-	// the AKA execution environment (deploy points it at the eUDM
-	// module). It is the degradation path for an execution environment
-	// that lost its key store to a crash-restart.
+	// the AKA execution environment (deploy points it at a guest eUDM
+	// module, never an SGX one). It is the degradation path for an
+	// execution environment that lost its key store to a crash-restart
+	// and keeps no sealed backup.
 	Reprovision func(ctx context.Context, supi string, k []byte) error
 	// AVPoolDepth enables the AV precomputation pool: up to this many
 	// vectors are banked per SUPI, refilled AVPoolDepth at a time so the
@@ -231,7 +232,7 @@ func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) 
 	av, err := u.fns.GenerateAV(ctx, avReq)
 	if err != nil && u.reprovision != nil && sbi.HasCause(err, "USER_NOT_FOUND") {
 		// Graceful degradation: the execution environment lost its key
-		// store (container crash-restart has no sealed backup). Re-fetch
+		// store (a guest's crash-restart has no sealed backup). Re-fetch
 		// the long-term key from the UDR, push it back in, and retry once.
 		if sub, gerr := u.udr.Get(ctx, avReq.SUPI); gerr == nil {
 			if perr := u.reprovision(ctx, avReq.SUPI, sub.K); perr == nil {

@@ -31,7 +31,8 @@ const (
 // (TS 33.102 Annex C array scheme: 32 = one IND slot).
 const sqnStep = 32
 
-// Subscriber is one provisioned subscription record.
+// Subscriber is one subscription record on the wire: what provisioning
+// sends and Get returns.
 type Subscriber struct {
 	SUPI string `json:"supi"`
 	// K is the 16-byte long-term subscriber key.
@@ -62,6 +63,14 @@ func (s *Subscriber) validate() error {
 		return fmt.Errorf("udr: AMF field length %d, want 2", len(s.AMFField))
 	}
 	return nil
+}
+
+// record is a subscriber as the repository holds it: the fields at their
+// fixed sizes in one flat allocation, the SUPI being the map key.
+type record struct {
+	k, opc [16]byte
+	sqn    [sqnLen]byte
+	amf    [2]byte
 }
 
 // ProvisionRequest adds or replaces a subscriber.
@@ -146,14 +155,14 @@ type UDR struct {
 	// subs is lock-striped by SUPI: the per-record SQN advance stays
 	// atomic (stripe write lock) while unrelated subscribers proceed in
 	// parallel.
-	subs *shard.Map[string, *Subscriber]
+	subs *shard.Map[string, *record]
 }
 
 // New creates a UDR and registers its SBI server.
 func New(env *costmodel.Env, registry *sbi.Registry) (*UDR, error) {
 	u := &UDR{
 		server: sbi.NewServer(ServiceName, env),
-		subs:   shard.NewString[*Subscriber](),
+		subs:   shard.NewString[*record](),
 	}
 	u.server.HandleDual(PathProvision, sbi.BinHandler(u.handleProvision))
 	u.server.HandleDual(PathNextAuth, sbi.BinHandler(u.handleNextAuth))
@@ -171,33 +180,29 @@ func (u *UDR) handleProvision(_ context.Context, req *ProvisionRequest) (*Empty,
 	if err := s.validate(); err != nil {
 		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "%v", err)
 	}
-	cp := s
-	cp.K = append([]byte(nil), s.K...)
-	cp.OPc = append([]byte(nil), s.OPc...)
-	cp.SQN = append([]byte(nil), s.SQN...)
-	cp.AMFField = append([]byte(nil), s.AMFField...)
-	u.subs.Store(s.SUPI, &cp)
+	r := &record{k: [16]byte(s.K), opc: [16]byte(s.OPc), sqn: [sqnLen]byte(s.SQN), amf: [2]byte(s.AMFField)}
+	u.subs.Store(s.SUPI, r)
 	return &Empty{}, nil
 }
 
 func (u *UDR) handleNextAuth(_ context.Context, req *NextAuthRequest) (*NextAuthResponse, error) {
 	var resp *NextAuthResponse
-	u.subs.Update(req.SUPI, func(s *Subscriber, ok bool) {
+	u.subs.Update(req.SUPI, func(r *record, ok bool) {
 		if !ok {
 			return
 		}
 		// Advance the SQN first, then hand out the new value, so that
 		// two consecutive vectors never share a sequence number. One
 		// backing array carries all three copied fields.
-		advanceSQN(s.SQN, sqnStep)
-		buf := make([]byte, 0, len(s.OPc)+sqnLen+len(s.AMFField))
-		buf = append(buf, s.OPc...)
-		buf = append(buf, s.SQN...)
-		buf = append(buf, s.AMFField...)
+		advanceSQN(r.sqn[:], sqnStep)
+		buf := make([]byte, 0, len(r.opc)+sqnLen+len(r.amf))
+		buf = append(buf, r.opc[:]...)
+		buf = append(buf, r.sqn[:]...)
+		buf = append(buf, r.amf[:]...)
 		resp = &NextAuthResponse{
-			OPc:      buf[:len(s.OPc):len(s.OPc)],
-			SQN:      buf[len(s.OPc) : len(s.OPc)+sqnLen : len(s.OPc)+sqnLen],
-			AMFField: buf[len(s.OPc)+sqnLen:],
+			OPc:      buf[:len(r.opc):len(r.opc)],
+			SQN:      buf[len(r.opc) : len(r.opc)+sqnLen : len(r.opc)+sqnLen],
+			AMFField: buf[len(r.opc)+sqnLen:],
 		}
 	})
 	if resp == nil {
@@ -214,21 +219,21 @@ func (u *UDR) handleNextAuthBatch(_ context.Context, req *NextAuthBatchRequest) 
 		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "batch count %d", req.Count)
 	}
 	var resp *NextAuthBatchResponse
-	u.subs.Update(req.SUPI, func(s *Subscriber, ok bool) {
+	u.subs.Update(req.SUPI, func(r *record, ok bool) {
 		if !ok {
 			return
 		}
-		buf := make([]byte, 0, len(s.OPc)+len(s.AMFField)+req.Count*sqnLen)
-		buf = append(buf, s.OPc...)
-		buf = append(buf, s.AMFField...)
+		buf := make([]byte, 0, len(r.opc)+len(r.amf)+req.Count*sqnLen)
+		buf = append(buf, r.opc[:]...)
+		buf = append(buf, r.amf[:]...)
 		shared := len(buf)
 		for i := 0; i < req.Count; i++ {
-			advanceSQN(s.SQN, sqnStep)
-			buf = append(buf, s.SQN...)
+			advanceSQN(r.sqn[:], sqnStep)
+			buf = append(buf, r.sqn[:]...)
 		}
 		resp = &NextAuthBatchResponse{
-			OPc:      buf[:len(s.OPc):len(s.OPc)],
-			AMFField: buf[len(s.OPc):shared:shared],
+			OPc:      buf[:len(r.opc):len(r.opc)],
+			AMFField: buf[len(r.opc):shared:shared],
 			SQNs:     buf[shared:],
 		}
 	})
@@ -243,13 +248,13 @@ func (u *UDR) handleResync(_ context.Context, req *ResyncRequest) (*Empty, error
 		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "SQN_MS length %d", len(req.SQNMS))
 	}
 	found := false
-	u.subs.Update(req.SUPI, func(s *Subscriber, ok bool) {
+	u.subs.Update(req.SUPI, func(r *record, ok bool) {
 		if !ok {
 			return
 		}
 		found = true
-		copy(s.SQN, req.SQNMS)
-		advanceSQN(s.SQN, sqnStep)
+		r.sqn = [sqnLen]byte(req.SQNMS)
+		advanceSQN(r.sqn[:], sqnStep)
 	})
 	if !found {
 		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "subscriber %s", req.SUPI)
@@ -259,23 +264,18 @@ func (u *UDR) handleResync(_ context.Context, req *ResyncRequest) (*Empty, error
 
 func (u *UDR) handleGet(_ context.Context, req *GetRequest) (*GetResponse, error) {
 	// Copy under the stripe lock: a concurrent NextAuth mutates SQN in
-	// place.
-	var cp *Subscriber
-	u.subs.Update(req.SUPI, func(s *Subscriber, ok bool) {
-		if !ok {
-			return
+	// place. The response's byte strings are views of the copy.
+	cp := new(record)
+	found := false
+	u.subs.Update(req.SUPI, func(r *record, ok bool) {
+		if ok {
+			*cp, found = *r, true
 		}
-		c := *s
-		c.K = append([]byte(nil), s.K...)
-		c.OPc = append([]byte(nil), s.OPc...)
-		c.SQN = append([]byte(nil), s.SQN...)
-		c.AMFField = append([]byte(nil), s.AMFField...)
-		cp = &c
 	})
-	if cp == nil {
+	if !found {
 		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "subscriber %s", req.SUPI)
 	}
-	return &GetResponse{Subscriber: *cp}, nil
+	return &GetResponse{Subscriber: Subscriber{SUPI: req.SUPI, K: cp.k[:], OPc: cp.opc[:], SQN: cp.sqn[:], AMFField: cp.amf[:]}}, nil
 }
 
 // SubscriberCount reports the number of provisioned subscribers.
@@ -337,11 +337,14 @@ func (c *Client) Resync(ctx context.Context, supi string, sqnMS []byte) error {
 }
 
 // Get reads a subscriber record. The full record includes K, which is
-// why only the UDM's reprovisioning path (the paper's non-shielded
-// baseline) calls this; shielded deployments fetch vectors via NextAuth.
+// why only the UDM's reprovisioning path calls this, and only for a guest
+// eUDM — a container or a confidential VM, whose restarted runtime comes
+// back with an empty key store. An SGX eUDM restores K from its sealed
+// backups, so an SGX slice never calls Get; every deployment fetches
+// vectors via NextAuth.
 func (c *Client) Get(ctx context.Context, supi string) (*Subscriber, error) {
 	var resp GetResponse
-	//shieldlint:ignore secretflow baseline (non-HMEE) reprovisioning path; shielded slices use NextAuth and K stays in the enclave store
+	//shieldlint:ignore secretflow guest-eUDM reprovisioning path (container, SEV); SGX slices never call it and K stays in the enclave store
 	if err := c.invoker.Post(ctx, ServiceName, PathGet, &GetRequest{SUPI: supi}, &resp); err != nil {
 		return nil, err
 	}

@@ -8,12 +8,12 @@ import (
 )
 
 // loadedKeys is a module runtime that records every secret its handlers
-// load: the very slice LoadSecret handed them, so a test can read what
+// load: the very array LoadSecret filled for them, so a test can read what
 // the handler left in it after the request is over.
 type loadedKeys struct {
 	Runtime
 	mu   sync.Mutex
-	keys [][]byte
+	keys []*[16]byte
 }
 
 // recordLoadedKeys puts a loadedKeys in front of m's runtime. Call it
@@ -35,11 +35,11 @@ func (r *loadedKeys) Cross(ctx context.Context, ph hmee.Phases, in, out int, h H
 	return r.Runtime.Cross(ctx, ph, in, out, h)
 }
 
-// loaded returns the slices handed out so far.
-func (r *loadedKeys) loaded() [][]byte {
+// loaded returns the arrays filled so far.
+func (r *loadedKeys) loaded() []*[16]byte {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([][]byte(nil), r.keys...)
+	return append([]*[16]byte(nil), r.keys...)
 }
 
 type recordingExec struct {
@@ -47,12 +47,12 @@ type recordingExec struct {
 	r *loadedKeys
 }
 
-func (e recordingExec) LoadSecret(name string) ([]byte, bool) {
-	k, ok := e.Exec.LoadSecret(name)
+func (e recordingExec) LoadSecret(name string, dst *[16]byte) bool {
+	ok := e.Exec.LoadSecret(name, dst)
 	if ok {
 		e.r.mu.Lock()
-		e.r.keys = append(e.r.keys, k)
+		e.r.keys = append(e.r.keys, dst)
 		e.r.mu.Unlock()
 	}
-	return k, ok
+	return ok
 }

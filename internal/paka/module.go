@@ -7,7 +7,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,15 +100,6 @@ type Module struct {
 	// sessMu guards the per-connection keep-alive sessions (session.go).
 	sessMu   sync.Mutex
 	sessions map[uint64]*moduleSession
-
-	// secretMu guards sealed, the eUDM key store's index: one entry per
-	// provisioned SUPI, keyed by the caller's own string (the same one the
-	// runtime's store is keyed by, so every replica of a slice shares it).
-	// Under SGX the value is the host-side sealed backup of the key, opaque
-	// to the host and recoverable by a restarted enclave with the same
-	// measurement; guests keep no backup and store nil.
-	secretMu sync.Mutex
-	sealed   map[string][]byte
 }
 
 // New deploys a P-AKA module under the configured isolation mode, its load
@@ -150,7 +140,6 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 		runtime:    rt,
 		functional: &metrics.Recorder{},
 		total:      &metrics.Recorder{},
-		sealed:     make(map[string][]byte),
 	}
 
 	// The module's own sbi.Server carries no env: all server-side costs
@@ -355,12 +344,12 @@ func (m *Module) resync(ex Exec, req *UDMResyncRequest) (*UDMResyncResponse, err
 // of K the runtime handed out is cleared as soon as the schedule exists,
 // so it does not linger in freed memory either.
 func expandKey(ex Exec, supi string, opc []byte, c *milenage.Cipher) error {
-	k, ok := ex.LoadSecret(supi)
-	if !ok {
+	var k [milenage.KeyLen]byte
+	if !ex.LoadSecret(supi, &k) {
 		return sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, supi)
 	}
-	err := c.Init(k, opc)
-	clear(k)
+	err := c.Init(k[:], opc)
+	clear(k[:])
 	if err != nil {
 		return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "paka: eUDM: %v", err)
 	}
@@ -423,11 +412,14 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	return resp, nil
 }
 
-// storeSecret places k in rt's memory as maintenance: a crossing of no
-// phase, outside any request.
+// storeSecret places k in rt's key store as maintenance: a crossing of no
+// phase, outside any request. k must be a MILENAGE key's 16 bytes.
 func storeSecret(ctx context.Context, rt Runtime, name string, k []byte) error {
+	if len(k) != milenage.KeyLen {
+		return fmt.Errorf("paka: key length %d, want %d", len(k), milenage.KeyLen)
+	}
 	_, err := rt.Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
-		ex.StoreSecret(name, k)
+		ex.StoreSecret(name, [milenage.KeyLen]byte(k))
 		return nil
 	}))
 	return err
@@ -444,44 +436,25 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 	if err := storeSecret(ctx, m.rt(), supi, k); err != nil {
 		return fmt.Errorf("paka: provision %s: %w", supi, err)
 	}
-
-	// Keep a host-side sealed backup so a crash-restarted enclave (same
-	// measurement, same platform) can recover the key without the UDR
-	// round trip. Guest processes get no backup: their keys die with the
-	// process and come back through the UDM re-provisioning path.
-	var blob []byte
+	// File a sealed backup on the host so a crash-restarted enclave (same
+	// measurement, same platform) recovers the key without the UDR round
+	// trip. The file is the platform's, per measurement, so every replica
+	// of a slice rewrites the one backup rather than adding its own.
+	// Guest processes keep none: their keys die with the process and come
+	// back through the UDM re-provisioning path.
 	if enc := m.Enclave(); enc != nil {
-		var err error
-		if blob, err = enc.Seal(k, []byte(supi)); err != nil {
+		if err := enc.SealBackup(supi, k); err != nil {
 			return fmt.Errorf("paka: seal backup for %s: %w", supi, err)
 		}
 	}
-	m.secretMu.Lock()
-	m.sealed[supi] = blob
-	m.secretMu.Unlock()
 	return nil
 }
 
-// MemoryDump is the privileged attacker's view of the module's secret
-// regions (the Key Issue 7 memory-introspection scenario): for a plain
-// container it yields the plaintext keys; for an SGX module MEE
-// ciphertext, for a confidential VM SEV ciphertext.
-func (m *Module) MemoryDump() map[string][]byte {
-	m.secretMu.Lock()
-	supis := make([]string, 0, len(m.sealed))
-	for supi := range m.sealed {
-		supis = append(supis, supi)
-	}
-	m.secretMu.Unlock()
-	rt := m.rt()
-	out := make(map[string][]byte, len(supis))
-	for _, supi := range supis {
-		if d, ok := rt.Introspect(supi); ok {
-			out[supi] = d
-		}
-	}
-	return out
-}
+// MemoryDump is the privileged attacker's view of the module's key store
+// (the Key Issue 7 memory-introspection scenario), one region per SUPI:
+// for a plain container it yields the plaintext keys; for an SGX module
+// MEE ciphertext, for a confidential VM SEV ciphertext.
+func (m *Module) MemoryDump() map[string][]byte { return m.rt().Introspect() }
 
 // Kind reports the module kind.
 func (m *Module) Kind() ModuleKind { return m.kind }
@@ -595,8 +568,9 @@ func (m *Module) Restarts() uint64 { return m.restarts.Load() }
 // re-paying the full load cost — under SGX the paper's Fig. 7 0.96–0.99 min
 // enclave load penalty, under SEV the measured boot — against ctx's account
 // in virtual time. SGX modules then recover their subscriber keys from the
-// host-side sealed backups (same measurement on the same platform ⇒ same
-// sealing key); guest processes — a plain container, a confidential VM —
+// platform's sealed backups (same measurement on the same platform ⇒ same
+// sealing key), which hold every SUPI provisioned to any replica of the
+// image; guest processes — a plain container, a confidential VM —
 // come back empty and rely on the UDM's re-provisioning degradation path.
 // Requests in flight on the old runtime fail transiently and are retried
 // by the SBI resilience layer.
@@ -613,16 +587,15 @@ func (m *Module) Restart(ctx context.Context) error {
 
 	if inst, ok := fresh.(*gramine.Instance); ok {
 		enc := inst.Enclave()
-		m.secretMu.Lock()
-		backups := maps.Clone(m.sealed)
-		m.secretMu.Unlock()
-		for supi, blob := range backups {
+		for supi, blob := range enc.Backups() {
 			k, err := enc.Unseal(blob, []byte(supi))
 			if err != nil {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: recover %s: %w", m.kind, supi, err)
 			}
-			if err := storeSecret(ctx, fresh, supi, k); err != nil {
+			err = storeSecret(ctx, fresh, supi, k)
+			clear(k)
+			if err != nil {
 				fresh.Shutdown()
 				return fmt.Errorf("paka: restart %s: restore %s: %w", m.kind, supi, err)
 			}

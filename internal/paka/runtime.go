@@ -84,9 +84,10 @@ type Runtime interface {
 	AccrueUptime(d time.Duration)
 	// Warm reports whether the first request has been served.
 	Warm() bool
-	// Introspect is the privileged host's view of the memory holding the
-	// named secret: plaintext in a container, ciphertext under SGX or SEV.
-	Introspect(name string) ([]byte, bool)
+	// Introspect is the privileged host's view of the runtime's whole key
+	// store, region by name: plaintext in a container, ciphertext under SGX
+	// or SEV.
+	Introspect() map[string][]byte
 	// Shutdown stops the runtime and releases its resources.
 	Shutdown()
 }

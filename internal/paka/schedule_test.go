@@ -187,8 +187,8 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 					t.Fatalf("%s: %d key loads, want %d", what, len(keys), loads)
 				}
 				for _, k := range keys {
-					if len(k) != milenage.KeyLen || !bytes.Equal(k, make([]byte, milenage.KeyLen)) {
-						t.Fatalf("%s: loaded key copy left as %x, want 16 zero bytes", what, k)
+					if *k != [milenage.KeyLen]byte{} {
+						t.Fatalf("%s: loaded key copy left as %x, want 16 zero bytes", what, *k)
 					}
 				}
 			}
