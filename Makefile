@@ -56,7 +56,8 @@ loc:
 		END { for (k in s) printf "%7d  %s\n", s[k], k }' | sort -rn
 
 # What CI runs (.github/workflows/ci.yml's test job is `make ci`), cheapest
-# signal first: lint, vet, the whole suite under -race (it holds every
+# signal first: gofmt over the main module (bench/ is checked with its own
+# module below), lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
 # then the six tests whose allocation or heap budgets skip themselves
@@ -73,6 +74,7 @@ loc:
 # never reaches it — is vetted, tested, gofmt-checked and run for a second
 # in binary-frame, JSON and ring mode.
 ci: build
+	test -z "$$(gofmt -l $$(git ls-files '*.go' ':!bench/') | tee /dev/stderr)"
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...

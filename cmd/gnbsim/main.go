@@ -6,7 +6,7 @@
 //
 //	gnbsim [-n 100] [-parallel 1] [-isolation monolithic|container|sgx|sev] [-seed N]
 //	       [-chaos RATE] [-retries N] [-batch N] [-avpool N] [-switchless]
-//	       [-shards N] [-shardsize K]
+//	       [-shards N]
 //	       [-storm FACTOR] [-limiter]
 //	       [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -19,9 +19,8 @@
 // given per-SUPI ring depth — the two boundary-amortization mechanisms.
 // -shards deploys the core as that many vertical replica slices
 // (AMF+AUSF+UDM+P-AKA per shard) behind SUPI-affinity rendezvous-hash
-// routing, and -shardsize caps how many of them this gNB's shuffle shard
-// may use (0 = all). The run then reports per-shard lane statistics and
-// the fleet makespan throughput next to the shared-clock figure.
+// routing. The run then reports per-shard lane statistics and the fleet
+// makespan throughput next to the shared-clock figure.
 // -cpuprofile and -memprofile write pprof profiles of the run for
 // `go tool pprof`; the memory profile is an allocs profile taken after a
 // final GC, covering every allocation of the run.
@@ -68,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	avpool := fs.Int("avpool", 0, "UDM AV precomputation pool depth per SUPI (0 disables)")
 	switchless := fs.Bool("switchless", false, "deploy the P-AKA modules with the switchless ECALL submission ring and route module requests through it (sgx only)")
 	shards := fs.Int("shards", 1, "core replica count: vertical AMF+AUSF+UDM+P-AKA slices behind SUPI-affinity routing")
-	shardSize := fs.Int("shardsize", 0, "shuffle-shard width: replicas this gNB's tenant may route to (0 = all)")
 	stormFactor := fs.Float64("storm", 0, "signaling-storm overload factor: offer arrivals at this multiple of the core's service rate (0 disables)")
 	limiter := fs.Bool("limiter", false, "arm the overload-control limiter (bounded-queue shedding, priority admission, client throttling) during a -storm run")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -132,10 +130,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "gnbsim: -shards must be >= 1\n")
 		return 2
 	}
-	if *shardSize < 0 || (*shardSize > *shards) {
-		fmt.Fprintf(stderr, "gnbsim: -shardsize must be in [0, shards]\n")
-		return 2
-	}
 
 	if *stormFactor < 0 {
 		fmt.Fprintf(stderr, "gnbsim: -storm factor must be >= 0\n")
@@ -168,8 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	sliceCfg := shield5g.SliceConfig{
 		Isolation: iso, Seed: *seed, AVPoolDepth: *avpool,
-		Replicas: *shards, ShardSize: *shardSize,
-		Switchless: *switchless,
+		Replicas: *shards, Switchless: *switchless,
 	}
 	if *chaosRate > 0 {
 		// The decision seed is derived from -seed so one flag reproduces

@@ -33,7 +33,7 @@ func TestRunRejectsAndAccepts(t *testing.T) {
 		{"-batch -1", 2, "", "-batch and -avpool must be >= 0"},
 		{"-avpool -1", 2, "", "-batch and -avpool must be >= 0"},
 		{"-shards 0", 2, "", "-shards must be >= 1"},
-		{"-shards 2 -shardsize 3", 2, "", "-shardsize must be in [0, shards]"},
+		{"-shards 2 -shardsize 2", 2, "", "flag provided but not defined: -shardsize"},
 		{"-switchless -isolation container", 2, "", "-switchless needs -isolation sgx"},
 		{"-isolation tdx", 2, "", "tdx"},
 		{"-nosuchflag", 2, "", "nosuchflag"},

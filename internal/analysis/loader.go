@@ -1,12 +1,11 @@
 package analysis
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -129,85 +128,17 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 // directory under the given import path, resolving imports from the
 // loader cache (and Fallback). It powers the fixture test harness.
 //
-// Files excluded by build constraints — a //go:build line that does not
-// match the host GOOS/GOARCH, or an explicit //go:build ignore — are
-// skipped the way `go list` skips them, instead of being fed to the
-// type checker where their contents (often deliberately broken, or
+// The file list is go/build's, so files excluded by build constraints — a
+// //go:build line that does not match the host, or an explicit //go:build
+// ignore — are skipped the way `go list` skips them, instead of being fed
+// to the type checker where their contents (often deliberately broken, or
 // platform-specific) would fail the whole package.
 func (l *Loader) CheckDir(importPath, dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	bp, err := build.Default.ImportDir(dir, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("analysis: %w", err)
 	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		ok, err := buildConstraintsSatisfied(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %s: %w", name, err)
-		}
-		if !ok {
-			continue
-		}
-		files = append(files, name)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", dir)
-	}
-	return l.check(&listPkg{ImportPath: importPath, Dir: dir, GoFiles: files})
-}
-
-// buildConstraintsSatisfied reports whether the file's //go:build
-// constraint (if any, scanned from the lines before the package clause)
-// matches the host build context. Tags considered true are the host
-// GOOS/GOARCH, the gc toolchain, and every goN.M release tag up to the
-// running toolchain; anything else — including the conventional
-// "ignore" tag — is false.
-func buildConstraintsSatisfied(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if strings.HasPrefix(line, "package ") {
-			break
-		}
-		if !constraint.IsGoBuild(line) {
-			continue
-		}
-		expr, err := constraint.Parse(line)
-		if err != nil {
-			// An unparsable constraint excludes the file, matching the
-			// go command's behaviour.
-			return false, nil
-		}
-		return expr.Eval(buildTagSatisfied), nil
-	}
-	return true, sc.Err()
-}
-
-func buildTagSatisfied(tag string) bool {
-	if tag == runtime.GOOS || tag == runtime.GOARCH || tag == "gc" {
-		return true
-	}
-	if v, ok := strings.CutPrefix(tag, "go1."); ok {
-		// Release tags: go1.N is true for every N up to the toolchain's
-		// minor version.
-		var minor int
-		if _, err := fmt.Sscanf(v, "%d", &minor); err == nil {
-			var host int
-			if _, err := fmt.Sscanf(strings.TrimPrefix(runtime.Version(), "go1."), "%d", &host); err == nil {
-				return minor <= host
-			}
-		}
-	}
-	return false
+	return l.check(&listPkg{ImportPath: importPath, Dir: dir, GoFiles: bp.GoFiles})
 }
 
 func (l *Loader) check(p *listPkg) (*Package, error) {

@@ -47,7 +47,7 @@ func crashRecovery(t *testing.T, iso paka.Isolation, wantReprovisions uint64) {
 			t.Fatalf("register before crash: %v", err)
 		}
 		owner := sess.Shard()
-		before := s.ShardAVPoolStats()
+		before := shardPoolStats(s)
 
 		if err := s.RestartShardModule(ctx, owner, paka.EUDM); err != nil {
 			t.Fatalf("RestartShardModule(%d): %v", owner, err)
@@ -61,7 +61,7 @@ func crashRecovery(t *testing.T, iso paka.Isolation, wantReprovisions uint64) {
 				t.Fatalf("shard %d eUDM Restarts = %d, want %d", i, got, want)
 			}
 		}
-		for i, st := range s.ShardAVPoolStats() {
+		for i, st := range shardPoolStats(s) {
 			switch {
 			case i == owner && (st.Pooled != 0 || st.Invalidated != uint64(before[i].Pooled)):
 				t.Fatalf("owning shard %d kept %d vectors (invalidated %d of %d) across the crash", i, st.Pooled, st.Invalidated, before[i].Pooled)

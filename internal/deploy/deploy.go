@@ -85,10 +85,6 @@ type SliceConfig struct {
 	// pushing versioned topology snapshots to the data plane. Values below
 	// 1 mean 1. NRF, UDR, SMF and UPF stay shared across replicas.
 	Replicas int
-	// ShardSize caps each tenant's (gNB, PLMN) shuffle shard to this many
-	// replicas, so a noisy tenant only degrades its own subset; 0 lets
-	// every tenant route across all replicas.
-	ShardSize int
 	// Switchless deploys every SGX module with the switchless ECALL
 	// submission ring (paka.Config.Switchless): a dedicated in-enclave
 	// dispatcher thread serves shared-memory call submissions, so
@@ -236,9 +232,9 @@ type CoreShard struct {
 	RemoteAMF  *paka.Remote
 
 	// Admission is the shard AMF's priority admission controller (nil
-	// unless overload admission is configured). Per-shard buckets keep
-	// tenant isolation composable with shuffle-sharding: a tenant's
-	// storm drains only its own shard's buckets.
+	// unless overload admission is configured). Each replica keeps its own
+	// buckets, so a tenant's storm drains a replica's buckets only by the
+	// share of its SUPIs that replica owns.
 	Admission *admission.Controller
 
 	// UDMService/AUSFService are the shard's SBI service names, for
@@ -356,7 +352,6 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	s.Topology = topo.NewBuilder()
 	s.Router = topology.NewRouter()
 	s.Topology.SetReplicas(replicas)
-	s.Topology.SetShardSize(cfg.ShardSize)
 	if err := s.Topology.Subscribe(s.Router); err != nil {
 		return nil, fmt.Errorf("deploy: router subscription: %w", err)
 	}
@@ -773,7 +768,8 @@ func (s *Slice) SetRoutableReplicas(n int) (topo.PushResult, error) {
 // never double counts.
 func (s *Slice) AVPoolStats() udm.AVPoolStats {
 	var out udm.AVPoolStats
-	for _, st := range s.ShardAVPoolStats() {
+	for _, shard := range s.Shards {
+		st := shard.UDM.AVPoolStats()
 		out.Hits += st.Hits
 		out.Misses += st.Misses
 		out.Refills += st.Refills
@@ -784,40 +780,22 @@ func (s *Slice) AVPoolStats() udm.AVPoolStats {
 	return out
 }
 
-// ShardAVPoolStats snapshots each shard UDM's AV-pool counters in
-// shard-index order.
-func (s *Slice) ShardAVPoolStats() []udm.AVPoolStats {
-	out := make([]udm.AVPoolStats, len(s.Shards))
-	for i, shard := range s.Shards {
-		out[i] = shard.UDM.AVPoolStats()
-	}
-	return out
-}
-
 // AdmissionStats sums the admission counters across every shard's
 // controller — the fleet-wide view. Sources is summed, not deduplicated:
-// shuffle-sharding gives each (gNB, PLMN) tenant buckets on only its own
-// shards, so per-shard source sets are disjoint views of load.
+// one (gNB, PLMN) source holds buckets on every replica its SUPIs route
+// to, and counts once on each.
 func (s *Slice) AdmissionStats() admission.Stats {
 	var out admission.Stats
-	for _, st := range s.ShardAdmissionStats() {
+	for _, shard := range s.Shards {
+		if shard.Admission == nil {
+			continue
+		}
+		st := shard.Admission.Stats()
 		for i := range st.Admitted {
 			out.Admitted[i] += st.Admitted[i]
 			out.Dropped[i] += st.Dropped[i]
 		}
 		out.Sources += st.Sources
-	}
-	return out
-}
-
-// ShardAdmissionStats snapshots each shard's admission counters in
-// shard-index order (zero value where admission is disabled).
-func (s *Slice) ShardAdmissionStats() []admission.Stats {
-	out := make([]admission.Stats, len(s.Shards))
-	for i, shard := range s.Shards {
-		if shard.Admission != nil {
-			out[i] = shard.Admission.Stats()
-		}
 	}
 	return out
 }

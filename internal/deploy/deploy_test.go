@@ -14,7 +14,9 @@ import (
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/gnb"
 	"shield5g/internal/hmee/gramine"
+	"shield5g/internal/nf/udm"
 	"shield5g/internal/paka"
+	"shield5g/internal/sbi"
 	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
 )
@@ -49,6 +51,16 @@ func registeredUEs(s *Slice) int {
 		n += shard.AMF.RegisteredUEs()
 	}
 	return n
+}
+
+// shardPoolStats snapshots each shard UDM's AV-pool counters in shard
+// order.
+func shardPoolStats(s *Slice) []udm.AVPoolStats {
+	out := make([]udm.AVPoolStats, len(s.Shards))
+	for i, shard := range s.Shards {
+		out[i] = shard.UDM.AVPoolStats()
+	}
+	return out
 }
 
 // provisionUE creates a subscriber and matching UE device.
@@ -273,39 +285,40 @@ func TestMassRegistration(t *testing.T) {
 		}
 
 		// One lane per shard, whatever the shard count, and the lanes
-		// partition the run: every registration and every setup sample
-		// lands in exactly one of them.
+		// partition the run: every registration lands in exactly one of
+		// them, and with one attempt per UE their busy time is the run's
+		// setup time (each sample and each lane truncated to the
+		// nanosecond).
 		if len(result.ShardStats) != len(s.Shards) {
 			t.Fatalf("ShardStats = %d lanes for %d shards", len(result.ShardStats), len(s.Shards))
 		}
-		var busiest time.Duration
-		registered, samples := 0, 0
+		var busiest, busy, setups time.Duration
+		registered := 0
 		for i, st := range result.ShardStats {
 			registered += st.Registered
-			samples += st.SetupTimes.N()
+			busy += st.Busy
 			busiest = max(busiest, st.Busy)
-			if st.SetupTimes.N() != st.Registered || st.Failed != 0 {
-				t.Fatalf("lane %d: %d samples, %d failed for %d registrations", i, st.SetupTimes.N(), st.Failed, st.Registered)
+			if st.Failed != 0 || (st.Registered > 0) != (st.Busy > 0) {
+				t.Fatalf("lane %d: %d failed, busy %v for %d registrations", i, st.Failed, st.Busy, st.Registered)
 			}
 			if got := s.Shards[i].AMF.RegisteredUEs(); got != st.Registered {
 				t.Fatalf("lane %d tallied %d registrations, its AMF holds %d", i, st.Registered, got)
 			}
 		}
-		if registered != n || samples != n {
-			t.Fatalf("lanes sum to %d registrations and %d samples, want %d", registered, samples, n)
+		for _, d := range result.SetupTimes.Samples() {
+			setups += d
+		}
+		if registered != n {
+			t.Fatalf("lanes sum to %d registrations, want %d", registered, n)
+		}
+		if d := busy - setups; d < 0 || d >= n {
+			t.Fatalf("lanes are busy %v, the setup times sum to %v", busy, setups)
 		}
 		if result.FleetVirtual != busiest || busiest <= 0 {
 			t.Fatalf("FleetVirtual = %v, busiest lane %v", result.FleetVirtual, busiest)
 		}
-		if len(s.Shards) == 1 {
-			// The one lane IS the run.
-			lane, fleet := result.ShardStats[0].SetupTimes.Summarize(), result.SetupTimes.Summarize()
-			if lane != fleet {
-				t.Fatalf("single lane's setup times %+v != the run's %+v", lane, fleet)
-			}
-			if result.LaneBalance != 1 {
-				t.Fatalf("LaneBalance = %v over one lane", result.LaneBalance)
-			}
+		if len(s.Shards) == 1 && result.LaneBalance != 1 {
+			t.Fatalf("LaneBalance = %v over one lane", result.LaneBalance)
 		}
 	})
 }
@@ -407,6 +420,48 @@ func TestGUTIReRegistration(t *testing.T) {
 			t.Fatalf("SendData: %v", err)
 		}
 	})
+}
+
+// TestReRegistrationKeepsOneAMFContext: a mobility registration arrives on
+// a fresh RAN UE id, and once it completes the context it superseded is
+// released, so a UE holds one AMF context however often it re-registers —
+// through the gNB one at a time, and through a storm's re-attach class.
+func TestReRegistrationKeepsOneAMFContext(t *testing.T) {
+	ctx := context.Background()
+	s := newTestSlice(t, paka.Container)
+	device := provisionUE(t, s, "0000000046")
+	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+		t.Fatalf("RegisterUE: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := s.GNB.ReRegisterUE(ctx, device); err != nil {
+			t.Fatalf("ReRegisterUE %d: %v", i, err)
+		}
+	}
+	if got := s.AMF.RegisteredUEs(); got != 1 {
+		t.Fatalf("one attach and three re-registrations of one UE leave %d AMF contexts, want 1", got)
+	}
+
+	storm := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 43, Replicas: 2})
+	const arrivals = 40
+	next := 46100
+	res, err := storm.RunStorm(ctx, 5, arrivals, 0.5, func(sbi.Priority, int) (*ue.UE, error) {
+		next++
+		return provisionUE(t, storm, fmt.Sprintf("%010d", next)), nil
+	})
+	if err != nil {
+		t.Fatalf("RunStorm: %v", err)
+	}
+	registered := 0
+	for _, class := range res.Class {
+		registered += class.Registered
+	}
+	if registered != arrivals || res.Class[sbi.PriorityReattach].Registered == 0 {
+		t.Fatalf("storm registered %d of %d arrivals, %d re-attaches", registered, arrivals, res.Class[sbi.PriorityReattach].Registered)
+	}
+	if got := registeredUEs(storm); got != arrivals {
+		t.Fatalf("%d UEs registered in the storm hold %d AMF contexts, want one each", arrivals, got)
+	}
 }
 
 func TestReRegistrationRequiresPriorGUTI(t *testing.T) {

@@ -80,8 +80,8 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 		return nil, fmt.Errorf("deploy: AUSF (shard %d): %w", r, err)
 	}
 
-	// Each shard gets its OWN token buckets: a tenant's storm drains only
-	// the buckets of the shards its shuffle shard routes to.
+	// Each shard gets its OWN token buckets: a tenant's storm drains each
+	// shard's buckets only by the arrivals routed there.
 	shard.Admission = newAdmission(cfg, s.Env)
 
 	if shard.AMF, err = amf.New(ctx, amf.Config{

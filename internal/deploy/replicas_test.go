@@ -61,9 +61,6 @@ func TestShardedRegistrationSpreadsAcrossShards(t *testing.T) {
 			if st.Busy <= 0 {
 				t.Fatalf("lane %d served %d registrations with zero busy time", i, st.Registered)
 			}
-			if st.SetupTimes.N() != st.Registered {
-				t.Fatalf("lane %d recorder has %d samples, want %d", i, st.SetupTimes.N(), st.Registered)
-			}
 		}
 		perAMF += s.Shards[i].AMF.RegisteredUEs()
 	}
@@ -87,34 +84,6 @@ func TestShardedRegistrationSpreadsAcrossShards(t *testing.T) {
 		if idx < 0 || idx >= 4 {
 			t.Fatalf("ShardOf(%s) = %d", supi, idx)
 		}
-	}
-}
-
-func TestShuffleShardConfinesTenant(t *testing.T) {
-	s := newSliceWith(t, SliceConfig{
-		Isolation: paka.Container, Seed: 11, Replicas: 4, ShardSize: 2,
-	})
-	n := 24
-	res, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{
-		N: n,
-		NewUE: func(i int) (*ue.UE, error) {
-			return provisionUE(t, s, fmt.Sprintf("%010d", 7100+i)), nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("RegisterManyWith: %v", err)
-	}
-	if res.Registered != n {
-		t.Fatalf("Registered=%d Failed=%d %v", res.Registered, res.Failed, res.FirstErrors)
-	}
-	busy := 0
-	for _, st := range res.ShardStats {
-		if st.Registered > 0 {
-			busy++
-		}
-	}
-	if busy > 2 {
-		t.Fatalf("tenant's traffic reached %d shards, shuffle shard caps it at 2", busy)
 	}
 }
 
@@ -318,7 +287,7 @@ func TestShardedCounterAggregation(t *testing.T) {
 		if err := s.PrewarmAVPool(ctx, supis); err != nil {
 			t.Fatalf("PrewarmAVPool: %v", err)
 		}
-		perShard := s.ShardAVPoolStats()
+		perShard := shardPoolStats(s)
 		fleet := s.AVPoolStats()
 		if fleet.Prewarmed != uint64(n*depth) {
 			t.Fatalf("fleet prewarmed %d vectors, want %d", fleet.Prewarmed, n*depth)

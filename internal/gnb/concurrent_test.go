@@ -301,17 +301,22 @@ func TestFleetVirtualIsLaneBusy(t *testing.T) {
 					t.Fatalf("ShardStats = %d lanes for %d shards", len(res.ShardStats), len(s.Shards))
 				}
 
-				var lanes, busiest time.Duration
+				// Every attempt succeeded, so the lanes' accounts are the run's
+				// setup times (each sample and each lane truncated to the
+				// nanosecond).
+				var lanes, busiest, setups time.Duration
 				for i, st := range res.ShardStats {
-					// Every attempt succeeded, so a lane's accounts are its
-					// setup times (each, and their mean, truncated to the
-					// nanosecond).
-					setups := st.SetupTimes.Summarize().Mean * time.Duration(st.SetupTimes.N())
-					if d := st.Busy - setups; d < -2*n || d > 2*n {
-						t.Errorf("lane %d busy %v, its %d setup times sum to %v", i, st.Busy, st.SetupTimes.N(), setups)
+					if (st.Registered > 0) != (st.Busy > 0) {
+						t.Errorf("lane %d busy %v for %d registrations", i, st.Busy, st.Registered)
 					}
 					lanes += st.Busy
 					busiest = max(busiest, st.Busy)
+				}
+				for _, d := range res.SetupTimes.Samples() {
+					setups += d
+				}
+				if d := lanes - setups; d < 0 || d >= n {
+					t.Errorf("lanes busy %v, the %d setup times sum to %v", lanes, res.SetupTimes.N(), setups)
 				}
 				if res.FleetVirtual != busiest {
 					t.Errorf("FleetVirtual = %v, busiest lane = %v", res.FleetVirtual, busiest)

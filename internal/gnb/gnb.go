@@ -54,10 +54,10 @@ type Config struct {
 	Env *costmodel.Env
 	// AMFs is the core's replica pool, the N2 peers, in shard-index order
 	// (matching the routing snapshots the Router receives): the gNB routes
-	// each UE to AMFs[Router.Route(tenant, SUPI)].
+	// each UE to the AMF owning its SUPI.
 	AMFs []*amf.AMF
-	// Router resolves (tenant, SUPI) to a replica index from the
-	// last-known-good topology snapshot.
+	// Router resolves a SUPI to a replica index from the last-known-good
+	// topology snapshot.
 	Router *topology.Router
 	// UPF is the N3 peer for the data path (optional; nil disables
 	// user-plane forwarding).
@@ -79,7 +79,6 @@ type GNB struct {
 	env    *costmodel.Env
 	amfs   []*amf.AMF
 	router *topology.Router
-	tenant string
 	upf    *upf.UPF
 	mcc    string
 	mnc    string
@@ -110,7 +109,6 @@ func New(cfg Config) (*GNB, error) {
 		env:    cfg.Env,
 		amfs:   cfg.AMFs,
 		router: cfg.Router,
-		tenant: "gnb/" + cfg.MCC + cfg.MNC,
 		upf:    cfg.UPF,
 		mcc:    cfg.MCC,
 		mnc:    cfg.MNC,
@@ -122,16 +120,16 @@ func New(cfg Config) (*GNB, error) {
 // Replicas reports the size of the gNB's AMF pool.
 func (g *GNB) Replicas() int { return len(g.amfs) }
 
-// Tenant reports the shuffle-shard identity this gNB routes under:
-// "gnb/"+MCC+MNC.
-func (g *GNB) Tenant() string { return g.tenant }
+// Tenant reports the gNB's (gNB, PLMN) identity, "gnb/"+MCC+MNC. Routing
+// ignores it: every tenant routes over the whole replica set.
+func (g *GNB) Tenant() string { return "gnb/" + g.BroadcastPLMN() }
 
 // ShardOf resolves a SUPI to its owning replica index under the current
 // last-known-good snapshot. A gNB that has not yet received a snapshot
 // answers 0 (the static-wiring fallback — routing never blocks on the
 // control plane).
 func (g *GNB) ShardOf(supi string) int {
-	idx, ok := g.router.Route(g.tenant, supi)
+	idx, ok := g.router.Route("", supi)
 	if !ok || idx < 0 || idx >= len(g.amfs) {
 		return 0
 	}
@@ -388,11 +386,10 @@ type ShardStat struct {
 	// Busy is the lane's summed virtual cost across every attempt it
 	// served (including failed ones — a shard pays for its rejects).
 	Busy time.Duration
-	// SetupTimes is the lane's own setup-time distribution. The shard
-	// recorders partition the fleet-wide MassResult.SetupTimes — every
-	// sample lands in exactly one shard recorder, so per-shard and fleet
-	// views never double count.
-	SetupTimes *metrics.Recorder
+
+	// busy is Busy in cycles while the run tallies; finish converts it
+	// once.
+	busy simclock.Cycles
 }
 
 // MassOptions configures a mass-registration run.
@@ -438,14 +435,15 @@ func failureClass(err error) string {
 	return "internal"
 }
 
-// newMassResult returns an empty tally whose recorder holds capacity
-// samples without growing.
-func newMassResult(capacity int) *MassResult {
+// newMassResult returns an empty tally over shards lanes whose recorder
+// holds capacity samples without growing.
+func newMassResult(capacity, shards int) *MassResult {
 	return &MassResult{
 		SetupTimes:    metrics.NewRecorder(capacity),
 		FailureCounts: make(map[string]int),
 		FirstErrors:   make(map[string]error),
 		Recovered:     make(map[string]int),
+		ShardStats:    make([]ShardStat, shards),
 	}
 }
 
@@ -455,6 +453,11 @@ func (r *MassResult) merge(o *MassResult) {
 	r.Failed += o.Failed
 	r.Attempts += o.Attempts
 	r.SetupTimes.Merge(o.SetupTimes)
+	for i := range r.ShardStats {
+		r.ShardStats[i].Registered += o.ShardStats[i].Registered
+		r.ShardStats[i].Failed += o.ShardStats[i].Failed
+		r.ShardStats[i].busy += o.ShardStats[i].busy
+	}
 	for class, n := range o.FailureCounts {
 		r.FailureCounts[class] += n
 		if _, seen := r.FirstErrors[class]; !seen {
@@ -466,9 +469,13 @@ func (r *MassResult) merge(o *MassResult) {
 	}
 }
 
-func (r *MassResult) recordFailure(err error) {
+// recordFailure tallies a UE that did not register against the lane that
+// served its attempts and its failure class.
+func (r *MassResult) recordFailure(shard int, cycles simclock.Cycles, err error) {
 	class := failureClass(err)
 	r.Failed++
+	r.ShardStats[shard].Failed++
+	r.ShardStats[shard].busy += cycles
 	r.FailureCounts[class]++
 	if _, seen := r.FirstErrors[class]; !seen {
 		r.FirstErrors[class] = err
@@ -477,12 +484,14 @@ func (r *MassResult) recordFailure(err error) {
 
 // finish stamps the time bases and, from the lane accounts, the fleet
 // figures once counts are final.
-func (r *MassResult) finish(wall time.Duration, virtual time.Duration) {
+func (r *MassResult) finish(env *costmodel.Env, wall time.Duration, virtual time.Duration) {
 	r.Wall = wall
 	r.Virtual = virtual
 	r.LaneBalance = 1
 	total, busiest := 0, 0
-	for _, s := range r.ShardStats {
+	for i := range r.ShardStats {
+		s := &r.ShardStats[i]
+		s.Busy = env.Model.Duration(s.busy)
 		r.FleetVirtual = max(r.FleetVirtual, s.Busy)
 		served := s.Registered + s.Failed
 		total += served
@@ -496,64 +505,6 @@ func (r *MassResult) finish(wall time.Duration, virtual time.Duration) {
 	}
 }
 
-// laneTally accumulates per-shard lane accounting during a run.
-type laneTally struct {
-	cycles     []simclock.Cycles
-	registered []int
-	failed     []int
-	setups     []*metrics.Recorder
-}
-
-// newLaneTally sizes each lane's recorder for capacity samples up front,
-// so the per-registration addSetup never grows a slice mid-run.
-func newLaneTally(shards, capacity int) *laneTally {
-	t := &laneTally{
-		cycles:     make([]simclock.Cycles, shards),
-		registered: make([]int, shards),
-		failed:     make([]int, shards),
-		setups:     make([]*metrics.Recorder, shards),
-	}
-	for i := range t.setups {
-		t.setups[i] = metrics.NewRecorder(capacity)
-	}
-	return t
-}
-
-func (t *laneTally) add(shard int, cycles simclock.Cycles, ok bool) {
-	t.cycles[shard] += cycles
-	if ok {
-		t.registered[shard]++
-	} else {
-		t.failed[shard]++
-	}
-}
-
-func (t *laneTally) addSetup(shard int, d time.Duration) {
-	t.setups[shard].Add(d)
-}
-
-func (t *laneTally) merge(o *laneTally) {
-	for i := range t.cycles {
-		t.cycles[i] += o.cycles[i]
-		t.registered[i] += o.registered[i]
-		t.failed[i] += o.failed[i]
-		t.setups[i].Merge(o.setups[i])
-	}
-}
-
-func (t *laneTally) stats(env *costmodel.Env) []ShardStat {
-	out := make([]ShardStat, len(t.cycles))
-	for i := range out {
-		out[i] = ShardStat{
-			Registered: t.registered[i],
-			Failed:     t.failed[i],
-			Busy:       env.Model.Duration(t.cycles[i]),
-			SetupTimes: t.setups[i],
-		}
-	}
-	return out
-}
-
 // RegisterManyWith runs a mass registration according to opts, the way
 // the paper drives gNBSIM for its large-scale measurements. With
 // Parallelism <= 1 it drives registrations back to back on the caller's
@@ -563,9 +514,8 @@ func (t *laneTally) stats(env *costmodel.Env) []ShardStat {
 // pool drains. A provisioning error stops the run (cancelling in-flight
 // workers) and is returned alongside the partial result.
 func (g *GNB) RegisterManyWith(ctx context.Context, opts MassOptions) (*MassResult, error) {
-	result := newMassResult(opts.N)
+	result := newMassResult(opts.N, len(g.amfs))
 	result.Parallelism = max(opts.Parallelism, 1)
-	tally := newLaneTally(len(g.amfs), opts.N)
 	//shieldlint:wallclock the result deliberately reports wall time next to virtual time
 	wallStart := time.Now()
 	virtualStart := g.env.Clock.Elapsed()
@@ -573,13 +523,12 @@ func (g *GNB) RegisterManyWith(ctx context.Context, opts MassOptions) (*MassResu
 	if result.Parallelism == 1 {
 		// The seed driver: the root jitter stream, no chaos worker
 		// context, connection 1.
-		err = g.registerStripe(ctx, opts, 1, 0, 1, result, tally)
+		err = g.registerStripe(ctx, opts, 1, 0, 1, result)
 	} else {
-		err = g.registerParallel(ctx, opts, result, tally)
+		err = g.registerParallel(ctx, opts, result)
 	}
-	result.ShardStats = tally.stats(g.env)
 	//shieldlint:wallclock closes the wall-vs-virtual split opened above
-	result.finish(time.Since(wallStart), g.env.Model.Duration(g.env.Clock.Elapsed()-virtualStart))
+	result.finish(g.env, time.Since(wallStart), g.env.Model.Duration(g.env.Clock.Elapsed()-virtualStart))
 	return result, err
 }
 
@@ -614,10 +563,10 @@ func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts i
 }
 
 // registerStripe registers the UEs first, first+stride, ... below opts.N in
-// order over SBI connection conn, tallying into result and tally, which it
-// owns until it returns. A provisioning error ends the stripe and is
-// returned; a cancelled ctx just ends it.
-func (g *GNB) registerStripe(ctx context.Context, opts MassOptions, conn uint64, first, stride int, result *MassResult, tally *laneTally) error {
+// order over SBI connection conn, tallying into result, which it owns until
+// it returns. A provisioning error ends the stripe and is returned; a
+// cancelled ctx just ends it.
+func (g *GNB) registerStripe(ctx context.Context, opts MassOptions, conn uint64, first, stride int, result *MassResult) error {
 	if opts.BatchSize > 0 {
 		// The stripe pipelines its registrations over its own keep-alive
 		// connection to the P-AKA modules.
@@ -631,17 +580,17 @@ func (g *GNB) registerStripe(ctx context.Context, opts MassOptions, conn uint64,
 		sess, attempts, cycles, recovered, err := g.registerAttempts(ctx, device, opts.MaxAttempts)
 		result.Attempts += attempts
 		if err != nil {
-			tally.add(g.ShardOf(device.SUPIString()), cycles, false)
-			result.recordFailure(err)
+			result.recordFailure(g.ShardOf(device.SUPIString()), cycles, err)
 			continue
 		}
-		tally.add(sess.Shard(), cycles, true)
-		tally.addSetup(sess.Shard(), sess.SetupTime)
 		for class, n := range recovered {
 			result.Recovered[class] += n
 		}
 		result.Registered++
 		result.SetupTimes.Add(sess.SetupTime)
+		lane := &result.ShardStats[sess.Shard()]
+		lane.Registered++
+		lane.busy += cycles
 	}
 	return nil
 }
@@ -651,22 +600,20 @@ func (g *GNB) registerStripe(ctx context.Context, opts MassOptions, conn uint64,
 // drawing virtual-time jitter from the independent stream
 // env.Jitter.Stream(w+1) so a parallel run's cost draws are reproducible
 // for a fixed seed regardless of goroutine interleaving.
-func (g *GNB) registerParallel(ctx context.Context, opts MassOptions, result *MassResult, tally *laneTally) error {
+func (g *GNB) registerParallel(ctx context.Context, opts MassOptions, result *MassResult) error {
 	workers := min(opts.Parallelism, opts.N)
 	result.Parallelism = workers
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	results := make([]*MassResult, workers)
-	lanes := make([]*laneTally, workers)
 	provision := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			results[w] = newMassResult(opts.N/workers + 1)
-			lanes[w] = newLaneTally(len(g.amfs), opts.N/workers+1)
+			results[w] = newMassResult(opts.N/workers+1, len(g.amfs))
 			id := uint64(w) + 1
 			base := simclock.WithJitter(wctx, g.env.Jitter.Stream(id))
 			if g.chaos != nil {
@@ -674,7 +621,7 @@ func (g *GNB) registerParallel(ctx context.Context, opts MassOptions, result *Ma
 				// they, like costs, are reproducible per worker.
 				base = g.chaos.WorkerContext(base, id)
 			}
-			if provision[w] = g.registerStripe(base, opts, id, w, workers, results[w], lanes[w]); provision[w] != nil {
+			if provision[w] = g.registerStripe(base, opts, id, w, workers, results[w]); provision[w] != nil {
 				cancel()
 			}
 		}(w)
@@ -684,7 +631,6 @@ func (g *GNB) registerParallel(ctx context.Context, opts MassOptions, result *Ma
 	var firstProvision error
 	for w := range results {
 		result.merge(results[w])
-		tally.merge(lanes[w])
 		if firstProvision == nil {
 			firstProvision = provision[w]
 		}

@@ -30,9 +30,6 @@ type StormOptions struct {
 	// holding a GUTI from a previous registration (the mass-disconnect
 	// population); emergency slots return devices in emergency mode.
 	Device func(ev chaos.StormEvent) (*ue.UE, error)
-	// MaxAttempts bounds full-registration attempts per event; <= 1 means
-	// one shot (a shed registration counts as shed, not retried).
-	MaxAttempts int
 	// Source is the gNB identity keyed into the AMF's per-(gNB, PLMN)
 	// admission buckets.
 	Source string
@@ -67,8 +64,6 @@ type StormResult struct {
 	// completion on the arrival axis — queue backlog pushes it out.
 	Window   time.Duration
 	Makespan time.Duration
-	// Attempts counts registration attempts across all events.
-	Attempts int
 	// FailureCounts/FirstErrors tally non-completed registrations by
 	// failure class, shed included.
 	FailureCounts map[string]int
@@ -80,9 +75,11 @@ func (r *StormResult) TotalShed() int {
 	return r.Class[0].Shed + r.Class[1].Shed + r.Class[2].Shed
 }
 
-// RunStorm replays the plan sequentially in arrival order; determinism
-// comes from the plan (arrival stamps, class mix) plus the env seed, the
-// same way the sequential mass driver is bit-for-bit reproducible.
+// RunStorm replays the plan sequentially in arrival order, one registration
+// attempt per event (a shed registration counts as shed, not retried);
+// determinism comes from the plan (arrival stamps, class mix) plus the env
+// seed, the same way the sequential mass driver is bit-for-bit
+// reproducible.
 func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, error) {
 	if opts.Plan == nil || len(opts.Plan.Events) == 0 {
 		return nil, errors.New("gnb: storm needs a non-empty plan")
@@ -99,10 +96,6 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 	}
 	if opts.Source != "" {
 		ctx = admission.WithSource(ctx, opts.Source)
-	}
-	attempts := opts.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
 	}
 
 	// Arrival stamps are absolute on the shared clock's axis.
@@ -123,20 +116,11 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		var acct simclock.Account
 		sctx := simclock.WithAccount(ectx, &acct)
 
-		var sess *Session
-		var rerr error
-		for a := 1; ; a++ {
-			acct.Reset()
-			if _, hasGUTI := device.GUTI(); hasGUTI {
-				sess, rerr = g.ReRegisterUE(sctx, device)
-			} else {
-				sess, rerr = g.RegisterUE(sctx, device)
-			}
-			result.Attempts++
-			if rerr == nil || a >= attempts {
-				break
-			}
+		register := g.RegisterUE
+		if _, hasGUTI := device.GUTI(); hasGUTI {
+			register = g.ReRegisterUE
 		}
+		sess, rerr := register(sctx, device)
 		if rerr != nil {
 			class := failureClass(rerr)
 			// A breaker opened by overload failures is part of the overload

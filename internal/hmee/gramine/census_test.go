@@ -34,13 +34,13 @@ func censusOneShot(i *Instance, ctx context.Context, in, out int) (censusBD, err
 	return i.Cross(ctx, hmee.OneShot, in, out, hmee.HandlerFunc(censusWork))
 }
 
-func censusOpen(i *Instance, ctx context.Context) (*hmee.Session, error) { return openSession(ctx, i) }
+func censusOpen(i *Instance, ctx context.Context) error { return cross(ctx, i, hmee.Open) }
 
-func censusServe(s *hmee.Session, ctx context.Context, in, out int) (censusBD, error) {
-	return s.Serve(ctx, in, out, hmee.HandlerFunc(censusWork))
+func censusServe(i *Instance, ctx context.Context, in, out int) (censusBD, error) {
+	return i.Cross(ctx, hmee.Pipelined, in, out, hmee.HandlerFunc(censusWork))
 }
 
-func censusClose(s *hmee.Session, ctx context.Context) error { return s.Close(ctx) }
+func censusClose(i *Instance, ctx context.Context) error { return cross(ctx, i, hmee.Close) }
 
 func censusBatch(i *Instance, ctx context.Context, argBytes, retBytes, k int) error {
 	_, err := i.Cross(ctx, hmee.Entry, argBytes, retBytes, hmee.HandlerFunc(func(ex hmee.Exec) error {
@@ -145,18 +145,16 @@ func TestCensusContract(t *testing.T) {
 						return censusOneShot(inst, ctx, 40, 80)
 					})
 				case "session":
-					var sess *hmee.Session
-					rec.step("open", func(ctx context.Context) (bd censusBD, err error) {
-						sess, err = censusOpen(inst, ctx)
-						return bd, err
+					rec.step("open", func(ctx context.Context) (censusBD, error) {
+						return censusBD{}, censusOpen(inst, ctx)
 					})
 					for k := 1; k <= 3; k++ {
 						rec.step(fmt.Sprintf("serve%d", k), func(ctx context.Context) (censusBD, error) {
-							return censusServe(sess, ctx, 40*k, 80*k)
+							return censusServe(inst, ctx, 40*k, 80*k)
 						})
 					}
 					rec.step("close", func(ctx context.Context) (censusBD, error) {
-						return censusBD{}, censusClose(sess, ctx)
+						return censusBD{}, censusClose(inst, ctx)
 					})
 				case "batch":
 					rec.step("batch8", func(ctx context.Context) (censusBD, error) {

@@ -25,10 +25,11 @@ func launchTest(t *testing.T) *Instance {
 // of in-enclave work.
 var noop = hmee.HandlerFunc(func(hmee.Exec) error { return nil })
 
-// openSession accepts one keep-alive connection over c.
-func openSession(ctx context.Context, c hmee.Crossing) (*hmee.Session, error) {
-	s := new(hmee.Session)
-	return s, s.Open(ctx, c)
+// cross runs one connection phase (hmee.Open, hmee.Close) that carries
+// no request.
+func cross(ctx context.Context, c hmee.Crossing, ph hmee.Phases) error {
+	_, err := c.Cross(ctx, ph, 0, 0, nil)
+	return err
 }
 
 func compute(n simclock.Cycles) hmee.Handler {
@@ -65,9 +66,8 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 	if _, err := instA.Cross(context.Background(), hmee.OneShot, 40, 80, handler); err != nil {
 		t.Fatalf("warm one-shot: %v", err)
 	}
-	sess, err := openSession(context.Background(), instB)
-	if err != nil {
-		t.Fatalf("Session.Open: %v", err)
+	if err := cross(context.Background(), instB, hmee.Open); err != nil {
+		t.Fatalf("open: %v", err)
 	}
 
 	ctxA, acctA := measuredCtx(99)
@@ -76,9 +76,9 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 		t.Fatalf("measured one-shot: %v", err)
 	}
 	ctxB, acctB := measuredCtx(99)
-	bdB, err := sess.Serve(ctxB, 40, 80, handler)
+	bdB, err := instB.Cross(ctxB, hmee.Pipelined, 40, 80, handler)
 	if err != nil {
-		t.Fatalf("measured Session.Serve: %v", err)
+		t.Fatalf("measured pipelined request: %v", err)
 	}
 
 	if bdA.Functional != bdB.Functional {
@@ -123,14 +123,13 @@ func TestSessionAmortizesTransitions(t *testing.T) {
 	}
 	cold := inst.Stats().Sub(before).EENTER
 
-	sess, err := openSession(ctx, inst)
-	if err != nil {
-		t.Fatalf("Session.Open: %v", err)
+	if err := cross(ctx, inst, hmee.Open); err != nil {
+		t.Fatalf("open: %v", err)
 	}
 	before = inst.Stats()
 	for k := 0; k < batch; k++ {
 		reqBefore := inst.Stats()
-		if _, err := sess.Serve(ctx, 40, 80, handler); err != nil {
+		if _, err := inst.Cross(ctx, hmee.Pipelined, 40, 80, handler); err != nil {
 			t.Fatalf("Serve %d: %v", k, err)
 		}
 		sp := inst.syscalls
@@ -141,8 +140,8 @@ func TestSessionAmortizesTransitions(t *testing.T) {
 		}
 	}
 	pipelined := inst.Stats().Sub(before).EENTER
-	if err := sess.Close(ctx); err != nil {
-		t.Fatalf("Close: %v", err)
+	if err := cross(ctx, inst, hmee.Close); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	withTeardown := inst.Stats().Sub(before).EENTER
 
@@ -188,13 +187,12 @@ func TestRingTakesEveryPhasedCrossing(t *testing.T) {
 					t.Errorf("maintenance: %d ring submissions, %d EENTERs for %d OCALLs; want 0 and one transition pair in place", submitted, d.EENTER, d.OCALLs)
 				}
 			}
-			sess := new(hmee.Session)
-			serve := func() error { _, err := sess.Serve(ctx, 40, 80, noop); return err }
+			serve := func() error { _, err := inst.Cross(ctx, hmee.Pipelined, 40, 80, noop); return err }
 			step("oneshot", true, func() error { _, err := inst.Cross(ctx, hmee.OneShot, 40, 80, noop); return err })
-			step("open", true, func() error { return sess.Open(ctx, inst) })
+			step("open", true, func() error { return cross(ctx, inst, hmee.Open) })
 			step("first pipelined", true, serve)
 			step("second pipelined", true, serve)
-			step("close", true, func() error { return sess.Close(ctx) })
+			step("close", true, func() error { return cross(ctx, inst, hmee.Close) })
 			step("batch", true, func() error { _, err := inst.Cross(ctx, hmee.Entry, 320, 640, noop); return err })
 			step("maintenance", false, func() error {
 				_, err := inst.Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex hmee.Exec) error {
@@ -207,25 +205,26 @@ func TestRingTakesEveryPhasedCrossing(t *testing.T) {
 	}
 }
 
+// TestSessionClosedAndLifecycleErrors: a keep-alive connection's phases
+// serve while the instance runs, and every one of them fails with
+// hmee.ErrStopped once it has shut down — the connection died with it.
 func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 	inst := launchTest(t)
 	ctx := context.Background()
-	sess, err := openSession(ctx, inst)
-	if err != nil {
-		t.Fatalf("Session.Open: %v", err)
+	if err := cross(ctx, inst, hmee.Open); err != nil {
+		t.Fatalf("open: %v", err)
 	}
-	if err := sess.Close(ctx); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	if err := sess.Close(ctx); err != nil {
-		t.Fatalf("double Close: %v", err)
-	}
-	if _, err := sess.Serve(ctx, 10, 10, noop); !errors.Is(err, hmee.ErrSessionClosed) {
-		t.Fatalf("Serve on closed session = %v, want hmee.ErrSessionClosed", err)
+	if _, err := inst.Cross(ctx, hmee.Pipelined, 10, 10, noop); err != nil {
+		t.Fatalf("pipelined: %v", err)
 	}
 	inst.Shutdown()
-	if _, err := openSession(ctx, inst); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("Session.Open after Shutdown = %v, want hmee.ErrStopped", err)
+	if _, err := inst.Cross(ctx, hmee.Pipelined, 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("pipelined after Shutdown = %v, want hmee.ErrStopped", err)
+	}
+	for _, ph := range []hmee.Phases{hmee.Close, hmee.Open} {
+		if err := cross(ctx, inst, ph); !errors.Is(err, hmee.ErrStopped) {
+			t.Fatalf("phases %b after Shutdown = %v, want hmee.ErrStopped", ph, err)
+		}
 	}
 }
 
@@ -312,31 +311,28 @@ func TestServeShutdownRace(t *testing.T) {
 			return err
 		}},
 		{"session", false, func(ctx context.Context, inst *Instance) error {
-			sess, err := openSession(ctx, inst)
-			if err != nil {
-				return err
-			}
+			err := cross(ctx, inst, hmee.Open)
 			for k := 0; k < 3 && err == nil; k++ {
-				_, err = sess.Serve(ctx, 40, 80, compute(10_000))
+				_, err = inst.Cross(ctx, hmee.Pipelined, 40, 80, compute(10_000))
 			}
-			if cerr := sess.Close(ctx); err == nil {
-				err = cerr
+			if err == nil {
+				err = cross(ctx, inst, hmee.Close)
 			}
 			return err
 		}},
 		{"ring", true, func(ctx context.Context, inst *Instance) error {
-			sess, err := openSession(ctx, inst)
-			if err != nil {
-				return err
+			err := cross(ctx, inst, hmee.Open)
+			if err == nil {
+				_, err = inst.Cross(ctx, hmee.Pipelined, 40, 80, compute(10_000))
 			}
-			if _, err = sess.Serve(ctx, 40, 80, compute(10_000)); err == nil {
+			if err == nil {
 				_, err = inst.Cross(ctx, hmee.Entry, 64, 128, compute(10_000))
 			}
 			if err == nil {
 				_, err = inst.Cross(ctx, hmee.OneShot, 40, 80, compute(10_000))
 			}
-			if cerr := sess.Close(ctx); err == nil {
-				err = cerr
+			if err == nil {
+				err = cross(ctx, inst, hmee.Close)
 			}
 			return err
 		}},

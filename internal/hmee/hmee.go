@@ -3,14 +3,30 @@
 // served inside them agree on: the execution surface a handler charges
 // through, the handler itself, the phases of the modelled HTTPS server
 // path, its syscall census, the one walk of that path every backend prices
-// (Walk over a Surface), the keep-alive Session, and the latency windows
-// of one served request. It also holds the backend that needs no hardware:
+// (Walk over a Surface), the one verb that crosses into a backend
+// (Crossing), and the latency windows of one served request. It also holds the backend that needs no hardware:
 // the guest Process, which is the plain container and — at another price
 // list — the inside of a confidential VM. It is a leaf: backends import
 // it, it imports none of them.
 package hmee
 
-import "shield5g/internal/simclock"
+import (
+	"context"
+	"errors"
+
+	"shield5g/internal/simclock"
+)
+
+// ErrStopped reports use of a backend that was shut down.
+var ErrStopped = errors.New("hmee: runtime stopped")
+
+// Crossing is a backend's one serve path: admit the request, walk its
+// phases at the backend's prices, report the windows. Costs go to the
+// account carried by ctx, which must be dedicated to this request for the
+// returned Breakdown to be meaningful.
+type Crossing interface {
+	Cross(ctx context.Context, ph Phases, in, out int, h Handler) (Breakdown, error)
+}
 
 // Exec is the execution surface a module handler charges its work
 // through. Inside an enclave it is the *sgx.Thread (memory-encryption
@@ -68,7 +84,13 @@ const (
 )
 
 // The serve shapes. The zero set runs the handler alone, in place
-// (maintenance).
+// (maintenance). A keep-alive connection is one Open, any number of
+// Pipelined requests and one Close: the accept census and the server-side
+// TLS handshake are paid once at Open and the teardown once at Close, so a
+// batch of B requests spreads the Pre+Post syscalls (81 under the default
+// profile, each an EENTER/EEXIT pair under SGX) over B requests. Closing
+// after the backend shut down fails with ErrStopped; the connection died
+// with it.
 const (
 	// OneShot is a request that brings its own connection.
 	OneShot = Warmup | Handshake | Pre | Body | Post

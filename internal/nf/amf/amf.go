@@ -67,9 +67,9 @@ type ueContext struct {
 	sec       *nas.SecurityContext
 	guti      nas.GUTI
 	// prevTMSI is the TMSI a mobility registration arrived with (0: none,
-	// TMSIs start at 1). It stays bound until RegistrationComplete
-	// acknowledges the new GUTI, so a UE that never saw the accept can
-	// still come back with the old one.
+	// TMSIs start at 1). It and the context it resolves to stay until
+	// RegistrationComplete acknowledges the new GUTI, so a UE that never
+	// saw the accept can still come back with the old one.
 	prevTMSI uint32
 	resyncOK bool // one resynchronisation attempt allowed
 	// pendingAuth retains the identity the current AKA run started from,
@@ -135,9 +135,12 @@ type AMF struct {
 	ptr      byte // AMF Pointer of this instance's GUAMI
 
 	// ues and guti are lock-striped so concurrent registrations touching
-	// different UEs never serialise on one AMF-wide mutex.
+	// different UEs never serialise on one AMF-wide mutex. guti resolves a
+	// TMSI to the RAN UE id whose context minted it, so a mobility
+	// registration finds the UE's SUPI there and, once it completes,
+	// releases that superseded context.
 	ues      *shard.Map[uint64, *ueContext]
-	guti     *shard.Map[uint32, string] // TMSI -> SUPI for mobility registration
+	guti     *shard.Map[uint32, uint64] // TMSI -> RAN UE id
 	nextTMSI atomic.Uint32
 
 	// Degradation counter: recoveries performed instead of rejecting UEs.
@@ -180,7 +183,7 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 		snn:   kdf.ServingNetworkName(cfg.MCC, cfg.MNC),
 		ptr:   byte((1 + cfg.Replica) % 64),
 		ues:   shard.NewUint64[*ueContext](),
-		guti:  shard.NewUint32[string](),
+		guti:  shard.NewUint32[uint64](),
 	}
 	if err := a.nrfc.Register(ctx, nrf.NFProfile{
 		InstanceID: sbi.ReplicaName(ServiceName, cfg.Replica) + "-1", NFType: NFType, Service: ServiceName, HMEE: cfg.HMEE,
@@ -249,8 +252,9 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 			return nil, fmt.Errorf("amf: GUTI PLMN %s%s does not match serving PLMN %s%s",
 				g.MCC, g.MNC, a.mcc, a.mnc)
 		}
-		supi, known := a.guti.Load(g.TMSI)
-		if !known || g.AMFPointer != a.ptr {
+		ran, bound := a.guti.Load(g.TMSI)
+		prev, known := a.ues.Load(ran)
+		if !bound || !known || g.AMFPointer != a.ptr {
 			// No stored context (the GUTI was minted by another AMF — a
 			// topology change moved the UE between replicas — or has
 			// been released): fall back to the identity procedure
@@ -260,7 +264,7 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 			a.ues.Store(ranUEID, ue)
 			return nas.Encode(&nas.IdentityRequest{IdentityType: nas.IdentityTypeSUCI})
 		}
-		authReq.SUPI = supi
+		authReq.SUPI = prev.supi
 		prevTMSI = g.TMSI
 	default:
 		return nil, fmt.Errorf("amf: registration carries no identity")
@@ -485,7 +489,7 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		if ue.getState() != stateSecuring {
 			return nil, fmt.Errorf("amf: SecurityModeComplete in state %d", ue.getState())
 		}
-		guti := a.allocateGUTI(ue.supi)
+		guti := a.allocateGUTI(ranUEID)
 		ue.guti = guti
 		ue.setState(stateAcceptPending)
 		return ue.sec.Protect(&nas.RegistrationAccept{GUTI: guti}, false)
@@ -495,7 +499,12 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 			return nil, fmt.Errorf("amf: RegistrationComplete in state %d", ue.getState())
 		}
 		if ue.prevTMSI != 0 {
-			a.guti.Delete(ue.prevTMSI)
+			// The superseded GUTI and the context it belonged to go; when
+			// the UE re-registered under the same RAN UE id, this context
+			// already replaced that one.
+			if prev, ok := a.guti.LoadAndDelete(ue.prevTMSI); ok && prev != ranUEID {
+				a.ues.Delete(prev)
+			}
 			ue.prevTMSI = 0
 		}
 		ue.setState(stateRegistered)
@@ -534,9 +543,9 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 	}
 }
 
-func (a *AMF) allocateGUTI(supi string) nas.GUTI {
+func (a *AMF) allocateGUTI(ranUEID uint64) nas.GUTI {
 	tmsi := a.nextTMSI.Add(1)
-	a.guti.Store(tmsi, supi)
+	a.guti.Store(tmsi, ranUEID)
 	return nas.GUTI{
 		MCC:         a.mcc,
 		MNC:         a.mnc,

@@ -408,6 +408,30 @@ func TestReRegistrationReleasesSupersededGUTI(t *testing.T) {
 	}
 }
 
+// TestReRegistrationReleasesSupersededContext: each mobility registration
+// arrives on a fresh RAN UE id, and its completion releases the context
+// the old GUTI belonged to, so one UE holds one context. A re-registration
+// under the context's own RAN UE id replaces it in place and keeps it.
+func TestReRegistrationReleasesSupersededContext(t *testing.T) {
+	h := newHarness(t)
+	d := h.device(t)
+	h.register(t, d, 1)
+	for ran := uint64(2); ran <= 4; ran++ {
+		h.reregister(t, d, ran, false)
+	}
+	if got := h.amf.RegisteredUEs(); got != 1 {
+		t.Fatalf("one attach and three re-registrations leave %d contexts, want 1", got)
+	}
+	if _, ok := h.amf.SUPIOf(1); ok {
+		t.Fatal("the first registration's context outlived its successor")
+	}
+	h.reregister(t, d, 4, false)
+	if supi, ok := h.amf.SUPIOf(4); !ok || supi != h.supi.String() || h.amf.RegisteredUEs() != 1 || h.amf.GUTIBindings() != 1 {
+		t.Fatalf("re-registration under the same RAN UE id: SUPIOf = %q %v, %d contexts, %d TMSIs; want the UE's, 1, 1",
+			supi, ok, h.amf.RegisteredUEs(), h.amf.GUTIBindings())
+	}
+}
+
 // TestLostRegistrationCompleteKeepsBothGUTIs: until the UE acknowledges
 // the new GUTI the AMF cannot know which one it holds, so both resolve.
 func TestLostRegistrationCompleteKeepsBothGUTIs(t *testing.T) {
@@ -464,8 +488,8 @@ func TestRegisteredUEHoldsNoAKAState(t *testing.T) {
 	}
 
 	h.register(t, d, 2)
-	h.reregister(t, d, 3, false)
-	for _, ran := range []uint64{2, 3} {
+	noAKAState := func(ran uint64) {
+		t.Helper()
 		held, ok := h.amf.AKAState(ran)
 		if !ok {
 			t.Fatalf("no UE context for RAN UE %d", ran)
@@ -474,8 +498,11 @@ func TestRegisteredUEHoldsNoAKAState(t *testing.T) {
 			t.Errorf("registered RAN UE %d still holds %v", ran, held)
 		}
 	}
-	if got := h.amf.RegisteredUEs(); got != 2 {
-		t.Fatalf("RegisteredUEs = %d, want 2", got)
+	noAKAState(2)
+	h.reregister(t, d, 3, false)
+	noAKAState(3)
+	if got := h.amf.RegisteredUEs(); got != 1 {
+		t.Fatalf("RegisteredUEs = %d, want 1", got)
 	}
 }
 

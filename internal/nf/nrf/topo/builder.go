@@ -32,11 +32,10 @@ type PushResult struct {
 // safe for concurrent use; publishes are single-filed so epochs observed
 // by subscribers are strictly increasing.
 type Builder struct {
-	mu        sync.Mutex
-	epoch     uint64
-	replicas  []topology.Replica
-	shardSize int
-	subs      []Subscriber
+	mu       sync.Mutex
+	epoch    uint64
+	replicas []topology.Replica
+	subs     []Subscriber
 	// last retains the most recently published snapshot so late
 	// subscribers can be caught up without minting a new epoch.
 	last *topology.Snapshot
@@ -50,13 +49,6 @@ func NewBuilder() *Builder { return &Builder{} }
 func (b *Builder) SetReplicas(replicas []topology.Replica) {
 	b.mu.Lock()
 	b.replicas = append([]topology.Replica(nil), replicas...)
-	b.mu.Unlock()
-}
-
-// SetShardSize stages the per-tenant shuffle-shard width (0 = no cap).
-func (b *Builder) SetShardSize(n int) {
-	b.mu.Lock()
-	b.shardSize = n
 	b.mu.Unlock()
 }
 
@@ -88,9 +80,8 @@ func (b *Builder) Publish() PushResult {
 	defer b.mu.Unlock()
 	b.epoch++
 	snap := &topology.Snapshot{
-		Epoch:     b.epoch,
-		Replicas:  append([]topology.Replica(nil), b.replicas...),
-		ShardSize: b.shardSize,
+		Epoch:    b.epoch,
+		Replicas: append([]topology.Replica(nil), b.replicas...),
 	}
 	snap.Seal()
 	b.last = snap

@@ -108,7 +108,6 @@ func TestSameCensusDifferentPrice(t *testing.T) {
 				if _, err := b.rt.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 					t.Fatalf("warm: %v", err)
 				}
-				var sess *hmee.Session
 				seed := uint64(0)
 				step := func(shape string, ph hmee.Phases, in, out int, f func(ctx context.Context) error) {
 					t.Helper()
@@ -131,17 +130,14 @@ func TestSameCensusDifferentPrice(t *testing.T) {
 					_, err := b.rt.Cross(ctx, hmee.OneShot, 40, 80, noop)
 					return err
 				})
-				step("open", hmee.Open.Warm(), 0, 0, func(ctx context.Context) (err error) {
-					sess, err = openSession(ctx, b.rt)
-					return err
-				})
+				step("open", hmee.Open.Warm(), 0, 0, func(ctx context.Context) error { return cross(ctx, b.rt, hmee.Open) })
 				for k := 1; k <= 3; k++ {
 					step("pipelined", hmee.Pipelined, 40*k, 80*k, func(ctx context.Context) error {
-						_, err := sess.Serve(ctx, 40*k, 80*k, noop)
+						_, err := b.rt.Cross(ctx, hmee.Pipelined, 40*k, 80*k, noop)
 						return err
 					})
 				}
-				step("close", hmee.Close, 0, 0, func(ctx context.Context) error { return sess.Close(ctx) })
+				step("close", hmee.Close, 0, 0, func(ctx context.Context) error { return cross(ctx, b.rt, hmee.Close) })
 				step("batch", hmee.Entry, 320, 640, func(ctx context.Context) error {
 					_, err := b.rt.Cross(ctx, hmee.Entry, 320, 640, noop)
 					return err

@@ -30,10 +30,7 @@ import (
 
 // --- adapter: the only part of this file that tracks the runtime API ---
 
-type (
-	guestRuntime = Runtime
-	guestSession = *hmee.Session
-)
+type guestRuntime = Runtime
 
 // guestLaunch starts one guest backend and returns it with its VM-exit
 // counter (always zero for a container).
@@ -57,6 +54,14 @@ func guestLaunch(t *testing.T, backend string, env *costmodel.Env) (guestRuntime
 func guestOneShot(rt guestRuntime, ctx context.Context, in, out int, h Handler) (Breakdown, error) {
 	return rt.Cross(ctx, hmee.OneShot, in, out, h)
 }
+
+func guestOpen(rt guestRuntime, ctx context.Context) error { return cross(ctx, rt, hmee.Open) }
+
+func guestServe(rt guestRuntime, ctx context.Context, in, out int, h Handler) (Breakdown, error) {
+	return rt.Cross(ctx, hmee.Pipelined, in, out, h)
+}
+
+func guestClose(rt guestRuntime, ctx context.Context) error { return cross(ctx, rt, hmee.Close) }
 
 // --- end adapter ---
 
@@ -125,18 +130,16 @@ func TestGuestCensusContract(t *testing.T) {
 						return guestOneShot(rt, ctx, 40, 80, work)
 					})
 				case "session":
-					var sess guestSession
-					rec.step("open", func(ctx context.Context) (bd Breakdown, err error) {
-						sess, err = openSession(ctx, rt)
-						return bd, err
+					rec.step("open", func(ctx context.Context) (Breakdown, error) {
+						return Breakdown{}, guestOpen(rt, ctx)
 					})
 					for k := 1; k <= 3; k++ {
 						rec.step(fmt.Sprintf("serve%d", k), func(ctx context.Context) (Breakdown, error) {
-							return sess.Serve(ctx, 40*k, 80*k, work)
+							return guestServe(rt, ctx, 40*k, 80*k, work)
 						})
 					}
 					rec.step("close", func(ctx context.Context) (Breakdown, error) {
-						return Breakdown{}, sess.Close(ctx)
+						return Breakdown{}, guestClose(rt, ctx)
 					})
 				case "batch":
 					rec.step("batch8", func(ctx context.Context) (Breakdown, error) {

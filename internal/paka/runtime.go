@@ -73,10 +73,10 @@ type (
 type Runtime interface {
 	// Crossing is the one verb that takes work over the isolation
 	// boundary; the phase set says what kind: hmee.OneShot a request that
-	// brings its own connection, hmee.Entry a batch whose bytes cross once
-	// (under SGX one EENTER/EEXIT pair or one ring submission), the zero
-	// set maintenance outside any request. Keep-alive connections are an
-	// hmee.Session opened over it.
+	// brings its own connection, hmee.Open, hmee.Pipelined and hmee.Close
+	// a keep-alive connection's accept, requests and teardown, hmee.Entry
+	// a batch whose bytes cross once (under SGX one EENTER/EEXIT pair or
+	// one ring submission), the zero set maintenance outside any request.
 	hmee.Crossing
 	// LoadDuration is the modelled deployment time (Fig. 7 for SGX).
 	LoadDuration() time.Duration

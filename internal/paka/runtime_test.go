@@ -15,10 +15,11 @@ import (
 
 var noop = hmee.HandlerFunc(func(Exec) error { return nil })
 
-// openSession accepts one keep-alive connection over c.
-func openSession(ctx context.Context, c hmee.Crossing) (*hmee.Session, error) {
-	s := new(hmee.Session)
-	return s, s.Open(ctx, c)
+// cross runs one connection phase (hmee.Open, hmee.Close) that carries
+// no request.
+func cross(ctx context.Context, c hmee.Crossing, ph hmee.Phases) error {
+	_, err := c.Cross(ctx, ph, 0, 0, nil)
+	return err
 }
 
 // forGuests runs f once per guest-process backend: the two are one runtime
@@ -67,8 +68,8 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 	if _, err := rt.Cross(context.Background(), hmee.OneShot, 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("one-shot after Shutdown = %v, want hmee.ErrStopped", err)
 	}
-	if _, err := openSession(context.Background(), rt); !errors.Is(err, hmee.ErrStopped) {
-		t.Fatalf("Session.Open after Shutdown = %v, want hmee.ErrStopped", err)
+	if err := cross(context.Background(), rt, hmee.Open); !errors.Is(err, hmee.ErrStopped) {
+		t.Fatalf("open after Shutdown = %v, want hmee.ErrStopped", err)
 	}
 	if _, err := rt.Cross(context.Background(), 0, 0, 0, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("maintenance after Shutdown = %v, want hmee.ErrStopped", err)
@@ -156,16 +157,12 @@ func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 		return err
 	})
 
-	var sess *hmee.Session
-	open := measure(func(ctx context.Context) (err error) {
-		sess, err = openSession(ctx, rt)
-		return err
-	})
+	open := measure(func(ctx context.Context) error { return cross(ctx, rt, hmee.Open) })
 	serve := measure(func(ctx context.Context) error {
-		_, err := sess.Serve(ctx, 40, 80, noop)
+		_, err := rt.Cross(ctx, hmee.Pipelined, 40, 80, noop)
 		return err
 	})
-	closeCost := measure(func(ctx context.Context) error { return sess.Close(ctx) })
+	closeCost := measure(func(ctx context.Context) error { return cross(ctx, rt, hmee.Close) })
 
 	if serve >= full {
 		t.Fatalf("session request (%d cycles) not cheaper than full request (%d)", serve, full)
@@ -180,10 +177,6 @@ func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 		t.Fatalf("open+serve+close = %d, want full %d + handshake = %d", got, full, want)
 	}
 
-	if _, err := sess.Serve(context.Background(), 10, 10, noop); !errors.Is(err, hmee.ErrSessionClosed) {
-		t.Fatalf("Serve on closed session = %v, want hmee.ErrSessionClosed", err)
-	}
-
 	// A batch of eight on one connection: the accept and teardown machinery
 	// is charged once, not eight times, and the one handshake the warm
 	// one-shot path never pays is charged once too. Each request draws its
@@ -196,17 +189,14 @@ func sessionMirrorsGramineContract(t *testing.T, prices hmee.Prices) {
 			return err
 		})
 	}
-	pipelined = measure(func(ctx context.Context) (err error) {
-		sess, err = openSession(ctx, rt)
-		return err
-	})
+	pipelined = measure(func(ctx context.Context) error { return cross(ctx, rt, hmee.Open) })
 	for seed = 100; seed < 100+batch; seed++ {
 		pipelined += measure(func(ctx context.Context) error {
-			_, err := sess.Serve(ctx, 40, 80, noop)
+			_, err := rt.Cross(ctx, hmee.Pipelined, 40, 80, noop)
 			return err
 		})
 	}
-	pipelined += measure(func(ctx context.Context) error { return sess.Close(ctx) })
+	pipelined += measure(func(ctx context.Context) error { return cross(ctx, rt, hmee.Close) })
 	sp, m := hmee.DefaultSyscallProfile(), env.Model
 	machinery := simclock.Cycles(sp.Pre+sp.Post) * (m.SyscallNative + 32*m.CopyPerByte)
 	if got, want := pipelined+(batch-1)*machinery, oneShots+m.TLSHandshakeServer; got != want {

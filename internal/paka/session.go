@@ -2,6 +2,7 @@ package paka
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"shield5g/internal/hmee"
@@ -9,9 +10,9 @@ import (
 
 // Connection identifies one keep-alive client connection to the P-AKA
 // modules, carried on the request context by the mass-registration
-// drivers. Each module keeps one open hmee.Session per connection ID,
-// so a worker's pipelined requests reuse the connection instead of
-// re-paying the accept machinery and TLS handshake per UE.
+// drivers. Each module keeps one open connection per connection ID, so a
+// worker's pipelined requests reuse it instead of re-paying the accept
+// machinery and TLS handshake per UE.
 type Connection struct {
 	// ID distinguishes concurrent connections (one per driver worker).
 	ID uint64
@@ -39,9 +40,9 @@ func ConnectionFrom(ctx context.Context) (Connection, bool) {
 // serialises requests on the same connection (a pipelined connection is
 // ordered by construction); different connections proceed in parallel.
 type moduleSession struct {
-	mu     sync.Mutex
+	mu sync.Mutex
+	// rt is the runtime the connection is open on; nil when none is.
 	rt     Runtime
-	sess   *hmee.Session
 	served int
 }
 
@@ -69,9 +70,11 @@ func (m *Module) dropSessions() {
 }
 
 // serve routes one request through the runtime: the plain per-request
-// path when no keep-alive connection rides ctx, otherwise the
-// connection's open session, recycled every Connection.Batch requests so
-// batch size is a real amortization factor.
+// path when no keep-alive connection rides ctx, otherwise a pipelined
+// request on the connection. The connection's accept census and TLS
+// handshake (hmee.Open) are paid once when it opens and its teardown
+// (hmee.Close) once when it is recycled, every Connection.Batch requests,
+// so batch size is a real amortization factor.
 func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
 	conn, ok := ConnectionFrom(ctx)
 	if !ok {
@@ -83,33 +86,31 @@ func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, 
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 
-	// A session opened on a previous runtime died with its enclave when
-	// the module crash-restarted: drop it without teardown costs.
+	// Open a connection when none is open on this runtime; one opened on a
+	// previous runtime died with its enclave when the module
+	// crash-restarted, and costs no teardown.
 	if ms.rt != rt {
-		ms.sess = nil
-	}
-	if ms.sess == nil {
-		sess := new(hmee.Session)
-		if err := sess.Open(ctx, rt); err != nil {
+		if _, err := rt.Cross(ctx, hmee.Open, 0, 0, nil); err != nil {
 			return Breakdown{}, err
 		}
-		ms.rt, ms.sess, ms.served = rt, sess, 0
+		ms.rt, ms.served = rt, 0
 	}
 
-	bd, err := ms.sess.Serve(ctx, in, out, h)
+	bd, err := rt.Cross(ctx, hmee.Pipelined, in, out, h)
 	if err != nil {
-		// Never reuse a session that just failed — the retry path must
+		// Never reuse a connection that just failed — the retry path must
 		// reopen on whatever runtime is then current.
-		ms.sess = nil
+		ms.rt = nil
 		return bd, err
 	}
 	ms.served++
 	if ms.served >= conn.Batch {
-		if cerr := ms.sess.Close(ctx); cerr != nil {
-			ms.sess = nil
-			return bd, cerr
+		ms.rt = nil
+		// A runtime that shut down took the connection with it: nothing is
+		// left to tear down.
+		if _, err := rt.Cross(ctx, hmee.Close, 0, 0, nil); err != nil && !errors.Is(err, hmee.ErrStopped) {
+			return bd, err
 		}
-		ms.sess = nil
 	}
 	return bd, nil
 }

@@ -1,16 +1,13 @@
 // Package topology holds the data-plane side of the sharded-core control
 // protocol: versioned routing snapshots, SUPI-affinity rendezvous
-// (highest-random-weight) placement, per-tenant shuffle-shard assignment,
-// and the Router that data planes consult on every routing decision.
+// (highest-random-weight) placement, and the Router that data planes
+// consult on every routing decision.
 //
-// Placement is one rule used twice. Every replica has a hash of its name;
-// a key's score on a replica is mix(mix(fnv1a(key)) ^ replicaHash). A SUPI
-// is owned by the highest-scoring replica of its tenant's shard, and the
-// tenant's shard is the ShardSize highest-scoring replicas for the tenant
-// string. Because a score depends on one key and one replica name only,
-// removing a replica moves exactly the keys it owned, adding one moves
-// only the keys it now owns, and a tenant's shard changes by at most one
-// member either way.
+// Every replica has a hash of its name; a key's score on a replica is
+// mix(mix(fnv1a(key)) ^ replicaHash), and a SUPI is owned by the
+// highest-scoring replica. Because a score depends on one key and one
+// replica name only, removing a replica moves exactly the keys it owned and
+// adding one moves only the keys it now owns.
 //
 // The package is deliberately free of any control-plane machinery — the
 // snapshot *builder* lives in internal/nf/nrf/topo and pushes snapshots
@@ -24,12 +21,11 @@ package topology
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 )
 
-// maxReplicas bounds a snapshot's replica set: shard membership travels
-// as one bit per replica in a uint64.
+// maxReplicas bounds a snapshot's replica set, and with it the owner scan
+// every route makes.
 const maxReplicas = 64
 
 // Replica names one routable replica of the vertical NF slice
@@ -55,9 +51,6 @@ type Snapshot struct {
 	Epoch uint64 `json:"epoch"`
 	// Replicas is the routable replica set, in index order.
 	Replicas []Replica `json:"replicas"`
-	// ShardSize caps how many replicas one tenant's shuffle shard spans;
-	// 0 (or >= len(Replicas)) gives every tenant the full replica set.
-	ShardSize int `json:"shard_size"`
 
 	// hashes[i] is the placement hash of Replicas[i].Name; nil until Seal.
 	hashes []uint64
@@ -104,71 +97,17 @@ func (s *Snapshot) Seal() {
 // sealed reports whether Seal ran over the current replica set.
 func (s *Snapshot) sealed() bool { return len(s.hashes) == len(s.Replicas) }
 
-// owner returns the replica in allowed (one bit per index) scoring
-// highest for the hashed key h, the lower index winning a tie, or -1 when
-// allowed is empty.
-func (s *Snapshot) owner(h, allowed uint64) int {
+// Owner returns the replica index owning key, the lower index winning a
+// tie, or -1 on an empty snapshot.
+func (s *Snapshot) Owner(key string) int {
+	h := hash(key)
 	best, bestScore := -1, uint64(0)
-	for ; allowed != 0; allowed &= allowed - 1 {
-		i := bits.TrailingZeros64(allowed)
-		if score := mix(h ^ s.hashes[i]); best < 0 || score > bestScore {
+	for i, rh := range s.hashes {
+		if score := mix(h ^ rh); best < 0 || score > bestScore {
 			best, bestScore = i, score
 		}
 	}
 	return best
-}
-
-// all is the bitmask admitting every replica of the snapshot (the first
-// maxReplicas of an over-wide one, which no Router accepts).
-func (s *Snapshot) all() uint64 {
-	if n := len(s.hashes); n < maxReplicas {
-		return 1<<n - 1
-	}
-	return ^uint64(0)
-}
-
-// Owner returns the replica index owning key over the full replica set,
-// or -1 on an empty snapshot.
-func (s *Snapshot) Owner(key string) int { return s.owner(hash(key), s.all()) }
-
-// shard returns the tenant's shuffle shard as a bitmask: the ShardSize
-// replicas scoring highest for the tenant string. Distinct tenants get
-// (with high probability) distinct subsets, so a tenant saturating its
-// shard leaves most other tenants' shards untouched — the
-// shuffle-sharding blast-radius argument. A zero or over-wide ShardSize
-// yields every replica.
-func (s *Snapshot) shard(tenant string) uint64 {
-	rest := s.all()
-	if s.ShardSize <= 0 || s.ShardSize >= bits.OnesCount64(rest) {
-		return rest
-	}
-	h := hash(tenant)
-	var picked uint64
-	for n := 0; n < s.ShardSize; n++ {
-		bit := uint64(1) << s.owner(h, rest)
-		picked |= bit
-		rest &^= bit
-	}
-	return picked
-}
-
-// ShardFor returns the tenant's shuffle shard as ascending replica
-// indices.
-func (s *Snapshot) ShardFor(tenant string) []int {
-	mask := s.shard(tenant)
-	out := make([]int, 0, bits.OnesCount64(mask))
-	for ; mask != 0; mask &= mask - 1 {
-		out = append(out, bits.TrailingZeros64(mask))
-	}
-	return out
-}
-
-// RouteIn picks the replica owning supi within the tenant's shuffle
-// shard, or -1 on an empty snapshot. A SUPI whose owner over the full set
-// is a shard member keeps that owner, so shard membership changes never
-// disturb its affinity.
-func (s *Snapshot) RouteIn(tenant, supi string) int {
-	return s.owner(hash(supi), s.shard(tenant))
 }
 
 // Router is a data plane's view of the routing topology. It holds exactly
@@ -196,7 +135,7 @@ func (r *Router) Apply(s *Snapshot) error {
 	}
 	if len(s.Replicas) > maxReplicas {
 		r.nacked.Add(1)
-		return fmt.Errorf("topology: nack: %d replicas exceed the %d a shard mask holds", len(s.Replicas), maxReplicas)
+		return fmt.Errorf("topology: nack: %d replicas exceed the %d a snapshot may hold", len(s.Replicas), maxReplicas)
 	}
 	for {
 		cur := r.snap.Load()
@@ -227,17 +166,14 @@ func (r *Router) Stats() (applied, nacked uint64) {
 	return r.applied.Load(), r.nacked.Load()
 }
 
-// Route resolves (tenant, supi) to a replica index on the last-known-good
-// snapshot. ok is false only when no snapshot was ever applied — the one
-// state in which a data plane must fall back to its static wiring.
-func (r *Router) Route(tenant, supi string) (int, bool) {
+// Route resolves supi to its owning replica index on the last-known-good
+// snapshot. The tenant argument is ignored: every tenant routes over the
+// whole replica set. ok is false only when no snapshot was ever applied —
+// the one state in which a data plane must fall back to its static wiring.
+func (r *Router) Route(_, supi string) (int, bool) {
 	s := r.snap.Load()
 	if s == nil || len(s.Replicas) == 0 {
 		return 0, false
 	}
-	idx := s.RouteIn(tenant, supi)
-	if idx < 0 {
-		return 0, false
-	}
-	return idx, true
+	return s.Owner(supi), true
 }

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-func snapshot(epoch uint64, shardSize int, names ...string) *Snapshot {
-	s := &Snapshot{Epoch: epoch, ShardSize: shardSize}
+func snapshot(epoch uint64, names ...string) *Snapshot {
+	s := &Snapshot{Epoch: epoch}
 	for i, n := range names {
 		s.Replicas = append(s.Replicas, Replica{Index: i, Name: n})
 	}
@@ -41,7 +41,7 @@ func TestOwnerDeterministicAndBalanced(t *testing.T) {
 		replicas int
 		want     float64
 	}{{2, 0.95}, {4, 0.95}, {8, 0.95}, {16, 0.90}} {
-		s := snapshot(1, 0, names(tc.replicas)...)
+		s := snapshot(1, names(tc.replicas)...)
 		counts := make([]int, tc.replicas)
 		for i := 0; i < 32768; i++ {
 			key := supiKey(i)
@@ -55,10 +55,10 @@ func TestOwnerDeterministicAndBalanced(t *testing.T) {
 			t.Errorf("%d replicas: busiest-lane balance %.4f, want >= %.2f: %v", tc.replicas, got, tc.want, counts)
 		}
 	}
-	if got := snapshot(1, 0, "only").Owner("any"); got != 0 {
+	if got := snapshot(1, "only").Owner("any"); got != 0 {
 		t.Fatalf("singleton owner = %d, want 0", got)
 	}
-	if got := snapshot(1, 0).Owner("any"); got != -1 {
+	if got := snapshot(1).Owner("any"); got != -1 {
 		t.Fatalf("empty snapshot owner = %d, want -1", got)
 	}
 }
@@ -66,7 +66,7 @@ func TestOwnerDeterministicAndBalanced(t *testing.T) {
 // without returns a sealed copy of s minus the named replica; survivors
 // keep their names and are re-indexed densely, as the builder does.
 func without(s *Snapshot, name string) *Snapshot {
-	out := &Snapshot{Epoch: s.Epoch + 1, ShardSize: s.ShardSize}
+	out := &Snapshot{Epoch: s.Epoch + 1}
 	for _, r := range s.Replicas {
 		if r.Name != name {
 			out.Replicas = append(out.Replicas, Replica{Index: len(out.Replicas), Name: r.Name})
@@ -80,7 +80,7 @@ func without(s *Snapshot, name string) *Snapshot {
 // one pair of snapshots: removing a replica moves only the keys it owned,
 // and adding it (back) moves only keys whose new owner is the new replica.
 func TestConsistentHashStability(t *testing.T) {
-	full := snapshot(1, 0, names(8)...)
+	full := snapshot(1, names(8)...)
 	reduced := without(full, "shard-5")
 	moved := 0
 	for i := 0; i < 2048; i++ {
@@ -103,129 +103,40 @@ func TestConsistentHashStability(t *testing.T) {
 	}
 }
 
-// TestShuffleShardStability: one replica joining or leaving changes a
-// tenant's shard by at most one member, and a SUPI whose owner is in the
-// shard on both sides keeps it.
-func TestShuffleShardStability(t *testing.T) {
-	full := snapshot(1, 3, names(8)...)
-	shardNames := func(s *Snapshot, tenant string) map[string]bool {
-		out := make(map[string]bool)
-		for _, idx := range s.ShardFor(tenant) {
-			out[s.Replicas[idx].Name] = true
-		}
-		return out
-	}
-	changed, kept := 0, 0
-	for ti := 0; ti < 16; ti++ {
-		tenant := fmt.Sprintf("gnb-%d/00101", ti)
-		big := shardNames(full, tenant)
-		for _, gone := range names(8) {
-			reduced := without(full, gone)
-			small := shardNames(reduced, tenant)
-			lost := 0
-			for name := range big {
-				if !small[name] {
-					lost++
-				}
-			}
-			if len(small) != 3 || lost > 1 || (lost == 1) != big[gone] {
-				t.Fatalf("tenant %q: shard %v -> %v when %s leaves", tenant, big, small, gone)
-			}
-			changed += lost
-			for i := 0; i < 64; i++ {
-				supi := supiKey(i)
-				with := full.Replicas[full.RouteIn(tenant, supi)].Name
-				wout := reduced.Replicas[reduced.RouteIn(tenant, supi)].Name
-				if with != wout && small[with] && big[wout] {
-					t.Fatalf("tenant %q key %q flapped %s -> %s though both stay in the shard", tenant, supi, with, wout)
-				}
-				if with == wout {
-					kept++
-				}
-			}
-		}
-	}
-	if changed == 0 || kept == 0 {
-		t.Fatalf("vacuous: %d shard changes, %d kept routes", changed, kept)
-	}
-}
-
-// TestPlacementGolden pins (tenant, SUPI) -> replica name, so placement
-// cannot drift between processes, architectures or Go versions: a UE's
-// shard affinity outlives any one binary.
+// TestPlacementGolden pins SUPI -> replica name, so placement cannot
+// drift between processes, architectures or Go versions: a UE's shard
+// affinity outlives any one binary.
 func TestPlacementGolden(t *testing.T) {
-	for _, tc := range []struct {
-		shardSize    int
-		tenant, supi string
-		want         string
-	}{
-		{0, "gnb-1/00101", "imsi-001010000000001", "shard-5"},
-		{0, "gnb-1/00101", "imsi-001010000000002", "shard-1"},
-		{0, "gnb-1/00101", "imsi-001010000000003", "shard-0"},
-		{0, "gnb-1/00101", "imsi-001017312345678", "shard-7"},
-		{0, "gnb-2/00101", "imsi-208930000000007", "shard-3"},
-		// gnb-1/00101 draws {shard-0, shard-4, shard-7}: the third and
-		// fourth SUPIs keep their unrestricted owner.
-		{3, "gnb-1/00101", "imsi-001010000000001", "shard-4"},
-		{3, "gnb-1/00101", "imsi-001010000000002", "shard-7"},
-		{3, "gnb-1/00101", "imsi-001010000000003", "shard-0"},
-		{3, "gnb-1/00101", "imsi-001017312345678", "shard-7"},
-		// gnb-2/00101 draws {shard-0, shard-3, shard-4}.
-		{3, "gnb-2/00101", "imsi-001010000000001", "shard-3"},
-		{3, "gnb-2/00101", "imsi-001010000000002", "shard-0"},
-		{3, "gnb-2/00101", "imsi-208930000000007", "shard-3"},
+	s := snapshot(1, names(8)...)
+	for _, tc := range []struct{ supi, want string }{
+		{"imsi-001010000000001", "shard-5"},
+		{"imsi-001010000000002", "shard-1"},
+		{"imsi-001010000000003", "shard-0"},
+		{"imsi-001017312345678", "shard-7"},
+		{"imsi-208930000000007", "shard-3"},
 	} {
-		s := snapshot(1, tc.shardSize, names(8)...)
-		if got := s.Replicas[s.RouteIn(tc.tenant, tc.supi)].Name; got != tc.want {
-			t.Errorf("shard size %d: (%q, %q) -> %s, want %s", tc.shardSize, tc.tenant, tc.supi, got, tc.want)
+		if got := s.Replicas[s.Owner(tc.supi)].Name; got != tc.want {
+			t.Errorf("%q -> %s, want %s", tc.supi, got, tc.want)
 		}
 	}
 }
 
-func TestShardForSubsetAndDeterminism(t *testing.T) {
-	s := snapshot(1, 3, names(8)...)
-	seen := make(map[string]bool)
-	for _, tenant := range []string{"gnb-a/00101", "gnb-b/00101", "gnb-c/00102", "gnb-d/00102"} {
-		shard := s.ShardFor(tenant)
-		if len(shard) != 3 {
-			t.Fatalf("tenant %q shard size = %d, want 3", tenant, len(shard))
+// TestRouteIgnoresTenant: every tenant routes a SUPI to its owner over the
+// whole replica set, at every replica count.
+func TestRouteIgnoresTenant(t *testing.T) {
+	for _, replicas := range []int{1, 2, 4, 8} {
+		r := NewRouter()
+		if err := r.Apply(snapshot(1, names(replicas)...)); err != nil {
+			t.Fatal(err)
 		}
-		dup := make(map[int]bool)
-		for _, idx := range shard {
-			if idx < 0 || idx >= 8 {
-				t.Fatalf("tenant %q shard index %d out of range", tenant, idx)
+		for i := 0; i < 256; i++ {
+			supi := supiKey(i)
+			a, okA := r.Route("gnb-a/00101", supi)
+			b, okB := r.Route("gnb-b/00102", supi)
+			if want := r.Snapshot().Owner(supi); !okA || !okB || a != want || b != want {
+				t.Fatalf("%d replicas: Route(a, %q) = (%d, %v), Route(b, …) = (%d, %v), want owner %d",
+					replicas, supi, a, okA, b, okB, want)
 			}
-			if dup[idx] {
-				t.Fatalf("tenant %q shard has duplicate index %d: %v", tenant, idx, shard)
-			}
-			dup[idx] = true
-		}
-		again := s.ShardFor(tenant)
-		if fmt.Sprint(shard) != fmt.Sprint(again) {
-			t.Fatalf("tenant %q shard unstable: %v vs %v", tenant, shard, again)
-		}
-		seen[fmt.Sprint(shard)] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("all tenants drew the same shuffle shard: %v", seen)
-	}
-	// Full-width shard when the cap is 0 or >= n.
-	if got := len(snapshot(1, 0, names(4)...).ShardFor("t")); got != 4 {
-		t.Fatalf("uncapped shard size = %d, want 4", got)
-	}
-}
-
-func TestRouteInStaysInsideShard(t *testing.T) {
-	s := snapshot(1, 2, names(8)...)
-	const tenant = "gnb-1/00101"
-	member := make(map[int]bool)
-	for _, idx := range s.ShardFor(tenant) {
-		member[idx] = true
-	}
-	for i := 0; i < 512; i++ {
-		supi := fmt.Sprintf("imsi-0010100%07d", i)
-		if idx := s.RouteIn(tenant, supi); !member[idx] {
-			t.Fatalf("RouteIn(%q, %q) = %d, outside shard %v", tenant, supi, idx, member)
 		}
 	}
 }
@@ -235,15 +146,15 @@ func TestRouterEpochProtocol(t *testing.T) {
 	if _, ok := r.Route("t", "supi"); ok {
 		t.Fatal("empty router claimed a route")
 	}
-	s1 := snapshot(1, 0, names(2)...)
+	s1 := snapshot(1, names(2)...)
 	if err := r.Apply(s1); err != nil {
 		t.Fatalf("apply epoch 1: %v", err)
 	}
 	// Same epoch and a stale epoch both nack, leaving s1 as LKG.
-	if err := r.Apply(snapshot(1, 0, names(4)...)); err == nil {
+	if err := r.Apply(snapshot(1, names(4)...)); err == nil {
 		t.Fatal("replayed epoch 1 was acked")
 	}
-	stale := snapshot(0, 0, names(4)...)
+	stale := snapshot(0, names(4)...)
 	stale.Epoch = 0
 	if err := r.Apply(stale); err == nil {
 		t.Fatal("epoch 0 was acked over epoch 1")
@@ -256,7 +167,7 @@ func TestRouterEpochProtocol(t *testing.T) {
 	if err := r.Apply(unsealed); err == nil {
 		t.Fatal("unsealed snapshot was acked")
 	}
-	s3 := snapshot(3, 0, names(4)...)
+	s3 := snapshot(3, names(4)...)
 	if err := r.Apply(s3); err != nil {
 		t.Fatalf("apply epoch 3: %v", err)
 	}
@@ -271,21 +182,19 @@ func TestRouterEpochProtocol(t *testing.T) {
 
 func TestApplyNacksOverwideSnapshot(t *testing.T) {
 	r := NewRouter()
-	if err := r.Apply(snapshot(1, 0, names(maxReplicas)...)); err != nil {
+	if err := r.Apply(snapshot(1, names(maxReplicas)...)); err != nil {
 		t.Fatalf("apply %d replicas: %v", maxReplicas, err)
 	}
-	if err := r.Apply(snapshot(2, 0, names(maxReplicas+1)...)); err == nil {
-		t.Fatalf("%d replicas were acked; the shard mask holds %d", maxReplicas+1, maxReplicas)
+	if err := r.Apply(snapshot(2, names(maxReplicas+1)...)); err == nil {
+		t.Fatalf("%d replicas were acked; a snapshot holds %d", maxReplicas+1, maxReplicas)
 	}
 	if got := r.Epoch(); got != 1 {
 		t.Fatalf("nack moved the router to epoch %d", got)
 	}
-	// Consulted directly, the nacked snapshot routes over the replicas the
-	// mask does hold rather than faulting.
-	for _, shardSize := range []int{0, 3, maxReplicas + 1} {
-		if idx := snapshot(2, shardSize, names(maxReplicas+1)...).RouteIn("t", supiKey(1)); idx < 0 || idx >= maxReplicas {
-			t.Fatalf("shard size %d: over-wide RouteIn = %d", shardSize, idx)
-		}
+	// Consulted directly, the nacked snapshot still names an owner rather
+	// than faulting.
+	if idx := snapshot(2, names(maxReplicas+1)...).Owner(supiKey(1)); idx < 0 || idx > maxReplicas {
+		t.Fatalf("over-wide Owner = %d", idx)
 	}
 	if idx, ok := r.Route("t", supiKey(63)); !ok || idx < 0 || idx >= maxReplicas {
 		t.Fatalf("Route over %d replicas = (%d, %v)", maxReplicas, idx, ok)
@@ -293,14 +202,12 @@ func TestApplyNacksOverwideSnapshot(t *testing.T) {
 }
 
 func TestRouteAllocatesNothing(t *testing.T) {
-	for _, shardSize := range []int{0, 3} {
-		r := NewRouter()
-		if err := r.Apply(snapshot(1, shardSize, names(8)...)); err != nil {
-			t.Fatal(err)
-		}
-		if n := testing.AllocsPerRun(100, func() { r.Route("gnb-1/00101", "imsi-001010000000042") }); n != 0 {
-			t.Errorf("shard size %d: Route allocates %v times per call, want 0", shardSize, n)
-		}
+	r := NewRouter()
+	if err := r.Apply(snapshot(1, names(8)...)); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Route("gnb-1/00101", "imsi-001010000000042") }); n != 0 {
+		t.Errorf("Route allocates %v times per call, want 0", n)
 	}
 }
 
@@ -310,7 +217,7 @@ func TestRouteAllocatesNothing(t *testing.T) {
 func TestRouteDuringApply(t *testing.T) {
 	const widest, epochs = 8, 200
 	r := NewRouter()
-	if err := r.Apply(snapshot(1, 2, names(widest)...)); err != nil {
+	if err := r.Apply(snapshot(1, names(widest)...)); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -333,7 +240,7 @@ func TestRouteDuringApply(t *testing.T) {
 		}(w)
 	}
 	for e := uint64(2); e <= epochs; e++ {
-		if err := r.Apply(snapshot(e, int(e%3), names(1+int(e)%widest)...)); err != nil {
+		if err := r.Apply(snapshot(e, names(1+int(e)%widest)...)); err != nil {
 			t.Errorf("apply epoch %d: %v", e, err)
 		}
 	}
