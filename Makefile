@@ -63,6 +63,8 @@ loc:
 # then the six tests whose allocation or heap budgets skip themselves
 # under -race on a plain build. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
+# the deployable binary, core5g, registers one UE on the container backend,
+# opens a PDU session and echoes data (it exits non-zero on any failure);
 # seven gnbsim smokes drive the storm replay (unsharded, and on four
 # shards, whose admission line is the fleet's sum), the sharded core, the ring
 # under four workers, the SEV guest (the one backend no bench workload
@@ -80,6 +82,7 @@ ci: build
 	$(GO) test -race ./...
 	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica' . ./internal/experiments ./internal/nas ./internal/deploy
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
+	$(GO) run ./cmd/core5g -isolation container
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 400 -storm 10 -limiter -seed 7 -shards 4
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9

@@ -4,10 +4,12 @@
 //
 // Usage:
 //
-//	core5g [-addr :8080] [-isolation sgx] [-demo]
+//	core5g [-isolation container|sgx|sev] [-demo=false]
+//	       [-serve [-addr :8080] [-tlsdir DIR]]
 //
-// With -demo the command registers one UE through the full stack before
-// serving, printing the NAS/AKA transcript summary.
+// By default (-demo) the command registers one UE through the full stack,
+// opens a PDU session and echoes data over it, printing a one-line
+// summary; any failure exits 1. -serve then keeps the SBI up over HTTP.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 
 func run() int {
 	addr := flag.String("addr", ":8080", "HTTP listen address for the SBI services")
-	isolation := flag.String("isolation", "sgx", "AKA isolation: monolithic, container, sgx or sev")
+	isolation := flag.String("isolation", "sgx", "AKA isolation: container, sgx or sev")
 	demo := flag.Bool("demo", true, "register one UE end to end before serving")
 	serve := flag.Bool("serve", false, "keep serving the SBI over HTTP until interrupted")
 	tlsDir := flag.String("tlsdir", "", "serve with mutual TLS (TS 33.210), writing ca.pem/client.pem/client.key for curl into this directory")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	gnbsim [-n 100] [-parallel 1] [-isolation monolithic|container|sgx|sev] [-seed N]
+//	gnbsim [-n 100] [-parallel 1] [-isolation container|sgx|sev] [-seed N]
 //	       [-chaos RATE] [-retries N] [-batch N] [-avpool N] [-switchless]
 //	       [-shards N]
 //	       [-storm FACTOR] [-limiter]
@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	n := fs.Int("n", 100, "number of UEs to register")
 	parallel := fs.Int("parallel", 1, "concurrent registration workers (1 = sequential, deterministic)")
-	isolation := fs.String("isolation", "sgx", "AKA isolation: monolithic, container, sgx or sev")
+	isolation := fs.String("isolation", "sgx", "AKA isolation: container, sgx or sev")
 	seed := fs.Uint64("seed", 1, "jitter seed")
 	chaosRate := fs.Float64("chaos", 0, "total per-request fault-injection rate (0 disables)")
 	retries := fs.Int("retries", 0, "max registration attempts per UE (0 = 1, or 5 when -chaos is set)")

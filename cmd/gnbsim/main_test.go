@@ -36,6 +36,7 @@ func TestRunRejectsAndAccepts(t *testing.T) {
 		{"-shards 2 -shardsize 2", 2, "", "flag provided but not defined: -shardsize"},
 		{"-switchless -isolation container", 2, "", "-switchless needs -isolation sgx"},
 		{"-isolation tdx", 2, "", "tdx"},
+		{"-isolation monolithic", 2, "", `unknown isolation "monolithic" (want container, sgx or sev)`},
 		{"-nosuchflag", 2, "", "nosuchflag"},
 
 		{"-n 12 -storm 2 -limiter -avpool 4 -seed 7", 0, "storm: 12 arrivals at 2x overload, limiter true", ""},

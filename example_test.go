@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 
 	"shield5g"
 )
@@ -47,15 +48,22 @@ func ExampleNewTestbed() {
 	// Output: registered imsi-001010000000002, echo "dn-echo:hello"
 }
 
-// ExampleRunExperiment regenerates one of the paper's tables.
-func ExampleRunExperiment() {
-	var buf bytes.Buffer
-	cfg := shield5g.ExperimentConfig{Seed: 1, Iterations: 1}
-	if err := shield5g.RunExperiment(context.Background(), "table1", cfg, &buf); err != nil {
+// ExampleLookupExperiment regenerates one of the paper's tables: look the
+// row up, run it, render its result.
+func ExampleLookupExperiment() {
+	exp, err := shield5g.LookupExperiment("table1")
+	if err != nil {
+		fmt.Println("lookup:", err)
+		return
+	}
+	result, err := exp.Run(context.Background(), shield5g.ExperimentConfig{Seed: 1, Iterations: 1})
+	if err != nil {
 		fmt.Println("experiment:", err)
 		return
 	}
-	fmt.Println(len(buf.String()) > 0)
+	var buf bytes.Buffer
+	result.Render(&buf)
+	fmt.Println(strings.Contains(buf.String(), "Table I"))
 	// Output: true
 }
 

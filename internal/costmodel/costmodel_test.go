@@ -77,7 +77,7 @@ func TestPagesFor(t *testing.T) {
 	}
 }
 
-func TestDurationAtModelFrequency(t *testing.T) {
+func TestDurationCyclesRoundTrip(t *testing.T) {
 	m := Default()
 	if got := m.Duration(m.Cycles(time.Millisecond)); got != time.Millisecond {
 		t.Fatalf("round trip = %v", got)

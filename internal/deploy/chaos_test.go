@@ -163,6 +163,42 @@ func TestSGXSliceNeverPullsKOverSBI(t *testing.T) {
 	}
 }
 
+// TestSGXResyncNeverPullsKOverSBI: an SQN resynchronisation on an SGX
+// slice reads OPc without K. The UDR's full-record read, whose response
+// carries K, is replaced by one that fails; the registration must still
+// complete through the resync, and the replacement must never run.
+func TestSGXResyncNeverPullsKOverSBI(t *testing.T) {
+	s := newTestSlice(t, paka.SGX)
+	device := provisionUE(t, s, "0000000036")
+	srv, ok := s.Registry.Lookup(udr.ServiceName)
+	if !ok {
+		t.Fatal("no UDR server")
+	}
+	gets := 0
+	srv.HandleDual(udr.PathGet, func(context.Context, []byte) ([]byte, error) {
+		gets++
+		return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "K requested over the SBI")
+	})
+	// A USIM far ahead of the network: the first challenge is stale and
+	// the UE answers with an AUTS.
+	if err := device.SetSQN([]byte{0x00, 0x00, 0x00, 0x01, 0x00, 0x00}); err != nil {
+		t.Fatalf("SetSQN: %v", err)
+	}
+	if _, err := s.GNB.RegisterUE(context.Background(), device); err != nil {
+		t.Fatalf("RegisterUE with resync: %v", err)
+	}
+	if gets != 0 {
+		t.Fatalf("the UDR's full-record read ran %d time(s): K crossed the SBI", gets)
+	}
+	// Two vectors and the AUTS check between them: the resync happened.
+	if n := s.Modules[paka.EUDM].FunctionalLatency().N(); n != 3 {
+		t.Fatalf("eUDM served %d requests, want 3 (AV, resync, AV)", n)
+	}
+	if registeredUEs(s) != 1 {
+		t.Fatal("registration after resync did not complete")
+	}
+}
+
 // TestChaosCrashDrawRestartsEveryBackend: every module backend can rebuild
 // itself, so a crash draw is a real crash under each of them — counted by
 // the injector, survived by the module — never a silent clean call.
@@ -359,7 +395,7 @@ func TestNewSliceRejectsInvalidChaos(t *testing.T) {
 		{"NaN rate", chaos.Config{DropRate: math.NaN()}, false},
 	} {
 		mix := tc.mix
-		s, err := NewSlice(context.Background(), SliceConfig{Isolation: paka.Monolithic, Seed: 1, Chaos: &mix})
+		s, err := NewSlice(context.Background(), SliceConfig{Isolation: paka.Container, Seed: 1, Chaos: &mix})
 		if s != nil {
 			s.Stop()
 		}

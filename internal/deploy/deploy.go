@@ -44,9 +44,9 @@ import (
 
 // SliceConfig describes one network slice deployment.
 type SliceConfig struct {
-	// Isolation selects how the AKA functions run: Monolithic (inside
-	// the VNFs), Container (extracted, unprotected), or SGX (extracted
-	// and enclave-shielded).
+	// Isolation selects how the extracted AKA functions run: Container
+	// (unprotected), SGX (enclave-shielded) or SEV (a confidential VM).
+	// Zero means SGX.
 	Isolation paka.Isolation
 	// MCC/MNC is the serving PLMN (the paper's OTA test uses 001/01).
 	MCC, MNC string
@@ -145,11 +145,11 @@ type Slice struct {
 	// derives alike; per-replica AMF state is in Shards.
 	AMF *amf.AMF
 
-	// Modules is shard 0's P-AKA module set (empty for Monolithic). Every
-	// replica runs the same operator-signed images, so it stands for any
-	// replica's load time, TCB or manifest; per-replica counters live in
-	// Shards. Populated once inside NewSlice before the Slice is published
-	// and read-only afterwards; attestMu guards attested, not this map.
+	// Modules is shard 0's P-AKA module set. Every replica runs the same
+	// operator-signed images, so it stands for any replica's load time,
+	// TCB or manifest; per-replica counters live in Shards. Populated once
+	// inside NewSlice before the Slice is published and read-only
+	// afterwards; attestMu guards attested, not this map.
 	//shieldlint:ignore stripemap immutable after construction
 	Modules map[paka.ModuleKind]*paka.Module
 
@@ -218,15 +218,11 @@ type CoreShard struct {
 	AUSF *ausf.AUSF
 	AMF  *amf.AMF
 
-	// Modules holds the shard's P-AKA modules (empty for Monolithic).
+	// Modules holds the shard's P-AKA modules.
 	//shieldlint:ignore stripemap immutable after construction
 	Modules map[paka.ModuleKind]*paka.Module
-	// MonoUDM is the shard's in-process key store under Monolithic
-	// isolation.
-	MonoUDM *paka.MonolithicUDM
 
-	// Remote clients expose the VNF-side response-time recorders (nil
-	// for Monolithic).
+	// Remote clients expose the VNF-side response-time recorders.
 	RemoteUDM  *paka.Remote
 	RemoteAUSF *paka.Remote
 	RemoteAMF  *paka.Remote
@@ -322,13 +318,10 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 		return nil, fmt.Errorf("deploy: SMF: %w", err)
 	}
 
-	// One GSC signing key for all module images of this operator (only
-	// drawn when modules are actually extracted).
-	var signKey ed25519.PrivateKey
-	if cfg.Isolation != paka.Monolithic {
-		if _, signKey, err = ed25519.GenerateKey(rand.Reader); err != nil {
-			return nil, fmt.Errorf("deploy: GSC sign key: %w", err)
-		}
+	// One GSC signing key for all module images of this operator.
+	_, signKey, err := ed25519.GenerateKey(rand.Reader)
+	if err != nil {
+		return nil, fmt.Errorf("deploy: GSC sign key: %w", err)
 	}
 
 	amfs := make([]*amf.AMF, cfg.Replicas)
@@ -389,9 +382,9 @@ func newAdmission(cfg SliceConfig, env *costmodel.Env) *admission.Controller {
 // container or a confidential VM) that lost its key store to a
 // crash-restart and keeps no backup. An SGX eUDM gets none: its restarted
 // enclave restores K from its sealed backups, so K never crosses the SBI
-// to reach it. Monolithic isolation (no module) gets none either.
+// to reach it.
 func reprovisionHook(m *paka.Module) func(context.Context, string, []byte) error {
-	if m == nil || m.Isolation() == paka.SGX {
+	if m.Isolation() == paka.SGX {
 		return nil
 	}
 	return m.ProvisionSubscriber
@@ -687,17 +680,12 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 	// to a different shard, the new owner's eUDM already holds the key,
 	// so no registration fails during ring movement.
 	for _, shard := range s.Shards {
-		if shard.MonoUDM != nil {
-			shard.MonoUDM.ProvisionSubscriber(imsi, k)
-			continue
+		m := shard.Modules[paka.EUDM]
+		if err := s.attestEUDM(m); err != nil {
+			return err
 		}
-		if m, ok := shard.Modules[paka.EUDM]; ok {
-			if err := s.attestEUDM(m); err != nil {
-				return err
-			}
-			if err := m.ProvisionSubscriber(ctx, imsi, k); err != nil {
-				return fmt.Errorf("deploy: eUDM provisioning (shard %d): %w", shard.Index, err)
-			}
+		if err := m.ProvisionSubscriber(ctx, imsi, k); err != nil {
+			return fmt.Errorf("deploy: eUDM provisioning (shard %d): %w", shard.Index, err)
 		}
 	}
 	return nil

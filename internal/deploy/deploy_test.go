@@ -94,7 +94,7 @@ func provisionUE(t *testing.T, s *Slice, msin string) *ue.UE {
 }
 
 func TestRegistrationAllIsolationModes(t *testing.T) {
-	for _, iso := range []paka.Isolation{paka.Monolithic, paka.Container, paka.SGX, paka.SEV} {
+	for _, iso := range []paka.Isolation{paka.Container, paka.SGX, paka.SEV} {
 		t.Run(iso.String(), func(t *testing.T) {
 			forReplicas(t, func(t *testing.T, replicas int) {
 				s := newSliceWith(t, SliceConfig{Isolation: iso, Seed: 42, Replicas: replicas})

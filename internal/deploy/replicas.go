@@ -26,9 +26,10 @@ import (
 	"shield5g/internal/sbi"
 )
 
-// buildShard constructs vertical replica r: its P-AKA module set (or
-// monolithic environments), then its UDM, AUSF and AMF, each bound to the
-// shard's own peer.
+// buildShard constructs vertical replica r: its P-AKA module set, then its
+// UDM, AUSF and AMF, each bound to the shard's own peer. Each VNF has one
+// SBI client stack, which carries both its NF traffic and its calls to its
+// module.
 func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKey) (*CoreShard, error) {
 	cfg := s.Config
 	hmee := cfg.Isolation == paka.SGX || cfg.Isolation == paka.SEV
@@ -38,35 +39,26 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 		Name:        fmt.Sprintf("shard-%d", r),
 		UDMService:  sbi.ReplicaName(udm.ServiceName, r),
 		AUSFService: sbi.ReplicaName(ausf.ServiceName, r),
+		Modules:     make(map[paka.ModuleKind]*paka.Module),
 	}
-
-	var udmFns paka.UDMFunctions
-	var ausfFns paka.AUSFFunctions
-	var amfFns paka.AMFFunctions
-	if cfg.Isolation == paka.Monolithic {
-		shard.MonoUDM = paka.NewMonolithicUDM(s.Env)
-		udmFns = shard.MonoUDM
-		kdf := paka.NewMonolithicKDF(s.Env)
-		ausfFns, amfFns = kdf, kdf
-	} else {
-		shard.Modules = make(map[paka.ModuleKind]*paka.Module)
-		for _, kind := range paka.Kinds() {
-			m, err := paka.New(ctx, s.moduleConfig(kind, r, signKey))
-			if err != nil {
-				return nil, fmt.Errorf("deploy: %s module (shard %d): %w", kind, r, err)
-			}
-			shard.Modules[kind] = m
+	for _, kind := range paka.Kinds() {
+		m, err := paka.New(ctx, s.moduleConfig(kind, r, signKey))
+		if err != nil {
+			return nil, fmt.Errorf("deploy: %s module (shard %d): %w", kind, r, err)
 		}
-		shard.RemoteUDM = paka.NewRemote(s.buildInvoker(shard.UDMService), s.Env, shard.Modules[paka.EUDM].ServiceName())
-		shard.RemoteAUSF = paka.NewRemote(s.buildInvoker(shard.AUSFService), s.Env, shard.Modules[paka.EAUSF].ServiceName())
-		shard.RemoteAMF = paka.NewRemote(s.buildInvoker(amfService), s.Env, shard.Modules[paka.EAMF].ServiceName())
-		udmFns, ausfFns, amfFns = shard.RemoteUDM, shard.RemoteAUSF, shard.RemoteAMF
+		shard.Modules[kind] = m
 	}
+	udmInvoker := s.buildInvoker(shard.UDMService)
+	ausfInvoker := s.buildInvoker(shard.AUSFService)
+	amfInvoker := s.buildInvoker(amfService)
+	shard.RemoteUDM = paka.NewRemote(udmInvoker, s.Env, shard.Modules[paka.EUDM].ServiceName())
+	shard.RemoteAUSF = paka.NewRemote(ausfInvoker, s.Env, shard.Modules[paka.EAUSF].ServiceName())
+	shard.RemoteAMF = paka.NewRemote(amfInvoker, s.Env, shard.Modules[paka.EAMF].ServiceName())
 
 	var err error
 	if shard.UDM, err = udm.New(ctx, udm.Config{
-		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(shard.UDMService),
-		Functions: udmFns, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee,
+		Env: s.Env, Registry: s.Registry, Invoker: udmInvoker,
+		Functions: shard.RemoteUDM, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee,
 		Reprovision: reprovisionHook(shard.Modules[paka.EUDM]),
 		AVPoolDepth: cfg.AVPoolDepth, Replica: r,
 	}); err != nil {
@@ -74,8 +66,8 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 	}
 
 	if shard.AUSF, err = ausf.New(ctx, ausf.Config{
-		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(shard.AUSFService),
-		Functions: ausfFns, HMEE: hmee, Replica: r,
+		Env: s.Env, Registry: s.Registry, Invoker: ausfInvoker,
+		Functions: shard.RemoteAUSF, HMEE: hmee, Replica: r,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: AUSF (shard %d): %w", r, err)
 	}
@@ -85,8 +77,8 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 	shard.Admission = newAdmission(cfg, s.Env)
 
 	if shard.AMF, err = amf.New(ctx, amf.Config{
-		Env: s.Env, Registry: s.Registry, Invoker: s.buildInvoker(amfService),
-		Functions: amfFns, MCC: cfg.MCC, MNC: cfg.MNC, HMEE: hmee,
+		Env: s.Env, Registry: s.Registry, Invoker: amfInvoker,
+		Functions: shard.RemoteAMF, MCC: cfg.MCC, MNC: cfg.MNC, HMEE: hmee,
 		Admission: shard.Admission, Replica: r,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: AMF (shard %d): %w", r, err)

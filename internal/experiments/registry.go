@@ -17,19 +17,16 @@ type CSVResult interface {
 }
 
 // Experiment is one runnable reproduction of a paper table or figure.
+// Whether it exports CSV is whether Run's result is a CSVResult.
 type Experiment struct {
 	Name        string
 	Description string
-	// CSV reports whether Run's result is a CSVResult.
-	CSV bool
-	Run func(ctx context.Context, cfg Config) (Result, error)
+	Run         func(ctx context.Context, cfg Config) (Result, error)
 }
 
-// row adapts a typed experiment function to a table row; CSV is read off
-// the result type, so it cannot disagree with what Run returns.
+// row adapts a typed experiment function to a table row.
 func row[R Result](name, description string, run func(context.Context, Config) (R, error)) Experiment {
-	_, csv := any(*new(R)).(CSVResult)
-	return Experiment{Name: name, Description: description, CSV: csv,
+	return Experiment{Name: name, Description: description,
 		Run: func(ctx context.Context, cfg Config) (Result, error) { return run(ctx, cfg) }}
 }
 
@@ -74,17 +71,6 @@ func Names() []string {
 	return names
 }
 
-// CSVNames lists the rows whose result has CSV export.
-func CSVNames() []string {
-	var names []string
-	for _, e := range table {
-		if e.CSV {
-			names = append(names, e.Name)
-		}
-	}
-	return names
-}
-
 // Lookup finds a table row by name.
 func Lookup(name string) (Experiment, error) {
 	for _, e := range table {
@@ -93,34 +79,4 @@ func Lookup(name string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
-}
-
-// Run executes one named experiment and renders its result to w.
-func Run(ctx context.Context, name string, cfg Config, w io.Writer) error {
-	e, err := Lookup(name)
-	if err != nil {
-		return err
-	}
-	r, err := e.Run(ctx, cfg)
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", name, err)
-	}
-	r.Render(w)
-	return nil
-}
-
-// WriteCSV executes one named experiment and writes its raw series to w.
-func WriteCSV(ctx context.Context, name string, cfg Config, w io.Writer) error {
-	e, err := Lookup(name)
-	if err != nil {
-		return err
-	}
-	if !e.CSV {
-		return fmt.Errorf("experiments: experiment %q has no CSV export (have %v)", name, CSVNames())
-	}
-	r, err := e.Run(ctx, cfg)
-	if err != nil {
-		return fmt.Errorf("experiments: %s: %w", name, err)
-	}
-	return r.(CSVResult).WriteCSV(w)
 }

@@ -20,8 +20,23 @@ func TestTableComplete(t *testing.T) {
 	}
 }
 
+// run looks a row up, runs it and returns the result, the way the CLI
+// does.
+func run(t *testing.T, name string, cfg Config) Result {
+	t.Helper()
+	e, err := Lookup(name)
+	if err != nil {
+		t.Fatalf("Lookup(%s): %v", name, err)
+	}
+	r, err := e.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("Run %s: %v", name, err)
+	}
+	return r
+}
+
 func TestRunUnknown(t *testing.T) {
-	err := Run(context.Background(), "fig99", Config{}, &bytes.Buffer{})
+	_, err := Lookup("fig99")
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Fatalf("err = %v", err)
 	}
@@ -29,9 +44,7 @@ func TestRunUnknown(t *testing.T) {
 
 func TestRunStaticTable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(context.Background(), "table5", Config{}, &buf); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+	run(t, "table5", Config{}).Render(&buf)
 	if !strings.Contains(buf.String(), "Table V") {
 		t.Fatal("table5 output missing")
 	}
@@ -39,18 +52,22 @@ func TestRunStaticTable(t *testing.T) {
 
 func TestRunDynamic(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Run(context.Background(), "fig9", Config{Seed: 3, Iterations: 20}, &buf); err != nil {
-		t.Fatalf("Run fig9: %v", err)
-	}
+	run(t, "fig9", Config{Seed: 3, Iterations: 20}).Render(&buf)
 	if !strings.Contains(buf.String(), "Figure 9a") {
 		t.Fatal("fig9 output missing")
 	}
 }
 
+// TestWriteCSV: a figure's result exports its raw series; a static
+// table's result exports none.
 func TestWriteCSV(t *testing.T) {
 	cfg := Config{Seed: 3, Iterations: 20}
+	series, ok := run(t, "fig9", cfg).(CSVResult)
+	if !ok {
+		t.Fatal("fig9's result exports no series")
+	}
 	var buf bytes.Buffer
-	if err := WriteCSV(context.Background(), "fig9", cfg, &buf); err != nil {
+	if err := series.WriteCSV(&buf); err != nil {
 		t.Fatalf("WriteCSV: %v", err)
 	}
 	out := buf.String()
@@ -60,11 +77,7 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.Contains(out, "eUDM,sgx,") {
 		t.Fatal("CSV rows missing")
 	}
-	if err := WriteCSV(context.Background(), "table5", cfg, &buf); err == nil {
-		t.Fatal("CSV export for non-figure experiment accepted")
-	}
-	want := []string{"batching", "chaos", "fig10", "fig7", "fig8", "fig9", "massreg", "shardscale", "storm"}
-	if got := CSVNames(); !slices.Equal(got, want) {
-		t.Fatalf("CSVNames = %v, want %v", got, want)
+	if _, ok := run(t, "table5", cfg).(CSVResult); ok {
+		t.Fatal("table5's result exports a series")
 	}
 }

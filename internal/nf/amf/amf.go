@@ -97,7 +97,7 @@ type Config struct {
 	Env      *costmodel.Env
 	Registry *sbi.Registry
 	Invoker  sbi.Invoker
-	// Functions derives K_AMF (eAMF module or monolithic).
+	// Functions derives K_AMF: the eAMF module.
 	Functions paka.AMFFunctions
 	// MCC/MNC form the serving PLMN; the serving network name is derived
 	// from them.

@@ -52,16 +52,18 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatalf("GenerateHomeNetworkKey: %v", err)
 	}
-	monoUDM := paka.NewMonolithicUDM(env)
+	eudm := newModule(t, env, reg, paka.EUDM)
+	udmInvoker := sbi.NewClient("udm", env, reg)
 	if _, err := udm.New(ctx, udm.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
-		Functions: monoUDM, HomeNetworkKey: hnKey,
+		Env: env, Registry: reg, Invoker: udmInvoker,
+		Functions: paka.NewRemote(udmInvoker, env, eudm.ServiceName()), HomeNetworkKey: hnKey,
 	}); err != nil {
 		t.Fatalf("udm.New: %v", err)
 	}
+	ausfInvoker := sbi.NewClient("ausf", env, reg)
 	if _, err := ausf.New(ctx, ausf.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicKDF(env),
+		Env: env, Registry: reg, Invoker: ausfInvoker,
+		Functions: paka.NewRemote(ausfInvoker, env, newModule(t, env, reg, paka.EAUSF).ServiceName()),
 	}); err != nil {
 		t.Fatalf("ausf.New: %v", err)
 	}
@@ -71,9 +73,10 @@ func newHarness(t *testing.T) *harness {
 	if _, err := smf.New(ctx, smf.Config{Env: env, Registry: reg, Invoker: sbi.NewClient("smf", env, reg)}); err != nil {
 		t.Fatalf("smf.New: %v", err)
 	}
+	amfInvoker := sbi.NewClient("amf", env, reg)
 	a, err := amf.New(ctx, amf.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("amf", env, reg),
-		Functions: paka.NewMonolithicKDF(env),
+		Env: env, Registry: reg, Invoker: amfInvoker,
+		Functions: paka.NewRemote(amfInvoker, env, newModule(t, env, reg, paka.EAMF).ServiceName()),
 		MCC:       "001", MNC: "01",
 	})
 	if err != nil {
@@ -94,10 +97,23 @@ func newHarness(t *testing.T) *harness {
 		}); err != nil {
 			t.Fatalf("provision: %v", err)
 		}
-		monoUDM.ProvisionSubscriber(supi.String(), testK)
+		if err := eudm.ProvisionSubscriber(ctx, supi.String(), testK); err != nil {
+			t.Fatalf("eUDM provision: %v", err)
+		}
 	}
 	provision(t, supi)
 	return &harness{amf: a, hnKey: hnKey, env: env, reg: reg, supi: supi, opc: opc, provision: provision}
+}
+
+// newModule deploys a container P-AKA module of kind on reg.
+func newModule(t *testing.T, env *costmodel.Env, reg *sbi.Registry, kind paka.ModuleKind) *paka.Module {
+	t.Helper()
+	m, err := paka.New(context.Background(), paka.Config{Kind: kind, Isolation: paka.Container, Env: env, Registry: reg})
+	if err != nil {
+		t.Fatalf("paka.New(%s): %v", kind, err)
+	}
+	t.Cleanup(m.Stop)
+	return m
 }
 
 func (h *harness) device(t *testing.T) *ue.UE { return h.deviceOf(t, h.supi) }
@@ -174,7 +190,7 @@ func TestAMFConfigValidation(t *testing.T) {
 	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, MCC: "001", MNC: "01"}); err == nil {
 		t.Fatal("missing functions accepted")
 	}
-	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewMonolithicKDF(env)}); err == nil {
+	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewRemote(inv, env, paka.EAMF.ServiceName())}); err == nil {
 		t.Fatal("missing PLMN accepted")
 	}
 }
@@ -189,15 +205,17 @@ func TestHMEEAMFRequiresHMEEAUSF(t *testing.T) {
 	ctx := context.Background()
 	env, reg := h.env, h.reg
 	// A non-HMEE replica-1 AUSF, bound to its own replica's UDM.
+	udmInvoker := sbi.NewClient("udm", env, reg)
 	if _, err := udm.New(ctx, udm.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
-		Functions: paka.NewMonolithicUDM(env), HomeNetworkKey: h.hnKey, Replica: 1,
+		Env: env, Registry: reg, Invoker: udmInvoker,
+		Functions: paka.NewRemote(udmInvoker, env, paka.EUDM.ServiceName()), HomeNetworkKey: h.hnKey, Replica: 1,
 	}); err != nil {
 		t.Fatalf("udm.New(replica 1): %v", err)
 	}
+	ausfInvoker := sbi.NewClient("ausf", env, reg)
 	if _, err := ausf.New(ctx, ausf.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicKDF(env), Replica: 1,
+		Env: env, Registry: reg, Invoker: ausfInvoker,
+		Functions: paka.NewRemote(ausfInvoker, env, paka.EAUSF.ServiceName()), Replica: 1,
 	}); err != nil {
 		t.Fatalf("ausf.New(replica 1): %v", err)
 	}
@@ -212,9 +230,10 @@ func TestHMEEAMFRequiresHMEEAUSF(t *testing.T) {
 		{"AMF on a replica whose AUSF the NRF does not list", false, 9, true},
 		{"AMF on a listed replica of its own trust domain", false, 1, false},
 	} {
+		inv := sbi.NewClient("amf", env, reg)
 		_, err := amf.New(ctx, amf.Config{
-			Env: env, Registry: reg, Invoker: sbi.NewClient("amf", env, reg),
-			Functions: paka.NewMonolithicKDF(env), MCC: "001", MNC: "01",
+			Env: env, Registry: reg, Invoker: inv,
+			Functions: paka.NewRemote(inv, env, paka.EAMF.ServiceName()), MCC: "001", MNC: "01",
 			HMEE: tc.hmee, Replica: tc.replica,
 		})
 		switch {

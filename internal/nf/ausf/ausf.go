@@ -99,7 +99,7 @@ type Config struct {
 	Env      *costmodel.Env
 	Registry *sbi.Registry
 	Invoker  sbi.Invoker
-	// Functions derives HXRES*/K_SEAF (eAUSF module or monolithic).
+	// Functions derives HXRES*/K_SEAF: the eAUSF module.
 	Functions paka.AUSFFunctions
 	// HMEE marks the instance's trust domain for NRF discovery.
 	HMEE bool

@@ -46,16 +46,18 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatalf("GenerateHomeNetworkKey: %v", err)
 	}
-	monoUDM := paka.NewMonolithicUDM(env)
+	udmInvoker := sbi.NewClient("udm", env, reg)
+	eudm := newModule(t, env, reg, paka.EUDM)
 	if _, err := udm.New(context.Background(), udm.Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
-		Functions: monoUDM, HomeNetworkKey: hnKey,
+		Env: env, Registry: reg, Invoker: udmInvoker,
+		Functions: paka.NewRemote(udmInvoker, env, eudm.ServiceName()), HomeNetworkKey: hnKey,
 	}); err != nil {
 		t.Fatalf("udm.New: %v", err)
 	}
+	ausfInvoker := sbi.NewClient("ausf", env, reg)
 	a, err := New(context.Background(), Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicKDF(env),
+		Env: env, Registry: reg, Invoker: ausfInvoker,
+		Functions: paka.NewRemote(ausfInvoker, env, newModule(t, env, reg, paka.EAUSF).ServiceName()),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -72,7 +74,9 @@ func newHarness(t *testing.T) *harness {
 	}); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
-	monoUDM.ProvisionSubscriber(supi.String(), testK)
+	if err := eudm.ProvisionSubscriber(context.Background(), supi.String(), testK); err != nil {
+		t.Fatalf("eUDM provision: %v", err)
+	}
 	mil, err := milenage.New(testK, opc)
 	if err != nil {
 		t.Fatalf("milenage.New: %v", err)
@@ -84,6 +88,17 @@ func newHarness(t *testing.T) *harness {
 		mil:    mil,
 		supi:   supi,
 	}
+}
+
+// newModule deploys a container P-AKA module of kind on reg.
+func newModule(t *testing.T, env *costmodel.Env, reg *sbi.Registry, kind paka.ModuleKind) *paka.Module {
+	t.Helper()
+	m, err := paka.New(context.Background(), paka.Config{Kind: kind, Isolation: paka.Container, Env: env, Registry: reg})
+	if err != nil {
+		t.Fatalf("paka.New(%s): %v", kind, err)
+	}
+	t.Cleanup(m.Stop)
+	return m
 }
 
 // ueResStar computes the correct RES* the way the USIM would.
@@ -242,9 +257,10 @@ func TestNewFailsWithoutUDMRegistered(t *testing.T) {
 		t.Fatalf("nrf.New: %v", err)
 	}
 	// No UDM registered: NRF discovery must fail AUSF construction.
+	inv := sbi.NewClient("ausf", env, reg)
 	_, err := New(context.Background(), Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-		Functions: paka.NewMonolithicKDF(env),
+		Env: env, Registry: reg, Invoker: inv,
+		Functions: paka.NewRemote(inv, env, paka.EAUSF.ServiceName()),
 	})
 	if err == nil {
 		t.Fatal("AUSF constructed without a discoverable UDM")
@@ -271,9 +287,10 @@ func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
 	}
 	// Two non-HMEE UDMs are registered: replicas 0 and 1.
 	for r := range 2 {
+		inv := sbi.NewClient("udm", env, reg)
 		if _, err := udm.New(context.Background(), udm.Config{
-			Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
-			Functions: paka.NewMonolithicUDM(env), HomeNetworkKey: hnKey, HMEE: false,
+			Env: env, Registry: reg, Invoker: inv,
+			Functions: paka.NewRemote(inv, env, paka.EUDM.ServiceName()), HomeNetworkKey: hnKey, HMEE: false,
 			Replica: r,
 		}); err != nil {
 			t.Fatalf("udm.New(replica %d): %v", r, err)
@@ -292,9 +309,10 @@ func TestHMEEAUSFRequiresHMEEUDM(t *testing.T) {
 		{"AUSF on a replica whose UDM the NRF does not list", false, 9, true},
 		{"AUSF on a listed replica of its own trust domain", false, 1, false},
 	} {
+		inv := sbi.NewClient("ausf", env, reg)
 		_, err := New(context.Background(), Config{
-			Env: env, Registry: reg, Invoker: sbi.NewClient("ausf", env, reg),
-			Functions: paka.NewMonolithicKDF(env), HMEE: tc.hmee,
+			Env: env, Registry: reg, Invoker: inv,
+			Functions: paka.NewRemote(inv, env, paka.EAUSF.ServiceName()), HMEE: tc.hmee,
 			Replica: tc.replica,
 		})
 		switch {

@@ -8,11 +8,9 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"time"
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/sbi"
-	"shield5g/internal/simclock"
 )
 
 // ServiceName is the NRF's own SBI service name.
@@ -77,8 +75,6 @@ type NRF struct {
 
 	mu        sync.Mutex
 	instances map[string]NFProfile
-	lastSeen  map[string]time.Time
-	now       func() time.Time
 }
 
 // New creates an NRF and registers its SBI server in the registry.
@@ -86,8 +82,6 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*NRF, error) {
 	n := &NRF{
 		server:    sbi.NewServer(ServiceName, env),
 		instances: make(map[string]NFProfile),
-		lastSeen:  make(map[string]time.Time),
-		now:       virtualNow(env.Clock),
 	}
 	n.server.HandleDual(PathRegister, sbi.BinHandler(n.handleRegister))
 	n.server.HandleDual(PathDeregister, sbi.BinHandler(n.handleDeregister))
@@ -99,20 +93,12 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*NRF, error) {
 	return n, nil
 }
 
-// virtualNow derives liveness timestamps from the slice's virtual
-// clock so heartbeat bookkeeping is deterministic across runs: the
-// zero time.Time advanced by the simulated elapsed duration.
-func virtualNow(clock *simclock.Clock) func() time.Time {
-	return func() time.Time { return time.Time{}.Add(clock.Now()) }
-}
-
 func (n *NRF) handleRegister(_ context.Context, req *RegisterRequest) (*RegisterResponse, error) {
 	if req.Profile.InstanceID == "" || req.Profile.NFType == "" || req.Profile.Service == "" {
 		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "instance_id, nf_type and service are required")
 	}
 	n.mu.Lock()
 	n.instances[req.Profile.InstanceID] = req.Profile
-	n.lastSeen[req.Profile.InstanceID] = n.now()
 	n.mu.Unlock()
 	return &RegisterResponse{HeartbeatSeconds: 10}, nil
 }
@@ -120,18 +106,19 @@ func (n *NRF) handleRegister(_ context.Context, req *RegisterRequest) (*Register
 func (n *NRF) handleDeregister(_ context.Context, req *DeregisterRequest) (*Empty, error) {
 	n.mu.Lock()
 	delete(n.instances, req.InstanceID)
-	delete(n.lastSeen, req.InstanceID)
 	n.mu.Unlock()
 	return &Empty{}, nil
 }
 
+// handleHeartbeat acknowledges a registered instance. The NRF keeps no
+// liveness state: nothing in the slice expires an instance.
 func (n *NRF) handleHeartbeat(_ context.Context, req *HeartbeatRequest) (*Empty, error) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, ok := n.instances[req.InstanceID]; !ok {
+	_, ok := n.instances[req.InstanceID]
+	n.mu.Unlock()
+	if !ok {
 		return nil, sbi.Problem(404, "Not Found", "RESOURCE_NOT_FOUND", "instance %s not registered", req.InstanceID)
 	}
-	n.lastSeen[req.InstanceID] = n.now()
 	return &Empty{}, nil
 }
 

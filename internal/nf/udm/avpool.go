@@ -11,9 +11,9 @@ import (
 
 // avPool is the UDM's authentication-vector precomputation pool: a
 // per-SUPI FIFO ring of pre-generated HE AVs. A miss mints a batch
-// through one boundary crossing (paka.UDMBatchFunctions), serves the
-// first vector and banks the rest, so subsequent authentications for the
-// SUPI skip the enclave entirely. Every pooled vector was minted with its
+// through one boundary crossing (GenerateAVBatch), serves the first vector
+// and banks the rest, so subsequent authentications for the SUPI skip the
+// enclave entirely. Every pooled vector was minted with its
 // own UDR-advanced SQN, and rings are FIFO, so consumption preserves
 // sequence-number order (TS 33.102 §6.3).
 //

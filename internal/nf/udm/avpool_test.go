@@ -18,10 +18,10 @@ import (
 	"shield5g/internal/sbi"
 )
 
-// countingFns wraps the monolithic functions to observe which route the
-// pool refill takes and how many vectors it mints.
+// countingFns wraps the UDM's eUDM client to count the vectors each route
+// mints.
 type countingFns struct {
-	*paka.MonolithicUDM
+	*paka.Remote
 	single     int
 	batch      int
 	batchItems int
@@ -29,34 +29,18 @@ type countingFns struct {
 
 func (c *countingFns) GenerateAV(ctx context.Context, req *paka.UDMGenerateAVRequest) (*paka.UDMGenerateAVResponse, error) {
 	c.single++
-	return c.MonolithicUDM.GenerateAV(ctx, req)
+	return c.Remote.GenerateAV(ctx, req)
 }
 
 func (c *countingFns) GenerateAVBatch(ctx context.Context, req *paka.UDMGenerateAVBatchRequest) (*paka.UDMGenerateAVBatchResponse, error) {
 	c.batch++
 	c.batchItems += len(req.Items)
-	return c.MonolithicUDM.GenerateAVBatch(ctx, req)
+	return c.Remote.GenerateAVBatch(ctx, req)
 }
 
 // minted counts the vectors the execution environment derived, by either
 // route.
 func (c *countingFns) minted() int { return c.single + c.batchItems }
-
-// sequentialFns hides the batch method so the pool must fall back to the
-// per-item path.
-type sequentialFns struct {
-	inner  *countingFns
-	single *int
-}
-
-func (s *sequentialFns) GenerateAV(ctx context.Context, req *paka.UDMGenerateAVRequest) (*paka.UDMGenerateAVResponse, error) {
-	*s.single++
-	return s.inner.MonolithicUDM.GenerateAV(ctx, req)
-}
-
-func (s *sequentialFns) Resync(ctx context.Context, req *paka.UDMResyncRequest) (*paka.UDMResyncResponse, error) {
-	return s.inner.MonolithicUDM.Resync(ctx, req)
-}
 
 type poolHarness struct {
 	*harness
@@ -64,9 +48,8 @@ type poolHarness struct {
 }
 
 // newPoolHarness builds a UDM with the AV pool enabled, deterministic
-// entropy, and instrumented AKA functions. When batchCapable is false the
-// execution environment only exposes the single-vector call.
-func newPoolHarness(t *testing.T, depth int, batchCapable bool) *poolHarness {
+// entropy, and an instrumented client to its eUDM module.
+func newPoolHarness(t *testing.T, depth int) *poolHarness {
 	t.Helper()
 	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
@@ -80,14 +63,12 @@ func newPoolHarness(t *testing.T, depth int, batchCapable bool) *poolHarness {
 	if err != nil {
 		t.Fatalf("GenerateHomeNetworkKey: %v", err)
 	}
-	fns := &countingFns{MonolithicUDM: paka.NewMonolithicUDM(env)}
-	var udmFns paka.UDMFunctions = fns
-	if !batchCapable {
-		udmFns = &sequentialFns{inner: fns, single: &fns.single}
-	}
+	invoker := sbi.NewClient("udm", env, reg)
+	eudm, remote := newEUDM(t, env, reg, invoker)
+	fns := &countingFns{Remote: remote}
 	u, err := New(context.Background(), Config{
-		Env: env, Registry: reg, Invoker: sbi.NewClient("udm", env, reg),
-		Functions: udmFns, HomeNetworkKey: hnKey,
+		Env: env, Registry: reg, Invoker: invoker,
+		Functions: fns, HomeNetworkKey: hnKey,
 		Entropy:     mrand.New(mrand.NewSource(42)),
 		AVPoolDepth: depth,
 	})
@@ -96,7 +77,7 @@ func newPoolHarness(t *testing.T, depth int, batchCapable bool) *poolHarness {
 	}
 	return &poolHarness{
 		harness: &harness{
-			env: env, udm: u, hnKey: hnKey, mono: fns.MonolithicUDM,
+			env: env, udm: u, hnKey: hnKey, eudm: eudm,
 			client: NewClientFor(sbi.NewClient("ausf", env, reg), ServiceName),
 			udrc:   udr.NewClient(sbi.NewClient("test", env, reg)),
 		},
@@ -170,7 +151,7 @@ func (h *poolHarness) resync(t *testing.T, supi suci.SUPI, sqnMS []byte) {
 }
 
 func TestAVPoolHitMissRefillCounters(t *testing.T) {
-	h := newPoolHarness(t, 4, true)
+	h := newPoolHarness(t, 4)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 
@@ -205,7 +186,7 @@ func TestAVPoolHitMissRefillCounters(t *testing.T) {
 }
 
 func TestAVPoolPreservesSQNOrder(t *testing.T) {
-	h := newPoolHarness(t, 4, true)
+	h := newPoolHarness(t, 4)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 
@@ -219,30 +200,8 @@ func TestAVPoolPreservesSQNOrder(t *testing.T) {
 	}
 }
 
-func TestAVPoolSequentialFallback(t *testing.T) {
-	h := newPoolHarness(t, 4, false)
-	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
-	h.provision(t, supi)
-
-	h.auth(t, supi) // first contact: two single calls, one banked
-	if h.fns.batch != 0 || h.fns.single != 2 {
-		t.Fatalf("fallback used %d batch / %d single calls, want 0/2", h.fns.batch, h.fns.single)
-	}
-	if s := h.udm.AVPoolStats(); s.Pooled != 1 {
-		t.Fatalf("fallback banked %d vectors, want 1", s.Pooled)
-	}
-	h.auth(t, supi) // hit
-	h.auth(t, supi) // returning SUPI: the whole depth, one call each
-	if h.fns.batch != 0 || h.fns.single != 6 {
-		t.Fatalf("fallback used %d batch / %d single calls, want 0/6", h.fns.batch, h.fns.single)
-	}
-	if s := h.udm.AVPoolStats(); s.Pooled != 3 {
-		t.Fatalf("fallback banked %d vectors, want 3", s.Pooled)
-	}
-}
-
 func TestAVPoolResyncInvalidates(t *testing.T) {
-	h := newPoolHarness(t, 4, true)
+	h := newPoolHarness(t, 4)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 	h.auth(t, supi) // first contact: banks 1
@@ -269,7 +228,7 @@ func TestAVPoolResyncInvalidates(t *testing.T) {
 }
 
 func TestInvalidateAVPoolDropsEverything(t *testing.T) {
-	h := newPoolHarness(t, 4, true)
+	h := newPoolHarness(t, 4)
 	a := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	b := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000002"}
 	h.provision(t, a)
@@ -293,7 +252,7 @@ func TestInvalidateAVPoolDropsEverything(t *testing.T) {
 }
 
 // TestAVPoolFirstContactBanksOne holds the refill-size rule at every
-// depth: a SUPI's first miss mints min(2, depth), by either route; a
+// depth: a SUPI's first miss mints min(2, depth) in one batch crossing; a
 // prewarmed SUPI, and any SUPI after its first refill, mints the depth;
 // resync and crash invalidation forget the SUPI; and the SQN of every
 // served vector rises strictly.
@@ -301,76 +260,74 @@ func TestAVPoolFirstContactBanksOne(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("depth-%d", depth), func(t *testing.T) {
 			first := min(2, depth)
-			for _, batchCapable := range []bool{true, false} {
-				h := newPoolHarness(t, depth, batchCapable)
-				last := map[string][]byte{}
-				// mints authenticates supi once, checks its SQN rose, and
-				// returns how many vectors the request minted.
-				mints := func(supi suci.SUPI) int {
-					t.Helper()
-					before := h.fns.minted()
-					sqn := sqnOf(t, h.auth(t, supi))
-					if prev := last[supi.String()]; prev != nil && bytes.Compare(sqn, prev) <= 0 {
-						t.Fatalf("%s: SQN %x not above previous %x", supi, sqn, prev)
-					}
-					last[supi.String()] = sqn
-					return h.fns.minted() - before
+			h := newPoolHarness(t, depth)
+			last := map[string][]byte{}
+			// mints authenticates supi once, checks its SQN rose, and
+			// returns how many vectors the request minted.
+			mints := func(supi suci.SUPI) int {
+				t.Helper()
+				before := h.fns.minted()
+				sqn := sqnOf(t, h.auth(t, supi))
+				if prev := last[supi.String()]; prev != nil && bytes.Compare(sqn, prev) <= 0 {
+					t.Fatalf("%s: SQN %x not above previous %x", supi, sqn, prev)
 				}
-				fresh := func(msin string) suci.SUPI {
-					supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: msin}
-					h.provision(t, supi)
-					return supi
-				}
+				last[supi.String()] = sqn
+				return h.fns.minted() - before
+			}
+			fresh := func(msin string) suci.SUPI {
+				supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: msin}
+				h.provision(t, supi)
+				return supi
+			}
 
-				// First contact, then the drained ring's next miss.
-				a := fresh("0000000001")
-				if got := mints(a); got != first {
-					t.Fatalf("batch=%v: first miss minted %d, want %d", batchCapable, got, first)
+			// First contact, then the drained ring's next miss.
+			a := fresh("0000000001")
+			if got := mints(a); got != first {
+				t.Fatalf("first miss minted %d, want %d", got, first)
+			}
+			for i := 1; i < first; i++ {
+				if got := mints(a); got != 0 {
+					t.Fatalf("banked vector %d minted %d, want a hit", i, got)
 				}
-				for i := 1; i < first; i++ {
-					if got := mints(a); got != 0 {
-						t.Fatalf("batch=%v: banked vector %d minted %d, want a hit", batchCapable, i, got)
-					}
-				}
-				if got := mints(a); got != depth {
-					t.Fatalf("batch=%v: returning miss minted %d, want %d", batchCapable, got, depth)
-				}
-				if batchCapable && h.fns.single != 0 || !batchCapable && h.fns.batch != 0 {
-					t.Fatalf("batch=%v: %d batch / %d single calls", batchCapable, h.fns.batch, h.fns.single)
-				}
+			}
+			if got := mints(a); got != depth {
+				t.Fatalf("returning miss minted %d, want %d", got, depth)
+			}
+			if h.fns.single != 0 || h.fns.batch != 2 {
+				t.Fatalf("%d batch / %d single calls, want 2 / 0", h.fns.batch, h.fns.single)
+			}
 
-				// Prewarm marks the SUPI as minted for.
-				b := fresh("0000000002")
-				if err := h.udm.PrewarmAVPool(context.Background(), []string{b.String()}, testSNN); err != nil {
-					t.Fatalf("PrewarmAVPool: %v", err)
+			// Prewarm marks the SUPI as minted for.
+			b := fresh("0000000002")
+			if err := h.udm.PrewarmAVPool(context.Background(), []string{b.String()}, testSNN); err != nil {
+				t.Fatalf("PrewarmAVPool: %v", err)
+			}
+			for i := 0; i < depth; i++ {
+				if got := mints(b); got != 0 {
+					t.Fatalf("prewarmed vector %d minted %d, want a hit", i, got)
 				}
-				for i := 0; i < depth; i++ {
-					if got := mints(b); got != 0 {
-						t.Fatalf("batch=%v: prewarmed vector %d minted %d, want a hit", batchCapable, i, got)
-					}
-				}
-				if got := mints(b); got != depth {
-					t.Fatalf("batch=%v: prewarmed SUPI's first miss minted %d, want %d", batchCapable, got, depth)
-				}
+			}
+			if got := mints(b); got != depth {
+				t.Fatalf("prewarmed SUPI's first miss minted %d, want %d", got, depth)
+			}
 
-				// Resync forgets the SUPI.
-				h.resync(t, a, []byte{0, 0, 0, 9, 0, 0})
-				if got := mints(a); got != first {
-					t.Fatalf("batch=%v: post-resync miss minted %d, want %d", batchCapable, got, first)
-				}
+			// Resync forgets the SUPI.
+			h.resync(t, a, []byte{0, 0, 0, 9, 0, 0})
+			if got := mints(a); got != first {
+				t.Fatalf("post-resync miss minted %d, want %d", got, first)
+			}
 
-				// Crash invalidation forgets every SUPI.
-				h.udm.InvalidateAVPool()
-				if got := mints(b); got != first {
-					t.Fatalf("batch=%v: post-invalidate miss minted %d, want %d", batchCapable, got, first)
-				}
+			// Crash invalidation forgets every SUPI.
+			h.udm.InvalidateAVPool()
+			if got := mints(b); got != first {
+				t.Fatalf("post-invalidate miss minted %d, want %d", got, first)
 			}
 		})
 	}
 
 	// The miss schedule of one SUPI at depth 8: first contact mints 2,
 	// then every eighth authentication refills.
-	h := newPoolHarness(t, 8, true)
+	h := newPoolHarness(t, 8)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
 	var missed []int
@@ -393,7 +350,7 @@ func TestAVPoolFirstContactBanksOne(t *testing.T) {
 
 func TestAVPoolDeterministicUnderFixedSeed(t *testing.T) {
 	run := func() ([]*GenerateAuthDataResponse, AVPoolStats) {
-		h := newPoolHarness(t, 4, true)
+		h := newPoolHarness(t, 4)
 		supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 		h.provision(t, supi)
 		var out []*GenerateAuthDataResponse
@@ -433,7 +390,7 @@ func TestAVPoolDisabledMatchesSeedPath(t *testing.T) {
 // the same traffic is all hits.
 func TestPrewarmEliminatesColdStartMisses(t *testing.T) {
 	const depth = 4
-	h := newPoolHarness(t, depth, true)
+	h := newPoolHarness(t, depth)
 	supis := []suci.SUPI{
 		{MCC: "001", MNC: "01", MSIN: "0000000001"},
 		{MCC: "001", MNC: "01", MSIN: "0000000002"},

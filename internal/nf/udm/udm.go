@@ -1,9 +1,8 @@
 // Package udm implements the Unified Data Management function: SUCI
 // de-concealment with the home-network private key, authentication-vector
 // orchestration against the UDR, and offload of the sensitive AKA
-// cryptography to its P-AKA execution environment (the eUDM module when
-// extracted, the in-process functions in the monolithic baseline), exactly
-// as in the paper's modified message flow (Fig. 5 steps 2-3).
+// cryptography to its eUDM P-AKA module, exactly as in the paper's
+// modified message flow (Fig. 5 steps 2-3).
 package udm
 
 import (
@@ -69,9 +68,9 @@ type Config struct {
 	Env *costmodel.Env
 	// Registry hosts the UDM's SBI server.
 	Registry *sbi.Registry
-	// Invoker reaches the UDR, NRF and (when extracted) the eUDM module.
+	// Invoker reaches the UDR and the NRF.
 	Invoker sbi.Invoker
-	// Functions is the AKA execution environment.
+	// Functions is the AKA execution environment, the eUDM module.
 	Functions paka.UDMFunctions
 	// HomeNetworkKey de-conceals SUCIs.
 	HomeNetworkKey *suci.HomeNetworkKey
@@ -306,25 +305,20 @@ func (u *UDM) pooledAV(ctx context.Context, supi, snn string) (*paka.UDMGenerate
 	return &vectors[0], nil
 }
 
-// generateBatch mints the given items through one boundary crossing when
-// the execution environment supports it, falling back to the sequential
-// per-item path (which carries the reprovision retry) when it does not or
+// generateBatch mints the given items through one boundary crossing,
+// falling back to the per-item path (which carries the reprovision retry)
 // when the batch call reports a lost key store.
 func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVRequest) ([]paka.UDMGenerateAVResponse, error) {
-	if bfns, ok := u.fns.(paka.UDMBatchFunctions); ok {
-		resp, err := bfns.GenerateAVBatch(ctx, &paka.UDMGenerateAVBatchRequest{Items: items})
-		switch {
-		case err == nil:
-			if len(resp.Vectors) != len(items) {
-				return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE",
-					"batch returned %d vectors for %d items", len(resp.Vectors), len(items))
-			}
-			return resp.Vectors, nil
-		case !sbi.HasCause(err, "USER_NOT_FOUND"):
-			return nil, err
+	resp, err := u.fns.GenerateAVBatch(ctx, &paka.UDMGenerateAVBatchRequest{Items: items})
+	switch {
+	case err == nil:
+		if len(resp.Vectors) != len(items) {
+			return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE",
+				"batch returned %d vectors for %d items", len(resp.Vectors), len(items))
 		}
-		// Lost key store: drop to the per-item path below, whose retry
-		// reprovisions the key before giving up.
+		return resp.Vectors, nil
+	case !sbi.HasCause(err, "USER_NOT_FOUND"):
+		return nil, err
 	}
 	vectors := make([]paka.UDMGenerateAVResponse, 0, len(items))
 	for i := range items {
@@ -337,14 +331,17 @@ func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVReque
 	return vectors, nil
 }
 
+// handleResync recovers the UE's SQN_MS from its AUTS in the eUDM and
+// rebases the UDR's counter above it. OPc comes from a zero-count
+// NextAuthBatch: a read that advances no SQN and carries no K.
 func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest) (*Empty, error) {
-	sub, err := u.udr.Get(ctx, req.SUPI)
+	auth, err := u.udr.NextAuthBatch(ctx, req.SUPI, 0)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := u.fns.Resync(ctx, &paka.UDMResyncRequest{
 		SUPI: req.SUPI,
-		OPc:  sub.OPc,
+		OPc:  auth.OPc,
 		RAND: req.RAND,
 		AUTS: req.AUTS,
 	})

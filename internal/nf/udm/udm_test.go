@@ -27,8 +27,21 @@ type harness struct {
 	nrf    *nrf.NRF
 	client *Client
 	hnKey  *suci.HomeNetworkKey
-	mono   *paka.MonolithicUDM
+	eudm   *paka.Module
 	udrc   *udr.Client
+}
+
+// newEUDM deploys a container eUDM module on reg and returns it with the
+// UDM's client to it, which rides the UDM's own invoker — the deployment's
+// shape, one SBI client per VNF.
+func newEUDM(t *testing.T, env *costmodel.Env, reg *sbi.Registry, invoker sbi.Invoker) (*paka.Module, *paka.Remote) {
+	t.Helper()
+	m, err := paka.New(context.Background(), paka.Config{Kind: paka.EUDM, Isolation: paka.Container, Env: env, Registry: reg})
+	if err != nil {
+		t.Fatalf("paka.New: %v", err)
+	}
+	t.Cleanup(m.Stop)
+	return m, paka.NewRemote(invoker, env, m.ServiceName())
 }
 
 func newHarness(t *testing.T) *harness {
@@ -46,11 +59,11 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatalf("GenerateHomeNetworkKey: %v", err)
 	}
-	mono := paka.NewMonolithicUDM(env)
 	invoker := sbi.NewClient("udm", env, reg)
+	eudm, fns := newEUDM(t, env, reg, invoker)
 	u, err := New(context.Background(), Config{
 		Env: env, Registry: reg, Invoker: invoker,
-		Functions: mono, HomeNetworkKey: hnKey, HMEE: false,
+		Functions: fns, HomeNetworkKey: hnKey, HMEE: false,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -61,7 +74,7 @@ func newHarness(t *testing.T) *harness {
 		nrf:    n,
 		client: NewClientFor(sbi.NewClient("ausf", env, reg), ServiceName),
 		hnKey:  hnKey,
-		mono:   mono,
+		eudm:   eudm,
 		udrc:   udr.NewClient(sbi.NewClient("test", env, reg)),
 	}
 }
@@ -78,7 +91,9 @@ func (h *harness) provision(t *testing.T, supi suci.SUPI) {
 	}); err != nil {
 		t.Fatalf("udr provision: %v", err)
 	}
-	h.mono.ProvisionSubscriber(supi.String(), testK)
+	if err := h.eudm.ProvisionSubscriber(context.Background(), supi.String(), testK); err != nil {
+		t.Fatalf("eUDM provision: %v", err)
+	}
 }
 
 func TestNewValidation(t *testing.T) {
@@ -91,7 +106,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(context.Background(), Config{Env: env, Registry: reg, Invoker: inv}); err == nil {
 		t.Fatal("missing functions accepted")
 	}
-	if _, err := New(context.Background(), Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewMonolithicUDM(env)}); err == nil {
+	if _, err := New(context.Background(), Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewRemote(inv, env, paka.EUDM.ServiceName())}); err == nil {
 		t.Fatal("missing home network key accepted")
 	}
 }

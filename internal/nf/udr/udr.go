@@ -89,9 +89,8 @@ type NextAuthRequest struct {
 
 // NextAuthResponse returns the material the UDM feeds into AV generation.
 // The long-term key K is deliberately NOT part of this response: it is
-// delivered to the AKA execution environment (the eUDM P-AKA enclave or
-// the monolithic function store) once at provisioning time, so the UDM VNF
-// itself never handles it per request.
+// delivered to the eUDM P-AKA module once at provisioning time, so the UDM
+// VNF itself never handles it per request.
 type NextAuthResponse struct {
 	OPc      []byte `json:"opc"`
 	SQN      []byte `json:"sqn"` // the SQN to use for this vector
@@ -102,7 +101,9 @@ type NextAuthResponse struct {
 // atomically advances the SQN Count times — the UDR half of an AV pool
 // refill. One request replaces Count NextAuth round trips, and the
 // per-refill SQN evolution is bit-identical to Count sequential NextAuth
-// calls (the same advanceSQN per vector, under one stripe lock).
+// calls (the same advanceSQN per vector, under one stripe lock). Count 0
+// reads the shared material without advancing the SQN: the resync path's
+// OPc read, which must not carry K.
 type NextAuthBatchRequest struct {
 	SUPI  string `json:"supi"`
 	Count int    `json:"count"`
@@ -215,7 +216,7 @@ func (u *UDR) handleNextAuth(_ context.Context, req *NextAuthRequest) (*NextAuth
 // and returns the shared material once. The state evolution is exactly
 // Count sequential NextAuth calls; only the wire shape is batched.
 func (u *UDR) handleNextAuthBatch(_ context.Context, req *NextAuthBatchRequest) (*NextAuthBatchResponse, error) {
-	if req.Count < 1 || req.Count > maxNextAuthBatch {
+	if req.Count < 0 || req.Count > maxNextAuthBatch {
 		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "batch count %d", req.Count)
 	}
 	var resp *NextAuthBatchResponse
@@ -341,7 +342,7 @@ func (c *Client) Resync(ctx context.Context, supi string, sqnMS []byte) error {
 // eUDM — a container or a confidential VM, whose restarted runtime comes
 // back with an empty key store. An SGX eUDM restores K from its sealed
 // backups, so an SGX slice never calls Get; every deployment fetches
-// vectors via NextAuth.
+// vectors via NextAuth and a resync's OPc via a zero-count NextAuthBatch.
 func (c *Client) Get(ctx context.Context, supi string) (*Subscriber, error) {
 	var resp GetResponse
 	//shieldlint:ignore secretflow guest-eUDM reprovisioning path (container, SEV); SGX slices never call it and K stays in the enclave store

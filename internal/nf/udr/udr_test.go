@@ -132,6 +132,48 @@ func TestResyncRebasesAboveUESQN(t *testing.T) {
 	}
 }
 
+// TestNextAuthBatchZeroCountReadsWithoutAdvancing: a zero-count batch is
+// the resync path's OPc read — the shared material, no sequence number,
+// and the counter left where it was — in either wire format.
+func TestNextAuthBatchZeroCountReadsWithoutAdvancing(t *testing.T) {
+	for _, binary := range []bool{false, true} {
+		env := costmodel.NewEnv(nil, 1)
+		reg := sbi.NewRegistry()
+		if _, err := New(env, reg); err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		client := sbi.NewClient("test", env, reg)
+		if binary {
+			client.EnableBinary()
+		}
+		c := NewClient(client)
+		ctx := context.Background()
+		sub := validSubscriber("imsi-1")
+		if err := c.Provision(ctx, sub); err != nil {
+			t.Fatalf("Provision: %v", err)
+		}
+		for range 2 { // the second read is a binary client's first frame
+			read, err := c.NextAuthBatch(ctx, "imsi-1", 0)
+			if err != nil {
+				t.Fatalf("binary=%v: NextAuthBatch(0): %v", binary, err)
+			}
+			if !bytes.Equal(read.OPc, sub.OPc) || !bytes.Equal(read.AMFField, sub.AMFField) || read.Vectors() != 0 {
+				t.Fatalf("binary=%v: NextAuthBatch(0) = %+v", binary, read)
+			}
+		}
+		next, err := c.NextAuth(ctx, "imsi-1")
+		if err != nil {
+			t.Fatalf("NextAuth: %v", err)
+		}
+		if got := sqnValue(next.SQN); got != sqnStep {
+			t.Fatalf("binary=%v: first SQN after two zero-count reads = %d, want %d", binary, got, sqnStep)
+		}
+		if _, err := c.NextAuthBatch(ctx, "imsi-ghost", 0); !sbi.HasCause(err, "USER_NOT_FOUND") {
+			t.Fatalf("binary=%v: unknown subscriber err = %v, want USER_NOT_FOUND", binary, err)
+		}
+	}
+}
+
 func TestGetReturnsCopies(t *testing.T) {
 	_, c := harness(t)
 	ctx := context.Background()

@@ -10,19 +10,13 @@ import (
 	"shield5g/internal/simclock"
 )
 
-// UDMFunctions is the UDM VNF's view of its AKA offload target: either the
-// in-process functions (monolithic baseline) or the eUDM P-AKA module.
+// UDMFunctions is the UDM VNF's view of its eUDM P-AKA module.
+// GenerateAVBatch mints several AVs in one boundary crossing, the AV
+// precomputation pool's refill.
 type UDMFunctions interface {
 	GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error)
-	Resync(ctx context.Context, req *UDMResyncRequest) (*UDMResyncResponse, error)
-}
-
-// UDMBatchFunctions is the optional batched extension of UDMFunctions:
-// implementations that can mint several AVs per boundary crossing (the
-// eUDM module via one batch ECALL, the monolithic baseline trivially)
-// expose it so the UDM's AV precomputation pool refills in one crossing.
-type UDMBatchFunctions interface {
 	GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error)
+	Resync(ctx context.Context, req *UDMResyncRequest) (*UDMResyncResponse, error)
 }
 
 // AUSFFunctions is the AUSF VNF's AKA offload view.
@@ -108,7 +102,7 @@ func (r *Remote) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (*UD
 	return post[UDMGenerateAVResponse](ctx, r, PathUDMGenerateAV, req)
 }
 
-// GenerateAVBatch implements UDMBatchFunctions. It posts directly through
+// GenerateAVBatch implements UDMFunctions. It posts directly through
 // the invoker, not the measuring post: a pool refill is maintenance, and
 // must not contaminate the R_I/R_S response-time distributions of the
 // paper's per-request path.
@@ -135,109 +129,9 @@ func (r *Remote) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AM
 	return post[AMFDeriveKAMFResponse](ctx, r, PathAMFDeriveKAMF, req)
 }
 
-// --- monolithic baselines ---
-
-// MonolithicUDM executes the UDM AKA functions in-process (the unmodified
-// OAI baseline the paper compares against). Subscriber keys live in plain
-// process memory.
-type MonolithicUDM struct {
-	env     *costmodel.Env
-	profile Profile
-
-	mu   sync.Mutex
-	keys map[string][]byte
-}
-
-// NewMonolithicUDM builds the in-process UDM AKA functions.
-func NewMonolithicUDM(env *costmodel.Env) *MonolithicUDM {
-	return &MonolithicUDM{
-		env:     env,
-		profile: Profiles()[EUDM],
-		keys:    make(map[string][]byte),
-	}
-}
-
-// ProvisionSubscriber stores a subscriber key in process memory.
-func (u *MonolithicUDM) ProvisionSubscriber(supi string, k []byte) {
-	u.mu.Lock()
-	u.keys[supi] = append([]byte(nil), k...)
-	u.mu.Unlock()
-}
-
-func (u *MonolithicUDM) key(supi string) ([]byte, bool) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	k, ok := u.keys[supi]
-	return k, ok
-}
-
-// GenerateAV implements UDMFunctions in-process.
-func (u *MonolithicUDM) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	k, ok := u.key(req.SUPI)
-	if !ok {
-		return nil, ErrUnknownSubscriber
-	}
-	u.env.Charge(ctx, u.env.JitterFor(ctx).LogNormal(u.profile.FnCycles, u.profile.FnSigma))
-	return GenerateAV(k, req)
-}
-
-// GenerateAVBatch implements UDMBatchFunctions in-process: there is no
-// boundary to amortize, so it is a plain loop charging K× the crypto.
-func (u *MonolithicUDM) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error) {
-	resp := &UDMGenerateAVBatchResponse{Vectors: make([]UDMGenerateAVResponse, 0, len(req.Items))}
-	for i := range req.Items {
-		av, err := u.GenerateAV(ctx, &req.Items[i])
-		if err != nil {
-			return nil, err
-		}
-		resp.Vectors = append(resp.Vectors, *av)
-	}
-	return resp, nil
-}
-
-// Resync implements UDMFunctions in-process.
-func (u *MonolithicUDM) Resync(ctx context.Context, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	k, ok := u.key(req.SUPI)
-	if !ok {
-		return nil, ErrUnknownSubscriber
-	}
-	u.env.Charge(ctx, u.env.JitterFor(ctx).LogNormal(u.profile.FnCycles/2, u.profile.FnSigma))
-	return Resync(k, req)
-}
-
-// MonolithicKDF executes the AUSF and AMF AKA functions — stateless key
-// derivations both — in-process.
-type MonolithicKDF struct {
-	env       *costmodel.Env
-	ausf, amf Profile
-}
-
-// NewMonolithicKDF builds the in-process AUSF and AMF AKA functions.
-func NewMonolithicKDF(env *costmodel.Env) *MonolithicKDF {
-	p := Profiles()
-	return &MonolithicKDF{env: env, ausf: p[EAUSF], amf: p[EAMF]}
-}
-
-// DeriveSE implements AUSFFunctions in-process.
-func (a *MonolithicKDF) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
-	a.env.Charge(ctx, a.env.JitterFor(ctx).LogNormal(a.ausf.FnCycles, a.ausf.FnSigma))
-	return DeriveSE(req)
-}
-
-// DeriveKAMF implements AMFFunctions in-process.
-func (a *MonolithicKDF) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-	a.env.Charge(ctx, a.env.JitterFor(ctx).LogNormal(a.amf.FnCycles, a.amf.FnSigma))
-	return DeriveKAMF(req)
-}
-
 // Interface conformance.
 var (
-	_ UDMFunctions      = (*Remote)(nil)
-	_ UDMBatchFunctions = (*Remote)(nil)
-	_ AUSFFunctions     = (*Remote)(nil)
-	_ AMFFunctions      = (*Remote)(nil)
-	_ UDMFunctions      = (*MonolithicUDM)(nil)
-	_ UDMBatchFunctions = (*MonolithicUDM)(nil)
-	_ AUSFFunctions     = (*MonolithicKDF)(nil)
-	_ AMFFunctions      = (*MonolithicKDF)(nil)
+	_ UDMFunctions  = (*Remote)(nil)
+	_ AUSFFunctions = (*Remote)(nil)
+	_ AMFFunctions  = (*Remote)(nil)
 )

@@ -25,8 +25,7 @@ import (
 type Config struct {
 	// Kind selects eUDM, eAUSF or eAMF.
 	Kind ModuleKind
-	// Isolation is Container, SGX or SEV. Monolithic mode has no module
-	// process; use NewMonolithic* in client.go instead.
+	// Isolation is Container, SGX or SEV.
 	Isolation Isolation
 	// Env supplies the shared cost environment.
 	Env *costmodel.Env

@@ -11,7 +11,6 @@ import (
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/sbi"
-	"shield5g/internal/simclock"
 )
 
 var (
@@ -231,8 +230,8 @@ func TestModuleConfigValidation(t *testing.T) {
 	if _, err := New(context.Background(), Config{Kind: EUDM, Isolation: SGX, Env: h.env, Registry: h.registry}); err == nil {
 		t.Fatal("SGX without platform accepted")
 	}
-	if _, err := New(context.Background(), Config{Kind: EUDM, Isolation: Monolithic, Env: h.env, Registry: h.registry}); err == nil {
-		t.Fatal("monolithic module accepted")
+	if _, err := New(context.Background(), Config{Kind: EUDM, Env: h.env, Registry: h.registry}); err == nil {
+		t.Fatal("module without an isolation mode accepted")
 	}
 	// Thread counts below Gramine's minimum must be rejected.
 	if _, err := New(context.Background(), Config{Kind: EUDM, Isolation: SGX, Env: h.env, Platform: h.platform, Registry: h.registry, MaxThreads: 2}); err == nil {
@@ -349,44 +348,6 @@ func TestAUSFAndAMFModulesServe(t *testing.T) {
 	}
 }
 
-func TestMonolithicMatchesModule(t *testing.T) {
-	env := costmodel.NewEnv(nil, 8)
-	mono := NewMonolithicUDM(env)
-	mono.ProvisionSubscriber(testSUPI, testK)
-	got, err := mono.GenerateAV(context.Background(), avRequest())
-	if err != nil {
-		t.Fatalf("monolithic GenerateAV: %v", err)
-	}
-	want, err := GenerateAV(testK, avRequest())
-	if err != nil {
-		t.Fatalf("direct: %v", err)
-	}
-	if !bytes.Equal(got.KAUSF, want.KAUSF) {
-		t.Fatal("monolithic derivation differs")
-	}
-	if _, err := mono.GenerateAV(context.Background(), &UDMGenerateAVRequest{SUPI: "imsi-unknown"}); !errors.Is(err, ErrUnknownSubscriber) {
-		t.Fatalf("unknown subscriber err = %v", err)
-	}
-
-	kdfs := NewMonolithicKDF(env)
-	if _, err := kdfs.DeriveSE(context.Background(), &AUSFDeriveSERequest{RAND: want.RAND, XRESStar: want.XRESStar, KAUSF: want.KAUSF, SNN: testSNN}); err != nil {
-		t.Fatalf("monolithic DeriveSE: %v", err)
-	}
-	if _, err := kdfs.DeriveKAMF(context.Background(), &AMFDeriveKAMFRequest{KSEAF: make([]byte, 32), SUPI: testSUPI}); err != nil {
-		t.Fatalf("monolithic DeriveKAMF: %v", err)
-	}
-
-	// Monolithic calls charge functional compute to the account.
-	var acct simclock.Account
-	ctx := simclock.WithAccount(context.Background(), &acct)
-	if _, err := mono.GenerateAV(ctx, avRequest()); err != nil {
-		t.Fatalf("GenerateAV: %v", err)
-	}
-	if acct.Total() == 0 {
-		t.Fatal("monolithic call charged nothing")
-	}
-}
-
 func TestKindAndIsolationStrings(t *testing.T) {
 	if EUDM.String() != "eUDM" || EAUSF.String() != "eAUSF" || EAMF.String() != "eAMF" {
 		t.Fatal("kind names wrong")
@@ -394,10 +355,14 @@ func TestKindAndIsolationStrings(t *testing.T) {
 	if ModuleKind(0).String() != "unknown" || ModuleKind(0).ServiceName() != "unknown-paka" {
 		t.Fatal("unknown kind names wrong")
 	}
-	if Monolithic.String() != "monolithic" || Container.String() != "container" || SGX.String() != "sgx" {
+	if Container.String() != "container" || SGX.String() != "sgx" || SEV.String() != "sev" {
 		t.Fatal("isolation names wrong")
 	}
-	if Isolation(9).String() != "unknown" {
+	// The module experiments seed from these values: they never move.
+	if Container != 2 || SGX != 3 || SEV != 4 {
+		t.Fatalf("isolation values %d/%d/%d, want 2/3/4", Container, SGX, SEV)
+	}
+	if Isolation(1).String() != "unknown" || Isolation(9).String() != "unknown" {
 		t.Fatal("unknown isolation name wrong")
 	}
 	if len(Kinds()) != 3 {
@@ -408,13 +373,13 @@ func TestKindAndIsolationStrings(t *testing.T) {
 // TestParseIsolationRoundTrip: every mode's name parses back to the mode
 // (sev included — gnbsim used to reject it), and nothing else parses.
 func TestParseIsolationRoundTrip(t *testing.T) {
-	for _, iso := range []Isolation{Monolithic, Container, SGX, SEV} {
+	for _, iso := range []Isolation{Container, SGX, SEV} {
 		got, err := ParseIsolation(iso.String())
 		if err != nil || got != iso {
 			t.Errorf("ParseIsolation(%q) = %v, %v; want %v", iso.String(), got, err, iso)
 		}
 	}
-	for _, name := range []string{"unknown", "", "SGX", "tdx"} {
+	for _, name := range []string{"unknown", "", "SGX", "tdx", "monolithic"} {
 		if got, err := ParseIsolation(name); err == nil {
 			t.Errorf("ParseIsolation(%q) = %v, want an error", name, got)
 		}

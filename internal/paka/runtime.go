@@ -10,17 +10,15 @@ import (
 	"shield5g/internal/hmee/sev"
 )
 
-// Isolation selects how a P-AKA module is deployed, mirroring the paper's
-// three comparison points.
+// Isolation selects how a P-AKA module is deployed: the paper's two
+// measured points, a plain container and SGX, plus SEV.
 type Isolation int
 
-// Isolation modes.
+// Isolation modes. The values start at 2 and are never renumbered: the
+// module experiments derive their jitter seeds from them.
 const (
-	// Monolithic keeps the AKA functions inside the parent VNF (the
-	// unmodified OAI baseline).
-	Monolithic Isolation = iota + 1
 	// Container extracts the functions into a plain Docker container.
-	Container
+	Container Isolation = iota + 2
 	// SGX runs the extracted container inside an SGX enclave via
 	// Gramine shielded containers.
 	SGX
@@ -34,8 +32,6 @@ const (
 // String names the isolation mode.
 func (i Isolation) String() string {
 	switch i {
-	case Monolithic:
-		return "monolithic"
 	case Container:
 		return "container"
 	case SGX:
@@ -50,12 +46,12 @@ func (i Isolation) String() string {
 // ParseIsolation is the inverse of String: the one place a mode's name
 // (a CLI flag value) becomes an Isolation.
 func ParseIsolation(name string) (Isolation, error) {
-	for iso := Monolithic; iso <= SEV; iso++ {
+	for iso := Container; iso <= SEV; iso++ {
 		if iso.String() == name {
 			return iso, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown isolation %q (want monolithic, container, sgx or sev)", name)
+	return 0, fmt.Errorf("unknown isolation %q (want container, sgx or sev)", name)
 }
 
 // Exec, Handler and Breakdown are the contract every isolation backend

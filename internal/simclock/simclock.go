@@ -98,11 +98,6 @@ func (a *Account) Total() Cycles { return Cycles(a.cycles.Load()) }
 // Reset zeroes the account and returns the previous total.
 func (a *Account) Reset() Cycles { return Cycles(a.cycles.Swap(0)) }
 
-// DurationAt converts the account's total to a duration at freqHz.
-func (a *Account) DurationAt(freqHz uint64) time.Duration {
-	return Duration(a.Total(), freqHz)
-}
-
 type accountKey struct{}
 
 // WithAccount returns a context carrying the account. Costs charged by the

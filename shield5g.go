@@ -21,7 +21,6 @@ import (
 	"context"
 	"crypto/ed25519"
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"shield5g/internal/chaos"
@@ -40,12 +39,11 @@ import (
 // Isolation selects how the AKA functions are deployed.
 type Isolation = paka.Isolation
 
-// Isolation modes: the unmodified baseline, the extracted container, and
-// the enclave-shielded deployment.
+// Isolation modes: the extracted container and the enclave-shielded
+// deployment the paper measures.
 const (
-	Monolithic = paka.Monolithic
-	Container  = paka.Container
-	SGX        = paka.SGX
+	Container = paka.Container
+	SGX       = paka.SGX
 	// SEV deploys the modules in AMD SEV-SNP-style confidential VMs —
 	// the alternative HMEE backend of the paper's §IV-C discussion.
 	SEV = paka.SEV
@@ -213,8 +211,8 @@ func USRPX310() RadioProfile { return gnb.USRPX310() }
 func OnePlus8() COTSProfile { return ue.OnePlus8() }
 
 // Experiment is one row of the experiment table: a name, a description
-// and a Run that returns the ExperimentResult to Render (and, when
-// Experiment.CSV is set, to WriteCSV as an ExperimentCSV).
+// and a Run that returns the ExperimentResult to Render (and, when the
+// result is an ExperimentCSV, to WriteCSV as its raw series).
 type (
 	Experiment       = experiments.Experiment
 	ExperimentResult = experiments.Result
@@ -226,33 +224,6 @@ func Experiments() []string { return experiments.Names() }
 
 // LookupExperiment finds one row of the experiment table by name.
 func LookupExperiment(name string) (Experiment, error) { return experiments.Lookup(name) }
-
-// RunExperiment regenerates one named table or figure, writing the
-// paper-style rows to w.
-func RunExperiment(ctx context.Context, name string, cfg ExperimentConfig, w io.Writer) error {
-	return experiments.Run(ctx, name, cfg, w)
-}
-
-// RunAllExperiments regenerates every table and figure in order.
-func RunAllExperiments(ctx context.Context, cfg ExperimentConfig, w io.Writer) error {
-	for _, name := range Experiments() {
-		// Like Render, the banner ignores write errors on w.
-		_, _ = fmt.Fprintf(w, "\n=== %s ===\n", name)
-		if err := RunExperiment(ctx, name, cfg, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// CSVExperiments lists the experiments that support raw-series CSV export.
-func CSVExperiments() []string { return experiments.CSVNames() }
-
-// WriteExperimentCSV runs one experiment and writes its raw series as CSV
-// (for regenerating the paper's plots with external tooling).
-func WriteExperimentCSV(ctx context.Context, name string, cfg ExperimentConfig, w io.Writer) error {
-	return experiments.WriteCSV(ctx, name, cfg, w)
-}
 
 // KeyIssues returns the paper's Table V assessment.
 func KeyIssues() []KeyIssue { return keyissues.Table() }

@@ -115,10 +115,16 @@ func TestPublicExperimentList(t *testing.T) {
 	if len(names) != 18 {
 		t.Fatalf("experiments = %v", names)
 	}
-	var buf bytes.Buffer
-	if err := shield5g.RunExperiment(context.Background(), "table1", shield5g.ExperimentConfig{}, &buf); err != nil {
-		t.Fatalf("RunExperiment: %v", err)
+	exp, err := shield5g.LookupExperiment("table1")
+	if err != nil {
+		t.Fatalf("LookupExperiment: %v", err)
 	}
+	result, err := exp.Run(context.Background(), shield5g.ExperimentConfig{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var buf bytes.Buffer
+	result.Render(&buf)
 	if !strings.Contains(buf.String(), "Table I") {
 		t.Fatal("table1 output missing")
 	}
@@ -139,7 +145,7 @@ func TestPublicProfilesAndRadios(t *testing.T) {
 	if p.Model != "OnePlus 8" {
 		t.Fatalf("profile = %+v", p)
 	}
-	if shield5g.Monolithic.String() != "monolithic" || shield5g.SGX.String() != "sgx" {
+	if shield5g.Container.String() != "container" || shield5g.SGX.String() != "sgx" || shield5g.SEV.String() != "sev" {
 		t.Fatal("isolation names wrong")
 	}
 }
