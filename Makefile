@@ -71,8 +71,8 @@ loc:
 # deploys), chaos on two shards (crashes reach replica 1's modules under
 # their derived names) and, built with -race so the audit is on in a real
 # binary, a chaos run across crash-restart, retry and batch-refill paths;
-# six fuzz passes (SBI frames, JSON codec, the HTTP edge, Gramine
-# manifest, NAS decode, SUCI de-concealment); and the benchmark module — its own go.mod, so `./...`
+# five fuzz passes (SBI frames, JSON codec, the HTTP edge, NAS decode,
+# SUCI de-concealment); and the benchmark module — its own go.mod, so `./...`
 # never reaches it — is vetted, tested, gofmt-checked and run for a second
 # in binary-frame, JSON and ring mode.
 ci: build
@@ -93,7 +93,6 @@ ci: build
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzServeHTTP$$' -fuzztime 5s ./internal/sbi
-	$(GO) test -run '^$$' -fuzz '^FuzzParseManifest$$' -fuzztime 5s ./internal/hmee/gramine
 	$(GO) test -run '^$$' -fuzz '^FuzzNASDecode$$' -fuzztime 5s ./internal/nas
 	$(GO) test -run '^$$' -fuzz '^FuzzDeconceal$$' -fuzztime 5s ./internal/crypto/suci
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -29,61 +30,65 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	addr := flag.String("addr", ":8080", "HTTP listen address for the SBI services")
-	isolation := flag.String("isolation", "sgx", "AKA isolation: container, sgx or sev")
-	demo := flag.Bool("demo", true, "register one UE end to end before serving")
-	serve := flag.Bool("serve", false, "keep serving the SBI over HTTP until interrupted")
-	tlsDir := flag.String("tlsdir", "", "serve with mutual TLS (TS 33.210), writing ca.pem/client.pem/client.key for curl into this directory")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("core5g", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "HTTP listen address for the SBI services")
+	isolation := fs.String("isolation", "sgx", "AKA isolation: container, sgx or sev")
+	demo := fs.Bool("demo", true, "register one UE end to end before serving")
+	serve := fs.Bool("serve", false, "keep serving the SBI over HTTP until interrupted")
+	tlsDir := fs.String("tlsdir", "", "serve with mutual TLS (TS 33.210), writing ca.pem/client.pem/client.key for curl into this directory")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	iso, err := shield5g.ParseIsolation(*isolation)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "core5g: %v\n", err)
+		fmt.Fprintf(stderr, "core5g: %v\n", err)
 		return 2
 	}
 
 	ctx := context.Background()
 	tb, err := shield5g.NewTestbed(ctx, shield5g.SliceConfig{Isolation: iso, Seed: 1})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "core5g: deploy: %v\n", err)
+		fmt.Fprintf(stderr, "core5g: deploy: %v\n", err)
 		return 1
 	}
 	defer tb.Close()
 
 	names := tb.Slice.Registry.Names()
-	fmt.Printf("5G core slice up (%s isolation): %d SBI services\n", iso, len(names))
+	fmt.Fprintf(stdout, "5G core slice up (%s isolation): %d SBI services\n", iso, len(names))
 
 	if *demo {
 		k := make([]byte, 16)
 		if _, err := rand.Read(k); err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: entropy: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: entropy: %v\n", err)
 			return 1
 		}
 		sub, err := tb.AddSubscriber(ctx, k, nil)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: provision: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: provision: %v\n", err)
 			return 1
 		}
 		sess, err := tb.Register(ctx, sub)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: registration: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: registration: %v\n", err)
 			return 1
 		}
 		if err := sess.EstablishPDUSession(ctx, 1, "internet"); err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: PDU session: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: PDU session: %v\n", err)
 			return 1
 		}
 		echo, err := sess.SendData(ctx, []byte("hello-5g"))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: data path: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: data path: %v\n", err)
 			return 1
 		}
 		guti, _ := sub.UE.GUTI()
-		fmt.Printf("demo UE %s registered: GUTI=%s addr=%s setup=%v echo=%q\n",
+		fmt.Fprintf(stdout, "demo UE %s registered: GUTI=%s addr=%s setup=%v echo=%q\n",
 			sub.SUPI.String(), guti, sub.UE.UEAddress(), sess.SetupTime.Round(time.Microsecond), echo)
 	}
 
@@ -99,7 +104,7 @@ func run() int {
 		}
 		for _, path := range srv.Paths() {
 			mux.Handle(path, srv)
-			fmt.Printf("  %-12s POST %s\n", name, path)
+			fmt.Fprintf(stdout, "  %-12s POST %s\n", name, path)
 		}
 	}
 	httpSrv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: 5 * time.Second}
@@ -110,25 +115,25 @@ func run() int {
 	if *tlsDir != "" {
 		pki, err := sbi.NewPKI("shield5g", 24*time.Hour)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: PKI: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: PKI: %v\n", err)
 			return 1
 		}
 		cfg, err := pki.ServerTLS("sbi-gateway", []string{"127.0.0.1", "localhost"})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: server TLS: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: server TLS: %v\n", err)
 			return 1
 		}
 		httpSrv.TLSConfig = cfg
 		if err := writeClientCreds(pki, *tlsDir); err != nil {
-			fmt.Fprintf(os.Stderr, "core5g: write TLS credentials: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: write TLS credentials: %v\n", err)
 			return 1
 		}
 		go func() { errCh <- httpSrv.ListenAndServeTLS("", "") }()
-		fmt.Printf("serving SBI with mutual TLS on %s (Ctrl-C to stop)\n", *addr)
-		fmt.Printf("curl --cacert %[1]s/ca.pem --cert %[1]s/client.pem --key %[1]s/client.key https://127.0.0.1:<port><path>\n", *tlsDir)
+		fmt.Fprintf(stdout, "serving SBI with mutual TLS on %s (Ctrl-C to stop)\n", *addr)
+		fmt.Fprintf(stdout, "curl --cacert %[1]s/ca.pem --cert %[1]s/client.pem --key %[1]s/client.key https://127.0.0.1:<port><path>\n", *tlsDir)
 	} else {
 		go func() { errCh <- httpSrv.ListenAndServe() }()
-		fmt.Printf("serving SBI on %s (Ctrl-C to stop)\n", *addr)
+		fmt.Fprintf(stdout, "serving SBI on %s (Ctrl-C to stop)\n", *addr)
 	}
 
 	select {
@@ -139,7 +144,7 @@ func run() int {
 		return 0
 	case err := <-errCh:
 		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "core5g: serve: %v\n", err)
+			fmt.Fprintf(stderr, "core5g: serve: %v\n", err)
 			return 1
 		}
 		return 0

@@ -23,29 +23,6 @@ import (
 // PageSize is the EPC page granularity in bytes.
 const PageSize = 4096
 
-// Mode selects how modelled costs are realised.
-type Mode int
-
-const (
-	// Accounting charges costs to virtual time only (the default).
-	Accounting Mode = iota + 1
-	// Realtime additionally converts charged cycles into calibrated
-	// busy-wait so wall-clock benchmarks exhibit the modelled ordering.
-	Realtime
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case Accounting:
-		return "accounting"
-	case Realtime:
-		return "realtime"
-	default:
-		return "unknown"
-	}
-}
-
 // Model is the cycle-cost model for one simulated platform. Fields are set
 // once at construction and read concurrently afterwards.
 type Model struct {

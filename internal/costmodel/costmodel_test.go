@@ -23,15 +23,6 @@ func TestDefaultTransitionCostsInCitedRange(t *testing.T) {
 	}
 }
 
-func TestModeString(t *testing.T) {
-	if Accounting.String() != "accounting" || Realtime.String() != "realtime" {
-		t.Fatal("mode names wrong")
-	}
-	if Mode(99).String() != "unknown" {
-		t.Fatal("unknown mode name wrong")
-	}
-}
-
 func TestShieldCost(t *testing.T) {
 	m := Default()
 	if got := m.ShieldCost(100); got != 100*m.ShieldPerByte {

@@ -608,20 +608,32 @@ func TestDeregistrationReleasesContext(t *testing.T) {
 	if s.AMF.RegisteredUEs() != 1 {
 		t.Fatal("not registered")
 	}
+	if err := sess.EstablishPDUSession(context.Background(), 1, "internet"); err != nil {
+		t.Fatalf("EstablishPDUSession: %v", err)
+	}
 	if err := sess.Deregister(context.Background()); err != nil {
 		t.Fatalf("Deregister: %v", err)
 	}
 	if s.AMF.RegisteredUEs() != 0 {
 		t.Fatal("context not released")
 	}
+	// Detaching releases the UE's PDU session in the SMF and the UPF.
+	if smfN, upfN := s.SMF.SessionCount(), s.UPF.SessionCount(); smfN != 0 || upfN != 0 {
+		t.Errorf("sessions after deregistration: SMF %d, UPF %d; want 0, 0", smfN, upfN)
+	}
 	// The old GUTI binding is gone: a mobility registration with it is
 	// not blindly accepted but recovered through the identity procedure
 	// (IdentityRequest -> fresh SUCI -> full re-authentication).
-	if _, err := s.GNB.ReRegisterUE(context.Background(), device); err != nil {
+	again, err := s.GNB.ReRegisterUE(context.Background(), device)
+	if err != nil {
 		t.Fatalf("identity-procedure recovery after detach: %v", err)
 	}
 	if s.AMF.RegisteredUEs() != 1 {
 		t.Fatal("UE not re-registered")
+	}
+	// The released session ID is free again.
+	if err := again.EstablishPDUSession(context.Background(), 1, "internet"); err != nil {
+		t.Fatalf("EstablishPDUSession after re-registration: %v", err)
 	}
 }
 

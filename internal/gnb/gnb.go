@@ -297,8 +297,8 @@ func (s *Session) EstablishPDUSession(ctx context.Context, sessionID byte, dnn s
 // TEID reports the uplink tunnel ID of the established PDU session.
 func (s *Session) TEID() uint32 { return s.teid }
 
-// Deregister detaches the UE from the core, releasing its AMF context and
-// GUTI binding.
+// Deregister detaches the UE from the core, releasing its AMF context, its
+// GUTI binding and its PDU session, if it opened one, in the SMF and UPF.
 func (s *Session) Deregister(ctx context.Context) error {
 	up, err := s.ue.BuildDeregistrationRequest(ctx)
 	if err != nil {

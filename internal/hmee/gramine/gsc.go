@@ -28,15 +28,6 @@ type ImageFile struct {
 	Size uint64
 }
 
-// TotalBytes sums the image file sizes.
-func (img *ContainerImage) TotalBytes() uint64 {
-	var n uint64
-	for _, f := range img.Files {
-		n += f.Size
-	}
-	return n
-}
-
 // excludedPrefixes are the platform-specific directories GSC leaves out of
 // the trusted-files list (per the paper's §V-B1: /boot, /dev, /etc/mtab,
 // /proc, /sys).

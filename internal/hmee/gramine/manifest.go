@@ -11,7 +11,6 @@
 package gramine
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -20,26 +19,23 @@ import (
 
 // Manifest is the Gramine manifest for one shielded service, mirroring the
 // options the paper sets (sgx.enclave_size, sgx.max_threads,
-// sgx.preheat_enclave, debug/stats).
+// sgx.preheat_enclave). It is built in Go and signed by BuildShielded,
+// never serialised.
 type Manifest struct {
 	// Entrypoint is the in-enclave binary to boot.
-	Entrypoint string `json:"entrypoint"`
+	Entrypoint string
 	// EnclaveSizeBytes is sgx.enclave_size; must be a power of two.
-	EnclaveSizeBytes uint64 `json:"enclave_size_bytes"`
+	EnclaveSizeBytes uint64
 	// MaxThreads is sgx.max_threads. Gramine itself consumes
 	// HelperThreads of them, so services need at least HelperThreads+1.
-	MaxThreads int `json:"max_threads"`
+	MaxThreads int
 	// PreheatEnclave is sgx.preheat_enclave: pre-fault all heap pages at
 	// initialization.
-	PreheatEnclave bool `json:"preheat_enclave"`
-	// Debug enables the debug build; required for Stats.
-	Debug bool `json:"debug"`
-	// Stats enables SGX statistics collection (EENTER/EEXIT/AEX counts).
-	Stats bool `json:"stats"`
+	PreheatEnclave bool
 	// Exitless enables switchless OCALLs served by untrusted helper
 	// threads (sys.exitless). The paper flags this as insecure for
 	// production; it exists for the §V-B7 optimization ablation.
-	Exitless bool `json:"exitless,omitempty"`
+	Exitless bool
 	// SwitchlessECalls enables the switchless ECALL submission ring: a
 	// dedicated in-enclave dispatcher thread pins one TCS and serves
 	// shared-memory call submissions, so steady-state requests enter with
@@ -47,19 +43,15 @@ type Manifest struct {
 	// (Instance.Cross). Requires one thread beyond the baseline
 	// (MaxThreads >= HelperThreads+2) and changes the enclave measurement
 	// (see DESIGN.md §15 for the TCB delta).
-	SwitchlessECalls bool `json:"switchless_ecalls,omitempty"`
+	SwitchlessECalls bool
 	// TrustedFiles are measured into MRENCLAVE at build time.
-	TrustedFiles []TrustedFile `json:"trusted_files,omitempty"`
-	// AllowedFiles bypass measurement (config the service may read).
-	AllowedFiles []string `json:"allowed_files,omitempty"`
-	// Env is the in-enclave environment.
-	Env map[string]string `json:"env,omitempty"`
+	TrustedFiles []TrustedFile
 }
 
 // TrustedFile is one measured manifest entry.
 type TrustedFile struct {
-	URI  string `json:"uri"`
-	Size uint64 `json:"size"`
+	URI  string
+	Size uint64
 }
 
 // HelperThreads is the number of LibOS helper threads Gramine runs for
@@ -89,9 +81,6 @@ func (m *Manifest) Validate() error {
 	if m.MaxThreads < HelperThreads+1 {
 		return fmt.Errorf("%w: got %d", ErrTooFewThreads, m.MaxThreads)
 	}
-	if m.Stats && !m.Debug {
-		return errors.New("gramine: stats collection requires the debug build")
-	}
 	if m.Exitless && m.MaxThreads < HelperThreads+2 {
 		return errors.New("gramine: exitless mode needs an extra helper thread (max_threads >= 5)")
 	}
@@ -106,41 +95,13 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// Encode renders the manifest as JSON (the GSC toolchain's interchange
-// format in this simulation).
-func (m *Manifest) Encode() ([]byte, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	out, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("gramine: encode manifest: %w", err)
-	}
-	return out, nil
-}
-
-// ParseManifest decodes and validates a manifest.
-func ParseManifest(data []byte) (*Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("gramine: parse manifest: %w", err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return &m, nil
-}
-
 // DefaultManifest returns the manifest the paper uses for the P-AKA
-// modules: 512 MiB enclave, 4 threads, preheat on, debug+stats for metric
-// collection.
+// modules: 512 MiB enclave, 4 threads, preheat on.
 func DefaultManifest(entrypoint string) *Manifest {
 	return &Manifest{
 		Entrypoint:       entrypoint,
 		EnclaveSizeBytes: 512 << 20,
 		MaxThreads:       4,
 		PreheatEnclave:   true,
-		Debug:            true,
-		Stats:            true,
 	}
 }

@@ -83,16 +83,6 @@ func Table() []KeyIssue {
 	}
 }
 
-// ByNumber returns the KI with the given number.
-func ByNumber(n int) (KeyIssue, bool) {
-	for _, ki := range Table() {
-		if ki.Number == n {
-			return ki, true
-		}
-	}
-	return KeyIssue{}, false
-}
-
 // Render prints the paper-style Table V.
 func Render(w io.Writer) {
 	rows := Table()

@@ -39,16 +39,6 @@ func TestTableMatchesPaper(t *testing.T) {
 	}
 }
 
-func TestByNumber(t *testing.T) {
-	ki, ok := ByNumber(7)
-	if !ok || ki.Number != 7 || !ki.HMEERecommended {
-		t.Fatalf("ByNumber(7) = %+v %v", ki, ok)
-	}
-	if _, ok := ByNumber(99); ok {
-		t.Fatal("ByNumber(99) found something")
-	}
-}
-
 func TestCoverageString(t *testing.T) {
 	if Full.String() != "full" || Partial.String() != "partial" || Coverage(0).String() != "none" {
 		t.Fatal("coverage names wrong")

@@ -77,7 +77,11 @@ type ueContext struct {
 	// re-authenticated without bouncing the UE; reauthOK allows it once.
 	pendingAuth *ausf.AuthenticateRequest
 	reauthOK    bool
-	teid        uint32
+	// pduSession and teid are the UE's PDU session (teid 0: none),
+	// released when the UE deregisters. pduSession sits in reauthOK's
+	// padding, so the context does not grow.
+	pduSession byte
+	teid       uint32
 	// prio is the admission class assigned at InitialUEMessage; follow-up
 	// NAS rounds re-stamp it so downstream throttles keep exempting
 	// emergency traffic mid-procedure.
@@ -525,7 +529,7 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		if err != nil {
 			return nil, err
 		}
-		ue.teid = sess.TEID
+		ue.teid, ue.pduSession = sess.TEID, m.SessionID
 		accept, err := ue.sec.Protect(&nas.PDUSessionEstablishmentAccept{
 			SessionID: m.SessionID,
 			UEAddress: sess.UEAddress,
@@ -534,6 +538,13 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		return accept, err
 
 	case *nas.DeregistrationRequest:
+		if ue.teid != 0 {
+			if err := a.smf.ReleaseSession(ctx, &smf.ReleaseSessionRequest{
+				SUPI: ue.supi, SessionID: ue.pduSession,
+			}); err != nil {
+				return nil, fmt.Errorf("amf: release PDU session %d: %w", ue.pduSession, err)
+			}
+		}
 		a.guti.Delete(ue.guti.TMSI)
 		a.ues.Delete(ranUEID)
 		return nil, nil

@@ -1,7 +1,7 @@
 // Package nrf implements the Network Repository Function: NF instance
-// registration, heartbeat and discovery over the Nnrf service-based
-// interface. Every VNF in the slice registers here and discovers its peers
-// through it, as in the paper's OAI deployment.
+// registration and discovery over the Nnrf service-based interface. Every
+// VNF in the slice registers here and discovers its peers through it, as in
+// the paper's OAI deployment.
 package nrf
 
 import (
@@ -18,10 +18,8 @@ const ServiceName = "nrf"
 
 // SBI endpoint paths.
 const (
-	PathRegister   = "/nnrf-nfm/v1/nf-instances/register"
-	PathDeregister = "/nnrf-nfm/v1/nf-instances/deregister"
-	PathHeartbeat  = "/nnrf-nfm/v1/nf-instances/heartbeat"
-	PathDiscover   = "/nnrf-disc/v1/nf-instances"
+	PathRegister = "/nnrf-nfm/v1/nf-instances/register"
+	PathDiscover = "/nnrf-disc/v1/nf-instances"
 )
 
 // NFProfile describes one registered network function instance.
@@ -39,23 +37,12 @@ type RegisterRequest struct {
 	Profile NFProfile `json:"profile"`
 }
 
-// RegisterResponse acknowledges registration.
+// RegisterResponse acknowledges registration. HeartbeatSeconds is the
+// TS 29.510 heartbeat timer an NRF grants; nothing in the slice expires an
+// instance, so no NF sends heartbeats.
 type RegisterResponse struct {
 	HeartbeatSeconds int `json:"heartbeat_seconds"`
 }
-
-// DeregisterRequest removes an NF instance.
-type DeregisterRequest struct {
-	InstanceID string `json:"instance_id"`
-}
-
-// HeartbeatRequest refreshes an instance's liveness.
-type HeartbeatRequest struct {
-	InstanceID string `json:"instance_id"`
-}
-
-// Empty is an empty response body.
-type Empty struct{}
 
 // DiscoverRequest searches instances by NF type. RequireHMEE restricts
 // results to higher-trust-domain hosts.
@@ -84,8 +71,6 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*NRF, error) {
 		instances: make(map[string]NFProfile),
 	}
 	n.server.HandleDual(PathRegister, sbi.BinHandler(n.handleRegister))
-	n.server.HandleDual(PathDeregister, sbi.BinHandler(n.handleDeregister))
-	n.server.HandleDual(PathHeartbeat, sbi.BinHandler(n.handleHeartbeat))
 	n.server.HandleDual(PathDiscover, sbi.BinHandler(n.handleDiscover))
 	if err := registry.Register(n.server); err != nil {
 		return nil, err
@@ -101,25 +86,6 @@ func (n *NRF) handleRegister(_ context.Context, req *RegisterRequest) (*Register
 	n.instances[req.Profile.InstanceID] = req.Profile
 	n.mu.Unlock()
 	return &RegisterResponse{HeartbeatSeconds: 10}, nil
-}
-
-func (n *NRF) handleDeregister(_ context.Context, req *DeregisterRequest) (*Empty, error) {
-	n.mu.Lock()
-	delete(n.instances, req.InstanceID)
-	n.mu.Unlock()
-	return &Empty{}, nil
-}
-
-// handleHeartbeat acknowledges a registered instance. The NRF keeps no
-// liveness state: nothing in the slice expires an instance.
-func (n *NRF) handleHeartbeat(_ context.Context, req *HeartbeatRequest) (*Empty, error) {
-	n.mu.Lock()
-	_, ok := n.instances[req.InstanceID]
-	n.mu.Unlock()
-	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "RESOURCE_NOT_FOUND", "instance %s not registered", req.InstanceID)
-	}
-	return &Empty{}, nil
 }
 
 func (n *NRF) handleDiscover(_ context.Context, req *DiscoverRequest) (*DiscoverResponse, error) {
@@ -158,16 +124,6 @@ func NewClient(invoker sbi.Invoker) *Client { return &Client{invoker: invoker} }
 // Register announces an NF instance.
 func (c *Client) Register(ctx context.Context, p NFProfile) error {
 	return c.invoker.Post(ctx, ServiceName, PathRegister, &RegisterRequest{Profile: p}, nil)
-}
-
-// Deregister removes an NF instance.
-func (c *Client) Deregister(ctx context.Context, instanceID string) error {
-	return c.invoker.Post(ctx, ServiceName, PathDeregister, &DeregisterRequest{InstanceID: instanceID}, nil)
-}
-
-// Heartbeat refreshes liveness.
-func (c *Client) Heartbeat(ctx context.Context, instanceID string) error {
-	return c.invoker.Post(ctx, ServiceName, PathHeartbeat, &HeartbeatRequest{InstanceID: instanceID}, nil)
 }
 
 // Discover resolves the instance of an NF type that serves the SBI service

@@ -100,36 +100,3 @@ func TestRegisterReplacesProfile(t *testing.T) {
 		t.Fatalf("profile not replaced: %+v %v", p, err)
 	}
 }
-
-func TestDeregister(t *testing.T) {
-	n, c := harness(t)
-	ctx := context.Background()
-	if err := c.Register(ctx, NFProfile{InstanceID: "smf-1", NFType: "SMF", Service: "smf"}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if err := c.Deregister(ctx, "smf-1"); err != nil {
-		t.Fatalf("Deregister: %v", err)
-	}
-	if n.InstanceCount() != 0 {
-		t.Fatalf("InstanceCount = %d", n.InstanceCount())
-	}
-	if _, err := c.Discover(ctx, "SMF", "smf", false); err == nil {
-		t.Fatal("deregistered instance discovered")
-	}
-}
-
-func TestHeartbeat(t *testing.T) {
-	_, c := harness(t)
-	ctx := context.Background()
-	if err := c.Register(ctx, NFProfile{InstanceID: "amf-1", NFType: "AMF", Service: "amf"}); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if err := c.Heartbeat(ctx, "amf-1"); err != nil {
-		t.Fatalf("Heartbeat: %v", err)
-	}
-	err := c.Heartbeat(ctx, "ghost")
-	var pd *sbi.ProblemDetails
-	if !errors.As(err, &pd) || pd.Status != 404 {
-		t.Fatalf("ghost heartbeat err = %v, want 404", err)
-	}
-}

@@ -363,10 +363,6 @@ func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest) (*Empty, err
 // execution environment after it lost them.
 func (u *UDM) Reprovisions() uint64 { return u.reprovisions.Load() }
 
-// Server exposes the UDM's SBI server so deploy can attach overload
-// control (load meter, AV-pool backpressure bias).
-func (u *UDM) Server() *sbi.Server { return u.server }
-
 // PoolCounters exposes the raw AV-pool hit/miss counters so callers can
 // window the miss fraction (cumulative pressure is dominated by cold-start
 // misses: every subscriber's first authentication is one).

@@ -378,7 +378,4 @@ func (t *ociTable) PeerOCI(service string) (OCI, bool) {
 }
 
 // Compile-time OCI-source conformance.
-var (
-	_ OCISource = (*Client)(nil)
-	_ OCISource = (*HTTPClient)(nil)
-)
+var _ OCISource = (*Client)(nil)

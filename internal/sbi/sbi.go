@@ -1,9 +1,9 @@
 // Package sbi implements the 5G service-based interface plumbing: JSON
 // REST endpoints between network functions, 3GPP ProblemDetails error
-// reporting, and two interchangeable transports — an in-process transport
-// that charges modelled TLS/HTTP/loopback costs to virtual time (used by
-// the experiments), and a real net/http transport (used by the runnable
-// binaries).
+// reporting, and one transport: an in-process client that charges modelled
+// TLS/HTTP/loopback costs to virtual time. Every server can also be mounted
+// on net/http (Server.ServeHTTP, served by `core5g -serve` for curl); no
+// network function dials out over HTTP.
 //
 // In the paper every VNF and P-AKA module is an HTTPS REST server on the
 // OAI Docker bridge; the cost structure of those hops (TLS records, HTTP

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -185,11 +186,35 @@ func TestBinHandlerBadBody(t *testing.T) {
 	}
 }
 
+// postHTTP POSTs req as JSON to url+path with a plain net/http client and
+// decodes a 200 body into resp, any other into the returned problem.
+func postHTTP(t *testing.T, url, path string, req, resp any) (*http.Response, ProblemDetails) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	hr, err := http.Post(url+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer func() { _ = hr.Body.Close() }()
+	var pd ProblemDetails
+	out := resp
+	if hr.StatusCode != http.StatusOK {
+		out = &pd
+	}
+	if out != nil {
+		if err := json.NewDecoder(hr.Body).Decode(out); err != nil {
+			t.Fatalf("POST %s: decode %d body: %v", path, hr.StatusCode, err)
+		}
+	}
+	return hr, pd
+}
+
 // TestHTTPTransportRoundTrip: a 200 with a plain and with a described
-// message, a 4xx problem, an unknown service and a transport error, after
-// which no pooled body is outstanding on either side of the wire — the
-// HTTP client draws none for its request and the server releases every
-// response it wrote.
+// message, a 4xx problem and an unknown path over the HTTP edge, after
+// which the server has released every response body it wrote.
 func TestHTTPTransportRoundTrip(t *testing.T) {
 	before := outstandingBodies()
 	env := newEnv()
@@ -198,46 +223,70 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	c := NewHTTPClient(nil)
-	c.SetBase("udm", ts.URL)
-
 	var resp echoResp
-	if err := c.Post(context.Background(), "udm", "/echo", &echoReq{Value: "ota"}, &resp); err != nil {
-		t.Fatalf("Post: %v", err)
-	}
-	if resp.Value != "ota" {
-		t.Fatalf("resp = %+v", resp)
+	if hr, pd := postHTTP(t, ts.URL, "/echo", &echoReq{Value: "ota"}, &resp); hr.StatusCode != 200 ||
+		hr.Header.Get("Content-Type") != "application/json" || resp.Value != "ota" || resp.From != "udm" {
+		t.Fatalf("echo: status %d, type %q, resp %+v, problem %+v",
+			hr.StatusCode, hr.Header.Get("Content-Type"), resp, pd)
 	}
 	var described binMsg
-	if err := c.Post(context.Background(), "udm", "/auth", &binMsg{Value: "av", Blob: []byte{7, 8}}, &described); err != nil {
-		t.Fatalf("Post of a described message: %v", err)
-	}
-	if described.Value != "av" || !bytes.Equal(described.Blob, []byte{7, 8}) {
-		t.Fatalf("described resp = %+v", described)
+	if hr, pd := postHTTP(t, ts.URL, "/auth", &binMsg{Value: "av", Blob: []byte{7, 8}}, &described); hr.StatusCode != 200 ||
+		described.Value != "av" || !bytes.Equal(described.Blob, []byte{7, 8}) {
+		t.Fatalf("described message: status %d, resp %+v, problem %+v", hr.StatusCode, described, pd)
 	}
 
-	// ProblemDetails survive HTTP.
-	err := c.Post(context.Background(), "udm", "/fail", &echoReq{}, nil)
-	var pd *ProblemDetails
-	if !errors.As(err, &pd) || pd.Status != 403 {
-		t.Fatalf("HTTP problem err = %v", err)
+	// ProblemDetails survive HTTP: status line and body agree.
+	for _, tc := range []struct {
+		path   string
+		status int
+		cause  string
+	}{{"/fail", 403, "AUTHENTICATION_REJECTED"}, {"/nope", 404, "RESOURCE_NOT_FOUND"}} {
+		hr, pd := postHTTP(t, ts.URL, tc.path, &echoReq{}, nil)
+		if hr.StatusCode != tc.status || hr.Header.Get("Content-Type") != "application/problem+json" ||
+			pd.Status != tc.status || pd.Cause != tc.cause {
+			t.Fatalf("%s: status %d, type %q, problem %+v; want %d %s",
+				tc.path, hr.StatusCode, hr.Header.Get("Content-Type"), pd, tc.status, tc.cause)
+		}
 	}
 
-	// Unknown service.
-	if err := c.Post(context.Background(), "ghost", "/echo", &echoReq{}, nil); err == nil {
-		t.Fatal("unknown base accepted")
-	}
-
-	// Transport error: nobody listens any more. Close also waits for the
-	// server side of the requests above to finish.
+	// Close waits for the server side of the requests above to finish.
 	ts.Close()
-	if err := c.Post(context.Background(), "udm", "/echo", &echoReq{Value: "late"}, &resp); err == nil {
-		t.Fatal("Post to a closed server succeeded")
-	} else if _, ok := AsProblem(err); ok {
-		t.Fatalf("transport error surfaced as a ProblemDetails: %v", err)
-	}
 	if n := outstandingBodies() - before; n != 0 {
 		t.Fatalf("%d pooled bodies outstanding after the HTTP round trips, want 0", n)
+	}
+}
+
+// TestHTTPTransportStampsOCI: an armed, metered server stamps its current
+// overload advert as a 3gpp-Sbi-Oci header on the 200 it serves and on the
+// 503 it sheds with; an unarmed one stamps none.
+func TestHTTPTransportStampsOCI(t *testing.T) {
+	env := newEnv()
+	srv := echoServer(t, env)
+	srv.EnableOverload(env, OverloadConfig{ServiceCycles: 1000, MaxQueue: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	if hr, _ := postHTTP(t, ts.URL, "/echo", &echoReq{Value: "x"}, &echoResp{}); hr.Header.Get(OCIHeader) != "" {
+		t.Fatalf("unarmed server stamped %s: %q", OCIHeader, hr.Header.Get(OCIHeader))
+	}
+	srv.SetOverloadArmed(true)
+	// Unstamped arrivals join at the watermark and never drain: the first
+	// fills the one-deep queue, the second is shed.
+	for _, want := range []int{200, 503} {
+		hr, pd := postHTTP(t, ts.URL, "/echo", &echoReq{Value: "x"}, &echoResp{})
+		if hr.StatusCode != want {
+			t.Fatalf("status %d, want %d (problem %+v)", hr.StatusCode, want, pd)
+		}
+		if want == 503 && pd.Cause != CauseOverload {
+			t.Fatalf("shed problem = %+v, want %s", pd, CauseOverload)
+		}
+		var got OCI
+		if err := json.Unmarshal([]byte(hr.Header.Get(OCIHeader)), &got); err != nil {
+			t.Fatalf("%d: %s header %q: %v", want, OCIHeader, hr.Header.Get(OCIHeader), err)
+		}
+		if cur, ok := srv.CurrentOCI(); !ok || got != cur {
+			t.Fatalf("%d: %s header = %+v, CurrentOCI = %+v (%v)", want, OCIHeader, got, cur, ok)
+		}
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 
 // PKI is an ephemeral operator certificate authority for the SBI: 3GPP
 // TS 33.210 requires mutual TLS between network functions, and the paper's
-// P-AKA modules speak HTTPS. The runnable binaries use this to stand up a
-// real mTLS mesh; the in-process transport models the same costs instead.
+// P-AKA modules speak HTTPS. `core5g -serve -tlsdir` uses this to serve
+// the SBI over real mTLS and to issue curl's credentials; the in-process
+// transport models the same costs instead.
 type PKI struct {
 	caCert *x509.Certificate
 	caKey  *ecdsa.PrivateKey
@@ -126,18 +127,5 @@ func (p *PKI) ServerTLS(nfName string, hosts []string) (*tls.Config, error) {
 		Certificates: []tls.Certificate{leaf},
 		ClientAuth:   tls.RequireAndVerifyClientCert,
 		ClientCAs:    p.pool,
-	}, nil
-}
-
-// ClientTLS returns an mTLS client configuration for an NF.
-func (p *PKI) ClientTLS(nfName string) (*tls.Config, error) {
-	leaf, err := p.issue(nfName, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &tls.Config{
-		MinVersion:   tls.VersionTLS13,
-		Certificates: []tls.Certificate{leaf},
-		RootCAs:      p.pool,
 	}, nil
 }

@@ -3,8 +3,12 @@ package sbi
 import (
 	"context"
 	"crypto/tls"
+	"crypto/x509"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -43,28 +47,58 @@ func startMTLSServer(t *testing.T, pki *PKI) *httptest.Server {
 	return ts
 }
 
+// mtlsClient is the client `core5g -tlsdir` equips curl with: a leaf
+// from issuer's IssuePEM, trusting the CA in caPEM.
+func mtlsClient(t *testing.T, issuer *PKI, caPEM []byte) *http.Client {
+	t.Helper()
+	roots := x509.NewCertPool()
+	if !roots.AppendCertsFromPEM(caPEM) {
+		t.Fatal("CAPEM holds no certificate")
+	}
+	cfg := &tls.Config{MinVersion: tls.VersionTLS13, RootCAs: roots}
+	if issuer != nil {
+		certPEM, keyPEM, err := issuer.IssuePEM("ausf", nil)
+		if err != nil {
+			t.Fatalf("IssuePEM: %v", err)
+		}
+		leaf, err := tls.X509KeyPair(certPEM, keyPEM)
+		if err != nil {
+			t.Fatalf("X509KeyPair: %v", err)
+		}
+		cfg.Certificates = []tls.Certificate{leaf}
+	}
+	tr := &http.Transport{TLSClientConfig: cfg}
+	t.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
+}
+
+// postEcho POSTs {"v": v} to the echo endpoint and returns the echoed value.
+func postEcho(c *http.Client, url, v string) (string, error) {
+	resp, err := c.Post(url+"/echo", "application/json", strings.NewReader(`{"v":"`+v+`"}`))
+	if err != nil {
+		return "", err
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("status %d", resp.StatusCode)
+	}
+	var out struct {
+		V string `json:"v"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	return out.V, err
+}
+
 func TestMutualTLSRoundTrip(t *testing.T) {
 	pki := testPKI(t)
 	ts := startMTLSServer(t, pki)
 
-	clientCfg, err := pki.ClientTLS("ausf")
+	got, err := postEcho(mtlsClient(t, pki, pki.CAPEM()), ts.URL, "mtls")
 	if err != nil {
-		t.Fatalf("ClientTLS: %v", err)
+		t.Fatalf("POST over mTLS: %v", err)
 	}
-	hc := &http.Client{Transport: &http.Transport{TLSClientConfig: clientCfg}}
-	c := NewHTTPClient(hc)
-	c.SetBase("udm", ts.URL)
-
-	var resp struct {
-		V string `json:"v"`
-	}
-	if err := c.Post(context.Background(), "udm", "/echo", &struct {
-		V string `json:"v"`
-	}{V: "mtls"}, &resp); err != nil {
-		t.Fatalf("Post over mTLS: %v", err)
-	}
-	if resp.V != "mtls" {
-		t.Fatalf("resp = %+v", resp)
+	if got != "mtls" {
+		t.Fatalf("echo = %q", got)
 	}
 }
 
@@ -74,13 +108,7 @@ func TestMutualTLSRejectsAnonymousClient(t *testing.T) {
 
 	// A client that trusts the CA but presents no certificate must be
 	// refused by the mutual-auth requirement (TS 33.210).
-	anon := &http.Client{Transport: &http.Transport{TLSClientConfig: &tls.Config{
-		MinVersion: tls.VersionTLS13,
-		RootCAs:    pki.pool,
-	}}}
-	c := NewHTTPClient(anon)
-	c.SetBase("udm", ts.URL)
-	if err := c.Post(context.Background(), "udm", "/echo", &struct{}{}, nil); err == nil {
+	if _, err := postEcho(mtlsClient(t, nil, pki.CAPEM()), ts.URL, "anon"); err == nil {
 		t.Fatal("anonymous client accepted")
 	}
 }
@@ -90,16 +118,9 @@ func TestMutualTLSRejectsForeignCA(t *testing.T) {
 	other := testPKI(t)
 	ts := startMTLSServer(t, pki)
 
-	// A certificate from a different operator's CA must not verify.
-	foreignCfg, err := other.ClientTLS("evil")
-	if err != nil {
-		t.Fatalf("ClientTLS: %v", err)
-	}
-	foreignCfg.RootCAs = pki.pool // trusts the right server, wrong identity
-	hc := &http.Client{Transport: &http.Transport{TLSClientConfig: foreignCfg}}
-	c := NewHTTPClient(hc)
-	c.SetBase("udm", ts.URL)
-	if err := c.Post(context.Background(), "udm", "/echo", &struct{}{}, nil); err == nil {
+	// A certificate from a different operator's CA must not verify, even
+	// from a client that trusts the right server.
+	if _, err := postEcho(mtlsClient(t, other, pki.CAPEM()), ts.URL, "evil"); err == nil {
 		t.Fatal("foreign-CA client accepted")
 	}
 }
