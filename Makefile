@@ -60,7 +60,7 @@ loc:
 # module below), lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
-# then the six tests whose allocation or heap budgets skip themselves
+# then the seven tests whose allocation or heap budgets skip themselves
 # under -race on a plain build. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
@@ -80,7 +80,7 @@ ci: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica' . ./internal/experiments ./internal/nas ./internal/deploy
+	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration' . ./internal/experiments ./internal/nas ./internal/deploy
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7

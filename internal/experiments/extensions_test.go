@@ -143,3 +143,13 @@ func TestTable3ExtendedSweep(t *testing.T) {
 		}
 	}
 }
+
+// TestMeasureModuleRefusesOverflowedWindow: a window one request longer
+// than the module's latency recorders keep is an error, not a summary of
+// its last paka.LatencyWindow requests.
+func TestMeasureModuleRefusesOverflowedWindow(t *testing.T) {
+	_, err := measureModule(context.Background(), paka.EAMF, quick.Seed, rigOptions{isolation: paka.Container}, paka.LatencyWindow+1)
+	if err == nil || !strings.Contains(err.Error(), "window kept") {
+		t.Fatalf("measureModule over %d requests: err = %v, want a dropped-samples error", paka.LatencyWindow+1, err)
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"shield5g/internal/costmodel"
@@ -155,8 +156,23 @@ func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, opts 
 		responses.Add(d)
 	}
 	run.stable = responses.Summarize()
-	run.functional = r.module.FunctionalLatency().Summarize()
-	run.total = r.module.TotalLatency().Summarize()
+	if run.functional, err = summarizeWindow("L_F", r.module.FunctionalLatency()); err != nil {
+		return nil, err
+	}
+	if run.total, err = summarizeWindow("L_T", r.module.TotalLatency()); err != nil {
+		return nil, err
+	}
 	run.enters = float64(r.module.Stats().EENTER-entersBefore) / float64(max(n, 1))
 	return run, nil
+}
+
+// summarizeWindow summarises a bounded recorder, refusing one that no
+// longer keeps every sample added since its last reset: a summary of the
+// tail would silently stand in for the whole window. A larger experiment
+// needs a larger paka.LatencyWindow.
+func summarizeWindow(name string, r *metrics.Recorder) (metrics.Summary, error) {
+	if n, kept := r.N(), len(r.Samples()); n > kept {
+		return metrics.Summary{}, fmt.Errorf("experiments: %s window kept %d of %d samples (paka.LatencyWindow)", name, kept, n)
+	}
+	return r.Summarize(), nil
 }

@@ -203,7 +203,11 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 	}
 	run.setup = setups.Summarize()
 	if udm := s.Shards[0].RemoteUDM; udm != nil {
-		run.stableRS = udm.Response().Stable.Summarize().Median
+		rs, err := summarizeWindow("R_S", udm.Response().Stable)
+		if err != nil {
+			return nil, err
+		}
+		run.stableRS = rs.Median
 	}
 	run.pool, run.resilience = s.AVPoolStats(), s.ResilienceStats()
 	run.admissionDrops = s.AdmissionStats().TotalDropped()

@@ -91,8 +91,12 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		FailureCounts: make(map[string]int),
 		FirstErrors:   make(map[string]error),
 	}
+	var arrivals [3]int
+	for _, ev := range opts.Plan.Events {
+		arrivals[ev.Class]++
+	}
 	for c := range result.Class {
-		result.Class[c].SetupTimes = metrics.NewRecorder(len(opts.Plan.Events))
+		result.Class[c].SetupTimes = metrics.NewRecorder(arrivals[c])
 	}
 	if opts.Source != "" {
 		ctx = admission.WithSource(ctx, opts.Source)

@@ -12,11 +12,17 @@ import (
 )
 
 // Recorder accumulates duration samples. It is safe for concurrent use.
-// The zero value is ready to use; NewRecorder preallocates capacity for
-// hot paths that know their sample count up front.
+// The zero value is ready to use and keeps every sample; NewRecorder
+// preallocates capacity for hot paths that know their sample count up
+// front, and NewWindow bounds what is kept to the most recent samples.
 type Recorder struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// samples holds the kept samples. In a window that has filled, it is
+	// a ring whose oldest sample sits at next.
 	samples []time.Duration
+	// window bounds len(samples) (0: unbounded); n counts every sample
+	// added since the last Reset, kept or not.
+	window, next, n int
 	// sorted caches an ordered copy of samples for Summarize; nil means
 	// stale. Kept separate from samples so callers that consume the raw
 	// series (empirical resampling) still see insertion order.
@@ -31,45 +37,78 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{samples: make([]time.Duration, 0, n)}
 }
 
+// NewWindow returns a Recorder that keeps only its last k samples (k ≥ 1),
+// so a recorder on a long-running server holds a fixed amount of memory
+// however many requests it has seen. N still counts every sample; Samples
+// and Summarize see the kept ones.
+func NewWindow(k int) *Recorder {
+	return &Recorder{window: max(k, 1)}
+}
+
 // Add records one sample.
 func (r *Recorder) Add(d time.Duration) {
 	r.mu.Lock()
-	r.samples = append(r.samples, d)
-	r.sorted = nil
+	r.add(d)
 	r.mu.Unlock()
 }
 
-// Merge appends all of other's samples, so per-worker recorders can be
-// combined after a parallel run without sharing a lock during it.
+// add records d with r.mu held. A window grows its storage by doubling up
+// to k, never past it, then overwrites its oldest sample.
+func (r *Recorder) add(d time.Duration) {
+	r.n++
+	r.sorted = nil
+	switch {
+	case r.window == 0:
+		r.samples = append(r.samples, d)
+	case len(r.samples) == r.window:
+		r.samples[r.next] = d
+		r.next = (r.next + 1) % r.window
+	default:
+		if len(r.samples) == cap(r.samples) {
+			grown := make([]time.Duration, len(r.samples), min(max(2*cap(r.samples), 64), r.window))
+			copy(grown, r.samples)
+			r.samples = grown
+		}
+		r.samples = append(r.samples, d)
+	}
+}
+
+// Merge adds all of other's kept samples, in insertion order, so
+// per-worker recorders can be combined after a parallel run without
+// sharing a lock during it.
 func (r *Recorder) Merge(other *Recorder) {
 	if other == nil || other == r {
 		return
 	}
 	theirs := other.Samples()
 	r.mu.Lock()
-	r.samples = append(r.samples, theirs...)
-	r.sorted = nil
+	for _, d := range theirs {
+		r.add(d)
+	}
 	r.mu.Unlock()
 }
 
-// N reports the number of samples recorded.
+// N reports the number of samples recorded since the last Reset,
+// including any a window no longer keeps.
 func (r *Recorder) N() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.samples)
+	return r.n
 }
 
-// Samples returns a copy of the recorded samples in insertion order.
+// Samples returns a copy of the kept samples in insertion order.
 func (r *Recorder) Samples() []time.Duration {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]time.Duration(nil), r.samples...)
+	out := make([]time.Duration, 0, len(r.samples))
+	return append(append(out, r.samples[r.next:]...), r.samples[:r.next]...)
 }
 
-// Reset discards all samples.
+// Reset discards all samples and the count.
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	r.samples = r.samples[:0]
+	r.next, r.n = 0, 0
 	r.sorted = nil
 	r.mu.Unlock()
 }
@@ -91,7 +130,7 @@ type Summary struct {
 	OutlierFrac float64
 }
 
-// Summarize computes the summary of the recorded samples. The sorted
+// Summarize computes the summary of the kept samples. The sorted
 // order is cached, so repeated summaries of an unchanged recorder sort
 // only once.
 func (r *Recorder) Summarize() Summary {

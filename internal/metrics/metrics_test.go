@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -237,5 +238,72 @@ func TestRecorderConcurrentAddMerge(t *testing.T) {
 	}
 	if s := r.Summarize(); s.N != 256 || s.Max != 255*time.Microsecond {
 		t.Fatalf("summary = %+v", s)
+	}
+}
+
+func TestWindowKeepsLastKInOrder(t *testing.T) {
+	const k = 5
+	w := NewWindow(k)
+	for i := 1; i <= 12; i++ { // wraps the ring twice and a bit
+		w.Add(time.Duration(i))
+		want := make([]time.Duration, 0, k)
+		for j := max(1, i-k+1); j <= i; j++ {
+			want = append(want, time.Duration(j))
+		}
+		if got := w.Samples(); !slices.Equal(got, want) {
+			t.Fatalf("after %d adds Samples = %v, want %v", i, got, want)
+		}
+		if w.N() != i {
+			t.Fatalf("after %d adds N = %d", i, w.N())
+		}
+	}
+	// The summary covers the kept samples 8..12 only.
+	if s := w.Summarize(); s.N != k || s.Min != 8 || s.Median != 10 || s.Max != 12 {
+		t.Fatalf("summary = %+v, want n=5 over 8..12", s)
+	}
+	w.Reset()
+	if w.N() != 0 || len(w.Samples()) != 0 || w.Summarize().N != 0 {
+		t.Fatalf("after Reset: N %d, %d samples", w.N(), len(w.Samples()))
+	}
+	// A reset window fills from the start again.
+	w.Add(7)
+	if got := w.Samples(); !slices.Equal(got, []time.Duration{7}) || w.N() != 1 {
+		t.Fatalf("after Reset and one add: %v, N %d", got, w.N())
+	}
+}
+
+func TestWindowStorageStaysBounded(t *testing.T) {
+	w := NewWindow(100)
+	for i := 0; i < 1000; i++ {
+		w.Add(time.Duration(i))
+	}
+	if c := cap(w.samples); c != 100 {
+		t.Fatalf("window of 100 holds storage for %d samples", c)
+	}
+}
+
+func TestWindowConcurrentAdd(t *testing.T) {
+	const k, workers, each = 64, 8, 100
+	w := NewWindow(k)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				w.Add(time.Duration(i))
+				if i%10 == 0 {
+					w.Summarize()
+					w.Samples()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if w.N() != workers*each {
+		t.Fatalf("N = %d, want %d", w.N(), workers*each)
+	}
+	if got := len(w.Samples()); got != k {
+		t.Fatalf("%d samples kept, want %d", got, k)
 	}
 }

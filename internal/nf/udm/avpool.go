@@ -10,7 +10,8 @@ import (
 )
 
 // avPool is the UDM's authentication-vector precomputation pool: a
-// per-SUPI FIFO ring of pre-generated HE AVs. A miss mints a batch
+// per-SUPI FIFO ring of pre-generated HE AVs, each banked as one 80-byte
+// record in a ring allocated once per refill. A miss mints a batch
 // through one boundary crossing (GenerateAVBatch), serves the first vector
 // and banks the rest, so subsequent authentications for the SUPI skip the
 // enclave entirely. Every pooled vector was minted with its
@@ -32,7 +33,7 @@ type avPool struct {
 	depth int // ring capacity per SUPI, and vectors minted per steady-state refill
 
 	mu    sync.Mutex
-	rings map[string][]paka.UDMGenerateAVResponse // key present: minted for before
+	rings map[string][]avRecord // key present: minted for before
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -45,8 +46,20 @@ type avPool struct {
 func newAVPool(depth int) *avPool {
 	return &avPool{
 		depth: depth,
-		rings: make(map[string][]paka.UDMGenerateAVResponse),
+		rings: make(map[string][]avRecord),
 	}
+}
+
+// avRecord is one banked vector's four fields back to back in
+// paka.AVInto's layout: RAND‖AUTN‖XRES*‖K_AUSF.
+type avRecord [paka.AVBackingBytes]byte
+
+// servedAV is what take hands out: a copy of the banked record and the
+// response whose fields slice it, in one allocation, so the caller owns
+// the vector outright and never aliases the ring.
+type servedAV struct {
+	rec  avRecord
+	resp paka.UDMGenerateAVResponse
 }
 
 // take pops the oldest pooled vector for supi, counting the hit or miss.
@@ -63,7 +76,7 @@ func (p *avPool) take(supi string) (*paka.UDMGenerateAVResponse, int) {
 		}
 		return nil, min(2, p.depth)
 	}
-	av := ring[0]
+	av := &servedAV{rec: ring[0]}
 	if len(ring) == 1 {
 		p.rings[supi] = nil // release the backing, remember the SUPI
 	} else {
@@ -71,7 +84,8 @@ func (p *avPool) take(supi string) (*paka.UDMGenerateAVResponse, int) {
 	}
 	p.mu.Unlock()
 	p.hits.Add(1)
-	return &av, 0
+	paka.AVInto(av.rec[:], &av.resp)
+	return &av.resp, 0
 }
 
 // fill banks freshly minted vectors for supi, oldest SQN first, dropping
@@ -80,14 +94,20 @@ func (p *avPool) take(supi string) (*paka.UDMGenerateAVResponse, int) {
 func (p *avPool) fill(supi string, vectors []paka.UDMGenerateAVResponse) {
 	p.refills.Add(1)
 	p.mu.Lock()
-	ring := append(p.rings[supi], vectors...)
-	if len(ring) > p.depth {
-		// Keep the oldest SQNs: dropping from the tail wastes crypto but
-		// never reorders the sequence numbers a UE will see.
-		ring = ring[:p.depth]
+	defer p.mu.Unlock()
+	old := p.rings[supi]
+	// Keep the oldest SQNs: dropping from the tail wastes crypto but never
+	// reorders the sequence numbers a UE will see.
+	ring := make([]avRecord, min(len(old)+len(vectors), p.depth))
+	n := copy(ring, old)
+	for i, av := range vectors[:len(ring)-n] {
+		rec := ring[n+i][:]
+		copy(rec[0:16], av.RAND)
+		copy(rec[16:32], av.AUTN)
+		copy(rec[32:48], av.XRESStar)
+		copy(rec[48:80], av.KAUSF)
 	}
 	p.rings[supi] = ring
-	p.mu.Unlock()
 }
 
 // invalidate discards supi's pooled vectors (SQN resynchronisation

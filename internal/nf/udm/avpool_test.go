@@ -252,10 +252,10 @@ func TestInvalidateAVPoolDropsEverything(t *testing.T) {
 }
 
 // TestAVPoolFirstContactBanksOne holds the refill-size rule at every
-// depth: a SUPI's first miss mints min(2, depth) in one batch crossing; a
-// prewarmed SUPI, and any SUPI after its first refill, mints the depth;
-// resync and crash invalidation forget the SUPI; and the SQN of every
-// served vector rises strictly.
+// depth: a SUPI's first miss mints min(2, depth) in one batch crossing and
+// banks all but the one it serves; a prewarmed SUPI, and any SUPI after
+// its first refill, mints the depth; resync and crash invalidation forget
+// the SUPI; and the SQN of every served vector rises strictly.
 func TestAVPoolFirstContactBanksOne(t *testing.T) {
 	for _, depth := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("depth-%d", depth), func(t *testing.T) {
@@ -284,6 +284,9 @@ func TestAVPoolFirstContactBanksOne(t *testing.T) {
 			a := fresh("0000000001")
 			if got := mints(a); got != first {
 				t.Fatalf("first miss minted %d, want %d", got, first)
+			}
+			if got := h.udm.AVPoolStats().Pooled; got != first-1 {
+				t.Fatalf("first contact banked %d, want %d", got, first-1)
 			}
 			for i := 1; i < first; i++ {
 				if got := mints(a); got != 0 {
@@ -435,5 +438,65 @@ func TestPrewarmDisabledPool(t *testing.T) {
 	h := newHarness(t) // no AVPoolDepth: pool disabled
 	if err := h.udm.PrewarmAVPool(context.Background(), []string{"imsi-001010000000001"}, testSNN); err == nil {
 		t.Fatalf("PrewarmAVPool on disabled pool succeeded")
+	}
+}
+
+// taggedAVs returns n vectors whose every byte is the vector's tag,
+// tags from first up: a stand-in for SQN order the pool must keep.
+func taggedAVs(first byte, n int) []paka.UDMGenerateAVResponse {
+	vectors := make([]paka.UDMGenerateAVResponse, n)
+	for i := range vectors {
+		paka.AVInto(bytes.Repeat([]byte{first + byte(i)}, paka.AVBackingBytes), &vectors[i])
+	}
+	return vectors
+}
+
+// TestAVPoolServedVectorOwnsItsBytes: a vector take serves is a copy of
+// its banked record, not a view of the ring or of the minted batch, and
+// take allocates it in one object.
+func TestAVPoolServedVectorOwnsItsBytes(t *testing.T) {
+	p := newAVPool(8)
+	minted := taggedAVs(1, 8)
+	p.fill("s", minted)
+	minted[1].RAND[0] = 0xee // the batch's backing is the caller's again
+
+	first, _ := p.take("s")
+	for i := range first.RAND {
+		first.RAND[i] = 0xff
+	}
+	next, _ := p.take("s")
+	want := taggedAVs(2, 1)[0]
+	for _, f := range [][2][]byte{{next.RAND, want.RAND}, {next.AUTN, want.AUTN}, {next.XRESStar, want.XRESStar}, {next.KAUSF, want.KAUSF}} {
+		if !bytes.Equal(f[0], f[1]) {
+			t.Fatalf("second vector reads %x, want %x", f[0], f[1])
+		}
+	}
+	if cap(next.RAND) != 16 || cap(next.AUTN) != 16 || cap(next.XRESStar) != 16 || cap(next.KAUSF) != 32 {
+		t.Fatalf("served fields have caps %d/%d/%d/%d, want 16/16/16/32",
+			cap(next.RAND), cap(next.AUTN), cap(next.XRESStar), cap(next.KAUSF))
+	}
+	if allocs := testing.AllocsPerRun(4, func() { p.take("s") }); allocs != 1 {
+		t.Fatalf("take allocates %.1f times, want 1", allocs)
+	}
+}
+
+// TestAVPoolFillKeepsOrderAcrossRefill: a refill onto a part-drained ring
+// serves the old vectors first and drops the newest beyond the depth.
+func TestAVPoolFillKeepsOrderAcrossRefill(t *testing.T) {
+	p := newAVPool(4)
+	p.fill("s", taggedAVs(1, 4))
+	for _, want := range []byte{1, 2} {
+		if av, _ := p.take("s"); av.RAND[0] != want {
+			t.Fatalf("served tag %d, want %d", av.RAND[0], want)
+		}
+	}
+	p.fill("s", taggedAVs(5, 4)) // 3, 4 are still banked: 5, 6 fit, 7, 8 do not
+	for _, want := range []byte{3, 4, 5, 6} {
+		if av, _ := p.take("s"); av == nil || av.KAUSF[31] != want {
+			t.Fatalf("served %v, want tag %d", av, want)
+		}
+	}
+	if av, count := p.take("s"); av != nil || count != 4 {
+		t.Fatalf("drained ring served %v, asked for %d; want a miss minting 4", av, count)
 	}
 }

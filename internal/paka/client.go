@@ -30,7 +30,8 @@ type AMFFunctions interface {
 }
 
 // ResponseRecorder separates initial (cold) from stable (warm) response
-// times, the paper's R_I versus R_S.
+// times, the paper's R_I versus R_S. Stable keeps the last LatencyWindow
+// samples.
 type ResponseRecorder struct {
 	Initial *metrics.Recorder
 	Stable  *metrics.Recorder
@@ -41,7 +42,7 @@ type ResponseRecorder struct {
 
 // NewResponseRecorder allocates both recorders.
 func NewResponseRecorder() *ResponseRecorder {
-	return &ResponseRecorder{Initial: &metrics.Recorder{}, Stable: &metrics.Recorder{}}
+	return &ResponseRecorder{Initial: &metrics.Recorder{}, Stable: metrics.NewWindow(LatencyWindow)}
 }
 
 func (r *ResponseRecorder) add(env *costmodel.Env, cycles simclock.Cycles) {

@@ -92,7 +92,8 @@ type Module struct {
 	restarts  atomic.Uint64
 
 	// Latency recorders feeding the experiments: the module-side
-	// functional (L_F) and total (L_T) windows of every served request.
+	// functional (L_F) and total (L_T) times of the last LatencyWindow
+	// served requests.
 	functional *metrics.Recorder
 	total      *metrics.Recorder
 
@@ -137,8 +138,8 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 		registry:   cfg.Registry,
 		cfg:        cfg,
 		runtime:    rt,
-		functional: &metrics.Recorder{},
-		total:      &metrics.Recorder{},
+		functional: metrics.NewWindow(LatencyWindow),
+		total:      metrics.NewWindow(LatencyWindow),
 	}
 
 	// The module's own sbi.Server carries no env: all server-side costs
@@ -538,6 +539,13 @@ func (m *Module) RingStats() sgx.RingStats {
 	}
 	return sgx.RingStats{}
 }
+
+// LatencyWindow is how many samples each running latency recorder keeps:
+// a module's L_F and L_T and a VNF's R_S. It is twice the largest window
+// an experiment summarises (500 warm requests), rounded up to a power of
+// two, so every summary still covers its whole window while a recorder on
+// a long-running core holds 8 KiB however much traffic it has served.
+const LatencyWindow = 1024
 
 // FunctionalLatency returns the recorder of module-side L_F samples.
 func (m *Module) FunctionalLatency() *metrics.Recorder { return m.functional }
