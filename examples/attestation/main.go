@@ -1,8 +1,9 @@
 // Attestation and sealing: the paper's Key Issues 13 and 27. Instead of
 // baking plaintext credentials into NF container images, the operator
 // seals them to the eUDM enclave's measurement and releases them only
-// after verifying a hardware-rooted attestation quote — so a stolen image
-// (or a tampered one) yields nothing.
+// after verifying hardware-rooted attestation evidence against the
+// measurement of the image it built — so a stolen image (or a tampered
+// one) yields nothing.
 package main
 
 import (
@@ -31,29 +32,34 @@ func run() error {
 
 	eudm := tb.Slice.Modules[shield5g.EUDM].Enclave()
 	eausf := tb.Slice.Modules[shield5g.EAUSF].Enclave()
+	root := tb.Slice.Platform.QuotingPublicKey()
+	reference := tb.Slice.Reference(shield5g.EUDM)
 
 	// 1. Remote attestation: the enclave proves its identity to the
-	//    operator's provisioning service.
-	var reportData [64]byte
-	copy(reportData[:], "operator-provisioning-nonce-1")
-	quote, err := eudm.GenerateQuote(reportData)
+	//    operator's provisioning service, which checks it against the
+	//    measurement of the image the operator built, never against what
+	//    the enclave says about itself.
+	var nonce [64]byte
+	copy(nonce[:], "operator-provisioning-nonce-1")
+	ev, err := eudm.GenerateQuote(nonce)
 	if err != nil {
 		return err
 	}
-	expected := eudm.Measurement()
-	if err := shield5g.VerifyQuote(tb.Slice.Platform.QuotingPublicKey(), quote, &expected); err != nil {
-		return fmt.Errorf("quote verification: %w", err)
+	if err := ev.Verify(root, reference, nonce); err != nil {
+		return fmt.Errorf("eUDM evidence: %w", err)
 	}
-	fmt.Printf("attestation verified: enclave %q measurement %x...\n",
-		quote.Report.EnclaveName, quote.Report.Measurement[:8])
+	fmt.Printf("attestation verified: eUDM measurement %x... matches the slice's reference\n", ev.Measurement[:8])
 
-	// A tampered quote must not verify.
-	forged := *quote
-	forged.Report.EnclaveName = "evil-module"
-	if err := shield5g.VerifyQuote(tb.Slice.Platform.QuotingPublicKey(), &forged, &expected); err == nil {
-		return errors.New("forged quote verified")
+	// Genuine evidence from another module is not the eUDM's.
+	other, err := eausf.GenerateQuote(nonce)
+	if err != nil {
+		return err
 	}
-	fmt.Println("forged quote rejected: signature does not cover the tampered report")
+	err = other.Verify(root, reference, nonce)
+	if err == nil {
+		return errors.New("eAUSF evidence verified as the eUDM's")
+	}
+	fmt.Printf("eAUSF evidence rejected as the eUDM's: %v\n", err)
 
 	// 2. Secret sealing: the home-network private key is sealed to the
 	//    verified enclave identity and shipped with the image.

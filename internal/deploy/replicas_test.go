@@ -349,12 +349,13 @@ func TestReplicaKeyStoresShareTheSUPIString(t *testing.T) {
 		provisionUE(t, s, msin)
 		want[i] = supiString(msin)
 	}
-	identity := s.Shards[0].Modules[paka.EUDM].Enclave().Measurement()
+	identity := s.Reference(paka.EUDM)
 	for _, shard := range s.Shards {
-		enc := shard.Modules[paka.EUDM].Enclave()
-		if enc.Measurement() != identity {
-			t.Fatalf("shard %d eUDM measures %x, shard 0 %x", shard.Index, enc.Measurement(), identity)
+		ev, err := shard.Modules[paka.EUDM].Evidence([64]byte{})
+		if err != nil || ev.Measurement != identity {
+			t.Fatalf("shard %d eUDM attests %x (%v), want the slice's reference %x", shard.Index, ev.Measurement, err, identity)
 		}
+		enc := shard.Modules[paka.EUDM].Enclave()
 		if got := sortedNames(enc.Backups()); !slices.Equal(got, want) {
 			t.Fatalf("platform holds backups for %v, want one per provisioned SUPI %v", got, want)
 		}

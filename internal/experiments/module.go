@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/hmee/sev"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
@@ -45,19 +46,16 @@ const (
 func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, opts rigOptions) (*rig, error) {
 	env := costmodel.NewEnv(nil, seed)
 	registry := sbi.NewRegistry()
-	var platform *sgx.Platform
-	if opts.isolation == paka.SGX {
-		var err error
-		platform, err = sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
-		if err != nil {
-			return nil, err
-		}
+	platform, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
+	if err != nil {
+		return nil, err
 	}
 	m, err := paka.New(ctx, paka.Config{
 		Kind:             kind,
 		Isolation:        opts.isolation,
 		Env:              env,
 		Platform:         platform,
+		SEVHost:          sev.NewPlatform(),
 		Registry:         registry,
 		EnclaveSizeBytes: opts.enclaveSize,
 		MaxThreads:       opts.maxThreads,

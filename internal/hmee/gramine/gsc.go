@@ -2,7 +2,6 @@ package gramine
 
 import (
 	"crypto/ed25519"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,10 +9,6 @@ import (
 
 	"shield5g/internal/hmee/sgx"
 )
-
-// GSCVersion is the Gramine Shielded Containers release the paper builds
-// with.
-const GSCVersion = "v1.4-1-ga60a499"
 
 // ContainerImage describes a Docker image to be transformed by GSC: its
 // name and the files in its root filesystem.
@@ -44,7 +39,7 @@ func excluded(path string) bool {
 
 // ShieldedImage is the output of the GSC build: the original image, the
 // completed manifest with the image's files appended to the trusted list,
-// and the signer's SIGSTRUCT-style signature over the enclave identity.
+// and the signer's SIGSTRUCT-style signature over the enclave measurement.
 type ShieldedImage struct {
 	Image     ContainerImage
 	Manifest  Manifest
@@ -54,7 +49,7 @@ type ShieldedImage struct {
 
 // BuildShielded transforms a container image into a shielded image the way
 // `gsc build` plus `gsc sign-image` do: append the image's measurable files
-// to the manifest's trusted list, then sign the resulting identity with the
+// to the manifest's trusted list, then sign the resulting measurement with the
 // user-provided key.
 func BuildShielded(img ContainerImage, manifest *Manifest, signKey ed25519.PrivateKey) (*ShieldedImage, error) {
 	if manifest == nil {
@@ -88,26 +83,15 @@ func BuildShielded(img ContainerImage, manifest *Manifest, signKey ed25519.Priva
 		Manifest: out,
 		Signer:   signKey.Public().(ed25519.PublicKey),
 	}
-	si.Signature = ed25519.Sign(signKey, si.identityDigest())
+	si.Signature = ed25519.Sign(signKey, si.measurement())
 	return si, nil
 }
 
-// identityDigest hashes everything that defines the enclave identity.
-func (si *ShieldedImage) identityDigest() []byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "gsc:%s:image=%s:size=%d:threads=%d:preheat=%v",
-		GSCVersion, si.Image.Name, si.Manifest.EnclaveSizeBytes,
-		si.Manifest.MaxThreads, si.Manifest.PreheatEnclave)
-	if si.Manifest.SwitchlessECalls {
-		// Folded only when enabled: a switchless-off image keeps the
-		// identity (and sealed data bound to it) it had before the ring
-		// existed.
-		fmt.Fprintf(h, ":switchless=true")
-	}
-	for _, f := range si.Manifest.TrustedFiles {
-		fmt.Fprintf(h, "%s:%d;", f.URI, f.Size)
-	}
-	return h.Sum(nil)
+// measurement is the MRENCLAVE the image's enclave will report, which the
+// signature covers the way SIGSTRUCT covers ENCLAVEHASH.
+func (si *ShieldedImage) measurement() []byte {
+	m := sgx.Measure(si.EnclaveConfig())
+	return m[:]
 }
 
 // Verify checks the image signature against its embedded signer key.
@@ -115,7 +99,7 @@ func (si *ShieldedImage) Verify() error {
 	if len(si.Signer) != ed25519.PublicKeySize {
 		return errors.New("gramine: shielded image has no signer")
 	}
-	if !ed25519.Verify(si.Signer, si.identityDigest(), si.Signature) {
+	if !ed25519.Verify(si.Signer, si.measurement(), si.Signature) {
 		return errors.New("gramine: shielded image signature invalid")
 	}
 	return nil

@@ -4,10 +4,11 @@
 // through, the handler itself, the phases of the modelled HTTPS server
 // path, its syscall census, the one walk of that path every backend prices
 // (Walk over a Surface), the one verb that crosses into a backend
-// (Crossing), and the latency windows of one served request. It also holds the backend that needs no hardware:
-// the guest Process, which is the plain container and — at another price
-// list — the inside of a confidential VM. It is a leaf: backends import
-// it, it imports none of them.
+// (Crossing), the latency windows of one served request, and the one
+// attestation evidence both TEEs produce (Evidence). It also holds the
+// backend that needs no hardware: the guest Process, which is the plain
+// container and — at another price list — the inside of a confidential
+// VM. It is a leaf: backends import it, it imports none of them.
 package hmee
 
 import (

@@ -1,74 +1,43 @@
 package sgx
 
 import (
-	"crypto/ed25519"
-	"encoding/json"
-	"errors"
+	"crypto/sha256"
 	"fmt"
+
+	"shield5g/internal/hmee"
 )
 
-// Attestation errors.
-var (
-	// ErrQuoteSignature reports a quote whose platform signature does
-	// not verify.
-	ErrQuoteSignature = errors.New("sgx: quote signature invalid")
-	// ErrMeasurementMismatch reports a verified quote for an unexpected
-	// enclave identity.
-	ErrMeasurementMismatch = errors.New("sgx: enclave measurement mismatch")
-)
-
-// Report is the enclave-produced attestation evidence: its identity and
-// 64 bytes of caller data (typically a key-exchange transcript hash).
-type Report struct {
-	EnclaveName string   `json:"enclave_name"`
-	Measurement [32]byte `json:"measurement"`
-	ReportData  [64]byte `json:"report_data"`
+// Measure is the MRENCLAVE an enclave built from cfg reports: the
+// configuration and every trusted file, hashed in order the way
+// EADD/EEXTEND fold page contents into the measurement. It is a pure
+// function of the build recipe, so a verifier derives the reference value
+// from what it built and a signer signs it as SIGSTRUCT signs ENCLAVEHASH.
+func Measure(cfg EnclaveConfig) [32]byte {
+	h := sha256.New()
+	fmt.Fprintf(h, "enclave:%s:size=%d:threads=%d:preheat=%v",
+		cfg.Name, cfg.SizeBytes, cfg.MaxThreads, cfg.Preheat)
+	if cfg.Switchless {
+		// Folded only when enabled so that switchless-off enclaves keep
+		// the identities sealed data and goldens were produced under.
+		fmt.Fprintf(h, ":switchless=true")
+	}
+	for _, f := range cfg.TrustedFiles {
+		d := f.digest()
+		h.Write(d[:])
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }
 
-// Quote is a Report signed by the platform quoting key — the analogue of
-// an SGX quote signed by the Quoting Enclave's attestation key.
-type Quote struct {
-	Report    Report `json:"report"`
-	Signature []byte `json:"signature"`
-}
-
-// GenerateQuote produces a signed quote binding reportData to the
-// enclave's measurement. A remote party verifying the quote learns that
-// exactly this code, on a genuine (simulated) platform, produced the data.
-func (e *Enclave) GenerateQuote(reportData [64]byte) (*Quote, error) {
+// GenerateQuote produces the enclave's attestation evidence: its
+// measurement and reportData, signed by the platform quoting key (the
+// Quoting Enclave's attestation key). A verifier holding the platform's
+// public key learns that exactly this code, on a genuine (simulated)
+// platform, produced the data.
+func (e *Enclave) GenerateQuote(reportData [64]byte) (hmee.Evidence, error) {
 	if err := e.live(); err != nil {
-		return nil, err
+		return hmee.Evidence{}, err
 	}
-	r := Report{
-		EnclaveName: e.cfg.Name,
-		Measurement: e.measurement,
-		ReportData:  reportData,
-	}
-	msg, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("sgx: marshal report: %w", err)
-	}
-	return &Quote{Report: r, Signature: ed25519.Sign(e.platform.qePriv, msg)}, nil
-}
-
-// VerifyQuote checks the quote against the platform's quoting public key
-// (pinned out of band, standing in for the Intel attestation service) and,
-// when expectedMeasurement is non-nil, against the expected enclave
-// identity.
-func VerifyQuote(qePub ed25519.PublicKey, q *Quote, expectedMeasurement *[32]byte) error {
-	if q == nil {
-		return errors.New("sgx: nil quote")
-	}
-	msg, err := json.Marshal(q.Report)
-	if err != nil {
-		return fmt.Errorf("sgx: marshal report: %w", err)
-	}
-	if !ed25519.Verify(qePub, msg, q.Signature) {
-		return ErrQuoteSignature
-	}
-	if expectedMeasurement != nil && q.Report.Measurement != *expectedMeasurement {
-		return fmt.Errorf("%w: got %x, want %x",
-			ErrMeasurementMismatch, q.Report.Measurement[:8], expectedMeasurement[:8])
-	}
-	return nil
+	return hmee.SignEvidence(e.platform.qePriv, e.measurement, reportData), nil
 }

@@ -75,14 +75,14 @@ func BenchmarkGenerateVerifyQuote(b *testing.B) {
 	}
 	defer e.Destroy()
 	var data [64]byte
-	m := e.Measurement()
+	m := e.measurement
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q, err := e.GenerateQuote(data)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := VerifyQuote(p.QuotingPublicKey(), q, &m); err != nil {
+		if err := q.Verify(p.QuotingPublicKey(), m, data); err != nil {
 			b.Fatal(err)
 		}
 	}

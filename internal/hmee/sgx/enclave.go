@@ -120,23 +120,11 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 	}
 	e.state.Store(int32(StateBuilt))
 
-	// Measurement: hash the configuration and every trusted file, in
-	// order, the way EADD/EEXTEND folds page contents into MRENCLAVE.
-	h := sha256.New()
-	fmt.Fprintf(h, "enclave:%s:size=%d:threads=%d:preheat=%v",
-		cfg.Name, cfg.SizeBytes, cfg.MaxThreads, cfg.Preheat)
-	if cfg.Switchless {
-		// Folded only when enabled so that switchless-off enclaves keep
-		// the identities sealed data and goldens were produced under.
-		fmt.Fprintf(h, ":switchless=true")
-	}
+	e.measurement = Measure(cfg)
 	var fileBytes uint64
 	for _, f := range cfg.TrustedFiles {
-		d := f.digest()
-		h.Write(d[:])
 		fileBytes += f.Size
 	}
-	copy(e.measurement[:], h.Sum(nil))
 	e.seal = e.newSealAEAD()
 
 	// Load cost: per-page EADD+EEXTEND over the committed size, trusted
@@ -186,9 +174,6 @@ func (e *Enclave) Config() EnclaveConfig {
 	cfg.TrustedFiles = append([]MeasuredFile(nil), e.cfg.TrustedFiles...)
 	return cfg
 }
-
-// Measurement returns the MRENCLAVE-style identity hash.
-func (e *Enclave) Measurement() [32]byte { return e.measurement }
 
 // LoadCycles reports the cycles charged to build and initialize the
 // enclave.

@@ -60,9 +60,6 @@ type PlatformConfig struct {
 	EPCCapacityBytes uint64
 	// Seed makes all platform jitter reproducible.
 	Seed uint64
-	// Entropy overrides the randomness source for key generation; nil
-	// selects crypto/rand. Deterministic sources are for tests only.
-	Entropy io.Reader
 }
 
 // DefaultEPCCapacity mirrors the paper's 16 GiB combined EPC.
@@ -73,11 +70,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 	if cfg.EPCCapacityBytes == 0 {
 		cfg.EPCCapacityBytes = DefaultEPCCapacity
 	}
-	entropy := cfg.Entropy
-	if entropy == nil {
-		entropy = rand.Reader
-	}
-	pub, priv, err := ed25519.GenerateKey(entropy)
+	pub, priv, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
 		return nil, fmt.Errorf("sgx: generate quoting key: %w", err)
 	}
@@ -89,7 +82,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		enclaves:    make(map[uint64]*Enclave),
 		backups:     make(map[[32]byte]map[string][]byte),
 	}
-	if _, err := io.ReadFull(entropy, p.sealRoot[:]); err != nil {
+	if _, err := io.ReadFull(rand.Reader, p.sealRoot[:]); err != nil {
 		return nil, fmt.Errorf("sgx: generate sealing root: %w", err)
 	}
 	return p, nil

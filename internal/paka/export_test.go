@@ -5,7 +5,19 @@ import (
 	"sync"
 
 	"shield5g/internal/hmee"
+	"shield5g/internal/hmee/gramine"
 )
+
+// launchSGX launches the module cfg describes in an enclave, the way New
+// does under SGX.
+func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Instance, error) {
+	cfg.Isolation = SGX
+	rt, err := launch(ctx, cfg, profile)
+	if err != nil {
+		return nil, err
+	}
+	return rt.(*gramine.Instance), nil
+}
 
 // loadedKeys is a module runtime that records every secret its handlers
 // load: the very array LoadSecret filled for them, so a test can read what

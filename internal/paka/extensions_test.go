@@ -94,7 +94,15 @@ func TestUserTCPModuleCutsSyscallsGrowsTCB(t *testing.T) {
 		t.Fatalf("user TCP TCB %d not above baseline %d", tcp.TCBBytes(), base.TCBBytes())
 	}
 	// The extra libraries change the enclave identity.
-	if tcp.Enclave().Measurement() == base.Enclave().Measurement() {
+	tcpEv, err := tcp.Evidence([64]byte{})
+	if err != nil {
+		t.Fatalf("Evidence: %v", err)
+	}
+	baseEv, err := base.Evidence([64]byte{})
+	if err != nil {
+		t.Fatalf("Evidence: %v", err)
+	}
+	if tcpEv.Measurement == baseEv.Measurement {
 		t.Fatal("user TCP variant has identical measurement")
 	}
 }

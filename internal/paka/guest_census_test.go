@@ -41,7 +41,7 @@ func guestLaunch(t *testing.T, backend string, env *costmodel.Env) (guestRuntime
 		p := hmee.NewProcess(env, hmee.ContainerPrices())
 		return p, p.VMExits
 	case "sev":
-		m, err := sev.Launch(context.Background(), env, sev.Config{Name: "eudm-vm", AppImageBytes: 2_620_000_000})
+		m, err := sev.NewPlatform().Launch(context.Background(), env, sev.Config{Name: "eudm-vm", AppImageBytes: 2_620_000_000})
 		if err != nil {
 			t.Fatalf("launch sev: %v", err)
 		}

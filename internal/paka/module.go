@@ -31,6 +31,8 @@ type Config struct {
 	Env *costmodel.Env
 	// Platform is the SGX host; required when Isolation is SGX.
 	Platform *sgx.Platform
+	// SEVHost is the SEV-SNP host; required when Isolation is SEV.
+	SEVHost *sev.Platform
 	// Registry is where the module's SBI server registers.
 	Registry *sbi.Registry
 
@@ -154,10 +156,10 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 	return m, nil
 }
 
-// launchSGX builds the module's shielded image from its config — New has
-// resolved cfg.SignKey — and boots it: how a request then crosses the
+// shieldedImage builds the module's GSC image from its config, signed
+// with cfg.SignKey (New resolves it). How a request then crosses the
 // enclave boundary is gramine's decision, not this layer's.
-func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Instance, error) {
+func shieldedImage(cfg Config, profile Profile) (*gramine.ShieldedImage, error) {
 	manifest := gramine.DefaultManifest("/app/" + cfg.Kind.ServiceName())
 	if cfg.EnclaveSizeBytes != 0 {
 		manifest.EnclaveSizeBytes = cfg.EnclaveSizeBytes
@@ -175,16 +177,11 @@ func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Insta
 		// refills ride the ring — so the three never need two slots.
 		manifest.MaxThreads = max(manifest.MaxThreads, gramine.HelperThreads+2)
 	}
-
 	si, err := gramine.BuildShielded(moduleImage(cfg.Kind, profile, cfg.UserLevelTCP), manifest, cfg.SignKey)
 	if err != nil {
 		return nil, fmt.Errorf("paka: GSC build: %w", err)
 	}
-	var opts []gramine.LaunchOption
-	if cfg.UserLevelTCP {
-		opts = append(opts, gramine.WithSyscallProfile(hmee.UserTCPSyscallProfile()))
-	}
-	return gramine.Launch(ctx, cfg.Platform, si, opts...)
+	return si, nil
 }
 
 // moduleImage synthesises the module's container image: the paper's images
@@ -503,11 +500,16 @@ func (m *Module) TCBBytes() uint64 {
 	return m.profile.ImageBytes + HostTCBBytes
 }
 
-// Machine exposes the module's confidential VM; nil when not
-// SEV-isolated.
-func (m *Module) Machine() *sev.Machine {
-	machine, _ := m.rt().(*sev.Machine)
-	return machine
+// Evidence is the module's attestation evidence over nonce: its enclave's
+// quote under SGX, its VM's SNP report under SEV. A container has none.
+func (m *Module) Evidence(nonce [64]byte) (hmee.Evidence, error) {
+	switch rt := m.rt().(type) {
+	case *gramine.Instance:
+		return rt.Enclave().GenerateQuote(nonce)
+	case *sev.Machine:
+		return rt.GenerateReport(nonce)
+	}
+	return hmee.Evidence{}, fmt.Errorf("paka: %s under %s produces no attestation evidence", m.kind, m.isolation)
 }
 
 // instance is the module's shielded container; nil when not SGX-isolated.

@@ -9,6 +9,7 @@ import (
 	"shield5g/internal/costmodel"
 	"shield5g/internal/crypto/kdf"
 	"shield5g/internal/crypto/milenage"
+	"shield5g/internal/hmee/sev"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/sbi"
 )
@@ -180,6 +181,7 @@ func TestDeriveSEAndKAMFChain(t *testing.T) {
 type harness struct {
 	env      *costmodel.Env
 	platform *sgx.Platform
+	sevHost  *sev.Platform
 	registry *sbi.Registry
 	client   *sbi.Client
 }
@@ -195,6 +197,7 @@ func newHarness(t *testing.T, seed uint64) *harness {
 	return &harness{
 		env:      env,
 		platform: p,
+		sevHost:  sev.NewPlatform(),
 		registry: reg,
 		client:   sbi.NewClient("udm", env, reg),
 	}
@@ -207,6 +210,7 @@ func (h *harness) module(t *testing.T, kind ModuleKind, iso Isolation) *Module {
 		Isolation: iso,
 		Env:       h.env,
 		Platform:  h.platform,
+		SEVHost:   h.sevHost,
 		Registry:  h.registry,
 	})
 	if err != nil {
@@ -229,6 +233,9 @@ func TestModuleConfigValidation(t *testing.T) {
 	}
 	if _, err := New(context.Background(), Config{Kind: EUDM, Isolation: SGX, Env: h.env, Registry: h.registry}); err == nil {
 		t.Fatal("SGX without platform accepted")
+	}
+	if _, err := New(context.Background(), Config{Kind: EUDM, Isolation: SEV, Env: h.env, Registry: h.registry}); err == nil {
+		t.Fatal("SEV without host accepted")
 	}
 	if _, err := New(context.Background(), Config{Kind: EUDM, Env: h.env, Registry: h.registry}); err == nil {
 		t.Fatal("module without an isolation mode accepted")

@@ -169,7 +169,7 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 		t.Run(iso.String(), func(t *testing.T) {
 			h := newHarness(t, uint64(80+i))
 			// The refill's batch crossing needs a spare TCS under SGX.
-			m, err := New(ctx, Config{Kind: EUDM, Isolation: iso, Env: h.env, Platform: h.platform, Registry: h.registry, ReserveBatchTCS: true})
+			m, err := New(ctx, Config{Kind: EUDM, Isolation: iso, Env: h.env, Platform: h.platform, SEVHost: h.sevHost, Registry: h.registry, ReserveBatchTCS: true})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}

@@ -19,7 +19,6 @@ package shield5g
 
 import (
 	"context"
-	"crypto/ed25519"
 	"fmt"
 	"sync/atomic"
 
@@ -29,6 +28,7 @@ import (
 	"shield5g/internal/deploy"
 	"shield5g/internal/experiments"
 	"shield5g/internal/gnb"
+	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/keyissues"
 	"shield5g/internal/paka"
@@ -245,14 +245,10 @@ type Module = paka.Module
 // introspection).
 type Enclave = sgx.Enclave
 
-// Quote is an attestation quote signed by the platform quoting key.
-type Quote = sgx.Quote
-
-// VerifyQuote checks an attestation quote against the platform's quoting
-// public key and, optionally, an expected enclave measurement.
-func VerifyQuote(qePub ed25519.PublicKey, q *Quote, expectedMeasurement *[32]byte) error {
-	return sgx.VerifyQuote(qePub, q, expectedMeasurement)
-}
+// Evidence is a TEE's attestation evidence — an SGX quote or an SNP report
+// — signed by its platform's root key; Evidence.Verify checks it against
+// that key, a reference identity and the verifier's nonce.
+type Evidence = hmee.Evidence
 
 // ErrUnseal reports sealed data that the unsealing enclave cannot open.
 var ErrUnseal = sgx.ErrUnseal

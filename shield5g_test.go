@@ -160,13 +160,13 @@ func TestPublicAttestationSurface(t *testing.T) {
 	defer tb.Close()
 
 	enclave := tb.Slice.Modules[shield5g.EUDM].Enclave()
-	q, err := enclave.GenerateQuote([64]byte{1})
+	var ev shield5g.Evidence
+	ev, err = enclave.GenerateQuote([64]byte{1})
 	if err != nil {
 		t.Fatalf("GenerateQuote: %v", err)
 	}
-	m := enclave.Measurement()
-	if err := shield5g.VerifyQuote(tb.Slice.Platform.QuotingPublicKey(), q, &m); err != nil {
-		t.Fatalf("VerifyQuote: %v", err)
+	if err := ev.Verify(tb.Slice.Platform.QuotingPublicKey(), tb.Slice.Reference(shield5g.EUDM), [64]byte{1}); err != nil {
+		t.Fatalf("Verify: %v", err)
 	}
 }
 
