@@ -8,8 +8,9 @@ package ausf
 import (
 	"context"
 	"crypto/hmac"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -204,10 +205,14 @@ func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string
 		return nil, err
 	}
 
-	// Assembled in stack scratch so the ID costs exactly one string
-	// allocation (Sprintf boxed the counter and built two strings).
+	// The ID is the counter as 16 hex digits: fixed width, so its length —
+	// and every message and charge that carries it — does not depend on
+	// the order in which concurrent registrations reach the counter.
+	// Assembled in stack scratch (8 raw bytes, then their hex) so it costs
+	// exactly one string allocation.
 	var idBuf [24]byte
-	ctxID := string(strconv.AppendUint(append(idBuf[:0], "authctx-"...), a.nextID.Add(1), 10))
+	raw := binary.BigEndian.AppendUint64(idBuf[:0], a.nextID.Add(1))
+	ctxID := string(hex.AppendEncode(idBuf[8:8], raw))
 	a.sessions.Store(ctxID, &session{
 		supi:     he.SUPI,
 		snn:      snn,
