@@ -65,7 +65,8 @@ loc:
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
 # opens a PDU session and echoes data (it exits non-zero on any failure);
-# seven gnbsim smokes drive the storm replay (unsharded, and on four
+# the three examples run end to end (the attestation one also shows the
+# slice refusing the eAUSF's evidence as the eUDM's); seven gnbsim smokes drive the storm replay (unsharded, and on four
 # shards, whose admission line is the fleet's sum), the sharded core, the ring
 # under four workers, the SEV guest (the one backend no bench workload
 # deploys), chaos on two shards (crashes reach replica 1's modules under
@@ -83,6 +84,7 @@ ci: build
 	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration' . ./internal/experiments ./internal/nas ./internal/deploy
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
+	$(MAKE) examples
 	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
 	$(GO) run ./cmd/gnbsim -n 400 -storm 10 -limiter -seed 7 -shards 4
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
