@@ -21,6 +21,7 @@ package hashpool
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"hash"
 	"sync"
 )
@@ -62,11 +63,20 @@ func (m *HMAC) SetKey(key []byte) {
 	} else {
 		copy(k[:], key)
 	}
-	for i := range k {
-		m.ipad[i] = k[i] ^ 0x36
-		m.opad[i] = k[i] ^ 0x5c
-	}
+	subtle.XORBytes(m.ipad[:], k[:], ipadBlock[:])
+	subtle.XORBytes(m.opad[:], k[:], opadBlock[:])
 	m.Reset()
+}
+
+// ipadBlock and opadBlock are the HMAC pad bytes (FIPS 198-1) over a
+// whole block, so SetKey builds each pad in one word-wide XOR.
+var ipadBlock, opadBlock = padBlock(0x36), padBlock(0x5c)
+
+func padBlock(c byte) (b [sha256.BlockSize]byte) {
+	for i := range b {
+		b[i] = c
+	}
+	return b
 }
 
 // Reset restarts the MAC computation, keeping the current key.

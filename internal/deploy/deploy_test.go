@@ -464,6 +464,35 @@ func TestReRegistrationKeepsOneAMFContext(t *testing.T) {
 	}
 }
 
+// TestFastPathReRegistrationReleasesEveryBody: fast-path GUTI
+// re-registrations (SGX, AV pool 8, binary SBI), through an AV pool refill
+// and the pooled responses of every hop, leave no SBI body outstanding.
+// The count is the body-pool audit's, which is on in -race builds only, so
+// the test runs in make ci's -race pass and skips elsewhere.
+func TestFastPathReRegistrationReleasesEveryBody(t *testing.T) {
+	if !raceEnabled {
+		t.Skip("the body-pool audit (sbi.OutstandingBodies) counts only under -race")
+	}
+	ctx := context.Background()
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 44, AVPoolDepth: 8, BinarySBI: true})
+	device := provisionUE(t, s, "0000000044")
+	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+		t.Fatalf("RegisterUE: %v", err)
+	}
+	refills := s.AVPoolStats().Refills
+	for i := 0; i < 10; i++ {
+		if _, err := s.GNB.ReRegisterUE(ctx, device); err != nil {
+			t.Fatalf("ReRegisterUE %d: %v", i, err)
+		}
+	}
+	if s.AVPoolStats().Refills == refills {
+		t.Fatal("ten re-registrations ran no AV pool refill")
+	}
+	if n := sbi.OutstandingBodies(); n != 0 {
+		t.Fatalf("%d SBI bodies outstanding after the re-registrations, want 0", n)
+	}
+}
+
 func TestReRegistrationRequiresPriorGUTI(t *testing.T) {
 	s := newTestSlice(t, paka.Container)
 	device := provisionUE(t, s, "0000000043")

@@ -15,8 +15,9 @@ import (
 
 // coreBytesPerUEBudget bounds what one registered UE adds to the live heap
 // of a slice: its AMF context and NAS security context, the 80-byte AV
-// record its first contact banks and its GUTI binding. It measures 432 B
-// (go1.24, amd64); the bound is that plus 25 %. While the latency
+// record its first contact banks and its GUTI binding. It measures 419 B
+// (go1.24, amd64; 432 B while the AMF held RAND and HXRES* as slices); the
+// bound is 432 B plus 25 %. While the latency
 // recorders kept every sample and the AV pool banked whole response
 // structs, it measured 565 B; while the eUDM cached a MILENAGE schedule
 // per subscriber and an idle NAS context kept its AES schedule, 1 765 B.

@@ -103,8 +103,10 @@ func (r *rig) invoke(ctx context.Context) (time.Duration, error) {
 			RAND: r.av.RAND, XRESStar: r.av.XRESStar, KAUSF: r.av.KAUSF, SNN: rigSNN,
 		}, &paka.AUSFDeriveSEResponse{})
 	case paka.EAMF:
+		// K_AUSF stands in for K_SEAF: any 32 bytes but zero, which
+		// travels as null and would shorten the modelled request.
 		err = r.client.Post(ctx, r.kind.ServiceName(), paka.PathAMFDeriveKAMF, &paka.AMFDeriveKAMFRequest{
-			KSEAF: make([]byte, 32), SUPI: rigSUPI, ABBA: []byte{0, 0},
+			KSEAF: r.av.KAUSF, SUPI: rigSUPI, ABBA: []byte{0, 0},
 		}, &paka.AMFDeriveKAMFResponse{})
 	}
 	return r.env.Model.Duration(acct.Total()), err

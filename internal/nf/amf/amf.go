@@ -62,8 +62,8 @@ type ueContext struct {
 	state     atomic.Int32 // holds a ueState
 	supi      string
 	authCtxID string
-	rand      []byte
-	hxresStar []byte
+	rand      [16]byte
+	hxresStar [16]byte
 	sec       *nas.SecurityContext
 	guti      nas.GUTI
 	// prevTMSI is the TMSI a mobility registration arrived with (0: none,
@@ -83,8 +83,8 @@ type ueContext struct {
 	pduSession byte
 	teid       uint32
 	// prio is the admission class assigned at InitialUEMessage; follow-up
-	// NAS rounds re-stamp it so downstream throttles keep exempting
-	// emergency traffic mid-procedure.
+	// NAS rounds that reach the SBI re-stamp it so downstream throttles
+	// keep exempting emergency traffic mid-procedure.
 	prio sbi.Priority
 }
 
@@ -306,27 +306,26 @@ func classify(rr *nas.RegistrationRequest) sbi.Priority {
 }
 
 func (a *AMF) challenge(auth *ausf.AuthenticateResponse) ([]byte, error) {
-	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: abba()}
-	copy(req.RAND[:], auth.RAND)
-	copy(req.AUTN[:], auth.AUTN)
+	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: abba(), RAND: auth.RAND, AUTN: auth.AUTN}
 	return nas.Encode(req)
 }
 
 // HandleUplinkNAS processes a subsequent uplink NAS message. A nil
 // downlink PDU with nil error means no response is due (for example after
-// RegistrationComplete).
+// RegistrationComplete). The UE's admission class is stamped on ctx only
+// for the rounds that post on the SBI: identity, authentication, PDU
+// session and deregistration.
 func (a *AMF) HandleUplinkNAS(ctx context.Context, ranUEID uint64, nasPDU []byte) ([]byte, error) {
 	ue, ok := a.ues.Load(ranUEID)
 	if !ok {
 		return nil, fmt.Errorf("amf: no UE context for RAN UE %d", ranUEID)
 	}
-	ctx = sbi.WithPriority(ctx, ue.prio)
 
 	switch ue.getState() {
 	case stateIdentifying:
-		return a.handleIdentifying(ctx, ue, nasPDU)
+		return a.handleIdentifying(sbi.WithPriority(ctx, ue.prio), ue, nasPDU)
 	case stateAuthenticating:
-		return a.handleAuthenticating(ctx, ranUEID, ue, nasPDU)
+		return a.handleAuthenticating(sbi.WithPriority(ctx, ue.prio), ranUEID, ue, nasPDU)
 	default:
 		return a.handleProtected(ctx, ranUEID, ue, nasPDU)
 	}
@@ -395,10 +394,10 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	// SEAF check: HXRES* == SHA-256(RAND || RES*) truncated.
 	// HRES* is compare-and-discard: compute it on the stack.
 	var hres [kdf.KeyLen128]byte
-	if err := kdf.HXResStarInto(hres[:], ue.rand, m.ResStar[:]); err != nil {
+	if err := kdf.HXResStarInto(hres[:], ue.rand[:], m.ResStar[:]); err != nil {
 		return nil, fmt.Errorf("amf: HRES* computation: %w", err)
 	}
-	if !hmac.Equal(hres[:], ue.hxresStar) {
+	if !hmac.Equal(hres[:], ue.hxresStar[:]) {
 		return a.reject(ue)
 	}
 	// Outbound request structs are pooled: the client stubs marshal them
@@ -437,7 +436,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	if err != nil {
 		return nil, err
 	}
-	sec, err := nas.NewSecurityContext(kamf.KAMF)
+	sec, err := nas.NewSecurityContext(kamf.KAMF[:])
 	if err != nil {
 		return nil, fmt.Errorf("amf: NAS security context: %w", err)
 	}
@@ -445,7 +444,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	ue.setState(stateSecuring)
 	// AKA is over: the challenge and the request it answered are never
 	// read again (re-auth and resync only run before this point).
-	ue.authCtxID, ue.rand, ue.hxresStar, ue.pendingAuth = "", nil, nil, nil
+	ue.authCtxID, ue.rand, ue.hxresStar, ue.pendingAuth = "", [16]byte{}, [16]byte{}, nil
 
 	return sec.Protect(&nas.SecurityModeCommand{
 		NgKSI:        0,
@@ -521,7 +520,7 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		if ue.getState() != stateRegistered {
 			return nil, fmt.Errorf("amf: PDU session request before registration completes")
 		}
-		sess, err := a.smf.CreateSession(ctx, &smf.CreateSessionRequest{
+		sess, err := a.smf.CreateSession(sbi.WithPriority(ctx, ue.prio), &smf.CreateSessionRequest{
 			SUPI:      ue.supi,
 			SessionID: m.SessionID,
 			DNN:       m.DNN,
@@ -539,7 +538,7 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 
 	case *nas.DeregistrationRequest:
 		if ue.teid != 0 {
-			if err := a.smf.ReleaseSession(ctx, &smf.ReleaseSessionRequest{
+			if err := a.smf.ReleaseSession(sbi.WithPriority(ctx, ue.prio), &smf.ReleaseSessionRequest{
 				SUPI: ue.supi, SessionID: ue.pduSession,
 			}); err != nil {
 				return nil, fmt.Errorf("amf: release PDU session %d: %w", ue.pduSession, err)

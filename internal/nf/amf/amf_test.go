@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"encoding/base64"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"shield5g/internal/nf/upf"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/ue"
 )
 
@@ -277,6 +280,37 @@ func TestInitialUERejectsGarbage(t *testing.T) {
 	}
 	if _, err := h.amf.HandleInitialUE(ctx, 1, pdu); err == nil {
 		t.Fatal("non-registration initial message accepted")
+	}
+}
+
+// TestWrongLengthRANDFailsAtDecode: an AUSF that answers with a 15-byte
+// RAND fails the registration where its answer is decoded, and no NAS PDU
+// reaches the UE. A RAND of the wrong length used to be zero-padded into
+// the AuthenticationRequest and fail only at completeAuth, one UE round
+// trip later.
+func TestWrongLengthRANDFailsAtDecode(t *testing.T) {
+	h := newHarness(t)
+	b64 := func(n int) string { return base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{0x5a}, n)) }
+	answer := fmt.Sprintf(`{"auth_ctx_id":"0000000000000001","rand":%q,"autn":%q,"hxres_star":%q}`, b64(15), b64(16), b64(16))
+	stub := sbi.NewServer(ausf.ServiceName, nil)
+	stub.HandleDual(ausf.PathAuthenticate, func(context.Context, []byte) ([]byte, error) {
+		return []byte(answer), nil
+	})
+	h.reg.Deregister(ausf.ServiceName)
+	if err := h.reg.Register(stub); err != nil {
+		t.Fatalf("Register stub AUSF: %v", err)
+	}
+
+	up, err := h.device(t).BuildRegistrationRequest(context.Background(), h.amf.ServingNetworkName())
+	if err != nil {
+		t.Fatalf("BuildRegistrationRequest: %v", err)
+	}
+	down, err := h.amf.HandleInitialUE(context.Background(), 1, up)
+	if !errors.Is(err, codec.ErrFieldLength) {
+		t.Fatalf("HandleInitialUE error = %v, want a decode error (codec.ErrFieldLength)", err)
+	}
+	if down != nil {
+		t.Fatalf("HandleInitialUE emitted a %d-byte NAS PDU for an undecodable challenge", len(down))
 	}
 }
 

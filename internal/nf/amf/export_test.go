@@ -22,10 +22,10 @@ func (a *AMF) AKAState(ranUEID uint64) (held []string, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	if ue.rand != nil {
+	if ue.rand != [16]byte{} {
 		held = append(held, "rand")
 	}
-	if ue.hxresStar != nil {
+	if ue.hxresStar != [16]byte{} {
 		held = append(held, "hxresStar")
 	}
 	if ue.authCtxID != "" {

@@ -21,6 +21,7 @@ import (
 	"shield5g/internal/nf/udm"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/shard"
 )
 
@@ -47,10 +48,10 @@ type AuthenticateRequest struct {
 // AuthenticateResponse carries the SE AV material for the serving network:
 // RAND, AUTN and HXRES* (never XRES* itself).
 type AuthenticateResponse struct {
-	AuthCtxID string `json:"auth_ctx_id"`
-	RAND      []byte `json:"rand"`
-	AUTN      []byte `json:"autn"`
-	HXRESStar []byte `json:"hxres_star"`
+	AuthCtxID string        `json:"auth_ctx_id"`
+	RAND      codec.Bytes16 `json:"rand"`
+	AUTN      codec.Bytes16 `json:"autn"`
+	HXRESStar codec.Bytes16 `json:"hxres_star"`
 }
 
 // ConfirmRequest delivers the UE's RES* for home-network verification.
@@ -61,8 +62,8 @@ type ConfirmRequest struct {
 
 // ConfirmResponse releases the anchor key on success.
 type ConfirmResponse struct {
-	SUPI  string `json:"supi"`
-	KSEAF []byte `json:"kseaf"`
+	SUPI  string        `json:"supi"`
+	KSEAF codec.Bytes32 `json:"kseaf"`
 }
 
 // ResyncRequest forwards a UE synchronisation failure to the home network
@@ -76,9 +77,9 @@ type ResyncRequest struct {
 type session struct {
 	supi     string
 	snn      string
-	rand     []byte
-	xresStar []byte
-	kseaf    []byte
+	rand     [16]byte
+	xresStar [16]byte
+	kseaf    [32]byte
 	// created stamps the session on the virtual clock for TTL expiry.
 	created time.Duration
 }
@@ -156,9 +157,9 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 		fns:      cfg.Functions,
 		sessions: shard.NewString[*session](),
 	}
-	a.server.HandleDual(PathAuthenticate, sbi.BinHandler(a.handleAuthenticate))
-	a.server.HandleDual(PathConfirm, sbi.BinHandler(a.handleConfirm))
-	a.server.HandleDual(PathResync, sbi.BinHandler(a.handleResync))
+	a.server.HandleDual(PathAuthenticate, sbi.BinHandlerInto(a.handleAuthenticate))
+	a.server.HandleDual(PathConfirm, sbi.BinHandlerInto(a.handleConfirm))
+	a.server.HandleDual(PathResync, sbi.BinHandlerInto(a.handleResync))
 	if err := cfg.Registry.Register(a.server); err != nil {
 		return nil, err
 	}
@@ -170,11 +171,11 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 	return a, nil
 }
 
-func (a *AUSF) handleAuthenticate(ctx context.Context, req *AuthenticateRequest) (*AuthenticateResponse, error) {
+func (a *AUSF) handleAuthenticate(ctx context.Context, req *AuthenticateRequest, resp *AuthenticateResponse) error {
 	if req.ServingNetworkName == "" {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "serving network name required")
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "serving network name required")
 	}
-	return a.newChallenge(ctx, req.SUCI, req.SUPI, req.ServingNetworkName)
+	return a.newChallenge(ctx, req.SUCI, req.SUPI, req.ServingNetworkName, resp)
 }
 
 var (
@@ -182,10 +183,11 @@ var (
 	deriveSEReqPool = sync.Pool{New: func() any { return new(paka.AUSFDeriveSERequest) }}
 )
 
-// newChallenge fetches an HE AV and turns it into an SE AV session.
+// newChallenge fetches an HE AV, turns it into an SE AV session and
+// writes the challenge into resp.
 //
 //shieldlint:hotpath
-func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string) (*AuthenticateResponse, error) {
+func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string, resp *AuthenticateResponse) error {
 	// The outbound request structs are pooled: the client stubs marshal
 	// them synchronously and nothing downstream retains them.
 	greq := genAuthReqPool.Get().(*udm.GenerateAuthDataRequest)
@@ -194,7 +196,7 @@ func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string
 	*greq = udm.GenerateAuthDataRequest{}
 	genAuthReqPool.Put(greq)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sreq := deriveSEReqPool.Get().(*paka.AUSFDeriveSERequest)
 	sreq.RAND, sreq.XRESStar, sreq.KAUSF, sreq.SNN = he.RAND, he.XRESStar, he.KAUSF, snn
@@ -202,7 +204,7 @@ func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string
 	*sreq = paka.AUSFDeriveSERequest{}
 	deriveSEReqPool.Put(sreq)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	// The ID is the counter as 16 hex digits: fixed width, so its length —
@@ -225,39 +227,36 @@ func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string
 		a.SweepExpired()
 	}
 
-	return &AuthenticateResponse{
-		AuthCtxID: ctxID,
-		RAND:      he.RAND,
-		AUTN:      he.AUTN,
-		HXRESStar: se.HXRESStar,
-	}, nil
+	resp.AuthCtxID, resp.RAND, resp.AUTN, resp.HXRESStar = ctxID, he.RAND, he.AUTN, se.HXRESStar
+	return nil
 }
 
-func (a *AUSF) handleConfirm(_ context.Context, req *ConfirmRequest) (*ConfirmResponse, error) {
+func (a *AUSF) handleConfirm(_ context.Context, req *ConfirmRequest, resp *ConfirmResponse) error {
 	// One-shot redemption: lookup and consume must be a single atomic
 	// step so a replayed confirm can never race a successful one.
 	s, ok := a.sessions.LoadAndDelete(req.AuthCtxID)
 	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "CONTEXT_NOT_FOUND", "auth context %s", req.AuthCtxID)
+		return sbi.Problem(404, "Not Found", "CONTEXT_NOT_FOUND", "auth context %s", req.AuthCtxID)
 	}
 	// Home-network control of authentication: compare RES* with the
 	// stored XRES* (TS 33.501 §6.1.3.2).
-	if !hmac.Equal(req.ResStar, s.xresStar) {
-		return nil, sbi.Problem(403, "Forbidden", "AUTHENTICATION_REJECTED", "RES* mismatch for %s", s.supi)
+	if !hmac.Equal(req.ResStar, s.xresStar[:]) {
+		return sbi.Problem(403, "Forbidden", "AUTHENTICATION_REJECTED", "RES* mismatch for %s", s.supi)
 	}
-	return &ConfirmResponse{SUPI: s.supi, KSEAF: s.kseaf}, nil
+	resp.SUPI, resp.KSEAF = s.supi, s.kseaf
+	return nil
 }
 
-func (a *AUSF) handleResync(ctx context.Context, req *ResyncRequest) (*AuthenticateResponse, error) {
+func (a *AUSF) handleResync(ctx context.Context, req *ResyncRequest, resp *AuthenticateResponse) error {
 	s, ok := a.sessions.LoadAndDelete(req.AuthCtxID)
 	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "CONTEXT_NOT_FOUND", "auth context %s", req.AuthCtxID)
+		return sbi.Problem(404, "Not Found", "CONTEXT_NOT_FOUND", "auth context %s", req.AuthCtxID)
 	}
-	if err := a.udm.Resync(ctx, &udm.ResyncRequest{SUPI: s.supi, RAND: s.rand, AUTS: req.AUTS}); err != nil {
-		return nil, err
+	if err := a.udm.Resync(ctx, &udm.ResyncRequest{SUPI: s.supi, RAND: s.rand[:], AUTS: req.AUTS}); err != nil {
+		return err
 	}
 	// Fresh vector after the home network rebased the SQN.
-	return a.newChallenge(ctx, nil, s.supi, s.snn)
+	return a.newChallenge(ctx, nil, s.supi, s.snn, resp)
 }
 
 // PendingSessions reports in-flight authentications (tests/status).

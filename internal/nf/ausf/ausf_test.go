@@ -17,6 +17,7 @@ import (
 	"shield5g/internal/nf/udr"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 var (
@@ -127,17 +128,17 @@ func TestAuthenticateAndConfirm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authenticate: %v", err)
 	}
-	if len(auth.RAND) != 16 || len(auth.AUTN) != 16 || len(auth.HXRESStar) != 16 {
-		t.Fatal("SE AV sizes wrong")
+	if auth.RAND == (codec.Bytes16{}) || auth.AUTN == (codec.Bytes16{}) || auth.HXRESStar == (codec.Bytes16{}) {
+		t.Fatal("SE AV value missing")
 	}
 	if h.ausf.PendingSessions() != 1 {
 		t.Fatalf("PendingSessions = %d", h.ausf.PendingSessions())
 	}
 
 	// The SEAF can verify HXRES* = SHA-256(RAND||RES*) high bits.
-	resStar := h.ueResStar(t, auth.RAND)
-	sum := sha256.Sum256(append(append([]byte{}, auth.RAND...), resStar...))
-	if !bytes.Equal(sum[:16], auth.HXRESStar) {
+	resStar := h.ueResStar(t, auth.RAND[:])
+	sum := sha256.Sum256(append(auth.RAND[:], resStar...))
+	if !bytes.Equal(sum[:16], auth.HXRESStar[:]) {
 		t.Fatal("HXRES* does not match RES* hash")
 	}
 
@@ -199,7 +200,7 @@ func TestResyncIssuesFreshChallenge(t *testing.T) {
 
 	// Build a valid AUTS reporting SQN_MS = 0x300.
 	sqnMS := []byte{0, 0, 0, 0, 3, 0}
-	akStar, err := h.mil.F5Star(auth.RAND)
+	akStar, err := h.mil.F5Star(auth.RAND[:])
 	if err != nil {
 		t.Fatalf("F5Star: %v", err)
 	}
@@ -207,7 +208,7 @@ func TestResyncIssuesFreshChallenge(t *testing.T) {
 	for i := range concealed {
 		concealed[i] = sqnMS[i] ^ akStar[i]
 	}
-	macS, err := h.mil.F1Star(auth.RAND, sqnMS, []byte{0, 0})
+	macS, err := h.mil.F1Star(auth.RAND[:], sqnMS, []byte{0, 0})
 	if err != nil {
 		t.Fatalf("F1Star: %v", err)
 	}
@@ -216,7 +217,7 @@ func TestResyncIssuesFreshChallenge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
-	if bytes.Equal(fresh.RAND, auth.RAND) {
+	if fresh.RAND == auth.RAND {
 		t.Fatal("resync challenge reuses RAND")
 	}
 	if fresh.AuthCtxID == auth.AuthCtxID {
@@ -224,7 +225,7 @@ func TestResyncIssuesFreshChallenge(t *testing.T) {
 	}
 
 	// The fresh challenge completes.
-	resStar := h.ueResStar(t, fresh.RAND)
+	resStar := h.ueResStar(t, fresh.RAND[:])
 	if _, err := h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: fresh.AuthCtxID, ResStar: resStar}); err != nil {
 		t.Fatalf("Confirm after resync: %v", err)
 	}

@@ -15,9 +15,9 @@ func (m *AuthenticateRequest) Fields(f *codec.Fields) {
 // context.
 func (m *AuthenticateResponse) Fields(f *codec.Fields) {
 	f.String("auth_ctx_id", &m.AuthCtxID, 0)
-	f.Bytes("rand", &m.RAND, codec.Own)
-	f.Bytes("autn", &m.AUTN, codec.Own)
-	f.Bytes("hxres_star", &m.HXRESStar, codec.Own)
+	f.Fixed("rand", m.RAND[:])
+	f.Fixed("autn", m.AUTN[:])
+	f.Fixed("hxres_star", m.HXRESStar[:])
 }
 
 // Fields implements codec.Message (the handler only compares RES* within
@@ -30,7 +30,7 @@ func (m *ConfirmRequest) Fields(f *codec.Fields) {
 // Fields implements codec.Message: the serving network retains K_SEAF.
 func (m *ConfirmResponse) Fields(f *codec.Fields) {
 	f.String("supi", &m.SUPI, 0)
-	f.Bytes("kseaf", &m.KSEAF, codec.Own)
+	f.Fixed("kseaf", m.KSEAF[:])
 }
 
 // Fields implements codec.Message (AUTS is forwarded within the call).

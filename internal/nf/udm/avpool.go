@@ -10,13 +10,13 @@ import (
 )
 
 // avPool is the UDM's authentication-vector precomputation pool: a
-// per-SUPI FIFO ring of pre-generated HE AVs, each banked as one 80-byte
-// record in a ring allocated once per refill. A miss mints a batch
-// through one boundary crossing (GenerateAVBatch), serves the first vector
-// and banks the rest, so subsequent authentications for the SUPI skip the
-// enclave entirely. Every pooled vector was minted with its
-// own UDR-advanced SQN, and rings are FIFO, so consumption preserves
-// sequence-number order (TS 33.102 §6.3).
+// per-SUPI FIFO ring of pre-generated HE AVs, each banked as its 80-byte
+// response (the four fields in place) in a ring allocated once per
+// refill. A miss mints a batch through one boundary crossing
+// (GenerateAVBatch), serves the first vector and banks the rest, so
+// subsequent authentications for the SUPI skip the enclave entirely. Every
+// pooled vector was minted with its own UDR-advanced SQN, and rings are
+// FIFO, so consumption preserves sequence-number order (TS 33.102 §6.3).
 //
 // First contact banks one: a miss for a SUPI the pool has never minted
 // for mints min(2, depth) — the vector it serves and the one its next
@@ -33,7 +33,7 @@ type avPool struct {
 	depth int // ring capacity per SUPI, and vectors minted per steady-state refill
 
 	mu    sync.Mutex
-	rings map[string][]avRecord // key present: minted for before
+	rings map[string][]paka.UDMGenerateAVResponse // key present: minted for before
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -46,37 +46,28 @@ type avPool struct {
 func newAVPool(depth int) *avPool {
 	return &avPool{
 		depth: depth,
-		rings: make(map[string][]avRecord),
+		rings: make(map[string][]paka.UDMGenerateAVResponse),
 	}
 }
 
-// avRecord is one banked vector's four fields back to back in
-// paka.AVInto's layout: RAND‖AUTN‖XRES*‖K_AUSF.
-type avRecord [paka.AVBackingBytes]byte
-
-// servedAV is what take hands out: a copy of the banked record and the
-// response whose fields slice it, in one allocation, so the caller owns
-// the vector outright and never aliases the ring.
-type servedAV struct {
-	rec  avRecord
-	resp paka.UDMGenerateAVResponse
-}
-
-// take pops the oldest pooled vector for supi, counting the hit or miss.
-// On a miss it returns nil and how many vectors the refill should mint:
-// min(2, depth) on first contact, depth for a SUPI minted for before.
-func (p *avPool) take(supi string) (*paka.UDMGenerateAVResponse, int) {
+// take pops the oldest pooled vector for supi into av, counting the hit or
+// miss, and clears its slot so the ring's backing stops holding its
+// K_AUSF. On a hit it returns 0; on a miss, how many vectors the refill
+// should mint: min(2, depth) on first contact, depth for a SUPI minted for
+// before.
+func (p *avPool) take(supi string, av *paka.UDMGenerateAVResponse) int {
 	p.mu.Lock()
 	ring, seen := p.rings[supi]
 	if len(ring) == 0 {
 		p.mu.Unlock()
 		p.misses.Add(1)
 		if seen {
-			return nil, p.depth
+			return p.depth
 		}
-		return nil, min(2, p.depth)
+		return min(2, p.depth)
 	}
-	av := &servedAV{rec: ring[0]}
+	*av = ring[0]
+	ring[0] = paka.UDMGenerateAVResponse{}
 	if len(ring) == 1 {
 		p.rings[supi] = nil // release the backing, remember the SUPI
 	} else {
@@ -84,8 +75,7 @@ func (p *avPool) take(supi string) (*paka.UDMGenerateAVResponse, int) {
 	}
 	p.mu.Unlock()
 	p.hits.Add(1)
-	paka.AVInto(av.rec[:], &av.resp)
-	return &av.resp, 0
+	return 0
 }
 
 // fill banks freshly minted vectors for supi, oldest SQN first, dropping
@@ -98,15 +88,9 @@ func (p *avPool) fill(supi string, vectors []paka.UDMGenerateAVResponse) {
 	old := p.rings[supi]
 	// Keep the oldest SQNs: dropping from the tail wastes crypto but never
 	// reorders the sequence numbers a UE will see.
-	ring := make([]avRecord, min(len(old)+len(vectors), p.depth))
+	ring := make([]paka.UDMGenerateAVResponse, min(len(old)+len(vectors), p.depth))
 	n := copy(ring, old)
-	for i, av := range vectors[:len(ring)-n] {
-		rec := ring[n+i][:]
-		copy(rec[0:16], av.RAND)
-		copy(rec[16:32], av.AUTN)
-		copy(rec[32:48], av.XRESStar)
-		copy(rec[48:80], av.KAUSF)
-	}
+	copy(ring[n:], vectors)
 	p.rings[supi] = ring
 }
 

@@ -108,7 +108,7 @@ func sqnOf(t *testing.T, resp *GenerateAuthDataResponse) []byte {
 	if err != nil {
 		t.Fatalf("milenage.New: %v", err)
 	}
-	_, _, _, ak, err := mil.F2345(resp.RAND)
+	_, _, _, ak, err := mil.F2345(resp.RAND[:])
 	if err != nil {
 		t.Fatalf("F2345: %v", err)
 	}
@@ -368,7 +368,7 @@ func TestAVPoolDeterministicUnderFixedSeed(t *testing.T) {
 		t.Fatalf("pool stats diverged: %+v vs %+v", sa, sb)
 	}
 	for i := range a {
-		if !bytes.Equal(a[i].RAND, b[i].RAND) || !bytes.Equal(a[i].AUTN, b[i].AUTN) {
+		if a[i].RAND != b[i].RAND || a[i].AUTN != b[i].AUTN {
 			t.Fatalf("auth %d diverged between same-seed runs", i)
 		}
 	}
@@ -451,32 +451,27 @@ func taggedAVs(first byte, n int) []paka.UDMGenerateAVResponse {
 	return vectors
 }
 
-// TestAVPoolServedVectorOwnsItsBytes: a vector take serves is a copy of
-// its banked record, not a view of the ring or of the minted batch, and
-// take allocates it in one object.
+// TestAVPoolServedVectorOwnsItsBytes: take copies the banked vector into
+// the caller's, so neither the minted batch nor the served copy aliases
+// the ring, and it allocates nothing.
 func TestAVPoolServedVectorOwnsItsBytes(t *testing.T) {
 	p := newAVPool(8)
 	minted := taggedAVs(1, 8)
 	p.fill("s", minted)
 	minted[1].RAND[0] = 0xee // the batch's backing is the caller's again
 
-	first, _ := p.take("s")
+	var first, next paka.UDMGenerateAVResponse
+	p.take("s", &first)
 	for i := range first.RAND {
 		first.RAND[i] = 0xff
 	}
-	next, _ := p.take("s")
-	want := taggedAVs(2, 1)[0]
-	for _, f := range [][2][]byte{{next.RAND, want.RAND}, {next.AUTN, want.AUTN}, {next.XRESStar, want.XRESStar}, {next.KAUSF, want.KAUSF}} {
-		if !bytes.Equal(f[0], f[1]) {
-			t.Fatalf("second vector reads %x, want %x", f[0], f[1])
-		}
+	p.take("s", &next)
+	if want := taggedAVs(2, 1)[0]; next != want {
+		t.Fatalf("second vector reads %x, want %x", next, want)
 	}
-	if cap(next.RAND) != 16 || cap(next.AUTN) != 16 || cap(next.XRESStar) != 16 || cap(next.KAUSF) != 32 {
-		t.Fatalf("served fields have caps %d/%d/%d/%d, want 16/16/16/32",
-			cap(next.RAND), cap(next.AUTN), cap(next.XRESStar), cap(next.KAUSF))
-	}
-	if allocs := testing.AllocsPerRun(4, func() { p.take("s") }); allocs != 1 {
-		t.Fatalf("take allocates %.1f times, want 1", allocs)
+	var av paka.UDMGenerateAVResponse
+	if allocs := testing.AllocsPerRun(4, func() { p.take("s", &av) }); allocs != 0 {
+		t.Fatalf("take allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -484,19 +479,23 @@ func TestAVPoolServedVectorOwnsItsBytes(t *testing.T) {
 // serves the old vectors first and drops the newest beyond the depth.
 func TestAVPoolFillKeepsOrderAcrossRefill(t *testing.T) {
 	p := newAVPool(4)
+	take := func() (av paka.UDMGenerateAVResponse, count int) {
+		count = p.take("s", &av)
+		return av, count
+	}
 	p.fill("s", taggedAVs(1, 4))
 	for _, want := range []byte{1, 2} {
-		if av, _ := p.take("s"); av.RAND[0] != want {
+		if av, _ := take(); av.RAND[0] != want {
 			t.Fatalf("served tag %d, want %d", av.RAND[0], want)
 		}
 	}
 	p.fill("s", taggedAVs(5, 4)) // 3, 4 are still banked: 5, 6 fit, 7, 8 do not
 	for _, want := range []byte{3, 4, 5, 6} {
-		if av, _ := p.take("s"); av == nil || av.KAUSF[31] != want {
-			t.Fatalf("served %v, want tag %d", av, want)
+		if av, count := take(); count != 0 || av.KAUSF[31] != want {
+			t.Fatalf("served %x (miss count %d), want tag %d", av, count, want)
 		}
 	}
-	if av, count := p.take("s"); av != nil || count != 4 {
-		t.Fatalf("drained ring served %v, asked for %d; want a miss minting 4", av, count)
+	if av, count := take(); av != (paka.UDMGenerateAVResponse{}) || count != 4 {
+		t.Fatalf("drained ring served %x, asked for %d; want a miss minting 4", av, count)
 	}
 }

@@ -15,10 +15,10 @@ func (m *GenerateAuthDataRequest) Fields(f *codec.Fields) {
 // session.
 func (m *GenerateAuthDataResponse) Fields(f *codec.Fields) {
 	f.String("supi", &m.SUPI, 0)
-	f.Bytes("rand", &m.RAND, codec.Own)
-	f.Bytes("autn", &m.AUTN, codec.Own)
-	f.Bytes("xres_star", &m.XRESStar, codec.Own)
-	f.Bytes("kausf", &m.KAUSF, codec.Own)
+	f.Fixed("rand", m.RAND[:])
+	f.Fixed("autn", m.AUTN[:])
+	f.Fixed("xres_star", m.XRESStar[:])
+	f.Fixed("kausf", m.KAUSF[:])
 }
 
 // Fields implements codec.Message (handleResync forwards the views within

@@ -18,6 +18,7 @@ import (
 	"shield5g/internal/nf/udr"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 // Service identity.
@@ -45,11 +46,11 @@ type GenerateAuthDataRequest struct {
 
 // GenerateAuthDataResponse is the HE AV plus the de-concealed SUPI.
 type GenerateAuthDataResponse struct {
-	SUPI     string `json:"supi"`
-	RAND     []byte `json:"rand"`
-	AUTN     []byte `json:"autn"`
-	XRESStar []byte `json:"xres_star"`
-	KAUSF    []byte `json:"kausf"`
+	SUPI     string        `json:"supi"`
+	RAND     codec.Bytes16 `json:"rand"`
+	AUTN     codec.Bytes16 `json:"autn"`
+	XRESStar codec.Bytes16 `json:"xres_star"`
+	KAUSF    codec.Bytes32 `json:"kausf"`
 }
 
 // ResyncRequest reports a UE synchronisation failure (AUTS) for SQN
@@ -144,7 +145,7 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 	if cfg.AVPoolDepth > 0 {
 		u.pool = newAVPool(cfg.AVPoolDepth)
 	}
-	u.server.HandleDual(PathGenerateAuthData, sbi.BinHandler(u.handleGenerateAuthData))
+	u.server.HandleDual(PathGenerateAuthData, sbi.BinHandlerInto(u.handleGenerateAuthData))
 	u.server.HandleDual(PathResync, sbi.BinHandler(u.handleResync))
 	if err := cfg.Registry.Register(u.server); err != nil {
 		return nil, err
@@ -157,49 +158,45 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 	return u, nil
 }
 
-func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataRequest) (*GenerateAuthDataResponse, error) {
+func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataRequest, resp *GenerateAuthDataResponse) error {
 	supi := req.SUPI
 	if supi == "" {
 		switch {
 		case req.SUCI == nil:
-			return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUCI or SUPI required")
+			return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUCI or SUPI required")
 		case req.SUCI.Scheme == suci.SchemeNull:
 			// Null protection scheme (test networks): no deconcealment.
 			id, err := req.SUCI.NullSUPI()
 			if err != nil {
-				return nil, sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
+				return sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
 			}
 			supi = id.String()
 		default:
 			u.env.Charge(ctx, suciDeconcealCycles)
 			id, err := u.hnKey.Deconceal(req.SUCI)
 			if err != nil {
-				return nil, sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
+				return sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
 			}
 			supi = id.String()
 		}
 	}
 	if req.ServingNetworkName == "" {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "serving network name required")
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "serving network name required")
 	}
 
-	var av *paka.UDMGenerateAVResponse
+	var av paka.UDMGenerateAVResponse
 	var err error
 	if u.pool != nil {
-		av, err = u.pooledAV(ctx, supi, req.ServingNetworkName)
+		err = u.pooledAV(ctx, supi, req.ServingNetworkName, &av)
 	} else {
-		av, err = u.freshAV(ctx, supi, req.ServingNetworkName)
+		err = u.freshAV(ctx, supi, req.ServingNetworkName, &av)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &GenerateAuthDataResponse{
-		SUPI:     supi,
-		RAND:     av.RAND,
-		AUTN:     av.AUTN,
-		XRESStar: av.XRESStar,
-		KAUSF:    av.KAUSF,
-	}, nil
+	resp.SUPI = supi
+	resp.RAND, resp.AUTN, resp.XRESStar, resp.KAUSF = av.RAND, av.AUTN, av.XRESStar, av.KAUSF
+	return nil
 }
 
 // avRequest mints one enclave input: it advances the subscriber's SQN in
@@ -243,13 +240,19 @@ func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) 
 	return av, err
 }
 
-// freshAV is the unpooled path: one SQN advance, one RAND, one crossing.
-func (u *UDM) freshAV(ctx context.Context, supi, snn string) (*paka.UDMGenerateAVResponse, error) {
+// freshAV is the unpooled path: one SQN advance, one RAND, one crossing,
+// the vector written into av.
+func (u *UDM) freshAV(ctx context.Context, supi, snn string, av *paka.UDMGenerateAVResponse) error {
 	avReq, err := u.avRequest(ctx, supi, snn)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return u.generateAV(ctx, &avReq)
+	fresh, err := u.generateAV(ctx, &avReq)
+	if err != nil {
+		return err
+	}
+	*av = *fresh
+	return nil
 }
 
 // avRequestBatch mints count enclave inputs through one UDR round trip
@@ -284,25 +287,26 @@ func (u *UDM) avRequestBatch(ctx context.Context, supi, snn string, count int) (
 	return items, nil
 }
 
-// pooledAV serves from the precomputation pool, refilling synchronously on
-// a miss: one batch crossing mints the count take asks for (two on first
-// contact, the pool depth after), the oldest serves this request and the
-// rest are banked for the SUPI's next authentications.
-func (u *UDM) pooledAV(ctx context.Context, supi, snn string) (*paka.UDMGenerateAVResponse, error) {
-	av, count := u.pool.take(supi)
-	if av != nil {
-		return av, nil
+// pooledAV serves from the precomputation pool into av, refilling
+// synchronously on a miss: one batch crossing mints the count take asks
+// for (two on first contact, the pool depth after), the oldest serves this
+// request and the rest are banked for the SUPI's next authentications.
+func (u *UDM) pooledAV(ctx context.Context, supi, snn string, av *paka.UDMGenerateAVResponse) error {
+	count := u.pool.take(supi, av)
+	if count == 0 {
+		return nil
 	}
 	items, err := u.avRequestBatch(ctx, supi, snn, count)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	vectors, err := u.generateBatch(ctx, items)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	*av = vectors[0]
 	u.pool.fill(supi, vectors[1:])
-	return &vectors[0], nil
+	return nil
 }
 
 // generateBatch mints the given items through one boundary crossing,

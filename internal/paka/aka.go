@@ -46,44 +46,31 @@ func GenerateAV(k []byte, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, er
 	if err := c.Init(k, req.OPc); err != nil {
 		return nil, fmt.Errorf("paka: eUDM: %w", err)
 	}
-	return generateAV(&c, req)
+	resp := new(UDMGenerateAVResponse)
+	if err := mintInto(&c, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
 // AVBackingBytes is the combined size of one AV's four response fields
 // (RAND 16 || AUTN 16 || XRES* 16 || K_AUSF 32).
 const AVBackingBytes = 80
 
-// AVInto carves the canonical single-backing field layout out of buf,
-// which must be AVBackingBytes long. The full-slice caps keep a later
-// append on one field from spilling into the next.
-//
-//shieldlint:hotpath
+// AVInto reads an AV laid out as RAND‖AUTN‖XRES*‖K_AUSF from buf, which
+// must be AVBackingBytes long, into resp. Nothing in the core calls it
+// since the response holds its fields in place; bench/ and tests still
+// build vectors with it.
 func AVInto(buf []byte, resp *UDMGenerateAVResponse) {
-	resp.RAND = buf[0:16:16]
-	resp.AUTN = buf[16:32:32]
-	resp.XRESStar = buf[32:48:48]
-	resp.KAUSF = buf[48:80:80]
-}
-
-// generateAV mints one AV with c, the subscriber's expanded schedule.
-//
-//shieldlint:hotpath
-func generateAV(c *milenage.Cipher, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	// One backing carries all four response fields.
-	//shieldlint:ignore hotalloc single caller-owned backing per minted AV; batch mints share one via AVInto
-	out := make([]byte, AVBackingBytes)
-	resp := &UDMGenerateAVResponse{}
-	AVInto(out, resp)
-	if err := mintInto(c, req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	copy(resp.RAND[:], buf[0:16])
+	copy(resp.AUTN[:], buf[16:32])
+	copy(resp.XRESStar[:], buf[32:48])
+	copy(resp.KAUSF[:], buf[48:80])
 }
 
 // GenerateAVCachedInto is the AV mint over a schedule looked up in cache
-// (built on a miss) instead of expanded for the call: resp's four fields
-// must already point at caller-owned backings of the canonical sizes (use
-// AVInto). The core keeps no cache; this measures what one would save.
+// (built on a miss) instead of expanded for the call, written into resp.
+// The core keeps no cache; this measures what one would save.
 func GenerateAVCachedInto(cache *milenage.Cache, k []byte, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
 	c, err := cache.Get(req.SUPI, k, req.OPc)
 	if err != nil {
@@ -92,10 +79,9 @@ func GenerateAVCachedInto(cache *milenage.Cache, k []byte, req *UDMGenerateAVReq
 	return mintInto(c, req, resp)
 }
 
-// mintInto derives an AV with c into resp, whose four fields already point
-// at caller-owned backings of the canonical sizes (AVInto). The batch mint
-// derives a whole refill into one backing array this way instead of
-// allocating per vector.
+// mintInto derives an AV with c, the subscriber's expanded schedule,
+// straight into resp's fields: a served request's pooled response, or one
+// vector of a batch refill's.
 //
 //shieldlint:hotpath
 func mintInto(c *milenage.Cipher, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
@@ -108,7 +94,7 @@ func mintInto(c *milenage.Cipher, req *UDMGenerateAVRequest, resp *UDMGenerateAV
 	if err != nil {
 		return fmt.Errorf("paka: eUDM f2345: %w", err)
 	}
-	copy(resp.RAND, req.RAND)
+	copy(resp.RAND[:], req.RAND)
 
 	// AUTN = (SQN XOR AK) || AMF || MAC-A, assembled in place. F1Into has
 	// already validated the SQN and AMF lengths; AK is always 6 bytes.
@@ -119,10 +105,10 @@ func mintInto(c *milenage.Cipher, req *UDMGenerateAVRequest, resp *UDMGenerateAV
 	copy(resp.AUTN[6:8], req.AMFID)
 	copy(resp.AUTN[8:16], s.out1[:milenage.MACLen])
 
-	if err := kdf.ResStarInto(resp.XRESStar, ck, ik, req.SNN, req.RAND, res); err != nil {
+	if err := kdf.ResStarInto(resp.XRESStar[:], ck, ik, req.SNN, req.RAND, res); err != nil {
 		return fmt.Errorf("paka: eUDM XRES*: %w", err)
 	}
-	if err := kdf.KAUSFInto(resp.KAUSF, ck, ik, req.SNN, sqnAK); err != nil {
+	if err := kdf.KAUSFInto(resp.KAUSF[:], ck, ik, req.SNN, sqnAK); err != nil {
 		return fmt.Errorf("paka: eUDM K_AUSF: %w", err)
 	}
 	return nil
@@ -137,57 +123,80 @@ func Resync(k []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
 	if err := c.Init(k, req.OPc); err != nil {
 		return nil, fmt.Errorf("paka: eUDM resync: %w", err)
 	}
-	return resync(&c, req)
+	resp := new(UDMResyncResponse)
+	if err := resync(&c, req, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }
 
-// resync verifies req's AUTS with c, the subscriber's expanded schedule.
-func resync(c *milenage.Cipher, req *UDMResyncRequest) (*UDMResyncResponse, error) {
+// resync verifies req's AUTS with c, the subscriber's expanded schedule,
+// and writes the recovered SQN_MS into resp.
+func resync(c *milenage.Cipher, req *UDMResyncRequest, resp *UDMResyncResponse) error {
 	if len(req.AUTS) != 14 {
-		return nil, fmt.Errorf("paka: AUTS length %d, want 14", len(req.AUTS))
+		return fmt.Errorf("paka: AUTS length %d, want 14", len(req.AUTS))
 	}
 	akStar, err := c.F5Star(req.RAND)
 	if err != nil {
-		return nil, fmt.Errorf("paka: eUDM f5*: %w", err)
+		return fmt.Errorf("paka: eUDM f5*: %w", err)
 	}
 	concealed := req.AUTS[:6]
 	macS := req.AUTS[6:]
 	sqnMS, err := kdf.XorSQNAK(concealed, akStar)
 	if err != nil {
-		return nil, fmt.Errorf("paka: eUDM resync: %w", err)
+		return fmt.Errorf("paka: eUDM resync: %w", err)
 	}
 	// The resynchronisation AMF is all-zero (TS 33.102 §6.3.3).
 	wantMAC, err := c.F1Star(req.RAND, sqnMS, []byte{0x00, 0x00})
 	if err != nil {
-		return nil, fmt.Errorf("paka: eUDM f1*: %w", err)
+		return fmt.Errorf("paka: eUDM f1*: %w", err)
 	}
 	if !hmac.Equal(macS, wantMAC) {
-		return nil, ErrResyncMAC
+		return ErrResyncMAC
 	}
-	return &UDMResyncResponse{SQNMS: sqnMS}, nil
+	resp.SQNMS = sqnMS
+	return nil
 }
 
 // DeriveSE executes the eAUSF P-AKA function set: HXRES* hashing and
 // K_SEAF derivation.
 func DeriveSE(req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
-	// Single backing for both derived outputs, the same pattern
-	// generateAV uses for its response fields.
-	buf := make([]byte, kdf.KeyLen128+kdf.KeyLen256)
-	hxres, kseaf := buf[:kdf.KeyLen128:kdf.KeyLen128], buf[kdf.KeyLen128:]
-	if err := kdf.HXResStarInto(hxres, req.RAND, req.XRESStar); err != nil {
-		return nil, fmt.Errorf("paka: eAUSF HXRES*: %w", err)
+	resp := new(AUSFDeriveSEResponse)
+	if err := deriveSE(req, resp); err != nil {
+		return nil, err
 	}
-	if err := kdf.KSEAFInto(kseaf, req.KAUSF, req.SNN); err != nil {
-		return nil, fmt.Errorf("paka: eAUSF K_SEAF: %w", err)
+	return resp, nil
+}
+
+// deriveSE derives HXRES* and K_SEAF straight into resp.
+//
+//shieldlint:hotpath
+func deriveSE(req *AUSFDeriveSERequest, resp *AUSFDeriveSEResponse) error {
+	if err := kdf.HXResStarInto(resp.HXRESStar[:], req.RAND[:], req.XRESStar[:]); err != nil {
+		return fmt.Errorf("paka: eAUSF HXRES*: %w", err)
 	}
-	return &AUSFDeriveSEResponse{HXRESStar: hxres, KSEAF: kseaf}, nil
+	if err := kdf.KSEAFInto(resp.KSEAF[:], req.KAUSF[:], req.SNN); err != nil {
+		return fmt.Errorf("paka: eAUSF K_SEAF: %w", err)
+	}
+	return nil
 }
 
 // DeriveKAMF executes the eAMF P-AKA function: K_AMF derivation from
 // K_SEAF.
 func DeriveKAMF(req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-	kamf := make([]byte, kdf.KeyLen256)
-	if err := kdf.KAMFInto(kamf, req.KSEAF, req.SUPI, req.ABBA); err != nil {
-		return nil, fmt.Errorf("paka: eAMF K_AMF: %w", err)
+	resp := new(AMFDeriveKAMFResponse)
+	if err := deriveKAMF(req, resp); err != nil {
+		return nil, err
 	}
-	return &AMFDeriveKAMFResponse{KAMF: kamf}, nil
+	return resp, nil
+}
+
+// deriveKAMF derives K_AMF straight into resp.
+//
+//shieldlint:hotpath
+func deriveKAMF(req *AMFDeriveKAMFRequest, resp *AMFDeriveKAMFResponse) error {
+	if err := kdf.KAMFInto(resp.KAMF[:], req.KSEAF[:], req.SUPI, req.ABBA); err != nil {
+		return fmt.Errorf("paka: eAMF K_AMF: %w", err)
+	}
+	return nil
 }

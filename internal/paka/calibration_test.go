@@ -9,6 +9,7 @@ import (
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/metrics"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -53,7 +54,8 @@ func measureModule(t *testing.T, kind ModuleKind, iso Isolation, n int, seed uin
 			av, _ := GenerateAV(testK, avRequest())
 			_, err = remote.DeriveSE(ctx, &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN})
 		case EAMF:
-			_, err = remote.DeriveKAMF(ctx, &AMFDeriveKAMFRequest{KSEAF: make([]byte, 32), SUPI: testSUPI, ABBA: []byte{0, 0}})
+			// Any K_SEAF but zero, which would travel as null.
+			_, err = remote.DeriveKAMF(ctx, &AMFDeriveKAMFRequest{KSEAF: codec.Bytes32{1}, SUPI: testSUPI, ABBA: []byte{0, 0}})
 		}
 		if err != nil {
 			t.Fatalf("call %s/%s: %v", kind, iso, err)

@@ -2,8 +2,8 @@ package paka
 
 // Field descriptions of the P-AKA module messages (see codec.Message).
 // Request types are decoded under the HandlerFunc loan and leave their
-// byte strings as views; response types mark theirs Own, mirroring the
-// single-backing layout GenerateAV already uses.
+// variable-length byte strings as views; the Table I values are
+// fixed-width and decode in place in either direction.
 
 import "shield5g/internal/sbi/codec"
 
@@ -19,10 +19,10 @@ func (m *UDMGenerateAVRequest) Fields(f *codec.Fields) {
 
 // Fields implements codec.Message.
 func (m *UDMGenerateAVResponse) Fields(f *codec.Fields) {
-	f.Bytes("rand", &m.RAND, codec.Own)
-	f.Bytes("autn", &m.AUTN, codec.Own)
-	f.Bytes("xres_star", &m.XRESStar, codec.Own)
-	f.Bytes("kausf", &m.KAUSF, codec.Own)
+	f.Fixed("rand", m.RAND[:])
+	f.Fixed("autn", m.AUTN[:])
+	f.Fixed("xres_star", m.XRESStar[:])
+	f.Fixed("kausf", m.KAUSF[:])
 }
 
 // Fields implements codec.Message.
@@ -50,26 +50,26 @@ func (m *UDMResyncResponse) Fields(f *codec.Fields) {
 
 // Fields implements codec.Message.
 func (m *AUSFDeriveSERequest) Fields(f *codec.Fields) {
-	f.Bytes("rand", &m.RAND, 0)
-	f.Bytes("xres_star", &m.XRESStar, 0)
-	f.Bytes("kausf", &m.KAUSF, 0)
+	f.Fixed("rand", m.RAND[:])
+	f.Fixed("xres_star", m.XRESStar[:])
+	f.Fixed("kausf", m.KAUSF[:])
 	f.String("snn", &m.SNN, codec.Intern)
 }
 
 // Fields implements codec.Message.
 func (m *AUSFDeriveSEResponse) Fields(f *codec.Fields) {
-	f.Bytes("hxres_star", &m.HXRESStar, codec.Own)
-	f.Bytes("kseaf", &m.KSEAF, codec.Own)
+	f.Fixed("hxres_star", m.HXRESStar[:])
+	f.Fixed("kseaf", m.KSEAF[:])
 }
 
 // Fields implements codec.Message.
 func (m *AMFDeriveKAMFRequest) Fields(f *codec.Fields) {
-	f.Bytes("kseaf", &m.KSEAF, 0)
+	f.Fixed("kseaf", m.KSEAF[:])
 	f.String("supi", &m.SUPI, 0)
 	f.Bytes("abba", &m.ABBA, 0)
 }
 
 // Fields implements codec.Message.
 func (m *AMFDeriveKAMFResponse) Fields(f *codec.Fields) {
-	f.Bytes("kamf", &m.KAMF, codec.Own)
+	f.Fixed("kamf", m.KAMF[:])
 }

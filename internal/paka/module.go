@@ -227,35 +227,38 @@ func (m *Module) registerEndpoints() {
 		// The batch endpoint is a maintenance path (the AV pool refill),
 		// not a served request: it bypasses the endpoint wrapper so the
 		// L_F/L_T recorders keep measuring only the paper's request path.
-		m.server.HandleDual(PathUDMGenerateAVBatch, sbi.BinHandler(m.GenerateAVBatch))
+		m.server.HandleDual(PathUDMGenerateAVBatch, sbi.BinHandlerInto(m.GenerateAVBatch))
 	case EAUSF:
-		m.server.HandleDual(PathAUSFDeriveSE, endpoint(m, func(_ Exec, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
-			return avProblem(DeriveSE(req))
+		m.server.HandleDual(PathAUSFDeriveSE, endpoint(m, func(_ Exec, req *AUSFDeriveSERequest, resp *AUSFDeriveSEResponse) error {
+			return avProblem(deriveSE(req, resp))
 		}))
 	case EAMF:
-		m.server.HandleDual(PathAMFDeriveKAMF, endpoint(m, func(_ Exec, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-			return avProblem(DeriveKAMF(req))
+		m.server.HandleDual(PathAMFDeriveKAMF, endpoint(m, func(_ Exec, req *AMFDeriveKAMFRequest, resp *AMFDeriveKAMFResponse) error {
+			return avProblem(deriveKAMF(req, resp))
 		}))
 	}
 }
 
 // endpointCall is one served request's Handler: its state — the decoded
-// request struct included — bound in a pooled struct that travels as
-// itself from here through the runtime to the enclave crossing. A per-call
-// closure would capture ctx, body and the out variable on the heap every
-// request.
+// request and the response fn fills included — bound in a pooled struct
+// that travels as itself from here through the runtime to the enclave
+// crossing. A per-call closure would capture ctx, body and the out
+// variable on the heap every request, and a returned response would be
+// one more allocation.
 //
-// The request's decoded fields are either copied strings or zero-copy
-// views into the loaned body, nothing below fn retains the struct, and
-// every response carries its own backing (generateAV's, DeriveSE's
-// single buffer, kdf outputs). The whole call is zeroed before going back
-// to its pool so a partial decode cannot leak into the next request.
+// The request's decoded fields are copied strings, in-place fixed-width
+// values or zero-copy views into the loaned body, and nothing below fn
+// retains the struct. The response is encoded before the call returns.
+// The whole call is zeroed before going back to its pool, so a partial
+// decode cannot leak into the next request and no K_AUSF, K_SEAF or K_AMF
+// stays in pooled memory (hashpool.PutHMAC's scrub rule).
 type endpointCall[Req, Resp any] struct {
 	m    *Module
 	ctx  context.Context
 	body []byte
-	fn   func(ex Exec, req *Req) (*Resp, error)
+	fn   func(ex Exec, req *Req, resp *Resp) error
 	req  Req
+	resp Resp
 	out  []byte
 }
 
@@ -267,11 +270,11 @@ func (c *endpointCall[Req, Resp]) Run(ex Exec) error {
 	if err := sbi.DecodeBody(c.body, &c.req); err != nil {
 		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
 	}
-	resp, err := c.fn(ex, &c.req)
-	if err != nil {
+	if err := c.fn(ex, &c.req, &c.resp); err != nil {
 		return err
 	}
-	c.out, err = sbi.MarshalBodyLike(c.body, resp)
+	var err error
+	c.out, err = sbi.MarshalBodyLike(c.body, &c.resp)
 	return err
 }
 
@@ -289,13 +292,14 @@ func (m *Module) chargeFunction(ctx context.Context, ex Exec) {
 	ex.Touch(m.profile.HeapBytes)
 }
 
-// endpoint adapts a typed module function into the served-request path:
-// the runtime's modelled request walk and the module's calibrated
-// functional cost around it, the request decoded from and the response
-// encoded in whichever format the body arrived in, the L_F/L_T windows
-// recorded. Everything per-endpoint (the call pool) is built here, once,
-// at registration.
-func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req) (*Resp, error)) sbi.HandlerFunc {
+// endpoint adapts a typed module function, which fills the zeroed
+// response it is handed, into the served-request path: the runtime's
+// modelled request walk and the module's calibrated functional cost
+// around it, the request decoded from and the response encoded in
+// whichever format the body arrived in, the L_F/L_T windows recorded.
+// Everything per-endpoint (the call pool) is built here, once, at
+// registration.
+func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req, resp *Resp) error) sbi.HandlerFunc {
 	calls := sync.Pool{New: func() any { return new(endpointCall[Req, Resp]) }}
 	//shieldlint:hotpath
 	return func(ctx context.Context, body []byte) ([]byte, error) {
@@ -315,24 +319,23 @@ func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req) (*Resp, error
 	}
 }
 
-func (m *Module) generateAV(ex Exec, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
+func (m *Module) generateAV(ex Exec, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
 	var c milenage.Cipher
 	if err := expandKey(ex, req.SUPI, req.OPc, &c); err != nil {
-		return nil, err
+		return err
 	}
-	return avProblem(generateAV(&c, req))
+	return avProblem(mintInto(&c, req, resp))
 }
 
-func (m *Module) resync(ex Exec, req *UDMResyncRequest) (*UDMResyncResponse, error) {
+func (m *Module) resync(ex Exec, req *UDMResyncRequest, resp *UDMResyncResponse) error {
 	var c milenage.Cipher
 	if err := expandKey(ex, req.SUPI, req.OPc, &c); err != nil {
-		return nil, err
+		return err
 	}
-	resp, err := resync(&c, req)
-	if err != nil {
-		return nil, sbi.Problem(403, "Forbidden", "SYNC_FAILURE", "%v", err)
+	if err := resync(&c, req, resp); err != nil {
+		return sbi.Problem(403, "Forbidden", "SYNC_FAILURE", "%v", err)
 	}
-	return resp, nil
+	return nil
 }
 
 // expandKey loads supi's K inside the runtime and expands its MILENAGE
@@ -354,33 +357,31 @@ func expandKey(ex Exec, supi string, opc []byte, c *milenage.Cipher) error {
 }
 
 // avProblem maps a derivation failure onto its 400 ProblemDetails.
-func avProblem[Resp any](resp *Resp, err error) (*Resp, error) {
+func avProblem(err error) error {
 	if err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
+		return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
 	}
-	return resp, nil
+	return nil
 }
 
-// GenerateAVBatch generates one HE AV per item inside a single boundary
-// crossing: K× the AKA crypto, memory touches and shield bytes, but —
-// under SGX — exactly one EENTER/EEXIT transition pair instead of the
-// ~90 a cold served request costs. This is the enclave half of the eUDM
-// AV precomputation pool; a classic module needs Config.ReserveBatchTCS so
-// the batch entry finds a free TCS slot (a ring module submits the batch
-// through its ring instead). Only meaningful for eUDM.
-func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error) {
+// GenerateAVBatch generates one HE AV per item into resp inside a single
+// boundary crossing: K× the AKA crypto, memory touches and shield bytes,
+// but — under SGX — exactly one EENTER/EEXIT transition pair instead of
+// the ~90 a cold served request costs. This is the enclave half of the
+// eUDM AV precomputation pool; a classic module needs
+// Config.ReserveBatchTCS so the batch entry finds a free TCS slot (a ring
+// module submits the batch through its ring instead). Only meaningful for
+// eUDM.
+func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest, resp *UDMGenerateAVBatchResponse) error {
 	if m.kind != EUDM {
-		return nil, fmt.Errorf("paka: %s does not generate authentication vectors", m.kind)
+		return fmt.Errorf("paka: %s does not generate authentication vectors", m.kind)
 	}
 	k := len(req.Items)
-	resp := &UDMGenerateAVBatchResponse{}
 	if k == 0 {
-		return resp, nil
+		return nil
 	}
-	// The whole refill derives into one backing array and one vector
-	// slice: two allocations per batch instead of one 80-byte backing and
-	// one response struct per vector.
-	backing := make([]byte, k*AVBackingBytes)
+	// The vectors hold their fields in place: the whole refill is this
+	// one slice.
 	resp.Vectors = make([]UDMGenerateAVResponse, k)
 	_, err := m.rt().Cross(ctx, hmee.Entry, k*m.profile.InBytes, k*m.profile.OutBytes, hmee.HandlerFunc(func(ex Exec) error {
 		// A refill is one SUPI's: its schedule is expanded once, for the
@@ -395,18 +396,13 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 					return err
 				}
 			}
-			av := &resp.Vectors[i]
-			AVInto(backing[i*AVBackingBytes:(i+1)*AVBackingBytes], av)
-			if err := mintInto(&c, item, av); err != nil {
+			if err := mintInto(&c, item, &resp.Vectors[i]); err != nil {
 				return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
 			}
 		}
 		return nil
 	}))
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return err
 }
 
 // storeSecret places k in rt's key store as maintenance: a crossing of no

@@ -15,8 +15,7 @@ import (
 var testK2 = []byte{0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x00}
 
 func avEqual(a, b *UDMGenerateAVResponse) bool {
-	return bytes.Equal(a.RAND, b.RAND) && bytes.Equal(a.AUTN, b.AUTN) &&
-		bytes.Equal(a.XRESStar, b.XRESStar) && bytes.Equal(a.KAUSF, b.KAUSF)
+	return *a == *b
 }
 
 // directAV is the AV GenerateAV derives for k, with a schedule of its own.
@@ -211,8 +210,8 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 			scrubbed("resync", 3)
 
 			batch := &UDMGenerateAVBatchRequest{Items: []UDMGenerateAVRequest{*avRequest(), *avRequest(), *avRequest(), *req2, *req2}}
-			resp, err := m.GenerateAVBatch(ctx, batch)
-			if err != nil {
+			var resp UDMGenerateAVBatchResponse
+			if err := m.GenerateAVBatch(ctx, batch, &resp); err != nil {
 				t.Fatalf("GenerateAVBatch: %v", err)
 			}
 			scrubbed("refill", 5)

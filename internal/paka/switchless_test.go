@@ -1,7 +1,6 @@
 package paka
 
 import (
-	"bytes"
 	"context"
 	"crypto/ed25519"
 	"testing"
@@ -79,14 +78,13 @@ func TestSwitchlessServesIdenticalAKAOutputs(t *testing.T) {
 	avC, seC, kamfC := serve(false)
 	avS, seS, kamfS := serve(true)
 
-	if !bytes.Equal(avC.RAND, avS.RAND) || !bytes.Equal(avC.AUTN, avS.AUTN) ||
-		!bytes.Equal(avC.XRESStar, avS.XRESStar) || !bytes.Equal(avC.KAUSF, avS.KAUSF) {
+	if *avC != *avS {
 		t.Fatal("switchless AV diverges from the classic path at the same seed")
 	}
-	if !bytes.Equal(seC.KSEAF, seS.KSEAF) || !bytes.Equal(seC.HXRESStar, seS.HXRESStar) {
+	if *seC != *seS {
 		t.Fatal("switchless SE derivation (K_SEAF / HXRES*) diverges from the classic path")
 	}
-	if !bytes.Equal(kamfC.KAMF, kamfS.KAMF) {
+	if *kamfC != *kamfS {
 		t.Fatal("switchless K_AMF diverges from the classic path")
 	}
 }

@@ -1,5 +1,7 @@
 package paka
 
+import "shield5g/internal/sbi/codec"
+
 // SBI endpoint paths exposed by the P-AKA modules.
 const (
 	PathUDMGenerateAV      = "/eudm-paka/v1/generate-av"
@@ -24,12 +26,12 @@ type UDMGenerateAVRequest struct {
 }
 
 // UDMGenerateAVResponse is the HE AV material: the enclave outputs of
-// Table I.
+// Table I, held in place (80 bytes, no backing of their own).
 type UDMGenerateAVResponse struct {
-	RAND     []byte `json:"rand"`      // 16 bytes
-	AUTN     []byte `json:"autn"`      // 16 bytes
-	XRESStar []byte `json:"xres_star"` // 16 bytes
-	KAUSF    []byte `json:"kausf"`     // 32 bytes
+	RAND     codec.Bytes16 `json:"rand"`
+	AUTN     codec.Bytes16 `json:"autn"`
+	XRESStar codec.Bytes16 `json:"xres_star"`
+	KAUSF    codec.Bytes32 `json:"kausf"`
 }
 
 // UDMGenerateAVBatchRequest asks the eUDM module for several HE AVs in
@@ -62,28 +64,28 @@ type UDMResyncResponse struct {
 }
 
 // AUSFDeriveSERequest asks the eAUSF P-AKA module to turn the HE AV into
-// Security Edge AV material.
+// Security Edge AV material. Its three values are the eUDM's outputs, fixed-width like them.
 type AUSFDeriveSERequest struct {
-	RAND     []byte `json:"rand"`      // 16 bytes
-	XRESStar []byte `json:"xres_star"` // 16 bytes
-	KAUSF    []byte `json:"kausf"`     // 32 bytes
-	SNN      string `json:"snn"`
+	RAND     codec.Bytes16 `json:"rand"`
+	XRESStar codec.Bytes16 `json:"xres_star"`
+	KAUSF    codec.Bytes32 `json:"kausf"`
+	SNN      string        `json:"snn"`
 }
 
 // AUSFDeriveSEResponse carries HXRES* and the anchor key K_SEAF.
 type AUSFDeriveSEResponse struct {
-	HXRESStar []byte `json:"hxres_star"` // 16 bytes (TS 33.501; paper lists 8)
-	KSEAF     []byte `json:"kseaf"`      // 32 bytes
+	HXRESStar codec.Bytes16 `json:"hxres_star"` // TS 33.501; the paper lists 8 bytes
+	KSEAF     codec.Bytes32 `json:"kseaf"`
 }
 
 // AMFDeriveKAMFRequest asks the eAMF P-AKA module for K_AMF.
 type AMFDeriveKAMFRequest struct {
-	KSEAF []byte `json:"kseaf"` // 32 bytes
-	SUPI  string `json:"supi"`
-	ABBA  []byte `json:"abba"`
+	KSEAF codec.Bytes32 `json:"kseaf"`
+	SUPI  string        `json:"supi"`
+	ABBA  []byte        `json:"abba"`
 }
 
 // AMFDeriveKAMFResponse carries the derived K_AMF.
 type AMFDeriveKAMFResponse struct {
-	KAMF []byte `json:"kamf"` // 32 bytes
+	KAMF codec.Bytes32 `json:"kamf"`
 }

@@ -11,7 +11,7 @@ import "sync"
 // With it on, every body MarshalBody or MarshalBinary returns is recorded
 // as owned until ReleaseBody sees it, ReleaseBody fills the released array
 // with poisonByte, and getBuf requires an array from the pool to be all
-// poison still. So a missing release shows in outstandingBodies, a second
+// poison still. So a missing release shows in OutstandingBodies, a second
 // release and a write through a retained view panic, and a read through a
 // retained view (or of a body released too early) reads poison: a decode
 // error or a wrong field in whichever test reads it, and a data race under
@@ -76,9 +76,12 @@ func allPoison(array []byte) bool {
 	return true
 }
 
-// outstandingBodies counts bodies handed out and not yet released. It is
-// zero whenever no SBI request is in flight.
-func outstandingBodies() int {
+// OutstandingBodies is the audit's count of bodies handed out by
+// MarshalBody / MarshalBinary and not yet passed to ReleaseBody: zero
+// whenever no SBI request is in flight. It is meaningful only while the
+// audit is on — in -race builds and in this package's tests; elsewhere
+// nothing is counted and it reads 0.
+func OutstandingBodies() int {
 	audit.Lock()
 	defer audit.Unlock()
 	return len(audit.owned)

@@ -24,7 +24,7 @@ import (
 )
 
 // HandleDual registers the endpoint handler for path. h must accept both
-// body formats — use BinHandler.
+// body formats — use BinHandlerInto or BinHandler.
 func (s *Server) HandleDual(path string, h HandlerFunc) {
 	s.mu.Lock()
 	s.handlers[path] = h
@@ -91,44 +91,65 @@ func MarshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 	return MarshalBody(v)
 }
 
-// BinHandler adapts a typed request/response function into a dual-format
-// HandlerFunc: the request is decoded from, and the response encoded in,
-// whichever format the request arrived in. An empty body decodes as the
-// zero request; a frame for a type without a field description is a 400
-// like any other undecodable body.
+// BinHandlerInto adapts a typed request/response function into a
+// dual-format HandlerFunc: the request is decoded from, and the response
+// encoded in, whichever format the request arrived in. An empty body
+// decodes as the zero request; a frame for a type without a field
+// description is a 400 like any other undecodable body.
 //
-// The request struct is pooled, and on the binary path its byte fields
-// are zero-copy views into the loaned body (the HandlerFunc contract): fn
-// gets the struct for the duration of the call only, must copy anything
-// it retains, and must not return the request as its response — the
-// struct is zeroed and recycled as soon as fn returns.
-func BinHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
-	// Entries are zeroed before going back so a partial decode from one
-	// request can never leak into the next.
-	reqPool := sync.Pool{New: func() any { return new(Req) }}
-	putReq := func(req *Req) {
-		var zero Req
-		*req = zero
-		reqPool.Put(req)
-	}
+// Both structs come from one per-endpoint pool: fn fills the response it
+// is handed, zero on entry, instead of allocating one. On the binary path
+// the request's variable-length byte fields are zero-copy views into the
+// loaned body (the HandlerFunc contract). fn has the pair for the
+// duration of the call only and must retain neither. Both are zeroed once
+// the response is encoded and before they go back to the pool, so a
+// partial decode cannot leak into the next request and no key a response
+// carried (K_AUSF, K_SEAF, K_AMF) stays in pooled memory — the scrub rule
+// of hashpool.PutHMAC.
+func BinHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *Resp) error) HandlerFunc {
+	pool := sync.Pool{New: func() any { return new(binCall[Req, Resp]) }}
 	//shieldlint:hotpath
 	return func(ctx context.Context, body []byte) ([]byte, error) {
-		req := reqPool.Get().(*Req)
-		if len(body) > 0 {
-			if err := DecodeBody(body, req); err != nil {
-				putReq(req)
-				return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-			}
-		}
-		resp, err := fn(ctx, req)
-		putReq(req)
-		if err != nil {
-			return nil, err
-		}
-		out, err := MarshalBodyLike(body, resp)
-		if err != nil {
-			return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", err)
-		}
-		return out, nil
+		c := pool.Get().(*binCall[Req, Resp])
+		out, err := c.serve(ctx, body, fn)
+		*c = binCall[Req, Resp]{}
+		pool.Put(c)
+		return out, err
 	}
+}
+
+// binCall is one BinHandlerInto request's pooled request and response.
+type binCall[Req, Resp any] struct {
+	req  Req
+	resp Resp
+}
+
+//shieldlint:hotpath
+func (c *binCall[Req, Resp]) serve(ctx context.Context, body []byte, fn func(ctx context.Context, req *Req, resp *Resp) error) ([]byte, error) {
+	if len(body) > 0 {
+		if err := DecodeBody(body, &c.req); err != nil {
+			return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
+		}
+	}
+	if err := fn(ctx, &c.req, &c.resp); err != nil {
+		return nil, err
+	}
+	out, err := MarshalBodyLike(body, &c.resp)
+	if err != nil {
+		return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", err)
+	}
+	return out, nil
+}
+
+// BinHandler is BinHandlerInto for a function that returns the response
+// it allocated; the response is copied into the pooled one. The cold
+// endpoints (NRF, UDR, SMF, UPF) use it.
+func BinHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
+	return BinHandlerInto(func(ctx context.Context, req *Req, resp *Resp) error {
+		r, err := fn(ctx, req)
+		if err == nil {
+			*resp = *r
+		}
+		return err
+	})
 }

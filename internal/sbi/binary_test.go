@@ -211,6 +211,59 @@ func TestBinHandlerTrailingBytesRejected(t *testing.T) {
 	}
 }
 
+// keyMsg carries one fixed-width key, as the AUSF's confirmation and the
+// eAMF's answer do.
+type keyMsg struct {
+	K codec.Bytes32 `json:"k"`
+}
+
+func (m *keyMsg) Fields(f *codec.Fields) { f.Fixed("k", m.K[:]) }
+
+// TestBinHandlerIntoRecyclesZeroedResponse: every response BinHandlerInto
+// hands its function is zero, a recycled one included, so no key a
+// response carried outlives its request in the pool.
+func TestBinHandlerIntoRecyclesZeroedResponse(t *testing.T) {
+	seen := make(map[*keyMsg]bool)
+	recycled := 0
+	h := BinHandlerInto(func(_ context.Context, req, resp *keyMsg) error {
+		if *resp != (keyMsg{}) {
+			t.Errorf("handed a response still holding %x", resp.K)
+		}
+		if seen[resp] {
+			recycled++
+		}
+		seen[resp] = true
+		resp.K = req.K
+		return nil
+	})
+	for i := range 16 {
+		req := &keyMsg{K: codec.Bytes32{byte(i + 1), 0xAA}}
+		jsonBody, err := MarshalBody(req)
+		if err != nil {
+			t.Fatalf("MarshalBody: %v", err)
+		}
+		frame, err := MarshalBinary(req)
+		if err != nil {
+			t.Fatalf("MarshalBinary: %v", err)
+		}
+		for _, body := range [][]byte{jsonBody, frame} {
+			out, err := h(context.Background(), body)
+			if err != nil {
+				t.Fatalf("handler: %v", err)
+			}
+			var got keyMsg
+			if err := DecodeBody(out, &got); err != nil || got != *req {
+				t.Fatalf("answer %x (err %v), want %x", got.K, err, req.K)
+			}
+			ReleaseBody(out)
+			ReleaseBody(body)
+		}
+	}
+	if recycled == 0 {
+		t.Fatal("no response was recycled, so none was checked after use")
+	}
+}
+
 func TestDecodeBodyFormats(t *testing.T) {
 	in := &binMsg{Value: "v", Blob: []byte{5, 6}}
 

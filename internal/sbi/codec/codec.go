@@ -32,6 +32,12 @@
 //     body — are rewritten into one fresh backing array per message
 //     (Compact), so releasing the body back to its pool cannot alias live
 //     data. Response types mark what the client keeps Own.
+//   - Own and Compact are for variable-length fields only (UDR records,
+//     SQN lists, SQN_MS, a SUCI's scheme output). A fixed-width AKA value
+//     — RAND, AUTN, XRES*, HXRES*, K_AUSF, K_SEAF, K_AMF — is a Bytes16
+//     or Bytes32 held in the message itself and described with Fixed: a
+//     decode copies it in place in either format, so it is never a view
+//     and never needs a backing of its own.
 package codec
 
 import (
@@ -56,6 +62,9 @@ var (
 	ErrTruncated = errors.New("codec: truncated frame")
 	ErrOversized = errors.New("codec: frame length exceeds MaxPayload")
 	ErrTrailing  = errors.New("codec: trailing bytes after frame payload")
+	// ErrFieldLength is a fixed-width field (Fixed) whose byte string is
+	// not its width.
+	ErrFieldLength = errors.New("codec: fixed-width field of the wrong length")
 )
 
 // IsFrame reports whether b begins with a plausible binary frame header.

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/binary"
 	"errors"
 	"reflect"
@@ -257,6 +258,64 @@ func TestInternedStringIsCanonical(t *testing.T) {
 // frame decoder: whatever the input, parsing must never panic, a frame
 // accepted by Payload must satisfy the header/length invariants, and a
 // failed decode must leave no view behind.
+// fixedProbe holds one fixed-width value of each width.
+type fixedProbe struct {
+	H Bytes16 `json:"h"`
+	K Bytes32 `json:"k"`
+}
+
+func (m *fixedProbe) Fields(f *Fields) {
+	f.Fixed("h", m.H[:])
+	f.Fixed("k", m.K[:])
+}
+
+// TestFixedWidthLength: a fixed-width value decodes only at its width. An
+// empty, short or long byte string is ErrFieldLength from a frame and from
+// a JSON body alike, and null (a frame's uvarint 0) is the zero value.
+func TestFixedWidthLength(t *testing.T) {
+	width := map[string]int{"h": 16, "k": 32}
+	for _, field := range []string{"h", "k"} {
+		w := width[field]
+		for _, n := range []int{0, w - 1, w + 1, w} {
+			lens := map[string]int{"h": 16, "k": 32}
+			lens[field] = n
+			var payload []byte
+			value := make(map[string]string)
+			for _, name := range []string{"h", "k"} {
+				b := bytes.Repeat([]byte{0xA5}, lens[name])
+				payload = append(binary.AppendUvarint(payload, uint64(len(b))+1), b...)
+				value[name] = `"` + base64.StdEncoding.EncodeToString(b) + `"`
+			}
+			body := []byte(`{"h":` + value["h"] + `,"k":` + value["k"] + `}`)
+
+			var fromFrame, fromJSON fixedProbe
+			ferr := DecodeBinary(payload, &fromFrame)
+			jerr := DecodeJSON(body, &fromJSON)
+			if n == w {
+				if ferr != nil || jerr != nil {
+					t.Errorf("%s at its width %d: frame err %v, JSON err %v", field, n, ferr, jerr)
+				}
+				continue
+			}
+			if !errors.Is(ferr, ErrFieldLength) {
+				t.Errorf("%s of %d bytes in a frame: err %v, want ErrFieldLength", field, n, ferr)
+			}
+			if !errors.Is(jerr, ErrFieldLength) {
+				t.Errorf("%s of %d bytes in JSON: err %v, want ErrFieldLength", field, n, jerr)
+			}
+		}
+	}
+
+	var fromFrame, fromJSON fixedProbe
+	fromFrame.H[0], fromJSON.K[0] = 1, 1
+	if err := DecodeBinary([]byte{0, 0}, &fromFrame); err != nil || fromFrame != (fixedProbe{}) {
+		t.Errorf("nil byte strings in a frame: %+v, %v; want the zero value", fromFrame, err)
+	}
+	if err := DecodeJSON([]byte(`{"h":null,"k":null}`), &fromJSON); err != nil || fromJSON != (fixedProbe{}) {
+		t.Errorf("null in JSON: %+v, %v; want the zero value", fromJSON, err)
+	}
+}
+
 func FuzzFramePayload(f *testing.F) {
 	valid := buildFrameBytes(AppendBinary(nil, &probe{
 		S: "imsi-00101-0000000001", View: []byte{1, 2, 3, 4}, Y: 7, Opt: &probeItem{}, Items: make([]probeItem, 2),

@@ -249,7 +249,11 @@ func TestJSONDifferential(t *testing.T) {
 				}
 				return leaf
 			}) {
-				check("emptied leaf", text(v, style{}), true)
+				// An emptied fixed-width value (codec.Bytes16/32) is the
+				// one emptied leaf that is invalid: encoding/json rejects
+				// it, so the fast path must leave it to that error.
+				body := text(v, style{})
+				check("emptied leaf", body, json.Unmarshal(body, s.fresh()) == nil)
 			}
 
 			check("escaped", text(tree, style{escape: true}), !hasString(tree))
@@ -329,7 +333,7 @@ func TestJSONFastPathBoundary(t *testing.T) {
 // leaves the fast path, and the bytes still match.
 func TestAppendJSONFallsBackOnEscapes(t *testing.T) {
 	for _, supi := range []string{"a\"b", `a\b`, "a<b", "a>b", "a&b", "a\nb", "a\x7fb", "café", "a\xffb", "a b"} {
-		m := &paka.AMFDeriveKAMFRequest{SUPI: supi, KSEAF: []byte{1}}
+		m := &paka.AMFDeriveKAMFRequest{SUPI: supi, KSEAF: codec.Bytes32{1}}
 		_, fast := codec.FastAppendJSON(nil, m)
 		if wantFast := supi == "a\x7fb"; fast != wantFast {
 			t.Errorf("%q: fast path = %v, want %v", supi, fast, wantFast)

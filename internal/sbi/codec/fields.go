@@ -35,9 +35,11 @@ const (
 	// Own marks a byte string (or, on Struct, every byte string below
 	// it) the decoder's caller retains: a frame decode compacts it into
 	// the message's one owned backing instead of leaving a view into the
-	// frame. Response types set it; request types, decoded under the
-	// HandlerFunc loan, do not. A JSON decode owns every byte string —
-	// base64 has to be decoded somewhere — so the flag is moot there.
+	// frame. Response types set it on their variable-length byte strings
+	// (fixed-width values are Fixed, copied in place, and need no
+	// owning); request types, decoded under the HandlerFunc loan, do not.
+	// A JSON decode owns every byte string — base64 has to be decoded
+	// somewhere — so the flag is moot there.
 	Own
 	// Intern canonicalises a decoded string through internal/intern, so
 	// decoding the same protocol constant (an MCC, a serving network

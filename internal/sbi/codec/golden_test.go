@@ -162,10 +162,10 @@ func sampleAVRequest(supi string) paka.UDMGenerateAVRequest {
 
 func sampleAVResponse(seed byte) paka.UDMGenerateAVResponse {
 	return paka.UDMGenerateAVResponse{
-		RAND:     bytesOf(16, seed),
-		AUTN:     bytesOf(16, seed+1),
-		XRESStar: bytesOf(16, seed+2),
-		KAUSF:    bytesOf(32, seed+3),
+		RAND:     codec.Bytes16(bytesOf(16, seed)),
+		AUTN:     codec.Bytes16(bytesOf(16, seed+1)),
+		XRESStar: codec.Bytes16(bytesOf(16, seed+2)),
+		KAUSF:    codec.Bytes32(bytesOf(32, seed+3)),
 	}
 }
 
@@ -222,30 +222,30 @@ func samples() []sample {
 		}},
 		{"paka.UDMResyncResponse", &paka.UDMResyncResponse{SQNMS: bytesOf(6, 0x73)}},
 		{"paka.AUSFDeriveSERequest", &paka.AUSFDeriveSERequest{
-			RAND:     bytesOf(16, 0x74),
-			XRESStar: bytesOf(16, 0x75),
-			KAUSF:    bytesOf(32, 0x76),
+			RAND:     codec.Bytes16(bytesOf(16, 0x74)),
+			XRESStar: codec.Bytes16(bytesOf(16, 0x75)),
+			KAUSF:    codec.Bytes32(bytesOf(32, 0x76)),
 			SNN:      snn,
 		}},
 		{"paka.AUSFDeriveSEResponse", &paka.AUSFDeriveSEResponse{
-			HXRESStar: bytesOf(16, 0x77),
-			KSEAF:     bytesOf(32, 0x78),
+			HXRESStar: codec.Bytes16(bytesOf(16, 0x77)),
+			KSEAF:     codec.Bytes32(bytesOf(32, 0x78)),
 		}},
 		{"paka.AMFDeriveKAMFRequest", &paka.AMFDeriveKAMFRequest{
-			KSEAF: bytesOf(32, 0x79),
+			KSEAF: codec.Bytes32(bytesOf(32, 0x79)),
 			SUPI:  "imsi-001010000000008",
 			ABBA:  []byte{0x00, 0x00},
 		}},
-		{"paka.AMFDeriveKAMFResponse", &paka.AMFDeriveKAMFResponse{KAMF: bytesOf(32, 0x7A)}},
+		{"paka.AMFDeriveKAMFResponse", &paka.AMFDeriveKAMFResponse{KAMF: codec.Bytes32(bytesOf(32, 0x7A))}},
 
 		{"udm.GenerateAuthDataRequest/suci", &udm.GenerateAuthDataRequest{SUCI: sampleSUCI(), ServingNetworkName: snn}},
 		{"udm.GenerateAuthDataRequest/supi-reauth", &udm.GenerateAuthDataRequest{SUPI: "imsi-001010000000009", ServingNetworkName: snn}},
 		{"udm.GenerateAuthDataResponse", &udm.GenerateAuthDataResponse{
 			SUPI:     "imsi-001010000000010",
-			RAND:     bytesOf(16, 0x01),
-			AUTN:     bytesOf(16, 0x02),
-			XRESStar: bytesOf(16, 0x03),
-			KAUSF:    bytesOf(32, 0x04),
+			RAND:     codec.Bytes16(bytesOf(16, 0x01)),
+			AUTN:     codec.Bytes16(bytesOf(16, 0x02)),
+			XRESStar: codec.Bytes16(bytesOf(16, 0x03)),
+			KAUSF:    codec.Bytes32(bytesOf(32, 0x04)),
 		}},
 		{"udm.ResyncRequest", &udm.ResyncRequest{
 			SUPI: "imsi-001010000000011",
@@ -258,12 +258,12 @@ func samples() []sample {
 		{"ausf.AuthenticateRequest/supi-reauth", &ausf.AuthenticateRequest{SUPI: "imsi-001010000000012", ServingNetworkName: snn}},
 		{"ausf.AuthenticateResponse", &ausf.AuthenticateResponse{
 			AuthCtxID: "authctx-42",
-			RAND:      bytesOf(16, 0x07),
-			AUTN:      bytesOf(16, 0x08),
-			HXRESStar: bytesOf(16, 0x09),
+			RAND:      codec.Bytes16(bytesOf(16, 0x07)),
+			AUTN:      codec.Bytes16(bytesOf(16, 0x08)),
+			HXRESStar: codec.Bytes16(bytesOf(16, 0x09)),
 		}},
 		{"ausf.ConfirmRequest", &ausf.ConfirmRequest{AuthCtxID: "authctx-42", ResStar: bytesOf(16, 0x0A)}},
-		{"ausf.ConfirmResponse", &ausf.ConfirmResponse{SUPI: "imsi-001010000000013", KSEAF: bytesOf(32, 0x0B)}},
+		{"ausf.ConfirmResponse", &ausf.ConfirmResponse{SUPI: "imsi-001010000000013", KSEAF: codec.Bytes32(bytesOf(32, 0x0B))}},
 		{"ausf.ResyncRequest", &ausf.ResyncRequest{AuthCtxID: "authctx-43", AUTS: bytesOf(14, 0x0C)}},
 
 		{"udr.Subscriber", &sub},

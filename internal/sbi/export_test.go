@@ -22,7 +22,3 @@ func TestMain(m *testing.M) {
 	auditPool = true
 	os.Exit(m.Run())
 }
-
-// OutstandingBodies is the audit's count of bodies handed out by
-// MarshalBody / MarshalBinary and not yet passed to ReleaseBody.
-func OutstandingBodies() int { return outstandingBodies() }

@@ -216,7 +216,7 @@ func postHTTP(t *testing.T, url, path string, req, resp any) (*http.Response, Pr
 // message, a 4xx problem and an unknown path over the HTTP edge, after
 // which the server has released every response body it wrote.
 func TestHTTPTransportRoundTrip(t *testing.T) {
-	before := outstandingBodies()
+	before := OutstandingBodies()
 	env := newEnv()
 	srv := echoServer(t, env)
 	srv.HandleDual("/auth", BinHandler(echoBin))
@@ -251,7 +251,7 @@ func TestHTTPTransportRoundTrip(t *testing.T) {
 
 	// Close waits for the server side of the requests above to finish.
 	ts.Close()
-	if n := outstandingBodies() - before; n != 0 {
+	if n := OutstandingBodies() - before; n != 0 {
 		t.Fatalf("%d pooled bodies outstanding after the HTTP round trips, want 0", n)
 	}
 }

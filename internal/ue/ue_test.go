@@ -72,9 +72,7 @@ func (f *fixture) networkChallenge(t *testing.T, sqn []byte) (*nas.Authenticatio
 	if err != nil {
 		t.Fatalf("GenerateAV: %v", err)
 	}
-	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: []byte{0, 0}}
-	copy(req.RAND[:], av.RAND)
-	copy(req.AUTN[:], av.AUTN)
+	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: []byte{0, 0}, RAND: av.RAND, AUTN: av.AUTN}
 	return req, av
 }
 
@@ -143,7 +141,7 @@ func TestAuthChallengeAcceptedAndResStarCorrect(t *testing.T) {
 	if !ok {
 		t.Fatalf("uplink = %s", msg.Type())
 	}
-	if !bytes.Equal(resp.ResStar[:], av.XRESStar) {
+	if resp.ResStar != av.XRESStar {
 		t.Fatal("UE RES* does not match network XRES*")
 	}
 	// The USIM advanced its sequence number.
@@ -253,7 +251,7 @@ func TestKeyHierarchyMatchesNetworkSide(t *testing.T) {
 
 	// If both sides agree on K_AMF, a SecurityModeCommand protected by
 	// the network verifies at the UE.
-	sec, err := nas.NewSecurityContext(kamfResp.KAMF)
+	sec, err := nas.NewSecurityContext(kamfResp.KAMF[:])
 	if err != nil {
 		t.Fatalf("NewSecurityContext: %v", err)
 	}
