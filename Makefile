@@ -60,7 +60,7 @@ loc:
 # module below), lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
-# then the eight tests whose allocation or heap budgets skip themselves
+# then the nine tests whose allocation or heap budgets skip themselves
 # under -race on a plain build. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
@@ -72,16 +72,16 @@ loc:
 # deploys), chaos on two shards (crashes reach replica 1's modules under
 # their derived names) and, built with -race so the audit is on in a real
 # binary, a chaos run across crash-restart, retry and batch-refill paths;
-# five fuzz passes (SBI frames, JSON codec, the HTTP edge, NAS decode,
-# SUCI de-concealment); and the benchmark module — its own go.mod, so `./...`
-# never reaches it — is vetted, tested, gofmt-checked and run for a second
-# in binary-frame, JSON and ring mode.
+# six fuzz passes (SBI frames, JSON codec, the HTTP edge, NAS decode, the
+# UE's downlink, SUCI de-concealment); and the benchmark module — its own
+# go.mod, so `./...` never reaches it — is vetted, tested, gofmt-checked
+# and run for a second in binary-frame, JSON and ring mode.
 ci: build
 	test -z "$$(gofmt -l $$(git ls-files '*.go' ':!bench/') | tee /dev/stderr)"
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestReRegistrationAllocBudget|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration' . ./internal/experiments ./internal/nas ./internal/deploy
+	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestReRegistrationAllocBudget|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration|TestUEBytesPerDevice' . ./internal/experiments ./internal/nas ./internal/deploy
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
 	$(MAKE) examples
@@ -96,6 +96,7 @@ ci: build
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzServeHTTP$$' -fuzztime 5s ./internal/sbi
 	$(GO) test -run '^$$' -fuzz '^FuzzNASDecode$$' -fuzztime 5s ./internal/nas
+	$(GO) test -run '^$$' -fuzz '^FuzzUEDownlink$$' -fuzztime 5s ./internal/ue
 	$(GO) test -run '^$$' -fuzz '^FuzzDeconceal$$' -fuzztime 5s ./internal/crypto/suci
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
 	bash bench/run.sh --workload attach_sharded --seconds 1

@@ -201,12 +201,12 @@ func TestOneChargingSink(t *testing.T) {
 	}
 }
 
-// TestOneBodyPerPrimitive pins the deletion of the allocating KDF twins:
-// under internal/crypto/... a function or method X stands next to an XInto
-// only while some non-test file calls X (today milenage's F1 and F2345,
-// from internal/ue, and hashpool's HMAC.Sum, from suci). An X that only
-// tests call is a second body of the primitive which the tests then check
-// in place of the one production runs; re-adding kdf.KSEAF fails here.
+// TestOneBodyPerPrimitive pins the deletion of the allocating KDF and
+// MILENAGE twins: under internal/crypto/... a function or method X stands
+// next to an XInto only while some non-test file calls X (today hashpool's
+// HMAC.Sum, from suci). An X that only tests call is a second body of the
+// primitive which the tests then check in place of the one production
+// runs; re-adding kdf.KSEAF or milenage's F2345 fails here.
 func TestOneBodyPerPrimitive(t *testing.T) {
 	sharedLoader(t)
 	called := make(map[string]bool)

@@ -24,8 +24,8 @@ func TestCacheMatchesUncached(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get: %v", err)
 		}
-		gotA, _ := cached.F1(rand, sqn, amf)
-		wantA, _ := fresh.F1(rand, sqn, amf)
+		gotA, _ := f1(cached, rand, sqn, amf)
+		wantA, _ := f1(fresh, rand, sqn, amf)
 		if !bytes.Equal(gotA, wantA) {
 			t.Fatalf("round %d: F1 cached %x != fresh %x", round, gotA, wantA)
 		}
@@ -34,11 +34,11 @@ func TestCacheMatchesUncached(t *testing.T) {
 		if !bytes.Equal(gotS, wantS) {
 			t.Fatalf("round %d: F1* mismatch", round)
 		}
-		res, ck, ik, ak, err := cached.F2345(rand)
+		res, ck, ik, ak, err := f2345(cached, rand)
 		if err != nil {
-			t.Fatalf("F2345: %v", err)
+			t.Fatalf("F2345Into: %v", err)
 		}
-		wres, wck, wik, wak, _ := fresh.F2345(rand)
+		wres, wck, wik, wak, _ := f2345(fresh, rand)
 		if !bytes.Equal(res, wres) || !bytes.Equal(ck, wck) || !bytes.Equal(ik, wik) || !bytes.Equal(ak, wak) {
 			t.Fatalf("round %d: F2345 mismatch", round)
 		}
@@ -69,16 +69,16 @@ func TestCacheRekeyRebuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, _, _, _, _ := c1.F2345(rand)
+	res1, _, _, _, _ := f2345(c1, rand)
 
 	c2, err := cc.Get("imsi-1", k2, opc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, _, _, _, _ := c2.F2345(rand)
+	res2, _, _, _, _ := f2345(c2, rand)
 
 	wantC2, _ := New(k2, opc)
-	want2, _, _, _, _ := wantC2.F2345(rand)
+	want2, _, _, _, _ := f2345(wantC2, rand)
 	if !bytes.Equal(res2, want2) {
 		t.Fatalf("after rekey: RES %x, want fresh %x", res2, want2)
 	}
@@ -113,7 +113,7 @@ func TestCacheInvalidateAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, _, _, _ := c.F2345(rand)
+	res, _, _, _, _ := f2345(c, rand)
 	if want := mustHex(t, testSet1.res); !bytes.Equal(res, want) {
 		t.Fatalf("post-reset RES = %x, want %x", res, want)
 	}
@@ -168,7 +168,7 @@ func TestCacheConcurrent(t *testing.T) {
 					errs <- err.Error()
 					return
 				}
-				res, _, _, _, err := c.F2345(rand)
+				res, _, _, _, err := f2345(c, rand)
 				if err != nil || !bytes.Equal(res, want) {
 					errs <- "RES mismatch under concurrency"
 					return

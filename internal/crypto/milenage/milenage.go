@@ -113,38 +113,20 @@ func putScratch(s *scratch) {
 	scratchPool.Put(s)
 }
 
-// F1 computes the network authentication code MAC-A (TS 35.206 §4.1).
-func (c *Cipher) F1(rand, sqn, amf []byte) ([]byte, error) {
-	out1, err := c.f1Block(rand, sqn, amf)
-	if err != nil {
-		return nil, err
-	}
-	return out1[:MACLen], nil
-}
-
 // F1Star computes the resynchronisation authentication code MAC-S.
 func (c *Cipher) F1Star(rand, sqn, amf []byte) ([]byte, error) {
-	out1, err := c.f1Block(rand, sqn, amf)
-	if err != nil {
-		return nil, err
-	}
-	return out1[MACLen:], nil
-}
-
-//shieldlint:hotpath
-func (c *Cipher) f1Block(rand, sqn, amf []byte) ([]byte, error) {
-	//shieldlint:ignore hotalloc single caller-owned OUT1 per UE-side verification; the enclave mint path uses F1Into with pooled scratch
 	out := make([]byte, 16)
 	if err := c.F1Into(out, rand, sqn, amf); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out[MACLen:], nil
 }
 
-// F1Into computes the full OUT1 block — MAC-A || MAC-S — into dst,
-// which must hold exactly 16 bytes; MAC-A is dst[:MACLen], MAC-S is
-// dst[MACLen:]. This is the allocation-free variant of F1/F1Star for
-// callers holding pooled or batch-shared scratch (the eUDM AV mint).
+// F1Into computes the network authentication code MAC-A (TS 35.206 §4.1)
+// as part of the full OUT1 block — MAC-A || MAC-S — into dst, which must
+// hold exactly 16 bytes; MAC-A is dst[:MACLen], MAC-S is dst[MACLen:].
+// Callers hold dst in pooled or batch-shared scratch (the eUDM AV mint,
+// the UE's AKA run).
 //
 //shieldlint:hotpath
 func (c *Cipher) F1Into(dst, rand, sqn, amf []byte) error {
@@ -174,24 +156,12 @@ func (c *Cipher) F1Into(dst, rand, sqn, amf []byte) error {
 	return nil
 }
 
-// F2345 computes RES, CK, IK and AK from RAND in a single pass, matching
-// the derivations the UDM performs when building an authentication vector.
-// The four results share one freshly allocated backing array (their byte
-// ranges are disjoint); callers own them and may read them independently.
-//
-//shieldlint:hotpath
-func (c *Cipher) F2345(rand []byte) (res, ck, ik, ak []byte, err error) {
-	// One backing array for OUT2 || OUT3 || OUT4.
-	//shieldlint:ignore hotalloc single caller-owned backing for all three UE-side outputs; the enclave mint path uses F2345Into with pooled scratch
-	out := make([]byte, 48)
-	return c.F2345Into(out, rand)
-}
-
-// F2345Into is the allocation-free variant of F2345: out must hold
-// exactly 48 bytes and receives OUT2 || OUT3 || OUT4; the returned
-// res/ck/ik/ak slices alias disjoint ranges of out. Callers recycling
-// out through a pool must scrub it before returning it — CK, IK and AK
-// are key material.
+// F2345Into computes RES, CK, IK and AK from RAND in a single pass,
+// matching the derivations the UDM performs when building an
+// authentication vector. out must hold exactly 48 bytes and receives
+// OUT2 || OUT3 || OUT4; the returned res/ck/ik/ak slices alias disjoint
+// ranges of out. Callers recycling out through a pool must scrub it
+// before returning it — CK, IK and AK are key material.
 //
 //shieldlint:hotpath
 func (c *Cipher) F2345Into(out, rand []byte) (res, ck, ik, ak []byte, err error) {

@@ -36,6 +36,20 @@ var testSet1 = struct {
 	akS:  "451e8beca43b",
 }
 
+// f1 returns MAC-A from a fresh OUT1 block written by F1Into.
+func f1(c *Cipher, rand, sqn, amf []byte) ([]byte, error) {
+	out := make([]byte, 16)
+	if err := c.F1Into(out, rand, sqn, amf); err != nil {
+		return nil, err
+	}
+	return out[:MACLen], nil
+}
+
+// f2345 runs F2345Into over a fresh 48-byte backing.
+func f2345(c *Cipher, rand []byte) (res, ck, ik, ak []byte, err error) {
+	return c.F2345Into(make([]byte, 48), rand)
+}
+
 func newTestCipher(t *testing.T) *Cipher {
 	t.Helper()
 	c, err := New(mustHex(t, testSet1.k), mustHex(t, testSet1.opc))
@@ -57,12 +71,15 @@ func TestComputeOPcTestSet1(t *testing.T) {
 
 func TestF1TestSet1(t *testing.T) {
 	c := newTestCipher(t)
-	macA, err := c.F1(mustHex(t, testSet1.rand), mustHex(t, testSet1.sqn), mustHex(t, testSet1.amf))
-	if err != nil {
-		t.Fatalf("F1: %v", err)
+	out1 := make([]byte, 16)
+	if err := c.F1Into(out1, mustHex(t, testSet1.rand), mustHex(t, testSet1.sqn), mustHex(t, testSet1.amf)); err != nil {
+		t.Fatalf("F1Into: %v", err)
 	}
-	if want := mustHex(t, testSet1.macA); !bytes.Equal(macA, want) {
-		t.Fatalf("MAC-A = %x, want %x", macA, want)
+	if want := mustHex(t, testSet1.macA); !bytes.Equal(out1[:MACLen], want) {
+		t.Fatalf("MAC-A = %x, want %x", out1[:MACLen], want)
+	}
+	if want := mustHex(t, testSet1.macS); !bytes.Equal(out1[MACLen:], want) {
+		t.Fatalf("MAC-S = %x, want %x", out1[MACLen:], want)
 	}
 }
 
@@ -79,9 +96,10 @@ func TestF1StarTestSet1(t *testing.T) {
 
 func TestF2345TestSet1(t *testing.T) {
 	c := newTestCipher(t)
-	res, ck, ik, ak, err := c.F2345(mustHex(t, testSet1.rand))
+	out := make([]byte, 48)
+	res, ck, ik, ak, err := c.F2345Into(out, mustHex(t, testSet1.rand))
 	if err != nil {
-		t.Fatalf("F2345: %v", err)
+		t.Fatalf("F2345Into: %v", err)
 	}
 	if want := mustHex(t, testSet1.res); !bytes.Equal(res, want) {
 		t.Errorf("RES = %x, want %x", res, want)
@@ -120,9 +138,9 @@ func TestInitInPlace(t *testing.T) {
 	if err := c.Init(k, opc); err != nil {
 		t.Fatalf("Init: %v", err)
 	}
-	res, ck, _, _, err := c.F2345(rand)
+	res, ck, _, _, err := f2345(&c, rand)
 	if err != nil {
-		t.Fatalf("F2345: %v", err)
+		t.Fatalf("F2345Into: %v", err)
 	}
 	if !bytes.Equal(res, mustHex(t, testSet1.res)) || !bytes.Equal(ck, mustHex(t, testSet1.ck)) {
 		t.Fatalf("RES %x CK %x after re-Init, want Test Set 1", res, ck)
@@ -160,17 +178,23 @@ func TestBadLengths(t *testing.T) {
 	}
 
 	c := newTestCipher(t)
-	if _, err := c.F1(make([]byte, 8), make([]byte, 6), make([]byte, 2)); err == nil {
-		t.Fatal("F1 short RAND: want error")
+	if err := c.F1Into(good16, make([]byte, 8), make([]byte, 6), make([]byte, 2)); err == nil {
+		t.Fatal("F1Into short RAND: want error")
 	}
-	if _, err := c.F1(good16, make([]byte, 5), make([]byte, 2)); err == nil {
-		t.Fatal("F1 short SQN: want error")
+	if err := c.F1Into(good16, good16, make([]byte, 5), make([]byte, 2)); err == nil {
+		t.Fatal("F1Into short SQN: want error")
 	}
-	if _, err := c.F1(good16, make([]byte, 6), make([]byte, 3)); err == nil {
-		t.Fatal("F1 long AMF: want error")
+	if err := c.F1Into(good16, good16, make([]byte, 6), make([]byte, 3)); err == nil {
+		t.Fatal("F1Into long AMF: want error")
 	}
-	if _, _, _, _, err := c.F2345(nil); err == nil {
-		t.Fatal("F2345 nil RAND: want error")
+	if err := c.F1Into(make([]byte, 8), good16, make([]byte, 6), make([]byte, 2)); err == nil {
+		t.Fatal("F1Into short OUT1: want error")
+	}
+	if _, _, _, _, err := c.F2345Into(make([]byte, 48), nil); err == nil {
+		t.Fatal("F2345Into nil RAND: want error")
+	}
+	if _, _, _, _, err := c.F2345Into(make([]byte, 32), good16); err == nil {
+		t.Fatal("F2345Into short backing: want error")
 	}
 	if _, err := c.F5Star(make([]byte, 17)); err == nil {
 		t.Fatal("F5Star long RAND: want error")
@@ -202,11 +226,11 @@ func TestRotateIdentity(t *testing.T) {
 func TestF1Properties(t *testing.T) {
 	c := newTestCipher(t)
 	f := func(rand [16]byte, sqn [6]byte, amf [2]byte) bool {
-		a, err := c.F1(rand[:], sqn[:], amf[:])
+		a, err := f1(c, rand[:], sqn[:], amf[:])
 		if err != nil {
 			return false
 		}
-		b, err := c.F1(rand[:], sqn[:], amf[:])
+		b, err := f1(c, rand[:], sqn[:], amf[:])
 		if err != nil {
 			return false
 		}
@@ -216,7 +240,7 @@ func TestF1Properties(t *testing.T) {
 		// Flipping one SQN bit must change the MAC (with overwhelming
 		// probability; a collision would indicate a broken PRF wiring).
 		sqn[0] ^= 0x01
-		d, err := c.F1(rand[:], sqn[:], amf[:])
+		d, err := f1(c, rand[:], sqn[:], amf[:])
 		if err != nil {
 			return false
 		}
@@ -250,11 +274,11 @@ func TestF2345Properties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r1, ck1, ik1, ak1, err := c1.F2345(rand[:])
+		r1, ck1, ik1, ak1, err := f2345(c1, rand[:])
 		if err != nil {
 			return false
 		}
-		r2, _, _, _, err := c2.F2345(rand[:])
+		r2, _, _, _, err := f2345(c2, rand[:])
 		if err != nil {
 			return false
 		}
@@ -273,7 +297,7 @@ func TestF2345Properties(t *testing.T) {
 func TestF1F1StarDisjoint(t *testing.T) {
 	c := newTestCipher(t)
 	f := func(rand [16]byte, sqn [6]byte, amf [2]byte) bool {
-		a, err := c.F1(rand[:], sqn[:], amf[:])
+		a, err := f1(c, rand[:], sqn[:], amf[:])
 		if err != nil {
 			return false
 		}
@@ -294,9 +318,10 @@ func BenchmarkF2345(b *testing.B) {
 		b.Fatal(err)
 	}
 	rand := mustHex(b, testSet1.rand)
+	out := make([]byte, 48)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, _, err := c.F2345(rand); err != nil {
+		if _, _, _, _, err := c.F2345Into(out, rand); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,9 +335,10 @@ func BenchmarkF1(b *testing.B) {
 	rand := mustHex(b, testSet1.rand)
 	sqn := mustHex(b, testSet1.sqn)
 	amf := mustHex(b, testSet1.amf)
+	out := make([]byte, 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.F1(rand, sqn, amf); err != nil {
+		if err := c.F1Into(out, rand, sqn, amf); err != nil {
 			b.Fatal(err)
 		}
 	}

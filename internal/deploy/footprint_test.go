@@ -226,3 +226,59 @@ func TestCoreBytesPerSubscriberReplica(t *testing.T) {
 		t.Errorf("each eUDM replica adds %.0f B per subscriber, budget %d B", perReplica, bytesPerReplicaBudget)
 	}
 }
+
+// Bounds on what one simulated device holds, each its measurement plus
+// 25 %. Idle (built, not yet registered) a device is its 320 B struct,
+// with K, OPc and the home-network key inline, and its 24 B SUPI string:
+// 344 B (go1.24, amd64). Registered, it adds its 96 B NAS security context,
+// which holds no K_NASenc schedule, its 48 B GUTI and the GUTI's two PLMN
+// strings: 504 B. While a device kept a MILENAGE schedule for life and its
+// K_NASenc schedule after registering, they measured 936 B and 1 608 B.
+const (
+	ueBytesIdleBudget       = 430
+	ueBytesRegisteredBudget = 630
+)
+
+// TestUEBytesPerDevice: what the UE simulator holds per device, idle and
+// registered (SGX, AV pool 8, binary SBI, 2 000 subscribers), stays within
+// its budgets. Each reading is the live heap with the devices minus the
+// live heap after dropping them: the core's state for a registered UE is
+// in both readings, so the difference is the devices' alone. Skipped under
+// -race like its siblings.
+func TestUEBytesPerDevice(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap readings are not repeatable under -race")
+	}
+	const n = 2000
+	ctx := context.Background()
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 38, AVPoolDepth: 8, BinarySBI: true})
+	subs := provisionFootprint(t, s, n)
+	perDevice := func(register bool) float64 {
+		devices := make([]*ue.UE, n)
+		for i, sub := range subs {
+			devices[i] = sub.device(t, s)
+			if !register {
+				continue
+			}
+			if _, err := s.GNB.RegisterUE(ctx, devices[i]); err != nil {
+				t.Fatalf("RegisterUE(%s): %v", devices[i].SUPIString(), err)
+			}
+		}
+		with := liveHeap()
+		runtime.KeepAlive(devices)
+		devices = nil
+		without := liveHeap()
+		return (float64(with) - float64(without)) / n
+	}
+	idle, registered := perDevice(false), perDevice(true)
+	if got := registeredUEs(s); got != n {
+		t.Fatalf("%d registered UEs, want %d", got, n)
+	}
+	t.Logf("a device holds %.0f B idle and %.0f B registered", idle, registered)
+	if idle > ueBytesIdleBudget {
+		t.Errorf("an idle device holds %.0f B, budget %d B", idle, ueBytesIdleBudget)
+	}
+	if registered > ueBytesRegisteredBudget {
+		t.Errorf("a registered device holds %.0f B, budget %d B", registered, ueBytesRegisteredBudget)
+	}
+}

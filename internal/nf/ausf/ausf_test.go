@@ -105,9 +105,9 @@ func newModule(t *testing.T, env *costmodel.Env, reg *sbi.Registry, kind paka.Mo
 // ueResStar computes the correct RES* the way the USIM would.
 func (h *harness) ueResStar(t *testing.T, randBytes []byte) []byte {
 	t.Helper()
-	res, ck, ik, _, err := h.mil.F2345(randBytes)
+	res, ck, ik, _, err := h.mil.F2345Into(make([]byte, 48), randBytes)
 	if err != nil {
-		t.Fatalf("F2345: %v", err)
+		t.Fatalf("F2345Into: %v", err)
 	}
 	resStar := make([]byte, kdf.KeyLen128)
 	if err := kdf.ResStarInto(resStar, ck, ik, testSNN, randBytes, res); err != nil {

@@ -108,9 +108,9 @@ func sqnOf(t *testing.T, resp *GenerateAuthDataResponse) []byte {
 	if err != nil {
 		t.Fatalf("milenage.New: %v", err)
 	}
-	_, _, _, ak, err := mil.F2345(resp.RAND[:])
+	_, _, _, ak, err := mil.F2345Into(make([]byte, 48), resp.RAND[:])
 	if err != nil {
-		t.Fatalf("F2345: %v", err)
+		t.Fatalf("F2345Into: %v", err)
 	}
 	sqn := make([]byte, 6)
 	for i := range sqn {

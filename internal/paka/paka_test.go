@@ -50,9 +50,9 @@ func TestGenerateAVMatchesDirectDerivation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("milenage.New: %v", err)
 	}
-	res, ck, ik, ak, err := c.F2345(testRAND)
+	res, ck, ik, ak, err := c.F2345Into(make([]byte, 48), testRAND)
 	if err != nil {
-		t.Fatalf("F2345: %v", err)
+		t.Fatalf("F2345Into: %v", err)
 	}
 	sqnAK, err := kdf.XorSQNAK(testSQN, ak)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/crypto/kdf"
@@ -35,6 +36,10 @@ var (
 
 // usimCycles is the modelled USIM computation cost per AKA run.
 const usimCycles = 60_000
+
+// hnPubLen is the length of the home-network public key: an X25519 key,
+// the ECIES profile A input of SUCI concealment.
+const hnPubLen = 32
 
 // COTSProfile reproduces commercial-device quirks the paper reports from
 // its OTA test (§V-B6): the OnePlus 8 only detects the test PLMN 00101,
@@ -83,14 +88,18 @@ type Config struct {
 }
 
 // UE is one simulated device.
+//
+// A device keeps keys, not key schedules, the rule the core follows: K
+// and OPc are in-struct arrays, and each AKA run expands K's MILENAGE
+// schedule for that run only; the NAS context drops its K_NASenc schedule
+// when the registration ends.
 type UE struct {
 	supi suci.SUPI
 	// supiStr caches supi.String(): K_AMF derivation needs the IMSI form
 	// on every AKA run.
 	supiStr    string
-	mil        *milenage.Cipher
-	opc        []byte
-	hnPub      []byte
+	k, opc     [milenage.KeyLen]byte
+	hnPub      [hnPubLen]byte
 	hnKeyID    byte
 	ri         string
 	env        *costmodel.Env
@@ -127,9 +136,13 @@ func New(cfg Config) (*UE, error) {
 	if cfg.Env == nil {
 		return nil, errors.New("ue: Config.Env is required")
 	}
-	mil, err := milenage.New(cfg.K, cfg.OPc)
-	if err != nil {
-		return nil, fmt.Errorf("ue: USIM credentials: %w", err)
+	if len(cfg.K) != milenage.KeyLen || len(cfg.OPc) != milenage.OPLen {
+		return nil, fmt.Errorf("ue: USIM credentials: K and OPc are %d bytes, got %d and %d",
+			milenage.KeyLen, len(cfg.K), len(cfg.OPc))
+	}
+	if !cfg.UseNullScheme && len(cfg.HomeNetworkPublicKey) != hnPubLen {
+		return nil, fmt.Errorf("ue: home network public key length %d, want %d",
+			len(cfg.HomeNetworkPublicKey), hnPubLen)
 	}
 	entropy := cfg.Entropy
 	if entropy == nil {
@@ -142,9 +155,6 @@ func New(cfg Config) (*UE, error) {
 	u := &UE{
 		supi:       cfg.SUPI,
 		supiStr:    cfg.SUPI.String(),
-		mil:        mil,
-		opc:        append([]byte(nil), cfg.OPc...),
-		hnPub:      append([]byte(nil), cfg.HomeNetworkPublicKey...),
 		hnKeyID:    cfg.HomeNetworkKeyID,
 		ri:         ri,
 		env:        cfg.Env,
@@ -152,6 +162,10 @@ func New(cfg Config) (*UE, error) {
 		entropy:    entropy,
 		nullScheme: cfg.UseNullScheme,
 	}
+	copy(u.k[:], cfg.K)
+	copy(u.opc[:], cfg.OPc)
+	// A null-scheme device never conceals, so its key may be absent.
+	copy(u.hnPub[:], cfg.HomeNetworkPublicKey)
 	if len(cfg.SQN) == 6 {
 		copy(u.sqnMS[:], cfg.SQN)
 	}
@@ -230,7 +244,7 @@ func (u *UE) concealIdentity() (*suci.SUCI, error) {
 		}
 		return sc, nil
 	}
-	sc, err := suci.Conceal(u.entropy, u.supi, u.ri, u.hnPub, u.hnKeyID)
+	sc, err := suci.Conceal(u.entropy, u.supi, u.ri, u.hnPub[:], u.hnKeyID)
 	if err != nil {
 		return nil, fmt.Errorf("ue: conceal SUPI: %w", err)
 	}
@@ -278,6 +292,13 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 		if derr != nil {
 			return nil, false, fmt.Errorf("ue: undecodable downlink NAS: %w", derr)
 		}
+		// Without integrity protection the UE processes only the messages
+		// that run before a security context exists (TS 24.501 §4.4.4.2).
+		switch msg.(type) {
+		case *nas.IdentityRequest, *nas.AuthenticationRequest, *nas.AuthenticationReject:
+		default:
+			return nil, false, fmt.Errorf("ue: %s without integrity protection", msg.Type())
+		}
 	}
 
 	switch m := msg.(type) {
@@ -295,6 +316,9 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 		g := m.GUTI
 		u.guti = &g
 		up, err := u.sec.Protect(&nas.RegistrationComplete{}, true)
+		// Registration is over: keep the NAS keys and COUNTs, not the
+		// K_NASenc schedule, as the AMF does on accepting the complete.
+		u.sec.DropCipher()
 		return up, true, err
 	case *nas.PDUSessionEstablishmentAccept:
 		u.lastAddr = m.UEAddress
@@ -320,12 +344,36 @@ func (u *UE) handleIdentityRequest(ctx context.Context, m *nas.IdentityRequest) 
 	return up, false, err
 }
 
+// akaScratch holds one AKA run's MILENAGE outputs: the OUT1 block
+// (MAC-A || MAC-S) and the OUT2..4 backing that RES, CK, IK and AK alias.
+type akaScratch struct {
+	out1 [16]byte
+	out2 [48]byte
+}
+
+var akaScratchPool = sync.Pool{New: func() any { return new(akaScratch) }}
+
+// putAKAScratch scrubs before recycling: CK, IK and AK are key material,
+// and pooled memory must not carry them between runs (the rule
+// milenage's own scratch and hashpool.PutHMAC follow).
+func putAKAScratch(s *akaScratch) {
+	*s = akaScratch{}
+	akaScratchPool.Put(s)
+}
+
 // handleAuthRequest runs the USIM's AUTN verification and RES*/key
 // derivation (TS 33.501 §6.1.3.2), including the resynchronisation path.
+// K's MILENAGE schedule is expanded for this one run.
 func (u *UE) handleAuthRequest(ctx context.Context, m *nas.AuthenticationRequest) ([]byte, bool, error) {
 	u.env.Charge(ctx, usimCycles)
 
-	res, ck, ik, ak, err := u.mil.F2345(m.RAND[:])
+	var mil milenage.Cipher
+	if err := mil.Init(u.k[:], u.opc[:]); err != nil {
+		return nil, false, fmt.Errorf("ue: USIM credentials: %w", err)
+	}
+	s := akaScratchPool.Get().(*akaScratch)
+	defer putAKAScratch(s)
+	res, ck, ik, ak, err := mil.F2345Into(s.out2[:], m.RAND[:])
 	if err != nil {
 		return nil, false, fmt.Errorf("ue: f2345: %w", err)
 	}
@@ -333,27 +381,23 @@ func (u *UE) handleAuthRequest(ctx context.Context, m *nas.AuthenticationRequest
 	if err != nil {
 		return nil, false, fmt.Errorf("ue: AUTN: %w", err)
 	}
-	if len(ak) != 6 {
-		return nil, false, fmt.Errorf("ue: SQN recovery: AK length %d, want 6", len(ak))
-	}
 	// SQN_HE = (SQN XOR AK) XOR AK, on the stack: it only feeds the local
-	// MAC check and SQN_MS update.
+	// MAC check and SQN_MS update. AK is always 6 bytes.
 	var sqnHE [6]byte
 	for i := range sqnHE {
 		sqnHE[i] = sqnAK[i] ^ ak[i]
 	}
-	wantMAC, err := u.mil.F1(m.RAND[:], sqnHE[:], amfField)
-	if err != nil {
+	if err := mil.F1Into(s.out1[:], m.RAND[:], sqnHE[:], amfField); err != nil {
 		return nil, false, fmt.Errorf("ue: f1: %w", err)
 	}
-	if !hmac.Equal(macA, wantMAC) {
+	if !hmac.Equal(macA, s.out1[:milenage.MACLen]) {
 		up, err := nas.Encode(&nas.AuthenticationFailure{Cause: nas.CauseMACFailure})
 		return up, false, errors.Join(ErrMACFailure, err)
 	}
 
 	// Freshness: the network SQN must be strictly ahead of the USIM's.
 	if !sqnAhead(sqnHE[:], u.sqnMS[:]) {
-		auts, err := u.buildAUTS(m.RAND[:])
+		auts, err := u.buildAUTS(&mil, s, m.RAND[:])
 		if err != nil {
 			return nil, false, err
 		}
@@ -391,9 +435,10 @@ func (u *UE) handleAuthRequest(ctx context.Context, m *nas.AuthenticationRequest
 	return up, false, err
 }
 
-// buildAUTS assembles the resynchronisation token (TS 33.102 §6.3.3).
-func (u *UE) buildAUTS(randBytes []byte) ([]byte, error) {
-	akStar, err := u.mil.F5Star(randBytes)
+// buildAUTS assembles the resynchronisation token (TS 33.102 §6.3.3) with
+// the AKA run's schedule mil, writing MAC-S through the run's scratch s.
+func (u *UE) buildAUTS(mil *milenage.Cipher, s *akaScratch, randBytes []byte) ([]byte, error) {
+	akStar, err := mil.F5Star(randBytes)
 	if err != nil {
 		return nil, fmt.Errorf("ue: f5*: %w", err)
 	}
@@ -401,11 +446,10 @@ func (u *UE) buildAUTS(randBytes []byte) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ue: AUTS: %w", err)
 	}
-	macS, err := u.mil.F1Star(randBytes, u.sqnMS[:], []byte{0x00, 0x00})
-	if err != nil {
+	if err := mil.F1Into(s.out1[:], randBytes, u.sqnMS[:], []byte{0x00, 0x00}); err != nil {
 		return nil, fmt.Errorf("ue: f1*: %w", err)
 	}
-	return append(append([]byte{}, concealed...), macS...), nil
+	return append(concealed, s.out1[milenage.MACLen:]...), nil
 }
 
 // BuildPDUSessionRequest produces a protected PDU session establishment
