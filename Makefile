@@ -66,8 +66,9 @@ loc:
 # the deployable binary, core5g, registers one UE on the container backend,
 # opens a PDU session and echoes data (it exits non-zero on any failure);
 # the three examples run end to end (the attestation one also shows the
-# slice refusing the eAUSF's evidence as the eUDM's); seven gnbsim smokes drive the storm replay (unsharded, and on four
-# shards, whose admission line is the fleet's sum), the sharded core, the ring
+# slice refusing the eAUSF's evidence as the eUDM's); seven gnbsim smokes drive the storm replay (unsharded with
+# the AV pool, and on four shards, whose admission line is the fleet's sum;
+# each runs twice and must replay), the sharded core, the ring
 # under four workers, the SEV guest (the one backend no bench workload
 # deploys), chaos on two shards (crashes reach replica 1's modules under
 # their derived names) and, built with -race so the audit is on in a real
@@ -76,6 +77,11 @@ loc:
 # UE's downlink, SUCI de-concealment); and the benchmark module — its own
 # go.mod, so `./...` never reaches it — is vetted, tested, gofmt-checked
 # and run for a second in binary-frame, JSON and ring mode.
+# The storm smokes, each run twice: every line but the deploy's wall-time
+# line must replay (the seed fixes the whole virtual run). The unsharded one
+# deploys the AV pool the storm experiment and bench's storm_ladder do.
+STORM_SMOKES = '-n 40 -storm 10 -limiter -avpool 8 -seed 7' '-n 400 -storm 10 -limiter -seed 7 -shards 4'
+
 ci: build
 	test -z "$$(gofmt -l $$(git ls-files '*.go' ':!bench/') | tee /dev/stderr)"
 	$(MAKE) lint
@@ -85,8 +91,13 @@ ci: build
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
 	$(MAKE) examples
-	$(GO) run ./cmd/gnbsim -n 40 -storm 10 -limiter -seed 7
-	$(GO) run ./cmd/gnbsim -n 400 -storm 10 -limiter -seed 7 -shards 4
+	set -e; for args in $(STORM_SMOKES); do \
+		d=$$(mktemp -d); \
+		$(GO) run ./cmd/gnbsim $$args > $$d/1; cat $$d/1; \
+		$(GO) run ./cmd/gnbsim $$args > $$d/2; \
+		grep -v ' wall time$$' $$d/1 > $$d/1.v; grep -v ' wall time$$' $$d/2 > $$d/2.v; \
+		diff $$d/1.v $$d/2.v || { echo "storm smoke '$$args' did not replay"; exit 1; }; \
+	done
 	$(GO) run ./cmd/gnbsim -n 32 -shards 4 -batch 8 -avpool 8 -seed 9
 	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
 	$(GO) run ./cmd/gnbsim -n 32 -isolation sev -batch 8 -avpool 8 -seed 13

@@ -159,7 +159,7 @@ type Injector struct {
 
 	mu       sync.RWMutex
 	crash    map[string]func(context.Context) error
-	enclaves map[string]*sgx.Enclave
+	enclaves map[string]func() *sgx.Enclave
 
 	counts [kindCount]atomic.Uint64
 }
@@ -171,7 +171,7 @@ func NewInjector(env *costmodel.Env, cfg Config) *Injector {
 		cfg:      cfg,
 		root:     simclock.NewJitter(cfg.Seed),
 		crash:    make(map[string]func(context.Context) error),
-		enclaves: make(map[string]*sgx.Enclave),
+		enclaves: make(map[string]func() *sgx.Enclave),
 	}
 	inj.armed.Store(true)
 	return inj
@@ -206,15 +206,13 @@ func (inj *Injector) RegisterCrash(service string, restart func(context.Context)
 }
 
 // RegisterEnclave points AEX-storm and eviction faults for a service at
-// its enclave. Call again after a crash-restart: the redeployed module has
-// a fresh enclave object.
-func (inj *Injector) RegisterEnclave(service string, e *sgx.Enclave) {
+// whatever enclave the resolver returns when the fault lands, so a
+// crash-restart's fresh enclave takes faults without registering again.
+// A resolver returning nil (a service with no enclave) makes those faults
+// no-ops.
+func (inj *Injector) RegisterEnclave(service string, enclave func() *sgx.Enclave) {
 	inj.mu.Lock()
-	if e == nil {
-		delete(inj.enclaves, service)
-	} else {
-		inj.enclaves[service] = e
-	}
+	inj.enclaves[service] = enclave
 	inj.mu.Unlock()
 }
 
@@ -331,8 +329,12 @@ func (inj *Injector) transientProblem(stream *simclock.Jitter, service, path str
 
 func (inj *Injector) enclaveFor(service string) *sgx.Enclave {
 	inj.mu.RLock()
-	defer inj.mu.RUnlock()
-	return inj.enclaves[service]
+	enclave := inj.enclaves[service]
+	inj.mu.RUnlock()
+	if enclave == nil {
+		return nil
+	}
+	return enclave()
 }
 
 func (inj *Injector) crashFor(service string) func(context.Context) error {

@@ -404,3 +404,39 @@ func TestNewSliceRejectsInvalidChaos(t *testing.T) {
 		}
 	}
 }
+
+// nopInvoker answers every request at once, so the only enclave work a
+// wrapped call causes is the fault the injector lands.
+type nopInvoker struct{}
+
+func (nopInvoker) Post(context.Context, string, string, any, any) error { return nil }
+
+// TestAEXStormLandsOnRestartedEnclave: the injector resolves a module's
+// enclave when a fault lands, so after RestartShardModule an AEX storm
+// hits the fresh enclave, not the destroyed one.
+func TestAEXStormLandsOnRestartedEnclave(t *testing.T) {
+	mix := chaos.Config{Seed: 7, AEXStormRate: 1}
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 5, Chaos: &mix})
+	m := s.Shards[0].Modules[paka.EUDM]
+	old := m.Enclave()
+	if err := s.RestartShardModule(context.Background(), 0, paka.EUDM); err != nil {
+		t.Fatalf("RestartShardModule: %v", err)
+	}
+	fresh := m.Enclave()
+	if fresh == nil || fresh == old {
+		t.Fatal("restart did not replace the eUDM's enclave")
+	}
+	oldAEX, freshAEX := old.Stats().AEX, fresh.Stats().AEX
+	if err := s.Chaos.Wrap(nopInvoker{}).Post(context.Background(), m.ServiceName(), paka.PathUDMGenerateAV, nil, nil); err != nil {
+		t.Fatalf("Post: %v", err)
+	}
+	if got := s.Chaos.Counts()[chaos.KindAEXStorm.String()]; got != 1 {
+		t.Fatalf("AEX storms drawn = %d, want 1", got)
+	}
+	if got := fresh.Stats().AEX - freshAEX; got == 0 {
+		t.Error("the AEX storm missed the restarted enclave")
+	}
+	if got := old.Stats().AEX - oldAEX; got != 0 {
+		t.Errorf("the destroyed enclave took %d AEX", got)
+	}
+}

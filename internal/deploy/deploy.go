@@ -124,10 +124,6 @@ const (
 	eamfServiceCycles  = 400_000
 )
 
-// poolBiasWeight scales the UDM's windowed AV-pool miss fraction before it
-// is added to the advertised load (see SetOverloadArmed).
-const poolBiasWeight = 0.25
-
 // Slice is a running network slice.
 type Slice struct {
 	Config SliceConfig
@@ -192,11 +188,8 @@ type Slice struct {
 	resilMu    sync.Mutex
 	resilients []*sbi.ResilientClient
 
-	// metered tracks the servers carrying load meters, for arming;
-	// udmBias pairs each UDM replica's meter with its UDM (the meter
-	// additionally carries the windowed AV-pool bias).
+	// metered tracks the servers carrying load meters, for arming.
 	metered []*sbi.Server
-	udmBias []udmBiasTarget
 
 	// root is the platform key every module's evidence must be signed by
 	// (the SGX quoting key, the SEV PSP key; nil on a container slice) and
@@ -209,13 +202,6 @@ type Slice struct {
 
 	attestMu sync.Mutex
 	attested map[*paka.Module]bool
-}
-
-// udmBiasTarget pairs a UDM front server's load meter with the UDM whose
-// pool counters feed its advertised-load bias.
-type udmBiasTarget struct {
-	srv *sbi.Server
-	udm *udm.UDM
 }
 
 // CoreShard is one vertical replica of the core: the UDM, AUSF and AMF
@@ -418,9 +404,7 @@ func (s *Slice) armChaos() {
 	}
 	for _, shard := range s.Shards {
 		for kind, m := range shard.Modules {
-			if e := m.Enclave(); e != nil {
-				s.Chaos.RegisterEnclave(m.ServiceName(), e)
-			}
+			s.Chaos.RegisterEnclave(m.ServiceName(), m.Enclave)
 			kind, idx := kind, shard.Index
 			s.Chaos.RegisterCrash(m.ServiceName(), func(ctx context.Context) error {
 				return s.RestartShardModule(ctx, idx, kind)
@@ -444,17 +428,16 @@ func (s *Slice) wireOverload() {
 		}
 		return n
 	}
-	attach := func(service string, cost simclock.Cycles, queue int) *sbi.Server {
+	attach := func(service string, cost simclock.Cycles, queue int) {
 		srv, ok := s.Registry.Lookup(service)
 		if !ok {
-			return nil
+			return
 		}
 		srv.EnableOverload(s.Env, sbi.OverloadConfig{
 			ServiceCycles: cost,
 			MaxQueue:      maxQueue(queue),
 		})
 		s.metered = append(s.metered, srv)
-		return srv
 	}
 	moduleCost := map[paka.ModuleKind]simclock.Cycles{
 		paka.EUDM:  eudmServiceCycles,
@@ -463,12 +446,10 @@ func (s *Slice) wireOverload() {
 	}
 	// Every replica's servers meter independently — per-replica OCI state
 	// is what lets one hot shard advertise overload while its siblings
-	// keep accepting. The UDM bias (windowed AV-pool miss pressure) is
-	// installed when the window is armed — see SetOverloadArmed.
+	// keep accepting. Each meter's advert is its own queue and nothing
+	// else.
 	for _, shard := range s.Shards {
-		if srv := attach(shard.UDMService, udmServiceCycles, 12); srv != nil {
-			s.udmBias = append(s.udmBias, udmBiasTarget{srv: srv, udm: shard.UDM})
-		}
+		attach(shard.UDMService, udmServiceCycles, 12)
 		attach(shard.AUSFService, ausfServiceCycles, 16)
 		for kind, m := range shard.Modules {
 			attach(m.ServiceName(), moduleCost[kind], 16)
@@ -481,27 +462,6 @@ func (s *Slice) wireOverload() {
 // controller starts/stops gating. Closing resets meter and bucket state so
 // consecutive storm windows start identically.
 func (s *Slice) SetOverloadArmed(v bool) {
-	if v {
-		// AV-pool miss pressure rides each UDM replica's advert so pool
-		// thrash shows up in the OCI before the virtual queue saturates.
-		// The fraction is windowed from the arming instant — cumulative
-		// counters are dominated by cold-start misses (every subscriber's
-		// first authentication is one) and would advertise phantom
-		// overload — and weighted down because a storm's fresh-attach
-		// share misses by construction, which is demand, not thrash.
-		for _, t := range s.udmBias {
-			t := t
-			h0, m0 := t.udm.PoolCounters()
-			t.srv.SetLoadBias(func() float64 {
-				h, m := t.udm.PoolCounters()
-				dh, dm := h-h0, m-m0
-				if total := dh + dm; total > 0 {
-					return poolBiasWeight * float64(dm) / float64(total)
-				}
-				return 0
-			})
-		}
-	}
 	for _, srv := range s.metered {
 		srv.SetOverloadArmed(v)
 	}
@@ -633,8 +593,8 @@ func (s *Slice) Reference(kind paka.ModuleKind) [32]byte { return s.reference[ki
 // module: the runtime (and enclave, under SGX) is destroyed, rebuilt from
 // the retained configuration — which re-charges the paper's Fig. 7 load
 // cost to ctx's account — re-attested, and, under SGX, its key store
-// restored from the platform's sealed backups. The fault injector, when
-// present, is repointed at the fresh enclave.
+// restored from the platform's sealed backups. The fault injector resolves
+// the module's enclave per fault, so it finds the fresh one unprompted.
 func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
 	if shard < 0 || shard >= len(s.Shards) {
 		return fmt.Errorf("deploy: no shard %d", shard)
@@ -646,9 +606,6 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 	}
 	if err := m.Restart(ctx); err != nil {
 		return fmt.Errorf("deploy: restart %s shard %d: %w", kind, shard, err)
-	}
-	if s.Chaos != nil {
-		s.Chaos.RegisterEnclave(m.ServiceName(), m.Enclave())
 	}
 	// The redeployed environment must re-prove itself before it is
 	// trusted again (the paper's deployment-validation step).

@@ -18,6 +18,9 @@ var (
 	ErrUnknownMessage = errors.New("nas: unknown message type")
 	// ErrBadDiscriminator reports a non-5GMM protocol discriminator.
 	ErrBadDiscriminator = errors.New("nas: unexpected protocol discriminator")
+	// ErrFieldTooLong reports a field longer than its length prefix can
+	// express (255 bytes for an LV field, 65535 for an LV-E field).
+	ErrFieldTooLong = errors.New("nas: field too long for its length prefix")
 )
 
 // Security header types (TS 24.501 §9.3).
@@ -68,9 +71,12 @@ func appendEncode(dst []byte, m Message) ([]byte, error) {
 	w.u8(shtPlain)
 	w.u8(byte(m.Type()))
 	m.encodeBody(w)
-	out := w.buf
-	w.buf = nil
+	out, err := w.buf, w.err
+	*w = writer{}
 	writerPool.Put(w)
+	if err != nil {
+		return nil, fmt.Errorf("encode %s: %w", m.Type(), err)
+	}
 	return out, nil
 }
 
@@ -345,15 +351,27 @@ func decodeGUTI(r *reader, g *GUTI) error {
 
 // --- byte-level helpers ---
 
-type writer struct{ buf []byte }
+// writer appends a message's fields to buf. A length-prefixed field its
+// prefix cannot express sets err (the first one wins) and Encode returns
+// that error instead of the bytes.
+type writer struct {
+	buf []byte
+	err error
+}
 
 func (w *writer) u8(b byte)     { w.buf = append(w.buf, b) }
 func (w *writer) u16(v uint16)  { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
 func (w *writer) u32(v uint32)  { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 func (w *writer) raw(b []byte)  { w.buf = append(w.buf, b...) }
-func (w *writer) lv(b []byte)   { w.u8(byte(len(b))); w.raw(b) }
-func (w *writer) lv16(b []byte) { w.u16(uint16(len(b))); w.raw(b) }
+func (w *writer) lv(b []byte)   { w.fits(len(b), 0xFF); w.u8(byte(len(b))); w.raw(b) }
+func (w *writer) lv16(b []byte) { w.fits(len(b), 0xFFFF); w.u16(uint16(len(b))); w.raw(b) }
 func (w *writer) str(s string)  { w.lv([]byte(s)) }
+
+func (w *writer) fits(n, limit int) {
+	if n > limit && w.err == nil {
+		w.err = fmt.Errorf("%w: %d bytes, at most %d", ErrFieldTooLong, n, limit)
+	}
+}
 
 type reader struct {
 	buf []byte

@@ -91,6 +91,54 @@ func TestEncodeValidatesIdentity(t *testing.T) {
 	}
 }
 
+// TestEncodeRejectsFieldsTheirPrefixCannotExpress holds every LV field to
+// its one-byte length prefix: a 256-byte field is an error from Encode and
+// Protect, not a wrapped prefix the receiver then reads as trailing bytes.
+func TestEncodeRejectsFieldsTheirPrefixCannotExpress(t *testing.T) {
+	long := bytes.Repeat([]byte{0x5a}, 256)
+	g := sampleGUTI()
+	rows := []struct {
+		name string
+		msg  Message
+		ok   bool
+	}{
+		{"DNN 256", &PDUSessionEstablishmentRequest{SessionID: 1, DNN: string(long)}, false},
+		{"UE address 256", &PDUSessionEstablishmentAccept{SessionID: 1, UEAddress: string(long)}, false},
+		{"ABBA 256", &AuthenticationRequest{NgKSI: 1, ABBA: long}, false},
+		{"AUTS 256", &AuthenticationFailure{Cause: CauseSyncFailure, AUTS: long}, false},
+		{"capabilities 256", &RegistrationRequest{Identity: MobileIdentity{GUTI: &g}, Capabilities: long}, false},
+		{"DNN 255", &PDUSessionEstablishmentRequest{SessionID: 1, DNN: string(long[:255])}, true},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			data, err := Encode(row.msg)
+			if row.ok {
+				if err != nil {
+					t.Fatalf("Encode: %v", err)
+				}
+				got, err := Decode(data)
+				if err != nil {
+					t.Fatalf("Decode: %v", err)
+				}
+				if !reflect.DeepEqual(got, row.msg) {
+					t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, row.msg)
+				}
+				return
+			}
+			if !errors.Is(err, ErrFieldTooLong) || data != nil {
+				t.Fatalf("Encode = %d bytes, %v; want nil, ErrFieldTooLong", len(data), err)
+			}
+			ue, _ := testContexts(t)
+			if wire, err := ue.Protect(row.msg, true); !errors.Is(err, ErrFieldTooLong) || wire != nil {
+				t.Fatalf("Protect = %d bytes, %v; want nil, ErrFieldTooLong", len(wire), err)
+			}
+			if ul, _ := ue.Counts(); ul != 0 {
+				t.Fatal("a refused Protect consumed a sequence number")
+			}
+		})
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("nil decode = %v", err)

@@ -336,13 +336,13 @@ func TestAVPoolFirstContactBanksOne(t *testing.T) {
 	var missed []int
 	var prev []byte
 	for i := 1; i <= 24; i++ {
-		_, m0 := h.udm.PoolCounters()
+		m0 := h.udm.AVPoolStats().Misses
 		sqn := sqnOf(t, h.auth(t, supi))
 		if prev != nil && bytes.Compare(sqn, prev) <= 0 {
 			t.Fatalf("auth %d: SQN %x not above previous %x", i, sqn, prev)
 		}
 		prev = sqn
-		if _, m := h.udm.PoolCounters(); m != m0 {
+		if m := h.udm.AVPoolStats().Misses; m != m0 {
 			missed = append(missed, i)
 		}
 	}

@@ -367,16 +367,6 @@ func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest) (*Empty, err
 // execution environment after it lost them.
 func (u *UDM) Reprovisions() uint64 { return u.reprovisions.Load() }
 
-// PoolCounters exposes the raw AV-pool hit/miss counters so callers can
-// window the miss fraction (cumulative pressure is dominated by cold-start
-// misses: every subscriber's first authentication is one).
-func (u *UDM) PoolCounters() (hits, misses uint64) {
-	if u.pool == nil {
-		return 0, 0
-	}
-	return u.pool.hits.Load(), u.pool.misses.Load()
-}
-
 // Client is the AUSF-side helper for UDM calls.
 type Client struct {
 	invoker sbi.Invoker

@@ -3,12 +3,11 @@ package sbi
 // Binary SBI bodies. The wire format of an in-process body is a property
 // of the message, decided in one place, Client.Post: a client opted in
 // through EnableBinary frames a request (internal/sbi/codec's
-// length-prefixed frames) iff it has met the peer before, the request has
-// a field description and the response is nil or has one too. Servers hold
-// no format state: a handler decodes whichever format arrives (DecodeBody)
-// and answers in kind (MarshalBodyLike). First contact, messages without a
-// description and the real HTTP transport stay on JSON; ServeHTTP turns a
-// frame away with 415.
+// length-prefixed frames) iff the request has a field description and the
+// response is nil or has one too. Servers hold no format state: a handler
+// decodes whichever format arrives (DecodeBody) and answers in kind
+// (MarshalBodyLike). Messages without a description and the real HTTP
+// transport stay on JSON; ServeHTTP turns a frame away with 415.
 //
 // Frames ride the exact MarshalBody/ReleaseBody single-owner contract the
 // JSON bodies use, and both formats are written and read from the

@@ -65,21 +65,26 @@ func postBin(t *testing.T, c *Client, value string) *binMsg {
 	return &resp
 }
 
-func TestBinaryNegotiationSwitchesAfterFirstContact(t *testing.T) {
+func TestBinaryClientFramesFromFirstContact(t *testing.T) {
 	_, c, rec := newBinaryFixture(t)
+	before := OutstandingBodies()
 
-	postBin(t, c, "first")  // session open: the body is JSON
-	postBin(t, c, "second") // peer known: binary frame
+	postBin(t, c, "first") // opens the session, and is already a frame
+	postBin(t, c, "second")
 	postBin(t, c, "third")
 
-	want := []bool{false, true, true}
-	if len(rec.frames) != len(want) {
-		t.Fatalf("handler saw %d calls, want %d", len(rec.frames), len(want))
+	if len(rec.frames) != 3 {
+		t.Fatalf("handler saw %d calls, want 3", len(rec.frames))
 	}
-	for i, frame := range want {
-		if rec.frames[i] != frame {
-			t.Errorf("request %d binary=%v, want %v", i+1, rec.frames[i], frame)
+	for i, frame := range rec.frames {
+		if !frame {
+			t.Errorf("request %d arrived as JSON from a binary client", i+1)
 		}
+	}
+	// Every request and response body went back to the pool exactly once
+	// (a second release panics in the audit).
+	if n := OutstandingBodies() - before; n != 0 {
+		t.Fatalf("%d pooled bodies outstanding after three round trips", n)
 	}
 }
 
@@ -99,9 +104,9 @@ func TestBinaryDisabledClientStaysJSON(t *testing.T) {
 }
 
 // TestPostFormatRule pins the one format rule (Client.Post): a request is
-// framed iff the client is binary, has met the peer before, the request has
-// a field description and the response is nil or has one too — and the
-// server answers in whichever format it was asked in.
+// framed iff the client is binary, the request has a field description and
+// the response is nil or has one too, on first contact and later alike —
+// and the server answers in whichever format it was asked in.
 func TestPostFormatRule(t *testing.T) {
 	shapes := []struct {
 		name      string
@@ -164,7 +169,7 @@ func TestPostFormatRule(t *testing.T) {
 							t.Errorf("resp = %+v, want the echoed value", r)
 						}
 					}
-					want := binary && later && sh.framable
+					want := binary && sh.framable
 					if reqFrame != want {
 						t.Errorf("handler saw frame=%v, want %v", reqFrame, want)
 					}

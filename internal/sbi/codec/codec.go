@@ -2,13 +2,13 @@
 // path describes its fields once (Message, Fields) and this package
 // drives both wire formats from that description:
 //
-//   - JSON, the paper's REST format, the first-contact format and the
-//     interop fallback: AppendJSON and DecodeJSON reproduce encoding/json
-//     byte for byte and value for value without reflection, and hand the
-//     whole body to encoding/json when it leaves their grammar.
-//   - the binary framing a binary-enabled in-process client sends once
-//     it has met its peer (see sbi.Client.Post, the one place the format
-//     is decided): AppendBinary and DecodeBinary.
+//   - JSON, the paper's REST format and the interop fallback: AppendJSON
+//     and DecodeJSON reproduce encoding/json byte for byte and value for
+//     value without reflection, and hand the whole body to encoding/json
+//     when it leaves their grammar.
+//   - the binary framing a binary-enabled in-process client sends (see
+//     sbi.Client.Post, the one place the format is decided): AppendBinary
+//     and DecodeBinary.
 //
 // A frame is
 //

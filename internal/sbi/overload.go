@@ -154,9 +154,6 @@ func (s OverloadStats) TotalShed() uint64 {
 type loadMeter struct {
 	env *costmodel.Env
 	cfg OverloadConfig
-	// bias adds external backpressure (the UDM's AV-pool miss pressure)
-	// to the advertised load. May be nil.
-	bias func() float64
 
 	mu      sync.Mutex
 	armed   bool
@@ -182,19 +179,6 @@ func (s *Server) EnableOverload(env *costmodel.Env, cfg OverloadConfig) {
 	}
 	s.mu.Lock()
 	s.meter = &loadMeter{env: env, cfg: cfg}
-	s.mu.Unlock()
-}
-
-// SetLoadBias installs an external backpressure source added to the
-// advertised load (0..1); the UDM points this at its AV-pool miss
-// pressure so pool thrash shows up in the OCI before the queue saturates.
-func (s *Server) SetLoadBias(bias func() float64) {
-	s.mu.Lock()
-	if s.meter != nil {
-		s.meter.mu.Lock()
-		s.meter.bias = bias
-		s.meter.mu.Unlock()
-	}
 	s.mu.Unlock()
 }
 
@@ -324,15 +308,11 @@ func (m *loadMeter) admit(ctx context.Context, name string, path string) *Proble
 	return nil
 }
 
-// refreshOCI recomputes the advertised snapshot; callers hold m.mu.
+// refreshOCI recomputes the advertised snapshot from the queue alone: the
+// load is the smoothed utilisation, which never exceeds 1. Callers hold
+// m.mu.
 func (m *loadMeter) refreshOCI(freq uint64) {
 	load := m.ewma
-	if m.bias != nil {
-		load += m.bias()
-	}
-	if load > 1 {
-		load = 1
-	}
 	reduction := 0
 	if load > overloadTargetLoad {
 		reduction = int((load - overloadTargetLoad) / (1 - overloadTargetLoad) * 100)
@@ -340,10 +320,7 @@ func (m *loadMeter) refreshOCI(freq uint64) {
 			reduction = 90
 		}
 	}
-	retry := m.backlog
-	if min := m.cfg.ServiceCycles; retry < min {
-		retry = min
-	}
+	retry := max(m.backlog, m.cfg.ServiceCycles)
 	m.oci = OCI{
 		Load:       int(load*100 + 0.5),
 		Reduction:  reduction,

@@ -154,18 +154,24 @@ func TestMeterChargesFIFOWait(t *testing.T) {
 }
 
 func TestOCIPropagatesToClientTable(t *testing.T) {
-	srv, c := meterFixture(t, OverloadConfig{ServiceCycles: 1000, MaxQueue: 4})
-	// External backpressure pushes advertised load over target without
-	// needing a real backlog.
-	srv.SetLoadBias(func() float64 { return 0.95 })
+	// MaxQueue 8 is the smallest bound whose full queue fills the whole
+	// utilisation window: eight same-instant arrivals fill it, and the
+	// ninth sees a load of 100 and is shed.
+	srv, c := meterFixture(t, OverloadConfig{ServiceCycles: 1000, MaxQueue: 8})
 	srv.SetOverloadArmed(true)
 
 	if _, ok := c.PeerOCI("udm"); ok {
 		t.Fatal("client had an OCI before any exchange")
 	}
 	ctx := simclock.WithArrival(context.Background(), 0)
-	if err := c.Post(ctx, "udm", "/echo", &echoReq{Value: "x"}, nil); err != nil {
-		t.Fatalf("Post: %v", err)
+	for i := 0; i < 8; i++ {
+		if err := c.Post(ctx, "udm", "/echo", &echoReq{Value: "x"}, nil); err != nil {
+			t.Fatalf("Post %d: %v", i, err)
+		}
+	}
+	err := c.Post(ctx, "udm", "/echo", &echoReq{Value: "x"}, nil)
+	if pd, ok := AsProblem(err); !ok || pd.Cause != CauseOverload {
+		t.Fatalf("ninth Post: %v, want an overload shed", err)
 	}
 	oci, ok := c.PeerOCI("udm")
 	if !ok {

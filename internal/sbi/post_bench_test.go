@@ -49,7 +49,7 @@ func benchmarkPost(b *testing.B, binary bool) {
 			b.Fatal(err)
 		}
 	}
-	post() // first contact: handshake, JSON in either mode
+	post() // first contact: the handshake stays out of the loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

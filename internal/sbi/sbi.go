@@ -255,9 +255,9 @@ func NewClient(from string, env *costmodel.Env, registry *Registry) *Client {
 // Post marshals req, invokes service's path endpoint, and unmarshals the
 // response into resp (which may be nil to discard). This is the one place
 // the body format is decided: a binary client (EnableBinary) frames req iff
-// this is not its first contact with the peer, req has a field description,
-// and resp is nil or has one too. Everything else travels as JSON, and the
-// server answers in the format it was asked in.
+// req has a field description and resp is nil or has one too. Everything
+// else travels as JSON, and the server answers in the format it was asked
+// in.
 func (c *Client) Post(ctx context.Context, service, path string, req, resp any) error {
 	// A cancelled or expired context is a client-side timeout, not a
 	// server failure: surface it as 504/TIMEOUT so callers and the retry
@@ -272,8 +272,7 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 	}
 
 	m := c.env.Model
-	// First contact pays the mutual TLS handshake on both sides; the
-	// request that opens the session travels as JSON.
+	// First contact pays the mutual TLS handshake on both sides.
 	c.mu.Lock()
 	fresh := !c.connected[service]
 	c.connected[service] = true
@@ -289,7 +288,7 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 	}
 	var body []byte
 	var err error
-	if binary && !fresh && described {
+	if binary && described {
 		body, err = MarshalBinary(bm)
 	} else {
 		body, err = MarshalBody(req)
