@@ -66,13 +66,16 @@ loc:
 # the deployable binary, core5g, registers one UE on the container backend,
 # opens a PDU session and echoes data (it exits non-zero on any failure);
 # the three examples run end to end (the attestation one also shows the
-# slice refusing the eAUSF's evidence as the eUDM's); seven gnbsim smokes drive the storm replay (unsharded with
+# slice refusing the eAUSF's evidence as the eUDM's); eight gnbsim smokes drive the storm replay (unsharded with
 # the AV pool, and on four shards, whose admission line is the fleet's sum;
 # each runs twice and must replay), the sharded core, the ring
 # under four workers, the SEV guest (the one backend no bench workload
 # deploys), chaos on two shards (crashes reach replica 1's modules under
-# their derived names) and, built with -race so the audit is on in a real
-# binary, a chaos run across crash-restart, retry and batch-refill paths;
+# their derived names, and a restarted SGX key store refills from the
+# sealed files), chaos on two SEV shards (a restarted guest eUDM gets K
+# back through the UDM's re-provisioning, behind attestation) and, built
+# with -race so the audit is on in a real binary, a chaos run across
+# crash-restart, retry and batch-refill paths;
 # six fuzz passes (SBI frames, JSON codec, the HTTP edge, NAS decode, the
 # UE's downlink, SUCI de-concealment); and the benchmark module — its own
 # go.mod, so `./...` never reaches it — is vetted, tested, gofmt-checked
@@ -102,6 +105,7 @@ ci: build
 	$(GO) run ./cmd/gnbsim -n 32 -parallel 4 -switchless -batch 8 -avpool 8 -seed 11
 	$(GO) run ./cmd/gnbsim -n 32 -isolation sev -batch 8 -avpool 8 -seed 13
 	$(GO) run ./cmd/gnbsim -n 32 -shards 2 -chaos 0.3 -batch 8 -avpool 8 -seed 15
+	$(GO) run ./cmd/gnbsim -n 64 -isolation sev -shards 2 -chaos 0.3 -batch 8 -avpool 8 -seed 17
 	$(GO) run -race ./cmd/gnbsim -n 64 -chaos 0.3 -batch 8 -avpool 8 -seed 5
 	$(GO) test -run '^$$' -fuzz '^FuzzFramePayload$$' -fuzztime 5s ./internal/sbi/codec
 	$(GO) test -run '^$$' -fuzz '^FuzzJSONDifferential$$' -fuzztime 10s ./internal/sbi/codec

@@ -384,17 +384,26 @@ func newAdmission(cfg SliceConfig, env *costmodel.Env) *admission.Controller {
 	return admission.NewController(acfg)
 }
 
-// reprovisionHook is what a UDM gets from its eUDM module m: it pushes a
-// long-term key, fetched from the UDR, back into a guest runtime (a
-// container or a confidential VM) that lost its key store to a
-// crash-restart and keeps no backup. An SGX eUDM gets none: its restarted
-// enclave restores K from its sealed backups, so K never crosses the SBI
-// to reach it.
-func reprovisionHook(m *paka.Module) func(context.Context, string, []byte) error {
-	if m.Isolation() == paka.SGX {
+// reprovisionHook is what shard's UDM gets from the slice: it pushes a
+// long-term key, fetched from the UDR, into the shard's eUDM when that runs
+// in a guest (a container or a confidential VM) whose key store misses it —
+// a crash-restart emptied the store, or a rebalance routed the SUPI to a
+// replica it was never provisioned to. The eUDM is resolved and attested
+// per call, like any eUDM before its first K: a replica that never owned a
+// SUPI may never have been attested. An SGX eUDM gets none: its enclave
+// restores K from the platform's sealed file, so K never crosses the SBI to
+// reach it.
+func (s *Slice) reprovisionHook(shard *CoreShard) func(context.Context, string, []byte) error {
+	if s.Config.Isolation == paka.SGX {
 		return nil
 	}
-	return m.ProvisionSubscriber
+	return func(ctx context.Context, supi string, k []byte) error {
+		m := shard.Modules[paka.EUDM]
+		if err := s.attestEUDM(m); err != nil {
+			return err
+		}
+		return m.ProvisionSubscriber(ctx, supi, k)
+	}
 }
 
 // armChaos points the fault injector at every shard's modules and arms it.
@@ -592,9 +601,11 @@ func (s *Slice) Reference(kind paka.ModuleKind) [32]byte { return s.reference[ki
 // RestartShardModule models a whole-module crash of replica shard's kind
 // module: the runtime (and enclave, under SGX) is destroyed, rebuilt from
 // the retained configuration — which re-charges the paper's Fig. 7 load
-// cost to ctx's account — re-attested, and, under SGX, its key store
-// restored from the platform's sealed backups. The fault injector resolves
-// the module's enclave per fault, so it finds the fresh one unprompted.
+// cost to ctx's account — and re-attested. Its key store comes back empty
+// and refills per SUPI on first use: from the platform's sealed files under
+// SGX, through the UDM's re-provisioning path in a guest. The fault
+// injector resolves the module's enclave per fault, so it finds the fresh
+// one unprompted.
 func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.ModuleKind) error {
 	if shard < 0 || shard >= len(s.Shards) {
 		return fmt.Errorf("deploy: no shard %d", shard)
@@ -621,20 +632,26 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 }
 
 // ProvisionSubscriber installs a subscriber in the UDR and delivers the
-// long-term key to the AKA execution environment (the eUDM enclave under
-// SGX isolation, where it is shielded from introspection). For TEE-backed
-// slices the environment's attestation evidence is verified before the
-// first key is released. k must be 16 bytes.
+// long-term key to the AKA execution environment of the replica that owns
+// the SUPI under the current topology snapshot (the eUDM enclave under SGX
+// isolation, where it is shielded from introspection). For TEE-backed
+// slices the owner's attestation evidence is verified before its first
+// key is released. k must be 16 bytes.
 //
 // What the slice then holds per subscriber: the UDR's flat record, once;
-// under SGX one sealed backup of K on the platform, once (every replica's
-// eUDM has the same measurement, so all of them rewrite the same file);
-// and in each replica's runtime key store, that runtime's own copy of K.
+// under SGX one sealed file of K on the platform, once; and K in the
+// owner's runtime key store. Any other replica the SUPI is later routed to
+// gets K on its first miss — an SGX enclave by opening the sealed file, a
+// guest through the UDM's re-provisioning path — so a rebalance costs no
+// registration. Re-provisioning a SUPI the UDR already held evicts it from
+// every other replica's key store, so none of them keeps the old K; a
+// first provisioning reaches the owner alone.
 func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc []byte) error {
 	if err := supi.Validate(); err != nil {
 		return err
 	}
 	imsi := supi.String()
+	held := s.UDR.Holds(imsi)
 	if err := s.provisioning.Provision(ctx, udr.Subscriber{
 		SUPI:     imsi,
 		K:        k,
@@ -644,18 +661,23 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 	}); err != nil {
 		return fmt.Errorf("deploy: UDR provisioning: %w", err)
 	}
-	// The long-term key is fanned out to EVERY replica's execution
-	// environment (each attested once). Full key replication is what
-	// makes topology rebalances loss-free: when a snapshot moves a SUPI
-	// to a different shard, the new owner's eUDM already holds the key,
-	// so no registration fails during ring movement.
+	owner := s.GNB.ShardOf(imsi)
+	m := s.Shards[owner].Modules[paka.EUDM]
+	if err := s.attestEUDM(m); err != nil {
+		return err
+	}
+	if err := m.ProvisionSubscriber(ctx, imsi, k); err != nil {
+		return fmt.Errorf("deploy: eUDM provisioning (shard %d): %w", owner, err)
+	}
+	if !held {
+		return nil
+	}
 	for _, shard := range s.Shards {
-		m := shard.Modules[paka.EUDM]
-		if err := s.attestEUDM(m); err != nil {
-			return err
+		if shard.Index == owner {
+			continue
 		}
-		if err := m.ProvisionSubscriber(ctx, imsi, k); err != nil {
-			return fmt.Errorf("deploy: eUDM provisioning (shard %d): %w", shard.Index, err)
+		if err := shard.Modules[paka.EUDM].EvictSubscriber(ctx, imsi); err != nil {
+			return fmt.Errorf("deploy: eUDM eviction (shard %d): %w", shard.Index, err)
 		}
 	}
 	return nil
@@ -706,9 +728,11 @@ func (s *Slice) StopNRF() {
 // SetRoutableReplicas publishes a new topology snapshot that routes over
 // only the first n shards. It is a pure prefix truncation — replica i in
 // the snapshot is always Shards[i] — so the gNB's static AMF bindings
-// stay index-aligned; shards outside the prefix keep running and their
-// keys stay provisioned, so restoring n later is loss-free. Returns the
-// push result (epoch plus ack/nack counts).
+// stay index-aligned; shards outside the prefix keep running and keep the
+// keys they hold, so restoring n later is loss-free. A SUPI the snapshot
+// moves finds its key missing on the new owner's first contact and
+// restores it there (see ProvisionSubscriber). Returns the push result
+// (epoch plus ack/nack counts).
 func (s *Slice) SetRoutableReplicas(n int) (topo.PushResult, error) {
 	if n < 1 || n > len(s.Shards) {
 		return topo.PushResult{}, fmt.Errorf("deploy: routable replicas %d out of range [1,%d]", n, len(s.Shards))

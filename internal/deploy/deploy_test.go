@@ -66,13 +66,19 @@ func shardPoolStats(s *Slice) []udm.AVPoolStats {
 // provisionUE creates a subscriber and matching UE device.
 func provisionUE(t *testing.T, s *Slice, msin string) *ue.UE {
 	t.Helper()
-	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: msin}
 	k := make([]byte, 16)
-	op := make([]byte, 16)
 	if _, err := io.ReadFull(rand.Reader, k); err != nil {
 		t.Fatalf("key gen: %v", err)
 	}
-	opc, err := milenage.ComputeOPc(k, op)
+	return provisionUEKey(t, s, msin, k)
+}
+
+// provisionUEKey provisions msin's subscriber with long-term key k and
+// returns a UE device holding k.
+func provisionUEKey(t *testing.T, s *Slice, msin string, k []byte) *ue.UE {
+	t.Helper()
+	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: msin}
+	opc, err := milenage.ComputeOPc(k, make([]byte, 16))
 	if err != nil {
 		t.Fatalf("ComputeOPc: %v", err)
 	}

@@ -59,7 +59,7 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 	if shard.UDM, err = udm.New(ctx, udm.Config{
 		Env: s.Env, Registry: s.Registry, Invoker: udmInvoker,
 		Functions: shard.RemoteUDM, HomeNetworkKey: s.HomeNetworkKey, HMEE: hmee,
-		Reprovision: reprovisionHook(shard.Modules[paka.EUDM]),
+		Reprovision: s.reprovisionHook(shard),
 		AVPoolDepth: cfg.AVPoolDepth, Replica: r,
 	}); err != nil {
 		return nil, fmt.Errorf("deploy: UDM (shard %d): %w", r, err)

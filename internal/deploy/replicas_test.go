@@ -1,16 +1,18 @@
 package deploy
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"shield5g/internal/chaos"
 	"shield5g/internal/gnb"
+	"shield5g/internal/hmee/sev"
 	"shield5g/internal/nf/nrf"
+	"shield5g/internal/nf/udr"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
 	"shield5g/internal/ue"
@@ -335,60 +337,249 @@ func TestShardClientsSpeakAsTheirShard(t *testing.T) {
 	}
 }
 
-// TestReplicaKeyStoresShareTheSUPIString: full key replication puts a
-// subscriber's key in every replica's eUDM, and each replica's store is
-// keyed by the one SUPI string provisioning was given, not a copy per
-// replica. The replicas run one enclave identity, so the platform holds one
-// sealed backup per subscriber, not one per replica, and a restarted
-// replica restores exactly the provisioned set from it.
-func TestReplicaKeyStoresShareTheSUPIString(t *testing.T) {
+// TestReplicaKeyStoresHoldTheirRoutedSUPIs: provisioning puts a
+// subscriber's key in the eUDM of the one replica its SUPI routes to, so
+// each replica's store lists exactly its routed SUPIs. The replicas run one
+// enclave identity, so the platform holds one sealed file per subscriber,
+// not one per replica. A restarted replica comes back empty and refills on
+// first use, one SUPI at a time, from those files.
+func TestReplicaKeyStoresHoldTheirRoutedSUPIs(t *testing.T) {
 	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 26, Replicas: 4})
-	msins := []string{"0000026001", "0000026002"}
-	want := make([]string, len(msins))
-	for i, msin := range msins {
-		provisionUE(t, s, msin)
-		want[i] = supiString(msin)
+	routed := make([][]string, len(s.Shards))
+	devices := make(map[int]*ue.UE)
+	var all []string
+	for i := 0; i < 16; i++ {
+		msin := fmt.Sprintf("%010d", 26001+i)
+		device := provisionUE(t, s, msin)
+		owner := s.GNB.ShardOf(supiString(msin))
+		routed[owner] = append(routed[owner], supiString(msin))
+		all = append(all, supiString(msin))
+		devices[owner] = device
+	}
+	if len(devices) != len(s.Shards) {
+		t.Fatalf("16 SUPIs routed to %d of %d replicas", len(devices), len(s.Shards))
 	}
 	identity := s.Reference(paka.EUDM)
 	for _, shard := range s.Shards {
-		ev, err := shard.Modules[paka.EUDM].Evidence([64]byte{})
+		m := shard.Modules[paka.EUDM]
+		ev, err := m.Evidence([64]byte{})
 		if err != nil || ev.Measurement != identity {
 			t.Fatalf("shard %d eUDM attests %x (%v), want the slice's reference %x", shard.Index, ev.Measurement, err, identity)
 		}
-		enc := shard.Modules[paka.EUDM].Enclave()
-		if got := sortedNames(enc.Backups()); !slices.Equal(got, want) {
-			t.Fatalf("platform holds backups for %v, want one per provisioned SUPI %v", got, want)
+		if got, want := sortedNames(m.MemoryDump()), routed[shard.Index]; !slices.Equal(got, want) {
+			t.Fatalf("shard %d eUDM holds keys for %v, want its routed SUPIs %v", shard.Index, got, want)
+		}
+		if got := sortedNames(m.Enclave().Backups()); !slices.Equal(got, all) {
+			t.Fatalf("platform holds backups for %v, want one per provisioned SUPI %v", got, all)
 		}
 	}
-	if err := s.RestartShardModule(context.Background(), 3, paka.EUDM); err != nil {
+
+	ctx := context.Background()
+	if err := s.RestartShardModule(ctx, 3, paka.EUDM); err != nil {
 		t.Fatalf("RestartShardModule(3): %v", err)
 	}
-	if got := sortedNames(s.Shards[3].Modules[paka.EUDM].MemoryDump()); !slices.Equal(got, want) {
-		t.Fatalf("restarted replica holds keys for %v, want %v", got, want)
+	restarted := s.Shards[3].Modules[paka.EUDM]
+	if got := sortedNames(restarted.MemoryDump()); len(got) != 0 {
+		t.Fatalf("restarted replica holds keys for %v, want none", got)
 	}
-	for _, msin := range msins {
-		supi := supiString(msin)
-		var data *byte
-		for _, shard := range s.Shards {
-			dump := shard.Modules[paka.EUDM].MemoryDump()
-			if len(dump) != len(msins) {
-				t.Fatalf("shard %d eUDM holds %d keys, want %d", shard.Index, len(dump), len(msins))
+	device := devices[3]
+	if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+		t.Fatalf("RegisterUE on the restarted replica: %v", err)
+	}
+	if got, want := sortedNames(restarted.MemoryDump()), []string{device.SUPIString()}; !slices.Equal(got, want) {
+		t.Fatalf("restarted replica refilled %v, want %v", got, want)
+	}
+	if n := s.Shards[3].UDM.Reprovisions(); n != 0 {
+		t.Fatalf("Reprovisions = %d, want 0: the refill pulled K over the SBI", n)
+	}
+}
+
+// movingMSIN returns the first MSIN from base whose SUPI routes to the last
+// replica, the one SetRoutableReplicas(len-1) removes.
+func movingMSIN(t *testing.T, s *Slice, base int) string {
+	t.Helper()
+	last := len(s.Shards) - 1
+	for i := 0; i < 256; i++ {
+		msin := fmt.Sprintf("%010d", base+i)
+		if s.GNB.ShardOf(supiString(msin)) == last {
+			return msin
+		}
+	}
+	t.Fatalf("no MSIN from %d routes to shard %d", base, last)
+	return ""
+}
+
+// holders lists the shards whose eUDM key store holds supi.
+func holders(s *Slice, supi string) []int {
+	var out []int
+	for _, shard := range s.Shards {
+		if _, ok := shard.Modules[paka.EUDM].MemoryDump()[supi]; ok {
+			out = append(out, shard.Index)
+		}
+	}
+	return out
+}
+
+// TestNoStaleKAfterMove: a SUPI that a rebalance moved leaves its key on
+// the replica it visited. Re-provisioning it with a new key must evict that
+// copy, so the device holding the new key registers wherever the SUPI is
+// routed next — on every backend.
+func TestNoStaleKAfterMove(t *testing.T) {
+	for _, iso := range []paka.Isolation{paka.SGX, paka.SEV, paka.Container} {
+		t.Run(iso.String(), func(t *testing.T) {
+			ctx := context.Background()
+			s := newSliceWith(t, SliceConfig{Isolation: iso, Seed: 41, Replicas: 4})
+			msin := movingMSIN(t, s, 41000)
+			supi := supiString(msin)
+			k1 := []byte("long-term-key-01")
+			device := provisionUEKey(t, s, msin, k1)
+			if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+				t.Fatalf("RegisterUE: %v", err)
 			}
-			var key string
-			for k := range dump {
-				if k == supi {
-					key = k
+			if _, err := s.SetRoutableReplicas(3); err != nil {
+				t.Fatalf("SetRoutableReplicas(3): %v", err)
+			}
+			visited := s.GNB.ShardOf(supi)
+			if _, err := s.GNB.ReRegisterUE(ctx, device); err != nil {
+				t.Fatalf("ReRegisterUE on shard %d: %v", visited, err)
+			}
+			if got, want := holders(s, supi), []int{visited, 3}; !slices.Equal(got, want) {
+				t.Fatalf("after the move %s is held by shards %v, want %v", supi, got, want)
+			}
+			if _, err := s.SetRoutableReplicas(4); err != nil {
+				t.Fatalf("SetRoutableReplicas(4): %v", err)
+			}
+
+			k2 := []byte("long-term-key-02")
+			device = provisionUEKey(t, s, msin, k2)
+			if got := holders(s, supi); !slices.Equal(got, []int{3}) {
+				t.Fatalf("after re-provisioning %s is held by shards %v, want the owner 3 alone", supi, got)
+			}
+			if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+				t.Fatalf("RegisterUE with the new key: %v", err)
+			}
+			// The visited replica serves the new key, not the one it saw.
+			if _, err := s.SetRoutableReplicas(3); err != nil {
+				t.Fatalf("SetRoutableReplicas(3): %v", err)
+			}
+			if _, err := s.GNB.RegisterUE(ctx, device); err != nil {
+				t.Fatalf("RegisterUE with the new key on shard %d: %v", visited, err)
+			}
+			// A plain container's dump is its key store in plaintext.
+			if got := s.Shards[visited].Modules[paka.EUDM].MemoryDump()[supi]; iso == paka.Container && !bytes.Equal(got, k2) {
+				t.Fatalf("shard %d holds %x for %s, want the new key", visited, got, supi)
+			}
+		})
+	}
+}
+
+// TestRebalanceReRegistersMovedUEs: 40 UEs register on four replicas, then
+// re-register after a shrink to three and again after the fourth returns.
+// No registration fails. Under SGX each moved UE's new replica opens the
+// sealed file, so K never crosses the SBI: the UDR's full-record read fails
+// throughout and nothing is re-provisioned. A guest replica gets K once
+// per moved UE, on its first contact there; on the return trip the
+// original owner still holds it.
+func TestRebalanceReRegistersMovedUEs(t *testing.T) {
+	for _, iso := range []paka.Isolation{paka.SGX, paka.SEV, paka.Container} {
+		t.Run(iso.String(), func(t *testing.T) {
+			ctx := context.Background()
+			s := newSliceWith(t, SliceConfig{Isolation: iso, Seed: 43, Replicas: 4})
+			gets := 0
+			if iso == paka.SGX {
+				srv, ok := s.Registry.Lookup(udr.ServiceName)
+				if !ok {
+					t.Fatal("no UDR server")
+				}
+				srv.HandleDual(udr.PathGet, func(context.Context, []byte) ([]byte, error) {
+					gets++
+					return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "K requested over the SBI")
+				})
+			}
+			devices := make([]*ue.UE, 40)
+			for i := range devices {
+				devices[i] = provisionUE(t, s, fmt.Sprintf("%010d", 43000+i))
+				if _, err := s.GNB.RegisterUE(ctx, devices[i]); err != nil {
+					t.Fatalf("RegisterUE of UE %d: %v", i, err)
 				}
 			}
-			switch {
-			case key == "":
-				t.Fatalf("shard %d eUDM holds no key for %s", shard.Index, supi)
-			case data == nil:
-				data = unsafe.StringData(key)
-			case unsafe.StringData(key) != data:
-				t.Errorf("shard %d keys %s by a string of its own", shard.Index, supi)
+			reRegisterAll := func(phase string) {
+				t.Helper()
+				for i, device := range devices {
+					if _, err := s.GNB.ReRegisterUE(ctx, device); err != nil {
+						t.Fatalf("%s: ReRegisterUE of UE %d on shard %d: %v", phase, i, s.GNB.ShardOf(device.SUPIString()), err)
+					}
+				}
 			}
-		}
+			moved := 0
+			for _, device := range devices {
+				if s.GNB.ShardOf(device.SUPIString()) == 3 {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatal("no UE routes to shard 3 — the shrink moves nothing")
+			}
+			if _, err := s.SetRoutableReplicas(3); err != nil {
+				t.Fatalf("SetRoutableReplicas(3): %v", err)
+			}
+			reRegisterAll("shrunk to 3")
+			if _, err := s.SetRoutableReplicas(4); err != nil {
+				t.Fatalf("SetRoutableReplicas(4): %v", err)
+			}
+			reRegisterAll("restored to 4")
+
+			var reprovisions uint64
+			for _, shard := range s.Shards {
+				reprovisions += shard.UDM.Reprovisions()
+			}
+			want := uint64(moved)
+			if iso == paka.SGX {
+				want = 0
+			}
+			if reprovisions != want || gets != 0 {
+				t.Fatalf("%d re-provisions and %d full-record UDR reads for %d moved UEs, want %d and 0", reprovisions, gets, moved, want)
+			}
+		})
+	}
+}
+
+// TestSEVReprovisionRefusesUnattestedReplica: a replica that never owned a
+// SUPI is attested before the re-provisioning path gives it K. Shard 3's
+// eUDM is replaced by the slice's recipe launched on another SEV host; a
+// SUPI provisioned while shard 3 was not routable then moves there, and
+// its registration fails without the substitute ever holding K.
+func TestSEVReprovisionRefusesUnattestedReplica(t *testing.T) {
+	ctx := context.Background()
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SEV, Seed: 44, Replicas: 4})
+	msin := movingMSIN(t, s, 44000)
+	if _, err := s.SetRoutableReplicas(3); err != nil {
+		t.Fatalf("SetRoutableReplicas(3): %v", err)
+	}
+	device := provisionUE(t, s, msin)
+
+	shard := s.Shards[3]
+	shard.Modules[paka.EUDM].Stop()
+	cfg := s.moduleConfig(paka.EUDM, 3, nil)
+	cfg.SEVHost = sev.NewPlatform()
+	substitute, err := paka.New(ctx, cfg)
+	if err != nil {
+		t.Fatalf("deploy substitute eUDM: %v", err)
+	}
+	t.Cleanup(substitute.Stop)
+	shard.Modules[paka.EUDM] = substitute
+
+	if _, err := s.SetRoutableReplicas(4); err != nil {
+		t.Fatalf("SetRoutableReplicas(4): %v", err)
+	}
+	if _, err := s.GNB.RegisterUE(ctx, device); err == nil || !strings.Contains(err.Error(), "USER_NOT_FOUND") {
+		t.Fatalf("registration through an unattested eUDM: err = %v, want the eUDM's USER_NOT_FOUND", err)
+	}
+	if dump := substitute.MemoryDump(); len(dump) != 0 {
+		t.Fatalf("substitute eUDM holds %d key(s) after a refused attestation", len(dump))
+	}
+	if n := shard.UDM.Reprovisions(); n != 0 {
+		t.Fatalf("Reprovisions = %d on shard 3, want 0", n)
 	}
 }
 

@@ -46,6 +46,8 @@ type Exec interface {
 	// clears once it has no more use for it, and reports whether the store
 	// holds the name.
 	LoadSecret(name string, dst *[16]byte) bool
+	// DeleteSecret drops the named key from the runtime's key store.
+	DeleteSecret(name string)
 }
 
 // Handler is the work one request runs inside the execution environment.

@@ -120,6 +120,12 @@ func (c *call) LoadSecret(name string, dst *[16]byte) (ok bool) {
 	return ok
 }
 
+func (c *call) DeleteSecret(name string) {
+	c.p.mu.Lock()
+	delete(c.p.secrets, name)
+	c.p.mu.Unlock()
+}
+
 // Cross is the process's one serve path (Crossing): check the request in
 // against the lifecycle, resolve its phases against the warm state (exactly
 // one request ever keeps Warmup), and walk them at the process's prices.

@@ -474,12 +474,64 @@ func (t *Thread) StoreSecret(name string, k [16]byte) {
 // LoadSecret copies the named key into the caller's dst. Reads share the
 // lock so concurrent AV generations for different subscribers do not
 // serialise on the key store.
+//
+// A miss is not final: the key may have been provisioned to another
+// enclave of this identity (a rebalance routed the name here) or to this
+// enclave before a restart emptied it. The miss path opens the platform's
+// sealed file for the name, inside the enclave, and keeps the key in the
+// store; only a name with no sealed file misses. Like provisioning, the
+// miss path charges no virtual cost.
 func (t *Thread) LoadSecret(name string, dst *[16]byte) (ok bool) {
 	e := t.enclave
 	e.secretMu.RLock()
 	*dst, ok = e.secrets[name]
 	e.secretMu.RUnlock()
+	if !ok {
+		ok = e.restoreSecret(name, dst)
+	}
 	return ok
+}
+
+// restoreSecret is the key store's miss path: it unseals name's one sealed
+// file into dst and files the key in the store. A key stored meanwhile
+// (a re-provision racing the miss) wins over the file's, and a store torn
+// down meanwhile stays empty.
+func (e *Enclave) restoreSecret(name string, dst *[16]byte) bool {
+	p := e.platform
+	p.mu.Lock()
+	blob, ok := p.backups[e.measurement][name]
+	p.mu.Unlock()
+	if !ok {
+		return false
+	}
+	k, err := e.Unseal(blob, []byte(name))
+	if err != nil || len(k) != len(dst) {
+		clear(k)
+		return false
+	}
+	copy(dst[:], k)
+	clear(k)
+	e.secretMu.Lock()
+	defer e.secretMu.Unlock()
+	if e.live() != nil {
+		clear(dst[:])
+		return false
+	}
+	if held, ok := e.secrets[name]; ok {
+		*dst = held
+	} else {
+		e.secrets[name] = *dst
+	}
+	return true
+}
+
+// DeleteSecret drops the named key from the enclave's key store; a later
+// LoadSecret of the name finds it in the platform's sealed file again.
+func (t *Thread) DeleteSecret(name string) {
+	e := t.enclave
+	e.secretMu.Lock()
+	delete(e.secrets, name)
+	e.secretMu.Unlock()
 }
 
 // Introspect is the view a privileged attacker (hypervisor, container

@@ -45,12 +45,13 @@ func (e *Enclave) Seal(plaintext, additionalData []byte) ([]byte, error) {
 		return nil, err
 	}
 	aead := e.seal
-	nonce := make([]byte, aead.NonceSize())
+	// The blob is nonce || ciphertext || tag in one allocation: GCM appends
+	// to the nonce in place instead of copying it into a buffer of its own.
+	nonce := make([]byte, aead.NonceSize(), aead.NonceSize()+len(plaintext)+aead.Overhead())
 	if _, err := io.ReadFull(rand.Reader, nonce); err != nil {
 		return nil, fmt.Errorf("sgx: seal nonce: %w", err)
 	}
-	out := aead.Seal(nonce, nonce, plaintext, additionalData)
-	return out, nil
+	return aead.Seal(nonce, nonce, plaintext, additionalData), nil
 }
 
 // Unseal reverses Seal. It returns ErrUnseal when the blob was sealed by a
@@ -75,7 +76,9 @@ func (e *Enclave) Unseal(blob, additionalData []byte) ([]byte, error) {
 // blob on the host's disk under the enclave's measurement, replacing any
 // earlier file of that name. Every enclave of one identity on the platform
 // — a restarted one, or a replica of the same image — reads and writes the
-// same files, so replicas keep one backup between them.
+// same files: the replica a key is provisioned to seals it once, and any
+// enclave of the identity whose key store later misses that name opens
+// the file in place (Thread.LoadSecret).
 func (e *Enclave) SealBackup(name string, data []byte) error {
 	blob, err := e.Seal(data, []byte(name))
 	if err != nil {

@@ -536,6 +536,98 @@ func TestSealBackupIsOneFilePerIdentity(t *testing.T) {
 	}
 }
 
+// TestLoadSecretMissOpensSealedFile: a key store miss opens the platform's
+// sealed file for the name, inside the enclave, and keeps the key. Any
+// enclave of the identity restores it — a twin the key was never stored
+// in, or the one it was evicted from — while another identity, a name with
+// no file and a file that holds no key all stay misses. A key stored
+// before the miss lands wins over the file's.
+func TestLoadSecretMissOpensSealedFile(t *testing.T) {
+	p := testPlatform(t)
+	owner, twin := build(t, p, testConfig()), build(t, p, testConfig())
+	cfg := testConfig()
+	cfg.Name = "other"
+	other := build(t, p, cfg)
+	k1 := [16]byte([]byte("subscriber-key-1"))
+	if err := owner.SealBackup("imsi-1", k1[:]); err != nil {
+		t.Fatalf("SealBackup: %v", err)
+	}
+	if err := owner.SealBackup("imsi-short", []byte("k")); err != nil {
+		t.Fatalf("SealBackup: %v", err)
+	}
+	load := func(e *Enclave, name string) ([16]byte, bool) {
+		t.Helper()
+		var got [16]byte
+		var ok bool
+		if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
+			ok = th.LoadSecret(name, &got)
+			return nil
+		}); err != nil {
+			t.Fatalf("ECall: %v", err)
+		}
+		return got, ok
+	}
+
+	if got, ok := load(twin, "imsi-1"); !ok || got != k1 {
+		t.Fatalf("twin's miss on imsi-1 = %x, %v; want the sealed key", got, ok)
+	}
+	if dump := twin.Introspect(); len(dump) != 1 || dump["imsi-1"] == nil {
+		t.Fatalf("twin holds %d regions after its miss, want imsi-1 alone", len(dump))
+	}
+	for _, tc := range []struct {
+		e    *Enclave
+		name string
+	}{{other, "imsi-1"}, {twin, "imsi-none"}, {twin, "imsi-short"}} {
+		if got, ok := load(tc.e, tc.name); ok || got != ([16]byte{}) {
+			t.Fatalf("%s miss on %s = %x, %v; want a miss", tc.e.Name(), tc.name, got, ok)
+		}
+	}
+	if n := len(other.Introspect()); n != 0 {
+		t.Fatalf("another identity holds %d regions after its miss, want 0", n)
+	}
+	if n := len(twin.Introspect()); n != 1 {
+		t.Fatalf("twin holds %d regions after its misses, want 1", n)
+	}
+
+	// Evicted, the key comes back from the file; a key stored before the
+	// miss is what the store serves.
+	k2 := [16]byte([]byte("subscriber-key-2"))
+	if err := twin.ECall(context.Background(), 0, 0, func(th *Thread) error {
+		th.DeleteSecret("imsi-1")
+		th.StoreSecret("imsi-2", k2)
+		return nil
+	}); err != nil {
+		t.Fatalf("ECall: %v", err)
+	}
+	if len(twin.Introspect()) != 1 {
+		t.Fatal("DeleteSecret left imsi-1 in the store")
+	}
+	if got, ok := load(twin, "imsi-1"); !ok || got != k1 {
+		t.Fatalf("miss after eviction = %x, %v; want the sealed key", got, ok)
+	}
+	if got, ok := load(twin, "imsi-2"); !ok || got != k2 {
+		t.Fatalf("stored key = %x, %v", got, ok)
+	}
+}
+
+// TestSealIsOneAllocation: a sealed blob is the nonce, the ciphertext and
+// the tag in one buffer.
+func TestSealIsOneAllocation(t *testing.T) {
+	e := build(t, testPlatform(t), testConfig())
+	k := []byte("subscriber-key-1")
+	aad := []byte("imsi-1")
+	blob, err := e.Seal(k, aad)
+	if err != nil {
+		t.Fatalf("Seal: %v", err)
+	}
+	if want := e.seal.NonceSize() + len(k) + e.seal.Overhead(); len(blob) != want {
+		t.Fatalf("blob is %d bytes, want %d", len(blob), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = e.Seal(k, aad) }); allocs != 1 {
+		t.Fatalf("Seal allocates %v times, want 1", allocs)
+	}
+}
+
 // TestQuoteVerify checks the enclave's own evidence: a quote over the
 // verifier's data carries the recipe's MRENCLAVE and verifies against the
 // platform quoting key.

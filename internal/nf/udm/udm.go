@@ -82,9 +82,10 @@ type Config struct {
 	Entropy io.Reader
 	// Reprovision, when set, restores a subscriber's long-term key into
 	// the AKA execution environment (deploy points it at a guest eUDM
-	// module, never an SGX one). It is the degradation path for an
-	// execution environment that lost its key store to a crash-restart
-	// and keeps no sealed backup.
+	// module, attested first, never an SGX one). It is the path for an
+	// execution environment that keeps no sealed backup and misses the
+	// key: a crash-restart emptied its store, or a rebalance routed the
+	// SUPI to it.
 	Reprovision func(ctx context.Context, supi string, k []byte) error
 	// AVPoolDepth enables the AV precomputation pool: up to this many
 	// vectors are banked per SUPI, refilled AVPoolDepth at a time so the
@@ -227,9 +228,10 @@ func (u *UDM) avRequest(ctx context.Context, supi, snn string) (paka.UDMGenerate
 func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) (*paka.UDMGenerateAVResponse, error) {
 	av, err := u.fns.GenerateAV(ctx, avReq)
 	if err != nil && u.reprovision != nil && sbi.HasCause(err, "USER_NOT_FOUND") {
-		// Graceful degradation: the execution environment lost its key
-		// store (a guest's crash-restart has no sealed backup). Re-fetch
-		// the long-term key from the UDR, push it back in, and retry once.
+		// Graceful degradation: the execution environment misses the key
+		// (a guest keeps no sealed backup: its crash-restart emptied the
+		// store, or a rebalance routed the SUPI here). Re-fetch the
+		// long-term key from the UDR, push it in, and retry once.
 		if sub, gerr := u.udr.Get(ctx, avReq.SUPI); gerr == nil {
 			if perr := u.reprovision(ctx, avReq.SUPI, sub.K); perr == nil {
 				u.reprovisions.Add(1)
@@ -363,8 +365,8 @@ func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest) (*Empty, err
 	return &Empty{}, nil
 }
 
-// Reprovisions reports how many subscriber keys were restored into the
-// execution environment after it lost them.
+// Reprovisions reports how many subscriber keys were pushed into the
+// execution environment after it missed them.
 func (u *UDM) Reprovisions() uint64 { return u.reprovisions.Load() }
 
 // Client is the AUSF-side helper for UDM calls.

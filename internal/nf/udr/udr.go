@@ -279,6 +279,13 @@ func (u *UDR) handleGet(_ context.Context, req *GetRequest) (*GetResponse, error
 	return &GetResponse{Subscriber: Subscriber{SUPI: req.SUPI, K: cp.k[:], OPc: cp.opc[:], SQN: cp.sqn[:], AMFField: cp.amf[:]}}, nil
 }
 
+// Holds reports whether the repository has a record for supi. It reads
+// no field of the record.
+func (u *UDR) Holds(supi string) bool {
+	_, ok := u.subs.Load(supi)
+	return ok
+}
+
 // SubscriberCount reports the number of provisioned subscribers.
 func (u *UDR) SubscriberCount() int {
 	return u.subs.Len()
@@ -339,9 +346,9 @@ func (c *Client) Resync(ctx context.Context, supi string, sqnMS []byte) error {
 
 // Get reads a subscriber record. The full record includes K, which is
 // why only the UDM's reprovisioning path calls this, and only for a guest
-// eUDM — a container or a confidential VM, whose restarted runtime comes
-// back with an empty key store. An SGX eUDM restores K from its sealed
-// backups, so an SGX slice never calls Get; every deployment fetches
+// eUDM — a container or a confidential VM, whose key store misses K after
+// a restart or a rebalance. An SGX eUDM restores K from its sealed file,
+// so an SGX slice never calls Get; every deployment fetches
 // vectors via NextAuth and a resync's OPc via a zero-count NextAuthBatch.
 func (c *Client) Get(ctx context.Context, supi string) (*Subscriber, error) {
 	var resp GetResponse

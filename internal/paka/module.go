@@ -405,40 +405,57 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	return err
 }
 
-// storeSecret places k in rt's key store as maintenance: a crossing of no
-// phase, outside any request. k must be a MILENAGE key's 16 bytes.
-func storeSecret(ctx context.Context, rt Runtime, name string, k []byte) error {
-	if len(k) != milenage.KeyLen {
-		return fmt.Errorf("paka: key length %d, want %d", len(k), milenage.KeyLen)
-	}
-	_, err := rt.Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
-		ex.StoreSecret(name, [milenage.KeyLen]byte(k))
-		return nil
-	}))
-	return err
-}
-
 // ProvisionSubscriber installs a subscriber's long-term key into the
 // module's memory — inside the enclave when SGX-isolated, so the key
 // never appears in attacker-visible memory afterwards. Only meaningful
 // for the eUDM module.
+//
+// Under SGX the key is first sealed to a file on the host, the platform's
+// one file per SUPI for the enclave's identity: the module seals it, and
+// every enclave of that identity whose key store misses the SUPI later —
+// this one after a restart, another replica the SUPI was rebalanced to —
+// opens that file in place instead of receiving K again. It is sealed
+// before it is stored, so a miss racing this call can only restore the new
+// key or lose to it. Guest processes keep no file: their keys die with the
+// process and come back through the UDM re-provisioning path.
 func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte) error {
 	if m.kind != EUDM {
 		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
 	}
-	if err := storeSecret(ctx, m.rt(), supi, k); err != nil {
-		return fmt.Errorf("paka: provision %s: %w", supi, err)
+	if len(k) != milenage.KeyLen {
+		return fmt.Errorf("paka: provision %s: key length %d, want %d", supi, len(k), milenage.KeyLen)
 	}
-	// File a sealed backup on the host so a crash-restarted enclave (same
-	// measurement, same platform) recovers the key without the UDR round
-	// trip. The file is the platform's, per measurement, so every replica
-	// of a slice rewrites the one backup rather than adding its own.
-	// Guest processes keep none: their keys die with the process and come
-	// back through the UDM re-provisioning path.
 	if enc := m.Enclave(); enc != nil {
 		if err := enc.SealBackup(supi, k); err != nil {
 			return fmt.Errorf("paka: seal backup for %s: %w", supi, err)
 		}
+	}
+	// The store itself is maintenance: a crossing of no phase, outside
+	// any request.
+	_, err := m.rt().Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
+		ex.StoreSecret(supi, [milenage.KeyLen]byte(k))
+		return nil
+	}))
+	if err != nil {
+		return fmt.Errorf("paka: provision %s: %w", supi, err)
+	}
+	return nil
+}
+
+// EvictSubscriber drops supi's key from the module's key store, as
+// maintenance: a crossing of no phase. Under SGX the SUPI's sealed file
+// stays, and is what a later miss restores. Only meaningful for the eUDM
+// module.
+func (m *Module) EvictSubscriber(ctx context.Context, supi string) error {
+	if m.kind != EUDM {
+		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
+	}
+	_, err := m.rt().Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
+		ex.DeleteSecret(supi)
+		return nil
+	}))
+	if err != nil {
+		return fmt.Errorf("paka: evict %s: %w", supi, err)
 	}
 	return nil
 }
@@ -572,13 +589,13 @@ func (m *Module) Restarts() uint64 { return m.restarts.Load() }
 // secret) and an identical one is redeployed from the retained Config,
 // re-paying the full load cost — under SGX the paper's Fig. 7 0.96–0.99 min
 // enclave load penalty, under SEV the measured boot — against ctx's account
-// in virtual time. SGX modules then recover their subscriber keys from the
-// platform's sealed backups (same measurement on the same platform ⇒ same
-// sealing key), which hold every SUPI provisioned to any replica of the
-// image; guest processes — a plain container, a confidential VM —
-// come back empty and rely on the UDM's re-provisioning degradation path.
-// Requests in flight on the old runtime fail transiently and are retried
-// by the SBI resilience layer.
+// in virtual time. Every runtime comes back with an empty key store, so a
+// restart costs the same however many subscribers there are. An SGX module
+// refills it one SUPI at a time, on first use, from the platform's sealed
+// files (same measurement on the same platform ⇒ same sealing key); guest
+// processes — a plain container, a confidential VM — rely on the UDM's
+// re-provisioning path. Requests in flight on the old runtime fail
+// transiently and are retried by the SBI resilience layer.
 func (m *Module) Restart(ctx context.Context) error {
 	m.restartMu.Lock()
 	defer m.restartMu.Unlock()
@@ -588,23 +605,6 @@ func (m *Module) Restart(ctx context.Context) error {
 	fresh, err := launch(ctx, m.cfg, m.profile)
 	if err != nil {
 		return fmt.Errorf("paka: restart %s: %w", m.kind, err)
-	}
-
-	if inst, ok := fresh.(*gramine.Instance); ok {
-		enc := inst.Enclave()
-		for supi, blob := range enc.Backups() {
-			k, err := enc.Unseal(blob, []byte(supi))
-			if err != nil {
-				fresh.Shutdown()
-				return fmt.Errorf("paka: restart %s: recover %s: %w", m.kind, supi, err)
-			}
-			err = storeSecret(ctx, fresh, supi, k)
-			clear(k)
-			if err != nil {
-				fresh.Shutdown()
-				return fmt.Errorf("paka: restart %s: restore %s: %w", m.kind, supi, err)
-			}
-		}
 	}
 
 	m.rtMu.Lock()
