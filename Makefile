@@ -44,13 +44,18 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The one size ruler CHANGES.md and ROADMAP.md quote: non-test, non-blank,
-# non-comment Go lines of the committed tree, with and without bench/, then
-# the same count per top-level package (internal/<pkg>, bench, cmd, ...),
-# largest first — ROADMAP's "where the lines are now".
+# non-comment Go lines of the committed tree, with and without bench/; then
+# the census of non-test functions no binary links, read from the -v log of
+# internal/analysis's TestEveryFunctionHasABinaryCaller (it builds every
+# binary without inlining and reads `go tool nm`); then the line count per
+# top-level package (internal/<pkg>, bench, cmd, ...), largest first —
+# ROADMAP's "where the lines are now".
 loc:
 	@files() { git ls-files '*.go' ':!*_test.go' "$$@"; }; \
 	code='^[[:space:]]*(//|$$)'; \
 	echo "non-test Go code lines: $$(files | xargs cat | grep -vcE "$$code") ($$(files ':!bench/' | xargs cat | grep -vcE "$$code") without bench/)"; \
+	$(GO) test -count=1 -run '^TestEveryFunctionHasABinaryCaller$$' -v ./internal/analysis | \
+		sed -n 's/^.*: \(non-test functions linked into no binary: .*\)$$/\1/p'; \
 	files | while read -r f; do echo "$$(grep -vcE "$$code" "$$f") $$f"; done | \
 	awk '{ n = split($$2, p, "/"); k = n == 1 ? "(root)" : p[1] == "internal" ? p[1] "/" p[2] : p[1]; s[k] += $$1 } \
 		END { for (k in s) printf "%7d  %s\n", s[k], k }' | sort -rn
@@ -64,7 +69,9 @@ loc:
 # under -race on a plain build. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
-# opens a PDU session and echoes data (it exits non-zero on any failure);
+# opens a PDU session, echoes data, deregisters the UE and checks that the
+# AMF, SMF and UPF released its context and session (it exits non-zero on
+# any failure);
 # the three examples run end to end (the attestation one also shows the
 # slice refusing the eAUSF's evidence as the eUDM's); eight gnbsim smokes drive the storm replay (unsharded with
 # the AV pool, and on four shards, whose admission line is the fleet's sum;

@@ -8,8 +8,10 @@
 //	       [-serve [-addr :8080] [-tlsdir DIR]]
 //
 // By default (-demo) the command registers one UE through the full stack,
-// opens a PDU session and echoes data over it, printing a one-line
-// summary; any failure exits 1. -serve then keeps the SBI up over HTTP.
+// opens a PDU session and echoes data over it, then deregisters the UE and
+// checks that the AMF, SMF and UPF released everything it held, printing
+// one line for each half; any failure exits 1. -serve then keeps the SBI
+// up over HTTP.
 package main
 
 import (
@@ -90,6 +92,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		guti, _ := sub.UE.GUTI()
 		fmt.Fprintf(stdout, "demo UE %s registered: GUTI=%s addr=%s setup=%v echo=%q\n",
 			sub.SUPI.String(), guti, sub.UE.UEAddress(), sess.SetupTime.Round(time.Microsecond), echo)
+		if err := sess.Deregister(ctx); err != nil {
+			fmt.Fprintf(stderr, "core5g: deregistration: %v\n", err)
+			return 1
+		}
+		s := tb.Slice
+		ues, smfSessions, upfSessions := s.AMF.RegisteredUEs(), s.SMF.SessionCount(), s.UPF.SessionCount()
+		left := fmt.Sprintf("%d AMF UE contexts, %d SMF and %d UPF sessions left", ues, smfSessions, upfSessions)
+		if ues+smfSessions+upfSessions != 0 {
+			fmt.Fprintf(stderr, "core5g: deregistration released too little: %s\n", left)
+			return 1
+		}
+		fmt.Fprintf(stdout, "demo UE deregistered: %s\n", left)
 	}
 
 	if !*serve {

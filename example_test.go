@@ -66,13 +66,3 @@ func ExampleLookupExperiment() {
 	fmt.Println(strings.Contains(buf.String(), "Table I"))
 	// Output: true
 }
-
-// ExampleKeyIssues inspects the paper's Table V assessment.
-func ExampleKeyIssues() {
-	for _, ki := range shield5g.KeyIssues() {
-		if ki.Number == 7 {
-			fmt.Printf("KI %d (%s): %s coverage\n", ki.Number, ki.Description, ki.Coverage)
-		}
-	}
-	// Output: KI 7 (Memory introspection): full coverage
-}

@@ -92,17 +92,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// Active returns the findings that are not annotation-suppressed.
-func Active(diags []Diagnostic) []Diagnostic {
-	var out []Diagnostic
-	for _, d := range diags {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // annotations indexes //shieldlint: directives by file and line.
 type annotations struct {
 	// file maps a filename to the analyzers suppressed file-wide.

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"bufio"
+	"fmt"
+	"go/build"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -53,6 +55,34 @@ func sharedLoader(t *testing.T) *Loader {
 		t.Fatalf("loading module: %v", loaderErr)
 	}
 	return sharedLdr
+}
+
+// CheckDir parses and type-checks the non-test .go files of a single
+// directory under the given import path, resolving imports from the
+// loader cache (and Fallback). It powers the fixture test harness.
+//
+// The file list is go/build's, so files excluded by build constraints — a
+// //go:build line that does not match the host, or an explicit //go:build
+// ignore — are skipped the way `go list` skips them, instead of being fed
+// to the type checker where their contents (often deliberately broken, or
+// platform-specific) would fail the whole package.
+func (l *Loader) CheckDir(importPath, dir string) (*Package, error) {
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
+	return l.check(&listPkg{ImportPath: importPath, Dir: dir, GoFiles: bp.GoFiles})
+}
+
+// Active returns the findings that are not annotation-suppressed.
+func Active(diags []Diagnostic) []Diagnostic {
+	var out []Diagnostic
+	for _, d := range diags {
+		if !d.Suppressed {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 func TestDeterminismFixture(t *testing.T)   { runFixture(t, Determinism, "determinism") }

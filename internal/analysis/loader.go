@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/build"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -80,7 +79,7 @@ type listPkg struct {
 // Load type-checks the packages matched by patterns plus their entire
 // dependency graph and returns the matched non-standard packages in
 // dependency order. Results accumulate in the loader's cache, so
-// subsequent Load and CheckDir calls reuse earlier work.
+// subsequent calls reuse earlier work.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-deps", "-json=ImportPath,Dir,Standard,GoFiles,ImportMap"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -122,23 +121,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	return targets, nil
-}
-
-// CheckDir parses and type-checks the non-test .go files of a single
-// directory under the given import path, resolving imports from the
-// loader cache (and Fallback). It powers the fixture test harness.
-//
-// The file list is go/build's, so files excluded by build constraints — a
-// //go:build line that does not match the host, or an explicit //go:build
-// ignore — are skipped the way `go list` skips them, instead of being fed
-// to the type checker where their contents (often deliberately broken, or
-// platform-specific) would fail the whole package.
-func (l *Loader) CheckDir(importPath, dir string) (*Package, error) {
-	bp, err := build.Default.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %w", err)
-	}
-	return l.check(&listPkg{ImportPath: importPath, Dir: dir, GoFiles: bp.GoFiles})
 }
 
 func (l *Loader) check(p *listPkg) (*Package, error) {

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"os"
 	"os/exec"
+	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -258,6 +261,221 @@ func TestTopoBuilderImporters(t *testing.T) {
 			if imp.Path() == builder {
 				t.Errorf("%s imports %s; only internal/deploy and internal/nf/nrf/... may", p, builder)
 			}
+		}
+	}
+}
+
+// binaryCallerExceptions lists the non-test declarations that no binary
+// of the tree links but that stay, each with the consumer that keeps it.
+// Keys are census keys: import path, receiver type (no '*', no type
+// parameters) and name, joined by dots.
+var binaryCallerExceptions = map[string]string{
+	"shield5g/internal/chaos.StormPlan.ClassCount":       "bench/bench_test.go checks the storm plan's class mix with it",
+	"shield5g/internal/deploy.Slice.SetRoutableReplicas": "rebalance: deploy's TestMidRunRebalance and TestRebalanceReRegistersMovedUEs drive it, and the rebalance workload ROADMAP.md plans for bench/ will",
+	"shield5g/internal/hmee.Process.VMExits":             "paka's TestSameCensusDifferentPrice subtracts a guest's VM exits with it, and sev's tests count them",
+	"shield5g/internal/nas.SecurityContext.HoldsCipher":  "amf's and ue's tests check that K_NASenc's expanded schedule is dropped at RegistrationComplete",
+	"shield5g/internal/sbi.OutstandingBodies":            "the body-pool audit's count, read by deploy's -race TestFastPathReRegistrationReleasesEveryBody",
+	"shield5g/internal/ue.UE.SetSQN":                     "deploy's TestSGXResyncNeverPullsKOverSBI desynchronises a USIM with it",
+}
+
+// TestEveryFunctionHasABinaryCaller is the census of code nothing runs.
+// Every binary of the main module and of the bench module is built
+// without inlining, and the functions each links are read back with
+// `go tool nm`. A non-test declaration that appears in none of them is
+// dead unless binaryCallerExceptions names its consumer; an exception
+// that some binary does link is stale. The -v log carries the counts
+// `make loc` prints.
+func TestEveryFunctionHasABinaryCaller(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go build in -short mode")
+	}
+	sharedLoader(t)
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := make(map[string]int)    // census key -> lines
+	mains := make(map[string]string) // binary name -> main package path
+	for _, pkg := range repoPkgs {
+		if pkg.Standard {
+			continue
+		}
+		if pkg.Types.Name() == "main" {
+			mains[path.Base(pkg.ImportPath)] = pkg.ImportPath
+		}
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					decls[declKey(pkg.ImportPath, fd)] = pkg.Fset.Position(fd.End()).Line - pkg.Fset.Position(fd.Pos()).Line + 1
+				}
+			}
+		}
+	}
+	linked := linkedFuncs(t, root, mains)
+	inBench := linkedFuncs(t, filepath.Join(root, "bench"), nil)
+	// A matcher that reads nothing as linked must not pass as "0 dead".
+	const live = "shield5g/internal/deploy.NewSlice"
+	if _, declared := decls[live]; !declared || !linked[live] || !inBench[live] {
+		t.Fatalf("%s reads as undeclared or unlinked: the census matcher is broken, not the tree", live)
+	}
+
+	var dead, benchOnly []string
+	lines := 0
+	for key, n := range decls {
+		switch {
+		case linked[key]:
+		case inBench[key]:
+			benchOnly = append(benchOnly, key)
+		default:
+			dead = append(dead, key)
+			lines += n
+		}
+	}
+	sort.Strings(dead)
+	sort.Strings(benchOnly)
+	for _, key := range dead {
+		if _, ok := binaryCallerExceptions[key]; !ok {
+			t.Errorf("%s is linked into no binary: delete it, move it into a _test.go file, or give it a caller", key)
+		}
+	}
+	for key := range binaryCallerExceptions {
+		if _, ok := decls[key]; !ok {
+			t.Errorf("exception %s names no declaration", key)
+		} else if linked[key] || inBench[key] {
+			t.Errorf("exception %s is linked into a binary: drop it from binaryCallerExceptions", key)
+		}
+	}
+	for _, key := range benchOnly {
+		t.Logf("only into bench: %s", key)
+	}
+	t.Logf("non-test functions linked into no binary: %d (%d lines); only into bench: %d", len(dead), lines, len(benchOnly))
+}
+
+// declKey is a function declaration's census key.
+func declKey(importPath string, fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return importPath + "." + fd.Name.Name
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	return importPath + "." + typ.(*ast.Ident).Name + "." + fd.Name.Name
+}
+
+// linkedFuncs builds every binary of the module rooted at dir without
+// inlining and returns the census keys of the functions they link.
+// mains maps a binary's name to its main package's import path, so that
+// symbols of package main count for that package.
+func linkedFuncs(t *testing.T, dir string, mains map[string]string) map[string]bool {
+	t.Helper()
+	out := t.TempDir()
+	build := exec.Command("go", "build", "-gcflags=all=-l", "-o", out, "./...")
+	build.Dir = dir
+	build.Env = append(os.Environ(), "CGO_ENABLED=0")
+	if msg, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build in %s: %v\n%s", dir, err, msg)
+	}
+	bins, err := os.ReadDir(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	linked := make(map[string]bool)
+	for _, bin := range bins {
+		nm, err := exec.Command("go", "tool", "nm", filepath.Join(out, bin.Name())).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin.Name(), err)
+		}
+		for _, line := range strings.Split(string(nm), "\n") {
+			if key, ok := nmFuncKey(line, mains[bin.Name()]); ok {
+				linked[key] = true
+			}
+		}
+	}
+	return linked
+}
+
+// closureSuffix matches the symbol components the compiler appends to a
+// function for its closures and go/defer wrappers.
+var closureSuffix = regexp.MustCompile(`^((func|gowrap|deferwrap)[0-9]+|[0-9]+)$`)
+
+// nmFuncKey maps one `go tool nm` line to the census key of the declared
+// function it belongs to. Only text symbols of this module count: generic
+// shape brackets are stripped, a closure or method value counts for its
+// enclosing function, and package main's symbols count for mainPath ("" for
+// none).
+func nmFuncKey(line, mainPath string) (string, bool) {
+	fields := strings.SplitN(strings.TrimLeft(line, " "), " ", 3)
+	if len(fields) != 3 || (fields[1] != "T" && fields[1] != "t") {
+		return "", false
+	}
+	var name strings.Builder
+	depth := 0
+	for _, r := range fields[2] {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			name.WriteRune(r)
+		}
+	}
+	sym := strings.TrimSuffix(name.String(), "-fm")
+	switch {
+	case strings.HasPrefix(sym, "main.") && mainPath != "":
+		sym = mainPath + strings.TrimPrefix(sym, "main")
+	case !strings.HasPrefix(sym, "shield5g/") && !strings.HasPrefix(sym, "shield5g."):
+		return "", false
+	}
+	dir, base := path.Split(sym)
+	parts := strings.Split(base, ".")
+	for len(parts) > 2 && closureSuffix.MatchString(parts[len(parts)-1]) {
+		parts = parts[:len(parts)-1]
+	}
+	if len(parts) == 3 {
+		parts[1] = strings.TrimSuffix(strings.TrimPrefix(parts[1], "(*"), ")")
+	}
+	return dir + strings.Join(parts, "."), true
+}
+
+// TestNMFuncKey holds the census's symbol matching to fixed `go tool nm`
+// lines: a mismatch here reads live code as dead, or dead code as live.
+func TestNMFuncKey(t *testing.T) {
+	const gnbsim = "shield5g/cmd/gnbsim"
+	for _, tc := range []struct {
+		line, mainPath, want string
+	}{
+		{"  605700 T main.run", gnbsim, gnbsim + ".run"},
+		{"  608100 T main.run.func1", gnbsim, gnbsim + ".run"},
+		{"  6080c0 T main.run.func2.1", gnbsim, gnbsim + ".run"},
+		{"  607de0 T main.run.deferwrap1", gnbsim, gnbsim + ".run"},
+		{"  605680 T main.main", "", ""},
+		{"  4a9ba0 T runtime.main", gnbsim, ""},
+		{"  5e0000 T shield5g.NewTestbed", "", "shield5g.NewTestbed"},
+		{"  5e0000 T shield5g/internal/deploy.NewSlice", "", "shield5g/internal/deploy.NewSlice"},
+		{"  5e2480 T shield5g/internal/deploy.(*Slice).RunStorm", "", "shield5g/internal/deploy.Slice.RunStorm"},
+		{"  5e2480 T shield5g/internal/deploy.(*Slice).RunStorm.deferwrap1", "", "shield5g/internal/deploy.Slice.RunStorm"},
+		{"  5e2480 T shield5g/internal/paka.Isolation.String", "", "shield5g/internal/paka.Isolation.String"},
+		{"  5e2480 T shield5g/internal/sbi.(*Client).Post-fm", "", "shield5g/internal/sbi.Client.Post"},
+		{"  5e2480 T shield5g/internal/nf/udm.init.0", "", "shield5g/internal/nf/udm.init"},
+		{"  5ff240 T shield5g/internal/experiments.cnt[go.shape.struct { *shield5g/internal/experiments.sliceRun; shield5g/internal/experiments.speedup float64 },go.shape.int]", "", "shield5g/internal/experiments.cnt"},
+		{"  5ff420 T shield5g/internal/experiments.cnt[go.shape.struct { Module string; UEs int },go.shape.uint64].func1", "", "shield5g/internal/experiments.cnt"},
+		{"  5a0000 T shield5g/internal/shard.(*Map[go.shape.string,go.shape.*shield5g/internal/nf/udm.pool]).Get", "", "shield5g/internal/shard.Map.Get"},
+		{"  5a0000 t shield5g/internal/paka.endpointCall[go.shape.*uint8,go.shape.*uint8].Run", "", "shield5g/internal/paka.endpointCall.Run"},
+		{"  70d780 R go:itab.*shield5g/internal/chaos.faultyInvoker,shield5g/internal/sbi.Invoker", "", ""},
+		{"  70d780 D shield5g/internal/deploy.NewSlice", "", ""},
+		{"  70d780 T type:.eq.shield5g/internal/sbi.Problem", "", ""},
+	} {
+		got, ok := nmFuncKey(tc.line, tc.mainPath)
+		if ok != (tc.want != "") || got != tc.want {
+			t.Errorf("nmFuncKey(%q, %q) = %q, %v; want %q", tc.line, tc.mainPath, got, ok, tc.want)
 		}
 	}
 }

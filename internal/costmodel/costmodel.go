@@ -84,9 +84,6 @@ type Model struct {
 	// enclave-resident thread (timer interrupts at the kernel tick rate).
 	AEXRatePerThreadHz float64
 
-	// TimerTickHz is the host kernel tick rate.
-	TimerTickHz float64
-
 	// SwitchlessPollCycles is the cost of one empty dispatcher poll of the
 	// switchless submission ring: a cache-line load of the next slot's
 	// sequence word plus the loop overhead. HotCalls (Weisse et al.)
@@ -139,7 +136,6 @@ func Default() *Model {
 		LoopbackRTT: 1_000_000,
 
 		AEXRatePerThreadHz: 250,
-		TimerTickHz:        250,
 
 		SwitchlessPollCycles:     200,
 		SwitchlessEnqueueCycles:  600,
@@ -151,11 +147,6 @@ func Default() *Model {
 // Duration converts cycles to time at the model's frequency.
 func (m *Model) Duration(n simclock.Cycles) time.Duration {
 	return simclock.Duration(n, m.FrequencyHz)
-}
-
-// Cycles converts a duration to cycles at the model's frequency.
-func (m *Model) Cycles(d time.Duration) simclock.Cycles {
-	return simclock.FromDuration(d, m.FrequencyHz)
 }
 
 // OCALLRoundTrip is the transition cost of one OCALL: the thread leaves the

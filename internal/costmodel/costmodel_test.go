@@ -70,7 +70,7 @@ func TestPagesFor(t *testing.T) {
 
 func TestDurationCyclesRoundTrip(t *testing.T) {
 	m := Default()
-	if got := m.Duration(m.Cycles(time.Millisecond)); got != time.Millisecond {
+	if got := m.Duration(simclock.FromDuration(time.Millisecond, m.FrequencyHz)); got != time.Millisecond {
 		t.Fatalf("round trip = %v", got)
 	}
 }

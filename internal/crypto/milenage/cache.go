@@ -10,7 +10,7 @@ import (
 // Entries are keyed by subscriber identifier (SUPI) and validated against
 // the (K, OPc) pair they were built from: a lookup whose credentials no
 // longer match rebuilds the entry in place, so a re-provisioned key can
-// never be served a stale schedule even if the owner forgets Invalidate.
+// never be served a stale schedule.
 //
 // The core does not use it: an entry is an expanded copy of K kept for as
 // long as the cache lives, about 630 B per subscriber, to save one key
@@ -61,24 +61,4 @@ func (cc *Cache) Get(id string, k, opc []byte) (*Cipher, error) {
 	cc.m[id] = e
 	cc.mu.Unlock()
 	return c, nil
-}
-
-// Invalidate drops the entry for id; the next Get rebuilds it.
-func (cc *Cache) Invalidate(id string) {
-	if cc == nil {
-		return
-	}
-	cc.mu.Lock()
-	delete(cc.m, id)
-	cc.mu.Unlock()
-}
-
-// Reset drops every entry.
-func (cc *Cache) Reset() {
-	if cc == nil {
-		return
-	}
-	cc.mu.Lock()
-	cc.m = make(map[string]*cacheEntry)
-	cc.mu.Unlock()
 }

@@ -110,16 +110,6 @@ func GenerateHomeNetworkKey(rand io.Reader, id byte) (*HomeNetworkKey, error) {
 	return &HomeNetworkKey{ID: id, priv: priv}, nil
 }
 
-// HomeNetworkKeyFromBytes reconstructs a key pair from a 32-byte private
-// scalar (for example, one unsealed inside an enclave).
-func HomeNetworkKeyFromBytes(raw []byte, id byte) (*HomeNetworkKey, error) {
-	priv, err := ecdh.X25519().NewPrivateKey(raw)
-	if err != nil {
-		return nil, fmt.Errorf("suci: load home network key: %w", err)
-	}
-	return &HomeNetworkKey{ID: id, priv: priv}, nil
-}
-
 // PublicKey returns the 32-byte public key provisioned to subscribers.
 func (k *HomeNetworkKey) PublicKey() []byte { return k.priv.PublicKey().Bytes() }
 

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/ecdh"
 	"crypto/hmac"
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -360,4 +362,14 @@ func TestPooledPrimitivesMatchReference(t *testing.T) {
 			t.Fatalf("round %d: manual CTR diverges from cipher.NewCTR", round)
 		}
 	}
+}
+
+// HomeNetworkKeyFromBytes reconstructs a key pair from a 32-byte private
+// scalar: Bytes' inverse, and the fixed key of FuzzDeconceal's corpus.
+func HomeNetworkKeyFromBytes(raw []byte, id byte) (*HomeNetworkKey, error) {
+	priv, err := ecdh.X25519().NewPrivateKey(raw)
+	if err != nil {
+		return nil, fmt.Errorf("suci: load home network key: %w", err)
+	}
+	return &HomeNetworkKey{ID: id, priv: priv}, nil
 }

@@ -714,17 +714,6 @@ func (s *Slice) Stop() {
 	}
 }
 
-// StopNRF takes the NRF off the service bus mid-run. Because the NRF is
-// a pure control-plane function — shard bindings are resolved once at
-// construction and the gNB routes on its last-known-good snapshot —
-// registrations must keep succeeding afterwards. Topology *changes* (SetRoutableReplicas) still
-// work too: the builder pushes in-process, not over SBI. This models the
-// paper's availability claim: shielding and routing survive discovery
-// outages.
-func (s *Slice) StopNRF() {
-	s.Registry.Deregister(nrf.ServiceName)
-}
-
 // SetRoutableReplicas publishes a new topology snapshot that routes over
 // only the first n shards. It is a pure prefix truncation — replica i in
 // the snapshot is always Shards[i] — so the gNB's static AMF bindings

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/gnb"
-	"shield5g/internal/hmee/gramine"
+	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/nf/udm"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
@@ -104,11 +105,11 @@ func TestRegistrationAllIsolationModes(t *testing.T) {
 		t.Run(iso.String(), func(t *testing.T) {
 			forReplicas(t, func(t *testing.T, replicas int) {
 				s := newSliceWith(t, SliceConfig{Isolation: iso, Seed: 42, Replicas: replicas})
-				if len(s.Shards) != max(replicas, 1) || s.GNB.Replicas() != len(s.Shards) {
-					t.Fatalf("Shards = %d, gNB pool = %d, want %d", len(s.Shards), s.GNB.Replicas(), max(replicas, 1))
+				if len(s.Shards) != max(replicas, 1) {
+					t.Fatalf("Shards = %d, want %d", len(s.Shards), max(replicas, 1))
 				}
-				if s.Router.Epoch() != 1 || s.Topology.Epoch() != 1 {
-					t.Fatalf("router epoch %d, builder epoch %d after deployment, want 1", s.Router.Epoch(), s.Topology.Epoch())
+				if s.Router.Epoch() != 1 {
+					t.Fatalf("router epoch %d after deployment, want 1", s.Router.Epoch())
 				}
 				if s.AMF != s.Shards[0].AMF {
 					t.Fatal("top-level AMF is not shard 0's")
@@ -619,18 +620,24 @@ func provisionUEDeviceOnly(t *testing.T, s *Slice, msin string) *ue.UE {
 	return device
 }
 
+// TestSliceStopReleasesAllEPC: an enclave as large as the platform's whole
+// EPC builds only once Stop has destroyed every module's enclave.
 func TestSliceStopReleasesAllEPC(t *testing.T) {
-	s, err := NewSlice(context.Background(), SliceConfig{Isolation: paka.SGX, Seed: 99})
+	ctx := context.Background()
+	s, err := NewSlice(ctx, SliceConfig{Isolation: paka.SGX, Seed: 99})
 	if err != nil {
 		t.Fatalf("NewSlice: %v", err)
 	}
-	if s.Platform.EPCInUse() == 0 {
-		t.Fatal("no EPC committed for SGX slice")
+	whole := sgx.EnclaveConfig{Name: "whole-epc", SizeBytes: sgx.DefaultEPCCapacity, MaxThreads: 1}
+	if _, err := s.Platform.Build(ctx, whole); !errors.Is(err, sgx.ErrEPCExhausted) {
+		t.Fatalf("whole-EPC build beside a running SGX slice = %v, want %v", err, sgx.ErrEPCExhausted)
 	}
 	s.Stop()
-	if got := s.Platform.EPCInUse(); got != 0 {
-		t.Fatalf("EPC still committed after Stop: %d", got)
+	e, err := s.Platform.Build(ctx, whole)
+	if err != nil {
+		t.Fatalf("EPC still committed after Stop: %v", err)
 	}
+	e.Destroy()
 }
 
 func TestDeregistrationReleasesContext(t *testing.T) {
@@ -761,8 +768,5 @@ func TestPrewarmRidesTheEUDMRing(t *testing.T) {
 	}
 	if got, doorbells := m.Stats().EENTER-enters, after.Doorbells-ring.Doorbells; got != doorbells {
 		t.Errorf("prewarm paid %d EENTERs for %d doorbells; want only the doorbells", got, doorbells)
-	}
-	if got := m.Enclave().Config().MaxThreads; got != gramine.HelperThreads+2 {
-		t.Errorf("ring eUDM MaxThreads = %d, want %d: process, helpers and the dispatcher", got, gramine.HelperThreads+2)
 	}
 }

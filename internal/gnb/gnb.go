@@ -117,9 +117,6 @@ func New(cfg Config) (*GNB, error) {
 	}, nil
 }
 
-// Replicas reports the size of the gNB's AMF pool.
-func (g *GNB) Replicas() int { return len(g.amfs) }
-
 // Tenant reports the gNB's (gNB, PLMN) identity, "gnb/"+MCC+MNC. Routing
 // ignores it: every tenant routes over the whole replica set.
 func (g *GNB) Tenant() string { return "gnb/" + g.BroadcastPLMN() }
@@ -267,9 +264,6 @@ func (g *GNB) chargeRadio(ctx context.Context) {
 	g.env.Charge(ctx, g.env.JitterFor(ctx).Scale(g.radio.RTTCycles, 0.1))
 }
 
-// RANUEID exposes the session's RAN identifier.
-func (s *Session) RANUEID() uint64 { return s.ranUEID }
-
 // EstablishPDUSession sets up a data session through SMF/UPF and records
 // the assigned UE address and uplink tunnel (delivered over N2 in a real
 // deployment).
@@ -293,9 +287,6 @@ func (s *Session) EstablishPDUSession(ctx context.Context, sessionID byte, dnn s
 	s.teid = teid
 	return nil
 }
-
-// TEID reports the uplink tunnel ID of the established PDU session.
-func (s *Session) TEID() uint32 { return s.teid }
 
 // Deregister detaches the UE from the core, releasing its AMF context, its
 // GUTI binding and its PDU session, if it opened one, in the SMF and UPF.

@@ -112,9 +112,6 @@ func TestRegisterUESetupTimeScalesWithRadio(t *testing.T) {
 	if slowSess.SetupTime <= fastSess.SetupTime {
 		t.Fatalf("OTA setup (%v) not above gnbsim setup (%v)", slowSess.SetupTime, fastSess.SetupTime)
 	}
-	if fastSess.RANUEID() == 0 {
-		t.Fatal("no RAN UE ID")
-	}
 }
 
 func TestRegisterUEUnprovisionedFails(t *testing.T) {
@@ -146,9 +143,6 @@ func TestSendDataRequiresPDUSession(t *testing.T) {
 	}
 	if err := sess.EstablishPDUSession(context.Background(), 1, "internet"); err != nil {
 		t.Fatalf("EstablishPDUSession: %v", err)
-	}
-	if sess.TEID() == 0 {
-		t.Fatal("no TEID after PDU session")
 	}
 	echo, err := sess.SendData(context.Background(), []byte("payload"))
 	if err != nil {

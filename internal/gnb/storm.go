@@ -70,11 +70,6 @@ type StormResult struct {
 	FirstErrors   map[string]error
 }
 
-// TotalShed sums overload rejections across classes.
-func (r *StormResult) TotalShed() int {
-	return r.Class[0].Shed + r.Class[1].Shed + r.Class[2].Shed
-}
-
 // RunStorm replays the plan sequentially in arrival order, one registration
 // attempt per event (a shed registration counts as shed, not retried);
 // determinism comes from the plan (arrival stamps, class mix) plus the env

@@ -122,8 +122,8 @@ func TestCensusContract(t *testing.T) {
 		for _, shape := range []string{"oneshot", "session", "batch"} {
 			for _, state := range []string{"first", "warm"} {
 				inst := censusInstance(t, crossing)
-				if crossing == "ring" != inst.Switchless() {
-					t.Fatalf("%s instance: Switchless() = %v", crossing, inst.Switchless())
+				if crossing == "ring" != (inst.ring != nil) {
+					t.Fatalf("%s instance: has a ring = %v", crossing, inst.ring != nil)
 				}
 				if state == "warm" {
 					// Warm outside the measured window. A ring instance
@@ -132,7 +132,7 @@ func TestCensusContract(t *testing.T) {
 					if _, err := censusOneShot(inst, context.Background(), 40, 80); err != nil {
 						t.Fatalf("warm: %v", err)
 					}
-					if inst.Switchless() {
+					if inst.ring != nil {
 						env := inst.platform.Env()
 						env.Clock.Advance(env.Model.SwitchlessSpinBudget())
 					}

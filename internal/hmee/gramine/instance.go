@@ -165,12 +165,6 @@ func (i *Instance) TCBBytes() uint64 {
 	return n
 }
 
-// Exitless reports whether switchless OCALLs are active.
-func (i *Instance) Exitless() bool { return i.exitless }
-
-// Switchless reports whether the instance runs a switchless ECALL ring.
-func (i *Instance) Switchless() bool { return i.ring != nil }
-
 // RingStats snapshots the submission ring's counters (zero without a
 // ring).
 func (i *Instance) RingStats() sgx.RingStats {
@@ -183,13 +177,6 @@ func (i *Instance) RingStats() sgx.RingStats {
 // Introspect is the host's view of the enclave's key store: MEE
 // ciphertext, region by name.
 func (i *Instance) Introspect() map[string][]byte { return i.enclave.Introspect() }
-
-// Warm reports whether the first request has been served.
-func (i *Instance) Warm() bool {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.warm
-}
 
 // request is the one description of work crossing into the in-enclave
 // server: which phases of the server path it charges, its body sizes and

@@ -164,7 +164,7 @@ func TestRingTakesEveryPhasedCrossing(t *testing.T) {
 	for _, crossing := range []string{"classic", "ring"} {
 		t.Run(crossing, func(t *testing.T) {
 			inst := censusInstance(t, crossing)
-			ring := inst.Switchless()
+			ring := inst.ring != nil
 			ctx := context.Background()
 			if _, err := inst.Cross(ctx, hmee.OneShot, 40, 80, noop); err != nil {
 				t.Fatalf("warm: %v", err)

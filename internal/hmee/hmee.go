@@ -160,11 +160,6 @@ func UserTCPSyscallProfile() SyscallProfile {
 	return SyscallProfile{Pre: 4, Read: 1, InHandler: 1, Write: 1, Post: 5}
 }
 
-// Total sums all phases.
-func (sp SyscallProfile) Total() int {
-	return sp.Pre + sp.Read + sp.InHandler + sp.Write + sp.Post
-}
-
 // Breakdown reports the virtual-time windows of one served request using
 // the paper's metric names: L_F (functional latency: the AKA function
 // execution), L_T (total latency: request receipt to response send inside

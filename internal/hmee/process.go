@@ -184,13 +184,6 @@ func (p *Process) Running() bool {
 	return p.running
 }
 
-// Warm reports whether the first connection has been accepted.
-func (p *Process) Warm() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.warm
-}
-
 // Introspect is a read of the process's whole key store, region by name:
 // plaintext, to the process itself and — in a plain container — to any
 // privileged attacker on the host.

@@ -168,17 +168,6 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 // Name returns the configured enclave name.
 func (e *Enclave) Name() string { return e.cfg.Name }
 
-// Config returns a copy of the enclave configuration.
-func (e *Enclave) Config() EnclaveConfig {
-	cfg := e.cfg
-	cfg.TrustedFiles = append([]MeasuredFile(nil), e.cfg.TrustedFiles...)
-	return cfg
-}
-
-// LoadCycles reports the cycles charged to build and initialize the
-// enclave.
-func (e *Enclave) LoadCycles() simclock.Cycles { return e.loadCycles }
-
 // LoadDuration reports the modelled enclave load time (Fig. 7).
 func (e *Enclave) LoadDuration() time.Duration {
 	return e.platform.env.Model.Duration(e.loadCycles)

@@ -97,13 +97,6 @@ func (p *Platform) Env() *costmodel.Env { return p.env }
 // service).
 func (p *Platform) QuotingPublicKey() ed25519.PublicKey { return p.qePub }
 
-// EPCInUse reports committed EPC bytes across all live enclaves.
-func (p *Platform) EPCInUse() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epcUsed
-}
-
 // MeasuredFile is one trusted file measured into the enclave identity at
 // build time (Gramine manifest trusted_files entries).
 type MeasuredFile struct {

@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 )
 
 // ErrUnseal reports sealed data that cannot be opened by this enclave —
@@ -94,15 +93,4 @@ func (e *Enclave) SealBackup(name string, data []byte) error {
 	}
 	files[name] = blob
 	return nil
-}
-
-// Backups lists the sealed files the host keeps for the enclave's
-// measurement, blob by name: opaque to the host and to any enclave of
-// another identity or platform (Unseal with the name as additional data).
-// The map is a copy; the blobs are shared and read-only.
-func (e *Enclave) Backups() map[string][]byte {
-	p := e.platform
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return maps.Clone(p.backups[e.measurement])
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -62,8 +63,8 @@ func TestBuildChargesAccount(t *testing.T) {
 		t.Fatalf("Build: %v", err)
 	}
 	defer e.Destroy()
-	if acct.Total() != e.LoadCycles() {
-		t.Fatalf("account = %d, load = %d", acct.Total(), e.LoadCycles())
+	if acct.Total() != e.loadCycles {
+		t.Fatalf("account = %d, load = %d", acct.Total(), e.loadCycles)
 	}
 }
 
@@ -95,8 +96,8 @@ func TestEPCExhaustion(t *testing.T) {
 	}
 	// Destroying the first enclave releases EPC for the second.
 	e1.Destroy()
-	if p.EPCInUse() != 0 {
-		t.Fatalf("EPCInUse after destroy = %d", p.EPCInUse())
+	if p.epcUsed != 0 {
+		t.Fatalf("EPC committed after destroy = %d", p.epcUsed)
 	}
 	e2, err := p.Build(context.Background(), cfg2)
 	if err != nil {
@@ -696,16 +697,6 @@ func TestStatsSub(t *testing.T) {
 	}
 }
 
-func TestConfigReturnsCopy(t *testing.T) {
-	p := testPlatform(t)
-	e := build(t, p, testConfig())
-	cfg := e.Config()
-	cfg.TrustedFiles[0].Path = "mutated"
-	if e.Config().TrustedFiles[0].Path == "mutated" {
-		t.Fatal("Config returned aliased trusted files")
-	}
-}
-
 func TestBuildDeterministicLoadAcrossSeeds(t *testing.T) {
 	// Same seed, same config: identical modelled load time.
 	mk := func() simclock.Cycles {
@@ -718,9 +709,20 @@ func TestBuildDeterministicLoadAcrossSeeds(t *testing.T) {
 			t.Fatalf("Build: %v", err)
 		}
 		defer e.Destroy()
-		return e.LoadCycles()
+		return e.loadCycles
 	}
 	if a, b := mk(), mk(); a != b {
 		t.Fatalf("same-seed load cycles differ: %d vs %d", a, b)
 	}
+}
+
+// Backups lists the sealed files the host keeps for the enclave's
+// measurement, blob by name: opaque to the host and to any enclave of
+// another identity or platform (Unseal with the name as additional data).
+// The map is a copy; the blobs are shared and read-only.
+func (e *Enclave) Backups() map[string][]byte {
+	p := e.platform
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return maps.Clone(p.backups[e.measurement])
 }

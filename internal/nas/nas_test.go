@@ -132,7 +132,7 @@ func TestEncodeRejectsFieldsTheirPrefixCannotExpress(t *testing.T) {
 			if wire, err := ue.Protect(row.msg, true); !errors.Is(err, ErrFieldTooLong) || wire != nil {
 				t.Fatalf("Protect = %d bytes, %v; want nil, ErrFieldTooLong", len(wire), err)
 			}
-			if ul, _ := ue.Counts(); ul != 0 {
+			if ue.uplinkCount != 0 {
 				t.Fatal("a refused Protect consumed a sequence number")
 			}
 		})
@@ -357,11 +357,11 @@ func TestCountsAdvance(t *testing.T) {
 			t.Fatalf("Unprotect %d: %v", i, err)
 		}
 	}
-	up, down := ue.Counts()
+	up, down := ue.uplinkCount, ue.downlinkCount
 	if up != 5 || down != 0 {
 		t.Fatalf("UE counts = %d/%d, want 5/0", up, down)
 	}
-	up, down = net.Counts()
+	up, down = net.uplinkCount, net.downlinkCount
 	if up != 5 || down != 0 {
 		t.Fatalf("net counts = %d/%d, want 5/0", up, down)
 	}

@@ -96,11 +96,6 @@ func NewSecurityContext(kamf []byte) (*SecurityContext, error) {
 	return sc, nil
 }
 
-// Counts reports the current uplink and downlink NAS COUNT values.
-func (sc *SecurityContext) Counts() (uplink, downlink uint32) {
-	return sc.uplinkCount, sc.downlinkCount
-}
-
 // DropCipher releases the expanded K_NASenc schedule at the end of a
 // procedure. The keys and COUNTs stay, so the context protects and
 // verifies exactly as before; the next ciphered message pays one key

@@ -127,7 +127,6 @@ type Config struct {
 
 // AMF is the access and mobility VNF.
 type AMF struct {
-	env   *costmodel.Env
 	ausf  *ausf.Client
 	smf   *smf.Client
 	nrfc  *nrf.Client
@@ -176,7 +175,6 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 		return nil, err
 	}
 	a := &AMF{
-		env:   cfg.Env,
 		ausf:  ausfClient,
 		smf:   smfClient,
 		nrfc:  nrf.NewClient(cfg.Invoker),

@@ -105,14 +105,6 @@ func (n *NRF) handleDiscover(_ context.Context, req *DiscoverRequest) (*Discover
 	return &DiscoverResponse{Profiles: out}, nil
 }
 
-// InstanceCount reports the number of registered instances (for tests and
-// status displays).
-func (n *NRF) InstanceCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.instances)
-}
-
 // Client is the NF-side helper for NRF interactions.
 type Client struct {
 	invoker sbi.Invoker

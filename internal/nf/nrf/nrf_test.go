@@ -29,8 +29,8 @@ func TestRegisterAndDiscover(t *testing.T) {
 	if err := c.Register(ctx, NFProfile{InstanceID: "udm-2", NFType: "UDM", Service: "udm-b", HMEE: true}); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if n.InstanceCount() != 2 {
-		t.Fatalf("InstanceCount = %d", n.InstanceCount())
+	if len(n.instances) != 2 {
+		t.Fatalf("%d instances registered, want 2", len(n.instances))
 	}
 
 	// Discovery answers for the service asked for, not the first of the type.
@@ -92,8 +92,8 @@ func TestRegisterReplacesProfile(t *testing.T) {
 	if err := c.Register(ctx, NFProfile{InstanceID: "udm-1", NFType: "UDM", Service: "udm", HMEE: true}); err != nil {
 		t.Fatalf("re-Register: %v", err)
 	}
-	if n.InstanceCount() != 1 {
-		t.Fatalf("InstanceCount = %d, want 1 (replace)", n.InstanceCount())
+	if len(n.instances) != 1 {
+		t.Fatalf("%d instances registered, want 1 (replace)", len(n.instances))
 	}
 	p, err := c.Discover(ctx, "UDM", "udm", true)
 	if err != nil || !p.HMEE {

@@ -95,10 +95,3 @@ func (b *Builder) Publish() PushResult {
 	}
 	return res
 }
-
-// Epoch reports the last published epoch (0 before the first Publish).
-func (b *Builder) Epoch() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.epoch
-}

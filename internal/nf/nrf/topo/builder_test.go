@@ -14,10 +14,24 @@ func replicas(names ...string) []topology.Replica {
 	return out
 }
 
+// lastApplied is a Router that remembers the last snapshot it acked.
+type lastApplied struct {
+	*topology.Router
+	snap *topology.Snapshot
+}
+
+func (l *lastApplied) Apply(s *topology.Snapshot) error {
+	err := l.Router.Apply(s)
+	if err == nil {
+		l.snap = s
+	}
+	return err
+}
+
 func TestPublishPushesMonotonicEpochs(t *testing.T) {
 	b := NewBuilder()
 	b.SetReplicas(replicas("shard-0", "shard-1"))
-	r1, r2 := topology.NewRouter(), topology.NewRouter()
+	r1, r2 := &lastApplied{Router: topology.NewRouter()}, topology.NewRouter()
 	if err := b.Subscribe(r1); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +50,7 @@ func TestPublishPushesMonotonicEpochs(t *testing.T) {
 	if r1.Epoch() != 2 || r2.Epoch() != 2 {
 		t.Fatalf("router epochs = %d, %d, want 2, 2", r1.Epoch(), r2.Epoch())
 	}
-	if got := len(r1.Snapshot().Replicas); got != 3 {
+	if got := len(r1.snap.Replicas); got != 3 {
 		t.Fatalf("router sees %d replicas, want 3", got)
 	}
 }

@@ -58,7 +58,6 @@ type Config struct {
 
 // SMF is the session-management VNF.
 type SMF struct {
-	env     *costmodel.Env
 	server  *sbi.Server
 	invoker sbi.Invoker
 	nrfc    *nrf.Client
@@ -76,7 +75,6 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 		return nil, fmt.Errorf("smf: Env, Registry and Invoker are required")
 	}
 	s := &SMF{
-		env:      cfg.Env,
 		server:   sbi.NewServer(ServiceName, cfg.Env),
 		invoker:  cfg.Invoker,
 		nrfc:     nrf.NewClient(cfg.Invoker),
@@ -156,12 +154,6 @@ func (s *SMF) SessionCount() int {
 type Client struct {
 	invoker sbi.Invoker
 	service string
-}
-
-// NewClient wraps an SBI transport for SMF calls against the default
-// service name.
-func NewClient(invoker sbi.Invoker) *Client {
-	return &Client{invoker: invoker, service: ServiceName}
 }
 
 // DiscoverClient resolves an SMF instance through the NRF.

@@ -26,7 +26,7 @@ func harness(t *testing.T) (*SMF, *upf.UPF, *Client) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	return s, u, NewClient(sbi.NewClient("amf", env, reg))
+	return s, u, &Client{invoker: sbi.NewClient("amf", env, reg), service: ServiceName}
 }
 
 func TestCreateSession(t *testing.T) {

@@ -25,7 +25,7 @@ var (
 type harness struct {
 	env    *costmodel.Env
 	udm    *UDM
-	nrf    *nrf.NRF
+	nrf    *nrf.Client
 	client *Client
 	hnKey  *suci.HomeNetworkKey
 	eudm   *paka.Module
@@ -49,8 +49,7 @@ func newHarness(t *testing.T) *harness {
 	t.Helper()
 	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
-	n, err := nrf.New(env, reg)
-	if err != nil {
+	if _, err := nrf.New(env, reg); err != nil {
 		t.Fatalf("nrf.New: %v", err)
 	}
 	if _, err := udr.New(env, reg); err != nil {
@@ -72,7 +71,7 @@ func newHarness(t *testing.T) *harness {
 	return &harness{
 		env:    env,
 		udm:    u,
-		nrf:    n,
+		nrf:    nrf.NewClient(sbi.NewClient("test", env, reg)),
 		client: NewClientFor(sbi.NewClient("ausf", env, reg), ServiceName),
 		hnKey:  hnKey,
 		eudm:   eudm,
@@ -114,8 +113,9 @@ func TestNewValidation(t *testing.T) {
 
 func TestNewRegistersWithNRF(t *testing.T) {
 	h := newHarness(t)
-	if h.nrf.InstanceCount() != 1 {
-		t.Fatalf("NRF instances = %d, want 1", h.nrf.InstanceCount())
+	p, err := h.nrf.Discover(context.Background(), NFType, ServiceName, false)
+	if err != nil || p.Service != ServiceName {
+		t.Fatalf("NRF discovery of the UDM = %+v, %v", p, err)
 	}
 }
 

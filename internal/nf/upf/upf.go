@@ -47,19 +47,14 @@ type ReleaseRequest struct {
 // Empty is an empty response body.
 type Empty struct{}
 
-// session is one installed forwarding rule.
-type session struct {
-	teid      uint32
-	ueAddress string
-}
-
 // UPF is the user-plane anchor.
 type UPF struct {
 	env    *costmodel.Env
 	server *sbi.Server
 
-	mu       sync.Mutex
-	sessions map[uint64]*session
+	mu sync.Mutex
+	// sessions holds the installed forwarding rules, uplink TEID by SEID.
+	sessions map[uint64]uint32
 	nextTEID uint32
 }
 
@@ -68,7 +63,7 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*UPF, error) {
 	u := &UPF{
 		env:      env,
 		server:   sbi.NewServer(ServiceName, env),
-		sessions: make(map[uint64]*session),
+		sessions: make(map[uint64]uint32),
 	}
 	u.server.HandleDual(PathEstablish, sbi.BinHandler(u.handleEstablish))
 	u.server.HandleDual(PathRelease, sbi.BinHandler(u.handleRelease))
@@ -88,7 +83,7 @@ func (u *UPF) handleEstablish(_ context.Context, req *EstablishRequest) (*Establ
 		return nil, sbi.Problem(409, "Conflict", "SESSION_EXISTS", "SEID %d", req.SEID)
 	}
 	u.nextTEID++
-	u.sessions[req.SEID] = &session{teid: u.nextTEID, ueAddress: req.UEAddress}
+	u.sessions[req.SEID] = u.nextTEID
 	return &EstablishResponse{TEID: u.nextTEID}, nil
 }
 
@@ -115,15 +110,15 @@ func (u *UPF) SessionCount() int {
 // test). It charges GTP encapsulation and forwarding costs.
 func (u *UPF) ForwardUplink(ctx context.Context, teid uint32, payload []byte) ([]byte, error) {
 	u.mu.Lock()
-	var found *session
-	for _, s := range u.sessions {
-		if s.teid == teid {
-			found = s
+	found := false
+	for _, t := range u.sessions {
+		if t == teid {
+			found = true
 			break
 		}
 	}
 	u.mu.Unlock()
-	if found == nil {
+	if !found {
 		return nil, fmt.Errorf("upf: no session for TEID %d", teid)
 	}
 	m := u.env.Model

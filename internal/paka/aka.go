@@ -114,24 +114,10 @@ func mintInto(c *milenage.Cipher, req *UDMGenerateAVRequest, resp *UDMGenerateAV
 	return nil
 }
 
-// Resync executes the eUDM-side AUTS verification (TS 33.102 §6.3.5): it
-// recovers SQN_MS with AK* = f5*(RAND) and checks MAC-S = f1*(SQN_MS,
-// AMF*=0x0000). This also uses the long-term key and therefore belongs
-// inside the enclave. K's key schedule is expanded for this one call.
-func Resync(k []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	var c milenage.Cipher
-	if err := c.Init(k, req.OPc); err != nil {
-		return nil, fmt.Errorf("paka: eUDM resync: %w", err)
-	}
-	resp := new(UDMResyncResponse)
-	if err := resync(&c, req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// resync verifies req's AUTS with c, the subscriber's expanded schedule,
-// and writes the recovered SQN_MS into resp.
+// resync executes the eUDM-side AUTS verification (TS 33.102 §6.3.5): with
+// c, the subscriber's expanded schedule, it recovers SQN_MS with AK* =
+// f5*(RAND), checks MAC-S = f1*(SQN_MS, AMF*=0x0000) and writes SQN_MS into
+// resp. It uses the long-term key and therefore runs inside the enclave.
 func resync(c *milenage.Cipher, req *UDMResyncRequest, resp *UDMResyncResponse) error {
 	if len(req.AUTS) != 14 {
 		return fmt.Errorf("paka: AUTS length %d, want 14", len(req.AUTS))
@@ -181,17 +167,8 @@ func deriveSE(req *AUSFDeriveSERequest, resp *AUSFDeriveSEResponse) error {
 	return nil
 }
 
-// DeriveKAMF executes the eAMF P-AKA function: K_AMF derivation from
-// K_SEAF.
-func DeriveKAMF(req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-	resp := new(AMFDeriveKAMFResponse)
-	if err := deriveKAMF(req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
-}
-
-// deriveKAMF derives K_AMF straight into resp.
+// deriveKAMF executes the eAMF P-AKA function: K_AMF derivation from
+// K_SEAF, straight into resp.
 //
 //shieldlint:hotpath
 func deriveKAMF(req *AMFDeriveKAMFRequest, resp *AMFDeriveKAMFResponse) error {

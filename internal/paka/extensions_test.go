@@ -2,6 +2,7 @@ package paka
 
 import (
 	"context"
+	"crypto/ed25519"
 	"testing"
 
 	"shield5g/internal/costmodel"
@@ -109,9 +110,16 @@ func TestUserTCPModuleCutsSyscallsGrowsTCB(t *testing.T) {
 }
 
 func TestExitlessBumpsThreadBudget(t *testing.T) {
-	m, _, _ := deployVariant(t, 54, true, false)
+	_, signKey, err := ed25519.GenerateKey(nil)
+	if err != nil {
+		t.Fatalf("GenerateKey: %v", err)
+	}
+	si, err := shieldedImage(Config{Kind: EUDM, SignKey: signKey, Exitless: true}, Profiles()[EUDM])
+	if err != nil {
+		t.Fatalf("GSC build: %v", err)
+	}
 	// The manifest minimum for exitless is HelperThreads+2 = 5.
-	if got := m.Enclave().Config().MaxThreads; got < 5 {
+	if got := si.EnclaveConfig().MaxThreads; got < 5 {
 		t.Fatalf("MaxThreads = %d, want >= 5", got)
 	}
 }

@@ -469,12 +469,6 @@ func (m *Module) MemoryDump() map[string][]byte { return m.rt().Introspect() }
 // Kind reports the module kind.
 func (m *Module) Kind() ModuleKind { return m.kind }
 
-// Isolation reports the module's deployment mode.
-func (m *Module) Isolation() Isolation { return m.isolation }
-
-// Profile returns the module's calibrated profile.
-func (m *Module) Profile() Profile { return m.profile }
-
 // ServiceName is the module's SBI service name (its replica's, see
 // Config.Replica).
 func (m *Module) ServiceName() string { return m.server.Name() }
@@ -493,9 +487,6 @@ func (m *Module) Stats() sgx.StatsSnapshot {
 
 // AccrueUptime models the module staying deployed for d of virtual time.
 func (m *Module) AccrueUptime(d time.Duration) { m.rt().AccrueUptime(d) }
-
-// Warm reports whether the module has served its first request.
-func (m *Module) Warm() bool { return m.rt().Warm() }
 
 // HostTCBBytes approximates the host software a non-enclave deployment
 // must additionally trust: kernel, container engine and system services.

@@ -119,7 +119,7 @@ func TestResyncRoundTrip(t *testing.T) {
 	}
 	auts := append(append([]byte{}, concealed...), macS...)
 
-	resp, err := Resync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts})
+	resp, err := directResync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts})
 	if err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
@@ -129,10 +129,10 @@ func TestResyncRoundTrip(t *testing.T) {
 
 	// Tampered AUTS must fail.
 	auts[13] ^= 1
-	if _, err := Resync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
+	if _, err := directResync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
 		t.Fatalf("tampered AUTS err = %v, want ErrResyncMAC", err)
 	}
-	if _, err := Resync(testK, &UDMResyncRequest{OPc: testOPc, RAND: testRAND, AUTS: auts[:10]}); err == nil {
+	if _, err := directResync(testK, &UDMResyncRequest{OPc: testOPc, RAND: testRAND, AUTS: auts[:10]}); err == nil {
 		t.Fatal("short AUTS accepted")
 	}
 }
@@ -154,9 +154,9 @@ func TestDeriveSEAndKAMFChain(t *testing.T) {
 		t.Fatal("HXRES* mismatch")
 	}
 
-	amf, err := DeriveKAMF(&AMFDeriveKAMFRequest{KSEAF: se.KSEAF, SUPI: testSUPI, ABBA: []byte{0, 0}})
-	if err != nil {
-		t.Fatalf("DeriveKAMF: %v", err)
+	var amf AMFDeriveKAMFResponse
+	if err := deriveKAMF(&AMFDeriveKAMFRequest{KSEAF: se.KSEAF, SUPI: testSUPI, ABBA: []byte{0, 0}}, &amf); err != nil {
+		t.Fatalf("deriveKAMF: %v", err)
 	}
 	wantKAMF := make([]byte, kdf.KeyLen256)
 	if err := kdf.KAMFInto(wantKAMF, se.KSEAF[:], testSUPI, []byte{0, 0}); err != nil {
@@ -387,14 +387,11 @@ func TestParseIsolationRoundTrip(t *testing.T) {
 func TestModuleAccessors(t *testing.T) {
 	h := newHarness(t, 9)
 	m := h.module(t, EUDM, SGX)
-	if m.Kind() != EUDM || m.Isolation() != SGX || m.ServiceName() != "eudm-paka" {
+	if m.Kind() != EUDM || m.isolation != SGX || m.ServiceName() != "eudm-paka" {
 		t.Fatal("accessors wrong")
 	}
-	if m.Profile().InBytes != 40 {
+	if m.profile.InBytes != 40 {
 		t.Fatal("profile not exposed")
-	}
-	if m.Warm() {
-		t.Fatal("module warm before first request")
 	}
 	if m.LoadDuration() <= 0 {
 		t.Fatal("no load duration")

@@ -80,8 +80,6 @@ type Runtime interface {
 	LoadDuration() time.Duration
 	// AccrueUptime models d of deployed residency.
 	AccrueUptime(d time.Duration)
-	// Warm reports whether the first request has been served.
-	Warm() bool
 	// Introspect is the privileged host's view of the runtime's whole key
 	// store, region by name: plaintext in a container, ciphertext under SGX
 	// or SEV.

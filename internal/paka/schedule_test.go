@@ -28,10 +28,21 @@ func directAV(t *testing.T, k []byte, req *UDMGenerateAVRequest) *UDMGenerateAVR
 	return av
 }
 
+// directResync is the AUTS verification the eUDM serves, with a schedule
+// of its own.
+func directResync(k []byte, req *UDMResyncRequest) (*UDMResyncResponse, error) {
+	var c milenage.Cipher
+	if err := c.Init(k, req.OPc); err != nil {
+		return nil, err
+	}
+	resp := new(UDMResyncResponse)
+	return resp, resync(&c, req, resp)
+}
+
 // TestGenerateAVCachedMatchesUncached pins the cached mint
 // (GenerateAVCachedInto, the benchmark's cached-AV probe) to GenerateAV,
 // which expands K's schedule per call, byte-for-byte, across repeated
-// hits, a key change, and explicit invalidation.
+// hits and a key change in each direction.
 func TestGenerateAVCachedMatchesUncached(t *testing.T) {
 	cache := milenage.NewCache()
 	req := avRequest()
@@ -54,9 +65,8 @@ func TestGenerateAVCachedMatchesUncached(t *testing.T) {
 	if !avEqual(cached(testK2), directAV(t, testK2, req)) {
 		t.Fatal("AV after key change diverges from uncached")
 	}
-	cache.Invalidate(testSUPI)
 	if !avEqual(cached(testK), directAV(t, testK, req)) {
-		t.Fatal("AV after invalidation diverges from uncached")
+		t.Fatal("AV after the key changed back diverges from uncached")
 	}
 }
 
@@ -93,7 +103,7 @@ func TestModuleResyncMatchesDirect(t *testing.T) {
 				t.Fatalf("provision: %v", err)
 			}
 			req := &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}
-			want, err := Resync(testK, req)
+			want, err := directResync(testK, req)
 			if err != nil || !bytes.Equal(want.SQNMS, sqnMS) {
 				t.Fatalf("Resync = %v, %v; want SQN_MS %x", want, err, sqnMS)
 			}

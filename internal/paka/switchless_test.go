@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"shield5g/internal/hmee/gramine"
-	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/simclock"
 )
 
@@ -95,10 +94,6 @@ func TestSwitchlessServesIdenticalAKAOutputs(t *testing.T) {
 // needs exactly that one (a ring module's refills ride the ring, never a
 // batch ECALL).
 func TestSwitchlessManifestNeedsDispatcherTCS(t *testing.T) {
-	p, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: 5})
-	if err != nil {
-		t.Fatalf("NewPlatform: %v", err)
-	}
 	_, signKey, err := ed25519.GenerateKey(nil)
 	if err != nil {
 		t.Fatalf("GenerateKey: %v", err)
@@ -115,20 +110,20 @@ func TestSwitchlessManifestNeedsDispatcherTCS(t *testing.T) {
 		{"ring+batch", false, true, true, gramine.HelperThreads + 2},
 		{"all", true, true, true, gramine.HelperThreads + 2},
 	} {
-		inst, err := launchSGX(context.Background(), Config{
-			Kind: EUDM, Platform: p, SignKey: signKey,
+		si, err := shieldedImage(Config{
+			Kind: EUDM, SignKey: signKey,
 			Exitless: c.exitless, ReserveBatchTCS: c.reserve, Switchless: c.switchless,
 		}, Profiles()[EUDM])
 		if err != nil {
-			t.Fatalf("%s: launch: %v", c.name, err)
+			t.Fatalf("%s: GSC build: %v", c.name, err)
 		}
-		if got := inst.Enclave().Config().MaxThreads; got != c.want {
-			t.Errorf("%s: MaxThreads = %d, want %d", c.name, got, c.want)
+		enclave := si.EnclaveConfig()
+		if enclave.MaxThreads != c.want {
+			t.Errorf("%s: MaxThreads = %d, want %d", c.name, enclave.MaxThreads, c.want)
 		}
-		if inst.Switchless() != c.switchless {
-			t.Errorf("%s: Switchless() = %v", c.name, inst.Switchless())
+		if enclave.Switchless != c.switchless {
+			t.Errorf("%s: Switchless = %v", c.name, enclave.Switchless)
 		}
-		inst.Shutdown()
 	}
 }
 

@@ -150,14 +150,6 @@ func (s *BreakerStats) merge(o BreakerStats) {
 	s.Rejected += o.Rejected
 }
 
-// State reports the current state (open lazily transitions to half-open
-// only on the next Allow, matching the virtual-clock design).
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
-}
-
 // Allow asks to admit a request at virtual time now. When it returns
 // false, retryAfter is the remaining cooldown (zero if half-open is merely
 // saturated with probes). Every admitted request must be followed by

@@ -50,8 +50,8 @@ func failN(b *Breaker, n int, now time.Duration) {
 func TestBreakerStateMachine(t *testing.T) {
 	const ms = time.Millisecond
 	b := &Breaker{}
-	if b.State() != BreakerClosed {
-		t.Fatalf("initial state = %v, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("initial state = %v, want closed", b.state)
 	}
 
 	// closed -> open after eight consecutive failures (a success in
@@ -59,12 +59,12 @@ func TestBreakerStateMachine(t *testing.T) {
 	failN(b, breakerThreshold-1, 0)
 	b.OnSuccess()
 	failN(b, breakerThreshold-1, 10*ms)
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after interrupted streak = %v, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state after interrupted streak = %v, want closed", b.state)
 	}
 	b.OnFailure(20 * ms)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after threshold = %v, want open", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("state after threshold = %v, want open", b.state)
 	}
 
 	// open rejects during the one-second cooldown, reporting the
@@ -78,8 +78,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	if ok, _ := b.Allow(1020 * ms); !ok {
 		t.Fatal("first probe not admitted after cooldown")
 	}
-	if b.State() != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
+	if b.state != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", b.state)
 	}
 	if ok, _ := b.Allow(1021 * ms); !ok {
 		t.Fatal("second probe not admitted")
@@ -91,8 +91,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	// half-open -> closed after both probes succeed.
 	b.OnSuccess()
 	b.OnSuccess()
-	if b.State() != BreakerClosed {
-		t.Fatalf("state after probe successes = %v, want closed", b.State())
+	if b.state != BreakerClosed {
+		t.Fatalf("state after probe successes = %v, want closed", b.state)
 	}
 
 	// A half-open probe failure re-opens immediately.
@@ -101,8 +101,8 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("probe not admitted after second cooldown")
 	}
 	b.OnFailure(3000 * ms)
-	if b.State() != BreakerOpen {
-		t.Fatalf("state after probe failure = %v, want open", b.State())
+	if b.state != BreakerOpen {
+		t.Fatalf("state after probe failure = %v, want open", b.state)
 	}
 	if ok, _ := b.Allow(3020 * ms); ok {
 		t.Fatal("request admitted right after a failed probe re-opened the circuit")
@@ -153,7 +153,7 @@ func TestResilientPermanentErrorNotRetried(t *testing.T) {
 		t.Fatalf("calls = %d, want 1 (permanent errors must not be retried)", calls)
 	}
 	// A definitive answer keeps the breaker closed: the peer is alive.
-	if st := r.BreakerFor("udm").State(); st != BreakerClosed {
+	if st := r.BreakerFor("udm").state; st != BreakerClosed {
 		t.Fatalf("breaker state = %v, want closed", st)
 	}
 }
@@ -177,7 +177,7 @@ func TestResilientCircuitOpensAndReports(t *testing.T) {
 		if i == 2 {
 			want = BreakerOpen
 		}
-		if st := r.BreakerFor("udm").State(); st != want {
+		if st := r.BreakerFor("udm").state; st != want {
 			t.Fatalf("after request %d: breaker state = %v, want %v", i, st, want)
 		}
 	}

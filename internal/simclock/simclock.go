@@ -95,9 +95,6 @@ func (a *Account) Charge(n Cycles) { a.cycles.Add(uint64(n)) }
 // Total reports the cycles charged so far.
 func (a *Account) Total() Cycles { return Cycles(a.cycles.Load()) }
 
-// Reset zeroes the account and returns the previous total.
-func (a *Account) Reset() Cycles { return Cycles(a.cycles.Swap(0)) }
-
 type accountKey struct{}
 
 // WithAccount returns a context carrying the account. Costs charged by the

@@ -92,6 +92,9 @@ func TestClockConcurrentAdvance(t *testing.T) {
 	}
 }
 
+// Reset zeroes the account and returns the previous total.
+func (a *Account) Reset() Cycles { return Cycles(a.cycles.Swap(0)) }
+
 func TestAccountChargeAndReset(t *testing.T) {
 	var a Account
 	a.Charge(100)

@@ -116,9 +116,6 @@ func (s *Snapshot) Owner(key string) int {
 // plane. Apply is the push target the builder drives.
 type Router struct {
 	snap atomic.Pointer[Snapshot]
-
-	applied atomic.Uint64
-	nacked  atomic.Uint64
 }
 
 // NewRouter returns an empty Router; it routes nothing until the first
@@ -130,28 +127,21 @@ func NewRouter() *Router { return &Router{} }
 // nacks with an error and keeps the last-known-good snapshot untouched.
 func (r *Router) Apply(s *Snapshot) error {
 	if s == nil || !s.sealed() {
-		r.nacked.Add(1)
 		return fmt.Errorf("topology: nack: unsealed snapshot")
 	}
 	if len(s.Replicas) > maxReplicas {
-		r.nacked.Add(1)
 		return fmt.Errorf("topology: nack: %d replicas exceed the %d a snapshot may hold", len(s.Replicas), maxReplicas)
 	}
 	for {
 		cur := r.snap.Load()
 		if cur != nil && s.Epoch <= cur.Epoch {
-			r.nacked.Add(1)
 			return fmt.Errorf("topology: nack: epoch %d does not advance %d", s.Epoch, cur.Epoch)
 		}
 		if r.snap.CompareAndSwap(cur, s) {
-			r.applied.Add(1)
 			return nil
 		}
 	}
 }
-
-// Snapshot returns the last-known-good snapshot (nil before any apply).
-func (r *Router) Snapshot() *Snapshot { return r.snap.Load() }
 
 // Epoch reports the applied epoch (0 before any apply).
 func (r *Router) Epoch() uint64 {
@@ -159,11 +149,6 @@ func (r *Router) Epoch() uint64 {
 		return s.Epoch
 	}
 	return 0
-}
-
-// Stats reports how many pushes this router acked and nacked.
-func (r *Router) Stats() (applied, nacked uint64) {
-	return r.applied.Load(), r.nacked.Load()
 }
 
 // Route resolves supi to its owning replica index on the last-known-good

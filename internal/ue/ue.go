@@ -112,7 +112,6 @@ type UE struct {
 	// Per-registration state. The key material lives in in-struct arrays
 	// so a registration retains it without per-run heap allocations.
 	snn      string
-	rand     [16]byte
 	resStar  [kdf.KeyLen128]byte
 	kamf     [kdf.KeyLen256]byte
 	sec      *nas.SecurityContext
@@ -426,7 +425,6 @@ func (u *UE) handleAuthRequest(ctx context.Context, m *nas.AuthenticationRequest
 	if err != nil {
 		return nil, false, fmt.Errorf("ue: NAS security: %w", err)
 	}
-	u.rand = m.RAND
 	u.sec = sec
 
 	resp := &nas.AuthenticationResponse{}
@@ -479,9 +477,6 @@ func (u *UE) SetSQN(sqn []byte) error {
 	copy(u.sqnMS[:], sqn)
 	return nil
 }
-
-// SQN reports the USIM sequence number.
-func (u *UE) SQN() []byte { return append([]byte(nil), u.sqnMS[:]...) }
 
 // sqnAhead reports whether a > b as 48-bit big-endian counters.
 func sqnAhead(a, b []byte) bool {

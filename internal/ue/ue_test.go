@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/crypto/kdf"
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/nas"
@@ -156,8 +157,8 @@ func TestAuthChallengeAcceptedAndResStarCorrect(t *testing.T) {
 		t.Fatal("UE RES* does not match network XRES*")
 	}
 	// The USIM advanced its sequence number.
-	if !bytes.Equal(f.ue.SQN(), []byte{0, 0, 0, 0, 0, 0x20}) {
-		t.Fatalf("USIM SQN = %x", f.ue.SQN())
+	if !bytes.Equal(f.ue.sqnMS[:], []byte{0, 0, 0, 0, 0, 0x20}) {
+		t.Fatalf("USIM SQN = %x", f.ue.sqnMS[:])
 	}
 }
 
@@ -212,16 +213,22 @@ func TestAuthChallengeStaleSQNTriggersResync(t *testing.T) {
 	if !ok || fail.Cause != nas.CauseSyncFailure || len(fail.AUTS) != 14 {
 		t.Fatalf("uplink = %#v", msg)
 	}
-	// The AUTS verifies under the eUDM resync function and reveals the
-	// USIM's sequence number.
-	resp, err := paka.Resync(testK, &paka.UDMResyncRequest{
-		SUPI: testSUPI.String(), OPc: f.opc, RAND: req.RAND[:], AUTS: fail.AUTS,
-	})
+	// The AUTS reveals the USIM's sequence number under AK* and carries a
+	// MAC-S over it that verifies under K (TS 33.102 §6.3.5).
+	c, err := milenage.New(testK, f.opc)
 	if err != nil {
-		t.Fatalf("Resync: %v", err)
+		t.Fatalf("milenage.New: %v", err)
 	}
-	if !bytes.Equal(resp.SQNMS, []byte{0, 0, 0, 0, 1, 0}) {
-		t.Fatalf("SQN_MS = %x", resp.SQNMS)
+	akStar, _ := c.F5Star(req.RAND[:])
+	sqnMS, err := kdf.XorSQNAK(fail.AUTS[:6], akStar)
+	if err != nil {
+		t.Fatalf("XorSQNAK: %v", err)
+	}
+	if !bytes.Equal(sqnMS, []byte{0, 0, 0, 0, 1, 0}) {
+		t.Fatalf("SQN_MS = %x", sqnMS)
+	}
+	if macS, _ := c.F1Star(req.RAND[:], sqnMS, []byte{0, 0}); !bytes.Equal(macS, fail.AUTS[6:]) {
+		t.Fatalf("MAC-S = %x, want %x", fail.AUTS[6:], macS)
 	}
 }
 
@@ -255,14 +262,14 @@ func TestKeyHierarchyMatchesNetworkSide(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DeriveSE: %v", err)
 	}
-	kamfResp, err := paka.DeriveKAMF(&paka.AMFDeriveKAMFRequest{KSEAF: se.KSEAF, SUPI: testSUPI.String(), ABBA: []byte{0, 0}})
-	if err != nil {
-		t.Fatalf("DeriveKAMF: %v", err)
+	kamf := make([]byte, kdf.KeyLen256)
+	if err := kdf.KAMFInto(kamf, se.KSEAF[:], testSUPI.String(), []byte{0, 0}); err != nil {
+		t.Fatalf("KAMFInto: %v", err)
 	}
 
 	// If both sides agree on K_AMF, a SecurityModeCommand protected by
 	// the network verifies at the UE.
-	sec, err := nas.NewSecurityContext(kamfResp.KAMF[:])
+	sec, err := nas.NewSecurityContext(kamf)
 	if err != nil {
 		t.Fatalf("NewSecurityContext: %v", err)
 	}
@@ -395,11 +402,11 @@ func attach(tb testing.TB, stage int) (*UE, *nas.SecurityContext) {
 	if err != nil {
 		tb.Fatalf("DeriveSE: %v", err)
 	}
-	kamf, err := paka.DeriveKAMF(&paka.AMFDeriveKAMFRequest{KSEAF: se.KSEAF, SUPI: testSUPI.String(), ABBA: []byte{0, 0}})
-	if err != nil {
-		tb.Fatalf("DeriveKAMF: %v", err)
+	kamf := make([]byte, kdf.KeyLen256)
+	if err := kdf.KAMFInto(kamf, se.KSEAF[:], testSUPI.String(), []byte{0, 0}); err != nil {
+		tb.Fatalf("KAMFInto: %v", err)
 	}
-	network, err := nas.NewSecurityContext(kamf.KAMF[:])
+	network, err := nas.NewSecurityContext(kamf)
 	if err != nil {
 		tb.Fatalf("NewSecurityContext: %v", err)
 	}

@@ -30,7 +30,6 @@ import (
 	"shield5g/internal/gnb"
 	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
-	"shield5g/internal/keyissues"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
 	"shield5g/internal/ue"
@@ -87,7 +86,8 @@ type SUPI = suci.SUPI
 // UE is a simulated device.
 type UE = ue.UE
 
-// COTSProfile reproduces commercial-device behaviour (see OnePlus8).
+// COTSProfile reproduces commercial-device behaviour (the paper's OTA
+// device is a OnePlus 8).
 type COTSProfile = ue.COTSProfile
 
 // RadioProfile models the access-side latency of the RAN.
@@ -140,9 +140,6 @@ func LimiterProfile() *OverloadProfile { return deploy.LimiterProfile() }
 // it to its provisioning callback and reports per class in this order.
 type Priority = sbi.Priority
 
-// KeyIssue is one TR 33.848 key-issue row of the paper's Table V.
-type KeyIssue = keyissues.KeyIssue
-
 // NewTestbed deploys a network slice under the configured isolation mode.
 // For SGX isolation this includes the full enclave build (the paper's
 // Fig. 7 cost, charged to virtual time).
@@ -161,8 +158,8 @@ func (t *Testbed) Close() { t.Slice.Stop() }
 
 // AddSubscriber provisions a fresh subscriber in the UDR and the AKA
 // execution environment, and returns a UE device holding the matching
-// USIM credentials. A nil profile provisions a simulator UE; pass
-// OnePlus8() for the paper's COTS device behaviour.
+// USIM credentials. A nil profile provisions a simulator UE; a COTSProfile
+// gives the device a commercial handset's behaviour.
 func (t *Testbed) AddSubscriber(ctx context.Context, k []byte, profile *COTSProfile) (*Subscriber, error) {
 	supi := SUPI{
 		MCC:  t.Slice.Config.MCC,
@@ -200,16 +197,6 @@ func (t *Testbed) Register(ctx context.Context, sub *Subscriber) (*Session, erro
 	return t.Slice.GNB.RegisterUE(ctx, sub.UE)
 }
 
-// GNBSIM returns the simulated-RAN radio profile used for mass
-// experiments.
-func GNBSIM() RadioProfile { return gnb.GNBSIM() }
-
-// USRPX310 returns the paper's OTA software-defined-radio profile.
-func USRPX310() RadioProfile { return gnb.USRPX310() }
-
-// OnePlus8 returns the paper's OTA test device profile.
-func OnePlus8() COTSProfile { return ue.OnePlus8() }
-
 // Experiment is one row of the experiment table: a name, a description
 // and a Run that returns the ExperimentResult to Render (and, when the
 // result is an ExperimentCSV, to WriteCSV as its raw series).
@@ -224,9 +211,6 @@ func Experiments() []string { return experiments.Names() }
 
 // LookupExperiment finds one row of the experiment table by name.
 func LookupExperiment(name string) (Experiment, error) { return experiments.Lookup(name) }
-
-// KeyIssues returns the paper's Table V assessment.
-func KeyIssues() []KeyIssue { return keyissues.Table() }
 
 // ModuleKind identifies one of the three P-AKA modules.
 type ModuleKind = paka.ModuleKind

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"shield5g"
+	"shield5g/internal/gnb"
+	"shield5g/internal/ue"
 )
 
 // TestPublicAPIEndToEnd exercises the documented quick-start path through
@@ -100,7 +102,7 @@ func TestAddSubscriberWithProfile(t *testing.T) {
 		t.Fatalf("NewTestbed: %v", err)
 	}
 	defer tb.Close()
-	profile := shield5g.OnePlus8()
+	profile := ue.OnePlus8()
 	sub, err := tb.AddSubscriber(ctx, bytes.Repeat([]byte{0x44}, 16), &profile)
 	if err != nil {
 		t.Fatalf("AddSubscriber: %v", err)
@@ -130,18 +132,14 @@ func TestPublicExperimentList(t *testing.T) {
 	}
 }
 
-func TestPublicKeyIssues(t *testing.T) {
-	kis := shield5g.KeyIssues()
-	if len(kis) != 13 {
-		t.Fatalf("key issues = %d", len(kis))
-	}
-}
-
+// TestPublicProfilesAndRadios checks that the paper's radio and device
+// profiles travel through the facade's alias types.
 func TestPublicProfilesAndRadios(t *testing.T) {
-	if shield5g.GNBSIM().Name != "gnbsim" || shield5g.USRPX310().Name != "usrp-x310" {
+	var radio shield5g.RadioProfile = gnb.USRPX310()
+	if cfg := (shield5g.SliceConfig{Radio: radio}); cfg.Radio.Name != "usrp-x310" {
 		t.Fatal("radio profiles wrong")
 	}
-	p := shield5g.OnePlus8()
+	var p shield5g.COTSProfile = ue.OnePlus8()
 	if p.Model != "OnePlus 8" {
 		t.Fatalf("profile = %+v", p)
 	}
