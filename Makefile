@@ -33,7 +33,7 @@ race:
 # lock). `make ci` runs the whole suite under -race instead.
 vet:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/nf/nrf/topo/ ./internal/hmee/sgx/ ./internal/hmee/gramine/
+	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/sgx/ ./internal/hmee/gramine/
 
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the

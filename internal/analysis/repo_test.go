@@ -242,29 +242,6 @@ func TestOneBodyPerPrimitive(t *testing.T) {
 	}
 }
 
-// TestTopoBuilderImporters pins the import direction of the sharded-core
-// control protocol: only the NRF subtree and the deploy layer that wires
-// subscriptions may import the NRF's snapshot builder. Data planes route
-// from internal/topology's last-known-good snapshots; one that imports
-// the builder has a compile-time path back into the NRF, and
-// "registration survives NRF unavailability" stops being structural.
-func TestTopoBuilderImporters(t *testing.T) {
-	sharedLoader(t)
-	const builder = "shield5g/internal/nf/nrf/topo"
-	for _, pkg := range repoPkgs {
-		p := pkg.ImportPath
-		if pkg.Standard || p == "shield5g/internal/deploy" || p == "shield5g/internal/nf/nrf" ||
-			strings.HasPrefix(p, "shield5g/internal/nf/nrf/") {
-			continue
-		}
-		for _, imp := range pkg.Types.Imports() {
-			if imp.Path() == builder {
-				t.Errorf("%s imports %s; only internal/deploy and internal/nf/nrf/... may", p, builder)
-			}
-		}
-	}
-}
-
 // binaryCallerExceptions lists the non-test declarations that no binary
 // of the tree links but that stay, each with the consumer that keeps it.
 // Keys are census keys: import path, receiver type (no '*', no type

@@ -31,7 +31,6 @@ import (
 	"shield5g/internal/nf/amf"
 	"shield5g/internal/nf/ausf"
 	"shield5g/internal/nf/nrf"
-	"shield5g/internal/nf/nrf/topo"
 	"shield5g/internal/nf/smf"
 	"shield5g/internal/nf/udm"
 	"shield5g/internal/nf/udr"
@@ -165,12 +164,11 @@ type Slice struct {
 	// (AVPoolStats, AdmissionStats, ...), not any one shard's.
 	Shards []*CoreShard
 
-	// Topology is the NRF's snapshot builder — the control plane that
-	// pushes routing snapshots into Router.
-	Topology *topo.Builder
-	// Router is the gNB's data-plane routing view (last-known-good
-	// snapshot).
-	Router *topology.Router
+	// Router is the gNB's routing view: the last snapshot route
+	// installed. routeMu single-files route, so each snapshot's epoch is
+	// exactly one past the one it replaces.
+	Router  *topology.Router
+	routeMu sync.Mutex
 
 	// resilience wraps every SBI client of the slice in the resilience
 	// layer: a chaos slice needs retries (injected faults would otherwise
@@ -345,18 +343,10 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 
 	s.AMF, s.Modules = s.Shards[0].AMF, s.Shards[0].Modules
 
-	// Topology control plane: the NRF's builder owns the authoritative
-	// replica set and pushes sealed snapshots into the gNB's router. The
-	// router is subscribed before the first publish, so epoch 1 is its
-	// catch-up-free baseline.
-	s.Topology = topo.NewBuilder()
+	// Epoch 1 routes over every replica.
 	s.Router = topology.NewRouter()
-	s.Topology.SetReplicas(replicas)
-	if err := s.Topology.Subscribe(s.Router); err != nil {
-		return nil, fmt.Errorf("deploy: router subscription: %w", err)
-	}
-	if res := s.Topology.Publish(); res.Nacked > 0 {
-		return nil, fmt.Errorf("deploy: initial topology push nacked (epoch %d)", res.Epoch)
+	if _, err := s.route(replicas); err != nil {
+		return nil, err
 	}
 
 	if s.GNB, err = gnb.New(gnb.Config{
@@ -714,24 +704,36 @@ func (s *Slice) Stop() {
 	}
 }
 
-// SetRoutableReplicas publishes a new topology snapshot that routes over
+// SetRoutableReplicas installs a new topology snapshot that routes over
 // only the first n shards. It is a pure prefix truncation — replica i in
 // the snapshot is always Shards[i] — so the gNB's static AMF bindings
 // stay index-aligned; shards outside the prefix keep running and keep the
 // keys they hold, so restoring n later is loss-free. A SUPI the snapshot
 // moves finds its key missing on the new owner's first contact and
-// restores it there (see ProvisionSubscriber). Returns the push result
-// (epoch plus ack/nack counts).
-func (s *Slice) SetRoutableReplicas(n int) (topo.PushResult, error) {
+// restores it there (see ProvisionSubscriber). Returns the installed
+// epoch.
+func (s *Slice) SetRoutableReplicas(n int) (uint64, error) {
 	if n < 1 || n > len(s.Shards) {
-		return topo.PushResult{}, fmt.Errorf("deploy: routable replicas %d out of range [1,%d]", n, len(s.Shards))
+		return 0, fmt.Errorf("deploy: routable replicas %d out of range [1,%d]", n, len(s.Shards))
 	}
 	replicas := make([]topology.Replica, n)
 	for i := 0; i < n; i++ {
 		replicas[i] = topology.Replica{Index: i, Name: s.Shards[i].Name}
 	}
-	s.Topology.SetReplicas(replicas)
-	return s.Topology.Publish(), nil
+	return s.route(replicas)
+}
+
+// route seals replicas into the snapshot one epoch past the Router's and
+// installs it, returning that epoch.
+func (s *Slice) route(replicas []topology.Replica) (uint64, error) {
+	s.routeMu.Lock()
+	defer s.routeMu.Unlock()
+	snap := &topology.Snapshot{Epoch: s.Router.Epoch() + 1, Replicas: replicas}
+	snap.Seal()
+	if err := s.Router.Apply(snap); err != nil {
+		return 0, fmt.Errorf("deploy: %w", err)
+	}
+	return snap.Epoch, nil
 }
 
 // AVPoolStats sums the AV-pool counters across every shard's UDM —

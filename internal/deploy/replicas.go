@@ -8,10 +8,10 @@
 // eUDM, each by its shard's service name: every NF takes its replica index
 // and derives its own name and its peer's from sbi.ReplicaName. The AUSF
 // and AMF resolve that name through the NRF once, at construction, which applies the
-// trust-domain filter to the binding; afterwards the NRF (via the
-// topo.Builder) only ever influences WHICH shard a SUPI routes to, never
-// how a shard reaches its own members — so a dead NRF cannot take
-// registration down.
+// trust-domain filter to the binding; afterwards the NRF takes no part in
+// serving. Which shard a SUPI routes to is the slice's own topology
+// snapshot (Slice.route), and how a shard reaches its own members is
+// fixed at construction — so a dead NRF cannot take registration down.
 package deploy
 
 import (

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"shield5g/internal/chaos"
@@ -116,23 +117,63 @@ func TestShardedRegistrationSurvivesNRFStop(t *testing.T) {
 				t.Fatalf("RegisterUE with NRF stopped: %v", err)
 			}
 		}
-		// Topology changes still propagate: the builder pushes in-process.
-		// Deployment published epoch 1, so this push — over one shard a
-		// republish of the same set — acks at epoch 2.
-		res, err := s.SetRoutableReplicas(max(len(s.Shards)/2, 1))
+		// Topology changes still reach the router: the slice installs
+		// snapshots in-process. Deployment installed epoch 1, so this one
+		// — over one shard a reinstall of the same set — is epoch 2.
+		epoch, err := s.SetRoutableReplicas(max(len(s.Shards)/2, 1))
 		if err != nil {
 			t.Fatalf("SetRoutableReplicas with NRF stopped: %v", err)
 		}
-		if res.Epoch != 2 || res.Acked != 1 || res.Nacked != 0 || s.Router.Epoch() != 2 {
-			t.Fatalf("push result %+v, router epoch %d, want one ack at epoch 2", res, s.Router.Epoch())
+		if epoch != 2 || s.Router.Epoch() != 2 {
+			t.Fatalf("installed epoch %d, router epoch %d, want 2 and 2", epoch, s.Router.Epoch())
 		}
 		if _, err := s.GNB.ReRegisterUE(ctx, devices[0]); err != nil {
 			t.Fatalf("ReRegisterUE after rebalance with NRF stopped: %v", err)
 		}
+		owners := make([]int, len(devices))
+		for i, device := range devices {
+			owners[i] = s.GNB.ShardOf(device.SUPIString())
+		}
 		if _, err := s.SetRoutableReplicas(len(s.Shards) + 1); err == nil {
 			t.Fatal("routing over more replicas than the slice has was accepted")
 		}
+		if got := s.Router.Epoch(); got != 2 {
+			t.Fatalf("rejected call moved the router to epoch %d, want 2", got)
+		}
+		for i, device := range devices {
+			if got := s.GNB.ShardOf(device.SUPIString()); got != owners[i] {
+				t.Fatalf("rejected call moved UE %d from shard %d to %d", i, owners[i], got)
+			}
+		}
 	})
+}
+
+// TestConcurrentRebalanceSerialises: rebalances racing from many
+// goroutines each install their own epoch — none is lost to another's
+// snapshot overtaking it.
+func TestConcurrentRebalanceSerialises(t *testing.T) {
+	s := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 5, Replicas: 4})
+	const calls = 64
+	errs := make(chan error, calls)
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(n int) {
+			defer wg.Done()
+			_, err := s.SetRoutableReplicas(n)
+			errs <- err
+		}(1 + i%4)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatalf("concurrent SetRoutableReplicas: %v", err)
+		}
+	}
+	if got := s.Router.Epoch(); got != calls+1 {
+		t.Fatalf("router epoch %d after %d rebalances, want %d", got, calls, calls+1)
+	}
 }
 
 // TestReRegistrationFollowsRebalance: TMSIs are unique per AMF replica

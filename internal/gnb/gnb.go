@@ -122,9 +122,8 @@ func New(cfg Config) (*GNB, error) {
 func (g *GNB) Tenant() string { return "gnb/" + g.BroadcastPLMN() }
 
 // ShardOf resolves a SUPI to its owning replica index under the current
-// last-known-good snapshot. A gNB that has not yet received a snapshot
-// answers 0 (the static-wiring fallback — routing never blocks on the
-// control plane).
+// last-known-good snapshot. A router with no snapshot applied, or an
+// owner outside the gNB's AMF list, answers 0.
 func (g *GNB) ShardOf(supi string) int {
 	idx, ok := g.router.Route("", supi)
 	if !ok || idx < 0 || idx >= len(g.amfs) {

@@ -129,7 +129,6 @@ type Config struct {
 type AMF struct {
 	ausf  *ausf.Client
 	smf   *smf.Client
-	nrfc  *nrf.Client
 	fns   paka.AMFFunctions
 	admit *admission.Controller
 
@@ -177,7 +176,6 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 	a := &AMF{
 		ausf:  ausfClient,
 		smf:   smfClient,
-		nrfc:  nrf.NewClient(cfg.Invoker),
 		fns:   cfg.Functions,
 		admit: cfg.Admission,
 		mcc:   cfg.MCC,
@@ -187,7 +185,7 @@ func New(ctx context.Context, cfg Config) (*AMF, error) {
 		ues:   shard.NewUint64[*ueContext](),
 		guti:  shard.NewUint32[uint64](),
 	}
-	if err := a.nrfc.Register(ctx, nrf.NFProfile{
+	if err := nrf.NewClient(cfg.Invoker).Register(ctx, nrf.NFProfile{
 		InstanceID: sbi.ReplicaName(ServiceName, cfg.Replica) + "-1", NFType: NFType, Service: ServiceName, HMEE: cfg.HMEE,
 	}); err != nil {
 		return nil, fmt.Errorf("amf: NRF registration: %w", err)

@@ -117,7 +117,6 @@ type AUSF struct {
 	env    *costmodel.Env
 	server *sbi.Server
 	udm    *udm.Client
-	nrfc   *nrf.Client
 	fns    paka.AUSFFunctions
 
 	// sessions is lock-striped: concurrent AKA runs for different UEs
@@ -153,7 +152,6 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 		env:      cfg.Env,
 		server:   sbi.NewServer(service, cfg.Env),
 		udm:      udmClient,
-		nrfc:     nrf.NewClient(cfg.Invoker),
 		fns:      cfg.Functions,
 		sessions: shard.NewString[*session](),
 	}
@@ -163,7 +161,7 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 	if err := cfg.Registry.Register(a.server); err != nil {
 		return nil, err
 	}
-	if err := a.nrfc.Register(ctx, nrf.NFProfile{
+	if err := nrf.NewClient(cfg.Invoker).Register(ctx, nrf.NFProfile{
 		InstanceID: service + "-1", NFType: NFType, Service: service, HMEE: cfg.HMEE,
 	}); err != nil {
 		return nil, fmt.Errorf("ausf: NRF registration: %w", err)

@@ -60,7 +60,6 @@ type Config struct {
 type SMF struct {
 	server  *sbi.Server
 	invoker sbi.Invoker
-	nrfc    *nrf.Client
 
 	mu       sync.Mutex
 	nextIP   uint32
@@ -77,7 +76,6 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 	s := &SMF{
 		server:   sbi.NewServer(ServiceName, cfg.Env),
 		invoker:  cfg.Invoker,
-		nrfc:     nrf.NewClient(cfg.Invoker),
 		nextIP:   0x0A3C0001, // 10.60.0.1
 		sessions: make(map[string]uint64),
 	}
@@ -86,7 +84,7 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 	if err := cfg.Registry.Register(s.server); err != nil {
 		return nil, err
 	}
-	if err := s.nrfc.Register(ctx, nrf.NFProfile{
+	if err := nrf.NewClient(cfg.Invoker).Register(ctx, nrf.NFProfile{
 		InstanceID: "smf-1", NFType: NFType, Service: ServiceName,
 	}); err != nil {
 		return nil, fmt.Errorf("smf: NRF registration: %w", err)

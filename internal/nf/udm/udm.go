@@ -107,7 +107,6 @@ type UDM struct {
 	env         *costmodel.Env
 	server      *sbi.Server
 	udr         *udr.Client
-	nrfc        *nrf.Client
 	fns         paka.UDMFunctions
 	hnKey       *suci.HomeNetworkKey
 	entropy     io.Reader
@@ -137,7 +136,6 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 		env:         cfg.Env,
 		server:      sbi.NewServer(service, cfg.Env),
 		udr:         udr.NewClient(cfg.Invoker),
-		nrfc:        nrf.NewClient(cfg.Invoker),
 		fns:         cfg.Functions,
 		hnKey:       cfg.HomeNetworkKey,
 		entropy:     entropy,
@@ -151,7 +149,7 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 	if err := cfg.Registry.Register(u.server); err != nil {
 		return nil, err
 	}
-	if err := u.nrfc.Register(ctx, nrf.NFProfile{
+	if err := nrf.NewClient(cfg.Invoker).Register(ctx, nrf.NFProfile{
 		InstanceID: service + "-1", NFType: NFType, Service: service, HMEE: cfg.HMEE,
 	}); err != nil {
 		return nil, fmt.Errorf("udm: NRF registration: %w", err)

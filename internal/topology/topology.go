@@ -1,7 +1,7 @@
-// Package topology holds the data-plane side of the sharded-core control
-// protocol: versioned routing snapshots, SUPI-affinity rendezvous
-// (highest-random-weight) placement, and the Router that data planes
-// consult on every routing decision.
+// Package topology is the sharded core's routing layer: versioned
+// routing snapshots, SUPI-affinity rendezvous (highest-random-weight)
+// placement, and the Router that data planes consult on every routing
+// decision.
 //
 // Every replica has a hash of its name; a key's score on a replica is
 // mix(mix(fnv1a(key)) ^ replicaHash), and a SUPI is owned by the
@@ -9,14 +9,10 @@
 // replica name only, removing a replica moves exactly the keys it owned and
 // adding one moves only the keys it now owns.
 //
-// The package is deliberately free of any control-plane machinery — the
-// snapshot *builder* lives in internal/nf/nrf/topo and pushes snapshots
-// into Routers here. Data-plane packages (gnb, amf, ausf, udm, paka, sbi)
-// may import this package but never the builder; internal/analysis's
-// TestTopoBuilderImporters enforces that import direction, which is what
-// keeps the NRF out of the request path: a Router answers every route from
-// its last-known-good snapshot with no upcall, so registration traffic
-// survives NRF unavailability indefinitely.
+// The deploy layer seals snapshots and installs them with Router.Apply;
+// nothing here calls out. A Router answers every route from its
+// last-known-good snapshot, so registration traffic never waits on the
+// NRF, which only registers and discovers NFs at construction.
 package topology
 
 import (
@@ -42,12 +38,12 @@ type Replica struct {
 }
 
 // Snapshot is one full, versioned routing view. Snapshots are immutable
-// once published: the builder constructs a fresh one per epoch and every
+// once applied: the deploy layer builds a fresh one per epoch and every
 // Router either applies it whole or rejects it whole (ack/nack).
 type Snapshot struct {
-	// Epoch is strictly monotonic per builder. Routers nack any snapshot
+	// Epoch is strictly monotonic per Router. Routers nack any snapshot
 	// whose epoch does not advance their current one, so a delayed or
-	// replayed push can never roll a data plane back.
+	// replayed snapshot can never roll a data plane back.
 	Epoch uint64 `json:"epoch"`
 	// Replicas is the routable replica set, in index order.
 	Replicas []Replica `json:"replicas"`
@@ -84,8 +80,8 @@ func mix(x uint64) uint64 {
 // each replica name.
 func hash(s string) uint64 { return mix(fnv1a(s)) }
 
-// Seal precomputes one placement hash per replica name. The builder calls
-// it before publishing; Routers treat an unsealed snapshot as a protocol
+// Seal precomputes one placement hash per replica name. The deploy layer
+// calls it before Apply; Routers treat an unsealed snapshot as a protocol
 // error.
 func (s *Snapshot) Seal() {
 	s.hashes = make([]uint64, len(s.Replicas))
@@ -112,8 +108,7 @@ func (s *Snapshot) Owner(key string) int {
 
 // Router is a data plane's view of the routing topology. It holds exactly
 // one snapshot — the last one it acked — in an atomic pointer, so Route
-// is a lock-free read and never blocks on, or upcalls into, the control
-// plane. Apply is the push target the builder drives.
+// is a lock-free read that never blocks on an Apply.
 type Router struct {
 	snap atomic.Pointer[Snapshot]
 }
@@ -122,7 +117,7 @@ type Router struct {
 // snapshot is applied.
 func NewRouter() *Router { return &Router{} }
 
-// Apply installs a pushed snapshot. It acks (nil) only when the snapshot
+// Apply installs a snapshot. It acks (nil) only when the snapshot
 // is sealed and its epoch strictly advances the current one; otherwise it
 // nacks with an error and keeps the last-known-good snapshot untouched.
 func (r *Router) Apply(s *Snapshot) error {
