@@ -33,7 +33,7 @@ race:
 # lock). `make ci` runs the whole suite under -race instead.
 vet:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/sgx/ ./internal/hmee/gramine/
+	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/sgx/ ./internal/hmee/gramine/ ./internal/simclock/
 
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the
@@ -65,7 +65,7 @@ loc:
 # module below), lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
-# then the nine tests whose allocation or heap budgets skip themselves
+# then the eleven tests whose allocation or heap budgets skip themselves
 # under -race on a plain build. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
@@ -97,7 +97,7 @@ ci: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestReRegistrationAllocBudget|TestSecurityContextAllocs|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration|TestUEBytesPerDevice' . ./internal/experiments ./internal/nas ./internal/deploy
+	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestReRegistrationAllocBudget|TestSecurityContextAllocs|TestArmedMeterAdmitAllocatesNothing|TestPooledCallAllocatesNothing|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration|TestUEBytesPerDevice' . ./internal/experiments ./internal/nas ./internal/sbi ./internal/simclock ./internal/deploy
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
 	$(MAKE) examples

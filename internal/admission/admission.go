@@ -8,12 +8,15 @@
 // hard invariants:
 //
 //   - Admission never enters the enclave. The decision is a local token
-//     bucket lookup keyed by (source gNB, PLMN) — no SBI call, no
-//     synchronous coordination step, no shared lock beyond the map mutex.
+//     bucket lookup keyed by the source gNB — no SBI call, no synchronous
+//     coordination step, no shared lock beyond the map mutex. The serving
+//     PLMN is part of the key without being spelled in it: each AMF owns
+//     its own controller and serves one PLMN, so a bucket key is in effect
+//     (source gNB, PLMN).
 //   - Buckets refill on virtual time only. The refill axis is the request's
-//     virtual arrival timestamp (simclock.WithArrival) when stamped, the
-//     shared virtual clock otherwise — never the wall clock, which the
-//     shieldlint determinism analyzer enforces.
+//     virtual arrival timestamp (its simclock.Call's Arrival) when
+//     stamped, the shared virtual clock otherwise — never the wall clock,
+//     which the shieldlint determinism analyzer enforces.
 //
 // Three priority classes are recognised, most- to least-privileged:
 // emergency registrations are always admitted (their configured rate is
@@ -32,21 +35,23 @@ import (
 	"shield5g/internal/simclock"
 )
 
-type sourceKey struct{}
-
-// WithSource stamps ctx with the originating gNB's identity; the AMF
-// combines it with the serving PLMN to key the per-source token buckets.
+// WithSource stamps ctx with the originating gNB's identity, the key of
+// the per-source token buckets.
 func WithSource(ctx context.Context, source string) context.Context {
-	if existing, ok := ctx.Value(sourceKey{}).(string); ok && existing == source {
+	if p := simclock.CallFrom(ctx); p != nil && p.Source == source {
 		return ctx
 	}
-	return context.WithValue(ctx, sourceKey{}, source)
+	c := simclock.NewCall(ctx)
+	c.Source = source
+	return c
 }
 
 // SourceFrom extracts the gNB source identity ("" when unstamped).
 func SourceFrom(ctx context.Context) string {
-	s, _ := ctx.Value(sourceKey{}).(string)
-	return s
+	if c := simclock.CallFrom(ctx); c != nil {
+		return c.Source
+	}
+	return ""
 }
 
 // Config tunes the controller. Rates are per-class token refill rates in
@@ -89,7 +94,7 @@ func DefaultConfig(clock *simclock.Clock) Config {
 type Stats struct {
 	Admitted [3]uint64
 	Dropped  [3]uint64
-	// Sources is the number of distinct (gNB, PLMN) keys seen.
+	// Sources is the number of distinct source gNBs seen.
 	Sources int
 }
 
@@ -104,7 +109,7 @@ type bucket struct {
 	last   simclock.Cycles
 }
 
-// sourceBuckets holds one bucket per limited class for one (gNB, PLMN) key.
+// sourceBuckets holds one bucket per limited class for one source gNB.
 type sourceBuckets struct {
 	class [3]bucket
 }
@@ -141,7 +146,7 @@ func (c *Controller) SetArmed(v bool) {
 	c.mu.Unlock()
 }
 
-// Admit decides one request from the given source key (gNB id + PLMN) at
+// Admit decides one request from the given source gNB at
 // its priority class. It returns nil to admit, or a 503 OVERLOAD
 // ProblemDetails carrying the bucket's refill estimate as Retry-After. The
 // refill axis is the request's virtual arrival stamp when present, the

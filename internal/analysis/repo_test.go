@@ -204,6 +204,35 @@ func TestOneChargingSink(t *testing.T) {
 	}
 }
 
+// TestOneContextKey pins the one per-request carrier: a request's values
+// ride in simclock.Call under its one key, so no non-test file outside
+// internal/simclock calls context.WithValue or reads a context's Value
+// (a package's own key type and lookup would be a second carrier).
+func TestOneContextKey(t *testing.T) {
+	sharedLoader(t)
+	var sites []string
+	for _, pkg := range repoPkgs {
+		if pkg.Standard || pkg.ImportPath == "shield5g/internal/simclock" {
+			continue
+		}
+		for id, obj := range pkg.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			switch fn.FullName() {
+			case "context.WithValue", "(context.Context).Value":
+				pos := pkg.Fset.Position(id.Pos())
+				sites = append(sites, fmt.Sprintf("%s:%d (%s)", filepath.ToSlash(pos.Filename), pos.Line, fn.Name()))
+			}
+		}
+	}
+	sort.Strings(sites)
+	if len(sites) != 0 {
+		t.Errorf("context values are set or read outside internal/simclock at %v; carry the value in simclock.Call", sites)
+	}
+}
+
 // TestOneBodyPerPrimitive pins the deletion of the allocating KDF and
 // MILENAGE twins: under internal/crypto/... a function or method X stands
 // next to an XInto only while some non-test file calls X (today hashpool's

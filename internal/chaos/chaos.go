@@ -216,19 +216,12 @@ func (inj *Injector) RegisterEnclave(service string, enclave func() *sgx.Enclave
 	inj.mu.Unlock()
 }
 
-type streamKey struct{}
-
 // WorkerContext attaches worker i's decision stream to ctx; requests
 // without one draw from the injector's root stream (the sequential path).
 func (inj *Injector) WorkerContext(ctx context.Context, i uint64) context.Context {
-	return context.WithValue(ctx, streamKey{}, inj.Stream(i))
-}
-
-func (inj *Injector) streamFrom(ctx context.Context) *simclock.Jitter {
-	if j, ok := ctx.Value(streamKey{}).(*simclock.Jitter); ok && j != nil {
-		return j
-	}
-	return inj.root
+	c := simclock.NewCall(ctx)
+	c.Chaos = inj.Stream(i)
+	return c
 }
 
 // Wrap interposes the injector on an SBI transport.
@@ -249,7 +242,10 @@ func (f *faultyInvoker) Post(ctx context.Context, service, path string, req, res
 		return f.inner.Post(ctx, service, path, req, resp)
 	}
 
-	stream := inj.streamFrom(ctx)
+	stream := inj.root
+	if c := simclock.CallFrom(ctx); c != nil && c.Chaos != nil {
+		stream = c.Chaos
+	}
 	u := stream.Float64()
 	cfg := inj.cfg
 	switch {

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -497,6 +499,64 @@ func TestFastPathReRegistrationReleasesEveryBody(t *testing.T) {
 	}
 	if n := sbi.OutstandingBodies(); n != 0 {
 		t.Fatalf("%d SBI bodies outstanding after the re-registrations, want 0", n)
+	}
+}
+
+// TestPooledCallsAcrossGoroutines: two workers, each on its own lane
+// (keep-alive connection, jitter stream), run ten fast-path GUTI
+// re-registrations apiece, each on a pooled simclock.Call they derive, use
+// as the registration's context and release; the gNB and the AMF derive
+// and release their own below it. Every registration charges its own
+// account, and every Call the workers released is zero afterwards. Its
+// point is the -race pass: a Call read after release, or handed to two
+// requests at once, is a data race there.
+func TestPooledCallsAcrossGoroutines(t *testing.T) {
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 45, AVPoolDepth: 8, BinarySBI: true})
+	const workers, rounds = 2, 10
+	devices := make([]*ue.UE, workers)
+	for w := range devices {
+		devices[w] = provisionUE(t, s, fmt.Sprintf("00000004%02d", 60+w))
+		if _, err := s.GNB.RegisterUE(context.Background(), devices[w]); err != nil {
+			t.Fatalf("RegisterUE(%d): %v", w, err)
+		}
+	}
+	released := make([][]*simclock.Call, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range devices {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := uint64(w) + 1
+			lane := paka.WithConnection(simclock.WithJitter(context.Background(), s.Env.Jitter.Stream(id)), id, 8)
+			for r := 0; r < rounds; r++ {
+				call := simclock.Derive(lane)
+				acct := call.OwnAccount()
+				sess, err := s.GNB.ReRegisterUE(call, devices[w])
+				if err == nil && sess.SetupTime != s.Env.Model.Duration(acct.Total()) {
+					err = fmt.Errorf("setup time %v is not the Call's account %v", sess.SetupTime, s.Env.Model.Duration(acct.Total()))
+				}
+				call.Release()
+				released[w] = append(released[w], call)
+				if err != nil {
+					errs[w] = fmt.Errorf("round %d: %w", r, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Fatalf("worker %d: %v", w, err)
+		}
+	}
+	for w, calls := range released {
+		for r, call := range calls {
+			if !reflect.ValueOf(call).Elem().IsZero() {
+				t.Fatalf("worker %d round %d: released Call is not zero: %+v", w, r, call)
+			}
+		}
 	}
 }
 

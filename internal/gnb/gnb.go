@@ -188,10 +188,15 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 		return nil, err
 	}
 
-	// Pin the request account so a caller without one still gets a
-	// coherent setup-time measurement.
-	acct := simclock.AccountFrom(ctx)
-	ctx = simclock.WithAccount(ctx, acct)
+	// Pin the request account on a pooled child Call so a caller without
+	// one still gets a coherent setup-time measurement.
+	call := simclock.Derive(ctx)
+	defer call.Release()
+	acct := call.Account
+	if acct == nil {
+		acct = call.OwnAccount()
+	}
+	ctx = call
 	start := acct.Total()
 
 	ranUEID := g.nextRANUE.Add(1)
@@ -535,10 +540,8 @@ func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts i
 	var recovered map[string]int
 	var spent simclock.Cycles
 	for attempt := 1; ; attempt++ {
-		var acct simclock.Account
-		sctx := simclock.WithAccount(ctx, &acct)
-		sess, err := g.RegisterUE(sctx, device)
-		spent += acct.Total()
+		sess, cycles, err := g.attempt(ctx, g.RegisterUE, device)
+		spent += cycles
 		if err == nil {
 			return sess, attempt, spent, recovered, nil
 		}
@@ -550,6 +553,17 @@ func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts i
 		}
 		recovered[failureClass(err)]++
 	}
+}
+
+// attempt runs one registration of device through register on a pooled
+// child Call of ctx with a fresh account of its own, and returns the
+// attempt's virtual cost with its outcome.
+func (g *GNB) attempt(ctx context.Context, register func(context.Context, *ue.UE) (*Session, error), device *ue.UE) (*Session, simclock.Cycles, error) {
+	call := simclock.Derive(ctx)
+	defer call.Release()
+	acct := call.OwnAccount()
+	sess, err := register(call, device)
+	return sess, acct.Total(), err
 }
 
 // registerStripe registers the UEs first, first+stride, ... below opts.N in

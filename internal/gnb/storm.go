@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"shield5g/internal/admission"
 	"shield5g/internal/chaos"
 	"shield5g/internal/metrics"
 	"shield5g/internal/sbi"
@@ -93,8 +92,12 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 	for c := range result.Class {
 		result.Class[c].SetupTimes = metrics.NewRecorder(arrivals[c])
 	}
+	// One pooled Call carries the storm's source and, rewritten per event,
+	// its arrival stamp; each attempt derives its own child from it.
+	storm := simclock.Derive(ctx)
+	defer storm.Release()
 	if opts.Source != "" {
-		ctx = admission.WithSource(ctx, opts.Source)
+		storm.Source = opts.Source
 	}
 
 	// Arrival stamps are absolute on the shared clock's axis.
@@ -111,15 +114,12 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		cr := &result.Class[ev.Class]
 		cr.Offered++
 
-		ectx := simclock.WithArrival(ctx, base+ev.At)
-		var acct simclock.Account
-		sctx := simclock.WithAccount(ectx, &acct)
-
+		storm.Arrival, storm.Stamped = base+ev.At, true
 		register := g.RegisterUE
 		if _, hasGUTI := device.GUTI(); hasGUTI {
 			register = g.ReRegisterUE
 		}
-		sess, rerr := register(sctx, device)
+		sess, cycles, rerr := g.attempt(storm, register, device)
 		if rerr != nil {
 			class := failureClass(rerr)
 			// A breaker opened by overload failures is part of the overload
@@ -137,7 +137,7 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		}
 		cr.Registered++
 		cr.SetupTimes.Add(sess.SetupTime)
-		done := ev.At + acct.Total()
+		done := ev.At + cycles
 		if done > makespan {
 			makespan = done
 		}

@@ -184,8 +184,8 @@ func (i *Instance) Introspect() map[string][]byte { return i.enclave.Introspect(
 // sgx.RingJob when the crossing is the submission ring.
 type request struct {
 	inst    *Instance
-	ctx     context.Context
 	acct    *simclock.Account
+	jitter  *simclock.Jitter
 	phases  hmee.Phases
 	in, out int
 	handler hmee.Handler
@@ -249,7 +249,7 @@ func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hme
 	}
 	defer i.release()
 	r := requestPool.Get().(*request)
-	*r = request{inst: i, ctx: ctx, acct: simclock.AccountFrom(ctx), phases: ph, in: in, out: out, handler: h, viaRing: viaRing}
+	*r = request{inst: i, acct: simclock.AccountFrom(ctx), jitter: i.platform.Env().JitterFor(ctx), phases: ph, in: in, out: out, handler: h, viaRing: viaRing}
 	switch {
 	case viaRing:
 		// A ring that closed under the request means the enclave is going
@@ -288,7 +288,7 @@ func ocalls(th *sgx.Thread, exitless bool, n int, untrusted simclock.Cycles, out
 //
 //shieldlint:hotpath
 func (r *request) Execute(t *sgx.Thread) (err error) {
-	t.BindRequest(r.ctx, r.acct, &r.th)
+	t.BindRequest(r.acct, r.jitter, &r.th)
 	r.bd, err = hmee.Walk(r, r.inst.platform.Env().Model, r.inst.syscalls, r.acct, r.phases, r.in, r.out, r.handler)
 	return err
 }
@@ -330,7 +330,7 @@ func (r *request) Entry(in, out int) {
 	}
 }
 
-func (r *request) Jitter() *simclock.Jitter { return r.inst.platform.Env().JitterFor(r.ctx) }
+func (r *request) Jitter() *simclock.Jitter { return r.jitter }
 
 func (r *request) Exec() hmee.Exec { return &r.th }
 

@@ -67,9 +67,9 @@ func NewProcess(env *costmodel.Env, prices Prices) *Process {
 // priced through and the Exec its handler sees. Pooled like gramine's
 // request — handlers are synchronous and retain neither.
 type call struct {
-	p    *Process
-	ctx  context.Context
-	acct *simclock.Account
+	p      *Process
+	acct   *simclock.Account
+	jitter *simclock.Jitter
 }
 
 var callPool = sync.Pool{New: func() any { return new(call) }}
@@ -97,7 +97,7 @@ func (c *call) Entry(in, out int) {
 	c.Syscalls(1, out, 0)
 }
 
-func (c *call) Jitter() *simclock.Jitter { return c.p.env.JitterFor(c.ctx) }
+func (c *call) Jitter() *simclock.Jitter { return c.jitter }
 
 func (c *call) Exec() Exec { return c }
 
@@ -149,7 +149,7 @@ func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) 
 	// latency windows.
 	acct := simclock.AccountFrom(ctx)
 	c := callPool.Get().(*call)
-	c.p, c.ctx, c.acct = p, ctx, acct
+	c.p, c.acct, c.jitter = p, acct, p.env.JitterFor(ctx)
 	// A served request arrives and departs through the device boundary:
 	// the VM exits of each edge sit outside L_T, inside the residence.
 	var edge simclock.Cycles

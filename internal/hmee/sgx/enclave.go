@@ -306,18 +306,17 @@ func (e *Enclave) LeaveResident(t *Thread) {
 }
 
 // BindRequest rebinds a pooled request thread, dst, to t's enclave without
-// allocating: it charges acct and draws from ctx's per-worker jitter stream
-// (platform jitter when none is attached, as in the sequential seed). The
-// account is passed explicitly because AccountFrom mints a fresh throwaway
-// when ctx carries none — the caller has already derived the account it
-// reports against and both must be the same object. dst is caller-owned
-// and must not be retained past the request it was bound for.
+// allocating: it charges acct and draws from jitter, the request's stream
+// (the platform's root when the request carries none, as in the
+// sequential seed). The caller resolves both from the request's context
+// once and reports against the same account. dst is caller-owned and must
+// not be retained past the request it was bound for.
 //
 //shieldlint:hotpath
-func (t *Thread) BindRequest(ctx context.Context, acct *simclock.Account, dst *Thread) {
+func (t *Thread) BindRequest(acct *simclock.Account, jitter *simclock.Jitter, dst *Thread) {
 	dst.enclave = t.enclave
 	dst.acct = acct
-	dst.jitter = t.enclave.platform.env.JitterFor(ctx)
+	dst.jitter = jitter
 }
 
 // OCallN models the thread leaving the enclave n times to have the

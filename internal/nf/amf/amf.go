@@ -23,6 +23,7 @@ import (
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
 	"shield5g/internal/shard"
+	"shield5g/internal/simclock"
 )
 
 // Service identity.
@@ -226,12 +227,15 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 	// reaches the AUSF, UDM or P-AKA module.
 	class := classify(rr)
 	if a.admit != nil {
-		source := admission.SourceFrom(ctx) + "/" + a.mcc + a.mnc
-		if err := a.admit.Admit(ctx, source, class); err != nil {
+		// This AMF's controller serves its one PLMN, so the source alone
+		// keys the bucket.
+		if err := a.admit.Admit(ctx, admission.SourceFrom(ctx), class); err != nil {
 			return nil, err
 		}
 	}
-	ctx = sbi.WithPriority(ctx, class)
+	call := stamp(ctx, class)
+	defer call.Release()
+	ctx = call
 
 	authReq := &ausf.AuthenticateRequest{ServingNetworkName: a.snn}
 	var prevTMSI uint32
@@ -301,6 +305,15 @@ func classify(rr *nas.RegistrationRequest) sbi.Priority {
 	}
 }
 
+// stamp derives the pooled child simclock.Call that carries the UE's
+// admission class down the SBI chain of one round. The caller releases it
+// before the round returns.
+func stamp(ctx context.Context, class sbi.Priority) *simclock.Call {
+	call := simclock.Derive(ctx)
+	call.Priority = uint8(class)
+	return call
+}
+
 func (a *AMF) challenge(auth *ausf.AuthenticateResponse) ([]byte, error) {
 	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: abba(), RAND: auth.RAND, AUTN: auth.AUTN}
 	return nas.Encode(req)
@@ -319,9 +332,13 @@ func (a *AMF) HandleUplinkNAS(ctx context.Context, ranUEID uint64, nasPDU []byte
 
 	switch ue.getState() {
 	case stateIdentifying:
-		return a.handleIdentifying(sbi.WithPriority(ctx, ue.prio), ue, nasPDU)
+		call := stamp(ctx, ue.prio)
+		defer call.Release()
+		return a.handleIdentifying(call, ue, nasPDU)
 	case stateAuthenticating:
-		return a.handleAuthenticating(sbi.WithPriority(ctx, ue.prio), ranUEID, ue, nasPDU)
+		call := stamp(ctx, ue.prio)
+		defer call.Release()
+		return a.handleAuthenticating(call, ranUEID, ue, nasPDU)
 	default:
 		return a.handleProtected(ctx, ranUEID, ue, nasPDU)
 	}
@@ -516,7 +533,9 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		if ue.getState() != stateRegistered {
 			return nil, fmt.Errorf("amf: PDU session request before registration completes")
 		}
-		sess, err := a.smf.CreateSession(sbi.WithPriority(ctx, ue.prio), &smf.CreateSessionRequest{
+		call := stamp(ctx, ue.prio)
+		defer call.Release()
+		sess, err := a.smf.CreateSession(call, &smf.CreateSessionRequest{
 			SUPI:      ue.supi,
 			SessionID: m.SessionID,
 			DNN:       m.DNN,
@@ -534,7 +553,9 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 
 	case *nas.DeregistrationRequest:
 		if ue.teid != 0 {
-			if err := a.smf.ReleaseSession(sbi.WithPriority(ctx, ue.prio), &smf.ReleaseSessionRequest{
+			call := stamp(ctx, ue.prio)
+			defer call.Release()
+			if err := a.smf.ReleaseSession(call, &smf.ReleaseSessionRequest{
 				SUPI: ue.supi, SessionID: ue.pduSession,
 			}); err != nil {
 				return nil, fmt.Errorf("amf: release PDU session %d: %w", ue.pduSession, err)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"shield5g/internal/hmee"
+	"shield5g/internal/simclock"
 )
 
 // Connection identifies one keep-alive client connection to the P-AKA
@@ -22,18 +23,21 @@ type Connection struct {
 	Batch int
 }
 
-type connKey struct{}
-
 // WithConnection attaches a keep-alive connection identity to ctx.
 func WithConnection(ctx context.Context, id uint64, batch int) context.Context {
-	return context.WithValue(ctx, connKey{}, Connection{ID: id, Batch: batch})
+	c := simclock.NewCall(ctx)
+	c.ConnID, c.ConnBatch = id, batch
+	return c
 }
 
 // ConnectionFrom extracts the connection identity; ok is false when no
 // connection is attached or keep-alive is disabled.
 func ConnectionFrom(ctx context.Context) (Connection, bool) {
-	c, ok := ctx.Value(connKey{}).(Connection)
-	return c, ok && c.Batch > 0
+	c := simclock.CallFrom(ctx)
+	if c == nil || c.ConnBatch <= 0 {
+		return Connection{}, false
+	}
+	return Connection{ID: c.ConnID, Batch: c.ConnBatch}, true
 }
 
 // moduleSession is one module-side keep-alive connection. Its mutex

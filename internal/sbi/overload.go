@@ -16,7 +16,7 @@ import (
 // (OCI) record on every response — and each Client records the latest OCI
 // per peer so the resilience layer can throttle proportionally to
 // advertised load. All time is virtual: the meter runs on the request
-// arrival axis stamped by open-loop drivers (simclock.WithArrival), so a
+// arrival axis open-loop drivers stamp on the request's simclock.Call, so a
 // 10x signaling storm produces the same backlog, the same sheds and the
 // same Retry-After values on every run of a seed.
 
@@ -54,23 +54,14 @@ func (p Priority) String() string {
 	}
 }
 
-type priorityKey struct{}
-
-// WithPriority stamps ctx with the request's admission priority class; the
-// class rides the whole downstream SBI chain (client throttling exempts
-// emergency traffic, server meters never shed it).
-func WithPriority(ctx context.Context, p Priority) context.Context {
-	if existing, ok := ctx.Value(priorityKey{}).(Priority); ok && existing == p {
-		return ctx
-	}
-	return context.WithValue(ctx, priorityKey{}, p)
-}
-
-// PriorityFrom extracts the priority class from ctx (fresh attach when
-// unstamped).
+// PriorityFrom extracts the priority class from ctx's simclock.Call, which
+// the AMF stamps from the registration's classification; the class rides
+// the whole downstream SBI chain (client throttling exempts emergency
+// traffic, server meters never shed it). Unstamped requests are fresh
+// attaches.
 func PriorityFrom(ctx context.Context) Priority {
-	if p, ok := ctx.Value(priorityKey{}).(Priority); ok {
-		return p
+	if c := simclock.CallFrom(ctx); c != nil {
+		return Priority(c.Priority)
 	}
 	return PriorityFresh
 }
@@ -146,10 +137,10 @@ func (s OverloadStats) TotalShed() uint64 {
 }
 
 // loadMeter is the per-server virtual-queue model. It is an open-loop
-// queueing simulation: requests stamped with simclock.WithArrival drain
-// the backlog by their inter-arrival gap and then join the queue (paying
-// the work ahead of them as a virtual delay); unstamped requests join at
-// the current watermark. The meter only acts while armed, so slices run
+// queueing simulation: requests with a stamped arrival
+// (simclock.ArrivalFrom) drain the backlog by their inter-arrival gap and
+// then join the queue (paying the work ahead of them as a virtual delay);
+// unstamped requests join at the current watermark. The meter only acts while armed, so slices run
 // bit-identical to the pre-overload seed until a storm window opens.
 type loadMeter struct {
 	env *costmodel.Env
@@ -283,10 +274,12 @@ func (m *loadMeter) admit(ctx context.Context, name string, path string) *Proble
 
 	m.seq++
 	m.refreshOCI(freq)
-	oci := m.oci
 
 	if m.cfg.MaxQueue > 0 && queued >= m.cfg.MaxQueue && class != PriorityEmergency {
 		m.shed[class]++
+		// Only a shed response takes the snapshot's address, so only the
+		// shed branch copies it to the heap.
+		oci := m.oci
 		m.mu.Unlock()
 		pd := Problem(503, "Service Unavailable", CauseOverload,
 			"%s%s: queue full (%d queued), %s-class request shed", name, path, queued, class)

@@ -22,23 +22,32 @@ func meterFixture(t *testing.T, cfg OverloadConfig) (*Server, *Client) {
 	return srv, NewClient("ausf", env, reg)
 }
 
+// withPriority stamps p on a child simclock.Call of ctx, as the AMF does
+// for the rounds that post on the SBI.
+func withPriority(ctx context.Context, p Priority) context.Context {
+	c := simclock.NewCall(ctx)
+	c.Priority = uint8(p)
+	return c
+}
+
 func TestPriorityContextHelpers(t *testing.T) {
 	ctx := context.Background()
 	if got := PriorityFrom(ctx); got != PriorityFresh {
 		t.Fatalf("unstamped priority = %v, want fresh", got)
 	}
 	for _, p := range []Priority{PriorityFresh, PriorityReattach, PriorityEmergency} {
-		if got := PriorityFrom(WithPriority(ctx, p)); got != p {
+		if got := PriorityFrom(withPriority(ctx, p)); got != p {
 			t.Fatalf("roundtrip(%v) = %v", p, got)
 		}
 	}
 	if PriorityEmergency.String() != "emergency" || PriorityFresh.String() != "fresh" {
 		t.Fatal("priority names wrong")
 	}
-	// Re-stamping the same class must not grow the context chain.
-	stamped := WithPriority(ctx, PriorityReattach)
-	if WithPriority(stamped, PriorityReattach) != stamped {
-		t.Fatal("re-stamping same priority allocated a new context")
+	// A context derived below the stamping Call still reads its class.
+	wrapped, cancel := context.WithCancel(withPriority(ctx, PriorityReattach))
+	defer cancel()
+	if got := PriorityFrom(wrapped); got != PriorityReattach {
+		t.Fatalf("priority below a WithCancel = %v, want reattach", got)
 	}
 }
 
@@ -86,7 +95,7 @@ func TestMeterShedsBeyondQueueAndExemptsEmergency(t *testing.T) {
 	}
 
 	// Emergency traffic is exempt even with the queue saturated.
-	ectx := WithPriority(ctx, PriorityEmergency)
+	ectx := withPriority(ctx, PriorityEmergency)
 	if err := c.Post(ectx, "udm", "/echo", &echoReq{Value: "sos"}, nil); err != nil {
 		t.Fatalf("emergency Post through full queue: %v", err)
 	}
@@ -150,6 +159,36 @@ func TestMeterChargesFIFOWait(t *testing.T) {
 	}
 	if st := srv.OverloadStats(); st.QueueDelay <= 0 {
 		t.Fatalf("queue delay not accounted: %+v", st)
+	}
+}
+
+// TestArmedMeterAdmitAllocatesNothing: an armed meter admitting a request,
+// FIFO wait charged, allocates nothing; only a shed response copies the
+// OCI snapshot to the heap. Skipped under -race, whose sync.Pool and
+// instrumentation allocate.
+func TestArmedMeterAdmitAllocatesNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	srv, _ := meterFixture(t, OverloadConfig{ServiceCycles: 1000, MaxQueue: 1 << 20})
+	srv.SetOverloadArmed(true)
+	m := srv.loadMeter()
+
+	// Same-instant arrivals on an unbounded queue: every request is
+	// admitted and waits behind the ones before it.
+	var acct simclock.Account
+	ctx := simclock.WithAccount(simclock.WithArrival(context.Background(), 0), &acct)
+	admit := func() {
+		if pd := m.admit(ctx, "udm", "/echo"); pd != nil {
+			t.Fatalf("armed meter shed: %v", pd)
+		}
+	}
+	admit()
+	if allocs := testing.AllocsPerRun(100, admit); allocs != 0 {
+		t.Fatalf("armed admit allocates %.1f per call, want 0", allocs)
+	}
+	if acct.Total() == 0 {
+		t.Fatal("admitted requests were charged no FIFO wait")
 	}
 }
 
@@ -223,7 +262,7 @@ func TestThrottleDefersProportionallyAndExemptsEmergency(t *testing.T) {
 
 	// Emergency-class requests must never be deferred.
 	before := r.Stats().Throttled
-	ectx := WithPriority(context.Background(), PriorityEmergency)
+	ectx := withPriority(context.Background(), PriorityEmergency)
 	for i := 0; i < 10; i++ {
 		if err := r.Post(ectx, "udm", "/x", nil, nil); err != nil {
 			t.Fatalf("emergency Post: %v", err)
@@ -256,7 +295,7 @@ func TestEmergencyBypassesBreaker(t *testing.T) {
 	}
 	// ...but emergency traffic goes straight through the open circuit,
 	// without spending a probe or counting a rejection.
-	ectx := WithPriority(context.Background(), PriorityEmergency)
+	ectx := withPriority(context.Background(), PriorityEmergency)
 	if err := r.Post(ectx, "udm", "/x", nil, nil); err != nil {
 		t.Fatalf("emergency Post through open circuit: %v", err)
 	}

@@ -5,12 +5,13 @@
 // clock so that every figure and table is reproducible on any machine. A
 // Clock converts cycles to durations at a fixed frequency (the paper's Xeon
 // Silver 4314 runs at 2.40 GHz), an Account accumulates the cycles charged
-// along one request path, and a Jitter source adds seeded, reproducible
-// measurement noise so that distributions have realistic quartile spreads.
+// along one request path, a Jitter source adds seeded, reproducible
+// measurement noise so that distributions have realistic quartile spreads,
+// and a Call carries one request's account, stamps and streams on its
+// context under a single key.
 package simclock
 
 import (
-	"context"
 	"math"
 	"math/rand/v2"
 	"sync"
@@ -95,29 +96,6 @@ func (a *Account) Charge(n Cycles) { a.cycles.Add(uint64(n)) }
 // Total reports the cycles charged so far.
 func (a *Account) Total() Cycles { return Cycles(a.cycles.Load()) }
 
-type accountKey struct{}
-
-// WithAccount returns a context carrying the account. Costs charged by the
-// simulated substrate flow to the account of the request being served.
-// Re-attaching the account a context already carries (the
-// WithAccount(ctx, AccountFrom(ctx)) propagation idiom) returns ctx
-// unchanged instead of allocating a redundant wrapper.
-func WithAccount(ctx context.Context, a *Account) context.Context {
-	if existing, ok := ctx.Value(accountKey{}).(*Account); ok && existing == a {
-		return ctx
-	}
-	return context.WithValue(ctx, accountKey{}, a)
-}
-
-// AccountFrom extracts the account from ctx. It returns a throwaway account
-// when none is attached, so callers may charge unconditionally.
-func AccountFrom(ctx context.Context) *Account {
-	if a, ok := ctx.Value(accountKey{}).(*Account); ok && a != nil {
-		return a
-	}
-	return &Account{}
-}
-
 // Jitter is a seeded source of reproducible measurement noise. It is safe
 // for concurrent use, but concurrent callers interleave on one PCG
 // sequence; use Stream to give each worker an independent, reproducible
@@ -153,50 +131,6 @@ func splitmix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-type arrivalKey struct{}
-
-// WithArrival stamps ctx with the request's virtual arrival time (cycles on
-// the shared clock's axis). Open-loop drivers — the signaling-storm driver
-// in particular — assign arrival timestamps from a seeded plan instead of
-// the closed-loop clock, which is what lets a 10x-overload arrival process
-// outrun the simulated service rate deterministically: server-side load
-// meters and admission-control token buckets read this timestamp, so
-// backlog growth and bucket refill depend only on the plan, never on
-// scheduling or wall time.
-func WithArrival(ctx context.Context, at Cycles) context.Context {
-	return context.WithValue(ctx, arrivalKey{}, at)
-}
-
-// ArrivalFrom extracts the virtual arrival timestamp from ctx. ok is false
-// when the request carries none (closed-loop callers), in which case load
-// meters fall back to the shared clock.
-func ArrivalFrom(ctx context.Context) (Cycles, bool) {
-	at, ok := ctx.Value(arrivalKey{}).(Cycles)
-	return at, ok
-}
-
-type jitterKey struct{}
-
-// WithJitter returns a context carrying a request-scoped jitter source.
-// The parallel registration driver attaches one per-worker Stream so that
-// all noise drawn along the request path is contention-free and
-// reproducible per worker.
-func WithJitter(ctx context.Context, j *Jitter) context.Context {
-	return context.WithValue(ctx, jitterKey{}, j)
-}
-
-// JitterFrom extracts the request-scoped jitter from ctx, falling back to
-// fallback when none is attached. The fallback path is the sequential
-// mode: every component keeps drawing from the shared root source in the
-// exact order the seed implementation did, so sequential figures stay
-// bit-for-bit identical.
-func JitterFrom(ctx context.Context, fallback *Jitter) *Jitter {
-	if j, ok := ctx.Value(jitterKey{}).(*Jitter); ok && j != nil {
-		return j
-	}
-	return fallback
 }
 
 // Scale multiplies n by a uniform factor in [1-frac, 1+frac].
