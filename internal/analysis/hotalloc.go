@@ -22,9 +22,13 @@ import (
 // are exempt outright, since a panicking path is never the hot path.
 // A bare make([]byte, ...) inside a marked function is the same
 // discipline violation in disguise: a fresh heap buffer per call. The
-// sanctioned shapes are pooled scratch (sync.Pool), appending into a
-// caller-owned buffer, or a deliberate single caller-owned output
-// allocation carrying //shieldlint:ignore hotalloc <why>.
+// sanctioned shapes are, first, a value on the caller's stack, reached
+// through a type switch rather than an interface method (a method called
+// through an interface moves its receiver to the heap: the NAS codec
+// dispatches on the concrete message type for this reason); then pooled
+// scratch (sync.Pool), appending into a caller-owned buffer, or a
+// deliberate single caller-owned output allocation carrying
+// //shieldlint:ignore hotalloc <why>.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "//shieldlint:hotpath functions must not call allocating formatters, one-shot JSON codecs, or un-pooled make([]byte, ...)",
@@ -68,7 +72,7 @@ func runHotAlloc(pass *Pass) error {
 				}
 				if isByteSliceMake(info, call) {
 					pass.Reportf(call.Pos(),
-						"make([]byte, ...) allocates a fresh buffer on every call but %s is marked //shieldlint:hotpath; reuse pooled scratch (sync.Pool), append into a caller-owned buffer, or annotate a deliberate output allocation: //shieldlint:ignore hotalloc <why>",
+						"make([]byte, ...) allocates a fresh buffer on every call but %s is marked //shieldlint:hotpath; keep the value on the caller's stack, reached through a type switch rather than an interface method, reuse pooled scratch (sync.Pool), append into a caller-owned buffer, or annotate a deliberate output allocation: //shieldlint:ignore hotalloc <why>",
 						fd.Name.Name)
 					return true
 				}

@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -269,6 +270,84 @@ func TestOneBodyPerPrimitive(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nasReceivers are the packages that build and decode the registration
+// path's NAS messages: the AMF and the UE simulator.
+var nasReceivers = []string{"shield5g/internal/nf/amf", "shield5g/internal/ue"}
+
+// TestNASMessagesStayOnStack holds the NAS messages of the registration
+// path to the stacks of the functions that build and decode them. It
+// compiles the AMF and the UE simulator with -gcflags=-m and fails, naming
+// file:line, on any &nas.<Type>{...} literal the compiler sends to the
+// heap and on any nas.Inbox variable it moves there. Either is a method
+// called through nas.Message, or a decoded message kept beyond its call;
+// a slip of one to three allocations a registration shows here instead of
+// hiding in the allocation budgets' 10 % headroom (DESIGN.md section 9).
+func TestNASMessagesStayOnStack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping go build in -short mode")
+	}
+	sharedLoader(t)
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The decode storage: every nas.Inbox variable, by file:line.
+	storage := make(map[string]string)
+	args := []string{"build", "-gcflags=-m"}
+	for _, pkg := range repoPkgs {
+		if !slices.Contains(nasReceivers, pkg.ImportPath) {
+			continue
+		}
+		args = append(args, pkg.ImportPath)
+		for id, obj := range pkg.Info.Defs {
+			if v, ok := obj.(*types.Var); ok && types.TypeString(v.Type(), nil) == "shield5g/internal/nas.Inbox" {
+				storage[relPos(root, pkg.Fset.Position(id.Pos()).Filename, pkg.Fset.Position(id.Pos()).Line)] = id.Name
+			}
+		}
+	}
+	if len(args) != 2+len(nasReceivers) || len(storage) == 0 {
+		t.Fatalf("found %d of %d receiver packages and %d nas.Inbox variables: the loader is broken, not the tree", len(args)-2, len(nasReceivers), len(storage))
+	}
+	build := exec.Command("go", args...)
+	build.Dir = root
+	out, err := build.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+	}
+	diag := regexp.MustCompile(`^(\S+):(\d+):\d+: (.*)$`)
+	literal := regexp.MustCompile(`^&nas\.\w+\{.*\} (escapes to heap|does not escape)$`)
+	seen := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		m := diag.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		at := strings.TrimPrefix(filepath.ToSlash(m[1]), "./") + ":" + m[2]
+		if lm := literal.FindStringSubmatch(m[3]); lm != nil {
+			seen++
+			if lm[1] == "escapes to heap" {
+				t.Errorf("%s: %s; a message built for nas.Encode or Protect must stay on the caller's stack", at, m[3])
+			}
+		}
+		if name, ok := storage[at]; ok && m[3] == "moved to heap: "+name {
+			t.Errorf("%s: nas.Inbox %s is moved to heap; read the decoded message through a type switch, never a nas.Message method, and copy what outlives the call", at, name)
+		}
+	}
+	// A build whose diagnostics name no NAS message must not pass as clean.
+	if seen == 0 {
+		t.Fatalf("go %s reported no &nas.<Type>{...} literal: the matcher is broken, not the tree\n%s", strings.Join(args, " "), out)
+	}
+}
+
+// relPos renders a position as the module-relative file:line that
+// `go build -gcflags=-m` prints when run at the module root.
+func relPos(root, file string, line int) string {
+	if rel, err := filepath.Rel(root, file); err == nil {
+		file = rel
+	}
+	return fmt.Sprintf("%s:%d", filepath.ToSlash(file), line)
 }
 
 // binaryCallerExceptions lists the non-test declarations that no binary

@@ -122,11 +122,6 @@ func ResStarInto(dst, ck, ik []byte, snn string, rand, res []byte) error {
 	return nil
 }
 
-// hxresScratchPool recycles the full-width digest buffer of HXResStarInto
-// so the pooled hash's interface Sum call has a heap destination without a
-// per-call allocation.
-var hxresScratchPool = sync.Pool{New: func() any { return new([sha256.Size]byte) }}
-
 // HXResStarInto derives HXRES* = the 128 most-significant bits of
 // SHA-256(RAND || XRES*) (TS 33.501 A.5) into the 16-byte dst. This is the
 // value the paper's eAUSF P-AKA module computes inside the enclave.
@@ -144,13 +139,14 @@ func HXResStarInto(dst, rand, xresStar []byte) error {
 	if len(xresStar) != 16 {
 		return fmt.Errorf("kdf: XRES* length %d, want 16", len(xresStar))
 	}
-	h := hashpool.GetSHA256()
-	h.Write(rand)
-	h.Write(xresStar)
-	buf := hxresScratchPool.Get().(*[sha256.Size]byte)
-	copy(dst, h.Sum(buf[:0])[:KeyLen128])
-	hxresScratchPool.Put(buf)
-	hashpool.PutSHA256(h)
+	// One 32-byte block on the stack and a direct digest: hashing through
+	// the hash.Hash interface would move RAND and XRES* to the heap in
+	// every caller.
+	var blk [32]byte
+	copy(blk[:16], rand)
+	copy(blk[16:], xresStar)
+	sum := sha256.Sum256(blk[:])
+	copy(dst, sum[:KeyLen128])
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/intern"
@@ -29,15 +28,6 @@ const (
 	shtProtected byte = 0x2 // integrity protected and ciphered
 )
 
-// Codec scratch pools. The writer and reader structs escape through the
-// interface calls into the per-message codecs, so without pooling every
-// Encode/Decode heap-allocates its state; per-UE NAS signalling is the
-// registration hot path, so that state is recycled instead.
-var (
-	writerPool = sync.Pool{New: func() any { return new(writer) }}
-	readerPool = sync.Pool{New: func() any { return new(reader) }}
-)
-
 // encodeCap pre-sizes Encode's single output allocation; the largest plain
 // message (a RegistrationRequest carrying an ECIES SUCI) is ~70 bytes, so
 // the append chain never regrows the buffer.
@@ -53,58 +43,145 @@ func Encode(m Message) ([]byte, error) {
 
 // appendEncode serialises m onto dst (for callers that own a reusable
 // buffer, e.g. the protected-mode encryptor) and returns the extended
-// slice. The encoding itself is allocation-free.
+// slice. It reads m through one type switch and never calls a method
+// through the Message interface, so m does not escape: a message the
+// caller builds stays on the caller's stack, and the writer on this one.
 //
 //shieldlint:hotpath
 func appendEncode(dst []byte, m Message) ([]byte, error) {
-	if m == nil {
-		return nil, errors.New("nas: nil message")
-	}
-	if v, ok := m.(interface{ Validate() error }); ok {
+	// The header's type byte is filled in once the switch has named it.
+	w := writer{buf: append(dst, EPD5GMM, shtPlain, 0)}
+	var typ MessageType
+	switch v := m.(type) {
+	case *RegistrationRequest:
 		if err := v.Validate(); err != nil {
 			return nil, err
 		}
+		typ = v.Type()
+		w.u8(v.RegistrationType)
+		w.u8(v.NgKSI)
+		encodeIdentity(&w, &v.Identity)
+		w.lv(v.Capabilities)
+	case *RegistrationAccept:
+		typ = v.Type()
+		encodeGUTI(&w, &v.GUTI)
+	case *RegistrationComplete:
+		typ = v.Type()
+	case *DeregistrationRequest:
+		typ = v.Type()
+		w.u8(v.NgKSI)
+	case *AuthenticationRequest:
+		typ = v.Type()
+		w.u8(v.NgKSI)
+		w.lv(v.ABBA)
+		w.raw(v.RAND[:])
+		w.raw(v.AUTN[:])
+	case *AuthenticationResponse:
+		typ = v.Type()
+		w.raw(v.ResStar[:])
+	case *AuthenticationReject:
+		typ = v.Type()
+	case *AuthenticationFailure:
+		typ = v.Type()
+		w.u8(v.Cause)
+		w.lv(v.AUTS)
+	case *IdentityRequest:
+		typ = v.Type()
+		w.u8(v.IdentityType)
+	case *IdentityResponse:
+		if err := v.Validate(); err != nil {
+			return nil, err
+		}
+		typ = v.Type()
+		encodeIdentity(&w, &v.Identity)
+	case *SecurityModeCommand:
+		typ = v.Type()
+		w.u8(v.NgKSI)
+		w.u8(v.IntegrityAlg)
+		w.u8(v.CipheringAlg)
+	case *SecurityModeComplete:
+		typ = v.Type()
+	case *PDUSessionEstablishmentRequest:
+		typ = v.Type()
+		w.u8(v.SessionID)
+		w.str(v.DNN)
+	case *PDUSessionEstablishmentAccept:
+		typ = v.Type()
+		w.u8(v.SessionID)
+		w.str(v.UEAddress)
+	case nil:
+		return nil, errors.New("nas: nil message")
+	default:
+		// m is not named here: formatting it would make every message
+		// escape.
+		return nil, fmt.Errorf("%w: not a message type of this package", ErrUnknownMessage)
 	}
-	w := writerPool.Get().(*writer)
-	w.buf = dst
-	w.u8(EPD5GMM)
-	w.u8(shtPlain)
-	w.u8(byte(m.Type()))
-	m.encodeBody(w)
-	out, err := w.buf, w.err
-	*w = writer{}
-	writerPool.Put(w)
-	if err != nil {
-		return nil, fmt.Errorf("encode %s: %w", m.Type(), err)
+	if w.err != nil {
+		return nil, fmt.Errorf("encode %s: %w", typ, w.err)
 	}
-	return out, nil
+	w.buf[len(dst)+2] = byte(typ)
+	return w.buf, nil
 }
 
-// Decode parses a plain NAS message. Every field of the returned message
-// is copied out of data, so the caller may reuse the buffer immediately.
-//
-//shieldlint:hotpath
-func Decode(data []byte) (Message, error) {
-	r := readerPool.Get().(*reader)
-	*r = reader{buf: data}
-	m, err := decodeMessage(r)
-	*r = reader{}
-	readerPool.Put(r)
-	return m, err
+// Inbox is caller-owned storage for one decoded NAS message: one slot per
+// message type. DecodeInto and SecurityContext.UnprotectInto select the
+// slot of the message they find, zero it, fill it and return it, so a
+// receiver that declares its Inbox as a local and reads the result
+// through a type switch decodes with the message on its own stack. Only
+// the fields the wire makes variable-length reach the heap: a decoded
+// SUCI or GUTI identity and the LV byte fields (ABBA, capabilities,
+// AUTS). The returned message is valid until the next decode into the
+// same Inbox.
+type Inbox struct {
+	typ MessageType
+
+	registrationRequest   RegistrationRequest
+	registrationAccept    RegistrationAccept
+	registrationComplete  RegistrationComplete
+	deregistrationRequest DeregistrationRequest
+	authRequest           AuthenticationRequest
+	authResponse          AuthenticationResponse
+	authReject            AuthenticationReject
+	authFailure           AuthenticationFailure
+	identityRequest       IdentityRequest
+	identityResponse      IdentityResponse
+	smCommand             SecurityModeCommand
+	smComplete            SecurityModeComplete
+	pduRequest            PDUSessionEstablishmentRequest
+	pduAccept             PDUSessionEstablishmentAccept
 }
+
+// Type reports the type of the message the last successful decode into
+// the Inbox returned (0 when there is none), for a receiver's error text:
+// calling Type through the returned Message would move the Inbox to the
+// heap.
+func (in *Inbox) Type() MessageType { return in.typ }
+
+// Decode parses a plain NAS message into fresh storage. Every field of
+// the returned message is copied out of data, so the caller may reuse the
+// buffer immediately. Receivers on the registration path use DecodeInto.
+func Decode(data []byte) (Message, error) { return DecodeInto(data, new(Inbox)) }
 
 // IsProtected reports whether data carries a security-protected NAS
 // message (SHT=2). Receivers should branch on it and route protected
-// PDUs straight to SecurityContext.Unprotect instead of calling Decode
-// and recovering from its error, which costs two allocations per
-// protected message on the hot path.
+// PDUs straight to SecurityContext.UnprotectInto instead of calling
+// DecodeInto and recovering from its error, whose text is built on the
+// heap for every protected message.
 //
 //shieldlint:hotpath
 func IsProtected(data []byte) bool {
 	return len(data) >= 2 && data[0] == EPD5GMM && data[1] == shtProtected
 }
 
-func decodeMessage(r *reader) (Message, error) {
+// DecodeInto parses a plain NAS message into in's slot for its type and
+// returns that slot. Every field is copied out of data, so the caller may
+// reuse the buffer immediately. On error the message is nil and
+// in.Type() is 0.
+//
+//shieldlint:hotpath
+func DecodeInto(data []byte, in *Inbox) (Message, error) {
+	in.typ = 0
+	r := reader{buf: data}
 	epd := r.u8()
 	sht := r.u8()
 	typ := MessageType(r.u8())
@@ -117,173 +194,82 @@ func decodeMessage(r *reader) (Message, error) {
 	if sht != shtPlain {
 		return nil, fmt.Errorf("nas: message is security protected (SHT=%d); use a security context", sht)
 	}
-	m, err := newMessage(typ)
-	if err != nil {
-		return nil, err
+	var m Message
+	switch typ {
+	case MsgRegistrationRequest:
+		v := &in.registrationRequest
+		*v = RegistrationRequest{}
+		v.RegistrationType = r.u8()
+		v.NgKSI = r.u8()
+		if err := decodeIdentity(&r, &v.Identity); err != nil {
+			return nil, err
+		}
+		v.Capabilities = r.lv()
+		m = v
+	case MsgRegistrationAccept:
+		v := &in.registrationAccept
+		*v = RegistrationAccept{}
+		decodeGUTI(&r, &v.GUTI)
+		m = v
+	case MsgRegistrationComplete:
+		m = &in.registrationComplete
+	case MsgDeregistrationRequest:
+		v := &in.deregistrationRequest
+		*v = DeregistrationRequest{NgKSI: r.u8()}
+		m = v
+	case MsgAuthenticationRequest:
+		v := &in.authRequest
+		*v = AuthenticationRequest{NgKSI: r.u8(), ABBA: r.lv()}
+		copy(v.RAND[:], r.take(16))
+		copy(v.AUTN[:], r.take(16))
+		m = v
+	case MsgAuthenticationResponse:
+		v := &in.authResponse
+		*v = AuthenticationResponse{}
+		copy(v.ResStar[:], r.take(16))
+		m = v
+	case MsgAuthenticationReject:
+		m = &in.authReject
+	case MsgAuthenticationFailure:
+		v := &in.authFailure
+		*v = AuthenticationFailure{Cause: r.u8(), AUTS: r.lv()}
+		m = v
+	case MsgIdentityRequest:
+		v := &in.identityRequest
+		*v = IdentityRequest{IdentityType: r.u8()}
+		m = v
+	case MsgIdentityResponse:
+		v := &in.identityResponse
+		*v = IdentityResponse{}
+		if err := decodeIdentity(&r, &v.Identity); err != nil {
+			return nil, err
+		}
+		m = v
+	case MsgSecurityModeCommand:
+		v := &in.smCommand
+		*v = SecurityModeCommand{NgKSI: r.u8(), IntegrityAlg: r.u8(), CipheringAlg: r.u8()}
+		m = v
+	case MsgSecurityModeComplete:
+		m = &in.smComplete
+	case MsgPDUSessionEstRequest:
+		v := &in.pduRequest
+		*v = PDUSessionEstablishmentRequest{SessionID: r.u8(), DNN: r.str()}
+		m = v
+	case MsgPDUSessionEstAccept:
+		v := &in.pduAccept
+		*v = PDUSessionEstablishmentAccept{SessionID: r.u8(), UEAddress: r.str()}
+		m = v
+	default:
+		return nil, fmt.Errorf("%w: 0x%02X", ErrUnknownMessage, byte(typ))
 	}
-	if err := m.decodeBody(r); err != nil {
-		return nil, err
+	if r.err != nil {
+		return nil, r.err
 	}
 	if r.off != len(r.buf) {
 		return nil, fmt.Errorf("nas: %d trailing bytes after %s", len(r.buf)-r.off, typ)
 	}
+	in.typ = typ
 	return m, nil
-}
-
-func newMessage(t MessageType) (Message, error) {
-	switch t {
-	case MsgRegistrationRequest:
-		return &RegistrationRequest{}, nil
-	case MsgRegistrationAccept:
-		return &RegistrationAccept{}, nil
-	case MsgRegistrationComplete:
-		return &RegistrationComplete{}, nil
-	case MsgDeregistrationRequest:
-		return &DeregistrationRequest{}, nil
-	case MsgAuthenticationRequest:
-		return &AuthenticationRequest{}, nil
-	case MsgAuthenticationResponse:
-		return &AuthenticationResponse{}, nil
-	case MsgAuthenticationReject:
-		return &AuthenticationReject{}, nil
-	case MsgAuthenticationFailure:
-		return &AuthenticationFailure{}, nil
-	case MsgIdentityRequest:
-		return &IdentityRequest{}, nil
-	case MsgIdentityResponse:
-		return &IdentityResponse{}, nil
-	case MsgSecurityModeCommand:
-		return &SecurityModeCommand{}, nil
-	case MsgSecurityModeComplete:
-		return &SecurityModeComplete{}, nil
-	case MsgPDUSessionEstRequest:
-		return &PDUSessionEstablishmentRequest{}, nil
-	case MsgPDUSessionEstAccept:
-		return &PDUSessionEstablishmentAccept{}, nil
-	default:
-		return nil, fmt.Errorf("%w: 0x%02X", ErrUnknownMessage, byte(t))
-	}
-}
-
-// --- body codecs ---
-
-func (m *RegistrationRequest) encodeBody(w *writer) {
-	w.u8(m.RegistrationType)
-	w.u8(m.NgKSI)
-	encodeIdentity(w, &m.Identity)
-	w.lv(m.Capabilities)
-}
-
-func (m *RegistrationRequest) decodeBody(r *reader) error {
-	m.RegistrationType = r.u8()
-	m.NgKSI = r.u8()
-	if err := decodeIdentity(r, &m.Identity); err != nil {
-		return err
-	}
-	m.Capabilities = r.lv()
-	return r.err
-}
-
-// Validate checks the embedded identity.
-func (m *RegistrationRequest) Validate() error { return m.Identity.Validate() }
-
-func (m *AuthenticationRequest) encodeBody(w *writer) {
-	w.u8(m.NgKSI)
-	w.lv(m.ABBA)
-	w.raw(m.RAND[:])
-	w.raw(m.AUTN[:])
-}
-
-func (m *AuthenticationRequest) decodeBody(r *reader) error {
-	m.NgKSI = r.u8()
-	m.ABBA = r.lv()
-	copy(m.RAND[:], r.take(16))
-	copy(m.AUTN[:], r.take(16))
-	return r.err
-}
-
-func (m *AuthenticationResponse) encodeBody(w *writer) { w.raw(m.ResStar[:]) }
-
-func (m *AuthenticationResponse) decodeBody(r *reader) error {
-	copy(m.ResStar[:], r.take(16))
-	return r.err
-}
-
-func (m *AuthenticationFailure) encodeBody(w *writer) {
-	w.u8(m.Cause)
-	w.lv(m.AUTS)
-}
-
-func (m *AuthenticationFailure) decodeBody(r *reader) error {
-	m.Cause = r.u8()
-	m.AUTS = r.lv()
-	return r.err
-}
-
-func (*AuthenticationReject) encodeBody(*writer)       {}
-func (*AuthenticationReject) decodeBody(*reader) error { return nil }
-func (*SecurityModeComplete) encodeBody(*writer)       {}
-func (*SecurityModeComplete) decodeBody(*reader) error { return nil }
-func (*RegistrationComplete) encodeBody(*writer)       {}
-func (*RegistrationComplete) decodeBody(*reader) error { return nil }
-
-func (m *IdentityRequest) encodeBody(w *writer) { w.u8(m.IdentityType) }
-
-func (m *IdentityRequest) decodeBody(r *reader) error {
-	m.IdentityType = r.u8()
-	return r.err
-}
-
-func (m *IdentityResponse) encodeBody(w *writer) { encodeIdentity(w, &m.Identity) }
-
-func (m *IdentityResponse) decodeBody(r *reader) error {
-	return decodeIdentity(r, &m.Identity)
-}
-
-func (m *SecurityModeCommand) encodeBody(w *writer) {
-	w.u8(m.NgKSI)
-	w.u8(m.IntegrityAlg)
-	w.u8(m.CipheringAlg)
-}
-
-func (m *SecurityModeCommand) decodeBody(r *reader) error {
-	m.NgKSI = r.u8()
-	m.IntegrityAlg = r.u8()
-	m.CipheringAlg = r.u8()
-	return r.err
-}
-
-func (m *RegistrationAccept) encodeBody(w *writer) { encodeGUTI(w, &m.GUTI) }
-
-func (m *RegistrationAccept) decodeBody(r *reader) error { return decodeGUTI(r, &m.GUTI) }
-
-func (m *DeregistrationRequest) encodeBody(w *writer) { w.u8(m.NgKSI) }
-
-func (m *DeregistrationRequest) decodeBody(r *reader) error {
-	m.NgKSI = r.u8()
-	return r.err
-}
-
-func (m *PDUSessionEstablishmentRequest) encodeBody(w *writer) {
-	w.u8(m.SessionID)
-	w.str(m.DNN)
-}
-
-func (m *PDUSessionEstablishmentRequest) decodeBody(r *reader) error {
-	m.SessionID = r.u8()
-	m.DNN = r.str()
-	return r.err
-}
-
-func (m *PDUSessionEstablishmentAccept) encodeBody(w *writer) {
-	w.u8(m.SessionID)
-	w.str(m.UEAddress)
-}
-
-func (m *PDUSessionEstablishmentAccept) decodeBody(r *reader) error {
-	m.SessionID = r.u8()
-	m.UEAddress = r.str()
-	return r.err
 }
 
 func encodeIdentity(w *writer, id *MobileIdentity) {
@@ -317,9 +303,7 @@ func decodeIdentity(r *reader, id *MobileIdentity) error {
 		return r.err
 	case IdentityTypeGUTI:
 		g := &GUTI{}
-		if err := decodeGUTI(r, g); err != nil {
-			return err
-		}
+		decodeGUTI(r, g)
 		id.GUTI = g
 		return r.err
 	default:
@@ -339,14 +323,13 @@ func encodeGUTI(w *writer, g *GUTI) {
 	w.u32(g.TMSI)
 }
 
-func decodeGUTI(r *reader, g *GUTI) error {
+func decodeGUTI(r *reader, g *GUTI) {
 	g.MCC = r.internStr()
 	g.MNC = r.internStr()
 	g.AMFRegionID = r.u8()
 	g.AMFSetID = r.u16()
 	g.AMFPointer = r.u8()
 	g.TMSI = r.u32()
-	return r.err
 }
 
 // --- byte-level helpers ---

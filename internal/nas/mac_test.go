@@ -37,9 +37,13 @@ func TestMACMatchesHMAC(t *testing.T) {
 
 // TestSecurityContextAllocs: a MAC allocates nothing, activating a context
 // allocates no MAC state, and a context that dropped its K_NASenc schedule
-// pays exactly one allocation, the schedule, to cipher again. sync.Pool
-// drops items at random under the race detector, so exact counts only hold
-// on a plain build (make ci runs this test once more without -race).
+// pays exactly one allocation, the schedule, to cipher again. The codec
+// rows hold the registration path's NAS messages to the caller's stack: a
+// message built for Encode or Protect costs only its output PDU, and a
+// decode into an Inbox costs nothing but what the wire makes
+// variable-length. sync.Pool drops items at random under the race
+// detector, so exact counts only hold on a plain build (make ci runs this
+// test once more without -race).
 func TestSecurityContextAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inexact under -race")
@@ -56,6 +60,67 @@ func TestSecurityContextAllocs(t *testing.T) {
 		t.Errorf("Protect: %v allocs after DropCipher, %v with the schedule held; want exactly one more", dropped, held)
 	}
 	kamf := bytes.Repeat([]byte{0x5a}, 32)
+	// A fresh receiver holds its schedule after the first (warm-up) run,
+	// and each run unprotects the next COUNT, so no row trips replay.
+	_, rx := testContexts(t)
+	accepts := make([][]byte, 101)
+	for i := range accepts {
+		var err error
+		if accepts[i], err = sc.Protect(&RegistrationAccept{GUTI: sampleGUTI()}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	guti := sampleGUTI()
+	reReg, err := Encode(&RegistrationRequest{
+		RegistrationType: RegistrationMobility,
+		Identity:         MobileIdentity{GUTI: &guti},
+		Capabilities:     []byte{AlgNEA2, AlgNIA2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	authResp, _ := Encode(&AuthenticationResponse{ResStar: [16]byte{7, 8, 9}})
+	smc, _ := Encode(&SecurityModeCommand{IntegrityAlg: AlgNIA2, CipheringAlg: AlgNEA2})
+	var in Inbox
+	next := 0
+	for _, row := range []struct {
+		name string
+		want float64
+		run  func() error
+	}{
+		{"Encode(AuthenticationRequest), its PDU", 1, func() error {
+			_, err := Encode(&AuthenticationRequest{ABBA: []byte{0, 0}, RAND: [16]byte{1}, AUTN: [16]byte{2}})
+			return err
+		}},
+		{"Protect(RegistrationAccept), schedule held, its PDU", 1, func() error {
+			_, err := sc.Protect(&RegistrationAccept{GUTI: GUTI{MCC: "001", MNC: "01", TMSI: 9}}, false)
+			return err
+		}},
+		{"DecodeInto(AuthenticationResponse)", 0, func() error { _, err := DecodeInto(authResp, &in); return err }},
+		{"DecodeInto(SecurityModeCommand)", 0, func() error { _, err := DecodeInto(smc, &in); return err }},
+		{"UnprotectInto(RegistrationAccept)", 0, func() error {
+			_, err := rx.UnprotectInto(accepts[next], false, &in)
+			next++
+			return err
+		}},
+		{"DecodeInto(GUTI RegistrationRequest), its GUTI and capabilities", 2, func() error {
+			_, err := DecodeInto(reReg, &in)
+			return err
+		}},
+	} {
+		var err error
+		n := testing.AllocsPerRun(100, func() {
+			if rerr := row.run(); rerr != nil && err == nil {
+				err = rerr
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
+		}
+		if n != row.want {
+			t.Errorf("%s: %v allocs, want %v", row.name, n, row.want)
+		}
+	}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, err := NewSecurityContext(kamf); err != nil {
 			t.Fatal(err)

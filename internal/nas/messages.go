@@ -89,14 +89,13 @@ const (
 	CauseProtectionError byte = 24
 )
 
-// Message is one NAS 5GMM message.
+// Message is one NAS 5GMM message: a pointer to one of the fourteen
+// message types below. Encode and SecurityContext.Protect dispatch on the
+// concrete type, so they refuse any other type, and a message a caller
+// builds does not escape through them.
 type Message interface {
 	// Type identifies the message.
 	Type() MessageType
-	// encodeBody writes the message body (after EPD/SHT/type header).
-	encodeBody(w *writer)
-	// decodeBody parses the message body.
-	decodeBody(r *reader) error
 }
 
 // RegistrationType values (TS 24.501 §9.11.3.7).
@@ -119,6 +118,9 @@ type RegistrationRequest struct {
 
 // Type implements Message.
 func (*RegistrationRequest) Type() MessageType { return MsgRegistrationRequest }
+
+// Validate checks the embedded identity.
+func (m *RegistrationRequest) Validate() error { return m.Identity.Validate() }
 
 // AuthenticationRequest carries the 5G-AKA challenge from the SE AV to the
 // UE: the RAND and AUTN generated by the eUDM P-AKA module.

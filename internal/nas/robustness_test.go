@@ -2,6 +2,7 @@ package nas
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -63,9 +64,14 @@ func TestDecodeMutatedMessagesNeverPanic(t *testing.T) {
 // and both failure causes (testdata/fuzz/FuzzNASDecode holds the same
 // encodings frozen, so this codec's wire bytes stay regression inputs if
 // it changes). Decode must never panic, and a message it accepts must
-// re-encode without error and decode back to itself.
+// re-encode without error and decode back to itself. DecodeInto storage
+// that already holds one of the seeds, of the input's type or of another,
+// must yield the same message and the same error as fresh storage: a
+// selected slot is zeroed, so nothing of the earlier message (a SUCI
+// pointer, capability bytes) survives into the next.
 func FuzzNASDecode(f *testing.F) {
 	guti := GUTI{MCC: "001", MNC: "01", AMFRegionID: 0xCA, AMFSetID: 0x3FE, AMFPointer: 0x3F, TMSI: 0xDEADBEEF}
+	var seeds [][]byte
 	for _, m := range []Message{
 		&RegistrationRequest{RegistrationType: RegistrationInitial, Identity: MobileIdentity{SUCI: &suci.SUCI{
 			MCC: "001", MNC: "01", RoutingIndicator: "0000", Scheme: suci.SchemeProfileA, HomeKeyID: 1,
@@ -94,9 +100,27 @@ func FuzzNASDecode(f *testing.F) {
 			f.Fatalf("Encode(%s): %v", m.Type(), err)
 		}
 		f.Add(seed)
+		seeds = append(seeds, seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
+		for _, seed := range seeds {
+			var in Inbox
+			if _, serr := DecodeInto(seed, &in); serr != nil {
+				t.Fatalf("seed %x: %v", seed, serr)
+			}
+			reused, rerr := DecodeInto(data, &in)
+			if fmt.Sprint(rerr) != fmt.Sprint(err) || !reflect.DeepEqual(reused, m) {
+				t.Fatalf("DecodeInto over a decoded %x = %#v, %v; fresh Decode = %#v, %v", seed, reused, rerr, m, err)
+			}
+			want := MessageType(0)
+			if err == nil {
+				want = m.Type()
+			}
+			if in.Type() != want {
+				t.Fatalf("Inbox.Type() = %s after DecodeInto = %v, want %s", in.Type(), rerr, want)
+			}
+		}
 		if err != nil {
 			if m != nil {
 				t.Fatalf("Decode returned a %s alongside error %v", m.Type(), err)

@@ -122,9 +122,9 @@ func (sc *SecurityContext) cipherBlock() cipher.Block {
 }
 
 // plainPool recycles the plaintext scratch of Protect (the pre-encryption
-// encoding) and Unprotect (the deciphered payload). Both uses end inside
-// the call — the ciphertext is written elsewhere and Decode copies every
-// field out — so the buffer never escapes.
+// encoding) and UnprotectInto (the deciphered payload). Both uses end
+// inside the call — the ciphertext is written elsewhere and DecodeInto
+// copies every field out — so the buffer never escapes.
 var plainPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, encodeCap)
 	return &b
@@ -163,10 +163,19 @@ func (sc *SecurityContext) Protect(msg Message, uplink bool) ([]byte, error) {
 }
 
 // Unprotect verifies and deciphers a protected NAS message from the given
-// direction (uplink=true means the receiver is the network side).
+// direction (uplink=true means the receiver is the network side) into
+// fresh storage. Receivers on the registration path use UnprotectInto.
+func (sc *SecurityContext) Unprotect(data []byte, uplink bool) (Message, error) {
+	return sc.UnprotectInto(data, uplink, new(Inbox))
+}
+
+// UnprotectInto verifies and deciphers a protected NAS message from the
+// given direction into in's slot for its type (see DecodeInto) and
+// returns that slot.
 //
 //shieldlint:hotpath
-func (sc *SecurityContext) Unprotect(data []byte, uplink bool) (Message, error) {
+func (sc *SecurityContext) UnprotectInto(data []byte, uplink bool, in *Inbox) (Message, error) {
+	in.typ = 0
 	if len(data) < 2+macLen+4 {
 		return nil, fmt.Errorf("%w: protected header", ErrTruncated)
 	}
@@ -200,7 +209,7 @@ func (sc *SecurityContext) Unprotect(data []byte, uplink bool) (Message, error) 
 	}
 	plain := (*pb)[:len(ct)]
 	sc.xorKeyStream(plain, ct, dir, count)
-	msg, err := Decode(plain)
+	msg, err := DecodeInto(plain, in)
 	plainPool.Put(pb)
 	if err != nil {
 		return nil, fmt.Errorf("nas: deciphered payload: %w", err)

@@ -211,14 +211,19 @@ func (a *AMF) RegisteredUEs() int {
 
 // HandleInitialUE processes the first NAS message from a UE (via the gNB's
 // Initial UE Message) and returns the downlink NAS response.
+//
+// Each receiver decodes into an Inbox on its own stack and reads the
+// message through a type switch, never through a nas.Message method, so
+// the decoded message stays there (DESIGN.md section 9).
 func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte) ([]byte, error) {
-	msg, err := nas.Decode(nasPDU)
+	var in nas.Inbox
+	msg, err := nas.DecodeInto(nasPDU, &in)
 	if err != nil {
 		return nil, fmt.Errorf("amf: initial NAS: %w", err)
 	}
 	rr, ok := msg.(*nas.RegistrationRequest)
 	if !ok {
-		return nil, fmt.Errorf("amf: initial message is %s, want RegistrationRequest", msg.Type())
+		return nil, fmt.Errorf("amf: initial message is %s, want RegistrationRequest", in.Type())
 	}
 
 	// Classify and gate BEFORE any enclave-bound work: emergency
@@ -347,13 +352,14 @@ func (a *AMF) HandleUplinkNAS(ctx context.Context, ranUEID uint64, nasPDU []byte
 // handleIdentifying completes the identity procedure: the UE answered an
 // IdentityRequest with a fresh SUCI, which restarts authentication.
 func (a *AMF) handleIdentifying(ctx context.Context, ue *ueContext, nasPDU []byte) ([]byte, error) {
-	msg, err := nas.Decode(nasPDU)
+	var in nas.Inbox
+	msg, err := nas.DecodeInto(nasPDU, &in)
 	if err != nil {
 		return nil, fmt.Errorf("amf: identity response: %w", err)
 	}
 	ir, ok := msg.(*nas.IdentityResponse)
 	if !ok {
-		return nil, fmt.Errorf("amf: unexpected %s while identifying", msg.Type())
+		return nil, fmt.Errorf("amf: unexpected %s while identifying", in.Type())
 	}
 	if ir.Identity.SUCI == nil {
 		return nil, fmt.Errorf("amf: identity response carries no SUCI")
@@ -380,7 +386,8 @@ func (a *AMF) handleIdentifying(ctx context.Context, ue *ueContext, nasPDU []byt
 }
 
 func (a *AMF) handleAuthenticating(ctx context.Context, ranUEID uint64, ue *ueContext, nasPDU []byte) ([]byte, error) {
-	msg, err := nas.Decode(nasPDU)
+	var in nas.Inbox
+	msg, err := nas.DecodeInto(nasPDU, &in)
 	if err != nil {
 		return nil, fmt.Errorf("amf: uplink NAS: %w", err)
 	}
@@ -390,7 +397,7 @@ func (a *AMF) handleAuthenticating(ctx context.Context, ranUEID uint64, ue *ueCo
 	case *nas.AuthenticationFailure:
 		return a.handleAuthFailure(ctx, ranUEID, ue, m)
 	default:
-		return nil, fmt.Errorf("amf: unexpected %s while authenticating", msg.Type())
+		return nil, fmt.Errorf("amf: unexpected %s while authenticating", in.Type())
 	}
 }
 
@@ -416,7 +423,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	// Outbound request structs are pooled: the client stubs marshal them
 	// synchronously and nothing downstream retains them.
 	creq := confirmReqPool.Get().(*ausf.ConfirmRequest)
-	creq.AuthCtxID, creq.ResStar = ue.authCtxID, m.ResStar[:]
+	creq.AuthCtxID, creq.ResStar = ue.authCtxID, m.ResStar
 	conf, err := a.ausf.Confirm(ctx, creq)
 	*creq = ausf.ConfirmRequest{}
 	confirmReqPool.Put(creq)
@@ -495,7 +502,8 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 	if ue.sec == nil {
 		return nil, fmt.Errorf("amf: no NAS security context for RAN UE %d", ranUEID)
 	}
-	msg, err := ue.sec.Unprotect(nasPDU, true)
+	var in nas.Inbox
+	msg, err := ue.sec.UnprotectInto(nasPDU, true, &in)
 	if err != nil {
 		return nil, fmt.Errorf("amf: unprotect uplink NAS: %w", err)
 	}
@@ -566,7 +574,7 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		return nil, nil
 
 	default:
-		return nil, fmt.Errorf("amf: unexpected protected %s", msg.Type())
+		return nil, fmt.Errorf("amf: unexpected protected %s", in.Type())
 	}
 }
 

@@ -56,8 +56,8 @@ type AuthenticateResponse struct {
 
 // ConfirmRequest delivers the UE's RES* for home-network verification.
 type ConfirmRequest struct {
-	AuthCtxID string `json:"auth_ctx_id"`
-	ResStar   []byte `json:"res_star"`
+	AuthCtxID string        `json:"auth_ctx_id"`
+	ResStar   codec.Bytes16 `json:"res_star"`
 }
 
 // ConfirmResponse releases the anchor key on success.
@@ -238,7 +238,7 @@ func (a *AUSF) handleConfirm(_ context.Context, req *ConfirmRequest, resp *Confi
 	}
 	// Home-network control of authentication: compare RES* with the
 	// stored XRES* (TS 33.501 §6.1.3.2).
-	if !hmac.Equal(req.ResStar, s.xresStar[:]) {
+	if !hmac.Equal(req.ResStar[:], s.xresStar[:]) {
 		return sbi.Problem(403, "Forbidden", "AUTHENTICATION_REJECTED", "RES* mismatch for %s", s.supi)
 	}
 	resp.SUPI, resp.KSEAF = s.supi, s.kseaf

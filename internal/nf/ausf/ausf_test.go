@@ -142,7 +142,7 @@ func TestAuthenticateAndConfirm(t *testing.T) {
 		t.Fatal("HXRES* does not match RES* hash")
 	}
 
-	conf, err := h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: auth.AuthCtxID, ResStar: resStar})
+	conf, err := h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: auth.AuthCtxID, ResStar: codec.Bytes16(resStar)})
 	if err != nil {
 		t.Fatalf("Confirm: %v", err)
 	}
@@ -161,13 +161,13 @@ func TestConfirmRejectsWrongResStar(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Authenticate: %v", err)
 	}
-	_, err = h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: auth.AuthCtxID, ResStar: make([]byte, 16)})
+	_, err = h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: auth.AuthCtxID, ResStar: codec.Bytes16{}})
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 403 {
 		t.Fatalf("wrong RES* err = %v, want 403", err)
 	}
 	// The context is consumed even on failure (no oracle).
-	if _, err := h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: auth.AuthCtxID, ResStar: make([]byte, 16)}); !errors.As(err, &pd) || pd.Status != 404 {
+	if _, err := h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: auth.AuthCtxID, ResStar: codec.Bytes16{}}); !errors.As(err, &pd) || pd.Status != 404 {
 		t.Fatalf("replayed confirm err = %v, want 404", err)
 	}
 }
@@ -226,7 +226,7 @@ func TestResyncIssuesFreshChallenge(t *testing.T) {
 
 	// The fresh challenge completes.
 	resStar := h.ueResStar(t, fresh.RAND[:])
-	if _, err := h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: fresh.AuthCtxID, ResStar: resStar}); err != nil {
+	if _, err := h.client.Confirm(ctx, &ConfirmRequest{AuthCtxID: fresh.AuthCtxID, ResStar: codec.Bytes16(resStar)}); err != nil {
 		t.Fatalf("Confirm after resync: %v", err)
 	}
 }

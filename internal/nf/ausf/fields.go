@@ -20,11 +20,10 @@ func (m *AuthenticateResponse) Fields(f *codec.Fields) {
 	f.Fixed("hxres_star", m.HXRESStar[:])
 }
 
-// Fields implements codec.Message (the handler only compares RES* within
-// the call).
+// Fields implements codec.Message: RES* is decoded in place.
 func (m *ConfirmRequest) Fields(f *codec.Fields) {
 	f.String("auth_ctx_id", &m.AuthCtxID, 0)
-	f.Bytes("res_star", &m.ResStar, 0)
+	f.Fixed("res_star", m.ResStar[:])
 }
 
 // Fields implements codec.Message: the serving network retains K_SEAF.

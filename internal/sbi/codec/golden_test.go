@@ -262,7 +262,7 @@ func samples() []sample {
 			AUTN:      codec.Bytes16(bytesOf(16, 0x08)),
 			HXRESStar: codec.Bytes16(bytesOf(16, 0x09)),
 		}},
-		{"ausf.ConfirmRequest", &ausf.ConfirmRequest{AuthCtxID: "authctx-42", ResStar: bytesOf(16, 0x0A)}},
+		{"ausf.ConfirmRequest", &ausf.ConfirmRequest{AuthCtxID: "authctx-42", ResStar: codec.Bytes16(bytesOf(16, 0x0A))}},
 		{"ausf.ConfirmResponse", &ausf.ConfirmResponse{SUPI: "imsi-001010000000013", KSEAF: codec.Bytes32(bytesOf(32, 0x0B))}},
 		{"ausf.ResyncRequest", &ausf.ResyncRequest{AuthCtxID: "authctx-43", AUTS: bytesOf(14, 0x0C)}},
 

@@ -258,13 +258,12 @@ func (u *UE) BuildReRegistrationRequest(ctx context.Context, snn string) ([]byte
 		return nil, errors.New("ue: no stored GUTI; perform an initial registration first")
 	}
 	u.env.Charge(ctx, usimCycles/4)
-	g := *u.guti
 	u.snn = snn
 	u.sec = nil
 	return nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationMobility,
 		NgKSI:            0,
-		Identity:         nas.MobileIdentity{GUTI: &g},
+		Identity:         nas.MobileIdentity{GUTI: u.guti},
 		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
 	})
 }
@@ -275,19 +274,21 @@ func (u *UE) BuildReRegistrationRequest(ctx context.Context, snn string) ([]byte
 func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, done bool, err error) {
 	// Post-AKA messages are security protected; branch on the header
 	// instead of decoding speculatively so the protected path does not
-	// pay Decode's error construction.
+	// pay DecodeInto's error construction. The message is decoded into in
+	// and read through type switches only, so it stays on this stack.
+	var in nas.Inbox
 	var msg nas.Message
 	var derr error
 	if nas.IsProtected(pdu) {
 		if u.sec == nil {
 			return nil, false, fmt.Errorf("ue: protected downlink NAS before security activation")
 		}
-		msg, derr = u.sec.Unprotect(pdu, false)
+		msg, derr = u.sec.UnprotectInto(pdu, false, &in)
 		if derr != nil {
 			return nil, false, fmt.Errorf("ue: unprotect downlink NAS: %w", derr)
 		}
 	} else {
-		msg, derr = nas.Decode(pdu)
+		msg, derr = nas.DecodeInto(pdu, &in)
 		if derr != nil {
 			return nil, false, fmt.Errorf("ue: undecodable downlink NAS: %w", derr)
 		}
@@ -296,7 +297,7 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 		switch msg.(type) {
 		case *nas.IdentityRequest, *nas.AuthenticationRequest, *nas.AuthenticationReject:
 		default:
-			return nil, false, fmt.Errorf("ue: %s without integrity protection", msg.Type())
+			return nil, false, fmt.Errorf("ue: %s without integrity protection", in.Type())
 		}
 	}
 
@@ -323,7 +324,7 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 		u.lastAddr = m.UEAddress
 		return nil, true, nil
 	default:
-		return nil, false, fmt.Errorf("ue: unexpected downlink %s", msg.Type())
+		return nil, false, fmt.Errorf("ue: unexpected downlink %s", in.Type())
 	}
 }
 
