@@ -11,8 +11,7 @@ test:
 	$(GO) test ./...
 
 # The repository's own static-analysis suite (see internal/analysis):
-# determinism, secretflow, stripemap, hotalloc, lockorder. Exits non-zero
-# on any unsuppressed finding. govulncheck runs when the host has it installed
+# determinism and secretflow. Exits non-zero on any unsuppressed finding. govulncheck runs when the host has it installed
 # (CI does); locally it is skipped rather than fetched, keeping the
 # target usable in network-free build environments.
 lint:
@@ -30,10 +29,12 @@ race:
 # fault-injection, mass-registration, and enclave-runtime paths (parallel
 # drivers, injector, resilience layer, overload limiter + admission
 # buckets, keep-alive sessions, TCS pool, the switchless ring's dispatcher
-# lock). `make ci` runs the whole suite under -race instead.
+# lock), the shard stripes and the NF stores, whose unlocked map access
+# only -race sees, and the lock ranks, which a -race build checks at
+# every acquisition. `make ci` runs the whole suite under -race instead.
 vet:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/sgx/ ./internal/hmee/gramine/ ./internal/simclock/
+	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/sgx/ ./internal/hmee/gramine/ ./internal/simclock/ ./internal/shard/ ./internal/nf/... ./internal/lockrank/
 
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the
@@ -64,9 +65,11 @@ loc:
 # signal first: gofmt over the main module (bench/ is checked with its own
 # module below), lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
-# runs the SBI body-pool audit, internal/sbi/audit.go, in every package),
-# then the eleven tests whose allocation or heap budgets skip themselves
-# under -race on a plain build. After that, end to end: the experiments
+# runs the SBI body-pool audit, internal/sbi/audit.go, in every package,
+# and checks every acquisition of a ranked mutex, internal/lockrank),
+# then, on a plain build, the eleven tests whose allocation or heap
+# budgets skip themselves under -race and the exact hot-path allocation
+# rows (TestHotPathAllocs), which build only without -race. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
 # opens a PDU session, echoes data, deregisters the UE and checks that the
@@ -97,7 +100,7 @@ ci: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestReRegistrationAllocBudget|TestSecurityContextAllocs|TestArmedMeterAdmitAllocatesNothing|TestPooledCallAllocatesNothing|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration|TestUEBytesPerDevice' . ./internal/experiments ./internal/nas ./internal/sbi ./internal/simclock ./internal/deploy
+	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestReRegistrationAllocBudget|TestSecurityContextAllocs|TestArmedMeterAdmitAllocatesNothing|TestPooledCallAllocatesNothing|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration|TestUEBytesPerDevice|TestHotPathAllocs' . ./internal/experiments ./internal/nas ./internal/sbi/... ./internal/simclock ./internal/deploy ./internal/crypto/... ./internal/paka ./internal/nf/...
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
 	$(MAKE) examples

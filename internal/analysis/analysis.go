@@ -22,16 +22,11 @@ type Analyzer struct {
 	Run func(pass *Pass) error
 }
 
-// A Pass provides one analyzer with one type-checked package, plus the
-// whole-program view shared by every package of the run.
+// A Pass provides one analyzer with one type-checked package.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
 	Pkg      *Package
-	// Prog is the program this package belongs to. A whole-program
-	// analyzer reaches every function body via Prog.CallGraph() and
-	// memoizes its one pass via Prog.Memo.
-	Prog *Program
 
 	diags *[]Diagnostic
 }
@@ -62,12 +57,11 @@ func (d Diagnostic) String() string {
 // Run applies every analyzer to every package and returns the findings
 // sorted by position, with annotation-suppressed findings flagged.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	prog := &Program{Pkgs: pkgs, memo: make(map[string]any)}
 	var diags []Diagnostic
-	for _, pkg := range prog.Pkgs {
+	for _, pkg := range pkgs {
 		ann := collectAnnotations(pkg)
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, Prog: prog, diags: &diags}
+			pass := &Pass{Analyzer: a, Fset: pkg.Fset, Pkg: pkg, diags: &diags}
 			start := len(diags)
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)
@@ -148,8 +142,7 @@ func collectAnnotations(pkg *Package) *annotations {
 }
 
 // parseDirective decodes a //shieldlint: comment into the analyzer
-// names it suppresses. Non-suppressing directives (//shieldlint:hotpath,
-// which hotalloc reads itself) return ok=false.
+// names it suppresses; any other comment returns ok=false.
 func parseDirective(text string) (names []string, ok bool) {
 	text = strings.TrimPrefix(text, "//")
 	text = strings.TrimSpace(text)
@@ -183,41 +176,24 @@ func (a *annotations) suppresses(analyzer string, pos token.Position) bool {
 	return false
 }
 
-// calleeOf resolves the function or method a call expression invokes —
-// including explicitly instantiated generic calls f[T](...) — or nil
-// for calls through function-typed values and type conversions.
+// calleeOf resolves the declared function or method a call invokes —
+// including explicitly instantiated generic calls f[T](...) — or nil for
+// calls through function-typed values, builtins and type conversions.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
-	return staticCallee(info, call)
-}
-
-// baseVar resolves the variable an lvalue-ish expression ultimately
-// denotes, unwrapping parentheses and index expressions: s.m, s.m[i]
-// and (s.m) all resolve to field m.
-func baseVar(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			v, _ := info.Uses[x.Sel].(*types.Var)
-			return v
-		case *ast.Ident:
-			v, _ := info.Uses[x].(*types.Var)
-			return v
-		default:
-			return nil
-		}
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(ix.X)
 	}
-}
-
-// isNamed reports whether t is the named type pkgPath.name.
-func isNamed(t types.Type, pkgPath, name string) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
+	switch e := fun.(type) {
+	case *ast.Ident:
+		f, _ := info.Uses[e].(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		f, _ := info.Uses[e.Sel].(*types.Func)
+		return f
 	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
+	return nil
 }

@@ -22,35 +22,17 @@
 //	                outside the enclave-side packages (internal/hmee,
 //	                internal/paka); the long-term key K must not ride in
 //	                SBI Post payloads.
-//	stripemap     — map fields guarded by a sibling mutex (the
-//	                internal/shard stripe pattern and every mu+map NF
-//	                store) must only be indexed, ranged, measured or
-//	                deleted from in functions that take that lock.
-//	hotalloc      — functions marked //shieldlint:hotpath (the
-//	                per-registration crypto and codec inner loop) must
-//	                not call fmt.Sprintf-style formatters or the
-//	                one-shot encoding/json Marshal/Unmarshal entry
-//	                points; arguments to the panic builtin are exempt.
-//	lockorder     — mutex acquisitions follow one global partial
-//	                order, looking one call-graph level deep; opposite
-//	                nesting, longer cycles, and recursive acquisition
-//	                of a held mutex are reported. Lock identity is the
-//	                declaration site, so distinct shards of a striped
-//	                lock nest freely.
 //
-// # Whole-program passes
-//
-// Run wraps its packages in a Program. An analyzer that must see every
-// package at once — lockorder, whose lock graph spans the tree — computes
-// its result once under Program.Memo(key, build) on the first package's
-// pass and filters it per package afterwards. Program.CallGraph indexes
-// every function body (declared or literal) in source-position order, the
-// iteration order that keeps findings deterministic, and resolves static
-// calls to their bodies; calls through interfaces and function values
-// resolve to nothing.
-//
-// Pooled-body ownership is not checked here: the sbi body pool audits it
-// on real executions (internal/sbi/audit.go, on in every -race build).
+// Three classes the suite once checked statically are checked where they
+// run instead, because a runtime check already saw every seeded bug of
+// theirs: unlocked access to a mutex-guarded map by `go test -race`
+// (make ci runs the whole suite under it); allocation on the registration
+// hot path by exact testing.AllocsPerRun rows for each package's hot-path
+// entry points plus the per-registration budgets; lock-order inversion by
+// the declared ranks of internal/lockrank, checked at every acquisition of
+// a ranked mutex in -race builds. Pooled-body ownership is audited by the
+// sbi body pool on real executions (internal/sbi/audit.go, on in every
+// -race build).
 //
 // # Annotations
 //
@@ -63,10 +45,6 @@
 //	                                        (alias for "ignore determinism")
 //	//shieldlint:ignore <a>[,<b>...] <why> — suppress the named analyzers
 //	                                        ("all" suppresses every one)
-//	//shieldlint:hotpath                  — declare a function as part of
-//	                                        the registration hot path;
-//	                                        the hotalloc analyzer bans
-//	                                        allocating formatters there
 //
 // Every annotation must be load-bearing: the repository test
 // TestAnnotationsAreLoadBearing asserts that each annotated site in the

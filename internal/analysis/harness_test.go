@@ -88,9 +88,6 @@ func Active(diags []Diagnostic) []Diagnostic {
 func TestDeterminismFixture(t *testing.T)   { runFixture(t, Determinism, "determinism") }
 func TestSecretFlowFixture(t *testing.T)    { runFixture(t, SecretFlow, "secretflow") }
 func TestSecretFlowEnclaveDir(t *testing.T) { runFixture(t, SecretFlow, "paka") }
-func TestStripeMapFixture(t *testing.T)     { runFixture(t, StripeMap, "stripemap") }
-func TestHotAllocFixture(t *testing.T)      { runFixture(t, HotAlloc, "hotalloc") }
-func TestLockOrderFixture(t *testing.T)     { runFixture(t, LockOrder, "lockorder") }
 
 func runFixture(t *testing.T, a *Analyzer, fixture string) {
 	t.Helper()

@@ -23,11 +23,10 @@ func checkFixturePkg(t *testing.T, name string) *Package {
 	return pkg
 }
 
-// TestCallGraphDeterministic runs the full suite twice over the whole
-// module on fresh Programs and requires byte-identical findings: the
-// engine's map-heavy internals must never leak iteration order into
-// what the user sees.
-func TestCallGraphDeterministic(t *testing.T) {
+// TestSuiteDeterministic runs the full suite twice over the whole module
+// and requires byte-identical findings: the analyzers' map-heavy internals
+// must never leak iteration order into what the user sees.
+func TestSuiteDeterministic(t *testing.T) {
 	sharedLoader(t)
 	render := func() string {
 		diags, err := Run(repoPkgs, Analyzers())

@@ -67,135 +67,144 @@ func TestMutations(t *testing.T) {
 
 var mutationCases = []mutationCase{
 	{
-		// paka.Module.Restart holds restartMu for the whole redeploy and
-		// takes the platform's backup lock (sgx.Enclave.Backups copies the
-		// sealed files) and rtMu (to swap the runtime) under it;
-		// ProvisionSubscriber takes the backup lock alone (SealBackup).
-		// Mutant: ProvisionSubscriber fences restarts out while it already
-		// holds the backup lock — the opposite nesting.
-		name:     "module-restart-lock-swap",
-		analyzer: LockOrder,
-		want:     regexp.MustCompile("inconsistent lock nesting"),
+		// D1: sbi.ResilientClient.Post feeds its per-service breaker the
+		// request's virtual time, so a breaker's cooldown replays with the
+		// seed. Mutant: Allow and OnFailure read the wall clock instead.
+		// Every tier-1 test passes on it (no test trips a breaker's cooldown
+		// against a replayed run); only the analyzer sees it.
+		name:     "breaker-wall-clock-cooldown",
+		analyzer: Determinism,
+		want:     regexp.MustCompile(`time\.Since reads the wall clock`),
 		clean: `package mut
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
-type module struct {
-	restartMu sync.Mutex
-	backupMu  sync.Mutex
-	rtMu      sync.RWMutex
-	backups   map[string][]byte
-	runtime   int
+const breakerCooldown = 50 * time.Millisecond
+
+type clock struct{ now time.Duration }
+
+func (c *clock) Now() time.Duration { return c.now }
+
+type breaker struct {
+	mu       sync.Mutex
+	open     bool
+	openedAt time.Duration
 }
 
-func (m *module) restart() {
-	m.restartMu.Lock()
-	defer m.restartMu.Unlock()
-	m.backupMu.Lock()
-	backups := make(map[string][]byte, len(m.backups))
-	for name, blob := range m.backups {
-		backups[name] = blob
+func (b *breaker) allow(now time.Duration) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return !b.open || now-b.openedAt >= breakerCooldown
+}
+
+func (b *breaker) onFailure(now time.Duration) {
+	b.mu.Lock()
+	b.open, b.openedAt = true, now
+	b.mu.Unlock()
+}
+
+func post(clk *clock, br *breaker, send func() error) error {
+	if !br.allow(clk.Now()) {
+		return nil
 	}
-	m.backupMu.Unlock()
-	m.rtMu.Lock()
-	m.runtime += len(backups)
-	m.rtMu.Unlock()
-}
-
-func (m *module) provisionSubscriber(name string) {
-	m.backupMu.Lock()
-	m.backups[name] = nil
-	m.backupMu.Unlock()
+	err := send()
+	if err != nil {
+		br.onFailure(clk.Now())
+	}
+	return err
 }
 `,
 		mutant: `package mut
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
-type module struct {
-	restartMu sync.Mutex
-	backupMu  sync.Mutex
-	rtMu      sync.RWMutex
-	backups   map[string][]byte
-	runtime   int
+const breakerCooldown = 50 * time.Millisecond
+
+var epoch = time.Unix(0, 0)
+
+type breaker struct {
+	mu       sync.Mutex
+	open     bool
+	openedAt time.Duration
 }
 
-func (m *module) restart() {
-	m.restartMu.Lock()
-	defer m.restartMu.Unlock()
-	m.backupMu.Lock()
-	backups := make(map[string][]byte, len(m.backups))
-	for name, blob := range m.backups {
-		backups[name] = blob
+func (b *breaker) allow(now time.Duration) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return !b.open || now-b.openedAt >= breakerCooldown
+}
+
+func (b *breaker) onFailure(now time.Duration) {
+	b.mu.Lock()
+	b.open, b.openedAt = true, now
+	b.mu.Unlock()
+}
+
+func post(br *breaker, send func() error) error {
+	if !br.allow(time.Since(epoch)) {
+		return nil
 	}
-	m.backupMu.Unlock()
-	m.rtMu.Lock()
-	m.runtime += len(backups)
-	m.rtMu.Unlock()
-}
-
-func (m *module) provisionSubscriber(name string) {
-	m.backupMu.Lock()
-	m.restartMu.Lock()
-	m.backups[name] = nil
-	m.restartMu.Unlock()
-	m.backupMu.Unlock()
+	err := send()
+	if err != nil {
+		br.onFailure(time.Since(epoch))
+	}
+	return err
 }
 `,
 	},
 	{
-		// deploy.Slice.ResilienceStats merges every resilient invoker's
-		// counters under resilMu. Mutant: a second Lock where the loop
-		// starts re-acquires a mutex the goroutine already holds — a
-		// guaranteed self-deadlock.
-		name:     "slice-resilience-stats-recursive-lock",
-		analyzer: LockOrder,
-		want:     regexp.MustCompile("recursive lock"),
+		// SF1: ausf.newChallenge hands K_AUSF from the UDM's answer to the
+		// eAUSF's DeriveSE and keeps only K_SEAF. Mutant: it logs K_AUSF on
+		// the way, where any co-resident reader of the log has it. Every
+		// tier-1 test passes on it; only the analyzer sees it.
+		name:     "ausf-challenge-logs-kausf",
+		analyzer: SecretFlow,
+		want:     regexp.MustCompile(`KAUSF.*log\.Printf`),
 		clean: `package mut
 
-import "sync"
-
-type stats struct{ retries int }
-
-func (a *stats) merge(b stats) { a.retries += b.retries }
-
-type slice struct {
-	resilMu    sync.Mutex
-	resilients []stats
+type authData struct {
+	SUPI  string
+	RAND  [16]byte
+	KAUSF [32]byte
 }
 
-func (s *slice) resilienceStats() stats {
-	var out stats
-	s.resilMu.Lock()
-	for _, r := range s.resilients {
-		out.merge(r)
-	}
-	s.resilMu.Unlock()
-	return out
+type deriveSERequest struct {
+	RAND  [16]byte
+	KAUSF [32]byte
+	SNN   string
+}
+
+func newChallenge(he *authData, snn string, deriveSE func(*deriveSERequest) error) error {
+	req := &deriveSERequest{RAND: he.RAND, KAUSF: he.KAUSF, SNN: snn}
+	return deriveSE(req)
 }
 `,
 		mutant: `package mut
 
-import "sync"
+import "log"
 
-type stats struct{ retries int }
-
-func (a *stats) merge(b stats) { a.retries += b.retries }
-
-type slice struct {
-	resilMu    sync.Mutex
-	resilients []stats
+type authData struct {
+	SUPI  string
+	RAND  [16]byte
+	KAUSF [32]byte
 }
 
-func (s *slice) resilienceStats() stats {
-	var out stats
-	s.resilMu.Lock()
-	s.resilMu.Lock()
-	for _, r := range s.resilients {
-		out.merge(r)
-	}
-	s.resilMu.Unlock()
-	return out
+type deriveSERequest struct {
+	RAND  [16]byte
+	KAUSF [32]byte
+	SNN   string
+}
+
+func newChallenge(he *authData, snn string, deriveSE func(*deriveSERequest) error) error {
+	log.Printf("challenge for %s: K_AUSF %x", he.SUPI, he.KAUSF)
+	req := &deriveSERequest{RAND: he.RAND, KAUSF: he.KAUSF, SNN: snn}
+	return deriveSE(req)
 }
 `,
 	},

@@ -17,8 +17,8 @@ import (
 
 // TestShieldlintCleanOnRepo is the smoke half of the acceptance
 // contract: the full suite runs over every package of the module with
-// zero unsuppressed findings. A new wall-clock read, secret log line or
-// unlocked map access anywhere in the tree turns this red.
+// zero unsuppressed findings. A new wall-clock read or secret log line
+// anywhere in the tree turns this red.
 func TestShieldlintCleanOnRepo(t *testing.T) {
 	sharedLoader(t)
 	if len(repoPkgs) == 0 {
@@ -53,7 +53,6 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 		"internal/hmee/sgx/enclave.go": "determinism",
 		"internal/sbi/tls.go":          "determinism",
 		"internal/nf/udr/udr.go":       "secretflow",
-		"internal/sbi/codec.go":        "hotalloc",
 	}
 	found := make(map[string]bool)
 	suppressed := make(map[[2]string]bool) // {filename, analyzer}
@@ -80,30 +79,13 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 	// tree: each named analyzer must still have a suppressed finding in
 	// the directive's file (per-file granularity — good enough to catch
 	// a stale escape hatch, loose enough to survive line moves). Unlike
-	// the anchor map above this needs no updating: the first
-	// //shieldlint:ignore lockorder site to land in the tree is covered
-	// the moment it appears. The one exception is a
-	// stripemap directive on a map-field declaration — that is
-	// configuration the analyzer consumes (the field is excluded from
-	// guarding), so no finding ever exists to suppress.
+	// the anchor map above this needs no updating: a new
+	// //shieldlint:ignore site is covered the moment it appears.
 	for _, pkg := range repoPkgs {
 		if pkg.Standard {
 			continue
 		}
 		for _, f := range pkg.Files {
-			mapFieldLines := make(map[int]bool)
-			ast.Inspect(f, func(n ast.Node) bool {
-				st, ok := n.(*ast.StructType)
-				if !ok {
-					return true
-				}
-				for _, field := range st.Fields.List {
-					if _, isMap := field.Type.(*ast.MapType); isMap {
-						mapFieldLines[pkg.Fset.Position(field.Pos()).Line] = true
-					}
-				}
-				return true
-			})
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					names, ok := parseDirective(c.Text)
@@ -112,9 +94,6 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 					}
 					pos := pkg.Fset.Position(c.Pos())
 					for _, name := range names {
-						if name == "stripemap" && (mapFieldLines[pos.Line] || mapFieldLines[pos.Line+1]) {
-							continue
-						}
 						stale := false
 						if name == "all" {
 							stale = !anySuppressed[pos.Filename]

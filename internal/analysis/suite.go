@@ -5,9 +5,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Determinism,
 		SecretFlow,
-		StripeMap,
-		HotAlloc,
-		LockOrder,
 	}
 }
 

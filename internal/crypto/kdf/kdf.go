@@ -59,8 +59,6 @@ var sBuilderPool = sync.Pool{New: func() any {
 // hold at least 32 bytes. The HMAC state and input scratch come from pools
 // and dst never crosses a hash.Hash interface boundary, so a
 // stack-allocated or caller-owned dst performs no heap allocation at all.
-//
-//shieldlint:hotpath
 func GenericInto(dst, key []byte, fc byte, params ...[]byte) {
 	sp := sBuilderPool.Get().(*[]byte)
 	s := append((*sp)[:0], fc)

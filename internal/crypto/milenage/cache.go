@@ -36,8 +36,6 @@ func NewCache() *Cache {
 // reusing the cached key schedule when the credentials still match and
 // building (and caching) a fresh one otherwise. A nil receiver always
 // builds fresh, so callers can treat the cache as optional.
-//
-//shieldlint:hotpath
 func (cc *Cache) Get(id string, k, opc []byte) (*Cipher, error) {
 	if cc == nil {
 		return New(k, opc)

@@ -127,8 +127,6 @@ func (c *Cipher) F1Star(rand, sqn, amf []byte) ([]byte, error) {
 // hold exactly 16 bytes; MAC-A is dst[:MACLen], MAC-S is dst[MACLen:].
 // Callers hold dst in pooled or batch-shared scratch (the eUDM AV mint,
 // the UE's AKA run).
-//
-//shieldlint:hotpath
 func (c *Cipher) F1Into(dst, rand, sqn, amf []byte) error {
 	if len(dst) != 16 {
 		return fmt.Errorf("milenage: OUT1 backing %d bytes, want 16", len(dst))
@@ -162,8 +160,6 @@ func (c *Cipher) F1Into(dst, rand, sqn, amf []byte) error {
 // OUT2 || OUT3 || OUT4; the returned res/ck/ik/ak slices alias disjoint
 // ranges of out. Callers recycling out through a pool must scrub it
 // before returning it — CK, IK and AK are key material.
-//
-//shieldlint:hotpath
 func (c *Cipher) F2345Into(out, rand []byte) (res, ck, ik, ak []byte, err error) {
 	if len(out) != 48 {
 		return nil, nil, nil, nil, fmt.Errorf("milenage: OUT2..4 backing %d bytes, want 48", len(out))

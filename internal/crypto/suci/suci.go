@@ -265,8 +265,6 @@ func putKDFScratch(ks *kdfScratch) {
 // with the ephemeral public key as SharedInfo, and splits the output into
 // the AES key, initial counter block and MAC key (TS 33.501 C.3.2). The
 // returned slices alias ks.out and are valid until ks is re-pooled.
-//
-//shieldlint:hotpath
 func deriveKeys(shared, ephPub []byte, ks *kdfScratch) (encKey, icb, macKey []byte) {
 	const total = encKeyLen + icbLen + macKeyLen
 	out := ks.out[:0]
@@ -307,8 +305,6 @@ func putCTRScratch(st *ctrScratch) {
 // ephemeral encryption key, so caching schedules across calls would only
 // pin key material in process-lifetime memory for a cache that almost
 // never hits.
-//
-//shieldlint:hotpath
 func ctr(key, icb, dst, src []byte) {
 	block, err := aes.NewCipher(key)
 	if err != nil {
@@ -337,8 +333,6 @@ func ctr(key, icb, dst, src []byte) {
 
 // computeTagInto writes the full HMAC-SHA-256 of ciphertext into tag; the
 // wire format carries only the first tagLen bytes.
-//
-//shieldlint:hotpath
 func computeTagInto(macKey, ciphertext []byte, tag *[sha256.Size]byte) {
 	mac := hashpool.GetHMAC(macKey)
 	mac.Write(ciphertext)

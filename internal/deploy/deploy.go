@@ -28,6 +28,7 @@ import (
 	"shield5g/internal/gnb"
 	"shield5g/internal/hmee/sev"
 	"shield5g/internal/hmee/sgx"
+	"shield5g/internal/lockrank"
 	"shield5g/internal/nf/amf"
 	"shield5g/internal/nf/ausf"
 	"shield5g/internal/nf/nrf"
@@ -80,9 +81,10 @@ type SliceConfig struct {
 	Overload *OverloadProfile
 	// Replicas is the number of shards: vertical replicas of the
 	// authentication chain (AMF -> AUSF -> UDM -> P-AKA modules each)
-	// behind SUPI-affinity rendezvous routing at the gNB, with the NRF
-	// pushing versioned topology snapshots to the data plane. Values below
-	// 1 mean 1. NRF, UDR, SMF and UPF stay shared across replicas.
+	// behind SUPI-affinity rendezvous routing at the gNB. NewSlice and
+	// SetRoutableReplicas install the versioned topology snapshots through
+	// Slice.route. Values below 1 mean 1. NRF, UDR, SMF and UPF stay
+	// shared across replicas.
 	Replicas int
 	// Switchless deploys every SGX module with the switchless ECALL
 	// submission ring (paka.Config.Switchless): a dedicated in-enclave
@@ -148,7 +150,6 @@ type Slice struct {
 	// TCB or manifest; per-replica counters live in Shards. Populated once
 	// inside NewSlice before the Slice is published and read-only
 	// afterwards; attestMu guards attested, not this map.
-	//shieldlint:ignore stripemap immutable after construction
 	Modules map[paka.ModuleKind]*paka.Module
 
 	// HomeNetworkKey conceals/de-conceals SUPIs for this home network.
@@ -183,7 +184,7 @@ type Slice struct {
 
 	// resilMu guards resilients: every resilient invoker the slice built,
 	// for ResilienceStats aggregation.
-	resilMu    sync.Mutex
+	resilMu    lockrank.Mutex
 	resilients []*sbi.ResilientClient
 
 	// metered tracks the servers carrying load meters, for arming.
@@ -194,11 +195,10 @@ type Slice struct {
 	// reference the identity each kind must report, derived in NewSlice
 	// from the images the slice builds. Both are set before any module is
 	// deployed and never change.
-	root ed25519.PublicKey
-	//shieldlint:ignore stripemap immutable after construction
+	root      ed25519.PublicKey
 	reference map[paka.ModuleKind][32]byte
 
-	attestMu sync.Mutex
+	attestMu lockrank.Mutex
 	attested map[*paka.Module]bool
 }
 
@@ -214,8 +214,7 @@ type CoreShard struct {
 	AUSF *ausf.AUSF
 	AMF  *amf.AMF
 
-	// Modules holds the shard's P-AKA modules.
-	//shieldlint:ignore stripemap immutable after construction
+	// Modules holds the shard's P-AKA modules, fixed at construction.
 	Modules map[paka.ModuleKind]*paka.Module
 
 	// Remote clients expose the VNF-side response-time recorders.
@@ -262,6 +261,8 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 		Registry:  sbi.NewRegistry(),
 		reference: make(map[paka.ModuleKind][32]byte),
 		attested:  make(map[*paka.Module]bool),
+		resilMu:   lockrank.Mutex{Rank: lockrank.SliceResilience},
+		attestMu:  lockrank.Mutex{Rank: lockrank.SliceAttestation},
 	}
 	var err error
 	switch cfg.Isolation {

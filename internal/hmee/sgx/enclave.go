@@ -311,8 +311,6 @@ func (e *Enclave) LeaveResident(t *Thread) {
 // sequential seed). The caller resolves both from the request's context
 // once and reports against the same account. dst is caller-owned and must
 // not be retained past the request it was bound for.
-//
-//shieldlint:hotpath
 func (t *Thread) BindRequest(acct *simclock.Account, jitter *simclock.Jitter, dst *Thread) {
 	dst.enclave = t.enclave
 	dst.acct = acct
@@ -326,8 +324,6 @@ func (t *Thread) BindRequest(acct *simclock.Account, jitter *simclock.Jitter, ds
 // arguments — a run of the LibOS's syscall census — and are counted and
 // charged in one step: the counters and the account end where n single
 // calls would leave them.
-//
-//shieldlint:hotpath
 func (t *Thread) OCallN(n int, untrustedCycles simclock.Cycles, outBytes, inBytes int) {
 	if n <= 0 {
 		return
@@ -349,8 +345,6 @@ func (t *Thread) OCallN(n int, untrustedCycles simclock.Cycles, outBytes, inByte
 // the cross-core handoff and the helper thread burning a core. The paper
 // notes this feature is not production-ready; it is modelled here for the
 // §V-B7 ablation.
-//
-//shieldlint:hotpath
 func (t *Thread) OCallExitlessN(n int, untrustedCycles simclock.Cycles, outBytes, inBytes int) {
 	if n <= 0 {
 		return

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"sync"
 
+	"shield5g/internal/lockrank"
 	"shield5g/internal/simclock"
 )
 
@@ -49,12 +50,12 @@ type Ring struct {
 	size    int
 
 	// dispatcher serializes jobs on t.
-	dispatcher sync.Mutex
+	dispatcher lockrank.Mutex
 
 	// mu guards everything below. In sequential mode acquisition order
 	// equals program order, so the charged costs and the counters are
 	// deterministic.
-	mu       sync.Mutex
+	mu       lockrank.Mutex
 	quiet    sync.Cond // inflight reached zero on a closed ring
 	closed   bool
 	inflight int             // admitted and not yet returned
@@ -88,7 +89,13 @@ func NewRing(e *Enclave, t *Thread, size int) *Ring {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	r := &Ring{enclave: e, t: t, size: size}
+	r := &Ring{
+		enclave:    e,
+		t:          t,
+		size:       size,
+		dispatcher: lockrank.Mutex{Rank: lockrank.RingDispatcher},
+		mu:         lockrank.Mutex{Rank: lockrank.Ring},
+	}
 	r.quiet.L = &r.mu
 	return r
 }
@@ -96,8 +103,6 @@ func NewRing(e *Enclave, t *Thread, size int) *Ring {
 // Submit charges the submission, runs job on the dispatcher's thread once
 // every job admitted ahead of it is done, and returns the job's error —
 // or ErrRingClosed, without running it, when the ring closed first.
-//
-//shieldlint:hotpath
 func (r *Ring) Submit(ctx context.Context, job RingJob) error {
 	if !r.accountSubmit(ctx) {
 		return ErrRingClosed

@@ -48,8 +48,6 @@ func perCall(bytes, n int) int {
 // request's jitter stream on any charge, and the readiness wake-ups are
 // drawn at the same position whether or not the accept machinery precedes
 // them, so a pipelined request's draws align with a one-shot's.
-//
-//shieldlint:hotpath
 func Walk(s Surface, m *costmodel.Model, sp SyscallProfile, acct *simclock.Account, ph Phases, in, out int, h Handler) (bd Breakdown, err error) {
 	start := acct.Total()
 	if ph&Warmup != 0 {

@@ -31,8 +31,6 @@ var table = struct {
 // Bytes returns b as a canonical string. The string(b) map key
 // conversion does not allocate on lookup, so a hit costs zero
 // allocations.
-//
-//shieldlint:hotpath
 func Bytes(b []byte) string {
 	if len(b) == 0 {
 		return ""

@@ -34,10 +34,11 @@ const (
 const encodeCap = 96
 
 // Encode serialises a plain (unprotected) NAS message.
-//
-//shieldlint:hotpath
 func Encode(m Message) ([]byte, error) {
-	//shieldlint:ignore hotalloc the encoded buffer escapes into the NAS transport (AMF downlink, UE uplink) with no release point, so the allocation is the ownership-transfer contract; appendEncode is the reuse variant for callers that hold their own buffer
+	// The encoded buffer escapes into the NAS transport (AMF downlink, UE
+	// uplink) with no release point, so the allocation is the ownership
+	// transfer; appendEncode is the reuse variant for callers that hold
+	// their own buffer.
 	return appendEncode(make([]byte, 0, encodeCap), m)
 }
 
@@ -46,8 +47,6 @@ func Encode(m Message) ([]byte, error) {
 // slice. It reads m through one type switch and never calls a method
 // through the Message interface, so m does not escape: a message the
 // caller builds stays on the caller's stack, and the writer on this one.
-//
-//shieldlint:hotpath
 func appendEncode(dst []byte, m Message) ([]byte, error) {
 	// The header's type byte is filled in once the switch has named it.
 	w := writer{buf: append(dst, EPD5GMM, shtPlain, 0)}
@@ -167,8 +166,6 @@ func Decode(data []byte) (Message, error) { return DecodeInto(data, new(Inbox)) 
 // PDUs straight to SecurityContext.UnprotectInto instead of calling
 // DecodeInto and recovering from its error, whose text is built on the
 // heap for every protected message.
-//
-//shieldlint:hotpath
 func IsProtected(data []byte) bool {
 	return len(data) >= 2 && data[0] == EPD5GMM && data[1] == shtProtected
 }
@@ -177,8 +174,6 @@ func IsProtected(data []byte) bool {
 // returns that slot. Every field is copied out of data, so the caller may
 // reuse the buffer immediately. On error the message is nil and
 // in.Type() is 0.
-//
-//shieldlint:hotpath
 func DecodeInto(data []byte, in *Inbox) (Message, error) {
 	in.typ = 0
 	r := reader{buf: data}
@@ -427,8 +422,6 @@ func (r *reader) str() string {
 // internStr decodes a length-prefixed string through the bounded intern
 // table — for protocol constants only (PLMN digits, routing
 // indicators), never per-subscriber values like SUPIs.
-//
-//shieldlint:hotpath
 func (r *reader) internStr() string {
 	n := int(r.u8())
 	return intern.Bytes(r.take(n))

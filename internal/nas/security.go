@@ -134,8 +134,6 @@ var plainPool = sync.Pool{New: func() any {
 // NAS message for the given direction, consuming one sequence number.
 //
 // Wire format: EPD || SHT || MAC[4] || SEQ[4] || ciphertext.
-//
-//shieldlint:hotpath
 func (sc *SecurityContext) Protect(msg Message, uplink bool) ([]byte, error) {
 	pb := plainPool.Get().(*[]byte)
 	plain, err := appendEncode((*pb)[:0], msg)
@@ -147,7 +145,7 @@ func (sc *SecurityContext) Protect(msg Message, uplink bool) ([]byte, error) {
 
 	// Single output allocation: the ciphertext is written straight into
 	// its final position, then MAC and SEQ fill the header in place.
-	//shieldlint:ignore hotalloc single caller-owned output per protected message
+	// One caller-owned output per protected message.
 	out := make([]byte, 2+macLen+4+len(plain))
 	out[0], out[1] = EPD5GMM, shtProtected
 	ct := out[2+macLen+4:]
@@ -172,8 +170,6 @@ func (sc *SecurityContext) Unprotect(data []byte, uplink bool) (Message, error) 
 // UnprotectInto verifies and deciphers a protected NAS message from the
 // given direction into in's slot for its type (see DecodeInto) and
 // returns that slot.
-//
-//shieldlint:hotpath
 func (sc *SecurityContext) UnprotectInto(data []byte, uplink bool, in *Inbox) (Message, error) {
 	in.typ = 0
 	if len(data) < 2+macLen+4 {
@@ -204,7 +200,7 @@ func (sc *SecurityContext) UnprotectInto(data []byte, uplink bool, in *Inbox) (M
 
 	pb := plainPool.Get().(*[]byte)
 	if cap(*pb) < len(ct) {
-		//shieldlint:ignore hotalloc pool grow, amortised across the pool entry's lifetime
+		// Pool grow, amortised across the pool entry's lifetime.
 		*pb = make([]byte, len(ct))
 	}
 	plain := (*pb)[:len(ct)]
@@ -239,8 +235,6 @@ func (sc *SecurityContext) advanceSend(uplink bool) {
 // block — the counter is incremented big-endian across all 16 bytes —
 // but reuses the context's scratch instead of allocating a stream state
 // per message.
-//
-//shieldlint:hotpath
 func (sc *SecurityContext) xorKeyStream(dst, src []byte, dir byte, count uint32) {
 	block := sc.cipherBlock()
 	iv := sc.ctrIV[:]
@@ -263,8 +257,6 @@ func (sc *SecurityContext) xorKeyStream(dst, src []byte, dir byte, count uint32)
 
 // mac computes the 32-bit NAS MAC over (direction, count, payload): the
 // leading 32 bits of HMAC-SHA-256(K_NASint, COUNT || DIR || payload).
-//
-//shieldlint:hotpath
 func (sc *SecurityContext) mac(dir byte, count uint32, payload []byte) (tag [macLen]byte) {
 	binary.BigEndian.PutUint32(sc.hdrBuf[0:4], count)
 	sc.hdrBuf[4] = dir

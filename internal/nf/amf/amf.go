@@ -408,8 +408,6 @@ var (
 
 // completeAuth runs the SEAF HXRES* check, home confirmation, K_AMF
 // derivation through the P-AKA environment, and NAS security activation.
-//
-//shieldlint:hotpath
 func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.AuthenticationResponse) ([]byte, error) {
 	// SEAF check: HXRES* == SHA-256(RAND || RES*) truncated.
 	// HRES* is compare-and-discard: compute it on the stack.

@@ -183,8 +183,6 @@ var (
 
 // newChallenge fetches an HE AV, turns it into an SE AV session and
 // writes the challenge into resp.
-//
-//shieldlint:hotpath
 func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string, resp *AuthenticateResponse) error {
 	// The outbound request structs are pooled: the client stubs marshal
 	// them synchronously and nothing downstream retains them.

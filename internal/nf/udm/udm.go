@@ -260,19 +260,16 @@ func (u *UDM) freshAV(ctx context.Context, supi, snn string, av *paka.UDMGenerat
 // bit-identical to count sequential avRequest calls: the UDR advances the
 // SQN with the same per-vector step under one lock, and the single
 // entropy read is sliced into the same 16 bytes per item, in order.
-//
-//shieldlint:hotpath
 func (u *UDM) avRequestBatch(ctx context.Context, supi, snn string, count int) ([]paka.UDMGenerateAVRequest, error) {
 	auth, err := u.udr.NextAuthBatch(ctx, supi, count)
 	if err != nil {
 		return nil, err
 	}
-	//shieldlint:ignore hotalloc one RAND backing per refill, amortized over the batch
+	// One RAND backing and one item slice per refill, amortized over the batch.
 	randBytes := make([]byte, 16*count)
 	if _, err := io.ReadFull(u.entropy, randBytes); err != nil {
 		return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "RAND generation: %v", err)
 	}
-	//shieldlint:ignore hotalloc one item slice per refill, amortized over the batch
 	items := make([]paka.UDMGenerateAVRequest, count)
 	for i := range items {
 		items[i] = paka.UDMGenerateAVRequest{

@@ -82,8 +82,6 @@ func GenerateAVCachedInto(cache *milenage.Cache, k []byte, req *UDMGenerateAVReq
 // mintInto derives an AV with c, the subscriber's expanded schedule,
 // straight into resp's fields: a served request's pooled response, or one
 // vector of a batch refill's.
-//
-//shieldlint:hotpath
 func mintInto(c *milenage.Cipher, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
 	s := avScratchPool.Get().(*avScratch)
 	defer putAVScratch(s)
@@ -155,8 +153,6 @@ func DeriveSE(req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
 }
 
 // deriveSE derives HXRES* and K_SEAF straight into resp.
-//
-//shieldlint:hotpath
 func deriveSE(req *AUSFDeriveSERequest, resp *AUSFDeriveSEResponse) error {
 	if err := kdf.HXResStarInto(resp.HXRESStar[:], req.RAND[:], req.XRESStar[:]); err != nil {
 		return fmt.Errorf("paka: eAUSF HXRES*: %w", err)
@@ -169,8 +165,6 @@ func deriveSE(req *AUSFDeriveSERequest, resp *AUSFDeriveSEResponse) error {
 
 // deriveKAMF executes the eAMF P-AKA function: K_AMF derivation from
 // K_SEAF, straight into resp.
-//
-//shieldlint:hotpath
 func deriveKAMF(req *AMFDeriveKAMFRequest, resp *AMFDeriveKAMFResponse) error {
 	if err := kdf.KAMFInto(resp.KAMF[:], req.KSEAF[:], req.SUPI, req.ABBA); err != nil {
 		return fmt.Errorf("paka: eAMF K_AMF: %w", err)

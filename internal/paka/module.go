@@ -17,6 +17,7 @@ import (
 	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/hmee/sev"
 	"shield5g/internal/hmee/sgx"
+	"shield5g/internal/lockrank"
 	"shield5g/internal/metrics"
 	"shield5g/internal/sbi"
 )
@@ -88,9 +89,9 @@ type Module struct {
 
 	// rtMu guards the runtime pointer, which Restart swaps while requests
 	// may be in flight; restartMu single-files restarts themselves.
-	rtMu      sync.RWMutex
+	rtMu      lockrank.RWMutex
 	runtime   Runtime
-	restartMu sync.Mutex
+	restartMu lockrank.Mutex
 	restarts  atomic.Uint64
 
 	// Latency recorders feeding the experiments: the module-side
@@ -100,7 +101,7 @@ type Module struct {
 	total      *metrics.Recorder
 
 	// sessMu guards the per-connection keep-alive sessions (session.go).
-	sessMu   sync.Mutex
+	sessMu   lockrank.Mutex
 	sessions map[uint64]*moduleSession
 }
 
@@ -142,6 +143,9 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 		runtime:    rt,
 		functional: metrics.NewWindow(LatencyWindow),
 		total:      metrics.NewWindow(LatencyWindow),
+		rtMu:       lockrank.RWMutex{Rank: lockrank.ModuleRuntime},
+		restartMu:  lockrank.Mutex{Rank: lockrank.ModuleRestart},
+		sessMu:     lockrank.Mutex{Rank: lockrank.ModuleSessions},
 	}
 
 	// The module's own sbi.Server carries no env: all server-side costs
@@ -263,8 +267,6 @@ type endpointCall[Req, Resp any] struct {
 }
 
 // Run implements Handler.
-//
-//shieldlint:hotpath
 func (c *endpointCall[Req, Resp]) Run(ex Exec) error {
 	c.m.chargeFunction(c.ctx, ex)
 	if err := sbi.DecodeBody(c.body, &c.req); err != nil {
@@ -281,8 +283,6 @@ func (c *endpointCall[Req, Resp]) Run(ex Exec) error {
 // chargeFunction charges one execution of the module's AKA function set:
 // its calibrated functional cost, drawn from ctx's jitter stream, and the
 // heap it touches.
-//
-//shieldlint:hotpath
 func (m *Module) chargeFunction(ctx context.Context, ex Exec) {
 	fn := m.env.JitterFor(ctx).LogNormal(m.profile.FnCycles, m.profile.FnSigma)
 	if m.isolation == SGX {
@@ -301,7 +301,6 @@ func (m *Module) chargeFunction(ctx context.Context, ex Exec) {
 // registration.
 func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req, resp *Resp) error) sbi.HandlerFunc {
 	calls := sync.Pool{New: func() any { return new(endpointCall[Req, Resp]) }}
-	//shieldlint:hotpath
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		c := calls.Get().(*endpointCall[Req, Resp])
 		c.m, c.ctx, c.body, c.fn = m, ctx, body, fn

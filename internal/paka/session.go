@@ -3,9 +3,9 @@ package paka
 import (
 	"context"
 	"errors"
-	"sync"
 
 	"shield5g/internal/hmee"
+	"shield5g/internal/lockrank"
 	"shield5g/internal/simclock"
 )
 
@@ -44,7 +44,7 @@ func ConnectionFrom(ctx context.Context) (Connection, bool) {
 // serialises requests on the same connection (a pipelined connection is
 // ordered by construction); different connections proceed in parallel.
 type moduleSession struct {
-	mu sync.Mutex
+	mu lockrank.Mutex
 	// rt is the runtime the connection is open on; nil when none is.
 	rt     Runtime
 	served int
@@ -59,7 +59,7 @@ func (m *Module) session(id uint64) *moduleSession {
 	}
 	ms, ok := m.sessions[id]
 	if !ok {
-		ms = &moduleSession{}
+		ms = &moduleSession{mu: lockrank.Mutex{Rank: lockrank.ModuleSession}}
 		m.sessions[id] = ms
 	}
 	return ms

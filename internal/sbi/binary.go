@@ -41,8 +41,6 @@ func (c *Client) EnableBinary() {
 
 // MarshalBinary encodes m as one binary frame in a pooled body buffer.
 // The returned slice follows the MarshalBody ownership contract.
-//
-//shieldlint:hotpath
 func MarshalBinary(m codec.Message) ([]byte, error) {
 	buf := codec.AppendBinary(codec.AppendHeader(getBuf()), m)
 	out, err := codec.FinishFrame(buf)
@@ -59,8 +57,6 @@ func MarshalBinary(m codec.Message) ([]byte, error) {
 // DecodeBody decodes a body in whichever format it arrived: a binary
 // frame through v's field description, anything else as JSON. Handlers
 // use it on requests, the client on responses.
-//
-//shieldlint:hotpath
 func DecodeBody(body []byte, v any) error {
 	if !codec.IsFrame(body) {
 		return UnmarshalBody(body, v)
@@ -79,8 +75,6 @@ func DecodeBody(body []byte, v any) error {
 // MarshalBodyLike encodes v in the format of the request body it answers:
 // a frame when the request was a frame (and v has a field description),
 // JSON otherwise.
-//
-//shieldlint:hotpath
 func MarshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 	if codec.IsFrame(reqBody) {
 		if m, ok := v.(codec.Message); ok {
@@ -107,7 +101,6 @@ func MarshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 // of hashpool.PutHMAC.
 func BinHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *Resp) error) HandlerFunc {
 	pool := sync.Pool{New: func() any { return new(binCall[Req, Resp]) }}
-	//shieldlint:hotpath
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		c := pool.Get().(*binCall[Req, Resp])
 		out, err := c.serve(ctx, body, fn)
@@ -123,7 +116,6 @@ type binCall[Req, Resp any] struct {
 	resp Resp
 }
 
-//shieldlint:hotpath
 func (c *binCall[Req, Resp]) serve(ctx context.Context, body []byte, fn func(ctx context.Context, req *Req, resp *Resp) error) ([]byte, error) {
 	if len(body) > 0 {
 		if err := DecodeBody(body, &c.req); err != nil {

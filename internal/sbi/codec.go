@@ -56,12 +56,10 @@ var boxPool = sync.Pool{New: func() any { return new([]byte) }}
 // pointer to a described message must not be nil. The returned slice is
 // owned by the caller; pass it to ReleaseBody when done to recycle the
 // backing array.
-//
-//shieldlint:hotpath
 func MarshalBody(v any) ([]byte, error) {
 	m, ok := v.(codec.Message)
 	if !ok {
-		//shieldlint:ignore hotalloc a message without a field description is cold
+		// A message without a field description is cold.
 		out, err := json.Marshal(v)
 		if auditPool && err == nil {
 			auditOwn(out)
@@ -106,12 +104,10 @@ func ReleaseBody(b []byte) {
 
 // UnmarshalBody decodes data into v like json.Unmarshal. Nothing decoded
 // aliases data.
-//
-//shieldlint:hotpath
 func UnmarshalBody(data []byte, v any) error {
 	if m, ok := v.(codec.Message); ok {
 		return codec.DecodeJSON(data, m)
 	}
-	//shieldlint:ignore hotalloc a message without a field description is cold
+	// A message without a field description is cold.
 	return json.Unmarshal(data, v)
 }

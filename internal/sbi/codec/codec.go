@@ -74,16 +74,12 @@ func IsFrame(b []byte) bool {
 
 // AppendHeader appends the frame magic and a length placeholder; encode
 // the payload after it and call FinishFrame on the full slice.
-//
-//shieldlint:hotpath
 func AppendHeader(dst []byte) []byte {
 	return append(dst, Magic, 0, 0, 0, 0)
 }
 
 // FinishFrame patches the payload length into a frame started with
 // AppendHeader. b must be the whole frame (header plus payload).
-//
-//shieldlint:hotpath
 func FinishFrame(b []byte) ([]byte, error) {
 	if len(b) < headerLen || b[0] != Magic {
 		return nil, ErrNotFrame
@@ -99,8 +95,6 @@ func FinishFrame(b []byte) ([]byte, error) {
 // Payload validates b's frame header and returns the payload as a view
 // into b (zero-copy). The declared length must match the bytes present
 // exactly: a short body is ErrTruncated, extra bytes are ErrTrailing.
-//
-//shieldlint:hotpath
 func Payload(b []byte) ([]byte, error) {
 	if len(b) < headerLen || b[0] != Magic {
 		return nil, ErrNotFrame
@@ -128,8 +122,6 @@ var emptyBytes = []byte{}
 // retains — the step that makes releasing the response body safe. One
 // allocation covers the whole message, the same single-backing pattern
 // paka.GenerateAV uses for its response struct.
-//
-//shieldlint:hotpath
 func Compact(fields ...*[]byte) {
 	var total int
 	for _, f := range fields {
@@ -143,7 +135,7 @@ func Compact(fields ...*[]byte) {
 		}
 		return
 	}
-	//shieldlint:ignore hotalloc single caller-owned backing for the whole message — the pooling pattern this analyzer enforces
+	// One caller-owned backing for the whole message.
 	buf := make([]byte, 0, total)
 	for _, f := range fields {
 		if *f == nil {

@@ -102,8 +102,6 @@ func get(m mode, body []byte) *Fields {
 }
 
 // AppendBinary appends m's frame payload to dst.
-//
-//shieldlint:hotpath
 func AppendBinary(dst []byte, m Message) []byte {
 	f := get(binAppend, dst)
 	m.Fields(f)
@@ -115,8 +113,6 @@ func AppendBinary(dst []byte, m Message) []byte {
 // DecodeBinary decodes a frame payload into m; the payload must be
 // consumed exactly. Byte strings not marked Own are views into payload,
 // and strings are copies: a string header cannot express the loan.
-//
-//shieldlint:hotpath
 func DecodeBinary(payload []byte, m Message) error {
 	f := get(binDecode, payload)
 	m.Fields(f)
@@ -134,18 +130,15 @@ func DecodeBinary(payload []byte, m Message) error {
 // key order, omitempty, null for a nil byte string or list, padded
 // standard base64, no trailing newline. A string that is not plain sends
 // the whole message through encoding/json.
-//
-//shieldlint:hotpath
 func AppendJSON(dst []byte, m Message) ([]byte, error) {
 	if out, ok := appendJSON(dst, m); ok {
 		return out, nil
 	}
-	//shieldlint:ignore hotalloc cold fallback: a string encoding/json escapes
+	// Cold fallback: a string encoding/json escapes.
 	b, err := json.Marshal(m)
 	return append(dst, b...), err
 }
 
-//shieldlint:hotpath
 func appendJSON(dst []byte, m Message) ([]byte, bool) {
 	f := get(jsonAppend, dst)
 	f.appendObject(m)
@@ -163,17 +156,14 @@ func appendJSON(dst []byte, m Message) ([]byte, bool) {
 // malformed input or trailing data sends the whole body through
 // encoding/json, which then also supplies the canonical error. Decoded
 // byte strings share one fresh backing; nothing of data is retained.
-//
-//shieldlint:hotpath
 func DecodeJSON(data []byte, m Message) error {
 	if decodeJSON(data, m) {
 		return nil
 	}
-	//shieldlint:ignore hotalloc cold fallback: input outside the fast path's grammar
+	// Cold fallback: input outside the fast path's grammar.
 	return json.Unmarshal(data, m)
 }
 
-//shieldlint:hotpath
 func decodeJSON(data []byte, m Message) bool {
 	f := get(jsonDecode, data)
 	f.scratch = slices.Grow(f.scratch, base64.StdEncoding.DecodedLen(len(data)))
@@ -192,8 +182,6 @@ func decodeJSON(data []byte, m Message) bool {
 // finish gives the decoded message sole ownership of what it keeps: one
 // fresh backing for the owned byte strings since mark on success, none of
 // them on failure (they are views into the body or the pooled scratch).
-//
-//shieldlint:hotpath
 func (f *Fields) finish(mark int, ok bool) {
 	if ok {
 		Compact(f.owned[mark:]...)
@@ -207,8 +195,6 @@ func (f *Fields) finish(mark int, ok bool) {
 }
 
 // String describes a string field: uvarint length and bytes in a frame.
-//
-//shieldlint:hotpath
 func (f *Fields) String(name string, p *string, fl Flag) {
 	switch f.mode {
 	case binAppend:
@@ -245,8 +231,6 @@ func (f *Fields) setString(p *string, b []byte, fl Flag) {
 // formats: null or base64 in JSON; in a frame a uvarint 0 for nil, else
 // the length plus one and the bytes. Keeping the nil/empty distinction is
 // what lets the golden tests demand bit-identical structs from both.
-//
-//shieldlint:hotpath
 func (f *Fields) Bytes(name string, p *[]byte, fl Flag) {
 	switch f.mode {
 	case binAppend:
@@ -293,8 +277,6 @@ func (f *Fields) Bytes(name string, p *[]byte, fl Flag) {
 }
 
 // Byte describes a uint8 field: a JSON number, one raw byte in a frame.
-//
-//shieldlint:hotpath
 func (f *Fields) Byte(name string, p *byte) {
 	switch f.mode {
 	case binAppend:
@@ -318,8 +300,6 @@ func (f *Fields) Byte(name string, p *byte) {
 // Int describes an int field: a JSON number, a bare uvarint in a frame.
 // Unlike a List's count it is not bounded by the payload that remains —
 // no decode-side allocation is sized by it — so the handler bounds it.
-//
-//shieldlint:hotpath
 func (f *Fields) Int(name string, p *int) {
 	switch f.mode {
 	case binAppend:
@@ -339,8 +319,6 @@ func (f *Fields) Int(name string, p *int) {
 
 // Struct describes a nested message held by value: a JSON object, its
 // fields inline in a frame. Own extends to every byte string below it.
-//
-//shieldlint:hotpath
 func (f *Fields) Struct(name string, m Message, fl Flag) {
 	own := f.own
 	f.own = own || fl&Own != 0
@@ -362,8 +340,6 @@ func (f *Fields) Struct(name string, m Message, fl Flag) {
 // Ptr describes an optional nested message: JSON null (or, with
 // OmitEmpty, no member) when nil, a presence byte in a frame. A decode
 // allocates the target unless one is already there, as encoding/json does.
-//
-//shieldlint:hotpath
 func Ptr[T any, PT interface {
 	*T
 	Message
@@ -413,8 +389,6 @@ func Ptr[T any, PT interface {
 // nil), a count and the elements' fields in a frame, where an empty list
 // decodes as nil. Each decoded element owns its backing, so keeping one
 // element does not pin the rest.
-//
-//shieldlint:hotpath
 func List[T any, PT interface {
 	*T
 	Message

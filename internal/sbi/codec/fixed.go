@@ -75,8 +75,6 @@ func isZero(p []byte) bool {
 // so there is no view to own and no backing to allocate; a byte string of
 // any other length is a decode error (ErrFieldLength in a frame;
 // encoding/json reports it for a JSON body).
-//
-//shieldlint:hotpath
 func (f *Fields) Fixed(name string, p []byte) {
 	switch f.mode {
 	case binAppend:

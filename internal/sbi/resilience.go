@@ -2,11 +2,11 @@ package sbi
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/lockrank"
 	"shield5g/internal/simclock"
 )
 
@@ -96,7 +96,7 @@ func (s BreakerState) String() string {
 // close it on success or re-open it on failure. The zero value is a
 // closed breaker.
 type Breaker struct {
-	mu          sync.Mutex
+	mu          lockrank.Mutex
 	state       BreakerState
 	consecFails int
 	openedAt    time.Duration
@@ -224,7 +224,7 @@ type ResilientClient struct {
 	env   *costmodel.Env
 	peers OCISource
 
-	mu       sync.Mutex
+	mu       lockrank.Mutex
 	breakers map[string]*Breaker
 
 	// Queryable retry-layer counters (see ResilienceStats).
@@ -295,6 +295,7 @@ func NewResilient(inner Invoker, env *costmodel.Env, peers OCISource) *Resilient
 		env:      env,
 		peers:    peers,
 		breakers: make(map[string]*Breaker),
+		mu:       lockrank.Mutex{Rank: lockrank.ResilientClient},
 	}
 }
 
@@ -304,7 +305,7 @@ func (r *ResilientClient) BreakerFor(service string) *Breaker {
 	defer r.mu.Unlock()
 	b, ok := r.breakers[service]
 	if !ok {
-		b = &Breaker{}
+		b = &Breaker{mu: lockrank.Mutex{Rank: lockrank.Breaker}}
 		r.breakers[service] = b
 	}
 	return b
