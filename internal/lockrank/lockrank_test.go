@@ -1,6 +1,8 @@
 package lockrank
 
 import (
+	"bytes"
+	"os/exec"
 	"sync"
 	"testing"
 )
@@ -61,10 +63,15 @@ func TestInversionPanics(t *testing.T) {
 
 // TestRecursiveLockPanics re-acquires deploy.Slice's resilMu on the
 // goroutine that holds it, a certain self-deadlock; the check panics
-// before the goroutine blocks.
+// before the goroutine blocks. Unchecked, the second Lock would deadlock,
+// so a build without -race runs this test in a -race build of the package.
 func TestRecursiveLockPanics(t *testing.T) {
 	if !checked {
-		t.Skip("unchecked, a recursive Lock deadlocks; the check runs in -race builds")
+		out, err := exec.Command("go", "test", "-race", "-count=1", "-timeout=30s", "-v", "-run", "^TestRecursiveLockPanics$", ".").CombinedOutput()
+		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestRecursiveLockPanics")) {
+			t.Fatalf("the -race build's TestRecursiveLockPanics did not pass (%v):\n%s", err, out)
+		}
+		return
 	}
 	resil := Mutex{Rank: SliceResilience}
 	resil.Lock()
