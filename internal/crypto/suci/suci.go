@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"shield5g/internal/crypto/hashpool"
+	"shield5g/internal/sbi/codec"
 )
 
 // Protection scheme identifiers from TS 23.003 §2.2B.
@@ -55,6 +56,15 @@ type SUPI struct {
 // String renders the SUPI in the canonical "imsi-<digits>" form used as the
 // KDF input for K_AMF derivation.
 func (s SUPI) String() string { return "imsi-" + s.MCC + s.MNC + s.MSIN }
+
+// Value is the SUPI as the SBI carries it, built in place: no string is
+// formatted. A SUPI that does not fit codec.SUPI is an error.
+func (s SUPI) Value() (codec.SUPI, error) {
+	var buf [32]byte
+	var v codec.SUPI
+	err := v.UnmarshalText(append(append(append(append(buf[:0], "imsi-"...), s.MCC...), s.MNC...), s.MSIN...))
+	return v, err
+}
 
 // Validate checks digit-string well-formedness.
 func (s SUPI) Validate() error {

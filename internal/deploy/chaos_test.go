@@ -141,8 +141,12 @@ func TestSGXSliceNeverPullsKOverSBI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ComputeOPc: %v", err)
 	}
+	id, err := supi.Value()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := s.provisioning.Provision(ctx, udr.Subscriber{
-		SUPI: supi.String(), K: k, OPc: opc, SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
+		SUPI: id, K: k, OPc: opc, SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
 	}); err != nil {
 		t.Fatalf("UDR provisioning: %v", err)
 	}

@@ -641,10 +641,14 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 	if err := supi.Validate(); err != nil {
 		return err
 	}
+	id, err := supi.Value()
+	if err != nil {
+		return err
+	}
 	imsi := supi.String()
-	held := s.UDR.Holds(imsi)
+	held := s.UDR.Holds(id)
 	if err := s.provisioning.Provision(ctx, udr.Subscriber{
-		SUPI:     imsi,
+		SUPI:     id,
 		K:        k,
 		OPc:      opc,
 		SQN:      []byte{0, 0, 0, 0, 0, 0},

@@ -15,13 +15,14 @@ import (
 
 // coreBytesPerUEBudget bounds what one registered UE adds to the live heap
 // of a slice: its AMF context and NAS security context, the 80-byte AV
-// record its first contact banks and its GUTI binding. It measures 419 B
-// (go1.24, amd64; 432 B while the AMF held RAND and HXRES* as slices); the
-// bound is 432 B plus 25 %. While the latency
+// record its first contact banks and its GUTI binding. It measures 392-395 B
+// (go1.24, amd64); the bound is that plus 10 %. While the AV pool keyed its
+// rings by SUPI strings it measured 416 B, and 432 B while the AMF held
+// RAND and HXRES* as slices. While the latency
 // recorders kept every sample and the AV pool banked whole response
 // structs, it measured 565 B; while the eUDM cached a MILENAGE schedule
 // per subscriber and an idle NAS context kept its AES schedule, 1 765 B.
-const coreBytesPerUEBudget = 540
+const coreBytesPerUEBudget = 434
 
 // liveHeap is the heap still reachable after two forced collections: the
 // first finishes any cycle in progress and empties sync.Pools into their
@@ -186,10 +187,17 @@ func (sub footprintSubscriber) device(t *testing.T, s *Slice) *ue.UE {
 // slice measured 538 B against 373 B at one replica (go1.24, amd64).
 const replicaBytesPerSubscriberBudget = 16
 
+// subscriberBytesBudget bounds what a provisioned subscriber costs a
+// one-replica SGX slice. It measures 349 B (go1.24, amd64); the bound is
+// that plus 10 %. While the UDR keyed its records by SUPI strings, it
+// measured 373 B.
+const subscriberBytesBudget = 384
+
 // TestCoreBytesPerSubscriberReplica: what a provisioned subscriber costs an
-// SGX slice — the UDR record, the SUPI string, the platform's one sealed
-// file and the owning replica's key store entry — is the same at four
-// eUDM replicas as at one, within replicaBytesPerSubscriberBudget. Each
+// SGX slice — the UDR record under its SUPI value, the platform's one
+// sealed file and the owning replica's key store entry under the SUPI
+// string — stays within subscriberBytesBudget at one eUDM replica and is
+// the same at four, within replicaBytesPerSubscriberBudget. Each
 // reading is the live heap before and after provisioning 2 000
 // subscribers. Skipped under -race like its sibling.
 func TestCoreBytesPerSubscriberReplica(t *testing.T) {
@@ -222,6 +230,9 @@ func TestCoreBytesPerSubscriberReplica(t *testing.T) {
 	}
 	one, four := perSubscriber(1), perSubscriber(4)
 	t.Logf("a provisioned subscriber costs %.0f B at 1 eUDM replica and %.0f B at 4", one, four)
+	if one > subscriberBytesBudget {
+		t.Errorf("a provisioned subscriber costs %.0f B at 1 eUDM replica, budget %d B", one, subscriberBytesBudget)
+	}
 	if four > one+replicaBytesPerSubscriberBudget {
 		t.Errorf("4 eUDM replicas hold %.0f B per subscriber, 1 replica %.0f B: budget %d B more", four, one, replicaBytesPerSubscriberBudget)
 	}

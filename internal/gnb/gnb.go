@@ -80,8 +80,7 @@ type GNB struct {
 	amfs   []*amf.AMF
 	router *topology.Router
 	upf    *upf.UPF
-	mcc    string
-	mnc    string
+	plmn   string // MCC+MNC, formatted once
 	radio  RadioProfile
 	chaos  *chaos.Injector
 
@@ -110,8 +109,7 @@ func New(cfg Config) (*GNB, error) {
 		amfs:   cfg.AMFs,
 		router: cfg.Router,
 		upf:    cfg.UPF,
-		mcc:    cfg.MCC,
-		mnc:    cfg.MNC,
+		plmn:   cfg.MCC + cfg.MNC,
 		radio:  radio,
 		chaos:  cfg.Chaos,
 	}, nil
@@ -139,7 +137,7 @@ func (g *GNB) amfFor(device *ue.UE) (*amf.AMF, int) {
 }
 
 // BroadcastPLMN is the PLMN the gNB announces.
-func (g *GNB) BroadcastPLMN() string { return g.mcc + g.mnc }
+func (g *GNB) BroadcastPLMN() string { return g.plmn }
 
 // Radio reports the access profile in use.
 func (g *GNB) Radio() RadioProfile { return g.radio }

@@ -4,11 +4,13 @@
 // canonicalising them through one table makes decoding them
 // allocation-free after first sight.
 //
-// The table caps both entry length and entry count, so even a caller
-// that misuses it on high-cardinality input (SUPIs, auth-context IDs —
-// do not do this) can only churn it up to the cap, after which lookups
-// miss and the caller just pays the allocation it would have paid
-// anyway.
+// Per-subscriber identities are not for this table. The SBI carries a
+// SUPI or an auth-context ID as a fixed-width value (codec.SUPI,
+// codec.AuthCtxID) that decodes in place without it; a SUPI still sent
+// as a string is unique, and the table caps both entry length and entry
+// count, so interning such high-cardinality input would only churn it up
+// to the cap, after which lookups miss and the caller pays the
+// allocation it would have paid anyway.
 package intern
 
 import "sync"

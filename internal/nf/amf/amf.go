@@ -22,6 +22,7 @@ import (
 	"shield5g/internal/nf/smf"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/shard"
 	"shield5g/internal/simclock"
 )
@@ -43,10 +44,11 @@ const (
 	stateRegistered
 )
 
-// abba returns the Anti-Bidding down Between Architectures value for this
-// release (TS 33.501 Annex A.7.1). A fresh slice per call keeps the value
-// immutable to handlers.
-func abba() []byte { return []byte{0x00, 0x00} }
+// abba is the Anti-Bidding down Between Architectures value for this
+// release (TS 33.501 Annex A.7.1). It is shared and read-only: the NAS
+// encoder and the K_AMF derivation only read it. It stays a byte string,
+// not a Fixed value, because an all-zero Fixed value travels as null.
+var abba = []byte{0x00, 0x00}
 
 // ueContext is the AMF's per-UE state. Only state is read by other
 // goroutines (RegisteredUEs, SUPIOf, PDUSessionTEID status queries while a
@@ -62,7 +64,7 @@ func abba() []byte { return []byte{0x00, 0x00} }
 type ueContext struct {
 	state     atomic.Int32 // holds a ueState
 	supi      string
-	authCtxID string
+	authCtxID codec.AuthCtxID
 	rand      [16]byte
 	hxresStar [16]byte
 	sec       *nas.SecurityContext
@@ -320,7 +322,7 @@ func stamp(ctx context.Context, class sbi.Priority) *simclock.Call {
 }
 
 func (a *AMF) challenge(auth *ausf.AuthenticateResponse) ([]byte, error) {
-	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: abba(), RAND: auth.RAND, AUTN: auth.AUTN}
+	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: abba, RAND: auth.RAND, AUTN: auth.AUTN}
 	return nas.Encode(req)
 }
 
@@ -444,10 +446,21 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 		}
 		return a.reject(ue)
 	}
-	ue.supi = conf.SUPI
+	if p := ue.pendingAuth; p != nil && p.SUPI != "" {
+		// A GUTI registration: the home network must have authenticated
+		// the SUPI the GUTI resolved to, and the context keeps its string.
+		if want, err := codec.ParseSUPI(p.SUPI); err != nil || conf.SUPI != want {
+			return a.reject(ue)
+		}
+		ue.supi = p.SUPI
+	} else {
+		// A first registration learns the SUPI here: the one string it
+		// formats.
+		ue.supi = conf.SUPI.String()
+	}
 
 	kreq := deriveKAMFReqPool.Get().(*paka.AMFDeriveKAMFRequest)
-	kreq.KSEAF, kreq.SUPI, kreq.ABBA = conf.KSEAF, conf.SUPI, abba()
+	kreq.KSEAF, kreq.SUPI, kreq.ABBA = conf.KSEAF, ue.supi, abba
 	kamf, err := a.fns.DeriveKAMF(ctx, kreq)
 	*kreq = paka.AMFDeriveKAMFRequest{}
 	deriveKAMFReqPool.Put(kreq)
@@ -462,7 +475,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	ue.setState(stateSecuring)
 	// AKA is over: the challenge and the request it answered are never
 	// read again (re-auth and resync only run before this point).
-	ue.authCtxID, ue.rand, ue.hxresStar, ue.pendingAuth = "", [16]byte{}, [16]byte{}, nil
+	ue.authCtxID, ue.rand, ue.hxresStar, ue.pendingAuth = codec.AuthCtxID{}, [16]byte{}, [16]byte{}, nil
 
 	return sec.Protect(&nas.SecurityModeCommand{
 		NgKSI:        0,

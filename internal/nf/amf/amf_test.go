@@ -40,7 +40,11 @@ type harness struct {
 	provision func(t *testing.T, supi suci.SUPI)
 }
 
-func newHarness(t *testing.T) *harness {
+func newHarness(t *testing.T) *harness { return newHarnessWith(t, nil) }
+
+// newHarnessWith builds the harness with the AMF's SBI invoker passed
+// through wrap, when it is set.
+func newHarnessWith(t *testing.T, wrap func(sbi.Invoker) sbi.Invoker) *harness {
 	t.Helper()
 	ctx := context.Background()
 	env := costmodel.NewEnv(nil, 5)
@@ -76,7 +80,10 @@ func newHarness(t *testing.T) *harness {
 	if _, err := smf.New(ctx, smf.Config{Env: env, Registry: reg, Invoker: sbi.NewClient("smf", env, reg)}); err != nil {
 		t.Fatalf("smf.New: %v", err)
 	}
-	amfInvoker := sbi.NewClient("amf", env, reg)
+	var amfInvoker sbi.Invoker = sbi.NewClient("amf", env, reg)
+	if wrap != nil {
+		amfInvoker = wrap(amfInvoker)
+	}
 	a, err := amf.New(ctx, amf.Config{
 		Env: env, Registry: reg, Invoker: amfInvoker,
 		Functions: paka.NewRemote(amfInvoker, env, newModule(t, env, reg, paka.EAMF).ServiceName()),
@@ -94,8 +101,12 @@ func newHarness(t *testing.T) *harness {
 	prov := udr.NewClient(sbi.NewClient("prov", env, reg))
 	provision := func(t *testing.T, supi suci.SUPI) {
 		t.Helper()
+		id, err := supi.Value()
+		if err != nil {
+			t.Fatalf("SUPI: %v", err)
+		}
 		if err := prov.Provision(ctx, udr.Subscriber{
-			SUPI: supi.String(), K: testK, OPc: opc,
+			SUPI: id, K: testK, OPc: opc,
 			SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
 		}); err != nil {
 			t.Fatalf("provision: %v", err)
@@ -410,6 +421,63 @@ func TestMultipleUEsIndependentContexts(t *testing.T) {
 	}
 	if h.amf.RegisteredUEs() != 3 {
 		t.Fatalf("RegisteredUEs = %d, want 3", h.amf.RegisteredUEs())
+	}
+}
+
+// confirmAs is an AMF invoker whose AUSF, once armed, confirms every
+// authentication as supi.
+type confirmAs struct {
+	sbi.Invoker
+	supi  codec.SUPI
+	armed bool
+}
+
+func (c *confirmAs) Post(ctx context.Context, service, path string, req, resp any) error {
+	err := c.Invoker.Post(ctx, service, path, req, resp)
+	if conf, ok := resp.(*ausf.ConfirmResponse); ok && err == nil && c.armed {
+		conf.SUPI = c.supi
+	}
+	return err
+}
+
+// TestGUTIReRegistrationRejectsAnotherSUPI: a mobility registration
+// authenticates the SUPI its GUTI resolved to, so a ConfirmResponse that
+// names another subscriber is answered with an AuthenticationReject, and
+// the UE registers as no one.
+func TestGUTIReRegistrationRejectsAnotherSUPI(t *testing.T) {
+	other := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000002"}
+	otherValue, err := other.Value()
+	if err != nil {
+		t.Fatal(err)
+	}
+	swap := &confirmAs{supi: otherValue}
+	h := newHarnessWith(t, func(inv sbi.Invoker) sbi.Invoker { swap.Invoker = inv; return swap })
+	h.provision(t, other)
+	ctx := context.Background()
+	device := h.device(t)
+	h.register(t, device, 1)
+
+	swap.armed = true
+	up, err := device.BuildReRegistrationRequest(ctx, h.amf.ServingNetworkName())
+	if err != nil {
+		t.Fatalf("BuildReRegistrationRequest: %v", err)
+	}
+	down, err := h.amf.HandleInitialUE(ctx, 2, up)
+	if err != nil {
+		t.Fatalf("HandleInitialUE: %v", err)
+	}
+	answer, _, err := device.HandleDownlinkNAS(ctx, down)
+	if err != nil {
+		t.Fatalf("UE NAS: %v", err)
+	}
+	if down, err = h.amf.HandleUplinkNAS(ctx, 2, answer); err != nil {
+		t.Fatalf("HandleUplinkNAS: %v", err)
+	}
+	if msg, err := nas.Decode(down); err != nil || msg.Type() != (&nas.AuthenticationReject{}).Type() {
+		t.Fatalf("confirmed as %s, the AMF answered %v (%v), want AuthenticationReject", other, msg, err)
+	}
+	if supi, ok := h.amf.SUPIOf(2); ok {
+		t.Fatalf("RAN UE 2 registered as %s", supi)
 	}
 }
 

@@ -1,5 +1,7 @@
 package amf
 
+import "shield5g/internal/sbi/codec"
+
 // GUTIBindings is the number of TMSIs the instance still resolves.
 func (a *AMF) GUTIBindings() int { return a.guti.Len() }
 
@@ -28,7 +30,7 @@ func (a *AMF) AKAState(ranUEID uint64) (held []string, ok bool) {
 	if ue.hxresStar != [16]byte{} {
 		held = append(held, "hxresStar")
 	}
-	if ue.authCtxID != "" {
+	if ue.authCtxID != (codec.AuthCtxID{}) {
 		held = append(held, "authCtxID")
 	}
 	if ue.pendingAuth != nil {

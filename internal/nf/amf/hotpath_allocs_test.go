@@ -15,7 +15,7 @@ import (
 // this file builds only without -race; make ci runs it on its no-race
 // allocation line.
 func TestHotPathAllocs(t *testing.T) {
-	const want = 85
+	const want = 77
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := newHarness(t)
 	device := h.device(t)

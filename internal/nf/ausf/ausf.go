@@ -48,34 +48,35 @@ type AuthenticateRequest struct {
 // AuthenticateResponse carries the SE AV material for the serving network:
 // RAND, AUTN and HXRES* (never XRES* itself).
 type AuthenticateResponse struct {
-	AuthCtxID string        `json:"auth_ctx_id"`
-	RAND      codec.Bytes16 `json:"rand"`
-	AUTN      codec.Bytes16 `json:"autn"`
-	HXRESStar codec.Bytes16 `json:"hxres_star"`
+	AuthCtxID codec.AuthCtxID `json:"auth_ctx_id"`
+	RAND      codec.Bytes16   `json:"rand"`
+	AUTN      codec.Bytes16   `json:"autn"`
+	HXRESStar codec.Bytes16   `json:"hxres_star"`
 }
 
 // ConfirmRequest delivers the UE's RES* for home-network verification.
 type ConfirmRequest struct {
-	AuthCtxID string        `json:"auth_ctx_id"`
-	ResStar   codec.Bytes16 `json:"res_star"`
+	AuthCtxID codec.AuthCtxID `json:"auth_ctx_id"`
+	ResStar   codec.Bytes16   `json:"res_star"`
 }
 
 // ConfirmResponse releases the anchor key on success.
 type ConfirmResponse struct {
-	SUPI  string        `json:"supi"`
+	SUPI  codec.SUPI    `json:"supi"`
 	KSEAF codec.Bytes32 `json:"kseaf"`
 }
 
 // ResyncRequest forwards a UE synchronisation failure to the home network
 // and returns a fresh SE AV.
 type ResyncRequest struct {
-	AuthCtxID string `json:"auth_ctx_id"`
-	AUTS      []byte `json:"auts"`
+	AuthCtxID codec.AuthCtxID `json:"auth_ctx_id"`
+	AUTS      []byte          `json:"auts"`
 }
 
-// session is one in-flight authentication.
+// session is one in-flight authentication, held in the session map by
+// value.
 type session struct {
-	supi     string
+	supi     codec.SUPI
 	snn      string
 	rand     [16]byte
 	xresStar [16]byte
@@ -121,7 +122,7 @@ type AUSF struct {
 
 	// sessions is lock-striped: concurrent AKA runs for different UEs
 	// insert and redeem auth contexts without a shared mutex.
-	sessions *shard.Map[string, *session]
+	sessions *shard.Map[codec.AuthCtxID, session]
 	nextID   atomic.Uint64
 
 	sinceSweep atomic.Uint64
@@ -153,7 +154,7 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 		server:   sbi.NewServer(service, cfg.Env),
 		udm:      udmClient,
 		fns:      cfg.Functions,
-		sessions: shard.NewString[*session](),
+		sessions: shard.New[codec.AuthCtxID, session](codec.AuthCtxID.Hash),
 	}
 	a.server.HandleDual(PathAuthenticate, sbi.BinHandlerInto(a.handleAuthenticate))
 	a.server.HandleDual(PathConfirm, sbi.BinHandlerInto(a.handleConfirm))
@@ -206,12 +207,13 @@ func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string
 	// The ID is the counter as 16 hex digits: fixed width, so its length —
 	// and every message and charge that carries it — does not depend on
 	// the order in which concurrent registrations reach the counter.
-	// Assembled in stack scratch (8 raw bytes, then their hex) so it costs
-	// exactly one string allocation.
+	// Assembled in stack scratch (8 raw bytes, then their hex) and copied
+	// into the ID, which cannot refuse 16 hex digits.
 	var idBuf [24]byte
 	raw := binary.BigEndian.AppendUint64(idBuf[:0], a.nextID.Add(1))
-	ctxID := string(hex.AppendEncode(idBuf[8:8], raw))
-	a.sessions.Store(ctxID, &session{
+	var ctxID codec.AuthCtxID
+	_ = ctxID.UnmarshalText(hex.AppendEncode(idBuf[8:8], raw))
+	a.sessions.Store(ctxID, session{
 		supi:     he.SUPI,
 		snn:      snn,
 		rand:     he.RAND,
@@ -252,7 +254,7 @@ func (a *AUSF) handleResync(ctx context.Context, req *ResyncRequest, resp *Authe
 		return err
 	}
 	// Fresh vector after the home network rebased the SQN.
-	return a.newChallenge(ctx, nil, s.supi, s.snn, resp)
+	return a.newChallenge(ctx, nil, s.supi.String(), s.snn, resp)
 }
 
 // PendingSessions reports in-flight authentications (tests/status).
@@ -266,8 +268,8 @@ func (a *AUSF) PendingSessions() int {
 // injected faults.
 func (a *AUSF) SweepExpired() int {
 	now := a.env.Clock.Now()
-	var stale []string
-	a.sessions.Range(func(id string, s *session) bool {
+	var stale []codec.AuthCtxID
+	a.sessions.Range(func(id codec.AuthCtxID, s session) bool {
 		if now-s.created > PendingAuthTTL {
 			stale = append(stale, id)
 		}

@@ -69,8 +69,12 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatalf("ComputeOPc: %v", err)
 	}
+	id, err := supi.Value()
+	if err != nil {
+		t.Fatalf("SUPI: %v", err)
+	}
 	if err := udr.NewClient(sbi.NewClient("prov", env, reg)).Provision(context.Background(), udr.Subscriber{
-		SUPI: supi.String(), K: testK, OPc: opc,
+		SUPI: id, K: testK, OPc: opc,
 		SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
 	}); err != nil {
 		t.Fatalf("provision: %v", err)
@@ -89,6 +93,16 @@ func newHarness(t *testing.T) *harness {
 		mil:    mil,
 		supi:   supi,
 	}
+}
+
+// authCtxID is an auth-context ID the AUSF never minted.
+func authCtxID(t *testing.T, text string) codec.AuthCtxID {
+	t.Helper()
+	var id codec.AuthCtxID
+	if err := id.UnmarshalText([]byte(text)); err != nil {
+		t.Fatal(err)
+	}
+	return id
 }
 
 // newModule deploys a container P-AKA module of kind on reg.
@@ -146,7 +160,7 @@ func TestAuthenticateAndConfirm(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Confirm: %v", err)
 	}
-	if conf.SUPI != h.supi.String() || len(conf.KSEAF) != 32 {
+	if conf.SUPI.String() != h.supi.String() || len(conf.KSEAF) != 32 {
 		t.Fatalf("Confirm = %+v", conf)
 	}
 	if h.ausf.PendingSessions() != 0 {
@@ -174,7 +188,7 @@ func TestConfirmRejectsWrongResStar(t *testing.T) {
 
 func TestConfirmUnknownContext(t *testing.T) {
 	h := newHarness(t)
-	_, err := h.client.Confirm(context.Background(), &ConfirmRequest{AuthCtxID: "authctx-999"})
+	_, err := h.client.Confirm(context.Background(), &ConfirmRequest{AuthCtxID: authCtxID(t, "authctx-999")})
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 404 {
 		t.Fatalf("err = %v, want 404", err)
@@ -233,7 +247,7 @@ func TestResyncIssuesFreshChallenge(t *testing.T) {
 
 func TestResyncUnknownContext(t *testing.T) {
 	h := newHarness(t)
-	_, err := h.client.Resync(context.Background(), &ResyncRequest{AuthCtxID: "authctx-404", AUTS: make([]byte, 14)})
+	_, err := h.client.Resync(context.Background(), &ResyncRequest{AuthCtxID: authCtxID(t, "authctx-404"), AUTS: make([]byte, 14)})
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 404 {
 		t.Fatalf("err = %v, want 404", err)

@@ -14,7 +14,7 @@ func (m *AuthenticateRequest) Fields(f *codec.Fields) {
 // Fields implements codec.Message: the AMF keeps the challenge in its UE
 // context.
 func (m *AuthenticateResponse) Fields(f *codec.Fields) {
-	f.String("auth_ctx_id", &m.AuthCtxID, 0)
+	f.Ident("auth_ctx_id", &m.AuthCtxID)
 	f.Fixed("rand", m.RAND[:])
 	f.Fixed("autn", m.AUTN[:])
 	f.Fixed("hxres_star", m.HXRESStar[:])
@@ -22,18 +22,18 @@ func (m *AuthenticateResponse) Fields(f *codec.Fields) {
 
 // Fields implements codec.Message: RES* is decoded in place.
 func (m *ConfirmRequest) Fields(f *codec.Fields) {
-	f.String("auth_ctx_id", &m.AuthCtxID, 0)
+	f.Ident("auth_ctx_id", &m.AuthCtxID)
 	f.Fixed("res_star", m.ResStar[:])
 }
 
 // Fields implements codec.Message: the serving network retains K_SEAF.
 func (m *ConfirmResponse) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 	f.Fixed("kseaf", m.KSEAF[:])
 }
 
 // Fields implements codec.Message (AUTS is forwarded within the call).
 func (m *ResyncRequest) Fields(f *codec.Fields) {
-	f.String("auth_ctx_id", &m.AuthCtxID, 0)
+	f.Ident("auth_ctx_id", &m.AuthCtxID)
 	f.Bytes("auts", &m.AUTS, 0)
 }

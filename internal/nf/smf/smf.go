@@ -64,7 +64,20 @@ type SMF struct {
 	mu       sync.Mutex
 	nextIP   uint32
 	nextSEID uint64
-	sessions map[string]uint64 // supi/sessionID -> SEID
+	sessions map[sessionKey]smContext
+}
+
+// sessionKey names a PDU session: the UE's SUPI and its session ID.
+type sessionKey struct {
+	supi string
+	id   byte
+}
+
+// smContext is a PDU session as the SMF files it: its N4 SEID, and whether
+// the UPF has installed its rule yet.
+type smContext struct {
+	seid        uint64
+	established bool
 }
 
 // New creates an SMF, registers its SBI server and announces it to the
@@ -77,7 +90,7 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 		server:   sbi.NewServer(ServiceName, cfg.Env),
 		invoker:  cfg.Invoker,
 		nextIP:   0x0A3C0001, // 10.60.0.1
-		sessions: make(map[string]uint64),
+		sessions: make(map[sessionKey]smContext),
 	}
 	s.server.HandleDual(PathCreateSession, sbi.BinHandler(s.handleCreate))
 	s.server.HandleDual(PathReleaseSession, sbi.BinHandler(s.handleRelease))
@@ -92,50 +105,61 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 	return s, nil
 }
 
-func sessionKey(supi string, id byte) string { return fmt.Sprintf("%s/%d", supi, id) }
-
 func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest) (*CreateSessionResponse, error) {
 	if req.SUPI == "" || req.DNN == "" {
 		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUPI and DNN required")
 	}
-	key := sessionKey(req.SUPI, req.SessionID)
+	key := sessionKey{req.SUPI, req.SessionID}
 
+	// The session is filed before the UPF is asked and marked established
+	// after: only this call writes its entry until then, because a
+	// duplicate create and a release both refuse a pending session.
 	s.mu.Lock()
 	if _, dup := s.sessions[key]; dup {
 		s.mu.Unlock()
-		return nil, sbi.Problem(409, "Conflict", "SESSION_EXISTS", "%s", key)
+		return nil, sbi.Problem(409, "Conflict", "SESSION_EXISTS", "%s/%d", req.SUPI, req.SessionID)
 	}
 	s.nextIP++
 	s.nextSEID++
 	ip := s.nextIP
 	seid := s.nextSEID
-	s.sessions[key] = seid
+	s.sessions[key] = smContext{seid: seid}
 	s.mu.Unlock()
 
 	ueAddr := fmt.Sprintf("%d.%d.%d.%d", ip>>24, (ip>>16)&0xff, (ip>>8)&0xff, ip&0xff)
 	var est upf.EstablishResponse
-	if err := s.invoker.Post(ctx, upf.ServiceName, upf.PathEstablish,
-		&upf.EstablishRequest{SEID: seid, UEAddress: ueAddr}, &est); err != nil {
-		s.mu.Lock()
+	err := s.invoker.Post(ctx, upf.ServiceName, upf.PathEstablish,
+		&upf.EstablishRequest{SEID: seid, UEAddress: ueAddr}, &est)
+	s.mu.Lock()
+	if err != nil {
 		delete(s.sessions, key)
-		s.mu.Unlock()
+	} else {
+		s.sessions[key] = smContext{seid: seid, established: true}
+	}
+	s.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
 	return &CreateSessionResponse{UEAddress: ueAddr, TEID: est.TEID}, nil
 }
 
 func (s *SMF) handleRelease(ctx context.Context, req *ReleaseSessionRequest) (*Empty, error) {
-	key := sessionKey(req.SUPI, req.SessionID)
+	key := sessionKey{req.SUPI, req.SessionID}
 	s.mu.Lock()
-	seid, ok := s.sessions[key]
-	if ok {
+	sc, ok := s.sessions[key]
+	if sc.established {
 		delete(s.sessions, key)
 	}
 	s.mu.Unlock()
-	if !ok {
-		return nil, sbi.Problem(404, "Not Found", "SESSION_NOT_FOUND", "%s", key)
+	switch {
+	case !ok:
+		return nil, sbi.Problem(404, "Not Found", "SESSION_NOT_FOUND", "%s/%d", req.SUPI, req.SessionID)
+	case !sc.established:
+		// Its establish is in flight: releasing now would leave the UPF
+		// a rule that no session owns once the establish lands.
+		return nil, sbi.Problem(409, "Conflict", "SESSION_PENDING", "%s/%d", req.SUPI, req.SessionID)
 	}
-	if err := s.invoker.Post(ctx, upf.ServiceName, upf.PathRelease, &upf.ReleaseRequest{SEID: seid}, nil); err != nil {
+	if err := s.invoker.Post(ctx, upf.ServiceName, upf.PathRelease, &upf.ReleaseRequest{SEID: sc.seid}, nil); err != nil {
 		return nil, err
 	}
 	return &Empty{}, nil

@@ -116,3 +116,50 @@ func TestNewValidation(t *testing.T) {
 		t.Fatal("missing env accepted")
 	}
 }
+
+// releaseInside is an SMF invoker that runs a release of the session
+// being created inside that session's UPF establish: the interleaving in
+// which a release lands after the SMF filed the session and before the
+// UPF installed its rule.
+type releaseInside struct {
+	sbi.Invoker
+	smf *SMF
+	req *ReleaseSessionRequest
+	err error
+}
+
+func (r *releaseInside) Post(ctx context.Context, service, path string, req, resp any) error {
+	if path == upf.PathEstablish && r.req != nil {
+		_, r.err = r.smf.handleRelease(ctx, r.req)
+		r.req = nil
+	}
+	return r.Invoker.Post(ctx, service, path, req, resp)
+}
+
+// TestReleaseDuringEstablishLeavesNoOrphanRule: whatever a release that
+// races a create answers, the UPF holds a rule exactly when the SMF holds
+// the session, and a release after the create removes both.
+func TestReleaseDuringEstablishLeavesNoOrphanRule(t *testing.T) {
+	s, u, c := harness(t)
+	ctx := context.Background()
+	rel := &ReleaseSessionRequest{SUPI: "imsi-1", SessionID: 1}
+	race := &releaseInside{Invoker: s.invoker, smf: s, req: rel}
+	s.invoker = race
+	_, err := c.CreateSession(ctx, &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1, DNN: "internet"})
+	if race.req != nil {
+		t.Fatal("the create never reached the UPF")
+	}
+	if s.SessionCount() != u.SessionCount() {
+		t.Fatalf("create (err %v) raced by a release (err %v): SMF holds %d sessions, UPF %d rules",
+			err, race.err, s.SessionCount(), u.SessionCount())
+	}
+	if s.SessionCount() == 0 {
+		return
+	}
+	if _, err := s.handleRelease(ctx, rel); err != nil {
+		t.Fatalf("release after the create: %v", err)
+	}
+	if s.SessionCount() != 0 || u.SessionCount() != 0 {
+		t.Fatalf("after release: SMF holds %d sessions, UPF %d rules", s.SessionCount(), u.SessionCount())
+	}
+}

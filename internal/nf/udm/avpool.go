@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"shield5g/internal/paka"
+	"shield5g/internal/sbi/codec"
 )
 
 // avPool is the UDM's authentication-vector precomputation pool: a
@@ -33,7 +34,7 @@ type avPool struct {
 	depth int // ring capacity per SUPI, and vectors minted per steady-state refill
 
 	mu    sync.Mutex
-	rings map[string][]paka.UDMGenerateAVResponse // key present: minted for before
+	rings map[codec.SUPI][]paka.UDMGenerateAVResponse // key present: minted for before
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -46,7 +47,7 @@ type avPool struct {
 func newAVPool(depth int) *avPool {
 	return &avPool{
 		depth: depth,
-		rings: make(map[string][]paka.UDMGenerateAVResponse),
+		rings: make(map[codec.SUPI][]paka.UDMGenerateAVResponse),
 	}
 }
 
@@ -55,7 +56,7 @@ func newAVPool(depth int) *avPool {
 // K_AUSF. On a hit it returns 0; on a miss, how many vectors the refill
 // should mint: min(2, depth) on first contact, depth for a SUPI minted for
 // before.
-func (p *avPool) take(supi string, av *paka.UDMGenerateAVResponse) int {
+func (p *avPool) take(supi codec.SUPI, av *paka.UDMGenerateAVResponse) int {
 	p.mu.Lock()
 	ring, seen := p.rings[supi]
 	if len(ring) == 0 {
@@ -81,7 +82,7 @@ func (p *avPool) take(supi string, av *paka.UDMGenerateAVResponse) int {
 // fill banks freshly minted vectors for supi, oldest SQN first, dropping
 // overflow beyond the ring depth, and marks supi as minted for. Counts
 // one refill.
-func (p *avPool) fill(supi string, vectors []paka.UDMGenerateAVResponse) {
+func (p *avPool) fill(supi codec.SUPI, vectors []paka.UDMGenerateAVResponse) {
 	p.refills.Add(1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -97,7 +98,7 @@ func (p *avPool) fill(supi string, vectors []paka.UDMGenerateAVResponse) {
 // invalidate discards supi's pooled vectors (SQN resynchronisation
 // rebased the counter; pre-rebase vectors would fail the UE's range
 // check) and forgets supi, so its next miss mints as a first contact.
-func (p *avPool) invalidate(supi string) {
+func (p *avPool) invalidate(supi codec.SUPI) {
 	p.mu.Lock()
 	n := len(p.rings[supi])
 	delete(p.rings, supi)
@@ -175,14 +176,18 @@ func (u *UDM) PrewarmAVPool(ctx context.Context, supis []string, snn string) err
 	if u.pool == nil {
 		return fmt.Errorf("udm: AV pool disabled, nothing to prewarm")
 	}
-	for _, supi := range supis {
-		items, err := u.avRequestBatch(ctx, supi, snn, u.pool.depth)
+	for _, text := range supis {
+		supi, err := codec.ParseSUPI(text)
 		if err != nil {
-			return fmt.Errorf("udm: prewarm %s: %w", supi, err)
+			return fmt.Errorf("udm: prewarm: %w", err)
+		}
+		items, err := u.avRequestBatch(ctx, supi, text, snn, u.pool.depth)
+		if err != nil {
+			return fmt.Errorf("udm: prewarm %s: %w", text, err)
 		}
 		vectors, err := u.generateBatch(ctx, items)
 		if err != nil {
-			return fmt.Errorf("udm: prewarm %s: %w", supi, err)
+			return fmt.Errorf("udm: prewarm %s: %w", text, err)
 		}
 		u.pool.fill(supi, vectors)
 		u.pool.prewarmed.Add(uint64(len(vectors)))

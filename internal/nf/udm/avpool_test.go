@@ -16,6 +16,7 @@ import (
 	"shield5g/internal/nf/udr"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 // countingFns wraps the UDM's eUDM client to count the vectors each route
@@ -144,7 +145,7 @@ func (h *poolHarness) resync(t *testing.T, supi suci.SUPI, sqnMS []byte) {
 		t.Fatalf("F1Star: %v", err)
 	}
 	if err := h.client.Resync(context.Background(), &ResyncRequest{
-		SUPI: supi.String(), RAND: randBytes, AUTS: append(concealed, macS...),
+		SUPI: value(t, supi), RAND: randBytes, AUTS: append(concealed, macS...),
 	}); err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
@@ -451,26 +452,29 @@ func taggedAVs(first byte, n int) []paka.UDMGenerateAVResponse {
 	return vectors
 }
 
+// poolSUPI keys the pool-only tests' ring.
+var poolSUPI, _ = codec.ParseSUPI("imsi-001010000000001")
+
 // TestAVPoolServedVectorOwnsItsBytes: take copies the banked vector into
 // the caller's, so neither the minted batch nor the served copy aliases
 // the ring, and it allocates nothing.
 func TestAVPoolServedVectorOwnsItsBytes(t *testing.T) {
 	p := newAVPool(8)
 	minted := taggedAVs(1, 8)
-	p.fill("s", minted)
+	p.fill(poolSUPI, minted)
 	minted[1].RAND[0] = 0xee // the batch's backing is the caller's again
 
 	var first, next paka.UDMGenerateAVResponse
-	p.take("s", &first)
+	p.take(poolSUPI, &first)
 	for i := range first.RAND {
 		first.RAND[i] = 0xff
 	}
-	p.take("s", &next)
+	p.take(poolSUPI, &next)
 	if want := taggedAVs(2, 1)[0]; next != want {
 		t.Fatalf("second vector reads %x, want %x", next, want)
 	}
 	var av paka.UDMGenerateAVResponse
-	if allocs := testing.AllocsPerRun(4, func() { p.take("s", &av) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(4, func() { p.take(poolSUPI, &av) }); allocs != 0 {
 		t.Fatalf("take allocates %.1f times, want 0", allocs)
 	}
 }
@@ -480,16 +484,16 @@ func TestAVPoolServedVectorOwnsItsBytes(t *testing.T) {
 func TestAVPoolFillKeepsOrderAcrossRefill(t *testing.T) {
 	p := newAVPool(4)
 	take := func() (av paka.UDMGenerateAVResponse, count int) {
-		count = p.take("s", &av)
+		count = p.take(poolSUPI, &av)
 		return av, count
 	}
-	p.fill("s", taggedAVs(1, 4))
+	p.fill(poolSUPI, taggedAVs(1, 4))
 	for _, want := range []byte{1, 2} {
 		if av, _ := take(); av.RAND[0] != want {
 			t.Fatalf("served tag %d, want %d", av.RAND[0], want)
 		}
 	}
-	p.fill("s", taggedAVs(5, 4)) // 3, 4 are still banked: 5, 6 fit, 7, 8 do not
+	p.fill(poolSUPI, taggedAVs(5, 4)) // 3, 4 are still banked: 5, 6 fit, 7, 8 do not
 	for _, want := range []byte{3, 4, 5, 6} {
 		if av, count := take(); count != 0 || av.KAUSF[31] != want {
 			t.Fatalf("served %x (miss count %d), want tag %d", av, count, want)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shield5g/internal/paka"
+	"shield5g/internal/sbi/codec"
 )
 
 // TestConcurrentPoolAccessors runs each pool accessor in a goroutine of its
@@ -16,7 +17,11 @@ import (
 // invalidate, invalidateAll or pooled without it fails here.
 func TestConcurrentPoolAccessors(t *testing.T) {
 	p := newAVPool(4)
-	supi := func(i int) string { return fmt.Sprintf("imsi-%d", i%8) }
+	var supis [8]codec.SUPI
+	for i := range supis {
+		supis[i], _ = codec.ParseSUPI(fmt.Sprintf("imsi-%d", i))
+	}
+	supi := func(i int) codec.SUPI { return supis[i%8] }
 	for range 10 {
 		start := make(chan struct{})
 		var wg sync.WaitGroup

@@ -14,7 +14,7 @@ func (m *GenerateAuthDataRequest) Fields(f *codec.Fields) {
 // Fields implements codec.Message: the AUSF retains the HE AV in its
 // session.
 func (m *GenerateAuthDataResponse) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 	f.Fixed("rand", m.RAND[:])
 	f.Fixed("autn", m.AUTN[:])
 	f.Fixed("xres_star", m.XRESStar[:])
@@ -24,7 +24,7 @@ func (m *GenerateAuthDataResponse) Fields(f *codec.Fields) {
 // Fields implements codec.Message (handleResync forwards the views within
 // the call).
 func (m *ResyncRequest) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 	f.Bytes("rand", &m.RAND, 0)
 	f.Bytes("auts", &m.AUTS, 0)
 }

@@ -46,7 +46,7 @@ type GenerateAuthDataRequest struct {
 
 // GenerateAuthDataResponse is the HE AV plus the de-concealed SUPI.
 type GenerateAuthDataResponse struct {
-	SUPI     string        `json:"supi"`
+	SUPI     codec.SUPI    `json:"supi"`
 	RAND     codec.Bytes16 `json:"rand"`
 	AUTN     codec.Bytes16 `json:"autn"`
 	XRESStar codec.Bytes16 `json:"xres_star"`
@@ -56,9 +56,9 @@ type GenerateAuthDataResponse struct {
 // ResyncRequest reports a UE synchronisation failure (AUTS) for SQN
 // recovery.
 type ResyncRequest struct {
-	SUPI string `json:"supi"`
-	RAND []byte `json:"rand"`
-	AUTS []byte `json:"auts"`
+	SUPI codec.SUPI `json:"supi"`
+	RAND []byte     `json:"rand"`
+	AUTS []byte     `json:"auts"`
 }
 
 // Empty is an empty response body.
@@ -158,25 +158,29 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 }
 
 func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataRequest, resp *GenerateAuthDataResponse) error {
-	supi := req.SUPI
-	if supi == "" {
+	// The request's SUPI is text; it is parsed once, and the pool, the UDR
+	// and the response carry the value.
+	supi, err := codec.ParseSUPI(req.SUPI)
+	if err != nil {
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "%v", err)
+	}
+	if supi == (codec.SUPI{}) {
+		var id suci.SUPI
 		switch {
 		case req.SUCI == nil:
 			return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUCI or SUPI required")
 		case req.SUCI.Scheme == suci.SchemeNull:
 			// Null protection scheme (test networks): no deconcealment.
-			id, err := req.SUCI.NullSUPI()
-			if err != nil {
-				return sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
-			}
-			supi = id.String()
+			id, err = req.SUCI.NullSUPI()
 		default:
 			u.env.Charge(ctx, suciDeconcealCycles)
-			id, err := u.hnKey.Deconceal(req.SUCI)
-			if err != nil {
-				return sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
-			}
-			supi = id.String()
+			id, err = u.hnKey.Deconceal(req.SUCI)
+		}
+		if err == nil {
+			supi, err = id.Value()
+		}
+		if err != nil {
+			return sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
 		}
 	}
 	if req.ServingNetworkName == "" {
@@ -184,11 +188,10 @@ func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataR
 	}
 
 	var av paka.UDMGenerateAVResponse
-	var err error
 	if u.pool != nil {
-		err = u.pooledAV(ctx, supi, req.ServingNetworkName, &av)
+		err = u.pooledAV(ctx, supi, req.SUPI, req.ServingNetworkName, &av)
 	} else {
-		err = u.freshAV(ctx, supi, req.ServingNetworkName, &av)
+		err = u.freshAV(ctx, supi, req.SUPI, req.ServingNetworkName, &av)
 	}
 	if err != nil {
 		return err
@@ -198,12 +201,23 @@ func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataR
 	return nil
 }
 
+// supiText is the SUPI as the eUDM's requests carry it: the text the
+// request arrived with, or, after de-concealment, the value formatted
+// here, on a mint and not before.
+func supiText(supi codec.SUPI, text string) string {
+	if text == "" {
+		return supi.String()
+	}
+	return text
+}
+
 // avRequest mints one enclave input: it advances the subscriber's SQN in
 // the UDR and draws a fresh RAND. Every minted item — pooled or served
 // immediately — goes through here, so sequence numbers stay consistent
-// regardless of batching.
-func (u *UDM) avRequest(ctx context.Context, supi, snn string) (paka.UDMGenerateAVRequest, error) {
-	auth, err := u.udr.NextAuth(ctx, supi)
+// regardless of batching. text is supi's text, or "" (see supiText).
+func (u *UDM) avRequest(ctx context.Context, supi codec.SUPI, text, snn string) (paka.UDMGenerateAVRequest, error) {
+	text = supiText(supi, text)
+	auth, err := u.udr.NextAuth(ctx, text)
 	if err != nil {
 		return paka.UDMGenerateAVRequest{}, err
 	}
@@ -212,7 +226,7 @@ func (u *UDM) avRequest(ctx context.Context, supi, snn string) (paka.UDMGenerate
 		return paka.UDMGenerateAVRequest{}, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "RAND generation: %v", err)
 	}
 	return paka.UDMGenerateAVRequest{
-		SUPI:  supi,
+		SUPI:  text,
 		OPc:   auth.OPc,
 		RAND:  randBytes,
 		SQN:   auth.SQN,
@@ -230,7 +244,9 @@ func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) 
 		// (a guest keeps no sealed backup: its crash-restart emptied the
 		// store, or a rebalance routed the SUPI here). Re-fetch the
 		// long-term key from the UDR, push it in, and retry once.
-		if sub, gerr := u.udr.Get(ctx, avReq.SUPI); gerr == nil {
+		// The text is the UDM's own, written from a parsed value.
+		supi, _ := codec.ParseSUPI(avReq.SUPI)
+		if sub, gerr := u.udr.Get(ctx, supi); gerr == nil {
 			if perr := u.reprovision(ctx, avReq.SUPI, sub.K); perr == nil {
 				u.reprovisions.Add(1)
 				av, err = u.fns.GenerateAV(ctx, avReq)
@@ -242,8 +258,8 @@ func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) 
 
 // freshAV is the unpooled path: one SQN advance, one RAND, one crossing,
 // the vector written into av.
-func (u *UDM) freshAV(ctx context.Context, supi, snn string, av *paka.UDMGenerateAVResponse) error {
-	avReq, err := u.avRequest(ctx, supi, snn)
+func (u *UDM) freshAV(ctx context.Context, supi codec.SUPI, text, snn string, av *paka.UDMGenerateAVResponse) error {
+	avReq, err := u.avRequest(ctx, supi, text, snn)
 	if err != nil {
 		return err
 	}
@@ -260,7 +276,7 @@ func (u *UDM) freshAV(ctx context.Context, supi, snn string, av *paka.UDMGenerat
 // bit-identical to count sequential avRequest calls: the UDR advances the
 // SQN with the same per-vector step under one lock, and the single
 // entropy read is sliced into the same 16 bytes per item, in order.
-func (u *UDM) avRequestBatch(ctx context.Context, supi, snn string, count int) ([]paka.UDMGenerateAVRequest, error) {
+func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, text, snn string, count int) ([]paka.UDMGenerateAVRequest, error) {
 	auth, err := u.udr.NextAuthBatch(ctx, supi, count)
 	if err != nil {
 		return nil, err
@@ -271,9 +287,10 @@ func (u *UDM) avRequestBatch(ctx context.Context, supi, snn string, count int) (
 		return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "RAND generation: %v", err)
 	}
 	items := make([]paka.UDMGenerateAVRequest, count)
+	text = supiText(supi, text)
 	for i := range items {
 		items[i] = paka.UDMGenerateAVRequest{
-			SUPI:  supi,
+			SUPI:  text,
 			OPc:   auth.OPc,
 			RAND:  randBytes[i*16 : (i+1)*16 : (i+1)*16],
 			SQN:   auth.SQN(i),
@@ -288,12 +305,12 @@ func (u *UDM) avRequestBatch(ctx context.Context, supi, snn string, count int) (
 // synchronously on a miss: one batch crossing mints the count take asks
 // for (two on first contact, the pool depth after), the oldest serves this
 // request and the rest are banked for the SUPI's next authentications.
-func (u *UDM) pooledAV(ctx context.Context, supi, snn string, av *paka.UDMGenerateAVResponse) error {
+func (u *UDM) pooledAV(ctx context.Context, supi codec.SUPI, text, snn string, av *paka.UDMGenerateAVResponse) error {
 	count := u.pool.take(supi, av)
 	if count == 0 {
 		return nil
 	}
-	items, err := u.avRequestBatch(ctx, supi, snn, count)
+	items, err := u.avRequestBatch(ctx, supi, text, snn, count)
 	if err != nil {
 		return err
 	}
@@ -341,7 +358,7 @@ func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest) (*Empty, err
 		return nil, err
 	}
 	resp, err := u.fns.Resync(ctx, &paka.UDMResyncRequest{
-		SUPI: req.SUPI,
+		SUPI: req.SUPI.String(),
 		OPc:  auth.OPc,
 		RAND: req.RAND,
 		AUTS: req.AUTS,

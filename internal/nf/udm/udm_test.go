@@ -79,6 +79,16 @@ func newHarness(t *testing.T) *harness {
 	}
 }
 
+// value is supi as the SBI carries it.
+func value(t testing.TB, supi suci.SUPI) codec.SUPI {
+	t.Helper()
+	v, err := supi.Value()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func (h *harness) provision(t *testing.T, supi suci.SUPI) {
 	t.Helper()
 	opc, err := milenage.ComputeOPc(testK, make([]byte, 16))
@@ -86,7 +96,7 @@ func (h *harness) provision(t *testing.T, supi suci.SUPI) {
 		t.Fatalf("ComputeOPc: %v", err)
 	}
 	if err := h.udrc.Provision(context.Background(), udr.Subscriber{
-		SUPI: supi.String(), K: testK, OPc: opc,
+		SUPI: value(t, supi), K: testK, OPc: opc,
 		SQN: make([]byte, 6), AMFField: []byte{0x80, 0x00},
 	}); err != nil {
 		t.Fatalf("udr provision: %v", err)
@@ -134,7 +144,7 @@ func TestGenerateAuthDataFromSUCI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GenerateAuthData: %v", err)
 	}
-	if resp.SUPI != supi.String() {
+	if resp.SUPI != value(t, supi) {
 		t.Fatalf("SUPI = %s, want %s", resp.SUPI, supi.String())
 	}
 	if resp.RAND == (codec.Bytes16{}) || resp.AUTN == (codec.Bytes16{}) || resp.XRESStar == (codec.Bytes16{}) || resp.KAUSF == (codec.Bytes32{}) {
@@ -172,8 +182,11 @@ func TestGenerateAuthDataValidation(t *testing.T) {
 	if _, err := h.client.GenerateAuthData(ctx, &GenerateAuthDataRequest{SUPI: "imsi-001010000000001"}); !errors.As(err, &pd) || pd.Status != 400 {
 		t.Fatalf("no SNN err = %v, want 400", err)
 	}
-	if _, err := h.client.GenerateAuthData(ctx, &GenerateAuthDataRequest{SUPI: "imsi-unknown", ServingNetworkName: testSNN}); err == nil {
+	if _, err := h.client.GenerateAuthData(ctx, &GenerateAuthDataRequest{SUPI: "imsi-999990000000001", ServingNetworkName: testSNN}); err == nil {
 		t.Fatal("unknown SUPI accepted")
+	}
+	if _, err := h.client.GenerateAuthData(ctx, &GenerateAuthDataRequest{SUPI: "imsi-unknown", ServingNetworkName: testSNN}); !errors.As(err, &pd) || pd.Status != 400 {
+		t.Fatalf("malformed SUPI err = %v, want 400", err)
 	}
 }
 
@@ -226,13 +239,13 @@ func TestResyncFlow(t *testing.T) {
 	auts := append(concealed, macS...)
 
 	if err := h.client.Resync(context.Background(), &ResyncRequest{
-		SUPI: supi.String(), RAND: randBytes, AUTS: auts,
+		SUPI: value(t, supi), RAND: randBytes, AUTS: auts,
 	}); err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
 
 	// The next vector must carry an SQN above the UE's.
-	sub, err := h.udrc.Get(context.Background(), supi.String())
+	sub, err := h.udrc.Get(context.Background(), value(t, supi))
 	if err != nil {
 		t.Fatalf("udr.Get: %v", err)
 	}
@@ -242,7 +255,7 @@ func TestResyncFlow(t *testing.T) {
 
 	// A corrupted AUTS is rejected.
 	auts[13] ^= 1
-	err = h.client.Resync(context.Background(), &ResyncRequest{SUPI: supi.String(), RAND: randBytes, AUTS: auts})
+	err = h.client.Resync(context.Background(), &ResyncRequest{SUPI: value(t, supi), RAND: randBytes, AUTS: auts})
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 403 {
 		t.Fatalf("bad AUTS err = %v, want 403", err)

@@ -9,7 +9,7 @@ import "shield5g/internal/sbi/codec"
 // owned is the enclosing message's call: ProvisionRequest is handled
 // under the loan, GetResponse is kept by the caller.
 func (s *Subscriber) Fields(f *codec.Fields) {
-	f.String("supi", &s.SUPI, 0)
+	f.Ident("supi", &s.SUPI)
 	f.Bytes("k", &s.K, 0)
 	f.Bytes("opc", &s.OPc, 0)
 	f.Bytes("sqn", &s.SQN, 0)
@@ -26,7 +26,7 @@ func (m *Empty) Fields(*codec.Fields) {}
 
 // Fields implements codec.Message.
 func (m *NextAuthRequest) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 }
 
 // Fields implements codec.Message (the same one-backing layout
@@ -40,7 +40,7 @@ func (m *NextAuthResponse) Fields(f *codec.Fields) {
 // Fields implements codec.Message; the handler enforces Count's
 // [1, maxNextAuthBatch] bound.
 func (m *NextAuthBatchRequest) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 	f.Int("count", &m.Count)
 }
 
@@ -53,13 +53,13 @@ func (m *NextAuthBatchResponse) Fields(f *codec.Fields) {
 
 // Fields implements codec.Message.
 func (m *ResyncRequest) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 	f.Bytes("sqn_ms", &m.SQNMS, 0)
 }
 
 // Fields implements codec.Message.
 func (m *GetRequest) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 }
 
 // Fields implements codec.Message.

@@ -12,6 +12,7 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/shard"
 )
 
@@ -34,7 +35,7 @@ const sqnStep = 32
 // Subscriber is one subscription record on the wire: what provisioning
 // sends and Get returns.
 type Subscriber struct {
-	SUPI string `json:"supi"`
+	SUPI codec.SUPI `json:"supi"`
 	// K is the 16-byte long-term subscriber key.
 	K []byte `json:"k"`
 	// OPc is the derived operator key.
@@ -47,7 +48,7 @@ type Subscriber struct {
 }
 
 func (s *Subscriber) validate() error {
-	if s.SUPI == "" {
+	if s.SUPI == (codec.SUPI{}) {
 		return fmt.Errorf("udr: empty SUPI")
 	}
 	if len(s.K) != 16 {
@@ -84,7 +85,7 @@ type Empty struct{}
 // NextAuthRequest fetches the subscriber's auth material and atomically
 // advances the SQN for one new vector.
 type NextAuthRequest struct {
-	SUPI string `json:"supi"`
+	SUPI codec.SUPI `json:"supi"`
 }
 
 // NextAuthResponse returns the material the UDM feeds into AV generation.
@@ -105,8 +106,8 @@ type NextAuthResponse struct {
 // reads the shared material without advancing the SQN: the resync path's
 // OPc read, which must not carry K.
 type NextAuthBatchRequest struct {
-	SUPI  string `json:"supi"`
-	Count int    `json:"count"`
+	SUPI  codec.SUPI `json:"supi"`
+	Count int        `json:"count"`
 }
 
 // NextAuthBatchResponse carries the shared material once plus the Count
@@ -135,13 +136,13 @@ const maxNextAuthBatch = 1024
 // ResyncRequest overwrites the network SQN after a UE resynchronisation:
 // the new value starts above the UE's reported SQN_MS.
 type ResyncRequest struct {
-	SUPI  string `json:"supi"`
-	SQNMS []byte `json:"sqn_ms"`
+	SUPI  codec.SUPI `json:"supi"`
+	SQNMS []byte     `json:"sqn_ms"`
 }
 
 // GetRequest reads a subscriber record without advancing state.
 type GetRequest struct {
-	SUPI string `json:"supi"`
+	SUPI codec.SUPI `json:"supi"`
 }
 
 // GetResponse returns the stored record.
@@ -156,14 +157,14 @@ type UDR struct {
 	// subs is lock-striped by SUPI: the per-record SQN advance stays
 	// atomic (stripe write lock) while unrelated subscribers proceed in
 	// parallel.
-	subs *shard.Map[string, *record]
+	subs *shard.Map[codec.SUPI, *record]
 }
 
 // New creates a UDR and registers its SBI server.
 func New(env *costmodel.Env, registry *sbi.Registry) (*UDR, error) {
 	u := &UDR{
 		server: sbi.NewServer(ServiceName, env),
-		subs:   shard.NewString[*record](),
+		subs:   shard.New[codec.SUPI, *record](codec.SUPI.Hash),
 	}
 	u.server.HandleDual(PathProvision, sbi.BinHandler(u.handleProvision))
 	u.server.HandleDual(PathNextAuth, sbi.BinHandler(u.handleNextAuth))
@@ -281,7 +282,7 @@ func (u *UDR) handleGet(_ context.Context, req *GetRequest) (*GetResponse, error
 
 // Holds reports whether the repository has a record for supi. It reads
 // no field of the record.
-func (u *UDR) Holds(supi string) bool {
+func (u *UDR) Holds(supi codec.SUPI) bool {
 	_, ok := u.subs.Load(supi)
 	return ok
 }
@@ -316,10 +317,15 @@ func (c *Client) Provision(ctx context.Context, s Subscriber) error {
 	return c.invoker.Post(ctx, ServiceName, PathProvision, &ProvisionRequest{Subscriber: s}, nil)
 }
 
-// NextAuth fetches auth material and advances the SQN.
+// NextAuth fetches auth material and advances the SQN. It takes the
+// SUPI's text, which it parses without allocating.
 func (c *Client) NextAuth(ctx context.Context, supi string) (*NextAuthResponse, error) {
+	id, err := codec.ParseSUPI(supi)
+	if err != nil {
+		return nil, fmt.Errorf("udr: %w", err)
+	}
 	var resp NextAuthResponse
-	if err := c.invoker.Post(ctx, ServiceName, PathNextAuth, &NextAuthRequest{SUPI: supi}, &resp); err != nil {
+	if err := c.invoker.Post(ctx, ServiceName, PathNextAuth, &NextAuthRequest{SUPI: id}, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -327,7 +333,7 @@ func (c *Client) NextAuth(ctx context.Context, supi string) (*NextAuthResponse, 
 
 // NextAuthBatch fetches auth material once and advances the SQN count
 // times, returning the per-vector sequence numbers oldest first.
-func (c *Client) NextAuthBatch(ctx context.Context, supi string, count int) (*NextAuthBatchResponse, error) {
+func (c *Client) NextAuthBatch(ctx context.Context, supi codec.SUPI, count int) (*NextAuthBatchResponse, error) {
 	var resp NextAuthBatchResponse
 	if err := c.invoker.Post(ctx, ServiceName, PathNextAuthBatch, &NextAuthBatchRequest{SUPI: supi, Count: count}, &resp); err != nil {
 		return nil, err
@@ -340,7 +346,7 @@ func (c *Client) NextAuthBatch(ctx context.Context, supi string, count int) (*Ne
 }
 
 // Resync rebases the network SQN after UE resynchronisation.
-func (c *Client) Resync(ctx context.Context, supi string, sqnMS []byte) error {
+func (c *Client) Resync(ctx context.Context, supi codec.SUPI, sqnMS []byte) error {
 	return c.invoker.Post(ctx, ServiceName, PathResync, &ResyncRequest{SUPI: supi, SQNMS: sqnMS}, nil)
 }
 
@@ -350,7 +356,7 @@ func (c *Client) Resync(ctx context.Context, supi string, sqnMS []byte) error {
 // a restart or a rebalance. An SGX eUDM restores K from its sealed file,
 // so an SGX slice never calls Get; every deployment fetches
 // vectors via NextAuth and a resync's OPc via a zero-count NextAuthBatch.
-func (c *Client) Get(ctx context.Context, supi string) (*Subscriber, error) {
+func (c *Client) Get(ctx context.Context, supi codec.SUPI) (*Subscriber, error) {
 	var resp GetResponse
 	//shieldlint:ignore secretflow guest-eUDM reprovisioning path (container, SEV); SGX slices never call it and K stays in the enclave store
 	if err := c.invoker.Post(ctx, ServiceName, PathGet, &GetRequest{SUPI: supi}, &resp); err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 func harness(t *testing.T) (*UDR, *Client) {
@@ -22,9 +23,21 @@ func harness(t *testing.T) (*UDR, *Client) {
 	return u, NewClient(sbi.NewClient("test", env, reg))
 }
 
+// id parses a test SUPI, which must be well formed.
+func id(text string) codec.SUPI {
+	supi, err := codec.ParseSUPI(text)
+	if err != nil {
+		panic(err)
+	}
+	return supi
+}
+
+// unknown is a well-formed IMSI no test provisions.
+const unknown = "imsi-999990000000001"
+
 func validSubscriber(supi string) Subscriber {
 	return Subscriber{
-		SUPI:     supi,
+		SUPI:     id(supi),
 		K:        bytes.Repeat([]byte{0x11}, 16),
 		OPc:      bytes.Repeat([]byte{0x22}, 16),
 		SQN:      []byte{0, 0, 0, 0, 0, 0},
@@ -41,11 +54,11 @@ func TestProvisionAndGet(t *testing.T) {
 	if u.SubscriberCount() != 1 {
 		t.Fatalf("SubscriberCount = %d", u.SubscriberCount())
 	}
-	got, err := c.Get(ctx, "imsi-1")
+	got, err := c.Get(ctx, id("imsi-1"))
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	if got.SUPI != "imsi-1" || !bytes.Equal(got.K, bytes.Repeat([]byte{0x11}, 16)) {
+	if got.SUPI != id("imsi-1") || !bytes.Equal(got.K, bytes.Repeat([]byte{0x11}, 16)) {
 		t.Fatalf("Get = %+v", got)
 	}
 }
@@ -54,7 +67,7 @@ func TestProvisionValidation(t *testing.T) {
 	_, c := harness(t)
 	ctx := context.Background()
 	cases := map[string]func(*Subscriber){
-		"empty SUPI": func(s *Subscriber) { s.SUPI = "" },
+		"empty SUPI": func(s *Subscriber) { s.SUPI = codec.SUPI{} },
 		"short K":    func(s *Subscriber) { s.K = s.K[:8] },
 		"short OPc":  func(s *Subscriber) { s.OPc = nil },
 		"short SQN":  func(s *Subscriber) { s.SQN = s.SQN[:3] },
@@ -62,7 +75,7 @@ func TestProvisionValidation(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			s := validSubscriber("imsi-x")
+			s := validSubscriber("imsi-001010000000099")
 			mutate(&s)
 			err := c.Provision(ctx, s)
 			var pd *sbi.ProblemDetails
@@ -100,10 +113,14 @@ func TestNextAuthAdvancesSQN(t *testing.T) {
 
 func TestNextAuthUnknownSubscriber(t *testing.T) {
 	_, c := harness(t)
-	_, err := c.NextAuth(context.Background(), "imsi-ghost")
+	_, err := c.NextAuth(context.Background(), unknown)
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 404 {
 		t.Fatalf("err = %v, want 404", err)
+	}
+	// A malformed SUPI is refused before any request is posted.
+	if _, err := c.NextAuth(context.Background(), "imsi-ghost"); !errors.Is(err, codec.ErrIdentity) {
+		t.Fatalf("malformed SUPI err = %v, want codec.ErrIdentity", err)
 	}
 }
 
@@ -114,7 +131,7 @@ func TestResyncRebasesAboveUESQN(t *testing.T) {
 		t.Fatalf("Provision: %v", err)
 	}
 	ueSQN := []byte{0, 0, 0, 1, 0, 0}
-	if err := c.Resync(ctx, "imsi-1", ueSQN); err != nil {
+	if err := c.Resync(ctx, id("imsi-1"), ueSQN); err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
 	next, err := c.NextAuth(ctx, "imsi-1")
@@ -124,10 +141,10 @@ func TestResyncRebasesAboveUESQN(t *testing.T) {
 	if sqnValue(next.SQN) <= sqnValue(ueSQN) {
 		t.Fatalf("post-resync SQN %d not above UE SQN %d", sqnValue(next.SQN), sqnValue(ueSQN))
 	}
-	if err := c.Resync(ctx, "imsi-1", []byte{1, 2}); err == nil {
+	if err := c.Resync(ctx, id("imsi-1"), []byte{1, 2}); err == nil {
 		t.Fatal("short SQN_MS accepted")
 	}
-	if err := c.Resync(ctx, "imsi-ghost", ueSQN); err == nil {
+	if err := c.Resync(ctx, id(unknown), ueSQN); err == nil {
 		t.Fatal("unknown subscriber resync accepted")
 	}
 }
@@ -153,7 +170,7 @@ func TestNextAuthBatchZeroCountReadsWithoutAdvancing(t *testing.T) {
 			t.Fatalf("Provision: %v", err)
 		}
 		for range 2 { // the second read is a binary client's first frame
-			read, err := c.NextAuthBatch(ctx, "imsi-1", 0)
+			read, err := c.NextAuthBatch(ctx, id("imsi-1"), 0)
 			if err != nil {
 				t.Fatalf("binary=%v: NextAuthBatch(0): %v", binary, err)
 			}
@@ -168,7 +185,7 @@ func TestNextAuthBatchZeroCountReadsWithoutAdvancing(t *testing.T) {
 		if got := sqnValue(next.SQN); got != sqnStep {
 			t.Fatalf("binary=%v: first SQN after two zero-count reads = %d, want %d", binary, got, sqnStep)
 		}
-		if _, err := c.NextAuthBatch(ctx, "imsi-ghost", 0); !sbi.HasCause(err, "USER_NOT_FOUND") {
+		if _, err := c.NextAuthBatch(ctx, id(unknown), 0); !sbi.HasCause(err, "USER_NOT_FOUND") {
 			t.Fatalf("binary=%v: unknown subscriber err = %v, want USER_NOT_FOUND", binary, err)
 		}
 	}
@@ -180,19 +197,19 @@ func TestGetReturnsCopies(t *testing.T) {
 	if err := c.Provision(ctx, validSubscriber("imsi-1")); err != nil {
 		t.Fatalf("Provision: %v", err)
 	}
-	a, err := c.Get(ctx, "imsi-1")
+	a, err := c.Get(ctx, id("imsi-1"))
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
 	a.K[0] = 0xFF
-	b, err := c.Get(ctx, "imsi-1")
+	b, err := c.Get(ctx, id("imsi-1"))
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
 	if b.K[0] == 0xFF {
 		t.Fatal("Get returned aliased storage")
 	}
-	if _, err := c.Get(ctx, "nobody"); err == nil {
+	if _, err := c.Get(ctx, id(unknown)); err == nil {
 		t.Fatal("unknown Get accepted")
 	}
 }

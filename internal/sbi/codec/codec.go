@@ -38,6 +38,9 @@
 //     or Bytes32 held in the message itself and described with Fixed: a
 //     decode copies it in place in either format, so it is never a view
 //     and never needs a backing of its own.
+//   - Identities are values the same way: a SUPI or an auth-context ID
+//     is a SUPI or AuthCtxID held in 16 bytes, described with Ident, and
+//     travels as the string it replaced. Other strings are copies.
 package codec
 
 import (

@@ -2,8 +2,10 @@ package codec
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/base64"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -254,10 +256,6 @@ func TestInternedStringIsCanonical(t *testing.T) {
 	}
 }
 
-// FuzzFramePayload throws arbitrary bytes at the frame parser and the
-// frame decoder: whatever the input, parsing must never panic, a frame
-// accepted by Payload must satisfy the header/length invariants, and a
-// failed decode must leave no view behind.
 // fixedProbe holds one fixed-width value of each width.
 type fixedProbe struct {
 	H Bytes16 `json:"h"`
@@ -316,6 +314,117 @@ func TestFixedWidthLength(t *testing.T) {
 	}
 }
 
+// Both identities append, marshal and unmarshal their text, which is how
+// encoding/json writes and reads them (encoding.TextAppender is spelled
+// out: the module's go line predates it).
+var (
+	_ interface {
+		AppendText([]byte) ([]byte, error)
+		encoding.TextMarshaler
+	} = SUPI{}
+	_ interface {
+		AppendText([]byte) ([]byte, error)
+		encoding.TextMarshaler
+	} = AuthCtxID{}
+	_ encoding.TextUnmarshaler = new(SUPI)
+	_ encoding.TextUnmarshaler = new(AuthCtxID)
+)
+
+// idProbe holds one identity of each kind. textProbe is its wire twin,
+// with both as strings, to write text the identities reject.
+type idProbe struct {
+	S  SUPI      `json:"s"`
+	ID AuthCtxID `json:"id"`
+}
+
+func (m *idProbe) Fields(f *Fields) {
+	f.Ident("s", &m.S)
+	f.Ident("id", &m.ID)
+}
+
+type textProbe struct {
+	S  string `json:"s"`
+	ID string `json:"id"`
+}
+
+func (m *textProbe) Fields(f *Fields) {
+	f.String("s", &m.S, 0)
+	f.String("id", &m.ID, 0)
+}
+
+// TestIdentityText: an identity travels as the string it replaced, in
+// both formats and through encoding/json, and its text comes back as it
+// went; text the type does not accept is ErrIdentity from a frame, from
+// the JSON fast path and from encoding/json alike, and leaves the zero
+// value.
+func TestIdentityText(t *testing.T) {
+	for _, text := range []textProbe{
+		{},
+		{S: "imsi-0", ID: "a"},
+		{S: "imsi-001010000000001", ID: "authctx-42"},
+		{S: "imsi-1234567890123456", ID: "0123456789abcdef"},
+		{S: "imsi-9", ID: " !#$%'()*+,-./:;=?@[]^_`{|}~\x7f"[:16]},
+	} {
+		var fromFrame, fromJSON, ref idProbe
+		wantFrame := AppendBinary(nil, &text)
+		wantBody, _ := json.Marshal(&text)
+		if err := DecodeBinary(wantFrame, &fromFrame); err != nil {
+			t.Fatalf("%+v: frame decode: %v", text, err)
+		}
+		if err := DecodeJSON(wantBody, &fromJSON); err != nil || !FastDecodeJSON(wantBody, &idProbe{}) {
+			t.Fatalf("%+v: JSON decode: %v (or it left the fast path)", text, err)
+		}
+		if err := json.Unmarshal(wantBody, &ref); err != nil || fromFrame != ref || fromJSON != ref {
+			t.Fatalf("%+v: frame %+v, JSON %+v, encoding/json %+v (%v)", text, fromFrame, fromJSON, ref, err)
+		}
+		if got := (textProbe{S: ref.S.String(), ID: ref.ID.String()}); got != text {
+			t.Errorf("%+v came back as %+v", text, got)
+		}
+		body, err := AppendJSON(nil, &ref)
+		refBody, _ := json.Marshal(&ref)
+		if frame := AppendBinary(nil, &ref); err != nil || !bytes.Equal(frame, wantFrame) || !bytes.Equal(body, wantBody) || !bytes.Equal(refBody, wantBody) {
+			t.Errorf("%+v re-encodes as frame %x, JSON %s, encoding/json %s (%v); want %x, %s", text, frame, body, refBody, err, wantFrame, wantBody)
+		}
+	}
+
+	for _, text := range []textProbe{
+		{S: "imsi-"},
+		{S: "imsi-00101000000001x"},
+		{S: "imsi-12345678901234567"},
+		{S: "IMSI-1"},
+		{S: "imsi1"},
+		{S: "nai-1"},
+		{S: "imsi-1 "},
+		{S: "imsi-1\x00"},
+		{ID: "0123456789abcdef0"},
+		{ID: "auth<ctx"},
+		{ID: `auth"ctx`},
+		{ID: "auth\x01ctx"},
+		{ID: "auth\xffctx"},
+		{ID: "authctx\x00"},
+	} {
+		var fromFrame, fromJSON, ref idProbe
+		fromFrame.S, _ = ParseSUPI("imsi-1")
+		body, _ := json.Marshal(&text)
+		ferr := DecodeBinary(AppendBinary(nil, &text), &fromFrame)
+		jerr := DecodeJSON(body, &fromJSON)
+		rerr := json.Unmarshal(body, &ref)
+		for what, err := range map[string]error{"frame": ferr, "JSON": jerr, "encoding/json": rerr} {
+			if !errors.Is(err, ErrIdentity) {
+				t.Errorf("%q/%q: %s decode err %v, want ErrIdentity", text.S, text.ID, what, err)
+			}
+		}
+		if fromFrame != (idProbe{}) {
+			t.Errorf("%q/%q: a failed frame decode left %+v", text.S, text.ID, fromFrame)
+		}
+	}
+}
+
+// FuzzFramePayload throws arbitrary bytes at the frame parser and the
+// frame decoder: whatever the input, parsing must never panic, a frame
+// accepted by Payload must satisfy the header/length invariants, a
+// failed decode must leave no view behind, and an identity decodes only
+// from text it re-encodes byte for byte.
 func FuzzFramePayload(f *testing.F) {
 	valid := buildFrameBytes(AppendBinary(nil, &probe{
 		S: "imsi-00101-0000000001", View: []byte{1, 2, 3, 4}, Y: 7, Opt: &probeItem{}, Items: make([]probeItem, 2),
@@ -327,6 +436,9 @@ func FuzzFramePayload(f *testing.F) {
 	f.Add([]byte{Magic, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(valid[:len(valid)-3])
 	f.Add(append(append([]byte{}, valid...), 0xAA))
+	f.Add(buildFrameBytes(AppendBinary(nil, &textProbe{S: "imsi-001010000000001", ID: "authctx-42"})))
+	f.Add(buildFrameBytes(AppendBinary(nil, &textProbe{S: "imsi-0010100000000012", ID: "authctx-42-overlong"})))
+	f.Add(buildFrameBytes(AppendBinary(nil, &textProbe{S: "imsi-00101x", ID: "auth<ctx"})))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := Payload(data)
@@ -345,6 +457,10 @@ func FuzzFramePayload(f *testing.F) {
 		var out probe
 		if err := DecodeBinary(payload, &out); err != nil && (out.Kept != nil || out.Opt != nil && out.Opt.B != nil) {
 			t.Fatalf("failed decode (%v) left owned fields: %+v", err, &out)
+		}
+		var ids idProbe
+		if err := DecodeBinary(payload, &ids); err == nil && !bytes.Equal(AppendBinary(nil, &ids), payload) {
+			t.Fatalf("identities %+v decoded from %x re-encode differently", ids, payload)
 		}
 	})
 }

@@ -359,6 +359,15 @@ func FuzzJSONDifferential(f *testing.F) {
 		f.Add(uint8(i), text(parse(f, canonical), style{escape: true}))
 	}
 	f.Add(uint8(0), []byte(`{"supi":null,"opc":"","rand":null,"zz":[1,{"a":"b"}],"supi":"x"} `))
+	// Identities: a last character neither a digit nor plain, and text
+	// past the width.
+	for i, s := range all {
+		if text, ok := identityText[s.name]; ok {
+			canonical, _ := json.Marshal(s.msg)
+			f.Add(uint8(i), bytes.Replace(canonical, []byte(text), []byte(text[:len(text)-1]+"<"), 1))
+			f.Add(uint8(i), bytes.Replace(canonical, []byte(text), []byte(text+"0123456789"), 1))
+		}
+	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		agree(t, all[int(which)%len(all)], body)
 	})

@@ -43,9 +43,10 @@ const (
 	Own
 	// Intern canonicalises a decoded string through internal/intern, so
 	// decoding the same protocol constant (an MCC, a serving network
-	// name) costs no allocation after first sight. Never for
-	// per-subscriber values such as SUPIs or auth-context IDs: those are
-	// unique, would churn the table to its cap, and then allocate anyway.
+	// name) costs no allocation after first sight. Identities need no
+	// table: a SUPI or an auth-context ID is a value (Ident) decoded in
+	// place, and a SUPI still carried as a string is unique, so interning
+	// it would churn the table to its cap and then allocate anyway.
 	Intern
 )
 
@@ -111,8 +112,11 @@ func AppendBinary(dst []byte, m Message) []byte {
 }
 
 // DecodeBinary decodes a frame payload into m; the payload must be
-// consumed exactly. Byte strings not marked Own are views into payload,
-// and strings are copies: a string header cannot express the loan.
+// consumed exactly. Byte strings not marked Own are views into payload;
+// fixed-width values and identities are copied in place, allocating
+// nothing; and the strings left (serving network names, SUCI fields, the
+// SUPIs of the requests the benchmark builds) are copies, since a string
+// header cannot express the loan, or interned ones.
 func DecodeBinary(payload []byte, m Message) error {
 	f := get(binDecode, payload)
 	m.Fields(f)

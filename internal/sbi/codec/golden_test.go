@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"os"
 	"reflect"
 	"strings"
@@ -169,6 +170,23 @@ func sampleAVResponse(seed byte) paka.UDMGenerateAVResponse {
 	}
 }
 
+// supi and authCtxID parse sample identities, which must be well formed.
+func supi(text string) codec.SUPI {
+	v, err := codec.ParseSUPI(text)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func authCtxID(text string) codec.AuthCtxID {
+	var v codec.AuthCtxID
+	if err := v.UnmarshalText([]byte(text)); err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func bytesOf(n int, seed byte) []byte {
 	b := make([]byte, n)
 	for i := range b {
@@ -183,7 +201,7 @@ func samples() []sample {
 	avReq := sampleAVRequest("imsi-001010000000001")
 	avResp := sampleAVResponse(0x20)
 	sub := udr.Subscriber{
-		SUPI:     "imsi-001010000000014",
+		SUPI:     supi("imsi-001010000000014"),
 		K:        bytesOf(16, 0x0D),
 		OPc:      bytesOf(16, 0x0E),
 		SQN:      bytesOf(6, 0x0F),
@@ -241,14 +259,14 @@ func samples() []sample {
 		{"udm.GenerateAuthDataRequest/suci", &udm.GenerateAuthDataRequest{SUCI: sampleSUCI(), ServingNetworkName: snn}},
 		{"udm.GenerateAuthDataRequest/supi-reauth", &udm.GenerateAuthDataRequest{SUPI: "imsi-001010000000009", ServingNetworkName: snn}},
 		{"udm.GenerateAuthDataResponse", &udm.GenerateAuthDataResponse{
-			SUPI:     "imsi-001010000000010",
+			SUPI:     supi("imsi-001010000000010"),
 			RAND:     codec.Bytes16(bytesOf(16, 0x01)),
 			AUTN:     codec.Bytes16(bytesOf(16, 0x02)),
 			XRESStar: codec.Bytes16(bytesOf(16, 0x03)),
 			KAUSF:    codec.Bytes32(bytesOf(32, 0x04)),
 		}},
 		{"udm.ResyncRequest", &udm.ResyncRequest{
-			SUPI: "imsi-001010000000011",
+			SUPI: supi("imsi-001010000000011"),
 			RAND: bytesOf(16, 0x05),
 			AUTS: bytesOf(14, 0x06),
 		}},
@@ -257,14 +275,14 @@ func samples() []sample {
 		{"ausf.AuthenticateRequest/suci", &ausf.AuthenticateRequest{SUCI: sampleSUCI(), ServingNetworkName: snn}},
 		{"ausf.AuthenticateRequest/supi-reauth", &ausf.AuthenticateRequest{SUPI: "imsi-001010000000012", ServingNetworkName: snn}},
 		{"ausf.AuthenticateResponse", &ausf.AuthenticateResponse{
-			AuthCtxID: "authctx-42",
+			AuthCtxID: authCtxID("authctx-42"),
 			RAND:      codec.Bytes16(bytesOf(16, 0x07)),
 			AUTN:      codec.Bytes16(bytesOf(16, 0x08)),
 			HXRESStar: codec.Bytes16(bytesOf(16, 0x09)),
 		}},
-		{"ausf.ConfirmRequest", &ausf.ConfirmRequest{AuthCtxID: "authctx-42", ResStar: codec.Bytes16(bytesOf(16, 0x0A))}},
-		{"ausf.ConfirmResponse", &ausf.ConfirmResponse{SUPI: "imsi-001010000000013", KSEAF: codec.Bytes32(bytesOf(32, 0x0B))}},
-		{"ausf.ResyncRequest", &ausf.ResyncRequest{AuthCtxID: "authctx-43", AUTS: bytesOf(14, 0x0C)}},
+		{"ausf.ConfirmRequest", &ausf.ConfirmRequest{AuthCtxID: authCtxID("authctx-42"), ResStar: codec.Bytes16(bytesOf(16, 0x0A))}},
+		{"ausf.ConfirmResponse", &ausf.ConfirmResponse{SUPI: supi("imsi-001010000000013"), KSEAF: codec.Bytes32(bytesOf(32, 0x0B))}},
+		{"ausf.ResyncRequest", &ausf.ResyncRequest{AuthCtxID: authCtxID("authctx-43"), AUTS: bytesOf(14, 0x0C)}},
 
 		{"udr.Subscriber", &sub},
 		{"udr.ProvisionRequest", &udr.ProvisionRequest{Subscriber: sub}},
@@ -294,5 +312,94 @@ func samples() []sample {
 			HomeKeyID:        0,
 			SchemeOutput:     []byte("0000000001"),
 		}},
+	}
+}
+
+// identityText maps every sample whose message carries a SUPI or an
+// auth-context ID as a value to that value's text.
+var identityText = map[string]string{
+	"udm.GenerateAuthDataResponse": "imsi-001010000000010",
+	"udm.ResyncRequest":            "imsi-001010000000011",
+	"ausf.AuthenticateResponse":    "authctx-42",
+	"ausf.ConfirmRequest":          "authctx-42",
+	"ausf.ConfirmResponse":         "imsi-001010000000013",
+	"ausf.ResyncRequest":           "authctx-43",
+	"udr.Subscriber":               "imsi-001010000000014",
+	"udr.ProvisionRequest":         "imsi-001010000000014",
+	"udr.NextAuthRequest":          "imsi-001010000000014",
+	"udr.NextAuthBatchRequest":     "imsi-001010000000014",
+	"udr.ResyncRequest":            "imsi-001010000000014",
+	"udr.GetRequest":               "imsi-001010000000014",
+	"udr.GetResponse":              "imsi-001010000000014",
+}
+
+// carriesIdentity reports whether t holds a codec.SUPI or codec.AuthCtxID,
+// directly or in a nested struct.
+func carriesIdentity(t reflect.Type) bool {
+	switch t {
+	case reflect.TypeOf(codec.SUPI{}), reflect.TypeOf(codec.AuthCtxID{}):
+		return true
+	}
+	if t.Kind() != reflect.Struct {
+		return false
+	}
+	for i := range t.NumField() {
+		if carriesIdentity(t.Field(i).Type) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestIdentityMessages: every message that carries an identity value comes
+// back from its frame and from its JSON body as the value it was, and
+// decoding rejects, in both formats, identity text the type does not
+// accept: a non-digit, nothing after the prefix or a seventeenth digit in
+// a SUPI; a seventeenth byte or one that is not plain in an auth-context
+// ID.
+func TestIdentityMessages(t *testing.T) {
+	for _, s := range samples() {
+		text, listed := identityText[s.name]
+		if carries := carriesIdentity(reflect.TypeOf(s.msg).Elem()); carries != listed {
+			t.Fatalf("%s: carries an identity %v, listed in identityText %v", s.name, carries, listed)
+		}
+		if !listed {
+			continue
+		}
+		t.Run(s.name, func(t *testing.T) {
+			fromFrame, fromJSON := s.fresh(), s.fresh()
+			decodeFrame(t, frameOf(t, s.msg), fromFrame)
+			body, err := codec.AppendJSON(nil, s.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := codec.DecodeJSON(body, fromJSON); err != nil {
+				t.Fatalf("DecodeJSON: %v", err)
+			}
+			if !reflect.DeepEqual(fromFrame, s.msg) || !reflect.DeepEqual(fromJSON, s.msg) {
+				t.Fatalf("round trips:\n frame %#v\n JSON  %#v\n want  %#v", fromFrame, fromJSON, s.msg)
+			}
+
+			payload := codec.AppendBinary(nil, s.msg)
+			at := bytes.Index(payload, []byte(text))
+			if at < 1 || int(payload[at-1]) != len(text) {
+				t.Fatalf("%q is not a length-prefixed string in %x", text, payload)
+			}
+			bad := []string{"authctx-42-overlong", "authctx<42", "authctx\x0142", "authctx-\xff"}
+			if strings.HasPrefix(text, "imsi-") {
+				bad = []string{"imsi-00101000000001x", "imsi-", "imsi-00101000000000001", "imsi-0010100000\x01"}
+			}
+			for _, b := range bad {
+				frame := append(append(append(bytes.Clone(payload[:at-1]), byte(len(b))), b...), payload[at+len(text):]...)
+				if err := codec.DecodeBinary(frame, s.fresh()); !errors.Is(err, codec.ErrIdentity) {
+					t.Errorf("%q in a frame: err %v, want ErrIdentity", b, err)
+				}
+				quoted, _ := json.Marshal(b)
+				doc := bytes.Replace(body, []byte(`"`+text+`"`), quoted, 1)
+				if err := codec.DecodeJSON(doc, s.fresh()); !errors.Is(err, codec.ErrIdentity) {
+					t.Errorf("%s: err %v, want ErrIdentity", doc, err)
+				}
+			}
+		})
 	}
 }

@@ -11,10 +11,12 @@ func (m *nested) Fields(f *Fields) { f.Struct("item", &m.Item, 0) }
 
 // TestHotPathAllocs holds both wire formats to exact allocation counts for
 // a message with every field kind (probe, and nested for a required
-// struct) and one with every fixed width (fixedProbe). Encoding appends into a caller-owned buffer and allocates
-// nothing; a decode allocates only what the message keeps past the body
-// (probe's strings, owned byte strings, optional item and list), and a JSON
-// decode also its byte strings' one backing. The decode scratch is pooled, and sync.Pool drops items at random
+// struct), one with every fixed width (fixedProbe) and one with each
+// identity (idProbe). Encoding appends into a caller-owned buffer and
+// allocates nothing; a decode allocates only what the message keeps past
+// the body (probe's strings, owned byte strings, optional item and list),
+// and a JSON decode also its byte strings' one backing. Fixed-width values
+// and identities are decoded in place: nothing. The decode scratch is pooled, and sync.Pool drops items at random
 // under the race detector, so this file builds only without -race; make ci
 // runs it on its no-race allocation line.
 func TestHotPathAllocs(t *testing.T) {
@@ -24,6 +26,16 @@ func TestHotPathAllocs(t *testing.T) {
 		Items: []probeItem{{B: []byte{1}}, {}, {B: []byte{3, 3}}},
 	}
 	fixed := &fixedProbe{H: Bytes16{1}, K: Bytes32{2}}
+	ids := new(idProbe)
+	if err := DecodeBinary(AppendBinary(nil, &textProbe{S: "imsi-001010000000001", ID: "0000000000000001"}), ids); err != nil {
+		t.Fatal(err)
+	}
+	idPayload := AppendBinary(nil, ids)
+	idBody, err := AppendJSON(nil, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idOut idProbe
 	wrapped := &nested{Item: probeItem{B: []byte{4, 2}}}
 	wrappedPayload := AppendBinary(nil, wrapped)
 	var wrappedOut nested
@@ -69,6 +81,10 @@ func TestHotPathAllocs(t *testing.T) {
 		{"AppendJSON(fixedProbe)", 0, func() (err error) { buf, err = AppendJSON(buf[:0], fixed); return err }},
 		{"DecodeBinary(fixedProbe)", 0, func() error { return DecodeBinary(fixedPayload, &fixedOut) }},
 		{"DecodeJSON(fixedProbe)", 0, func() error { return DecodeJSON(fixedBody, &fixedOut) }},
+		{"AppendBinary(idProbe)", 0, func() error { buf = AppendBinary(buf[:0], ids); return nil }},
+		{"AppendJSON(idProbe)", 0, func() (err error) { buf, err = AppendJSON(buf[:0], ids); return err }},
+		{"DecodeBinary(idProbe)", 0, func() error { return DecodeBinary(idPayload, &idOut) }},
+		{"DecodeJSON(idProbe)", 0, func() error { return DecodeJSON(idBody, &idOut) }},
 		{"Compact: one backing", 1, func() error {
 			a, b := payload[:2], payload[2:4]
 			Compact(&a, &b)

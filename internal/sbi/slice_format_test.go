@@ -81,7 +81,11 @@ func TestBinarySliceServesNo4xx(t *testing.T) {
 	// carried — one step for the rebase, one for the vector that followed —
 	// and kept its own copy: the frame has been released (and, under the
 	// pool audit, poisoned) since.
-	rec, err := udr.NewClient(sbi.NewClient("test", tb.Slice.Env, tb.Slice.Registry)).Get(ctx, subs[1].SUPI.String())
+	id, err := subs[1].SUPI.Value()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := udr.NewClient(sbi.NewClient("test", tb.Slice.Env, tb.Slice.Registry)).Get(ctx, id)
 	if err != nil {
 		t.Fatalf("UDR Get: %v", err)
 	}

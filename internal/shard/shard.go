@@ -50,9 +50,6 @@ func NewUint32[V any]() *Map[uint32, V] {
 	return New[uint32, V](func(k uint32) uint64 { return HashUint64(uint64(k)) })
 }
 
-// NewString creates a striped map keyed by string.
-func NewString[V any]() *Map[string, V] { return New[string, V](HashString) }
-
 func (m *Map[K, V]) stripeFor(k K) *stripe[K, V] {
 	return &m.stripes[m.hash(k)%stripeCount]
 }
@@ -145,18 +142,4 @@ func HashUint64(k uint64) uint64 {
 	k *= 0x94d049bb133111eb
 	k ^= k >> 31
 	return k
-}
-
-// HashString is the 64-bit FNV-1a hash.
-func HashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
 }

@@ -6,8 +6,18 @@ import (
 	"testing"
 )
 
+// fnv1a is the 64-bit FNV-1a hash: string keys for the tests.
+func fnv1a(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
 func TestBasicOperations(t *testing.T) {
-	m := NewString[int]()
+	m := New[string, int](fnv1a)
 	if _, ok := m.Load("a"); ok {
 		t.Fatal("empty map reports a key")
 	}
@@ -35,7 +45,7 @@ func TestBasicOperations(t *testing.T) {
 }
 
 func TestUpdateMutatesInPlace(t *testing.T) {
-	m := NewString[*[]int]()
+	m := New[string, *[]int](fnv1a)
 	v := &[]int{}
 	m.Store("k", v)
 	for i := 0; i < 10; i++ {

@@ -12,6 +12,7 @@ import (
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/nf/udr"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 // subscriberKey is the long-term key every test subscriber is provisioned
@@ -357,7 +358,11 @@ func TestSwitchlessParallelMintsWholeBatches(t *testing.T) {
 				udrc := udr.NewClient(sbi.NewClient("test", tb.Slice.Env, tb.Slice.Registry))
 				var minted uint64
 				for _, supi := range supis {
-					sub, err := udrc.Get(ctx, supi)
+					id, err := codec.ParseSUPI(supi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sub, err := udrc.Get(ctx, id)
 					if err != nil {
 						t.Fatalf("UDR Get %s: %v", supi, err)
 					}
