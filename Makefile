@@ -62,8 +62,8 @@ loc:
 		END { for (k in s) printf "%7d  %s\n", s[k], k }' | sort -rn
 
 # What CI runs (.github/workflows/ci.yml's test job is `make ci`), cheapest
-# signal first: gofmt over the main module (bench/ is checked with its own
-# module below), lint, vet, the whole suite under -race (it holds every
+# signal first: gofmt over the main module's tracked and untracked,
+# not ignored, files (bench/ is checked with its own module below), lint, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package,
 # and checks every acquisition of a ranked mutex, internal/lockrank),
@@ -96,7 +96,7 @@ loc:
 STORM_SMOKES = '-n 40 -storm 10 -limiter -avpool 8 -seed 7' '-n 400 -storm 10 -limiter -seed 7 -shards 4'
 
 ci: build
-	test -z "$$(gofmt -l $$(git ls-files '*.go' ':!bench/') | tee /dev/stderr)"
+	test -z "$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go' ':!bench/') | tee /dev/stderr)"
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...

@@ -40,6 +40,7 @@ import (
 	"shield5g/internal/sbi"
 	"shield5g/internal/simclock"
 	"shield5g/internal/topology"
+	"shield5g/internal/ue"
 )
 
 // SliceConfig describes one network slice deployment.
@@ -676,6 +677,26 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 		}
 	}
 	return nil
+}
+
+// ProvisionDevice provisions a subscriber (see ProvisionSubscriber) and
+// returns a UE device holding its USIM credentials and this slice's
+// home-network key, charging the slice's env. A nil profile makes a
+// simulator UE; a COTSProfile gives the device a commercial handset's
+// behaviour.
+func (s *Slice) ProvisionDevice(ctx context.Context, supi suci.SUPI, k, opc []byte, profile *ue.COTSProfile) (*ue.UE, error) {
+	if err := s.ProvisionSubscriber(ctx, supi, k, opc); err != nil {
+		return nil, err
+	}
+	return ue.New(ue.Config{
+		SUPI:                 supi,
+		K:                    k,
+		OPc:                  opc,
+		HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
+		HomeNetworkKeyID:     s.HomeNetworkKey.ID,
+		Env:                  s.Env,
+		Profile:              profile,
+	})
 }
 
 // PrewarmAVPool fills the AV precomputation pools for the given SUPIs

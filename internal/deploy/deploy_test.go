@@ -85,19 +85,9 @@ func provisionUEKey(t *testing.T, s *Slice, msin string, k []byte) *ue.UE {
 	if err != nil {
 		t.Fatalf("ComputeOPc: %v", err)
 	}
-	if err := s.ProvisionSubscriber(context.Background(), supi, k, opc); err != nil {
-		t.Fatalf("ProvisionSubscriber: %v", err)
-	}
-	device, err := ue.New(ue.Config{
-		SUPI:                 supi,
-		K:                    k,
-		OPc:                  opc,
-		HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
-		HomeNetworkKeyID:     s.HomeNetworkKey.ID,
-		Env:                  s.Env,
-	})
+	device, err := s.ProvisionDevice(context.Background(), supi, k, opc, nil)
 	if err != nil {
-		t.Fatalf("ue.New: %v", err)
+		t.Fatalf("ProvisionDevice: %v", err)
 	}
 	return device
 }

@@ -77,7 +77,7 @@ func (s *Slice) buildShard(ctx context.Context, r int, signKey ed25519.PrivateKe
 	shard.Admission = newAdmission(cfg, s.Env)
 
 	if shard.AMF, err = amf.New(ctx, amf.Config{
-		Env: s.Env, Registry: s.Registry, Invoker: amfInvoker,
+		Invoker:   amfInvoker,
 		Functions: shard.RemoteAMF, MCC: cfg.MCC, MNC: cfg.MNC, HMEE: hmee,
 		Admission: shard.Admission, Replica: r,
 	}); err != nil {

@@ -21,19 +21,19 @@ type AblationResult struct {
 // (load time, TCB growth, transition counts).
 func Ablation(ctx context.Context, cfg Config) (*AblationResult, error) {
 	configs := []struct {
-		name string
-		opts rigOptions
+		name   string
+		module paka.Config
 	}{
-		{"container", rigOptions{isolation: paka.Container}},
-		{"sgx (paper baseline)", rigOptions{isolation: paka.SGX}},
-		{"sgx no-preheat", rigOptions{isolation: paka.SGX, disablePreheat: true}},
-		{"sgx exitless", rigOptions{isolation: paka.SGX, exitless: true}},
-		{"sgx user-level TCP", rigOptions{isolation: paka.SGX, userLevelTCP: true}},
-		{"sgx exitless+userTCP", rigOptions{isolation: paka.SGX, exitless: true, userLevelTCP: true}},
+		{"container", paka.Config{Isolation: paka.Container}},
+		{"sgx (paper baseline)", paka.Config{Isolation: paka.SGX}},
+		{"sgx no-preheat", paka.Config{Isolation: paka.SGX, DisablePreheat: true}},
+		{"sgx exitless", paka.Config{Isolation: paka.SGX, Exitless: true}},
+		{"sgx user-level TCP", paka.Config{Isolation: paka.SGX, UserLevelTCP: true}},
+		{"sgx exitless+userTCP", paka.Config{Isolation: paka.SGX, Exitless: true, UserLevelTCP: true}},
 	}
 	result := &AblationResult{}
 	for i, c := range configs {
-		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*977, c.opts, cfg.iterations())
+		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*977, c.module, cfg.iterations())
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func TestAblationShape(t *testing.T) {
 	// The census is the warm window's: a shorter window reads the same
 	// EENTER/req, where one that folded the cold request's lazy-loading
 	// OCALLs in would read higher the fewer warm requests dilute them.
-	short, err := measureModule(context.Background(), paka.EUDM, cfg.Seed+977, rigOptions{isolation: paka.SGX}, 2)
+	short, err := measureModule(context.Background(), paka.EUDM, cfg.Seed+977, paka.Config{Isolation: paka.SGX}, 2)
 	if err != nil {
 		t.Fatalf("measureModule: %v", err)
 	}
@@ -148,7 +148,7 @@ func TestTable3ExtendedSweep(t *testing.T) {
 // than the module's latency recorders keep is an error, not a summary of
 // its last paka.LatencyWindow requests.
 func TestMeasureModuleRefusesOverflowedWindow(t *testing.T) {
-	_, err := measureModule(context.Background(), paka.EAMF, quick.Seed, rigOptions{isolation: paka.Container}, paka.LatencyWindow+1)
+	_, err := measureModule(context.Background(), paka.EAMF, quick.Seed, paka.Config{Isolation: paka.Container}, paka.LatencyWindow+1)
 	if err == nil || !strings.Contains(err.Error(), "window kept") {
 		t.Fatalf("measureModule over %d requests: err = %v, want a dropped-samples error", paka.LatencyWindow+1, err)
 	}

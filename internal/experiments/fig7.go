@@ -31,7 +31,7 @@ func Fig7(ctx context.Context, cfg Config) (*Fig7Result, error) {
 	for _, kind := range paka.Kinds() {
 		rec := &metrics.Recorder{}
 		for i := 0; i < n; i++ {
-			r, err := newRig(ctx, kind, cfg.Seed+uint64(kind)*1000+uint64(i), rigOptions{isolation: paka.SGX})
+			r, err := newRig(ctx, kind, cfg.Seed+uint64(kind)*1000+uint64(i), paka.Config{Isolation: paka.SGX})
 			if err != nil {
 				return nil, err
 			}

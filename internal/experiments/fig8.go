@@ -20,17 +20,17 @@ type Fig8Result struct {
 // paging pressure and a wider interquartile range.
 func Fig8(ctx context.Context, cfg Config) (*Fig8Result, error) {
 	sweep := []struct {
-		label string
-		opts  rigOptions
+		label  string
+		module paka.Config
 	}{
-		{"Thread=4 EPC=512M", rigOptions{isolation: paka.SGX, maxThreads: 4, enclaveSize: 512 << 20}},
-		{"Thread=10 EPC=512M", rigOptions{isolation: paka.SGX, maxThreads: 10, enclaveSize: 512 << 20}},
-		{"Thread=50 EPC=8G", rigOptions{isolation: paka.SGX, maxThreads: 50, enclaveSize: 8 << 30}},
-		{"Non-SGX", rigOptions{isolation: paka.Container}},
+		{"Thread=4 EPC=512M", paka.Config{Isolation: paka.SGX, MaxThreads: 4, EnclaveSizeBytes: 512 << 20}},
+		{"Thread=10 EPC=512M", paka.Config{Isolation: paka.SGX, MaxThreads: 10, EnclaveSizeBytes: 512 << 20}},
+		{"Thread=50 EPC=8G", paka.Config{Isolation: paka.SGX, MaxThreads: 50, EnclaveSizeBytes: 8 << 30}},
+		{"Non-SGX", paka.Config{Isolation: paka.Container}},
 	}
 	result := &Fig8Result{}
 	for i, point := range sweep {
-		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*97, point.opts, cfg.iterations())
+		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*97, point.module, cfg.iterations())
 		if err != nil {
 			return nil, err
 		}

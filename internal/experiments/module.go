@@ -24,16 +24,6 @@ type rig struct {
 	av     *paka.UDMGenerateAVResponse
 }
 
-// rigOptions tunes the module deployment.
-type rigOptions struct {
-	isolation      paka.Isolation
-	enclaveSize    uint64
-	maxThreads     int
-	disablePreheat bool
-	exitless       bool
-	userLevelTCP   bool
-}
-
 var rigKey = []byte{0x46, 0x5b, 0x5c, 0xe8, 0xb1, 0x99, 0xb4, 0x9f, 0xaa, 0x5f, 0x0a, 0x2e, 0xe2, 0x38, 0xa6, 0xbc}
 var rigOPc = []byte{0xcd, 0x63, 0xcb, 0x71, 0x95, 0x4a, 0x9f, 0x4e, 0x48, 0xa5, 0x99, 0x4e, 0x37, 0xa0, 0x2b, 0xaf}
 
@@ -42,27 +32,19 @@ const (
 	rigSNN  = "5G:mnc001.mcc001.3gppnetwork.org"
 )
 
-// newRig deploys the module on a fresh platform/environment.
-func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, opts rigOptions) (*rig, error) {
+// newRig deploys the module on a fresh platform/environment. cfg carries
+// the deployment's tuning (isolation, enclave size, threads, preheat,
+// exitless calls, user-level TCP); newRig fills in the kind and the
+// platform, environment and registry it creates.
+func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg paka.Config) (*rig, error) {
 	env := costmodel.NewEnv(nil, seed)
 	registry := sbi.NewRegistry()
 	platform, err := sgx.NewPlatform(sgx.PlatformConfig{Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	m, err := paka.New(ctx, paka.Config{
-		Kind:             kind,
-		Isolation:        opts.isolation,
-		Env:              env,
-		Platform:         platform,
-		SEVHost:          sev.NewPlatform(),
-		Registry:         registry,
-		EnclaveSizeBytes: opts.enclaveSize,
-		MaxThreads:       opts.maxThreads,
-		DisablePreheat:   opts.disablePreheat,
-		Exitless:         opts.exitless,
-		UserLevelTCP:     opts.userLevelTCP,
-	})
+	cfg.Kind, cfg.Env, cfg.Platform, cfg.SEVHost, cfg.Registry = kind, env, platform, sev.NewPlatform(), registry
+	m, err := paka.New(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -135,8 +117,8 @@ type namedRun struct {
 
 // measureModule deploys one module, pays its cold request, then measures
 // n warm ones.
-func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, opts rigOptions, n int) (*moduleRun, error) {
-	r, err := newRig(ctx, kind, seed, opts)
+func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg paka.Config, n int) (*moduleRun, error) {
+	r, err := newRig(ctx, kind, seed, cfg)
 	if err != nil {
 		return nil, err
 	}

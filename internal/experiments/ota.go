@@ -65,22 +65,12 @@ func OTA(ctx context.Context, cfg Config) (*OTAResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ProvisionSubscriber(ctx, supi, k, opc); err != nil {
-		return nil, err
-	}
-	step("OpenCells SIM programmed: %s on test PLMN %s", supi.String(), result.PLMN)
-
 	profile := ue.OnePlus8()
-	device, err := ue.New(ue.Config{
-		SUPI: supi, K: k, OPc: opc,
-		HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
-		HomeNetworkKeyID:     s.HomeNetworkKey.ID,
-		Env:                  s.Env,
-		Profile:              &profile,
-	})
+	device, err := s.ProvisionDevice(ctx, supi, k, opc, &profile)
 	if err != nil {
 		return nil, err
 	}
+	step("OpenCells SIM programmed: %s on test PLMN %s", supi.String(), result.PLMN)
 
 	// The paper observed custom PLMNs are not detected by the device.
 	if err := device.DetectNetwork("99999"); err == nil {

@@ -40,7 +40,7 @@ func measurePairs(ctx context.Context, cfg Config) ([]isoPair, error) {
 	for _, kind := range paka.Kinds() {
 		pair := isoPair{kind: kind}
 		for _, iso := range []paka.Isolation{paka.Container, paka.SGX} {
-			run, err := measureModule(ctx, kind, cfg.Seed+uint64(kind)*31+uint64(iso)*131, rigOptions{isolation: iso}, cfg.iterations())
+			run, err := measureModule(ctx, kind, cfg.Seed+uint64(kind)*31+uint64(iso)*131, paka.Config{Isolation: iso}, cfg.iterations())
 			if err != nil {
 				return nil, err
 			}

@@ -111,6 +111,14 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 	if s.Chaos != nil {
 		s.Chaos.SetArmed(false)
 	}
+	// Every subscriber of the run holds the rig's key.
+	opc, err := milenage.ComputeOPc(rigKey, make([]byte, 16))
+	if err != nil {
+		return nil, err
+	}
+	subscriber := func(msin int) (*ue.UE, error) {
+		return s.ProvisionDevice(ctx, suci.SUPI{MCC: "001", MNC: "01", MSIN: fmt.Sprintf("%010d", msin)}, rigKey, opc, nil)
+	}
 
 	warmCtx := ctx
 	if p.steady && p.mass.BatchSize > 0 {
@@ -123,7 +131,7 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 		if probe > 10000 {
 			return nil, fmt.Errorf("experiments: no warm-up SUPI found for %d of %d shards", cold, len(s.Shards))
 		}
-		device, err := sliceSubscriber(ctx, s, p.warm+probe)
+		device, err := subscriber(p.warm + probe)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +148,7 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 		}
 	}
 
-	device := func(i int) (*ue.UE, error) { return sliceSubscriber(ctx, s, p.msin+i) }
+	device := func(i int) (*ue.UE, error) { return subscriber(p.msin + i) }
 	if p.steady {
 		devices, supis := make([]*ue.UE, p.n), make([]string, p.n)
 		for i := range devices {
@@ -164,7 +172,7 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 			return p.drive(ctx, s, device)
 		case p.storm > 0:
 			run.storm, err = s.RunStorm(ctx, cfg.Seed, p.n, p.storm, func(class sbi.Priority, i int) (*ue.UE, error) {
-				return sliceSubscriber(ctx, s, (int(class)+1)*1_000_000_000+p.msin+i)
+				return subscriber((int(class)+1)*1_000_000_000 + p.msin + i)
 			})
 		default:
 			opts := p.mass
@@ -223,24 +231,4 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 		run.expired += shard.AUSF.ExpiredSessions()
 	}
 	return run, nil
-}
-
-// sliceSubscriber provisions one subscriber+device pair on a slice.
-func sliceSubscriber(ctx context.Context, s *deploy.Slice, msin int) (*ue.UE, error) {
-	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: fmt.Sprintf("%010d", msin)}
-	opc, err := milenage.ComputeOPc(rigKey, make([]byte, 16))
-	if err != nil {
-		return nil, err
-	}
-	if err := s.ProvisionSubscriber(ctx, supi, rigKey, opc); err != nil {
-		return nil, err
-	}
-	return ue.New(ue.Config{
-		SUPI:                 supi,
-		K:                    rigKey,
-		OPc:                  opc,
-		HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
-		HomeNetworkKeyID:     s.HomeNetworkKey.ID,
-		Env:                  s.Env,
-	})
 }

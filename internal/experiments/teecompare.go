@@ -24,7 +24,7 @@ func TEECompare(ctx context.Context, cfg Config) (*TEECompareResult, error) {
 	}
 	result := &TEECompareResult{}
 	for i, iso := range []paka.Isolation{paka.Container, paka.SGX, paka.SEV} {
-		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*389, rigOptions{isolation: iso}, cfg.iterations())
+		run, err := measureModule(ctx, paka.EUDM, cfg.Seed+uint64(i)*389, paka.Config{Isolation: iso}, cfg.iterations())
 		if err != nil {
 			return nil, err
 		}

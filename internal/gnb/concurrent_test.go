@@ -29,15 +29,7 @@ func newDeterministicUE(s *deploy.Slice, i int) (*ue.UE, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ProvisionSubscriber(context.Background(), supi, k, opc); err != nil {
-		return nil, err
-	}
-	return ue.New(ue.Config{
-		SUPI: supi, K: k, OPc: opc,
-		HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
-		HomeNetworkKeyID:     s.HomeNetworkKey.ID,
-		Env:                  s.Env,
-	})
+	return s.ProvisionDevice(context.Background(), supi, k, opc, nil)
 }
 
 // TestRegisterManyParallelSGX drives 200 concurrent registrations through

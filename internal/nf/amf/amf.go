@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 
 	"shield5g/internal/admission"
-	"shield5g/internal/costmodel"
 	"shield5g/internal/crypto/kdf"
 	"shield5g/internal/nas"
 	"shield5g/internal/nf/ausf"
@@ -58,17 +57,15 @@ var abba = []byte{0x00, 0x00}
 // A registered UE keeps what the protocol needs after AKA: its SUPI, NAS
 // security context (keys and COUNTs; the K_NASenc schedule only while a
 // procedure runs), GUTI, PDU session tunnel and admission class. The AKA
-// run's challenge state (authCtxID, rand, hxresStar, pendingAuth) lives
-// only until completeAuth succeeds, and K_SEAF is never kept: it is handed
-// to the K_AMF derivation and dropped.
+// run's challenge state (the challenge, pendingAuth) lives only until
+// completeAuth succeeds, and K_SEAF is never kept: it is handed to the
+// K_AMF derivation and dropped.
 type ueContext struct {
-	state     atomic.Int32 // holds a ueState
-	supi      string
-	authCtxID codec.AuthCtxID
-	rand      [16]byte
-	hxresStar [16]byte
-	sec       *nas.SecurityContext
-	guti      nas.GUTI
+	state atomic.Int32 // holds a ueState
+	supi  string
+	challenge
+	sec  *nas.SecurityContext
+	guti nas.GUTI
 	// prevTMSI is the TMSI a mobility registration arrived with (0: none,
 	// TMSIs start at 1). It and the context it resolves to stay until
 	// RegistrationComplete acknowledges the new GUTI, so a UE that never
@@ -85,25 +82,28 @@ type ueContext struct {
 	// padding, so the context does not grow.
 	pduSession byte
 	teid       uint32
-	// prio is the admission class assigned at InitialUEMessage; follow-up
-	// NAS rounds that reach the SBI re-stamp it so downstream throttles
-	// keep exempting emergency traffic mid-procedure.
+	// prio is the admission class assigned at InitialUEMessage, to every
+	// context HandleInitialUE creates, the identity fallback's included;
+	// follow-up NAS rounds that reach the SBI re-stamp it so downstream
+	// throttles keep exempting emergency traffic mid-procedure.
 	prio sbi.Priority
+}
+
+// challenge is the AKA challenge a UE is answering: the AUSF's
+// auth-context ID, RAND and HXRES*. arm is its only writer; completeAuth
+// drops it once the run succeeds.
+type challenge struct {
+	authCtxID codec.AuthCtxID
+	rand      [16]byte
+	hxresStar [16]byte
 }
 
 func (u *ueContext) setState(s ueState) { u.state.Store(int32(s)) }
 func (u *ueContext) getState() ueState  { return ueState(u.state.Load()) }
-func newUEContext(s ueState) *ueContext {
-	u := &ueContext{}
-	u.setState(s)
-	return u
-}
 
 // Config wires an AMF instance.
 type Config struct {
-	Env      *costmodel.Env
-	Registry *sbi.Registry
-	Invoker  sbi.Invoker
+	Invoker sbi.Invoker
 	// Functions derives K_AMF: the eAMF module.
 	Functions paka.AMFFunctions
 	// MCC/MNC form the serving PLMN; the serving network name is derived
@@ -156,8 +156,8 @@ type AMF struct {
 // faces the gNB over N1/N2 (Go method calls in this simulation), not the
 // SBI, so no SBI server is registered for it.
 func New(ctx context.Context, cfg Config) (*AMF, error) {
-	if cfg.Env == nil || cfg.Registry == nil || cfg.Invoker == nil {
-		return nil, fmt.Errorf("amf: Env, Registry and Invoker are required")
+	if cfg.Invoker == nil {
+		return nil, fmt.Errorf("amf: Invoker is required")
 	}
 	if cfg.Functions == nil {
 		return nil, fmt.Errorf("amf: Functions (AKA execution environment) is required")
@@ -244,25 +244,15 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 	defer call.Release()
 	ctx = call
 
-	authReq := &ausf.AuthenticateRequest{ServingNetworkName: a.snn}
-	var prevTMSI uint32
-	switch {
-	case rr.Identity.SUCI != nil:
-		// PLMN check: the UE must be asking for this serving network.
-		if rr.Identity.SUCI.MCC != a.mcc || rr.Identity.SUCI.MNC != a.mnc {
-			return nil, fmt.Errorf("amf: UE PLMN %s%s does not match serving PLMN %s%s",
-				rr.Identity.SUCI.MCC, rr.Identity.SUCI.MNC, a.mcc, a.mnc)
-		}
-		authReq.SUCI = rr.Identity.SUCI
-	case rr.Identity.GUTI != nil:
+	if err := a.checkPLMN(&rr.Identity); err != nil {
+		return nil, err
+	}
+	ue := &ueContext{prio: class, resyncOK: true, reauthOK: true}
+	authReq := &ausf.AuthenticateRequest{SUCI: rr.Identity.SUCI, ServingNetworkName: a.snn}
+	if g := rr.Identity.GUTI; g != nil {
 		// Mobility registration: resolve the temporary identity to the
 		// stored SUPI and re-authenticate (network-initiated re-auth;
 		// the UE never re-exposes its SUCI).
-		g := rr.Identity.GUTI
-		if g.MCC != a.mcc || g.MNC != a.mnc {
-			return nil, fmt.Errorf("amf: GUTI PLMN %s%s does not match serving PLMN %s%s",
-				g.MCC, g.MNC, a.mcc, a.mnc)
-		}
 		ran, bound := a.guti.Load(g.TMSI)
 		prev, known := a.ues.Load(ran)
 		if !bound || !known || g.AMFPointer != a.ptr {
@@ -270,34 +260,57 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 			// topology change moved the UE between replicas — or has
 			// been released): fall back to the identity procedure
 			// (TS 24.501 §5.4.3) and ask for the SUCI.
-			ue := newUEContext(stateIdentifying)
-			ue.resyncOK = true
+			ue.setState(stateIdentifying)
 			a.ues.Store(ranUEID, ue)
 			return nas.Encode(&nas.IdentityRequest{IdentityType: nas.IdentityTypeSUCI})
 		}
 		authReq.SUPI = prev.supi
-		prevTMSI = g.TMSI
-	default:
-		return nil, fmt.Errorf("amf: registration carries no identity")
+		ue.prevTMSI = g.TMSI
 	}
-
-	auth, err := a.ausf.Authenticate(ctx, authReq)
+	down, err := a.authenticate(ctx, ue, authReq)
 	if err != nil {
 		return nil, err
 	}
-
-	ue := newUEContext(stateAuthenticating)
-	ue.authCtxID = auth.AuthCtxID
-	ue.rand = auth.RAND
-	ue.hxresStar = auth.HXRESStar
-	ue.resyncOK = true
-	ue.pendingAuth = authReq
-	ue.reauthOK = true
-	ue.prio = class
-	ue.prevTMSI = prevTMSI
 	a.ues.Store(ranUEID, ue)
+	return down, nil
+}
 
-	return a.challenge(auth)
+// checkPLMN refuses an identity, SUCI or GUTI, from outside the serving
+// PLMN, and a registration that carries neither.
+func (a *AMF) checkPLMN(id *nas.MobileIdentity) error {
+	var mcc, mnc string
+	switch {
+	case id.SUCI != nil:
+		mcc, mnc = id.SUCI.MCC, id.SUCI.MNC
+	case id.GUTI != nil:
+		mcc, mnc = id.GUTI.MCC, id.GUTI.MNC
+	default:
+		return fmt.Errorf("amf: registration carries no identity")
+	}
+	if mcc != a.mcc || mnc != a.mnc {
+		return fmt.Errorf("amf: UE PLMN %s%s does not match serving PLMN %s%s", mcc, mnc, a.mcc, a.mnc)
+	}
+	return nil
+}
+
+// authenticate starts an AKA run for ue: it posts req to the AUSF, keeps
+// req as the run's pendingAuth, so that a lost AUSF session can be
+// re-authenticated, and arms the challenge the AUSF answered with.
+func (a *AMF) authenticate(ctx context.Context, ue *ueContext, req *ausf.AuthenticateRequest) ([]byte, error) {
+	auth, err := a.ausf.Authenticate(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	ue.pendingAuth = req
+	return a.arm(ue, auth)
+}
+
+// arm makes auth the challenge ue answers and encodes the
+// AuthenticationRequest that carries it to the UE.
+func (a *AMF) arm(ue *ueContext, auth *ausf.AuthenticateResponse) ([]byte, error) {
+	ue.setState(stateAuthenticating)
+	ue.authCtxID, ue.rand, ue.hxresStar = auth.AuthCtxID, auth.RAND, auth.HXRESStar
+	return nas.Encode(&nas.AuthenticationRequest{NgKSI: 0, ABBA: abba, RAND: auth.RAND, AUTN: auth.AUTN})
 }
 
 // classify maps a RegistrationRequest onto its admission priority class.
@@ -321,11 +334,6 @@ func stamp(ctx context.Context, class sbi.Priority) *simclock.Call {
 	return call
 }
 
-func (a *AMF) challenge(auth *ausf.AuthenticateResponse) ([]byte, error) {
-	req := &nas.AuthenticationRequest{NgKSI: 0, ABBA: abba, RAND: auth.RAND, AUTN: auth.AUTN}
-	return nas.Encode(req)
-}
-
 // HandleUplinkNAS processes a subsequent uplink NAS message. A nil
 // downlink PDU with nil error means no response is due (for example after
 // RegistrationComplete). The UE's admission class is stamped on ctx only
@@ -345,7 +353,7 @@ func (a *AMF) HandleUplinkNAS(ctx context.Context, ranUEID uint64, nasPDU []byte
 	case stateAuthenticating:
 		call := stamp(ctx, ue.prio)
 		defer call.Release()
-		return a.handleAuthenticating(call, ranUEID, ue, nasPDU)
+		return a.handleAuthenticating(call, ue, nasPDU)
 	default:
 		return a.handleProtected(ctx, ranUEID, ue, nasPDU)
 	}
@@ -366,28 +374,13 @@ func (a *AMF) handleIdentifying(ctx context.Context, ue *ueContext, nasPDU []byt
 	if ir.Identity.SUCI == nil {
 		return nil, fmt.Errorf("amf: identity response carries no SUCI")
 	}
-	if ir.Identity.SUCI.MCC != a.mcc || ir.Identity.SUCI.MNC != a.mnc {
-		return nil, fmt.Errorf("amf: identified UE PLMN %s%s does not match serving PLMN %s%s",
-			ir.Identity.SUCI.MCC, ir.Identity.SUCI.MNC, a.mcc, a.mnc)
-	}
-	authReq := &ausf.AuthenticateRequest{
-		SUCI:               ir.Identity.SUCI,
-		ServingNetworkName: a.snn,
-	}
-	auth, err := a.ausf.Authenticate(ctx, authReq)
-	if err != nil {
+	if err := a.checkPLMN(&ir.Identity); err != nil {
 		return nil, err
 	}
-	ue.setState(stateAuthenticating)
-	ue.authCtxID = auth.AuthCtxID
-	ue.rand = auth.RAND
-	ue.hxresStar = auth.HXRESStar
-	ue.pendingAuth = authReq
-	ue.reauthOK = true
-	return a.challenge(auth)
+	return a.authenticate(ctx, ue, &ausf.AuthenticateRequest{SUCI: ir.Identity.SUCI, ServingNetworkName: a.snn})
 }
 
-func (a *AMF) handleAuthenticating(ctx context.Context, ranUEID uint64, ue *ueContext, nasPDU []byte) ([]byte, error) {
+func (a *AMF) handleAuthenticating(ctx context.Context, ue *ueContext, nasPDU []byte) ([]byte, error) {
 	var in nas.Inbox
 	msg, err := nas.DecodeInto(nasPDU, &in)
 	if err != nil {
@@ -397,7 +390,7 @@ func (a *AMF) handleAuthenticating(ctx context.Context, ranUEID uint64, ue *ueCo
 	case *nas.AuthenticationResponse:
 		return a.completeAuth(ctx, ue, m)
 	case *nas.AuthenticationFailure:
-		return a.handleAuthFailure(ctx, ranUEID, ue, m)
+		return a.handleAuthFailure(ctx, ue, m)
 	default:
 		return nil, fmt.Errorf("amf: unexpected %s while authenticating", in.Type())
 	}
@@ -435,13 +428,9 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 		// rejecting the device.
 		if sbi.HasCause(err, "CONTEXT_NOT_FOUND") && ue.reauthOK && ue.pendingAuth != nil {
 			ue.reauthOK = false
-			if auth, aerr := a.ausf.Authenticate(ctx, ue.pendingAuth); aerr == nil {
+			if down, aerr := a.authenticate(ctx, ue, ue.pendingAuth); aerr == nil {
 				a.reauths.Add(1)
-				ue.setState(stateAuthenticating)
-				ue.authCtxID = auth.AuthCtxID
-				ue.rand = auth.RAND
-				ue.hxresStar = auth.HXRESStar
-				return a.challenge(auth)
+				return down, nil
 			}
 		}
 		return a.reject(ue)
@@ -475,7 +464,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	ue.setState(stateSecuring)
 	// AKA is over: the challenge and the request it answered are never
 	// read again (re-auth and resync only run before this point).
-	ue.authCtxID, ue.rand, ue.hxresStar, ue.pendingAuth = codec.AuthCtxID{}, [16]byte{}, [16]byte{}, nil
+	ue.challenge, ue.pendingAuth = challenge{}, nil
 
 	return sec.Protect(&nas.SecurityModeCommand{
 		NgKSI:        0,
@@ -490,7 +479,7 @@ func (a *AMF) reject(ue *ueContext) ([]byte, error) {
 	return nas.Encode(&nas.AuthenticationReject{})
 }
 
-func (a *AMF) handleAuthFailure(ctx context.Context, _ uint64, ue *ueContext, m *nas.AuthenticationFailure) ([]byte, error) {
+func (a *AMF) handleAuthFailure(ctx context.Context, ue *ueContext, m *nas.AuthenticationFailure) ([]byte, error) {
 	if m.Cause != nas.CauseSyncFailure || !ue.resyncOK {
 		return a.reject(ue)
 	}
@@ -499,10 +488,7 @@ func (a *AMF) handleAuthFailure(ctx context.Context, _ uint64, ue *ueContext, m 
 	if err != nil {
 		return a.reject(ue)
 	}
-	ue.authCtxID = auth.AuthCtxID
-	ue.rand = auth.RAND
-	ue.hxresStar = auth.HXRESStar
-	return a.challenge(auth)
+	return a.arm(ue, auth)
 }
 
 // Reauths reports how many lost AUSF sessions were recovered by

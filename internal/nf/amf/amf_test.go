@@ -85,7 +85,7 @@ func newHarnessWith(t *testing.T, wrap func(sbi.Invoker) sbi.Invoker) *harness {
 		amfInvoker = wrap(amfInvoker)
 	}
 	a, err := amf.New(ctx, amf.Config{
-		Env: env, Registry: reg, Invoker: amfInvoker,
+		Invoker:   amfInvoker,
 		Functions: paka.NewRemote(amfInvoker, env, newModule(t, env, reg, paka.EAMF).ServiceName()),
 		MCC:       "001", MNC: "01",
 	})
@@ -198,13 +198,14 @@ func TestAMFConfigValidation(t *testing.T) {
 	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
 	inv := sbi.NewClient("amf", env, reg)
-	if _, err := amf.New(context.Background(), amf.Config{Registry: reg, Invoker: inv}); err == nil {
-		t.Fatal("missing env accepted")
+	fns := paka.NewRemote(inv, env, paka.EAMF.ServiceName())
+	if _, err := amf.New(context.Background(), amf.Config{Functions: fns, MCC: "001", MNC: "01"}); err == nil {
+		t.Fatal("missing invoker accepted")
 	}
-	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, MCC: "001", MNC: "01"}); err == nil {
+	if _, err := amf.New(context.Background(), amf.Config{Invoker: inv, MCC: "001", MNC: "01"}); err == nil {
 		t.Fatal("missing functions accepted")
 	}
-	if _, err := amf.New(context.Background(), amf.Config{Env: env, Registry: reg, Invoker: inv, Functions: paka.NewRemote(inv, env, paka.EAMF.ServiceName())}); err == nil {
+	if _, err := amf.New(context.Background(), amf.Config{Invoker: inv, Functions: fns}); err == nil {
 		t.Fatal("missing PLMN accepted")
 	}
 }
@@ -246,7 +247,7 @@ func TestHMEEAMFRequiresHMEEAUSF(t *testing.T) {
 	} {
 		inv := sbi.NewClient("amf", env, reg)
 		_, err := amf.New(ctx, amf.Config{
-			Env: env, Registry: reg, Invoker: inv,
+			Invoker:   inv,
 			Functions: paka.NewRemote(inv, env, paka.EAMF.ServiceName()), MCC: "001", MNC: "01",
 			HMEE: tc.hmee, Replica: tc.replica,
 		})
@@ -295,8 +296,8 @@ func TestInitialUERejectsGarbage(t *testing.T) {
 }
 
 // TestWrongLengthRANDFailsAtDecode: an AUSF that answers with a 15-byte
-// RAND fails the registration where its answer is decoded, and no NAS PDU
-// reaches the UE. A RAND of the wrong length used to be zero-padded into
+// RAND fails the registration where its answer is decoded, no NAS PDU
+// reaches the UE and the AMF stores no context for it. A RAND of the wrong length used to be zero-padded into
 // the AuthenticationRequest and fail only at completeAuth, one UE round
 // trip later.
 func TestWrongLengthRANDFailsAtDecode(t *testing.T) {
@@ -322,6 +323,9 @@ func TestWrongLengthRANDFailsAtDecode(t *testing.T) {
 	}
 	if down != nil {
 		t.Fatalf("HandleInitialUE emitted a %d-byte NAS PDU for an undecodable challenge", len(down))
+	}
+	if _, ok := h.amf.AKAState(1); ok {
+		t.Fatal("a failed first Authenticate stored a UE context")
 	}
 }
 
@@ -699,5 +703,191 @@ func TestIdleUEHoldsNoNASCipher(t *testing.T) {
 	}
 	if _, ok := h.amf.HoldsNASCipher(2); ok {
 		t.Fatal("deregistered UE context still present")
+	}
+}
+
+// classRecorder is an AMF invoker that records the admission class each
+// of the AMF's SBI posts carries and keeps the AUSF's last challenge
+// answer. While lose is positive it loses an AUSF confirm reply after the
+// AUSF consumed the session, answering CONTEXT_NOT_FOUND the way a
+// dropped reply does.
+type classRecorder struct {
+	sbi.Invoker
+	posts []classedPost
+	last  ausf.AuthenticateResponse
+	lose  int
+}
+
+type classedPost struct {
+	path  string
+	class sbi.Priority
+}
+
+func (r *classRecorder) Post(ctx context.Context, service, path string, req, resp any) error {
+	r.posts = append(r.posts, classedPost{path, sbi.PriorityFrom(ctx)})
+	err := r.Invoker.Post(ctx, service, path, req, resp)
+	if auth, ok := resp.(*ausf.AuthenticateResponse); ok && err == nil {
+		r.last = *auth
+	}
+	if path == ausf.PathConfirm && err == nil && r.lose > 0 {
+		r.lose--
+		return sbi.Problem(404, "Not Found", "CONTEXT_NOT_FOUND", "confirm reply lost")
+	}
+	return err
+}
+
+// TestEveryRoundKeepsTheAdmissionClass drives every way the AMF arms an
+// AKA challenge — a SUCI attach, a known GUTI, the identity response after
+// an unknown GUTI, the re-authentication of a lost AUSF session and the
+// resynchronisation after an AuthenticationReject — and checks that each
+// challenge the UE gets is the AUSF's last answer and that every SBI post
+// of the registration carries the class its RegistrationRequest was
+// admitted under, the identity fallback's rounds after an unknown GUTI
+// included.
+func TestEveryRoundKeepsTheAdmissionClass(t *testing.T) {
+	ctx := context.Background()
+	// unknownGUTI registers the device, then asks with a GUTI no context
+	// resolves.
+	unknownGUTI := func(regType byte) func(*testing.T, *harness, *ue.UE) []byte {
+		return func(t *testing.T, h *harness, d *ue.UE) []byte {
+			h.register(t, d, 100)
+			g, _ := d.GUTI()
+			g.TMSI += 1000
+			up, err := nas.Encode(&nas.RegistrationRequest{
+				RegistrationType: regType,
+				Identity:         nas.MobileIdentity{GUTI: &g},
+				Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return up
+		}
+	}
+	attach := func(emergency bool) func(*testing.T, *harness, *ue.UE) []byte {
+		return func(t *testing.T, h *harness, d *ue.UE) []byte {
+			d.SetEmergency(emergency)
+			up, err := d.BuildRegistrationRequest(ctx, h.amf.ServingNetworkName())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return up
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		first func(*testing.T, *harness, *ue.UE) []byte // the RegistrationRequest
+		class sbi.Priority
+		lose  int // AUSF confirm replies lost
+		// rejectFirst answers the first challenge with a wrong RES*
+		// before the UE's own answer goes up.
+		rejectFirst bool
+		identity    bool // the AMF asks for the SUCI first
+		challenges  int
+		registered  bool
+	}{
+		{name: "SUCI attach", first: attach(false), class: sbi.PriorityFresh, challenges: 1, registered: true},
+		{name: "known GUTI", first: func(t *testing.T, h *harness, d *ue.UE) []byte {
+			h.register(t, d, 100)
+			up, err := d.BuildReRegistrationRequest(ctx, h.amf.ServingNetworkName())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return up
+		}, class: sbi.PriorityReattach, challenges: 1, registered: true},
+		{name: "identity response, emergency", first: unknownGUTI(nas.RegistrationEmergency),
+			class: sbi.PriorityEmergency, identity: true, challenges: 1, registered: true},
+		{name: "identity response, re-attach", first: unknownGUTI(nas.RegistrationMobility),
+			class: sbi.PriorityReattach, identity: true, challenges: 1, registered: true},
+		{name: "lost session re-auth", first: attach(true), class: sbi.PriorityEmergency,
+			lose: 1, challenges: 2, registered: true},
+		{name: "second lost session rejected", first: attach(true), class: sbi.PriorityEmergency,
+			lose: 2, challenges: 2},
+		{name: "resync after reject", first: func(t *testing.T, h *harness, d *ue.UE) []byte {
+			// The USIM's SQN is ahead of the network's: the first
+			// challenge fails its freshness check.
+			if err := d.SetSQN([]byte{0, 0, 0, 0x40, 0, 0}); err != nil {
+				t.Fatal(err)
+			}
+			return attach(false)(t, h, d)
+		}, class: sbi.PriorityFresh, rejectFirst: true, challenges: 2, registered: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &classRecorder{}
+			h := newHarnessWith(t, func(inv sbi.Invoker) sbi.Invoker { rec.Invoker = inv; return rec })
+			d := h.device(t)
+			up := tc.first(t, h, d)
+			rec.posts, rec.lose = nil, tc.lose
+
+			const ran = 1
+			down, err := h.amf.HandleInitialUE(ctx, ran, up)
+			if err != nil {
+				t.Fatalf("HandleInitialUE: %v", err)
+			}
+			challenges, identity, rejected := 0, false, false
+			for step := 0; down != nil; step++ {
+				if step == 12 {
+					t.Fatal("registration did not converge")
+				}
+				if !nas.IsProtected(down) {
+					msg, err := nas.Decode(down)
+					if err != nil {
+						t.Fatalf("downlink: %v", err)
+					}
+					switch m := msg.(type) {
+					case *nas.IdentityRequest:
+						identity = true
+					case *nas.AuthenticationRequest:
+						challenges++
+						if m.RAND != rec.last.RAND || m.AUTN != rec.last.AUTN {
+							t.Fatalf("challenge %d carries RAND %x AUTN %x, the AUSF answered %x %x",
+								challenges, m.RAND, m.AUTN, rec.last.RAND, rec.last.AUTN)
+						}
+					}
+				}
+				up, done, err := d.HandleDownlinkNAS(ctx, down)
+				if errors.Is(err, ue.ErrRejected) {
+					rejected = true
+					break
+				}
+				if err != nil {
+					t.Fatalf("UE NAS: %v", err)
+				}
+				if tc.rejectFirst && challenges == 1 {
+					tc.rejectFirst = false
+					bad, err := nas.Encode(&nas.AuthenticationResponse{ResStar: [16]byte{1, 2, 3}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					down, err := h.amf.HandleUplinkNAS(ctx, ran, bad)
+					if err != nil {
+						t.Fatalf("wrong RES*: %v", err)
+					}
+					if msg, err := nas.Decode(down); err != nil || msg.Type() != (&nas.AuthenticationReject{}).Type() {
+						t.Fatalf("wrong RES* answered with %v (%v), want AuthenticationReject", msg, err)
+					}
+				}
+				if down, err = h.amf.HandleUplinkNAS(ctx, ran, up); err != nil {
+					t.Fatalf("HandleUplinkNAS: %v", err)
+				}
+				if done {
+					break
+				}
+			}
+
+			_, registered := h.amf.SUPIOf(ran)
+			if challenges != tc.challenges || identity != tc.identity || registered != tc.registered || rejected == tc.registered {
+				t.Errorf("%d challenges, identity procedure %v, registered %v, rejected %v; want %d, %v, %v, %v",
+					challenges, identity, registered, rejected, tc.challenges, tc.identity, tc.registered, !tc.registered)
+			}
+			if len(rec.posts) == 0 {
+				t.Fatal("no SBI post recorded")
+			}
+			for _, p := range rec.posts {
+				if p.class != tc.class {
+					t.Errorf("%s posted as %s, want %s", p.path, p.class, tc.class)
+				}
+			}
+		})
 	}
 }

@@ -173,18 +173,7 @@ func (t *Testbed) AddSubscriber(ctx context.Context, k []byte, profile *COTSProf
 	if err != nil {
 		return nil, err
 	}
-	if err := t.Slice.ProvisionSubscriber(ctx, supi, k, opc); err != nil {
-		return nil, err
-	}
-	device, err := ue.New(ue.Config{
-		SUPI:                 supi,
-		K:                    k,
-		OPc:                  opc,
-		HomeNetworkPublicKey: t.Slice.HomeNetworkKey.PublicKey(),
-		HomeNetworkKeyID:     t.Slice.HomeNetworkKey.ID,
-		Env:                  t.Slice.Env,
-		Profile:              profile,
-	})
+	device, err := t.Slice.ProvisionDevice(ctx, supi, k, opc, profile)
 	if err != nil {
 		return nil, err
 	}
