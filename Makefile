@@ -67,9 +67,10 @@ loc:
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package,
 # and checks every acquisition of a ranked mutex, internal/lockrank),
-# then, on a plain build, the eleven tests whose allocation or heap
-# budgets skip themselves under -race and the exact hot-path allocation
-# rows (TestHotPathAllocs), which build only without -race. After that, end to end: the experiments
+# then the whole suite again on a plain build, tier-1's `go test ./...`:
+# the allocation and heap budgets that skip themselves under -race and the
+# exact hot-path allocation rows (TestHotPathAllocs), which build only
+# without -race, run there without a list to keep. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
 # opens a PDU session, echoes data, deregisters the UE and checks that the
@@ -100,7 +101,7 @@ ci: build
 	$(MAKE) lint
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -run 'TestBatchingAmortizes|TestShardScaleFleetSpeedup|TestSwitchlessFastPathGates|TestReRegistrationAllocBudget|TestSecurityContextAllocs|TestArmedMeterAdmitAllocatesNothing|TestPooledCallAllocatesNothing|TestCoreBytesPerRegisteredUE|TestCoreBytesPerSubscriberReplica|TestCoreHeapFlatUnderReRegistration|TestUEBytesPerDevice|TestHotPathAllocs' . ./internal/experiments ./internal/nas ./internal/sbi/... ./internal/simclock ./internal/deploy ./internal/crypto/... ./internal/paka ./internal/nf/...
+	$(GO) test ./...
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
 	$(MAKE) examples

@@ -11,7 +11,7 @@ import (
 // zero heap allocations into a caller-owned dst: the HMAC state and the
 // input scratch are pooled. sync.Pool drops items at random under the
 // race detector, so this file builds only without -race; make ci runs it
-// on its no-race allocation line.
+// in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	const snn, supi = "5G:mnc001.mcc001.3gppnetwork.org", "imsi-001010000000001"
 	k32, k16 := bytes.Repeat([]byte{0x42}, 32), bytes.Repeat([]byte{0x17}, 16)

@@ -7,7 +7,7 @@ import "testing"
 // TestHotPathAllocs holds the AV functions to zero heap allocations into
 // caller-owned outputs, and a cache hit to none. sync.Pool drops items at
 // random under the race detector, so this file builds only without -race;
-// make ci runs it on its no-race allocation line.
+// make ci runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	k, opc := mustHex(t, testSet1.k), mustHex(t, testSet1.opc)
 	rand, sqn, amf := mustHex(t, testSet1.rand), mustHex(t, testSet1.sqn), mustHex(t, testSet1.amf)

@@ -16,7 +16,7 @@ const deconcealAllocs = 5
 // TestHotPathAllocs holds de-concealment, the one SUCI operation on the
 // network's registration path, to exactly deconcealAllocs. sync.Pool drops
 // items at random under the race detector, so this file builds only
-// without -race; make ci runs it on its no-race allocation line.
+// without -race; make ci runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	k := testKey(t)
 	s, err := Conceal(rand.Reader, testSUPI, "0000", k.PublicKey(), k.ID)

@@ -69,10 +69,11 @@ type SliceConfig struct {
 	// seed's one-crossing-per-AV path.
 	AVPoolDepth int
 	// BinarySBI opts every SBI client of the slice into binary frames
-	// (sbi.Client.EnableBinary): after its first request to a peer, a
-	// client sends every message that has a field description as a
-	// zero-copy length-prefixed frame and the server answers in kind. Off
-	// keeps the seed-identical JSON wire format everywhere.
+	// (sbi.Client.EnableBinary): from its first request to a peer on, a
+	// client sends every request that has a field description, and whose
+	// response is nil or has one too, as a zero-copy length-prefixed frame,
+	// and the server answers in kind. Off keeps the seed-identical JSON
+	// wire format everywhere.
 	BinarySBI bool
 	// Overload enables the TS 29.500-style overload-control layer: load
 	// meters on the authentication-chain servers, optional bounded-queue

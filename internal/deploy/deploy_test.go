@@ -19,6 +19,7 @@ import (
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/nf/udm"
 	"shield5g/internal/paka"
+	"shield5g/internal/race"
 	"shield5g/internal/sbi"
 	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
@@ -469,7 +470,7 @@ func TestReRegistrationKeepsOneAMFContext(t *testing.T) {
 // The count is the body-pool audit's, which is on in -race builds only, so
 // the test runs in make ci's -race pass and skips elsewhere.
 func TestFastPathReRegistrationReleasesEveryBody(t *testing.T) {
-	if !raceEnabled {
+	if !race.Enabled {
 		t.Skip("the body-pool audit (sbi.OutstandingBodies) counts only under -race")
 	}
 	ctx := context.Background()

@@ -10,6 +10,7 @@ import (
 	"shield5g/internal/crypto/milenage"
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/paka"
+	"shield5g/internal/race"
 	"shield5g/internal/ue"
 )
 
@@ -43,7 +44,7 @@ func liveHeap() uint64 {
 // are not repeatable under the race detector, so the test skips there
 // (make ci runs it once more without -race).
 func TestCoreBytesPerRegisteredUE(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("heap readings are not repeatable under -race")
 	}
 	const n = 2000
@@ -92,7 +93,7 @@ const bytesPerReRegBudget = 2
 // pool refill cycle at depth 8, so each SUPI's ring is in the same state
 // at both readings. Skipped under -race like its siblings.
 func TestCoreHeapFlatUnderReRegistration(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("heap readings are not repeatable under -race")
 	}
 	const n, warm, rounds = 2000, 17, 8
@@ -201,7 +202,7 @@ const subscriberBytesBudget = 384
 // reading is the live heap before and after provisioning 2 000
 // subscribers. Skipped under -race like its sibling.
 func TestCoreBytesPerSubscriberReplica(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("heap readings are not repeatable under -race")
 	}
 	const n = 2000
@@ -238,13 +239,15 @@ func TestCoreBytesPerSubscriberReplica(t *testing.T) {
 	}
 }
 
-// Bounds on what one simulated device holds, each its measurement plus
-// 25 %. Idle (built, not yet registered) a device is its 320 B struct,
-// with K, OPc and the home-network key inline, and its 24 B SUPI string:
-// 344 B (go1.24, amd64). Registered, it adds its 96 B NAS security context,
-// which holds no K_NASenc schedule, its 48 B GUTI and the GUTI's two PLMN
-// strings: 504 B. While a device kept a MILENAGE schedule for life and its
-// K_NASenc schedule after registering, they measured 936 B and 1 608 B.
+// Bounds on what one simulated device holds, each the measurement when it
+// was set (344 B and 504 B) plus 25 %. Idle (built, not yet registered) a
+// device is its 288 B struct, with K, OPc and the home-network key inline,
+// and its 24 B SUPI string: 312 B (go1.24, amd64). Registered, it adds its
+// 96 B NAS security context, which holds no K_NASenc schedule, its 48 B
+// GUTI and the GUTI's two PLMN strings: 472 B. While the struct carried a
+// routing-indicator string it was 320 B, and the device 344 B and 504 B;
+// while a device kept a MILENAGE schedule for life and its K_NASenc
+// schedule after registering, they measured 936 B and 1 608 B.
 const (
 	ueBytesIdleBudget       = 430
 	ueBytesRegisteredBudget = 630
@@ -257,7 +260,7 @@ const (
 // in both readings, so the difference is the devices' alone. Skipped under
 // -race like its siblings.
 func TestUEBytesPerDevice(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("heap readings are not repeatable under -race")
 	}
 	const n = 2000

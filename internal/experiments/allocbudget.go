@@ -3,6 +3,8 @@ package experiments
 import (
 	"runtime"
 	"runtime/debug"
+
+	"shield5g/internal/race"
 )
 
 // FastPathAllocBudget is the DESIGN.md section-9 ceiling on heap
@@ -17,7 +19,7 @@ import (
 // headroom.
 // TestShardScaleFleetSpeedup holds every replica count to it and
 // TestSwitchlessFastPathGates the classic and ring crossings; both skip it
-// when RaceEnabled.
+// when race.Enabled.
 const FastPathAllocBudget = 55
 
 // UnbatchedAllocBudget is the DESIGN.md section-9 ceiling on heap
@@ -29,7 +31,7 @@ const FastPathAllocBudget = 55
 // strings), so 100 is at least 10 % headroom; until the first such
 // budget, the path was held only to half the seed's 559.
 // TestBatchingAmortizes holds the unbatched point to it and skips it when
-// RaceEnabled.
+// race.Enabled.
 const UnbatchedAllocBudget = 100
 
 // AllocWindow runs fn and returns the heap allocations it made. The
@@ -44,7 +46,7 @@ const UnbatchedAllocBudget = 100
 // once died of a SIGSEGV in runtime.startTheWorld.
 func AllocWindow(fn func() error) (mallocs, bytes uint64, err error) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	if !RaceEnabled {
+	if !race.Enabled {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	}
 	var before, after runtime.MemStats

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"testing"
+
+	"shield5g/internal/race"
 )
 
 // TestBatchingAmortizes is the acceptance check of the boundary-
@@ -42,7 +44,7 @@ func TestBatchingAmortizes(t *testing.T) {
 	if both := byLabel["keepalive-8+avpool-8"]; both.transPerReg() >= k8.transPerReg() {
 		t.Errorf("AV pool on top of batch-8 pays %.1f transitions/reg, batch-8 alone %.1f", both.transPerReg(), k8.transPerReg())
 	}
-	if allocs := base.perReg(float64(base.mallocs)); !RaceEnabled && allocs > UnbatchedAllocBudget {
+	if allocs := base.perReg(float64(base.mallocs)); !race.Enabled && allocs > UnbatchedAllocBudget {
 		t.Errorf("unbatched path allocates %.1f allocs/registration, budget %d", allocs, UnbatchedAllocBudget)
 	}
 

@@ -10,6 +10,7 @@ import (
 
 	"shield5g/internal/deploy"
 	"shield5g/internal/paka"
+	"shield5g/internal/race"
 )
 
 // TestShardScaleFleetSpeedup is the acceptance check of the replica sweep:
@@ -35,7 +36,7 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 		// The race-instrumented runtime's shadow allocations land in
 		// MemStats, so the budget only holds on plain builds: tier-1's
 		// `go test ./...` is the run that gates it (49.7-50.0 measured).
-		if allocs := p.perReg(float64(p.mallocs)); !RaceEnabled && allocs >= FastPathAllocBudget {
+		if allocs := p.perReg(float64(p.mallocs)); !race.Enabled && allocs >= FastPathAllocBudget {
 			t.Errorf("replicas=%d: %.1f allocs/reg, budget is < %d", p.replicas, allocs, FastPathAllocBudget)
 		}
 		// Lanes are equal: what the speedup loses against the replica

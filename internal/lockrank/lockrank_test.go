@@ -5,10 +5,9 @@ import (
 	"os/exec"
 	"sync"
 	"testing"
-)
 
-// checked (race_test.go, norace_test.go) is whether this build checks
-// ranks: only -race builds do.
+	"shield5g/internal/race"
+)
 
 // panics runs f and reports whether it panicked.
 func panics(f func()) (did bool) {
@@ -56,8 +55,8 @@ func TestInversionPanics(t *testing.T) {
 	restart, rt := Mutex{Rank: ModuleRestart}, RWMutex{Rank: ModuleRuntime}
 	rt.RLock()
 	defer rt.RUnlock()
-	if got := panics(func() { restart.Lock(); restart.Unlock() }); got != checked {
-		t.Errorf("restartMu taken under rtMu: panicked %v, want %v", got, checked)
+	if got := panics(func() { restart.Lock(); restart.Unlock() }); got != race.Enabled {
+		t.Errorf("restartMu taken under rtMu: panicked %v, want %v", got, race.Enabled)
 	}
 }
 
@@ -66,7 +65,7 @@ func TestInversionPanics(t *testing.T) {
 // before the goroutine blocks. Unchecked, the second Lock would deadlock,
 // so a build without -race runs this test in a -race build of the package.
 func TestRecursiveLockPanics(t *testing.T) {
-	if !checked {
+	if !race.Enabled {
 		out, err := exec.Command("go", "test", "-race", "-count=1", "-timeout=30s", "-v", "-run", "^TestRecursiveLockPanics$", ".").CombinedOutput()
 		if err != nil || !bytes.Contains(out, []byte("--- PASS: TestRecursiveLockPanics")) {
 			t.Fatalf("the -race build's TestRecursiveLockPanics did not pass (%v):\n%s", err, out)
@@ -86,8 +85,8 @@ func TestNothingUnderALeaf(t *testing.T) {
 	leaf, ring := Mutex{}, Mutex{Rank: Ring}
 	leaf.Lock()
 	defer leaf.Unlock()
-	if got := panics(func() { ring.Lock(); ring.Unlock() }); got != checked {
-		t.Errorf("ranked mutex taken under a leaf: panicked %v, want %v", got, checked)
+	if got := panics(func() { ring.Lock(); ring.Unlock() }); got != race.Enabled {
+		t.Errorf("ranked mutex taken under a leaf: panicked %v, want %v", got, race.Enabled)
 	}
 }
 

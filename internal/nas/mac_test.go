@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"testing"
+
+	"shield5g/internal/race"
 )
 
 // TestMACMatchesHMAC pins the context's 32-bit NAS MAC to a crypto/hmac
@@ -45,7 +47,7 @@ func TestMACMatchesHMAC(t *testing.T) {
 // detector, so exact counts only hold on a plain build (make ci runs this
 // test once more without -race).
 func TestSecurityContextAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are inexact under -race")
 	}
 	sc, _ := testContexts(t)

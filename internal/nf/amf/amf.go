@@ -426,7 +426,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 		// dropped, crashed, or TTL-expired it. The UE's credentials are
 		// fine, so re-run authentication once and re-challenge instead of
 		// rejecting the device.
-		if sbi.HasCause(err, "CONTEXT_NOT_FOUND") && ue.reauthOK && ue.pendingAuth != nil {
+		if sbi.HasCause(err, sbi.CauseContextNotFound) && ue.reauthOK && ue.pendingAuth != nil {
 			ue.reauthOK = false
 			if down, aerr := a.authenticate(ctx, ue, ue.pendingAuth); aerr == nil {
 				a.reauths.Add(1)

@@ -234,7 +234,7 @@ func (a *AUSF) handleConfirm(_ context.Context, req *ConfirmRequest, resp *Confi
 	// step so a replayed confirm can never race a successful one.
 	s, ok := a.sessions.LoadAndDelete(req.AuthCtxID)
 	if !ok {
-		return sbi.Problem(404, "Not Found", "CONTEXT_NOT_FOUND", "auth context %s", req.AuthCtxID)
+		return sbi.Problem(404, "Not Found", sbi.CauseContextNotFound, "auth context %s", req.AuthCtxID)
 	}
 	// Home-network control of authentication: compare RES* with the
 	// stored XRES* (TS 33.501 §6.1.3.2).
@@ -248,7 +248,7 @@ func (a *AUSF) handleConfirm(_ context.Context, req *ConfirmRequest, resp *Confi
 func (a *AUSF) handleResync(ctx context.Context, req *ResyncRequest, resp *AuthenticateResponse) error {
 	s, ok := a.sessions.LoadAndDelete(req.AuthCtxID)
 	if !ok {
-		return sbi.Problem(404, "Not Found", "CONTEXT_NOT_FOUND", "auth context %s", req.AuthCtxID)
+		return sbi.Problem(404, "Not Found", sbi.CauseContextNotFound, "auth context %s", req.AuthCtxID)
 	}
 	if err := a.udm.Resync(ctx, &udm.ResyncRequest{SUPI: s.supi, RAND: s.rand[:], AUTS: req.AUTS}); err != nil {
 		return err

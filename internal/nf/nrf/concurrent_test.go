@@ -22,7 +22,7 @@ func TestConcurrentRegisterAndDiscover(t *testing.T) {
 			<-start
 			for i := range 20 {
 				p := NFProfile{InstanceID: fmt.Sprintf("udm-%d-%d", round, i), NFType: "UDM", Service: "nudm"}
-				if _, err := n.handleRegister(ctx, &RegisterRequest{Profile: p}); err != nil {
+				if err := n.handleRegister(ctx, &RegisterRequest{Profile: p}, new(RegisterResponse)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -31,13 +31,14 @@ func TestConcurrentRegisterAndDiscover(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for range 20 {
-				_, _ = n.handleDiscover(ctx, &DiscoverRequest{NFType: "UDM"})
+				_ = n.handleDiscover(ctx, &DiscoverRequest{NFType: "UDM"}, new(DiscoverResponse))
 			}
 		}()
 		close(start)
 		wg.Wait()
 	}
-	if resp, _ := n.handleDiscover(ctx, &DiscoverRequest{NFType: "UDM"}); len(resp.Profiles) != 200 {
-		t.Errorf("discovered %d instances, want 200", len(resp.Profiles))
+	var resp DiscoverResponse
+	if err := n.handleDiscover(ctx, &DiscoverRequest{NFType: "UDM"}, &resp); err != nil || len(resp.Profiles) != 200 {
+		t.Errorf("discovered %d instances, err %v; want 200, nil", len(resp.Profiles), err)
 	}
 }

@@ -70,28 +70,28 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*NRF, error) {
 		server:    sbi.NewServer(ServiceName, env),
 		instances: make(map[string]NFProfile),
 	}
-	n.server.HandleDual(PathRegister, sbi.BinHandler(n.handleRegister))
-	n.server.HandleDual(PathDiscover, sbi.BinHandler(n.handleDiscover))
+	n.server.HandleDual(PathRegister, sbi.BinHandlerInto(n.handleRegister))
+	n.server.HandleDual(PathDiscover, sbi.BinHandlerInto(n.handleDiscover))
 	if err := registry.Register(n.server); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-func (n *NRF) handleRegister(_ context.Context, req *RegisterRequest) (*RegisterResponse, error) {
+func (n *NRF) handleRegister(_ context.Context, req *RegisterRequest, resp *RegisterResponse) error {
 	if req.Profile.InstanceID == "" || req.Profile.NFType == "" || req.Profile.Service == "" {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "instance_id, nf_type and service are required")
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "instance_id, nf_type and service are required")
 	}
 	n.mu.Lock()
 	n.instances[req.Profile.InstanceID] = req.Profile
 	n.mu.Unlock()
-	return &RegisterResponse{HeartbeatSeconds: 10}, nil
+	resp.HeartbeatSeconds = 10
+	return nil
 }
 
-func (n *NRF) handleDiscover(_ context.Context, req *DiscoverRequest) (*DiscoverResponse, error) {
+func (n *NRF) handleDiscover(_ context.Context, req *DiscoverRequest, resp *DiscoverResponse) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []NFProfile
 	for _, p := range n.instances {
 		if p.NFType != req.NFType {
 			continue
@@ -99,10 +99,10 @@ func (n *NRF) handleDiscover(_ context.Context, req *DiscoverRequest) (*Discover
 		if req.RequireHMEE && !p.HMEE {
 			continue
 		}
-		out = append(out, p)
+		resp.Profiles = append(resp.Profiles, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].InstanceID < out[j].InstanceID })
-	return &DiscoverResponse{Profiles: out}, nil
+	sort.Slice(resp.Profiles, func(i, j int) bool { return resp.Profiles[i].InstanceID < resp.Profiles[j].InstanceID })
+	return nil
 }
 
 // Client is the NF-side helper for NRF interactions.

@@ -28,11 +28,11 @@ func TestConcurrentSessions(t *testing.T) {
 			}()
 		}
 		each(func(supi string) {
-			if _, err := s.handleCreate(ctx, &CreateSessionRequest{SUPI: supi, SessionID: 1, DNN: "internet"}); err != nil {
+			if err := s.handleCreate(ctx, &CreateSessionRequest{SUPI: supi, SessionID: 1, DNN: "internet"}, new(CreateSessionResponse)); err != nil {
 				t.Error(err)
 			}
 		})
-		each(func(supi string) { _, _ = s.handleRelease(ctx, &ReleaseSessionRequest{SUPI: supi, SessionID: 1}) })
+		each(func(supi string) { _ = s.handleRelease(ctx, &ReleaseSessionRequest{SUPI: supi, SessionID: 1}, nil) })
 		each(func(string) { s.SessionCount() })
 		close(start)
 		wg.Wait()

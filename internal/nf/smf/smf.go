@@ -92,8 +92,8 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 		nextIP:   0x0A3C0001, // 10.60.0.1
 		sessions: make(map[sessionKey]smContext),
 	}
-	s.server.HandleDual(PathCreateSession, sbi.BinHandler(s.handleCreate))
-	s.server.HandleDual(PathReleaseSession, sbi.BinHandler(s.handleRelease))
+	s.server.HandleDual(PathCreateSession, sbi.BinHandlerInto(s.handleCreate))
+	s.server.HandleDual(PathReleaseSession, sbi.BinHandlerInto(s.handleRelease))
 	if err := cfg.Registry.Register(s.server); err != nil {
 		return nil, err
 	}
@@ -105,9 +105,9 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 	return s, nil
 }
 
-func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest) (*CreateSessionResponse, error) {
+func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest, resp *CreateSessionResponse) error {
 	if req.SUPI == "" || req.DNN == "" {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUPI and DNN required")
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUPI and DNN required")
 	}
 	key := sessionKey{req.SUPI, req.SessionID}
 
@@ -117,7 +117,7 @@ func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest) (*Cre
 	s.mu.Lock()
 	if _, dup := s.sessions[key]; dup {
 		s.mu.Unlock()
-		return nil, sbi.Problem(409, "Conflict", "SESSION_EXISTS", "%s/%d", req.SUPI, req.SessionID)
+		return sbi.Problem(409, "Conflict", "SESSION_EXISTS", "%s/%d", req.SUPI, req.SessionID)
 	}
 	s.nextIP++
 	s.nextSEID++
@@ -138,31 +138,40 @@ func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest) (*Cre
 	}
 	s.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &CreateSessionResponse{UEAddress: ueAddr, TEID: est.TEID}, nil
+	resp.UEAddress, resp.TEID = ueAddr, est.TEID
+	return nil
 }
 
-func (s *SMF) handleRelease(ctx context.Context, req *ReleaseSessionRequest) (*Empty, error) {
+func (s *SMF) handleRelease(ctx context.Context, req *ReleaseSessionRequest, _ *Empty) error {
 	key := sessionKey{req.SUPI, req.SessionID}
 	s.mu.Lock()
 	sc, ok := s.sessions[key]
-	if sc.established {
-		delete(s.sessions, key)
-	}
 	s.mu.Unlock()
 	switch {
 	case !ok:
-		return nil, sbi.Problem(404, "Not Found", "SESSION_NOT_FOUND", "%s/%d", req.SUPI, req.SessionID)
+		return sbi.Problem(404, "Not Found", sbi.CauseSessionNotFound, "%s/%d", req.SUPI, req.SessionID)
 	case !sc.established:
 		// Its establish is in flight: releasing now would leave the UPF
 		// a rule that no session owns once the establish lands.
-		return nil, sbi.Problem(409, "Conflict", "SESSION_PENDING", "%s/%d", req.SUPI, req.SessionID)
+		return sbi.Problem(409, "Conflict", "SESSION_PENDING", "%s/%d", req.SUPI, req.SessionID)
 	}
-	if err := s.invoker.Post(ctx, upf.ServiceName, upf.PathRelease, &upf.ReleaseRequest{SEID: sc.seid}, nil); err != nil {
-		return nil, err
+	// The session is forgotten only once the UPF's rule is gone: a failed
+	// release or a lost reply keeps it for the retry, whose UPF answer is
+	// then 404 for a rule the first attempt already removed.
+	err := s.invoker.Post(ctx, upf.ServiceName, upf.PathRelease, &upf.ReleaseRequest{SEID: sc.seid}, nil)
+	if err != nil && !sbi.HasCause(err, sbi.CauseSessionNotFound) {
+		return err
 	}
-	return &Empty{}, nil
+	s.mu.Lock()
+	// A concurrent release may have finished first and a new session
+	// been filed under the key since; only this SEID's entry goes.
+	if s.sessions[key] == sc {
+		delete(s.sessions, key)
+	}
+	s.mu.Unlock()
+	return nil
 }
 
 // SessionCount reports active sessions.

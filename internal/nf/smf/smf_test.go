@@ -130,7 +130,7 @@ type releaseInside struct {
 
 func (r *releaseInside) Post(ctx context.Context, service, path string, req, resp any) error {
 	if path == upf.PathEstablish && r.req != nil {
-		_, r.err = r.smf.handleRelease(ctx, r.req)
+		r.err = r.smf.handleRelease(ctx, r.req, nil)
 		r.req = nil
 	}
 	return r.Invoker.Post(ctx, service, path, req, resp)
@@ -156,10 +156,70 @@ func TestReleaseDuringEstablishLeavesNoOrphanRule(t *testing.T) {
 	if s.SessionCount() == 0 {
 		return
 	}
-	if _, err := s.handleRelease(ctx, rel); err != nil {
+	if err := s.handleRelease(ctx, rel, nil); err != nil {
 		t.Fatalf("release after the create: %v", err)
 	}
 	if s.SessionCount() != 0 || u.SessionCount() != 0 {
 		t.Fatalf("after release: SMF holds %d sessions, UPF %d rules", s.SessionCount(), u.SessionCount())
+	}
+}
+
+// loseRelease is an SMF invoker whose UPF release fails: the request is
+// lost, or, with replyLost, the UPF removes the rule and its answer is
+// lost.
+type loseRelease struct {
+	sbi.Invoker
+	replyLost bool
+}
+
+func (l *loseRelease) Post(ctx context.Context, service, path string, req, resp any) error {
+	if path != upf.PathRelease {
+		return l.Invoker.Post(ctx, service, path, req, resp)
+	}
+	if l.replyLost {
+		if err := l.Invoker.Post(ctx, service, path, req, resp); err != nil {
+			return err
+		}
+	}
+	return sbi.Problem(504, "Gateway Timeout", sbi.CauseTimeout, "UPF release lost")
+}
+
+// TestFailedReleaseKeepsTheSessionForARetry: a release whose UPF release
+// fails, or whose UPF answer is lost, fails and leaves the SMF its
+// session, so a retried release ends with neither the SMF nor the UPF
+// holding anything.
+func TestFailedReleaseKeepsTheSessionForARetry(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		replyLost bool
+		upfRules  int
+	}{
+		{"release fails", false, 1},
+		{"reply lost", true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, u, c := harness(t)
+			ctx := context.Background()
+			if _, err := c.CreateSession(ctx, &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1, DNN: "internet"}); err != nil {
+				t.Fatalf("CreateSession: %v", err)
+			}
+			direct := s.invoker
+			s.invoker = &loseRelease{Invoker: direct, replyLost: tc.replyLost}
+			rel := &ReleaseSessionRequest{SUPI: "imsi-1", SessionID: 1}
+			if err := c.ReleaseSession(ctx, rel); !sbi.HasCause(err, sbi.CauseTimeout) {
+				t.Fatalf("release err = %v, want the UPF's TIMEOUT", err)
+			}
+			if s.SessionCount() != 1 || u.SessionCount() != tc.upfRules {
+				t.Fatalf("after the failed release: SMF holds %d sessions, UPF %d rules; want 1, %d",
+					s.SessionCount(), u.SessionCount(), tc.upfRules)
+			}
+			s.invoker = direct
+			if err := c.ReleaseSession(ctx, rel); err != nil {
+				t.Fatalf("retried release: %v", err)
+			}
+			if s.SessionCount() != 0 || u.SessionCount() != 0 {
+				t.Fatalf("after the retry: SMF holds %d sessions, UPF %d rules; want 0, 0", s.SessionCount(), u.SessionCount())
+			}
+		})
 	}
 }

@@ -145,7 +145,7 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 		u.pool = newAVPool(cfg.AVPoolDepth)
 	}
 	u.server.HandleDual(PathGenerateAuthData, sbi.BinHandlerInto(u.handleGenerateAuthData))
-	u.server.HandleDual(PathResync, sbi.BinHandler(u.handleResync))
+	u.server.HandleDual(PathResync, sbi.BinHandlerInto(u.handleResync))
 	if err := cfg.Registry.Register(u.server); err != nil {
 		return nil, err
 	}
@@ -223,7 +223,7 @@ func (u *UDM) avRequest(ctx context.Context, supi codec.SUPI, text, snn string) 
 	}
 	randBytes := make([]byte, 16)
 	if _, err := io.ReadFull(u.entropy, randBytes); err != nil {
-		return paka.UDMGenerateAVRequest{}, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "RAND generation: %v", err)
+		return paka.UDMGenerateAVRequest{}, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem, "RAND generation: %v", err)
 	}
 	return paka.UDMGenerateAVRequest{
 		SUPI:  text,
@@ -239,7 +239,7 @@ func (u *UDM) avRequest(ctx context.Context, supi codec.SUPI, text, snn string) 
 // the reprovision-on-lost-key retry.
 func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) (*paka.UDMGenerateAVResponse, error) {
 	av, err := u.fns.GenerateAV(ctx, avReq)
-	if err != nil && u.reprovision != nil && sbi.HasCause(err, "USER_NOT_FOUND") {
+	if err != nil && u.reprovision != nil && sbi.HasCause(err, sbi.CauseUserNotFound) {
 		// Graceful degradation: the execution environment misses the key
 		// (a guest keeps no sealed backup: its crash-restart emptied the
 		// store, or a rebalance routed the SUPI here). Re-fetch the
@@ -284,7 +284,7 @@ func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, text, snn str
 	// One RAND backing and one item slice per refill, amortized over the batch.
 	randBytes := make([]byte, 16*count)
 	if _, err := io.ReadFull(u.entropy, randBytes); err != nil {
-		return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "RAND generation: %v", err)
+		return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem, "RAND generation: %v", err)
 	}
 	items := make([]paka.UDMGenerateAVRequest, count)
 	text = supiText(supi, text)
@@ -331,11 +331,11 @@ func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVReque
 	switch {
 	case err == nil:
 		if len(resp.Vectors) != len(items) {
-			return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE",
+			return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem,
 				"batch returned %d vectors for %d items", len(resp.Vectors), len(items))
 		}
 		return resp.Vectors, nil
-	case !sbi.HasCause(err, "USER_NOT_FOUND"):
+	case !sbi.HasCause(err, sbi.CauseUserNotFound):
 		return nil, err
 	}
 	vectors := make([]paka.UDMGenerateAVResponse, 0, len(items))
@@ -352,10 +352,10 @@ func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVReque
 // handleResync recovers the UE's SQN_MS from its AUTS in the eUDM and
 // rebases the UDR's counter above it. OPc comes from a zero-count
 // NextAuthBatch: a read that advances no SQN and carries no K.
-func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest) (*Empty, error) {
+func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest, _ *Empty) error {
 	auth, err := u.udr.NextAuthBatch(ctx, req.SUPI, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	resp, err := u.fns.Resync(ctx, &paka.UDMResyncRequest{
 		SUPI: req.SUPI.String(),
@@ -364,17 +364,17 @@ func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest) (*Empty, err
 		AUTS: req.AUTS,
 	})
 	if err != nil {
-		return nil, sbi.Problem(403, "Forbidden", "SYNC_FAILURE", "%v", err)
+		return sbi.Problem(403, "Forbidden", "SYNC_FAILURE", "%v", err)
 	}
 	if err := u.udr.Resync(ctx, req.SUPI, resp.SQNMS); err != nil {
-		return nil, err
+		return err
 	}
 	if u.pool != nil {
 		// The rebase stranded any banked vectors: their SQNs predate the
 		// UE's recovered counter and would fail its freshness check.
 		u.pool.invalidate(req.SUPI)
 	}
-	return &Empty{}, nil
+	return nil
 }
 
 // Reprovisions reports how many subscriber keys were pushed into the

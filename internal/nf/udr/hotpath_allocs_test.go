@@ -4,18 +4,27 @@ package udr
 
 import (
 	"bytes"
+	"context"
+	"runtime/debug"
 	"testing"
 
+	"shield5g/internal/costmodel"
+	"shield5g/internal/sbi"
 	"shield5g/internal/sbi/codec"
+	"shield5g/internal/simclock"
 )
 
 // TestHotPathAllocs holds the decode of every UDR message that carries a
 // SUPI to an exact allocation count, in both formats: the SUPI is decoded
 // in place and costs nothing. What is left is the byte strings' one
 // backing: a JSON body's, and a frame's for GetResponse, whose caller keeps
-// the record. Pools drop items at random under the race detector, so this
-// file builds only without -race; make ci runs it on its no-race
-// allocation line.
+// the record. One NextAuth served through the handler the UDR registered,
+// the client's post and decode included, is held in each format too: the
+// handler fills its pooled response, so what is left is the backing of
+// the copied fields on each side. With the collector off no sync.Pool is
+// emptied mid-count; pools still drop items at random under the race
+// detector, so this file builds only without -race; make ci runs it in its
+// no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	sub := validSubscriber("imsi-001010000000001")
 	for _, row := range []struct {
@@ -38,6 +47,41 @@ func TestHotPathAllocs(t *testing.T) {
 		jsonN := testing.AllocsPerRun(100, func() { err = codec.DecodeJSON(body, row.into) })
 		if err != nil || bin != row.bin || jsonN != row.jsonN {
 			t.Errorf("decode %T: %v allocs from a frame, %v from JSON, err %v; want %v, %v, nil", row.into, bin, jsonN, err, row.bin, row.jsonN)
+		}
+	}
+
+	env := costmodel.NewEnv(nil, 1)
+	reg := sbi.NewRegistry()
+	if _, err := New(env, reg); err != nil {
+		t.Fatal(err)
+	}
+	// The posts charge one account, as a served registration's do.
+	ctx := simclock.WithAccount(context.Background(), new(simclock.Account))
+	jsonClient, binClient := sbi.NewClient("udm", env, reg), sbi.NewClient("udm", env, reg)
+	binClient.EnableBinary()
+	if err := jsonClient.Post(ctx, ServiceName, PathProvision, &ProvisionRequest{Subscriber: sub}, nil); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	req := &NextAuthRequest{SUPI: sub.SUPI}
+	var resp NextAuthResponse
+	for _, row := range []struct {
+		format string
+		client *sbi.Client
+		want   float64
+	}{
+		{"frame", binClient, 2},
+		{"JSON", jsonClient, 2},
+	} {
+		var err error
+		post := func() {
+			if perr := row.client.Post(ctx, ServiceName, PathNextAuth, req, &resp); perr != nil {
+				err = perr
+			}
+		}
+		post()
+		if n := testing.AllocsPerRun(100, post); err != nil || n != row.want {
+			t.Errorf("served NextAuth (%s): %v allocs, err %v; want %v, nil", row.format, n, err, row.want)
 		}
 	}
 }

@@ -166,29 +166,28 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*UDR, error) {
 		server: sbi.NewServer(ServiceName, env),
 		subs:   shard.New[codec.SUPI, *record](codec.SUPI.Hash),
 	}
-	u.server.HandleDual(PathProvision, sbi.BinHandler(u.handleProvision))
-	u.server.HandleDual(PathNextAuth, sbi.BinHandler(u.handleNextAuth))
-	u.server.HandleDual(PathNextAuthBatch, sbi.BinHandler(u.handleNextAuthBatch))
-	u.server.HandleDual(PathResync, sbi.BinHandler(u.handleResync))
-	u.server.HandleDual(PathGet, sbi.BinHandler(u.handleGet))
+	u.server.HandleDual(PathProvision, sbi.BinHandlerInto(u.handleProvision))
+	u.server.HandleDual(PathNextAuth, sbi.BinHandlerInto(u.handleNextAuth))
+	u.server.HandleDual(PathNextAuthBatch, sbi.BinHandlerInto(u.handleNextAuthBatch))
+	u.server.HandleDual(PathResync, sbi.BinHandlerInto(u.handleResync))
+	u.server.HandleDual(PathGet, sbi.BinHandlerInto(u.handleGet))
 	if err := registry.Register(u.server); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
-func (u *UDR) handleProvision(_ context.Context, req *ProvisionRequest) (*Empty, error) {
+func (u *UDR) handleProvision(_ context.Context, req *ProvisionRequest, _ *Empty) error {
 	s := req.Subscriber
 	if err := s.validate(); err != nil {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "%v", err)
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "%v", err)
 	}
 	r := &record{k: [16]byte(s.K), opc: [16]byte(s.OPc), sqn: [sqnLen]byte(s.SQN), amf: [2]byte(s.AMFField)}
 	u.subs.Store(s.SUPI, r)
-	return &Empty{}, nil
+	return nil
 }
 
-func (u *UDR) handleNextAuth(_ context.Context, req *NextAuthRequest) (*NextAuthResponse, error) {
-	var resp *NextAuthResponse
+func (u *UDR) handleNextAuth(_ context.Context, req *NextAuthRequest, resp *NextAuthResponse) error {
 	u.subs.Update(req.SUPI, func(r *record, ok bool) {
 		if !ok {
 			return
@@ -201,26 +200,24 @@ func (u *UDR) handleNextAuth(_ context.Context, req *NextAuthRequest) (*NextAuth
 		buf = append(buf, r.opc[:]...)
 		buf = append(buf, r.sqn[:]...)
 		buf = append(buf, r.amf[:]...)
-		resp = &NextAuthResponse{
-			OPc:      buf[:len(r.opc):len(r.opc)],
-			SQN:      buf[len(r.opc) : len(r.opc)+sqnLen : len(r.opc)+sqnLen],
-			AMFField: buf[len(r.opc)+sqnLen:],
-		}
+		resp.OPc = buf[:len(r.opc):len(r.opc)]
+		resp.SQN = buf[len(r.opc) : len(r.opc)+sqnLen : len(r.opc)+sqnLen]
+		resp.AMFField = buf[len(r.opc)+sqnLen:]
 	})
-	if resp == nil {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "subscriber %s", req.SUPI)
+	// The response is zero on entry: OPc is set iff the record exists.
+	if resp.OPc == nil {
+		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "subscriber %s", req.SUPI)
 	}
-	return resp, nil
+	return nil
 }
 
 // handleNextAuthBatch advances the SQN Count times under one stripe lock
 // and returns the shared material once. The state evolution is exactly
 // Count sequential NextAuth calls; only the wire shape is batched.
-func (u *UDR) handleNextAuthBatch(_ context.Context, req *NextAuthBatchRequest) (*NextAuthBatchResponse, error) {
+func (u *UDR) handleNextAuthBatch(_ context.Context, req *NextAuthBatchRequest, resp *NextAuthBatchResponse) error {
 	if req.Count < 0 || req.Count > maxNextAuthBatch {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "batch count %d", req.Count)
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "batch count %d", req.Count)
 	}
-	var resp *NextAuthBatchResponse
 	u.subs.Update(req.SUPI, func(r *record, ok bool) {
 		if !ok {
 			return
@@ -233,21 +230,19 @@ func (u *UDR) handleNextAuthBatch(_ context.Context, req *NextAuthBatchRequest) 
 			advanceSQN(r.sqn[:], sqnStep)
 			buf = append(buf, r.sqn[:]...)
 		}
-		resp = &NextAuthBatchResponse{
-			OPc:      buf[:len(r.opc):len(r.opc)],
-			AMFField: buf[len(r.opc):shared:shared],
-			SQNs:     buf[shared:],
-		}
+		resp.OPc = buf[:len(r.opc):len(r.opc)]
+		resp.AMFField = buf[len(r.opc):shared:shared]
+		resp.SQNs = buf[shared:]
 	})
-	if resp == nil {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "subscriber %s", req.SUPI)
+	if resp.OPc == nil {
+		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "subscriber %s", req.SUPI)
 	}
-	return resp, nil
+	return nil
 }
 
-func (u *UDR) handleResync(_ context.Context, req *ResyncRequest) (*Empty, error) {
+func (u *UDR) handleResync(_ context.Context, req *ResyncRequest, _ *Empty) error {
 	if len(req.SQNMS) != 6 {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "SQN_MS length %d", len(req.SQNMS))
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "SQN_MS length %d", len(req.SQNMS))
 	}
 	found := false
 	u.subs.Update(req.SUPI, func(r *record, ok bool) {
@@ -259,12 +254,12 @@ func (u *UDR) handleResync(_ context.Context, req *ResyncRequest) (*Empty, error
 		advanceSQN(r.sqn[:], sqnStep)
 	})
 	if !found {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "subscriber %s", req.SUPI)
+		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "subscriber %s", req.SUPI)
 	}
-	return &Empty{}, nil
+	return nil
 }
 
-func (u *UDR) handleGet(_ context.Context, req *GetRequest) (*GetResponse, error) {
+func (u *UDR) handleGet(_ context.Context, req *GetRequest, resp *GetResponse) error {
 	// Copy under the stripe lock: a concurrent NextAuth mutates SQN in
 	// place. The response's byte strings are views of the copy.
 	cp := new(record)
@@ -275,9 +270,10 @@ func (u *UDR) handleGet(_ context.Context, req *GetRequest) (*GetResponse, error
 		}
 	})
 	if !found {
-		return nil, sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "subscriber %s", req.SUPI)
+		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "subscriber %s", req.SUPI)
 	}
-	return &GetResponse{Subscriber: Subscriber{SUPI: req.SUPI, K: cp.k[:], OPc: cp.opc[:], SQN: cp.sqn[:], AMFField: cp.amf[:]}}, nil
+	resp.Subscriber = Subscriber{SUPI: req.SUPI, K: cp.k[:], OPc: cp.opc[:], SQN: cp.sqn[:], AMFField: cp.amf[:]}
+	return nil
 }
 
 // Holds reports whether the repository has a record for supi. It reads
@@ -339,7 +335,7 @@ func (c *Client) NextAuthBatch(ctx context.Context, supi codec.SUPI, count int) 
 		return nil, err
 	}
 	if resp.Vectors() != count || len(resp.SQNs)%sqnLen != 0 {
-		return nil, sbi.Problem(500, "Internal Server Error", "SYSTEM_FAILURE",
+		return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem,
 			"next-auth batch returned %d bytes of SQNs for count %d", len(resp.SQNs), count)
 	}
 	return &resp, nil

@@ -14,8 +14,8 @@ import (
 func TestConcurrentSessionsAndForwarding(t *testing.T) {
 	u, _ := harness(t)
 	ctx := context.Background()
-	held, err := u.handleEstablish(ctx, &EstablishRequest{SEID: 1 << 20, UEAddress: "10.60.0.1"})
-	if err != nil {
+	var held EstablishResponse
+	if err := u.handleEstablish(ctx, &EstablishRequest{SEID: 1 << 20, UEAddress: "10.60.0.1"}, &held); err != nil {
 		t.Fatal(err)
 	}
 	for range 10 {
@@ -32,9 +32,9 @@ func TestConcurrentSessionsAndForwarding(t *testing.T) {
 			}()
 		}
 		each(func(seid uint64) {
-			_, _ = u.handleEstablish(ctx, &EstablishRequest{SEID: seid, UEAddress: "10.60.0.2"})
+			_ = u.handleEstablish(ctx, &EstablishRequest{SEID: seid, UEAddress: "10.60.0.2"}, new(EstablishResponse))
 		})
-		each(func(seid uint64) { _, _ = u.handleRelease(ctx, &ReleaseRequest{SEID: seid}) })
+		each(func(seid uint64) { _ = u.handleRelease(ctx, &ReleaseRequest{SEID: seid}, nil) })
 		each(func(uint64) {
 			if _, err := u.ForwardUplink(ctx, held.TEID, []byte("ping")); err != nil {
 				t.Error(err)

@@ -65,36 +65,37 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*UPF, error) {
 		server:   sbi.NewServer(ServiceName, env),
 		sessions: make(map[uint64]uint32),
 	}
-	u.server.HandleDual(PathEstablish, sbi.BinHandler(u.handleEstablish))
-	u.server.HandleDual(PathRelease, sbi.BinHandler(u.handleRelease))
+	u.server.HandleDual(PathEstablish, sbi.BinHandlerInto(u.handleEstablish))
+	u.server.HandleDual(PathRelease, sbi.BinHandlerInto(u.handleRelease))
 	if err := registry.Register(u.server); err != nil {
 		return nil, err
 	}
 	return u, nil
 }
 
-func (u *UPF) handleEstablish(_ context.Context, req *EstablishRequest) (*EstablishResponse, error) {
+func (u *UPF) handleEstablish(_ context.Context, req *EstablishRequest, resp *EstablishResponse) error {
 	if req.UEAddress == "" {
-		return nil, sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "UE address required")
+		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "UE address required")
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if _, dup := u.sessions[req.SEID]; dup {
-		return nil, sbi.Problem(409, "Conflict", "SESSION_EXISTS", "SEID %d", req.SEID)
+		return sbi.Problem(409, "Conflict", "SESSION_EXISTS", "SEID %d", req.SEID)
 	}
 	u.nextTEID++
 	u.sessions[req.SEID] = u.nextTEID
-	return &EstablishResponse{TEID: u.nextTEID}, nil
+	resp.TEID = u.nextTEID
+	return nil
 }
 
-func (u *UPF) handleRelease(_ context.Context, req *ReleaseRequest) (*Empty, error) {
+func (u *UPF) handleRelease(_ context.Context, req *ReleaseRequest, _ *Empty) error {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if _, ok := u.sessions[req.SEID]; !ok {
-		return nil, sbi.Problem(404, "Not Found", "SESSION_NOT_FOUND", "SEID %d", req.SEID)
+		return sbi.Problem(404, "Not Found", sbi.CauseSessionNotFound, "SEID %d", req.SEID)
 	}
 	delete(u.sessions, req.SEID)
-	return &Empty{}, nil
+	return nil
 }
 
 // SessionCount reports installed sessions.

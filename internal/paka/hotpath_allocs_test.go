@@ -18,8 +18,8 @@ import (
 // a keep-alive connection. The counts include the client's Post and its
 // decode of the answer, and cover hmee.Walk, the Gramine instance's
 // crossing and OCALLs and the ring's Submit beneath them. sync.Pool drops items at random under the race
-// detector, so this file builds only without -race; make ci runs it on its
-// no-race allocation line.
+// detector, so this file builds only without -race; make ci runs it in its
+// no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	av, err := GenerateAV(testK, avRequest())
 	if err != nil {

@@ -266,17 +266,13 @@ type endpointCall[Req, Resp any] struct {
 	out  []byte
 }
 
-// Run implements Handler.
+// Run implements Handler. The request is decoded inside the crossing,
+// after the functional charge, so a malformed request crosses and is
+// charged like any other.
 func (c *endpointCall[Req, Resp]) Run(ex Exec) error {
 	c.m.chargeFunction(c.ctx, ex)
-	if err := sbi.DecodeBody(c.body, &c.req); err != nil {
-		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-	}
-	if err := c.fn(ex, &c.req, &c.resp); err != nil {
-		return err
-	}
 	var err error
-	c.out, err = sbi.MarshalBodyLike(c.body, &c.resp)
+	c.out, err = sbi.Answer(ex, c.body, &c.req, &c.resp, c.fn)
 	return err
 }
 
@@ -295,8 +291,8 @@ func (m *Module) chargeFunction(ctx context.Context, ex Exec) {
 // endpoint adapts a typed module function, which fills the zeroed
 // response it is handed, into the served-request path: the runtime's
 // modelled request walk and the module's calibrated functional cost
-// around it, the request decoded from and the response encoded in
-// whichever format the body arrived in, the L_F/L_T windows recorded.
+// around it, the request decoded and the response encoded by sbi.Answer
+// as at every NF endpoint, the L_F/L_T windows recorded.
 // Everything per-endpoint (the call pool) is built here, once, at
 // registration.
 func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req, resp *Resp) error) sbi.HandlerFunc {
@@ -345,7 +341,7 @@ func (m *Module) resync(ex Exec, req *UDMResyncRequest, resp *UDMResyncResponse)
 func expandKey(ex Exec, supi string, opc []byte, c *milenage.Cipher) error {
 	var k [milenage.KeyLen]byte
 	if !ex.LoadSecret(supi, &k) {
-		return sbi.Problem(404, "Not Found", "USER_NOT_FOUND", "%v: %s", ErrUnknownSubscriber, supi)
+		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "%v: %s", ErrUnknownSubscriber, supi)
 	}
 	err := c.Init(k[:], opc)
 	clear(k[:])

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shield5g/internal/hmee/gramine"
+	"shield5g/internal/race"
 	"shield5g/internal/simclock"
 )
 
@@ -135,7 +136,7 @@ func TestSwitchlessManifestNeedsDispatcherTCS(t *testing.T) {
 // per-request state is pooled like the enclave's, where the runtime it
 // replaced boxed one Exec per request (5 then, 4 now).
 func TestCrossingAllocParity(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool sheds items at random under the race detector")
 	}
 	const closureEraClassic = 5

@@ -1,6 +1,10 @@
 package sbi
 
-import "sync"
+import (
+	"sync"
+
+	"shield5g/internal/race"
+)
 
 // The body-pool audit checks the single-owner contract of codec.go on the
 // executions the tests and `make ci` actually run, not on a model of the
@@ -17,7 +21,7 @@ import "sync"
 // error or a wrong field in whichever test reads it, and a data race under
 // -race when another goroutine does. What the audit cannot see is a
 // retained view that nobody reads.
-var auditPool = raceBuild
+var auditPool = race.Enabled
 
 const poisonByte = 0xDB
 

@@ -4,10 +4,10 @@ package sbi
 // of the message, decided in one place, Client.Post: a client opted in
 // through EnableBinary frames a request (internal/sbi/codec's
 // length-prefixed frames) iff the request has a field description and the
-// response is nil or has one too. Servers hold no format state: a handler
-// decodes whichever format arrives (DecodeBody) and answers in kind
-// (MarshalBodyLike). Messages without a description and the real HTTP
-// transport stay on JSON; ServeHTTP turns a frame away with 415.
+// response is nil or has one too. Servers hold no format state: every
+// typed endpoint decodes whichever format arrives and answers in kind
+// (Answer). Messages without a description and the real HTTP transport
+// stay on JSON; ServeHTTP turns a frame away with 415.
 //
 // Frames ride the exact MarshalBody/ReleaseBody single-owner contract the
 // JSON bodies use, and both formats are written and read from the
@@ -23,7 +23,7 @@ import (
 )
 
 // HandleDual registers the endpoint handler for path. h must accept both
-// body formats — use BinHandlerInto or BinHandler.
+// body formats — use BinHandlerInto.
 func (s *Server) HandleDual(path string, h HandlerFunc) {
 	s.mu.Lock()
 	s.handlers[path] = h
@@ -54,10 +54,10 @@ func MarshalBinary(m codec.Message) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeBody decodes a body in whichever format it arrived: a binary
-// frame through v's field description, anything else as JSON. Handlers
-// use it on requests, the client on responses.
-func DecodeBody(body []byte, v any) error {
+// decodeBody decodes a body in whichever format it arrived: a binary
+// frame through v's field description, anything else as JSON. Answer
+// uses it on requests, the client on responses.
+func decodeBody(body []byte, v any) error {
 	if !codec.IsFrame(body) {
 		return UnmarshalBody(body, v)
 	}
@@ -72,10 +72,10 @@ func DecodeBody(body []byte, v any) error {
 	return codec.DecodeBinary(payload, m)
 }
 
-// MarshalBodyLike encodes v in the format of the request body it answers:
+// marshalBodyLike encodes v in the format of the request body it answers:
 // a frame when the request was a frame (and v has a field description),
 // JSON otherwise.
-func MarshalBodyLike(reqBody []byte, v any) ([]byte, error) {
+func marshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 	if codec.IsFrame(reqBody) {
 		if m, ok := v.(codec.Message); ok {
 			return MarshalBinary(m)
@@ -84,26 +84,46 @@ func MarshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 	return MarshalBody(v)
 }
 
-// BinHandlerInto adapts a typed request/response function into a
-// dual-format HandlerFunc: the request is decoded from, and the response
-// encoded in, whichever format the request arrived in. An empty body
-// decodes as the zero request; a frame for a type without a field
-// description is a 400 like any other undecodable body.
+// Answer is the one decode-and-answer step of every typed endpoint, an
+// NF's (BinHandlerInto) and a P-AKA module's alike: it decodes body into
+// req in whichever format it arrived, runs fn(x, req, resp), and encodes
+// the response fn filled in the request's format. An empty body decodes as
+// the zero request. An undecodable body — a frame for a type without a
+// field description included — is a 400 MANDATORY_IE_INCORRECT, and an
+// unencodable answer a 500 SYSTEM_FAILURE.
 //
-// Both structs come from one per-endpoint pool: fn fills the response it
-// is handed, zero on entry, instead of allocating one. On the binary path
-// the request's variable-length byte fields are zero-copy views into the
-// loaned body (the HandlerFunc contract). fn has the pair for the
-// duration of the call only and must retain neither. Both are zeroed once
-// the response is encoded and before they go back to the pool, so a
-// partial decode cannot leak into the next request and no key a response
-// carried (K_AUSF, K_SEAF, K_AMF) stays in pooled memory — the scrub rule
-// of hashpool.PutHMAC.
+// req and resp are the caller's, and resp is zero on entry: fn fills it
+// instead of allocating one. On the binary path the request's
+// variable-length byte fields are zero-copy views into the loaned body
+// (the HandlerFunc contract), so fn has the pair for the duration of the
+// call only and must retain neither.
+func Answer[X, Req, Resp any](x X, body []byte, req *Req, resp *Resp, fn func(x X, req *Req, resp *Resp) error) ([]byte, error) {
+	if len(body) > 0 {
+		if err := decodeBody(body, req); err != nil {
+			return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
+		}
+	}
+	if err := fn(x, req, resp); err != nil {
+		return nil, err
+	}
+	out, err := marshalBodyLike(body, resp)
+	if err != nil {
+		return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", err)
+	}
+	return out, nil
+}
+
+// BinHandlerInto adapts a typed request/response function into a
+// dual-format HandlerFunc served by Answer. Both structs come from one
+// per-endpoint pool and are zeroed once the response is encoded and
+// before they go back to the pool, so a partial decode cannot leak into
+// the next request and no key a response carried (K_AUSF, K_SEAF, K_AMF)
+// stays in pooled memory — the scrub rule of hashpool.PutHMAC.
 func BinHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *Resp) error) HandlerFunc {
 	pool := sync.Pool{New: func() any { return new(binCall[Req, Resp]) }}
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		c := pool.Get().(*binCall[Req, Resp])
-		out, err := c.serve(ctx, body, fn)
+		out, err := Answer(ctx, body, &c.req, &c.resp, fn)
 		*c = binCall[Req, Resp]{}
 		pool.Put(c)
 		return out, err
@@ -116,25 +136,9 @@ type binCall[Req, Resp any] struct {
 	resp Resp
 }
 
-func (c *binCall[Req, Resp]) serve(ctx context.Context, body []byte, fn func(ctx context.Context, req *Req, resp *Resp) error) ([]byte, error) {
-	if len(body) > 0 {
-		if err := DecodeBody(body, &c.req); err != nil {
-			return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
-		}
-	}
-	if err := fn(ctx, &c.req, &c.resp); err != nil {
-		return nil, err
-	}
-	out, err := MarshalBodyLike(body, &c.resp)
-	if err != nil {
-		return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", err)
-	}
-	return out, nil
-}
-
 // BinHandler is BinHandlerInto for a function that returns the response
-// it allocated; the response is copied into the pooled one. The cold
-// endpoints (NRF, UDR, SMF, UPF) use it.
+// it allocated; the response is copied into the pooled one. No endpoint
+// of the core uses it: it is kept for the benchmark module's echo server.
 func BinHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
 	return BinHandlerInto(func(ctx context.Context, req *Req, resp *Resp) error {
 		r, err := fn(ctx, req)

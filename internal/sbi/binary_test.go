@@ -257,7 +257,7 @@ func TestBinHandlerIntoRecyclesZeroedResponse(t *testing.T) {
 				t.Fatalf("handler: %v", err)
 			}
 			var got keyMsg
-			if err := DecodeBody(out, &got); err != nil || got != *req {
+			if err := decodeBody(out, &got); err != nil || got != *req {
 				t.Fatalf("answer %x (err %v), want %x", got.K, err, req.K)
 			}
 			ReleaseBody(out)
@@ -277,16 +277,16 @@ func TestDecodeBodyFormats(t *testing.T) {
 		t.Fatalf("MarshalBinary: %v", err)
 	}
 	var fromFrame binMsg
-	if err := DecodeBody(frame, &fromFrame); err != nil {
-		t.Fatalf("DecodeBody(frame): %v", err)
+	if err := decodeBody(frame, &fromFrame); err != nil {
+		t.Fatalf("decodeBody(frame): %v", err)
 	}
 	jsonBody, err := MarshalBody(in)
 	if err != nil {
 		t.Fatalf("MarshalBody: %v", err)
 	}
 	var fromJSON binMsg
-	if err := DecodeBody(jsonBody, &fromJSON); err != nil {
-		t.Fatalf("DecodeBody(json): %v", err)
+	if err := decodeBody(jsonBody, &fromJSON); err != nil {
+		t.Fatalf("decodeBody(json): %v", err)
 	}
 	if fromFrame.Value != fromJSON.Value || string(fromFrame.Blob) != string(fromJSON.Blob) {
 		t.Fatalf("frame decode %+v != json decode %+v", fromFrame, fromJSON)
@@ -295,8 +295,8 @@ func TestDecodeBodyFormats(t *testing.T) {
 	// A frame aimed at a type without a binary codec is an error, not a
 	// silent misparse.
 	var plain echoResp
-	if err := DecodeBody(frame, &plain); err == nil {
-		t.Fatalf("DecodeBody(frame, no codec) succeeded")
+	if err := decodeBody(frame, &plain); err == nil {
+		t.Fatalf("decodeBody(frame, no codec) succeeded")
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // encoded and decoded from it, in JSON as in binary frames, without
 // reflection; bodies travel in pooled buffers that ReleaseBody recycles.
 // Messages without a description (NRF, SMF, UPF, ProblemDetails) are cold
-// and go through encoding/json.
+// and go through encoding/json. Described or cold, every endpoint is
+// served one way, Answer, and fills the response it is handed.
 //
 // Ownership contract: a []byte returned by MarshalBody (and, by the
 // HandlerFunc contract, any handler-returned body) is owned by exactly

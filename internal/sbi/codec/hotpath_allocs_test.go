@@ -18,7 +18,7 @@ func (m *nested) Fields(f *Fields) { f.Struct("item", &m.Item, 0) }
 // and a JSON decode also its byte strings' one backing. Fixed-width values
 // and identities are decoded in place: nothing. The decode scratch is pooled, and sync.Pool drops items at random
 // under the race detector, so this file builds only without -race; make ci
-// runs it on its no-race allocation line.
+// runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	in := &probe{
 		S: "imsi-1", Const: "snn", View: []byte{0xDE, 0xAD}, Kept: []byte{9},

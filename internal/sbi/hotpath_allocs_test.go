@@ -16,7 +16,7 @@ import (
 // request keeps. The body audit is on in this package's tests and costs
 // nothing once its map holds a slot. sync.Pool drops items at random under
 // the race detector, so this file builds only without -race; make ci runs
-// it on its no-race allocation line.
+// it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	in := &binMsg{Value: "imsi-001010000000001", Blob: []byte{5, 6, 7}}
 	frame, err := MarshalBinary(in)
@@ -49,10 +49,10 @@ func TestHotPathAllocs(t *testing.T) {
 	}{
 		{"MarshalBinary+ReleaseBody", 0, func() error { b, err := MarshalBinary(in); ReleaseBody(b); return err }},
 		{"MarshalBody+ReleaseBody", 0, func() error { b, err := MarshalBody(in); ReleaseBody(b); return err }},
-		{"MarshalBodyLike(frame)+ReleaseBody", 0, func() error { b, err := MarshalBodyLike(frame, in); ReleaseBody(b); return err }},
-		{"MarshalBodyLike(JSON)+ReleaseBody", 0, func() error { b, err := MarshalBodyLike(body, in); ReleaseBody(b); return err }},
-		{"DecodeBody(frame)", 2, func() error { out = binMsg{}; return DecodeBody(frame, &out) }},
-		{"DecodeBody(JSON)", 2, func() error { out = binMsg{}; return DecodeBody(body, &out) }},
+		{"marshalBodyLike(frame)+ReleaseBody", 0, func() error { b, err := marshalBodyLike(frame, in); ReleaseBody(b); return err }},
+		{"marshalBodyLike(JSON)+ReleaseBody", 0, func() error { b, err := marshalBodyLike(body, in); ReleaseBody(b); return err }},
+		{"decodeBody(frame)", 2, func() error { out = binMsg{}; return decodeBody(frame, &out) }},
+		{"decodeBody(JSON)", 2, func() error { out = binMsg{}; return decodeBody(body, &out) }},
 		{"UnmarshalBody", 2, func() error { out = binMsg{}; return UnmarshalBody(body, &out) }},
 		{"BinHandlerInto(frame)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyFrame); ReleaseBody(b); return err }},
 		{"BinHandlerInto(JSON)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyBody); ReleaseBody(b); return err }},

@@ -43,7 +43,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var pd *ProblemDetails
 		if !errors.As(err, &pd) {
-			pd = Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "%v", err)
+			pd = Problem(500, "Internal Server Error", CauseSystem, "%v", err)
 		}
 		s.setOCIHeader(w.Header())
 		writeProblem(w, pd)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"shield5g/internal/race"
 	"shield5g/internal/simclock"
 )
 
@@ -167,7 +168,7 @@ func TestMeterChargesFIFOWait(t *testing.T) {
 // OCI snapshot to the heap. Skipped under -race, whose sync.Pool and
 // instrumentation allocate.
 func TestArmedMeterAdmitAllocatesNothing(t *testing.T) {
-	if raceBuild {
+	if race.Enabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
 	srv, _ := meterFixture(t, OverloadConfig{ServiceCycles: 1000, MaxQueue: 1 << 20})

@@ -62,6 +62,14 @@ const (
 	// CauseUnsupportedMedia is returned when a binary SBI frame arrives
 	// over real HTTP, which only speaks JSON (Server.ServeHTTP).
 	CauseUnsupportedMedia = "UNSUPPORTED_MEDIA_TYPE"
+	// The not-found causes a recovery path branches on: the UDM
+	// re-provisions a key its eUDM lost on USER_NOT_FOUND, the AMF
+	// re-authenticates a UE whose AUSF context is gone on
+	// CONTEXT_NOT_FOUND, and the SMF takes the UPF's SESSION_NOT_FOUND on
+	// a release to mean the rule is already gone.
+	CauseUserNotFound    = "USER_NOT_FOUND"
+	CauseContextNotFound = "CONTEXT_NOT_FOUND"
+	CauseSessionNotFound = "SESSION_NOT_FOUND"
 )
 
 // AsProblem extracts the ProblemDetails from an error chain.
@@ -268,7 +276,7 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 
 	srv, ok := c.registry.Lookup(service)
 	if !ok {
-		return Problem(503, "Service Unavailable", "TARGET_NF_NOT_REACHABLE", "%s cannot reach %s", c.from, service)
+		return Problem(503, "Service Unavailable", CauseUnreachable, "%s cannot reach %s", c.from, service)
 	}
 
 	m := c.env.Model
@@ -314,7 +322,7 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 		if errors.As(err, &pd) {
 			return pd
 		}
-		return Problem(500, "Internal Server Error", "SYSTEM_FAILURE", "%s%s: %v", service, path, err)
+		return Problem(500, "Internal Server Error", CauseSystem, "%s%s: %v", service, path, err)
 	}
 
 	// Client-side response processing.
@@ -324,7 +332,7 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 		ReleaseBody(out)
 		return nil
 	}
-	uerr := DecodeBody(out, resp)
+	uerr := decodeBody(out, resp)
 	ReleaseBody(out)
 	if uerr != nil {
 		return fmt.Errorf("sbi: unmarshal response from %s%s: %w", service, path, uerr)

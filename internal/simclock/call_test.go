@@ -4,6 +4,8 @@ import (
 	"context"
 	"reflect"
 	"testing"
+
+	"shield5g/internal/race"
 )
 
 // TestCallInheritsAndOverrides: a child Call starts with every value of
@@ -82,7 +84,7 @@ func TestReleasedCallIsZeroed(t *testing.T) {
 // account of its own and reading every value back through the accessors
 // costs no allocation once the pool is warm. Skipped under -race.
 func TestPooledCallAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
 	lane := WithJitter(context.Background(), NewJitter(3))

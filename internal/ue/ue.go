@@ -41,6 +41,10 @@ const usimCycles = 60_000
 // the ECIES profile A input of SUCI concealment.
 const hnPubLen = 32
 
+// routingIndicator is the SUCI routing indicator every device sends,
+// TS 23.003's default.
+const routingIndicator = "0000"
+
 // COTSProfile reproduces commercial-device quirks the paper reports from
 // its OTA test (§V-B6): the OnePlus 8 only detects the test PLMN 00101,
 // and needs a specific OxygenOS build for an end-to-end 5G SA connection.
@@ -71,16 +75,12 @@ type Config struct {
 	// HomeNetworkPublicKey and HomeNetworkKeyID drive SUCI concealment.
 	HomeNetworkPublicKey []byte
 	HomeNetworkKeyID     byte
-	// RoutingIndicator for the SUCI (default "0000").
-	RoutingIndicator string
 	// Env charges UE-side compute; required.
 	Env *costmodel.Env
 	// Profile optionally applies COTS-device behaviour.
 	Profile *COTSProfile
 	// Entropy overrides randomness (tests); nil selects crypto/rand.
 	Entropy io.Reader
-	// SQN is the initial USIM sequence number (6 bytes; zero default).
-	SQN []byte
 	// UseNullScheme sends the SUPI with the null protection scheme (no
 	// concealment) — permitted for test networks, and useful to
 	// demonstrate the privacy difference.
@@ -101,7 +101,6 @@ type UE struct {
 	k, opc     [milenage.KeyLen]byte
 	hnPub      [hnPubLen]byte
 	hnKeyID    byte
-	ri         string
 	env        *costmodel.Env
 	profile    *COTSProfile
 	entropy    io.Reader
@@ -147,15 +146,10 @@ func New(cfg Config) (*UE, error) {
 	if entropy == nil {
 		entropy = rand.Reader
 	}
-	ri := cfg.RoutingIndicator
-	if ri == "" {
-		ri = "0000"
-	}
 	u := &UE{
 		supi:       cfg.SUPI,
 		supiStr:    cfg.SUPI.String(),
 		hnKeyID:    cfg.HomeNetworkKeyID,
-		ri:         ri,
 		env:        cfg.Env,
 		profile:    cfg.Profile,
 		entropy:    entropy,
@@ -165,9 +159,6 @@ func New(cfg Config) (*UE, error) {
 	copy(u.opc[:], cfg.OPc)
 	// A null-scheme device never conceals, so its key may be absent.
 	copy(u.hnPub[:], cfg.HomeNetworkPublicKey)
-	if len(cfg.SQN) == 6 {
-		copy(u.sqnMS[:], cfg.SQN)
-	}
 	return u, nil
 }
 
@@ -237,13 +228,13 @@ func (u *UE) BuildRegistrationRequest(ctx context.Context, snn string) ([]byte, 
 // scheme.
 func (u *UE) concealIdentity() (*suci.SUCI, error) {
 	if u.nullScheme {
-		sc, err := suci.ConcealNull(u.supi, u.ri)
+		sc, err := suci.ConcealNull(u.supi, routingIndicator)
 		if err != nil {
 			return nil, fmt.Errorf("ue: null-scheme SUCI: %w", err)
 		}
 		return sc, nil
 	}
-	sc, err := suci.Conceal(u.entropy, u.supi, u.ri, u.hnPub[:], u.hnKeyID)
+	sc, err := suci.Conceal(u.entropy, u.supi, routingIndicator, u.hnPub[:], u.hnKeyID)
 	if err != nil {
 		return nil, fmt.Errorf("ue: conceal SUPI: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"shield5g"
 	"shield5g/internal/experiments"
 	"shield5g/internal/paka"
+	"shield5g/internal/race"
 )
 
 // reRegAllocBudget is the DESIGN.md section-9 ceiling on heap allocations
@@ -30,7 +31,7 @@ const reRegAllocBudget = 33.2
 // exactly once per eight re-registrations, as a long run sees it. Skipped
 // under -race like the other allocation budgets.
 func TestReRegistrationAllocBudget(t *testing.T) {
-	if experiments.RaceEnabled {
+	if race.Enabled {
 		t.Skip("allocation counts are not comparable under -race")
 	}
 	const n, rounds = 64, 8

@@ -11,6 +11,7 @@ import (
 	"shield5g/internal/experiments"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/nf/udr"
+	"shield5g/internal/race"
 	"shield5g/internal/sbi"
 	"shield5g/internal/sbi/codec"
 )
@@ -292,7 +293,7 @@ func TestSwitchlessFastPathGates(t *testing.T) {
 		t.Errorf("switchless fast path took %v of virtual time, slower than the classic crossing's %v", ring.Virtual, classic.Virtual)
 	}
 	for name, w := range map[string]fastPathWindow{"classic": classic, "switchless": ring} {
-		if !experiments.RaceEnabled && w.AllocsPerReg >= experiments.FastPathAllocBudget {
+		if !race.Enabled && w.AllocsPerReg >= experiments.FastPathAllocBudget {
 			t.Errorf("%s fast path allocates %.2f allocs/registration, want < %d", name, w.AllocsPerReg, experiments.FastPathAllocBudget)
 		}
 	}
