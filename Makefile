@@ -29,12 +29,14 @@ race:
 # fault-injection, mass-registration, and enclave-runtime paths (parallel
 # drivers, injector, resilience layer, overload limiter + admission
 # buckets, keep-alive sessions, TCS pool, the switchless ring's dispatcher
-# lock), the shard stripes and the NF stores, whose unlocked map access
-# only -race sees, and the lock ranks, which a -race build checks at
-# every acquisition. `make ci` runs the whole suite under -race instead.
+# lock, every backend under internal/hmee: the guest process's key-store
+# map, SGX and SEV), the shard stripes and the NF stores, whose unlocked
+# map access only -race sees, and the lock ranks, which a -race build
+# checks at every acquisition. `make ci` runs the whole suite under -race
+# instead.
 vet:
 	$(GO) vet ./...
-	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/sgx/ ./internal/hmee/gramine/ ./internal/simclock/ ./internal/shard/ ./internal/nf/... ./internal/lockrank/
+	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/... ./internal/simclock/ ./internal/shard/ ./internal/nf/... ./internal/lockrank/
 
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -136,17 +137,33 @@ func (tc *taintChecker) checkCall(pass *Pass, call *ast.CallExpr) {
 		}
 	}
 
-	// SBI payloads: an Invoker-shaped Post(ctx, service, path, req,
-	// resp) must never carry the long-term key K in either direction.
-	if fn.Name() == "Post" && sig.Recv() != nil && sig.Params().Len() == 5 && len(call.Args) == 5 {
-		for _, arg := range call.Args[3:] {
-			if t := tc.info.TypeOf(arg); t != nil && typeCarriesSecret(t, longTermKeyOnly, nil, 0) {
-				pass.Reportf(arg.Pos(),
+	// SBI payloads must never carry the long-term key K in either
+	// direction: not through an Invoker-shaped Post(ctx, service, path,
+	// req, resp), and not through a Post of a generic stub
+	// (sbi.Stub[Req, Resp]), whose payloads are its type arguments.
+	if fn.Name() == "Post" && sig.Recv() != nil {
+		report := func(pos token.Pos, t types.Type) {
+			if t != nil && typeCarriesSecret(t, longTermKeyOnly, nil, 0) {
+				pass.Reportf(pos,
 					"SBI payload type %s carries the long-term key K across a service interface; K belongs in the enclave key store (provisioned, looked up by SUPI) — annotate a deliberate exception: //shieldlint:ignore secretflow <why>",
 					t.String())
 			}
 		}
-		return
+		if sig.Params().Len() == 5 && len(call.Args) == 5 {
+			for _, arg := range call.Args[3:] {
+				report(arg.Pos(), tc.info.TypeOf(arg))
+			}
+			return
+		}
+		recv := sig.Recv().Type()
+		if p, ok := recv.(*types.Pointer); ok {
+			recv = p.Elem()
+		}
+		if named, ok := recv.(*types.Named); ok {
+			for i := range named.TypeArgs().Len() {
+				report(call.Pos(), named.TypeArgs().At(i))
+			}
+		}
 	}
 
 	// Printf-style wrappers ((..., format string, args ...any)): the

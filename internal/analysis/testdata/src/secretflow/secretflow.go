@@ -71,6 +71,33 @@ func ship(ctx context.Context, inv invoker, s Subscriber) error {
 	return inv.Post(ctx, "udr", "/provision", &ProvisionRequest{Subscriber: s}, nil) // want "carries the long-term key K across a service interface"
 }
 
+// stub is a generic client stub in the shape of sbi.Stub: the request
+// and the response it moves are its type arguments, not Post's
+// arguments.
+type stub[Req, Resp any] struct{ path string }
+
+func (s *stub[Req, Resp]) Post(ctx context.Context, inv invoker, service string, req Req) (Resp, error) {
+	var resp Resp
+	return resp, inv.Post(ctx, service, s.path, &req, &resp)
+}
+
+type GetResponse struct {
+	Subscriber Subscriber
+}
+
+var (
+	countStub = stub[CountRequest, Report]{path: "/count"}
+	getStub   = stub[CountRequest, GetResponse]{path: "/get"}
+)
+
+func fetch(ctx context.Context, inv invoker, supi string) (Subscriber, error) {
+	if _, err := countStub.Post(ctx, inv, "udr", CountRequest{SUPI: supi}); err != nil { // clean payloads
+		return Subscriber{}, err
+	}
+	resp, err := getStub.Post(ctx, inv, "udr", CountRequest{SUPI: supi}) // want "payload type .*GetResponse carries the long-term key K across a service interface"
+	return resp.Subscriber, err
+}
+
 func annotated(s Subscriber) {
 	//shieldlint:ignore secretflow fixture exercises the escape hatch
 	fmt.Println(s.K) // want:suppressed "secret field K flows into fmt.Println"

@@ -45,7 +45,7 @@ func TestBatchingAmortizes(t *testing.T) {
 		t.Errorf("AV pool on top of batch-8 pays %.1f transitions/reg, batch-8 alone %.1f", both.transPerReg(), k8.transPerReg())
 	}
 	if allocs := base.perReg(float64(base.mallocs)); !race.Enabled && allocs > UnbatchedAllocBudget {
-		t.Errorf("unbatched path allocates %.1f allocs/registration, budget %d", allocs, UnbatchedAllocBudget)
+		t.Errorf("unbatched path allocates %.1f allocs/registration, budget %v", allocs, UnbatchedAllocBudget)
 	}
 
 	replay, err := Batching(context.Background(), cfg)

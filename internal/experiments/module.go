@@ -20,7 +20,7 @@ type rig struct {
 	kind   paka.ModuleKind
 	env    *costmodel.Env
 	module *paka.Module
-	client *sbi.Client
+	remote *paka.Remote
 	av     *paka.UDMGenerateAVResponse
 }
 
@@ -48,7 +48,8 @@ func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg paka.Con
 	if err != nil {
 		return nil, err
 	}
-	r := &rig{kind: kind, env: env, module: m, client: sbi.NewClient("parent-vnf", env, registry)}
+	remote := paka.NewRemote(sbi.NewClient("parent-vnf", env, registry), env, kind.ServiceName())
+	r := &rig{kind: kind, env: env, module: m, remote: remote}
 	if kind == paka.EUDM {
 		err = m.ProvisionSubscriber(ctx, rigSUPI, rigKey)
 	} else {
@@ -79,17 +80,17 @@ func (r *rig) invoke(ctx context.Context) (time.Duration, error) {
 	var err error
 	switch r.kind {
 	case paka.EUDM:
-		err = r.client.Post(ctx, r.kind.ServiceName(), paka.PathUDMGenerateAV, rigAVRequest(), &paka.UDMGenerateAVResponse{})
+		_, err = r.remote.GenerateAV(ctx, rigAVRequest())
 	case paka.EAUSF:
-		err = r.client.Post(ctx, r.kind.ServiceName(), paka.PathAUSFDeriveSE, &paka.AUSFDeriveSERequest{
+		_, err = r.remote.DeriveSE(ctx, &paka.AUSFDeriveSERequest{
 			RAND: r.av.RAND, XRESStar: r.av.XRESStar, KAUSF: r.av.KAUSF, SNN: rigSNN,
-		}, &paka.AUSFDeriveSEResponse{})
+		})
 	case paka.EAMF:
 		// K_AUSF stands in for K_SEAF: any 32 bytes but zero, which
 		// travels as null and would shorten the modelled request.
-		err = r.client.Post(ctx, r.kind.ServiceName(), paka.PathAMFDeriveKAMF, &paka.AMFDeriveKAMFRequest{
+		_, err = r.remote.DeriveKAMF(ctx, &paka.AMFDeriveKAMFRequest{
 			KSEAF: r.av.KAUSF, SUPI: rigSUPI, ABBA: []byte{0, 0},
-		}, &paka.AMFDeriveKAMFResponse{})
+		})
 	}
 	return r.env.Model.Duration(acct.Total()), err
 }

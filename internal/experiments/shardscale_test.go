@@ -37,7 +37,7 @@ func TestShardScaleFleetSpeedup(t *testing.T) {
 		// MemStats, so the budget only holds on plain builds: tier-1's
 		// `go test ./...` is the run that gates it (49.7-50.0 measured).
 		if allocs := p.perReg(float64(p.mallocs)); !race.Enabled && allocs >= FastPathAllocBudget {
-			t.Errorf("replicas=%d: %.1f allocs/reg, budget is < %d", p.replicas, allocs, FastPathAllocBudget)
+			t.Errorf("replicas=%d: %.1f allocs/reg, budget is < %v", p.replicas, allocs, FastPathAllocBudget)
 		}
 		// Lanes are equal: what the speedup loses against the replica
 		// count is the balance, to within the spread of per-UE cost.

@@ -98,22 +98,39 @@ type censusRecorder struct {
 
 // step runs f under a dedicated account and a fresh seeded jitter stream
 // and records the SGX counter delta, the cycles charged, and the Breakdown
-// f reports.
+// f reports. serverside is the served request's residence on the server
+// path: what its account was charged, less the ring's submission charge,
+// which precedes the path. A step that serves no request (open, close,
+// batch) reports no Breakdown and 0.
 func (r *censusRecorder) step(label string, f func(ctx context.Context) (censusBD, error)) {
 	r.t.Helper()
 	r.seed++
 	acct := &simclock.Account{}
 	ctx := simclock.WithAccount(context.Background(), acct)
 	ctx = simclock.WithJitter(ctx, simclock.NewJitter(1000+r.seed))
-	before := r.inst.Stats()
+	before, ringBefore := r.inst.Stats(), r.inst.RingStats()
 	bd, err := f(ctx)
 	if err != nil {
 		r.t.Fatalf("%s %s: %v", r.name, label, err)
 	}
 	d := r.inst.Stats().Sub(before)
+	var serverSide simclock.Cycles
+	if bd != (censusBD{}) {
+		serverSide = acct.Total() - r.ringCharge(ringBefore)
+	}
 	fmt.Fprintf(r.buf, "%s %s eenter=%d eexit=%d ecalls=%d ocalls=%d aex=%d cycles=%d functional=%d total=%d serverside=%d\n",
 		r.name, label, d.EENTER, d.EEXIT, d.ECALLs, d.OCALLs, d.AEX,
-		acct.Total(), bd.Functional, bd.Total, bd.ServerSide)
+		acct.Total(), bd.Functional, bd.Total, serverSide)
+}
+
+// ringCharge is what the ring charged for the submissions made since
+// before (sgx.Ring.Submit): an enqueue each, plus a doorbell and its ECALL
+// round trip for one that found the dispatcher parked, a poll share for
+// the rest. It is zero off the ring.
+func (r *censusRecorder) ringCharge(before sgx.RingStats) simclock.Cycles {
+	st, m := r.inst.RingStats(), r.inst.platform.Env().Model
+	n, bells := simclock.Cycles(st.Submitted-before.Submitted), simclock.Cycles(st.Doorbells-before.Doorbells)
+	return n*m.SwitchlessEnqueueCycles + bells*(m.SwitchlessDoorbellCycles+m.ECALLRoundTrip()) + (n-bells)*m.SwitchlessPollCycles
 }
 
 func TestCensusContract(t *testing.T) {

@@ -48,8 +48,8 @@ func measuredCtx(seed uint64) (context.Context, *simclock.Account) {
 
 // TestServeOnSessionGoldenBatchOfOne pins the amortization contract: a
 // warm request served on a keep-alive session is bit-identical to a warm
-// ServeRequest in its L_F and L_T windows, and its ServerSide omits
-// exactly the Pre+Post machinery (81 proxied syscalls at 16 bytes each
+// ServeRequest in its L_F and L_T windows, and its account omits exactly
+// the Pre+Post machinery (81 proxied syscalls at 16 bytes each
 // way under the default profile), nothing more.
 func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 	instA := launchTest(t)
@@ -92,12 +92,8 @@ func TestServeOnSessionGoldenBatchOfOne(t *testing.T) {
 	sp := instA.syscalls
 	perOCall := m.OCALLRoundTrip() + m.SyscallNative + 2*m.ShieldCost(16)
 	wantDelta := simclock.Cycles(sp.Pre+sp.Post) * perOCall
-	if got := bdA.ServerSide - bdB.ServerSide; got != wantDelta {
-		t.Errorf("ServerSide delta = %d, want exactly Pre+Post machinery %d", got, wantDelta)
-	}
-	if acctA.Total() != bdA.ServerSide || acctB.Total() != bdB.ServerSide {
-		t.Errorf("accounts (%d, %d) disagree with ServerSide (%d, %d)",
-			acctA.Total(), acctB.Total(), bdA.ServerSide, bdB.ServerSide)
+	if got := acctA.Total() - acctB.Total(); got != wantDelta {
+		t.Errorf("server-side delta = %d, want exactly Pre+Post machinery %d", got, wantDelta)
 	}
 }
 

@@ -162,11 +162,11 @@ func UserTCPSyscallProfile() SyscallProfile {
 
 // Breakdown reports the virtual-time windows of one served request using
 // the paper's metric names: L_F (functional latency: the AKA function
-// execution), L_T (total latency: request receipt to response send inside
-// the module), and the full server-side residence that the caller extends
-// into the response time R.
+// execution) and L_T (total latency: request receipt to response send
+// inside the module). The full server-side residence, which the caller
+// extends into the response time R, is what the request's account was
+// charged.
 type Breakdown struct {
 	Functional simclock.Cycles
 	Total      simclock.Cycles
-	ServerSide simclock.Cycles
 }

@@ -159,7 +159,6 @@ func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) 
 	bd, err := Walk(c, p.env.Model, p.syscalls, acct, ph, in, out, h)
 	if edge != 0 {
 		c.charge(edge)
-		bd.ServerSide += 2 * edge
 	}
 	*c = call{}
 	callPool.Put(c)

@@ -68,7 +68,8 @@ func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 		t.Fatalf("warm Serve: %v", err)
 	}
 	before := m.VMExits()
-	bd, err := m.Cross(context.Background(), hmee.OneShot, 40, 80, hmee.HandlerFunc(func(ex hmee.Exec) error {
+	var acct simclock.Account
+	bd, err := m.Cross(simclock.WithAccount(context.Background(), &acct), hmee.OneShot, 40, 80, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.Compute(100_000)
 		ex.Touch(4096)
 		return nil
@@ -80,8 +81,8 @@ func TestServeRequestNoTransitionsFewVMExits(t *testing.T) {
 	if exits != 2*Prices().ExitsPerEdge {
 		t.Fatalf("VM exits per request = %d, want %d", exits, 2*Prices().ExitsPerEdge)
 	}
-	if bd.Functional == 0 || bd.Functional >= bd.Total || bd.Total >= bd.ServerSide {
-		t.Fatalf("breakdown nesting violated: %+v", bd)
+	if bd.Functional == 0 || bd.Functional >= bd.Total || bd.Total >= acct.Total() {
+		t.Fatalf("breakdown nesting violated: %+v inside %d", bd, acct.Total())
 	}
 }
 

@@ -49,7 +49,6 @@ func perCall(bytes, n int) int {
 // drawn at the same position whether or not the accept machinery precedes
 // them, so a pipelined request's draws align with a one-shot's.
 func Walk(s Surface, m *costmodel.Model, sp SyscallProfile, acct *simclock.Account, ph Phases, in, out int, h Handler) (bd Breakdown, err error) {
-	start := acct.Total()
 	if ph&Warmup != 0 {
 		s.Warmup()
 	}
@@ -99,6 +98,5 @@ func Walk(s Surface, m *costmodel.Model, sp SyscallProfile, acct *simclock.Accou
 	if ph&Post != 0 {
 		s.Syscalls(sp.Post, 16, 16)
 	}
-	bd.ServerSide = acct.Total() - start
 	return bd, err
 }

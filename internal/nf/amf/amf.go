@@ -10,7 +10,6 @@ import (
 	"context"
 	"crypto/hmac"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"shield5g/internal/admission"
@@ -105,7 +104,7 @@ func (u *ueContext) getState() ueState  { return ueState(u.state.Load()) }
 type Config struct {
 	Invoker sbi.Invoker
 	// Functions derives K_AMF: the eAMF module.
-	Functions paka.AMFFunctions
+	Functions *paka.Remote
 	// MCC/MNC form the serving PLMN; the serving network name is derived
 	// from them.
 	MCC, MNC string
@@ -132,7 +131,7 @@ type Config struct {
 type AMF struct {
 	ausf  *ausf.Client
 	smf   *smf.Client
-	fns   paka.AMFFunctions
+	fns   *paka.Remote
 	admit *admission.Controller
 
 	mcc, mnc string
@@ -302,7 +301,7 @@ func (a *AMF) authenticate(ctx context.Context, ue *ueContext, req *ausf.Authent
 		return nil, err
 	}
 	ue.pendingAuth = req
-	return a.arm(ue, auth)
+	return a.arm(ue, &auth)
 }
 
 // arm makes auth the challenge ue answers and encodes the
@@ -396,11 +395,6 @@ func (a *AMF) handleAuthenticating(ctx context.Context, ue *ueContext, nasPDU []
 	}
 }
 
-var (
-	confirmReqPool    = sync.Pool{New: func() any { return new(ausf.ConfirmRequest) }}
-	deriveKAMFReqPool = sync.Pool{New: func() any { return new(paka.AMFDeriveKAMFRequest) }}
-)
-
 // completeAuth runs the SEAF HXRES* check, home confirmation, K_AMF
 // derivation through the P-AKA environment, and NAS security activation.
 func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.AuthenticationResponse) ([]byte, error) {
@@ -413,13 +407,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	if !hmac.Equal(hres[:], ue.hxresStar[:]) {
 		return a.reject(ue)
 	}
-	// Outbound request structs are pooled: the client stubs marshal them
-	// synchronously and nothing downstream retains them.
-	creq := confirmReqPool.Get().(*ausf.ConfirmRequest)
-	creq.AuthCtxID, creq.ResStar = ue.authCtxID, m.ResStar
-	conf, err := a.ausf.Confirm(ctx, creq)
-	*creq = ausf.ConfirmRequest{}
-	confirmReqPool.Put(creq)
+	conf, err := a.ausf.Confirm(ctx, &ausf.ConfirmRequest{AuthCtxID: ue.authCtxID, ResStar: m.ResStar})
 	if err != nil {
 		// Graceful degradation: CONTEXT_NOT_FOUND means the AUSF no longer
 		// holds the auth session — it consumed it while the reply was
@@ -448,11 +436,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 		ue.supi = conf.SUPI.String()
 	}
 
-	kreq := deriveKAMFReqPool.Get().(*paka.AMFDeriveKAMFRequest)
-	kreq.KSEAF, kreq.SUPI, kreq.ABBA = conf.KSEAF, ue.supi, abba
-	kamf, err := a.fns.DeriveKAMF(ctx, kreq)
-	*kreq = paka.AMFDeriveKAMFRequest{}
-	deriveKAMFReqPool.Put(kreq)
+	kamf, err := a.fns.DeriveKAMF(ctx, &paka.AMFDeriveKAMFRequest{KSEAF: conf.KSEAF, SUPI: ue.supi, ABBA: abba})
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +472,7 @@ func (a *AMF) handleAuthFailure(ctx context.Context, ue *ueContext, m *nas.Authe
 	if err != nil {
 		return a.reject(ue)
 	}
-	return a.arm(ue, auth)
+	return a.arm(ue, &auth)
 }
 
 // Reauths reports how many lost AUSF sessions were recovered by

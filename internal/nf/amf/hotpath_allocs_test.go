@@ -15,7 +15,7 @@ import (
 // this file builds only without -race; make ci runs it in its no-race
 // go test run.
 func TestHotPathAllocs(t *testing.T) {
-	const want = 76
+	const want = 67
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := newHarness(t)
 	device := h.device(t)

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -103,7 +102,7 @@ type Config struct {
 	Registry *sbi.Registry
 	Invoker  sbi.Invoker
 	// Functions derives HXRES*/K_SEAF: the eAUSF module.
-	Functions paka.AUSFFunctions
+	Functions *paka.Remote
 	// HMEE marks the instance's trust domain for NRF discovery.
 	HMEE bool
 	// Replica is this instance's index in a sharded deployment. It names
@@ -118,7 +117,7 @@ type AUSF struct {
 	env    *costmodel.Env
 	server *sbi.Server
 	udm    *udm.Client
-	fns    paka.AUSFFunctions
+	fns    *paka.Remote
 
 	// sessions is lock-striped: concurrent AKA runs for different UEs
 	// insert and redeem auth contexts without a shared mutex.
@@ -177,29 +176,14 @@ func (a *AUSF) handleAuthenticate(ctx context.Context, req *AuthenticateRequest,
 	return a.newChallenge(ctx, req.SUCI, req.SUPI, req.ServingNetworkName, resp)
 }
 
-var (
-	genAuthReqPool  = sync.Pool{New: func() any { return new(udm.GenerateAuthDataRequest) }}
-	deriveSEReqPool = sync.Pool{New: func() any { return new(paka.AUSFDeriveSERequest) }}
-)
-
 // newChallenge fetches an HE AV, turns it into an SE AV session and
 // writes the challenge into resp.
 func (a *AUSF) newChallenge(ctx context.Context, id *suci.SUCI, supi, snn string, resp *AuthenticateResponse) error {
-	// The outbound request structs are pooled: the client stubs marshal
-	// them synchronously and nothing downstream retains them.
-	greq := genAuthReqPool.Get().(*udm.GenerateAuthDataRequest)
-	greq.SUCI, greq.SUPI, greq.ServingNetworkName = id, supi, snn
-	he, err := a.udm.GenerateAuthData(ctx, greq)
-	*greq = udm.GenerateAuthDataRequest{}
-	genAuthReqPool.Put(greq)
+	he, err := a.udm.GenerateAuthData(ctx, &udm.GenerateAuthDataRequest{SUCI: id, SUPI: supi, ServingNetworkName: snn})
 	if err != nil {
 		return err
 	}
-	sreq := deriveSEReqPool.Get().(*paka.AUSFDeriveSERequest)
-	sreq.RAND, sreq.XRESStar, sreq.KAUSF, sreq.SNN = he.RAND, he.XRESStar, he.KAUSF, snn
-	se, err := a.fns.DeriveSE(ctx, sreq)
-	*sreq = paka.AUSFDeriveSERequest{}
-	deriveSEReqPool.Put(sreq)
+	se, err := a.fns.DeriveSE(ctx, &paka.AUSFDeriveSERequest{RAND: he.RAND, XRESStar: he.XRESStar, KAUSF: he.KAUSF, SNN: snn})
 	if err != nil {
 		return err
 	}
@@ -311,29 +295,23 @@ func DiscoverClient(ctx context.Context, invoker sbi.Invoker, service string, re
 	return NewClientFor(invoker, p.Service), nil
 }
 
+var (
+	authenticateStub = sbi.Stub[AuthenticateRequest, AuthenticateResponse]{Path: PathAuthenticate}
+	confirmStub      = sbi.Stub[ConfirmRequest, ConfirmResponse]{Path: PathConfirm}
+	resyncStub       = sbi.Stub[ResyncRequest, AuthenticateResponse]{Path: PathResync}
+)
+
 // Authenticate starts an AKA run.
-func (c *Client) Authenticate(ctx context.Context, req *AuthenticateRequest) (*AuthenticateResponse, error) {
-	var resp AuthenticateResponse
-	if err := c.invoker.Post(ctx, c.service, PathAuthenticate, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (c *Client) Authenticate(ctx context.Context, req *AuthenticateRequest) (AuthenticateResponse, error) {
+	return authenticateStub.Post(ctx, c.invoker, c.service, *req)
 }
 
 // Confirm delivers RES* and collects K_SEAF.
-func (c *Client) Confirm(ctx context.Context, req *ConfirmRequest) (*ConfirmResponse, error) {
-	var resp ConfirmResponse
-	if err := c.invoker.Post(ctx, c.service, PathConfirm, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (c *Client) Confirm(ctx context.Context, req *ConfirmRequest) (ConfirmResponse, error) {
+	return confirmStub.Post(ctx, c.invoker, c.service, *req)
 }
 
 // Resync reports an AUTS and collects a fresh challenge.
-func (c *Client) Resync(ctx context.Context, req *ResyncRequest) (*AuthenticateResponse, error) {
-	var resp AuthenticateResponse
-	if err := c.invoker.Post(ctx, c.service, PathResync, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (c *Client) Resync(ctx context.Context, req *ResyncRequest) (AuthenticateResponse, error) {
+	return resyncStub.Post(ctx, c.invoker, c.service, *req)
 }

@@ -113,6 +113,8 @@ type Client struct {
 // NewClient wraps an SBI transport for NRF calls.
 func NewClient(invoker sbi.Invoker) *Client { return &Client{invoker: invoker} }
 
+var discoverStub = sbi.Stub[DiscoverRequest, DiscoverResponse]{Path: PathDiscover}
+
 // Register announces an NF instance.
 func (c *Client) Register(ctx context.Context, p NFProfile) error {
 	return c.invoker.Post(ctx, ServiceName, PathRegister, &RegisterRequest{Profile: p}, nil)
@@ -124,8 +126,8 @@ func (c *Client) Register(ctx context.Context, p NFProfile) error {
 // here, so a peer outside the caller's trust domain or absent from the
 // repository is TARGET_NF_NOT_FOUND either way.
 func (c *Client) Discover(ctx context.Context, nfType, service string, requireHMEE bool) (NFProfile, error) {
-	var resp DiscoverResponse
-	if err := c.invoker.Post(ctx, ServiceName, PathDiscover, &DiscoverRequest{NFType: nfType, RequireHMEE: requireHMEE}, &resp); err != nil {
+	resp, err := discoverStub.Post(ctx, c.invoker, ServiceName, DiscoverRequest{NFType: nfType, RequireHMEE: requireHMEE})
+	if err != nil {
 		return NFProfile{}, err
 	}
 	for _, p := range resp.Profiles {

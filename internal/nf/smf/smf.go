@@ -127,9 +127,7 @@ func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest, resp 
 	s.mu.Unlock()
 
 	ueAddr := fmt.Sprintf("%d.%d.%d.%d", ip>>24, (ip>>16)&0xff, (ip>>8)&0xff, ip&0xff)
-	var est upf.EstablishResponse
-	err := s.invoker.Post(ctx, upf.ServiceName, upf.PathEstablish,
-		&upf.EstablishRequest{SEID: seid, UEAddress: ueAddr}, &est)
+	est, err := establishStub.Post(ctx, s.invoker, upf.ServiceName, upf.EstablishRequest{SEID: seid, UEAddress: ueAddr})
 	s.mu.Lock()
 	if err != nil {
 		delete(s.sessions, key)
@@ -196,13 +194,14 @@ func DiscoverClient(ctx context.Context, invoker sbi.Invoker) (*Client, error) {
 	return &Client{invoker: invoker, service: p.Service}, nil
 }
 
+var (
+	createSessionStub = sbi.Stub[CreateSessionRequest, CreateSessionResponse]{Path: PathCreateSession}
+	establishStub     = sbi.Stub[upf.EstablishRequest, upf.EstablishResponse]{Path: upf.PathEstablish}
+)
+
 // CreateSession establishes a PDU session.
-func (c *Client) CreateSession(ctx context.Context, req *CreateSessionRequest) (*CreateSessionResponse, error) {
-	var resp CreateSessionResponse
-	if err := c.invoker.Post(ctx, c.service, PathCreateSession, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (c *Client) CreateSession(ctx context.Context, req *CreateSessionRequest) (CreateSessionResponse, error) {
+	return createSessionStub.Post(ctx, c.invoker, c.service, *req)
 }
 
 // ReleaseSession tears a PDU session down.

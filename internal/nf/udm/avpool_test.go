@@ -19,33 +19,33 @@ import (
 	"shield5g/internal/sbi/codec"
 )
 
-// countingFns wraps the UDM's eUDM client to count the vectors each route
-// mints.
-type countingFns struct {
-	*paka.Remote
+// countingInvoker is the invoker under the UDM's eUDM client: it counts
+// the vectors each route asks the module to mint.
+type countingInvoker struct {
+	sbi.Invoker
 	single     int
 	batch      int
 	batchItems int
 }
 
-func (c *countingFns) GenerateAV(ctx context.Context, req *paka.UDMGenerateAVRequest) (*paka.UDMGenerateAVResponse, error) {
-	c.single++
-	return c.Remote.GenerateAV(ctx, req)
+func (c *countingInvoker) Post(ctx context.Context, service, path string, req, resp any) error {
+	switch path {
+	case paka.PathUDMGenerateAV:
+		c.single++
+	case paka.PathUDMGenerateAVBatch:
+		c.batch++
+		c.batchItems += len(req.(*paka.UDMGenerateAVBatchRequest).Items)
+	}
+	return c.Invoker.Post(ctx, service, path, req, resp)
 }
 
-func (c *countingFns) GenerateAVBatch(ctx context.Context, req *paka.UDMGenerateAVBatchRequest) (*paka.UDMGenerateAVBatchResponse, error) {
-	c.batch++
-	c.batchItems += len(req.Items)
-	return c.Remote.GenerateAVBatch(ctx, req)
-}
-
-// minted counts the vectors the execution environment derived, by either
-// route.
-func (c *countingFns) minted() int { return c.single + c.batchItems }
+// minted counts the vectors the execution environment was asked for, by
+// either route.
+func (c *countingInvoker) minted() int { return c.single + c.batchItems }
 
 type poolHarness struct {
 	*harness
-	fns *countingFns
+	fns *countingInvoker
 }
 
 // newPoolHarness builds a UDM with the AV pool enabled, deterministic
@@ -65,11 +65,11 @@ func newPoolHarness(t *testing.T, depth int) *poolHarness {
 		t.Fatalf("GenerateHomeNetworkKey: %v", err)
 	}
 	invoker := sbi.NewClient("udm", env, reg)
-	eudm, remote := newEUDM(t, env, reg, invoker)
-	fns := &countingFns{Remote: remote}
+	fns := &countingInvoker{Invoker: invoker}
+	eudm, remote := newEUDM(t, env, reg, fns)
 	u, err := New(context.Background(), Config{
 		Env: env, Registry: reg, Invoker: invoker,
-		Functions: fns, HomeNetworkKey: hnKey,
+		Functions: remote, HomeNetworkKey: hnKey,
 		Entropy:     mrand.New(mrand.NewSource(42)),
 		AVPoolDepth: depth,
 	})
@@ -86,7 +86,7 @@ func newPoolHarness(t *testing.T, depth int) *poolHarness {
 	}
 }
 
-func (h *poolHarness) auth(t *testing.T, supi suci.SUPI) *GenerateAuthDataResponse {
+func (h *poolHarness) auth(t *testing.T, supi suci.SUPI) GenerateAuthDataResponse {
 	t.Helper()
 	resp, err := h.client.GenerateAuthData(context.Background(), &GenerateAuthDataRequest{
 		SUPI: supi.String(), ServingNetworkName: testSNN,
@@ -99,7 +99,7 @@ func (h *poolHarness) auth(t *testing.T, supi suci.SUPI) *GenerateAuthDataRespon
 
 // sqnOf recovers the clear SQN from a response (AUTN = SQN^AK || AMF ||
 // MAC-A).
-func sqnOf(t *testing.T, resp *GenerateAuthDataResponse) []byte {
+func sqnOf(t *testing.T, resp GenerateAuthDataResponse) []byte {
 	t.Helper()
 	opc, err := milenage.ComputeOPc(testK, make([]byte, 16))
 	if err != nil {
@@ -353,11 +353,11 @@ func TestAVPoolFirstContactBanksOne(t *testing.T) {
 }
 
 func TestAVPoolDeterministicUnderFixedSeed(t *testing.T) {
-	run := func() ([]*GenerateAuthDataResponse, AVPoolStats) {
+	run := func() ([]GenerateAuthDataResponse, AVPoolStats) {
 		h := newPoolHarness(t, 4)
 		supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 		h.provision(t, supi)
-		var out []*GenerateAuthDataResponse
+		var out []GenerateAuthDataResponse
 		for i := 0; i < 6; i++ {
 			out = append(out, h.auth(t, supi))
 		}

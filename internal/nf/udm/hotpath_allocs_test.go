@@ -19,7 +19,7 @@ import (
 // detector, so this file builds only without -race; make ci runs it in its
 // no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
-	const want = 11
+	const want = 9
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := newHarness(t)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}

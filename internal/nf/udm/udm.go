@@ -72,7 +72,7 @@ type Config struct {
 	// Invoker reaches the UDR and the NRF.
 	Invoker sbi.Invoker
 	// Functions is the AKA execution environment, the eUDM module.
-	Functions paka.UDMFunctions
+	Functions *paka.Remote
 	// HomeNetworkKey de-conceals SUCIs.
 	HomeNetworkKey *suci.HomeNetworkKey
 	// HMEE marks this instance as running in a higher trust domain for
@@ -107,7 +107,7 @@ type UDM struct {
 	env         *costmodel.Env
 	server      *sbi.Server
 	udr         *udr.Client
-	fns         paka.UDMFunctions
+	fns         *paka.Remote
 	hnKey       *suci.HomeNetworkKey
 	entropy     io.Reader
 	reprovision func(ctx context.Context, supi string, k []byte) error
@@ -237,7 +237,7 @@ func (u *UDM) avRequest(ctx context.Context, supi codec.SUPI, text, snn string) 
 
 // generateAV invokes the execution environment for a single vector, with
 // the reprovision-on-lost-key retry.
-func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) (*paka.UDMGenerateAVResponse, error) {
+func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) (paka.UDMGenerateAVResponse, error) {
 	av, err := u.fns.GenerateAV(ctx, avReq)
 	if err != nil && u.reprovision != nil && sbi.HasCause(err, sbi.CauseUserNotFound) {
 		// Graceful degradation: the execution environment misses the key
@@ -263,12 +263,8 @@ func (u *UDM) freshAV(ctx context.Context, supi codec.SUPI, text, snn string, av
 	if err != nil {
 		return err
 	}
-	fresh, err := u.generateAV(ctx, &avReq)
-	if err != nil {
-		return err
-	}
-	*av = *fresh
-	return nil
+	*av, err = u.generateAV(ctx, &avReq)
+	return err
 }
 
 // avRequestBatch mints count enclave inputs through one UDR round trip
@@ -344,7 +340,7 @@ func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVReque
 		if err != nil {
 			return nil, err
 		}
-		vectors = append(vectors, *av)
+		vectors = append(vectors, av)
 	}
 	return vectors, nil
 }
@@ -405,13 +401,11 @@ func DiscoverClient(ctx context.Context, invoker sbi.Invoker, service string, re
 	return NewClientFor(invoker, p.Service), nil
 }
 
+var generateAuthDataStub = sbi.Stub[GenerateAuthDataRequest, GenerateAuthDataResponse]{Path: PathGenerateAuthData}
+
 // GenerateAuthData requests a fresh HE AV.
-func (c *Client) GenerateAuthData(ctx context.Context, req *GenerateAuthDataRequest) (*GenerateAuthDataResponse, error) {
-	var resp GenerateAuthDataResponse
-	if err := c.invoker.Post(ctx, c.service, PathGenerateAuthData, req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+func (c *Client) GenerateAuthData(ctx context.Context, req *GenerateAuthDataRequest) (GenerateAuthDataResponse, error) {
+	return generateAuthDataStub.Post(ctx, c.invoker, c.service, *req)
 }
 
 // Resync reports an AUTS for sequence-number recovery.

@@ -19,9 +19,10 @@ import (
 // in place and costs nothing. What is left is the byte strings' one
 // backing: a JSON body's, and a frame's for GetResponse, whose caller keeps
 // the record. One NextAuth served through the handler the UDR registered,
-// the client's post and decode included, is held in each format too: the
-// handler fills its pooled response, so what is left is the backing of
-// the copied fields on each side. With the collector off no sync.Pool is
+// the client's post and decode included, is held in each format too, as a
+// raw post and through Client.NextAuth: the handler fills its pooled
+// response and the client's stub its pooled pair, so what is left is the
+// backing of the copied fields on each side. With the collector off no sync.Pool is
 // emptied mid-count; pools still drop items at random under the race
 // detector, so this file builds only without -race; make ci runs it in its
 // no-race go test run.
@@ -65,23 +66,32 @@ func TestHotPathAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	req := &NextAuthRequest{SUPI: sub.SUPI}
 	var resp NextAuthResponse
+	raw := func(client *sbi.Client) func() error {
+		return func() error { return client.Post(ctx, ServiceName, PathNextAuth, req, &resp) }
+	}
+	typed := func(client *sbi.Client) func() error {
+		c, text := NewClient(client), sub.SUPI.String()
+		return func() error { _, err := c.NextAuth(ctx, text); return err }
+	}
 	for _, row := range []struct {
-		format string
-		client *sbi.Client
-		want   float64
+		name string
+		post func() error
+		want float64
 	}{
-		{"frame", binClient, 2},
-		{"JSON", jsonClient, 2},
+		{"post, frame", raw(binClient), 2},
+		{"post, JSON", raw(jsonClient), 2},
+		{"Client.NextAuth, frame", typed(binClient), 2},
+		{"Client.NextAuth, JSON", typed(jsonClient), 2},
 	} {
 		var err error
 		post := func() {
-			if perr := row.client.Post(ctx, ServiceName, PathNextAuth, req, &resp); perr != nil {
+			if perr := row.post(); perr != nil {
 				err = perr
 			}
 		}
 		post()
 		if n := testing.AllocsPerRun(100, post); err != nil || n != row.want {
-			t.Errorf("served NextAuth (%s): %v allocs, err %v; want %v, nil", row.format, n, err, row.want)
+			t.Errorf("served NextAuth (%s): %v allocs, err %v; want %v, nil", row.name, n, err, row.want)
 		}
 	}
 }

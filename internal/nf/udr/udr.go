@@ -313,32 +313,34 @@ func (c *Client) Provision(ctx context.Context, s Subscriber) error {
 	return c.invoker.Post(ctx, ServiceName, PathProvision, &ProvisionRequest{Subscriber: s}, nil)
 }
 
+var (
+	nextAuthStub      = sbi.Stub[NextAuthRequest, NextAuthResponse]{Path: PathNextAuth}
+	nextAuthBatchStub = sbi.Stub[NextAuthBatchRequest, NextAuthBatchResponse]{Path: PathNextAuthBatch}
+	getStub           = sbi.Stub[GetRequest, GetResponse]{Path: PathGet}
+)
+
 // NextAuth fetches auth material and advances the SQN. It takes the
 // SUPI's text, which it parses without allocating.
-func (c *Client) NextAuth(ctx context.Context, supi string) (*NextAuthResponse, error) {
+func (c *Client) NextAuth(ctx context.Context, supi string) (NextAuthResponse, error) {
 	id, err := codec.ParseSUPI(supi)
 	if err != nil {
-		return nil, fmt.Errorf("udr: %w", err)
+		return NextAuthResponse{}, fmt.Errorf("udr: %w", err)
 	}
-	var resp NextAuthResponse
-	if err := c.invoker.Post(ctx, ServiceName, PathNextAuth, &NextAuthRequest{SUPI: id}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
+	return nextAuthStub.Post(ctx, c.invoker, ServiceName, NextAuthRequest{SUPI: id})
 }
 
 // NextAuthBatch fetches auth material once and advances the SQN count
 // times, returning the per-vector sequence numbers oldest first.
-func (c *Client) NextAuthBatch(ctx context.Context, supi codec.SUPI, count int) (*NextAuthBatchResponse, error) {
-	var resp NextAuthBatchResponse
-	if err := c.invoker.Post(ctx, ServiceName, PathNextAuthBatch, &NextAuthBatchRequest{SUPI: supi, Count: count}, &resp); err != nil {
-		return nil, err
+func (c *Client) NextAuthBatch(ctx context.Context, supi codec.SUPI, count int) (NextAuthBatchResponse, error) {
+	resp, err := nextAuthBatchStub.Post(ctx, c.invoker, ServiceName, NextAuthBatchRequest{SUPI: supi, Count: count})
+	if err != nil {
+		return NextAuthBatchResponse{}, err
 	}
 	if resp.Vectors() != count || len(resp.SQNs)%sqnLen != 0 {
-		return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem,
+		return NextAuthBatchResponse{}, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem,
 			"next-auth batch returned %d bytes of SQNs for count %d", len(resp.SQNs), count)
 	}
-	return &resp, nil
+	return resp, nil
 }
 
 // Resync rebases the network SQN after UE resynchronisation.
@@ -352,11 +354,8 @@ func (c *Client) Resync(ctx context.Context, supi codec.SUPI, sqnMS []byte) erro
 // a restart or a rebalance. An SGX eUDM restores K from its sealed file,
 // so an SGX slice never calls Get; every deployment fetches
 // vectors via NextAuth and a resync's OPc via a zero-count NextAuthBatch.
-func (c *Client) Get(ctx context.Context, supi codec.SUPI) (*Subscriber, error) {
-	var resp GetResponse
+func (c *Client) Get(ctx context.Context, supi codec.SUPI) (Subscriber, error) {
 	//shieldlint:ignore secretflow guest-eUDM reprovisioning path (container, SEV); SGX slices never call it and K stays in the enclave store
-	if err := c.invoker.Post(ctx, ServiceName, PathGet, &GetRequest{SUPI: supi}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp.Subscriber, nil
+	resp, err := getStub.Post(ctx, c.invoker, ServiceName, GetRequest{SUPI: supi})
+	return resp.Subscriber, err
 }

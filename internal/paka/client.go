@@ -10,25 +10,6 @@ import (
 	"shield5g/internal/simclock"
 )
 
-// UDMFunctions is the UDM VNF's view of its eUDM P-AKA module.
-// GenerateAVBatch mints several AVs in one boundary crossing, the AV
-// precomputation pool's refill.
-type UDMFunctions interface {
-	GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error)
-	GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error)
-	Resync(ctx context.Context, req *UDMResyncRequest) (*UDMResyncResponse, error)
-}
-
-// AUSFFunctions is the AUSF VNF's AKA offload view.
-type AUSFFunctions interface {
-	DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error)
-}
-
-// AMFFunctions is the AMF VNF's AKA offload view.
-type AMFFunctions interface {
-	DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error)
-}
-
 // ResponseRecorder separates initial (cold) from stable (warm) response
 // times, the paper's R_I versus R_S. Stable keeps the last LatencyWindow
 // samples.
@@ -68,7 +49,8 @@ func (r *ResponseRecorder) MarkWarm() {
 
 // Remote is a VNF's client to the P-AKA module serving service — each VNF
 // replica binds to its own shard's module. It carries every module's
-// functions (a call the bound module does not serve answers 404) and
+// functions (a call the bound module does not serve answers 404): the UDM
+// holds one for its eUDM, the AUSF for its eAUSF, the AMF for its eAMF. It
 // measures the VNF-side response time R of each invocation: the duration
 // from sending the request to receiving the response.
 type Remote struct {
@@ -86,53 +68,49 @@ func NewRemote(invoker sbi.Invoker, env *costmodel.Env, service string) *Remote 
 // Response exposes the R_I/R_S recorders.
 func (r *Remote) Response() *ResponseRecorder { return r.response }
 
-// post is one served module invocation, its response time recorded.
-func post[Resp any](ctx context.Context, r *Remote, path string, req any) (*Resp, error) {
+var (
+	generateAVStub      = sbi.Stub[UDMGenerateAVRequest, UDMGenerateAVResponse]{Path: PathUDMGenerateAV}
+	generateAVBatchStub = sbi.Stub[UDMGenerateAVBatchRequest, UDMGenerateAVBatchResponse]{Path: PathUDMGenerateAVBatch}
+	resyncStub          = sbi.Stub[UDMResyncRequest, UDMResyncResponse]{Path: PathUDMResync}
+	deriveSEStub        = sbi.Stub[AUSFDeriveSERequest, AUSFDeriveSEResponse]{Path: PathAUSFDeriveSE}
+	deriveKAMFStub      = sbi.Stub[AMFDeriveKAMFRequest, AMFDeriveKAMFResponse]{Path: PathAMFDeriveKAMF}
+)
+
+// timed is one served module invocation, its response time recorded.
+func timed[Req, Resp any](ctx context.Context, r *Remote, stub *sbi.Stub[Req, Resp], req Req) (Resp, error) {
 	acct := simclock.AccountFrom(ctx)
 	start := acct.Total()
-	resp := new(Resp)
-	if err := r.invoker.Post(ctx, r.service, path, req, resp); err != nil {
-		return nil, err
+	resp, err := stub.Post(ctx, r.invoker, r.service, req)
+	if err == nil {
+		r.response.add(r.env, acct.Total()-start)
 	}
-	r.response.add(r.env, acct.Total()-start)
-	return resp, nil
+	return resp, err
 }
 
-// GenerateAV implements UDMFunctions.
-func (r *Remote) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, error) {
-	return post[UDMGenerateAVResponse](ctx, r, PathUDMGenerateAV, req)
+// GenerateAV asks the eUDM for one HE AV.
+func (r *Remote) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (UDMGenerateAVResponse, error) {
+	return timed(ctx, r, &generateAVStub, *req)
 }
 
-// GenerateAVBatch implements UDMFunctions. It posts directly through
-// the invoker, not the measuring post: a pool refill is maintenance, and
-// must not contaminate the R_I/R_S response-time distributions of the
-// paper's per-request path.
-func (r *Remote) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (*UDMGenerateAVBatchResponse, error) {
-	resp := new(UDMGenerateAVBatchResponse)
-	if err := r.invoker.Post(ctx, r.service, PathUDMGenerateAVBatch, req, resp); err != nil {
-		return nil, err
-	}
-	return resp, nil
+// GenerateAVBatch asks the eUDM for several HE AVs in one boundary
+// crossing, the AV precomputation pool's refill. It is not measured: a
+// refill is maintenance, and must not contaminate the R_I/R_S
+// response-time distributions of the paper's per-request path.
+func (r *Remote) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (UDMGenerateAVBatchResponse, error) {
+	return generateAVBatchStub.Post(ctx, r.invoker, r.service, *req)
 }
 
-// Resync implements UDMFunctions.
-func (r *Remote) Resync(ctx context.Context, req *UDMResyncRequest) (*UDMResyncResponse, error) {
-	return post[UDMResyncResponse](ctx, r, PathUDMResync, req)
+// Resync asks the eUDM to recover the UE's SQN from an AUTS.
+func (r *Remote) Resync(ctx context.Context, req *UDMResyncRequest) (UDMResyncResponse, error) {
+	return timed(ctx, r, &resyncStub, *req)
 }
 
-// DeriveSE implements AUSFFunctions.
-func (r *Remote) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (*AUSFDeriveSEResponse, error) {
-	return post[AUSFDeriveSEResponse](ctx, r, PathAUSFDeriveSE, req)
+// DeriveSE asks the eAUSF for HXRES* and K_SEAF.
+func (r *Remote) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (AUSFDeriveSEResponse, error) {
+	return timed(ctx, r, &deriveSEStub, *req)
 }
 
-// DeriveKAMF implements AMFFunctions.
-func (r *Remote) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (*AMFDeriveKAMFResponse, error) {
-	return post[AMFDeriveKAMFResponse](ctx, r, PathAMFDeriveKAMF, req)
+// DeriveKAMF asks the eAMF for K_AMF.
+func (r *Remote) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (AMFDeriveKAMFResponse, error) {
+	return timed(ctx, r, &deriveKAMFStub, *req)
 }
-
-// Interface conformance.
-var (
-	_ UDMFunctions  = (*Remote)(nil)
-	_ AUSFFunctions = (*Remote)(nil)
-	_ AMFFunctions  = (*Remote)(nil)
-)

@@ -130,10 +130,40 @@ func BinHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *
 	}
 }
 
-// binCall is one BinHandlerInto request's pooled request and response.
+// binCall is one pooled request and response: a BinHandlerInto request's
+// or a Stub call's.
 type binCall[Req, Resp any] struct {
 	req  Req
 	resp Resp
+}
+
+// Stub is the one way to call an endpoint whose answer is read, the
+// client-side twin of BinHandlerInto: declare one per endpoint and post
+// through it. A call that reads no answer posts through the Invoker with a
+// nil response instead, which keeps Client.Post's framing rule.
+type Stub[Req, Resp any] struct {
+	Path string
+	pool sync.Pool
+}
+
+// Post copies req into a pooled request/response pair, posts it to
+// service's Path through inv and returns the answer by value. The pair is
+// zeroed before it goes back to the pool, the scrub rule of
+// BinHandlerInto: answers carry K_AUSF, K_SEAF and K_AMF. req is taken by
+// value on purpose: a *Req parameter makes the caller's literal escape
+// once a typed method that calls Post is inlined into another package.
+func (s *Stub[Req, Resp]) Post(ctx context.Context, inv Invoker, service string, req Req) (resp Resp, err error) {
+	c, _ := s.pool.Get().(*binCall[Req, Resp])
+	if c == nil {
+		c = new(binCall[Req, Resp])
+	}
+	c.req = req
+	if err = inv.Post(ctx, service, s.Path, &c.req, &c.resp); err == nil {
+		resp = c.resp
+	}
+	*c = binCall[Req, Resp]{}
+	s.pool.Put(c)
+	return resp, err
 }
 
 // BinHandler is BinHandlerInto for a function that returns the response

@@ -294,7 +294,7 @@ func TestSwitchlessFastPathGates(t *testing.T) {
 	}
 	for name, w := range map[string]fastPathWindow{"classic": classic, "switchless": ring} {
 		if !race.Enabled && w.AllocsPerReg >= experiments.FastPathAllocBudget {
-			t.Errorf("%s fast path allocates %.2f allocs/registration, want < %d", name, w.AllocsPerReg, experiments.FastPathAllocBudget)
+			t.Errorf("%s fast path allocates %.2f allocs/registration, want < %v", name, w.AllocsPerReg, experiments.FastPathAllocBudget)
 		}
 	}
 }
