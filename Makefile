@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet bench loc ci experiments examples clean
+.PHONY: all build test race lint vet escapes bench loc ci experiments examples clean
 
 all: build test
 
@@ -38,6 +38,15 @@ vet:
 	$(GO) vet ./...
 	$(GO) test -race ./internal/chaos/ ./internal/sbi/ ./internal/gnb/ ./internal/deploy/ ./internal/paka/ ./internal/admission/ ./internal/topology/ ./internal/hmee/... ./internal/simclock/ ./internal/shard/ ./internal/nf/... ./internal/lockrank/
 
+# Every SBI request of the NFs and the P-AKA modules is posted by value
+# through its sbi.Endpoint (Post, Send), which copies it into a pooled
+# pair, so no request literal reaches the heap. Fails, listing them, on
+# any `&...Request{...} escapes to heap` the compiler reports there.
+escapes:
+	@out=$$($(GO) build -gcflags=-m ./internal/nf/... ./internal/paka 2>&1) || { echo "$$out"; exit 1; }; \
+	esc=$$(echo "$$out" | grep -E '&[[:alnum:]_.]*Request\{\.\.\.\} escapes to heap'); \
+	if [ -n "$$esc" ]; then echo "$$esc"; echo "request literals escape to the heap"; exit 1; fi
+
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the
 # repository benchmark every PR is judged on — six workloads, two clocks,
@@ -65,7 +74,8 @@ loc:
 
 # What CI runs (.github/workflows/ci.yml's test job is `make ci`), cheapest
 # signal first: gofmt over the main module's tracked and untracked,
-# not ignored, files (bench/ is checked with its own module below), lint, vet, the whole suite under -race (it holds every
+# not ignored, files (bench/ is checked with its own module below), lint,
+# the escape check on SBI request literals, vet, the whole suite under -race (it holds every
 # acceptance gate on a deterministic virtual quantity, and a -race build
 # runs the SBI body-pool audit, internal/sbi/audit.go, in every package,
 # and checks every acquisition of a ranked mutex, internal/lockrank),
@@ -101,6 +111,7 @@ STORM_SMOKES = '-n 40 -storm 10 -limiter -avpool 8 -seed 7' '-n 400 -storm 10 -l
 ci: build
 	test -z "$$(gofmt -l $$(git ls-files -co --exclude-standard '*.go' ':!bench/') | tee /dev/stderr)"
 	$(MAKE) lint
+	$(MAKE) escapes
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test ./...

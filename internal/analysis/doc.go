@@ -21,8 +21,8 @@
 //	                encoding/json marshalling, or printf-style wrappers
 //	                outside the enclave-side packages (internal/hmee,
 //	                internal/paka); the long-term key K must not ride in
-//	                SBI Post payloads, an Invoker's arguments or a
-//	                generic stub's type arguments.
+//	                SBI payloads, an Invoker Post's arguments or the type
+//	                arguments of a generic endpoint's Post or Send.
 //
 // Three classes the suite once checked statically are checked where they
 // run instead, because a runtime check already saw every seeded bug of

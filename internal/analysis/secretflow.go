@@ -139,9 +139,10 @@ func (tc *taintChecker) checkCall(pass *Pass, call *ast.CallExpr) {
 
 	// SBI payloads must never carry the long-term key K in either
 	// direction: not through an Invoker-shaped Post(ctx, service, path,
-	// req, resp), and not through a Post of a generic stub
-	// (sbi.Stub[Req, Resp]), whose payloads are its type arguments.
-	if fn.Name() == "Post" && sig.Recv() != nil {
+	// req, resp), and not through a Post or Send of a generic endpoint
+	// (sbi.Endpoint[Req, Resp]), whose payloads are its type arguments.
+	// Serve, which registers a handler, moves no payload of its own.
+	if (fn.Name() == "Post" || fn.Name() == "Send") && sig.Recv() != nil {
 		report := func(pos token.Pos, t types.Type) {
 			if t != nil && typeCarriesSecret(t, longTermKeyOnly, nil, 0) {
 				pass.Reportf(pos,

@@ -71,14 +71,18 @@ func ship(ctx context.Context, inv invoker, s Subscriber) error {
 	return inv.Post(ctx, "udr", "/provision", &ProvisionRequest{Subscriber: s}, nil) // want "carries the long-term key K across a service interface"
 }
 
-// stub is a generic client stub in the shape of sbi.Stub: the request
-// and the response it moves are its type arguments, not Post's
-// arguments.
-type stub[Req, Resp any] struct{ path string }
+// endpoint is a generic operation in the shape of sbi.Endpoint: the
+// request and the response it moves are its type arguments, not the
+// arguments of Post or Send (which reads no answer).
+type endpoint[Req, Resp any] struct{ path string }
 
-func (s *stub[Req, Resp]) Post(ctx context.Context, inv invoker, service string, req Req) (Resp, error) {
+func (e *endpoint[Req, Resp]) Post(ctx context.Context, inv invoker, service string, req Req) (Resp, error) {
 	var resp Resp
-	return resp, inv.Post(ctx, service, s.path, &req, &resp)
+	return resp, inv.Post(ctx, service, e.path, &req, &resp)
+}
+
+func (e *endpoint[Req, Resp]) Send(ctx context.Context, inv invoker, service string, req Req) error {
+	return inv.Post(ctx, service, e.path, &req, nil)
 }
 
 type GetResponse struct {
@@ -86,16 +90,24 @@ type GetResponse struct {
 }
 
 var (
-	countStub = stub[CountRequest, Report]{path: "/count"}
-	getStub   = stub[CountRequest, GetResponse]{path: "/get"}
+	count     = endpoint[CountRequest, Report]{path: "/count"}
+	get       = endpoint[CountRequest, GetResponse]{path: "/get"}
+	provision = endpoint[ProvisionRequest, Report]{path: "/provision"}
 )
 
 func fetch(ctx context.Context, inv invoker, supi string) (Subscriber, error) {
-	if _, err := countStub.Post(ctx, inv, "udr", CountRequest{SUPI: supi}); err != nil { // clean payloads
+	if _, err := count.Post(ctx, inv, "udr", CountRequest{SUPI: supi}); err != nil { // clean payloads
 		return Subscriber{}, err
 	}
-	resp, err := getStub.Post(ctx, inv, "udr", CountRequest{SUPI: supi}) // want "payload type .*GetResponse carries the long-term key K across a service interface"
+	resp, err := get.Post(ctx, inv, "udr", CountRequest{SUPI: supi}) // want "payload type .*GetResponse carries the long-term key K across a service interface"
 	return resp.Subscriber, err
+}
+
+func send(ctx context.Context, inv invoker, s Subscriber) error {
+	if err := count.Send(ctx, inv, "udr", CountRequest{SUPI: s.SUPI}); err != nil { // clean payloads
+		return err
+	}
+	return provision.Send(ctx, inv, "udr", ProvisionRequest{Subscriber: s}) // want "payload type .*ProvisionRequest carries the long-term key K across a service interface"
 }
 
 func annotated(s Subscriber) {

@@ -14,6 +14,7 @@ import (
 
 	"shield5g/internal/admission"
 	"shield5g/internal/crypto/kdf"
+	"shield5g/internal/crypto/suci"
 	"shield5g/internal/nas"
 	"shield5g/internal/nf/ausf"
 	"shield5g/internal/nf/nrf"
@@ -56,12 +57,15 @@ var abba = []byte{0x00, 0x00}
 // A registered UE keeps what the protocol needs after AKA: its SUPI, NAS
 // security context (keys and COUNTs; the K_NASenc schedule only while a
 // procedure runs), GUTI, PDU session tunnel and admission class. The AKA
-// run's challenge state (the challenge, pendingAuth) lives only until
+// run's challenge state (the challenge, suci) lives only until
 // completeAuth succeeds, and K_SEAF is never kept: it is handed to the
 // K_AMF derivation and dropped.
 type ueContext struct {
 	state atomic.Int32 // holds a ueState
-	supi  string
+	// supi is the SUPI a GUTI resolved to, from the resolution on, or the
+	// one the home network authenticated, from completeAuth on. SUPIOf
+	// reports it once the UE is registered.
+	supi string
 	challenge
 	sec  *nas.SecurityContext
 	guti nas.GUTI
@@ -71,11 +75,12 @@ type ueContext struct {
 	// saw the accept can still come back with the old one.
 	prevTMSI uint32
 	resyncOK bool // one resynchronisation attempt allowed
-	// pendingAuth retains the identity the current AKA run started from,
-	// so a lost AUSF session (crash, dropped confirm reply) can be
-	// re-authenticated without bouncing the UE; reauthOK allows it once.
-	pendingAuth *ausf.AuthenticateRequest
-	reauthOK    bool
+	// suci is the concealed identity the current AKA run started from
+	// (nil for a run a GUTI started: supi is set instead), so a lost AUSF
+	// session (crash, dropped confirm reply) can be re-authenticated
+	// without bouncing the UE; reauthOK allows it once.
+	suci     *suci.SUCI
+	reauthOK bool
 	// pduSession and teid are the UE's PDU session (teid 0: none),
 	// released when the UE deregisters. pduSession sits in reauthOK's
 	// padding, so the context does not grow.
@@ -246,8 +251,7 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 	if err := a.checkPLMN(&rr.Identity); err != nil {
 		return nil, err
 	}
-	ue := &ueContext{prio: class, resyncOK: true, reauthOK: true}
-	authReq := &ausf.AuthenticateRequest{SUCI: rr.Identity.SUCI, ServingNetworkName: a.snn}
+	ue := &ueContext{prio: class, resyncOK: true, reauthOK: true, suci: rr.Identity.SUCI}
 	if g := rr.Identity.GUTI; g != nil {
 		// Mobility registration: resolve the temporary identity to the
 		// stored SUPI and re-authenticate (network-initiated re-auth;
@@ -263,10 +267,10 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 			a.ues.Store(ranUEID, ue)
 			return nas.Encode(&nas.IdentityRequest{IdentityType: nas.IdentityTypeSUCI})
 		}
-		authReq.SUPI = prev.supi
+		ue.supi = prev.supi
 		ue.prevTMSI = g.TMSI
 	}
-	down, err := a.authenticate(ctx, ue, authReq)
+	down, err := a.authenticate(ctx, ue)
 	if err != nil {
 		return nil, err
 	}
@@ -292,15 +296,15 @@ func (a *AMF) checkPLMN(id *nas.MobileIdentity) error {
 	return nil
 }
 
-// authenticate starts an AKA run for ue: it posts req to the AUSF, keeps
-// req as the run's pendingAuth, so that a lost AUSF session can be
-// re-authenticated, and arms the challenge the AUSF answered with.
-func (a *AMF) authenticate(ctx context.Context, ue *ueContext, req *ausf.AuthenticateRequest) ([]byte, error) {
-	auth, err := a.ausf.Authenticate(ctx, req)
+// authenticate starts an AKA run for ue from the identity it holds, its
+// SUCI or the SUPI a GUTI resolved to, and arms the challenge the AUSF
+// answered with. It is also the re-authentication of a lost AUSF session,
+// which asks again for the same identity.
+func (a *AMF) authenticate(ctx context.Context, ue *ueContext) ([]byte, error) {
+	auth, err := a.ausf.Authenticate(ctx, &ausf.AuthenticateRequest{SUCI: ue.suci, SUPI: ue.supi, ServingNetworkName: a.snn})
 	if err != nil {
 		return nil, err
 	}
-	ue.pendingAuth = req
 	return a.arm(ue, &auth)
 }
 
@@ -376,7 +380,8 @@ func (a *AMF) handleIdentifying(ctx context.Context, ue *ueContext, nasPDU []byt
 	if err := a.checkPLMN(&ir.Identity); err != nil {
 		return nil, err
 	}
-	return a.authenticate(ctx, ue, &ausf.AuthenticateRequest{SUCI: ir.Identity.SUCI, ServingNetworkName: a.snn})
+	ue.suci = ir.Identity.SUCI
+	return a.authenticate(ctx, ue)
 }
 
 func (a *AMF) handleAuthenticating(ctx context.Context, ue *ueContext, nasPDU []byte) ([]byte, error) {
@@ -414,22 +419,21 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 		// dropped, crashed, or TTL-expired it. The UE's credentials are
 		// fine, so re-run authentication once and re-challenge instead of
 		// rejecting the device.
-		if sbi.HasCause(err, sbi.CauseContextNotFound) && ue.reauthOK && ue.pendingAuth != nil {
+		if sbi.HasCause(err, sbi.CauseContextNotFound) && ue.reauthOK {
 			ue.reauthOK = false
-			if down, aerr := a.authenticate(ctx, ue, ue.pendingAuth); aerr == nil {
+			if down, aerr := a.authenticate(ctx, ue); aerr == nil {
 				a.reauths.Add(1)
 				return down, nil
 			}
 		}
 		return a.reject(ue)
 	}
-	if p := ue.pendingAuth; p != nil && p.SUPI != "" {
+	if ue.supi != "" {
 		// A GUTI registration: the home network must have authenticated
 		// the SUPI the GUTI resolved to, and the context keeps its string.
-		if want, err := codec.ParseSUPI(p.SUPI); err != nil || conf.SUPI != want {
+		if want, err := codec.ParseSUPI(ue.supi); err != nil || conf.SUPI != want {
 			return a.reject(ue)
 		}
-		ue.supi = p.SUPI
 	} else {
 		// A first registration learns the SUPI here: the one string it
 		// formats.
@@ -446,9 +450,9 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	}
 	ue.sec = sec
 	ue.setState(stateSecuring)
-	// AKA is over: the challenge and the request it answered are never
-	// read again (re-auth and resync only run before this point).
-	ue.challenge, ue.pendingAuth = challenge{}, nil
+	// AKA is over: the challenge and the identity it started from are
+	// never read again (re-auth and resync only run before this point).
+	ue.challenge, ue.suci = challenge{}, nil
 
 	return sec.Protect(&nas.SecurityModeCommand{
 		NgKSI:        0,

@@ -609,7 +609,7 @@ func TestRegisteredUEHoldsNoAKAState(t *testing.T) {
 		t.Fatalf("HandleInitialUE: %v", err)
 	}
 	if held, _ := h.amf.AKAState(1); len(held) != 4 {
-		t.Fatalf("mid-AKA context holds %v, want rand, hxresStar, authCtxID and pendingAuth", held)
+		t.Fatalf("mid-AKA context holds %v, want rand, hxresStar, authCtxID and suci", held)
 	}
 
 	h.register(t, d, 2)

@@ -17,7 +17,7 @@ func (a *AMF) HoldsNASCipher(ranUEID uint64) (held, ok bool) {
 }
 
 // AKAState names the AKA-run fields a UE context still holds: the
-// challenge's RAND and HXRES*, the AUSF auth-context ID and the request
+// challenge's RAND and HXRES*, the AUSF auth-context ID and the SUCI
 // the run started from. ok is false when the AMF has no such context.
 func (a *AMF) AKAState(ranUEID uint64) (held []string, ok bool) {
 	ue, ok := a.ues.Load(ranUEID)
@@ -33,8 +33,8 @@ func (a *AMF) AKAState(ranUEID uint64) (held []string, ok bool) {
 	if ue.authCtxID != (codec.AuthCtxID{}) {
 		held = append(held, "authCtxID")
 	}
-	if ue.pendingAuth != nil {
-		held = append(held, "pendingAuth")
+	if ue.suci != nil {
+		held = append(held, "suci")
 	}
 	return held, true
 }

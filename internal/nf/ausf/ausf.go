@@ -72,6 +72,13 @@ type ResyncRequest struct {
 	AUTS      []byte          `json:"auts"`
 }
 
+// The AUSF's operations. A resynchronisation answers a fresh challenge.
+var (
+	authenticate = sbi.Endpoint[AuthenticateRequest, AuthenticateResponse]{Path: PathAuthenticate}
+	confirm      = sbi.Endpoint[ConfirmRequest, ConfirmResponse]{Path: PathConfirm}
+	resync       = sbi.Endpoint[ResyncRequest, AuthenticateResponse]{Path: PathResync}
+)
+
 // session is one in-flight authentication, held in the session map by
 // value.
 type session struct {
@@ -155,9 +162,9 @@ func New(ctx context.Context, cfg Config) (*AUSF, error) {
 		fns:      cfg.Functions,
 		sessions: shard.New[codec.AuthCtxID, session](codec.AuthCtxID.Hash),
 	}
-	a.server.HandleDual(PathAuthenticate, sbi.BinHandlerInto(a.handleAuthenticate))
-	a.server.HandleDual(PathConfirm, sbi.BinHandlerInto(a.handleConfirm))
-	a.server.HandleDual(PathResync, sbi.BinHandlerInto(a.handleResync))
+	authenticate.Serve(a.server, a.handleAuthenticate)
+	confirm.Serve(a.server, a.handleConfirm)
+	resync.Serve(a.server, a.handleResync)
 	if err := cfg.Registry.Register(a.server); err != nil {
 		return nil, err
 	}
@@ -295,23 +302,17 @@ func DiscoverClient(ctx context.Context, invoker sbi.Invoker, service string, re
 	return NewClientFor(invoker, p.Service), nil
 }
 
-var (
-	authenticateStub = sbi.Stub[AuthenticateRequest, AuthenticateResponse]{Path: PathAuthenticate}
-	confirmStub      = sbi.Stub[ConfirmRequest, ConfirmResponse]{Path: PathConfirm}
-	resyncStub       = sbi.Stub[ResyncRequest, AuthenticateResponse]{Path: PathResync}
-)
-
 // Authenticate starts an AKA run.
 func (c *Client) Authenticate(ctx context.Context, req *AuthenticateRequest) (AuthenticateResponse, error) {
-	return authenticateStub.Post(ctx, c.invoker, c.service, *req)
+	return authenticate.Post(ctx, c.invoker, c.service, *req)
 }
 
 // Confirm delivers RES* and collects K_SEAF.
 func (c *Client) Confirm(ctx context.Context, req *ConfirmRequest) (ConfirmResponse, error) {
-	return confirmStub.Post(ctx, c.invoker, c.service, *req)
+	return confirm.Post(ctx, c.invoker, c.service, *req)
 }
 
 // Resync reports an AUTS and collects a fresh challenge.
 func (c *Client) Resync(ctx context.Context, req *ResyncRequest) (AuthenticateResponse, error) {
-	return resyncStub.Post(ctx, c.invoker, c.service, *req)
+	return resync.Post(ctx, c.invoker, c.service, *req)
 }

@@ -56,6 +56,13 @@ type DiscoverResponse struct {
 	Profiles []NFProfile `json:"profiles"`
 }
 
+// The NRF's operations. The register answer grants a heartbeat timer no NF
+// reads (see RegisterResponse), so registration is a Send.
+var (
+	register = sbi.Endpoint[RegisterRequest, RegisterResponse]{Path: PathRegister}
+	discover = sbi.Endpoint[DiscoverRequest, DiscoverResponse]{Path: PathDiscover}
+)
+
 // NRF is the repository function.
 type NRF struct {
 	server *sbi.Server
@@ -70,8 +77,8 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*NRF, error) {
 		server:    sbi.NewServer(ServiceName, env),
 		instances: make(map[string]NFProfile),
 	}
-	n.server.HandleDual(PathRegister, sbi.BinHandlerInto(n.handleRegister))
-	n.server.HandleDual(PathDiscover, sbi.BinHandlerInto(n.handleDiscover))
+	register.Serve(n.server, n.handleRegister)
+	discover.Serve(n.server, n.handleDiscover)
 	if err := registry.Register(n.server); err != nil {
 		return nil, err
 	}
@@ -113,11 +120,9 @@ type Client struct {
 // NewClient wraps an SBI transport for NRF calls.
 func NewClient(invoker sbi.Invoker) *Client { return &Client{invoker: invoker} }
 
-var discoverStub = sbi.Stub[DiscoverRequest, DiscoverResponse]{Path: PathDiscover}
-
 // Register announces an NF instance.
 func (c *Client) Register(ctx context.Context, p NFProfile) error {
-	return c.invoker.Post(ctx, ServiceName, PathRegister, &RegisterRequest{Profile: p}, nil)
+	return register.Send(ctx, c.invoker, ServiceName, RegisterRequest{Profile: p})
 }
 
 // Discover resolves the instance of an NF type that serves the SBI service
@@ -126,7 +131,7 @@ func (c *Client) Register(ctx context.Context, p NFProfile) error {
 // here, so a peer outside the caller's trust domain or absent from the
 // repository is TARGET_NF_NOT_FOUND either way.
 func (c *Client) Discover(ctx context.Context, nfType, service string, requireHMEE bool) (NFProfile, error) {
-	resp, err := discoverStub.Post(ctx, c.invoker, ServiceName, DiscoverRequest{NFType: nfType, RequireHMEE: requireHMEE})
+	resp, err := discover.Post(ctx, c.invoker, ServiceName, DiscoverRequest{NFType: nfType, RequireHMEE: requireHMEE})
 	if err != nil {
 		return NFProfile{}, err
 	}

@@ -49,6 +49,12 @@ type ReleaseSessionRequest struct {
 // Empty is an empty response body.
 type Empty struct{}
 
+// The SMF's operations.
+var (
+	createSession  = sbi.Endpoint[CreateSessionRequest, CreateSessionResponse]{Path: PathCreateSession}
+	releaseSession = sbi.Endpoint[ReleaseSessionRequest, Empty]{Path: PathReleaseSession}
+)
+
 // Config wires an SMF instance.
 type Config struct {
 	Env      *costmodel.Env
@@ -92,8 +98,8 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 		nextIP:   0x0A3C0001, // 10.60.0.1
 		sessions: make(map[sessionKey]smContext),
 	}
-	s.server.HandleDual(PathCreateSession, sbi.BinHandlerInto(s.handleCreate))
-	s.server.HandleDual(PathReleaseSession, sbi.BinHandlerInto(s.handleRelease))
+	createSession.Serve(s.server, s.handleCreate)
+	releaseSession.Serve(s.server, s.handleRelease)
 	if err := cfg.Registry.Register(s.server); err != nil {
 		return nil, err
 	}
@@ -127,7 +133,7 @@ func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest, resp 
 	s.mu.Unlock()
 
 	ueAddr := fmt.Sprintf("%d.%d.%d.%d", ip>>24, (ip>>16)&0xff, (ip>>8)&0xff, ip&0xff)
-	est, err := establishStub.Post(ctx, s.invoker, upf.ServiceName, upf.EstablishRequest{SEID: seid, UEAddress: ueAddr})
+	est, err := upf.Establish.Post(ctx, s.invoker, upf.ServiceName, upf.EstablishRequest{SEID: seid, UEAddress: ueAddr})
 	s.mu.Lock()
 	if err != nil {
 		delete(s.sessions, key)
@@ -158,7 +164,7 @@ func (s *SMF) handleRelease(ctx context.Context, req *ReleaseSessionRequest, _ *
 	// The session is forgotten only once the UPF's rule is gone: a failed
 	// release or a lost reply keeps it for the retry, whose UPF answer is
 	// then 404 for a rule the first attempt already removed.
-	err := s.invoker.Post(ctx, upf.ServiceName, upf.PathRelease, &upf.ReleaseRequest{SEID: sc.seid}, nil)
+	err := upf.Release.Send(ctx, s.invoker, upf.ServiceName, upf.ReleaseRequest{SEID: sc.seid})
 	if err != nil && !sbi.HasCause(err, sbi.CauseSessionNotFound) {
 		return err
 	}
@@ -194,17 +200,12 @@ func DiscoverClient(ctx context.Context, invoker sbi.Invoker) (*Client, error) {
 	return &Client{invoker: invoker, service: p.Service}, nil
 }
 
-var (
-	createSessionStub = sbi.Stub[CreateSessionRequest, CreateSessionResponse]{Path: PathCreateSession}
-	establishStub     = sbi.Stub[upf.EstablishRequest, upf.EstablishResponse]{Path: upf.PathEstablish}
-)
-
 // CreateSession establishes a PDU session.
 func (c *Client) CreateSession(ctx context.Context, req *CreateSessionRequest) (CreateSessionResponse, error) {
-	return createSessionStub.Post(ctx, c.invoker, c.service, *req)
+	return createSession.Post(ctx, c.invoker, c.service, *req)
 }
 
 // ReleaseSession tears a PDU session down.
 func (c *Client) ReleaseSession(ctx context.Context, req *ReleaseSessionRequest) error {
-	return c.invoker.Post(ctx, c.service, PathReleaseSession, req, nil)
+	return releaseSession.Send(ctx, c.invoker, c.service, *req)
 }

@@ -64,6 +64,12 @@ type ResyncRequest struct {
 // Empty is an empty response body.
 type Empty struct{}
 
+// The UDM's operations.
+var (
+	generateAuthData = sbi.Endpoint[GenerateAuthDataRequest, GenerateAuthDataResponse]{Path: PathGenerateAuthData}
+	resync           = sbi.Endpoint[ResyncRequest, Empty]{Path: PathResync}
+)
+
 // Config wires a UDM instance.
 type Config struct {
 	Env *costmodel.Env
@@ -144,8 +150,8 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 	if cfg.AVPoolDepth > 0 {
 		u.pool = newAVPool(cfg.AVPoolDepth)
 	}
-	u.server.HandleDual(PathGenerateAuthData, sbi.BinHandlerInto(u.handleGenerateAuthData))
-	u.server.HandleDual(PathResync, sbi.BinHandlerInto(u.handleResync))
+	generateAuthData.Serve(u.server, u.handleGenerateAuthData)
+	resync.Serve(u.server, u.handleResync)
 	if err := cfg.Registry.Register(u.server); err != nil {
 		return nil, err
 	}
@@ -401,14 +407,12 @@ func DiscoverClient(ctx context.Context, invoker sbi.Invoker, service string, re
 	return NewClientFor(invoker, p.Service), nil
 }
 
-var generateAuthDataStub = sbi.Stub[GenerateAuthDataRequest, GenerateAuthDataResponse]{Path: PathGenerateAuthData}
-
 // GenerateAuthData requests a fresh HE AV.
 func (c *Client) GenerateAuthData(ctx context.Context, req *GenerateAuthDataRequest) (GenerateAuthDataResponse, error) {
-	return generateAuthDataStub.Post(ctx, c.invoker, c.service, *req)
+	return generateAuthData.Post(ctx, c.invoker, c.service, *req)
 }
 
 // Resync reports an AUTS for sequence-number recovery.
 func (c *Client) Resync(ctx context.Context, req *ResyncRequest) error {
-	return c.invoker.Post(ctx, c.service, PathResync, req, nil)
+	return resync.Send(ctx, c.invoker, c.service, *req)
 }

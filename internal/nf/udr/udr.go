@@ -150,6 +150,15 @@ type GetResponse struct {
 	Subscriber Subscriber `json:"subscriber"`
 }
 
+// The UDR's operations.
+var (
+	provision     = sbi.Endpoint[ProvisionRequest, Empty]{Path: PathProvision}
+	nextAuth      = sbi.Endpoint[NextAuthRequest, NextAuthResponse]{Path: PathNextAuth}
+	nextAuthBatch = sbi.Endpoint[NextAuthBatchRequest, NextAuthBatchResponse]{Path: PathNextAuthBatch}
+	resync        = sbi.Endpoint[ResyncRequest, Empty]{Path: PathResync}
+	get           = sbi.Endpoint[GetRequest, GetResponse]{Path: PathGet}
+)
+
 // UDR is the repository.
 type UDR struct {
 	server *sbi.Server
@@ -166,11 +175,11 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*UDR, error) {
 		server: sbi.NewServer(ServiceName, env),
 		subs:   shard.New[codec.SUPI, *record](codec.SUPI.Hash),
 	}
-	u.server.HandleDual(PathProvision, sbi.BinHandlerInto(u.handleProvision))
-	u.server.HandleDual(PathNextAuth, sbi.BinHandlerInto(u.handleNextAuth))
-	u.server.HandleDual(PathNextAuthBatch, sbi.BinHandlerInto(u.handleNextAuthBatch))
-	u.server.HandleDual(PathResync, sbi.BinHandlerInto(u.handleResync))
-	u.server.HandleDual(PathGet, sbi.BinHandlerInto(u.handleGet))
+	provision.Serve(u.server, u.handleProvision)
+	nextAuth.Serve(u.server, u.handleNextAuth)
+	nextAuthBatch.Serve(u.server, u.handleNextAuthBatch)
+	resync.Serve(u.server, u.handleResync)
+	get.Serve(u.server, u.handleGet)
 	if err := registry.Register(u.server); err != nil {
 		return nil, err
 	}
@@ -310,14 +319,8 @@ func NewClient(invoker sbi.Invoker) *Client { return &Client{invoker: invoker} }
 // Provision installs a subscriber record.
 func (c *Client) Provision(ctx context.Context, s Subscriber) error {
 	//shieldlint:ignore secretflow provisioning is the one sanctioned K transfer (operator onboarding), modelled after the paper's degraded pre-HMEE baseline
-	return c.invoker.Post(ctx, ServiceName, PathProvision, &ProvisionRequest{Subscriber: s}, nil)
+	return provision.Send(ctx, c.invoker, ServiceName, ProvisionRequest{Subscriber: s})
 }
-
-var (
-	nextAuthStub      = sbi.Stub[NextAuthRequest, NextAuthResponse]{Path: PathNextAuth}
-	nextAuthBatchStub = sbi.Stub[NextAuthBatchRequest, NextAuthBatchResponse]{Path: PathNextAuthBatch}
-	getStub           = sbi.Stub[GetRequest, GetResponse]{Path: PathGet}
-)
 
 // NextAuth fetches auth material and advances the SQN. It takes the
 // SUPI's text, which it parses without allocating.
@@ -326,13 +329,13 @@ func (c *Client) NextAuth(ctx context.Context, supi string) (NextAuthResponse, e
 	if err != nil {
 		return NextAuthResponse{}, fmt.Errorf("udr: %w", err)
 	}
-	return nextAuthStub.Post(ctx, c.invoker, ServiceName, NextAuthRequest{SUPI: id})
+	return nextAuth.Post(ctx, c.invoker, ServiceName, NextAuthRequest{SUPI: id})
 }
 
 // NextAuthBatch fetches auth material once and advances the SQN count
 // times, returning the per-vector sequence numbers oldest first.
 func (c *Client) NextAuthBatch(ctx context.Context, supi codec.SUPI, count int) (NextAuthBatchResponse, error) {
-	resp, err := nextAuthBatchStub.Post(ctx, c.invoker, ServiceName, NextAuthBatchRequest{SUPI: supi, Count: count})
+	resp, err := nextAuthBatch.Post(ctx, c.invoker, ServiceName, NextAuthBatchRequest{SUPI: supi, Count: count})
 	if err != nil {
 		return NextAuthBatchResponse{}, err
 	}
@@ -345,7 +348,7 @@ func (c *Client) NextAuthBatch(ctx context.Context, supi codec.SUPI, count int) 
 
 // Resync rebases the network SQN after UE resynchronisation.
 func (c *Client) Resync(ctx context.Context, supi codec.SUPI, sqnMS []byte) error {
-	return c.invoker.Post(ctx, ServiceName, PathResync, &ResyncRequest{SUPI: supi, SQNMS: sqnMS}, nil)
+	return resync.Send(ctx, c.invoker, ServiceName, ResyncRequest{SUPI: supi, SQNMS: sqnMS})
 }
 
 // Get reads a subscriber record. The full record includes K, which is
@@ -356,6 +359,6 @@ func (c *Client) Resync(ctx context.Context, supi codec.SUPI, sqnMS []byte) erro
 // vectors via NextAuth and a resync's OPc via a zero-count NextAuthBatch.
 func (c *Client) Get(ctx context.Context, supi codec.SUPI) (Subscriber, error) {
 	//shieldlint:ignore secretflow guest-eUDM reprovisioning path (container, SEV); SGX slices never call it and K stays in the enclave store
-	resp, err := getStub.Post(ctx, c.invoker, ServiceName, GetRequest{SUPI: supi})
+	resp, err := get.Post(ctx, c.invoker, ServiceName, GetRequest{SUPI: supi})
 	return resp.Subscriber, err
 }

@@ -47,6 +47,12 @@ type ReleaseRequest struct {
 // Empty is an empty response body.
 type Empty struct{}
 
+// The UPF's N4 operations, which the SMF posts to.
+var (
+	Establish = sbi.Endpoint[EstablishRequest, EstablishResponse]{Path: PathEstablish}
+	Release   = sbi.Endpoint[ReleaseRequest, Empty]{Path: PathRelease}
+)
+
 // UPF is the user-plane anchor.
 type UPF struct {
 	env    *costmodel.Env
@@ -65,8 +71,8 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*UPF, error) {
 		server:   sbi.NewServer(ServiceName, env),
 		sessions: make(map[uint64]uint32),
 	}
-	u.server.HandleDual(PathEstablish, sbi.BinHandlerInto(u.handleEstablish))
-	u.server.HandleDual(PathRelease, sbi.BinHandlerInto(u.handleRelease))
+	Establish.Serve(u.server, u.handleEstablish)
+	Release.Serve(u.server, u.handleRelease)
 	if err := registry.Register(u.server); err != nil {
 		return nil, err
 	}

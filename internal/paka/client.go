@@ -68,19 +68,21 @@ func NewRemote(invoker sbi.Invoker, env *costmodel.Env, service string) *Remote 
 // Response exposes the R_I/R_S recorders.
 func (r *Remote) Response() *ResponseRecorder { return r.response }
 
+// The modules' operations: each module serves its own (registerEndpoints)
+// and a VNF's Remote posts through the same variables.
 var (
-	generateAVStub      = sbi.Stub[UDMGenerateAVRequest, UDMGenerateAVResponse]{Path: PathUDMGenerateAV}
-	generateAVBatchStub = sbi.Stub[UDMGenerateAVBatchRequest, UDMGenerateAVBatchResponse]{Path: PathUDMGenerateAVBatch}
-	resyncStub          = sbi.Stub[UDMResyncRequest, UDMResyncResponse]{Path: PathUDMResync}
-	deriveSEStub        = sbi.Stub[AUSFDeriveSERequest, AUSFDeriveSEResponse]{Path: PathAUSFDeriveSE}
-	deriveKAMFStub      = sbi.Stub[AMFDeriveKAMFRequest, AMFDeriveKAMFResponse]{Path: PathAMFDeriveKAMF}
+	eudmGenerateAV      = sbi.Endpoint[UDMGenerateAVRequest, UDMGenerateAVResponse]{Path: PathUDMGenerateAV}
+	eudmGenerateAVBatch = sbi.Endpoint[UDMGenerateAVBatchRequest, UDMGenerateAVBatchResponse]{Path: PathUDMGenerateAVBatch}
+	eudmResync          = sbi.Endpoint[UDMResyncRequest, UDMResyncResponse]{Path: PathUDMResync}
+	eausfDeriveSE       = sbi.Endpoint[AUSFDeriveSERequest, AUSFDeriveSEResponse]{Path: PathAUSFDeriveSE}
+	eamfDeriveKAMF      = sbi.Endpoint[AMFDeriveKAMFRequest, AMFDeriveKAMFResponse]{Path: PathAMFDeriveKAMF}
 )
 
 // timed is one served module invocation, its response time recorded.
-func timed[Req, Resp any](ctx context.Context, r *Remote, stub *sbi.Stub[Req, Resp], req Req) (Resp, error) {
+func timed[Req, Resp any](ctx context.Context, r *Remote, e *sbi.Endpoint[Req, Resp], req Req) (Resp, error) {
 	acct := simclock.AccountFrom(ctx)
 	start := acct.Total()
-	resp, err := stub.Post(ctx, r.invoker, r.service, req)
+	resp, err := e.Post(ctx, r.invoker, r.service, req)
 	if err == nil {
 		r.response.add(r.env, acct.Total()-start)
 	}
@@ -89,7 +91,7 @@ func timed[Req, Resp any](ctx context.Context, r *Remote, stub *sbi.Stub[Req, Re
 
 // GenerateAV asks the eUDM for one HE AV.
 func (r *Remote) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (UDMGenerateAVResponse, error) {
-	return timed(ctx, r, &generateAVStub, *req)
+	return timed(ctx, r, &eudmGenerateAV, *req)
 }
 
 // GenerateAVBatch asks the eUDM for several HE AVs in one boundary
@@ -97,20 +99,20 @@ func (r *Remote) GenerateAV(ctx context.Context, req *UDMGenerateAVRequest) (UDM
 // refill is maintenance, and must not contaminate the R_I/R_S
 // response-time distributions of the paper's per-request path.
 func (r *Remote) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchRequest) (UDMGenerateAVBatchResponse, error) {
-	return generateAVBatchStub.Post(ctx, r.invoker, r.service, *req)
+	return eudmGenerateAVBatch.Post(ctx, r.invoker, r.service, *req)
 }
 
 // Resync asks the eUDM to recover the UE's SQN from an AUTS.
 func (r *Remote) Resync(ctx context.Context, req *UDMResyncRequest) (UDMResyncResponse, error) {
-	return timed(ctx, r, &resyncStub, *req)
+	return timed(ctx, r, &eudmResync, *req)
 }
 
 // DeriveSE asks the eAUSF for HXRES* and K_SEAF.
 func (r *Remote) DeriveSE(ctx context.Context, req *AUSFDeriveSERequest) (AUSFDeriveSEResponse, error) {
-	return timed(ctx, r, &deriveSEStub, *req)
+	return timed(ctx, r, &eausfDeriveSE, *req)
 }
 
 // DeriveKAMF asks the eAMF for K_AMF.
 func (r *Remote) DeriveKAMF(ctx context.Context, req *AMFDeriveKAMFRequest) (AMFDeriveKAMFResponse, error) {
-	return timed(ctx, r, &deriveKAMFStub, *req)
+	return timed(ctx, r, &eamfDeriveKAMF, *req)
 }

@@ -226,20 +226,20 @@ func (m *Module) rt() Runtime {
 func (m *Module) registerEndpoints() {
 	switch m.kind {
 	case EUDM:
-		m.server.HandleDual(PathUDMGenerateAV, endpoint(m, m.generateAV))
-		m.server.HandleDual(PathUDMResync, endpoint(m, m.resync))
+		endpoint(m, &eudmGenerateAV, m.generateAV)
+		endpoint(m, &eudmResync, m.resync)
 		// The batch endpoint is a maintenance path (the AV pool refill),
 		// not a served request: it bypasses the endpoint wrapper so the
 		// L_F/L_T recorders keep measuring only the paper's request path.
-		m.server.HandleDual(PathUDMGenerateAVBatch, sbi.BinHandlerInto(m.GenerateAVBatch))
+		eudmGenerateAVBatch.Serve(m.server, m.GenerateAVBatch)
 	case EAUSF:
-		m.server.HandleDual(PathAUSFDeriveSE, endpoint(m, func(_ Exec, req *AUSFDeriveSERequest, resp *AUSFDeriveSEResponse) error {
+		endpoint(m, &eausfDeriveSE, func(_ Exec, req *AUSFDeriveSERequest, resp *AUSFDeriveSEResponse) error {
 			return avProblem(deriveSE(req, resp))
-		}))
+		})
 	case EAMF:
-		m.server.HandleDual(PathAMFDeriveKAMF, endpoint(m, func(_ Exec, req *AMFDeriveKAMFRequest, resp *AMFDeriveKAMFResponse) error {
+		endpoint(m, &eamfDeriveKAMF, func(_ Exec, req *AMFDeriveKAMFRequest, resp *AMFDeriveKAMFResponse) error {
 			return avProblem(deriveKAMF(req, resp))
-		}))
+		})
 	}
 }
 
@@ -288,16 +288,16 @@ func (m *Module) chargeFunction(ctx context.Context, ex Exec) {
 	ex.Touch(m.profile.HeapBytes)
 }
 
-// endpoint adapts a typed module function, which fills the zeroed
-// response it is handed, into the served-request path: the runtime's
-// modelled request walk and the module's calibrated functional cost
-// around it, the request decoded and the response encoded by sbi.Answer
-// as at every NF endpoint, the L_F/L_T windows recorded.
+// endpoint serves e on the module's server with a typed module function,
+// which fills the zeroed response it is handed, on the served-request
+// path: the runtime's modelled request walk and the module's calibrated
+// functional cost around it, the request decoded and the response encoded
+// by sbi.Answer as at every NF endpoint, the L_F/L_T windows recorded.
 // Everything per-endpoint (the call pool) is built here, once, at
 // registration.
-func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req, resp *Resp) error) sbi.HandlerFunc {
+func endpoint[Req, Resp any](m *Module, e *sbi.Endpoint[Req, Resp], fn func(ex Exec, req *Req, resp *Resp) error) {
 	calls := sync.Pool{New: func() any { return new(endpointCall[Req, Resp]) }}
-	return func(ctx context.Context, body []byte) ([]byte, error) {
+	e.Handle(m.server, func(ctx context.Context, body []byte) ([]byte, error) {
 		c := calls.Get().(*endpointCall[Req, Resp])
 		c.m, c.ctx, c.body, c.fn = m, ctx, body, fn
 		bd, err := m.serve(ctx, m.profile.InBytes, m.profile.OutBytes, c)
@@ -311,7 +311,7 @@ func endpoint[Req, Resp any](m *Module, fn func(ex Exec, req *Req, resp *Resp) e
 		m.functional.Add(model.Duration(bd.Functional))
 		m.total.Add(model.Duration(bd.Total))
 		return out, nil
-	}
+	})
 }
 
 func (m *Module) generateAV(ex Exec, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {

@@ -1,13 +1,18 @@
 package sbi
 
-// Binary SBI bodies. The wire format of an in-process body is a property
-// of the message, decided in one place, Client.Post: a client opted in
-// through EnableBinary frames a request (internal/sbi/codec's
-// length-prefixed frames) iff the request has a field description and the
-// response is nil or has one too. Servers hold no format state: every
-// typed endpoint decodes whichever format arrives and answers in kind
-// (Answer). Messages without a description and the real HTTP transport
-// stay on JSON; ServeHTTP turns a frame away with 415.
+// Binary SBI bodies and the one declaration of an SBI operation. Each
+// operation is an Endpoint[Req, Resp], declared once in the package that
+// serves it: Serve registers its typed handler, Post calls it and reads
+// the answer, Send calls it without reading one.
+//
+// The wire format of an in-process body is a property of the message,
+// decided in one place, Client.Post: a client opted in through
+// EnableBinary frames a request (internal/sbi/codec's length-prefixed
+// frames) iff the request has a field description and the response is nil
+// or has one too. Servers hold no format state: every endpoint decodes
+// whichever format arrives and answers in kind (Answer). Messages without
+// a description and the real HTTP transport stay on JSON; ServeHTTP turns
+// a frame away with 415.
 //
 // Frames ride the exact MarshalBody/ReleaseBody single-owner contract the
 // JSON bodies use, and both formats are written and read from the
@@ -22,11 +27,30 @@ import (
 	"shield5g/internal/sbi/codec"
 )
 
-// HandleDual registers the endpoint handler for path. h must accept both
-// body formats — use BinHandlerInto.
+// HandleDual registers h, which must accept both body formats, as the
+// handler for path, with no request or response type on record. The core
+// registers every endpoint through its Endpoint (Serve, Handle), which
+// records them; tests and the benchmark module register raw handlers.
 func (s *Server) HandleDual(path string, h HandlerFunc) {
 	s.mu.Lock()
-	s.handlers[path] = h
+	s.routes[path] = route{h: h}
+	s.mu.Unlock()
+}
+
+// route is one registered endpoint: its handler and, when an Endpoint
+// registered it, typed nil pointers to its request and response, which
+// the route inventory reads (TestSBIInventory).
+type route struct {
+	h         HandlerFunc
+	req, resp any
+}
+
+// describe records the request and response types of path's endpoint.
+func (s *Server) describe(path string, req, resp any) {
+	s.mu.Lock()
+	r := s.routes[path]
+	r.req, r.resp = req, resp
+	s.routes[path] = r
 	s.mu.Unlock()
 }
 
@@ -85,7 +109,7 @@ func marshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 }
 
 // Answer is the one decode-and-answer step of every typed endpoint, an
-// NF's (BinHandlerInto) and a P-AKA module's alike: it decodes body into
+// NF's (Endpoint.Serve) and a P-AKA module's alike: it decodes body into
 // req in whichever format it arrived, runs fn(x, req, resp), and encodes
 // the response fn filled in the request's format. An empty body decodes as
 // the zero request. An undecodable body — a frame for a type without a
@@ -113,13 +137,76 @@ func Answer[X, Req, Resp any](x X, body []byte, req *Req, resp *Resp, fn func(x 
 	return out, nil
 }
 
-// BinHandlerInto adapts a typed request/response function into a
-// dual-format HandlerFunc served by Answer. Both structs come from one
-// per-endpoint pool and are zeroed once the response is encoded and
-// before they go back to the pool, so a partial decode cannot leak into
-// the next request and no key a response carried (K_AUSF, K_SEAF, K_AMF)
-// stays in pooled memory — the scrub rule of hashpool.PutHMAC.
-func BinHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *Resp) error) HandlerFunc {
+// Endpoint is one SBI operation: the path it is served under and the
+// request and response it moves. Declare one per operation, in the package
+// that serves it; the server registers it with Serve and every caller
+// posts through the same variable, so the two sides cannot disagree on
+// the pair. Its request and response agree on having a field description,
+// so Send frames exactly as Post would (TestSBIInventory checks it).
+type Endpoint[Req, Resp any] struct {
+	Path string
+	pool sync.Pool // of *binCall[Req, Resp], Post's and Send's
+}
+
+// Serve registers fn as the endpoint's handler on srv, served by Answer.
+// Both structs come from one pool per registration and are zeroed once the
+// response is encoded and before they go back to the pool, so a partial
+// decode cannot leak into the next request and no key a response carried
+// (K_AUSF, K_SEAF, K_AMF) stays in pooled memory — the scrub rule of
+// hashpool.PutHMAC.
+func (e *Endpoint[Req, Resp]) Serve(srv *Server, fn func(ctx context.Context, req *Req, resp *Resp) error) {
+	e.Handle(srv, binHandlerInto(fn))
+}
+
+// Handle registers h as the endpoint's handler on srv, for a handler that
+// decodes and answers the endpoint's pair itself through Answer: a P-AKA
+// module's, which does so inside the enclave crossing. Serve is Handle
+// with the plain decode-and-answer handler.
+func (e *Endpoint[Req, Resp]) Handle(srv *Server, h HandlerFunc) {
+	srv.HandleDual(e.Path, h)
+	srv.describe(e.Path, (*Req)(nil), (*Resp)(nil))
+}
+
+// Post copies req into a pooled request/response pair, posts it to
+// service's Path through inv and returns the answer by value. The pair is
+// zeroed before it goes back to the pool, Serve's scrub rule: answers
+// carry K_AUSF, K_SEAF and K_AMF. req is taken by value on purpose: a
+// *Req parameter makes the caller's literal escape once a typed method
+// that calls Post is inlined into another package.
+func (e *Endpoint[Req, Resp]) Post(ctx context.Context, inv Invoker, service string, req Req) (Resp, error) {
+	return e.post(ctx, inv, service, req, true)
+}
+
+// Send is Post for a call that reads no answer: the request is copied into
+// the pooled pair the same way and posted with a nil response, which
+// Client.Post's framing rule frames exactly as it frames Post's request.
+func (e *Endpoint[Req, Resp]) Send(ctx context.Context, inv Invoker, service string, req Req) error {
+	_, err := e.post(ctx, inv, service, req, false)
+	return err
+}
+
+func (e *Endpoint[Req, Resp]) post(ctx context.Context, inv Invoker, service string, req Req, answer bool) (resp Resp, err error) {
+	c, _ := e.pool.Get().(*binCall[Req, Resp])
+	if c == nil {
+		c = new(binCall[Req, Resp])
+	}
+	c.req = req
+	var out any // nil: the answer is not read
+	if answer {
+		out = &c.resp
+	}
+	if err = inv.Post(ctx, service, e.Path, &c.req, out); err == nil {
+		resp = c.resp
+	}
+	*c = binCall[Req, Resp]{}
+	e.pool.Put(c)
+	return resp, err
+}
+
+// binHandlerInto adapts a typed request/response function into a
+// dual-format HandlerFunc served by Answer, with the pooled, scrubbed pair
+// Serve describes.
+func binHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *Resp) error) HandlerFunc {
 	pool := sync.Pool{New: func() any { return new(binCall[Req, Resp]) }}
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		c := pool.Get().(*binCall[Req, Resp])
@@ -130,47 +217,19 @@ func BinHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *
 	}
 }
 
-// binCall is one pooled request and response: a BinHandlerInto request's
-// or a Stub call's.
+// binCall is one pooled request and response: a served request's or an
+// Endpoint call's.
 type binCall[Req, Resp any] struct {
 	req  Req
 	resp Resp
 }
 
-// Stub is the one way to call an endpoint whose answer is read, the
-// client-side twin of BinHandlerInto: declare one per endpoint and post
-// through it. A call that reads no answer posts through the Invoker with a
-// nil response instead, which keeps Client.Post's framing rule.
-type Stub[Req, Resp any] struct {
-	Path string
-	pool sync.Pool
-}
-
-// Post copies req into a pooled request/response pair, posts it to
-// service's Path through inv and returns the answer by value. The pair is
-// zeroed before it goes back to the pool, the scrub rule of
-// BinHandlerInto: answers carry K_AUSF, K_SEAF and K_AMF. req is taken by
-// value on purpose: a *Req parameter makes the caller's literal escape
-// once a typed method that calls Post is inlined into another package.
-func (s *Stub[Req, Resp]) Post(ctx context.Context, inv Invoker, service string, req Req) (resp Resp, err error) {
-	c, _ := s.pool.Get().(*binCall[Req, Resp])
-	if c == nil {
-		c = new(binCall[Req, Resp])
-	}
-	c.req = req
-	if err = inv.Post(ctx, service, s.Path, &c.req, &c.resp); err == nil {
-		resp = c.resp
-	}
-	*c = binCall[Req, Resp]{}
-	s.pool.Put(c)
-	return resp, err
-}
-
-// BinHandler is BinHandlerInto for a function that returns the response
-// it allocated; the response is copied into the pooled one. No endpoint
-// of the core uses it: it is kept for the benchmark module's echo server.
+// BinHandler adapts a function that returns the response it allocated
+// into a dual-format HandlerFunc; the response is copied into the pooled
+// one. No endpoint of the core uses it: it is kept for the benchmark
+// module's echo server.
 func BinHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
-	return BinHandlerInto(func(ctx context.Context, req *Req, resp *Resp) error {
+	return binHandlerInto(func(ctx context.Context, req *Req, resp *Resp) error {
 		r, err := fn(ctx, req)
 		if err == nil {
 			*resp = *r

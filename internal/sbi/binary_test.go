@@ -224,13 +224,13 @@ type keyMsg struct {
 
 func (m *keyMsg) Fields(f *codec.Fields) { f.Fixed("k", m.K[:]) }
 
-// TestBinHandlerIntoRecyclesZeroedResponse: every response BinHandlerInto
+// TestBinHandlerIntoRecyclesZeroedResponse: every response binHandlerInto
 // hands its function is zero, a recycled one included, so no key a
 // response carried outlives its request in the pool.
 func TestBinHandlerIntoRecyclesZeroedResponse(t *testing.T) {
 	seen := make(map[*keyMsg]bool)
 	recycled := 0
-	h := BinHandlerInto(func(_ context.Context, req, resp *keyMsg) error {
+	h := binHandlerInto(func(_ context.Context, req, resp *keyMsg) error {
 		if *resp != (keyMsg{}) {
 			t.Errorf("handed a response still holding %x", resp.K)
 		}

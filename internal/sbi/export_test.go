@@ -2,6 +2,7 @@ package sbi
 
 import (
 	"os"
+	"sort"
 	"testing"
 )
 
@@ -10,8 +11,9 @@ import (
 func WrapHandlers(s *Server, wrap func(path string, h HandlerFunc) HandlerFunc) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for path, h := range s.handlers {
-		s.handlers[path] = wrap(path, h)
+	for path, r := range s.routes {
+		r.h = wrap(path, r.h)
+		s.routes[path] = r
 	}
 }
 
@@ -21,4 +23,24 @@ func WrapHandlers(s *Server, wrap func(path string, h HandlerFunc) HandlerFunc) 
 func TestMain(m *testing.M) {
 	auditPool = true
 	os.Exit(m.Run())
+}
+
+// Route is one registered endpoint as its registration recorded it: typed
+// nil pointers to the request and response an Endpoint registered, both
+// nil for a raw HandleDual handler.
+type Route struct {
+	Path      string
+	Req, Resp any
+}
+
+// Routes lists s's endpoints, sorted by path.
+func Routes(s *Server) []Route {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]Route, 0, len(s.routes))
+	for path, r := range s.routes {
+		out = append(out, Route{Path: path, Req: r.req, Resp: r.resp})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	return out
 }

@@ -12,7 +12,7 @@ import (
 // TestHotPathAllocs holds the SBI body path to exact allocation counts in
 // both formats: an encoded body comes from the pool and goes back to it,
 // a decode allocates only what the message keeps (binMsg's string and its
-// owned blob), and a served request through BinHandlerInto only what its
+// owned blob), and a served request through binHandlerInto only what its
 // request keeps. The body audit is on in this package's tests and costs
 // nothing once its map holds a slot. sync.Pool drops items at random under
 // the race detector, so this file builds only without -race; make ci runs
@@ -36,7 +36,7 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	echo := BinHandlerInto(func(_ context.Context, req, resp *keyMsg) error {
+	echo := binHandlerInto(func(_ context.Context, req, resp *keyMsg) error {
 		resp.K = req.K
 		return nil
 	})
@@ -54,8 +54,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"decodeBody(frame)", 2, func() error { out = binMsg{}; return decodeBody(frame, &out) }},
 		{"decodeBody(JSON)", 2, func() error { out = binMsg{}; return decodeBody(body, &out) }},
 		{"UnmarshalBody", 2, func() error { out = binMsg{}; return UnmarshalBody(body, &out) }},
-		{"BinHandlerInto(frame)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyFrame); ReleaseBody(b); return err }},
-		{"BinHandlerInto(JSON)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyBody); ReleaseBody(b); return err }},
+		{"binHandlerInto(frame)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyFrame); ReleaseBody(b); return err }},
+		{"binHandlerInto(JSON)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyBody); ReleaseBody(b); return err }},
 	} {
 		var err error
 		n := testing.AllocsPerRun(100, func() {

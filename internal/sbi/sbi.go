@@ -105,8 +105,8 @@ type Server struct {
 	name string
 	env  *costmodel.Env
 
-	mu       sync.RWMutex
-	handlers map[string]HandlerFunc
+	mu     sync.RWMutex
+	routes map[string]route
 	// meter is the overload-control load meter (see overload.go); nil
 	// until EnableOverload and inert until armed.
 	meter *loadMeter
@@ -127,9 +127,9 @@ func ReplicaName(base string, r int) string {
 // NewServer creates a named SBI server charging costs through env.
 func NewServer(name string, env *costmodel.Env) *Server {
 	return &Server{
-		name:     name,
-		env:      env,
-		handlers: make(map[string]HandlerFunc),
+		name:   name,
+		env:    env,
+		routes: make(map[string]route),
 	}
 }
 
@@ -140,8 +140,8 @@ func (s *Server) Name() string { return s.name }
 func (s *Server) Paths() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.handlers))
-	for p := range s.handlers {
+	out := make([]string, 0, len(s.routes))
+	for p := range s.routes {
 		out = append(out, p)
 	}
 	return out
@@ -150,8 +150,8 @@ func (s *Server) Paths() []string {
 func (s *Server) lookup(path string) (HandlerFunc, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	h, ok := s.handlers[path]
-	return h, ok
+	r, ok := s.routes[path]
+	return r.h, ok
 }
 
 // serve dispatches one request, charging server-side record processing.

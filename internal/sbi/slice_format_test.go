@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"shield5g"
@@ -107,4 +111,103 @@ func TestBinarySliceServesNo4xx(t *testing.T) {
 	if len(clientErrors) != 0 {
 		t.Fatalf("servers answered 4xx: %v", clientErrors)
 	}
+}
+
+// TestSBIInventory is the route inventory of a deployed core, held to
+// testdata/inventory.golden: one row per registered endpoint of an SGX,
+// BinarySBI slice, with its server, path, request and response types,
+// whether its pair travels framed on a binary client, and the key fields
+// (secretflow's names) each side carries: the key columns are the
+// allowed key flows of the SBI. A change that adds an operation, changes
+// a type or lets an operation carry key material moves the golden;
+// re-mint it with INVENTORY_UPDATE=1.
+//
+// It fails on a path registered without its types, a raw handler in the
+// core, and on an endpoint whose request and response disagree on having
+// a field description: that agreement is what makes Send, which posts a
+// nil response, frame exactly as Post would.
+func TestSBIInventory(t *testing.T) {
+	const golden = "testdata/inventory.golden"
+	tb, err := shield5g.NewTestbed(context.Background(), shield5g.SliceConfig{Isolation: paka.SGX, Seed: 1, BinarySBI: true})
+	if err != nil {
+		t.Fatalf("NewTestbed: %v", err)
+	}
+	defer tb.Close()
+
+	var got bytes.Buffer
+	got.WriteString("# service\tpath\trequest\tresponse\tformat\trequest keys\tresponse keys\n")
+	names := tb.Slice.Registry.Names()
+	sort.Strings(names)
+	for _, name := range names {
+		srv, _ := tb.Slice.Registry.Lookup(name)
+		for _, r := range sbi.Routes(srv) {
+			if r.Req == nil || r.Resp == nil {
+				t.Errorf("%s%s is a raw handler: no request or response type on record", name, r.Path)
+				continue
+			}
+			_, reqDescribed := r.Req.(codec.Message)
+			_, respDescribed := r.Resp.(codec.Message)
+			format := "json"
+			switch {
+			case reqDescribed != respDescribed:
+				t.Errorf("%s%s: request %T described %v, response %T described %v", name, r.Path, r.Req, reqDescribed, r.Resp, respDescribed)
+			case reqDescribed:
+				format = "frame"
+			}
+			req, resp := reflect.TypeOf(r.Req).Elem(), reflect.TypeOf(r.Resp).Elem()
+			fmt.Fprintf(&got, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n", name, r.Path, req, resp, format, keyFields(req), keyFields(resp))
+		}
+	}
+
+	if os.Getenv("INVENTORY_UPDATE") != "" {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("read golden (mint with INVENTORY_UPDATE=1): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("route inventory moved (re-mint with INVENTORY_UPDATE=1 only for a deliberate change):\n got:\n%s\nwant:\n%s", got.Bytes(), want)
+	}
+}
+
+// keyNames are the key-material fields the inventory reports: secretflow's
+// names for the long-term key, the operator key and the AKA key hierarchy.
+var keyNames = map[string]bool{"K": true, "OPc": true, "KAUSF": true, "KSEAF": true, "KAMF": true}
+
+// keyFields lists the key-material fields reachable from t as dotted
+// paths ("[]" marks a slice element), or "-" when there are none.
+func keyFields(t reflect.Type) string {
+	var out []string
+	var walk func(t reflect.Type, path string, depth int)
+	walk = func(t reflect.Type, path string, depth int) {
+		for t.Kind() == reflect.Pointer || t.Kind() == reflect.Slice {
+			if t.Kind() == reflect.Slice {
+				path += "[]"
+			}
+			t = t.Elem()
+		}
+		if t.Kind() != reflect.Struct || depth > 4 {
+			return
+		}
+		for i := range t.NumField() {
+			name := t.Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			if keyNames[t.Field(i).Name] {
+				out = append(out, name)
+			}
+			walk(t.Field(i).Type, name, depth+1)
+		}
+	}
+	walk(t, "", 0)
+	if len(out) == 0 {
+		return "-"
+	}
+	return strings.Join(out, ",")
 }
