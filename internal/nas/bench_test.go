@@ -9,7 +9,7 @@ func benchRegistrationRequest() *RegistrationRequest {
 	return &RegistrationRequest{
 		RegistrationType: RegistrationInitial,
 		NgKSI:            0,
-		Identity:         MobileIdentity{SUCI: sampleSUCI()},
+		Identity:         MobileIdentity{Kind: IdentityTypeSUCI, SUCI: sampleSUCI()},
 		Capabilities:     []byte{AlgNEA2, AlgNIA2},
 	}
 }

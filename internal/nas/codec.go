@@ -28,18 +28,15 @@ const (
 	shtProtected byte = 0x2 // integrity protected and ciphered
 )
 
-// encodeCap pre-sizes Encode's single output allocation; the largest plain
-// message (a RegistrationRequest carrying an ECIES SUCI) is ~70 bytes, so
-// the append chain never regrows the buffer.
-const encodeCap = 96
-
-// Encode serialises a plain (unprotected) NAS message.
+// Encode serialises a plain (unprotected) NAS message into a pooled PDU
+// (pdu.go). The caller owns it: handing it to a receiver passes that on,
+// and the receiver releases it once decoded, so a steady exchange draws
+// the same few arrays and allocates nothing. appendEncode is the variant
+// for callers that hold their own buffer.
 func Encode(m Message) ([]byte, error) {
-	// The encoded buffer escapes into the NAS transport (AMF downlink, UE
-	// uplink) with no release point, so the allocation is the ownership
-	// transfer; appendEncode is the reuse variant for callers that hold
-	// their own buffer.
-	return appendEncode(make([]byte, 0, encodeCap), m)
+	buf := newPDU()
+	out, err := appendEncode(buf, m)
+	return settle(buf, out), err
 }
 
 // appendEncode serialises m onto dst (for callers that own a reusable
@@ -126,11 +123,12 @@ func appendEncode(dst []byte, m Message) ([]byte, error) {
 // message type. DecodeInto and SecurityContext.UnprotectInto select the
 // slot of the message they find, zero it, fill it and return it, so a
 // receiver that declares its Inbox as a local and reads the result
-// through a type switch decodes with the message on its own stack. Only
-// the fields the wire makes variable-length reach the heap: a decoded
-// SUCI or GUTI identity and the LV byte fields (ABBA, capabilities,
-// AUTS). The returned message is valid until the next decode into the
-// same Inbox.
+// through a type switch decodes with the message on its own stack. A
+// decoded GUTI is a value in its slot; only a SUCI and the LV byte fields
+// (ABBA, capabilities, AUTS) reach the heap. No slot points into the
+// Inbox itself (a self-reference would move every Inbox to the heap) or
+// into the decoded PDU, so the receiver may release the PDU at once. The
+// returned message is valid until the next decode into the same Inbox.
 type Inbox struct {
 	typ MessageType
 
@@ -268,8 +266,8 @@ func DecodeInto(data []byte, in *Inbox) (Message, error) {
 }
 
 func encodeIdentity(w *writer, id *MobileIdentity) {
-	switch {
-	case id.SUCI != nil:
+	switch id.Kind {
+	case IdentityTypeSUCI:
 		w.u8(IdentityTypeSUCI)
 		s := id.SUCI
 		w.str(s.MCC)
@@ -278,12 +276,14 @@ func encodeIdentity(w *writer, id *MobileIdentity) {
 		w.u8(s.Scheme)
 		w.u8(s.HomeKeyID)
 		w.lv16(s.SchemeOutput)
-	case id.GUTI != nil:
+	case IdentityTypeGUTI:
 		w.u8(IdentityTypeGUTI)
-		encodeGUTI(w, id.GUTI)
+		encodeGUTI(w, &id.GUTI)
 	}
 }
 
+// decodeIdentity fills id in place. A GUTI is a value inside id, so it
+// costs nothing; a SUCI is a fresh suci.SUCI.
 func decodeIdentity(r *reader, id *MobileIdentity) error {
 	switch t := r.u8(); t {
 	case IdentityTypeSUCI:
@@ -294,12 +294,11 @@ func decodeIdentity(r *reader, id *MobileIdentity) error {
 		s.Scheme = r.u8()
 		s.HomeKeyID = r.u8()
 		s.SchemeOutput = r.lv16()
-		id.SUCI = s
+		id.Kind, id.SUCI = t, s
 		return r.err
 	case IdentityTypeGUTI:
-		g := &GUTI{}
-		decodeGUTI(r, g)
-		id.GUTI = g
+		decodeGUTI(r, &id.GUTI)
+		id.Kind = t
 		return r.err
 	default:
 		if r.err != nil {

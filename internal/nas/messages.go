@@ -242,18 +242,25 @@ const (
 	IdentityTypeGUTI byte = 0x02
 )
 
-// MobileIdentity is a SUCI or a 5G-GUTI.
+// MobileIdentity is a SUCI or a 5G-GUTI, as Kind says. The GUTI is held
+// by value, so decoding a GUTI registration allocates nothing for it.
 type MobileIdentity struct {
+	// Kind is IdentityTypeSUCI or IdentityTypeGUTI; 0 means none.
+	Kind byte
 	SUCI *suci.SUCI
-	GUTI *GUTI
+	GUTI GUTI
 }
 
-// Validate checks that exactly one identity is present.
+// Validate checks that the identity is a SUCI or a GUTI and that a SUCI
+// is present.
 func (m *MobileIdentity) Validate() error {
-	if (m.SUCI == nil) == (m.GUTI == nil) {
-		return errors.New("nas: mobile identity must be exactly one of SUCI or GUTI")
+	switch {
+	case m.Kind == IdentityTypeGUTI:
+		return nil
+	case m.Kind == IdentityTypeSUCI && m.SUCI != nil:
+		return nil
 	}
-	return nil
+	return errors.New("nas: mobile identity must be a SUCI or a GUTI")
 }
 
 // GUTI is the 5G globally unique temporary identity (TS 23.003 §2.10).

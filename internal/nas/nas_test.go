@@ -47,12 +47,12 @@ func TestRoundTripAllMessages(t *testing.T) {
 		&RegistrationRequest{
 			RegistrationType: RegistrationInitial,
 			NgKSI:            3,
-			Identity:         MobileIdentity{SUCI: sampleSUCI()},
+			Identity:         MobileIdentity{Kind: IdentityTypeSUCI, SUCI: sampleSUCI()},
 			Capabilities:     []byte{0xf0, 0x70},
 		},
 		&RegistrationRequest{
 			RegistrationType: RegistrationMobility,
-			Identity:         MobileIdentity{GUTI: func() *GUTI { g := sampleGUTI(); return &g }()},
+			Identity:         MobileIdentity{Kind: IdentityTypeGUTI, GUTI: sampleGUTI()},
 		},
 		&AuthenticationRequest{NgKSI: 1, ABBA: []byte{0, 0}, RAND: [16]byte{1, 2}, AUTN: [16]byte{3, 4}},
 		&AuthenticationResponse{ResStar: [16]byte{9, 8, 7}},
@@ -81,10 +81,14 @@ func TestEncodeValidatesIdentity(t *testing.T) {
 	if _, err := Encode(&RegistrationRequest{}); err == nil {
 		t.Fatal("empty identity accepted")
 	}
-	g := sampleGUTI()
-	bad := &RegistrationRequest{Identity: MobileIdentity{SUCI: sampleSUCI(), GUTI: &g}}
-	if _, err := Encode(bad); err == nil {
-		t.Fatal("double identity accepted")
+	for _, id := range []MobileIdentity{
+		{Kind: IdentityTypeSUCI},
+		{Kind: 0x07, SUCI: sampleSUCI()},
+		{SUCI: sampleSUCI(), GUTI: sampleGUTI()},
+	} {
+		if _, err := Encode(&RegistrationRequest{Identity: id}); err == nil {
+			t.Fatalf("identity of kind %d (SUCI %v) accepted", id.Kind, id.SUCI != nil)
+		}
 	}
 	if _, err := Encode(nil); err == nil {
 		t.Fatal("nil message accepted")
@@ -106,7 +110,7 @@ func TestEncodeRejectsFieldsTheirPrefixCannotExpress(t *testing.T) {
 		{"UE address 256", &PDUSessionEstablishmentAccept{SessionID: 1, UEAddress: string(long)}, false},
 		{"ABBA 256", &AuthenticationRequest{NgKSI: 1, ABBA: long}, false},
 		{"AUTS 256", &AuthenticationFailure{Cause: CauseSyncFailure, AUTS: long}, false},
-		{"capabilities 256", &RegistrationRequest{Identity: MobileIdentity{GUTI: &g}, Capabilities: long}, false},
+		{"capabilities 256", &RegistrationRequest{Identity: MobileIdentity{Kind: IdentityTypeGUTI, GUTI: g}, Capabilities: long}, false},
 		{"DNN 255", &PDUSessionEstablishmentRequest{SessionID: 1, DNN: string(long[:255])}, true},
 	}
 	for _, row := range rows {
@@ -212,7 +216,7 @@ func TestSUCIIdentityRoundTripProperty(t *testing.T) {
 		s := sampleSUCI()
 		s.HomeKeyID = keyID
 		s.SchemeOutput = out
-		m := &RegistrationRequest{RegistrationType: RegistrationInitial, Identity: MobileIdentity{SUCI: s}}
+		m := &RegistrationRequest{RegistrationType: RegistrationInitial, Identity: MobileIdentity{Kind: IdentityTypeSUCI, SUCI: s}}
 		data, err := Encode(m)
 		if err != nil {
 			return false

@@ -33,7 +33,7 @@ func TestDecodeNeverPanics(t *testing.T) {
 func TestDecodeMutatedMessagesNeverPanic(t *testing.T) {
 	seed, err := Encode(&RegistrationRequest{
 		RegistrationType: RegistrationInitial,
-		Identity:         MobileIdentity{GUTI: &GUTI{MCC: "001", MNC: "01", TMSI: 7}},
+		Identity:         MobileIdentity{Kind: IdentityTypeGUTI, GUTI: GUTI{MCC: "001", MNC: "01", TMSI: 7}},
 		Capabilities:     []byte{1, 2, 3},
 	})
 	if err != nil {
@@ -73,13 +73,13 @@ func FuzzNASDecode(f *testing.F) {
 	guti := GUTI{MCC: "001", MNC: "01", AMFRegionID: 0xCA, AMFSetID: 0x3FE, AMFPointer: 0x3F, TMSI: 0xDEADBEEF}
 	var seeds [][]byte
 	for _, m := range []Message{
-		&RegistrationRequest{RegistrationType: RegistrationInitial, Identity: MobileIdentity{SUCI: &suci.SUCI{
+		&RegistrationRequest{RegistrationType: RegistrationInitial, Identity: MobileIdentity{Kind: IdentityTypeSUCI, SUCI: &suci.SUCI{
 			MCC: "001", MNC: "01", RoutingIndicator: "0000", Scheme: suci.SchemeProfileA, HomeKeyID: 1,
 			SchemeOutput: bytes.Repeat([]byte{0xA5}, 45),
 		}}, Capabilities: []byte{AlgNEA2, AlgNIA2}},
-		&RegistrationRequest{RegistrationType: RegistrationMobility, Identity: MobileIdentity{GUTI: &guti}, Capabilities: []byte{AlgNEA2, AlgNIA2}},
+		&RegistrationRequest{RegistrationType: RegistrationMobility, Identity: MobileIdentity{Kind: IdentityTypeGUTI, GUTI: guti}, Capabilities: []byte{AlgNEA2, AlgNIA2}},
 		&IdentityRequest{IdentityType: IdentityTypeSUCI},
-		&IdentityResponse{Identity: MobileIdentity{SUCI: &suci.SUCI{
+		&IdentityResponse{Identity: MobileIdentity{Kind: IdentityTypeSUCI, SUCI: &suci.SUCI{
 			MCC: "001", MNC: "01", RoutingIndicator: "0000", Scheme: suci.SchemeNull, SchemeOutput: []byte("0000000001"),
 		}}},
 		&AuthenticationRequest{ABBA: []byte{0, 0}, RAND: [16]byte{1, 2, 3}, AUTN: [16]byte{4, 5, 6}},

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"shield5g/internal/crypto/hashpool"
 	"shield5g/internal/crypto/kdf"
@@ -45,8 +44,9 @@ const (
 )
 
 // SecurityContext holds one activated NAS security association. Create one
-// on each side from the shared K_AMF after a successful AKA run. It is not
-// safe for concurrent use; NAS signalling per UE is sequential.
+// on each side from the shared K_AMF after a successful AKA run, or
+// re-key one in place with Activate; Clear zeroes it. It is not safe for
+// concurrent use; NAS signalling per UE is sequential.
 //
 // Between procedures a context needs only its two keys and two COUNTs. The
 // AES key schedule of K_NASenc (about 500 B) is expanded by the first
@@ -80,21 +80,38 @@ type SecurityContext struct {
 	downlinkCount uint32
 }
 
-// NewSecurityContext derives the NAS protection keys from K_AMF
-// (TS 33.501 Annex A.8).
+// NewSecurityContext allocates a context and activates it from K_AMF.
 func NewSecurityContext(kamf []byte) (*SecurityContext, error) {
-	sc := &SecurityContext{
-		IntegrityAlg: AlgNIA2,
-		CipheringAlg: AlgNEA2,
-	}
-	if err := kdf.AlgorithmKeyInto(sc.encKey[:], kamf, kdf.AlgoNASEncryption, AlgNEA2); err != nil {
-		return nil, fmt.Errorf("nas: derive K_NASenc: %w", err)
-	}
-	if err := kdf.AlgorithmKeyInto(sc.intKey[:], kamf, kdf.AlgoNASIntegrity, AlgNIA2); err != nil {
-		return nil, fmt.Errorf("nas: derive K_NASint: %w", err)
+	sc := new(SecurityContext)
+	if err := sc.Activate(kamf); err != nil {
+		return nil, err
 	}
 	return sc, nil
 }
+
+// Activate re-keys sc in place from K_AMF (TS 33.501 Annex A.8): it
+// resets everything, the COUNTs and any held K_NASenc schedule included,
+// then derives both NAS keys. On error sc is left cleared.
+func (sc *SecurityContext) Activate(kamf []byte) error {
+	*sc = SecurityContext{IntegrityAlg: AlgNIA2, CipheringAlg: AlgNEA2}
+	if err := kdf.AlgorithmKeyInto(sc.encKey[:], kamf, kdf.AlgoNASEncryption, AlgNEA2); err != nil {
+		sc.Clear()
+		return fmt.Errorf("nas: derive K_NASenc: %w", err)
+	}
+	if err := kdf.AlgorithmKeyInto(sc.intKey[:], kamf, kdf.AlgoNASIntegrity, AlgNIA2); err != nil {
+		sc.Clear()
+		return fmt.Errorf("nas: derive K_NASint: %w", err)
+	}
+	return nil
+}
+
+// Clear zeroes the context: keys, COUNTs and schedule. It protects
+// nothing until the next Activate.
+func (sc *SecurityContext) Clear() { *sc = SecurityContext{} }
+
+// Active reports whether the context holds keys: it was activated and
+// not cleared since.
+func (sc *SecurityContext) Active() bool { return sc.intKey != [kdf.KeyLen128]byte{} }
 
 // DropCipher releases the expanded K_NASenc schedule at the end of a
 // procedure. The keys and COUNTs stay, so the context protects and
@@ -121,43 +138,32 @@ func (sc *SecurityContext) cipherBlock() cipher.Block {
 	return sc.block
 }
 
-// plainPool recycles the plaintext scratch of Protect (the pre-encryption
-// encoding) and UnprotectInto (the deciphered payload). Both uses end
-// inside the call — the ciphertext is written elsewhere and DecodeInto
-// copies every field out — so the buffer never escapes.
-var plainPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, encodeCap)
-	return &b
-}}
+// protectedHdr is the length of a protected message's header.
+const protectedHdr = 2 + macLen + 4
 
 // Protect encodes msg and wraps it as an integrity-protected and ciphered
-// NAS message for the given direction, consuming one sequence number.
+// NAS message for the given direction, consuming one sequence number. The
+// result is a pooled PDU under the ownership rule of Encode.
 //
 // Wire format: EPD || SHT || MAC[4] || SEQ[4] || ciphertext.
 func (sc *SecurityContext) Protect(msg Message, uplink bool) ([]byte, error) {
-	pb := plainPool.Get().(*[]byte)
-	plain, err := appendEncode((*pb)[:0], msg)
+	// The plaintext is encoded straight into its final position and
+	// ciphered in place; MAC and SEQ then fill the header.
+	buf := newPDU()
+	out, err := appendEncode(buf[:protectedHdr], msg)
 	if err != nil {
-		plainPool.Put(pb)
+		Release(buf)
 		return nil, err
 	}
 	dir, count := sc.sendState(uplink)
-
-	// Single output allocation: the ciphertext is written straight into
-	// its final position, then MAC and SEQ fill the header in place.
-	// One caller-owned output per protected message.
-	out := make([]byte, 2+macLen+4+len(plain))
 	out[0], out[1] = EPD5GMM, shtProtected
-	ct := out[2+macLen+4:]
-	sc.xorKeyStream(ct, plain, dir, count)
+	ct := out[protectedHdr:]
+	sc.xorKeyStream(ct, ct, dir, count)
 	tag := sc.mac(dir, count, ct)
 	copy(out[2:2+macLen], tag[:])
-	binary.BigEndian.PutUint32(out[2+macLen:2+macLen+4], count)
-	*pb = plain
-	plainPool.Put(pb)
-
+	binary.BigEndian.PutUint32(out[2+macLen:protectedHdr], count)
 	sc.advanceSend(uplink)
-	return out, nil
+	return settle(buf, out), nil
 }
 
 // Unprotect verifies and deciphers a protected NAS message from the given
@@ -172,7 +178,7 @@ func (sc *SecurityContext) Unprotect(data []byte, uplink bool) (Message, error) 
 // returns that slot.
 func (sc *SecurityContext) UnprotectInto(data []byte, uplink bool, in *Inbox) (Message, error) {
 	in.typ = 0
-	if len(data) < 2+macLen+4 {
+	if len(data) < protectedHdr {
 		return nil, fmt.Errorf("%w: protected header", ErrTruncated)
 	}
 	if data[0] != EPD5GMM {
@@ -182,8 +188,8 @@ func (sc *SecurityContext) UnprotectInto(data []byte, uplink bool, in *Inbox) (M
 		return nil, fmt.Errorf("nas: security header type %d, want %d", data[1], shtProtected)
 	}
 	mac := data[2 : 2+macLen]
-	count := binary.BigEndian.Uint32(data[2+macLen : 2+macLen+4])
-	ct := data[2+macLen+4:]
+	count := binary.BigEndian.Uint32(data[2+macLen : protectedHdr])
+	ct := data[protectedHdr:]
 
 	dir := dirDownlink
 	expect := &sc.downlinkCount
@@ -198,15 +204,14 @@ func (sc *SecurityContext) UnprotectInto(data []byte, uplink bool, in *Inbox) (M
 		return nil, ErrIntegrity
 	}
 
-	pb := plainPool.Get().(*[]byte)
-	if cap(*pb) < len(ct) {
-		// Pool grow, amortised across the pool entry's lifetime.
-		*pb = make([]byte, len(ct))
-	}
-	plain := (*pb)[:len(ct)]
-	sc.xorKeyStream(plain, ct, dir, count)
+	// The payload is deciphered into pooled scratch, never into data:
+	// the caller may decode the same PDU again. DecodeInto copies every
+	// field out, so the scratch goes back at once.
+	buf := newPDU()
+	plain := append(buf, ct...)
+	sc.xorKeyStream(plain, plain, dir, count)
 	msg, err := DecodeInto(plain, in)
-	plainPool.Put(pb)
+	Release(buf)
 	if err != nil {
 		return nil, fmt.Errorf("nas: deciphered payload: %w", err)
 	}

@@ -56,7 +56,9 @@ var abba = []byte{0x00, 0x00}
 //
 // A registered UE keeps what the protocol needs after AKA: its SUPI, NAS
 // security context (keys and COUNTs; the K_NASenc schedule only while a
-// procedure runs), GUTI, PDU session tunnel and admission class. The AKA
+// procedure runs), GUTI, PDU session tunnel and admission class. The
+// security context is held by value and re-keyed in place at each
+// activation, so the context stays one 256 B object. The AKA
 // run's challenge state (the challenge, suci) lives only until
 // completeAuth succeeds, and K_SEAF is never kept: it is handed to the
 // K_AMF derivation and dropped.
@@ -67,7 +69,7 @@ type ueContext struct {
 	// reports it once the UE is registered.
 	supi string
 	challenge
-	sec  *nas.SecurityContext
+	sec  nas.SecurityContext
 	guti nas.GUTI
 	// prevTMSI is the TMSI a mobility registration arrived with (0: none,
 	// TMSIs start at 1). It and the context it resolves to stay until
@@ -220,10 +222,14 @@ func (a *AMF) RegisteredUEs() int {
 //
 // Each receiver decodes into an Inbox on its own stack and reads the
 // message through a type switch, never through a nas.Message method, so
-// the decoded message stays there (DESIGN.md section 9).
+// the decoded message stays there (DESIGN.md section 9). The uplink PDU
+// is the AMF's from the call on: it is released once decoded, on every
+// path, and the caller must not touch it again; the downlink PDU is the
+// caller's.
 func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte) ([]byte, error) {
 	var in nas.Inbox
 	msg, err := nas.DecodeInto(nasPDU, &in)
+	nas.Release(nasPDU)
 	if err != nil {
 		return nil, fmt.Errorf("amf: initial NAS: %w", err)
 	}
@@ -252,7 +258,8 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 		return nil, err
 	}
 	ue := &ueContext{prio: class, resyncOK: true, reauthOK: true, suci: rr.Identity.SUCI}
-	if g := rr.Identity.GUTI; g != nil {
+	if rr.Identity.Kind == nas.IdentityTypeGUTI {
+		g := &rr.Identity.GUTI
 		// Mobility registration: resolve the temporary identity to the
 		// stored SUPI and re-authenticate (network-initiated re-auth;
 		// the UE never re-exposes its SUCI).
@@ -282,10 +289,10 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 // PLMN, and a registration that carries neither.
 func (a *AMF) checkPLMN(id *nas.MobileIdentity) error {
 	var mcc, mnc string
-	switch {
-	case id.SUCI != nil:
+	switch id.Kind {
+	case nas.IdentityTypeSUCI:
 		mcc, mnc = id.SUCI.MCC, id.SUCI.MNC
-	case id.GUTI != nil:
+	case nas.IdentityTypeGUTI:
 		mcc, mnc = id.GUTI.MCC, id.GUTI.MNC
 	default:
 		return fmt.Errorf("amf: registration carries no identity")
@@ -321,7 +328,7 @@ func classify(rr *nas.RegistrationRequest) sbi.Priority {
 	switch {
 	case rr.RegistrationType == nas.RegistrationEmergency:
 		return sbi.PriorityEmergency
-	case rr.Identity.GUTI != nil:
+	case rr.Identity.Kind == nas.IdentityTypeGUTI:
 		return sbi.PriorityReattach
 	default:
 		return sbi.PriorityFresh
@@ -341,10 +348,11 @@ func stamp(ctx context.Context, class sbi.Priority) *simclock.Call {
 // downlink PDU with nil error means no response is due (for example after
 // RegistrationComplete). The UE's admission class is stamped on ctx only
 // for the rounds that post on the SBI: identity, authentication, PDU
-// session and deregistration.
+// session and deregistration. nasPDU is released as HandleInitialUE's is.
 func (a *AMF) HandleUplinkNAS(ctx context.Context, ranUEID uint64, nasPDU []byte) ([]byte, error) {
 	ue, ok := a.ues.Load(ranUEID)
 	if !ok {
+		nas.Release(nasPDU)
 		return nil, fmt.Errorf("amf: no UE context for RAN UE %d", ranUEID)
 	}
 
@@ -367,6 +375,7 @@ func (a *AMF) HandleUplinkNAS(ctx context.Context, ranUEID uint64, nasPDU []byte
 func (a *AMF) handleIdentifying(ctx context.Context, ue *ueContext, nasPDU []byte) ([]byte, error) {
 	var in nas.Inbox
 	msg, err := nas.DecodeInto(nasPDU, &in)
+	nas.Release(nasPDU)
 	if err != nil {
 		return nil, fmt.Errorf("amf: identity response: %w", err)
 	}
@@ -374,7 +383,7 @@ func (a *AMF) handleIdentifying(ctx context.Context, ue *ueContext, nasPDU []byt
 	if !ok {
 		return nil, fmt.Errorf("amf: unexpected %s while identifying", in.Type())
 	}
-	if ir.Identity.SUCI == nil {
+	if ir.Identity.Kind != nas.IdentityTypeSUCI {
 		return nil, fmt.Errorf("amf: identity response carries no SUCI")
 	}
 	if err := a.checkPLMN(&ir.Identity); err != nil {
@@ -387,6 +396,7 @@ func (a *AMF) handleIdentifying(ctx context.Context, ue *ueContext, nasPDU []byt
 func (a *AMF) handleAuthenticating(ctx context.Context, ue *ueContext, nasPDU []byte) ([]byte, error) {
 	var in nas.Inbox
 	msg, err := nas.DecodeInto(nasPDU, &in)
+	nas.Release(nasPDU)
 	if err != nil {
 		return nil, fmt.Errorf("amf: uplink NAS: %w", err)
 	}
@@ -444,17 +454,15 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	if err != nil {
 		return nil, err
 	}
-	sec, err := nas.NewSecurityContext(kamf.KAMF[:])
-	if err != nil {
+	if err := ue.sec.Activate(kamf.KAMF[:]); err != nil {
 		return nil, fmt.Errorf("amf: NAS security context: %w", err)
 	}
-	ue.sec = sec
 	ue.setState(stateSecuring)
 	// AKA is over: the challenge and the identity it started from are
 	// never read again (re-auth and resync only run before this point).
 	ue.challenge, ue.suci = challenge{}, nil
 
-	return sec.Protect(&nas.SecurityModeCommand{
+	return ue.sec.Protect(&nas.SecurityModeCommand{
 		NgKSI:        0,
 		IntegrityAlg: nas.AlgNIA2,
 		CipheringAlg: nas.AlgNEA2,
@@ -463,7 +471,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 
 func (a *AMF) reject(ue *ueContext) ([]byte, error) {
 	ue.setState(stateAuthenticating)
-	ue.sec = nil
+	ue.sec.Clear()
 	return nas.Encode(&nas.AuthenticationReject{})
 }
 
@@ -484,11 +492,13 @@ func (a *AMF) handleAuthFailure(ctx context.Context, ue *ueContext, m *nas.Authe
 func (a *AMF) Reauths() uint64 { return a.reauths.Load() }
 
 func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext, nasPDU []byte) ([]byte, error) {
-	if ue.sec == nil {
+	if !ue.sec.Active() {
+		nas.Release(nasPDU)
 		return nil, fmt.Errorf("amf: no NAS security context for RAN UE %d", ranUEID)
 	}
 	var in nas.Inbox
 	msg, err := ue.sec.UnprotectInto(nasPDU, true, &in)
+	nas.Release(nasPDU)
 	if err != nil {
 		return nil, fmt.Errorf("amf: unprotect uplink NAS: %w", err)
 	}

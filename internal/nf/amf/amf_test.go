@@ -335,7 +335,7 @@ func TestInitialUERejectsWrongPLMN(t *testing.T) {
 		Scheme: suci.SchemeProfileA, HomeKeyID: 1, SchemeOutput: make([]byte, 50)}
 	pdu, err := nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationInitial,
-		Identity:         nas.MobileIdentity{SUCI: wrong},
+		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeSUCI, SUCI: wrong},
 	})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -517,7 +517,7 @@ func TestReRegistrationReleasesSupersededGUTI(t *testing.T) {
 	// The superseded GUTI takes the identity-procedure fallback.
 	up, err := nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationMobility,
-		Identity:         nas.MobileIdentity{GUTI: &first},
+		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: first},
 		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
 	})
 	if err != nil {
@@ -577,7 +577,7 @@ func TestLostRegistrationCompleteKeepsBothGUTIs(t *testing.T) {
 	// challenged, not asked for its identity...
 	up, err := nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationMobility,
-		Identity:         nas.MobileIdentity{GUTI: &before},
+		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: before},
 		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
 	})
 	if err != nil {
@@ -628,6 +628,16 @@ func TestRegisteredUEHoldsNoAKAState(t *testing.T) {
 	noAKAState(3)
 	if got := h.amf.RegisteredUEs(); got != 1 {
 		t.Fatalf("RegisteredUEs = %d, want 1", got)
+	}
+}
+
+// TestUEContextFitsItsSizeClass: the NAS security context lives inside
+// the AMF's per-UE context, and the two together stay within the 256 B
+// allocation size class that the context alone took before, so a
+// registered UE costs the core one object and no more bytes.
+func TestUEContextFitsItsSizeClass(t *testing.T) {
+	if amf.UEContextSize > 256 {
+		t.Fatalf("ueContext is %d B, over the 256 B size class", amf.UEContextSize)
 	}
 }
 
@@ -755,7 +765,7 @@ func TestEveryRoundKeepsTheAdmissionClass(t *testing.T) {
 			g.TMSI += 1000
 			up, err := nas.Encode(&nas.RegistrationRequest{
 				RegistrationType: regType,
-				Identity:         nas.MobileIdentity{GUTI: &g},
+				Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: g},
 				Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
 			})
 			if err != nil {

@@ -1,6 +1,13 @@
 package amf
 
-import "shield5g/internal/sbi/codec"
+import (
+	"unsafe"
+
+	"shield5g/internal/sbi/codec"
+)
+
+// UEContextSize is the size of the AMF's per-UE context.
+const UEContextSize = unsafe.Sizeof(ueContext{})
 
 // GUTIBindings is the number of TMSIs the instance still resolves.
 func (a *AMF) GUTIBindings() int { return a.guti.Len() }
@@ -10,7 +17,7 @@ func (a *AMF) GUTIBindings() int { return a.guti.Len() }
 // context or the context has no NAS security yet.
 func (a *AMF) HoldsNASCipher(ranUEID uint64) (held, ok bool) {
 	ue, ok := a.ues.Load(ranUEID)
-	if !ok || ue.sec == nil {
+	if !ok || !ue.sec.Active() {
 		return false, false
 	}
 	return ue.sec.HoldsCipher(), true

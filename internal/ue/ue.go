@@ -110,9 +110,12 @@ type UE struct {
 
 	// Per-registration state. The key material lives in in-struct arrays
 	// so a registration retains it without per-run heap allocations.
-	snn      string
-	resStar  [kdf.KeyLen128]byte
-	kamf     [kdf.KeyLen256]byte
+	snn     string
+	resStar [kdf.KeyLen128]byte
+	kamf    [kdf.KeyLen256]byte
+	// sec is allocated at the first AKA run and re-keyed in place by every
+	// later one; guti at the first RegistrationAccept and overwritten in
+	// place by every later one.
 	sec      *nas.SecurityContext
 	guti     *nas.GUTI
 	lastAddr string
@@ -210,7 +213,7 @@ func (u *UE) BuildRegistrationRequest(ctx context.Context, snn string) ([]byte, 
 		return nil, err
 	}
 	u.snn = snn
-	u.sec = nil
+	u.clearNAS()
 	u.guti = nil
 	regType := nas.RegistrationInitial
 	if u.emergency {
@@ -219,10 +222,22 @@ func (u *UE) BuildRegistrationRequest(ctx context.Context, snn string) ([]byte, 
 	return nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: regType,
 		NgKSI:            0,
-		Identity:         nas.MobileIdentity{SUCI: sc},
+		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeSUCI, SUCI: sc},
 		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
 	})
 }
+
+// clearNAS zeroes the NAS security context, if the device has one, at the
+// start of a registration: the old keys are wiped, not left for the
+// collector, and the context waits for the next AKA run to re-key it.
+func (u *UE) clearNAS() {
+	if u.sec != nil {
+		u.sec.Clear()
+	}
+}
+
+// secured reports whether the device holds NAS keys.
+func (u *UE) secured() bool { return u.sec != nil && u.sec.Active() }
 
 // concealIdentity produces the SUCI under the provisioned protection
 // scheme.
@@ -250,18 +265,20 @@ func (u *UE) BuildReRegistrationRequest(ctx context.Context, snn string) ([]byte
 	}
 	u.env.Charge(ctx, usimCycles/4)
 	u.snn = snn
-	u.sec = nil
+	u.clearNAS()
 	return nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationMobility,
 		NgKSI:            0,
-		Identity:         nas.MobileIdentity{GUTI: u.guti},
+		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: *u.guti},
 		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
 	})
 }
 
 // HandleDownlinkNAS advances the UE state machine with one downlink NAS
 // PDU. It returns the uplink response (nil when none) and done=true once
-// registration has completed.
+// registration has completed. The downlink PDU is the device's from the
+// call on: it is released once decoded, on every path, and the caller
+// must not touch it again; the uplink PDU is the caller's.
 func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, done bool, err error) {
 	// Post-AKA messages are security protected; branch on the header
 	// instead of decoding speculatively so the protected path does not
@@ -271,15 +288,18 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 	var msg nas.Message
 	var derr error
 	if nas.IsProtected(pdu) {
-		if u.sec == nil {
+		if !u.secured() {
+			nas.Release(pdu)
 			return nil, false, fmt.Errorf("ue: protected downlink NAS before security activation")
 		}
 		msg, derr = u.sec.UnprotectInto(pdu, false, &in)
+		nas.Release(pdu)
 		if derr != nil {
 			return nil, false, fmt.Errorf("ue: unprotect downlink NAS: %w", derr)
 		}
 	} else {
 		msg, derr = nas.DecodeInto(pdu, &in)
+		nas.Release(pdu)
 		if derr != nil {
 			return nil, false, fmt.Errorf("ue: undecodable downlink NAS: %w", derr)
 		}
@@ -304,8 +324,10 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 		up, err := u.sec.Protect(&nas.SecurityModeComplete{}, true)
 		return up, false, err
 	case *nas.RegistrationAccept:
-		g := m.GUTI
-		u.guti = &g
+		if u.guti == nil {
+			u.guti = new(nas.GUTI)
+		}
+		*u.guti = m.GUTI
 		up, err := u.sec.Protect(&nas.RegistrationComplete{}, true)
 		// Registration is over: keep the NAS keys and COUNTs, not the
 		// K_NASenc schedule, as the AMF does on accepting the complete.
@@ -331,7 +353,7 @@ func (u *UE) handleIdentityRequest(ctx context.Context, m *nas.IdentityRequest) 
 	if err != nil {
 		return nil, false, err
 	}
-	up, err := nas.Encode(&nas.IdentityResponse{Identity: nas.MobileIdentity{SUCI: sc}})
+	up, err := nas.Encode(&nas.IdentityResponse{Identity: nas.MobileIdentity{Kind: nas.IdentityTypeSUCI, SUCI: sc}})
 	return up, false, err
 }
 
@@ -413,11 +435,14 @@ func (u *UE) handleAuthRequest(ctx context.Context, m *nas.AuthenticationRequest
 	if err := kdf.KAMFInto(u.kamf[:], kseaf[:], u.supiStr, m.ABBA); err != nil {
 		return nil, false, fmt.Errorf("ue: K_AMF: %w", err)
 	}
-	sec, err := nas.NewSecurityContext(u.kamf[:])
+	if u.sec == nil {
+		u.sec, err = nas.NewSecurityContext(u.kamf[:])
+	} else {
+		err = u.sec.Activate(u.kamf[:])
+	}
 	if err != nil {
 		return nil, false, fmt.Errorf("ue: NAS security: %w", err)
 	}
-	u.sec = sec
 
 	resp := &nas.AuthenticationResponse{}
 	resp.ResStar = u.resStar
@@ -445,7 +470,7 @@ func (u *UE) buildAUTS(mil *milenage.Cipher, s *akaScratch, randBytes []byte) ([
 // BuildPDUSessionRequest produces a protected PDU session establishment
 // request after registration.
 func (u *UE) BuildPDUSessionRequest(ctx context.Context, sessionID byte, dnn string) ([]byte, error) {
-	if u.sec == nil {
+	if !u.secured() {
 		return nil, errors.New("ue: not registered")
 	}
 	u.env.Charge(ctx, usimCycles/4)
@@ -454,7 +479,7 @@ func (u *UE) BuildPDUSessionRequest(ctx context.Context, sessionID byte, dnn str
 
 // BuildDeregistrationRequest produces a protected detach request.
 func (u *UE) BuildDeregistrationRequest(ctx context.Context) ([]byte, error) {
-	if u.sec == nil {
+	if !u.secured() {
 		return nil, errors.New("ue: not registered")
 	}
 	u.env.Charge(ctx, usimCycles/4)

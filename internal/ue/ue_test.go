@@ -6,6 +6,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"testing"
+	"unsafe"
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/crypto/kdf"
@@ -543,6 +544,15 @@ func TestRegisteredUEHoldsNoNASCipher(t *testing.T) {
 	}
 }
 
+// TestUEFitsItsSizeClass: a device stays one 280 B object (the 288 B
+// size class) with its NAS context and GUTI behind pointers that every
+// registration after the first re-uses in place.
+func TestUEFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(UE{}); n > 280 {
+		t.Fatalf("UE is %d B, want at most 280", n)
+	}
+}
+
 // FuzzUEDownlink feeds arbitrary downlink PDUs to a device before AKA,
 // after AKA and once registered (stage modulo 3). The device must never
 // panic, and it may report done or store a GUTI only for a PDU whose MAC
@@ -573,20 +583,23 @@ func FuzzUEDownlink(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stage byte, pdu []byte) {
 		d, _ := attach(t, int(stage%numStages))
 		var verifier *nas.SecurityContext
-		if d.sec != nil {
+		if d.secured() {
 			v := *d.sec
 			verifier = &v
 		}
-		gutiBefore := d.guti
-		_, done, _ := d.HandleDownlinkNAS(context.Background(), pdu)
-		if !done && d.guti == gutiBefore {
+		gutiBefore, _ := d.GUTI()
+		// The device takes ownership of what it is handed, so it gets a
+		// copy: the verifier reads pdu afterwards.
+		_, done, _ := d.HandleDownlinkNAS(context.Background(), bytes.Clone(pdu))
+		guti, _ := d.GUTI()
+		if !done && guti == gutiBefore {
 			return
 		}
 		if verifier == nil {
-			t.Fatalf("done %v, GUTI %v with no NAS security context", done, d.guti)
+			t.Fatalf("done %v, GUTI %v with no NAS security context", done, guti)
 		}
 		if _, err := verifier.Unprotect(pdu, false); err != nil {
-			t.Fatalf("done %v, GUTI %v for a PDU that fails verification: %v", done, d.guti, err)
+			t.Fatalf("done %v, GUTI %v for a PDU that fails verification: %v", done, guti, err)
 		}
 	})
 }
