@@ -31,8 +31,7 @@ func TestConcurrentProcessKeyStore(t *testing.T) {
 		}
 		each(func(c *call, name string) { c.StoreSecret(name, [16]byte{1}) })
 		each(func(c *call, name string) {
-			var k [16]byte
-			c.LoadSecret(name, &k)
+			c.LoadSecret(name)
 		})
 		each(func(c *call, name string) { c.DeleteSecret(name) })
 		each(func(*call, string) { p.Introspect() })

@@ -258,7 +258,10 @@ func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hme
 			err = hmee.ErrStopped
 		}
 	case ph&hmee.Entry != 0:
-		// The entry charges the account it finds on ctx; pin the request's.
+		// The entry charges the account it finds on ctx; pin the request's
+		// (ctx itself when it carries it, as every driver's request does).
+		// Neither the method value nor the entry's thread reaches the
+		// heap: the crossing allocates nothing.
 		err = i.enclave.ECall(simclock.WithAccount(ctx, r.acct), in, out, r.Execute)
 	default:
 		err = r.Execute(i.proc)

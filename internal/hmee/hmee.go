@@ -42,10 +42,11 @@ type Exec interface {
 	// store holds it inline: an entry is the name and the 16 bytes, with
 	// no allocation of its own.
 	StoreSecret(name string, k [16]byte)
-	// LoadSecret copies the named key into dst, which the caller owns and
-	// clears once it has no more use for it, and reports whether the store
-	// holds the name.
-	LoadSecret(name string, dst *[16]byte) bool
+	// LoadSecret returns the named key by value and reports whether the
+	// store holds the name. The copy is the caller's: held in a local, it
+	// stays on the caller's stack, and the caller clears it once it has
+	// no more use for it.
+	LoadSecret(name string) ([16]byte, bool)
 	// DeleteSecret drops the named key from the runtime's key store.
 	DeleteSecret(name string)
 }

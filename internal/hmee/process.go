@@ -113,11 +113,11 @@ func (c *call) StoreSecret(name string, k [16]byte) {
 	c.p.mu.Unlock()
 }
 
-func (c *call) LoadSecret(name string, dst *[16]byte) (ok bool) {
+func (c *call) LoadSecret(name string) (k [16]byte, ok bool) {
 	c.p.mu.Lock()
-	*dst, ok = c.p.secrets[name]
+	k, ok = c.p.secrets[name]
 	c.p.mu.Unlock()
-	return ok
+	return k, ok
 }
 
 func (c *call) DeleteSecret(name string) {

@@ -123,11 +123,10 @@ func TestSecretsAndIntrospection(t *testing.T) {
 	secret := [16]byte([]byte("subscriber-key-m"))
 	if _, err := m.Cross(context.Background(), 0, 0, 0, hmee.HandlerFunc(func(ex hmee.Exec) error {
 		ex.StoreSecret("k", secret)
-		var got [16]byte
-		if !ex.LoadSecret("k", &got) || got != secret {
+		if got, ok := ex.LoadSecret("k"); !ok || got != secret {
 			t.Error("in-guest read failed")
 		}
-		if ex.LoadSecret("missing", &got) {
+		if _, ok := ex.LoadSecret("missing"); ok {
 			t.Error("missing secret found")
 		}
 		return nil

@@ -47,14 +47,12 @@ func TestConcurrentKeyStoreAndLifecycle(t *testing.T) {
 		}
 		each(100, func(th *Thread, i int) { th.StoreSecret(name(i), [16]byte{1}) })
 		each(100, func(th *Thread, i int) {
-			var k [16]byte
-			th.LoadSecret(name(i), &k)
+			th.LoadSecret(name(i))
 		})
 		each(100, func(th *Thread, i int) { th.DeleteSecret(name(i)) })
 		each(100, func(th *Thread, _ int) {
-			var k [16]byte
 			th.DeleteSecret("imsi-sealed")
-			e.restoreSecret("imsi-sealed", &k)
+			e.restoreSecret("imsi-sealed")
 		})
 		each(100, func(*Thread, int) { e.Introspect() })
 		each(100, func(*Thread, int) { _ = e.SealBackup("imsi-sealed", sealed) })

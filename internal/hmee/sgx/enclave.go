@@ -248,11 +248,20 @@ func (e *Enclave) acquireTCS(ctx context.Context) error {
 	return nil
 }
 
+// threadPool recycles the threads ECall hands its body: a body runs
+// synchronously and retains neither the thread nor anything it points to.
+var threadPool = sync.Pool{New: func() any { return new(Thread) }}
+
 // ECall enters the enclave on a free TCS slot, runs fn as the in-enclave
 // thread body, and exits. Entry and exit each charge one transition and
-// the boundary-crossing costs for the declared argument sizes. When all
-// slots are busy the entry queues (bounded, honouring ctx cancellation)
-// rather than failing outright.
+// the boundary-crossing costs for the declared argument sizes to the
+// account ctx carries. When all slots are busy the entry queues (bounded,
+// honouring ctx cancellation) rather than failing outright.
+//
+// An entry allocates nothing when ctx carries its account: the thread fn
+// runs on comes from a pool and goes back when fn returns, so fn must not
+// retain it, and fn itself does not escape — a method value of a pooled
+// request (gramine's batch crossing) stays on its caller's stack.
 func (e *Enclave) ECall(ctx context.Context, argBytes, retBytes int, fn func(*Thread) error) error {
 	if err := e.live(); err != nil {
 		return err
@@ -270,8 +279,11 @@ func (e *Enclave) ECall(ctx context.Context, argBytes, retBytes int, fn func(*Th
 	e.stats.ECALLs.Add(1)
 	p.env.ChargeTo(acct, m.EENTER+m.ShieldCost(argBytes))
 
-	t := &Thread{enclave: e, acct: acct, jitter: p.env.Jitter}
+	t := threadPool.Get().(*Thread)
+	*t = Thread{enclave: e, acct: acct, jitter: p.env.Jitter}
 	err := fn(t)
+	*t = Thread{}
+	threadPool.Put(t)
 
 	e.stats.EEXIT.Add(1)
 	p.env.ChargeTo(acct, m.EEXIT+m.ShieldCost(retBytes))
@@ -453,9 +465,9 @@ func (t *Thread) StoreSecret(name string, k [16]byte) {
 	e.secretMu.Unlock()
 }
 
-// LoadSecret copies the named key into the caller's dst. Reads share the
-// lock so concurrent AV generations for different subscribers do not
-// serialise on the key store.
+// LoadSecret returns the named key by value, so the copy lives in the
+// caller's frame. Reads share the lock so concurrent AV generations for
+// different subscribers do not serialise on the key store.
 //
 // A miss is not final: the key may have been provisioned to another
 // enclave of this identity (a rebalance routed the name here) or to this
@@ -463,48 +475,46 @@ func (t *Thread) StoreSecret(name string, k [16]byte) {
 // sealed file for the name, inside the enclave, and keeps the key in the
 // store; only a name with no sealed file misses. Like provisioning, the
 // miss path charges no virtual cost.
-func (t *Thread) LoadSecret(name string, dst *[16]byte) (ok bool) {
+func (t *Thread) LoadSecret(name string) (k [16]byte, ok bool) {
 	e := t.enclave
 	e.secretMu.RLock()
-	*dst, ok = e.secrets[name]
+	k, ok = e.secrets[name]
 	e.secretMu.RUnlock()
 	if !ok {
-		ok = e.restoreSecret(name, dst)
+		return e.restoreSecret(name)
 	}
-	return ok
+	return k, true
 }
 
 // restoreSecret is the key store's miss path: it unseals name's one sealed
-// file into dst and files the key in the store. A key stored meanwhile
-// (a re-provision racing the miss) wins over the file's, and a store torn
+// file and files the key in the store. A key stored meanwhile (a
+// re-provision racing the miss) wins over the file's, and a store torn
 // down meanwhile stays empty.
-func (e *Enclave) restoreSecret(name string, dst *[16]byte) bool {
+func (e *Enclave) restoreSecret(name string) (k [16]byte, ok bool) {
 	p := e.platform
 	p.mu.Lock()
 	blob, ok := p.backups[e.measurement][name]
 	p.mu.Unlock()
 	if !ok {
-		return false
+		return k, false
 	}
-	k, err := e.Unseal(blob, []byte(name))
-	if err != nil || len(k) != len(dst) {
-		clear(k)
-		return false
+	plain, err := e.Unseal(blob, []byte(name))
+	if err != nil || len(plain) != len(k) {
+		clear(plain)
+		return k, false
 	}
-	copy(dst[:], k)
-	clear(k)
+	copy(k[:], plain)
+	clear(plain)
 	e.secretMu.Lock()
 	defer e.secretMu.Unlock()
 	if e.live() != nil {
-		clear(dst[:])
-		return false
+		return [16]byte{}, false
 	}
 	if held, ok := e.secrets[name]; ok {
-		*dst = held
-	} else {
-		e.secrets[name] = *dst
+		return held, true
 	}
-	return true
+	e.secrets[name] = k
+	return k, true
 }
 
 // DeleteSecret drops the named key from the enclave's key store; a later

@@ -301,11 +301,10 @@ func TestSecretsAndIntrospection(t *testing.T) {
 	secret := [16]byte([]byte("subscriber-key-1"))
 	if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
 		th.StoreSecret("k", secret)
-		var got [16]byte
-		if !th.LoadSecret("k", &got) || got != secret {
+		if got, ok := th.LoadSecret("k"); !ok || got != secret {
 			t.Error("in-enclave secret read failed")
 		}
-		if th.LoadSecret("missing", &got) {
+		if _, ok := th.LoadSecret("missing"); ok {
 			t.Error("LoadSecret invented a key")
 		}
 		return nil
@@ -335,10 +334,9 @@ func TestLoadSecretCopies(t *testing.T) {
 	e := build(t, p, testConfig())
 	if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
 		th.StoreSecret("k", [16]byte{1, 2, 3})
-		var got, again [16]byte
-		th.LoadSecret("k", &got)
+		got, _ := th.LoadSecret("k")
 		got[0] = 9
-		th.LoadSecret("k", &again)
+		again, _ := th.LoadSecret("k")
 		if again[0] != 1 {
 			t.Error("LoadSecret returned aliased storage")
 		}
@@ -561,7 +559,7 @@ func TestLoadSecretMissOpensSealedFile(t *testing.T) {
 		var got [16]byte
 		var ok bool
 		if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
-			ok = th.LoadSecret(name, &got)
+			got, ok = th.LoadSecret(name)
 			return nil
 		}); err != nil {
 			t.Fatalf("ECall: %v", err)

@@ -10,7 +10,7 @@ func benchRegistrationRequest() *RegistrationRequest {
 		RegistrationType: RegistrationInitial,
 		NgKSI:            0,
 		Identity:         MobileIdentity{Kind: IdentityTypeSUCI, SUCI: sampleSUCI()},
-		Capabilities:     []byte{AlgNEA2, AlgNIA2},
+		Capabilities:     Capabilities(AlgNEA2, AlgNIA2),
 	}
 }
 

@@ -57,7 +57,11 @@ func appendEncode(dst []byte, m Message) ([]byte, error) {
 		w.u8(v.RegistrationType)
 		w.u8(v.NgKSI)
 		encodeIdentity(&w, &v.Identity)
-		w.lv(v.Capabilities)
+		w.fits(int(v.Capabilities.Len), MaxSecurityCapabilities)
+		w.lv(v.Capabilities.Octets[:min(v.Capabilities.Len, MaxSecurityCapabilities)])
+	case *RegistrationReject:
+		typ = v.Type()
+		w.u8(v.Cause)
 	case *RegistrationAccept:
 		typ = v.Type()
 		encodeGUTI(&w, &v.GUTI)
@@ -124,17 +128,19 @@ func appendEncode(dst []byte, m Message) ([]byte, error) {
 // slot of the message they find, zero it, fill it and return it, so a
 // receiver that declares its Inbox as a local and reads the result
 // through a type switch decodes with the message on its own stack. A
-// decoded GUTI is a value in its slot; only a SUCI and the LV byte fields
-// (ABBA, capabilities, AUTS) reach the heap. No slot points into the
-// Inbox itself (a self-reference would move every Inbox to the heap) or
-// into the decoded PDU, so the receiver may release the PDU at once. The
-// returned message is valid until the next decode into the same Inbox.
+// decoded GUTI and UE security capabilities are values in their slot;
+// only a SUCI and the LV byte fields (ABBA, AUTS) reach the heap. No slot
+// points into the Inbox itself (a self-reference would move every Inbox
+// to the heap) or into the decoded PDU, so the receiver may release the
+// PDU at once. The returned message is valid until the next decode into
+// the same Inbox.
 type Inbox struct {
 	typ MessageType
 
 	registrationRequest   RegistrationRequest
 	registrationAccept    RegistrationAccept
 	registrationComplete  RegistrationComplete
+	registrationReject    RegistrationReject
 	deregistrationRequest DeregistrationRequest
 	authRequest           AuthenticationRequest
 	authResponse          AuthenticationResponse
@@ -197,7 +203,16 @@ func DecodeInto(data []byte, in *Inbox) (Message, error) {
 		if err := decodeIdentity(&r, &v.Identity); err != nil {
 			return nil, err
 		}
-		v.Capabilities = r.lv()
+		n := r.u8()
+		if n > MaxSecurityCapabilities {
+			return nil, fmt.Errorf("%w: UE security capability of %d octets, at most %d", ErrFieldTooLong, n, MaxSecurityCapabilities)
+		}
+		v.Capabilities.Len = n
+		copy(v.Capabilities.Octets[:], r.take(int(n)))
+		m = v
+	case MsgRegistrationReject:
+		v := &in.registrationReject
+		*v = RegistrationReject{Cause: r.u8()}
 		m = v
 	case MsgRegistrationAccept:
 		v := &in.registrationAccept

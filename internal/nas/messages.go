@@ -31,6 +31,7 @@ const (
 	MsgRegistrationRequest    MessageType = 0x41
 	MsgRegistrationAccept     MessageType = 0x42
 	MsgRegistrationComplete   MessageType = 0x43
+	MsgRegistrationReject     MessageType = 0x44
 	MsgDeregistrationRequest  MessageType = 0x45
 	MsgAuthenticationRequest  MessageType = 0x56
 	MsgAuthenticationResponse MessageType = 0x57
@@ -53,6 +54,8 @@ func (t MessageType) String() string {
 		return "RegistrationAccept"
 	case MsgRegistrationComplete:
 		return "RegistrationComplete"
+	case MsgRegistrationReject:
+		return "RegistrationReject"
 	case MsgDeregistrationRequest:
 		return "DeregistrationRequest"
 	case MsgAuthenticationRequest:
@@ -82,14 +85,17 @@ func (t MessageType) String() string {
 
 // 5GMM cause values (TS 24.501 §9.11.3.2).
 const (
-	CauseMACFailure      byte = 20
-	CauseSyncFailure     byte = 21
-	CauseIllegalUE       byte = 3
-	CauseCongestion      byte = 22
-	CauseProtectionError byte = 24
+	CauseMACFailure  byte = 20
+	CauseSyncFailure byte = 21
+	CauseIllegalUE   byte = 3
+	CauseCongestion  byte = 22
+	// CauseSecurityCapabilitiesMismatch rejects a registration whose UE
+	// security capabilities leave the network no algorithm to select.
+	CauseSecurityCapabilitiesMismatch byte = 23
+	CauseProtectionError              byte = 24
 )
 
-// Message is one NAS 5GMM message: a pointer to one of the fourteen
+// Message is one NAS 5GMM message: a pointer to one of the fifteen
 // message types below. Encode and SecurityContext.Protect dispatch on the
 // concrete type, so they refuse any other type, and a message a caller
 // builds does not escape through them.
@@ -112,12 +118,49 @@ type RegistrationRequest struct {
 	RegistrationType byte
 	NgKSI            byte
 	Identity         MobileIdentity
-	// Capabilities advertises supported integrity/ciphering algorithms.
-	Capabilities []byte
+	// Capabilities advertises the UE's ciphering and integrity
+	// algorithms.
+	Capabilities SecurityCapabilities
 }
 
 // Type implements Message.
 func (*RegistrationRequest) Type() MessageType { return MsgRegistrationRequest }
+
+// MaxSecurityCapabilities is the longest UE security capability IE
+// content (TS 24.501 §9.11.3.54): eight octets.
+const MaxSecurityCapabilities = 8
+
+// SecurityCapabilities is the UE security capability IE, held in place:
+// its first Len octets, in wire order. This codec's first octet names the
+// UE's 5G-EA (ciphering) algorithm and its second the UE's 5G-IA
+// (integrity) algorithm; the octets after them travel unread. A decode
+// refuses more than MaxSecurityCapabilities octets, and so does an encode.
+type SecurityCapabilities struct {
+	Len    uint8
+	Octets [MaxSecurityCapabilities]byte
+}
+
+// Capabilities is the IE of the given octets: for a UE, its 5G-EA
+// algorithm and then its 5G-IA algorithm.
+func Capabilities(octets ...byte) SecurityCapabilities {
+	c := SecurityCapabilities{Len: uint8(min(len(octets), 0xFF))}
+	copy(c.Octets[:], octets)
+	return c
+}
+
+// Supports reports whether the IE advertises ciphering algorithm ea and
+// integrity algorithm ia.
+func (c *SecurityCapabilities) Supports(ea, ia byte) bool {
+	return c.Len >= 2 && c.Octets[0] == ea && c.Octets[1] == ia
+}
+
+// RegistrationReject refuses a registration with a 5GMM cause.
+type RegistrationReject struct {
+	Cause byte
+}
+
+// Type implements Message.
+func (*RegistrationReject) Type() MessageType { return MsgRegistrationReject }
 
 // Validate checks the embedded identity.
 func (m *RegistrationRequest) Validate() error { return m.Identity.Validate() }

@@ -48,7 +48,7 @@ func TestRoundTripAllMessages(t *testing.T) {
 			RegistrationType: RegistrationInitial,
 			NgKSI:            3,
 			Identity:         MobileIdentity{Kind: IdentityTypeSUCI, SUCI: sampleSUCI()},
-			Capabilities:     []byte{0xf0, 0x70},
+			Capabilities:     Capabilities(0xf0, 0x70),
 		},
 		&RegistrationRequest{
 			RegistrationType: RegistrationMobility,
@@ -110,7 +110,7 @@ func TestEncodeRejectsFieldsTheirPrefixCannotExpress(t *testing.T) {
 		{"UE address 256", &PDUSessionEstablishmentAccept{SessionID: 1, UEAddress: string(long)}, false},
 		{"ABBA 256", &AuthenticationRequest{NgKSI: 1, ABBA: long}, false},
 		{"AUTS 256", &AuthenticationFailure{Cause: CauseSyncFailure, AUTS: long}, false},
-		{"capabilities 256", &RegistrationRequest{Identity: MobileIdentity{Kind: IdentityTypeGUTI, GUTI: g}, Capabilities: long}, false},
+		{"capabilities 256", &RegistrationRequest{Identity: MobileIdentity{Kind: IdentityTypeGUTI, GUTI: g}, Capabilities: Capabilities(long...)}, false},
 		{"DNN 255", &PDUSessionEstablishmentRequest{SessionID: 1, DNN: string(long[:255])}, true},
 	}
 	for _, row := range rows {

@@ -34,7 +34,7 @@ func TestDecodeMutatedMessagesNeverPanic(t *testing.T) {
 	seed, err := Encode(&RegistrationRequest{
 		RegistrationType: RegistrationInitial,
 		Identity:         MobileIdentity{Kind: IdentityTypeGUTI, GUTI: GUTI{MCC: "001", MNC: "01", TMSI: 7}},
-		Capabilities:     []byte{1, 2, 3},
+		Capabilities:     Capabilities(1, 2, 3),
 	})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -76,8 +76,8 @@ func FuzzNASDecode(f *testing.F) {
 		&RegistrationRequest{RegistrationType: RegistrationInitial, Identity: MobileIdentity{Kind: IdentityTypeSUCI, SUCI: &suci.SUCI{
 			MCC: "001", MNC: "01", RoutingIndicator: "0000", Scheme: suci.SchemeProfileA, HomeKeyID: 1,
 			SchemeOutput: bytes.Repeat([]byte{0xA5}, 45),
-		}}, Capabilities: []byte{AlgNEA2, AlgNIA2}},
-		&RegistrationRequest{RegistrationType: RegistrationMobility, Identity: MobileIdentity{Kind: IdentityTypeGUTI, GUTI: guti}, Capabilities: []byte{AlgNEA2, AlgNIA2}},
+		}}, Capabilities: Capabilities(AlgNEA2, AlgNIA2)},
+		&RegistrationRequest{RegistrationType: RegistrationMobility, Identity: MobileIdentity{Kind: IdentityTypeGUTI, GUTI: guti}, Capabilities: Capabilities(AlgNEA2, AlgNIA2)},
 		&IdentityRequest{IdentityType: IdentityTypeSUCI},
 		&IdentityResponse{Identity: MobileIdentity{Kind: IdentityTypeSUCI, SUCI: &suci.SUCI{
 			MCC: "001", MNC: "01", RoutingIndicator: "0000", Scheme: suci.SchemeNull, SchemeOutput: []byte("0000000001"),

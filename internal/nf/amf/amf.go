@@ -237,6 +237,12 @@ func (a *AMF) HandleInitialUE(ctx context.Context, ranUEID uint64, nasPDU []byte
 	if !ok {
 		return nil, fmt.Errorf("amf: initial message is %s, want RegistrationRequest", in.Type())
 	}
+	// The SecurityModeCommand will select NEA2 and NIA2 (completeAuth): a
+	// UE that does not advertise both is refused before any work is spent
+	// on it (TS 33.501 §6.7.2), with no context kept.
+	if !rr.Capabilities.Supports(nas.AlgNEA2, nas.AlgNIA2) {
+		return nas.Encode(&nas.RegistrationReject{Cause: nas.CauseSecurityCapabilitiesMismatch})
+	}
 
 	// Classify and gate BEFORE any enclave-bound work: emergency
 	// registrations outrank GUTI re-attach, which outranks fresh SUCI
@@ -462,6 +468,7 @@ func (a *AMF) completeAuth(ctx context.Context, ue *ueContext, m *nas.Authentica
 	// never read again (re-auth and resync only run before this point).
 	ue.challenge, ue.suci = challenge{}, nil
 
+	// The algorithms the UE advertised: HandleInitialUE refused any other.
 	return ue.sec.Protect(&nas.SecurityModeCommand{
 		NgKSI:        0,
 		IntegrityAlg: nas.AlgNIA2,

@@ -336,6 +336,7 @@ func TestInitialUERejectsWrongPLMN(t *testing.T) {
 	pdu, err := nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationInitial,
 		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeSUCI, SUCI: wrong},
+		Capabilities:     nas.Capabilities(nas.AlgNEA2, nas.AlgNIA2),
 	})
 	if err != nil {
 		t.Fatalf("Encode: %v", err)
@@ -344,6 +345,61 @@ func TestInitialUERejectsWrongPLMN(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "PLMN") {
 		t.Fatalf("wrong-PLMN err = %v", err)
 	}
+}
+
+// TestInitialUERejectsMissingSecurityCapabilities: a registration whose UE
+// security capabilities do not advertise NEA2 and NIA2, the algorithms the
+// SecurityModeCommand selects, is answered with a RegistrationReject of
+// 5GMM cause #23 before any authentication, and leaves no UE context; the
+// device reports the reject. The same request advertising both
+// authenticates.
+func TestInitialUERejectsMissingSecurityCapabilities(t *testing.T) {
+	h := newHarness(t)
+	ctx := context.Background()
+	for i, row := range []struct {
+		name string
+		caps nas.SecurityCapabilities
+	}{
+		{"none", nas.SecurityCapabilities{}},
+		{"ciphering only", nas.Capabilities(nas.AlgNEA2)},
+		{"null ciphering", nas.Capabilities(nas.AlgNEA0, nas.AlgNIA2)},
+		{"other integrity", nas.Capabilities(nas.AlgNEA2, 0x1)},
+	} {
+		d := h.device(t)
+		up, err := d.BuildRegistrationRequest(ctx, h.amf.ServingNetworkName())
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := nas.Decode(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := msg.(*nas.RegistrationRequest)
+		rr.Capabilities = row.caps
+		if up, err = nas.Encode(rr); err != nil {
+			t.Fatal(err)
+		}
+		ran := uint64(i + 1)
+		down, err := h.amf.HandleInitialUE(ctx, ran, up)
+		if err != nil {
+			t.Fatalf("%s: HandleInitialUE: %v", row.name, err)
+		}
+		got, err := nas.Decode(down)
+		if rj, ok := got.(*nas.RegistrationReject); err != nil || !ok || rj.Cause != nas.CauseSecurityCapabilitiesMismatch {
+			t.Fatalf("%s: answered %#v (%v), want a RegistrationReject with cause #23", row.name, got, err)
+		}
+		if _, _, err := d.HandleDownlinkNAS(ctx, down); !errors.Is(err, ue.ErrRegistrationRejected) {
+			t.Fatalf("%s: device took the reject as %v", row.name, err)
+		}
+		next, err := nas.Encode(&nas.AuthenticationResponse{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.amf.HandleUplinkNAS(ctx, ran, next); err == nil || !strings.Contains(err.Error(), "no UE context") {
+			t.Fatalf("%s: the AMF kept a context for the rejected UE (uplink err %v)", row.name, err)
+		}
+	}
+	h.register(t, h.device(t), 99)
 }
 
 func TestUplinkUnknownUE(t *testing.T) {
@@ -518,7 +574,7 @@ func TestReRegistrationReleasesSupersededGUTI(t *testing.T) {
 	up, err := nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationMobility,
 		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: first},
-		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+		Capabilities:     nas.Capabilities(nas.AlgNEA2, nas.AlgNIA2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +634,7 @@ func TestLostRegistrationCompleteKeepsBothGUTIs(t *testing.T) {
 	up, err := nas.Encode(&nas.RegistrationRequest{
 		RegistrationType: nas.RegistrationMobility,
 		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: before},
-		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+		Capabilities:     nas.Capabilities(nas.AlgNEA2, nas.AlgNIA2),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -766,7 +822,7 @@ func TestEveryRoundKeepsTheAdmissionClass(t *testing.T) {
 			up, err := nas.Encode(&nas.RegistrationRequest{
 				RegistrationType: regType,
 				Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: g},
-				Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+				Capabilities:     nas.Capabilities(nas.AlgNEA2, nas.AlgNIA2),
 			})
 			if err != nil {
 				t.Fatal(err)

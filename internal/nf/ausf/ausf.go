@@ -42,6 +42,9 @@ type AuthenticateRequest struct {
 	SUCI               *suci.SUCI `json:"suci,omitempty"`
 	SUPI               string     `json:"supi,omitempty"`
 	ServingNetworkName string     `json:"serving_network_name"`
+
+	// kept is the SUCI the AUSF's served pair decodes into (see Scrub).
+	kept codec.Kept[suci.SUCI]
 }
 
 // AuthenticateResponse carries the SE AV material for the serving network:

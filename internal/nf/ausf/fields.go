@@ -4,11 +4,20 @@ package ausf
 
 import "shield5g/internal/sbi/codec"
 
-// Fields implements codec.Message.
+// Fields implements codec.Message. A SUCI is decoded into the kept one
+// when there is one.
 func (m *AuthenticateRequest) Fields(f *codec.Fields) {
-	codec.Ptr(f, "suci", &m.SUCI, codec.OmitEmpty)
+	codec.KeptPtr(f, "suci", &m.SUCI, codec.OmitEmpty, &m.kept)
 	f.String("supi", &m.SUPI, codec.OmitEmpty)
 	f.String("serving_network_name", &m.ServingNetworkName, codec.Intern)
+}
+
+// Scrub readies the message for its served pair's next request: the SUCI the request held is zeroed
+// and kept for the next one, and the request reads as a zero one, SUCI
+// nil included.
+func (m *AuthenticateRequest) Scrub() {
+	m.kept.KeepOne(m.SUCI)
+	*m = AuthenticateRequest{kept: m.kept}
 }
 
 // Fields implements codec.Message: the AMF keeps the challenge in its UE

@@ -19,7 +19,7 @@ import (
 // this file builds only without -race; make ci runs it in its no-race
 // go test run.
 func TestHotPathAllocs(t *testing.T) {
-	const want = 40
+	const want = 38
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := newHarness(t)
 	ctx := context.Background()

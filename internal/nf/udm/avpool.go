@@ -181,11 +181,7 @@ func (u *UDM) PrewarmAVPool(ctx context.Context, supis []string, snn string) err
 		if err != nil {
 			return fmt.Errorf("udm: prewarm: %w", err)
 		}
-		items, err := u.avRequestBatch(ctx, supi, text, snn, u.pool.depth)
-		if err != nil {
-			return fmt.Errorf("udm: prewarm %s: %w", text, err)
-		}
-		vectors, err := u.generateBatch(ctx, items)
+		vectors, err := u.mintBatch(ctx, supi, text, snn, u.pool.depth)
 		if err != nil {
 			return fmt.Errorf("udm: prewarm %s: %w", text, err)
 		}

@@ -8,33 +8,79 @@ import (
 	"testing"
 
 	"shield5g/internal/crypto/suci"
+	"shield5g/internal/sbi"
 	"shield5g/internal/sbi/codec"
+	"shield5g/internal/simclock"
 )
 
-// TestHotPathAllocs holds an AV pool refill's request batch, the UDR's
-// next authentication data for eight vectors and the batch built from it,
-// to an exact allocation count: the UDR's JSON answer, then one RAND
-// backing and one item slice. With the collector off no sync.Pool is
-// emptied mid-count; pools still drop items at random under the race
-// detector, so this file builds only without -race; make ci runs it in its
-// no-race go test run.
+// TestHotPathAllocs holds an AV pool refill to an exact allocation count,
+// at its two entry points: the request batch for eight vectors
+// (avRequestBatch), which leaves only the UDR answer's backing the client
+// owns, its RAND backing and items being the refill's pooled scratch; and
+// a whole pooled miss through handleGenerateAuthData, first contact
+// (two vectors) and steady state (the depth, eight), in each format. A
+// miss is left with what the pool banks (one ring), one SUPI string per
+// item the eUDM decodes, the key schedule, the UDR answer's backing and
+// the vectors the eUDM answers with; the served pairs keep the rest. JSON
+// adds each item's byte strings' backing and the vectors' growth on
+// decode. The posts charge one account, as a served registration's do.
+// With the collector off no sync.Pool is emptied mid-count; pools still
+// drop items at random under the race detector, so this file builds only
+// without -race; make ci runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
-	const want = 9
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := simclock.WithAccount(context.Background(), new(simclock.Account))
 	h := newHarness(t)
 	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 	h.provision(t, supi)
-	ctx := context.Background()
 	id, text := value(t, supi), supi.String()
 	var err error
+	var r refill
 	batch := func() {
-		if _, berr := h.udm.avRequestBatch(ctx, id, text, testSNN, 8); berr != nil {
+		if _, berr := h.udm.avRequestBatch(ctx, id, text, testSNN, 8, &r); berr != nil {
 			err = berr
 		}
 	}
 	batch()
-	if n := testing.AllocsPerRun(100, batch); err != nil || n != want {
-		t.Errorf("avRequestBatch(8): %v allocs, err %v; want %d, nil", n, err, want)
+	if n := testing.AllocsPerRun(100, batch); err != nil || n != 1 {
+		t.Errorf("avRequestBatch(8): %v allocs, err %v; want 1, nil", n, err)
+	}
+
+	for _, row := range []struct {
+		frames bool
+		count  int
+		want   float64
+	}{
+		{frames: true, count: 2, want: 6},
+		{frames: true, count: 8, want: 12},
+		{frames: false, count: 2, want: 9},
+		{frames: false, count: 8, want: 23},
+	} {
+		p := newPoolHarness(t, 8)
+		p.provision(t, supi)
+		if row.frames {
+			p.fns.Invoker.(*sbi.Client).EnableBinary()
+		}
+		req := &GenerateAuthDataRequest{SUPI: text, ServingNetworkName: testSNN}
+		miss := func() {
+			// Forget the SUPI for a first contact, empty its ring for a
+			// steady-state miss.
+			p.udm.pool.mu.Lock()
+			if row.count == 2 {
+				delete(p.udm.pool.rings, id)
+			} else {
+				p.udm.pool.rings[id] = nil
+			}
+			p.udm.pool.mu.Unlock()
+			var resp GenerateAuthDataResponse
+			if herr := p.udm.handleGenerateAuthData(ctx, req, &resp); herr != nil {
+				err = herr
+			}
+		}
+		miss()
+		if n := testing.AllocsPerRun(100, miss); err != nil || n != row.want {
+			t.Errorf("pooled miss minting %d (frames %v): %v allocs, err %v; want %v, nil", row.count, row.frames, n, err, row.want)
+		}
 	}
 
 	// Decoding a message that carries a SUPI allocates nothing for it: the

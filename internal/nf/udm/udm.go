@@ -10,6 +10,8 @@ import (
 	"crypto/rand"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"shield5g/internal/costmodel"
@@ -42,6 +44,9 @@ type GenerateAuthDataRequest struct {
 	SUCI               *suci.SUCI `json:"suci,omitempty"`
 	SUPI               string     `json:"supi,omitempty"` // re-auth with known identity
 	ServingNetworkName string     `json:"serving_network_name"`
+
+	// kept is the SUCI the UDM's served pair decodes into (see Scrub).
+	kept codec.Kept[suci.SUCI]
 }
 
 // GenerateAuthDataResponse is the HE AV plus the de-concealed SUPI.
@@ -273,34 +278,51 @@ func (u *UDM) freshAV(ctx context.Context, supi codec.SUPI, text, snn string, av
 	return err
 }
 
-// avRequestBatch mints count enclave inputs through one UDR round trip
-// (NextAuthBatch) and one entropy draw. The state evolution is
+// refill is one AV pool refill's scratch: the RAND backing and the items
+// of its batch. The batch is copied into the eUDM call's pooled pair and
+// the vectors come back by value, so nothing holds either once the refill
+// is banked; the items are cleared before the scratch goes back to its
+// pool, because they hold views of the UDR's OPc.
+type refill struct {
+	rand  []byte
+	items []paka.UDMGenerateAVRequest
+}
+
+var refillPool = sync.Pool{New: func() any { return new(refill) }}
+
+func (r *refill) release() {
+	clear(r.items[:cap(r.items)])
+	refillPool.Put(r)
+}
+
+// avRequestBatch mints count enclave inputs into r through one UDR round
+// trip (NextAuthBatch) and one entropy draw. The state evolution is
 // bit-identical to count sequential avRequest calls: the UDR advances the
 // SQN with the same per-vector step under one lock, and the single
 // entropy read is sliced into the same 16 bytes per item, in order.
-func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, text, snn string, count int) ([]paka.UDMGenerateAVRequest, error) {
+func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, text, snn string, count int, r *refill) ([]paka.UDMGenerateAVRequest, error) {
 	auth, err := u.udr.NextAuthBatch(ctx, supi, count)
 	if err != nil {
 		return nil, err
 	}
-	// One RAND backing and one item slice per refill, amortized over the batch.
-	randBytes := make([]byte, 16*count)
-	if _, err := io.ReadFull(u.entropy, randBytes); err != nil {
+	// One RAND backing and one item slice per refill, the scratch's.
+	r.rand = slices.Grow(r.rand[:0], 16*count)[:16*count]
+	if _, err := io.ReadFull(u.entropy, r.rand); err != nil {
 		return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem, "RAND generation: %v", err)
 	}
-	items := make([]paka.UDMGenerateAVRequest, count)
+	r.items = slices.Grow(r.items[:0], count)[:count]
 	text = supiText(supi, text)
-	for i := range items {
-		items[i] = paka.UDMGenerateAVRequest{
+	for i := range r.items {
+		r.items[i] = paka.UDMGenerateAVRequest{
 			SUPI:  text,
 			OPc:   auth.OPc,
-			RAND:  randBytes[i*16 : (i+1)*16 : (i+1)*16],
+			RAND:  r.rand[i*16 : (i+1)*16 : (i+1)*16],
 			SQN:   auth.SQN(i),
 			AMFID: auth.AMFField,
 			SNN:   snn,
 		}
 	}
-	return items, nil
+	return r.items, nil
 }
 
 // pooledAV serves from the precomputation pool into av, refilling
@@ -312,17 +334,25 @@ func (u *UDM) pooledAV(ctx context.Context, supi codec.SUPI, text, snn string, a
 	if count == 0 {
 		return nil
 	}
-	items, err := u.avRequestBatch(ctx, supi, text, snn, count)
-	if err != nil {
-		return err
-	}
-	vectors, err := u.generateBatch(ctx, items)
+	vectors, err := u.mintBatch(ctx, supi, text, snn, count)
 	if err != nil {
 		return err
 	}
 	*av = vectors[0]
 	u.pool.fill(supi, vectors[1:])
 	return nil
+}
+
+// mintBatch mints count vectors for supi through one UDR round trip and
+// one boundary crossing, on a refill scratch it draws and returns.
+func (u *UDM) mintBatch(ctx context.Context, supi codec.SUPI, text, snn string, count int) ([]paka.UDMGenerateAVResponse, error) {
+	r := refillPool.Get().(*refill)
+	defer r.release()
+	items, err := u.avRequestBatch(ctx, supi, text, snn, count, r)
+	if err != nil {
+		return nil, err
+	}
+	return u.generateBatch(ctx, items)
 }
 
 // generateBatch mints the given items through one boundary crossing,

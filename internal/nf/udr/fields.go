@@ -37,6 +37,13 @@ func (m *NextAuthResponse) Fields(f *codec.Fields) {
 	f.Bytes("amf_field", &m.AMFField, codec.Own)
 }
 
+// Scrub readies the message for its served pair's next request: the backing handleNextAuth filled, OPc
+// included, is cleared and kept for the next answer.
+func (m *NextAuthResponse) Scrub() {
+	m.backing.Keep(nil)
+	*m = NextAuthResponse{backing: m.backing}
+}
+
 // Fields implements codec.Message; the handler enforces Count's
 // [1, maxNextAuthBatch] bound.
 func (m *NextAuthBatchRequest) Fields(f *codec.Fields) {
@@ -49,6 +56,13 @@ func (m *NextAuthBatchResponse) Fields(f *codec.Fields) {
 	f.Bytes("opc", &m.OPc, codec.Own)
 	f.Bytes("amf_field", &m.AMFField, codec.Own)
 	f.Bytes("sqns", &m.SQNs, codec.Own)
+}
+
+// Scrub readies the message for its served pair's next request: the backing handleNextAuthBatch
+// filled, OPc included, is cleared and kept for the next answer.
+func (m *NextAuthBatchResponse) Scrub() {
+	m.backing.Keep(nil)
+	*m = NextAuthBatchResponse{backing: m.backing}
 }
 
 // Fields implements codec.Message.

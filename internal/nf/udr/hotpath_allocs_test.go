@@ -18,11 +18,12 @@ import (
 // SUPI to an exact allocation count, in both formats: the SUPI is decoded
 // in place and costs nothing. What is left is the byte strings' one
 // backing: a JSON body's, and a frame's for GetResponse, whose caller keeps
-// the record. One NextAuth served through the handler the UDR registered,
-// the client's post and decode included, is held in each format too, as a
-// raw post and through Client.NextAuth: the handler fills its pooled
-// response and the client's stub its pooled pair, so what is left is the
-// backing of the copied fields on each side. With the collector off no sync.Pool is
+// the record. One NextAuth and one eight-vector NextAuthBatch served
+// through the handlers the UDR registered, the client's post and decode
+// included, are held in each format too, as a raw post and through the
+// Client: the handler fills the backing its served pair keeps and the
+// client's stub its pooled pair, so what is left is the backing the
+// client owns of the copied fields. With the collector off no sync.Pool is
 // emptied mid-count; pools still drop items at random under the race
 // detector, so this file builds only without -race; make ci runs it in its
 // no-race go test run.
@@ -73,15 +74,28 @@ func TestHotPathAllocs(t *testing.T) {
 		c, text := NewClient(client), sub.SUPI.String()
 		return func() error { _, err := c.NextAuth(ctx, text); return err }
 	}
+	batchReq := &NextAuthBatchRequest{SUPI: sub.SUPI, Count: 8}
+	var batchResp NextAuthBatchResponse
+	rawBatch := func(client *sbi.Client) func() error {
+		return func() error { return client.Post(ctx, ServiceName, PathNextAuthBatch, batchReq, &batchResp) }
+	}
+	typedBatch := func(client *sbi.Client) func() error {
+		c := NewClient(client)
+		return func() error { _, err := c.NextAuthBatch(ctx, sub.SUPI, 8); return err }
+	}
 	for _, row := range []struct {
 		name string
 		post func() error
 		want float64
 	}{
-		{"post, frame", raw(binClient), 2},
-		{"post, JSON", raw(jsonClient), 2},
-		{"Client.NextAuth, frame", typed(binClient), 2},
-		{"Client.NextAuth, JSON", typed(jsonClient), 2},
+		{"NextAuth post, frame", raw(binClient), 1},
+		{"NextAuth post, JSON", raw(jsonClient), 1},
+		{"Client.NextAuth, frame", typed(binClient), 1},
+		{"Client.NextAuth, JSON", typed(jsonClient), 1},
+		{"NextAuthBatch post, frame", rawBatch(binClient), 1},
+		{"NextAuthBatch post, JSON", rawBatch(jsonClient), 1},
+		{"Client.NextAuthBatch, frame", typedBatch(binClient), 1},
+		{"Client.NextAuthBatch, JSON", typedBatch(jsonClient), 1},
 	} {
 		var err error
 		post := func() {
@@ -91,7 +105,7 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 		post()
 		if n := testing.AllocsPerRun(100, post); err != nil || n != row.want {
-			t.Errorf("served NextAuth (%s): %v allocs, err %v; want %v, nil", row.name, n, err, row.want)
+			t.Errorf("served %s: %v allocs, err %v; want %v, nil", row.name, n, err, row.want)
 		}
 	}
 }

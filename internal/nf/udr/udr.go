@@ -96,6 +96,10 @@ type NextAuthResponse struct {
 	OPc      []byte `json:"opc"`
 	SQN      []byte `json:"sqn"` // the SQN to use for this vector
 	AMFField []byte `json:"amf_field"`
+
+	// backing is the array the three share, which the UDR's served pair
+	// keeps (see Scrub).
+	backing codec.Kept[byte]
 }
 
 // NextAuthBatchRequest fetches the subscriber's auth material once and
@@ -117,6 +121,10 @@ type NextAuthBatchResponse struct {
 	AMFField []byte `json:"amf_field"`
 	// SQNs is Count six-byte sequence numbers, back to back.
 	SQNs []byte `json:"sqns"`
+
+	// backing is the array the three share, which the UDR's served pair
+	// keeps (see Scrub).
+	backing codec.Kept[byte]
 }
 
 // SQN returns the i-th six-byte sequence number of the batch.
@@ -203,9 +211,10 @@ func (u *UDR) handleNextAuth(_ context.Context, req *NextAuthRequest, resp *Next
 		}
 		// Advance the SQN first, then hand out the new value, so that
 		// two consecutive vectors never share a sequence number. One
-		// backing array carries all three copied fields.
+		// backing array, the pair's kept one, carries all three copied
+		// fields.
 		advanceSQN(r.sqn[:], sqnStep)
-		buf := make([]byte, 0, len(r.opc)+sqnLen+len(r.amf))
+		buf := resp.backing.Hold(len(r.opc) + sqnLen + len(r.amf))[:0]
 		buf = append(buf, r.opc[:]...)
 		buf = append(buf, r.sqn[:]...)
 		buf = append(buf, r.amf[:]...)
@@ -231,7 +240,7 @@ func (u *UDR) handleNextAuthBatch(_ context.Context, req *NextAuthBatchRequest, 
 		if !ok {
 			return
 		}
-		buf := make([]byte, 0, len(r.opc)+len(r.amf)+req.Count*sqnLen)
+		buf := resp.backing.Hold(len(r.opc) + len(r.amf) + req.Count*sqnLen)[:0]
 		buf = append(buf, r.opc[:]...)
 		buf = append(buf, r.amf[:]...)
 		shared := len(buf)

@@ -19,13 +19,12 @@ func launchSGX(ctx context.Context, cfg Config, profile Profile) (*gramine.Insta
 	return rt.(*gramine.Instance), nil
 }
 
-// loadedKeys is a module runtime that records every secret its handlers
-// load: the very array LoadSecret filled for them, so a test can read what
-// the handler left in it after the request is over.
+// loadedKeys is a module runtime that records the name of every secret
+// its handlers load.
 type loadedKeys struct {
 	Runtime
-	mu   sync.Mutex
-	keys []*[16]byte
+	mu    sync.Mutex
+	names []string
 }
 
 // recordLoadedKeys puts a loadedKeys in front of m's runtime. Call it
@@ -47,11 +46,11 @@ func (r *loadedKeys) Cross(ctx context.Context, ph hmee.Phases, in, out int, h H
 	return r.Runtime.Cross(ctx, ph, in, out, h)
 }
 
-// loaded returns the arrays filled so far.
-func (r *loadedKeys) loaded() []*[16]byte {
+// loaded returns the names loaded so far, in order.
+func (r *loadedKeys) loaded() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*[16]byte(nil), r.keys...)
+	return append([]string(nil), r.names...)
 }
 
 type recordingExec struct {
@@ -59,12 +58,12 @@ type recordingExec struct {
 	r *loadedKeys
 }
 
-func (e recordingExec) LoadSecret(name string, dst *[16]byte) bool {
-	ok := e.Exec.LoadSecret(name, dst)
+func (e recordingExec) LoadSecret(name string) ([16]byte, bool) {
+	k, ok := e.Exec.LoadSecret(name)
 	if ok {
 		e.r.mu.Lock()
-		e.r.keys = append(e.r.keys, dst)
+		e.r.names = append(e.r.names, name)
 		e.r.mu.Unlock()
 	}
-	return ok
+	return k, ok
 }

@@ -25,14 +25,30 @@ func (m *UDMGenerateAVResponse) Fields(f *codec.Fields) {
 	f.Fixed("kausf", m.KAUSF[:])
 }
 
-// Fields implements codec.Message.
+// Fields implements codec.Message. The items are decoded into the kept
+// backing when there is one.
 func (m *UDMGenerateAVBatchRequest) Fields(f *codec.Fields) {
-	codec.List(f, "items", &m.Items)
+	codec.KeptList(f, "items", &m.Items, &m.items)
+}
+
+// Scrub readies the message for its served pair's next request: the items' backing — their SUPIs and
+// their views of OPc — is cleared and kept for the next batch.
+func (m *UDMGenerateAVBatchRequest) Scrub() {
+	m.items.Keep(m.Items)
+	*m = UDMGenerateAVBatchRequest{items: m.items}
 }
 
 // Fields implements codec.Message.
 func (m *UDMGenerateAVBatchResponse) Fields(f *codec.Fields) {
 	codec.List(f, "vectors", &m.Vectors)
+}
+
+// Scrub readies the message for its served pair's next request: the vectors' backing — every K_AUSF of
+// the refill — is cleared and kept for the next one (GenerateAVBatch holds
+// it).
+func (m *UDMGenerateAVBatchResponse) Scrub() {
+	m.vectors.Keep(nil)
+	*m = UDMGenerateAVBatchResponse{vectors: m.vectors}
 }
 
 // Fields implements codec.Message.

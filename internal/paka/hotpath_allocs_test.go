@@ -7,19 +7,21 @@ import (
 	"fmt"
 	"testing"
 
+	"shield5g/internal/sbi"
 	"shield5g/internal/simclock"
 )
 
 // TestHotPathAllocs holds one warm request to each module function —
-// mintInto, deriveSE, deriveKAMF behind the module's endpoint — to an
-// exact allocation count on every runtime a slice deploys it on: the
-// container and the SEV guest (hmee.Process), SGX through Gramine with
-// classic and exitless OCALLs, and the switchless ring; each alone and on
-// a keep-alive connection. The counts include the client's Post and its
-// decode of the answer, and cover hmee.Walk, the Gramine instance's
-// crossing and OCALLs and the ring's Submit beneath them. sync.Pool drops items at random under the race
-// detector, so this file builds only without -race; make ci runs it in its
-// no-race go test run.
+// mintInto, deriveSE, deriveKAMF behind the module's endpoint, and a
+// two-vector refill through GenerateAVBatch — to an exact allocation count
+// on every runtime a slice deploys it on: the container and the SEV guest
+// (hmee.Process), SGX through Gramine with classic and exitless OCALLs,
+// and the switchless ring; each alone and on a keep-alive connection. The
+// counts include the client's Post and its decode of the answer, and
+// cover hmee.Walk, the Gramine instance's crossing and OCALLs, the batch's
+// ECALL and the ring's Submit beneath them. sync.Pool drops items at
+// random under the race detector, so this file builds only without -race;
+// make ci runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	av, err := GenerateAV(testK, avRequest())
 	if err != nil {
@@ -27,14 +29,14 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	seReq := &AUSFDeriveSERequest{RAND: av.RAND, XRESStar: av.XRESStar, KAUSF: av.KAUSF, SNN: testSNN}
 	kamfReq := &AMFDeriveKAMFRequest{KSEAF: av.KAUSF, SUPI: testSUPI, ABBA: []byte{0, 0}}
-	// want is the count for GenerateAV, DeriveSE and DeriveKAMF: the
-	// strings and byte strings the module and the client decode and keep.
-	// The runtimes add nothing, so it is the same on every one.
-	want := [3]float64{4, 0, 2}
+	batchReq := &UDMGenerateAVBatchRequest{Items: []UDMGenerateAVRequest{*avRequest(), *avRequest()}}
 	for _, rt := range []string{"container", "sev", "sgx", "exitless", "ring"} {
 		h := newHarness(t, 43)
+		frames := sbi.NewClient("udm", h.env, h.registry)
+		frames.EnableBinary()
 		deploy := func(kind ModuleKind) *Module {
-			cfg := Config{Kind: kind, Env: h.env, Platform: h.platform, SEVHost: h.sevHost, Registry: h.registry, Isolation: SGX}
+			// A classic SGX eUDM takes its batch ECALL on a spare TCS.
+			cfg := Config{Kind: kind, Env: h.env, Platform: h.platform, SEVHost: h.sevHost, Registry: h.registry, Isolation: SGX, ReserveBatchTCS: kind == EUDM}
 			switch rt {
 			case "container":
 				cfg.Isolation = Container
@@ -64,23 +66,35 @@ func TestHotPathAllocs(t *testing.T) {
 			var avResp UDMGenerateAVResponse
 			var seResp AUSFDeriveSEResponse
 			var kamfResp AMFDeriveKAMFResponse
-			for i, call := range []struct {
+			var batchResp UDMGenerateAVBatchResponse
+			// want is what the module and the client decode and keep: the
+			// strings and byte strings, and for GenerateAV and the batch
+			// the key schedule. A refill's vectors and items are the
+			// served pair's kept backings, so the batch adds one SUPI
+			// string per item and the client's vectors; JSON adds each
+			// item's byte strings' backing and the vectors' growth. The
+			// runtimes add nothing, so each count is the same on every one.
+			for _, call := range []struct {
+				client        *sbi.Client
 				service, path string
 				req, resp     any
+				want          float64
 			}{
-				{EUDM.ServiceName(), PathUDMGenerateAV, avRequest(), &avResp},
-				{EAUSF.ServiceName(), PathAUSFDeriveSE, seReq, &seResp},
-				{EAMF.ServiceName(), PathAMFDeriveKAMF, kamfReq, &kamfResp},
+				{h.client, EUDM.ServiceName(), PathUDMGenerateAV, avRequest(), &avResp, 3},
+				{h.client, EAUSF.ServiceName(), PathAUSFDeriveSE, seReq, &seResp, 0},
+				{h.client, EAMF.ServiceName(), PathAMFDeriveKAMF, kamfReq, &kamfResp, 2},
+				{h.client, EUDM.ServiceName(), PathUDMGenerateAVBatch, batchReq, &batchResp, 7},
+				{frames, EUDM.ServiceName(), PathUDMGenerateAVBatch, batchReq, &batchResp, 4},
 			} {
 				post := func() {
-					if err := h.client.Post(ctx, call.service, call.path, call.req, call.resp); err != nil {
+					if err := call.client.Post(ctx, call.service, call.path, call.req, call.resp); err != nil {
 						t.Fatalf("%s %s: %v", rt, call.path, err)
 					}
 				}
 				post() // warm the module, the pools and the connection
-				name := fmt.Sprintf("%s %s (connection %v)", rt, call.path, conn == 1)
-				if n := testing.AllocsPerRun(100, post); n != want[i] {
-					t.Errorf("%s: %v allocs, want %v", name, n, want[i])
+				name := fmt.Sprintf("%s %s (connection %v, frames %v)", rt, call.path, conn == 1, call.client == frames)
+				if n := testing.AllocsPerRun(100, post); n != call.want {
+					t.Errorf("%s: %v allocs, want %v", name, n, call.want)
 				}
 			}
 		}

@@ -336,11 +336,12 @@ func (m *Module) resync(ex Exec, req *UDMResyncRequest, resp *UDMResyncResponse)
 // expandKey loads supi's K inside the runtime and expands its MILENAGE
 // schedule into c, which the caller declares for the one procedure it runs
 // and drops with it: the eUDM keeps no schedule between requests. The copy
-// of K the runtime handed out is cleared as soon as the schedule exists,
-// so it does not linger in freed memory either.
+// of K the runtime hands out is a value in this frame — it never reaches
+// the heap (make escapes holds it there) — and is cleared as soon as the
+// schedule exists.
 func expandKey(ex Exec, supi string, opc []byte, c *milenage.Cipher) error {
-	var k [milenage.KeyLen]byte
-	if !ex.LoadSecret(supi, &k) {
+	k, ok := ex.LoadSecret(supi)
+	if !ok {
 		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "%v: %s", ErrUnknownSubscriber, supi)
 	}
 	err := c.Init(k[:], opc)
@@ -376,28 +377,48 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 		return nil
 	}
 	// The vectors hold their fields in place: the whole refill is this
-	// one slice.
-	resp.Vectors = make([]UDMGenerateAVResponse, k)
-	_, err := m.rt().Cross(ctx, hmee.Entry, k*m.profile.InBytes, k*m.profile.OutBytes, hmee.HandlerFunc(func(ex Exec) error {
-		// A refill is one SUPI's: its schedule is expanded once, for the
-		// first item, and serves every item after it that names the same
-		// subscriber and OPc.
-		var c milenage.Cipher
-		for i := range req.Items {
-			item := &req.Items[i]
-			m.chargeFunction(ctx, ex)
-			if i == 0 || item.SUPI != req.Items[i-1].SUPI || !bytes.Equal(item.OPc, req.Items[i-1].OPc) {
-				if err := expandKey(ex, item.SUPI, item.OPc, &c); err != nil {
-					return err
-				}
-			}
-			if err := mintInto(&c, item, &resp.Vectors[i]); err != nil {
-				return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
+	// one slice, the served pair's kept backing once it has served one.
+	resp.Vectors = resp.vectors.Hold(k)
+	b := batchPool.Get().(*batchCall)
+	*b = batchCall{m: m, ctx: ctx, req: req, resp: resp}
+	_, err := m.rt().Cross(ctx, hmee.Entry, k*m.profile.InBytes, k*m.profile.OutBytes, b)
+	*b = batchCall{}
+	batchPool.Put(b)
+	return err
+}
+
+// batchCall is one refill's Handler: the batch and the response it fills,
+// bound in a pooled struct that crosses as itself, as endpointCall does
+// for a served request. Nothing below Run retains it, and it is zeroed
+// before it goes back to its pool.
+type batchCall struct {
+	m    *Module
+	ctx  context.Context
+	req  *UDMGenerateAVBatchRequest
+	resp *UDMGenerateAVBatchResponse
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchCall) }}
+
+// Run implements Handler. A refill is one SUPI's: its schedule is expanded
+// once, for the first item, and serves every item after it that names the
+// same subscriber and OPc.
+func (b *batchCall) Run(ex Exec) error {
+	var c milenage.Cipher
+	items := b.req.Items
+	for i := range items {
+		item := &items[i]
+		b.m.chargeFunction(b.ctx, ex)
+		if i == 0 || item.SUPI != items[i-1].SUPI || !bytes.Equal(item.OPc, items[i-1].OPc) {
+			if err := expandKey(ex, item.SUPI, item.OPc, &c); err != nil {
+				return err
 			}
 		}
-		return nil
-	}))
-	return err
+		if err := mintInto(&c, item, &b.resp.Vectors[i]); err != nil {
+			return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
+		}
+	}
+	return nil
 }
 
 // ProvisionSubscriber installs a subscriber's long-term key into the

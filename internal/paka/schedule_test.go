@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"shield5g/internal/crypto/milenage"
@@ -163,12 +164,14 @@ func TestModuleRekeyAndRestartGolden(t *testing.T) {
 	check(testK2, "after restart")
 }
 
-// TestEUDMClearsLoadedKey: every copy of K an eUDM handler loads from its
-// runtime is all zero once the handler returns — AV request, resync and
-// pool refill alike, on every backend — and the store it came from still
-// serves the next request. A refill loads K once per subscriber run, not
-// per vector: a mixed batch loads once per SUPI and still mints each
-// vector under its own key.
+// TestEUDMClearsLoadedKey: an eUDM handler loads K from its runtime once
+// per procedure — AV request, resync and pool refill alike, on every
+// backend — and the store it came from still serves the next request. A
+// refill loads K once per subscriber run, not per vector: a mixed batch
+// loads once per SUPI and still mints each vector under its own key. The
+// copy a load returns is a value in expandKey's frame, cleared there once
+// the schedule is expanded; make escapes fails if it ever moves to the
+// heap.
 func TestEUDMClearsLoadedKey(t *testing.T) {
 	ctx := context.Background()
 	const supi2 = "imsi-001010000000002"
@@ -189,19 +192,14 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 				}
 			}
 			rec := recordLoadedKeys(m)
-			scrubbed := func(what string, loads int) {
+			scrubbed := func(what string, loads ...string) {
 				t.Helper()
-				keys := rec.loaded()
-				if len(keys) != loads {
-					t.Fatalf("%s: %d key loads, want %d", what, len(keys), loads)
-				}
-				for _, k := range keys {
-					if *k != [milenage.KeyLen]byte{} {
-						t.Fatalf("%s: loaded key copy left as %x, want 16 zero bytes", what, *k)
-					}
+				if got := rec.loaded(); !slices.Equal(got, loads) {
+					t.Fatalf("%s: key loads %q, want %q", what, got, loads)
 				}
 			}
 
+			var loads []string
 			for round := 1; round <= 2; round++ {
 				var av UDMGenerateAVResponse
 				if err := h.client.Post(ctx, EUDM.ServiceName(), PathUDMGenerateAV, avRequest(), &av); err != nil {
@@ -210,21 +208,22 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 				if !avEqual(&av, directAV(t, testK, avRequest())) {
 					t.Fatalf("AV request %d diverges from GenerateAV", round)
 				}
-				scrubbed(fmt.Sprintf("AV request %d", round), round)
+				loads = append(loads, testSUPI)
+				scrubbed(fmt.Sprintf("AV request %d", round), loads...)
 			}
 
 			resync := &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: testAUTS(t, []byte{0, 0, 0, 0, 1, 0})}
 			if err := h.client.Post(ctx, EUDM.ServiceName(), PathUDMResync, resync, &UDMResyncResponse{}); err != nil {
 				t.Fatalf("resync: %v", err)
 			}
-			scrubbed("resync", 3)
+			scrubbed("resync", testSUPI, testSUPI, testSUPI)
 
 			batch := &UDMGenerateAVBatchRequest{Items: []UDMGenerateAVRequest{*avRequest(), *avRequest(), *avRequest(), *req2, *req2}}
 			var resp UDMGenerateAVBatchResponse
 			if err := m.GenerateAVBatch(ctx, batch, &resp); err != nil {
 				t.Fatalf("GenerateAVBatch: %v", err)
 			}
-			scrubbed("refill", 5)
+			scrubbed("refill", testSUPI, testSUPI, testSUPI, testSUPI, supi2)
 			for j, av := range resp.Vectors {
 				k := testK
 				if batch.Items[j].SUPI == supi2 {

@@ -40,12 +40,20 @@ type UDMGenerateAVResponse struct {
 // vectors stay individually consumable in sequence-number order.
 type UDMGenerateAVBatchRequest struct {
 	Items []UDMGenerateAVRequest `json:"items"`
+
+	// items is the backing the eUDM's served pair keeps for the next
+	// batch it decodes (see Scrub).
+	items codec.Kept[UDMGenerateAVRequest]
 }
 
 // UDMGenerateAVBatchResponse carries one vector per requested item, in
 // request order.
 type UDMGenerateAVBatchResponse struct {
 	Vectors []UDMGenerateAVResponse `json:"vectors"`
+
+	// vectors is the backing the eUDM's served pair keeps for the next
+	// refill it mints (see Scrub).
+	vectors codec.Kept[UDMGenerateAVResponse]
 }
 
 // UDMResyncRequest asks the eUDM module to verify an AUTS

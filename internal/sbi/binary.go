@@ -149,11 +149,17 @@ type Endpoint[Req, Resp any] struct {
 }
 
 // Serve registers fn as the endpoint's handler on srv, served by Answer.
-// Both structs come from one pool per registration and are zeroed once the
-// response is encoded and before they go back to the pool, so a partial
-// decode cannot leak into the next request and no key a response carried
-// (K_AUSF, K_SEAF, K_AMF) stays in pooled memory — the scrub rule of
-// hashpool.PutHMAC.
+// Both structs come from one pool per registration and are scrubbed once
+// the response is encoded and before they go back to the pool, so a
+// partial decode cannot leak into the next request and no key a response
+// carried (K_AUSF, K_SEAF, K_AMF) stays in pooled memory — the scrub rule
+// of hashpool.PutHMAC.
+//
+// A message with a Scrub method keeps the storage its decode or fn
+// filled — a list's backing, an optional member's target — cleared up to
+// capacity, for the pair's next request; every other message is zeroed.
+// Either way the next request's fn sees exactly what its body decodes to
+// in a zero pair: an absent or empty list and an absent member are nil.
 func (e *Endpoint[Req, Resp]) Serve(srv *Server, fn func(ctx context.Context, req *Req, resp *Resp) error) {
 	e.Handle(srv, binHandlerInto(fn))
 }
@@ -211,7 +217,8 @@ func binHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *
 	return func(ctx context.Context, body []byte) ([]byte, error) {
 		c := pool.Get().(*binCall[Req, Resp])
 		out, err := Answer(ctx, body, &c.req, &c.resp, fn)
-		*c = binCall[Req, Resp]{}
+		scrub(&c.req)
+		scrub(&c.resp)
 		pool.Put(c)
 		return out, err
 	}
@@ -222,6 +229,25 @@ func binHandlerInto[Req, Resp any](fn func(ctx context.Context, req *Req, resp *
 type binCall[Req, Resp any] struct {
 	req  Req
 	resp Resp
+}
+
+// scrubber is a message that keeps storage in a served pair (a
+// codec.Kept): its Scrub zeroes every field, hands what the fields held
+// back to its Kept, and leaves the message exactly as a zero one to
+// everything that reads it.
+type scrubber interface {
+	Scrub()
+}
+
+// scrub readies one message of a served pair for the next request: a
+// scrubber scrubs itself, keeping its storage; anything else is zeroed.
+func scrub[M any](m *M) {
+	if s, ok := any(m).(scrubber); ok {
+		s.Scrub()
+		return
+	}
+	var zero M
+	*m = zero
 }
 
 // BinHandler adapts a function that returns the response it allocated

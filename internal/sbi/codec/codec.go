@@ -41,6 +41,11 @@
 //   - Identities are values the same way: a SUPI or an auth-context ID
 //     is a SUPI or AuthCtxID held in 16 bytes, described with Ident, and
 //     travels as the string it replaced. Other strings are copies.
+//   - A message a server's pooled pair serves may keep the storage of a
+//     list or an optional member between bodies (Kept, KeptList,
+//     KeptPtr): a decode draws on it and never adopts a fresh backing
+//     into it, so everywhere else a decode allocates as it would without
+//     it.
 package codec
 
 import (

@@ -6,3 +6,12 @@ var (
 	FastAppendJSON = appendJSON
 	FastDecodeJSON = decodeJSON
 )
+
+// Ptr is KeptPtr without kept storage, for the descriptions of this
+// package's tests.
+func Ptr[T any, PT interface {
+	*T
+	Message
+}](f *Fields, name string, p **T, fl Flag) {
+	KeptPtr[T, PT](f, name, p, fl, nil)
+}

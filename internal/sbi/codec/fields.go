@@ -341,13 +341,16 @@ func (f *Fields) Struct(name string, m Message, fl Flag) {
 	f.own = own
 }
 
-// Ptr describes an optional nested message: JSON null (or, with
+// KeptPtr describes an optional nested message: JSON null (or, with
 // OmitEmpty, no member) when nil, a presence byte in a frame. A decode
-// allocates the target unless one is already there, as encoding/json does.
-func Ptr[T any, PT interface {
+// keeps the target already there, as encoding/json does; with none, it
+// takes the one k keeps (see Kept), or allocates one when k, which may be
+// nil, keeps none. Every optional member of the core is a served
+// request's SUCI, which its pair keeps.
+func KeptPtr[T any, PT interface {
 	*T
 	Message
-}](f *Fields, name string, p **T, fl Flag) {
+}](f *Fields, name string, p **T, fl Flag, k *Kept[T]) {
 	switch f.mode {
 	case binAppend:
 		if *p == nil {
@@ -362,7 +365,7 @@ func Ptr[T any, PT interface {
 			return
 		}
 		if *p == nil {
-			*p = new(T)
+			*p = k.takeOne()
 		}
 		PT(*p).Fields(f)
 	case jsonAppend:
@@ -381,7 +384,7 @@ func Ptr[T any, PT interface {
 			*p = nil
 		} else {
 			if *p == nil {
-				*p = new(T)
+				*p = k.takeOne()
 			}
 			f.decodeObject(PT(*p))
 		}
@@ -397,6 +400,16 @@ func List[T any, PT interface {
 	*T
 	Message
 }](f *Fields, name string, p *[]T) {
+	KeptList[T, PT](f, name, p, nil)
+}
+
+// KeptList is List for a message that keeps its list's backing in k: a
+// decode takes its elements from k (Kept.Take) instead of a fresh array
+// whenever k holds enough of them.
+func KeptList[T any, PT interface {
+	*T
+	Message
+}](f *Fields, name string, p *[]T, k *Kept[T]) {
 	switch f.mode {
 	case binAppend:
 		f.buf = binary.AppendUvarint(f.buf, uint64(len(*p)))
@@ -410,7 +423,7 @@ func List[T any, PT interface {
 		if n := f.uvarint(); n > uint64(len(f.buf)-f.off) {
 			f.fail(ErrTruncated)
 		} else if n > 0 {
-			*p = make([]T, n)
+			*p = k.Take(int(n))
 		}
 		for i := range *p {
 			mark := len(f.owned)
@@ -438,7 +451,7 @@ func List[T any, PT interface {
 		if f.null() {
 			*p = nil
 		} else if f.expect('[') {
-			s := []T{}
+			s := k.Take(0)
 			for more := !f.peek(']'); more; more = f.peek(',') {
 				if len(s) > 0 {
 					f.off++ // the comma

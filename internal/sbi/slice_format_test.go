@@ -180,7 +180,9 @@ func TestSBIInventory(t *testing.T) {
 var keyNames = map[string]bool{"K": true, "OPc": true, "KAUSF": true, "KSEAF": true, "KAMF": true}
 
 // keyFields lists the key-material fields reachable from t as dotted
-// paths ("[]" marks a slice element), or "-" when there are none.
+// paths ("[]" marks a slice element), or "-" when there are none. Only
+// exported fields travel: an unexported one (a codec.Kept) is written by
+// no codec.
 func keyFields(t reflect.Type) string {
 	var out []string
 	var walk func(t reflect.Type, path string, depth int)
@@ -195,6 +197,9 @@ func keyFields(t reflect.Type) string {
 			return
 		}
 		for i := range t.NumField() {
+			if !t.Field(i).IsExported() {
+				continue
+			}
 			name := t.Field(i).Name
 			if path != "" {
 				name = path + "." + name

@@ -32,6 +32,9 @@ var (
 	ErrNoNetwork = errors.New("ue: no supported network detected")
 	// ErrRejected reports an AuthenticationReject from the network.
 	ErrRejected = errors.New("ue: authentication rejected by network")
+	// ErrRegistrationRejected reports a RegistrationReject from the
+	// network.
+	ErrRegistrationRejected = errors.New("ue: registration rejected by network")
 )
 
 // usimCycles is the modelled USIM computation cost per AKA run.
@@ -223,7 +226,7 @@ func (u *UE) BuildRegistrationRequest(ctx context.Context, snn string) ([]byte, 
 		RegistrationType: regType,
 		NgKSI:            0,
 		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeSUCI, SUCI: sc},
-		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+		Capabilities:     nas.Capabilities(nas.AlgNEA2, nas.AlgNIA2),
 	})
 }
 
@@ -270,7 +273,7 @@ func (u *UE) BuildReRegistrationRequest(ctx context.Context, snn string) ([]byte
 		RegistrationType: nas.RegistrationMobility,
 		NgKSI:            0,
 		Identity:         nas.MobileIdentity{Kind: nas.IdentityTypeGUTI, GUTI: *u.guti},
-		Capabilities:     []byte{nas.AlgNEA2, nas.AlgNIA2},
+		Capabilities:     nas.Capabilities(nas.AlgNEA2, nas.AlgNIA2),
 	})
 }
 
@@ -306,7 +309,7 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 		// Without integrity protection the UE processes only the messages
 		// that run before a security context exists (TS 24.501 §4.4.4.2).
 		switch msg.(type) {
-		case *nas.IdentityRequest, *nas.AuthenticationRequest, *nas.AuthenticationReject:
+		case *nas.IdentityRequest, *nas.AuthenticationRequest, *nas.AuthenticationReject, *nas.RegistrationReject:
 		default:
 			return nil, false, fmt.Errorf("ue: %s without integrity protection", in.Type())
 		}
@@ -319,6 +322,8 @@ func (u *UE) HandleDownlinkNAS(ctx context.Context, pdu []byte) (uplink []byte, 
 		return u.handleAuthRequest(ctx, m)
 	case *nas.AuthenticationReject:
 		return nil, false, ErrRejected
+	case *nas.RegistrationReject:
+		return nil, false, fmt.Errorf("%w: 5GMM cause #%d", ErrRegistrationRejected, m.Cause)
 	case *nas.SecurityModeCommand:
 		u.env.Charge(ctx, usimCycles/4)
 		up, err := u.sec.Protect(&nas.SecurityModeComplete{}, true)
