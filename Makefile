@@ -45,13 +45,18 @@ vet:
 # A subscriber's K leaves the runtime's key store by value (Exec.LoadSecret)
 # into a local of the handler that expands it, so no copy of K reaches the
 # heap either: fails on any `moved to heap: k` under internal/paka and
-# internal/hmee.
+# internal/hmee. A charge on a context without an account charges the nil
+# account (the clock alone), so simclock and costmodel allocate no
+# account: fails on any `Account` literal or new(Account) the compiler
+# moves to the heap under internal/simclock and internal/costmodel.
 escapes:
-	@out=$$($(GO) build -gcflags=-m ./internal/nf/... ./internal/paka ./internal/hmee/... 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m ./internal/nf/... ./internal/paka ./internal/hmee/... ./internal/simclock ./internal/costmodel 2>&1) || { echo "$$out"; exit 1; }; \
 	esc=$$(echo "$$out" | grep -E '&[[:alnum:]_.]*Request\{\.\.\.\} escapes to heap'); \
 	if [ -n "$$esc" ]; then echo "$$esc"; echo "request literals escape to the heap"; exit 1; fi; \
 	key=$$(echo "$$out" | grep -E '^internal/(paka|hmee)/.*: moved to heap: k$$'); \
-	if [ -n "$$key" ]; then echo "$$key"; echo "a copy of K moves to the heap"; exit 1; fi
+	if [ -n "$$key" ]; then echo "$$key"; echo "a copy of K moves to the heap"; exit 1; fi; \
+	acct=$$(echo "$$out" | grep -E '^internal/(simclock|costmodel)/.*: (&(simclock\.)?Account\{[^}]*\}|new\((simclock\.)?Account\)) escapes to heap$$'); \
+	if [ -n "$$acct" ]; then echo "$$acct"; echo "an account is allocated on the heap"; exit 1; fi
 
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the

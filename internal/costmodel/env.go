@@ -34,13 +34,12 @@ func NewEnv(m *Model, seed uint64) *Env {
 // ChargeTo is the one place a cycle is charged: n cycles go to acct (nil
 // charges no request) and the env's clock advances by as much.
 func (e *Env) ChargeTo(acct *simclock.Account, n simclock.Cycles) {
-	if acct != nil {
-		acct.Charge(n)
-	}
+	acct.Charge(n)
 	e.Clock.Advance(n)
 }
 
-// Charge is ChargeTo for the request account in ctx.
+// Charge is ChargeTo for the request account in ctx, nil when ctx carries
+// none.
 func (e *Env) Charge(ctx context.Context, n simclock.Cycles) {
 	e.ChargeTo(simclock.AccountFrom(ctx), n)
 }

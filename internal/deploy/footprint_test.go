@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"shield5g/internal/crypto/milenage"
@@ -294,5 +296,48 @@ func TestUEBytesPerDevice(t *testing.T) {
 	}
 	if registered > ueBytesRegisteredBudget {
 		t.Errorf("a registered device holds %.0f B, budget %d B", registered, ueBytesRegisteredBudget)
+	}
+}
+
+// TestProvisionSubscriberAllocs holds provisioning a fresh subscriber on
+// an SGX slice (UDR record, sealed file of K, the eUDM's key store, its
+// attestation checked once before) to its measured allocation count: the
+// median over 64 fresh SUPIs, each counted alone with the collector off,
+// since the stores' maps grow on a few of them, and on which ones depends
+// on their hash seeds. While every charge on a context without an account
+// allocated a throwaway one it measured 15. Skipped under -race like its
+// siblings.
+func TestProvisionSubscriberAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	const n, want = 64, 9
+	ctx := context.Background()
+	s := newSliceWith(t, SliceConfig{Isolation: paka.SGX, Seed: 31})
+	supis, keys := make([]suci.SUPI, n+1), make([][]byte, n+1)
+	for i := range supis {
+		supis[i] = suci.SUPI{MCC: "001", MNC: "01", MSIN: fmt.Sprintf("%010d", i+1)}
+		keys[i] = make([]byte, milenage.KeyLen)
+		binary.BigEndian.PutUint64(keys[i][8:], uint64(i)+1)
+	}
+	opc := make([]byte, milenage.OPLen)
+	provision := func(i int) {
+		if err := s.ProvisionSubscriber(ctx, supis[i], keys[i], opc); err != nil {
+			t.Fatalf("ProvisionSubscriber: %v", err)
+		}
+	}
+	provision(n) // the first key release checks the eUDM's evidence
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	counts := make([]uint64, n)
+	var before, after runtime.MemStats
+	for i := range counts {
+		runtime.ReadMemStats(&before)
+		provision(i)
+		runtime.ReadMemStats(&after)
+		counts[i] = after.Mallocs - before.Mallocs
+	}
+	slices.Sort(counts)
+	if got := counts[n/2]; got != want {
+		t.Errorf("provisioning a subscriber: %d allocs (median; %d-%d), want %d", got, counts[0], counts[n-1], want)
 	}
 }

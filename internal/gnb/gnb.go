@@ -186,15 +186,10 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 		return nil, err
 	}
 
-	// Pin the request account on a pooled child Call so a caller without
-	// one still gets a coherent setup-time measurement.
-	call := simclock.Derive(ctx)
-	defer call.Release()
-	acct := call.Account
-	if acct == nil {
-		acct = call.OwnAccount()
-	}
-	ctx = call
+	// A caller without an account still gets a coherent setup-time
+	// measurement.
+	ctx, acct, own := simclock.Pin(ctx)
+	defer own.Release()
 	start := acct.Total()
 
 	ranUEID := g.nextRANUE.Add(1)

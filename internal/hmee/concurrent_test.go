@@ -1,7 +1,10 @@
 package hmee
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -37,5 +40,44 @@ func TestConcurrentProcessKeyStore(t *testing.T) {
 		each(func(*call, string) { p.Introspect() })
 		close(start)
 		wg.Wait()
+	}
+}
+
+// TestProcessShutdownDrainsAdmittedCrossings: a crossing admitted before
+// Shutdown finishes before the key store is cleared, whatever it stores on
+// the way out, so a shut-down process holds no key. Shutdown waits for it
+// and refuses every later crossing meanwhile.
+func TestProcessShutdownDrainsAdmittedCrossings(t *testing.T) {
+	p := NewProcess(costmodel.NewEnv(nil, 1), ContainerPrices())
+	entered, proceed := make(chan struct{}), make(chan struct{})
+	crossed := make(chan error, 1)
+	go func() {
+		_, err := p.Cross(context.Background(), OneShot, 40, 80, HandlerFunc(func(ex Exec) error {
+			close(entered)
+			<-proceed
+			ex.StoreSecret("imsi-1", [16]byte{1})
+			return nil
+		}))
+		crossed <- err
+	}()
+	<-entered
+	stopped := make(chan struct{})
+	go func() {
+		p.Shutdown()
+		close(stopped)
+	}()
+	for p.Running() {
+		runtime.Gosched()
+	}
+	if _, err := p.Cross(context.Background(), OneShot, 40, 80, nil); !errors.Is(err, ErrStopped) {
+		t.Fatalf("a crossing after Shutdown began: %v, want ErrStopped", err)
+	}
+	close(proceed)
+	if err := <-crossed; err != nil {
+		t.Fatalf("the admitted crossing: %v", err)
+	}
+	<-stopped
+	if keys := p.Introspect(); len(keys) != 0 {
+		t.Fatalf("a shut-down process still holds %d key(s)", len(keys))
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/sgx"
-	"shield5g/internal/lockrank"
 	"shield5g/internal/simclock"
 )
 
@@ -49,14 +48,9 @@ type Instance struct {
 	ring       *sgx.Ring
 	dispatcher *sgx.Thread
 
-	// mu guards the lifecycle. inflight counts admitted requests; Shutdown
-	// waits on idle for it to drain before it releases the threads those
-	// requests run on.
-	mu       lockrank.Mutex
-	idle     sync.Cond
-	running  bool
-	warm     bool
-	inflight int
+	// life admits requests; Shutdown drains it before it releases the
+	// threads those requests run on.
+	life hmee.Lifecycle
 }
 
 // LaunchOption tunes instance bring-up.
@@ -104,10 +98,8 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 		enclave:  enclave,
 		syscalls: hmee.DefaultSyscallProfile(),
 		exitless: si.Manifest.Exitless,
-		running:  true,
-		mu:       lockrank.Mutex{Rank: lockrank.GramineInstance},
 	}
-	inst.idle.L = &inst.mu
+	inst.life.Start()
 	if lc.syscalls != nil {
 		inst.syscalls = *lc.syscalls
 	}
@@ -185,8 +177,10 @@ func (i *Instance) Introspect() map[string][]byte { return i.enclave.Introspect(
 // its handler. The struct is pooled, carries no closure, and is itself the
 // sgx.RingJob when the crossing is the submission ring.
 type request struct {
-	inst    *Instance
+	inst *Instance
+	// acct is the request's account, own when its context carries none.
 	acct    *simclock.Account
+	own     simclock.Account
 	jitter  *simclock.Jitter
 	phases  hmee.Phases
 	in, out int
@@ -203,34 +197,6 @@ type request struct {
 // in-flight request replaces two heap allocations per served request.
 var requestPool = sync.Pool{New: func() any { return new(request) }}
 
-// admit checks a request in against the instance lifecycle and resolves
-// its phases against the warm state: exactly one request ever keeps
-// Warmup. Every admitted request must be released.
-func (i *Instance) admit(ph hmee.Phases) (hmee.Phases, error) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if !i.running {
-		return 0, hmee.ErrStopped
-	}
-	if ph&hmee.Warmup != 0 {
-		if i.warm {
-			ph = ph.Warm()
-		}
-		i.warm = true
-	}
-	i.inflight++
-	return ph, nil
-}
-
-func (i *Instance) release() {
-	i.mu.Lock()
-	i.inflight--
-	if i.inflight == 0 && !i.running {
-		i.idle.Broadcast() // only Shutdown ever waits
-	}
-	i.mu.Unlock()
-}
-
 // Cross is the single serve path (hmee.Crossing): admit, describe, cross.
 // The deployment picks the crossing, not the request: an instance launched
 // with a ring (Manifest.SwitchlessECalls) submits every crossing that
@@ -243,13 +209,16 @@ func (i *Instance) release() {
 // in-enclave thread to charge its own compute and memory touches.
 func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hmee.Handler) (hmee.Breakdown, error) {
 	viaRing := ph != 0 && i.ring != nil
-	ph, err := i.admit(ph)
+	ph, err := i.life.Admit(ph)
 	if err != nil {
 		return hmee.Breakdown{}, err
 	}
-	defer i.release()
+	defer i.life.Release()
 	r := requestPool.Get().(*request)
 	*r = request{inst: i, acct: simclock.AccountFrom(ctx), jitter: i.platform.Env().JitterFor(ctx), phases: ph, in: in, out: out, handler: h, viaRing: viaRing}
+	if r.acct == nil {
+		r.acct = &r.own
+	}
 	switch {
 	case viaRing:
 		// A ring that closed under the request means the enclave is going
@@ -258,11 +227,10 @@ func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hme
 			err = hmee.ErrStopped
 		}
 	case ph&hmee.Entry != 0:
-		// The entry charges the account it finds on ctx; pin the request's
-		// (ctx itself when it carries it, as every driver's request does).
-		// Neither the method value nor the entry's thread reaches the
-		// heap: the crossing allocates nothing.
-		err = i.enclave.ECall(simclock.WithAccount(ctx, r.acct), in, out, r.Execute)
+		// The entry and exit charge ctx's account, outside the windows the
+		// walk reads. Neither the method value nor the entry's thread
+		// reaches the heap: the crossing allocates nothing.
+		err = i.enclave.ECall(ctx, in, out, r.Execute)
 	default:
 		err = r.Execute(i.proc)
 	}
@@ -342,24 +310,15 @@ func (i *Instance) Stats() sgx.StatsSnapshot { return i.enclave.Stats() }
 // admitted before it finish first (those still queued in the ring fail
 // with hmee.ErrStopped); later ones are refused. It is idempotent.
 func (i *Instance) Shutdown() {
-	i.mu.Lock()
-	if !i.running {
-		i.mu.Unlock()
+	if !i.life.Stop() {
 		return
 	}
-	i.running = false
-	i.mu.Unlock()
-
 	// The ring closes first so queued submissions drain (completed exactly
 	// once with ErrRingClosed) instead of waiting out their turn.
 	if i.ring != nil {
 		i.ring.Close()
 	}
-	i.mu.Lock()
-	for i.inflight > 0 {
-		i.idle.Wait()
-	}
-	i.mu.Unlock()
+	i.life.Drain()
 
 	if i.dispatcher != nil {
 		i.enclave.LeaveResident(i.dispatcher)

@@ -45,22 +45,22 @@ type Process struct {
 	prices   Prices
 	syscalls SyscallProfile
 	vmExits  atomic.Uint64
+	life     Lifecycle
 
 	mu      sync.Mutex
-	running bool
-	warm    bool
 	secrets map[string][16]byte
 }
 
 // NewProcess starts a guest process charging env at the given prices.
 func NewProcess(env *costmodel.Env, prices Prices) *Process {
-	return &Process{
+	p := &Process{
 		env:      env,
 		prices:   prices,
 		syscalls: DefaultSyscallProfile(),
-		running:  true,
 		secrets:  make(map[string][16]byte),
 	}
+	p.life.Start()
+	return p
 }
 
 // call is one request inside the process: the Surface its server path is
@@ -70,6 +70,8 @@ type call struct {
 	p      *Process
 	acct   *simclock.Account
 	jitter *simclock.Jitter
+	// own is the account the walk reads when the request carries none.
+	own simclock.Account
 }
 
 var callPool = sync.Pool{New: func() any { return new(call) }}
@@ -126,28 +128,20 @@ func (c *call) DeleteSecret(name string) {
 	c.p.mu.Unlock()
 }
 
-// Cross is the process's one serve path (Crossing): check the request in
-// against the lifecycle, resolve its phases against the warm state (exactly
-// one request ever keeps Warmup), and walk them at the process's prices.
+// Cross is the process's one serve path (Crossing): admit the request
+// through the lifecycle and walk its phases at the process's prices.
 func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) (Breakdown, error) {
-	p.mu.Lock()
-	if !p.running {
-		p.mu.Unlock()
-		return Breakdown{}, ErrStopped
+	ph, err := p.life.Admit(ph)
+	if err != nil {
+		return Breakdown{}, err
 	}
-	if ph&Warmup != 0 {
-		if p.warm {
-			ph = ph.Warm()
-		}
-		p.warm = true
-	}
-	p.mu.Unlock()
+	defer p.life.Release()
 
-	// Pin the request account so callers without one still get coherent
-	// latency windows.
-	acct := simclock.AccountFrom(ctx)
 	c := callPool.Get().(*call)
-	c.p, c.acct, c.jitter = p, acct, p.env.JitterFor(ctx)
+	c.p, c.acct, c.jitter = p, simclock.AccountFrom(ctx), p.env.JitterFor(ctx)
+	if c.acct == nil {
+		c.acct = &c.own
+	}
 	// A served request arrives and departs through the device boundary:
 	// the VM exits of each edge sit outside L_T, inside the residence.
 	var edge simclock.Cycles
@@ -156,7 +150,7 @@ func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) 
 		edge = simclock.Cycles(p.prices.ExitsPerEdge) * p.prices.VMExitCycles
 		c.charge(edge)
 	}
-	bd, err := Walk(c, p.env.Model, p.syscalls, acct, ph, in, out, h)
+	bd, err := Walk(c, p.env.Model, p.syscalls, c.acct, ph, in, out, h)
 	if edge != 0 {
 		c.charge(edge)
 	}
@@ -175,11 +169,7 @@ func (p *Process) AccrueUptime(d time.Duration) { p.env.Clock.AdvanceDuration(d)
 func (p *Process) VMExits() uint64 { return p.vmExits.Load() }
 
 // Running reports whether the process is up.
-func (p *Process) Running() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.running
-}
+func (p *Process) Running() bool { return p.life.Running() }
 
 // Introspect is a read of the process's whole key store, region by name:
 // plaintext, to the process itself and — in a plain container — to any
@@ -194,10 +184,14 @@ func (p *Process) Introspect() map[string][]byte {
 	return out
 }
 
-// Shutdown stops the process; its secrets die with it.
+// Shutdown stops the process; its secrets die with it, once the requests
+// admitted before it have finished. It is idempotent.
 func (p *Process) Shutdown() {
+	if !p.life.Stop() {
+		return
+	}
+	p.life.Drain()
 	p.mu.Lock()
-	p.running = false
 	clear(p.secrets)
 	p.mu.Unlock()
 }

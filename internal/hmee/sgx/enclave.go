@@ -258,10 +258,10 @@ var threadPool = sync.Pool{New: func() any { return new(Thread) }}
 // account ctx carries. When all slots are busy the entry queues (bounded,
 // honouring ctx cancellation) rather than failing outright.
 //
-// An entry allocates nothing when ctx carries its account: the thread fn
-// runs on comes from a pool and goes back when fn returns, so fn must not
-// retain it, and fn itself does not escape — a method value of a pooled
-// request (gramine's batch crossing) stays on its caller's stack.
+// An entry allocates nothing, ctx carrying an account or not: the thread
+// fn runs on comes from a pool and goes back when fn returns, so fn must
+// not retain it, and fn itself does not escape — a method value of a
+// pooled request (gramine's batch crossing) stays on its caller's stack.
 func (e *Enclave) ECall(ctx context.Context, argBytes, retBytes int, fn func(*Thread) error) error {
 	if err := e.live(); err != nil {
 		return err

@@ -43,8 +43,8 @@ const (
 	ModuleRuntime
 	// ModuleSessions is paka.Module.sessMu.
 	ModuleSessions
-	// GramineInstance is gramine.Instance.mu.
-	GramineInstance
+	// Lifecycle is hmee.Lifecycle.mu, every runtime's admission state.
+	Lifecycle
 	// RingDispatcher is sgx.Ring.dispatcher: Submit reads whether the ring
 	// closed and runs the job on the dispatcher's thread under it.
 	RingDispatcher

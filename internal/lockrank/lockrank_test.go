@@ -22,7 +22,7 @@ func TestDeclaredOrderDoesNotPanic(t *testing.T) {
 	resil, client, breaker := Mutex{Rank: SliceResilience}, Mutex{Rank: ResilientClient}, Mutex{Rank: Breaker}
 	attest, restart, session := Mutex{Rank: SliceAttestation}, Mutex{Rank: ModuleRestart}, Mutex{Rank: ModuleSession}
 	rt, sess := RWMutex{Rank: ModuleRuntime}, Mutex{Rank: ModuleSessions}
-	instance, dispatcher, ring := Mutex{Rank: GramineInstance}, Mutex{Rank: RingDispatcher}, Mutex{Rank: Ring}
+	instance, dispatcher, ring := Mutex{Rank: Lifecycle}, Mutex{Rank: RingDispatcher}, Mutex{Rank: Ring}
 	leaf := Mutex{}
 	nest := func(outer, inner sync.Locker) {
 		outer.Lock()

@@ -41,7 +41,7 @@ func TestHotPathAllocs(t *testing.T) {
 	h.register(t, device, 1)
 	reregister := func() { h.reregister(t, device, 1, false) }
 	reregister()
-	if n, want := testing.AllocsPerRun(100, reregister), 52.0; n != want {
+	if n, want := testing.AllocsPerRun(100, reregister), 14.0; n != want {
 		t.Errorf("GUTI re-registration: %v allocs, want %v", n, want)
 	}
 
@@ -102,7 +102,7 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, want := allocsOf(50, withSession, func() { uplink(dereg) }), uint64(28); n != want {
+	if n, want := allocsOf(50, withSession, func() { uplink(dereg) }), uint64(18); n != want {
 		t.Errorf("deregistration with a PDU session: %v allocs, want %v", n, want)
 	}
 
@@ -149,7 +149,7 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatalf("the UE answered a stale challenge with %v (%v), want AuthenticationFailure", msg, err)
 		}
 	}
-	if n, want := allocsOf(50, syncFailure, func() { fresh = uplink(failure) }), uint64(66); n != want {
+	if n, want := allocsOf(50, syncFailure, func() { fresh = uplink(failure) }), uint64(21); n != want {
 		t.Errorf("SQN resynchronisation round: %v allocs, want %v", n, want)
 	}
 }

@@ -31,6 +31,9 @@ type harness struct {
 	hnKey  *suci.HomeNetworkKey
 	mil    *milenage.Cipher
 	supi   suci.SUPI
+	// invokers are the SBI clients of the chain: the AMF's to the AUSF and
+	// the AUSF's to the UDM and the eAUSF.
+	invokers []*sbi.Client
 }
 
 func newHarness(t *testing.T) *harness {
@@ -86,12 +89,14 @@ func newHarness(t *testing.T) *harness {
 	if err != nil {
 		t.Fatalf("milenage.New: %v", err)
 	}
+	amfInvoker := sbi.NewClient("amf", env, reg)
 	return &harness{
-		ausf:   a,
-		client: NewClientFor(sbi.NewClient("amf", env, reg), ServiceName),
-		hnKey:  hnKey,
-		mil:    mil,
-		supi:   supi,
+		ausf:     a,
+		client:   NewClientFor(amfInvoker, ServiceName),
+		hnKey:    hnKey,
+		mil:      mil,
+		supi:     supi,
+		invokers: []*sbi.Client{amfInvoker, ausfInvoker},
 	}
 }
 

@@ -4,22 +4,26 @@ package ausf
 
 import (
 	"context"
+	"crypto/rand"
 	"runtime/debug"
 	"testing"
 
 	"shield5g/internal/crypto/kdf"
+	"shield5g/internal/crypto/suci"
 	"shield5g/internal/sbi/codec"
 )
 
-// TestHotPathAllocs holds one authentication by SUPI and its confirmation
-// — newChallenge behind the UDM's answer and the eAUSF's DeriveSE, then
-// the one-shot redemption — to an exact allocation count on the JSON SBI,
-// the clients' decodes included. With the collector off no sync.Pool is emptied
-// mid-count; pools still drop items at random under the race detector, so
-// this file builds only without -race; make ci runs it in its no-race
-// go test run.
+// TestHotPathAllocs holds one authentication and its confirmation —
+// newChallenge behind the UDM's answer and the eAUSF's DeriveSE, then the
+// one-shot redemption — to an exact allocation count, the clients' decodes
+// included: by SUPI on the JSON SBI, and by a fresh SUCI over frames, which
+// the AUSF and the UDM each decode into their pair's kept SUCI, its scheme
+// output a view into the body, before the UDM de-conceals it. With the
+// collector off no sync.Pool is emptied mid-count; pools still drop items
+// at random under the race detector, so this file builds only without
+// -race; make ci runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
-	const want = 38
+	const want, wantSUCIFrames = 8, 13
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := newHarness(t)
 	ctx := context.Background()
@@ -45,6 +49,19 @@ func TestHotPathAllocs(t *testing.T) {
 	authenticate()
 	if n := testing.AllocsPerRun(100, authenticate); err != nil || n != want {
 		t.Errorf("Authenticate+Confirm: %v allocs, err %v; want %d, nil", n, err, want)
+	}
+
+	concealed, err := suci.Conceal(rand.Reader, h.supi, "0000", h.hnKey.PublicKey(), h.hnKey.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range h.invokers {
+		c.EnableBinary()
+	}
+	req = &AuthenticateRequest{SUCI: concealed, ServingNetworkName: testSNN}
+	authenticate()
+	if n := testing.AllocsPerRun(100, authenticate); err != nil || n != wantSUCIFrames {
+		t.Errorf("Authenticate by SUCI+Confirm over frames: %v allocs, err %v; want %d, nil", n, err, wantSUCIFrames)
 	}
 
 	// Decoding a message that carries an identity allocates nothing for

@@ -1,8 +1,10 @@
 package ausf
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -19,6 +21,10 @@ import (
 // body decodes into the kept one, in either format.
 func TestAuthenticatePairKeepsItsSUCI(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A sync.Pool hands a goroutine back what it put only on the same P.
+	if !race.Enabled {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
 	ctx := context.Background()
 	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()
@@ -28,7 +34,10 @@ func TestAuthenticatePairKeepsItsSUCI(t *testing.T) {
 	authenticate.Serve(srv, func(_ context.Context, req *AuthenticateRequest, _ *AuthenticateResponse) error {
 		seen = req.SUCI
 		if seen != nil {
+			// The scheme output is a view into the request body: a copy
+			// that outlives the handler clones it.
 			seenCopy = *seen
+			seenCopy.SchemeOutput = bytes.Clone(seen.SchemeOutput)
 		}
 		return nil
 	})

@@ -2,6 +2,7 @@ package udr
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -18,6 +19,10 @@ import (
 // and an unknown SUPI still finds OPc nil and answers 404.
 func TestNextAuthPairsKeepTheirBacking(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// A sync.Pool hands a goroutine back what it put only on the same P.
+	if !race.Enabled {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
 	ctx := context.Background()
 	env := costmodel.NewEnv(nil, 1)
 	reg := sbi.NewRegistry()

@@ -80,7 +80,8 @@ var (
 
 // timed is one served module invocation, its response time recorded.
 func timed[Req, Resp any](ctx context.Context, r *Remote, e *sbi.Endpoint[Req, Resp], req Req) (Resp, error) {
-	acct := simclock.AccountFrom(ctx)
+	ctx, acct, own := simclock.Pin(ctx)
+	defer own.Release()
 	start := acct.Total()
 	resp, err := e.Post(ctx, r.invoker, r.service, req)
 	if err == nil {

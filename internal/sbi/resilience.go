@@ -315,12 +315,12 @@ func (r *ResilientClient) BreakerFor(service string) *Breaker {
 // until success, a permanent error, retry exhaustion, or the virtual
 // deadline. Backoff waits are charged to the request's account (and the
 // shared clock), so retrying under faults shows up in setup-time figures.
-// A request that carries no account gets one here, so the attempts and
-// waits charge the account the deadline reads.
+// A request that carries no account is pinned one (simclock.Pin), so the
+// attempts and waits charge the account the deadline reads.
 func (r *ResilientClient) Post(ctx context.Context, service, path string, req, resp any) error {
 	freq := r.env.Clock.FrequencyHz()
-	acct := simclock.AccountFrom(ctx)
-	ctx = simclock.WithAccount(ctx, acct)
+	ctx, acct, own := simclock.Pin(ctx)
+	defer own.Release()
 	start := acct.Total()
 	budget := simclock.FromDuration(requestDeadline, freq)
 

@@ -28,7 +28,7 @@ type Call struct {
 	carried
 
 	// own is the account OwnAccount hands out: a registration attempt's
-	// account without an allocation of its own.
+	// account, or Pin's, without an allocation of its own.
 	own Account
 }
 
@@ -108,8 +108,12 @@ func Derive(ctx context.Context) *Call {
 
 // Release zeroes a Call from Derive and returns it to the pool. Nothing of
 // the request stays in pooled memory (hashpool.PutHMAC's scrub rule), and a
-// use after release dereferences a nil parent.
+// use after release dereferences a nil parent. Releasing nil (Pin's own
+// when ctx carried an account) does nothing.
 func (c *Call) Release() {
+	if c == nil {
+		return
+	}
 	*c = Call{}
 	callPool.Put(c)
 }
@@ -136,13 +140,29 @@ func WithAccount(ctx context.Context, a *Account) context.Context {
 	return c
 }
 
-// AccountFrom extracts the account from ctx. It returns a throwaway account
-// when none is attached, so callers may charge unconditionally.
+// AccountFrom extracts the account from ctx, nil when none is attached: a
+// nil account charges nothing and totals 0, so callers may charge it
+// unconditionally and the clock alone advances.
 func AccountFrom(ctx context.Context) *Account {
-	if c := CallFrom(ctx); c != nil && c.Account != nil {
+	if c := CallFrom(ctx); c != nil {
 		return c.Account
 	}
-	return &Account{}
+	return nil
+}
+
+// Pin is the one way a step that reads its own total gets an account to
+// read on a context without one (a caller that keeps its own pooled
+// struct holds the account inline instead): it returns ctx and the
+// account ctx carries, or, when ctx carries none, a pooled child Call of
+// ctx holding a fresh account of its own as both the context and own. The
+// caller releases own — nil when ctx carried an account — once nothing
+// below it still runs.
+func Pin(ctx context.Context) (pinned context.Context, acct *Account, own *Call) {
+	if acct = AccountFrom(ctx); acct != nil {
+		return ctx, acct, nil
+	}
+	own = Derive(ctx)
+	return own, own.OwnAccount(), own
 }
 
 // WithArrival stamps ctx with the request's virtual arrival time (cycles on

@@ -85,16 +85,26 @@ func (c *Clock) Now() time.Duration {
 
 // Account accumulates the cycles charged along a single request path. It is
 // safe for concurrent use; a request that fans out across goroutines may
-// share one Account. The zero value is ready to use.
+// share one Account. The zero value is ready to use, and a nil Account is
+// no request's: it charges nothing and totals 0.
 type Account struct {
 	cycles atomic.Uint64
 }
 
 // Charge adds n cycles to the account.
-func (a *Account) Charge(n Cycles) { a.cycles.Add(uint64(n)) }
+func (a *Account) Charge(n Cycles) {
+	if a != nil {
+		a.cycles.Add(uint64(n))
+	}
+}
 
 // Total reports the cycles charged so far.
-func (a *Account) Total() Cycles { return Cycles(a.cycles.Load()) }
+func (a *Account) Total() Cycles {
+	if a == nil {
+		return 0
+	}
+	return Cycles(a.cycles.Load())
+}
 
 // Jitter is a seeded source of reproducible measurement noise. It is safe
 // for concurrent use, but concurrent callers interleave on one PCG

@@ -124,6 +124,45 @@ func TestAccountFromMissing(t *testing.T) {
 	AccountFrom(context.Background()).Charge(1)
 }
 
+// TestNilAccount: a context without an account yields nil, and a nil
+// account charges nothing and reads 0.
+func TestNilAccount(t *testing.T) {
+	a := AccountFrom(context.Background())
+	if a != nil {
+		t.Fatalf("AccountFrom of a context without one = %p, want nil", a)
+	}
+	a.Charge(5)
+	if got := a.Total(); got != 0 {
+		t.Fatalf("nil account totals %d, want 0", got)
+	}
+	if got := AccountFrom(NewCall(context.Background())); got != nil {
+		t.Fatalf("AccountFrom of a Call without one = %p, want nil", got)
+	}
+}
+
+// TestPinOwnsOnlyWhenMissing: Pin leaves a context that carries an
+// account as it is, and hands a context without one a pooled Call whose
+// account every charge below it reaches.
+func TestPinOwnsOnlyWhenMissing(t *testing.T) {
+	var a Account
+	carried := WithAccount(context.Background(), &a)
+	ctx, acct, own := Pin(carried)
+	if ctx != carried || acct != &a || own != nil {
+		t.Fatalf("Pin of a context with an account: %v %p %p, want it unchanged", ctx, acct, own)
+	}
+	own.Release()
+
+	ctx, acct, own = Pin(context.Background())
+	if own == nil || ctx != context.Context(own) || acct == nil {
+		t.Fatalf("Pin of a context without an account: %v %p %p, want an owned Call", ctx, acct, own)
+	}
+	AccountFrom(ctx).Charge(9)
+	if acct.Total() != 9 {
+		t.Fatalf("pinned account totals %d, want 9", acct.Total())
+	}
+	own.Release()
+}
+
 func TestJitterDeterminism(t *testing.T) {
 	a, b := NewJitter(7), NewJitter(7)
 	for i := 0; i < 100; i++ {
