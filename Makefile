@@ -93,7 +93,10 @@ loc:
 # then the whole suite again on a plain build, tier-1's `go test ./...`:
 # the allocation and heap budgets that skip themselves under -race and the
 # exact hot-path allocation rows (TestHotPathAllocs), which build only
-# without -race, run there without a list to keep. After that, end to end: the experiments
+# without -race, run there without a list to keep. Both runs hold the one
+# SBI encoder: internal/analysis's TestOneJSONEncoder fails, naming the
+# files, on a non-test import of encoding/json outside internal/sbi/codec
+# (the codec's reference and fallback) and internal/analysis. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, registers one UE on the container backend,
 # opens a PDU session, echoes data, deregisters the UE and checks that the

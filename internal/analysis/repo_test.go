@@ -184,6 +184,34 @@ func TestOneChargingSink(t *testing.T) {
 	}
 }
 
+// TestOneJSONEncoder pins the one SBI encoder: every SBI message is
+// encoded and decoded from its field description (internal/sbi/codec),
+// so no non-test file imports encoding/json outside that package, which
+// keeps it as the reference and the fallback for escapes and malformed
+// input, and this one, which reads `go list -json` and names json's sinks
+// for secretflow. A second importer is a second way to write a message.
+func TestOneJSONEncoder(t *testing.T) {
+	sharedLoader(t)
+	allowed := map[string]bool{"shield5g/internal/sbi/codec": true, "shield5g/internal/analysis": true}
+	var sites []string
+	for _, pkg := range repoPkgs {
+		if pkg.Standard || allowed[pkg.ImportPath] {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"encoding/json"` {
+					sites = append(sites, path.Join(pkg.ImportPath, filepath.Base(pkg.Fset.Position(imp.Pos()).Filename)))
+				}
+			}
+		}
+	}
+	sort.Strings(sites)
+	if len(sites) != 0 {
+		t.Errorf("non-test files import encoding/json: %v; encode SBI messages through their field description (internal/sbi/codec)", sites)
+	}
+}
+
 // TestOneContextKey pins the one per-request carrier: a request's values
 // ride in simclock.Call under its one key, so no non-test file outside
 // internal/simclock calls context.WithValue or reads a context's Value

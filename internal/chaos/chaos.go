@@ -24,6 +24,7 @@ import (
 	"shield5g/internal/costmodel"
 	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -236,7 +237,7 @@ type faultyInvoker struct {
 
 // Post implements sbi.Invoker: one uniform draw per request picks a fault
 // (or none) by cumulative rate, then the fault is applied.
-func (f *faultyInvoker) Post(ctx context.Context, service, path string, req, resp any) error {
+func (f *faultyInvoker) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	inj := f.inj
 	if !inj.armed.Load() {
 		return f.inner.Post(ctx, service, path, req, resp)

@@ -8,6 +8,7 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -22,7 +23,7 @@ type recorder struct {
 	err   error
 }
 
-func (r *recorder) Post(_ context.Context, service, path string, _, resp any) error {
+func (r *recorder) Post(_ context.Context, service, path string, _, resp codec.Message) error {
 	r.calls = append(r.calls, call{service: service, path: path, respNil: resp == nil})
 	return r.err
 }
@@ -123,7 +124,7 @@ func TestDropExecutesServerSideAndTimesOut(t *testing.T) {
 	inj, rec, inv := newTestInjector(7, cfg)
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
-	err := inv.Post(ctx, "udm", "/x", &struct{}{}, &struct{}{})
+	err := inv.Post(ctx, "udm", "/x", &sbi.OCI{}, &sbi.OCI{})
 	if !sbi.HasCause(err, sbi.CauseTimeout) {
 		t.Fatalf("err = %v, want 504 %s", err, sbi.CauseTimeout)
 	}

@@ -17,6 +17,7 @@ import (
 	"shield5g/internal/nf/udr"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
 )
@@ -413,7 +414,9 @@ func TestNewSliceRejectsInvalidChaos(t *testing.T) {
 // wrapped call causes is the fault the injector lands.
 type nopInvoker struct{}
 
-func (nopInvoker) Post(context.Context, string, string, any, any) error { return nil }
+func (nopInvoker) Post(context.Context, string, string, codec.Message, codec.Message) error {
+	return nil
+}
 
 // TestAEXStormLandsOnRestartedEnclave: the injector resolves a module's
 // enclave when a fault lands, so after RestartShardModule an AEX storm

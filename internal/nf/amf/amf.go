@@ -543,10 +543,14 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		if ue.getState() != stateRegistered {
 			return nil, fmt.Errorf("amf: PDU session request before registration completes")
 		}
+		supi, err := codec.ParseSUPI(ue.supi)
+		if err != nil {
+			return nil, err
+		}
 		call := stamp(ctx, ue.prio)
 		defer call.Release()
 		sess, err := a.smf.CreateSession(call, &smf.CreateSessionRequest{
-			SUPI:      ue.supi,
+			SUPI:      supi,
 			SessionID: m.SessionID,
 			DNN:       m.DNN,
 		})
@@ -563,10 +567,14 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 
 	case *nas.DeregistrationRequest:
 		if ue.teid != 0 {
+			supi, err := codec.ParseSUPI(ue.supi)
+			if err != nil {
+				return nil, err
+			}
 			call := stamp(ctx, ue.prio)
 			defer call.Release()
 			if err := a.smf.ReleaseSession(call, &smf.ReleaseSessionRequest{
-				SUPI: ue.supi, SessionID: ue.pduSession,
+				SUPI: supi, SessionID: ue.pduSession,
 			}); err != nil {
 				return nil, fmt.Errorf("amf: release PDU session %d: %w", ue.pduSession, err)
 			}

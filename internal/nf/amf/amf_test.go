@@ -492,7 +492,7 @@ type confirmAs struct {
 	armed bool
 }
 
-func (c *confirmAs) Post(ctx context.Context, service, path string, req, resp any) error {
+func (c *confirmAs) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	err := c.Invoker.Post(ctx, service, path, req, resp)
 	if conf, ok := resp.(*ausf.ConfirmResponse); ok && err == nil && c.armed {
 		conf.SUPI = c.supi
@@ -789,7 +789,7 @@ type classedPost struct {
 	class sbi.Priority
 }
 
-func (r *classRecorder) Post(ctx context.Context, service, path string, req, resp any) error {
+func (r *classRecorder) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	r.posts = append(r.posts, classedPost{path, sbi.PriorityFrom(ctx)})
 	err := r.Invoker.Post(ctx, service, path, req, resp)
 	if auth, ok := resp.(*ausf.AuthenticateResponse); ok && err == nil {

@@ -12,7 +12,7 @@ import (
 	"shield5g/internal/nas"
 )
 
-// TestHotPathAllocs holds three AMF procedures and one UE step to exact
+// TestHotPathAllocs holds four AMF procedures and one UE step to exact
 // allocation counts, each with the AUSF, UDM, SMF, UPF and modules behind
 // it over the JSON SBI:
 //   - one GUTI re-registration of an attached UE — the AMF's NAS
@@ -22,13 +22,15 @@ import (
 //     deciphering it, storing the GUTI and protecting the
 //     RegistrationComplete cost nothing once NAS PDUs go back to their
 //     pool;
+//   - the PDU session establishment of a registered UE: the SMF's create
+//     and its UPF establish, two posts that read their answers;
 //   - the deregistration of a UE with a PDU session: the SMF's release
 //     and its UPF release, two posts that read no answer;
 //   - one SQN resynchronisation round, from the UE's AuthenticationFailure
 //     to the fresh challenge: AUSF, UDM and UDR resync, the last two
 //     posts reading no answer.
 //
-// The last two count only the AMF's handling of the one uplink message.
+// The last three count only the AMF's handling of the one uplink message.
 // Every PDU is handed on once and released by its receiver.
 // With the collector off no sync.Pool is emptied mid-count; pools still
 // drop items at random under the race detector, so this file builds only
@@ -86,6 +88,33 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 	uplink(complete)
 
+	// A registered UE's PDU session establishment: the AMF's handling of
+	// the request, the SMF's create and its UPF establish. Each round
+	// hands the accept to the UE and deregisters before registering anew.
+	var establish, accepted []byte
+	release := func() {
+		answer(accepted)
+		dereg, err := device.BuildDeregistrationRequest(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uplink(dereg)
+	}
+	registered := func() {
+		if accepted != nil {
+			release()
+		}
+		h.register(t, device, 1)
+		var err error
+		if establish, err = device.BuildPDUSessionRequest(ctx, 1, "internet"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, want := allocsOf(50, registered, func() { accepted = uplink(establish) }), uint64(6); n != want {
+		t.Errorf("PDU session establishment: %v allocs, want %v", n, want)
+	}
+	release()
+
 	// A registered UE with a PDU session, then its DeregistrationRequest.
 	var dereg []byte
 	withSession := func() {
@@ -102,7 +131,7 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, want := allocsOf(50, withSession, func() { uplink(dereg) }), uint64(18); n != want {
+	if n, want := allocsOf(50, withSession, func() { uplink(dereg) }), uint64(1); n != want {
 		t.Errorf("deregistration with a PDU session: %v allocs, want %v", n, want)
 	}
 

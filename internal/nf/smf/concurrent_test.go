@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"shield5g/internal/sbi/codec"
 )
 
 // TestConcurrentSessions runs the create handler, the release handler and
@@ -17,23 +19,23 @@ func TestConcurrentSessions(t *testing.T) {
 	for round := range 10 {
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		each := func(f func(supi string)) {
+		each := func(f func(supi codec.SUPI)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				<-start
 				for i := range 50 {
-					f(fmt.Sprintf("imsi-%d-%d", round, i))
+					f(mustSUPI(fmt.Sprintf("imsi-%d%03d", round, i)))
 				}
 			}()
 		}
-		each(func(supi string) {
+		each(func(supi codec.SUPI) {
 			if err := s.handleCreate(ctx, &CreateSessionRequest{SUPI: supi, SessionID: 1, DNN: "internet"}, new(CreateSessionResponse)); err != nil {
 				t.Error(err)
 			}
 		})
-		each(func(supi string) { _ = s.handleRelease(ctx, &ReleaseSessionRequest{SUPI: supi, SessionID: 1}, nil) })
-		each(func(string) { s.SessionCount() })
+		each(func(supi codec.SUPI) { _ = s.handleRelease(ctx, &ReleaseSessionRequest{SUPI: supi, SessionID: 1}, nil) })
+		each(func(codec.SUPI) { s.SessionCount() })
 		close(start)
 		wg.Wait()
 	}

@@ -13,6 +13,7 @@ import (
 	"shield5g/internal/nf/nrf"
 	"shield5g/internal/nf/upf"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 // Service identity.
@@ -29,9 +30,9 @@ const (
 
 // CreateSessionRequest asks for a PDU session for a registered UE.
 type CreateSessionRequest struct {
-	SUPI      string `json:"supi"`
-	SessionID byte   `json:"session_id"`
-	DNN       string `json:"dnn"`
+	SUPI      codec.SUPI `json:"supi"`
+	SessionID byte       `json:"session_id"`
+	DNN       string     `json:"dnn"`
 }
 
 // CreateSessionResponse returns the allocated UE address and uplink TEID.
@@ -42,8 +43,8 @@ type CreateSessionResponse struct {
 
 // ReleaseSessionRequest tears a PDU session down.
 type ReleaseSessionRequest struct {
-	SUPI      string `json:"supi"`
-	SessionID byte   `json:"session_id"`
+	SUPI      codec.SUPI `json:"supi"`
+	SessionID byte       `json:"session_id"`
 }
 
 // Empty is an empty response body.
@@ -75,7 +76,7 @@ type SMF struct {
 
 // sessionKey names a PDU session: the UE's SUPI and its session ID.
 type sessionKey struct {
-	supi string
+	supi codec.SUPI
 	id   byte
 }
 
@@ -112,7 +113,7 @@ func New(ctx context.Context, cfg Config) (*SMF, error) {
 }
 
 func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest, resp *CreateSessionResponse) error {
-	if req.SUPI == "" || req.DNN == "" {
+	if req.SUPI == (codec.SUPI{}) || req.DNN == "" {
 		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUPI and DNN required")
 	}
 	key := sessionKey{req.SUPI, req.SessionID}

@@ -9,7 +9,19 @@ import (
 	"shield5g/internal/nf/nrf"
 	"shield5g/internal/nf/upf"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
+
+// The subscribers the tests open sessions for.
+var imsi1, imsi2 = mustSUPI("imsi-1"), mustSUPI("imsi-2")
+
+func mustSUPI(text string) codec.SUPI {
+	s, err := codec.ParseSUPI(text)
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
 
 func harness(t *testing.T) (*SMF, *upf.UPF, *Client) {
 	t.Helper()
@@ -32,7 +44,7 @@ func harness(t *testing.T) (*SMF, *upf.UPF, *Client) {
 func TestCreateSession(t *testing.T) {
 	s, u, c := harness(t)
 	resp, err := c.CreateSession(context.Background(), &CreateSessionRequest{
-		SUPI: "imsi-1", SessionID: 1, DNN: "internet",
+		SUPI: imsi1, SessionID: 1, DNN: "internet",
 	})
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
@@ -47,11 +59,11 @@ func TestCreateSession(t *testing.T) {
 
 func TestCreateSessionUniqueAddresses(t *testing.T) {
 	_, _, c := harness(t)
-	a, err := c.CreateSession(context.Background(), &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1, DNN: "internet"})
+	a, err := c.CreateSession(context.Background(), &CreateSessionRequest{SUPI: imsi1, SessionID: 1, DNN: "internet"})
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	b, err := c.CreateSession(context.Background(), &CreateSessionRequest{SUPI: "imsi-2", SessionID: 1, DNN: "internet"})
+	b, err := c.CreateSession(context.Background(), &CreateSessionRequest{SUPI: imsi2, SessionID: 1, DNN: "internet"})
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
@@ -67,7 +79,7 @@ func TestCreateSessionValidation(t *testing.T) {
 	if !errors.As(err, &pd) || pd.Status != 400 {
 		t.Fatalf("missing SUPI err = %v", err)
 	}
-	_, err = c.CreateSession(context.Background(), &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1})
+	_, err = c.CreateSession(context.Background(), &CreateSessionRequest{SUPI: imsi1, SessionID: 1})
 	if !errors.As(err, &pd) || pd.Status != 400 {
 		t.Fatalf("missing DNN err = %v", err)
 	}
@@ -75,7 +87,7 @@ func TestCreateSessionValidation(t *testing.T) {
 
 func TestDuplicateSessionRejected(t *testing.T) {
 	_, _, c := harness(t)
-	req := &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1, DNN: "internet"}
+	req := &CreateSessionRequest{SUPI: imsi1, SessionID: 1, DNN: "internet"}
 	if _, err := c.CreateSession(context.Background(), req); err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
@@ -88,18 +100,18 @@ func TestDuplicateSessionRejected(t *testing.T) {
 
 func TestReleaseSession(t *testing.T) {
 	s, u, c := harness(t)
-	req := &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1, DNN: "internet"}
+	req := &CreateSessionRequest{SUPI: imsi1, SessionID: 1, DNN: "internet"}
 	if _, err := c.CreateSession(context.Background(), req); err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	if err := c.ReleaseSession(context.Background(), &ReleaseSessionRequest{SUPI: "imsi-1", SessionID: 1}); err != nil {
+	if err := c.ReleaseSession(context.Background(), &ReleaseSessionRequest{SUPI: imsi1, SessionID: 1}); err != nil {
 		t.Fatalf("ReleaseSession: %v", err)
 	}
 	if s.SessionCount() != 0 || u.SessionCount() != 0 {
 		t.Fatalf("session counts after release = %d/%d", s.SessionCount(), u.SessionCount())
 	}
 	// Releasing again is a 404.
-	err := c.ReleaseSession(context.Background(), &ReleaseSessionRequest{SUPI: "imsi-1", SessionID: 1})
+	err := c.ReleaseSession(context.Background(), &ReleaseSessionRequest{SUPI: imsi1, SessionID: 1})
 	var pd *sbi.ProblemDetails
 	if !errors.As(err, &pd) || pd.Status != 404 {
 		t.Fatalf("double release err = %v, want 404", err)
@@ -128,7 +140,7 @@ type releaseInside struct {
 	err error
 }
 
-func (r *releaseInside) Post(ctx context.Context, service, path string, req, resp any) error {
+func (r *releaseInside) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	if path == upf.PathEstablish && r.req != nil {
 		r.err = r.smf.handleRelease(ctx, r.req, nil)
 		r.req = nil
@@ -142,10 +154,10 @@ func (r *releaseInside) Post(ctx context.Context, service, path string, req, res
 func TestReleaseDuringEstablishLeavesNoOrphanRule(t *testing.T) {
 	s, u, c := harness(t)
 	ctx := context.Background()
-	rel := &ReleaseSessionRequest{SUPI: "imsi-1", SessionID: 1}
+	rel := &ReleaseSessionRequest{SUPI: imsi1, SessionID: 1}
 	race := &releaseInside{Invoker: s.invoker, smf: s, req: rel}
 	s.invoker = race
-	_, err := c.CreateSession(ctx, &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1, DNN: "internet"})
+	_, err := c.CreateSession(ctx, &CreateSessionRequest{SUPI: imsi1, SessionID: 1, DNN: "internet"})
 	if race.req != nil {
 		t.Fatal("the create never reached the UPF")
 	}
@@ -172,7 +184,7 @@ type loseRelease struct {
 	replyLost bool
 }
 
-func (l *loseRelease) Post(ctx context.Context, service, path string, req, resp any) error {
+func (l *loseRelease) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	if path != upf.PathRelease {
 		return l.Invoker.Post(ctx, service, path, req, resp)
 	}
@@ -200,12 +212,12 @@ func TestFailedReleaseKeepsTheSessionForARetry(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, u, c := harness(t)
 			ctx := context.Background()
-			if _, err := c.CreateSession(ctx, &CreateSessionRequest{SUPI: "imsi-1", SessionID: 1, DNN: "internet"}); err != nil {
+			if _, err := c.CreateSession(ctx, &CreateSessionRequest{SUPI: imsi1, SessionID: 1, DNN: "internet"}); err != nil {
 				t.Fatalf("CreateSession: %v", err)
 			}
 			direct := s.invoker
 			s.invoker = &loseRelease{Invoker: direct, replyLost: tc.replyLost}
-			rel := &ReleaseSessionRequest{SUPI: "imsi-1", SessionID: 1}
+			rel := &ReleaseSessionRequest{SUPI: imsi1, SessionID: 1}
 			if err := c.ReleaseSession(ctx, rel); !sbi.HasCause(err, sbi.CauseTimeout) {
 				t.Fatalf("release err = %v, want the UPF's TIMEOUT", err)
 			}

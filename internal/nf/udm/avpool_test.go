@@ -28,7 +28,7 @@ type countingInvoker struct {
 	batchItems int
 }
 
-func (c *countingInvoker) Post(ctx context.Context, service, path string, req, resp any) error {
+func (c *countingInvoker) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	switch path {
 	case paka.PathUDMGenerateAV:
 		c.single++

@@ -48,7 +48,7 @@ func (m *NextAuthResponse) Scrub() {
 // [1, maxNextAuthBatch] bound.
 func (m *NextAuthBatchRequest) Fields(f *codec.Fields) {
 	f.Ident("supi", &m.SUPI)
-	f.Int("count", &m.Count)
+	codec.Int(f, "count", &m.Count, 0)
 }
 
 // Fields implements codec.Message.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -77,7 +78,7 @@ func TestHotPathAllocs(t *testing.T) {
 			for _, call := range []struct {
 				client        *sbi.Client
 				service, path string
-				req, resp     any
+				req, resp     codec.Message
 				want          float64
 			}{
 				{h.client, EUDM.ServiceName(), PathUDMGenerateAV, avRequest(), &avResp, 3},

@@ -5,14 +5,14 @@ package sbi
 // serves it: Serve registers its typed handler, Post calls it and reads
 // the answer, Send calls it without reading one.
 //
-// The wire format of an in-process body is a property of the message,
-// decided in one place, Client.Post: a client opted in through
-// EnableBinary frames a request (internal/sbi/codec's length-prefixed
-// frames) iff the request has a field description and the response is nil
-// or has one too. Servers hold no format state: every endpoint decodes
-// whichever format arrives and answers in kind (Answer). Messages without
-// a description and the real HTTP transport stay on JSON; ServeHTTP turns
-// a frame away with 415.
+// Every message has a field description, and an Endpoint refuses at
+// registration a pair without one. The wire format of an in-process body
+// is decided in one place, Client.Post: a client opted in through
+// EnableBinary frames every request (internal/sbi/codec's length-prefixed
+// frames), any other client frames none. Servers hold no format state:
+// every endpoint decodes whichever format arrives and answers in kind
+// (Answer). The real HTTP transport stays on JSON; ServeHTTP turns a frame
+// away with 415.
 //
 // Frames ride the exact MarshalBody/ReleaseBody single-owner contract the
 // JSON bodies use, and both formats are written and read from the
@@ -78,16 +78,12 @@ func MarshalBinary(m codec.Message) ([]byte, error) {
 	return out, nil
 }
 
-// decodeBody decodes a body in whichever format it arrived: a binary
-// frame through v's field description, anything else as JSON. Answer
-// uses it on requests, the client on responses.
-func decodeBody(body []byte, v any) error {
+// decodeBody decodes a body in whichever format it arrived into m: a
+// binary frame or JSON. Answer uses it on requests, the client on
+// responses.
+func decodeBody(body []byte, m codec.Message) error {
 	if !codec.IsFrame(body) {
-		return UnmarshalBody(body, v)
-	}
-	m, ok := v.(codec.Message)
-	if !ok {
-		return fmt.Errorf("binary frame into %T, which has no field description", v)
+		return codec.DecodeJSON(body, m)
 	}
 	payload, err := codec.Payload(body)
 	if err != nil {
@@ -96,25 +92,35 @@ func decodeBody(body []byte, v any) error {
 	return codec.DecodeBinary(payload, m)
 }
 
-// marshalBodyLike encodes v in the format of the request body it answers:
-// a frame when the request was a frame (and v has a field description),
-// JSON otherwise.
-func marshalBodyLike(reqBody []byte, v any) ([]byte, error) {
+// marshalBodyLike encodes m in the format of the request body it answers:
+// a frame when the request was a frame, JSON otherwise.
+func marshalBodyLike(reqBody []byte, m codec.Message) ([]byte, error) {
 	if codec.IsFrame(reqBody) {
-		if m, ok := v.(codec.Message); ok {
-			return MarshalBinary(m)
+		return MarshalBinary(m)
+	}
+	return MarshalBody(m)
+}
+
+// message is p's field description. Every pair that reaches it was
+// checked by mustDescribe when its endpoint was registered.
+func message[M any](p *M) codec.Message { return any(p).(codec.Message) }
+
+// mustDescribe refuses, at registration, a handler (what names it) whose
+// request or response has no field description.
+func mustDescribe[Req, Resp any](what string) {
+	for _, p := range []any{(*Req)(nil), (*Resp)(nil)} {
+		if _, ok := p.(codec.Message); !ok {
+			panic(fmt.Sprintf("sbi: %s: %T has no field description", what, p))
 		}
 	}
-	return MarshalBody(v)
 }
 
 // Answer is the one decode-and-answer step of every typed endpoint, an
 // NF's (Endpoint.Serve) and a P-AKA module's alike: it decodes body into
 // req in whichever format it arrived, runs fn(x, req, resp), and encodes
 // the response fn filled in the request's format. An empty body decodes as
-// the zero request. An undecodable body — a frame for a type without a
-// field description included — is a 400 MANDATORY_IE_INCORRECT, and an
-// unencodable answer a 500 SYSTEM_FAILURE.
+// the zero request. An undecodable body is a 400 MANDATORY_IE_INCORRECT,
+// and an unencodable answer a 500 SYSTEM_FAILURE.
 //
 // req and resp are the caller's, and resp is zero on entry: fn fills it
 // instead of allocating one. On the binary path the request's
@@ -123,14 +129,14 @@ func marshalBodyLike(reqBody []byte, v any) ([]byte, error) {
 // call only and must retain neither.
 func Answer[X, Req, Resp any](x X, body []byte, req *Req, resp *Resp, fn func(x X, req *Req, resp *Resp) error) ([]byte, error) {
 	if len(body) > 0 {
-		if err := decodeBody(body, req); err != nil {
+		if err := decodeBody(body, message(req)); err != nil {
 			return nil, Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "decode: %v", err)
 		}
 	}
 	if err := fn(x, req, resp); err != nil {
 		return nil, err
 	}
-	out, err := marshalBodyLike(body, resp)
+	out, err := marshalBodyLike(body, message(resp))
 	if err != nil {
 		return nil, Problem(500, "Internal Server Error", CauseSystem, "encode: %v", err)
 	}
@@ -141,8 +147,8 @@ func Answer[X, Req, Resp any](x X, body []byte, req *Req, resp *Resp, fn func(x 
 // request and response it moves. Declare one per operation, in the package
 // that serves it; the server registers it with Serve and every caller
 // posts through the same variable, so the two sides cannot disagree on
-// the pair. Its request and response agree on having a field description,
-// so Send frames exactly as Post would (TestSBIInventory checks it).
+// the pair. Both have a field description: Serve and Handle refuse a pair
+// without one.
 type Endpoint[Req, Resp any] struct {
 	Path string
 	pool sync.Pool // of *binCall[Req, Resp], Post's and Send's
@@ -169,6 +175,7 @@ func (e *Endpoint[Req, Resp]) Serve(srv *Server, fn func(ctx context.Context, re
 // module's, which does so inside the enclave crossing. Serve is Handle
 // with the plain decode-and-answer handler.
 func (e *Endpoint[Req, Resp]) Handle(srv *Server, h HandlerFunc) {
+	mustDescribe[Req, Resp]("endpoint " + e.Path)
 	srv.HandleDual(e.Path, h)
 	srv.describe(e.Path, (*Req)(nil), (*Resp)(nil))
 }
@@ -184,8 +191,7 @@ func (e *Endpoint[Req, Resp]) Post(ctx context.Context, inv Invoker, service str
 }
 
 // Send is Post for a call that reads no answer: the request is copied into
-// the pooled pair the same way and posted with a nil response, which
-// Client.Post's framing rule frames exactly as it frames Post's request.
+// the pooled pair the same way and posted with a nil response.
 func (e *Endpoint[Req, Resp]) Send(ctx context.Context, inv Invoker, service string, req Req) error {
 	_, err := e.post(ctx, inv, service, req, false)
 	return err
@@ -197,11 +203,11 @@ func (e *Endpoint[Req, Resp]) post(ctx context.Context, inv Invoker, service str
 		c = new(binCall[Req, Resp])
 	}
 	c.req = req
-	var out any // nil: the answer is not read
+	var out codec.Message // nil: the answer is not read
 	if answer {
-		out = &c.resp
+		out = message(&c.resp)
 	}
-	if err = inv.Post(ctx, service, e.Path, &c.req, out); err == nil {
+	if err = inv.Post(ctx, service, e.Path, message(&c.req), out); err == nil {
 		resp = c.resp
 	}
 	*c = binCall[Req, Resp]{}
@@ -252,9 +258,11 @@ func scrub[M any](m *M) {
 
 // BinHandler adapts a function that returns the response it allocated
 // into a dual-format HandlerFunc; the response is copied into the pooled
-// one. No endpoint of the core uses it: it is kept for the benchmark
-// module's echo server.
+// one. Like Serve, it refuses a pair without a field description. No
+// endpoint of the core uses it: it is kept for the benchmark module's echo
+// server.
 func BinHandler[Req, Resp any](fn func(ctx context.Context, req *Req) (*Resp, error)) HandlerFunc {
+	mustDescribe[Req, Resp]("BinHandler")
 	return binHandlerInto(func(ctx context.Context, req *Req, resp *Resp) error {
 		r, err := fn(ctx, req)
 		if err == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"shield5g/internal/sbi/codec"
@@ -103,21 +104,17 @@ func TestBinaryDisabledClientStaysJSON(t *testing.T) {
 	}
 }
 
-// TestPostFormatRule pins the one format rule (Client.Post): a request is
-// framed iff the client is binary, the request has a field description and
-// the response is nil or has one too, on first contact and later alike —
-// and the server answers in whichever format it was asked in.
+// TestPostFormatRule pins the one format rule (Client.Post): a binary
+// client frames every request and any other client frames none, with a
+// response read or not, on first contact and later alike — and the server
+// answers in whichever format it was asked in.
 func TestPostFormatRule(t *testing.T) {
 	shapes := []struct {
-		name      string
-		path      string
-		req, resp func() any
-		framable  bool
+		name string
+		read bool // whether the answer is read
 	}{
-		{"described req, described resp", "/dd", func() any { return &binMsg{Value: "v"} }, func() any { return &binMsg{} }, true},
-		{"described req, nil resp", "/dd", func() any { return &binMsg{Value: "v"} }, func() any { return nil }, true},
-		{"described req, undescribed resp", "/du", func() any { return &binMsg{Value: "v"} }, func() any { return &echoResp{} }, false},
-		{"undescribed req", "/uu", func() any { return &echoReq{Value: "v"} }, func() any { return &echoResp{} }, false},
+		{"described req, described resp", true},
+		{"described req, nil resp", false},
 	}
 	for _, binary := range []bool{true, false} {
 		for _, later := range []bool{false, true} {
@@ -126,22 +123,14 @@ func TestPostFormatRule(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					env := newEnv()
 					var reqFrame, respFrame bool
-					record := func(h HandlerFunc) HandlerFunc {
-						return func(ctx context.Context, body []byte) ([]byte, error) {
-							reqFrame = codec.IsFrame(body)
-							out, err := h(ctx, body)
-							respFrame = codec.IsFrame(out)
-							return out, err
-						}
-					}
 					srv := NewServer("udm", env)
-					srv.HandleDual("/dd", record(BinHandler(echoBin)))
-					srv.HandleDual("/du", record(BinHandler(func(_ context.Context, req *binMsg) (*echoResp, error) {
-						return &echoResp{Value: req.Value}, nil
-					})))
-					srv.HandleDual("/uu", record(BinHandler(func(_ context.Context, req *echoReq) (*echoResp, error) {
-						return &echoResp{Value: req.Value}, nil
-					})))
+					echo := BinHandler(echoBin)
+					srv.HandleDual("/dd", func(ctx context.Context, body []byte) ([]byte, error) {
+						reqFrame = codec.IsFrame(body)
+						out, err := echo(ctx, body)
+						respFrame = codec.IsFrame(out)
+						return out, err
+					})
 					reg := NewRegistry()
 					if err := reg.Register(srv); err != nil {
 						t.Fatalf("Register: %v", err)
@@ -151,34 +140,70 @@ func TestPostFormatRule(t *testing.T) {
 						c.EnableBinary()
 					}
 					if later {
-						if err := c.Post(context.Background(), "udm", "/uu", &echoReq{}, nil); err != nil {
+						if err := c.Post(context.Background(), "udm", "/dd", &binMsg{}, nil); err != nil {
 							t.Fatalf("opening Post: %v", err)
 						}
 					}
-					resp := sh.resp()
-					if err := c.Post(context.Background(), "udm", sh.path, sh.req(), resp); err != nil {
+					var resp binMsg
+					var out codec.Message // nil: the answer is not read
+					if sh.read {
+						out = &resp
+					}
+					if err := c.Post(context.Background(), "udm", "/dd", &binMsg{Value: "v"}, out); err != nil {
 						t.Fatalf("Post: %v", err)
 					}
-					switch r := resp.(type) {
-					case *binMsg:
-						if r.Value != "v" {
-							t.Errorf("resp = %+v, want the echoed value", r)
-						}
-					case *echoResp:
-						if r.Value != "v" {
-							t.Errorf("resp = %+v, want the echoed value", r)
-						}
+					if sh.read && resp.Value != "v" {
+						t.Errorf("resp = %+v, want the echoed value", resp)
 					}
-					want := binary && sh.framable
-					if reqFrame != want {
-						t.Errorf("handler saw frame=%v, want %v", reqFrame, want)
+					if reqFrame != binary {
+						t.Errorf("handler saw frame=%v, want %v", reqFrame, binary)
 					}
-					if respFrame != want {
-						t.Errorf("handler answered frame=%v, want %v (in kind)", respFrame, want)
+					if respFrame != binary {
+						t.Errorf("handler answered frame=%v, want %v (in kind)", respFrame, binary)
 					}
 				})
 			}
 		}
+	}
+}
+
+// plainMsg has no field description.
+type plainMsg struct {
+	Value string `json:"value"`
+}
+
+// TestRegistrationRefusesUndescribedPair: an endpoint, a module's handler
+// or a BinHandler whose request or response has no field description is
+// refused when it is registered, before a request can reach it, and
+// leaves no route behind.
+func TestRegistrationRefusesUndescribedPair(t *testing.T) {
+	refused := func(what string, register func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil {
+				t.Errorf("%s: registered a pair without a field description", what)
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, "plainMsg has no field description") {
+				t.Errorf("%s: refused with %q, want it to name the undescribed type", what, msg)
+			}
+		}()
+		register()
+	}
+	srv := NewServer("udm", newEnv())
+	undescribedReq := Endpoint[plainMsg, binMsg]{Path: "/req"}
+	undescribedResp := Endpoint[binMsg, plainMsg]{Path: "/resp"}
+	refused("Serve, undescribed request", func() {
+		undescribedReq.Serve(srv, func(context.Context, *plainMsg, *binMsg) error { return nil })
+	})
+	refused("Serve, undescribed response", func() {
+		undescribedResp.Serve(srv, func(context.Context, *binMsg, *plainMsg) error { return nil })
+	})
+	refused("Handle, undescribed request", func() { undescribedReq.Handle(srv, BinHandler(echoBin)) })
+	refused("Handle, undescribed response", func() { undescribedResp.Handle(srv, BinHandler(echoBin)) })
+	refused("BinHandler", func() {
+		BinHandler(func(_ context.Context, req *plainMsg) (*plainMsg, error) { return req, nil })
+	})
+	if paths := srv.Paths(); len(paths) != 0 {
+		t.Fatalf("refused endpoints left routes %v", paths)
 	}
 }
 
@@ -290,13 +315,6 @@ func TestDecodeBodyFormats(t *testing.T) {
 	}
 	if fromFrame.Value != fromJSON.Value || string(fromFrame.Blob) != string(fromJSON.Blob) {
 		t.Fatalf("frame decode %+v != json decode %+v", fromFrame, fromJSON)
-	}
-
-	// A frame aimed at a type without a binary codec is an error, not a
-	// silent misparse.
-	var plain echoResp
-	if err := decodeBody(frame, &plain); err == nil {
-		t.Fatalf("decodeBody(frame, no codec) succeeded")
 	}
 }
 

@@ -1,26 +1,23 @@
 package sbi
 
 import (
-	"encoding/json"
 	"sync"
 
 	"shield5g/internal/sbi/codec"
 )
 
-// SBI bodies. Every registration crosses the SBI layer many times, so a
-// message on that path carries a field description (codec.Message) and is
-// encoded and decoded from it, in JSON as in binary frames, without
-// reflection; bodies travel in pooled buffers that ReleaseBody recycles.
-// Messages without a description (NRF, SMF, UPF, ProblemDetails) are cold
-// and go through encoding/json. Described or cold, every endpoint is
-// served one way, Answer, and fills the response it is handed.
+// SBI bodies. Every SBI message carries a field description
+// (codec.Message) and is encoded and decoded from it, in JSON as in binary
+// frames, without reflection; bodies travel in pooled buffers that
+// ReleaseBody recycles. Every endpoint is served one way, Answer, and
+// fills the response it is handed.
 //
 // Ownership contract: a []byte returned by MarshalBody (and, by the
 // HandlerFunc contract, any handler-returned body) is owned by exactly
 // one party at a time. Whoever consumes it last calls ReleaseBody; after
-// that the bytes must not be touched. The encoded bytes are json.Marshal's
-// in either case, so the modelled per-byte TLS/HTTP costs do not depend on
-// which path wrote them.
+// that the bytes must not be touched. The encoded bytes are json.Marshal's,
+// so the modelled per-byte TLS/HTTP costs do not depend on which codec
+// wrote them.
 //
 // The contract is checked where it runs: in every -race build and in this
 // package's tests the pool audit (audit.go) counts bodies handed out and
@@ -53,20 +50,10 @@ func getBuf() []byte {
 // don't allocate a fresh box per donation.
 var boxPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// MarshalBody encodes v exactly as json.Marshal does, except that a
-// pointer to a described message must not be nil. The returned slice is
-// owned by the caller; pass it to ReleaseBody when done to recycle the
-// backing array.
-func MarshalBody(v any) ([]byte, error) {
-	m, ok := v.(codec.Message)
-	if !ok {
-		// A message without a field description is cold.
-		out, err := json.Marshal(v)
-		if auditPool && err == nil {
-			auditOwn(out)
-		}
-		return out, err
-	}
+// MarshalBody encodes m exactly as json.Marshal does into a pooled body
+// buffer. The returned slice is owned by the caller; pass it to
+// ReleaseBody when done to recycle the backing array.
+func MarshalBody(m codec.Message) ([]byte, error) {
 	buf := getBuf()
 	out, err := codec.AppendJSON(buf, m)
 	if err != nil {
@@ -101,14 +88,4 @@ func ReleaseBody(b []byte) {
 	bp := boxPool.Get().(*[]byte)
 	*bp = b[:0]
 	bufPool.Put(bp)
-}
-
-// UnmarshalBody decodes data into v like json.Unmarshal. Nothing decoded
-// aliases data.
-func UnmarshalBody(data []byte, v any) error {
-	if m, ok := v.(codec.Message); ok {
-		return codec.DecodeJSON(data, m)
-	}
-	// A message without a field description is cold.
-	return json.Unmarshal(data, v)
 }

@@ -1,11 +1,11 @@
-// Package codec holds the SBI body codecs. A message on the registration
-// path describes its fields once (Message, Fields) and this package
-// drives both wire formats from that description:
+// Package codec holds the SBI body codec. Every SBI message describes its
+// fields once (Message, Fields) and this package drives both wire formats
+// from that description:
 //
-//   - JSON, the paper's REST format and the interop fallback: AppendJSON
-//     and DecodeJSON reproduce encoding/json byte for byte and value for
-//     value without reflection, and hand the whole body to encoding/json
-//     when it leaves their grammar.
+//   - JSON, the paper's REST format and the HTTP edge's: AppendJSON and
+//     DecodeJSON reproduce encoding/json byte for byte and value for value
+//     without reflection, and hand the whole body to encoding/json when it
+//     leaves their grammar (an escaped string, malformed input).
 //   - the binary framing a binary-enabled in-process client sends (see
 //     sbi.Client.Post, the one place the format is decided): AppendBinary
 //     and DecodeBinary.
@@ -15,7 +15,8 @@
 //	magic (1 byte, 0xB5) || payload length (4 bytes, big endian) || payload
 //
 // and the payload is the description's field sequence: uvarint-length-
-// prefixed byte strings and strings, single bytes, uvarints, a presence
+// prefixed byte strings and strings, single bytes, uvarints, a 0 or 1
+// byte per bool, big-endian fixed-width unsigned integers, a presence
 // byte before an optional struct and a count before a list. The magic
 // byte cannot begin a JSON body ('{', '[', '"', digits, ...), so a server
 // can tell the two formats apart from the first byte of the request.
@@ -73,6 +74,8 @@ var (
 	// ErrFieldLength is a fixed-width field (Fixed) whose byte string is
 	// not its width.
 	ErrFieldLength = errors.New("codec: fixed-width field of the wrong length")
+	// ErrBool is a Bool field whose byte is neither 0 nor 1.
+	ErrBool = errors.New("codec: boolean byte neither 0 nor 1")
 )
 
 // IsFrame reports whether b begins with a plausible binary frame header.

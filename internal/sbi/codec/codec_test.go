@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -20,6 +21,9 @@ type probe struct {
 	Kept  []byte // Own
 	Y     byte
 	N     int
+	T     bool
+	U32   uint32
+	U64   uint64
 	Opt   *probeItem
 	Items []probeItem
 }
@@ -32,7 +36,10 @@ func (m *probe) Fields(f *Fields) {
 	f.Bytes("view", &m.View, 0)
 	f.Bytes("kept", &m.Kept, Own)
 	f.Byte("y", &m.Y)
-	f.Int("n", &m.N)
+	Int(f, "n", &m.N, 0)
+	f.Bool("t", &m.T, 0)
+	Uint(f, "u32", &m.U32)
+	Uint(f, "u64", &m.U64)
 	Ptr(f, "opt", &m.Opt, OmitEmpty)
 	List(f, "items", &m.Items)
 }
@@ -55,7 +62,7 @@ func buildFrame(t *testing.T, payload []byte) []byte {
 func TestFramePayloadLayout(t *testing.T) {
 	in := &probe{
 		S: "imsi-1", Const: "snn", View: []byte{0xDE, 0xAD}, Kept: []byte{},
-		Y: 0x2A, N: 300, Opt: &probeItem{B: []byte{7}},
+		Y: 0x2A, N: 300, T: true, U32: 0x01020304, U64: 0x05060708090A0B0C, Opt: &probeItem{B: []byte{7}},
 		Items: []probeItem{{B: []byte{1}}, {}, {B: []byte{3, 3}}},
 	}
 	want := []byte{6, 'i', 'm', 's', 'i', '-', '1', 3, 's', 'n', 'n'}
@@ -63,8 +70,11 @@ func TestFramePayloadLayout(t *testing.T) {
 	want = append(want, 1)             // empty, not nil
 	want = append(want, 0x2A)          // raw byte
 	want = binary.AppendUvarint(want, 300)
-	want = append(want, 1, 2, 7)             // present, then the item
-	want = append(want, 3, 2, 1, 0, 3, 3, 3) // count, then the items; 0 is a nil byte string
+	want = append(want, 1)                               // true
+	want = append(want, 1, 2, 3, 4)                      // big endian, 4 bytes
+	want = append(want, 5, 6, 7, 8, 9, 0x0A, 0x0B, 0x0C) // big endian, 8 bytes
+	want = append(want, 1, 2, 7)                         // present, then the item
+	want = append(want, 3, 2, 1, 0, 3, 3, 3)             // count, then the items; 0 is a nil byte string
 	payload := AppendBinary(nil, in)
 	if !bytes.Equal(payload, want) {
 		t.Fatalf("payload\n got %x\nwant %x", payload, want)
@@ -420,11 +430,67 @@ func TestIdentityText(t *testing.T) {
 	}
 }
 
+// numProbe holds one field of each kind with a fixed width in a frame:
+// a bool and both unsigned integer widths.
+type numProbe struct {
+	B   bool   `json:"b"`
+	U32 uint32 `json:"u32"`
+	U64 uint64 `json:"u64"`
+}
+
+func (m *numProbe) Fields(f *Fields) {
+	f.Bool("b", &m.B, 0)
+	Uint(f, "u32", &m.U32)
+	Uint(f, "u64", &m.U64)
+}
+
+// TestBoolAndUintRange: a bool and an unsigned integer at 0 and at the top
+// of their range travel in both formats as encoding/json writes and reads
+// them, on the JSON fast path; one past the top (2 for a bool) is a decode
+// error from a frame, from the JSON fast path's fallback and from
+// encoding/json alike.
+func TestBoolAndUintRange(t *testing.T) {
+	for _, in := range []numProbe{{}, {B: true, U32: math.MaxUint32, U64: math.MaxUint64}} {
+		frame := AppendBinary(nil, &in)
+		if len(frame) != 1+4+8 {
+			t.Errorf("%+v: frame %x, want 13 bytes", in, frame)
+		}
+		var fromFrame, fromJSON numProbe
+		if err := DecodeBinary(frame, &fromFrame); err != nil || fromFrame != in {
+			t.Errorf("%+v: frame decode %+v, %v", in, fromFrame, err)
+		}
+		body, err := AppendJSON(nil, &in)
+		if ref, _ := json.Marshal(&in); err != nil || !bytes.Equal(body, ref) {
+			t.Errorf("%+v: AppendJSON %s (%v), encoding/json %s", in, body, err, ref)
+		}
+		if !FastDecodeJSON(body, &fromJSON) || fromJSON != in {
+			t.Errorf("%+v: JSON fast path decoded %+v from %s", in, fromJSON, body)
+		}
+	}
+	for _, body := range []string{`{"b":2}`, `{"b":null,"u32":4294967296}`, `{"u64":18446744073709551616}`, `{"u32":-1}`} {
+		var got, ref numProbe
+		jerr := DecodeJSON([]byte(body), &got)
+		rerr := json.Unmarshal([]byte(body), &ref)
+		if jerr == nil || rerr == nil || jerr.Error() != rerr.Error() {
+			t.Errorf("%s: DecodeJSON err %v, encoding/json err %v; want the same error", body, jerr, rerr)
+		}
+	}
+	if err := DecodeBinary(make([]byte, 13), new(numProbe)); err != nil {
+		t.Errorf("a zero frame: %v", err)
+	}
+	if err := DecodeBinary(append([]byte{2}, make([]byte, 12)...), new(numProbe)); !errors.Is(err, ErrBool) {
+		t.Errorf("a bool byte of 2: err %v, want ErrBool", err)
+	}
+	if err := DecodeBinary(append([]byte{0, 1}, make([]byte, 12)...), new(numProbe)); !errors.Is(err, ErrTrailing) {
+		t.Errorf("a uint32 one byte wider than its width: err %v, want ErrTrailing", err)
+	}
+}
+
 // FuzzFramePayload throws arbitrary bytes at the frame parser and the
 // frame decoder: whatever the input, parsing must never panic, a frame
 // accepted by Payload must satisfy the header/length invariants, a
-// failed decode must leave no view behind, and an identity decodes only
-// from text it re-encodes byte for byte.
+// failed decode must leave no view behind, and an identity, a bool and an
+// unsigned integer decode only from bytes they re-encode byte for byte.
 func FuzzFramePayload(f *testing.F) {
 	valid := buildFrameBytes(AppendBinary(nil, &probe{
 		S: "imsi-00101-0000000001", View: []byte{1, 2, 3, 4}, Y: 7, Opt: &probeItem{}, Items: make([]probeItem, 2),
@@ -439,6 +505,12 @@ func FuzzFramePayload(f *testing.F) {
 	f.Add(buildFrameBytes(AppendBinary(nil, &textProbe{S: "imsi-001010000000001", ID: "authctx-42"})))
 	f.Add(buildFrameBytes(AppendBinary(nil, &textProbe{S: "imsi-0010100000000012", ID: "authctx-42-overlong"})))
 	f.Add(buildFrameBytes(AppendBinary(nil, &textProbe{S: "imsi-00101x", ID: "auth<ctx"})))
+	// A bool and the unsigned widths at 0, at their top, and one past it:
+	// a bool byte of 2, a uint32 of five bytes.
+	f.Add(buildFrameBytes(AppendBinary(nil, &numProbe{})))
+	f.Add(buildFrameBytes(AppendBinary(nil, &numProbe{B: true, U32: math.MaxUint32, U64: math.MaxUint64})))
+	f.Add(buildFrameBytes(append([]byte{2}, make([]byte, 12)...)))
+	f.Add(buildFrameBytes(append([]byte{1, 1, 0, 0, 0, 0}, make([]byte, 8)...)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := Payload(data)
@@ -461,6 +533,10 @@ func FuzzFramePayload(f *testing.F) {
 		var ids idProbe
 		if err := DecodeBinary(payload, &ids); err == nil && !bytes.Equal(AppendBinary(nil, &ids), payload) {
 			t.Fatalf("identities %+v decoded from %x re-encode differently", ids, payload)
+		}
+		var nums numProbe
+		if err := DecodeBinary(payload, &nums); err == nil && !bytes.Equal(AppendBinary(nil, &nums), payload) {
+			t.Fatalf("numbers %+v decoded from %x re-encode differently", nums, payload)
 		}
 	})
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"shield5g/internal/nf/nrf"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi/codec"
 )
@@ -213,6 +214,10 @@ func agree(t testing.TB, s sample, body []byte) bool {
 		if len(m.Vectors) == 0 {
 			m.Vectors = nil
 		}
+	case *nrf.DiscoverResponse:
+		if len(m.Profiles) == 0 {
+			m.Profiles = nil
+		}
 	}
 	if !reflect.DeepEqual(back, got) {
 		t.Fatalf("%s: binary round trip of %s\n got  %#v\n want %#v", s.name, pristine, back, got)
@@ -318,6 +323,18 @@ func TestJSONFastPathBoundary(t *testing.T) {
 		{"udr.GetResponse", `{"subscriber":{"k":"AA\n=="}}`, false},
 		{"udr.GetResponse", `{"subscriber":{"k":[1,2]}}`, false},
 		{"udr.GetResponse", ` { "subscriber" : { } } `, true},
+		{"upf.EstablishResponse", `{"teid":4294967295}`, true},
+		{"upf.EstablishResponse", `{"teid":4294967296}`, false},
+		{"upf.EstablishResponse", `{"teid":-1}`, false},
+		{"upf.ReleaseRequest", `{"seid":18446744073709551615}`, true},
+		{"upf.ReleaseRequest", `{"seid":18446744073709551616}`, false},
+		{"upf.ReleaseRequest", `{"seid":184467440737095516150}`, false},
+		{"nrf.DiscoverRequest", `{"require_hmee":true}`, true},
+		{"nrf.DiscoverRequest", `{"require_hmee":false}`, true},
+		{"nrf.DiscoverRequest", `{"require_hmee":null}`, false},
+		{"nrf.DiscoverRequest", `{"require_hmee":1}`, false},
+		{"nrf.DiscoverRequest", `{"require_hmee":"true"}`, false},
+		{"sbi.ProblemDetails/omitted", `{"retryAfter":-1}`, false},
 		{"udr.Empty", `{}`, true},
 		{"udr.Empty", `null`, false},
 		{"udr.Empty", ``, false},
@@ -368,7 +385,22 @@ func FuzzJSONDifferential(f *testing.F) {
 			f.Add(uint8(i), bytes.Replace(canonical, []byte(text), []byte(text+"0123456789"), 1))
 		}
 	}
+	// The bool and the unsigned integers at 0, at the top of their range
+	// and one past it, which encoding/json rejects.
+	for i, s := range all {
+		for _, body := range rangeBodies[s.name] {
+			f.Add(uint8(i), []byte(body))
+		}
+	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		agree(t, all[int(which)%len(all)], body)
 	})
+}
+
+// rangeBodies holds, by sample name, bodies with a bool or an unsigned
+// integer at 0, at the top of its range and one past it.
+var rangeBodies = map[string][]string{
+	"nrf.DiscoverRequest":   {`{"nf_type":"UDM","require_hmee":false}`, `{"nf_type":"UDM","require_hmee":true}`, `{"nf_type":"UDM","require_hmee":2}`},
+	"upf.EstablishResponse": {`{"teid":0}`, `{"teid":4294967295}`, `{"teid":4294967296}`},
+	"upf.ReleaseRequest":    {`{"seid":0}`, `{"seid":18446744073709551615}`, `{"seid":18446744073709551616}`},
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"sync"
@@ -29,8 +30,8 @@ type Message interface {
 type Flag uint8
 
 const (
-	// OmitEmpty is the json tag's omitempty: an empty string or nil
-	// pointer is left out of the JSON object.
+	// OmitEmpty is the json tag's omitempty: an empty string, a zero Int,
+	// a false Bool or a nil pointer is left out of the JSON object.
 	OmitEmpty Flag = 1 << iota
 	// Own marks a byte string (or, on Struct, every byte string below
 	// it) the decoder's caller retains: a frame decode compacts it into
@@ -301,21 +302,91 @@ func (f *Fields) Byte(name string, p *byte) {
 	}
 }
 
-// Int describes an int field: a JSON number, a bare uvarint in a frame.
-// Unlike a List's count it is not bounded by the payload that remains —
-// no decode-side allocation is sized by it — so the handler bounds it.
-func (f *Fields) Int(name string, p *int) {
+// Int describes a signed integer field, an int or an int64 such as a
+// time.Duration: a JSON number, its two's complement as a bare uvarint in
+// a frame. Unlike a List's count it is not bounded by the payload that
+// remains — no decode-side allocation is sized by it — so the handler
+// bounds it. A negative number leaves the JSON fast path.
+func Int[T ~int | ~int64](f *Fields, name string, p *T, fl Flag) {
 	switch f.mode {
 	case binAppend:
 		f.buf = binary.AppendUvarint(f.buf, uint64(*p))
 	case binDecode:
-		*p = int(f.uvarint())
+		*p = T(f.uvarint())
 	case jsonAppend:
-		f.member(name)
-		f.buf = strconv.AppendInt(f.buf, int64(*p), 10)
+		if *p != 0 || fl&OmitEmpty == 0 {
+			f.member(name)
+			f.buf = strconv.AppendInt(f.buf, int64(*p), 10)
+		}
 	case jsonDecode:
 		if f.match(name) {
-			*p = int(f.uint(math.MaxInt))
+			*p = T(f.uint(math.MaxInt))
+			f.next(false)
+		}
+	}
+}
+
+// Uint describes a fixed-width unsigned integer field, a uint32 TEID or a
+// uint64 SEID: a JSON number, its bytes big endian in a frame, so a frame
+// holds one encoding of each value and none out of range.
+func Uint[T ~uint32 | ~uint64](f *Fields, name string, p *T) {
+	width := bits.Len64(uint64(^T(0))) / 8
+	switch f.mode {
+	case binAppend:
+		for i := width - 1; i >= 0; i-- {
+			f.buf = append(f.buf, byte(uint64(*p)>>(8*i)))
+		}
+	case binDecode:
+		var v uint64
+		for _, c := range f.take(uint64(width)) {
+			v = v<<8 | uint64(c)
+		}
+		*p = T(v)
+	case jsonAppend:
+		f.member(name)
+		f.buf = strconv.AppendUint(f.buf, uint64(*p), 10)
+	case jsonDecode:
+		if f.match(name) {
+			*p = T(f.uint(uint64(^T(0))))
+			f.next(false)
+		}
+	}
+}
+
+// Bool describes a bool field: JSON true or false, one byte, 0 or 1, in a
+// frame; any other byte is ErrBool.
+func (f *Fields) Bool(name string, p *bool, fl Flag) {
+	switch f.mode {
+	case binAppend:
+		var b byte
+		if *p {
+			b = 1
+		}
+		f.buf = append(f.buf, b)
+	case binDecode:
+		b := f.take(1)
+		*p = len(b) == 1 && b[0] == 1
+		if len(b) == 1 && b[0] > 1 {
+			f.fail(ErrBool)
+		}
+	case jsonAppend:
+		if *p || fl&OmitEmpty == 0 {
+			f.member(name)
+			f.buf = strconv.AppendBool(f.buf, *p)
+		}
+	case jsonDecode:
+		if f.match(name) {
+			f.ws()
+			switch rest := f.buf[f.off:]; {
+			case bytes.HasPrefix(rest, []byte("true")):
+				*p = true
+				f.off += 4
+			case bytes.HasPrefix(rest, []byte("false")):
+				*p = false
+				f.off += 5
+			default:
+				f.bad = true
+			}
 			f.next(false)
 		}
 	}
@@ -655,18 +726,20 @@ func (f *Fields) str() []byte {
 // uint consumes an unsigned decimal integer no greater than max.
 func (f *Fields) uint(max uint64) uint64 {
 	f.ws()
-	start, v := f.off, uint64(0)
-	for ; f.off < len(f.buf) && f.off-start < 19; f.off++ {
+	start, v, over := f.off, uint64(0), false
+	for ; f.off < len(f.buf) && f.off-start < 20; f.off++ {
 		c := f.buf[f.off]
 		if c < '0' || c > '9' {
 			break
 		}
-		v = v*10 + uint64(c-'0')
+		hi, lo := bits.Mul64(v, 10)
+		v = lo + uint64(c-'0')
+		over = over || hi != 0 || v < lo
 	}
 	n := f.off - start
 	// No digits, a leading zero, or a value out of range; what follows
 	// the digits ('.', 'e', another digit) is for next to reject.
-	if n == 0 || n > 1 && f.buf[start] == '0' || v > max {
+	if n == 0 || n > 1 && f.buf[start] == '0' || over || v > max {
 		f.bad = true
 	}
 	return v

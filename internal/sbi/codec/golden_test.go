@@ -20,16 +20,22 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"shield5g/internal/crypto/suci"
 	"shield5g/internal/nf/ausf"
+	"shield5g/internal/nf/nrf"
+	"shield5g/internal/nf/smf"
 	"shield5g/internal/nf/udm"
 	"shield5g/internal/nf/udr"
+	"shield5g/internal/nf/upf"
 	"shield5g/internal/paka"
+	"shield5g/internal/sbi"
 	"shield5g/internal/sbi/codec"
 )
 
@@ -312,8 +318,39 @@ func samples() []sample {
 			HomeKeyID:        0,
 			SchemeOutput:     []byte("0000000001"),
 		}},
+
+		{"nrf.NFProfile", &udmProfile},
+		{"nrf.RegisterRequest", &nrf.RegisterRequest{Profile: udmProfile}},
+		{"nrf.RegisterResponse", &nrf.RegisterResponse{HeartbeatSeconds: 10}},
+		{"nrf.DiscoverRequest", &nrf.DiscoverRequest{NFType: "UDM", RequireHMEE: true}},
+		{"nrf.DiscoverRequest/any-host", &nrf.DiscoverRequest{NFType: "SMF"}},
+		{"nrf.DiscoverResponse", &nrf.DiscoverResponse{Profiles: []nrf.NFProfile{
+			udmProfile, {InstanceID: "udm-r1-1", NFType: "UDM", Service: "udm-r1"},
+		}}},
+		{"nrf.DiscoverResponse/nil-profiles", &nrf.DiscoverResponse{}},
+
+		{"smf.CreateSessionRequest", &smf.CreateSessionRequest{SUPI: supi("imsi-001010000000015"), SessionID: 1, DNN: "internet"}},
+		{"smf.CreateSessionResponse", &smf.CreateSessionResponse{UEAddress: "10.60.0.2", TEID: 7}},
+		{"smf.ReleaseSessionRequest", &smf.ReleaseSessionRequest{SUPI: supi("imsi-001010000000016"), SessionID: 1}},
+		{"smf.Empty", &smf.Empty{}},
+
+		{"upf.EstablishRequest", &upf.EstablishRequest{SEID: 7, UEAddress: "10.60.0.2"}},
+		{"upf.EstablishResponse", &upf.EstablishResponse{TEID: math.MaxUint32}},
+		{"upf.ReleaseRequest", &upf.ReleaseRequest{SEID: math.MaxUint64}},
+		{"upf.Empty", &upf.Empty{}},
+
+		{"sbi.ProblemDetails", &sbi.ProblemDetails{
+			Title: "Service Unavailable", Status: 503, Detail: "udm shed the request", Cause: sbi.CauseOverload,
+			RetryAfter: 3 * time.Millisecond, OCI: &sbi.OCI{Load: 97, Reduction: 40, RetryAfter: 3 * time.Millisecond, Seq: 12},
+		}},
+		{"sbi.ProblemDetails/omitted", &sbi.ProblemDetails{Title: "Not Found", Status: 404}},
+		{"sbi.OCI", &sbi.OCI{Load: 97, Reduction: 40, RetryAfter: 3 * time.Millisecond, Seq: 12}},
+		{"sbi.OCI/omitted", &sbi.OCI{Load: 20}},
 	}
 }
+
+// udmProfile is the NRF profile of a UDM instance on an HMEE host.
+var udmProfile = nrf.NFProfile{InstanceID: "udm-1", NFType: "UDM", Service: "udm", HMEE: true}
 
 // identityText maps every sample whose message carries a SUPI or an
 // auth-context ID as a value to that value's text.
@@ -331,6 +368,8 @@ var identityText = map[string]string{
 	"udr.ResyncRequest":            "imsi-001010000000014",
 	"udr.GetRequest":               "imsi-001010000000014",
 	"udr.GetResponse":              "imsi-001010000000014",
+	"smf.CreateSessionRequest":     "imsi-001010000000015",
+	"smf.ReleaseSessionRequest":    "imsi-001010000000016",
 }
 
 // carriesIdentity reports whether t holds a codec.SUPI or codec.AuthCtxID,

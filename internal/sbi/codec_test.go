@@ -3,31 +3,41 @@ package sbi
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
 	"time"
+
+	"shield5g/internal/sbi/codec"
 )
 
 type codecFixture struct {
 	SUPI string        `json:"supi"`
-	RAND []byte        `json:"rand,omitempty"`
+	RAND []byte        `json:"rand"`
 	N    int           `json:"n"`
 	D    time.Duration `json:"d,omitempty"`
 	Nest *codecFixture `json:"nest,omitempty"`
 }
 
+func (m *codecFixture) Fields(f *codec.Fields) {
+	f.String("supi", &m.SUPI, 0)
+	f.Bytes("rand", &m.RAND, 0)
+	codec.Int(f, "n", &m.N, 0)
+	codec.Int(f, "d", &m.D, codec.OmitEmpty)
+	codec.KeptPtr(f, "nest", &m.Nest, codec.OmitEmpty, nil)
+}
+
 // TestMarshalBodyMatchesJSONMarshal pins the pooled encoder byte-for-byte
 // to json.Marshal — the SBI cost model charges by body length, so even a
-// trailing newline would skew every modelled latency.
+// trailing newline would skew every modelled latency. A string that
+// encoding/json escapes takes the codec's fallback.
 func TestMarshalBodyMatchesJSONMarshal(t *testing.T) {
-	cases := []any{
+	cases := []codec.Message{
 		&codecFixture{SUPI: "imsi-001010000000001", RAND: bytes.Repeat([]byte{0xAB}, 16), N: 7},
 		&codecFixture{SUPI: "<&>", D: 5 * time.Second, Nest: &codecFixture{N: -1}},
 		&ProblemDetails{Title: "Forbidden", Status: 403, Cause: "X", RetryAfter: time.Millisecond},
-		map[string]any{"a": 1.5, "b": []string{"x", "y"}},
-		nil,
-		42,
-		"plain \"string\" with <html>",
+		&ProblemDetails{Title: "Service Unavailable", Status: 503, Detail: "plain \"string\" with <html>",
+			OCI: &OCI{Load: 97, Reduction: 40, RetryAfter: 3 * time.Millisecond, Seq: 12}},
 	}
 	for i, v := range cases {
 		for round := 0; round < 3; round++ { // exercise pool reuse
@@ -44,24 +54,37 @@ func TestMarshalBodyMatchesJSONMarshal(t *testing.T) {
 	}
 }
 
+// failingMsg is a message encoding/json cannot encode: a string it
+// escapes sends the body to encoding/json, which fails in MarshalJSON.
+type failingMsg struct{ S string }
+
+func (m *failingMsg) Fields(f *codec.Fields)       { f.String("s", &m.S, 0) }
+func (m *failingMsg) MarshalJSON() ([]byte, error) { return nil, errors.New("no encoding") }
+
 func TestMarshalBodyError(t *testing.T) {
-	if _, err := MarshalBody(func() {}); err == nil {
-		t.Fatal("marshal of a func: want error")
+	before := OutstandingBodies()
+	if _, err := MarshalBody(&failingMsg{S: "<"}); err == nil {
+		t.Fatal("marshal of an unencodable message: want error")
+	}
+	if n := OutstandingBodies() - before; n != 0 {
+		t.Fatalf("%d pooled bodies outstanding after a failed marshal", n)
 	}
 	// The pool must still work after the error path.
-	out, err := MarshalBody(1)
-	if err != nil || string(out) != "1" {
+	out, err := MarshalBody(&echoReq{Value: "1"})
+	if err != nil || string(out) != `{"value":"1"}` {
 		t.Fatalf("after error: %q, %v", out, err)
 	}
 	ReleaseBody(out)
 }
 
+// TestUnmarshalBodyMatchesJSONUnmarshal: decodeBody unmarshals a JSON body
+// as json.Unmarshal does.
 func TestUnmarshalBodyMatchesJSONUnmarshal(t *testing.T) {
 	body, _ := json.Marshal(&codecFixture{SUPI: "imsi-9", RAND: []byte{1, 2, 3}, N: 3,
 		Nest: &codecFixture{SUPI: "inner"}})
 	for round := 0; round < 3; round++ {
 		var a, b codecFixture
-		if err := UnmarshalBody(body, &a); err != nil {
+		if err := decodeBody(body, &a); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if err := json.Unmarshal(body, &b); err != nil {
@@ -79,12 +102,12 @@ func TestUnmarshalBodyMatchesJSONUnmarshal(t *testing.T) {
 func TestUnmarshalBodyDecodedSlicesDoNotAlias(t *testing.T) {
 	body, _ := MarshalBody(&codecFixture{RAND: bytes.Repeat([]byte{0x5A}, 16)})
 	var v codecFixture
-	if err := UnmarshalBody(body, &v); err != nil {
+	if err := decodeBody(body, &v); err != nil {
 		t.Fatal(err)
 	}
 	ReleaseBody(body)
 	// Recycle the buffer through another marshal, overwriting its bytes.
-	other, _ := MarshalBody(map[string]string{"x": "yyyyyyyyyyyyyyyyyyyyyyyyyyyyyy"})
+	other, _ := MarshalBody(&codecFixture{SUPI: "yyyyyyyyyyyyyyyyyyyyyyyyyyyyyy"})
 	if !bytes.Equal(v.RAND, bytes.Repeat([]byte{0x5A}, 16)) {
 		t.Fatal("decoded field aliased the released body")
 	}
@@ -93,19 +116,19 @@ func TestUnmarshalBodyDecodedSlicesDoNotAlias(t *testing.T) {
 
 func TestUnmarshalBodyErrors(t *testing.T) {
 	var v codecFixture
-	if err := UnmarshalBody(nil, &v); err == nil {
+	if err := decodeBody(nil, &v); err == nil {
 		t.Fatal("empty body: want error")
 	}
-	if err := UnmarshalBody([]byte("{bad"), &v); err == nil {
+	if err := decodeBody([]byte("{bad"), &v); err == nil {
 		t.Fatal("malformed body: want error")
 	}
 	// Pool still sane after the discard path.
-	if err := UnmarshalBody([]byte(`{"n":9}`), &v); err != nil || v.N != 9 {
+	if err := decodeBody([]byte(`{"n":9}`), &v); err != nil || v.N != 9 {
 		t.Fatalf("after error: %+v, %v", v, err)
 	}
 }
 
-// TestUnmarshalBodyTrailingData pins UnmarshalBody to json.Unmarshal's
+// TestUnmarshalBodyTrailingData pins decodeBody to json.Unmarshal's
 // trailing-data semantics — and, critically, proves a body with trailing
 // bytes cannot poison the pooled decoder: Decoder.Decode reads one value
 // and buffers the rest, so re-pooling that state would hand the leftover
@@ -122,7 +145,7 @@ func TestUnmarshalBodyTrailingData(t *testing.T) {
 	}
 	for _, body := range cases {
 		var got, want codecFixture
-		gerr := UnmarshalBody([]byte(body), &got)
+		gerr := decodeBody([]byte(body), &got)
 		werr := json.Unmarshal([]byte(body), &want)
 		if (gerr == nil) != (werr == nil) {
 			t.Errorf("%q: err = %v, json.Unmarshal err = %v", body, gerr, werr)
@@ -136,7 +159,7 @@ func TestUnmarshalBodyTrailingData(t *testing.T) {
 		// poisoned codec hard to miss.
 		for i := 0; i < 4; i++ {
 			var next codecFixture
-			if err := UnmarshalBody([]byte(`{"n":42}`), &next); err != nil || next.N != 42 {
+			if err := decodeBody([]byte(`{"n":42}`), &next); err != nil || next.N != 42 {
 				t.Fatalf("after %q: pooled decode corrupted: %+v, %v", body, next, err)
 			}
 		}
@@ -177,7 +200,7 @@ func TestCodecConcurrent(t *testing.T) {
 					return
 				}
 				var out codecFixture
-				if err := UnmarshalBody(body, &out); err != nil || out.N != g {
+				if err := decodeBody(body, &out); err != nil || out.N != g {
 					fail <- "decode mismatch under concurrency"
 					return
 				}

@@ -53,7 +53,6 @@ func TestHotPathAllocs(t *testing.T) {
 		{"marshalBodyLike(JSON)+ReleaseBody", 0, func() error { b, err := marshalBodyLike(body, in); ReleaseBody(b); return err }},
 		{"decodeBody(frame)", 2, func() error { out = binMsg{}; return decodeBody(frame, &out) }},
 		{"decodeBody(JSON)", 2, func() error { out = binMsg{}; return decodeBody(body, &out) }},
-		{"UnmarshalBody", 2, func() error { out = binMsg{}; return UnmarshalBody(body, &out) }},
 		{"binHandlerInto(frame)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyFrame); ReleaseBody(b); return err }},
 		{"binHandlerInto(JSON)+ReleaseBody", 0, func() error { b, err := echo(ctx, keyBody); ReleaseBody(b); return err }},
 	} {

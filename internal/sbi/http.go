@@ -2,7 +2,6 @@ package sbi
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -13,8 +12,9 @@ import (
 // Invoker is what a network function posts through: the in-process
 // Client, or a ResilientClient wrapping one.
 type Invoker interface {
-	// Post invokes service's path endpoint with req, decoding into resp.
-	Post(ctx context.Context, service, path string, req, resp any) error
+	// Post invokes service's path endpoint with req, decoding into resp
+	// (nil to discard the answer).
+	Post(ctx context.Context, service, path string, req, resp codec.Message) error
 }
 
 // Compile-time transport conformance.
@@ -68,13 +68,19 @@ func (s *Server) setOCIHeader(h http.Header) {
 	if !ok {
 		return
 	}
-	if b, err := json.Marshal(oci); err == nil {
+	if b, err := MarshalBody(&oci); err == nil {
 		h.Set(OCIHeader, string(b))
+		ReleaseBody(b)
 	}
 }
 
+// writeProblem writes pd as application/problem+json: json.NewEncoder(w)
+// .Encode's bytes, the trailing newline included.
 func writeProblem(w http.ResponseWriter, pd *ProblemDetails) {
 	w.Header().Set("Content-Type", "application/problem+json")
 	w.WriteHeader(pd.Status)
-	_ = json.NewEncoder(w).Encode(pd)
+	if b, err := MarshalBody(pd); err == nil {
+		_, _ = w.Write(append(b, '\n'))
+		ReleaseBody(b)
+	}
 }

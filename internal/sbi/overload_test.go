@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"shield5g/internal/race"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -236,7 +237,7 @@ func (f fixedOCI) PeerOCI(string) (OCI, bool) { return f.oci, true }
 func TestThrottleDefersProportionallyAndExemptsEmergency(t *testing.T) {
 	env := newEnv()
 	calls := 0
-	inner := invokerFunc(func(context.Context, string, string, any, any) error {
+	inner := invokerFunc(func(context.Context, string, string, codec.Message, codec.Message) error {
 		calls++
 		return nil
 	})
@@ -276,7 +277,7 @@ func TestThrottleDefersProportionallyAndExemptsEmergency(t *testing.T) {
 
 func TestEmergencyBypassesBreaker(t *testing.T) {
 	env := newEnv()
-	inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ any) error {
+	inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ codec.Message) error {
 		if PriorityFrom(ctx) == PriorityEmergency {
 			return nil
 		}

@@ -7,6 +7,7 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/lockrank"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -317,7 +318,7 @@ func (r *ResilientClient) BreakerFor(service string) *Breaker {
 // shared clock), so retrying under faults shows up in setup-time figures.
 // A request that carries no account is pinned one (simclock.Pin), so the
 // attempts and waits charge the account the deadline reads.
-func (r *ResilientClient) Post(ctx context.Context, service, path string, req, resp any) error {
+func (r *ResilientClient) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	freq := r.env.Clock.FrequencyHz()
 	ctx, acct, own := simclock.Pin(ctx)
 	defer own.Release()

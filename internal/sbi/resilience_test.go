@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
 // invokerFunc adapts a function to the Invoker interface.
-type invokerFunc func(ctx context.Context, service, path string, req, resp any) error
+type invokerFunc func(ctx context.Context, service, path string, req, resp codec.Message) error
 
-func (f invokerFunc) Post(ctx context.Context, service, path string, req, resp any) error {
+func (f invokerFunc) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	return f(ctx, service, path, req, resp)
 }
 
@@ -115,7 +116,7 @@ func TestBreakerStateMachine(t *testing.T) {
 func TestResilientRetriesTransientThenSucceeds(t *testing.T) {
 	env := newEnv()
 	calls := 0
-	inner := invokerFunc(func(context.Context, string, string, any, any) error {
+	inner := invokerFunc(func(context.Context, string, string, codec.Message, codec.Message) error {
 		calls++
 		if calls < 3 {
 			return Problem(503, "Service Unavailable", CauseUnreachable, "warming up")
@@ -140,7 +141,7 @@ func TestResilientPermanentErrorNotRetried(t *testing.T) {
 	env := newEnv()
 	calls := 0
 	perm := Problem(403, "Forbidden", "AUTHENTICATION_REJECTED", "no")
-	inner := invokerFunc(func(context.Context, string, string, any, any) error {
+	inner := invokerFunc(func(context.Context, string, string, codec.Message, codec.Message) error {
 		calls++
 		return perm
 	})
@@ -161,7 +162,7 @@ func TestResilientPermanentErrorNotRetried(t *testing.T) {
 func TestResilientCircuitOpensAndReports(t *testing.T) {
 	env := newEnv()
 	calls := 0
-	inner := invokerFunc(func(context.Context, string, string, any, any) error {
+	inner := invokerFunc(func(context.Context, string, string, codec.Message, codec.Message) error {
 		calls++
 		return Problem(503, "Service Unavailable", CauseUnreachable, "down")
 	})
@@ -221,7 +222,7 @@ func TestResilientVirtualDeadline(t *testing.T) {
 		env := newEnv()
 		freq := env.Clock.FrequencyHz()
 		calls := 0
-		inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ any) error {
+		inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ codec.Message) error {
 			calls++
 			env.Charge(ctx, simclock.FromDuration(4*time.Second, freq))
 			return Problem(503, "Service Unavailable", CauseCongestion, "busy")
@@ -252,7 +253,7 @@ func TestResilientVirtualDeadline(t *testing.T) {
 func TestResilientAttemptOvershootsBudget(t *testing.T) {
 	env := newEnv()
 	freq := env.Clock.FrequencyHz()
-	inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ any) error {
+	inner := invokerFunc(func(ctx context.Context, _, _ string, _, _ codec.Message) error {
 		env.Charge(ctx, simclock.FromDuration(requestDeadline+time.Second, freq))
 		return Problem(503, "Service Unavailable", CauseUnreachable, "reloading")
 	})
@@ -273,7 +274,7 @@ func TestResilientAttemptOvershootsBudget(t *testing.T) {
 
 func TestResilientCancelledContext(t *testing.T) {
 	env := newEnv()
-	inner := invokerFunc(func(context.Context, string, string, any, any) error {
+	inner := invokerFunc(func(context.Context, string, string, codec.Message, codec.Message) error {
 		t.Fatal("inner transport reached with a cancelled context")
 		return nil
 	})
@@ -312,7 +313,7 @@ func TestResilientBackoffDeterminism(t *testing.T) {
 		var at []simclock.Cycles
 		var acct simclock.Account
 		ctx := simclock.WithAccount(context.Background(), &acct)
-		inner := invokerFunc(func(context.Context, string, string, any, any) error {
+		inner := invokerFunc(func(context.Context, string, string, codec.Message, codec.Message) error {
 			at = append(at, acct.Total())
 			return Problem(503, "Service Unavailable", CauseUnreachable, "down")
 		})
@@ -346,7 +347,7 @@ func TestResilientHonoursRetryAfter(t *testing.T) {
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
 	var gap simclock.Cycles
-	inner := invokerFunc(func(context.Context, string, string, any, any) error {
+	inner := invokerFunc(func(context.Context, string, string, codec.Message, codec.Message) error {
 		calls++
 		if calls == 1 {
 			pd := Problem(429, "Too Many Requests", CauseCongestion, "slow down")

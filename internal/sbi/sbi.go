@@ -36,6 +36,24 @@ type ProblemDetails struct {
 	OCI *OCI `json:"oci,omitempty"`
 }
 
+// Fields implements codec.Message.
+func (p *ProblemDetails) Fields(f *codec.Fields) {
+	f.String("title", &p.Title, 0)
+	codec.Int(f, "status", &p.Status, 0)
+	f.String("detail", &p.Detail, codec.OmitEmpty)
+	f.String("cause", &p.Cause, codec.OmitEmpty)
+	codec.Int(f, "retryAfter", &p.RetryAfter, codec.OmitEmpty)
+	codec.KeptPtr(f, "oci", &p.OCI, codec.OmitEmpty, nil)
+}
+
+// Fields implements codec.Message.
+func (o *OCI) Fields(f *codec.Fields) {
+	codec.Int(f, "load", &o.Load, 0)
+	codec.Int(f, "reduction", &o.Reduction, codec.OmitEmpty)
+	codec.Int(f, "retryAfter", &o.RetryAfter, codec.OmitEmpty)
+	codec.Uint(f, "seq", &o.Seq)
+}
+
 // Error implements error.
 func (p *ProblemDetails) Error() string {
 	return fmt.Sprintf("sbi: %d %s: %s (%s)", p.Status, p.Title, p.Detail, p.Cause)
@@ -262,11 +280,10 @@ func NewClient(from string, env *costmodel.Env, registry *Registry) *Client {
 
 // Post marshals req, invokes service's path endpoint, and unmarshals the
 // response into resp (which may be nil to discard). This is the one place
-// the body format is decided: a binary client (EnableBinary) frames req iff
-// req has a field description and resp is nil or has one too. Everything
-// else travels as JSON, and the server answers in the format it was asked
-// in.
-func (c *Client) Post(ctx context.Context, service, path string, req, resp any) error {
+// the body format is decided: a binary client (EnableBinary) frames every
+// request, any other client frames none, and the server answers in the
+// format it was asked in.
+func (c *Client) Post(ctx context.Context, service, path string, req, resp codec.Message) error {
 	// A cancelled or expired context is a client-side timeout, not a
 	// server failure: surface it as 504/TIMEOUT so callers and the retry
 	// layer can tell it apart from a 500 SYSTEM_FAILURE.
@@ -290,14 +307,10 @@ func (c *Client) Post(ctx context.Context, service, path string, req, resp any) 
 		c.env.Charge(ctx, m.TLSHandshakeClient+m.TLSHandshakeServer)
 	}
 
-	bm, described := req.(codec.Message)
-	if described && resp != nil {
-		_, described = resp.(codec.Message)
-	}
 	var body []byte
 	var err error
-	if binary && described {
-		body, err = MarshalBinary(bm)
+	if binary {
+		body, err = MarshalBinary(req)
 	} else {
 		body, err = MarshalBody(req)
 	}

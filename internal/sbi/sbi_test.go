@@ -9,8 +9,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -18,9 +20,16 @@ type echoReq struct {
 	Value string `json:"value"`
 }
 
+func (m *echoReq) Fields(f *codec.Fields) { f.String("value", &m.Value, 0) }
+
 type echoResp struct {
 	Value string `json:"value"`
 	From  string `json:"from"`
+}
+
+func (m *echoResp) Fields(f *codec.Fields) {
+	f.String("value", &m.Value, 0)
+	f.String("from", &m.From, 0)
 }
 
 func newEnv() *costmodel.Env { return costmodel.NewEnv(nil, 1) }
@@ -322,6 +331,46 @@ func TestHTTPTransportRejectsFrame(t *testing.T) {
 	}
 	if called {
 		t.Fatal("handler ran on a frame POSTed over HTTP")
+	}
+}
+
+// TestHTTPProblemBytesMatchEncodingJSON: the HTTP edge writes a problem
+// body with the codec, and the bytes are the ones json.NewEncoder(w)
+// .Encode wrote, trailing newline included, down to a Detail that
+// encoding/json escapes; the 3gpp-Sbi-Oci header is json.Marshal's.
+func TestHTTPProblemBytesMatchEncodingJSON(t *testing.T) {
+	oci := &OCI{Load: 97, Reduction: 40, RetryAfter: 3 * time.Millisecond, Seq: 12}
+	shed := Problem(503, "Service Unavailable", CauseOverload, "udm%s shed (queue full)", "/echo")
+	shed.RetryAfter, shed.OCI = 3*time.Millisecond, oci
+	for _, pd := range []*ProblemDetails{
+		shed,
+		Problem(404, "Not Found", "RESOURCE_NOT_FOUND", "udm has no endpoint %s", "/<nope>&"),
+		Problem(415, "Unsupported Media Type", CauseUnsupportedMedia, "udm/auth speaks JSON over HTTP, not binary SBI frames"),
+		Problem(500, "Internal Server Error", CauseSystem, "%v", errors.New("plain \"failure\"\n\xff")),
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(pd); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		before := OutstandingBodies()
+		writeProblem(rec, pd)
+		if rec.Code != pd.Status || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%d: wrote %d %q, want %q", pd.Status, rec.Code, rec.Body.Bytes(), want.Bytes())
+		}
+		if n := OutstandingBodies() - before; n != 0 {
+			t.Errorf("%d: %d pooled bodies outstanding", pd.Status, n)
+		}
+	}
+
+	srv := NewServer("udm", newEnv())
+	srv.EnableOverload(srv.env, OverloadConfig{ServiceCycles: 1000, MaxQueue: 1})
+	srv.SetOverloadArmed(true)
+	h := make(http.Header)
+	srv.setOCIHeader(h)
+	cur, _ := srv.CurrentOCI()
+	if want, _ := json.Marshal(cur); h.Get(OCIHeader) != string(want) {
+		t.Errorf("%s header %q, want %q", OCIHeader, h.Get(OCIHeader), want)
 	}
 }
 

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"shield5g/internal/sbi/codec"
 )
 
 func testPKI(t *testing.T) *PKI {
@@ -22,18 +24,19 @@ func testPKI(t *testing.T) *PKI {
 	return pki
 }
 
+// vMsg is the mTLS echo's request and answer.
+type vMsg struct {
+	V string `json:"v"`
+}
+
+func (m *vMsg) Fields(f *codec.Fields) { f.String("v", &m.V, 0) }
+
 // startMTLSServer exposes an echo SBI server over mutual TLS.
 func startMTLSServer(t *testing.T, pki *PKI) *httptest.Server {
 	t.Helper()
 	srv := NewServer("udm", nil)
-	srv.HandleDual("/echo", BinHandler(func(_ context.Context, req *struct {
-		V string `json:"v"`
-	}) (*struct {
-		V string `json:"v"`
-	}, error) {
-		return &struct {
-			V string `json:"v"`
-		}{V: req.V}, nil
+	srv.HandleDual("/echo", BinHandler(func(_ context.Context, req *vMsg) (*vMsg, error) {
+		return &vMsg{V: req.V}, nil
 	}))
 
 	ts := httptest.NewUnstartedServer(srv)
