@@ -98,10 +98,11 @@ loc:
 # files, on a non-test import of encoding/json outside internal/sbi/codec
 # (the codec's reference and fallback) and internal/analysis. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
-# the deployable binary, core5g, registers one UE on the container backend,
-# opens a PDU session, echoes data, deregisters the UE and checks that the
-# AMF, SMF and UPF released its context and session (it exits non-zero on
-# any failure);
+# the deployable binary, core5g, on each backend (container, SGX, SEV)
+# registers one UE, opens a PDU session, echoes data, deregisters the UE,
+# checks that the AMF, SMF and UPF released its context and session, and
+# prints the virtual time each procedure booked (it exits non-zero on any
+# failure, a cycle charged to no account on either env included);
 # the three examples run end to end (the attestation one also shows the
 # slice refusing the eAUSF's evidence as the eUDM's); eight gnbsim smokes drive the storm replay (unsharded with
 # the AV pool, and on four shards, whose admission line is the fleet's sum;
@@ -131,6 +132,8 @@ ci: build
 	$(GO) test ./...
 	$(GO) run ./cmd/experiments -iterations 60 -csvdir "$$(mktemp -d)" all
 	$(GO) run ./cmd/core5g -isolation container
+	$(GO) run ./cmd/core5g -isolation sgx
+	$(GO) run ./cmd/core5g -isolation sev
 	$(MAKE) examples
 	set -e; for args in $(STORM_SMOKES); do \
 		d=$$(mktemp -d); \

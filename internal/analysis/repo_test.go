@@ -184,6 +184,66 @@ func TestOneChargingSink(t *testing.T) {
 	}
 }
 
+// TestClockAdvancesOnlyThroughTheSink pins where virtual time moves: the
+// clock advances in costmodel.Env.ChargeTo, which books every cycle on an
+// account or counts it in Env.Unbooked, and in the two AccrueUptime
+// methods, whose modelled residency is no procedure's cost. Inside
+// simclock, AdvanceDuration is Advance at a duration. A charge that moved
+// the clock anywhere else would bypass every account and the counter.
+func TestClockAdvancesOnlyThroughTheSink(t *testing.T) {
+	sharedLoader(t)
+	advance := map[string]bool{
+		"(*shield5g/internal/simclock.Clock).Advance":         true,
+		"(*shield5g/internal/simclock.Clock).AdvanceDuration": true,
+	}
+	// allowed maps each sink to whether it was seen advancing the clock.
+	allowed := map[string]bool{
+		"(*shield5g/internal/costmodel.Env).ChargeTo":        false,
+		"(*shield5g/internal/hmee.Process).AccrueUptime":     false,
+		"(*shield5g/internal/hmee/sgx.Enclave).AccrueUptime": false,
+	}
+	var sites []string
+	for _, pkg := range repoPkgs {
+		if pkg.Standard || pkg.ImportPath == "shield5g/internal/simclock" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				owner := "package level"
+				if ok {
+					owner = pkg.Info.Defs[fd.Name].(*types.Func).FullName()
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					if fn, ok := pkg.Info.Uses[id].(*types.Func); !ok || !advance[fn.FullName()] {
+						return true
+					}
+					if _, sink := allowed[owner]; sink {
+						allowed[owner] = true
+						return true
+					}
+					pos := pkg.Fset.Position(id.Pos())
+					sites = append(sites, fmt.Sprintf("%s:%d (in %s)", filepath.ToSlash(pos.Filename), pos.Line, owner))
+					return true
+				})
+			}
+		}
+	}
+	sort.Strings(sites)
+	if len(sites) != 0 {
+		t.Errorf("the clock advances outside Env.ChargeTo and the AccrueUptime methods at %v; charge through costmodel.Env", sites)
+	}
+	for sink, seen := range allowed {
+		if !seen {
+			t.Errorf("%s no longer advances the clock: drop it from the allowed sinks", sink)
+		}
+	}
+}
+
 // TestOneJSONEncoder pins the one SBI encoder: every SBI message is
 // encoded and decoded from its field description (internal/sbi/codec),
 // so no non-test file imports encoding/json outside that package, which

@@ -16,6 +16,9 @@ type Env struct {
 	Model  *Model
 	Clock  *simclock.Clock
 	Jitter *simclock.Jitter
+
+	// unbooked is charged what a charge to no account costs.
+	unbooked simclock.Account
 }
 
 // NewEnv builds an Env over the model with a deterministic jitter seed.
@@ -31,12 +34,21 @@ func NewEnv(m *Model, seed uint64) *Env {
 	}
 }
 
-// ChargeTo is the one place a cycle is charged: n cycles go to acct (nil
-// charges no request) and the env's clock advances by as much.
+// ChargeTo is the one place a cycle is charged: n cycles go to acct and
+// the env's clock advances by as much. A nil acct charges no request; its
+// cycles are counted in Unbooked.
 func (e *Env) ChargeTo(acct *simclock.Account, n simclock.Cycles) {
+	if acct == nil {
+		acct = &e.unbooked
+	}
 	acct.Charge(n)
 	e.Clock.Advance(n)
 }
+
+// Unbooked reports the cycles charged to no account: time the clock
+// advanced that no procedure reports. Every procedure books its cycles
+// (simclock.Book), so it reads 0 wherever they all do.
+func (e *Env) Unbooked() simclock.Cycles { return e.unbooked.Total() }
 
 // Charge is ChargeTo for the request account in ctx, nil when ctx carries
 // none.

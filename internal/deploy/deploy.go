@@ -19,6 +19,8 @@ import (
 	"crypto/rand"
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"shield5g/internal/admission"
 	"shield5g/internal/chaos"
@@ -201,6 +203,11 @@ type Slice struct {
 
 	attestMu lockrank.Mutex
 	attested map[*paka.Module]bool
+
+	// provisioned and maintained total what the slice's own verbs booked:
+	// ProvisionSubscriber, and NewSlice, PrewarmAVPool and
+	// RestartShardModule.
+	provisioned, maintained atomic.Uint64
 }
 
 // CoreShard is one vertical replica of the core: the UDM, AUSF and AMF
@@ -299,35 +306,68 @@ func newSliceBase(cfg SliceConfig) (*Slice, error) {
 
 // NewSlice builds and starts a slice: the shared infrastructure, then each
 // shard's module set and VNF chain (buildShard), then the topology control
-// plane publishing epoch 1, then the gNB. For SGX isolation the enclave
-// build cost (Fig. 7) is charged to ctx's account.
-func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
-	s, err := newSliceBase(cfg)
+// plane publishing epoch 1, then the gNB. The deployment — the modules'
+// load cost (Fig. 7 under SGX) included — is booked as maintenance.
+func NewSlice(ctx context.Context, cfg SliceConfig) (s *Slice, err error) {
+	if s, err = newSliceBase(cfg); err == nil {
+		err = s.book(ctx, &s.maintained, s.deploy)
+	}
 	if err != nil {
 		return nil, err
 	}
+	return s, nil
+}
+
+// Booked reports the virtual time the slice's own verbs have booked:
+// provisioning subscribers, and maintenance — deploying, prewarming AV
+// pools and restarting modules. A verb run on a caller's account books
+// there too.
+func (s *Slice) Booked() (provisioning, maintenance time.Duration) {
+	return s.Env.Model.Duration(simclock.Cycles(s.provisioned.Load())), s.Env.Model.Duration(simclock.Cycles(s.maintained.Load()))
+}
+
+// Unbooked reports the cycles the slice's env and, under SGX, its
+// platform's counted as charged to no account (costmodel.Env.Unbooked).
+// Every procedure books its own, so it reads 0 until the slice stops.
+func (s *Slice) Unbooked() simclock.Cycles {
+	if s.Platform == nil {
+		return s.Env.Unbooked()
+	}
+	return s.Env.Unbooked() + s.Platform.Env().Unbooked()
+}
+
+// book runs one of the slice's verbs through simclock.Book and adds what
+// it charged to total.
+func (s *Slice) book(ctx context.Context, total *atomic.Uint64, verb func(context.Context) error) error {
+	n, err := simclock.Book(ctx, verb)
+	total.Add(uint64(n))
+	return err
+}
+
+// deploy is NewSlice past the base: everything that charges.
+func (s *Slice) deploy(ctx context.Context) (err error) {
 	cfg, env := s.Config, s.Env
 
 	// The rest of the shared control and user plane — one of each across
 	// all shards, like the base's NRF and UDR.
 	if s.UPF, err = upf.New(env, s.Registry); err != nil {
-		return nil, fmt.Errorf("deploy: UPF: %w", err)
+		return fmt.Errorf("deploy: UPF: %w", err)
 	}
 	smfInvoker := s.buildInvoker(smf.ServiceName)
 	if s.SMF, err = smf.New(ctx, smf.Config{Env: env, Registry: s.Registry, Invoker: smfInvoker}); err != nil {
-		return nil, fmt.Errorf("deploy: SMF: %w", err)
+		return fmt.Errorf("deploy: SMF: %w", err)
 	}
 
 	// One GSC signing key for all module images of this operator.
 	_, signKey, err := ed25519.GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, fmt.Errorf("deploy: GSC sign key: %w", err)
+		return fmt.Errorf("deploy: GSC sign key: %w", err)
 	}
 	// The reference identity of every module kind, from the recipe the
 	// slice is about to deploy: what attestation checks evidence against.
 	for _, kind := range paka.Kinds() {
 		if s.reference[kind], err = paka.Reference(s.moduleConfig(kind, 0, signKey)); err != nil {
-			return nil, fmt.Errorf("deploy: %s reference: %w", kind, err)
+			return fmt.Errorf("deploy: %s reference: %w", kind, err)
 		}
 	}
 
@@ -336,7 +376,7 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	for r := range amfs {
 		shard, err := s.buildShard(ctx, r, signKey)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.Shards = append(s.Shards, shard)
 		amfs[r] = shard.AMF
@@ -348,19 +388,19 @@ func NewSlice(ctx context.Context, cfg SliceConfig) (*Slice, error) {
 	// Epoch 1 routes over every replica.
 	s.Router = topology.NewRouter()
 	if _, err := s.route(replicas); err != nil {
-		return nil, err
+		return err
 	}
 
 	if s.GNB, err = gnb.New(gnb.Config{
 		Env: env, AMFs: amfs, Router: s.Router, UPF: s.UPF,
 		MCC: cfg.MCC, MNC: cfg.MNC, Radio: cfg.Radio, Chaos: s.Chaos,
 	}); err != nil {
-		return nil, fmt.Errorf("deploy: gNB: %w", err)
+		return fmt.Errorf("deploy: gNB: %w", err)
 	}
 
 	s.armChaos()
 	s.wireOverload()
-	return s, nil
+	return nil
 }
 
 // newAdmission builds one AMF's priority admission controller, nil unless
@@ -592,8 +632,8 @@ func (s *Slice) Reference(kind paka.ModuleKind) [32]byte { return s.reference[ki
 
 // RestartShardModule models a whole-module crash of replica shard's kind
 // module: the runtime (and enclave, under SGX) is destroyed, rebuilt from
-// the retained configuration — which re-charges the paper's Fig. 7 load
-// cost to ctx's account — and re-attested. Its key store comes back empty
+// the retained configuration — which re-pays the paper's Fig. 7 load cost,
+// booked as maintenance — and re-attested. Its key store comes back empty
 // and refills per SUPI on first use: from the platform's sealed files under
 // SGX, through the UDM's re-provisioning path in a guest. The fault
 // injector resolves the module's enclave per fault, so it finds the fresh
@@ -607,7 +647,7 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 	if !ok {
 		return fmt.Errorf("deploy: no %s module in shard %d", kind, shard)
 	}
-	if err := m.Restart(ctx); err != nil {
+	if err := s.book(ctx, &s.maintained, m.Restart); err != nil {
 		return fmt.Errorf("deploy: restart %s shard %d: %w", kind, shard, err)
 	}
 	// The redeployed environment must re-prove itself before it is
@@ -637,46 +677,49 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 // guest through the UDM's re-provisioning path — so a rebalance costs no
 // registration. Re-provisioning a SUPI the UDR already held evicts it from
 // every other replica's key store, so none of them keeps the old K; a
-// first provisioning reaches the owner alone.
+// first provisioning reaches the owner alone. It is booked as
+// provisioning.
 func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc []byte) error {
-	if err := supi.Validate(); err != nil {
-		return err
-	}
-	id, err := supi.Value()
-	if err != nil {
-		return err
-	}
-	imsi := supi.String()
-	held := s.UDR.Holds(id)
-	if err := s.provisioning.Provision(ctx, udr.Subscriber{
-		SUPI:     id,
-		K:        k,
-		OPc:      opc,
-		SQN:      []byte{0, 0, 0, 0, 0, 0},
-		AMFField: []byte{0x80, 0x00}, // separation bit set for 5G AKA
-	}); err != nil {
-		return fmt.Errorf("deploy: UDR provisioning: %w", err)
-	}
-	owner := s.GNB.ShardOf(imsi)
-	m := s.Shards[owner].Modules[paka.EUDM]
-	if err := s.attestEUDM(m); err != nil {
-		return err
-	}
-	if err := m.ProvisionSubscriber(ctx, imsi, k); err != nil {
-		return fmt.Errorf("deploy: eUDM provisioning (shard %d): %w", owner, err)
-	}
-	if !held {
+	return s.book(ctx, &s.provisioned, func(ctx context.Context) error {
+		if err := supi.Validate(); err != nil {
+			return err
+		}
+		id, err := supi.Value()
+		if err != nil {
+			return err
+		}
+		imsi := supi.String()
+		held := s.UDR.Holds(id)
+		if err := s.provisioning.Provision(ctx, udr.Subscriber{
+			SUPI:     id,
+			K:        k,
+			OPc:      opc,
+			SQN:      []byte{0, 0, 0, 0, 0, 0},
+			AMFField: []byte{0x80, 0x00}, // separation bit set for 5G AKA
+		}); err != nil {
+			return fmt.Errorf("deploy: UDR provisioning: %w", err)
+		}
+		owner := s.GNB.ShardOf(imsi)
+		m := s.Shards[owner].Modules[paka.EUDM]
+		if err := s.attestEUDM(m); err != nil {
+			return err
+		}
+		if err := m.ProvisionSubscriber(ctx, imsi, k); err != nil {
+			return fmt.Errorf("deploy: eUDM provisioning (shard %d): %w", owner, err)
+		}
+		if !held {
+			return nil
+		}
+		for _, shard := range s.Shards {
+			if shard.Index == owner {
+				continue
+			}
+			if err := shard.Modules[paka.EUDM].EvictSubscriber(ctx, imsi); err != nil {
+				return fmt.Errorf("deploy: eUDM eviction (shard %d): %w", shard.Index, err)
+			}
+		}
 		return nil
-	}
-	for _, shard := range s.Shards {
-		if shard.Index == owner {
-			continue
-		}
-		if err := shard.Modules[paka.EUDM].EvictSubscriber(ctx, imsi); err != nil {
-			return fmt.Errorf("deploy: eUDM eviction (shard %d): %w", shard.Index, err)
-		}
-	}
-	return nil
+	})
 }
 
 // ProvisionDevice provisions a subscriber (see ProvisionSubscriber) and
@@ -705,7 +748,7 @@ func (s *Slice) ProvisionDevice(ctx context.Context, supi suci.SUPI, k, opc []by
 // enclave crossing, and its first AVPoolDepth authentications then hit the
 // pool instead of paying a synchronous cold-start refill. Each SUPI is
 // prewarmed only on its owning replica: the others would bank vectors
-// nothing ever drains.
+// nothing ever drains. It is booked as maintenance.
 func (s *Slice) PrewarmAVPool(ctx context.Context, supis []string) error {
 	snn := kdf.ServingNetworkName(s.Config.MCC, s.Config.MNC)
 	perShard := make([][]string, len(s.Shards))
@@ -713,12 +756,14 @@ func (s *Slice) PrewarmAVPool(ctx context.Context, supis []string) error {
 		idx := s.GNB.ShardOf(supi)
 		perShard[idx] = append(perShard[idx], supi)
 	}
-	for i, shard := range s.Shards {
-		if err := shard.UDM.PrewarmAVPool(ctx, perShard[i], snn); err != nil {
-			return err
+	return s.book(ctx, &s.maintained, func(ctx context.Context) error {
+		for i, shard := range s.Shards {
+			if err := shard.UDM.PrewarmAVPool(ctx, perShard[i], snn); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Stop tears the slice down, destroying any enclaves.

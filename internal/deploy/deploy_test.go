@@ -521,8 +521,7 @@ func TestPooledCallsAcrossGoroutines(t *testing.T) {
 			id := uint64(w) + 1
 			lane := paka.WithConnection(simclock.WithJitter(context.Background(), s.Env.Jitter.Stream(id)), id, 8)
 			for r := 0; r < rounds; r++ {
-				call := simclock.Derive(lane)
-				acct := call.OwnAccount()
+				_, acct, call := simclock.Pin(lane)
 				sess, err := s.GNB.ReRegisterUE(call, devices[w])
 				if err == nil && sess.SetupTime != s.Env.Model.Duration(acct.Total()) {
 					err = fmt.Errorf("setup time %v is not the Call's account %v", sess.SetupTime, s.Env.Model.Duration(acct.Total()))

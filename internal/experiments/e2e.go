@@ -7,7 +7,6 @@ import (
 	"shield5g/internal/deploy"
 	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
-	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
 )
 
@@ -37,16 +36,14 @@ func E2E(ctx context.Context, cfg Config) (*E2EResult, error) {
 					if err != nil {
 						return err
 					}
-					var acct simclock.Account
-					sctx := simclock.WithAccount(ctx, &acct)
-					sess, err := s.GNB.RegisterUE(sctx, d)
+					sess, err := s.GNB.RegisterUE(ctx, d)
 					if err != nil {
 						return err
 					}
-					if err := sess.EstablishPDUSession(sctx, 1, "internet"); err != nil {
+					if err := sess.EstablishPDUSession(ctx, 1, "internet"); err != nil {
 						return err
 					}
-					rec.Add(s.Env.Model.Duration(acct.Total()))
+					rec.Add(sess.Virtual())
 				}
 				return nil
 			}})

@@ -12,7 +12,6 @@ import (
 	"shield5g/internal/deploy"
 	"shield5g/internal/gnb"
 	"shield5g/internal/paka"
-	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
 )
 
@@ -82,9 +81,7 @@ func OTA(ctx context.Context, cfg Config) (*OTAResult, error) {
 	}
 	step("UE detected gNB broadcast PLMN %s via %s", s.GNB.BroadcastPLMN(), result.Radio)
 
-	var acct simclock.Account
-	sctx := simclock.WithAccount(ctx, &acct)
-	sess, err := s.GNB.RegisterUE(sctx, device)
+	sess, err := s.GNB.RegisterUE(ctx, device)
 	if err != nil {
 		return nil, fmt.Errorf("ota: registration failed: %w", err)
 	}
@@ -94,18 +91,18 @@ func OTA(ctx context.Context, cfg Config) (*OTAResult, error) {
 	}
 	step("UE registered through SGX-isolated AKA: GUTI %s", result.GUTI)
 
-	if err := sess.EstablishPDUSession(sctx, 1, "internet"); err != nil {
+	if err := sess.EstablishPDUSession(ctx, 1, "internet"); err != nil {
 		return nil, fmt.Errorf("ota: PDU session failed: %w", err)
 	}
 	result.UEAddress = device.UEAddress()
 	step("PDU session established: UE address %s", result.UEAddress)
 
-	echo, err := sess.SendData(sctx, []byte("Test/-1 - OpenAirInterface"))
+	echo, err := sess.SendData(ctx, []byte("Test/-1 - OpenAirInterface"))
 	if err != nil {
 		return nil, fmt.Errorf("ota: data path failed: %w", err)
 	}
 	result.DataEcho = bytes.Contains(echo, []byte("OpenAirInterface"))
-	result.SetupTime = s.Env.Model.Duration(acct.Total())
+	result.SetupTime = sess.Virtual()
 	step("data session carries traffic: %q", echo)
 	return result, nil
 }

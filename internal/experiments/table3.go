@@ -148,7 +148,7 @@ func emptyWorkload(ctx context.Context, cfg Config) (Table3Row, error) {
 	if err != nil {
 		return row, err
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(ctx)
 	inst.AccrueUptime(emptyUptime)
 	row.StatsSnapshot = inst.Stats()
 	return row, nil

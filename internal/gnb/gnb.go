@@ -150,6 +150,9 @@ type Session struct {
 	ue      *ue.UE
 	ranUEID uint64
 	teid    uint32
+	// booked is what the session's procedures have charged, its
+	// registration first.
+	booked simclock.Cycles
 
 	// SetupTime is the end-to-end registration duration in virtual time
 	// (the paper's session setup measurement).
@@ -158,6 +161,20 @@ type Session struct {
 
 // Shard reports the replica index that served this session.
 func (s *Session) Shard() int { return s.shard }
+
+// Virtual reports the virtual time the session's procedures have booked
+// so far: its registration, then every PDU session establishment, data
+// exchange and deregistration, failed ones included. After registration
+// and a PDU session it is the paper's session setup (§V-B4).
+func (s *Session) Virtual() time.Duration { return s.gnb.env.Model.Duration(s.booked) }
+
+// book runs one of the session's procedures through simclock.Book and
+// adds what it charged to the session's total.
+func (s *Session) book(ctx context.Context, procedure func(context.Context) error) error {
+	n, err := simclock.Book(ctx, procedure)
+	s.booked += n
+	return err
+}
 
 // maxNASRounds bounds the registration exchange (resync adds one extra
 // challenge round).
@@ -185,13 +202,6 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 	if err := device.DetectNetwork(g.BroadcastPLMN()); err != nil {
 		return nil, err
 	}
-
-	// A caller without an account still gets a coherent setup-time
-	// measurement.
-	ctx, acct, own := simclock.Pin(ctx)
-	defer own.Release()
-	start := acct.Total()
-
 	ranUEID := g.nextRANUE.Add(1)
 
 	// One routing decision per registration, on the SUPI: the owning
@@ -199,11 +209,14 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 	// modules) and, for a mobility registration, minted the GUTI and holds
 	// its TMSI binding.
 	a, shardIdx := g.amfFor(device)
-	uplink, err := build(device, ctx, a.ServingNetworkName())
+	setup, err := simclock.Book(ctx, func(ctx context.Context) error {
+		uplink, err := build(device, ctx, a.ServingNetworkName())
+		if err != nil {
+			return err
+		}
+		return g.driveRegistration(ctx, a, device, ranUEID, uplink)
+	})
 	if err != nil {
-		return nil, err
-	}
-	if err := g.driveRegistration(ctx, a, device, ranUEID, uplink); err != nil {
 		return nil, err
 	}
 	return &Session{
@@ -212,7 +225,8 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 		shard:     shardIdx,
 		ue:        device,
 		ranUEID:   ranUEID,
-		SetupTime: g.env.Model.Duration(acct.Total() - start),
+		booked:    setup,
+		SetupTime: g.env.Model.Duration(setup),
 	}, nil
 }
 
@@ -265,52 +279,60 @@ func (g *GNB) chargeRadio(ctx context.Context) {
 // the assigned UE address and uplink tunnel (delivered over N2 in a real
 // deployment).
 func (s *Session) EstablishPDUSession(ctx context.Context, sessionID byte, dnn string) error {
-	up, err := s.ue.BuildPDUSessionRequest(ctx, sessionID, dnn)
-	if err != nil {
-		return err
-	}
-	s.gnb.chargeRadio(ctx)
-	down, err := s.amf.HandleUplinkNAS(ctx, s.ranUEID, up)
-	if err != nil {
-		return fmt.Errorf("gnb: PDU session: %w", err)
-	}
-	if _, _, err := s.ue.HandleDownlinkNAS(ctx, down); err != nil {
-		return fmt.Errorf("gnb: PDU accept: %w", err)
-	}
-	teid, ok := s.amf.PDUSessionTEID(s.ranUEID)
-	if !ok {
-		return errors.New("gnb: AMF reported no tunnel for session")
-	}
-	s.teid = teid
-	return nil
+	return s.book(ctx, func(ctx context.Context) error {
+		up, err := s.ue.BuildPDUSessionRequest(ctx, sessionID, dnn)
+		if err != nil {
+			return err
+		}
+		s.gnb.chargeRadio(ctx)
+		down, err := s.amf.HandleUplinkNAS(ctx, s.ranUEID, up)
+		if err != nil {
+			return fmt.Errorf("gnb: PDU session: %w", err)
+		}
+		if _, _, err := s.ue.HandleDownlinkNAS(ctx, down); err != nil {
+			return fmt.Errorf("gnb: PDU accept: %w", err)
+		}
+		teid, ok := s.amf.PDUSessionTEID(s.ranUEID)
+		if !ok {
+			return errors.New("gnb: AMF reported no tunnel for session")
+		}
+		s.teid = teid
+		return nil
+	})
 }
 
 // Deregister detaches the UE from the core, releasing its AMF context, its
 // GUTI binding and its PDU session, if it opened one, in the SMF and UPF.
 func (s *Session) Deregister(ctx context.Context) error {
-	up, err := s.ue.BuildDeregistrationRequest(ctx)
-	if err != nil {
-		return err
-	}
-	s.gnb.chargeRadio(ctx)
-	if _, err := s.amf.HandleUplinkNAS(ctx, s.ranUEID, up); err != nil {
-		return fmt.Errorf("gnb: deregistration: %w", err)
-	}
-	return nil
+	return s.book(ctx, func(ctx context.Context) error {
+		up, err := s.ue.BuildDeregistrationRequest(ctx)
+		if err != nil {
+			return err
+		}
+		s.gnb.chargeRadio(ctx)
+		if _, err := s.amf.HandleUplinkNAS(ctx, s.ranUEID, up); err != nil {
+			return fmt.Errorf("gnb: deregistration: %w", err)
+		}
+		return nil
+	})
 }
 
 // SendData pushes a payload up the N3 tunnel and returns the data-network
 // response, proving the session carries traffic (the paper's OTA
 // "Test/-1 — OpenAirInterface" connection).
-func (s *Session) SendData(ctx context.Context, payload []byte) ([]byte, error) {
+func (s *Session) SendData(ctx context.Context, payload []byte) (echo []byte, err error) {
 	if s.gnb.upf == nil {
 		return nil, errors.New("gnb: no UPF attached")
 	}
 	if s.teid == 0 {
 		return nil, errors.New("gnb: no PDU session established")
 	}
-	s.gnb.chargeRadio(ctx)
-	return s.gnb.upf.ForwardUplink(ctx, s.teid, payload)
+	err = s.book(ctx, func(ctx context.Context) (err error) {
+		s.gnb.chargeRadio(ctx)
+		echo, err = s.gnb.upf.ForwardUplink(ctx, s.teid, payload)
+		return err
+	})
+	return echo, err
 }
 
 // MassResult aggregates a gnbsim mass-registration run.
@@ -521,8 +543,8 @@ func (g *GNB) RegisterManyWith(ctx context.Context, opts MassOptions) (*MassResu
 }
 
 // registerAttempts drives one UE through up to maxAttempts complete
-// registrations, each on a fresh request account so setup time and the
-// resilience layer's virtual deadline restart per attempt. On success it
+// registrations, each booked on its own (simclock.Book), so setup time
+// restarts per attempt. On success it
 // returns the session plus the failure classes survived along the way; on
 // exhaustion it returns the last error. The cycles return is the summed
 // virtual cost of every attempt, for per-shard lane attribution.
@@ -548,15 +570,14 @@ func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts i
 	}
 }
 
-// attempt runs one registration of device through register on a pooled
-// child Call of ctx with a fresh account of its own, and returns the
-// attempt's virtual cost with its outcome.
-func (g *GNB) attempt(ctx context.Context, register func(context.Context, *ue.UE) (*Session, error), device *ue.UE) (*Session, simclock.Cycles, error) {
-	call := simclock.Derive(ctx)
-	defer call.Release()
-	acct := call.OwnAccount()
-	sess, err := register(call, device)
-	return sess, acct.Total(), err
+// attempt runs one registration of device through register and returns
+// its virtual cost, booked whether or not it succeeded, with its outcome.
+func (g *GNB) attempt(ctx context.Context, register func(context.Context, *ue.UE) (*Session, error), device *ue.UE) (sess *Session, cycles simclock.Cycles, err error) {
+	cycles, err = simclock.Book(ctx, func(ctx context.Context) (err error) {
+		sess, err = register(ctx, device)
+		return err
+	})
+	return sess, cycles, err
 }
 
 // registerStripe registers the UEs first, first+stride, ... below opts.N in

@@ -93,7 +93,7 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		result.Class[c].SetupTimes = metrics.NewRecorder(arrivals[c])
 	}
 	// One pooled Call carries the storm's source and, rewritten per event,
-	// its arrival stamp; each attempt derives its own child from it.
+	// its arrival stamp; each attempt books its cost on it.
 	storm := simclock.Derive(ctx)
 	defer storm.Release()
 	if opts.Source != "" {

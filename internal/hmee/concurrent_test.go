@@ -63,7 +63,7 @@ func TestProcessShutdownDrainsAdmittedCrossings(t *testing.T) {
 	<-entered
 	stopped := make(chan struct{})
 	go func() {
-		p.Shutdown()
+		p.Shutdown(context.Background())
 		close(stopped)
 	}()
 	for p.Running() {

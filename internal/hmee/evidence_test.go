@@ -60,12 +60,12 @@ func sevAttester(t *testing.T) attester {
 		return m
 	}
 	m := launch()
-	t.Cleanup(func() { m.Shutdown() })
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	return attester{
 		root:      host.PublicKey(),
 		reference: sev.Measure(cfg),
 		attest:    func(n [64]byte) (hmee.Evidence, error) { return m.GenerateReport(n) },
-		restart:   func() { m.Shutdown(); m = launch() },
+		restart:   func() { m.Shutdown(context.Background()); m = launch() },
 	}
 }
 

@@ -83,7 +83,7 @@ func censusInstance(t *testing.T, crossing string) *Instance {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	t.Cleanup(inst.Shutdown)
+	t.Cleanup(func() { inst.Shutdown(context.Background()) })
 	return inst
 }
 

@@ -41,7 +41,7 @@ func launchWith(t *testing.T, manifest *Manifest, opts ...LaunchOption) *Instanc
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	t.Cleanup(inst.Shutdown)
+	t.Cleanup(func() { inst.Shutdown(context.Background()) })
 	return inst
 }
 
@@ -114,7 +114,7 @@ func BenchmarkServeRequest(b *testing.B) {
 	if err != nil {
 		b.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 	if _, err := inst.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 		b.Fatalf("warm: %v", err)
 	}

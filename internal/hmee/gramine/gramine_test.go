@@ -173,7 +173,7 @@ func TestLaunchAndLoadDuration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 	if d := inst.LoadDuration(); d < 45*time.Second || d > 75*time.Second {
 		t.Fatalf("load duration = %v, want ~1 minute", d)
 	}
@@ -200,7 +200,7 @@ func TestServeRequestTransitionBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 
 	serve := func() sgx.StatsSnapshot {
 		before := inst.Stats()
@@ -232,7 +232,7 @@ func TestServeRequestBreakdownOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 
 	var warm simclock.Account
 	if _, err := inst.Cross(simclock.WithAccount(context.Background(), &warm), hmee.OneShot, 40, 80,
@@ -260,7 +260,7 @@ func TestServeRequestInitialMuchSlower(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 
 	serve := func() simclock.Cycles {
 		var acct simclock.Account
@@ -298,7 +298,7 @@ func TestServeRequestHandlerError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 	sentinel := errors.New("handler failed")
 	if _, err := inst.Cross(context.Background(), hmee.OneShot, 1, 1, hmee.HandlerFunc(func(hmee.Exec) error { return sentinel })); !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want sentinel", err)
@@ -311,8 +311,8 @@ func TestShutdownIdempotentAndRejectsServe(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	inst.Shutdown()
-	inst.Shutdown()
+	inst.Shutdown(context.Background())
+	inst.Shutdown(context.Background())
 	if _, err := inst.Cross(context.Background(), hmee.OneShot, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("ServeRequest after shutdown = %v, want hmee.ErrStopped", err)
 	}
@@ -334,7 +334,7 @@ func TestTableIIIShapeEmptyVsServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 
 	s := inst.Stats()
 	// Build(762) + 4 resident entries + server init.
@@ -370,7 +370,7 @@ func TestAccrueUptime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 	before := inst.Stats().AEX
 	inst.AccrueUptime(140 * time.Second)
 	got := inst.Stats().AEX - before

@@ -114,7 +114,7 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 	for i := 0; i < HelperThreads; i++ {
 		h, err := enclave.EnterResident(ctx)
 		if err != nil {
-			inst.Shutdown()
+			inst.Shutdown(ctx)
 			return nil, fmt.Errorf("gramine: enter helper %d: %w", i, err)
 		}
 		inst.helpers = append(inst.helpers, h)
@@ -132,7 +132,7 @@ func Launch(ctx context.Context, p *sgx.Platform, si *ShieldedImage, opts ...Lau
 	if si.Manifest.SwitchlessECalls {
 		d, err := enclave.EnterResident(ctx)
 		if err != nil {
-			inst.Shutdown()
+			inst.Shutdown(ctx)
 			return nil, fmt.Errorf("gramine: enter switchless dispatcher: %w", err)
 		}
 		inst.dispatcher = d
@@ -177,10 +177,8 @@ func (i *Instance) Introspect() map[string][]byte { return i.enclave.Introspect(
 // its handler. The struct is pooled, carries no closure, and is itself the
 // sgx.RingJob when the crossing is the submission ring.
 type request struct {
-	inst *Instance
-	// acct is the request's account, own when its context carries none.
+	inst    *Instance
 	acct    *simclock.Account
-	own     simclock.Account
 	jitter  *simclock.Jitter
 	phases  hmee.Phases
 	in, out int
@@ -216,9 +214,6 @@ func (i *Instance) Cross(ctx context.Context, ph hmee.Phases, in, out int, h hme
 	defer i.life.Release()
 	r := requestPool.Get().(*request)
 	*r = request{inst: i, acct: simclock.AccountFrom(ctx), jitter: i.platform.Env().JitterFor(ctx), phases: ph, in: in, out: out, handler: h, viaRing: viaRing}
-	if r.acct == nil {
-		r.acct = &r.own
-	}
 	switch {
 	case viaRing:
 		// A ring that closed under the request means the enclave is going
@@ -306,10 +301,11 @@ func (i *Instance) AccrueUptime(d time.Duration) { i.enclave.AccrueUptime(d) }
 // Stats snapshots the enclave's SGX counters.
 func (i *Instance) Stats() sgx.StatsSnapshot { return i.enclave.Stats() }
 
-// Shutdown leaves the resident threads and destroys the enclave. Requests
-// admitted before it finish first (those still queued in the ring fail
-// with hmee.ErrStopped); later ones are refused. It is idempotent.
-func (i *Instance) Shutdown() {
+// Shutdown leaves the resident threads, charging their exits to ctx's
+// account, and destroys the enclave. Requests admitted before it finish
+// first (those still queued in the ring fail with hmee.ErrStopped); later
+// ones are refused. It is idempotent.
+func (i *Instance) Shutdown(ctx context.Context) {
 	if !i.life.Stop() {
 		return
 	}
@@ -320,12 +316,14 @@ func (i *Instance) Shutdown() {
 	}
 	i.life.Drain()
 
-	if i.dispatcher != nil {
-		i.enclave.LeaveResident(i.dispatcher)
+	// The exits are the teardown's cost, not the entering procedure's:
+	// each thread is rebound to ctx's account before it leaves.
+	acct, jitter := simclock.AccountFrom(ctx), i.platform.Env().Jitter
+	for _, t := range append([]*sgx.Thread{i.dispatcher, i.proc}, i.helpers...) {
+		if t != nil {
+			t.BindRequest(acct, jitter, t)
+			i.enclave.LeaveResident(t)
+		}
 	}
-	for _, h := range i.helpers {
-		i.enclave.LeaveResident(h)
-	}
-	i.enclave.LeaveResident(i.proc)
 	i.enclave.Destroy()
 }

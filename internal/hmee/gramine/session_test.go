@@ -17,7 +17,7 @@ func launchTest(t *testing.T) *Instance {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	t.Cleanup(inst.Shutdown)
+	t.Cleanup(func() { inst.Shutdown(context.Background()) })
 	return inst
 }
 
@@ -213,7 +213,7 @@ func TestSessionClosedAndLifecycleErrors(t *testing.T) {
 	if _, err := inst.Cross(ctx, hmee.Pipelined, 10, 10, noop); err != nil {
 		t.Fatalf("pipelined: %v", err)
 	}
-	inst.Shutdown()
+	inst.Shutdown(context.Background())
 	if _, err := inst.Cross(ctx, hmee.Pipelined, 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("pipelined after Shutdown = %v, want hmee.ErrStopped", err)
 	}
@@ -262,7 +262,7 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer inst.Shutdown()
+	defer inst.Shutdown(context.Background())
 
 	acct := &simclock.Account{}
 	ctx := simclock.WithAccount(context.Background(), acct)
@@ -285,7 +285,7 @@ func TestDoBatchOneTransitionPair(t *testing.T) {
 		t.Fatalf("batch charged %d cycles to caller, want ≥ %d", acct.Total(), k*50_000)
 	}
 
-	inst.Shutdown()
+	inst.Shutdown(context.Background())
 	if _, err := inst.Cross(ctx, hmee.Entry, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("batch crossing after Shutdown = %v, want hmee.ErrStopped", err)
 	}
@@ -370,7 +370,7 @@ func TestServeShutdownRace(t *testing.T) {
 				for w := 0; w < workers; w++ {
 					<-started
 				}
-				inst.Shutdown()
+				inst.Shutdown(context.Background())
 				wg.Wait()
 
 				if _, err := inst.Cross(context.Background(), hmee.OneShot, 10, 10, noop); !errors.Is(err, hmee.ErrStopped) {

@@ -70,8 +70,6 @@ type call struct {
 	p      *Process
 	acct   *simclock.Account
 	jitter *simclock.Jitter
-	// own is the account the walk reads when the request carries none.
-	own simclock.Account
 }
 
 var callPool = sync.Pool{New: func() any { return new(call) }}
@@ -139,9 +137,6 @@ func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) 
 
 	c := callPool.Get().(*call)
 	c.p, c.acct, c.jitter = p, simclock.AccountFrom(ctx), p.env.JitterFor(ctx)
-	if c.acct == nil {
-		c.acct = &c.own
-	}
 	// A served request arrives and departs through the device boundary:
 	// the VM exits of each edge sit outside L_T, inside the residence.
 	var edge simclock.Cycles
@@ -185,8 +180,8 @@ func (p *Process) Introspect() map[string][]byte {
 }
 
 // Shutdown stops the process; its secrets die with it, once the requests
-// admitted before it have finished. It is idempotent.
-func (p *Process) Shutdown() {
+// admitted before it have finished. It charges nothing and is idempotent.
+func (p *Process) Shutdown(context.Context) {
 	if !p.life.Stop() {
 		return
 	}

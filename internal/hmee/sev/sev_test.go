@@ -24,7 +24,7 @@ func testMachine(t *testing.T) *Machine {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	t.Cleanup(m.Shutdown)
+	t.Cleanup(func() { m.Shutdown(context.Background()) })
 	return m
 }
 
@@ -56,7 +56,7 @@ func TestLaunchChargesAccount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer m.Shutdown()
+	defer m.Shutdown(context.Background())
 	if acct.Total() == 0 {
 		t.Fatal("launch charged nothing")
 	}
@@ -141,7 +141,7 @@ func TestSecretsAndIntrospection(t *testing.T) {
 	if bytes.Equal(view, secret[:]) || bytes.Contains(view, []byte("subscriber")) {
 		t.Fatal("host view leaked plaintext")
 	}
-	m.Shutdown()
+	m.Shutdown(context.Background())
 	if len(m.Introspect()) != 0 {
 		t.Fatal("secret survived teardown")
 	}
@@ -149,7 +149,7 @@ func TestSecretsAndIntrospection(t *testing.T) {
 
 func TestStoppedMachineRejectsUse(t *testing.T) {
 	m := testMachine(t)
-	m.Shutdown()
+	m.Shutdown(context.Background())
 	if _, err := m.Cross(context.Background(), hmee.OneShot, 1, 1, noop); !errors.Is(err, hmee.ErrStopped) {
 		t.Fatalf("err = %v", err)
 	}
@@ -193,12 +193,12 @@ func TestMeasurementDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer a.Shutdown()
+	defer a.Shutdown(context.Background())
 	b, err := host.Launch(context.Background(), env, Config{Name: "vm", AppImageBytes: 7})
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer b.Shutdown()
+	defer b.Shutdown(context.Background())
 	if a.measurement != b.measurement || a.measurement != Measure(Config{Name: "vm", AppImageBytes: 7}) {
 		t.Fatal("same config, different measurements")
 	}
@@ -206,7 +206,7 @@ func TestMeasurementDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Launch: %v", err)
 	}
-	defer c.Shutdown()
+	defer c.Shutdown(context.Background())
 	if a.measurement == c.measurement {
 		t.Fatal("different config, same measurement")
 	}

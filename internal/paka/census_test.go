@@ -103,7 +103,7 @@ func TestSameCensusDifferentPrice(t *testing.T) {
 		}
 		for _, b := range backends {
 			t.Run(prof.name+"/"+b.name, func(t *testing.T) {
-				t.Cleanup(b.rt.Shutdown)
+				t.Cleanup(func() { b.rt.Shutdown(context.Background()) })
 				// Warm outside the count: lazy loading is a price, not census.
 				if _, err := b.rt.Cross(context.Background(), hmee.OneShot, 40, 80, noop); err != nil {
 					t.Fatalf("warm: %v", err)

@@ -79,13 +79,13 @@ var (
 )
 
 // timed is one served module invocation, its response time recorded.
-func timed[Req, Resp any](ctx context.Context, r *Remote, e *sbi.Endpoint[Req, Resp], req Req) (Resp, error) {
-	ctx, acct, own := simclock.Pin(ctx)
-	defer own.Release()
-	start := acct.Total()
-	resp, err := e.Post(ctx, r.invoker, r.service, req)
+func timed[Req, Resp any](ctx context.Context, r *Remote, e *sbi.Endpoint[Req, Resp], req Req) (resp Resp, err error) {
+	n, err := simclock.Book(ctx, func(ctx context.Context) (err error) {
+		resp, err = e.Post(ctx, r.invoker, r.service, req)
+		return err
+	})
 	if err == nil {
-		r.response.add(r.env, acct.Total()-start)
+		r.response.add(r.env, n)
 	}
 	return resp, err
 }

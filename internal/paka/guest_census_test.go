@@ -121,7 +121,7 @@ func TestGuestCensusContract(t *testing.T) {
 		for _, shape := range shapes {
 			for _, state := range []string{"first", "warm"} {
 				rt, vmExits := guestLaunch(t, backend, costmodel.NewEnv(nil, 21))
-				t.Cleanup(rt.Shutdown)
+				t.Cleanup(func() { rt.Shutdown(context.Background()) })
 				if state == "warm" {
 					// Warm outside the measured window.
 					if _, err := guestOneShot(rt, context.Background(), 40, 80, work); err != nil {

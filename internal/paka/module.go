@@ -154,7 +154,7 @@ func New(ctx context.Context, cfg Config) (*Module, error) {
 	m.server = sbi.NewServer(sbi.ReplicaName(cfg.Kind.ServiceName(), cfg.Replica), nil)
 	m.registerEndpoints()
 	if err := cfg.Registry.Register(m.server); err != nil {
-		m.runtime.Shutdown()
+		m.runtime.Shutdown(ctx)
 		return nil, err
 	}
 	return m, nil
@@ -581,11 +581,12 @@ func (m *Module) ResetRecorders() {
 	m.total.Reset()
 }
 
-// Stop deregisters and shuts the module down.
+// Stop deregisters and shuts the module down. The teardown is no
+// procedure's: its cycles are charged to no account (Env.Unbooked).
 func (m *Module) Stop() {
 	m.registry.Deregister(m.server.Name())
 	m.dropSessions()
-	m.rt().Shutdown()
+	m.rt().Shutdown(context.TODO())
 }
 
 // Restarts reports how many crash-restarts the module has survived.
@@ -607,7 +608,7 @@ func (m *Module) Restart(ctx context.Context) error {
 	m.restartMu.Lock()
 	defer m.restartMu.Unlock()
 
-	m.rt().Shutdown()
+	m.rt().Shutdown(ctx)
 
 	fresh, err := launch(ctx, m.cfg, m.profile)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"shield5g/internal/hmee/gramine"
 	"shield5g/internal/hmee/sev"
 	"shield5g/internal/hmee/sgx"
+	"shield5g/internal/simclock"
 )
 
 // Isolation selects how a P-AKA module is deployed: the paper's two
@@ -84,18 +85,22 @@ type Runtime interface {
 	// store, region by name: plaintext in a container, ciphertext under SGX
 	// or SEV.
 	Introspect() map[string][]byte
-	// Shutdown stops the runtime and releases its resources.
-	Shutdown()
+	// Shutdown stops the runtime and releases its resources, charging the
+	// teardown to ctx's account.
+	Shutdown(ctx context.Context)
 }
 
 // launch deploys the runtime cfg describes, charging its load cost — for
-// SGX the GSC build and enclave load, for SEV the measured boot — to ctx's
-// account. New and Restart share it, so a restarted module is redeployed
-// exactly as it was first deployed.
+// a container the process start it reports, for SGX the GSC build and
+// enclave load, for SEV the measured boot — to ctx's account. New and
+// Restart share it, so a restarted module is redeployed exactly as it was
+// first deployed.
 func launch(ctx context.Context, cfg Config, profile Profile) (Runtime, error) {
 	switch cfg.Isolation {
 	case Container:
-		return hmee.NewProcess(cfg.Env, hmee.ContainerPrices()), nil
+		p := hmee.NewProcess(cfg.Env, hmee.ContainerPrices())
+		cfg.Env.Charge(ctx, simclock.FromDuration(p.LoadDuration(), cfg.Env.Clock.FrequencyHz()))
+		return p, nil
 	case SGX:
 		if cfg.Platform == nil {
 			return nil, errors.New("paka: SGX isolation requires Config.Platform")

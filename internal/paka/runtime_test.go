@@ -61,7 +61,7 @@ func TestNativeRuntimeServeShutdownRace(t *testing.T) {
 			}
 		}(w)
 	}
-	rt.Shutdown()
+	rt.Shutdown(context.Background())
 	close(stop)
 	wg.Wait()
 

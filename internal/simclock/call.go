@@ -27,8 +27,7 @@ type Call struct {
 	context.Context
 	carried
 
-	// own is the account OwnAccount hands out: a registration attempt's
-	// account, or Pin's, without an allocation of its own.
+	// own is the account Pin hands out, without an allocation of its own.
 	own Account
 }
 
@@ -118,14 +117,6 @@ func (c *Call) Release() {
 	callPool.Put(c)
 }
 
-// OwnAccount points c at a fresh account held inside c itself and returns
-// it. The account lives exactly as long as c: read it before Release.
-func (c *Call) OwnAccount() *Account {
-	c.own = Account{}
-	c.Account = &c.own
-	return c.Account
-}
-
 // WithAccount returns a context carrying the account. Costs charged by the
 // simulated substrate flow to the account of the request being served.
 // Re-attaching the account a context already carries (the
@@ -151,18 +142,31 @@ func AccountFrom(ctx context.Context) *Account {
 }
 
 // Pin is the one way a step that reads its own total gets an account to
-// read on a context without one (a caller that keeps its own pooled
-// struct holds the account inline instead): it returns ctx and the
-// account ctx carries, or, when ctx carries none, a pooled child Call of
-// ctx holding a fresh account of its own as both the context and own. The
-// caller releases own — nil when ctx carried an account — once nothing
-// below it still runs.
+// read on a context without one: it returns ctx and the account ctx
+// carries, or, when ctx carries none, a pooled child Call of ctx holding a
+// fresh account of its own (a released Call is zeroed) as both the
+// context and own. The account lives exactly as long as own. The caller
+// releases own — nil when ctx carried an account — once nothing below it
+// still runs.
 func Pin(ctx context.Context) (pinned context.Context, acct *Account, own *Call) {
 	if acct = AccountFrom(ctx); acct != nil {
 		return ctx, acct, nil
 	}
 	own = Derive(ctx)
-	return own, own.OwnAccount(), own
+	own.Account = &own.own
+	return own, own.Account, own
+}
+
+// Book is the one way a procedure learns what it cost: it runs fn on ctx
+// pinned to an account (Pin) and returns the cycles fn charged to it —
+// the delta of the account ctx carries, or the total of a fresh one when
+// ctx carries none. fn must not keep its context past its return.
+func Book(ctx context.Context, fn func(context.Context) error) (Cycles, error) {
+	ctx, acct, own := Pin(ctx)
+	defer own.Release()
+	start := acct.Total()
+	err := fn(ctx)
+	return acct.Total() - start, err
 }
 
 // WithArrival stamps ctx with the request's virtual arrival time (cycles on

@@ -65,8 +65,8 @@ func TestCallUnderCancel(t *testing.T) {
 // TestReleasedCallIsZeroed: Release scrubs every value (hashpool.PutHMAC's
 // rule), and a use after release reaches the nil parent and panics.
 func TestReleasedCallIsZeroed(t *testing.T) {
-	call := Derive(WithArrival(context.Background(), 9))
-	call.OwnAccount().Charge(5)
+	_, acct, call := Pin(WithArrival(context.Background(), 9))
+	acct.Charge(5)
 	call.Priority, call.Source, call.Chaos = 1, "gnb-2", NewJitter(2)
 	call.Release()
 	if !reflect.ValueOf(call).Elem().IsZero() {
@@ -89,9 +89,9 @@ func TestPooledCallAllocatesNothing(t *testing.T) {
 	}
 	lane := WithJitter(context.Background(), NewJitter(3))
 	hop := func() {
-		call := Derive(lane)
+		_, acct, call := Pin(lane)
 		defer call.Release()
-		call.OwnAccount().Charge(1)
+		acct.Charge(1)
 		call.Priority = 1
 		AccountFrom(call).Charge(1)
 		_ = JitterFrom(call, nil)

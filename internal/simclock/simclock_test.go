@@ -2,11 +2,14 @@ package simclock
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"shield5g/internal/race"
 )
 
 func TestDurationConversion(t *testing.T) {
@@ -161,6 +164,40 @@ func TestPinOwnsOnlyWhenMissing(t *testing.T) {
 		t.Fatalf("pinned account totals %d, want 9", acct.Total())
 	}
 	own.Release()
+}
+
+// TestBookReturnsTheDelta: Book reports what its procedure charged — the
+// delta of an account ctx already carried, which keeps every charge, or
+// the total of one it pinned — whether or not the procedure failed, and
+// allocates nothing either way. Allocation counts are skipped under -race.
+func TestBookReturnsTheDelta(t *testing.T) {
+	var a Account
+	a.Charge(100)
+	carried := WithAccount(context.Background(), &a)
+	fail := errors.New("procedure failed")
+	for _, ctx := range []context.Context{carried, context.Background()} {
+		n, err := Book(ctx, func(ctx context.Context) error {
+			AccountFrom(ctx).Charge(7)
+			return fail
+		})
+		if n != 7 || err != fail {
+			t.Fatalf("Book = %d, %v; want 7, %v", n, err, fail)
+		}
+	}
+	if a.Total() != 107 {
+		t.Fatalf("carried account totals %d, want 107", a.Total())
+	}
+	if race.Enabled {
+		return
+	}
+	for _, ctx := range []context.Context{carried, context.Background()} {
+		allocs := testing.AllocsPerRun(100, func() {
+			Book(ctx, func(ctx context.Context) error { AccountFrom(ctx).Charge(1); return nil })
+		})
+		if allocs != 0 {
+			t.Fatalf("Book allocates %v, want 0", allocs)
+		}
+	}
 }
 
 func TestJitterDeterminism(t *testing.T) {
