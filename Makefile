@@ -99,10 +99,13 @@ loc:
 # (the codec's reference and fallback) and internal/analysis. After that, end to end: the experiments
 # CLI regenerates every row and CSV series (its own tests stub every Run);
 # the deployable binary, core5g, on each backend (container, SGX, SEV)
-# registers one UE, opens a PDU session, echoes data, deregisters the UE,
-# checks that the AMF, SMF and UPF released its context and session, and
-# prints the virtual time each procedure booked (it exits non-zero on any
-# failure, a cycle charged to no account on either env included);
+# registers one UE and prints its hops (Fig. 5; it exits non-zero when the
+# hop record overflowed or its top-level hops charged more than the
+# registration booked), opens a PDU session, echoes data, deregisters the
+# UE, checks that the AMF, SMF and UPF released its context and session,
+# and prints the virtual time each procedure booked (it exits non-zero on
+# any failure, a cycle charged to no account on either env included, and
+# checks that after stopping the slice, whose teardown books too);
 # the three examples run end to end (the attestation one also shows the
 # slice refusing the eAUSF's evidence as the eUDM's); eight gnbsim smokes drive the storm replay (unsharded with
 # the AV pool, and on four shards, whose admission line is the fleet's sum;

@@ -8,13 +8,15 @@
 //	       [-serve [-addr :8080] [-tlsdir DIR]]
 //
 // By default (-demo) the command registers one UE through the full stack,
-// opens a PDU session and echoes data over it, then deregisters the UE and
-// checks that the AMF, SMF and UPF released everything it held, printing
-// one line for each half. It prints the virtual time each procedure booked
-// — session setup beside the paper's 62.38 ms, the deregistration, the
-// provisioning and the slice's maintenance — and exits 1 if any cycle was
-// charged to no account, as on any other failure. -serve then keeps the
-// SBI up over HTTP.
+// printing the registration's hops (the paper's Fig. 5 on the virtual
+// clock), opens a PDU session and echoes data over it, then deregisters the
+// UE and checks that the AMF, SMF and UPF released everything it held,
+// printing one line for each half. It prints the virtual time each
+// procedure booked — session setup beside the paper's 62.38 ms, the
+// deregistration, the provisioning and the slice's maintenance — and exits
+// 1 if the hop record overflowed or does not add up, or if any cycle, the
+// slice's teardown included, was charged to no account, as on any other
+// failure. -serve then keeps the SBI up over HTTP.
 package main
 
 import (
@@ -32,6 +34,7 @@ import (
 
 	"shield5g"
 	"shield5g/internal/sbi"
+	"shield5g/internal/simclock"
 )
 
 func main() {
@@ -78,10 +81,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "core5g: provision: %v\n", err)
 			return 1
 		}
-		sess, err := tb.Register(ctx, sub)
+		recording := simclock.NewCall(ctx)
+		recording.Hops = new(simclock.Hops)
+		sess, err := tb.Register(recording, sub)
 		if err != nil {
 			fmt.Fprintf(stderr, "core5g: registration: %v\n", err)
 			return 1
+		}
+		if code := printHops(stdout, stderr, tb.Slice.Env.Model.Duration, recording.Hops, sess.Virtual()); code != 0 {
+			return code
 		}
 		if err := sess.EstablishPDUSession(ctx, 1, "internet"); err != nil {
 			fmt.Fprintf(stderr, "core5g: PDU session: %v\n", err)
@@ -113,6 +121,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		provisioning, maintenance := s.Booked()
 		fmt.Fprintf(stdout, "demo virtual time: deregistration %v, provisioning %v, slice maintenance %v\n",
 			(sess.Virtual() - beforeDeregistration).Round(10*time.Microsecond), provisioning.Round(10*time.Microsecond), maintenance.Round(10*time.Millisecond))
+	}
+	if !*serve {
+		tb.Close() // the teardown books too, so the check reads it; a second Close does nothing
 	}
 	if n := tb.Slice.Unbooked(); n != 0 {
 		fmt.Fprintf(stderr, "core5g: %d cycles charged to no account\n", n)
@@ -176,6 +187,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+}
+
+// printHops prints the demo registration's hops, the paper's Fig. 5 on the
+// virtual clock: one line per hop, indented by depth, with what the
+// registration's account was charged across it. It returns 1 when the
+// record overflowed or the top-level hops charged more than the
+// registration booked; what they leave is the UE's own USIM work.
+func printHops(stdout, stderr io.Writer, duration func(simclock.Cycles) time.Duration, hops *simclock.Hops, booked time.Duration) int {
+	fmt.Fprintln(stdout, "demo registration hops (Fig. 5; virtual µs charged across each):")
+	var top simclock.Cycles
+	for _, h := range hops.Hops() {
+		if h.Depth == 0 {
+			top += h.Cycles
+		}
+		fmt.Fprintf(stdout, "  %*s%-5v %-*s %9.1f\n", 2*int(h.Depth), "", h.Kind, 50-2*int(h.Depth), h.Site, float64(duration(h.Cycles))/1e3)
+	}
+	if n := hops.Overflow(); n != 0 || duration(top) > booked {
+		fmt.Fprintf(stderr, "core5g: hop record: %d hops past capacity; top-level hops charged %v of %v booked\n", n, duration(top), booked)
+		return 1
+	}
+	fmt.Fprintf(stdout, "demo registration: %d hops, %v at top level + %v outside any hop = %v booked\n",
+		len(hops.Hops()), duration(top).Round(time.Microsecond), (booked - duration(top)).Round(time.Microsecond), booked.Round(time.Microsecond))
+	return 0
 }
 
 // writeClientCreds exports the operator CA and a client identity so curl

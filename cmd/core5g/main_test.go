@@ -5,14 +5,17 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"shield5g"
+	"shield5g/internal/costmodel"
+	"shield5g/internal/simclock"
 )
 
 // TestRun drives run the way the shell does: a rejected flag exits 2 with
 // the reason on stderr before anything is deployed, and the default demo
-// registers one UE, opens a PDU session, prints what its procedures
-// booked and exits 0.
+// registers one UE, prints the registration's hops, opens a PDU session,
+// prints what its procedures booked and exits 0.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		args   string
@@ -25,6 +28,8 @@ func TestRun(t *testing.T) {
 		{"-isolation container", 0, "demo UE deregistered: 0 AMF UE contexts, 0 SMF and 0 UPF sessions left", ""},
 		{"-isolation container", 0, "demo session setup (registration + PDU session): 67.88ms virtual (paper: 62.38ms)", ""},
 		{"-isolation container", 0, "demo virtual time: deregistration 12.88ms, provisioning 1.15ms, slice maintenance 1.21s", ""},
+		{"-isolation container", 0, "\n              cross eudm-paka                                 1350.6\n", ""},
+		{"-isolation container", 0, "demo registration: 21 hops, 54.273ms at top level + 56µs outside any hop = 54.329ms booked", ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(strings.Fields(tc.args), &stdout, &stderr); got != tc.exit {
@@ -36,6 +41,41 @@ func TestRun(t *testing.T) {
 			if (out.want == "") != (out.got == "") || !strings.Contains(out.got, out.want) {
 				t.Errorf("core5g %s: %s = %q, want it to carry %q", tc.args, out.name, out.got, out.want)
 			}
+		}
+	}
+}
+
+// TestPrintHopsRefusesAnIncompleteRecord: the hop table exits 1 on a
+// record that overflowed, and on top-level hops that charged more than the
+// registration booked.
+func TestPrintHopsRefusesAnIncompleteRecord(t *testing.T) {
+	m := costmodel.Default().Duration
+	var full simclock.Hops
+	ctx := simclock.NewCall(context.Background())
+	ctx.Hops = &full
+	for range simclock.HopCapacity + 1 {
+		simclock.EnterHop(ctx, simclock.Radio, "", 0).Leave()
+	}
+	var charged simclock.Hops
+	recording := simclock.NewCall(context.Background())
+	recording.Hops = &charged
+	pinned, acct, own := simclock.Pin(recording)
+	defer own.Release()
+	hop := simclock.EnterHop(pinned, simclock.Post, "/a", 0)
+	acct.Charge(10_000) // 4.166 µs at 2.4 GHz
+	hop.Leave()
+	for _, tc := range []struct {
+		name   string
+		hops   *simclock.Hops
+		booked time.Duration
+		stderr string
+	}{
+		{"overflow", &full, 0, "1 hops past capacity"},
+		{"top level over the total", &charged, time.Nanosecond, "top-level hops charged 4.166µs of 1ns booked"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := printHops(&stdout, &stderr, m, tc.hops, tc.booked); code != 1 || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%s: exit %d, stderr %q; want 1 and %q", tc.name, code, stderr.String(), tc.stderr)
 		}
 	}
 }

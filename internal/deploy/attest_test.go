@@ -17,7 +17,7 @@ import (
 // genuine module's place.
 func swapEUDM(t *testing.T, s *Slice, cfg paka.Config) *paka.Module {
 	t.Helper()
-	s.Shards[0].Modules[paka.EUDM].Stop()
+	s.Shards[0].Modules[paka.EUDM].Stop(context.Background())
 	m, err := paka.New(context.Background(), cfg)
 	if err != nil {
 		t.Fatalf("deploy substitute eUDM: %v", err)

@@ -766,13 +766,17 @@ func (s *Slice) PrewarmAVPool(ctx context.Context, supis []string) error {
 	})
 }
 
-// Stop tears the slice down, destroying any enclaves.
+// Stop tears the slice down, destroying any enclaves. The teardown — under
+// SGX each resident thread's final EEXIT — is booked as maintenance.
 func (s *Slice) Stop() {
-	for _, shard := range s.Shards {
-		for _, m := range shard.Modules {
-			m.Stop()
+	_ = s.book(context.Background(), &s.maintained, func(ctx context.Context) error {
+		for _, shard := range s.Shards {
+			for _, m := range shard.Modules {
+				m.Stop(ctx)
+			}
 		}
-	}
+		return nil
+	})
 }
 
 // SetRoutableReplicas installs a new topology snapshot that routes over

@@ -633,7 +633,7 @@ func TestModuleOutageFailsClosedAndGNBSurvives(t *testing.T) {
 	// Kill the eUDM P-AKA module: authentication must fail closed (no
 	// fallback to unprotected crypto), and the control plane must stay
 	// alive for diagnosis rather than crash.
-	s.Modules[paka.EUDM].Stop()
+	s.Modules[paka.EUDM].Stop(context.Background())
 	victim := provisionUEDeviceOnly(t, s, "0000000061")
 	if _, err := s.GNB.RegisterUE(context.Background(), victim); err == nil {
 		t.Fatal("registration succeeded without the eUDM module")

@@ -361,7 +361,7 @@ func TestShardClientsSpeakAsTheirShard(t *testing.T) {
 	s := newSliceWith(t, SliceConfig{Isolation: paka.Container, Seed: 5, Replicas: 2})
 	ctx := context.Background()
 	for _, shard := range s.Shards {
-		shard.Modules[paka.EAMF].Stop()
+		shard.Modules[paka.EAMF].Stop(context.Background())
 	}
 	seen := make(map[int]bool)
 	for i := 0; len(seen) < len(s.Shards) && i < 64; i++ {
@@ -605,14 +605,14 @@ func TestSEVReprovisionRefusesUnattestedReplica(t *testing.T) {
 	device := provisionUE(t, s, msin)
 
 	shard := s.Shards[3]
-	shard.Modules[paka.EUDM].Stop()
+	shard.Modules[paka.EUDM].Stop(context.Background())
 	cfg := s.moduleConfig(paka.EUDM, 3, nil)
 	cfg.SEVHost = sev.NewPlatform()
 	substitute, err := paka.New(ctx, cfg)
 	if err != nil {
 		t.Fatalf("deploy substitute eUDM: %v", err)
 	}
-	t.Cleanup(substitute.Stop)
+	t.Cleanup(func() { substitute.Stop(context.Background()) })
 	shard.Modules[paka.EUDM] = substitute
 
 	if _, err := s.SetRoutableReplicas(4); err != nil {

@@ -36,7 +36,7 @@ func Fig7(ctx context.Context, cfg Config) (*Fig7Result, error) {
 				return nil, err
 			}
 			rec.Add(r.module.LoadDuration())
-			r.module.Stop()
+			r.module.Stop(ctx)
 		}
 		result.Load = append(result.Load, loadBox{kind, rec.Summarize()})
 	}

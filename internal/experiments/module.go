@@ -56,7 +56,7 @@ func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg paka.Con
 		r.av, err = paka.GenerateAV(rigKey, rigAVRequest())
 	}
 	if err != nil {
-		m.Stop()
+		m.Stop(ctx)
 		return nil, err
 	}
 	return r, nil
@@ -123,7 +123,7 @@ func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg p
 	if err != nil {
 		return nil, err
 	}
-	defer r.module.Stop()
+	defer r.module.Stop(ctx)
 	run := &moduleRun{load: r.module.LoadDuration(), tcb: r.module.TCBBytes()}
 	if run.initial, err = r.invoke(ctx); err != nil {
 		return nil, err

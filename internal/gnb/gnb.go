@@ -272,6 +272,7 @@ func (g *GNB) driveRegistration(ctx context.Context, a *amf.AMF, device *ue.UE, 
 
 // chargeRadio charges one access-side NAS round trip.
 func (g *GNB) chargeRadio(ctx context.Context) {
+	defer simclock.EnterHop(ctx, simclock.Radio, "", 0).Leave()
 	g.env.Charge(ctx, g.env.JitterFor(ctx).Scale(g.radio.RTTCycles, 0.1))
 }
 

@@ -126,7 +126,7 @@ func newModule(t *testing.T, env *costmodel.Env, reg *sbi.Registry, kind paka.Mo
 	if err != nil {
 		t.Fatalf("paka.New(%s): %v", kind, err)
 	}
-	t.Cleanup(m.Stop)
+	t.Cleanup(func() { m.Stop(context.Background()) })
 	return m
 }
 

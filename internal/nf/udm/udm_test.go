@@ -41,7 +41,7 @@ func newEUDM(t *testing.T, env *costmodel.Env, reg *sbi.Registry, invoker sbi.In
 	if err != nil {
 		t.Fatalf("paka.New: %v", err)
 	}
-	t.Cleanup(m.Stop)
+	t.Cleanup(func() { m.Stop(context.Background()) })
 	return m, paka.NewRemote(invoker, env, m.ServiceName())
 }
 

@@ -32,7 +32,7 @@ func measureModule(t *testing.T, kind ModuleKind, iso Isolation, n int, seed uin
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer m.Stop()
+	defer m.Stop(context.Background())
 
 	client := sbi.NewClient("vnf", env, reg)
 	responses := &metrics.Recorder{}

@@ -28,7 +28,7 @@ func deployVariant(t *testing.T, seed uint64, exitless, userTCP bool) (*Module, 
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(m.Stop)
+	t.Cleanup(func() { m.Stop(context.Background()) })
 	if err := m.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestContainerTCBIncludesHost(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer m.Stop()
+	defer m.Stop(context.Background())
 	if m.TCBBytes() <= HostTCBBytes {
 		t.Fatalf("container TCB = %d, want > host stack %d", m.TCBBytes(), uint64(HostTCBBytes))
 	}

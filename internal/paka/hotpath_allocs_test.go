@@ -52,7 +52,7 @@ func TestHotPathAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: New(%s): %v", rt, kind, err)
 			}
-			t.Cleanup(m.Stop)
+			t.Cleanup(func() { m.Stop(context.Background()) })
 			return m
 		}
 		udm := deploy(EUDM)

@@ -381,7 +381,7 @@ func (m *Module) GenerateAVBatch(ctx context.Context, req *UDMGenerateAVBatchReq
 	resp.Vectors = resp.vectors.Hold(k)
 	b := batchPool.Get().(*batchCall)
 	*b = batchCall{m: m, ctx: ctx, req: req, resp: resp}
-	_, err := m.rt().Cross(ctx, hmee.Entry, k*m.profile.InBytes, k*m.profile.OutBytes, b)
+	_, err := m.cross(ctx, m.rt(), hmee.Entry, k*m.profile.InBytes, k*m.profile.OutBytes, b)
 	*b = batchCall{}
 	batchPool.Put(b)
 	return err
@@ -448,7 +448,7 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 	}
 	// The store itself is maintenance: a crossing of no phase, outside
 	// any request.
-	_, err := m.rt().Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
+	_, err := m.cross(ctx, m.rt(), 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
 		ex.StoreSecret(supi, [milenage.KeyLen]byte(k))
 		return nil
 	}))
@@ -466,7 +466,7 @@ func (m *Module) EvictSubscriber(ctx context.Context, supi string) error {
 	if m.kind != EUDM {
 		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
 	}
-	_, err := m.rt().Cross(ctx, 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
+	_, err := m.cross(ctx, m.rt(), 0, 0, 0, hmee.HandlerFunc(func(ex Exec) error {
 		ex.DeleteSecret(supi)
 		return nil
 	}))
@@ -581,12 +581,12 @@ func (m *Module) ResetRecorders() {
 	m.total.Reset()
 }
 
-// Stop deregisters and shuts the module down. The teardown is no
-// procedure's: its cycles are charged to no account (Env.Unbooked).
-func (m *Module) Stop() {
+// Stop deregisters and shuts the module down, charging the teardown to
+// ctx's account.
+func (m *Module) Stop(ctx context.Context) {
 	m.registry.Deregister(m.server.Name())
 	m.dropSessions()
-	m.rt().Shutdown(context.TODO())
+	m.rt().Shutdown(ctx)
 }
 
 // Restarts reports how many crash-restarts the module has survived.

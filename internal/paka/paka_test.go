@@ -207,7 +207,7 @@ func (h *harness) module(t *testing.T, kind ModuleKind, iso Isolation) *Module {
 	if err != nil {
 		t.Fatalf("New(%s, %s): %v", kind, iso, err)
 	}
-	t.Cleanup(m.Stop)
+	t.Cleanup(func() { m.Stop(context.Background()) })
 	return m
 }
 
@@ -294,7 +294,7 @@ func TestModuleMemoryDumpContainerLeaksSGXDoesNot(t *testing.T) {
 			t.Fatal("container dump should reveal the plaintext key")
 		}
 	}
-	plain.Stop()
+	plain.Stop(context.Background())
 
 	h2 := newHarness(t, 5)
 	shielded := h2.module(t, EUDM, SGX)

@@ -185,7 +185,7 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			t.Cleanup(m.Stop)
+			t.Cleanup(func() { m.Stop(context.Background()) })
 			for supi, k := range map[string][]byte{testSUPI: testK, supi2: testK2} {
 				if err := m.ProvisionSubscriber(ctx, supi, k); err != nil {
 					t.Fatalf("provision %s: %v", supi, err)

@@ -82,7 +82,7 @@ func (m *Module) dropSessions() {
 func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, error) {
 	conn, ok := ConnectionFrom(ctx)
 	if !ok {
-		return m.rt().Cross(ctx, hmee.OneShot, in, out, h)
+		return m.cross(ctx, m.rt(), hmee.OneShot, in, out, h)
 	}
 
 	rt := m.rt()
@@ -94,13 +94,13 @@ func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, 
 	// previous runtime died with its enclave when the module
 	// crash-restarted, and costs no teardown.
 	if ms.rt != rt {
-		if _, err := rt.Cross(ctx, hmee.Open, 0, 0, nil); err != nil {
+		if _, err := m.cross(ctx, rt, hmee.Open, 0, 0, nil); err != nil {
 			return Breakdown{}, err
 		}
 		ms.rt, ms.served = rt, 0
 	}
 
-	bd, err := rt.Cross(ctx, hmee.Pipelined, in, out, h)
+	bd, err := m.cross(ctx, rt, hmee.Pipelined, in, out, h)
 	if err != nil {
 		// Never reuse a connection that just failed — the retry path must
 		// reopen on whatever runtime is then current.
@@ -112,9 +112,17 @@ func (m *Module) serve(ctx context.Context, in, out int, h Handler) (Breakdown, 
 		ms.rt = nil
 		// A runtime that shut down took the connection with it: nothing is
 		// left to tear down.
-		if _, err := rt.Cross(ctx, hmee.Close, 0, 0, nil); err != nil && !errors.Is(err, hmee.ErrStopped) {
+		if _, err := m.cross(ctx, rt, hmee.Close, 0, 0, nil); err != nil && !errors.Is(err, hmee.ErrStopped) {
 			return bd, err
 		}
 	}
 	return bd, nil
+}
+
+// cross is the module's one way into its runtime rt: every request,
+// connection, batch and maintenance crossing. It records a crossing hop —
+// the module's service and the phase set — on a context that records.
+func (m *Module) cross(ctx context.Context, rt Runtime, ph hmee.Phases, in, out int, h Handler) (Breakdown, error) {
+	defer simclock.EnterHop(ctx, simclock.Cross, m.server.Name(), uint8(ph)).Leave()
+	return rt.Cross(ctx, ph, in, out, h)
 }

@@ -26,7 +26,7 @@ func (h *harness) switchlessModule(t *testing.T, kind ModuleKind, r int) *Module
 	if err != nil {
 		t.Fatalf("New(%s, SGX, switchless): %v", kind, err)
 	}
-	t.Cleanup(m.Stop)
+	t.Cleanup(func() { m.Stop(context.Background()) })
 	return m
 }
 
@@ -181,7 +181,7 @@ func TestCrossingAllocParity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New(container): %v", err)
 	}
-	t.Cleanup(guest.Stop)
+	t.Cleanup(func() { guest.Stop(context.Background()) })
 	if container := measure(guest); container > classic {
 		t.Errorf("container request allocates %.0f, the enclave's %.0f: the guest's per-request state must stay pooled", container, classic)
 	}

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"shield5g/internal/sbi/codec"
+	"shield5g/internal/simclock"
 )
 
 // HandleDual registers h, which must accept both body formats, as the
@@ -198,6 +199,7 @@ func (e *Endpoint[Req, Resp]) Send(ctx context.Context, inv Invoker, service str
 }
 
 func (e *Endpoint[Req, Resp]) post(ctx context.Context, inv Invoker, service string, req Req, answer bool) (resp Resp, err error) {
+	defer simclock.EnterHop(ctx, simclock.Post, e.Path, 0).Leave()
 	c, _ := e.pool.Get().(*binCall[Req, Resp])
 	if c == nil {
 		c = new(binCall[Req, Resp])

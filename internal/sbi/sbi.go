@@ -19,6 +19,7 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/sbi/codec"
+	"shield5g/internal/simclock"
 )
 
 // ProblemDetails is the 3GPP TS 29.500 error body carried on SBI failures.
@@ -174,6 +175,7 @@ func (s *Server) lookup(path string) (HandlerFunc, bool) {
 
 // serve dispatches one request, charging server-side record processing.
 func (s *Server) serve(ctx context.Context, path string, body []byte) ([]byte, error) {
+	defer simclock.EnterHop(ctx, simclock.Serve, s.name, 0).Leave()
 	if s.env != nil {
 		m := s.env.Model
 		s.env.Charge(ctx, m.TLSRecordCost(len(body))+m.HTTPCost(len(body)))

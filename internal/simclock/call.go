@@ -54,6 +54,9 @@ type carried struct {
 	// Chaos is the worker's fault-decision stream; nil draws from the
 	// injector's root.
 	Chaos *Jitter
+	// Hops is the procedure's hop record; nil records nothing. A caller
+	// that records sets it on a NewCall (see Hops).
+	Hops *Hops
 }
 
 type callKey struct{}
