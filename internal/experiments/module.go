@@ -11,7 +11,6 @@ import (
 	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
-	"shield5g/internal/simclock"
 )
 
 // rig deploys one P-AKA module in isolation and drives requests through
@@ -73,11 +72,9 @@ func rigAVRequest() *paka.UDMGenerateAVRequest {
 	}
 }
 
-// invoke drives one request and returns the VNF-side response time.
-func (r *rig) invoke(ctx context.Context) (time.Duration, error) {
-	var acct simclock.Account
-	ctx = simclock.WithAccount(ctx, &acct)
-	var err error
+// invoke drives one request. The rig's Remote books its response time:
+// the first answer as R_I, every later one as R_S.
+func (r *rig) invoke(ctx context.Context) (err error) {
 	switch r.kind {
 	case paka.EUDM:
 		_, err = r.remote.GenerateAV(ctx, rigAVRequest())
@@ -92,7 +89,7 @@ func (r *rig) invoke(ctx context.Context) (time.Duration, error) {
 			KSEAF: r.av.KAUSF, SUPI: rigSUPI, ABBA: []byte{0, 0},
 		})
 	}
-	return r.env.Model.Duration(acct.Total()), err
+	return err
 }
 
 // moduleRun is everything a row reads of one measured module: what the
@@ -125,20 +122,21 @@ func measureModule(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg p
 	}
 	defer r.module.Stop(ctx)
 	run := &moduleRun{load: r.module.LoadDuration(), tcb: r.module.TCBBytes()}
-	if run.initial, err = r.invoke(ctx); err != nil {
+	if err := r.invoke(ctx); err != nil {
 		return nil, err
 	}
+	response := r.remote.Response()
+	run.initial = response.Initial.Samples()[0]
 	r.module.ResetRecorders()
 	entersBefore := r.module.Stats().EENTER
-	responses := &metrics.Recorder{}
 	for i := 0; i < n; i++ {
-		d, err := r.invoke(ctx)
-		if err != nil {
+		if err := r.invoke(ctx); err != nil {
 			return nil, err
 		}
-		responses.Add(d)
 	}
-	run.stable = responses.Summarize()
+	if run.stable, err = summarizeWindow("R_S", response.Stable); err != nil {
+		return nil, err
+	}
 	if run.functional, err = summarizeWindow("L_F", r.module.FunctionalLatency()); err != nil {
 		return nil, err
 	}

@@ -142,11 +142,6 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 			warmed[shard], cold = true, cold-1
 		}
 	}
-	for _, shard := range s.Shards {
-		if shard.RemoteUDM != nil {
-			shard.RemoteUDM.Response().MarkWarm()
-		}
-	}
 
 	device := func(i int) (*ue.UE, error) { return subscriber(p.msin + i) }
 	if p.steady {

@@ -12,6 +12,7 @@ import (
 	"shield5g/internal/deploy"
 	"shield5g/internal/gnb"
 	"shield5g/internal/paka"
+	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
 )
 
@@ -207,35 +208,62 @@ func TestRegisterManyParallelDeterministic(t *testing.T) {
 // TestRegisterManyFailureAccounting checks that failed registrations are
 // classified instead of being swallowed into a bare counter: the failure
 // class tally matches Failed and the first error of each class is kept.
+// It runs on a context carrying an account, over two lanes with a retry,
+// and checks that the lanes pay for their rejects: each lane's Busy is
+// what its UEs' attempts charged that account, failed attempts included,
+// the lanes together are the account's whole charge, and under Container
+// that is the clock's advance.
 func TestRegisterManyFailureAccounting(t *testing.T) {
 	s, err := deploy.NewSlice(context.Background(), deploy.SliceConfig{
-		Isolation: paka.Container, Seed: 21,
+		Isolation: paka.Container, Seed: 21, Replicas: 2,
 	})
 	if err != nil {
 		t.Fatalf("NewSlice: %v", err)
 	}
 	defer s.Stop()
 
+	// Provision outside the window: provisioning books on its own account.
 	const n = 6
-	result, err := s.GNB.RegisterManyWith(context.Background(), gnb.MassOptions{N: n, NewUE: func(i int) (*ue.UE, error) {
+	devices := make([]*ue.UE, n)
+	for i := range devices {
 		if i%3 == 1 {
 			// An unprovisioned device fails authentication.
 			supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: fmt.Sprintf("%010d", 7000+i)}
 			k := make([]byte, 16)
-			return ue.New(ue.Config{
+			devices[i], err = ue.New(ue.Config{
 				SUPI: supi, K: k, OPc: k,
 				HomeNetworkPublicKey: s.HomeNetworkKey.PublicKey(),
 				HomeNetworkKeyID:     s.HomeNetworkKey.ID,
 				Env:                  s.Env,
 			})
+		} else {
+			devices[i], err = newDeterministicUE(s, i)
 		}
-		return newDeterministicUE(s, i)
+		if err != nil {
+			t.Fatalf("device %d: %v", i, err)
+		}
+	}
+
+	// The driver is sequential, so what the account was charged between
+	// two NewUE calls is one UE's attempts.
+	var acct simclock.Account
+	ctx := simclock.WithAccount(context.Background(), &acct)
+	charged := make([]simclock.Cycles, n+1)
+	clockStart := s.Env.Clock.Elapsed()
+	result, err := s.GNB.RegisterManyWith(ctx, gnb.MassOptions{N: n, MaxAttempts: 2, NewUE: func(i int) (*ue.UE, error) {
+		charged[i] = acct.Total()
+		return devices[i], nil
 	}})
 	if err != nil {
 		t.Fatalf("RegisterManyWith: %v", err)
 	}
+	charged[n] = acct.Total()
+	clockAdvance := s.Env.Clock.Elapsed() - clockStart
 	if result.Failed != 2 || result.Registered != 4 {
 		t.Fatalf("registered %d, failed %d", result.Registered, result.Failed)
+	}
+	if result.Attempts != 8 {
+		t.Errorf("Attempts = %d, want 8: one per registered UE, two per failed one", result.Attempts)
 	}
 	total := 0
 	for class, count := range result.FailureCounts {
@@ -246,6 +274,28 @@ func TestRegisterManyFailureAccounting(t *testing.T) {
 	}
 	if total != result.Failed {
 		t.Fatalf("failure classes sum to %d, Failed = %d", total, result.Failed)
+	}
+
+	lanes := make([]simclock.Cycles, len(result.ShardStats))
+	for i, device := range devices {
+		cost := charged[i+1] - charged[i]
+		if cost == 0 {
+			t.Errorf("UE %d charged the account nothing", i)
+		}
+		lanes[s.GNB.ShardOf(device.SUPIString())] += cost
+	}
+	var sum simclock.Cycles
+	for i, st := range result.ShardStats {
+		if want := s.Env.Model.Duration(lanes[i]); st.Busy != want {
+			t.Errorf("lane %d busy %v, its UEs' attempts charged %v (%d registered, %d failed)", i, st.Busy, want, st.Registered, st.Failed)
+		}
+		sum += lanes[i]
+	}
+	if sum != acct.Total() {
+		t.Errorf("lanes account for %d cycles, the account was charged %d", sum, acct.Total())
+	}
+	if acct.Total() != clockAdvance {
+		t.Errorf("the account was charged %d cycles, the clock advanced %d: equal under Container isolation", acct.Total(), clockAdvance)
 	}
 }
 

@@ -185,7 +185,8 @@ const maxNASRounds = 12
 // retry if needed), security mode, and registration accept. It returns the
 // RAN session and charges all costs to ctx's account.
 func (g *GNB) RegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
-	return g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
+	sess, _, err := g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
+	return sess, err
 }
 
 // ReRegisterUE runs a mobility registration using the UE's stored 5G-GUTI
@@ -193,14 +194,16 @@ func (g *GNB) RegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
 // temporary identity and re-authenticates without a SUCI ever crossing
 // the air interface.
 func (g *GNB) ReRegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
-	return g.register(ctx, device, (*ue.UE).BuildReRegistrationRequest)
+	sess, _, err := g.register(ctx, device, (*ue.UE).BuildReRegistrationRequest)
+	return sess, err
 }
 
 // register is the body of both entry points; build produces the device's
-// initial uplink for the serving network name.
-func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, context.Context, string) ([]byte, error)) (*Session, error) {
+// initial uplink for the serving network name. It returns what the
+// registration booked, failed or not.
+func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, context.Context, string) ([]byte, error)) (*Session, simclock.Cycles, error) {
 	if err := device.DetectNetwork(g.BroadcastPLMN()); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	ranUEID := g.nextRANUE.Add(1)
 
@@ -217,7 +220,7 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 		return g.driveRegistration(ctx, a, device, ranUEID, uplink)
 	})
 	if err != nil {
-		return nil, err
+		return nil, setup, err
 	}
 	return &Session{
 		gnb:       g,
@@ -227,7 +230,7 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 		ranUEID:   ranUEID,
 		booked:    setup,
 		SetupTime: g.env.Model.Duration(setup),
-	}, nil
+	}, setup, nil
 }
 
 // driveRegistration relays the NAS exchange between UE and the owning
@@ -556,7 +559,7 @@ func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts i
 	var recovered map[string]int
 	var spent simclock.Cycles
 	for attempt := 1; ; attempt++ {
-		sess, cycles, err := g.attempt(ctx, g.RegisterUE, device)
+		sess, cycles, err := g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
 		spent += cycles
 		if err == nil {
 			return sess, attempt, spent, recovered, nil
@@ -569,16 +572,6 @@ func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts i
 		}
 		recovered[failureClass(err)]++
 	}
-}
-
-// attempt runs one registration of device through register and returns
-// its virtual cost, booked whether or not it succeeded, with its outcome.
-func (g *GNB) attempt(ctx context.Context, register func(context.Context, *ue.UE) (*Session, error), device *ue.UE) (sess *Session, cycles simclock.Cycles, err error) {
-	cycles, err = simclock.Book(ctx, func(ctx context.Context) (err error) {
-		sess, err = register(ctx, device)
-		return err
-	})
-	return sess, cycles, err
 }
 
 // registerStripe registers the UEs first, first+stride, ... below opts.N in

@@ -93,7 +93,7 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		result.Class[c].SetupTimes = metrics.NewRecorder(arrivals[c])
 	}
 	// One pooled Call carries the storm's source and, rewritten per event,
-	// its arrival stamp; each attempt books its cost on it.
+	// its arrival stamp; each registration books its cost on it.
 	storm := simclock.Derive(ctx)
 	defer storm.Release()
 	if opts.Source != "" {
@@ -119,7 +119,7 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		if _, hasGUTI := device.GUTI(); hasGUTI {
 			register = g.ReRegisterUE
 		}
-		sess, cycles, rerr := g.attempt(storm, register, device)
+		sess, rerr := register(storm, device)
 		if rerr != nil {
 			class := failureClass(rerr)
 			// A breaker opened by overload failures is part of the overload
@@ -137,7 +137,7 @@ func (g *GNB) RunStorm(ctx context.Context, opts StormOptions) (*StormResult, er
 		}
 		cr.Registered++
 		cr.SetupTimes.Add(sess.SetupTime)
-		done := ev.At + cycles
+		done := ev.At + sess.booked
 		if done > makespan {
 			makespan = done
 		}

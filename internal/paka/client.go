@@ -2,7 +2,7 @@ package paka
 
 import (
 	"context"
-	"sync"
+	"sync/atomic"
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/metrics"
@@ -17,8 +17,8 @@ type ResponseRecorder struct {
 	Initial *metrics.Recorder
 	Stable  *metrics.Recorder
 
-	mu   sync.Mutex
-	seen bool
+	// seen is set by the first response.
+	seen atomic.Bool
 }
 
 // NewResponseRecorder allocates both recorders.
@@ -28,23 +28,11 @@ func NewResponseRecorder() *ResponseRecorder {
 
 func (r *ResponseRecorder) add(env *costmodel.Env, cycles simclock.Cycles) {
 	d := env.Model.Duration(cycles)
-	r.mu.Lock()
-	first := !r.seen
-	r.seen = true
-	r.mu.Unlock()
-	if first {
+	if r.seen.CompareAndSwap(false, true) {
 		r.Initial.Add(d)
 	} else {
 		r.Stable.Add(d)
 	}
-}
-
-// MarkWarm forces subsequent samples into the stable recorder (used when a
-// module was warmed outside the measured window).
-func (r *ResponseRecorder) MarkWarm() {
-	r.mu.Lock()
-	r.seen = true
-	r.mu.Unlock()
 }
 
 // Remote is a VNF's client to the P-AKA module serving service — each VNF
