@@ -88,7 +88,7 @@ func TestProcedureHops(t *testing.T) {
 					}
 					site := h.Site
 					if h.Kind == simclock.Cross {
-						site += " " + phaseNames(hmee.Phases(h.Phases))
+						site += " " + shapeName(hmee.Phases(h.Phases))
 					}
 					indent := strings.Repeat("  ", int(h.Depth))
 					fmt.Fprintf(&shape, "%s%v %s\n", indent, h.Kind, site)
@@ -151,16 +151,22 @@ func TestProcedureHops(t *testing.T) {
 	}
 }
 
-// phaseNames spells a crossing's phase set; "maintenance" is the empty one.
-func phaseNames(ph hmee.Phases) string {
-	var names []string
-	for i, name := range []string{"warmup", "pre", "handshake", "body", "post", "entry"} {
-		if ph&(1<<i) != 0 {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
+// shapeName names the serve shape a crossing asked for: the phase set the
+// module passed, before a warm runtime drops what it has already paid.
+func shapeName(ph hmee.Phases) string {
+	switch ph {
+	case hmee.OneShot:
+		return "one-shot"
+	case hmee.Open:
+		return "open"
+	case hmee.Pipelined:
+		return "pipelined"
+	case hmee.Close:
+		return "close"
+	case hmee.Entry:
+		return "batch"
+	case 0:
 		return "maintenance"
 	}
-	return strings.Join(names, "|")
+	return fmt.Sprintf("phases %#x", uint8(ph))
 }

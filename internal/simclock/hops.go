@@ -15,7 +15,7 @@ const (
 	// service that serves it.
 	Serve
 	// Cross is a P-AKA module's crossing into its runtime; its site is
-	// the module's service and Phases its phase set (hmee.Phases).
+	// the module's service and Phases the serve shape it requested.
 	Cross
 )
 
@@ -24,8 +24,12 @@ func (k HopKind) String() string { return [...]string{"radio", "post", "serve", 
 // Hop is one entry of a Hops record.
 type Hop struct {
 	// Depth counts the hops open around this one when it was entered.
-	Depth  uint8
-	Kind   HopKind
+	Depth uint8
+	Kind  HopKind
+	// Phases is a crossing's requested serve shape: the phase set
+	// (hmee.Phases) the module asked for, not the one its runtime admits
+	// (a warm runtime drops the warm-up, and a one-shot request's
+	// handshake, hmee.Phases.Warm). It is 0 on every other kind.
 	Phases uint8
 	Site   string
 	// Cycles is what the procedure's account was charged across the hop,
