@@ -119,8 +119,9 @@ loc:
 # crash-restart, retry and batch-refill paths;
 # six fuzz passes (SBI frames, JSON codec, the HTTP edge, NAS decode, the
 # UE's downlink, SUCI de-concealment); and the benchmark module — its own
-# go.mod, so `./...` never reaches it — is vetted, tested, gofmt-checked
-# and run for a second in binary-frame, JSON and ring mode.
+# go.mod, so `./...` never reaches it — is vetted, tested, gofmt-checked,
+# linted (bench/host.go's two annotated wall-clock reads included) and
+# run for a second in binary-frame, JSON and ring mode.
 # The storm smokes, each run twice: every line but the deploy's wall-time
 # line must replay (the seed fixes the whole virtual run). The unsharded one
 # deploys the AV pool the storm experiment and bench's storm_ladder do.
@@ -157,7 +158,7 @@ ci: build
 	$(GO) test -run '^$$' -fuzz '^FuzzNASDecode$$' -fuzztime 5s ./internal/nas
 	$(GO) test -run '^$$' -fuzz '^FuzzUEDownlink$$' -fuzztime 5s ./internal/ue
 	$(GO) test -run '^$$' -fuzz '^FuzzDeconceal$$' -fuzztime 5s ./internal/crypto/suci
-	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)"
+	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)" && $(GO) run shield5g/tools/shieldlint ./...
 	bash bench/run.sh --workload attach_sharded --seconds 1
 	bash bench/run.sh --workload attach_paper --seconds 1
 	bash bench/run.sh --workload reauth_ring --seconds 1
