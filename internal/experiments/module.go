@@ -17,7 +17,6 @@ import (
 // it, reproducing the paper's module-level measurement setup.
 type rig struct {
 	kind   paka.ModuleKind
-	env    *costmodel.Env
 	module *paka.Module
 	remote *paka.Remote
 	av     *paka.UDMGenerateAVResponse
@@ -48,7 +47,7 @@ func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg paka.Con
 		return nil, err
 	}
 	remote := paka.NewRemote(sbi.NewClient("parent-vnf", env, registry), env, kind.ServiceName())
-	r := &rig{kind: kind, env: env, module: m, remote: remote}
+	r := &rig{kind: kind, module: m, remote: remote}
 	if kind == paka.EUDM {
 		err = m.ProvisionSubscriber(ctx, rigSUPI, rigKey)
 	} else {
