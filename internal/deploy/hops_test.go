@@ -152,7 +152,8 @@ func TestProcedureHops(t *testing.T) {
 }
 
 // shapeName names the serve shape a crossing asked for: the phase set the
-// module passed, before a warm runtime drops what it has already paid.
+// module passed, before a warm runtime drops the warm-up and a one-shot
+// request's handshake (hmee.Phases.Warm).
 func shapeName(ph hmee.Phases) string {
 	switch ph {
 	case hmee.OneShot:

@@ -244,8 +244,8 @@ func TestRegisterManyFailureAccounting(t *testing.T) {
 		}
 	}
 
-	// The driver is sequential, so what the account was charged between
-	// two NewUE calls is one UE's attempts.
+	// RegisterManyWith registers one UE at a time here, so what the account
+	// was charged between two NewUE calls is one UE's attempts.
 	var acct simclock.Account
 	ctx := simclock.WithAccount(context.Background(), &acct)
 	charged := make([]simclock.Cycles, n+1)
