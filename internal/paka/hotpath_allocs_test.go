@@ -71,10 +71,10 @@ func TestHotPathAllocs(t *testing.T) {
 			// want is what the module and the client decode and keep: the
 			// strings and byte strings, and for GenerateAV and the batch
 			// the key schedule. A refill's vectors and items are the
-			// served pair's kept backings, so the batch adds one SUPI
-			// string per item and the client's vectors; JSON adds each
-			// item's byte strings' backing and the vectors' growth. The
-			// runtimes add nothing, so each count is the same on every one.
+			// served pair's kept backings, the items' JSON byte strings
+			// included, so the batch adds one SUPI string per item and the
+			// client's vectors, in either format. The runtimes add
+			// nothing, so each count is the same on every one.
 			for _, call := range []struct {
 				client        *sbi.Client
 				service, path string
@@ -84,7 +84,7 @@ func TestHotPathAllocs(t *testing.T) {
 				{h.client, EUDM.ServiceName(), PathUDMGenerateAV, avRequest(), &avResp, 3},
 				{h.client, EAUSF.ServiceName(), PathAUSFDeriveSE, seReq, &seResp, 0},
 				{h.client, EAMF.ServiceName(), PathAMFDeriveKAMF, kamfReq, &kamfResp, 2},
-				{h.client, EUDM.ServiceName(), PathUDMGenerateAVBatch, batchReq, &batchResp, 7},
+				{h.client, EUDM.ServiceName(), PathUDMGenerateAVBatch, batchReq, &batchResp, 4},
 				{frames, EUDM.ServiceName(), PathUDMGenerateAVBatch, batchReq, &batchResp, 4},
 			} {
 				post := func() {

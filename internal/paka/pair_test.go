@@ -25,11 +25,20 @@ func zeroUpToCap[T any](s []T) bool {
 	return true
 }
 
+// keptBytes is the byte backing a batch request's items keep, up to its
+// capacity: the codec's, read through reflection.
+func keptBytes(req *UDMGenerateAVBatchRequest) reflect.Value {
+	b := reflect.ValueOf(req).Elem().FieldByName("items").FieldByName("b")
+	return b.Slice(0, b.Cap())
+}
+
 // TestBatchPairKeepsItsBacking: the eUDM's served batch pair keeps the
 // backing of the items it decoded and of the vectors it minted between
-// refills, and that storage is invisible and clean. Once a refill has been
-// answered, both read zero up to capacity — no OPc view, SUPI or K_AUSF
-// outlives it — and the next refill reuses them. A body whose list is
+// refills, and that storage is invisible and clean. On JSON, once the pair
+// keeps its items, their byte strings (OPc, RAND, SQN, AMF-ID) are views
+// of one byte backing it keeps too. Once a refill has been answered, all
+// three read zero up to capacity — no OPc, SUPI or K_AUSF outlives it —
+// and the next refill reuses them. A body whose list is
 // absent, null or empty reaches the handler exactly as it decodes in a
 // zero pair (nil, or an empty list for JSON's []), and the empty batch
 // answers the bytes a zero response encodes to, in either format.
@@ -50,9 +59,14 @@ func TestBatchPairKeepsItsBacking(t *testing.T) {
 		// through its Endpoint, and records what the handler is handed.
 		var items []UDMGenerateAVRequest
 		var vectors []UDMGenerateAVResponse
+		var pair *UDMGenerateAVBatchRequest
+		var views [][]byte // the items' byte strings, as the handler saw them
 		srv := sbi.NewServer("batch-probe", nil)
 		eudmGenerateAVBatch.Serve(srv, func(ctx context.Context, req *UDMGenerateAVBatchRequest, resp *UDMGenerateAVBatchResponse) error {
-			items = req.Items
+			items, pair, views = req.Items, req, views[:0]
+			for _, it := range req.Items {
+				views = append(views, it.OPc, it.RAND, it.SQN, it.AMFID)
+			}
 			err := m.GenerateAVBatch(ctx, req, resp)
 			vectors = resp.Vectors
 			return err
@@ -65,8 +79,10 @@ func TestBatchPairKeepsItsBacking(t *testing.T) {
 			client.EnableBinary()
 		}
 		want := directAV(t, testK, avRequest())
-		refill := func() ([]UDMGenerateAVRequest, []UDMGenerateAVResponse) {
+		refills := 0
+		refill := func() ([]UDMGenerateAVRequest, []UDMGenerateAVResponse, uintptr) {
 			t.Helper()
+			refills++
 			req := &UDMGenerateAVBatchRequest{Items: make([]UDMGenerateAVRequest, 8)}
 			for i := range req.Items {
 				req.Items[i] = *avRequest()
@@ -81,12 +97,24 @@ func TestBatchPairKeepsItsBacking(t *testing.T) {
 			if len(items) != 8 || len(vectors) != 8 {
 				t.Fatalf("frames %v: handler saw %d items and filled %d vectors, want 8 and 8", frames, len(items), len(vectors))
 			}
-			if !zeroUpToCap(items) || !zeroUpToCap(vectors) {
-				t.Fatalf("frames %v: the pair's kept items or vectors outlived the refill", frames)
+			kept := keptBytes(pair)
+			if !zeroUpToCap(items) || !zeroUpToCap(vectors) || !kept.IsZero() && !zeroUpToCap(kept.Bytes()) {
+				t.Fatalf("frames %v: the pair's kept items, vectors or bytes outlived the refill", frames)
 			}
-			return items, vectors
+			// The first refill fills the items backing the pair keeps; the
+			// pool may drop the pair under the race detector.
+			if !frames && refills > 1 && !race.Enabled {
+				lo, hi := kept.Pointer(), kept.Pointer()+uintptr(kept.Cap())
+				for _, b := range views {
+					if p := reflect.ValueOf(b).Pointer(); len(b) == 0 || p < lo || p+uintptr(len(b)) > hi {
+						t.Fatalf("refill %d: an item's byte string is not a view of the pair's kept byte backing", refills)
+					}
+				}
+			}
+			return items, vectors, kept.Pointer()
 		}
-		firstItems, firstVectors := refill()
+		firstItems, firstVectors, _ := refill()
+		_, _, firstKept := refill()
 
 		// Empty batches, each after a refill of eight: a zero request from
 		// the client, and, on JSON, bodies the client would not write,
@@ -130,7 +158,7 @@ func TestBatchPairKeepsItsBacking(t *testing.T) {
 		}
 
 		// sync.Pool may drop the pair under the race detector.
-		if again, vs := refill(); !race.Enabled && (&again[0] != &firstItems[0] || &vs[0] != &firstVectors[0]) {
+		if again, vs, kept := refill(); !race.Enabled && (&again[0] != &firstItems[0] || &vs[0] != &firstVectors[0] || kept != firstKept) {
 			t.Errorf("frames %v: a later refill decoded and minted into fresh backings, want the kept ones", frames)
 		}
 	}

@@ -31,9 +31,9 @@
 //     contract); anything it retains it must copy.
 //   - Owned byte strings — the Own ones of a frame, every one of a JSON
 //     body — are rewritten into one fresh backing array per message
-//     (Compact), so releasing the body back to its pool cannot alias live
+//     (compact), so releasing the body back to its pool cannot alias live
 //     data. Response types mark what the client keeps Own.
-//   - Own and Compact are for variable-length fields only (UDR records,
+//   - Own and compaction are for variable-length fields only (UDR records,
 //     SQN lists, SQN_MS, a SUCI's scheme output). A fixed-width AKA value
 //     — RAND, AUTN, XRES*, HXRES*, K_AUSF, K_SEAF, K_AMF — is a Bytes16
 //     or Bytes32 held in the message itself and described with Fixed: a
@@ -44,14 +44,17 @@
 //     travels as the string it replaced. Other strings are copies.
 //   - A message a server's pooled pair serves may keep the storage of a
 //     list or an optional member between bodies (Kept, KeptList,
-//     KeptPtr): a decode draws on it and never adopts a fresh backing
-//     into it, so everywhere else a decode allocates as it would without
-//     it.
+//     KeptPtr): a decode draws on it and never adopts a fresh element
+//     backing into it, so everywhere else a decode allocates as it would
+//     without it. Once it holds a list's backing, a JSON decode also
+//     compacts the list's byte strings into one byte backing it keeps,
+//     instead of a fresh one per element.
 package codec
 
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Magic is the first byte of every binary SBI frame. JSON bodies start
@@ -125,29 +128,21 @@ func Payload(b []byte) ([]byte, error) {
 }
 
 // emptyBytes backs zero-length decoded fields so even they stop aliasing
-// the transport buffer after Compact.
+// the transport buffer after compact.
 var emptyBytes = []byte{}
 
-// Compact rewrites the given decoded fields into one freshly allocated
-// backing array, giving the caller exclusive ownership of every byte it
-// retains — the step that makes releasing the response body safe. One
-// allocation covers the whole message, the same single-backing pattern
-// paka.GenerateAV uses for its response struct.
-func Compact(fields ...*[]byte) {
+// compact rewrites the given decoded fields into one backing array,
+// giving the caller exclusive ownership of every byte it retains — the
+// step that makes releasing the response body safe — and returns it. The
+// backing is buf's array when it holds every field, else one allocation
+// for the whole message, the same single-backing pattern paka.GenerateAV
+// uses for its response struct.
+func compact(buf []byte, fields []*[]byte) []byte {
 	var total int
 	for _, f := range fields {
 		total += len(*f)
 	}
-	if total == 0 {
-		for _, f := range fields {
-			if *f != nil {
-				*f = emptyBytes
-			}
-		}
-		return
-	}
-	// One caller-owned backing for the whole message.
-	buf := make([]byte, 0, total)
+	buf = slices.Grow(buf[:0], total)
 	for _, f := range fields {
 		if *f == nil {
 			continue
@@ -160,4 +155,5 @@ func Compact(fields ...*[]byte) {
 		buf = append(buf, *f...)
 		*f = buf[off:len(buf):len(buf)]
 	}
+	return buf
 }

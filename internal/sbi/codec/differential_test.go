@@ -189,6 +189,7 @@ func agree(t testing.TB, s sample, body []byte) bool {
 	if fast && rerr != nil {
 		t.Fatalf("%s: %s\n fast path accepted what encoding/json rejects: %v", s.name, pristine, rerr)
 	}
+	agreeReused(t, s, pristine, ref, rerr)
 	if rerr != nil {
 		return fast
 	}
@@ -223,6 +224,50 @@ func agree(t testing.TB, s sample, body []byte) bool {
 		t.Fatalf("%s: binary round trip of %s\n got  %#v\n want %#v", s.name, pristine, back, got)
 	}
 	return fast
+}
+
+// agreeReused decodes body, three times over, into a message of s's type
+// as a served pair hands it to a decode: decoded before and then scrubbed
+// (sbi.Endpoint.Serve), so the decode draws on the storage the last one
+// kept. The outcome and the exported fields must be json.Unmarshal's into
+// a zero message (rerr, ref), and nothing may point into the body.
+func agreeReused(t testing.TB, s sample, body []byte, ref codec.Message, rerr error) {
+	t.Helper()
+	m := s.fresh()
+	used, ok := m.(interface{ Scrub() })
+	if !ok {
+		return
+	}
+	canonical, _ := json.Marshal(s.msg)
+	if err := codec.DecodeJSON(canonical, m); err != nil {
+		t.Fatalf("%s: %v", s.name, err)
+	}
+	for range 3 {
+		used.Scrub()
+		loan := bytes.Clone(body)
+		err := codec.DecodeJSON(loan, m)
+		for i := range loan {
+			loan[i] = 0xFF
+		}
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("%s: %s\n DecodeJSON into a scrubbed message err = %v\n json.Unmarshal err = %v", s.name, body, err, rerr)
+		}
+		if got, want := exported(m), exported(ref); rerr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %s\n DecodeJSON into a scrubbed message: %#v\n json.Unmarshal:                   %#v", s.name, body, got, want)
+		}
+	}
+}
+
+// exported returns the values of m's exported fields.
+func exported(m codec.Message) []any {
+	v := reflect.ValueOf(m).Elem()
+	var out []any
+	for i := range v.NumField() {
+		if v.Type().Field(i).IsExported() {
+			out = append(out, v.Field(i).Interface())
+		}
+	}
+	return out
 }
 
 func TestJSONDifferential(t *testing.T) {
@@ -287,63 +332,79 @@ func TestJSONFastPathBoundary(t *testing.T) {
 	for _, s := range samples() {
 		byName[s.name] = s
 	}
-	for _, tc := range []struct {
-		sample, body string
-		fast         bool
-	}{
-		{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":null}`, true},
-		{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[]}`, true},
-		{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"},{"opc":"AA=="}]}`, true},
-		{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"},]}`, false},
-		{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":{}}`, false},
-		{"udm.GenerateAuthDataRequest/suci", `{"suci":null,"serving_network_name":"x"}`, true},
-		{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":255,"HomeKeyID":0}}`, true},
-		{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":256}}`, false},
-		{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":01}}`, false},
-		{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":1.0}}`, false},
-		{"udm.GenerateAuthDataRequest/suci", `{"suci":{"scheme":1}}`, false}, // encoding/json folds case
-		{"udm.GenerateAuthDataRequest/suci", `{"supi":null}`, false},
-		{"udm.GenerateAuthDataRequest/suci", `{"supi":"<imsi>"}`, false},
-		{"udm.GenerateAuthDataRequest/suci", `{"supi":"imsi-é"}`, false},
-		{"udm.GenerateAuthDataRequest/suci", "{\"supi\":\"imsi-\xc3\xa9\"}", false},
-		{"udm.GenerateAuthDataRequest/suci", `{"supi":"a\"b"}`, false},
-		{"udr.NextAuthBatchRequest", `{"count":0}`, true},
-		{"udr.NextAuthBatchRequest", `{"count":9223372036854775807}`, true},
-		{"udr.NextAuthBatchRequest", `{"count":9223372036854775808}`, false},
-		{"udr.NextAuthBatchRequest", `{"count":-1}`, false},
-		{"udr.NextAuthBatchRequest", `{"count":null}`, false},
-		// A duplicate that arrives in a visit another key makes progress in.
-		{"udr.NextAuthBatchRequest", `{"count":1,"supi":"a","count":2}`, false},
-		{"udr.NextAuthBatchRequest", `{"count":"8"}`, false},
-		{"udr.GetResponse", `{"subscriber":null}`, false},
-		{"udr.GetResponse", `{"subscriber":{"k":"not base64!"}}`, false},
-		{"udr.GetResponse", `{"subscriber":{"k":"AAA"}}`, false}, // unpadded
-		// base64 skips CR and LF: raw ones are not JSON, escaped ones are.
-		{"udr.GetResponse", "{\"subscriber\":{\"k\":\"AA\n==\"}}", false},
-		{"udr.GetResponse", `{"subscriber":{"k":"AA\n=="}}`, false},
-		{"udr.GetResponse", `{"subscriber":{"k":[1,2]}}`, false},
-		{"udr.GetResponse", ` { "subscriber" : { } } `, true},
-		{"upf.EstablishResponse", `{"teid":4294967295}`, true},
-		{"upf.EstablishResponse", `{"teid":4294967296}`, false},
-		{"upf.EstablishResponse", `{"teid":-1}`, false},
-		{"upf.ReleaseRequest", `{"seid":18446744073709551615}`, true},
-		{"upf.ReleaseRequest", `{"seid":18446744073709551616}`, false},
-		{"upf.ReleaseRequest", `{"seid":184467440737095516150}`, false},
-		{"nrf.DiscoverRequest", `{"require_hmee":true}`, true},
-		{"nrf.DiscoverRequest", `{"require_hmee":false}`, true},
-		{"nrf.DiscoverRequest", `{"require_hmee":null}`, false},
-		{"nrf.DiscoverRequest", `{"require_hmee":1}`, false},
-		{"nrf.DiscoverRequest", `{"require_hmee":"true"}`, false},
-		{"sbi.ProblemDetails/omitted", `{"retryAfter":-1}`, false},
-		{"udr.Empty", `{}`, true},
-		{"udr.Empty", `null`, false},
-		{"udr.Empty", ``, false},
-		{"udr.Empty", `[]`, false},
-	} {
+	for _, tc := range boundaryRows {
 		if fast := agree(t, byName[tc.sample], []byte(tc.body)); fast != tc.fast {
 			t.Errorf("%s <- %s: fast path = %v, want %v", tc.sample, tc.body, fast, tc.fast)
 		}
 	}
+}
+
+// boundaryRows are TestJSONFastPathBoundary's bodies, by sample name, with
+// whether the fast path takes each; FuzzJSONDifferential starts from them.
+var boundaryRows = []struct {
+	sample, body string
+	fast         bool
+}{
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":null}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[]}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"},{"opc":"AA=="}]}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"},]}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":{}}`, false},
+	// A list's elements are counted before they are decoded: brackets and
+	// braces inside strings count for nothing; an array that does not
+	// close, an element that is not an object, a missing or trailing comma
+	// and an escape all leave the fast path.
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"]{"}]}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[ {"supi":"[}","snn":"{{"} , {} ]}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{},{}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{}{}]}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[null]}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{},]}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a\"]"}]}`, false},
+	{"udm.GenerateAuthDataRequest/suci", `{"suci":null,"serving_network_name":"x"}`, true},
+	{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":255,"HomeKeyID":0}}`, true},
+	{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":256}}`, false},
+	{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":01}}`, false},
+	{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":1.0}}`, false},
+	{"udm.GenerateAuthDataRequest/suci", `{"suci":{"scheme":1}}`, false}, // encoding/json folds case
+	{"udm.GenerateAuthDataRequest/suci", `{"supi":null}`, false},
+	{"udm.GenerateAuthDataRequest/suci", `{"supi":"<imsi>"}`, false},
+	{"udm.GenerateAuthDataRequest/suci", `{"supi":"imsi-é"}`, false},
+	{"udm.GenerateAuthDataRequest/suci", "{\"supi\":\"imsi-\xc3\xa9\"}", false},
+	{"udm.GenerateAuthDataRequest/suci", `{"supi":"a\"b"}`, false},
+	{"udr.NextAuthBatchRequest", `{"count":0}`, true},
+	{"udr.NextAuthBatchRequest", `{"count":9223372036854775807}`, true},
+	{"udr.NextAuthBatchRequest", `{"count":9223372036854775808}`, false},
+	{"udr.NextAuthBatchRequest", `{"count":-1}`, false},
+	{"udr.NextAuthBatchRequest", `{"count":null}`, false},
+	// A duplicate that arrives in a visit another key makes progress in.
+	{"udr.NextAuthBatchRequest", `{"count":1,"supi":"a","count":2}`, false},
+	{"udr.NextAuthBatchRequest", `{"count":"8"}`, false},
+	{"udr.GetResponse", `{"subscriber":null}`, false},
+	{"udr.GetResponse", `{"subscriber":{"k":"not base64!"}}`, false},
+	{"udr.GetResponse", `{"subscriber":{"k":"AAA"}}`, false}, // unpadded
+	// base64 skips CR and LF: raw ones are not JSON, escaped ones are.
+	{"udr.GetResponse", "{\"subscriber\":{\"k\":\"AA\n==\"}}", false},
+	{"udr.GetResponse", `{"subscriber":{"k":"AA\n=="}}`, false},
+	{"udr.GetResponse", `{"subscriber":{"k":[1,2]}}`, false},
+	{"udr.GetResponse", ` { "subscriber" : { } } `, true},
+	{"upf.EstablishResponse", `{"teid":4294967295}`, true},
+	{"upf.EstablishResponse", `{"teid":4294967296}`, false},
+	{"upf.EstablishResponse", `{"teid":-1}`, false},
+	{"upf.ReleaseRequest", `{"seid":18446744073709551615}`, true},
+	{"upf.ReleaseRequest", `{"seid":18446744073709551616}`, false},
+	{"upf.ReleaseRequest", `{"seid":184467440737095516150}`, false},
+	{"nrf.DiscoverRequest", `{"require_hmee":true}`, true},
+	{"nrf.DiscoverRequest", `{"require_hmee":false}`, true},
+	{"nrf.DiscoverRequest", `{"require_hmee":null}`, false},
+	{"nrf.DiscoverRequest", `{"require_hmee":1}`, false},
+	{"nrf.DiscoverRequest", `{"require_hmee":"true"}`, false},
+	{"sbi.ProblemDetails/omitted", `{"retryAfter":-1}`, false},
+	{"udr.Empty", `{}`, true},
+	{"udr.Empty", `null`, false},
+	{"udr.Empty", ``, false},
+	{"udr.Empty", `[]`, false},
 }
 
 // TestAppendJSONFallsBackOnEscapes: a string encoding/json would escape
@@ -390,6 +451,13 @@ func FuzzJSONDifferential(f *testing.F) {
 	for i, s := range all {
 		for _, body := range rangeBodies[s.name] {
 			f.Add(uint8(i), []byte(body))
+		}
+	}
+	for _, tc := range boundaryRows {
+		for i, s := range all {
+			if s.name == tc.sample {
+				f.Add(uint8(i), []byte(tc.body))
+			}
 		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {

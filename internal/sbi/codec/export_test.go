@@ -7,6 +7,9 @@ var (
 	FastDecodeJSON = decodeJSON
 )
 
+// Compact is compact into a fresh backing, for the tests of its ownership.
+func Compact(fields ...*[]byte) { compact(nil, fields) }
+
 // Ptr is KeptPtr without kept storage, for the descriptions of this
 // package's tests.
 func Ptr[T any, PT interface {

@@ -125,7 +125,7 @@ func DecodeBinary(payload []byte, m Message) error {
 	if err == nil && f.off != len(payload) {
 		err = fmt.Errorf("%w: %d byte(s) left", ErrTrailing, len(payload)-f.off)
 	}
-	f.finish(0, err == nil)
+	f.finish(0, err == nil, nil)
 	f.buf, f.err = nil, nil
 	pool.Put(f)
 	return err
@@ -175,7 +175,7 @@ func decodeJSON(data []byte, m Message) bool {
 	f.decodeObject(m)
 	f.ws()
 	ok := !f.bad && f.off == len(data)
-	f.finish(0, ok)
+	f.finish(0, ok, nil)
 	f.buf, f.bad, f.more, f.key, f.scratch = nil, false, false, nil, f.scratch[:0]
 	if cap(f.scratch) > maxPooledScratch {
 		f.scratch = nil
@@ -184,12 +184,14 @@ func decodeJSON(data []byte, m Message) bool {
 	return ok
 }
 
-// finish gives the decoded message sole ownership of what it keeps: one
-// fresh backing for the owned byte strings since mark on success, none of
-// them on failure (they are views into the body or the pooled scratch).
-func (f *Fields) finish(mark int, ok bool) {
+// finish gives the decoded message sole ownership of what it keeps: on
+// success the owned byte strings since mark share buf's array when it
+// holds them, one fresh backing otherwise, which finish returns; on
+// failure it keeps none of them (they are views into the body or the
+// pooled scratch).
+func (f *Fields) finish(mark int, ok bool, buf []byte) []byte {
 	if ok {
-		Compact(f.owned[mark:]...)
+		buf = compact(buf, f.owned[mark:])
 	} else {
 		for _, p := range f.owned[mark:] {
 			*p = nil
@@ -197,6 +199,7 @@ func (f *Fields) finish(mark int, ok bool) {
 	}
 	clear(f.owned[mark:])
 	f.owned = f.owned[:mark]
+	return buf
 }
 
 // String describes a string field: uvarint length and bytes in a frame.
@@ -465,8 +468,9 @@ func KeptPtr[T any, PT interface {
 
 // List describes a list of nested messages: a JSON array (null when
 // nil), a count and the elements' fields in a frame, where an empty list
-// decodes as nil. Each decoded element owns its backing, so keeping one
-// element does not pin the rest.
+// decodes as nil. A decode counts the elements first and allocates their
+// backing once. Each decoded element owns its byte strings' backing, so
+// keeping one element does not pin the rest.
 func List[T any, PT interface {
 	*T
 	Message
@@ -476,7 +480,10 @@ func List[T any, PT interface {
 
 // KeptList is List for a message that keeps its list's backing in k: a
 // decode takes its elements from k (Kept.Take) instead of a fresh array
-// whenever k holds enough of them.
+// whenever k holds enough of them. Once k holds a backing (a served
+// pair's message, after its first Scrub), a JSON decode also copies the
+// whole list's byte strings into the one byte backing k keeps, instead of
+// a backing per element.
 func KeptList[T any, PT interface {
 	*T
 	Message
@@ -489,9 +496,9 @@ func KeptList[T any, PT interface {
 		}
 	case binDecode:
 		*p = nil
-		// The count is bounded by the bytes that remain, so a hostile one
-		// cannot drive a huge allocation.
-		if n := f.uvarint(); n > uint64(len(f.buf)-f.off) {
+		// The count is bounded by the elements the bytes that remain can
+		// frame, so a hostile one cannot drive a huge allocation.
+		if n := f.uvarint(); n > uint64((len(f.buf)-f.off)/zeroFrame[T, PT]()) {
 			f.fail(ErrTruncated)
 		} else if n > 0 {
 			*p = k.Take(int(n))
@@ -499,7 +506,7 @@ func KeptList[T any, PT interface {
 		for i := range *p {
 			mark := len(f.owned)
 			PT(&(*p)[i]).Fields(f)
-			f.finish(mark, f.err == nil)
+			f.finish(mark, f.err == nil, nil)
 		}
 	case jsonAppend:
 		f.member(name)
@@ -521,23 +528,88 @@ func KeptList[T any, PT interface {
 		}
 		if f.null() {
 			*p = nil
-		} else if f.expect('[') {
-			s := k.Take(0)
-			for more := !f.peek(']'); more; more = f.peek(',') {
-				if len(s) > 0 {
-					f.off++ // the comma
+		} else if n := f.count(); !f.bad {
+			kept := k != nil && k.s != nil
+			s, mark := k.Take(n), len(f.owned)
+			for i := range s {
+				if i > 0 {
+					f.expect(',')
 				}
-				var zero T
-				s = append(s, zero)
-				mark := len(f.owned)
-				f.decodeObject(PT(&s[len(s)-1]))
-				f.finish(mark, !f.bad)
+				f.decodeObject(PT(&s[i]))
+				if !kept {
+					f.finish(mark, !f.bad, nil)
+				}
 			}
 			f.expect(']')
+			if kept {
+				k.b = f.finish(mark, !f.bad, k.b)
+			}
 			*p = s
 		}
 		f.next(false)
 	}
+}
+
+// zeroFrames holds, by element type ((*T)(nil)), the length of a zero
+// element's frame: the fewest bytes an element can take, since every kind
+// frames its zero value in its fewest.
+var zeroFrames sync.Map
+
+func zeroFrame[T any, PT interface {
+	*T
+	Message
+}]() int {
+	key := any(PT(nil))
+	if n, ok := zeroFrames.Load(key); ok {
+		return n.(int)
+	}
+	n := max(len(AppendBinary(nil, PT(new(T)))), 1)
+	zeroFrames.Store(key, n)
+	return n
+}
+
+// count consumes a JSON array's '[' and returns how many elements follow,
+// so a list's decode takes its backing once. An array that does not
+// close, or that holds anything but brace-delimited elements separated by
+// commas, leaves the fast path before anything is taken, so no body sizes
+// a backing larger than a well-formed one of its length would. Strings
+// are skipped whole, so a bracket inside one is no element; an escape
+// ends the scan, as it would the decode.
+func (f *Fields) count() int {
+	if !f.expect('[') || f.peek(']') {
+		return 0
+	}
+	n, depth, need, str := 0, 0, true, false
+	for _, c := range f.buf[f.off:] {
+		switch {
+		case str && c == '\\':
+			f.bad = true
+			return 0
+		case str:
+			str = c != '"'
+		case depth > 0:
+			switch c {
+			case '"':
+				str = true
+			case '{', '[':
+				depth++
+			case '}', ']':
+				depth--
+			}
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+		case need && c == '{':
+			n, depth, need = n+1, 1, false
+		case !need && c == ',':
+			need = true
+		case !need && c == ']':
+			return n
+		default:
+			f.bad = true
+			return 0
+		}
+	}
+	f.bad = true
+	return 0
 }
 
 func (f *Fields) fail(err error) {

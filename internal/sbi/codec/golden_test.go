@@ -17,12 +17,14 @@ package codec_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -142,6 +144,33 @@ func TestGoldenDecodeParity(t *testing.T) {
 				t.Errorf("JSON and reference decodes diverge:\n fast: %#v\n json: %#v", jsonOut, ref)
 			}
 		})
+	}
+}
+
+// TestBatchCountBoundsItsAllocation: a frame's list count is bounded by
+// the elements the bytes after it can frame, a zero element's frame each
+// (6 bytes for a batch item), not by the bytes themselves, so a hostile
+// count cannot make an item backing 128 bytes per byte of body. A count at
+// the bytes that remain is truncated before anything is sized by it, and
+// a count the zeros after it do frame decodes.
+func TestBatchCountBoundsItsAllocation(t *testing.T) {
+	const size = 64 << 10
+	payload := binary.AppendUvarint(nil, size-3) // three bytes
+	payload = append(payload, make([]byte, size-len(payload))...)
+	out := new(paka.UDMGenerateAVBatchRequest)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := codec.DecodeBinary(payload, out)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, codec.ErrTruncated) {
+		t.Fatalf("count %d over %d bytes: err = %v, want ErrTruncated", size-3, size-3, err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= size {
+		t.Errorf("count %d over %d bytes: decode allocated %d bytes, want fewer than the body's %d", size-3, size-3, n, size)
+	}
+	zeros := append(binary.AppendUvarint(nil, 1000), make([]byte, 6*1000)...)
+	if err := codec.DecodeBinary(zeros, out); err != nil || len(out.Items) != 1000 {
+		t.Fatalf("1000 zero items: %d decoded, err %v", len(out.Items), err)
 	}
 }
 

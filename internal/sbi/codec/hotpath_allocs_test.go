@@ -71,7 +71,7 @@ func TestHotPathAllocs(t *testing.T) {
 			out = probe{}
 			return DecodeBinary(payload, &out)
 		}},
-		{"DecodeJSON(probe)", 8, func() error {
+		{"DecodeJSON(probe)", 6, func() error {
 			out = probe{}
 			return DecodeJSON(body, &out)
 		}},

@@ -1,20 +1,21 @@
 package codec
 
 // Kept is storage a pooled message keeps between the bodies it carries: a
-// list's backing, an optional member's target. No description names it,
-// so no codec writes it out and nothing that reads the message sees it;
-// a decode or a handler draws on it only where the message asks
-// (KeptList, KeptPtr, Hold).
+// list's backing and the one its JSON byte strings share, an optional
+// member's target. No description names it, so no codec writes it out and
+// nothing that reads the message sees it; a decode or a handler draws on
+// it only where the message asks (KeptList, KeptPtr, Hold).
 //
 // Only a server's pooled pair (sbi.Endpoint.Serve) ever fills one: its
 // message's Scrub method hands the storage its fields held back through
-// Keep and KeepOne, which clear every element up to capacity first, so
-// no key or OPc a request carried outlives it. Everywhere else a Kept
-// stays empty and a decode allocates as it would without one, so a
-// message decoded anywhere else is the value encoding/json would decode.
+// Keep and KeepOne, which clear every element and byte up to capacity
+// first, so no key or OPc a request carried outlives it. Everywhere else
+// a Kept stays empty and a decode allocates as it would without one, so
+// a message decoded anywhere else is the value encoding/json would decode.
 type Kept[T any] struct {
-	s   []T // a list's backing
-	one *T  // an optional member's target
+	s   []T    // a list's backing
+	b   []byte // its elements' byte strings, decoded from JSON (KeptList)
+	one *T     // an optional member's target
 }
 
 // Take returns n zero elements: the kept backing when it holds n, a fresh
@@ -43,11 +44,12 @@ func (k *Kept[T]) Hold(n int) []T {
 }
 
 // Keep clears s, the backing a field of the message held (nil for one it
-// holds already), and the kept backing, every element up to capacity,
-// and keeps the larger of the two for the next Take or Hold.
+// holds already), and the kept backings, every element and byte up to
+// capacity, and keeps the larger list backing for the next Take or Hold.
 func (k *Kept[T]) Keep(s []T) {
 	clear(s[:cap(s)])
 	clear(k.s[:cap(k.s)])
+	clear(k.b[:cap(k.b)])
 	if cap(s) > cap(k.s) {
 		k.s = s[:0]
 	}
