@@ -121,7 +121,8 @@ loc:
 # UE's downlink, SUCI de-concealment); and the benchmark module — its own
 # go.mod, so `./...` never reaches it — is vetted, tested, gofmt-checked,
 # linted (bench/host.go's two annotated wall-clock reads included) and
-# run for a second in binary-frame, JSON and ring mode.
+# run for a second in binary-frame, JSON and ring mode, and on the storm
+# ladder (JSON with the AV pool refilling and the limiter armed).
 # The storm smokes, each run twice: every line but the deploy's wall-time
 # line must replay (the seed fixes the whole virtual run). The unsharded one
 # deploys the AV pool the storm experiment and bench's storm_ladder do.
@@ -162,6 +163,7 @@ ci: build
 	bash bench/run.sh --workload attach_sharded --seconds 1
 	bash bench/run.sh --workload attach_paper --seconds 1
 	bash bench/run.sh --workload reauth_ring --seconds 1
+	bash bench/run.sh --workload storm_ladder --seconds 1
 
 # Regenerate every table and figure of the paper (500 samples each).
 experiments:
