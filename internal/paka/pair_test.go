@@ -98,7 +98,7 @@ func TestBatchPairKeepsItsBacking(t *testing.T) {
 				t.Fatalf("frames %v: handler saw %d items and filled %d vectors, want 8 and 8", frames, len(items), len(vectors))
 			}
 			kept := keptBytes(pair)
-			if !zeroUpToCap(items) || !zeroUpToCap(vectors) || !kept.IsZero() && !zeroUpToCap(kept.Bytes()) {
+			if !zeroUpToCap(items) || !zeroUpToCap(vectors) || !zeroUpToCap(kept.Bytes()) {
 				t.Fatalf("frames %v: the pair's kept items, vectors or bytes outlived the refill", frames)
 			}
 			// The first refill fills the items backing the pair keeps; the
