@@ -49,14 +49,19 @@ vet:
 # account (the clock alone), so simclock and costmodel allocate no
 # account: fails on any `Account` literal or new(Account) the compiler
 # moves to the heap under internal/simclock and internal/costmodel.
+# De-concealment and SUPI.Value build the SUPI's text in a stack buffer
+# and parse it there: fails on any `moved to heap: buf` under
+# internal/crypto/suci.
 escapes:
-	@out=$$($(GO) build -gcflags=-m ./internal/nf/... ./internal/paka ./internal/hmee/... ./internal/simclock ./internal/costmodel 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m ./internal/nf/... ./internal/paka ./internal/hmee/... ./internal/simclock ./internal/costmodel ./internal/crypto/suci 2>&1) || { echo "$$out"; exit 1; }; \
 	esc=$$(echo "$$out" | grep -E '&[[:alnum:]_.]*Request\{\.\.\.\} escapes to heap'); \
 	if [ -n "$$esc" ]; then echo "$$esc"; echo "request literals escape to the heap"; exit 1; fi; \
 	key=$$(echo "$$out" | grep -E '^internal/(paka|hmee)/.*: moved to heap: k$$'); \
 	if [ -n "$$key" ]; then echo "$$key"; echo "a copy of K moves to the heap"; exit 1; fi; \
 	acct=$$(echo "$$out" | grep -E '^internal/(simclock|costmodel)/.*: (&(simclock\.)?Account\{[^}]*\}|new\((simclock\.)?Account\)) escapes to heap$$'); \
-	if [ -n "$$acct" ]; then echo "$$acct"; echo "an account is allocated on the heap"; exit 1; fi
+	if [ -n "$$acct" ]; then echo "$$acct"; echo "an account is allocated on the heap"; exit 1; fi; \
+	buf=$$(echo "$$out" | grep -E '^internal/crypto/suci/.*: moved to heap: buf$$'); \
+	if [ -n "$$buf" ]; then echo "$$buf"; echo "a SUPI's text buffer moves to the heap"; exit 1; fi
 
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the
@@ -121,8 +126,9 @@ loc:
 # UE's downlink, SUCI de-concealment); and the benchmark module — its own
 # go.mod, so `./...` never reaches it — is vetted, tested, gofmt-checked,
 # linted (bench/host.go's two annotated wall-clock reads included) and
-# run for a second in binary-frame, JSON and ring mode, and on the storm
-# ladder (JSON with the AV pool refilling and the limiter armed).
+# run for a second in binary-frame mode (fresh attaches with the AV pool
+# refilling, unsharded and on four replicas), JSON and ring mode, and on
+# the storm ladder (JSON with the AV pool refilling and the limiter armed).
 # The storm smokes, each run twice: every line but the deploy's wall-time
 # line must replay (the seed fixes the whole virtual run). The unsharded one
 # deploys the AV pool the storm experiment and bench's storm_ladder do.
@@ -160,6 +166,7 @@ ci: build
 	$(GO) test -run '^$$' -fuzz '^FuzzUEDownlink$$' -fuzztime 5s ./internal/ue
 	$(GO) test -run '^$$' -fuzz '^FuzzDeconceal$$' -fuzztime 5s ./internal/crypto/suci
 	cd bench && $(GO) vet ./... && $(GO) test ./... && test -z "$$(gofmt -l .)" && $(GO) run shield5g/tools/shieldlint ./...
+	bash bench/run.sh --workload attach_fast --seconds 1
 	bash bench/run.sh --workload attach_sharded --seconds 1
 	bash bench/run.sh --workload attach_paper --seconds 1
 	bash bench/run.sh --workload reauth_ring --seconds 1

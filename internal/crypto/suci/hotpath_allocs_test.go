@@ -8,14 +8,16 @@ import (
 )
 
 // deconcealAllocs is what one Profile A de-concealment allocates: the
-// X25519 peer key and its copy of the ephemeral key, the shared secret,
-// the AES block cipher of the CTR keystream, and the MSIN string. The KDF
-// and MAC state and every scratch buffer are pooled.
-const deconcealAllocs = 5
+// X25519 peer key and its copy of the ephemeral key, the shared secret and
+// the AES block cipher of the CTR keystream. The KDF and MAC state and
+// every scratch buffer are pooled, and the SUPI is a value built from the
+// plaintext on the stack.
+const deconcealAllocs = 4
 
 // TestHotPathAllocs holds de-concealment, the one SUCI operation on the
-// network's registration path, to exactly deconcealAllocs. sync.Pool drops
-// items at random under the race detector, so this file builds only
+// network's registration path, to exactly deconcealAllocs, and a SUPI's
+// conversion to the value the SBI carries (SUPI.Value) to none. sync.Pool
+// drops items at random under the race detector, so this file builds only
 // without -race; make ci runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
 	k := testKey(t)
@@ -30,5 +32,13 @@ func TestHotPathAllocs(t *testing.T) {
 	})
 	if err != nil || n != deconcealAllocs {
 		t.Errorf("Deconceal: %v allocs, err %v; want %d, nil", n, err, deconcealAllocs)
+	}
+	n = testing.AllocsPerRun(100, func() {
+		if _, verr := testSUPI.Value(); verr != nil {
+			err = verr
+		}
+	})
+	if err != nil || n != 0 {
+		t.Errorf("SUPI.Value: %v allocs, err %v; want 0, nil", n, err)
 	}
 }

@@ -57,12 +57,32 @@ type SUPI struct {
 // KDF input for K_AMF derivation.
 func (s SUPI) String() string { return "imsi-" + s.MCC + s.MNC + s.MSIN }
 
-// Value is the SUPI as the SBI carries it, built in place: no string is
-// formatted. A SUPI that does not fit codec.SUPI is an error.
+// Value is the SUPI as the SBI carries it, built in place: its text is
+// assembled on the stack and parsed there, so nothing is allocated. A SUPI
+// that does not fit codec.SUPI is an error.
 func (s SUPI) Value() (codec.SUPI, error) {
 	var buf [32]byte
 	var v codec.SUPI
 	err := v.UnmarshalText(append(append(append(append(buf[:0], "imsi-"...), s.MCC...), s.MNC...), s.MSIN...))
+	return v, err
+}
+
+// value is the codec.SUPI of the MCC, MNC and MSIN a SUCI carries, each
+// checked digit by digit as Validate checks them. The MSIN is a view of a
+// decrypted plaintext; it is read in place and neither it nor the text is
+// copied to the heap.
+func value(mcc, mnc string, msin []byte) (codec.SUPI, error) {
+	switch {
+	case len(mcc) != 3 || !digits(mcc):
+		return codec.SUPI{}, fmt.Errorf("suci: bad MCC %q", mcc)
+	case (len(mnc) != 2 && len(mnc) != 3) || !digits(mnc):
+		return codec.SUPI{}, fmt.Errorf("suci: bad MNC %q", mnc)
+	case len(msin) < 5 || len(msin) > 10 || !digits(string(msin)):
+		return codec.SUPI{}, fmt.Errorf("suci: bad MSIN %q", string(msin))
+	}
+	var buf [len("imsi-") + 16]byte
+	var v codec.SUPI
+	err := v.UnmarshalText(append(append(append(append(buf[:0], "imsi-"...), mcc...), mnc...), msin...))
 	return v, err
 }
 
@@ -143,14 +163,15 @@ func ConcealNull(supi SUPI, routingIndicator string) (*SUCI, error) {
 	}, nil
 }
 
-// NullSUPI recovers the SUPI from a null-scheme SUCI.
-func (s *SUCI) NullSUPI() (SUPI, error) {
+// NullSUPI recovers the SUPI from a null-scheme SUCI, as the value the
+// SBI carries.
+func (s *SUCI) NullSUPI() (codec.SUPI, error) {
 	if s.Scheme != SchemeNull {
-		return SUPI{}, fmt.Errorf("suci: scheme %d is not the null scheme", s.Scheme)
+		return codec.SUPI{}, fmt.Errorf("suci: scheme %d is not the null scheme", s.Scheme)
 	}
-	supi := SUPI{MCC: s.MCC, MNC: s.MNC, MSIN: string(s.SchemeOutput)}
-	if err := supi.Validate(); err != nil {
-		return SUPI{}, fmt.Errorf("suci: null-scheme SUPI invalid: %w", err)
+	supi, err := value(s.MCC, s.MNC, s.SchemeOutput)
+	if err != nil {
+		return codec.SUPI{}, fmt.Errorf("suci: null-scheme SUPI invalid: %w", err)
 	}
 	return supi, nil
 }
@@ -200,19 +221,21 @@ func Conceal(rand io.Reader, supi SUPI, routingIndicator string, hnPub []byte, k
 }
 
 // Deconceal recovers the SUPI from a Profile A SUCI using the home-network
-// private key. It returns ErrIntegrity if the MAC tag does not verify.
-func (k *HomeNetworkKey) Deconceal(s *SUCI) (SUPI, error) {
+// private key, as the value the SBI carries: the MSIN is decrypted into a
+// stack buffer and checked there digit by digit. It returns ErrIntegrity if
+// the MAC tag does not verify.
+func (k *HomeNetworkKey) Deconceal(s *SUCI) (codec.SUPI, error) {
 	if s == nil {
-		return SUPI{}, errors.New("suci: nil SUCI")
+		return codec.SUPI{}, errors.New("suci: nil SUCI")
 	}
 	if s.Scheme != SchemeProfileA {
-		return SUPI{}, fmt.Errorf("suci: unsupported protection scheme %d", s.Scheme)
+		return codec.SUPI{}, fmt.Errorf("suci: unsupported protection scheme %d", s.Scheme)
 	}
 	if s.HomeKeyID != k.ID {
-		return SUPI{}, fmt.Errorf("suci: key ID %d does not match home network key %d", s.HomeKeyID, k.ID)
+		return codec.SUPI{}, fmt.Errorf("suci: key ID %d does not match home network key %d", s.HomeKeyID, k.ID)
 	}
 	if len(s.SchemeOutput) < ephemeralKeyLen+1+tagLen {
-		return SUPI{}, fmt.Errorf("suci: scheme output too short (%d bytes)", len(s.SchemeOutput))
+		return codec.SUPI{}, fmt.Errorf("suci: scheme output too short (%d bytes)", len(s.SchemeOutput))
 	}
 	ephPub := s.SchemeOutput[:ephemeralKeyLen]
 	ciphertext := s.SchemeOutput[ephemeralKeyLen : len(s.SchemeOutput)-tagLen]
@@ -220,21 +243,21 @@ func (k *HomeNetworkKey) Deconceal(s *SUCI) (SUPI, error) {
 
 	peer, err := ecdh.X25519().NewPublicKey(ephPub)
 	if err != nil {
-		return SUPI{}, fmt.Errorf("suci: parse ephemeral public key: %w", err)
+		return codec.SUPI{}, fmt.Errorf("suci: parse ephemeral public key: %w", err)
 	}
 	shared, err := k.priv.ECDH(peer)
 	if err != nil {
-		return SUPI{}, fmt.Errorf("suci: ECDH: %w", err)
+		return codec.SUPI{}, fmt.Errorf("suci: ECDH: %w", err)
 	}
 	ks := kdfScratchPool.Get().(*kdfScratch)
 	encKey, icb, macKey := deriveKeys(shared, ephPub, ks)
 	computeTagInto(macKey, ciphertext, &ks.tag)
 	if !hmac.Equal(tag, ks.tag[:tagLen]) {
 		putKDFScratch(ks)
-		return SUPI{}, ErrIntegrity
+		return codec.SUPI{}, ErrIntegrity
 	}
-	// MSIN-sized plaintexts fit on the stack; the string conversion below
-	// makes the only retained copy.
+	// MSIN-sized plaintexts fit on the stack, and nothing copies them off
+	// it.
 	var ptBuf [32]byte
 	plaintext := ptBuf[:0]
 	if len(ciphertext) > len(ptBuf) {
@@ -245,9 +268,9 @@ func (k *HomeNetworkKey) Deconceal(s *SUCI) (SUPI, error) {
 	ctr(encKey, icb, plaintext, ciphertext)
 	putKDFScratch(ks)
 
-	supi := SUPI{MCC: s.MCC, MNC: s.MNC, MSIN: string(plaintext)}
-	if err := supi.Validate(); err != nil {
-		return SUPI{}, fmt.Errorf("suci: deconcealed SUPI invalid: %w", err)
+	supi, err := value(s.MCC, s.MNC, plaintext)
+	if err != nil {
+		return codec.SUPI{}, fmt.Errorf("suci: deconcealed SUPI invalid: %w", err)
 	}
 	return supi, nil
 }

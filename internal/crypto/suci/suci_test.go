@@ -14,6 +14,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"shield5g/internal/sbi/codec"
 )
 
 func testKey(t testing.TB) *HomeNetworkKey {
@@ -27,6 +29,16 @@ func testKey(t testing.TB) *HomeNetworkKey {
 
 var testSUPI = SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
 
+// valueOf is supi as the SBI carries it.
+func valueOf(t testing.TB, supi SUPI) codec.SUPI {
+	t.Helper()
+	v, err := supi.Value()
+	if err != nil {
+		t.Fatalf("Value(%+v): %v", supi, err)
+	}
+	return v
+}
+
 func TestConcealDeconcealRoundTrip(t *testing.T) {
 	k := testKey(t)
 	suci, err := Conceal(rand.Reader, testSUPI, "0000", k.PublicKey(), k.ID)
@@ -37,8 +49,8 @@ func TestConcealDeconcealRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Deconceal: %v", err)
 	}
-	if got != testSUPI {
-		t.Fatalf("round trip = %+v, want %+v", got, testSUPI)
+	if want := valueOf(t, testSUPI); got != want {
+		t.Fatalf("round trip = %v, want %v", got, want)
 	}
 }
 
@@ -217,7 +229,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return got == supi && suci.RoutingIndicator == ri
+		return got == valueOf(t, supi) && suci.RoutingIndicator == ri
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -292,8 +304,8 @@ func TestNullScheme(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NullSUPI: %v", err)
 	}
-	if got != testSUPI {
-		t.Fatalf("NullSUPI = %+v", got)
+	if got != valueOf(t, testSUPI) {
+		t.Fatalf("NullSUPI = %v", got)
 	}
 	if _, err := ConcealNull(SUPI{MCC: "1"}, "0000"); err == nil {
 		t.Fatal("invalid SUPI accepted")

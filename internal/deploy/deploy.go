@@ -40,6 +40,7 @@ import (
 	"shield5g/internal/nf/upf"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 	"shield5g/internal/topology"
 	"shield5g/internal/ue"
@@ -425,11 +426,11 @@ func newAdmission(cfg SliceConfig, env *costmodel.Env) *admission.Controller {
 // SUPI may never have been attested. An SGX eUDM gets none: its enclave
 // restores K from the platform's sealed file, so K never crosses the SBI to
 // reach it.
-func (s *Slice) reprovisionHook(shard *CoreShard) func(context.Context, string, []byte) error {
+func (s *Slice) reprovisionHook(shard *CoreShard) func(context.Context, codec.SUPI, []byte) error {
 	if s.Config.Isolation == paka.SGX {
 		return nil
 	}
-	return func(ctx context.Context, supi string, k []byte) error {
+	return func(ctx context.Context, supi codec.SUPI, k []byte) error {
 		m := shard.Modules[paka.EUDM]
 		if err := s.attestEUDM(m); err != nil {
 			return err
@@ -688,7 +689,6 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 		if err != nil {
 			return err
 		}
-		imsi := supi.String()
 		held := s.UDR.Holds(id)
 		if err := s.provisioning.Provision(ctx, udr.Subscriber{
 			SUPI:     id,
@@ -699,12 +699,12 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 		}); err != nil {
 			return fmt.Errorf("deploy: UDR provisioning: %w", err)
 		}
-		owner := s.GNB.ShardOf(imsi)
+		owner := s.GNB.ShardOf(supi.String())
 		m := s.Shards[owner].Modules[paka.EUDM]
 		if err := s.attestEUDM(m); err != nil {
 			return err
 		}
-		if err := m.ProvisionSubscriber(ctx, imsi, k); err != nil {
+		if err := m.ProvisionSubscriber(ctx, id, k); err != nil {
 			return fmt.Errorf("deploy: eUDM provisioning (shard %d): %w", owner, err)
 		}
 		if !held {
@@ -714,7 +714,7 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 			if shard.Index == owner {
 				continue
 			}
-			if err := shard.Modules[paka.EUDM].EvictSubscriber(ctx, imsi); err != nil {
+			if err := shard.Modules[paka.EUDM].EvictSubscriber(ctx, id); err != nil {
 				return fmt.Errorf("deploy: eUDM eviction (shard %d): %w", shard.Index, err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"shield5g/internal/metrics"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 // rig deploys one P-AKA module in isolation and drives requests through
@@ -49,7 +50,10 @@ func newRig(ctx context.Context, kind paka.ModuleKind, seed uint64, cfg paka.Con
 	remote := paka.NewRemote(sbi.NewClient("parent-vnf", env, registry), env, kind.ServiceName())
 	r := &rig{kind: kind, module: m, remote: remote}
 	if kind == paka.EUDM {
-		err = m.ProvisionSubscriber(ctx, rigSUPI, rigKey)
+		var supi codec.SUPI
+		if supi, err = codec.ParseSUPI(rigSUPI); err == nil {
+			err = m.ProvisionSubscriber(ctx, supi, rigKey)
+		}
 	} else {
 		r.av, err = paka.GenerateAV(rigKey, rigAVRequest())
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/sbi/codec"
 )
 
 // TestConcurrentProcessKeyStore runs each key-store accessor in a goroutine
@@ -21,23 +22,24 @@ func TestConcurrentProcessKeyStore(t *testing.T) {
 	for range 10 {
 		start := make(chan struct{})
 		var wg sync.WaitGroup
-		each := func(f func(c *call, name string)) {
+		each := func(f func(c *call, supi codec.SUPI)) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				c := &call{p: p}
 				<-start
 				for i := range 200 {
-					f(c, fmt.Sprintf("imsi-%d", i%8))
+					supi, _ := codec.ParseSUPI(fmt.Sprintf("imsi-%d", i%8))
+					f(c, supi)
 				}
 			}()
 		}
-		each(func(c *call, name string) { c.StoreSecret(name, [16]byte{1}) })
-		each(func(c *call, name string) {
-			c.LoadSecret(name)
+		each(func(c *call, supi codec.SUPI) { c.StoreSecret(supi, [16]byte{1}) })
+		each(func(c *call, supi codec.SUPI) {
+			c.LoadSecret(supi)
 		})
-		each(func(c *call, name string) { c.DeleteSecret(name) })
-		each(func(*call, string) { p.Introspect() })
+		each(func(c *call, supi codec.SUPI) { c.DeleteSecret(supi) })
+		each(func(*call, codec.SUPI) { p.Introspect() })
 		close(start)
 		wg.Wait()
 	}
@@ -55,7 +57,8 @@ func TestProcessShutdownDrainsAdmittedCrossings(t *testing.T) {
 		_, err := p.Cross(context.Background(), OneShot, 40, 80, HandlerFunc(func(ex Exec) error {
 			close(entered)
 			<-proceed
-			ex.StoreSecret("imsi-1", [16]byte{1})
+			supi, _ := codec.ParseSUPI("imsi-1")
+			ex.StoreSecret(supi, [16]byte{1})
 			return nil
 		}))
 		crossed <- err

@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -38,17 +39,18 @@ type Exec interface {
 	Compute(n simclock.Cycles)
 	// Touch charges access to n bytes of heap.
 	Touch(nBytes uint64)
-	// StoreSecret places a long-term key in the runtime's key store. The
-	// store holds it inline: an entry is the name and the 16 bytes, with
-	// no allocation of its own.
-	StoreSecret(name string, k [16]byte)
-	// LoadSecret returns the named key by value and reports whether the
-	// store holds the name. The copy is the caller's: held in a local, it
-	// stays on the caller's stack, and the caller clears it once it has
-	// no more use for it.
-	LoadSecret(name string) ([16]byte, bool)
-	// DeleteSecret drops the named key from the runtime's key store.
-	DeleteSecret(name string)
+	// StoreSecret places a subscriber's long-term key in the runtime's key
+	// store. The store holds it inline and keys it by the SUPI's value: an
+	// entry is 16 bytes of SUPI and 16 of K, holds no pointer and owns no
+	// allocation of its own.
+	StoreSecret(supi codec.SUPI, k [16]byte)
+	// LoadSecret returns supi's key by value and reports whether the
+	// store holds it. The copy is the caller's: held in a local, it stays
+	// on the caller's stack, and the caller clears it once it has no more
+	// use for it.
+	LoadSecret(supi codec.SUPI) ([16]byte, bool)
+	// DeleteSecret drops supi's key from the runtime's key store.
+	DeleteSecret(supi codec.SUPI)
 }
 
 // Handler is the work one request runs inside the execution environment.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -48,7 +49,7 @@ type Process struct {
 	life     Lifecycle
 
 	mu      sync.Mutex
-	secrets map[string][16]byte
+	secrets map[codec.SUPI][16]byte
 }
 
 // NewProcess starts a guest process charging env at the given prices.
@@ -57,7 +58,7 @@ func NewProcess(env *costmodel.Env, prices Prices) *Process {
 		env:      env,
 		prices:   prices,
 		syscalls: DefaultSyscallProfile(),
-		secrets:  make(map[string][16]byte),
+		secrets:  make(map[codec.SUPI][16]byte),
 	}
 	p.life.Start()
 	return p
@@ -107,22 +108,22 @@ func (c *call) Touch(nBytes uint64) {
 	c.charge(simclock.Cycles(nBytes) * c.p.env.Model.CopyPerByte)
 }
 
-func (c *call) StoreSecret(name string, k [16]byte) {
+func (c *call) StoreSecret(supi codec.SUPI, k [16]byte) {
 	c.p.mu.Lock()
-	c.p.secrets[name] = k
+	c.p.secrets[supi] = k
 	c.p.mu.Unlock()
 }
 
-func (c *call) LoadSecret(name string) (k [16]byte, ok bool) {
+func (c *call) LoadSecret(supi codec.SUPI) (k [16]byte, ok bool) {
 	c.p.mu.Lock()
-	k, ok = c.p.secrets[name]
+	k, ok = c.p.secrets[supi]
 	c.p.mu.Unlock()
 	return k, ok
 }
 
-func (c *call) DeleteSecret(name string) {
+func (c *call) DeleteSecret(supi codec.SUPI) {
 	c.p.mu.Lock()
-	delete(c.p.secrets, name)
+	delete(c.p.secrets, supi)
 	c.p.mu.Unlock()
 }
 
@@ -166,15 +167,15 @@ func (p *Process) VMExits() uint64 { return p.vmExits.Load() }
 // Running reports whether the process is up.
 func (p *Process) Running() bool { return p.life.Running() }
 
-// Introspect is a read of the process's whole key store, region by name:
-// plaintext, to the process itself and — in a plain container — to any
-// privileged attacker on the host.
+// Introspect is a read of the process's whole key store, region by SUPI
+// text (formatted here, at dump time): plaintext, to the process itself
+// and — in a plain container — to any privileged attacker on the host.
 func (p *Process) Introspect() map[string][]byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string][]byte, len(p.secrets))
-	for name, k := range p.secrets {
-		out[name] = append([]byte(nil), k[:]...)
+	for supi, k := range p.secrets {
+		out[supi.String()] = append([]byte(nil), k[:]...)
 	}
 	return out
 }

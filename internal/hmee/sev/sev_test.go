@@ -9,6 +9,7 @@ import (
 
 	"shield5g/internal/costmodel"
 	"shield5g/internal/hmee"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -121,12 +122,14 @@ func TestTCBIncludesGuestStack(t *testing.T) {
 func TestSecretsAndIntrospection(t *testing.T) {
 	m := testMachine(t)
 	secret := [16]byte([]byte("subscriber-key-m"))
+	stored, _ := codec.ParseSUPI("imsi-1")
+	missing, _ := codec.ParseSUPI("imsi-2")
 	if _, err := m.Cross(context.Background(), 0, 0, 0, hmee.HandlerFunc(func(ex hmee.Exec) error {
-		ex.StoreSecret("k", secret)
-		if got, ok := ex.LoadSecret("k"); !ok || got != secret {
+		ex.StoreSecret(stored, secret)
+		if got, ok := ex.LoadSecret(stored); !ok || got != secret {
 			t.Error("in-guest read failed")
 		}
-		if _, ok := ex.LoadSecret("missing"); ok {
+		if _, ok := ex.LoadSecret(missing); ok {
 			t.Error("missing secret found")
 		}
 		return nil
@@ -134,9 +137,9 @@ func TestSecretsAndIntrospection(t *testing.T) {
 		t.Fatalf("maintenance crossing: %v", err)
 	}
 	dump := m.Introspect()
-	view, ok := dump["k"]
+	view, ok := dump["imsi-1"]
 	if !ok || len(dump) != 1 {
-		t.Fatalf("Introspect regions = %d (k present: %v), want just k", len(dump), ok)
+		t.Fatalf("Introspect regions = %d (imsi-1 present: %v), want just imsi-1", len(dump), ok)
 	}
 	if bytes.Equal(view, secret[:]) || bytes.Contains(view, []byte("subscriber")) {
 		t.Fatal("host view leaked plaintext")

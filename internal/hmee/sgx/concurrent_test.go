@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"shield5g/internal/sbi/codec"
 )
 
 // TestConcurrentKeyStoreAndLifecycle runs each accessor of an enclave's key
@@ -19,13 +21,14 @@ func TestConcurrentKeyStoreAndLifecycle(t *testing.T) {
 	p := testPlatform(t)
 	e := build(t, p, testConfig())
 	sealed := []byte("0123456789abcdef")
-	if err := e.SealBackup("imsi-sealed", sealed); err != nil {
+	sealedSUPI := supi("imsi-99")
+	if err := e.SealBackup(sealedSUPI, sealed); err != nil {
 		t.Fatal(err)
 	}
 	churn := testConfig()
 	churn.Name, churn.SizeBytes = "churn", 16<<20
 	ctx := context.Background()
-	name := func(i int) string { return fmt.Sprintf("imsi-%d", i%8) }
+	name := func(i int) codec.SUPI { return supi(fmt.Sprintf("imsi-%d", i%8)) }
 	for range 10 {
 		doomed := make([]*Enclave, 10)
 		for i := range doomed {
@@ -51,11 +54,11 @@ func TestConcurrentKeyStoreAndLifecycle(t *testing.T) {
 		})
 		each(100, func(th *Thread, i int) { th.DeleteSecret(name(i)) })
 		each(100, func(th *Thread, _ int) {
-			th.DeleteSecret("imsi-sealed")
-			e.restoreSecret("imsi-sealed")
+			th.DeleteSecret(sealedSUPI)
+			e.restoreSecret(sealedSUPI)
 		})
 		each(100, func(*Thread, int) { e.Introspect() })
-		each(100, func(*Thread, int) { _ = e.SealBackup("imsi-sealed", sealed) })
+		each(100, func(*Thread, int) { _ = e.SealBackup(sealedSUPI, sealed) })
 		each(len(built), func(_ *Thread, i int) {
 			var err error
 			if built[i], err = p.Build(ctx, churn); err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -90,7 +91,7 @@ type Enclave struct {
 	faulted atomic.Uint64 // heap pages already faulted in
 
 	secretMu sync.RWMutex
-	secrets  map[string][16]byte // shielded in-enclave keys (plaintext inside)
+	secrets  map[codec.SUPI][16]byte // shielded in-enclave keys (plaintext inside)
 }
 
 // Build constructs, measures and initializes an enclave, charging the full
@@ -116,7 +117,7 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 		platform: p,
 		cfg:      cfg,
 		tcs:      make(chan struct{}, cfg.MaxThreads),
-		secrets:  make(map[string][16]byte),
+		secrets:  make(map[codec.SUPI][16]byte),
 	}
 	e.state.Store(int32(StateBuilt))
 
@@ -458,47 +459,48 @@ func (t *Thread) Touch(nBytes uint64) {
 // store. From inside the enclave it is plaintext; Introspect (the
 // attacker's view) sees only ciphertext, reproducing the
 // memory-introspection protection of Key Issues 7 and 15.
-func (t *Thread) StoreSecret(name string, k [16]byte) {
+func (t *Thread) StoreSecret(supi codec.SUPI, k [16]byte) {
 	e := t.enclave
 	e.secretMu.Lock()
-	e.secrets[name] = k
+	e.secrets[supi] = k
 	e.secretMu.Unlock()
 }
 
-// LoadSecret returns the named key by value, so the copy lives in the
+// LoadSecret returns supi's key by value, so the copy lives in the
 // caller's frame. Reads share the lock so concurrent AV generations for
 // different subscribers do not serialise on the key store.
 //
 // A miss is not final: the key may have been provisioned to another
-// enclave of this identity (a rebalance routed the name here) or to this
+// enclave of this identity (a rebalance routed the SUPI here) or to this
 // enclave before a restart emptied it. The miss path opens the platform's
-// sealed file for the name, inside the enclave, and keeps the key in the
-// store; only a name with no sealed file misses. Like provisioning, the
+// sealed file for the SUPI, inside the enclave, and keeps the key in the
+// store; only a SUPI with no sealed file misses. Like provisioning, the
 // miss path charges no virtual cost.
-func (t *Thread) LoadSecret(name string) (k [16]byte, ok bool) {
+func (t *Thread) LoadSecret(supi codec.SUPI) (k [16]byte, ok bool) {
 	e := t.enclave
 	e.secretMu.RLock()
-	k, ok = e.secrets[name]
+	k, ok = e.secrets[supi]
 	e.secretMu.RUnlock()
 	if !ok {
-		return e.restoreSecret(name)
+		return e.restoreSecret(supi)
 	}
 	return k, true
 }
 
-// restoreSecret is the key store's miss path: it unseals name's one sealed
+// restoreSecret is the key store's miss path: it unseals supi's one sealed
 // file and files the key in the store. A key stored meanwhile (a
 // re-provision racing the miss) wins over the file's, and a store torn
 // down meanwhile stays empty.
-func (e *Enclave) restoreSecret(name string) (k [16]byte, ok bool) {
+func (e *Enclave) restoreSecret(supi codec.SUPI) (k [16]byte, ok bool) {
 	p := e.platform
 	p.mu.Lock()
-	blob, ok := p.backups[e.measurement][name]
+	blob, ok := p.backups[e.measurement][supi]
 	p.mu.Unlock()
 	if !ok {
 		return k, false
 	}
-	plain, err := e.Unseal(blob, []byte(name))
+	var ad [sealADLen]byte
+	plain, err := e.Unseal(blob, sealAD(&ad, supi))
 	if err != nil || len(plain) != len(k) {
 		clear(plain)
 		return k, false
@@ -510,25 +512,26 @@ func (e *Enclave) restoreSecret(name string) (k [16]byte, ok bool) {
 	if e.live() != nil {
 		return [16]byte{}, false
 	}
-	if held, ok := e.secrets[name]; ok {
+	if held, ok := e.secrets[supi]; ok {
 		return held, true
 	}
-	e.secrets[name] = k
+	e.secrets[supi] = k
 	return k, true
 }
 
-// DeleteSecret drops the named key from the enclave's key store; a later
-// LoadSecret of the name finds it in the platform's sealed file again.
-func (t *Thread) DeleteSecret(name string) {
+// DeleteSecret drops supi's key from the enclave's key store; a later
+// LoadSecret of the SUPI finds it in the platform's sealed file again.
+func (t *Thread) DeleteSecret(supi codec.SUPI) {
 	e := t.enclave
 	e.secretMu.Lock()
-	delete(e.secrets, name)
+	delete(e.secrets, supi)
 	e.secretMu.Unlock()
 }
 
 // Introspect is the view a privileged attacker (hypervisor, container
 // engine, co-resident root) gets of the enclave's key store, region by
-// name: the Memory Encryption Engine ciphertext, never the plaintext.
+// SUPI text (formatted here, at dump time): the Memory Encryption Engine
+// ciphertext, never the plaintext.
 func (e *Enclave) Introspect() map[string][]byte {
 	e.secretMu.RLock()
 	defer e.secretMu.RUnlock()
@@ -544,12 +547,12 @@ func (e *Enclave) Introspect() map[string][]byte {
 	var block [32]byte
 	h.Sum(block[:0])
 	out := make(map[string][]byte, len(e.secrets))
-	for name, k := range e.secrets {
+	for supi, k := range e.secrets {
 		ct := make([]byte, len(k))
 		for i := range k {
 			ct[i] = k[i] ^ block[i]
 		}
-		out[name] = ct
+		out[supi.String()] = ct
 	}
 	return out
 }

@@ -28,6 +28,7 @@ import (
 	"sync"
 
 	"shield5g/internal/costmodel"
+	"shield5g/internal/sbi/codec"
 )
 
 // Platform is one simulated SGX-capable host. It owns the physical EPC,
@@ -50,7 +51,7 @@ type Platform struct {
 	epcUsed  uint64
 	// backups is the host's disk of sealed files (SealBackup), one
 	// directory per enclave measurement.
-	backups map[[32]byte]map[string][]byte
+	backups map[[32]byte]map[codec.SUPI][]byte
 }
 
 // PlatformConfig configures a simulated host.
@@ -80,7 +81,7 @@ func NewPlatform(cfg PlatformConfig) (*Platform, error) {
 		qePriv:      priv,
 		qePub:       pub,
 		enclaves:    make(map[uint64]*Enclave),
-		backups:     make(map[[32]byte]map[string][]byte),
+		backups:     make(map[[32]byte]map[codec.SUPI][]byte),
 	}
 	if _, err := io.ReadFull(rand.Reader, p.sealRoot[:]); err != nil {
 		return nil, fmt.Errorf("sgx: generate sealing root: %w", err)

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"shield5g/internal/sbi/codec"
 )
 
 // ErrUnseal reports sealed data that cannot be opened by this enclave —
@@ -71,15 +73,16 @@ func (e *Enclave) Unseal(blob, additionalData []byte) ([]byte, error) {
 	return plain, nil
 }
 
-// SealBackup seals data with name as its additional data and files the
-// blob on the host's disk under the enclave's measurement, replacing any
-// earlier file of that name. Every enclave of one identity on the platform
-// — a restarted one, or a replica of the same image — reads and writes the
-// same files: the replica a key is provisioned to seals it once, and any
-// enclave of the identity whose key store later misses that name opens
-// the file in place (Thread.LoadSecret).
-func (e *Enclave) SealBackup(name string, data []byte) error {
-	blob, err := e.Seal(data, []byte(name))
+// SealBackup seals data with supi's text as its additional data and files
+// the blob on the host's disk under the enclave's measurement, replacing
+// any earlier file of that SUPI. Every enclave of one identity on the
+// platform — a restarted one, or a replica of the same image — reads and
+// writes the same files: the replica a key is provisioned to seals it
+// once, and any enclave of the identity whose key store later misses that
+// SUPI opens the file in place (Thread.LoadSecret).
+func (e *Enclave) SealBackup(supi codec.SUPI, data []byte) error {
+	var ad [sealADLen]byte
+	blob, err := e.Seal(data, sealAD(&ad, supi))
 	if err != nil {
 		return err
 	}
@@ -88,9 +91,19 @@ func (e *Enclave) SealBackup(name string, data []byte) error {
 	defer p.mu.Unlock()
 	files := p.backups[e.measurement]
 	if files == nil {
-		files = make(map[string][]byte)
+		files = make(map[codec.SUPI][]byte)
 		p.backups[e.measurement] = files
 	}
-	files[name] = blob
+	files[supi] = blob
 	return nil
+}
+
+// sealADLen bounds a SUPI's text: "imsi-" and up to 16 digits.
+const sealADLen = len("imsi-") + 16
+
+// sealAD writes supi's text into ad: a sealed file's additional data,
+// which binds the blob to its SUPI.
+func sealAD(ad *[sealADLen]byte, supi codec.SUPI) []byte {
+	b, _ := supi.AppendText(ad[:0])
+	return b
 }

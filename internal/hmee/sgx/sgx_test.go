@@ -5,12 +5,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"sync"
 	"testing"
 	"time"
 
 	"shield5g/internal/hmee"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 )
 
@@ -300,11 +300,11 @@ func TestSecretsAndIntrospection(t *testing.T) {
 	e := build(t, p, testConfig())
 	secret := [16]byte([]byte("subscriber-key-1"))
 	if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
-		th.StoreSecret("k", secret)
-		if got, ok := th.LoadSecret("k"); !ok || got != secret {
+		th.StoreSecret(supi("imsi-1"), secret)
+		if got, ok := th.LoadSecret(supi("imsi-1")); !ok || got != secret {
 			t.Error("in-enclave secret read failed")
 		}
-		if _, ok := th.LoadSecret("missing"); ok {
+		if _, ok := th.LoadSecret(supi("imsi-2")); ok {
 			t.Error("LoadSecret invented a key")
 		}
 		return nil
@@ -314,9 +314,9 @@ func TestSecretsAndIntrospection(t *testing.T) {
 
 	// The attacker's view must be ciphertext, not the secret.
 	dump := e.Introspect()
-	view, ok := dump["k"]
+	view, ok := dump["imsi-1"]
 	if !ok || len(dump) != 1 {
-		t.Fatalf("Introspect regions = %d (k present: %v), want just k", len(dump), ok)
+		t.Fatalf("Introspect regions = %d (imsi-1 present: %v), want just imsi-1", len(dump), ok)
 	}
 	if bytes.Equal(view, secret[:]) || bytes.Contains(view, []byte("subscriber")) {
 		t.Fatal("introspection leaked plaintext")
@@ -333,10 +333,10 @@ func TestLoadSecretCopies(t *testing.T) {
 	p := testPlatform(t)
 	e := build(t, p, testConfig())
 	if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
-		th.StoreSecret("k", [16]byte{1, 2, 3})
-		got, _ := th.LoadSecret("k")
+		th.StoreSecret(supi("imsi-1"), [16]byte{1, 2, 3})
+		got, _ := th.LoadSecret(supi("imsi-1"))
 		got[0] = 9
-		again, _ := th.LoadSecret("k")
+		again, _ := th.LoadSecret(supi("imsi-1"))
 		if again[0] != 1 {
 			t.Error("LoadSecret returned aliased storage")
 		}
@@ -488,11 +488,11 @@ func TestSealBackupIsOneFilePerIdentity(t *testing.T) {
 	cfg.Name = "other"
 	other := build(t, p, cfg)
 	for _, e := range []*Enclave{a, twin} {
-		if err := e.SealBackup("imsi-1", []byte("k1")); err != nil {
+		if err := e.SealBackup(supi("imsi-1"), []byte("k1")); err != nil {
 			t.Fatalf("SealBackup: %v", err)
 		}
 	}
-	if err := twin.SealBackup("imsi-2", []byte("k2")); err != nil {
+	if err := twin.SealBackup(supi("imsi-2"), []byte("k2")); err != nil {
 		t.Fatalf("SealBackup: %v", err)
 	}
 	if n := len(a.Backups()); n != 2 {
@@ -509,7 +509,7 @@ func TestSealBackupIsOneFilePerIdentity(t *testing.T) {
 		go func(e *Enclave) {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
-				if err := e.SealBackup(fmt.Sprintf("imsi-x%d", i), []byte("kx")); err != nil {
+				if err := e.SealBackup(supi(fmt.Sprintf("imsi-9%d", i)), []byte("kx")); err != nil {
 					t.Errorf("SealBackup: %v", err)
 				}
 				_ = e.Backups()
@@ -548,10 +548,10 @@ func TestLoadSecretMissOpensSealedFile(t *testing.T) {
 	cfg.Name = "other"
 	other := build(t, p, cfg)
 	k1 := [16]byte([]byte("subscriber-key-1"))
-	if err := owner.SealBackup("imsi-1", k1[:]); err != nil {
+	if err := owner.SealBackup(supi("imsi-1"), k1[:]); err != nil {
 		t.Fatalf("SealBackup: %v", err)
 	}
-	if err := owner.SealBackup("imsi-short", []byte("k")); err != nil {
+	if err := owner.SealBackup(supi("imsi-77"), []byte("k")); err != nil {
 		t.Fatalf("SealBackup: %v", err)
 	}
 	load := func(e *Enclave, name string) ([16]byte, bool) {
@@ -559,7 +559,7 @@ func TestLoadSecretMissOpensSealedFile(t *testing.T) {
 		var got [16]byte
 		var ok bool
 		if err := e.ECall(context.Background(), 0, 0, func(th *Thread) error {
-			got, ok = th.LoadSecret(name)
+			got, ok = th.LoadSecret(supi(name))
 			return nil
 		}); err != nil {
 			t.Fatalf("ECall: %v", err)
@@ -576,7 +576,7 @@ func TestLoadSecretMissOpensSealedFile(t *testing.T) {
 	for _, tc := range []struct {
 		e    *Enclave
 		name string
-	}{{other, "imsi-1"}, {twin, "imsi-none"}, {twin, "imsi-short"}} {
+	}{{other, "imsi-1"}, {twin, "imsi-88"}, {twin, "imsi-77"}} {
 		if got, ok := load(tc.e, tc.name); ok || got != ([16]byte{}) {
 			t.Fatalf("%s miss on %s = %x, %v; want a miss", tc.e.Name(), tc.name, got, ok)
 		}
@@ -592,8 +592,8 @@ func TestLoadSecretMissOpensSealedFile(t *testing.T) {
 	// miss is what the store serves.
 	k2 := [16]byte([]byte("subscriber-key-2"))
 	if err := twin.ECall(context.Background(), 0, 0, func(th *Thread) error {
-		th.DeleteSecret("imsi-1")
-		th.StoreSecret("imsi-2", k2)
+		th.DeleteSecret(supi("imsi-1"))
+		th.StoreSecret(supi("imsi-2"), k2)
 		return nil
 	}); err != nil {
 		t.Fatalf("ECall: %v", err)
@@ -715,12 +715,25 @@ func TestBuildDeterministicLoadAcrossSeeds(t *testing.T) {
 }
 
 // Backups lists the sealed files the host keeps for the enclave's
-// measurement, blob by name: opaque to the host and to any enclave of
-// another identity or platform (Unseal with the name as additional data).
-// The map is a copy; the blobs are shared and read-only.
+// measurement, blob by SUPI text: opaque to the host and to any enclave of
+// another identity or platform (Unseal with the SUPI's text as additional
+// data). The blobs are shared and read-only.
 func (e *Enclave) Backups() map[string][]byte {
 	p := e.platform
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return maps.Clone(p.backups[e.measurement])
+	out := make(map[string][]byte, len(p.backups[e.measurement]))
+	for supi, blob := range p.backups[e.measurement] {
+		out[supi.String()] = blob
+	}
+	return out
+}
+
+// supi parses a test SUPI's text, which must be well formed.
+func supi(text string) codec.SUPI {
+	v, err := codec.ParseSUPI(text)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -4,13 +4,16 @@
 // canonicalising them through one table makes decoding them
 // allocation-free after first sight.
 //
-// Per-subscriber identities are not for this table. The SBI carries a
-// SUPI or an auth-context ID as a fixed-width value (codec.SUPI,
-// codec.AuthCtxID) that decodes in place without it; a SUPI still sent
-// as a string is unique, and the table caps both entry length and entry
-// count, so interning such high-cardinality input would only churn it up
-// to the cap, after which lookups miss and the caller pays the
-// allocation it would have paid anyway.
+// Per-subscriber identities are not for this table. A subscriber is a
+// fixed-width value (codec.SUPI; the AUSF's auth-context ID a
+// codec.AuthCtxID) wherever the core holds it — the SBI messages that
+// carry it as one, the UDR's records, the AV pool, the eUDM's refill
+// items and its key store — and decodes in place without the table. A
+// SUPI still sent as a string (a request type the benchmark builds) is
+// unique, and the table caps both entry length and entry count, so
+// interning such high-cardinality input would only churn it up to the
+// cap, after which lookups miss and the caller pays the allocation it
+// would have paid anyway.
 package intern
 
 import "sync"

@@ -560,7 +560,7 @@ func (a *AMF) handleProtected(ctx context.Context, ranUEID uint64, ue *ueContext
 		ue.teid, ue.pduSession = sess.TEID, m.SessionID
 		accept, err := ue.sec.Protect(&nas.PDUSessionEstablishmentAccept{
 			SessionID: m.SessionID,
-			UEAddress: sess.UEAddress,
+			UEAddress: sess.UEAddress.String(),
 		}, false)
 		ue.sec.DropCipher()
 		return accept, err

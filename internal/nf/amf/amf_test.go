@@ -111,7 +111,7 @@ func newHarnessWith(t *testing.T, wrap func(sbi.Invoker) sbi.Invoker) *harness {
 		}); err != nil {
 			t.Fatalf("provision: %v", err)
 		}
-		if err := eudm.ProvisionSubscriber(ctx, supi.String(), testK); err != nil {
+		if err := eudm.ProvisionSubscriber(ctx, id, testK); err != nil {
 			t.Fatalf("eUDM provision: %v", err)
 		}
 	}

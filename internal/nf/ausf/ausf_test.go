@@ -82,7 +82,7 @@ func newHarness(t *testing.T) *harness {
 	}); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
-	if err := eudm.ProvisionSubscriber(context.Background(), supi.String(), testK); err != nil {
+	if err := eudm.ProvisionSubscriber(context.Background(), id, testK); err != nil {
 		t.Fatalf("eUDM provision: %v", err)
 	}
 	mil, err := milenage.New(testK, opc)

@@ -18,12 +18,14 @@ import (
 // one-shot redemption — to an exact allocation count, the clients' decodes
 // included: by SUPI on the JSON SBI, and by a fresh SUCI over frames, which
 // the AUSF and the UDM each decode into their pair's kept SUCI, its scheme
-// output a view into the body, before the UDM de-conceals it. With the
+// output a view into the body, before the UDM de-conceals it into the
+// SUPI's value, which its UDR read and its eUDM request carry as text (the
+// unpooled path's two strings). With the
 // collector off no sync.Pool is emptied mid-count; pools still drop items
 // at random under the race detector, so this file builds only without
 // -race; make ci runs it in its no-race go test run.
 func TestHotPathAllocs(t *testing.T) {
-	const want, wantSUCIFrames = 8, 13
+	const want, wantSUCIFrames = 8, 11
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := newHarness(t)
 	ctx := context.Background()

@@ -13,7 +13,7 @@ func (m *CreateSessionRequest) Fields(f *codec.Fields) {
 
 // Fields implements codec.Message.
 func (m *CreateSessionResponse) Fields(f *codec.Fields) {
-	f.String("ue_address", &m.UEAddress, 0)
+	f.Addr("ue_address", &m.UEAddress)
 	codec.Uint(f, "teid", &m.TEID)
 }
 

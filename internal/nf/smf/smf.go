@@ -7,6 +7,7 @@ package smf
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"sync"
 
 	"shield5g/internal/costmodel"
@@ -37,8 +38,8 @@ type CreateSessionRequest struct {
 
 // CreateSessionResponse returns the allocated UE address and uplink TEID.
 type CreateSessionResponse struct {
-	UEAddress string `json:"ue_address"`
-	TEID      uint32 `json:"teid"`
+	UEAddress netip.Addr `json:"ue_address"`
+	TEID      uint32     `json:"teid"`
 }
 
 // ReleaseSessionRequest tears a PDU session down.
@@ -133,7 +134,7 @@ func (s *SMF) handleCreate(ctx context.Context, req *CreateSessionRequest, resp 
 	s.sessions[key] = smContext{seid: seid}
 	s.mu.Unlock()
 
-	ueAddr := fmt.Sprintf("%d.%d.%d.%d", ip>>24, (ip>>16)&0xff, (ip>>8)&0xff, ip&0xff)
+	ueAddr := netip.AddrFrom4([4]byte{byte(ip >> 24), byte(ip >> 16), byte(ip >> 8), byte(ip)})
 	est, err := upf.Establish.Post(ctx, s.invoker, upf.ServiceName, upf.EstablishRequest{SEID: seid, UEAddress: ueAddr})
 	s.mu.Lock()
 	if err != nil {

@@ -49,7 +49,7 @@ func TestCreateSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateSession: %v", err)
 	}
-	if resp.UEAddress == "" || resp.TEID == 0 {
+	if !resp.UEAddress.IsValid() || resp.TEID == 0 {
 		t.Fatalf("resp = %+v", resp)
 	}
 	if s.SessionCount() != 1 || u.SessionCount() != 1 {

@@ -181,7 +181,7 @@ func (u *UDM) PrewarmAVPool(ctx context.Context, supis []string, snn string) err
 		if err != nil {
 			return fmt.Errorf("udm: prewarm: %w", err)
 		}
-		vectors, err := u.mintBatch(ctx, supi, text, snn, u.pool.depth)
+		vectors, err := u.mintBatch(ctx, supi, snn, u.pool.depth)
 		if err != nil {
 			return fmt.Errorf("udm: prewarm %s: %w", text, err)
 		}

@@ -19,12 +19,12 @@ import (
 // owns, its RAND backing and items being the refill's pooled scratch; and
 // a whole pooled miss through handleGenerateAuthData, first contact
 // (two vectors) and steady state (the depth, eight), in each format. A
-// miss is left with what the pool banks (one ring), one SUPI string per
-// item the eUDM decodes, the key schedule, the UDR answer's backing and
-// the vectors the eUDM answers with; the served pairs keep the rest, the
-// items' byte strings a JSON body carries among it, and a decode counts
-// the vectors before it takes their backing, so JSON costs what frames
-// do. The posts charge one account, as a served registration's do.
+// miss is left with what the pool banks (one ring), the key schedule, the
+// UDR answer's backing and the vectors the eUDM answers with, however
+// many it mints: each item carries the SUPI as a value, which the eUDM
+// decodes in place. The served pairs keep the rest, the items' byte
+// strings a JSON body carries among it, and a decode counts the vectors
+// before it takes their backing, so JSON costs what frames do. The posts charge one account, as a served registration's do.
 // With the collector off no sync.Pool is emptied mid-count; pools still
 // drop items at random under the race detector, so this file builds only
 // without -race; make ci runs it in its no-race go test run.
@@ -38,7 +38,7 @@ func TestHotPathAllocs(t *testing.T) {
 	var err error
 	var r refill
 	batch := func() {
-		if _, berr := h.udm.avRequestBatch(ctx, id, text, testSNN, 8, &r); berr != nil {
+		if _, berr := h.udm.avRequestBatch(ctx, id, testSNN, 8, &r); berr != nil {
 			err = berr
 		}
 	}
@@ -52,10 +52,10 @@ func TestHotPathAllocs(t *testing.T) {
 		count  int
 		want   float64
 	}{
-		{frames: true, count: 2, want: 6},
-		{frames: true, count: 8, want: 12},
-		{frames: false, count: 2, want: 6},
-		{frames: false, count: 8, want: 12},
+		{frames: true, count: 2, want: 4},
+		{frames: true, count: 8, want: 4},
+		{frames: false, count: 2, want: 4},
+		{frames: false, count: 8, want: 4},
 	} {
 		p := newPoolHarness(t, 8)
 		p.provision(t, supi)

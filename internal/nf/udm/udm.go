@@ -97,7 +97,7 @@ type Config struct {
 	// execution environment that keeps no sealed backup and misses the
 	// key: a crash-restart emptied its store, or a rebalance routed the
 	// SUPI to it.
-	Reprovision func(ctx context.Context, supi string, k []byte) error
+	Reprovision func(ctx context.Context, supi codec.SUPI, k []byte) error
 	// AVPoolDepth enables the AV precomputation pool: up to this many
 	// vectors are banked per SUPI, refilled AVPoolDepth at a time so the
 	// enclave boundary is crossed once per batch instead of once per
@@ -121,7 +121,7 @@ type UDM struct {
 	fns         *paka.Remote
 	hnKey       *suci.HomeNetworkKey
 	entropy     io.Reader
-	reprovision func(ctx context.Context, supi string, k []byte) error
+	reprovision func(ctx context.Context, supi codec.SUPI, k []byte) error
 	pool        *avPool
 
 	reprovisions atomic.Uint64
@@ -169,26 +169,23 @@ func New(ctx context.Context, cfg Config) (*UDM, error) {
 }
 
 func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataRequest, resp *GenerateAuthDataResponse) error {
-	// The request's SUPI is text; it is parsed once, and the pool, the UDR
-	// and the response carry the value.
+	// The request's SUPI is text; it is parsed once, and the pool, the UDR,
+	// the eUDM and the response carry the value, as de-concealment returns
+	// it.
 	supi, err := codec.ParseSUPI(req.SUPI)
 	if err != nil {
 		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_INCORRECT", "%v", err)
 	}
 	if supi == (codec.SUPI{}) {
-		var id suci.SUPI
 		switch {
 		case req.SUCI == nil:
 			return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "SUCI or SUPI required")
 		case req.SUCI.Scheme == suci.SchemeNull:
 			// Null protection scheme (test networks): no deconcealment.
-			id, err = req.SUCI.NullSUPI()
+			supi, err = req.SUCI.NullSUPI()
 		default:
 			u.env.Charge(ctx, suciDeconcealCycles)
-			id, err = u.hnKey.Deconceal(req.SUCI)
-		}
-		if err == nil {
-			supi, err = id.Value()
+			supi, err = u.hnKey.Deconceal(req.SUCI)
 		}
 		if err != nil {
 			return sbi.Problem(403, "Forbidden", "DECONCEALMENT_FAILURE", "%v", err)
@@ -200,7 +197,7 @@ func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataR
 
 	var av paka.UDMGenerateAVResponse
 	if u.pool != nil {
-		err = u.pooledAV(ctx, supi, req.SUPI, req.ServingNetworkName, &av)
+		err = u.pooledAV(ctx, supi, req.ServingNetworkName, &av)
 	} else {
 		err = u.freshAV(ctx, supi, req.SUPI, req.ServingNetworkName, &av)
 	}
@@ -212,22 +209,15 @@ func (u *UDM) handleGenerateAuthData(ctx context.Context, req *GenerateAuthDataR
 	return nil
 }
 
-// supiText is the SUPI as the eUDM's requests carry it: the text the
-// request arrived with, or, after de-concealment, the value formatted
-// here, on a mint and not before.
-func supiText(supi codec.SUPI, text string) string {
-	if text == "" {
-		return supi.String()
-	}
-	return text
-}
-
-// avRequest mints one enclave input: it advances the subscriber's SQN in
-// the UDR and draws a fresh RAND. Every minted item — pooled or served
-// immediately — goes through here, so sequence numbers stay consistent
-// regardless of batching. text is supi's text, or "" (see supiText).
+// avRequest mints the unpooled path's one enclave input: it advances the
+// subscriber's SQN in the UDR and draws a fresh RAND, as a refill does for
+// each of its items (avRequestBatch). Its UDR read and its eUDM request
+// carry the SUPI as text: the text the request arrived with, or, after
+// de-concealment (text is ""), the value formatted here.
 func (u *UDM) avRequest(ctx context.Context, supi codec.SUPI, text, snn string) (paka.UDMGenerateAVRequest, error) {
-	text = supiText(supi, text)
+	if text == "" {
+		text = supi.String()
+	}
 	auth, err := u.udr.NextAuth(ctx, text)
 	if err != nil {
 		return paka.UDMGenerateAVRequest{}, err
@@ -258,7 +248,7 @@ func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) 
 		// The text is the UDM's own, written from a parsed value.
 		supi, _ := codec.ParseSUPI(avReq.SUPI)
 		if sub, gerr := u.udr.Get(ctx, supi); gerr == nil {
-			if perr := u.reprovision(ctx, avReq.SUPI, sub.K); perr == nil {
+			if perr := u.reprovision(ctx, supi, sub.K); perr == nil {
 				u.reprovisions.Add(1)
 				av, err = u.fns.GenerateAV(ctx, avReq)
 			}
@@ -285,7 +275,7 @@ func (u *UDM) freshAV(ctx context.Context, supi codec.SUPI, text, snn string, av
 // pool, because they hold views of the UDR's OPc.
 type refill struct {
 	rand  []byte
-	items []paka.UDMGenerateAVRequest
+	items []paka.UDMGenerateAVItem
 }
 
 var refillPool = sync.Pool{New: func() any { return new(refill) }}
@@ -300,7 +290,7 @@ func (r *refill) release() {
 // bit-identical to count sequential avRequest calls: the UDR advances the
 // SQN with the same per-vector step under one lock, and the single
 // entropy read is sliced into the same 16 bytes per item, in order.
-func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, text, snn string, count int, r *refill) ([]paka.UDMGenerateAVRequest, error) {
+func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, snn string, count int, r *refill) ([]paka.UDMGenerateAVItem, error) {
 	auth, err := u.udr.NextAuthBatch(ctx, supi, count)
 	if err != nil {
 		return nil, err
@@ -311,10 +301,9 @@ func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, text, snn str
 		return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem, "RAND generation: %v", err)
 	}
 	r.items = slices.Grow(r.items[:0], count)[:count]
-	text = supiText(supi, text)
 	for i := range r.items {
-		r.items[i] = paka.UDMGenerateAVRequest{
-			SUPI:  text,
+		r.items[i] = paka.UDMGenerateAVItem{
+			SUPI:  supi,
 			OPc:   auth.OPc,
 			RAND:  r.rand[i*16 : (i+1)*16 : (i+1)*16],
 			SQN:   auth.SQN(i),
@@ -329,12 +318,12 @@ func (u *UDM) avRequestBatch(ctx context.Context, supi codec.SUPI, text, snn str
 // synchronously on a miss: one batch crossing mints the count take asks
 // for (two on first contact, the pool depth after), the oldest serves this
 // request and the rest are banked for the SUPI's next authentications.
-func (u *UDM) pooledAV(ctx context.Context, supi codec.SUPI, text, snn string, av *paka.UDMGenerateAVResponse) error {
+func (u *UDM) pooledAV(ctx context.Context, supi codec.SUPI, snn string, av *paka.UDMGenerateAVResponse) error {
 	count := u.pool.take(supi, av)
 	if count == 0 {
 		return nil
 	}
-	vectors, err := u.mintBatch(ctx, supi, text, snn, count)
+	vectors, err := u.mintBatch(ctx, supi, snn, count)
 	if err != nil {
 		return err
 	}
@@ -345,10 +334,10 @@ func (u *UDM) pooledAV(ctx context.Context, supi codec.SUPI, text, snn string, a
 
 // mintBatch mints count vectors for supi through one UDR round trip and
 // one boundary crossing, on a refill scratch it draws and returns.
-func (u *UDM) mintBatch(ctx context.Context, supi codec.SUPI, text, snn string, count int) ([]paka.UDMGenerateAVResponse, error) {
+func (u *UDM) mintBatch(ctx context.Context, supi codec.SUPI, snn string, count int) ([]paka.UDMGenerateAVResponse, error) {
 	r := refillPool.Get().(*refill)
 	defer r.release()
-	items, err := u.avRequestBatch(ctx, supi, text, snn, count, r)
+	items, err := u.avRequestBatch(ctx, supi, snn, count, r)
 	if err != nil {
 		return nil, err
 	}
@@ -357,8 +346,9 @@ func (u *UDM) mintBatch(ctx context.Context, supi codec.SUPI, text, snn string, 
 
 // generateBatch mints the given items through one boundary crossing,
 // falling back to the per-item path (which carries the reprovision retry)
-// when the batch call reports a lost key store.
-func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVRequest) ([]paka.UDMGenerateAVResponse, error) {
+// when the batch call reports a lost key store. Only that fallback formats
+// the SUPI's text, which a single request still carries.
+func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVItem) ([]paka.UDMGenerateAVResponse, error) {
 	resp, err := u.fns.GenerateAVBatch(ctx, &paka.UDMGenerateAVBatchRequest{Items: items})
 	switch {
 	case err == nil:
@@ -372,7 +362,10 @@ func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVReque
 	}
 	vectors := make([]paka.UDMGenerateAVResponse, 0, len(items))
 	for i := range items {
-		av, err := u.generateAV(ctx, &items[i])
+		it := &items[i]
+		av, err := u.generateAV(ctx, &paka.UDMGenerateAVRequest{
+			SUPI: it.SUPI.String(), OPc: it.OPc, RAND: it.RAND, SQN: it.SQN, AMFID: it.AMFID, SNN: it.SNN,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +383,7 @@ func (u *UDM) handleResync(ctx context.Context, req *ResyncRequest, _ *Empty) er
 		return err
 	}
 	resp, err := u.fns.Resync(ctx, &paka.UDMResyncRequest{
-		SUPI: req.SUPI.String(),
+		SUPI: req.SUPI,
 		OPc:  auth.OPc,
 		RAND: req.RAND,
 		AUTS: req.AUTS,

@@ -101,7 +101,7 @@ func (h *harness) provision(t *testing.T, supi suci.SUPI) {
 	}); err != nil {
 		t.Fatalf("udr provision: %v", err)
 	}
-	if err := h.eudm.ProvisionSubscriber(context.Background(), supi.String(), testK); err != nil {
+	if err := h.eudm.ProvisionSubscriber(context.Background(), value(t, supi), testK); err != nil {
 		t.Fatalf("eUDM provision: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package upf
 
 import (
 	"context"
+	"net/netip"
 	"sync"
 	"testing"
 )
@@ -15,7 +16,7 @@ func TestConcurrentSessionsAndForwarding(t *testing.T) {
 	u, _ := harness(t)
 	ctx := context.Background()
 	var held EstablishResponse
-	if err := u.handleEstablish(ctx, &EstablishRequest{SEID: 1 << 20, UEAddress: "10.60.0.1"}, &held); err != nil {
+	if err := u.handleEstablish(ctx, &EstablishRequest{SEID: 1 << 20, UEAddress: netip.MustParseAddr("10.60.0.1")}, &held); err != nil {
 		t.Fatal(err)
 	}
 	for range 10 {
@@ -32,7 +33,7 @@ func TestConcurrentSessionsAndForwarding(t *testing.T) {
 			}()
 		}
 		each(func(seid uint64) {
-			_ = u.handleEstablish(ctx, &EstablishRequest{SEID: seid, UEAddress: "10.60.0.2"}, new(EstablishResponse))
+			_ = u.handleEstablish(ctx, &EstablishRequest{SEID: seid, UEAddress: netip.MustParseAddr("10.60.0.2")}, new(EstablishResponse))
 		})
 		each(func(seid uint64) { _ = u.handleRelease(ctx, &ReleaseRequest{SEID: seid}, nil) })
 		each(func(uint64) {

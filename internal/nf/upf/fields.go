@@ -7,7 +7,7 @@ import "shield5g/internal/sbi/codec"
 // Fields implements codec.Message.
 func (m *EstablishRequest) Fields(f *codec.Fields) {
 	codec.Uint(f, "seid", &m.SEID)
-	f.String("ue_address", &m.UEAddress, 0)
+	f.Addr("ue_address", &m.UEAddress)
 }
 
 // Fields implements codec.Message.

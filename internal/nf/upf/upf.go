@@ -8,6 +8,7 @@ package upf
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"sync"
 
 	"shield5g/internal/costmodel"
@@ -30,8 +31,8 @@ const (
 
 // EstablishRequest installs a forwarding session.
 type EstablishRequest struct {
-	SEID      uint64 `json:"seid"` // session endpoint ID
-	UEAddress string `json:"ue_address"`
+	SEID      uint64     `json:"seid"` // session endpoint ID
+	UEAddress netip.Addr `json:"ue_address"`
 }
 
 // EstablishResponse confirms with the uplink tunnel ID.
@@ -80,7 +81,7 @@ func New(env *costmodel.Env, registry *sbi.Registry) (*UPF, error) {
 }
 
 func (u *UPF) handleEstablish(_ context.Context, req *EstablishRequest, resp *EstablishResponse) error {
-	if req.UEAddress == "" {
+	if !req.UEAddress.IsValid() {
 		return sbi.Problem(400, "Bad Request", "MANDATORY_IE_MISSING", "UE address required")
 	}
 	u.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net/netip"
 	"testing"
 
 	"shield5g/internal/costmodel"
@@ -26,7 +27,7 @@ func establish(t *testing.T, c *sbi.Client, seid uint64, addr string) uint32 {
 	t.Helper()
 	var resp EstablishResponse
 	if err := c.Post(context.Background(), ServiceName, PathEstablish,
-		&EstablishRequest{SEID: seid, UEAddress: addr}, &resp); err != nil {
+		&EstablishRequest{SEID: seid, UEAddress: netip.MustParseAddr(addr)}, &resp); err != nil {
 		t.Fatalf("Establish: %v", err)
 	}
 	return resp.TEID
@@ -84,7 +85,7 @@ func TestEstablishDuplicateSEID(t *testing.T) {
 	establish(t, c, 1, "10.60.0.2")
 	var pd *sbi.ProblemDetails
 	err := c.Post(context.Background(), ServiceName, PathEstablish,
-		&EstablishRequest{SEID: 1, UEAddress: "10.60.0.3"}, nil)
+		&EstablishRequest{SEID: 1, UEAddress: netip.MustParseAddr("10.60.0.3")}, nil)
 	if !errors.As(err, &pd) || pd.Status != 409 {
 		t.Fatalf("dup SEID err = %v, want 409", err)
 	}

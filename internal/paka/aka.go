@@ -47,7 +47,7 @@ func GenerateAV(k []byte, req *UDMGenerateAVRequest) (*UDMGenerateAVResponse, er
 		return nil, fmt.Errorf("paka: eUDM: %w", err)
 	}
 	resp := new(UDMGenerateAVResponse)
-	if err := mintInto(&c, req, resp); err != nil {
+	if err := mintInto(&c, req.RAND, req.SQN, req.AMFID, req.SNN, resp); err != nil {
 		return nil, err
 	}
 	return resp, nil
@@ -76,37 +76,37 @@ func GenerateAVCachedInto(cache *milenage.Cache, k []byte, req *UDMGenerateAVReq
 	if err != nil {
 		return fmt.Errorf("paka: eUDM: %w", err)
 	}
-	return mintInto(c, req, resp)
+	return mintInto(c, req.RAND, req.SQN, req.AMFID, req.SNN, resp)
 }
 
-// mintInto derives an AV with c, the subscriber's expanded schedule,
-// straight into resp's fields: a served request's pooled response, or one
-// vector of a batch refill's.
-func mintInto(c *milenage.Cipher, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
+// mintInto derives an AV from one vector's Table I inputs with c, the
+// subscriber's expanded schedule, straight into resp's fields: a served
+// request's pooled response, or one vector of a batch refill's.
+func mintInto(c *milenage.Cipher, rand, sqn, amfID []byte, snn string, resp *UDMGenerateAVResponse) error {
 	s := avScratchPool.Get().(*avScratch)
 	defer putAVScratch(s)
-	if err := c.F1Into(s.out1[:], req.RAND, req.SQN, req.AMFID); err != nil {
+	if err := c.F1Into(s.out1[:], rand, sqn, amfID); err != nil {
 		return fmt.Errorf("paka: eUDM f1: %w", err)
 	}
-	res, ck, ik, ak, err := c.F2345Into(s.out2[:], req.RAND)
+	res, ck, ik, ak, err := c.F2345Into(s.out2[:], rand)
 	if err != nil {
 		return fmt.Errorf("paka: eUDM f2345: %w", err)
 	}
-	copy(resp.RAND[:], req.RAND)
+	copy(resp.RAND[:], rand)
 
 	// AUTN = (SQN XOR AK) || AMF || MAC-A, assembled in place. F1Into has
 	// already validated the SQN and AMF lengths; AK is always 6 bytes.
 	sqnAK := resp.AUTN[0:6]
 	for i := range sqnAK {
-		sqnAK[i] = req.SQN[i] ^ ak[i]
+		sqnAK[i] = sqn[i] ^ ak[i]
 	}
-	copy(resp.AUTN[6:8], req.AMFID)
+	copy(resp.AUTN[6:8], amfID)
 	copy(resp.AUTN[8:16], s.out1[:milenage.MACLen])
 
-	if err := kdf.ResStarInto(resp.XRESStar[:], ck, ik, req.SNN, req.RAND, res); err != nil {
+	if err := kdf.ResStarInto(resp.XRESStar[:], ck, ik, snn, rand, res); err != nil {
 		return fmt.Errorf("paka: eUDM XRES*: %w", err)
 	}
-	if err := kdf.KAUSFInto(resp.KAUSF[:], ck, ik, req.SNN, sqnAK); err != nil {
+	if err := kdf.KAUSFInto(resp.KAUSF[:], ck, ik, snn, sqnAK); err != nil {
 		return fmt.Errorf("paka: eUDM K_AUSF: %w", err)
 	}
 	return nil

@@ -46,7 +46,7 @@ func measureModule(t *testing.T, kind ModuleKind, iso Isolation, n int, seed uin
 		var err error
 		switch kind {
 		case EUDM:
-			if perr := m.ProvisionSubscriber(context.Background(), testSUPI, testK); perr != nil {
+			if perr := m.ProvisionSubscriber(context.Background(), testID, testK); perr != nil {
 				t.Fatalf("provision: %v", perr)
 			}
 			_, err = remote.GenerateAV(ctx, avRequest())

@@ -6,6 +6,7 @@ import (
 
 	"shield5g/internal/hmee"
 	"shield5g/internal/hmee/gramine"
+	"shield5g/internal/sbi/codec"
 )
 
 // launchSGX launches the module cfg describes in an enclave, the way New
@@ -58,11 +59,11 @@ type recordingExec struct {
 	r *loadedKeys
 }
 
-func (e recordingExec) LoadSecret(name string) ([16]byte, bool) {
-	k, ok := e.Exec.LoadSecret(name)
+func (e recordingExec) LoadSecret(supi codec.SUPI) ([16]byte, bool) {
+	k, ok := e.Exec.LoadSecret(supi)
 	if ok {
 		e.r.mu.Lock()
-		e.r.names = append(e.r.names, name)
+		e.r.names = append(e.r.names, supi.String())
 		e.r.mu.Unlock()
 	}
 	return k, ok

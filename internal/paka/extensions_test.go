@@ -29,7 +29,7 @@ func deployVariant(t *testing.T, seed uint64, exitless, userTCP bool) (*Module, 
 		t.Fatalf("New: %v", err)
 	}
 	t.Cleanup(func() { m.Stop(context.Background()) })
-	if err := m.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
+	if err := m.ProvisionSubscriber(context.Background(), testID, testK); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
 	return m, sbi.NewClient("vnf", env, reg), env

@@ -18,6 +18,16 @@ func (m *UDMGenerateAVRequest) Fields(f *codec.Fields) {
 }
 
 // Fields implements codec.Message.
+func (m *UDMGenerateAVItem) Fields(f *codec.Fields) {
+	f.Ident("supi", &m.SUPI)
+	f.Bytes("opc", &m.OPc, 0)
+	f.Bytes("rand", &m.RAND, 0)
+	f.Bytes("sqn", &m.SQN, 0)
+	f.Bytes("amfid", &m.AMFID, 0)
+	f.String("snn", &m.SNN, codec.Intern)
+}
+
+// Fields implements codec.Message.
 func (m *UDMGenerateAVResponse) Fields(f *codec.Fields) {
 	f.Fixed("rand", m.RAND[:])
 	f.Fixed("autn", m.AUTN[:])
@@ -32,7 +42,7 @@ func (m *UDMGenerateAVBatchRequest) Fields(f *codec.Fields) {
 }
 
 // Scrub readies the message for its served pair's next request: the items' backing — their SUPIs and
-// their views of OPc — is cleared and kept for the next batch.
+// their byte strings — is cleared and kept for the next batch.
 func (m *UDMGenerateAVBatchRequest) Scrub() {
 	m.items.Keep(m.Items)
 	*m = UDMGenerateAVBatchRequest{items: m.items}
@@ -53,7 +63,7 @@ func (m *UDMGenerateAVBatchResponse) Scrub() {
 
 // Fields implements codec.Message.
 func (m *UDMResyncRequest) Fields(f *codec.Fields) {
-	f.String("supi", &m.SUPI, 0)
+	f.Ident("supi", &m.SUPI)
 	f.Bytes("opc", &m.OPc, 0)
 	f.Bytes("rand", &m.RAND, 0)
 	f.Bytes("auts", &m.AUTS, 0)

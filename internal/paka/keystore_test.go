@@ -33,7 +33,7 @@ func TestMemoryDumpListsProvisionedSUPIs(t *testing.T) {
 			h := newHarness(t, uint64(60+i))
 			m := h.module(t, EUDM, iso)
 			for _, supi := range append(supis, supis[0]) {
-				if err := m.ProvisionSubscriber(ctx, supi, testK); err != nil {
+				if err := m.ProvisionSubscriber(ctx, supiOf(supi), testK); err != nil {
 					t.Fatalf("ProvisionSubscriber(%s): %v", supi, err)
 				}
 			}

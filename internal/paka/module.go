@@ -20,6 +20,7 @@ import (
 	"shield5g/internal/lockrank"
 	"shield5g/internal/metrics"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 )
 
 // Config describes one P-AKA module deployment.
@@ -315,11 +316,17 @@ func endpoint[Req, Resp any](m *Module, e *sbi.Endpoint[Req, Resp], fn func(ex E
 }
 
 func (m *Module) generateAV(ex Exec, req *UDMGenerateAVRequest, resp *UDMGenerateAVResponse) error {
+	// A single request still carries the SUPI's text; text that is no
+	// SUPI names no subscriber the key store can hold.
+	supi, err := codec.ParseSUPI(req.SUPI)
+	if err != nil {
+		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "%v: %v", ErrUnknownSubscriber, err)
+	}
 	var c milenage.Cipher
-	if err := expandKey(ex, req.SUPI, req.OPc, &c); err != nil {
+	if err := expandKey(ex, supi, req.OPc, &c); err != nil {
 		return err
 	}
-	return avProblem(mintInto(&c, req, resp))
+	return avProblem(mintInto(&c, req.RAND, req.SQN, req.AMFID, req.SNN, resp))
 }
 
 func (m *Module) resync(ex Exec, req *UDMResyncRequest, resp *UDMResyncResponse) error {
@@ -339,7 +346,7 @@ func (m *Module) resync(ex Exec, req *UDMResyncRequest, resp *UDMResyncResponse)
 // of K the runtime hands out is a value in this frame — it never reaches
 // the heap (make escapes holds it there) — and is cleared as soon as the
 // schedule exists.
-func expandKey(ex Exec, supi string, opc []byte, c *milenage.Cipher) error {
+func expandKey(ex Exec, supi codec.SUPI, opc []byte, c *milenage.Cipher) error {
 	k, ok := ex.LoadSecret(supi)
 	if !ok {
 		return sbi.Problem(404, "Not Found", sbi.CauseUserNotFound, "%v: %s", ErrUnknownSubscriber, supi)
@@ -414,7 +421,7 @@ func (b *batchCall) Run(ex Exec) error {
 				return err
 			}
 		}
-		if err := mintInto(&c, item, &b.resp.Vectors[i]); err != nil {
+		if err := mintInto(&c, item.RAND, item.SQN, item.AMFID, item.SNN, &b.resp.Vectors[i]); err != nil {
 			return sbi.Problem(400, "Bad Request", "AV_GENERATION_PROBLEM", "%v", err)
 		}
 	}
@@ -434,7 +441,7 @@ func (b *batchCall) Run(ex Exec) error {
 // before it is stored, so a miss racing this call can only restore the new
 // key or lose to it. Guest processes keep no file: their keys die with the
 // process and come back through the UDM re-provisioning path.
-func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte) error {
+func (m *Module) ProvisionSubscriber(ctx context.Context, supi codec.SUPI, k []byte) error {
 	if m.kind != EUDM {
 		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
 	}
@@ -462,7 +469,7 @@ func (m *Module) ProvisionSubscriber(ctx context.Context, supi string, k []byte)
 // maintenance: a crossing of no phase. Under SGX the SUPI's sealed file
 // stays, and is what a later miss restores. Only meaningful for the eUDM
 // module.
-func (m *Module) EvictSubscriber(ctx context.Context, supi string) error {
+func (m *Module) EvictSubscriber(ctx context.Context, supi codec.SUPI) error {
 	if m.kind != EUDM {
 		return fmt.Errorf("paka: %s does not hold subscriber keys", m.kind)
 	}

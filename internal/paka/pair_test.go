@@ -52,12 +52,12 @@ func TestBatchPairKeepsItsBacking(t *testing.T) {
 	for _, frames := range []bool{true, false} {
 		h := newHarness(t, 91)
 		m := h.module(t, EUDM, Container)
-		if err := m.ProvisionSubscriber(ctx, testSUPI, testK); err != nil {
+		if err := m.ProvisionSubscriber(ctx, testID, testK); err != nil {
 			t.Fatal(err)
 		}
 		// A server of the test's own serves the module's batch operation
 		// through its Endpoint, and records what the handler is handed.
-		var items []UDMGenerateAVRequest
+		var items []UDMGenerateAVItem
 		var vectors []UDMGenerateAVResponse
 		var pair *UDMGenerateAVBatchRequest
 		var views [][]byte // the items' byte strings, as the handler saw them
@@ -80,12 +80,12 @@ func TestBatchPairKeepsItsBacking(t *testing.T) {
 		}
 		want := directAV(t, testK, avRequest())
 		refills := 0
-		refill := func() ([]UDMGenerateAVRequest, []UDMGenerateAVResponse, uintptr) {
+		refill := func() ([]UDMGenerateAVItem, []UDMGenerateAVResponse, uintptr) {
 			t.Helper()
 			refills++
-			req := &UDMGenerateAVBatchRequest{Items: make([]UDMGenerateAVRequest, 8)}
+			req := &UDMGenerateAVBatchRequest{Items: make([]UDMGenerateAVItem, 8)}
 			for i := range req.Items {
-				req.Items[i] = *avRequest()
+				req.Items[i] = itemOf(avRequest())
 			}
 			var resp UDMGenerateAVBatchResponse
 			if err := client.Post(ctx, srv.Name(), PathUDMGenerateAVBatch, req, &resp); err != nil {

@@ -23,7 +23,22 @@ var (
 	testAMF  = []byte{0x80, 0x00}
 	testSNN  = "5G:mnc001.mcc001.3gppnetwork.org"
 	testSUPI = "imsi-001010000000001"
+	testID   = supiOf(testSUPI)
 )
+
+// supiOf parses a test SUPI's text, which must be well formed.
+func supiOf(text string) codec.SUPI {
+	v, err := codec.ParseSUPI(text)
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// itemOf is req as one item of a batch.
+func itemOf(req *UDMGenerateAVRequest) UDMGenerateAVItem {
+	return UDMGenerateAVItem{SUPI: supiOf(req.SUPI), OPc: req.OPc, RAND: req.RAND, SQN: req.SQN, AMFID: req.AMFID, SNN: req.SNN}
+}
 
 func avRequest() *UDMGenerateAVRequest {
 	return &UDMGenerateAVRequest{
@@ -119,7 +134,7 @@ func TestResyncRoundTrip(t *testing.T) {
 	}
 	auts := append(append([]byte{}, concealed...), macS...)
 
-	resp, err := directResync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts})
+	resp, err := directResync(testK, &UDMResyncRequest{SUPI: testID, OPc: testOPc, RAND: testRAND, AUTS: auts})
 	if err != nil {
 		t.Fatalf("Resync: %v", err)
 	}
@@ -129,7 +144,7 @@ func TestResyncRoundTrip(t *testing.T) {
 
 	// Tampered AUTS must fail.
 	auts[13] ^= 1
-	if _, err := directResync(testK, &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
+	if _, err := directResync(testK, &UDMResyncRequest{SUPI: testID, OPc: testOPc, RAND: testRAND, AUTS: auts}); !errors.Is(err, ErrResyncMAC) {
 		t.Fatalf("tampered AUTS err = %v, want ErrResyncMAC", err)
 	}
 	if _, err := directResync(testK, &UDMResyncRequest{OPc: testOPc, RAND: testRAND, AUTS: auts[:10]}); err == nil {
@@ -242,7 +257,7 @@ func TestEUDMModuleEndToEnd(t *testing.T) {
 		t.Run(iso.String(), func(t *testing.T) {
 			h := newHarness(t, 2)
 			m := h.module(t, EUDM, iso)
-			if err := m.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
+			if err := m.ProvisionSubscriber(context.Background(), testID, testK); err != nil {
 				t.Fatalf("ProvisionSubscriber: %v", err)
 			}
 			udm := NewRemote(h.client, h.env, EUDM.ServiceName())
@@ -282,7 +297,7 @@ func TestModuleMemoryDumpContainerLeaksSGXDoesNot(t *testing.T) {
 	h := newHarness(t, 4)
 
 	plain := h.module(t, EUDM, Container)
-	if err := plain.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
+	if err := plain.ProvisionSubscriber(context.Background(), testID, testK); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
 	dump := plain.MemoryDump()
@@ -298,7 +313,7 @@ func TestModuleMemoryDumpContainerLeaksSGXDoesNot(t *testing.T) {
 
 	h2 := newHarness(t, 5)
 	shielded := h2.module(t, EUDM, SGX)
-	if err := shielded.ProvisionSubscriber(context.Background(), testSUPI, testK); err != nil {
+	if err := shielded.ProvisionSubscriber(context.Background(), testID, testK); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
 	for _, data := range shielded.MemoryDump() {
@@ -317,7 +332,7 @@ func TestModuleMemoryDumpContainerLeaksSGXDoesNot(t *testing.T) {
 func TestProvisionOnNonUDMModuleFails(t *testing.T) {
 	h := newHarness(t, 6)
 	m := h.module(t, EAUSF, Container)
-	if err := m.ProvisionSubscriber(context.Background(), testSUPI, testK); err == nil {
+	if err := m.ProvisionSubscriber(context.Background(), testID, testK); err == nil {
 		t.Fatal("provisioning into eAUSF accepted")
 	}
 }

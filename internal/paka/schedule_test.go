@@ -100,10 +100,10 @@ func TestModuleResyncMatchesDirect(t *testing.T) {
 		t.Run(iso.String(), func(t *testing.T) {
 			h := newHarness(t, uint64(70+i))
 			m := h.module(t, EUDM, iso)
-			if err := m.ProvisionSubscriber(ctx, testSUPI, testK); err != nil {
+			if err := m.ProvisionSubscriber(ctx, testID, testK); err != nil {
 				t.Fatalf("provision: %v", err)
 			}
-			req := &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: auts}
+			req := &UDMResyncRequest{SUPI: testID, OPc: testOPc, RAND: testRAND, AUTS: auts}
 			want, err := directResync(testK, req)
 			if err != nil || !bytes.Equal(want.SQNMS, sqnMS) {
 				t.Fatalf("Resync = %v, %v; want SQN_MS %x", want, err, sqnMS)
@@ -120,7 +120,7 @@ func TestModuleResyncMatchesDirect(t *testing.T) {
 			bad := append([]byte(nil), auts...)
 			bad[13] ^= 1
 			err = h.client.Post(ctx, EUDM.ServiceName(), PathUDMResync,
-				&UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: bad}, &UDMResyncResponse{})
+				&UDMResyncRequest{SUPI: testID, OPc: testOPc, RAND: testRAND, AUTS: bad}, &UDMResyncResponse{})
 			var pd *sbi.ProblemDetails
 			if !errors.As(err, &pd) || pd.Status != 403 || pd.Cause != "SYNC_FAILURE" {
 				t.Fatalf("tampered AUTS: err = %v, want 403 SYNC_FAILURE", err)
@@ -137,7 +137,7 @@ func TestModuleRekeyAndRestartGolden(t *testing.T) {
 	h := newHarness(t, 77)
 	m := h.module(t, EUDM, SGX)
 	ctx := context.Background()
-	if err := m.ProvisionSubscriber(ctx, testSUPI, testK); err != nil {
+	if err := m.ProvisionSubscriber(ctx, testID, testK); err != nil {
 		t.Fatalf("provision: %v", err)
 	}
 	check := func(k []byte, phase string) {
@@ -153,7 +153,7 @@ func TestModuleRekeyAndRestartGolden(t *testing.T) {
 
 	check(testK, "initial")
 	check(testK, "second request")
-	if err := m.ProvisionSubscriber(ctx, testSUPI, testK2); err != nil {
+	if err := m.ProvisionSubscriber(ctx, testID, testK2); err != nil {
 		t.Fatalf("re-provision: %v", err)
 	}
 	check(testK2, "after re-provision")
@@ -187,7 +187,7 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 			}
 			t.Cleanup(func() { m.Stop(context.Background()) })
 			for supi, k := range map[string][]byte{testSUPI: testK, supi2: testK2} {
-				if err := m.ProvisionSubscriber(ctx, supi, k); err != nil {
+				if err := m.ProvisionSubscriber(ctx, supiOf(supi), k); err != nil {
 					t.Fatalf("provision %s: %v", supi, err)
 				}
 			}
@@ -212,13 +212,17 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 				scrubbed(fmt.Sprintf("AV request %d", round), loads...)
 			}
 
-			resync := &UDMResyncRequest{SUPI: testSUPI, OPc: testOPc, RAND: testRAND, AUTS: testAUTS(t, []byte{0, 0, 0, 0, 1, 0})}
+			resync := &UDMResyncRequest{SUPI: testID, OPc: testOPc, RAND: testRAND, AUTS: testAUTS(t, []byte{0, 0, 0, 0, 1, 0})}
 			if err := h.client.Post(ctx, EUDM.ServiceName(), PathUDMResync, resync, &UDMResyncResponse{}); err != nil {
 				t.Fatalf("resync: %v", err)
 			}
 			scrubbed("resync", testSUPI, testSUPI, testSUPI)
 
-			batch := &UDMGenerateAVBatchRequest{Items: []UDMGenerateAVRequest{*avRequest(), *avRequest(), *avRequest(), *req2, *req2}}
+			reqs := []*UDMGenerateAVRequest{avRequest(), avRequest(), avRequest(), req2, req2}
+			batch := &UDMGenerateAVBatchRequest{}
+			for _, req := range reqs {
+				batch.Items = append(batch.Items, itemOf(req))
+			}
 			var resp UDMGenerateAVBatchResponse
 			if err := m.GenerateAVBatch(ctx, batch, &resp); err != nil {
 				t.Fatalf("GenerateAVBatch: %v", err)
@@ -226,10 +230,10 @@ func TestEUDMClearsLoadedKey(t *testing.T) {
 			scrubbed("refill", testSUPI, testSUPI, testSUPI, testSUPI, supi2)
 			for j, av := range resp.Vectors {
 				k := testK
-				if batch.Items[j].SUPI == supi2 {
+				if reqs[j].SUPI == supi2 {
 					k = testK2
 				}
-				if !avEqual(&av, directAV(t, k, &batch.Items[j])) {
+				if !avEqual(&av, directAV(t, k, reqs[j])) {
 					t.Fatalf("refill vector %d diverges from GenerateAV", j)
 				}
 			}

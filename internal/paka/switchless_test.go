@@ -48,7 +48,7 @@ func TestSwitchlessServesIdenticalAKAOutputs(t *testing.T) {
 			}
 		}
 		ctx := context.Background()
-		if err := modules[0].ProvisionSubscriber(ctx, testSUPI, testK); err != nil {
+		if err := modules[0].ProvisionSubscriber(ctx, testID, testK); err != nil {
 			t.Fatalf("provision: %v", err)
 		}
 		var av UDMGenerateAVResponse

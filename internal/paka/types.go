@@ -34,16 +34,30 @@ type UDMGenerateAVResponse struct {
 	KAUSF    codec.Bytes32 `json:"kausf"`
 }
 
+// UDMGenerateAVItem is one vector of a batch: UDMGenerateAVRequest's
+// Table I inputs, with the subscriber held as the SUPI's value. It travels
+// byte for byte as a UDMGenerateAVRequest of the same SUPI's text, in
+// frames and in JSON; a SUPI text codec.SUPI does not accept is a decode
+// error, so a malformed identity is refused before it reaches a key store.
+type UDMGenerateAVItem struct {
+	SUPI  codec.SUPI `json:"supi"`
+	OPc   []byte     `json:"opc"`   // 16 bytes
+	RAND  []byte     `json:"rand"`  // 16 bytes
+	SQN   []byte     `json:"sqn"`   // 6 bytes
+	AMFID []byte     `json:"amfid"` // 2 bytes
+	SNN   string     `json:"snn"`
+}
+
 // UDMGenerateAVBatchRequest asks the eUDM module for several HE AVs in
 // one boundary crossing — the AV precomputation pool's refill unit. Each
 // item carries its own UDR-advanced SQN and fresh RAND, so the pooled
 // vectors stay individually consumable in sequence-number order.
 type UDMGenerateAVBatchRequest struct {
-	Items []UDMGenerateAVRequest `json:"items"`
+	Items []UDMGenerateAVItem `json:"items"`
 
 	// items is the backing the eUDM's served pair keeps for the next
 	// batch it decodes (see Scrub).
-	items codec.Kept[UDMGenerateAVRequest]
+	items codec.Kept[UDMGenerateAVItem]
 }
 
 // UDMGenerateAVBatchResponse carries one vector per requested item, in
@@ -60,10 +74,10 @@ type UDMGenerateAVBatchResponse struct {
 // resynchronisation token and recover the UE's sequence number
 // (TS 33.102 §6.3.5, executed inside the enclave because it uses K).
 type UDMResyncRequest struct {
-	SUPI string `json:"supi"`
-	OPc  []byte `json:"opc"`
-	RAND []byte `json:"rand"`
-	AUTS []byte `json:"auts"` // SQN_MS^AK* (6) || MAC-S (8)
+	SUPI codec.SUPI `json:"supi"`
+	OPc  []byte     `json:"opc"`
+	RAND []byte     `json:"rand"`
+	AUTS []byte     `json:"auts"` // SQN_MS^AK* (6) || MAC-S (8)
 }
 
 // UDMResyncResponse returns the recovered UE sequence number.

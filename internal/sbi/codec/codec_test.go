@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/netip"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -430,6 +431,87 @@ func TestIdentityText(t *testing.T) {
 	}
 }
 
+// addrProbe holds an IP address value; addrText is its string twin.
+type addrProbe struct {
+	A netip.Addr `json:"s"`
+}
+
+type addrText struct {
+	S string `json:"s"`
+}
+
+func (m *addrProbe) Fields(f *Fields) { f.Addr("s", &m.A) }
+
+func (m *addrText) Fields(f *Fields) { f.String("s", &m.S, 0) }
+
+// TestAddrText: an IP address travels as the string it replaced, in both
+// formats and through encoding/json, and comes back as netip.ParseAddr
+// reads it; a dotted IPv4 quad decodes without allocating. Text ParseAddr
+// rejects is a decode error from a frame, from the JSON fast path's
+// fallback and from encoding/json alike, and leaves the zero value.
+func TestAddrText(t *testing.T) {
+	for _, text := range []string{"", "10.60.0.2", "0.0.0.0", "255.255.255.255", "1.22.103.4", "::1", "fe80::1", "::ffff:10.60.0.2"} {
+		in := addrText{S: text}
+		wantFrame := AppendBinary(nil, &in)
+		wantBody, _ := json.Marshal(&in)
+		var fromFrame, fromJSON, ref addrProbe
+		if err := DecodeBinary(wantFrame, &fromFrame); err != nil {
+			t.Fatalf("%q: frame decode: %v", text, err)
+		}
+		if err := DecodeJSON(wantBody, &fromJSON); err != nil || !FastDecodeJSON(wantBody, &addrProbe{}) {
+			t.Fatalf("%q: JSON decode: %v (or it left the fast path)", text, err)
+		}
+		if err := json.Unmarshal(wantBody, &ref); err != nil || fromFrame != ref || fromJSON != ref {
+			t.Fatalf("%q: frame %v, JSON %v, encoding/json %v (%v)", text, fromFrame.A, fromJSON.A, ref.A, err)
+		}
+		body, err := AppendJSON(nil, &ref)
+		if frame := AppendBinary(nil, &ref); err != nil || !bytes.Equal(frame, wantFrame) || !bytes.Equal(body, wantBody) {
+			t.Errorf("%q re-encodes as frame %x, JSON %s (%v); want %x, %s", text, frame, body, err, wantFrame, wantBody)
+		}
+	}
+	frame := AppendBinary(nil, &addrText{S: "10.60.0.2"})
+	var out addrProbe
+	if n := testing.AllocsPerRun(100, func() { _ = DecodeBinary(frame, &out) }); n != 0 {
+		t.Errorf("decoding an IPv4 address: %v allocs, want 0", n)
+	}
+
+	for _, text := range []string{"10.60.0.256", "010.60.0.2", "10.60.0", "10.60.0.2.", "10..0.2", "10.60.0.2 ", "host", "1.2.3.4%eth0"} {
+		in := addrText{S: text}
+		body, _ := json.Marshal(&in)
+		fromFrame := addrProbe{A: netip.MustParseAddr("10.0.0.1")}
+		ferr := DecodeBinary(AppendBinary(nil, &in), &fromFrame)
+		jerr := DecodeJSON(body, &addrProbe{})
+		rerr := json.Unmarshal(body, &addrProbe{})
+		if ferr == nil || jerr == nil || rerr == nil {
+			t.Errorf("%q: decode errors frame %v, JSON %v, encoding/json %v; want three", text, ferr, jerr, rerr)
+		}
+		if fromFrame != (addrProbe{}) {
+			t.Errorf("%q: a failed frame decode left %v", text, fromFrame.A)
+		}
+	}
+}
+
+// batchProbe is shaped like the eUDM's refill request: a list whose items
+// carry a SUPI value, byte strings and an interned string.
+type batchProbe struct{ Items []batchItem }
+
+type batchItem struct {
+	S                     SUPI
+	OPc, RAND, SQN, AMFID []byte
+	SNN                   string
+}
+
+func (m *batchProbe) Fields(f *Fields) { List(f, "items", &m.Items) }
+
+func (m *batchItem) Fields(f *Fields) {
+	f.Ident("supi", &m.S)
+	f.Bytes("opc", &m.OPc, 0)
+	f.Bytes("rand", &m.RAND, 0)
+	f.Bytes("sqn", &m.SQN, 0)
+	f.Bytes("amfid", &m.AMFID, 0)
+	f.String("snn", &m.SNN, Intern)
+}
+
 // numProbe holds one field of each kind with a fixed width in a frame:
 // a bool and both unsigned integer widths.
 type numProbe struct {
@@ -511,6 +593,12 @@ func FuzzFramePayload(f *testing.F) {
 	f.Add(buildFrameBytes(AppendBinary(nil, &numProbe{B: true, U32: math.MaxUint32, U64: math.MaxUint64})))
 	f.Add(buildFrameBytes(append([]byte{2}, make([]byte, 12)...)))
 	f.Add(buildFrameBytes(append([]byte{1, 1, 0, 0, 0, 0}, make([]byte, 8)...)))
+	// A refill batch of one item, and the same with its SUPI malformed.
+	item := batchItem{OPc: make([]byte, 16), RAND: make([]byte, 16), SQN: make([]byte, 6), AMFID: []byte{0x80, 0}, SNN: "5G:mnc001.mcc001.3gppnetwork.org"}
+	item.S, _ = ParseSUPI("imsi-001010000000001")
+	batch := AppendBinary(nil, &batchProbe{Items: []batchItem{item, item}})
+	f.Add(buildFrameBytes(batch))
+	f.Add(buildFrameBytes(bytes.Replace(batch, []byte("imsi-001010000000001"), []byte("imsi-00101000000000x"), 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		payload, err := Payload(data)
@@ -537,6 +625,10 @@ func FuzzFramePayload(f *testing.F) {
 		var nums numProbe
 		if err := DecodeBinary(payload, &nums); err == nil && !bytes.Equal(AppendBinary(nil, &nums), payload) {
 			t.Fatalf("numbers %+v decoded from %x re-encode differently", nums, payload)
+		}
+		var batch batchProbe
+		if err := DecodeBinary(payload, &batch); err == nil && !bytes.Equal(AppendBinary(nil, &batch), payload) {
+			t.Fatalf("batch %+v decoded from %x re-encodes differently", batch, payload)
 		}
 	})
 }

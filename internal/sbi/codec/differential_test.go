@@ -347,21 +347,24 @@ var boundaryRows = []struct {
 }{
 	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":null}`, true},
 	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[]}`, true},
-	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"},{"opc":"AA=="}]}`, true},
-	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"},]}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"imsi-1"},{"opc":"AA=="}]}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"imsi-1"},]}`, false},
+	// An item's SUPI is a value: text it does not accept is refused.
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"},{"opc":"AA=="}]}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"imsi-1"},{"supi":"imsi-00101000000000001"}]}`, false},
 	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":{}}`, false},
 	// A list's elements are counted before they are decoded: brackets and
 	// braces inside strings count for nothing; an array that does not
 	// close, an element that is not an object, a missing or trailing comma
 	// and an escape all leave the fast path.
-	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"]{"}]}`, true},
-	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[ {"supi":"[}","snn":"{{"} , {} ]}`, true},
-	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a"}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"snn":"]{"}]}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[ {"snn":"[}"} , {"snn":"{{"} , {} ]}`, true},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"imsi-1"}`, false},
 	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{},{}`, false},
 	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{}{}]}`, false},
 	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[null]}`, false},
 	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{},]}`, false},
-	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"supi":"a\"]"}]}`, false},
+	{"paka.UDMGenerateAVBatchRequest/nil-items", `{"items":[{"snn":"a\"]"}]}`, false},
 	{"udm.GenerateAuthDataRequest/suci", `{"suci":null,"serving_network_name":"x"}`, true},
 	{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":255,"HomeKeyID":0}}`, true},
 	{"udm.GenerateAuthDataRequest/suci", `{"suci":{"Scheme":256}}`, false},

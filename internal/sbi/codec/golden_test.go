@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/netip"
 	"os"
 	"reflect"
 	"runtime"
@@ -196,6 +197,12 @@ func sampleAVRequest(supi string) paka.UDMGenerateAVRequest {
 	}
 }
 
+// sampleAVItem is sampleAVRequest as one item of a batch.
+func sampleAVItem(text string) paka.UDMGenerateAVItem {
+	req := sampleAVRequest(text)
+	return paka.UDMGenerateAVItem{SUPI: supi(text), OPc: req.OPc, RAND: req.RAND, SQN: req.SQN, AMFID: req.AMFID, SNN: req.SNN}
+}
+
 func sampleAVResponse(seed byte) paka.UDMGenerateAVResponse {
 	return paka.UDMGenerateAVResponse{
 		RAND:     codec.Bytes16(bytesOf(16, seed)),
@@ -250,13 +257,13 @@ func samples() []sample {
 		// A batch of one must behave exactly like the JSON path, so pool
 		// refills with batch size 1 are indistinguishable across codecs.
 		{"paka.UDMGenerateAVBatchRequest/batch-of-1", &paka.UDMGenerateAVBatchRequest{
-			Items: []paka.UDMGenerateAVRequest{sampleAVRequest("imsi-001010000000003")},
+			Items: []paka.UDMGenerateAVItem{sampleAVItem("imsi-001010000000003")},
 		}},
 		{"paka.UDMGenerateAVBatchRequest/batch-of-3", &paka.UDMGenerateAVBatchRequest{
-			Items: []paka.UDMGenerateAVRequest{
-				sampleAVRequest("imsi-001010000000004"),
-				sampleAVRequest("imsi-001010000000005"),
-				sampleAVRequest("imsi-001010000000006"),
+			Items: []paka.UDMGenerateAVItem{
+				sampleAVItem("imsi-001010000000004"),
+				sampleAVItem("imsi-001010000000005"),
+				sampleAVItem("imsi-001010000000006"),
 			},
 		}},
 		{"paka.UDMGenerateAVBatchRequest/nil-items", &paka.UDMGenerateAVBatchRequest{}},
@@ -268,7 +275,7 @@ func samples() []sample {
 		}},
 		{"paka.UDMGenerateAVBatchResponse/nil-vectors", &paka.UDMGenerateAVBatchResponse{}},
 		{"paka.UDMResyncRequest", &paka.UDMResyncRequest{
-			SUPI: "imsi-001010000000007",
+			SUPI: supi("imsi-001010000000007"),
 			OPc:  bytesOf(16, 0x70),
 			RAND: bytesOf(16, 0x71),
 			AUTS: bytesOf(14, 0x72),
@@ -359,11 +366,11 @@ func samples() []sample {
 		{"nrf.DiscoverResponse/nil-profiles", &nrf.DiscoverResponse{}},
 
 		{"smf.CreateSessionRequest", &smf.CreateSessionRequest{SUPI: supi("imsi-001010000000015"), SessionID: 1, DNN: "internet"}},
-		{"smf.CreateSessionResponse", &smf.CreateSessionResponse{UEAddress: "10.60.0.2", TEID: 7}},
+		{"smf.CreateSessionResponse", &smf.CreateSessionResponse{UEAddress: netip.MustParseAddr("10.60.0.2"), TEID: 7}},
 		{"smf.ReleaseSessionRequest", &smf.ReleaseSessionRequest{SUPI: supi("imsi-001010000000016"), SessionID: 1}},
 		{"smf.Empty", &smf.Empty{}},
 
-		{"upf.EstablishRequest", &upf.EstablishRequest{SEID: 7, UEAddress: "10.60.0.2"}},
+		{"upf.EstablishRequest", &upf.EstablishRequest{SEID: 7, UEAddress: netip.MustParseAddr("10.60.0.2")}},
 		{"upf.EstablishResponse", &upf.EstablishResponse{TEID: math.MaxUint32}},
 		{"upf.ReleaseRequest", &upf.ReleaseRequest{SEID: math.MaxUint64}},
 		{"upf.Empty", &upf.Empty{}},
@@ -384,36 +391,45 @@ var udmProfile = nrf.NFProfile{InstanceID: "udm-1", NFType: "UDM", Service: "udm
 // identityText maps every sample whose message carries a SUPI or an
 // auth-context ID as a value to that value's text.
 var identityText = map[string]string{
-	"udm.GenerateAuthDataResponse": "imsi-001010000000010",
-	"udm.ResyncRequest":            "imsi-001010000000011",
-	"ausf.AuthenticateResponse":    "authctx-42",
-	"ausf.ConfirmRequest":          "authctx-42",
-	"ausf.ConfirmResponse":         "imsi-001010000000013",
-	"ausf.ResyncRequest":           "authctx-43",
-	"udr.Subscriber":               "imsi-001010000000014",
-	"udr.ProvisionRequest":         "imsi-001010000000014",
-	"udr.NextAuthRequest":          "imsi-001010000000014",
-	"udr.NextAuthBatchRequest":     "imsi-001010000000014",
-	"udr.ResyncRequest":            "imsi-001010000000014",
-	"udr.GetRequest":               "imsi-001010000000014",
-	"udr.GetResponse":              "imsi-001010000000014",
-	"smf.CreateSessionRequest":     "imsi-001010000000015",
-	"smf.ReleaseSessionRequest":    "imsi-001010000000016",
+	"paka.UDMGenerateAVBatchRequest/batch-of-1": "imsi-001010000000003",
+	"paka.UDMGenerateAVBatchRequest/batch-of-3": "imsi-001010000000004",
+	"paka.UDMResyncRequest":                     "imsi-001010000000007",
+	"udm.GenerateAuthDataResponse":              "imsi-001010000000010",
+	"udm.ResyncRequest":                         "imsi-001010000000011",
+	"ausf.AuthenticateResponse":                 "authctx-42",
+	"ausf.ConfirmRequest":                       "authctx-42",
+	"ausf.ConfirmResponse":                      "imsi-001010000000013",
+	"ausf.ResyncRequest":                        "authctx-43",
+	"udr.Subscriber":                            "imsi-001010000000014",
+	"udr.ProvisionRequest":                      "imsi-001010000000014",
+	"udr.NextAuthRequest":                       "imsi-001010000000014",
+	"udr.NextAuthBatchRequest":                  "imsi-001010000000014",
+	"udr.ResyncRequest":                         "imsi-001010000000014",
+	"udr.GetRequest":                            "imsi-001010000000014",
+	"udr.GetResponse":                           "imsi-001010000000014",
+	"smf.CreateSessionRequest":                  "imsi-001010000000015",
+	"smf.ReleaseSessionRequest":                 "imsi-001010000000016",
 }
 
-// carriesIdentity reports whether t holds a codec.SUPI or codec.AuthCtxID,
-// directly or in a nested struct.
-func carriesIdentity(t reflect.Type) bool {
-	switch t {
+// carriesIdentity reports whether v holds a codec.SUPI or codec.AuthCtxID,
+// directly, in a nested struct or in an element of a list.
+func carriesIdentity(v reflect.Value) bool {
+	switch v.Type() {
 	case reflect.TypeOf(codec.SUPI{}), reflect.TypeOf(codec.AuthCtxID{}):
 		return true
 	}
-	if t.Kind() != reflect.Struct {
-		return false
-	}
-	for i := range t.NumField() {
-		if carriesIdentity(t.Field(i).Type) {
-			return true
+	switch v.Kind() {
+	case reflect.Slice:
+		for i := range v.Len() {
+			if carriesIdentity(v.Index(i)) {
+				return true
+			}
+		}
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if carriesIdentity(v.Field(i)) {
+				return true
+			}
 		}
 	}
 	return false
@@ -428,7 +444,7 @@ func carriesIdentity(t reflect.Type) bool {
 func TestIdentityMessages(t *testing.T) {
 	for _, s := range samples() {
 		text, listed := identityText[s.name]
-		if carries := carriesIdentity(reflect.TypeOf(s.msg).Elem()); carries != listed {
+		if carries := carriesIdentity(reflect.ValueOf(s.msg).Elem()); carries != listed {
 			t.Fatalf("%s: carries an identity %v, listed in identityText %v", s.name, carries, listed)
 		}
 		if !listed {

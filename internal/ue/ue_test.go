@@ -124,8 +124,8 @@ func TestBuildRegistrationRequestConcealsSUPI(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Deconceal: %v", err)
 	}
-	if got != testSUPI {
-		t.Fatalf("deconcealed = %+v", got)
+	if want, _ := testSUPI.Value(); got != want {
+		t.Fatalf("deconcealed = %v, want %v", got, want)
 	}
 }
 
