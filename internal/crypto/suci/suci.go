@@ -8,6 +8,15 @@
 // and de-conceals the SUCI before authentication-vector generation. The
 // home-network private key is exactly the kind of long-term secret the
 // paper argues must live inside an HMEE.
+//
+// Each direction allocates what crypto/ecdh and crypto/aes construct and
+// what its caller keeps, nothing more. Conceal reads exactly the ephemeral
+// scalar from its reader, into pooled scratch that is zeroed on return, so
+// a seeded UE conceals the same SUCIs on every run; it parses the
+// home-network public key once per key, and writes the ephemeral public
+// key straight into the scheme output, whose first 32 bytes are then the
+// KDF's SharedInfo. Deconceal decrypts the MSIN into a stack buffer and
+// returns the SUPI as the codec.SUPI value the SBI carries.
 package suci
 
 import (
@@ -22,6 +31,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"shield5g/internal/crypto/hashpool"
 	"shield5g/internal/sbi/codec"
@@ -177,39 +187,43 @@ func (s *SUCI) NullSUPI() (codec.SUPI, error) {
 }
 
 // Conceal encrypts the MSIN of supi to the home-network public key hnPub
-// using ECIES Profile A, producing a SUCI. rand supplies the ephemeral key
-// entropy.
+// using ECIES Profile A, producing a SUCI. rand supplies the ephemeral
+// scalar's 32 bytes and nothing else, so a seeded reader gives the same
+// SUCIs on every run.
 func Conceal(rand io.Reader, supi SUPI, routingIndicator string, hnPub []byte, keyID byte) (*SUCI, error) {
 	if err := supi.Validate(); err != nil {
 		return nil, err
 	}
-	if len(hnPub) != ephemeralKeyLen {
-		return nil, fmt.Errorf("suci: home network public key length %d, want %d", len(hnPub), ephemeralKeyLen)
-	}
-	ephPriv, err := ecdh.X25519().GenerateKey(rand)
+	peer, err := homePublicKey(hnPub)
 	if err != nil {
+		return nil, err
+	}
+	// The scalar is drawn into pooled scratch, which putKDFScratch zeroes.
+	// ecdh's GenerateKey would draw it into a fresh buffer, after reading
+	// one more byte from rand at random.
+	ks := kdfScratchPool.Get().(*kdfScratch)
+	defer putKDFScratch(ks)
+	if _, err := io.ReadFull(rand, ks.scalar[:]); err != nil {
 		return nil, fmt.Errorf("suci: generate ephemeral key: %w", err)
 	}
-	peer, err := ecdh.X25519().NewPublicKey(hnPub)
+	ephPriv, err := ecdh.X25519().NewPrivateKey(ks.scalar[:])
 	if err != nil {
-		return nil, fmt.Errorf("suci: parse home network public key: %w", err)
+		return nil, fmt.Errorf("suci: generate ephemeral key: %w", err)
 	}
 	shared, err := ephPriv.ECDH(peer)
 	if err != nil {
 		return nil, fmt.Errorf("suci: ECDH: %w", err)
 	}
-	ephPub := ephPriv.PublicKey().Bytes()
-	ks := kdfScratchPool.Get().(*kdfScratch)
-	encKey, icb, macKey := deriveKeys(shared, ephPub, ks)
 
-	// Assemble ephPub || ciphertext || tag directly in the output buffer.
-	out := make([]byte, len(ephPub)+len(supi.MSIN)+tagLen)
-	copy(out, ephPub)
-	ciphertext := out[len(ephPub) : len(ephPub)+len(supi.MSIN)]
+	// Assemble ephPub || ciphertext || tag directly in the output buffer;
+	// its first ephemeralKeyLen bytes are the KDF's SharedInfo.
+	out := make([]byte, ephemeralKeyLen+len(supi.MSIN)+tagLen)
+	ephPub := out[:copy(out, ephPriv.PublicKey().Bytes())]
+	encKey, icb, macKey := deriveKeys(shared, ephPub, ks)
+	ciphertext := out[ephemeralKeyLen : ephemeralKeyLen+len(supi.MSIN)]
 	ctr(encKey, icb, ciphertext, []byte(supi.MSIN))
 	computeTagInto(macKey, ciphertext, &ks.tag)
-	copy(out[len(ephPub)+len(supi.MSIN):], ks.tag[:tagLen])
-	putKDFScratch(ks)
+	copy(out[ephemeralKeyLen+len(supi.MSIN):], ks.tag[:tagLen])
 	return &SUCI{
 		MCC:              supi.MCC,
 		MNC:              supi.MNC,
@@ -218,6 +232,29 @@ func Conceal(rand io.Reader, supi SUPI, routingIndicator string, hnPub []byte, k
 		HomeKeyID:        keyID,
 		SchemeOutput:     out,
 	}, nil
+}
+
+// lastHomeKey caches the last home-network public key Conceal parsed: a
+// network provisions one key to all its subscribers, so its UEs conceal
+// to the same key, and parsing it again per attach would allocate a key
+// and a copy of its bytes. A different key replaces the entry.
+var lastHomeKey atomic.Pointer[ecdh.PublicKey]
+
+// homePublicKey returns hnPub parsed as an X25519 public key, from the
+// cache when it holds these bytes.
+func homePublicKey(hnPub []byte) (*ecdh.PublicKey, error) {
+	if len(hnPub) != ephemeralKeyLen {
+		return nil, fmt.Errorf("suci: home network public key length %d, want %d", len(hnPub), ephemeralKeyLen)
+	}
+	if key := lastHomeKey.Load(); key != nil && string(key.Bytes()) == string(hnPub) {
+		return key, nil
+	}
+	key, err := ecdh.X25519().NewPublicKey(hnPub)
+	if err != nil {
+		return nil, fmt.Errorf("suci: parse home network public key: %w", err)
+	}
+	lastHomeKey.Store(key)
+	return key, nil
 }
 
 // Deconceal recovers the SUPI from a Profile A SUCI using the home-network
@@ -275,20 +312,23 @@ func (k *HomeNetworkKey) Deconceal(s *SUCI) (codec.SUPI, error) {
 	return supi, nil
 }
 
-// kdfScratch holds one concealment's derived key block, counter word and
-// MAC tag. Pooled because the slices handed to hash interfaces would
-// otherwise escape to the heap on every Conceal/Deconceal.
+// kdfScratch holds one concealment's ephemeral scalar, derived key block,
+// counter word and MAC tag. Pooled because the slices handed to hash
+// interfaces and to the random reader would otherwise escape to the heap
+// on every Conceal/Deconceal.
 type kdfScratch struct {
-	out [encKeyLen + icbLen + macKeyLen]byte
-	ctr [4]byte
-	tag [sha256.Size]byte
+	scalar [32]byte // X25519 private key
+	out    [encKeyLen + icbLen + macKeyLen]byte
+	ctr    [4]byte
+	tag    [sha256.Size]byte
 }
 
 var kdfScratchPool = sync.Pool{New: func() any { return new(kdfScratch) }}
 
-// putKDFScratch scrubs the derived enc/MAC keys (and tag) before
-// recycling, matching the discipline hashpool.PutHMAC establishes: pooled
-// memory never retains key material between operations.
+// putKDFScratch scrubs the ephemeral scalar, the derived enc/MAC keys and
+// the tag before recycling, matching the discipline hashpool.PutHMAC
+// establishes: pooled memory never retains key material between
+// operations.
 func putKDFScratch(ks *kdfScratch) {
 	*ks = kdfScratch{}
 	kdfScratchPool.Put(ks)

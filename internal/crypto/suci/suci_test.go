@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	mrand "math/rand/v2"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,84 @@ func TestConcealIsRandomized(t *testing.T) {
 	}
 	if bytes.Equal(a.SchemeOutput, b.SchemeOutput) {
 		t.Fatal("two concealments of the same SUPI are identical (linkable)")
+	}
+}
+
+// TestConcealIsDeterministicUnderASeededReader feeds two Conceal
+// sequences identical seeded readers: the SUCIs must match byte for byte,
+// because Conceal reads exactly the ephemeral scalar from its reader and
+// nothing else.
+func TestConcealIsDeterministicUnderASeededReader(t *testing.T) {
+	k := testKey(t)
+	var seed [32]byte
+	seed[0] = 7
+	a, b := mrand.NewChaCha8(seed), mrand.NewChaCha8(seed)
+	for i := range 64 {
+		x, err := Conceal(a, testSUPI, "0000", k.PublicKey(), k.ID)
+		if err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+		y, err := Conceal(b, testSUPI, "0000", k.PublicKey(), k.ID)
+		if err != nil {
+			t.Fatalf("draw %d: %v", i, err)
+		}
+		if !bytes.Equal(x.SchemeOutput, y.SchemeOutput) {
+			t.Fatalf("draw %d: same reader state, different SUCIs\n%x\n%x", i, x.SchemeOutput, y.SchemeOutput)
+		}
+	}
+}
+
+// TestConcealAlternatingHomeKeys conceals to two home-network keys of the
+// same key ID in turn, so each call replaces the parsed key Conceal
+// caches: every SUCI must de-conceal under its own key and fail the MAC
+// check under the other.
+func TestConcealAlternatingHomeKeys(t *testing.T) {
+	keys := [2]*HomeNetworkKey{testKey(t), testKey(t)}
+	want := valueOf(t, testSUPI)
+	for i := range 32 {
+		own, other := keys[i%2], keys[1-i%2]
+		s, err := Conceal(rand.Reader, testSUPI, "0000", own.PublicKey(), own.ID)
+		if err != nil {
+			t.Fatalf("round %d: Conceal: %v", i, err)
+		}
+		if got, err := own.Deconceal(s); err != nil || got != want {
+			t.Fatalf("round %d: own key: %v, %v; want %v", i, got, err, want)
+		}
+		if _, err := other.Deconceal(s); !errors.Is(err, ErrIntegrity) {
+			t.Fatalf("round %d: other key: %v, want ErrIntegrity", i, err)
+		}
+	}
+}
+
+// TestConcealScrubsItsScratch pools a scratch full of non-zero bytes, runs
+// Conceal, which takes that scratch from the pool, and checks that the
+// pool hands it out next reading zero: neither the ephemeral scalar nor a
+// derived key outlives the call in pooled memory.
+func TestConcealScrubsItsScratch(t *testing.T) {
+	k := testKey(t)
+	// Taking a scratch first empties this P's private slot, so the dirty
+	// one is the next the pool hands out.
+	held := kdfScratchPool.Get()
+	defer kdfScratchPool.Put(held)
+	dirty := new(kdfScratch)
+	for _, b := range [][]byte{dirty.scalar[:], dirty.out[:], dirty.ctr[:], dirty.tag[:]} {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	kdfScratchPool.Put(dirty)
+	if _, err := Conceal(rand.Reader, testSUPI, "0000", k.PublicKey(), k.ID); err != nil {
+		t.Fatal(err)
+	}
+	ks := kdfScratchPool.Get().(*kdfScratch)
+	defer kdfScratchPool.Put(ks)
+	if ks != dirty {
+		// The pool dropped the dirty scratch (the race detector does that
+		// at random), so nothing was checked.
+		t.Skip("the pool did not hand the dirty scratch back")
+	}
+	if *ks != (kdfScratch{}) {
+		t.Fatalf("pooled scratch after Conceal is not zero: %+v", *ks)
 	}
 }
 

@@ -664,6 +664,14 @@ func (s *Slice) RestartShardModule(ctx context.Context, shard int, kind paka.Mod
 	return nil
 }
 
+// initialSQN and amfField5G are what every subscriber is provisioned with:
+// SQN 0, and the AMF field 0x8000, whose separation bit 5G AKA needs. They
+// are shared and read only; the provisioning post only encodes them.
+var (
+	initialSQN = []byte{0, 0, 0, 0, 0, 0}
+	amfField5G = []byte{0x80, 0x00}
+)
+
 // ProvisionSubscriber installs a subscriber in the UDR and delivers the
 // long-term key to the AKA execution environment of the replica that owns
 // the SUPI under the current topology snapshot (the eUDM enclave under SGX
@@ -694,12 +702,12 @@ func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc 
 			SUPI:     id,
 			K:        k,
 			OPc:      opc,
-			SQN:      []byte{0, 0, 0, 0, 0, 0},
-			AMFField: []byte{0x80, 0x00}, // separation bit set for 5G AKA
+			SQN:      initialSQN,
+			AMFField: amfField5G,
 		}); err != nil {
 			return fmt.Errorf("deploy: UDR provisioning: %w", err)
 		}
-		owner := s.GNB.ShardOf(supi.String())
+		owner := s.GNB.ShardOfSUPI(id)
 		m := s.Shards[owner].Modules[paka.EUDM]
 		if err := s.attestEUDM(m); err != nil {
 			return err

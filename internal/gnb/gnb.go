@@ -19,6 +19,7 @@ import (
 	"shield5g/internal/nf/upf"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/sbi/codec"
 	"shield5g/internal/simclock"
 	"shield5g/internal/topology"
 	"shield5g/internal/ue"
@@ -122,8 +123,14 @@ func (g *GNB) Tenant() string { return "gnb/" + g.BroadcastPLMN() }
 // ShardOf resolves a SUPI to its owning replica index under the current
 // last-known-good snapshot. A router with no snapshot applied, or an
 // owner outside the gNB's AMF list, answers 0.
-func (g *GNB) ShardOf(supi string) int {
-	idx, ok := g.router.Route("", supi)
+func (g *GNB) ShardOf(supi string) int { return g.shard(g.router.Route("", supi)) }
+
+// ShardOfSUPI is ShardOf for a SUPI held as a value: the same replica,
+// with no SUPI text made.
+func (g *GNB) ShardOfSUPI(supi codec.SUPI) int { return g.shard(g.router.RouteSUPI(supi)) }
+
+// shard checks a route's answer against the gNB's AMF list.
+func (g *GNB) shard(idx int, ok bool) int {
 	if !ok || idx < 0 || idx >= len(g.amfs) {
 		return 0
 	}

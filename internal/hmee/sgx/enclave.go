@@ -499,8 +499,9 @@ func (e *Enclave) restoreSecret(supi codec.SUPI) (k [16]byte, ok bool) {
 	if !ok {
 		return k, false
 	}
-	var ad [sealADLen]byte
-	plain, err := e.Unseal(blob, sealAD(&ad, supi))
+	ad := sealADPool.Get().(*[sealADLen]byte)
+	plain, err := e.Unseal(blob, sealAD(ad, supi))
+	sealADPool.Put(ad)
 	if err != nil || len(plain) != len(k) {
 		clear(plain)
 		return k, false

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"shield5g/internal/sbi/codec"
 )
@@ -81,8 +82,9 @@ func (e *Enclave) Unseal(blob, additionalData []byte) ([]byte, error) {
 // once, and any enclave of the identity whose key store later misses that
 // SUPI opens the file in place (Thread.LoadSecret).
 func (e *Enclave) SealBackup(supi codec.SUPI, data []byte) error {
-	var ad [sealADLen]byte
-	blob, err := e.Seal(data, sealAD(&ad, supi))
+	ad := sealADPool.Get().(*[sealADLen]byte)
+	blob, err := e.Seal(data, sealAD(ad, supi))
+	sealADPool.Put(ad)
 	if err != nil {
 		return err
 	}
@@ -100,6 +102,11 @@ func (e *Enclave) SealBackup(supi codec.SUPI, data []byte) error {
 
 // sealADLen bounds a SUPI's text: "imsi-" and up to 16 digits.
 const sealADLen = len("imsi-") + 16
+
+// sealADPool holds the buffers sealAD writes into. The AEAD's Seal and
+// Open are interface calls, so a buffer on the caller's stack would move
+// to the heap on every sealed file.
+var sealADPool = sync.Pool{New: func() any { return new([sealADLen]byte) }}
 
 // sealAD writes supi's text into ad: a sealed file's additional data,
 // which binds the blob to its SUPI.

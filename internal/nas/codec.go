@@ -128,8 +128,9 @@ func appendEncode(dst []byte, m Message) ([]byte, error) {
 // slot of the message they find, zero it, fill it and return it, so a
 // receiver that declares its Inbox as a local and reads the result
 // through a type switch decodes with the message on its own stack. A
-// decoded GUTI and UE security capabilities are values in their slot;
-// only a SUCI and the LV byte fields (ABBA, AUTS) reach the heap. No slot
+// decoded GUTI and UE security capabilities are values in their slot,
+// and an ABBA of the one defined value shares a read-only constant; only
+// a SUCI, another ABBA and an AUTS reach the heap. No slot
 // points into the Inbox itself (a self-reference would move every Inbox
 // to the heap) or into the decoded PDU, so the receiver may release the
 // PDU at once. The returned message is valid until the next decode into
@@ -227,7 +228,7 @@ func DecodeInto(data []byte, in *Inbox) (Message, error) {
 		m = v
 	case MsgAuthenticationRequest:
 		v := &in.authRequest
-		*v = AuthenticationRequest{NgKSI: r.u8(), ABBA: r.lv()}
+		*v = AuthenticationRequest{NgKSI: r.u8(), ABBA: r.abba()}
 		copy(v.RAND[:], r.take(16))
 		copy(v.AUTN[:], r.take(16))
 		m = v
@@ -298,17 +299,23 @@ func encodeIdentity(w *writer, id *MobileIdentity) {
 }
 
 // decodeIdentity fills id in place. A GUTI is a value inside id, so it
-// costs nothing; a SUCI is a fresh suci.SUCI.
+// costs nothing; a SUCI is one allocation, a suciBox holding the
+// suci.SUCI and its scheme output.
 func decodeIdentity(r *reader, id *MobileIdentity) error {
 	switch t := r.u8(); t {
 	case IdentityTypeSUCI:
-		s := &suci.SUCI{}
+		b := &suciBox{}
+		s := &b.suci
 		s.MCC = r.internStr()
 		s.MNC = r.internStr()
 		s.RoutingIndicator = r.internStr()
 		s.Scheme = r.u8()
 		s.HomeKeyID = r.u8()
-		s.SchemeOutput = r.lv16()
+		if out := r.take(int(r.u16())); len(out) > 0 {
+			// A longer output outgrows the inline array, and append
+			// copies it to a backing of its own.
+			s.SchemeOutput = append(b.output[:0], out...)
+		}
 		id.Kind, id.SUCI = t, s
 		return r.err
 	case IdentityTypeGUTI:
@@ -321,6 +328,14 @@ func decodeIdentity(r *reader, id *MobileIdentity) error {
 		}
 		return fmt.Errorf("nas: unknown mobile identity type %d", t)
 	}
+}
+
+// suciBox is a decoded SUCI and the backing of its scheme output, in one
+// allocation. A Profile A output (32-byte ephemeral key, MSIN, 8-byte
+// tag) is at most 50 bytes, so it fits output.
+type suciBox struct {
+	suci   suci.SUCI
+	output [64]byte
 }
 
 func encodeGUTI(w *writer, g *GUTI) {
@@ -417,11 +432,17 @@ func (r *reader) lv() []byte {
 	return append([]byte(nil), b...)
 }
 
-func (r *reader) lv16() []byte {
-	n := int(r.u16())
-	b := r.take(n)
-	if b == nil {
-		return nil
+// abba0 is the one ABBA value TS 33.501 §A.7.1 defines, 0x0000. A decoded
+// ABBA of that value shares it, the way internStr shares PLMN strings, so
+// it is read only; its capacity is its length, so an append copies.
+var abba0 = []byte{0x00, 0x00}
+
+// abba decodes an LV ABBA field: abba0 when it holds that value, a copy
+// otherwise.
+func (r *reader) abba() []byte {
+	b := r.take(int(r.u8()))
+	if string(b) == string(abba0) {
+		return abba0
 	}
 	return append([]byte(nil), b...)
 }

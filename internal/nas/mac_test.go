@@ -82,6 +82,18 @@ func TestSecurityContextAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A SUCI decodes into one allocation, its scheme output inline (two
+	// while the output had a backing of its own), and an ABBA of the one
+	// defined value into none (one while every ABBA was copied).
+	initial, err := Encode(&RegistrationRequest{
+		RegistrationType: RegistrationInitial,
+		Identity:         MobileIdentity{Kind: IdentityTypeSUCI, SUCI: sampleSUCI()},
+		Capabilities:     Capabilities(AlgNEA2, AlgNIA2),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	authReq, _ := Encode(&AuthenticationRequest{ABBA: []byte{0, 0}, RAND: [16]byte{1}, AUTN: [16]byte{2}})
 	tx, warm := testContexts(t)
 	authResp, _ := Encode(&AuthenticationResponse{ResStar: [16]byte{7, 8, 9}})
 	smc, _ := Encode(&SecurityModeCommand{IntegrityAlg: AlgNIA2, CipheringAlg: AlgNEA2})
@@ -100,6 +112,8 @@ func TestSecurityContextAllocs(t *testing.T) {
 			_, err := sc.Protect(&RegistrationAccept{GUTI: GUTI{MCC: "001", MNC: "01", TMSI: 9}}, false)
 			return err
 		}},
+		{"DecodeInto(SUCI RegistrationRequest), its SUCI", 1, func() error { _, err := DecodeInto(initial, &in); return err }},
+		{"DecodeInto(AuthenticationRequest), ABBA 0x0000", 0, func() error { _, err := DecodeInto(authReq, &in); return err }},
 		{"DecodeInto(AuthenticationResponse)", 0, func() error { _, err := DecodeInto(authResp, &in); return err }},
 		{"DecodeInto(SecurityModeCommand)", 0, func() error { _, err := DecodeInto(smc, &in); return err }},
 		{"UnprotectInto(RegistrationAccept)", 0, func() error {

@@ -236,6 +236,49 @@ func TestSUCIIdentityRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestDecodedIdentityOwnsItsBytes decodes a SUCI whose scheme output fits
+// the decoded SUCI's inline array (64 bytes) or outgrows it, and ABBAs of
+// the defined value and of another: every field must equal what was sent
+// and survive the input being overwritten.
+func TestDecodedIdentityOwnsItsBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 50, 64, 65, 300} {
+		s := sampleSUCI()
+		s.SchemeOutput = bytes.Repeat([]byte{0xc3}, n)
+		data, err := Encode(&RegistrationRequest{RegistrationType: RegistrationInitial, Identity: MobileIdentity{Kind: IdentityTypeSUCI, SUCI: s}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%d-byte output: %v", n, err)
+		}
+		clear(data)
+		out := got.(*RegistrationRequest).Identity.SUCI.SchemeOutput
+		if !bytes.Equal(out, s.SchemeOutput) || (n == 0) != (out == nil) {
+			t.Errorf("%d-byte output decoded as %x", n, out)
+		}
+	}
+	for _, abba := range [][]byte{{0, 0}, {0, 1}, {0, 0, 0}} {
+		data, err := Encode(&AuthenticationRequest{ABBA: abba})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear(data)
+		dec := got.(*AuthenticationRequest).ABBA
+		if !bytes.Equal(dec, abba) {
+			t.Errorf("ABBA %x decoded as %x", abba, dec)
+		}
+		if bytes.Equal(abba, []byte{0, 0}) && cap(dec) != len(dec) {
+			// The shared value: an append must copy, not write into it.
+			t.Errorf("ABBA 0x0000 decoded with capacity %d", cap(dec))
+		}
+	}
+}
+
 // --- security context ---
 
 func testContexts(t *testing.T) (*SecurityContext, *SecurityContext) {

@@ -43,7 +43,9 @@ func TestHotPathAllocs(t *testing.T) {
 	h.register(t, device, 1)
 	reregister := func() { h.reregister(t, device, 1, false) }
 	reregister()
-	if n, want := testing.AllocsPerRun(100, reregister), 14.0; n != want {
+	// 14 while the UE copied the AuthenticationRequest's ABBA; the one
+	// defined value now decodes to a shared constant.
+	if n, want := testing.AllocsPerRun(100, reregister), 13.0; n != want {
 		t.Errorf("GUTI re-registration: %v allocs, want %v", n, want)
 	}
 

@@ -18,6 +18,8 @@ package topology
 import (
 	"fmt"
 	"sync/atomic"
+
+	"shield5g/internal/sbi/codec"
 )
 
 // maxReplicas bounds a snapshot's replica set, and with it the owner scan
@@ -54,7 +56,7 @@ type Snapshot struct {
 
 // fnv1a is the 64-bit FNV-1a hash — deterministic across processes and
 // architectures, which seeded map iteration or hash/maphash are not.
-func fnv1a(s string) uint64 {
+func fnv1a[T string | []byte](s T) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	for i := 0; i < len(s); i++ {
@@ -78,7 +80,7 @@ func mix(x uint64) uint64 {
 
 // hash is what a score combines: once over the key, once (at Seal) over
 // each replica name.
-func hash(s string) uint64 { return mix(fnv1a(s)) }
+func hash[T string | []byte](s T) uint64 { return mix(fnv1a(s)) }
 
 // Seal precomputes one placement hash per replica name. The deploy layer
 // calls it before Apply; Routers treat an unsealed snapshot as a protocol
@@ -95,8 +97,10 @@ func (s *Snapshot) sealed() bool { return len(s.hashes) == len(s.Replicas) }
 
 // Owner returns the replica index owning key, the lower index winning a
 // tie, or -1 on an empty snapshot.
-func (s *Snapshot) Owner(key string) int {
-	h := hash(key)
+func (s *Snapshot) Owner(key string) int { return s.owner(hash(key)) }
+
+// owner returns the replica index owning the key whose hash is h.
+func (s *Snapshot) owner(h uint64) int {
 	best, bestScore := -1, uint64(0)
 	for i, rh := range s.hashes {
 		if score := mix(h ^ rh); best < 0 || score > bestScore {
@@ -156,4 +160,17 @@ func (r *Router) Route(_, supi string) (int, bool) {
 		return 0, false
 	}
 	return s.Owner(supi), true
+}
+
+// RouteSUPI is Route for a SUPI held as a value. It hashes the same bytes
+// as Route over the SUPI's text, appended to a stack buffer, so no string
+// is made.
+func (r *Router) RouteSUPI(supi codec.SUPI) (int, bool) {
+	s := r.snap.Load()
+	if s == nil || len(s.Replicas) == 0 {
+		return 0, false
+	}
+	var buf [len("imsi-") + 16]byte
+	text, _ := supi.AppendText(buf[:0])
+	return s.owner(hash(text)), true
 }

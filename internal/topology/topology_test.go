@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"shield5g/internal/sbi/codec"
 )
 
 func snapshot(epoch uint64, names ...string) *Snapshot {
@@ -204,6 +206,37 @@ func TestRouteAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { r.Route("gnb-1/00101", "imsi-001010000000042") }); n != 0 {
 		t.Errorf("Route allocates %v times per call, want 0", n)
+	}
+}
+
+// TestRouteSUPIMatchesRoute routes 10 240 SUPIs of 5 to 16 digits both
+// ways, by value and by text, at 1 to 4 replicas: every SUPI must land on
+// the same replica. The value route allocates nothing.
+func TestRouteSUPIMatchesRoute(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		r := NewRouter()
+		if err := r.Apply(snapshot(1, names(n)...)); err != nil {
+			t.Fatal(err)
+		}
+		for i := range 10240 {
+			text := fmt.Sprintf("imsi-%0*d", 5+i%12, i)
+			supi, err := codec.ParseSUPI(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wok := r.Route("", text)
+			got, gok := r.RouteSUPI(supi)
+			if got != want || gok != wok {
+				t.Fatalf("%d replicas, %s: RouteSUPI = (%d, %v), Route = (%d, %v)", n, text, got, gok, want, wok)
+			}
+		}
+		supi, _ := codec.ParseSUPI(supiKey(42))
+		if a := testing.AllocsPerRun(100, func() { r.RouteSUPI(supi) }); a != 0 {
+			t.Errorf("RouteSUPI allocates %v times per call, want 0", a)
+		}
+	}
+	if _, ok := NewRouter().RouteSUPI(codec.SUPI{}); ok {
+		t.Error("RouteSUPI on a router with no snapshot answered ok")
 	}
 }
 
