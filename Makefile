@@ -53,7 +53,10 @@ vet:
 # and parse it there: fails on any `moved to heap: buf` under
 # internal/crypto/suci. A sealed file's additional data is written into
 # pooled scratch, since the AEAD is called through an interface: fails on
-# any `moved to heap: ad` under internal/hmee/sgx.
+# any `moved to heap: ad` under internal/hmee/sgx. Every charge and every
+# hop site reads the request's Call off its context, whose common case is
+# one type assertion: fails when the compiler stops reporting that it can
+# inline CallFrom, AccountFrom or EnterHop.
 escapes:
 	@out=$$($(GO) build -gcflags=-m ./internal/nf/... ./internal/paka ./internal/hmee/... ./internal/simclock ./internal/costmodel ./internal/crypto/suci 2>&1) || { echo "$$out"; exit 1; }; \
 	esc=$$(echo "$$out" | grep -E '&[[:alnum:]_.]*Request\{\.\.\.\} escapes to heap'); \
@@ -65,7 +68,10 @@ escapes:
 	buf=$$(echo "$$out" | grep -E '^internal/crypto/suci/.*: moved to heap: buf$$'); \
 	if [ -n "$$buf" ]; then echo "$$buf"; echo "a SUPI's text buffer moves to the heap"; exit 1; fi; \
 	ad=$$(echo "$$out" | grep -E '^internal/hmee/sgx/.*: moved to heap: ad$$'); \
-	if [ -n "$$ad" ]; then echo "$$ad"; echo "a sealed file's additional data moves to the heap"; exit 1; fi
+	if [ -n "$$ad" ]; then echo "$$ad"; echo "a sealed file's additional data moves to the heap"; exit 1; fi; \
+	for f in CallFrom AccountFrom EnterHop; do \
+		echo "$$out" | grep -qE "^internal/simclock/.*: can inline $$f$$" || { echo "simclock.$$f no longer inlines"; exit 1; }; \
+	done
 
 # The per-package testing.B micro-benchmarks (crypto, NAS, SBI post, SGX
 # accounting). The paper's tables and figures are `make experiments`; the

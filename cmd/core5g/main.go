@@ -14,9 +14,11 @@
 // printing one line for each half. It prints the virtual time each
 // procedure booked — session setup beside the paper's 62.38 ms, the
 // deregistration, the provisioning and the slice's maintenance — and exits
-// 1 if the hop record overflowed or does not add up, or if any cycle, the
-// slice's teardown included, was charged to no account, as on any other
-// failure. -serve then keeps the SBI up over HTTP.
+// 1 if the hop record overflowed or does not add up, if the boundary events
+// counted on the registration's account are not what its modules counted
+// across it, or if any cycle, the slice's teardown included, was charged to
+// no account, as on any other failure. -serve then keeps the SBI up over
+// HTTP.
 package main
 
 import (
@@ -82,7 +84,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		recording := simclock.NewCall(ctx)
-		recording.Hops = new(simclock.Hops)
+		recording.Hops, recording.Account = new(simclock.Hops), new(simclock.Account)
+		before := moduleEvents(tb)
 		sess, err := tb.Register(recording, sub)
 		if err != nil {
 			fmt.Fprintf(stderr, "core5g: registration: %v\n", err)
@@ -90,6 +93,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if code := printHops(stdout, stderr, tb.Slice.Env.Model.Duration, recording.Hops, sess.Virtual()); code != 0 {
 			return code
+		}
+		if counted, moved := recording.Account.Counts(), moduleEvents(tb).Sub(before); counted != moved {
+			fmt.Fprintf(stderr, "core5g: the registration's account counted %v boundary events; its modules counted %v\n", counted, moved)
+			return 1
 		}
 		if err := sess.EstablishPDUSession(ctx, 1, "internet"); err != nil {
 			fmt.Fprintf(stderr, "core5g: PDU session: %v\n", err)
@@ -189,9 +196,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 }
 
+// moduleEvents sums the boundary events every module of the slice counted.
+func moduleEvents(tb *shield5g.Testbed) (c simclock.Counts) {
+	for _, shard := range tb.Slice.Shards {
+		for _, m := range shard.Modules {
+			c = c.Add(m.Events())
+		}
+	}
+	return c
+}
+
 // printHops prints the demo registration's hops, the paper's Fig. 5 on the
 // virtual clock: one line per hop, indented by depth, with what the
-// registration's account was charged across it. It returns 1 when the
+// registration's account was charged across it and, on a crossing, the
+// boundary events counted on it. It returns 1 when the
 // record overflowed or the top-level hops charged more than the
 // registration booked; what they leave is the UE's own USIM work.
 func printHops(stdout, stderr io.Writer, duration func(simclock.Cycles) time.Duration, hops *simclock.Hops, booked time.Duration) int {
@@ -201,7 +219,12 @@ func printHops(stdout, stderr io.Writer, duration func(simclock.Cycles) time.Dur
 		if h.Depth == 0 {
 			top += h.Cycles
 		}
-		fmt.Fprintf(stdout, "  %*s%-5v %-*s %9.1f\n", 2*int(h.Depth), "", h.Kind, 50-2*int(h.Depth), h.Site, float64(duration(h.Cycles))/1e3)
+		fmt.Fprintf(stdout, "  %*s%-5v %-*s %9.1f", 2*int(h.Depth), "", h.Kind, 50-2*int(h.Depth), h.Site, float64(duration(h.Cycles))/1e3)
+		if c := h.Counts; h.Kind == simclock.Cross {
+			fmt.Fprintf(stdout, "  EENTER %d  EEXIT %d  OCALL %d  AEX %d  VM exit %d",
+				c[simclock.EENTER], c[simclock.EEXIT], c[simclock.OCALL], c[simclock.AEX], c[simclock.VMExit])
+		}
+		fmt.Fprintln(stdout)
 	}
 	if n := hops.Overflow(); n != 0 || duration(top) > booked {
 		fmt.Fprintf(stderr, "core5g: hop record: %d hops past capacity; top-level hops charged %v of %v booked\n", n, duration(top), booked)

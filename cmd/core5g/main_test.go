@@ -14,8 +14,9 @@ import (
 
 // TestRun drives run the way the shell does: a rejected flag exits 2 with
 // the reason on stderr before anything is deployed, and the default demo
-// registers one UE, prints the registration's hops, opens a PDU session,
-// prints what its procedures booked and exits 0.
+// registers one UE, prints the registration's hops (a crossing's with its
+// boundary events: none in a container, VM exits only in a confidential
+// VM), opens a PDU session, prints what its procedures booked and exits 0.
 func TestRun(t *testing.T) {
 	for _, tc := range []struct {
 		args   string
@@ -28,7 +29,9 @@ func TestRun(t *testing.T) {
 		{"-isolation container", 0, "demo UE deregistered: 0 AMF UE contexts, 0 SMF and 0 UPF sessions left", ""},
 		{"-isolation container", 0, "demo session setup (registration + PDU session): 67.88ms virtual (paper: 62.38ms)", ""},
 		{"-isolation container", 0, "demo virtual time: deregistration 12.88ms, provisioning 1.15ms, slice maintenance 1.21s", ""},
-		{"-isolation container", 0, "\n              cross eudm-paka                                 1350.6\n", ""},
+		{"-isolation container", 0, "\n              cross eudm-paka                                 1350.6  EENTER 0  EEXIT 0  OCALL 0  AEX 0  VM exit 0\n", ""},
+		{"-isolation sgx", 0, "\n              cross eudm-paka                                21531.0  EENTER 151  EEXIT 151  OCALL 151  AEX 7  VM exit 0\n", ""},
+		{"-isolation sev", 0, "\n              cross eudm-paka                                 1356.9  EENTER 0  EEXIT 0  OCALL 0  AEX 0  VM exit 4\n", ""},
 		{"-isolation container", 0, "demo registration: 21 hops, 54.273ms at top level + 56µs outside any hop = 54.329ms booked", ""},
 	} {
 		var stdout, stderr bytes.Buffer

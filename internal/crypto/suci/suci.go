@@ -67,20 +67,16 @@ type SUPI struct {
 // KDF input for K_AMF derivation.
 func (s SUPI) String() string { return "imsi-" + s.MCC + s.MNC + s.MSIN }
 
-// Value is the SUPI as the SBI carries it, built in place: its text is
-// assembled on the stack and parsed there, so nothing is allocated. A SUPI
-// that does not fit codec.SUPI is an error.
-func (s SUPI) Value() (codec.SUPI, error) {
-	var buf [32]byte
-	var v codec.SUPI
-	err := v.UnmarshalText(append(append(append(append(buf[:0], "imsi-"...), s.MCC...), s.MNC...), s.MSIN...))
-	return v, err
-}
+// Value is the SUPI as the SBI carries it, built in place: its MCC, MNC and
+// MSIN are checked digit by digit, and its text is assembled on the stack
+// and parsed there, so nothing is allocated. It is the one check of a
+// SUPI's well-formedness.
+func (s SUPI) Value() (codec.SUPI, error) { return value(s.MCC, s.MNC, []byte(s.MSIN)) }
 
-// value is the codec.SUPI of the MCC, MNC and MSIN a SUCI carries, each
-// checked digit by digit as Validate checks them. The MSIN is a view of a
-// decrypted plaintext; it is read in place and neither it nor the text is
-// copied to the heap.
+// value is the codec.SUPI of an MCC, MNC and MSIN, each checked digit by
+// digit: a SUPI's, or the ones a SUCI carries, whose MSIN is a view of a
+// decrypted plaintext. The MSIN is read in place and neither it nor the
+// text is copied to the heap.
 func value(mcc, mnc string, msin []byte) (codec.SUPI, error) {
 	switch {
 	case len(mcc) != 3 || !digits(mcc):
@@ -90,24 +86,16 @@ func value(mcc, mnc string, msin []byte) (codec.SUPI, error) {
 	case len(msin) < 5 || len(msin) > 10 || !digits(string(msin)):
 		return codec.SUPI{}, fmt.Errorf("suci: bad MSIN %q", string(msin))
 	}
-	var buf [len("imsi-") + 16]byte
+	var buf [codec.SUPITextLen]byte
 	var v codec.SUPI
 	err := v.UnmarshalText(append(append(append(append(buf[:0], "imsi-"...), mcc...), mnc...), msin...))
 	return v, err
 }
 
-// Validate checks digit-string well-formedness.
+// Validate checks digit-string well-formedness: it is Value's error.
 func (s SUPI) Validate() error {
-	if len(s.MCC) != 3 || !digits(s.MCC) {
-		return fmt.Errorf("suci: bad MCC %q", s.MCC)
-	}
-	if (len(s.MNC) != 2 && len(s.MNC) != 3) || !digits(s.MNC) {
-		return fmt.Errorf("suci: bad MNC %q", s.MNC)
-	}
-	if len(s.MSIN) < 5 || len(s.MSIN) > 10 || !digits(s.MSIN) {
-		return fmt.Errorf("suci: bad MSIN %q", s.MSIN)
-	}
-	return nil
+	_, err := s.Value()
+	return err
 }
 
 func digits(s string) bool {
@@ -338,6 +326,11 @@ func putKDFScratch(ks *kdfScratch) {
 // with the ephemeral public key as SharedInfo, and splits the output into
 // the AES key, initial counter block and MAC key (TS 33.501 C.3.2). The
 // returned slices alias ks.out and are valid until ks is re-pooled.
+//
+// It clears shared, the fresh slice ecdh's ECDH returned, once the KDF has
+// read it, so the X25519 secret does not linger in freed heap. The copy of
+// the ephemeral scalar that crypto/ecdh keeps inside its private key is
+// out of reach: only the scratch it was read from is scrubbed.
 func deriveKeys(shared, ephPub []byte, ks *kdfScratch) (encKey, icb, macKey []byte) {
 	const total = encKeyLen + icbLen + macKeyLen
 	out := ks.out[:0]
@@ -352,6 +345,7 @@ func deriveKeys(shared, ephPub []byte, ks *kdfScratch) (encKey, icb, macKey []by
 		out = h.Sum(out)
 		counter++
 	}
+	clear(shared)
 	hashpool.PutSHA256(h)
 	return out[:encKeyLen], out[encKeyLen : encKeyLen+icbLen], out[encKeyLen+icbLen : total]
 }

@@ -328,8 +328,9 @@ func TestDeriveKeysDeterministicAndDistinct(t *testing.T) {
 	shared := bytes.Repeat([]byte{0x42}, 32)
 	pub := bytes.Repeat([]byte{0x24}, 32)
 	var s1, s2 kdfScratch
-	e1, i1, m1 := deriveKeys(shared, pub, &s1)
-	e2, i2, m2 := deriveKeys(shared, pub, &s2)
+	// deriveKeys clears the secret it consumes, so each call gets a copy.
+	e1, i1, m1 := deriveKeys(bytes.Clone(shared), pub, &s1)
+	e2, i2, m2 := deriveKeys(bytes.Clone(shared), pub, &s2)
 	if !bytes.Equal(e1, e2) || !bytes.Equal(i1, i2) || !bytes.Equal(m1, m2) {
 		t.Fatal("deriveKeys not deterministic")
 	}
@@ -338,6 +339,18 @@ func TestDeriveKeysDeterministicAndDistinct(t *testing.T) {
 	}
 	if bytes.Equal(e1, i1[:encKeyLen]) {
 		t.Fatal("enc key equals ICB prefix")
+	}
+}
+
+// TestDeriveKeysClearsTheSharedSecret: the X25519 secret ecdh's ECDH
+// returns is a fresh slice nothing else clears, so the KDF zeroes it once
+// it has read it, and it never lingers in freed heap.
+func TestDeriveKeysClearsTheSharedSecret(t *testing.T) {
+	shared := bytes.Repeat([]byte{0x42}, 32)
+	var ks kdfScratch
+	deriveKeys(shared, bytes.Repeat([]byte{0x24}, 32), &ks)
+	if !bytes.Equal(shared, make([]byte, 32)) {
+		t.Fatalf("shared secret after the KDF = %x, want all zero", shared)
 	}
 }
 

@@ -340,7 +340,7 @@ func (s *Slice) Unbooked() simclock.Cycles {
 // book runs one of the slice's verbs through simclock.Book and adds what
 // it charged to total.
 func (s *Slice) book(ctx context.Context, total *atomic.Uint64, verb func(context.Context) error) error {
-	n, err := simclock.Book(ctx, verb)
+	n, _, err := simclock.Book(ctx, verb)
 	total.Add(uint64(n))
 	return err
 }
@@ -690,9 +690,6 @@ var (
 // provisioning.
 func (s *Slice) ProvisionSubscriber(ctx context.Context, supi suci.SUPI, k, opc []byte) error {
 	return s.book(ctx, &s.provisioned, func(ctx context.Context) error {
-		if err := supi.Validate(); err != nil {
-			return err
-		}
 		id, err := supi.Value()
 		if err != nil {
 			return err

@@ -10,6 +10,7 @@ import (
 
 	"shield5g/internal/gnb"
 	"shield5g/internal/hmee"
+	"shield5g/internal/hmee/sgx"
 	"shield5g/internal/paka"
 	"shield5g/internal/simclock"
 )
@@ -21,10 +22,12 @@ const usimStep = 15_000
 
 // TestProcedureHops holds each procedure's hops — the paper's Fig. 5, and
 // the flows beside it, on the virtual clock — to testdata/hops.golden: one
-// block per procedure × backend × SBI format, each hop's depth, kind, site
-// and the cycles its account was charged across it. A refactor that adds,
-// drops or reorders a hop, or moves a charge between hops, moves the
-// golden; re-mint it with HOPS_UPDATE=1 only for such a deliberate change.
+// block per procedure × backend × SBI format, each hop's depth, kind, site,
+// the cycles its account was charged across it and the boundary events
+// counted on it, in simclock.Event order (EENTER, EEXIT, ECALL, OCALL, AEX,
+// EPC fault, VM exit). A refactor that adds, drops or reorders a hop, or
+// moves a charge or a count between hops, moves the golden; re-mint it
+// with HOPS_UPDATE=1 only for such a deliberate change.
 //
 // Each slice is one replica with no AV pool, driven sequentially without
 // a keep-alive connection, and each block follows a warm-up registration
@@ -32,6 +35,8 @@ const usimStep = 15_000
 //   - the top-level hops plus the UE's USIM steps are the booked total, to
 //     the cycle, and the USIM steps are the same on every backend and
 //     format (they are the only cycles charged outside a hop);
+//   - the top-level hops' counts are the booked counts (a USIM step
+//     counts nothing), and a container counts nothing at all;
 //   - the three backends of a procedure and format take the same hops,
 //     at different prices (TestSameCensusDifferentPrice, run end to end).
 func TestProcedureHops(t *testing.T) {
@@ -73,7 +78,7 @@ func TestProcedureHops(t *testing.T) {
 				var hops simclock.Hops
 				recording := simclock.NewCall(ctx)
 				recording.Hops = &hops
-				booked, err := simclock.Book(recording, fn)
+				booked, counts, err := simclock.Book(recording, fn)
 				if err != nil {
 					t.Fatalf("%s/%s: %s: %v", b.name, format, procedure, err)
 				}
@@ -81,10 +86,12 @@ func TestProcedureHops(t *testing.T) {
 					t.Fatalf("%s/%s: %s entered %d hops past capacity", b.name, format, procedure, n)
 				}
 				var top simclock.Cycles
+				var topCounts simclock.Counts
 				var shape, lines strings.Builder
 				for _, h := range hops.Hops() {
 					if h.Depth == 0 {
 						top += h.Cycles
+						topCounts = topCounts.Add(h.Counts)
 					}
 					site := h.Site
 					if h.Kind == simclock.Cross {
@@ -92,7 +99,14 @@ func TestProcedureHops(t *testing.T) {
 					}
 					indent := strings.Repeat("  ", int(h.Depth))
 					fmt.Fprintf(&shape, "%s%v %s\n", indent, h.Kind, site)
-					fmt.Fprintf(&lines, "%-60s %10d\n", fmt.Sprintf("%s%-5v %s", indent, h.Kind, site), h.Cycles)
+					fmt.Fprintf(&lines, "%-60s %10d", fmt.Sprintf("%s%-5v %s", indent, h.Kind, site), h.Cycles)
+					for _, n := range h.Counts {
+						fmt.Fprintf(&lines, " %4d", n)
+					}
+					lines.WriteByte('\n')
+				}
+				if topCounts != counts || (b.name == "container" && counts != simclock.Counts{}) {
+					t.Errorf("%s/%s: %s counted %v; its top-level hops %v", b.name, format, procedure, counts, topCounts)
 				}
 				if top+usim[procedure] != booked {
 					t.Errorf("%s/%s: %s booked %d cycles; its top-level hops charged %d and the UE's USIM %d",
@@ -170,4 +184,81 @@ func shapeName(ph hmee.Phases) string {
 		return "maintenance"
 	}
 	return fmt.Sprintf("phases %#x", uint8(ph))
+}
+
+// TestAttachCountsEqualModuleCounters: every boundary event is counted once,
+// where it is charged, on the module's runtime and on the paying request's
+// account, so a sequential SUCI attach's account counts are the delta of
+// the slice's module counters across it. Under SGX, classic and ring, the
+// account reads as Module.Stats does, field for field (ERESUME as AEX); a
+// container counts nothing, and a confidential VM only its VM exits.
+func TestAttachCountsEqualModuleCounters(t *testing.T) {
+	backends := []struct {
+		name string
+		cfg  SliceConfig
+	}{
+		{"container", SliceConfig{Isolation: paka.Container}},
+		{"sgx", SliceConfig{Isolation: paka.SGX}},
+		{"sgx-ring", SliceConfig{Isolation: paka.SGX, Switchless: true}},
+		{"sev", SliceConfig{Isolation: paka.SEV}},
+	}
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			cfg := b.cfg
+			cfg.Seed, cfg.Replicas = 63, 2
+			s := newSliceWith(t, cfg)
+			device := provisionUE(t, s, "0000063001")
+			counters := func() (events simclock.Counts, stats sgx.StatsSnapshot) {
+				for _, shard := range s.Shards {
+					for _, m := range shard.Modules {
+						events = events.Add(m.Events())
+						st := m.Stats()
+						stats.EENTER += st.EENTER
+						stats.EEXIT += st.EEXIT
+						stats.AEX += st.AEX
+						stats.ERESUME += st.ERESUME
+						stats.ECALLs += st.ECALLs
+						stats.OCALLs += st.OCALLs
+						stats.PageFaults += st.PageFaults
+					}
+				}
+				return events, stats
+			}
+			eventsBefore, statsBefore := counters()
+			var acct simclock.Account
+			if _, err := s.GNB.RegisterUE(simclock.WithAccount(context.Background(), &acct), device); err != nil {
+				t.Fatal(err)
+			}
+			eventsAfter, statsAfter := counters()
+			got := acct.Counts()
+			if d := eventsAfter.Sub(eventsBefore); got != d {
+				t.Fatalf("account counted %v; the modules' counters moved by %v", got, d)
+			}
+			want := sgx.StatsSnapshot{
+				EENTER: got[simclock.EENTER], EEXIT: got[simclock.EEXIT], AEX: got[simclock.AEX], ERESUME: got[simclock.AEX],
+				ECALLs: got[simclock.ECALL], OCALLs: got[simclock.OCALL], PageFaults: got[simclock.EPCFault],
+			}
+			if d := statsAfter.Sub(statsBefore); d != want {
+				t.Fatalf("Module.Stats moved by %+v; the account reads %+v", d, want)
+			}
+			vmExits := got[simclock.VMExit]
+			others := got
+			others[simclock.VMExit] = 0
+			switch b.name {
+			case "container":
+				if got != (simclock.Counts{}) {
+					t.Fatalf("a container counted %v", got)
+				}
+			case "sev":
+				if others != (simclock.Counts{}) || vmExits == 0 {
+					t.Fatalf("a confidential VM counted %v; want VM exits only", got)
+				}
+			default:
+				if vmExits != 0 || got[simclock.EENTER] == 0 {
+					t.Fatalf("an enclave counted %v", got)
+				}
+			}
+			t.Logf("%s: %v", b.name, got)
+		})
+	}
 }

@@ -13,6 +13,7 @@ import (
 	"shield5g/internal/nf/udm"
 	"shield5g/internal/paka"
 	"shield5g/internal/sbi"
+	"shield5g/internal/simclock"
 	"shield5g/internal/ue"
 )
 
@@ -46,17 +47,16 @@ type plan struct {
 }
 
 // sliceRun is what a measured slice run hands its table: the driver's own
-// result, the counter deltas over the window, and the snapshots taken
-// when it closed.
+// result, the shard-0 eUDM's EENTER delta over the window, and the
+// snapshots taken when it closed.
 type sliceRun struct {
 	mass  *gnb.MassResult
 	storm *gnb.StormResult
 	// setup summarises every registration's setup time.
 	setup metrics.Summary
-	// trans is the fleet-wide EENTER+EEXIT census of the window, enters
-	// shard 0's eUDM EENTER share of it; mallocs and bytes are the
-	// AllocWindow figures (plan.heap).
-	trans, enters, mallocs, bytes uint64
+	// enters is shard 0's eUDM EENTER count over the window; mallocs and
+	// bytes are the AllocWindow figures (plan.heap).
+	enters, mallocs, bytes uint64
 	// stableRS is the eUDM's median stable response time as the UDM sees
 	// it (the paper's R_S).
 	stableRS       time.Duration
@@ -80,21 +80,10 @@ func (r *sliceRun) perReg(v float64) float64 {
 	return v / float64(r.mass.Registered)
 }
 
-// transPerReg is the fleet's transition census per registration.
-func (r *sliceRun) transPerReg() float64 { return r.perReg(float64(r.trans)) }
-
-// census reads the two transition counters a window is bracketed by.
-func census(s *deploy.Slice) (trans, enters uint64) {
-	for _, shard := range s.Shards {
-		for _, m := range shard.Modules {
-			st := m.Stats()
-			trans += st.EENTER + st.EEXIT
-		}
-	}
-	if m := s.Modules[paka.EUDM]; m != nil {
-		enters = m.Stats().EENTER
-	}
-	return trans, enters
+// transPerReg is the EENTER+EEXIT count per registration, read off the
+// accounts the mass run's attempts booked on.
+func (r *sliceRun) transPerReg() float64 {
+	return r.perReg(float64(r.mass.Events[simclock.EENTER] + r.mass.Events[simclock.EEXIT]))
 }
 
 // measure deploys cfg, runs p against it and stops it again. A chaos
@@ -179,7 +168,8 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 	if s.Chaos != nil {
 		s.Chaos.SetArmed(true)
 	}
-	transBefore, entersBefore := census(s)
+	eudm := s.Modules[paka.EUDM]
+	entersBefore := eudm.Stats().EENTER
 	if p.heap {
 		run.mallocs, run.bytes, err = AllocWindow(drive)
 	} else {
@@ -192,8 +182,7 @@ func measure(ctx context.Context, cfg deploy.SliceConfig, p plan) (*sliceRun, er
 		s.Chaos.SetArmed(false)
 		run.injected = s.Chaos.Counts()
 	}
-	trans, enters := census(s)
-	run.trans, run.enters = trans-transBefore, enters-entersBefore
+	run.enters = eudm.Stats().EENTER - entersBefore
 
 	setups := &metrics.Recorder{}
 	switch {

@@ -50,14 +50,11 @@ func Table3(ctx context.Context, cfg Config) (*Table3Result, error) {
 		maxUEs = 3
 	}
 	result := &Table3Result{PerUE: make(map[paka.ModuleKind]uint64)}
-	deltas := make(map[paka.ModuleKind][]uint64)
+	var steady uint64 // registrations past each sweep's warm-up one
 	for ues := 1; ues <= maxUEs; ues++ {
 		_, err := measure(ctx, deploy.SliceConfig{Isolation: paka.SGX, Seed: cfg.Seed + uint64(ues)}, plan{msin: 3000,
 			drive: func(ctx context.Context, s *deploy.Slice, device func(int) (*ue.UE, error)) error {
-				before := make(map[paka.ModuleKind]uint64)
-				for kind, m := range s.Modules {
-					before[kind] = m.Stats().EENTER
-				}
+				warm := make(map[paka.ModuleKind]uint64)
 				for i := 0; i < ues; i++ {
 					d, err := device(i)
 					if err != nil {
@@ -66,16 +63,16 @@ func Table3(ctx context.Context, cfg Config) (*Table3Result, error) {
 					if _, err := s.GNB.RegisterUE(ctx, d); err != nil {
 						return err
 					}
-					for kind, m := range s.Modules {
-						after := m.Stats().EENTER
-						if i > 0 { // steady-state delta (skip the warm-up request)
-							deltas[kind] = append(deltas[kind], after-before[kind])
+					if i == 0 { // the steady-state delta skips the warm-up request
+						for kind, m := range s.Modules {
+							warm[kind] = m.Stats().EENTER
 						}
-						before[kind] = after
 					}
 				}
+				steady += uint64(ues - 1)
 				for _, kind := range paka.Kinds() {
 					m := s.Modules[kind]
+					result.PerUE[kind] += m.Stats().EENTER - warm[kind]
 					m.AccrueUptime(moduleUptime)
 					result.Rows = append(result.Rows, Table3Row{kind.String(), ues, m.Stats()})
 				}
@@ -85,12 +82,8 @@ func Table3(ctx context.Context, cfg Config) (*Table3Result, error) {
 			return nil, err
 		}
 	}
-	for kind, d := range deltas {
-		var sum uint64
-		for _, v := range d {
-			sum += v
-		}
-		result.PerUE[kind] = sum / uint64(len(d))
+	for kind := range result.PerUE {
+		result.PerUE[kind] /= max(steady, 1)
 	}
 	var err error
 	if result.Empty, err = emptyWorkload(ctx, cfg); err != nil {

@@ -178,7 +178,7 @@ func (s *Session) Virtual() time.Duration { return s.gnb.env.Model.Duration(s.bo
 // book runs one of the session's procedures through simclock.Book and
 // adds what it charged to the session's total.
 func (s *Session) book(ctx context.Context, procedure func(context.Context) error) error {
-	n, err := simclock.Book(ctx, procedure)
+	n, _, err := simclock.Book(ctx, procedure)
 	s.booked += n
 	return err
 }
@@ -192,7 +192,7 @@ const maxNASRounds = 12
 // retry if needed), security mode, and registration accept. It returns the
 // RAN session and charges all costs to ctx's account.
 func (g *GNB) RegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
-	sess, _, err := g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
+	sess, _, _, err := g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
 	return sess, err
 }
 
@@ -201,16 +201,16 @@ func (g *GNB) RegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
 // temporary identity and re-authenticates without a SUCI ever crossing
 // the air interface.
 func (g *GNB) ReRegisterUE(ctx context.Context, device *ue.UE) (*Session, error) {
-	sess, _, err := g.register(ctx, device, (*ue.UE).BuildReRegistrationRequest)
+	sess, _, _, err := g.register(ctx, device, (*ue.UE).BuildReRegistrationRequest)
 	return sess, err
 }
 
 // register is the body of both entry points; build produces the device's
 // initial uplink for the serving network name. It returns what the
-// registration booked, failed or not.
-func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, context.Context, string) ([]byte, error)) (*Session, simclock.Cycles, error) {
+// registration booked, failed or not: its cycles and its boundary events.
+func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, context.Context, string) ([]byte, error)) (*Session, simclock.Cycles, simclock.Counts, error) {
 	if err := device.DetectNetwork(g.BroadcastPLMN()); err != nil {
-		return nil, 0, err
+		return nil, 0, simclock.Counts{}, err
 	}
 	ranUEID := g.nextRANUE.Add(1)
 
@@ -219,7 +219,7 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 	// modules) and, for a mobility registration, minted the GUTI and holds
 	// its TMSI binding.
 	a, shardIdx := g.amfFor(device)
-	setup, err := simclock.Book(ctx, func(ctx context.Context) error {
+	setup, counts, err := simclock.Book(ctx, func(ctx context.Context) error {
 		uplink, err := build(device, ctx, a.ServingNetworkName())
 		if err != nil {
 			return err
@@ -227,7 +227,7 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 		return g.driveRegistration(ctx, a, device, ranUEID, uplink)
 	})
 	if err != nil {
-		return nil, setup, err
+		return nil, setup, counts, err
 	}
 	return &Session{
 		gnb:       g,
@@ -237,7 +237,7 @@ func (g *GNB) register(ctx context.Context, device *ue.UE, build func(*ue.UE, co
 		ranUEID:   ranUEID,
 		booked:    setup,
 		SetupTime: g.env.Model.Duration(setup),
-	}, setup, nil
+	}, setup, counts, nil
 }
 
 // driveRegistration relays the NAS exchange between UE and the owning
@@ -373,6 +373,9 @@ type MassResult struct {
 	// run under injected faults.
 	Attempts  int
 	Recovered map[string]int
+	// Events is the boundary events counted on the accounts of every
+	// attempt: the run's Table III counts, read where they were charged.
+	Events simclock.Counts
 
 	// ShardStats is the per-replica lane accounting of the run, one entry
 	// per replica of the gNB's pool: every registration attempt's virtual
@@ -473,6 +476,7 @@ func (r *MassResult) merge(o *MassResult) {
 	r.Registered += o.Registered
 	r.Failed += o.Failed
 	r.Attempts += o.Attempts
+	r.Events = r.Events.Add(o.Events)
 	r.SetupTimes.Merge(o.SetupTimes)
 	for i := range r.ShardStats {
 		r.ShardStats[i].Registered += o.ShardStats[i].Registered
@@ -555,24 +559,27 @@ func (g *GNB) RegisterManyWith(ctx context.Context, opts MassOptions) (*MassResu
 
 // registerAttempts drives one UE through up to maxAttempts complete
 // registrations, each booked on its own (simclock.Book), so setup time
-// restarts per attempt. On success it
-// returns the session plus the failure classes survived along the way; on
-// exhaustion it returns the last error. The cycles return is the summed
-// virtual cost of every attempt, for per-shard lane attribution.
-func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts int) (*Session, int, simclock.Cycles, map[string]int, error) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
+// restarts per attempt, and tallies into result the attempts, their
+// boundary events and, once one registered the UE, the failure classes
+// survived along the way. It returns the session, or the last error on
+// exhaustion, and the summed virtual cost of every attempt, for per-shard
+// lane attribution.
+func (g *GNB) registerAttempts(ctx context.Context, device *ue.UE, maxAttempts int, result *MassResult) (*Session, simclock.Cycles, error) {
 	var recovered map[string]int
 	var spent simclock.Cycles
 	for attempt := 1; ; attempt++ {
-		sess, cycles, err := g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
+		sess, cycles, counts, err := g.register(ctx, device, (*ue.UE).BuildRegistrationRequest)
 		spent += cycles
+		result.Attempts++
+		result.Events = result.Events.Add(counts)
 		if err == nil {
-			return sess, attempt, spent, recovered, nil
+			for class, n := range recovered {
+				result.Recovered[class] += n
+			}
+			return sess, spent, nil
 		}
 		if attempt >= maxAttempts {
-			return nil, attempt, spent, nil, err
+			return nil, spent, err
 		}
 		if recovered == nil {
 			recovered = make(map[string]int)
@@ -596,14 +603,10 @@ func (g *GNB) registerStripe(ctx context.Context, opts MassOptions, conn uint64,
 		if err != nil {
 			return fmt.Errorf("gnb: provision UE %d: %w", i, err)
 		}
-		sess, attempts, cycles, recovered, err := g.registerAttempts(ctx, device, opts.MaxAttempts)
-		result.Attempts += attempts
+		sess, cycles, err := g.registerAttempts(ctx, device, opts.MaxAttempts, result)
 		if err != nil {
 			result.recordFailure(g.ShardOf(device.SUPIString()), cycles, err)
 			continue
-		}
-		for class, n := range recovered {
-			result.Recovered[class] += n
 		}
 		result.Registered++
 		result.SetupTimes.Add(sess.SetupTime)

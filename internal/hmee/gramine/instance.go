@@ -301,6 +301,9 @@ func (i *Instance) AccrueUptime(d time.Duration) { i.enclave.AccrueUptime(d) }
 // Stats snapshots the enclave's SGX counters.
 func (i *Instance) Stats() sgx.StatsSnapshot { return i.enclave.Stats() }
 
+// Events snapshots the enclave's counters.
+func (i *Instance) Events() simclock.Counts { return i.enclave.Events() }
+
 // Shutdown leaves the resident threads, charging their exits to ctx's
 // account, and destroys the enclave. Requests admitted before it finish
 // first (those still queued in the ring fail with hmee.ErrStopped); later

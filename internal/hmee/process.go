@@ -3,7 +3,6 @@ package hmee
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"shield5g/internal/costmodel"
@@ -45,8 +44,10 @@ type Process struct {
 	env      *costmodel.Env
 	prices   Prices
 	syscalls SyscallProfile
-	vmExits  atomic.Uint64
-	life     Lifecycle
+	// events counts the VM exits of the process's edges (none in a
+	// container).
+	events simclock.Events
+	life   Lifecycle
 
 	mu      sync.Mutex
 	secrets map[codec.SUPI][16]byte
@@ -76,6 +77,16 @@ type call struct {
 var callPool = sync.Pool{New: func() any { return new(call) }}
 
 func (c *call) charge(n simclock.Cycles) { c.p.env.ChargeTo(c.acct, n) }
+
+// edge is one edge of a served request, its arrival or its departure,
+// through the device boundary: its VM exits, counted and charged. A
+// request that serves no body crosses none.
+func (c *call) edge(served bool) {
+	if n := c.p.prices.ExitsPerEdge; served && n != 0 {
+		c.p.events.Count(c.acct, n, simclock.VMExit)
+		c.charge(simclock.Cycles(n) * c.p.prices.VMExitCycles)
+	}
+}
 
 func (c *call) Warmup() { c.charge(c.p.prices.WarmupCycles) }
 
@@ -140,16 +151,9 @@ func (p *Process) Cross(ctx context.Context, ph Phases, in, out int, h Handler) 
 	c.p, c.acct, c.jitter = p, simclock.AccountFrom(ctx), p.env.JitterFor(ctx)
 	// A served request arrives and departs through the device boundary:
 	// the VM exits of each edge sit outside L_T, inside the residence.
-	var edge simclock.Cycles
-	if ph&Body != 0 && p.prices.ExitsPerEdge != 0 {
-		p.vmExits.Add(2 * p.prices.ExitsPerEdge)
-		edge = simclock.Cycles(p.prices.ExitsPerEdge) * p.prices.VMExitCycles
-		c.charge(edge)
-	}
+	c.edge(ph&Body != 0)
 	bd, err := Walk(c, p.env.Model, p.syscalls, c.acct, ph, in, out, h)
-	if edge != 0 {
-		c.charge(edge)
-	}
+	c.edge(ph&Body != 0)
 	*c = call{}
 	callPool.Put(c)
 	return bd, err
@@ -161,8 +165,12 @@ func (p *Process) LoadDuration() time.Duration { return processStartup }
 // AccrueUptime models the process staying deployed for d of virtual time.
 func (p *Process) AccrueUptime(d time.Duration) { p.env.Clock.AdvanceDuration(d) }
 
+// Events snapshots the process's counters: its VM exits, none in a
+// container.
+func (p *Process) Events() simclock.Counts { return p.events.Load() }
+
 // VMExits reports the accumulated VM exit count (zero in a container).
-func (p *Process) VMExits() uint64 { return p.vmExits.Load() }
+func (p *Process) VMExits() uint64 { return p.events[simclock.VMExit].Load() }
 
 // Running reports whether the process is up.
 func (p *Process) Running() bool { return p.life.Running() }

@@ -83,7 +83,10 @@ type Enclave struct {
 
 	tcs chan struct{} // TCS slots; acquired per in-enclave thread
 
-	stats Stats
+	// events is the enclave's sink of the SGX counters the paper collects
+	// through Gramine's stats interface (Table III); every site that
+	// counts one also counts it on the paying request's account.
+	events simclock.Events
 
 	// state and faulted are atomics so the request hot path (liveness
 	// check, demand-paging claim) never serialises concurrent threads.
@@ -151,14 +154,13 @@ func (p *Platform) Build(ctx context.Context, cfg EnclaveConfig) (*Enclave, erro
 	)
 	cost += simclock.Cycles(bootstrapOCALLs) * m.OCALLRoundTrip()
 	cost += simclock.Cycles(bootstrapOneWays) * m.EENTER
-	e.stats.EENTER.Add(bootstrapOCALLs + bootstrapOneWays)
-	e.stats.EEXIT.Add(bootstrapOCALLs)
-	e.stats.OCALLs.Add(bootstrapOCALLs)
-	e.stats.ECALLs.Add(bootstrapOneWays)
+	acct := simclock.AccountFrom(ctx)
+	e.events.Count(acct, bootstrapOCALLs, simclock.OCALL, simclock.EEXIT, simclock.EENTER)
+	e.events.Count(acct, bootstrapOneWays, simclock.ECALL, simclock.EENTER)
 
 	cost = p.env.Jitter.Scale(cost, 0.012)
 	e.loadCycles = cost
-	p.env.Charge(ctx, cost)
+	p.env.ChargeTo(acct, cost)
 
 	p.mu.Lock()
 	p.enclaves[id] = e
@@ -276,8 +278,7 @@ func (e *Enclave) ECall(ctx context.Context, argBytes, retBytes int, fn func(*Th
 	acct := simclock.AccountFrom(ctx)
 	m := p.env.Model
 
-	e.stats.EENTER.Add(1)
-	e.stats.ECALLs.Add(1)
+	e.events.Count(acct, 1, simclock.EENTER, simclock.ECALL)
 	p.env.ChargeTo(acct, m.EENTER+m.ShieldCost(argBytes))
 
 	t := threadPool.Get().(*Thread)
@@ -286,7 +287,7 @@ func (e *Enclave) ECall(ctx context.Context, argBytes, retBytes int, fn func(*Th
 	*t = Thread{}
 	threadPool.Put(t)
 
-	e.stats.EEXIT.Add(1)
+	e.events.Count(acct, 1, simclock.EEXIT)
 	p.env.ChargeTo(acct, m.EEXIT+m.ShieldCost(retBytes))
 	return err
 }
@@ -304,8 +305,7 @@ func (e *Enclave) EnterResident(ctx context.Context) (*Thread, error) {
 	}
 	p := e.platform
 	acct := simclock.AccountFrom(ctx)
-	e.stats.EENTER.Add(1)
-	e.stats.ECALLs.Add(1)
+	e.events.Count(acct, 1, simclock.EENTER, simclock.ECALL)
 	p.env.ChargeTo(acct, p.env.Model.EENTER)
 	return &Thread{enclave: e, acct: acct, jitter: p.env.Jitter}, nil
 }
@@ -313,7 +313,7 @@ func (e *Enclave) EnterResident(ctx context.Context) (*Thread, error) {
 // LeaveResident releases a resident thread's TCS slot, counting the final
 // EEXIT (process teardown).
 func (e *Enclave) LeaveResident(t *Thread) {
-	e.stats.EEXIT.Add(1)
+	e.events.Count(t.acct, 1, simclock.EEXIT)
 	e.platform.env.ChargeTo(t.acct, e.platform.env.Model.EEXIT)
 	<-e.tcs
 }
@@ -343,9 +343,7 @@ func (t *Thread) OCallN(n int, untrustedCycles simclock.Cycles, outBytes, inByte
 	}
 	e := t.enclave
 	m := e.platform.env.Model
-	e.stats.EEXIT.Add(uint64(n))
-	e.stats.EENTER.Add(uint64(n))
-	e.stats.OCALLs.Add(uint64(n))
+	e.events.Count(t.acct, uint64(n), simclock.EEXIT, simclock.EENTER, simclock.OCALL)
 	cost := m.EEXIT + m.ShieldCost(outBytes) + untrustedCycles + m.EENTER + m.ShieldCost(inBytes)
 	e.platform.env.ChargeTo(t.acct, simclock.Cycles(n)*cost)
 }
@@ -364,7 +362,7 @@ func (t *Thread) OCallExitlessN(n int, untrustedCycles simclock.Cycles, outBytes
 	}
 	e := t.enclave
 	m := e.platform.env.Model
-	e.stats.OCALLs.Add(uint64(n))
+	e.events.Count(t.acct, uint64(n), simclock.OCALL)
 	// Two cache-line handoffs plus the spin while the helper serves the
 	// call; far below the ~17k-cycle transition pair.
 	const handoffCycles = 3_000
@@ -398,8 +396,7 @@ func (t *Thread) Compute(n simclock.Cycles) {
 	seconds := float64(n) / float64(m.FrequencyHz)
 	aex := t.jitter.Poisson(seconds * m.AEXRatePerThreadHz)
 	if aex > 0 {
-		e.stats.AEX.Add(uint64(aex))
-		e.stats.ERESUME.Add(uint64(aex))
+		e.events.Count(t.acct, uint64(aex), simclock.AEX)
 		cost += simclock.Cycles(aex) * m.AEXRoundTrip()
 	}
 	p.env.ChargeTo(t.acct, cost)
@@ -447,9 +444,7 @@ func (t *Thread) Touch(nBytes uint64) {
 	faults += uint64(t.jitter.Poisson(lambda))
 
 	if faults > 0 {
-		e.stats.PageFaults.Add(faults)
-		e.stats.AEX.Add(faults)
-		e.stats.ERESUME.Add(faults)
+		e.events.Count(t.acct, faults, simclock.EPCFault, simclock.AEX)
 		p.env.ChargeTo(t.acct, simclock.Cycles(faults)*(m.EPCPageFault+m.AEXRoundTrip()))
 	}
 	p.env.ChargeTo(t.acct, simclock.Cycles(nBytes)*m.CopyPerByte)
@@ -499,7 +494,7 @@ func (e *Enclave) restoreSecret(supi codec.SUPI) (k [16]byte, ok bool) {
 	if !ok {
 		return k, false
 	}
-	ad := sealADPool.Get().(*[sealADLen]byte)
+	ad := sealADPool.Get().(*[codec.SUPITextLen]byte)
 	plain, err := e.Unseal(blob, sealAD(ad, supi))
 	sealADPool.Put(ad)
 	if err != nil || len(plain) != len(k) {
@@ -566,8 +561,7 @@ func (e *Enclave) AccrueUptime(d time.Duration) {
 	resident := float64(e.cfg.MaxThreads)
 	mean := d.Seconds() * p.env.Model.AEXRatePerThreadHz * resident
 	n := p.env.Jitter.Poisson(mean)
-	e.stats.AEX.Add(uint64(n))
-	e.stats.ERESUME.Add(uint64(n))
+	e.events.Count(nil, uint64(n), simclock.AEX)
 	p.env.Clock.AdvanceDuration(d)
 }
 
@@ -580,10 +574,9 @@ func (e *Enclave) InjectAEX(ctx context.Context, n uint64) {
 	if n == 0 || e.live() != nil {
 		return
 	}
-	e.stats.AEX.Add(n)
-	e.stats.ERESUME.Add(n)
-	env := e.platform.env
-	env.Charge(ctx, simclock.Cycles(n)*env.Model.AEXRoundTrip())
+	env, acct := e.platform.env, simclock.AccountFrom(ctx)
+	e.events.Count(acct, n, simclock.AEX)
+	env.ChargeTo(acct, simclock.Cycles(n)*env.Model.AEXRoundTrip())
 }
 
 // EvictPages models EPC page-pressure reclaim: the kernel swaps up to n of
@@ -609,19 +602,8 @@ func (e *Enclave) EvictPages(n uint64) uint64 {
 	}
 }
 
-// Stats contains the SGX-specific operation counters the paper collects
-// through Gramine's stats interface (Table III).
-type Stats struct {
-	EENTER     atomic.Uint64
-	EEXIT      atomic.Uint64
-	AEX        atomic.Uint64
-	ERESUME    atomic.Uint64
-	ECALLs     atomic.Uint64
-	OCALLs     atomic.Uint64
-	PageFaults atomic.Uint64
-}
-
-// StatsSnapshot is a point-in-time copy of the counters.
+// StatsSnapshot is a point-in-time copy of the counters, by their Table III
+// names.
 type StatsSnapshot struct {
 	EENTER     uint64
 	EEXIT      uint64
@@ -632,16 +614,24 @@ type StatsSnapshot struct {
 	PageFaults uint64
 }
 
+// Events snapshots the enclave's counters.
+func (e *Enclave) Events() simclock.Counts { return e.events.Load() }
+
 // Stats returns a snapshot of the enclave's counters.
-func (e *Enclave) Stats() StatsSnapshot {
+func (e *Enclave) Stats() StatsSnapshot { return StatsOf(e.events.Load()) }
+
+// StatsOf reads SGX counts by their Table III names: zero for a runtime
+// without an enclave. Every AEX is followed by its ERESUME, so the two
+// read the same count.
+func StatsOf(c simclock.Counts) StatsSnapshot {
 	return StatsSnapshot{
-		EENTER:     e.stats.EENTER.Load(),
-		EEXIT:      e.stats.EEXIT.Load(),
-		AEX:        e.stats.AEX.Load(),
-		ERESUME:    e.stats.ERESUME.Load(),
-		ECALLs:     e.stats.ECALLs.Load(),
-		OCALLs:     e.stats.OCALLs.Load(),
-		PageFaults: e.stats.PageFaults.Load(),
+		EENTER:     c[simclock.EENTER],
+		EEXIT:      c[simclock.EEXIT],
+		AEX:        c[simclock.AEX],
+		ERESUME:    c[simclock.AEX],
+		ECALLs:     c[simclock.ECALL],
+		OCALLs:     c[simclock.OCALL],
+		PageFaults: c[simclock.EPCFault],
 	}
 }
 

@@ -175,15 +175,14 @@ func (r *Ring) accountSubmit(ctx context.Context) bool {
 		r.stats.Doorbells++
 	}
 	r.mu.Unlock()
+	acct := simclock.AccountFrom(ctx)
 	if doorbell {
-		e.stats.EENTER.Add(1)
-		e.stats.EEXIT.Add(1)
-		e.stats.ECALLs.Add(1)
+		e.events.Count(acct, 1, simclock.EENTER, simclock.EEXIT, simclock.ECALL)
 		cost += m.SwitchlessDoorbellCycles + m.ECALLRoundTrip()
 	} else {
 		cost += m.SwitchlessPollCycles
 	}
-	e.platform.env.Charge(ctx, cost)
+	e.platform.env.ChargeTo(acct, cost)
 	return true
 }
 

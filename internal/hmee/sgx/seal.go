@@ -82,7 +82,7 @@ func (e *Enclave) Unseal(blob, additionalData []byte) ([]byte, error) {
 // once, and any enclave of the identity whose key store later misses that
 // SUPI opens the file in place (Thread.LoadSecret).
 func (e *Enclave) SealBackup(supi codec.SUPI, data []byte) error {
-	ad := sealADPool.Get().(*[sealADLen]byte)
+	ad := sealADPool.Get().(*[codec.SUPITextLen]byte)
 	blob, err := e.Seal(data, sealAD(ad, supi))
 	sealADPool.Put(ad)
 	if err != nil {
@@ -100,17 +100,14 @@ func (e *Enclave) SealBackup(supi codec.SUPI, data []byte) error {
 	return nil
 }
 
-// sealADLen bounds a SUPI's text: "imsi-" and up to 16 digits.
-const sealADLen = len("imsi-") + 16
-
 // sealADPool holds the buffers sealAD writes into. The AEAD's Seal and
 // Open are interface calls, so a buffer on the caller's stack would move
 // to the heap on every sealed file.
-var sealADPool = sync.Pool{New: func() any { return new([sealADLen]byte) }}
+var sealADPool = sync.Pool{New: func() any { return new([codec.SUPITextLen]byte) }}
 
 // sealAD writes supi's text into ad: a sealed file's additional data,
 // which binds the blob to its SUPI.
-func sealAD(ad *[sealADLen]byte, supi codec.SUPI) []byte {
+func sealAD(ad *[codec.SUPITextLen]byte, supi codec.SUPI) []byte {
 	b, _ := supi.AppendText(ad[:0])
 	return b
 }

@@ -72,6 +72,7 @@ func newPoolHarness(t *testing.T, depth int) *poolHarness {
 		Functions: remote, HomeNetworkKey: hnKey,
 		Entropy:     mrand.New(mrand.NewSource(42)),
 		AVPoolDepth: depth,
+		Reprovision: eudm.ProvisionSubscriber,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -183,6 +184,33 @@ func TestAVPoolHitMissRefillCounters(t *testing.T) {
 	h.auth(t, supi) // third refill: the depth again
 	if s := h.udm.AVPoolStats(); s.Misses != 3 || s.Refills != 3 || s.Pooled != 3 {
 		t.Fatalf("after third miss: %+v", s)
+	}
+}
+
+// TestRefillRecoversALostKeyAsOneBatch: a guest eUDM that lost a SUPI's
+// key (a restart, or an eviction) answers the next refill USER_NOT_FOUND;
+// the UDM re-provisions the key once and posts the same batch again, and
+// never falls back to single generate-av posts.
+func TestRefillRecoversALostKeyAsOneBatch(t *testing.T) {
+	h := newPoolHarness(t, 8)
+	supi := suci.SUPI{MCC: "001", MNC: "01", MSIN: "0000000001"}
+	h.provision(t, supi)
+	h.auth(t, supi) // first contact: mints 2, serves 1, banks 1
+	h.auth(t, supi) // a hit
+	if err := h.eudm.EvictSubscriber(context.Background(), value(t, supi)); err != nil {
+		t.Fatal(err)
+	}
+	*h.fns = countingInvoker{Invoker: h.fns.Invoker}
+	h.auth(t, supi) // a miss: the refill finds no key
+	if n := h.udm.Reprovisions(); n != 1 {
+		t.Fatalf("reprovisioned %d times, want 1", n)
+	}
+	if h.fns.batch != 2 || h.fns.batchItems != 16 || h.fns.single != 0 {
+		t.Fatalf("refill posted generate-av-batch %d times (%d items) and generate-av %d times; want 2 (16) and 0",
+			h.fns.batch, h.fns.batchItems, h.fns.single)
+	}
+	if s := h.udm.AVPoolStats(); s.Refills != 2 || s.Pooled != 7 {
+		t.Fatalf("pool after the recovered refill: %+v, want 2 refills and 7 banked", s)
 	}
 }
 

@@ -236,25 +236,24 @@ func (u *UDM) avRequest(ctx context.Context, supi codec.SUPI, text, snn string) 
 	}, nil
 }
 
-// generateAV invokes the execution environment for a single vector, with
-// the reprovision-on-lost-key retry.
-func (u *UDM) generateAV(ctx context.Context, avReq *paka.UDMGenerateAVRequest) (paka.UDMGenerateAVResponse, error) {
-	av, err := u.fns.GenerateAV(ctx, avReq)
-	if err != nil && u.reprovision != nil && sbi.HasCause(err, sbi.CauseUserNotFound) {
-		// Graceful degradation: the execution environment misses the key
-		// (a guest keeps no sealed backup: its crash-restart emptied the
-		// store, or a rebalance routed the SUPI here). Re-fetch the
-		// long-term key from the UDR, push it in, and retry once.
-		// The text is the UDM's own, written from a parsed value.
-		supi, _ := codec.ParseSUPI(avReq.SUPI)
-		if sub, gerr := u.udr.Get(ctx, supi); gerr == nil {
-			if perr := u.reprovision(ctx, supi, sub.K); perr == nil {
-				u.reprovisions.Add(1)
-				av, err = u.fns.GenerateAV(ctx, avReq)
-			}
-		}
+// withKey is the one key-miss recovery: it runs call, one request to the
+// execution environment on supi's behalf, and when the environment misses
+// supi's key (a guest keeps no sealed backup: its crash-restart emptied
+// the store, or a rebalance routed the SUPI here) and a reprovision hook
+// is set, it re-fetches the long-term key from the UDR, pushes it in once
+// and runs the same call again. Any other error, or a recovery that
+// fails, is call's first error.
+func (u *UDM) withKey(ctx context.Context, supi codec.SUPI, call func() error) error {
+	err := call()
+	if err == nil || u.reprovision == nil || !sbi.HasCause(err, sbi.CauseUserNotFound) {
+		return err
 	}
-	return av, err
+	sub, gerr := u.udr.Get(ctx, supi)
+	if gerr != nil || u.reprovision(ctx, supi, sub.K) != nil {
+		return err
+	}
+	u.reprovisions.Add(1)
+	return call()
 }
 
 // freshAV is the unpooled path: one SQN advance, one RAND, one crossing,
@@ -264,8 +263,10 @@ func (u *UDM) freshAV(ctx context.Context, supi codec.SUPI, text, snn string, av
 	if err != nil {
 		return err
 	}
-	*av, err = u.generateAV(ctx, &avReq)
-	return err
+	return u.withKey(ctx, supi, func() (err error) {
+		*av, err = u.fns.GenerateAV(ctx, &avReq)
+		return err
+	})
 }
 
 // refill is one AV pool refill's scratch: the RAND backing and the items
@@ -333,7 +334,8 @@ func (u *UDM) pooledAV(ctx context.Context, supi codec.SUPI, snn string, av *pak
 }
 
 // mintBatch mints count vectors for supi through one UDR round trip and
-// one boundary crossing, on a refill scratch it draws and returns.
+// one boundary crossing, on a refill scratch it draws and returns; a key
+// miss retries the crossing once, after the reprovision (withKey).
 func (u *UDM) mintBatch(ctx context.Context, supi codec.SUPI, snn string, count int) ([]paka.UDMGenerateAVResponse, error) {
 	r := refillPool.Get().(*refill)
 	defer r.release()
@@ -341,37 +343,18 @@ func (u *UDM) mintBatch(ctx context.Context, supi codec.SUPI, snn string, count 
 	if err != nil {
 		return nil, err
 	}
-	return u.generateBatch(ctx, items)
-}
-
-// generateBatch mints the given items through one boundary crossing,
-// falling back to the per-item path (which carries the reprovision retry)
-// when the batch call reports a lost key store. Only that fallback formats
-// the SUPI's text, which a single request still carries.
-func (u *UDM) generateBatch(ctx context.Context, items []paka.UDMGenerateAVItem) ([]paka.UDMGenerateAVResponse, error) {
-	resp, err := u.fns.GenerateAVBatch(ctx, &paka.UDMGenerateAVBatchRequest{Items: items})
-	switch {
-	case err == nil:
-		if len(resp.Vectors) != len(items) {
-			return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem,
-				"batch returned %d vectors for %d items", len(resp.Vectors), len(items))
-		}
-		return resp.Vectors, nil
-	case !sbi.HasCause(err, sbi.CauseUserNotFound):
+	var resp paka.UDMGenerateAVBatchResponse
+	if err := u.withKey(ctx, supi, func() (err error) {
+		resp, err = u.fns.GenerateAVBatch(ctx, &paka.UDMGenerateAVBatchRequest{Items: items})
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	vectors := make([]paka.UDMGenerateAVResponse, 0, len(items))
-	for i := range items {
-		it := &items[i]
-		av, err := u.generateAV(ctx, &paka.UDMGenerateAVRequest{
-			SUPI: it.SUPI.String(), OPc: it.OPc, RAND: it.RAND, SQN: it.SQN, AMFID: it.AMFID, SNN: it.SNN,
-		})
-		if err != nil {
-			return nil, err
-		}
-		vectors = append(vectors, av)
+	if len(resp.Vectors) != len(items) {
+		return nil, sbi.Problem(500, "Internal Server Error", sbi.CauseSystem,
+			"batch returned %d vectors for %d items", len(resp.Vectors), len(items))
 	}
-	return vectors, nil
+	return resp.Vectors, nil
 }
 
 // handleResync recovers the UE's SQN_MS from its AUTS in the eUDM and

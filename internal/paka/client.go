@@ -68,7 +68,7 @@ var (
 
 // timed is one served module invocation, its response time recorded.
 func timed[Req, Resp any](ctx context.Context, r *Remote, e *sbi.Endpoint[Req, Resp], req Req) (resp Resp, err error) {
-	n, err := simclock.Book(ctx, func(ctx context.Context) (err error) {
+	n, _, err := simclock.Book(ctx, func(ctx context.Context) (err error) {
 		resp, err = e.Post(ctx, r.invoker, r.service, req)
 		return err
 	})

@@ -21,6 +21,7 @@ import (
 	"shield5g/internal/metrics"
 	"shield5g/internal/sbi"
 	"shield5g/internal/sbi/codec"
+	"shield5g/internal/simclock"
 )
 
 // Config describes one P-AKA module deployment.
@@ -501,12 +502,13 @@ func (m *Module) LoadDuration() time.Duration { return m.rt().LoadDuration() }
 
 // Stats snapshots the module's SGX counters (zero for a module without an
 // enclave: a container or a confidential VM).
-func (m *Module) Stats() sgx.StatsSnapshot {
-	if e := m.Enclave(); e != nil {
-		return e.Stats()
-	}
-	return sgx.StatsSnapshot{}
-}
+func (m *Module) Stats() sgx.StatsSnapshot { return sgx.StatsOf(m.Events()) }
+
+// Events snapshots the boundary events the module's runtime counted,
+// every one of them also counted on the account of the request that paid
+// for it: an enclave's SGX operations (the counts Stats reads), a
+// confidential VM's exits, none in a container.
+func (m *Module) Events() simclock.Counts { return m.rt().Events() }
 
 // AccrueUptime models the module staying deployed for d of virtual time.
 func (m *Module) AccrueUptime(d time.Duration) { m.rt().AccrueUptime(d) }

@@ -81,6 +81,9 @@ type Runtime interface {
 	LoadDuration() time.Duration
 	// AccrueUptime models d of deployed residency.
 	AccrueUptime(d time.Duration)
+	// Events snapshots the boundary events the runtime counted: an
+	// enclave's SGX operations, a guest's VM exits.
+	Events() simclock.Counts
 	// Introspect is the privileged host's view of the runtime's whole key
 	// store, region by name: plaintext in a container, ciphertext under SGX
 	// or SEV.

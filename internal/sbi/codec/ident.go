@@ -30,6 +30,10 @@ type identity interface {
 
 const supiPrefix = "imsi-"
 
+// SUPITextLen is the longest SUPI text: "imsi-" and 16 digits. A buffer of
+// this size holds any SUPI's text.
+const SUPITextLen = len(supiPrefix) + 16
+
 // ParseSUPI parses a SUPI's text, allocating only for the error: "" is
 // the zero value, anything else must be "imsi-" followed by 1 to 16
 // digits.
@@ -81,7 +85,7 @@ func (s *SUPI) setText(text []byte) (err error) {
 // String formats the text, for logs, errors and the one string a first
 // registration keeps.
 func (s SUPI) String() string {
-	var buf [len(supiPrefix) + 16]byte
+	var buf [SUPITextLen]byte
 	b, _ := s.AppendText(buf[:0])
 	return string(b)
 }

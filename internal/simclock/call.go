@@ -72,11 +72,20 @@ func (c *Call) Value(key any) any {
 
 // CallFrom returns the Call ctx carries, nil when it carries none. The
 // outermost context is almost always the Call itself, so the common case
-// is one type assertion; only a context wrapped around a Call walks.
+// is one type assertion, which inlines into every reader; only a context
+// wrapped around a Call walks (callBelow).
 func CallFrom(ctx context.Context) *Call {
 	if c, ok := ctx.(*Call); ok {
 		return c
 	}
+	return callBelow(ctx)
+}
+
+// callBelow finds the Call below a context wrapped around one. It stays
+// out of line so that CallFrom fits the inlining budget.
+//
+//go:noinline
+func callBelow(ctx context.Context) *Call {
 	c, _ := ctx.Value(callKey{}).(*Call)
 	return c
 }
@@ -138,7 +147,18 @@ func WithAccount(ctx context.Context, a *Account) context.Context {
 // nil account charges nothing and totals 0, so callers may charge it
 // unconditionally and the clock alone advances.
 func AccountFrom(ctx context.Context) *Account {
-	if c := CallFrom(ctx); c != nil {
+	if c, ok := ctx.(*Call); ok {
+		return c.Account
+	}
+	return accountBelow(ctx)
+}
+
+// accountBelow is AccountFrom's walk, out of line for the reason
+// callBelow is.
+//
+//go:noinline
+func accountBelow(ctx context.Context) *Account {
+	if c := callBelow(ctx); c != nil {
 		return c.Account
 	}
 	return nil
@@ -161,15 +181,16 @@ func Pin(ctx context.Context) (pinned context.Context, acct *Account, own *Call)
 }
 
 // Book is the one way a procedure learns what it cost: it runs fn on ctx
-// pinned to an account (Pin) and returns the cycles fn charged to it —
-// the delta of the account ctx carries, or the total of a fresh one when
-// ctx carries none. fn must not keep its context past its return.
-func Book(ctx context.Context, fn func(context.Context) error) (Cycles, error) {
+// pinned to an account (Pin) and returns the cycles and the boundary
+// events fn charged to it — the delta of the account ctx carries, or the
+// totals of a fresh one when ctx carries none. fn must not keep its
+// context past its return.
+func Book(ctx context.Context, fn func(context.Context) error) (Cycles, Counts, error) {
 	ctx, acct, own := Pin(ctx)
 	defer own.Release()
-	start := acct.Total()
+	start, counts := acct.Total(), acct.Counts()
 	err := fn(ctx)
-	return acct.Total() - start, err
+	return acct.Total() - start, acct.Counts().Sub(counts), err
 }
 
 // WithArrival stamps ctx with the request's virtual arrival time (cycles on

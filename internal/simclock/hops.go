@@ -33,8 +33,10 @@ type Hop struct {
 	Phases uint8
 	Site   string
 	// Cycles is what the procedure's account was charged across the hop,
-	// its nested hops included.
+	// its nested hops included, and Counts the boundary events counted on
+	// it.
 	Cycles Cycles
+	Counts Counts
 }
 
 // HopCapacity is how many hops a record holds; the ones past it are
@@ -62,13 +64,26 @@ type HopMark struct {
 }
 
 // EnterHop opens a hop of kind at site on the record ctx carries, if any.
-// A site calls it as defer EnterHop(...).Leave().
-func EnterHop(ctx context.Context, kind HopKind, site string, phases uint8) (m HopMark) {
+// A site calls it as defer EnterHop(...).Leave(). The common case, a Call
+// that carries no record, returns at once, inline.
+func EnterHop(ctx context.Context, kind HopKind, site string, phases uint8) HopMark {
+	switch c := ctx.(type) {
+	case *Call:
+		if c.Hops == nil {
+			return HopMark{}
+		}
+	}
+	return enterHop(ctx, kind, site, phases)
+}
+
+// enterHop is EnterHop past its inline early return: it reads the
+// account's totals at the hop's start.
+func enterHop(ctx context.Context, kind HopKind, site string, phases uint8) (m HopMark) {
 	if c := CallFrom(ctx); c != nil && c.Hops != nil {
 		m = HopMark{h: c.Hops, acct: c.Account}
 		if h := m.h; h.n < len(h.hops) {
 			m.e = &h.hops[h.n]
-			*m.e = Hop{Depth: h.depth, Kind: kind, Phases: phases, Site: site, Cycles: c.Account.Total()}
+			*m.e = Hop{Depth: h.depth, Kind: kind, Phases: phases, Site: site, Cycles: c.Account.Total(), Counts: c.Account.Counts()}
 		}
 		m.h.n++
 		m.h.depth++
@@ -80,6 +95,7 @@ func EnterHop(ctx context.Context, kind HopKind, site string, phases uint8) (m H
 func (m HopMark) Leave() {
 	if m.e != nil {
 		m.e.Cycles = m.acct.Total() - m.e.Cycles
+		m.e.Counts = m.acct.Counts().Sub(m.e.Counts)
 	}
 	if m.h != nil {
 		m.h.depth--

@@ -8,8 +8,9 @@ import (
 )
 
 // TestHopsRecordDepthAndDelta: each hop records its depth, kind and site,
-// and the account's Δ across it, its nested hops' charges included; a
-// context without a record yields the zero mark, which closes nothing.
+// and the account's Δ cycles and counts across it, its nested hops'
+// included; a context without a record yields the zero mark, which closes
+// nothing.
 func TestHopsRecordDepthAndDelta(t *testing.T) {
 	var h Hops
 	ctx, acct, own := Pin(recording(&h))
@@ -20,13 +21,15 @@ func TestHopsRecordDepthAndDelta(t *testing.T) {
 	acct.Charge(10)
 	inner := EnterHop(ctx, Cross, "eudm-paka", 0x1f)
 	acct.Charge(5)
+	var enclave Events
+	enclave.Count(acct, 1, EENTER)
 	inner.Leave()
 	outer.Leave()
 	EnterHop(ctx, Radio, "", 0).Leave()
 
 	want := []Hop{
-		{Depth: 0, Kind: Post, Site: "/a", Cycles: 15},
-		{Depth: 1, Kind: Cross, Phases: 0x1f, Site: "eudm-paka", Cycles: 5},
+		{Depth: 0, Kind: Post, Site: "/a", Cycles: 15, Counts: Counts{EENTER: 1}},
+		{Depth: 1, Kind: Cross, Phases: 0x1f, Site: "eudm-paka", Cycles: 5, Counts: Counts{EENTER: 1}},
 		{Depth: 0, Kind: Radio},
 	}
 	got := h.Hops()

@@ -83,12 +83,14 @@ func (c *Clock) Now() time.Duration {
 	return Duration(c.Elapsed(), c.freqHz)
 }
 
-// Account accumulates the cycles charged along a single request path. It is
-// safe for concurrent use; a request that fans out across goroutines may
-// share one Account. The zero value is ready to use, and a nil Account is
-// no request's: it charges nothing and totals 0.
+// Account accumulates the cycles charged along a single request path and
+// the boundary events counted on it (Events.Count). It is safe for
+// concurrent use; a request that fans out across goroutines may share one
+// Account. The zero value is ready to use, and a nil Account is no
+// request's: it charges nothing and totals 0.
 type Account struct {
 	cycles atomic.Uint64
+	events Events
 }
 
 // Charge adds n cycles to the account.
@@ -104,6 +106,77 @@ func (a *Account) Total() Cycles {
 		return 0
 	}
 	return Cycles(a.cycles.Load())
+}
+
+// Counts reports the boundary events counted on the account so far.
+func (a *Account) Counts() Counts {
+	if a == nil {
+		return Counts{}
+	}
+	return a.events.Load()
+}
+
+// Event is one kind of boundary event a runtime counts: the SGX operations
+// of the paper's Table III and a confidential VM's exits.
+type Event uint8
+
+// The events, one fixed set for every runtime. An SGX AEX is always
+// followed by its ERESUME, so AEX counts both.
+const (
+	EENTER Event = iota
+	EEXIT
+	ECALL
+	OCALL
+	AEX
+	// EPCFault is an enclave page fault; the AEX it takes is counted too.
+	EPCFault
+	// VMExit is a confidential VM's exit to the hypervisor.
+	VMExit
+	numEvents
+)
+
+// Counts is a snapshot of event counts, indexed by Event.
+type Counts [numEvents]uint64
+
+// Sub returns c - prev, event by event.
+func (c Counts) Sub(prev Counts) Counts {
+	for i := range c {
+		c[i] -= prev[i]
+	}
+	return c
+}
+
+// Add returns c + o, event by event.
+func (c Counts) Add(o Counts) Counts {
+	for i := range c {
+		c[i] += o[i]
+	}
+	return c
+}
+
+// Events is one sink of event counters, safe for concurrent use: a
+// runtime's own (an enclave's, a guest process's) and every Account's.
+type Events [numEvents]atomic.Uint64
+
+// Count is the one way a boundary event is counted, where it is charged:
+// n events of each of evs go to the counting runtime's sink e and to the
+// account of the request that pays for them. A nil account is no
+// request's.
+func (e *Events) Count(acct *Account, n uint64, evs ...Event) {
+	for _, ev := range evs {
+		e[ev].Add(n)
+		if acct != nil {
+			acct.events[ev].Add(n)
+		}
+	}
+}
+
+// Load snapshots the counters.
+func (e *Events) Load() (c Counts) {
+	for i := range c {
+		c[i] = e[i].Load()
+	}
+	return c
 }
 
 // Jitter is a seeded source of reproducible measurement noise. It is safe

@@ -127,6 +127,29 @@ func TestAccountFromMissing(t *testing.T) {
 	AccountFrom(context.Background()).Charge(1)
 }
 
+// TestCountReachesBothSinks: an event counted on a runtime's sink is
+// counted on the paying account too; a nil account is no request's, and
+// totals nothing.
+func TestCountReachesBothSinks(t *testing.T) {
+	var sink Events
+	var a Account
+	sink.Count(&a, 3, AEX)
+	sink.Count(nil, 1, AEX)
+	sink.Count(&a, 2, VMExit)
+	if got, want := sink.Load(), (Counts{AEX: 4, VMExit: 2}); got != want {
+		t.Fatalf("sink counts %v, want %v", got, want)
+	}
+	if got, want := a.Counts(), (Counts{AEX: 3, VMExit: 2}); got != want {
+		t.Fatalf("account counts %v, want %v", got, want)
+	}
+	if got := (*Account)(nil).Counts(); got != (Counts{}) {
+		t.Fatalf("nil account counts %v, want none", got)
+	}
+	if d := a.Counts().Sub(Counts{AEX: 1}); d != (Counts{AEX: 2, VMExit: 2}) || d.Add(Counts{AEX: 1}) != a.Counts() {
+		t.Fatalf("Sub/Add do not invert: %v", d)
+	}
+}
+
 // TestNilAccount: a context without an account yields nil, and a nil
 // account charges nothing and reads 0.
 func TestNilAccount(t *testing.T) {
@@ -174,18 +197,21 @@ func TestBookReturnsTheDelta(t *testing.T) {
 	var a Account
 	a.Charge(100)
 	carried := WithAccount(context.Background(), &a)
+	var sink Events
+	sink.Count(&a, 5, OCALL)
 	fail := errors.New("procedure failed")
 	for _, ctx := range []context.Context{carried, context.Background()} {
-		n, err := Book(ctx, func(ctx context.Context) error {
+		n, counts, err := Book(ctx, func(ctx context.Context) error {
 			AccountFrom(ctx).Charge(7)
+			sink.Count(AccountFrom(ctx), 2, EENTER)
 			return fail
 		})
-		if n != 7 || err != fail {
-			t.Fatalf("Book = %d, %v; want 7, %v", n, err, fail)
+		if n != 7 || counts != (Counts{EENTER: 2}) || err != fail {
+			t.Fatalf("Book = %d, %v, %v; want 7, %v, %v", n, counts, err, Counts{EENTER: 2}, fail)
 		}
 	}
-	if a.Total() != 107 {
-		t.Fatalf("carried account totals %d, want 107", a.Total())
+	if a.Total() != 107 || a.Counts() != (Counts{EENTER: 2, OCALL: 5}) {
+		t.Fatalf("carried account totals %d and %v, want 107 and 2 EENTER, 5 OCALL", a.Total(), a.Counts())
 	}
 	if race.Enabled {
 		return

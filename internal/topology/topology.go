@@ -170,7 +170,7 @@ func (r *Router) RouteSUPI(supi codec.SUPI) (int, bool) {
 	if s == nil || len(s.Replicas) == 0 {
 		return 0, false
 	}
-	var buf [len("imsi-") + 16]byte
+	var buf [codec.SUPITextLen]byte
 	text, _ := supi.AppendText(buf[:0])
 	return s.owner(hash(text)), true
 }
